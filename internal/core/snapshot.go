@@ -1,12 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math"
 
 	"repro/internal/classify"
+	"repro/internal/durable"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -39,6 +38,12 @@ import (
 // guess.
 const snapMagic = "SPES-ST1"
 
+// stateMinFuncBytes is the least one function occupies in the blob — 25 of
+// metadata (three empty strings and the trigger), 41 of hot state, 90 of
+// profile and online-WT fields with every slice empty — which is what bounds
+// the header's function count by the blob's own length.
+const stateMinFuncBytes = 25 + 41 + 90
+
 // EncodeState serializes the policy's canonical state. The policy must be
 // trained, and any pending load deltas must have been consumed
 // (TakeLoadDeltas) first — a snapshot between Tick and delta consumption
@@ -51,70 +56,69 @@ func (s *SPES) EncodeState() ([]byte, error) {
 		return nil, fmt.Errorf("core: EncodeState with %d unconsumed load deltas; drain TakeLoadDeltas first", len(s.deltas))
 	}
 	n := len(s.states)
-	e := &stateEnc{buf: make([]byte, 0, 1<<16)}
-	e.bytes([]byte(snapMagic))
-	e.u64(sim.HashConfig(s.cfg))
-	e.i64(int64(s.trainSlots))
-	e.i64(int64(s.lastTick))
-	e.i64(int64(n))
+	e := durable.NewEnc(snapMagic, 1<<16)
+	e.U64(sim.HashConfig(s.cfg))
+	e.I64(int64(s.trainSlots))
+	e.I64(int64(s.lastTick))
+	e.I64(int64(n))
 
 	for fid := 0; fid < n; fid++ {
 		f := s.meta[fid]
-		e.str(f.Name)
-		e.str(f.App)
-		e.str(f.User)
-		e.u8(uint8(f.Trigger))
+		putStr(e, f.Name)
+		putStr(e, f.App)
+		putStr(e, f.User)
+		e.U8(uint8(f.Trigger))
 	}
 	for fid := 0; fid < n; fid++ {
-		e.i64(int64(s.lastInvoked[fid]))
-		e.i64(int64(s.eventSlot[fid]))
-		e.u64(uint64(s.seq[fid]))
-		e.bool(s.loaded[fid])
-		e.i64(int64(s.preloadUntil[fid]))
-		e.i64(int64(s.wtOff[fid]))
+		e.I64(int64(s.lastInvoked[fid]))
+		e.I64(int64(s.eventSlot[fid]))
+		e.U64(uint64(s.seq[fid]))
+		e.Bool(s.loaded[fid])
+		e.I64(int64(s.preloadUntil[fid]))
+		e.I64(int64(s.wtOff[fid]))
 	}
 	for fid := 0; fid < n; fid++ {
 		st := &s.states[fid]
 		p := &st.profile
-		e.u8(uint8(p.Type))
-		e.ints(p.Values)
-		e.i64(int64(p.RangeLo))
-		e.i64(int64(p.RangeHi))
-		e.f64(p.MedianWT)
-		e.f64(p.StdWT)
-		e.i64(int64(p.WTCount))
-		e.i64(int64(len(p.Links)))
+		e.U8(uint8(p.Type))
+		e.Ints(p.Values)
+		e.I64(int64(p.RangeLo))
+		e.I64(int64(p.RangeHi))
+		e.F64(p.MedianWT)
+		e.F64(p.StdWT)
+		e.I64(int64(p.WTCount))
+		e.I64(int64(len(p.Links)))
 		for _, l := range p.Links {
-			e.i64(int64(l.Cand))
-			e.i64(int64(l.Lag))
+			e.I64(int64(l.Cand))
+			e.I64(int64(l.Lag))
 		}
-		e.i64(int64(st.currentWT))
-		e.bool(st.everTrained)
-		e.ints(st.onlineWTs)
-		e.i64(int64(st.wtHead))
-		e.i64(int64(st.adjustedAt))
+		e.I64(int64(st.currentWT))
+		e.Bool(st.everTrained)
+		e.Ints(st.onlineWTs)
+		e.I64(int64(st.wtHead))
+		e.I64(int64(st.adjustedAt))
 	}
-	e.bool(s.ucorr != nil)
+	e.Bool(s.ucorr != nil)
 	if s.ucorr != nil {
 		for fid := 0; fid < n; fid++ {
-			e.i64(int64(s.ucorr.lastFired[fid]))
+			e.I64(int64(s.ucorr.lastFired[fid]))
 		}
 		for fid := 0; fid < n; fid++ {
 			tgt := s.ucorr.targets[fid]
-			e.bool(tgt != nil)
+			e.Bool(tgt != nil)
 			if tgt == nil {
 				continue
 			}
-			e.i64(int64(tgt.invocations))
-			e.i64(int64(len(tgt.cands)))
+			e.I64(int64(tgt.invocations))
+			e.I64(int64(len(tgt.cands)))
 			for _, c := range tgt.cands {
-				e.i64(int64(c.fid))
-				e.i64(int64(c.hits))
-				e.i64(int64(c.fires))
+				e.I64(int64(c.fid))
+				e.I64(int64(c.hits))
+				e.I64(int64(c.fires))
 			}
 		}
 	}
-	return e.buf, nil
+	return e.B, nil
 }
 
 // RestoreState rebuilds the full policy state from EncodeState bytes onto a
@@ -126,22 +130,21 @@ func (s *SPES) RestoreState(data []byte) error {
 	if s.states != nil {
 		return fmt.Errorf("core: RestoreState on an already-initialized policy")
 	}
-	d := &stateDec{buf: data}
-	if string(d.take(len(snapMagic))) != snapMagic {
+	d := durable.NewDec(data)
+	if string(d.Take(len(snapMagic))) != snapMagic {
 		return fmt.Errorf("core: snapshot magic mismatch (not a SPES state snapshot, or a different version)")
 	}
-	if h := d.u64(); h != sim.HashConfig(s.cfg) {
+	if h := d.U64(); h != sim.HashConfig(s.cfg) {
 		return fmt.Errorf("core: snapshot was taken under a different SPES config (hash %016x, have %016x)",
 			h, sim.HashConfig(s.cfg))
 	}
-	s.trainSlots = int(d.i64())
-	s.lastTick = int(d.i64())
-	n := int(d.i64())
-	if d.err != nil {
-		return fmt.Errorf("core: truncated snapshot header: %w", d.err)
-	}
-	if n < 0 || n > 1<<31 {
-		return fmt.Errorf("core: snapshot claims %d functions", n)
+	s.trainSlots = int(d.I64())
+	s.lastTick = int(d.I64())
+	// The count is bounded by what the body can hold before anything is
+	// sized by it.
+	n := d.Count(d.I64(), stateMinFuncBytes)
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("core: snapshot header: %w", err)
 	}
 
 	s.meta = make([]trace.Function, n)
@@ -161,20 +164,20 @@ func (s *SPES) RestoreState(data []byte) error {
 	for fid := 0; fid < n; fid++ {
 		s.meta[fid] = trace.Function{
 			ID:      trace.FuncID(fid),
-			Name:    d.str(),
-			App:     d.str(),
-			User:    d.str(),
-			Trigger: trace.Trigger(d.u8()),
+			Name:    getStr(d),
+			App:     getStr(d),
+			User:    getStr(d),
+			Trigger: trace.Trigger(d.U8()),
 		}
 	}
 	s.loadedCount = 0
 	for fid := 0; fid < n; fid++ {
-		s.lastInvoked[fid] = int32(d.i64())
-		s.eventSlot[fid] = int32(d.i64())
-		s.seq[fid] = uint32(d.u64())
-		s.loaded[fid] = d.bool()
-		s.preloadUntil[fid] = int32(d.i64())
-		s.wtOff[fid] = int8(d.i64())
+		s.lastInvoked[fid] = int32(d.I64())
+		s.eventSlot[fid] = int32(d.I64())
+		s.seq[fid] = uint32(d.U64())
+		s.loaded[fid] = d.Bool()
+		s.preloadUntil[fid] = int32(d.I64())
+		s.wtOff[fid] = int8(d.I64())
 		if s.loaded[fid] {
 			s.loadedCount++
 		}
@@ -182,28 +185,25 @@ func (s *SPES) RestoreState(data []byte) error {
 	for fid := 0; fid < n; fid++ {
 		st := &s.states[fid]
 		st.profile = classify.Profile{
-			Type:     classify.Type(d.u8()),
-			Values:   d.ints(),
-			RangeLo:  int(d.i64()),
-			RangeHi:  int(d.i64()),
-			MedianWT: d.f64(),
-			StdWT:    d.f64(),
-			WTCount:  int(d.i64()),
+			Type:     classify.Type(d.U8()),
+			Values:   d.Ints(),
+			RangeLo:  int(d.I64()),
+			RangeHi:  int(d.I64()),
+			MedianWT: d.F64(),
+			StdWT:    d.F64(),
+			WTCount:  int(d.I64()),
 		}
-		if links := int(d.i64()); links > 0 {
-			if links > len(d.buf) {
-				return fmt.Errorf("core: snapshot function %d claims %d links", fid, links)
-			}
+		if links := d.Count(d.I64(), 16); links > 0 {
 			st.profile.Links = make([]classify.Link, links)
 			for i := range st.profile.Links {
-				st.profile.Links[i] = classify.Link{Cand: int32(d.i64()), Lag: int32(d.i64())}
+				st.profile.Links[i] = classify.Link{Cand: int32(d.I64()), Lag: int32(d.I64())}
 			}
 		}
-		st.currentWT = int(d.i64())
-		st.everTrained = d.bool()
-		st.onlineWTs = d.ints()
-		st.wtHead = int32(d.i64())
-		st.adjustedAt = int(d.i64())
+		st.currentWT = int(d.I64())
+		st.everTrained = d.Bool()
+		st.onlineWTs = d.Ints()
+		st.wtHead = int32(d.I64())
+		st.adjustedAt = int(d.I64())
 
 		// Derived views: the type cache, the link reverse index, and the
 		// online-WT histogram (histAdd over any sample order rebuilds the
@@ -221,30 +221,26 @@ func (s *SPES) RestoreState(data []byte) error {
 			st.histAdd(wt)
 		}
 	}
-	if d.bool() {
+	if d.Bool() {
 		s.ucorr = newOnlineCorr(s.meta, s.cfg)
 		for fid := 0; fid < n; fid++ {
-			s.ucorr.lastFired[fid] = int(d.i64())
+			s.ucorr.lastFired[fid] = int(d.I64())
 		}
 		for fid := 0; fid < n; fid++ {
-			if !d.bool() {
+			if !d.Bool() {
 				continue
 			}
-			tgt := &utarget{fid: trace.FuncID(fid), invocations: int(d.i64())}
-			cands := int(d.i64())
-			if cands < 0 || cands > len(d.buf)+1 {
-				return fmt.Errorf("core: snapshot target %d claims %d candidates", fid, cands)
-			}
-			tgt.cands = make([]ucandidate, cands)
+			tgt := &utarget{fid: trace.FuncID(fid), invocations: int(d.I64())}
+			tgt.cands = make([]ucandidate, d.Count(d.I64(), 24))
 			for i := range tgt.cands {
-				cand := int(d.i64())
+				cand := int(d.I64())
 				if cand < 0 || cand >= n {
 					return fmt.Errorf("core: snapshot target %d names candidate %d of %d", fid, cand, n)
 				}
 				tgt.cands[i] = ucandidate{
 					fid:   trace.FuncID(cand),
-					hits:  int(d.i64()),
-					fires: int(d.i64()),
+					hits:  int(d.I64()),
+					fires: int(d.I64()),
 				}
 			}
 			s.ucorr.targets[fid] = tgt
@@ -253,11 +249,8 @@ func (s *SPES) RestoreState(data []byte) error {
 			}
 		}
 	}
-	if d.err != nil {
-		return fmt.Errorf("core: truncated snapshot: %w", d.err)
-	}
-	if len(d.buf) != 0 {
-		return fmt.Errorf("core: %d trailing bytes after snapshot payload", len(d.buf))
+	if err := d.Done(); err != nil {
+		return fmt.Errorf("core: snapshot payload: %w", err)
 	}
 
 	// Re-arm the timing wheel from each function's single outstanding
@@ -342,85 +335,12 @@ func (u *onlineCorr) admit(meta []trace.Function) {
 	u.lastFired = append(u.lastFired, -1)
 }
 
-// stateEnc appends fixed-width little-endian fields; the format needs no
-// varints — snapshots are written through the disk-cache discipline, which
-// already handles framing and integrity.
-type stateEnc struct{ buf []byte }
-
-func (e *stateEnc) bytes(b []byte) { e.buf = append(e.buf, b...) }
-func (e *stateEnc) u8(v uint8)     { e.buf = append(e.buf, v) }
-func (e *stateEnc) u64(v uint64)   { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *stateEnc) i64(v int64)    { e.u64(uint64(v)) }
-func (e *stateEnc) f64(v float64)  { e.u64(math.Float64bits(v)) }
-func (e *stateEnc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-func (e *stateEnc) str(s string) {
-	e.i64(int64(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *stateEnc) ints(v []int) {
-	e.i64(int64(len(v)))
-	for _, x := range v {
-		e.i64(int64(x))
-	}
+// putStr and getStr frame the blob's strings with an i64 length (the
+// durable cursor's own Str uses a u32; this format predates it and its bytes
+// are pinned by the serve snapshots already on disk).
+func putStr(e *durable.Enc, s string) {
+	e.I64(int64(len(s)))
+	e.B = append(e.B, s...)
 }
 
-// stateDec consumes a stateEnc buffer; the first short read latches err and
-// every later read returns zero, so decode loops stay linear and the caller
-// checks err once per section.
-type stateDec struct {
-	buf []byte
-	err error
-}
-
-func (d *stateDec) take(n int) []byte {
-	if d.err != nil || n < 0 || n > len(d.buf) {
-		if d.err == nil {
-			d.err = fmt.Errorf("need %d bytes, have %d", n, len(d.buf))
-		}
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
-}
-func (d *stateDec) u8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-func (d *stateDec) u64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-func (d *stateDec) i64() int64   { return int64(d.u64()) }
-func (d *stateDec) f64() float64 { return math.Float64frombits(d.u64()) }
-func (d *stateDec) bool() bool   { return d.u8() != 0 }
-func (d *stateDec) str() string  { return string(d.take(int(d.i64()))) }
-func (d *stateDec) ints() []int {
-	n := int(d.i64())
-	if n == 0 {
-		return nil
-	}
-	if n < 0 || n*8 > len(d.buf) {
-		if d.err == nil {
-			d.err = fmt.Errorf("int slice claims %d entries, %d bytes left", n, len(d.buf))
-		}
-		return nil
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = int(d.i64())
-	}
-	return out
-}
+func getStr(d *durable.Dec) string { return string(d.Take(d.Count(d.I64(), 1))) }

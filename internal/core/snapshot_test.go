@@ -1,6 +1,9 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -134,6 +137,71 @@ func TestStateSnapshotRejectsDamage(t *testing.T) {
 	}
 	if err := orig.RestoreState(data); err == nil {
 		t.Error("RestoreState succeeded on an already-trained policy")
+	}
+}
+
+// TestEncodeStateGoldenBytes pins the state blob to a digest recorded from
+// the encoder before it moved onto internal/durable: the blob travels inside
+// serve snapshots already on disk, so its bytes must not move.
+func TestEncodeStateGoldenBytes(t *testing.T) {
+	full := snapshotTrace(8 * 1440)
+	train, simTr := full.Split(6 * 1440)
+	p := New(DefaultConfig())
+	p.Train(train)
+	idx := simTr.BuildSlotIndex()
+	for s := 0; s < 200; s++ {
+		p.Tick(s, idx.Invocations[s])
+	}
+	p.TakeLoadDeltas()
+	data, err := p.EncodeState()
+	if err != nil {
+		t.Fatalf("EncodeState: %v", err)
+	}
+	const want = "1c77532347b9b004317b4f97fbcbc27364641fd62dcbe0b888e933315991d181"
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != 1019 || got != want {
+		t.Fatalf("state blob is %d bytes hashing to %s, want 1019 bytes hashing to %s", len(data), got, want)
+	}
+}
+
+// TestRestoreStateBoundsClaimedCounts: a count read from the blob is checked
+// against the bytes left before anything is sized by it — a 40-byte header
+// claiming 2^31 functions and an int slice claiming 2^61 entries must both be
+// refused with an error, not a multi-gigabyte allocation or a makeslice
+// panic.
+func TestRestoreStateBoundsClaimedCounts(t *testing.T) {
+	header := func(n int64) []byte {
+		b := []byte(snapMagic)
+		b = binary.LittleEndian.AppendUint64(b, sim.HashConfig(DefaultConfig()))
+		b = binary.LittleEndian.AppendUint64(b, 1440) // trainSlots
+		b = binary.LittleEndian.AppendUint64(b, 0)    // lastTick
+		return binary.LittleEndian.AppendUint64(b, uint64(n))
+	}
+	i64 := func(b []byte, vs ...int64) []byte {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, uint64(v))
+		}
+		return b
+	}
+
+	huge := header(1 << 31)
+	if len(huge) != 40 {
+		t.Fatalf("header is %d bytes, want 40", len(huge))
+	}
+	// One function whose profile.Values slice claims 2^61 entries, padded so
+	// the function count itself passes the bound.
+	ints := i64(header(1), 0, 0, 0) // empty name, app, user
+	ints = append(ints, 0)          // trigger
+	ints = i64(ints, 0, 0, 0)       // lastInvoked, eventSlot, seq
+	ints = append(ints, 0)          // loaded
+	ints = i64(ints, 0, 0)          // preloadUntil, wtOff
+	ints = append(ints, 0)          // profile type
+	ints = i64(ints, 1<<61)         // len(profile.Values)
+	ints = append(ints, make([]byte, 2*stateMinFuncBytes)...)
+
+	for name, blob := range map[string][]byte{"2^31 functions": huge, "2^61 ints": ints} {
+		if err := New(DefaultConfig()).RestoreState(blob); err == nil {
+			t.Errorf("%s: blob restored without error", name)
+		}
 	}
 }
 

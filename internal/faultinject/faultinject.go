@@ -1,7 +1,7 @@
 // Package faultinject is the deterministic fault-injection harness behind
 // the simulation engine's fault-tolerance layer: a seeded Injector that
 // produces filesystem faults (read/write/rename errors, short writes, bit
-// flips) behind the sim.DiskCache filesystem seam and worker faults
+// flips) behind the durable.FS filesystem seam and worker faults
 // (panics, artificial slowness) at the shard boundary, on a reproducible
 // schedule.
 //
@@ -21,7 +21,7 @@
 // fault-injection tests).
 //
 // The dependency arrow points one way: this package implements the seams
-// sim declares (sim.CacheFS / sim.CacheFile for the disk tier,
+// others declare (durable.FS / durable.File for every persistent file,
 // sim.ShardFaultHook for workers), and its injected errors advertise
 // themselves as transient through the `Transient() bool` method
 // sim.IsTransient sniffs for — sim itself never imports the harness.

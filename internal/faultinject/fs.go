@@ -1,27 +1,31 @@
 package faultinject
 
 import (
-	"os"
 	"path/filepath"
 
-	"repro/internal/sim"
+	"repro/internal/durable"
 )
 
-// FS is the fault-injecting sim.CacheFS: every operation consults the
+// FS is the fault-injecting durable.FS: every operation consults the
 // injector's schedule, then (absent a fault) hits the real filesystem.
 // Read faults are keyed by the entry filename, write faults by the content
 // being written (temp filenames embed a random component; content is
 // stable), rename faults by the destination name — see the package comment
-// for why that makes the schedule reproducible under concurrency.
-type FS struct{ in *Injector }
+// for why that makes the schedule reproducible under concurrency. Remove and
+// Truncate pass straight through (the embedded durable.OS): failing cleanup
+// or healing would only mask the fault being tested.
+type FS struct {
+	durable.OS
+	in *Injector
+}
 
-var _ sim.CacheFS = (*FS)(nil)
+var _ durable.FS = (*FS)(nil)
 
-// FS returns the injector's filesystem seam, for
-// sim.OpenDiskCacheFS(dir, inj.FS()).
+// FS returns the injector's filesystem seam, for sim.OpenDiskCacheFS,
+// trace.IngestCSVFS / OpenStoreFS and serve.Config.FS.
 func (in *Injector) FS() *FS { return &FS{in: in} }
 
-// ReadFile implements sim.CacheFS: it may fail with an injected transient
+// ReadFile implements durable.FS: it may fail with an injected transient
 // error or return a copy of the file with one bit flipped (the checksum on
 // every disk entry must turn that into a miss, never a wrong result).
 func (fs *FS) ReadFile(name string) ([]byte, error) {
@@ -30,7 +34,7 @@ func (fs *FS) ReadFile(name string) ([]byte, error) {
 	if fs.in.decide("readerr", base, seq, fs.in.cfg.ReadErr) {
 		return nil, &Error{Site: "readerr", Subject: base, Seq: seq}
 	}
-	data, err := os.ReadFile(name)
+	data, err := fs.OS.ReadFile(name)
 	if err != nil {
 		return nil, err
 	}
@@ -44,17 +48,26 @@ func (fs *FS) ReadFile(name string) ([]byte, error) {
 	return data, nil
 }
 
-// CreateTemp implements sim.CacheFS; the returned file injects write
+// CreateTemp implements durable.FS; the returned file injects write
 // faults.
-func (fs *FS) CreateTemp(dir, pattern string) (sim.CacheFile, error) {
-	f, err := os.CreateTemp(dir, pattern)
+func (fs *FS) CreateTemp(dir, pattern string) (durable.File, error) {
+	return fs.wrap(fs.OS.CreateTemp(dir, pattern))
+}
+
+// OpenAppend implements durable.FS; the returned file injects write faults
+// (a short write here is a record torn mid-append).
+func (fs *FS) OpenAppend(name string) (durable.File, error) {
+	return fs.wrap(fs.OS.OpenAppend(name))
+}
+
+func (fs *FS) wrap(f durable.File, err error) (durable.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &file{f: f, in: fs.in}, nil
+	return &file{File: f, in: fs.in}, nil
 }
 
-// Rename implements sim.CacheFS with injected transient failures, keyed by
+// Rename implements durable.FS with injected transient failures, keyed by
 // the destination entry name.
 func (fs *FS) Rename(oldpath, newpath string) error {
 	base := filepath.Base(newpath)
@@ -62,16 +75,12 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 	if fs.in.decide("renameerr", base, seq, fs.in.cfg.RenameErr) {
 		return &Error{Site: "renameerr", Subject: base, Seq: seq}
 	}
-	return os.Rename(oldpath, newpath)
+	return fs.OS.Rename(oldpath, newpath)
 }
 
-// Remove implements sim.CacheFS (passthrough: failing cleanup would only
-// mask the fault being tested).
-func (fs *FS) Remove(name string) error { return os.Remove(name) }
-
-// file wraps a temp file with injected write faults.
+// file wraps a real file with injected write faults.
 type file struct {
-	f  *os.File
+	durable.File
 	in *Injector
 }
 
@@ -87,16 +96,13 @@ func (w *file) Write(p []byte) (int, error) {
 		return 0, &Error{Site: "writeerr", Subject: subject, Seq: seq}
 	}
 	if len(p) > 1 && w.in.decide("shortwrite", subject, seq, w.in.cfg.ShortWrite) {
-		if _, err := w.f.Write(p[:len(p)/2]); err != nil {
+		if _, err := w.File.Write(p[:len(p)/2]); err != nil {
 			return 0, err
 		}
 		return len(p), nil
 	}
-	return w.f.Write(p)
+	return w.File.Write(p)
 }
-
-func (w *file) Close() error { return w.f.Close() }
-func (w *file) Name() string { return w.f.Name() }
 
 // contentKey is the stable write subject: an FNV-1a hash of the bytes,
 // hex-ish encoded.

@@ -1,102 +1,69 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"path/filepath"
-	"strconv"
+
+	"repro/internal/durable"
 )
 
 // journal is the daemon's write-ahead log: every accepted batch is appended
 // — checksummed — BEFORE any policy state mutates, so a crash at any
 // instant loses at most batches the client never saw acknowledged (and will
-// retry). One record per line:
-//
-//	crc32c(json) as 8 hex digits, a space, the batch JSON, '\n'
-//
-// Append is a single write(2) on an O_APPEND descriptor; recovery scans
-// from the top and HEALS a torn tail: the first record that is incomplete
-// or fails its checksum ends the journal, and the file is truncated back to
-// the last good record (a record after a bad one cannot be trusted — the
-// sequence chain is broken). The journal is never rotated or truncated by
-// snapshots: snapshots only move the replay start, and the full journal is
-// what rebuilds the daemon's recorded invocation history (the retrain
-// window source) from scratch.
+// retry). One durable record line per batch, the payload its JSON. Append
+// is a single write(2) on an O_APPEND descriptor; recovery scans from the
+// top and HEALS a torn tail: the first record that is incomplete or fails
+// its checksum ends the journal, and the file is truncated back to the last
+// good record (a record after a bad one cannot be trusted — the sequence
+// chain is broken). The journal is never rotated or truncated by snapshots:
+// snapshots only move the replay start, and the full journal is what
+// rebuilds the daemon's recorded invocation history (the retrain window
+// source) from scratch.
 type journal struct {
-	f    *os.File
-	path string
+	f   durable.File
+	buf []byte // the record line being framed, reused across appends
 }
-
-// journalCRC is the record checksum table (CRC-32C, same as the disk cache
-// and snapshot formats).
-var journalCRC = crc32.MakeTable(crc32.Castagnoli)
 
 // openJournal opens (creating if absent) the journal at path, replays its
 // intact records, and heals any torn tail. The returned records are in
 // append order with contiguous sequence numbers.
-func openJournal(path string) (*journal, []Batch, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("serve: read journal: %w", err)
-	}
+func openJournal(fs durable.FS, path string) (*journal, []Batch, error) {
 	var records []Batch
-	good := 0 // byte offset of the end of the last intact record
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // incomplete final line: torn tail
+	f, err := durable.OpenLog(fs, path, func(data []byte) (good int) {
+		for good < len(data) {
+			line, n := durable.NextLine(data[good:])
+			payload, ok := durable.ParseLine(line)
+			var b Batch
+			if !ok || json.Unmarshal(payload, &b) != nil {
+				break // torn, corrupt or undecodable: the journal ends here
+			}
+			if last := len(records) - 1; last >= 0 && b.Seq != records[last].Seq+1 {
+				break // broken chain: everything after is untrustworthy
+			}
+			records = append(records, b)
+			good += n
 		}
-		line := data[off : off+nl]
-		if len(line) < 10 || line[8] != ' ' {
-			break
-		}
-		want, perr := strconv.ParseUint(string(line[:8]), 16, 32)
-		if perr != nil {
-			break
-		}
-		payload := line[9:]
-		if crc32.Checksum(payload, journalCRC) != uint32(want) {
-			break
-		}
-		var b Batch
-		if json.Unmarshal(payload, &b) != nil {
-			break
-		}
-		if n := len(records); n > 0 && b.Seq != records[n-1].Seq+1 {
-			break // broken chain: everything after is untrustworthy
-		}
-		records = append(records, b)
-		off += nl + 1
-		good = off
-	}
-	if good < len(data) {
-		if err := os.Truncate(path, int64(good)); err != nil {
-			return nil, nil, fmt.Errorf("serve: heal journal tail: %w", err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		return good
+	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: open journal: %w", err)
 	}
-	return &journal{f: f, path: path}, records, nil
+	return &journal{f: f}, records, nil
 }
 
-// append durably records b. On error the batch must be rejected — an
-// unjournaled batch would not survive a crash, so acknowledging it would
-// break the exactly-once contract.
+// append records b with one write(2): once it returns, b survives the
+// daemon's death (SIGKILL-safe — the bytes are the kernel's) but not the
+// machine's, since nothing on the serve path fsyncs. On error the batch must
+// be rejected — an unjournaled batch would not survive a crash, so
+// acknowledging it would break the exactly-once contract.
 func (j *journal) append(b *Batch) error {
 	payload, err := json.Marshal(b)
 	if err != nil {
 		return fmt.Errorf("serve: encode journal record: %w", err)
 	}
-	line := make([]byte, 0, len(payload)+10)
-	line = fmt.Appendf(line, "%08x ", crc32.Checksum(payload, journalCRC))
-	line = append(line, payload...)
-	line = append(line, '\n')
-	if _, err := j.f.Write(line); err != nil {
+	j.buf = durable.AppendLine(j.buf[:0], payload)
+	if _, err := j.f.Write(j.buf); err != nil {
 		return fmt.Errorf("serve: append journal record: %w", err)
 	}
 	return nil

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/faultinject"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -52,10 +53,11 @@ type Config struct {
 	DecisionTimeout   time.Duration
 	FallbackKeepAlive int
 
-	// FS is the snapshot filesystem seam (nil: the real filesystem);
-	// Faults, when non-nil, injects the serving fault classes (dropped
-	// connections, torn snapshot writes) on its seeded schedule.
-	FS     sim.CacheFS
+	// FS is the filesystem seam under the journal and the snapshots (nil:
+	// the real filesystem); Faults, when non-nil, injects the serving fault
+	// classes (dropped connections, torn snapshot writes) on its seeded
+	// schedule.
+	FS     durable.FS
 	Faults *faultinject.Injector
 }
 
@@ -76,7 +78,7 @@ func (c *Config) fill() {
 		c.FallbackKeepAlive = 10
 	}
 	if c.FS == nil {
-		c.FS = realFS{}
+		c.FS = durable.OS{}
 	}
 	if c.RetrainEvery > 0 && c.RetrainWindow <= 0 && c.Training != nil {
 		c.RetrainWindow = c.Training.Slots
@@ -173,7 +175,11 @@ func New(cfg Config) (*Server, error) {
 		done:  make(chan struct{}),
 	}
 
-	jl, records, err := openJournal(journalPath(cfg.Dir))
+	// A daemon killed mid-snapshot (which the crash tests do on purpose)
+	// leaves its temp file behind; reclaim old ones on the way back up.
+	durable.Sweep(cfg.FS, cfg.Dir, snapTmpPattern)
+
+	jl, records, err := openJournal(cfg.FS, journalPath(cfg.Dir))
 	if err != nil {
 		return nil, err
 	}
@@ -333,8 +339,8 @@ func (s *Server) apply(req *ingest) {
 // applyLocked runs one batch through the full accept path: validate
 // everything, journal, then mutate — in that order, so every journaled
 // record is guaranteed to re-apply cleanly and every state mutation is
-// durable before it is acknowledged. Decisions (cold/flips) are only ever
-// emitted from a fully-applied batch.
+// journaled (SIGKILL-safe, not fsynced) before it is acknowledged.
+// Decisions (cold/flips) are only ever emitted from a fully-applied batch.
 func (s *Server) applyLocked(b *Batch) Reply {
 	reject := func(format string, args ...any) Reply {
 		s.c.rejected.Add(1)

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/retry"
@@ -283,7 +286,7 @@ func TestAdmitOverIngest(t *testing.T) {
 func TestJournalHealsTornTail(t *testing.T) {
 	dir := t.TempDir()
 	path := journalPath(dir)
-	j, recs, err := openJournal(path)
+	j, recs, err := openJournal(durable.OS{}, path)
 	if err != nil {
 		t.Fatalf("openJournal (fresh): %v", err)
 	}
@@ -302,7 +305,7 @@ func TestJournalHealsTornTail(t *testing.T) {
 	if err := os.WriteFile(path, append(append([]byte{}, intact...), []byte("deadbeef {\"seq\":4")...), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j2, recs, err := openJournal(path)
+	j2, recs, err := openJournal(durable.OS{}, path)
 	if err != nil {
 		t.Fatalf("openJournal (torn tail): %v", err)
 	}
@@ -323,13 +326,128 @@ func TestJournalHealsTornTail(t *testing.T) {
 	if err := os.WriteFile(path, damaged, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	j3, recs, err := openJournal(path)
+	j3, recs, err := openJournal(durable.OS{}, path)
 	if err != nil {
 		t.Fatalf("openJournal (mid-file damage): %v", err)
 	}
 	j3.Close()
 	if len(recs) != 1 {
 		t.Fatalf("mid-file damage recovery returned %d records, want 1", len(recs))
+	}
+}
+
+// TestSnapshotAndJournalGoldenBytes pins both serving formats to bytes
+// recorded from the writers before they moved onto internal/durable. The
+// journal is unversioned and the source of truth, so its line is held
+// literally.
+func TestSnapshotAndJournalGoldenBytes(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		name, want string
+		write      func() error
+	}{
+		{snapName(7), "sha256:093f098fcebb1c0eae1d0f0753e9a250063c692b41563edfc6d791aa966bd7b7", func() error {
+			return (&snapshotter{dir: dir, fs: durable.OS{}}).save(7, 1234, []byte("policy state bytes"))
+		}},
+		{"journal.wal", `3d90776d {"seq":1,"slot":10,"admit":[{"name":"f","app":"a","user":"u","trigger":2}],"events":[[0,1],[3,2]]}` + "\n", func() error {
+			j, _, err := openJournal(durable.OS{}, journalPath(dir))
+			if err != nil {
+				return err
+			}
+			defer j.Close()
+			return j.append(&Batch{Seq: 1, Slot: 10,
+				Admit:  []AdmitFunc{{Name: "f", App: "a", User: "u", Trigger: 2}},
+				Events: []EventPair{{0, 1}, {3, 2}}})
+		}},
+	} {
+		if err := tc.write(); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, tc.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := string(data)
+		if strings.HasPrefix(tc.want, "sha256:") {
+			got = fmt.Sprintf("sha256:%x", sha256.Sum256(data))
+		}
+		if got != tc.want {
+			t.Errorf("%s: got %q, want %q", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestRestoreParentWrittenState restores a state directory written by the
+// commit before the durable port — journal.wal plus two snapshot
+// generations, copied while that daemon was live, i.e. what a SIGKILL leaves
+// — and must land on the state hash that daemon reported: the newest
+// snapshot decodes, the journaled tail behind it replays.
+func TestRestoreParentWrittenState(t *testing.T) {
+	const (
+		wantHash = uint64(0xcf3e88168eae4c15)
+		wantSlot = 200
+		wantSeq  = uint64(200)
+	)
+	dir := t.TempDir()
+	files, err := filepath.Glob("testdata/parent-state/*")
+	if err != nil || len(files) != 3 {
+		t.Fatalf("fixture: %v, err %v", files, err)
+	}
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	train, _ := testWorkload(t, 24, "")
+	s, err := New(Config{Dir: dir, Policy: core.DefaultConfig(), Training: train, SnapshotEvery: 80})
+	if err != nil {
+		t.Fatalf("New over the parent-written directory: %v", err)
+	}
+	defer s.Close()
+	hash, slot, seq, err := s.StateHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hash != wantHash || slot != wantSlot || seq != wantSeq {
+		t.Fatalf("restored hash %016x slot %d seq %d, want %016x %d %d", hash, slot, seq, wantHash, wantSlot, wantSeq)
+	}
+	if m := s.MetricsSnapshot(); m.RestoredFromSeq != 160 || m.ReplayedRecords != 40 || m.SnapshotsRejected != 0 {
+		t.Fatalf("restore took an unexpected path (want snapshot 160 + 40 replayed records): %+v", m)
+	}
+}
+
+// TestNewSweepsOrphanedSnapshotTemps: a daemon killed mid-snapshot leaves
+// its temp file behind; the next start reclaims stale ones and leaves fresh
+// ones (possibly a live writer's) alone — the same durable.Sweep, and the
+// same case, as the disk cache's and the trace store's
+// (sim.TestOpenDiskCacheSweepsOrphanedTempFiles).
+func TestNewSweepsOrphanedSnapshotTemps(t *testing.T) {
+	dir := t.TempDir()
+	stale, fresh := filepath.Join(dir, ".tmp-snap-dead123"), filepath.Join(dir, ".tmp-snap-live456")
+	for _, p := range []string{stale, fresh} {
+		if err := os.WriteFile(p, []byte("partial snapshot bytes"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * durable.OrphanAge)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	train, _ := testWorkload(t, 24, "")
+	s, err := New(Config{Dir: dir, Policy: core.DefaultConfig(), Training: train})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("stale snapshot temp not swept (stat err: %v)", err)
+	}
+	if _, err := os.Stat(fresh); err != nil {
+		t.Errorf("fresh snapshot temp swept: %v", err)
 	}
 }
 
@@ -354,7 +472,7 @@ func TestRestoreFallsBackAcrossSnapshots(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	snaps := (&snapshotter{dir: dir, fs: realFS{}}).list()
+	snaps := (&snapshotter{dir: dir, fs: durable.OS{}}).list()
 	if len(snaps) < 2 {
 		t.Fatalf("expected >=2 retained snapshot generations, got %v", snaps)
 	}
@@ -385,7 +503,7 @@ func TestRestoreFallsBackAcrossSnapshots(t *testing.T) {
 	}
 
 	// No snapshots at all: the journal alone must rebuild the state.
-	for _, name := range (&snapshotter{dir: dir, fs: realFS{}}).list() {
+	for _, name := range (&snapshotter{dir: dir, fs: durable.OS{}}).list() {
 		os.Remove(filepath.Join(dir, name))
 	}
 	s3, err := New(cfg)

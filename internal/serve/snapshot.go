@@ -1,57 +1,40 @@
 package serve
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 
+	"repro/internal/durable"
 	"repro/internal/faultinject"
-	"repro/internal/sim"
 )
 
-// Snapshot discipline (same staged-write rules as sim.DiskCache): encode to
-// a buffer, write to a temp file in the same directory, rename over the
-// final name, and checksum the whole entry so a reader can only ever see a
-// bit-exact snapshot or reject it. Snapshots are an OPTIMIZATION over the
-// journal — they move the replay start forward — so any damage (torn write,
-// bit rot, version skew) downgrades to an older generation or to a full
-// journal replay, never to an error the daemon cannot start from.
+// Snapshot discipline (the same durable.Commit every persistent file goes
+// through): encode to a buffer, commit it under its final name, and checksum
+// the whole entry so a reader can only ever see a bit-exact snapshot or
+// reject it. Snapshots are an OPTIMIZATION over the journal — they move the
+// replay start forward — so any damage (torn write, bit rot, version skew)
+// downgrades to an older generation or to a full journal replay, never to an
+// error the daemon cannot start from.
 //
-// File format, little-endian:
+// File format (the durable envelope), little-endian:
 //
 //	"SPESRVS1" | seq u64 | nextSlot u64 | stateLen u64 | state | crc32c u32
 //
 // where state is core.SPES.EncodeState (itself magic- and config-hash
 // guarded) and the CRC covers everything before it.
 const (
-	servSnapMagic = "SPESRVS1"
-	snapKeep      = 2 // newest generations retained; older ones are pruned
+	servSnapMagic  = "SPESRVS1"
+	snapTmpPattern = ".tmp-snap-*"
+	snapKeep       = 2 // newest generations retained; older ones are pruned
 )
-
-var snapCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// realFS is the production sim.CacheFS for snapshot files.
-type realFS struct{}
-
-func (realFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
-func (realFS) CreateTemp(dir, pattern string) (sim.CacheFile, error) {
-	f, err := os.CreateTemp(dir, pattern)
-	if err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-func (realFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
-func (realFS) Remove(name string) error             { return os.Remove(name) }
 
 // snapshotter writes and restores the daemon's state snapshots in dir.
 type snapshotter struct {
 	dir    string
-	fs     sim.CacheFS
+	fs     durable.FS
 	faults *faultinject.Injector
 }
 
@@ -78,36 +61,17 @@ func (sn *snapshotter) list() []string {
 // fault truncates the written bytes while the rename still lands — the
 // lying-disk case the checksum exists to catch.
 func (sn *snapshotter) save(seq uint64, nextSlot int, state []byte) error {
-	buf := make([]byte, 0, len(servSnapMagic)+24+len(state)+4)
-	buf = append(buf, servSnapMagic...)
-	buf = binary.LittleEndian.AppendUint64(buf, seq)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(nextSlot))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(state)))
-	buf = append(buf, state...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, snapCRC))
-
-	final := filepath.Join(sn.dir, snapName(seq))
-	write := buf
+	e := durable.NewEnc(servSnapMagic, 24+len(state)+4)
+	e.U64(seq)
+	e.U64(uint64(nextSlot))
+	e.U64(uint64(len(state)))
+	e.B = append(e.B, state...)
+	buf := e.Seal()
 	if sn.faults.TornSnapshot(snapName(seq)) {
-		write = buf[:len(buf)/2]
+		buf = buf[:len(buf)/2]
 	}
-	f, err := sn.fs.CreateTemp(sn.dir, ".tmp-snap-*")
-	if err != nil {
-		return fmt.Errorf("serve: stage snapshot: %w", err)
-	}
-	if _, err := f.Write(write); err != nil {
-		name := f.Name()
-		f.Close()
-		sn.fs.Remove(name)
-		return fmt.Errorf("serve: write snapshot: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		sn.fs.Remove(f.Name())
-		return fmt.Errorf("serve: close snapshot: %w", err)
-	}
-	if err := sn.fs.Rename(f.Name(), final); err != nil {
-		sn.fs.Remove(f.Name())
-		return fmt.Errorf("serve: publish snapshot: %w", err)
+	if err := durable.Commit(sn.fs, sn.dir, snapName(seq), snapTmpPattern, buf); err != nil {
+		return fmt.Errorf("serve: save snapshot: %w", err)
 	}
 	for i, name := range sn.list() {
 		if i >= snapKeep {
@@ -140,19 +104,16 @@ func (sn *snapshotter) read(path string) (seq uint64, nextSlot int, state []byte
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	hdr := len(servSnapMagic) + 24
-	if len(data) < hdr+4 || string(data[:len(servSnapMagic)]) != servSnapMagic {
-		return 0, 0, nil, fmt.Errorf("serve: snapshot %s: bad header", filepath.Base(path))
+	body, err := durable.Unseal(data, servSnapMagic)
+	if err != nil {
+		return 0, 0, nil, fmt.Errorf("serve: snapshot %s: %w", filepath.Base(path), err)
 	}
-	body, sum := data[:len(data)-4], data[len(data)-4:]
-	if crc32.Checksum(body, snapCRC) != binary.LittleEndian.Uint32(sum) {
-		return 0, 0, nil, fmt.Errorf("serve: snapshot %s: checksum mismatch", filepath.Base(path))
+	d := durable.NewDec(body)
+	seq = d.U64()
+	nextSlot = int(d.U64())
+	state = d.Take(d.Count(int64(d.U64()), 1))
+	if err := d.Done(); err != nil {
+		return 0, 0, nil, fmt.Errorf("serve: snapshot %s: %w", filepath.Base(path), err)
 	}
-	seq = binary.LittleEndian.Uint64(data[len(servSnapMagic):])
-	nextSlot = int(binary.LittleEndian.Uint64(data[len(servSnapMagic)+8:]))
-	n := binary.LittleEndian.Uint64(data[len(servSnapMagic)+16:])
-	if uint64(len(body)-hdr) != n {
-		return 0, 0, nil, fmt.Errorf("serve: snapshot %s: length mismatch", filepath.Base(path))
-	}
-	return seq, nextSlot, body[hdr:], nil
+	return seq, nextSlot, state, nil
 }

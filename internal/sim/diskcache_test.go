@@ -1,9 +1,9 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/durable"
 	"repro/internal/trace"
 )
 
@@ -93,6 +94,37 @@ func TestDiskEntryWideTypeDictionary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameEntry(t, ent, got)
+}
+
+// TestDiskEntryGoldenBytes pins the entry encoding to digests recorded from
+// the encoder before it moved onto internal/durable: entries already on
+// disk (CI carries the directory across runs) must keep decoding, so the
+// bytes may only change together with diskVersion.
+func TestDiskEntryGoldenBytes(t *testing.T) {
+	wide := func() (shardKey, *shardEntry) {
+		key, ent := testEntry(true)
+		ent.res.PerFunc = make([]FuncMetrics, 300)
+		ent.res.Types = make([]string, 300)
+		ent.global = make([]trace.FuncID, 300)
+		for i := range ent.global {
+			ent.res.Types[i] = fmt.Sprintf("label-%03d", i)
+			ent.global[i] = trace.FuncID(i)
+		}
+		return key, ent
+	}
+	for _, tc := range []struct {
+		name   string
+		entry  func() (shardKey, *shardEntry)
+		sha256 string
+	}{
+		{"typed", func() (shardKey, *shardEntry) { return testEntry(true) }, "58a99438ec79d0cbba68261bb7a7f102f67d4b638a4e3038d0ac153eb2fbe2a6"},
+		{"untyped", func() (shardKey, *shardEntry) { return testEntry(false) }, "d5d5910b52515bbc049848a1c8c44b70aebe5ab42bbf1ac306baf3ed84d0f252"},
+		{"two-byte dictionary indices", wide, "0abad5cefe0e66f0fb6d3bd8767728e8883283b763449500602a32b4c86d363d"},
+	} {
+		if got := fmt.Sprintf("%x", sha256.Sum256(encodeEntry(tc.entry()))); got != tc.sha256 {
+			t.Errorf("%s: entry bytes hash to %s, want %s", tc.name, got, tc.sha256)
+		}
+	}
 }
 
 // TestDiskEntryVersionMismatch: an entry written by a different format
@@ -261,8 +293,8 @@ func TestOpenDiskCacheCreatesDir(t *testing.T) {
 }
 
 // restamp recomputes the trailing checksum after a deliberate header
-// patch, reusing the encoder's table.
+// patch, reusing the encoder's checksum.
 func restamp(buf []byte) {
 	binary.LittleEndian.PutUint32(buf[len(buf)-4:],
-		crc32.Checksum(buf[:len(buf)-4], castagnoli))
+		durable.Checksum(buf[:len(buf)-4]))
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -8,13 +9,16 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/durable"
+	"repro/internal/trace"
 )
 
 // flakyFS wraps the real filesystem, failing the next failReads ReadFile
 // calls and the next failCreates CreateTemp calls, and counting traffic so
 // tests can assert a tripped tier stops issuing syscalls.
 type flakyFS struct {
-	osFS
+	durable.OS
 	mu          sync.Mutex
 	failReads   int
 	failCreates int
@@ -33,10 +37,10 @@ func (f *flakyFS) ReadFile(name string) ([]byte, error) {
 	if fail {
 		return nil, errors.New("injected read failure")
 	}
-	return f.osFS.ReadFile(name)
+	return f.OS.ReadFile(name)
 }
 
-func (f *flakyFS) CreateTemp(dir, pattern string) (CacheFile, error) {
+func (f *flakyFS) CreateTemp(dir, pattern string) (durable.File, error) {
 	f.mu.Lock()
 	f.creates++
 	fail := f.failCreates > 0
@@ -47,7 +51,7 @@ func (f *flakyFS) CreateTemp(dir, pattern string) (CacheFile, error) {
 	if fail {
 		return nil, errors.New("injected create failure")
 	}
-	return f.osFS.CreateTemp(dir, pattern)
+	return f.OS.CreateTemp(dir, pattern)
 }
 
 func (f *flakyFS) counts() (reads, creates int) {
@@ -151,9 +155,44 @@ func TestDiskTripwireDisablesTier(t *testing.T) {
 	}
 }
 
+// plantTemps drops a stale temp file, a fresh one and an unrelated file
+// into dir; swept asserts what one durable.Sweep from an opener must have
+// done with them: reclaim the stale one (a dead writer's), leave the fresh
+// one (possibly a live writer's) and the bystander alone.
+func plantTemps(t *testing.T, dir, prefix string) (swept func()) {
+	t.Helper()
+	stale := filepath.Join(dir, prefix+"dead123")
+	fresh := filepath.Join(dir, prefix+"live456")
+	bystander := filepath.Join(dir, "unrelated.txt")
+	for _, p := range []string{stale, fresh, bystander} {
+		if err := os.WriteFile(p, []byte("partial entry bytes"), 0o600); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * durable.OrphanAge)
+	if err := os.Chtimes(stale, old, old); err != nil {
+		t.Fatal(err)
+	}
+	return func() {
+		t.Helper()
+		if _, err := os.Stat(stale); !os.IsNotExist(err) {
+			t.Errorf("stale temp file not swept (stat err: %v)", err)
+		}
+		if _, err := os.Stat(fresh); err != nil {
+			t.Errorf("fresh temp file swept: %v", err)
+		}
+		if _, err := os.Stat(bystander); err != nil {
+			t.Errorf("non-temp file swept: %v", err)
+		}
+	}
+}
+
 // OpenDiskCache must reclaim stale temp files from dead writers, leave
 // fresh ones (possibly a live writer's) and final entries alone, and never
-// serve a temp file.
+// serve a temp file. The trace store's two ways in — OpenStore and a
+// re-ingest — owe their directory the same sweep (the serving daemon's
+// state directory is covered in internal/serve, which this package cannot
+// import).
 func TestOpenDiskCacheSweepsOrphanedTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	d, err := OpenDiskCache(dir)
@@ -165,32 +204,12 @@ func TestOpenDiskCacheSweepsOrphanedTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stale := filepath.Join(dir, ".tmp-shard-dead123")
-	fresh := filepath.Join(dir, ".tmp-shard-live456")
-	bystander := filepath.Join(dir, "unrelated.txt")
-	for _, p := range []string{stale, fresh, bystander} {
-		if err := os.WriteFile(p, []byte("partial entry bytes"), 0o600); err != nil {
-			t.Fatal(err)
-		}
-	}
-	old := time.Now().Add(-2 * tmpOrphanAge)
-	if err := os.Chtimes(stale, old, old); err != nil {
-		t.Fatal(err)
-	}
-
+	swept := plantTemps(t, dir, ".tmp-shard-")
 	d2, err := OpenDiskCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Errorf("stale temp file not swept (stat err: %v)", err)
-	}
-	if _, err := os.Stat(fresh); err != nil {
-		t.Errorf("fresh temp file swept: %v", err)
-	}
-	if _, err := os.Stat(bystander); err != nil {
-		t.Errorf("non-temp file swept: %v", err)
-	}
+	swept()
 	got, err := d2.load(key)
 	if err != nil || got == nil {
 		t.Fatalf("final entry lost to the orphan sweep: ent=%v err=%v", got, err)
@@ -202,6 +221,38 @@ func TestOpenDiskCacheSweepsOrphanedTempFiles(t *testing.T) {
 	other.config++
 	if ent, err := d2.load(other); ent != nil || err != nil {
 		t.Errorf("missing key served from somewhere (ent=%v err=%v) with temp files present", ent, err)
+	}
+
+	tr, err := trace.Generate(trace.DefaultGeneratorConfig(20, 1, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := trace.WriteCSV(&csv, tr); err != nil {
+		t.Fatal(err)
+	}
+	storeDir := t.TempDir()
+	for _, enter := range []func() error{
+		func() error {
+			_, _, err := trace.IngestCSV(bytes.NewReader(csv.Bytes()), storeDir, trace.IngestOptions{Shards: 2})
+			return err
+		},
+		func() error { _, err := trace.OpenStore(storeDir); return err },
+	} {
+		swept := plantTemps(t, storeDir, ".tmp-store-")
+		if err := enter(); err != nil {
+			t.Fatal(err)
+		}
+		swept()
+	}
+	store, err := trace.OpenStore(storeDir)
+	if err != nil {
+		t.Fatalf("store lost to the orphan sweep: %v", err)
+	}
+	for i := 0; i < store.NumShards(); i++ {
+		if _, err := store.ShardTrace(i); err != nil {
+			t.Fatalf("shard %d lost to the orphan sweep: %v", i, err)
+		}
 	}
 }
 

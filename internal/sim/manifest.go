@@ -1,13 +1,12 @@
 package sim
 
 import (
-	"bufio"
 	"fmt"
-	"hash/crc32"
-	"os"
 	"strconv"
 	"strings"
 	"sync"
+
+	"repro/internal/durable"
 )
 
 // SweepManifest is the checkpoint/resume journal of a sweep: one
@@ -25,11 +24,12 @@ import (
 // Durability model: records are appended with a single unbuffered write
 // each, so a SIGKILL loses nothing already recorded (the bytes are in the
 // kernel); Flush fsyncs for machine-crash durability at drain points. The
-// journal is append-only and tolerant by construction: every line carries
-// its own checksum, and loading ignores malformed, corrupt, or partial
-// trailing lines (a killed process may leave half a line) — a dropped line
-// only costs one unit's re-simulation, and the unit is re-journaled when
-// it completes again. Lost-record direction is always safe; a record is
+// journal is append-only and tolerant by construction: every record is a
+// checksummed durable record line, and loading skips malformed or corrupt
+// lines and carries on (a torn trailing line — a killed process may leave
+// half of one — is cut off so the next append is line-aligned) — a dropped
+// line only costs one unit's re-simulation, and the unit is re-journaled
+// when it completes again. Lost-record direction is always safe; a record is
 // only appended after the unit's outcome was stored, so the manifest can
 // under-promise but never over-promise. The payload truth still lives in
 // the checksummed DiskCache entries: a journaled unit whose entry is
@@ -37,17 +37,17 @@ import (
 type SweepManifest struct {
 	mu        sync.Mutex
 	path      string
-	f         *os.File
+	f         durable.File
 	done      map[shardKey]struct{}
 	recovered int
 	dropped   int
 	writeErr  error
 }
 
-// manifestMagic tags journal lines; bump the version digit on any format
+// manifestMagic tags journal records; bump the version digit on any format
 // change (old lines then drop as malformed and their units re-simulate —
 // the same forward-only migration the disk entries use).
-const manifestMagic = "u1"
+const manifestMagic = "u2"
 
 // OpenSweepManifest opens (creating if needed) the journal at path and
 // replays its valid records. The file is opened for append; many sweeps in
@@ -57,39 +57,27 @@ func OpenSweepManifest(path string) (*SweepManifest, error) {
 	if path == "" {
 		return nil, fmt.Errorf("sim: sweep manifest needs a path")
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	m := &SweepManifest{path: path, done: make(map[shardKey]struct{})}
+	f, err := durable.OpenLog(durable.OS{}, path, func(data []byte) (keep int) {
+		for keep < len(data) {
+			line, n := durable.NextLine(data[keep:])
+			if key, ok := parseManifestLine(string(line)); !ok {
+				m.dropped++
+			} else if _, dup := m.done[key]; !dup {
+				m.done[key] = struct{}{}
+				m.recovered++
+			}
+			if line == nil {
+				break // torn tail: dropped above, cut off here
+			}
+			keep += n
+		}
+		return keep
+	})
 	if err != nil {
 		return nil, fmt.Errorf("sim: sweep manifest: %w", err)
 	}
-	m := &SweepManifest{path: path, f: f, done: make(map[shardKey]struct{})}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		key, ok := parseManifestLine(sc.Text())
-		if !ok {
-			m.dropped++
-			continue
-		}
-		if _, dup := m.done[key]; !dup {
-			m.done[key] = struct{}{}
-			m.recovered++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		// An unreadable tail behaves like a torn line: everything replayed
-		// so far stands, the rest re-simulates.
-		m.dropped++
-	}
-	// Heal a torn tail: a writer killed mid-append leaves no trailing
-	// newline, and a record appended straight after it would glue onto the
-	// fragment and corrupt itself. Terminating the fragment now costs one
-	// (already-dropped) line and makes every future append line-aligned.
-	if st, err := f.Stat(); err == nil && st.Size() > 0 {
-		var last [1]byte
-		if _, err := f.ReadAt(last[:], st.Size()-1); err == nil && last[0] != '\n' {
-			f.Write([]byte("\n"))
-		}
-	}
+	m.f = f
 	return m, nil
 }
 
@@ -166,34 +154,23 @@ func (m *SweepManifest) Close() error {
 	return err
 }
 
-// formatManifestLine serializes one record:
+// formatManifestLine serializes one record as a durable record line whose
+// payload is
 //
-//	u1 <policy quoted> <config hex16> <trace hex16> <slots> <crc32c hex8>\n
-//
-// The checksum covers every byte of the line before the checksum field's
-// separating space, so truncation or corruption anywhere drops the line.
+//	u2 <policy quoted> <config hex16> <trace hex16> <slots>
 func formatManifestLine(key shardKey) string {
-	body := fmt.Sprintf("%s %s %016x %016x %d",
-		manifestMagic, strconv.Quote(key.policy), key.config, key.trace, key.slots)
-	return fmt.Sprintf("%s %08x\n", body, crc32.Checksum([]byte(body), castagnoli))
+	return string(durable.AppendLine(nil, fmt.Appendf(nil, "%s %s %016x %016x %d",
+		manifestMagic, strconv.Quote(key.policy), key.config, key.trace, key.slots)))
 }
 
 // parseManifestLine validates and decodes one journal line; ok=false means
 // the line is malformed or torn and must be ignored.
 func parseManifestLine(line string) (key shardKey, ok bool) {
-	sp := strings.LastIndexByte(line, ' ')
-	if sp < 0 {
+	payload, ok := durable.ParseLine([]byte(line))
+	if !ok {
 		return key, false
 	}
-	body, sumHex := line[:sp], line[sp+1:]
-	sum, err := strconv.ParseUint(sumHex, 16, 32)
-	if err != nil || len(sumHex) != 8 {
-		return key, false
-	}
-	if crc32.Checksum([]byte(body), castagnoli) != uint32(sum) {
-		return key, false
-	}
-	rest, found := strings.CutPrefix(body, manifestMagic+" ")
+	rest, found := strings.CutPrefix(string(payload), manifestMagic+" ")
 	if !found {
 		return key, false
 	}

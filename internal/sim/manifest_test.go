@@ -160,10 +160,10 @@ func TestManifestLineFormatRejectsMalformations(t *testing.T) {
 	}
 	bad := []string{
 		"",
-		"u1",
-		line[:len(line)-1],                // truncated checksum
-		"u2" + line[2:],                   // wrong magic (checksum also breaks)
-		strings.Replace(line, `"`, "", 1), // broken quoting
+		"u2",
+		line[:len(line)-1],                       // truncated payload
+		strings.Replace(line, " u2 ", " u1 ", 1), // wrong magic (checksum also breaks)
+		strings.Replace(line, `"`, "", 1),        // broken quoting
 	}
 	for _, b := range bad {
 		if _, ok := parseManifestLine(b); ok {

@@ -7,6 +7,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/durable"
 )
 
 // Streaming trace ingestion: one pass over an arbitrarily large Azure-format
@@ -71,6 +73,13 @@ const ingestRecSize = 12
 // Any existing manifest in dir is removed first, so an ingest that fails
 // midway leaves a directory OpenStore rejects rather than a stale store.
 func IngestCSV(r io.Reader, dir string, opts IngestOptions) (*Store, *IngestStats, error) {
+	return IngestCSVFS(r, dir, opts, durable.OS{})
+}
+
+// IngestCSVFS is IngestCSV with the store's filesystem seam explicit (the
+// spill files are scratch and stay on the real filesystem). Only
+// fault-injection harnesses and tests supply a non-default fs.
+func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*Store, *IngestStats, error) {
 	p := opts.Shards
 	if p < 1 {
 		p = 1
@@ -86,7 +95,8 @@ func IngestCSV(r io.Reader, dir string, opts IngestOptions) (*Store, *IngestStat
 	// one by one below, and an old manifest over new shard files would be a
 	// mixed store. Fingerprint verification would catch the mix, but an
 	// unopenable directory states the situation honestly.
-	os.Remove(filepath.Join(dir, manifestName))
+	fs.Remove(filepath.Join(dir, manifestName))
+	durable.Sweep(fs, dir, storeTmpPattern)
 
 	spillDir, err := os.MkdirTemp(dir, ".ingest-*")
 	if err != nil {
@@ -167,7 +177,7 @@ func IngestCSV(r io.Reader, dir string, opts IngestOptions) (*Store, *IngestStat
 	}
 
 	// Assemble and write each shard, one at a time.
-	store := &Store{dir: dir, shards: p, functions: len(fns), slots: slots, meta: make([]storeShardMeta, p)}
+	store := &Store{dir: dir, fs: fs, shards: p, functions: len(fns), slots: slots, meta: make([]storeShardMeta, p)}
 	var storeBytes int64
 	for i := 0; i < p; i++ {
 		var evs []ingestEvent
@@ -183,7 +193,7 @@ func IngestCSV(r io.Reader, dir string, opts IngestOptions) (*Store, *IngestStat
 		sv, shardEvents := assembleShard(fns, part, i, slots, evs)
 		fp := shardContentFingerprint(sv)
 		data := encodeShardFile(sv, p, shardEvents, fp)
-		if err := writeStoreFile(dir, shardFileName(i), data); err != nil {
+		if err := durable.Commit(fs, dir, shardFileName(i), storeTmpPattern, data); err != nil {
 			return nil, nil, fmt.Errorf("trace: ingest: writing shard %d: %w", i, err)
 		}
 		store.meta[i] = storeShardMeta{Functions: len(sv.Functions), Events: shardEvents, ContentFP: fp}
@@ -192,7 +202,7 @@ func IngestCSV(r io.Reader, dir string, opts IngestOptions) (*Store, *IngestStat
 
 	// Manifest last: its atomic rename is the commit point of the ingest.
 	manifest := encodeManifest(store)
-	if err := writeStoreFile(dir, manifestName, manifest); err != nil {
+	if err := durable.Commit(fs, dir, manifestName, storeTmpPattern, manifest); err != nil {
 		return nil, nil, fmt.Errorf("trace: ingest: writing manifest: %w", err)
 	}
 	storeBytes += int64(len(manifest))

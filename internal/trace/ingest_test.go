@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -255,6 +257,31 @@ func TestStoreCorruptionDegrades(t *testing.T) {
 	}
 	if _, err := OpenStore(store.Dir()); !errors.Is(err, ErrStoreCorrupt) {
 		t.Fatalf("missing manifest: OpenStore error %v does not wrap ErrStoreCorrupt", err)
+	}
+}
+
+// TestStoreGoldenBytes pins the shard-file and manifest encodings to digests
+// recorded from the encoders before they moved onto internal/durable: stores
+// already ingested must keep opening, so the bytes may only change together
+// with storeVersion.
+func TestStoreGoldenBytes(t *testing.T) {
+	_, store, _ := ingestFixture(t, 2, 0)
+	for _, tc := range []struct {
+		name   string
+		size   int
+		sha256 string
+	}{
+		{shardFileName(0), 247421, "5bc00a20f439d31777ace4b9d98bb9f5ca9093478a6b17b9ea696bf06131aea8"},
+		{shardFileName(1), 155211, "79748e0205cbeb64cc4a63a2ef87acd685c1909c314d5482b2220424646f1c69"},
+		{manifestName, 72, "eb470f71086c9f66b9ef23a4edbd8f2039effbceda309aea194ecf9e329f8069"},
+	} {
+		data, err := os.ReadFile(filepath.Join(store.Dir(), tc.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != tc.size || got != tc.sha256 {
+			t.Errorf("%s is %d bytes hashing to %s, want %d bytes hashing to %s", tc.name, len(data), got, tc.size, tc.sha256)
+		}
 	}
 }
 

@@ -1,14 +1,16 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
+
+	"repro/internal/durable"
 )
 
 // The columnar shard store: the on-disk format IngestCSV produces and
@@ -19,13 +21,13 @@ import (
 //
 // Robustness rule (same as sim.DiskCache): a store read may only ever
 // produce bit-exact shard content or an error — never a wrong shard. Every
-// file carries a versioned magic header, a CRC-32C per column block, and a
-// whole-file CRC-32C footer; a truncated, bit-flipped, version-skewed, or
-// structurally inconsistent file fails verification with an error wrapping
-// ErrStoreCorrupt, and the caller's remedy is to re-ingest the CSV. Writes
-// stage through temp files and atomic renames, with the manifest written
-// last, so a crash mid-ingest leaves a directory that fails OpenStore
-// rather than a store missing shards.
+// file is a durable envelope (versioned magic header, whole-file CRC-32C
+// footer) with a CRC-32C per column block inside; a truncated, bit-flipped,
+// version-skewed, or structurally inconsistent file fails verification with
+// an error wrapping ErrStoreCorrupt, and the caller's remedy is to re-ingest
+// the CSV. Writes go through durable.Commit, with the manifest written last,
+// so a crash mid-ingest leaves a directory that fails OpenStore rather than
+// a store missing shards.
 //
 // Shard file layout (all integers little-endian):
 //
@@ -37,9 +39,8 @@ import (
 // fixed id sequence (globals, names, apps, users, triggers, series lengths,
 // event slots, event counts). App, user, and trigger labels are
 // dictionary-encoded — the Azure trace repeats each app hash once per
-// function and each trigger label thousands of times — with an index width
-// (1, 2, or 4 bytes) both sides derive from the dictionary size. Event
-// slots and counts are flat int32 columns across all of the shard's
+// function and each trigger label thousands of times (durable.Enc.Dict).
+// Event slots and counts are flat int32 columns across all of the shard's
 // functions, delimited by the series-length column.
 const (
 	storeMagic       = "SPESCOL\x00"
@@ -62,10 +63,6 @@ const (
 	colEventCounts
 	numColumns = iota
 )
-
-// storeCastagnoli is the CRC-32C table for block and file checksums
-// (hardware-accelerated, so warm loads are not checksum-bound).
-var storeCastagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrStoreCorrupt reports a columnar store that failed verification —
 // truncated, bit-flipped, version-skewed, or structurally inconsistent.
@@ -119,229 +116,76 @@ func hashU64(h io.Writer, v uint64) {
 	h.Write(buf[:])
 }
 
-// colBuf is a tiny append-only encoder; decoding mirrors it with the
-// bounds-checked colReader cursor.
-type colBuf struct{ b []byte }
-
-func (e *colBuf) u32(v uint32) { e.b = binary.LittleEndian.AppendUint32(e.b, v) }
-func (e *colBuf) u64(v uint64) { e.b = binary.LittleEndian.AppendUint64(e.b, v) }
-func (e *colBuf) str(s string) {
-	e.u32(uint32(len(s)))
-	e.b = append(e.b, s...)
-}
-
-// dictIndexWidth returns the byte width of a dictionary index, derived from
-// the dictionary size identically by encoder and decoder.
-func dictIndexWidth(dictLen int) int {
-	switch {
-	case dictLen <= 1<<8:
-		return 1
-	case dictLen <= 1<<16:
-		return 2
-	default:
-		return 4
-	}
-}
-
-// encodeDictColumn dictionary-encodes one label per function: the distinct
-// labels in first-appearance order, then fixed-width indices.
-func encodeDictColumn(labels []string) []byte {
-	var dict []string
-	idx := make(map[string]uint32)
-	for _, s := range labels {
-		if _, ok := idx[s]; !ok {
-			idx[s] = uint32(len(dict))
-			dict = append(dict, s)
-		}
-	}
-	e := &colBuf{}
-	e.u32(uint32(len(dict)))
-	for _, s := range dict {
-		e.str(s)
-	}
-	e.u32(uint32(len(labels)))
-	w := dictIndexWidth(len(dict))
-	for _, s := range labels {
-		v := idx[s]
-		switch w {
-		case 1:
-			e.b = append(e.b, uint8(v))
-		case 2:
-			e.b = binary.LittleEndian.AppendUint16(e.b, uint16(v))
-		default:
-			e.u32(v)
-		}
-	}
-	return e.b
-}
-
-// colReader is the bounds-checked decode cursor: every read reports
-// truncation as an error instead of panicking, so any malformed file
-// degrades to ErrStoreCorrupt.
-type colReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *colReader) fail(format string, args ...any) {
-	if r.err == nil {
-		r.err = fmt.Errorf(format, args...)
-	}
-}
-
-func (r *colReader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.b) {
-		r.fail("truncated at offset %d (+%d of %d)", r.off, n, len(r.b))
-		return nil
-	}
-	s := r.b[r.off : r.off+n]
-	r.off += n
-	return s
-}
-
-func (r *colReader) u32() uint32 {
-	s := r.take(4)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(s)
-}
-
-func (r *colReader) u64() uint64 {
-	s := r.take(8)
-	if s == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(s)
-}
-
-func (r *colReader) str() string {
-	n := int(r.u32())
-	s := r.take(n)
-	if s == nil {
-		return ""
-	}
-	return string(s)
-}
-
-// decodeDictColumn reverses encodeDictColumn, expecting exactly n labels.
-func decodeDictColumn(payload []byte, n int) ([]string, error) {
-	r := &colReader{b: payload}
-	nd := int(r.u32())
-	if r.err == nil && (nd < 0 || nd > (len(payload)-r.off)/4) {
-		return nil, fmt.Errorf("dictionary size %d exceeds payload", nd)
-	}
-	dict := make([]string, 0, max(nd, 0))
-	for i := 0; i < nd && r.err == nil; i++ {
-		dict = append(dict, r.str())
-	}
-	if got := int(r.u32()); r.err == nil && got != n {
-		return nil, fmt.Errorf("dictionary column has %d entries, want %d", got, n)
-	}
-	w := dictIndexWidth(nd)
-	blk := r.take(w * n)
-	if r.err != nil {
-		return nil, r.err
-	}
-	out := make([]string, n)
-	for i := range out {
-		var v uint32
-		switch w {
-		case 1:
-			v = uint32(blk[i])
-		case 2:
-			v = uint32(binary.LittleEndian.Uint16(blk[i*2:]))
-		default:
-			v = binary.LittleEndian.Uint32(blk[i*4:])
-		}
-		if int(v) >= len(dict) {
-			return nil, fmt.Errorf("dictionary index %d outside dictionary of %d", v, len(dict))
-		}
-		out[i] = dict[v]
-	}
-	if r.off != len(payload) {
-		return nil, fmt.Errorf("dictionary column has %d trailing bytes", len(payload)-r.off)
-	}
-	return out, nil
-}
-
 // encodeShardFile serializes one full (unsplit) shard view into the
 // columnar format. events is the total event count across the shard's
 // series; fp is the shard's content fingerprint.
 func encodeShardFile(sv *ShardView, shards int, events int64, fp uint64) []byte {
 	nf := len(sv.Functions)
-	e := &colBuf{b: make([]byte, 0, 64+16*nf+int(events)*8)}
-	e.b = append(e.b, storeMagic...)
-	e.u32(storeVersion)
-	e.u32(uint32(sv.Index))
-	e.u32(uint32(shards))
-	e.u32(uint32(sv.Slots))
-	e.u32(uint32(nf))
-	e.u64(uint64(events))
-	e.u64(fp)
+	e := durable.NewEnc(storeMagic, 64+16*nf+int(events)*8)
+	e.U32(storeVersion)
+	e.U32(uint32(sv.Index))
+	e.U32(uint32(shards))
+	e.U32(uint32(sv.Slots))
+	e.U32(uint32(nf))
+	e.U64(uint64(events))
+	e.U64(fp)
 
-	block := func(id uint32, payload []byte) {
-		e.u32(id)
-		e.u64(uint64(len(payload)))
-		e.b = append(e.b, payload...)
-		e.u32(crc32.Checksum(payload, storeCastagnoli))
+	// block frames what fill appends as one column: the length is patched in
+	// once the payload is there to measure.
+	block := func(id uint32, fill func()) {
+		e.U32(id)
+		at := len(e.B)
+		e.U64(0)
+		fill()
+		payload := e.B[at+8:]
+		binary.LittleEndian.PutUint64(e.B[at:], uint64(len(payload)))
+		e.U32(durable.Checksum(payload))
 	}
-
-	col := &colBuf{}
-	for _, g := range sv.Global {
-		col.u32(uint32(g))
-	}
-	block(colGlobals, col.b)
-
-	col = &colBuf{}
-	for _, f := range sv.Functions {
-		col.str(f.Name)
-	}
-	block(colNames, col.b)
-
 	labels := make([]string, nf)
-	for i, f := range sv.Functions {
-		labels[i] = f.App
+	dictBlock := func(id uint32, label func(*Function) string) {
+		block(id, func() {
+			for i := range sv.Functions {
+				labels[i] = label(&sv.Functions[i])
+			}
+			e.Dict(labels)
+		})
 	}
-	block(colApps, encodeDictColumn(labels))
-	for i, f := range sv.Functions {
-		labels[i] = f.User
-	}
-	block(colUsers, encodeDictColumn(labels))
-	for i, f := range sv.Functions {
-		labels[i] = f.Trigger.String()
-	}
-	block(colTriggers, encodeDictColumn(labels))
 
-	col = &colBuf{b: make([]byte, 0, 4*nf)}
-	for _, s := range sv.Series {
-		col.u32(uint32(len(s)))
-	}
-	block(colSeriesLens, col.b)
-
-	col = &colBuf{b: make([]byte, 0, 4*int(events))}
-	for _, s := range sv.Series {
-		for _, ev := range s {
-			col.u32(uint32(ev.Slot))
+	block(colGlobals, func() {
+		for _, g := range sv.Global {
+			e.U32(uint32(g))
 		}
-	}
-	block(colEventSlots, col.b)
-
-	col = &colBuf{b: make([]byte, 0, 4*int(events))}
-	for _, s := range sv.Series {
-		for _, ev := range s {
-			col.u32(uint32(ev.Count))
+	})
+	block(colNames, func() {
+		for _, f := range sv.Functions {
+			e.Str(f.Name)
 		}
-	}
-	block(colEventCounts, col.b)
+	})
+	dictBlock(colApps, func(f *Function) string { return f.App })
+	dictBlock(colUsers, func(f *Function) string { return f.User })
+	dictBlock(colTriggers, func(f *Function) string { return f.Trigger.String() })
+	block(colSeriesLens, func() {
+		for _, s := range sv.Series {
+			e.U32(uint32(len(s)))
+		}
+	})
+	block(colEventSlots, func() {
+		for _, s := range sv.Series {
+			for _, ev := range s {
+				e.U32(uint32(ev.Slot))
+			}
+		}
+	})
+	block(colEventCounts, func() {
+		for _, s := range sv.Series {
+			for _, ev := range s {
+				e.U32(uint32(ev.Count))
+			}
+		}
+	})
 
-	e.b = append(e.b, storeFooterMagic...)
-	e.u32(crc32.Checksum(e.b, storeCastagnoli))
-	return e.b
+	e.B = append(e.B, storeFooterMagic...)
+	return e.Seal()
 }
 
 // decodeShardFile verifies and decodes one shard file. Any failure returns
@@ -351,33 +195,25 @@ func decodeShardFile(data []byte, wantShard, wantShards, wantSlots int, wantFP u
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("%w: shard %d: %s", ErrStoreCorrupt, wantShard, fmt.Sprintf(format, args...))
 	}
-	if len(data) < len(storeMagic)+36+len(storeFooterMagic)+4 {
-		return nil, corrupt("file too short (%d bytes)", len(data))
+	body, err := durable.Unseal(data, storeMagic)
+	if err != nil {
+		return nil, corrupt("%v", err)
 	}
-	if string(data[:len(storeMagic)]) != storeMagic {
-		return nil, corrupt("wrong magic")
-	}
-	if v := binary.LittleEndian.Uint32(data[len(storeMagic):]); v != storeVersion {
-		return nil, corrupt("format version %d, want %d", v, storeVersion)
-	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, storeCastagnoli) != sum {
-		return nil, corrupt("file checksum mismatch")
-	}
-	if string(body[len(body)-len(storeFooterMagic):]) != storeFooterMagic {
+	if !bytes.HasSuffix(body, []byte(storeFooterMagic)) {
 		return nil, corrupt("missing footer")
 	}
-	body = body[:len(body)-len(storeFooterMagic)]
-
-	r := &colReader{b: body, off: len(storeMagic) + 4}
-	shard := int(r.u32())
-	shards := int(r.u32())
-	slots := int(r.u32())
-	nf := int(r.u32())
-	events := int64(r.u64())
-	fp := r.u64()
-	if r.err != nil {
-		return nil, corrupt("%v", r.err)
+	d := durable.NewDec(body[:len(body)-len(storeFooterMagic)])
+	if v := d.U32(); v != storeVersion {
+		return nil, corrupt("format version %d, want %d", v, storeVersion)
+	}
+	shard := int(d.U32())
+	shards := int(d.U32())
+	slots := int(d.U32())
+	nf := int(d.U32())
+	events := int64(d.U64())
+	fp := d.U64()
+	if err := d.Err(); err != nil {
+		return nil, corrupt("%v", err)
 	}
 	if shard != wantShard || shards != wantShards || slots != wantSlots || fp != wantFP {
 		return nil, corrupt("header (shard %d/%d, slots %d, fp %016x) contradicts manifest (shard %d/%d, slots %d, fp %016x)",
@@ -390,23 +226,22 @@ func decodeShardFile(data []byte, wantShard, wantShards, wantSlots int, wantFP u
 	// Column blocks, fixed order, each CRC-verified before decoding.
 	payloads := make(map[uint32][]byte, numColumns)
 	for _, want := range []uint32{colGlobals, colNames, colApps, colUsers, colTriggers, colSeriesLens, colEventSlots, colEventCounts} {
-		id := r.u32()
-		n := int(r.u64())
-		payload := r.take(n)
-		blockSum := r.u32()
-		if r.err != nil {
-			return nil, corrupt("%v", r.err)
+		id := d.U32()
+		payload := d.Take(d.Count(int64(d.U64()), 1))
+		blockSum := d.U32()
+		if err := d.Err(); err != nil {
+			return nil, corrupt("%v", err)
 		}
 		if id != want {
 			return nil, corrupt("column block %d out of order (want %d)", id, want)
 		}
-		if crc32.Checksum(payload, storeCastagnoli) != blockSum {
+		if durable.Checksum(payload) != blockSum {
 			return nil, corrupt("column block %d checksum mismatch", id)
 		}
 		payloads[id] = payload
 	}
-	if r.off != len(body) {
-		return nil, corrupt("%d trailing bytes after columns", len(body)-r.off)
+	if err := d.Done(); err != nil {
+		return nil, corrupt("after columns: %v", err)
 	}
 
 	if len(payloads[colGlobals]) != 4*nf {
@@ -423,26 +258,38 @@ func decodeShardFile(data []byte, wantShard, wantShards, wantSlots int, wantFP u
 		global[i] = FuncID(g)
 	}
 
-	nr := &colReader{b: payloads[colNames]}
+	nd := durable.NewDec(payloads[colNames])
 	names := make([]string, nf)
 	for i := range names {
-		names[i] = nr.str()
+		names[i] = nd.Str()
 	}
-	if nr.err != nil || nr.off != len(nr.b) {
-		return nil, corrupt("names column malformed")
+	if err := nd.Done(); err != nil {
+		return nil, corrupt("names column: %v", err)
 	}
 
-	apps, err := decodeDictColumn(payloads[colApps], nf)
-	if err != nil {
-		return nil, corrupt("apps column: %v", err)
+	// dict decodes one label-per-function dictionary column.
+	dict := func(id uint32, what string) ([]string, error) {
+		cd := durable.NewDec(payloads[id])
+		labels := cd.Dict()
+		if err := cd.Done(); err != nil {
+			return nil, corrupt("%s column: %v", what, err)
+		}
+		if len(labels) != nf {
+			return nil, corrupt("%s column has %d entries, want %d", what, len(labels), nf)
+		}
+		return labels, nil
 	}
-	users, err := decodeDictColumn(payloads[colUsers], nf)
+	apps, err := dict(colApps, "apps")
 	if err != nil {
-		return nil, corrupt("users column: %v", err)
+		return nil, err
 	}
-	trigLabels, err := decodeDictColumn(payloads[colTriggers], nf)
+	users, err := dict(colUsers, "users")
 	if err != nil {
-		return nil, corrupt("triggers column: %v", err)
+		return nil, err
+	}
+	trigLabels, err := dict(colTriggers, "triggers")
+	if err != nil {
+		return nil, err
 	}
 
 	if len(payloads[colSeriesLens]) != 4*nf {
@@ -511,6 +358,7 @@ type storeShardMeta struct {
 // can read shards at once.
 type Store struct {
 	dir       string
+	fs        durable.FS
 	shards    int
 	functions int
 	slots     int
@@ -522,68 +370,54 @@ type Store struct {
 //	magic[8] | version u32 | shards u32 | functions u64 | slots u32 |
 //	per shard (functions u32 | events u64 | contentFP u64) | CRC-32C u32
 func encodeManifest(s *Store) []byte {
-	e := &colBuf{b: make([]byte, 0, 32+20*len(s.meta))}
-	e.b = append(e.b, storeManifestTag...)
-	e.u32(storeVersion)
-	e.u32(uint32(s.shards))
-	e.u64(uint64(s.functions))
-	e.u32(uint32(s.slots))
+	e := durable.NewEnc(storeManifestTag, 32+20*len(s.meta))
+	e.U32(storeVersion)
+	e.U32(uint32(s.shards))
+	e.U64(uint64(s.functions))
+	e.U32(uint32(s.slots))
 	for _, m := range s.meta {
-		e.u32(uint32(m.Functions))
-		e.u64(uint64(m.Events))
-		e.u64(m.ContentFP)
+		e.U32(uint32(m.Functions))
+		e.U64(uint64(m.Events))
+		e.U64(m.ContentFP)
 	}
-	e.u32(crc32.Checksum(e.b, storeCastagnoli))
-	return e.b
+	return e.Seal()
 }
 
 // decodeManifest verifies and decodes a manifest file.
-func decodeManifest(dir string, data []byte) (*Store, error) {
+func decodeManifest(data []byte) (*Store, error) {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("%w: manifest: %s", ErrStoreCorrupt, fmt.Sprintf(format, args...))
 	}
-	if len(data) < len(storeManifestTag)+8 {
-		return nil, corrupt("file too short (%d bytes)", len(data))
+	body, err := durable.Unseal(data, storeManifestTag)
+	if err != nil {
+		return nil, corrupt("%v", err)
 	}
-	if string(data[:len(storeManifestTag)]) != storeManifestTag {
-		return nil, corrupt("wrong magic")
-	}
-	if v := binary.LittleEndian.Uint32(data[len(storeManifestTag):]); v != storeVersion {
+	d := durable.NewDec(body)
+	if v := d.U32(); v != storeVersion {
 		return nil, corrupt("format version %d, want %d", v, storeVersion)
 	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, storeCastagnoli) != sum {
-		return nil, corrupt("checksum mismatch")
-	}
-	r := &colReader{b: body, off: len(storeManifestTag) + 4}
-	s := &Store{dir: dir}
-	s.shards = int(r.u32())
-	s.functions = int(int64(r.u64()))
-	s.slots = int(r.u32())
-	if r.err != nil {
-		return nil, corrupt("%v", r.err)
+	s := &Store{}
+	s.shards = int(d.U32())
+	s.functions = int(d.I64())
+	s.slots = int(d.U32())
+	if err := d.Err(); err != nil {
+		return nil, corrupt("%v", err)
 	}
 	if s.shards <= 0 || s.functions < 0 || s.slots < 0 {
 		return nil, corrupt("implausible header (shards %d, functions %d, slots %d)", s.shards, s.functions, s.slots)
 	}
-	if s.shards > (len(body)-r.off)/20 {
-		return nil, corrupt("shard count %d exceeds payload", s.shards)
-	}
-	s.meta = make([]storeShardMeta, s.shards)
+	s.meta = make([]storeShardMeta, d.Count(int64(s.shards), 20))
 	total := 0
 	for i := range s.meta {
 		s.meta[i] = storeShardMeta{
-			Functions: int(r.u32()),
-			Events:    int64(r.u64()),
-			ContentFP: r.u64(),
+			Functions: int(d.U32()),
+			Events:    d.I64(),
+			ContentFP: d.U64(),
 		}
 		total += s.meta[i].Functions
 	}
-	if r.err != nil {
-		return nil, corrupt("%v", r.err)
-	}
-	if r.off != len(body) {
-		return nil, corrupt("%d trailing bytes", len(body)-r.off)
+	if err := d.Done(); err != nil {
+		return nil, corrupt("%v", err)
 	}
 	if total != s.functions {
 		return nil, corrupt("shard function counts sum to %d, header says %d", total, s.functions)
@@ -598,15 +432,22 @@ func decodeManifest(dir string, data []byte) (*Store, error) {
 // opening a large store stays O(P). A missing or failing store returns an
 // error wrapping ErrStoreCorrupt (a missing directory reports
 // os.ErrNotExist too); re-ingest the CSV to rebuild it.
-func OpenStore(dir string) (*Store, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+func OpenStore(dir string) (*Store, error) { return OpenStoreFS(dir, durable.OS{}) }
+
+// OpenStoreFS is OpenStore with the filesystem seam explicit. Only
+// fault-injection harnesses and tests supply a non-default fs. Temp files a
+// killed ingest orphaned are swept on the way in (durable.Sweep).
+func OpenStoreFS(dir string, fs durable.FS) (*Store, error) {
+	durable.Sweep(fs, dir, storeTmpPattern)
+	data, err := fs.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrStoreCorrupt, err)
 	}
-	s, err := decodeManifest(dir, data)
+	s, err := decodeManifest(data)
 	if err != nil {
 		return nil, err
 	}
+	s.dir, s.fs = dir, fs
 	for i := 0; i < s.shards; i++ {
 		if _, err := os.Stat(filepath.Join(dir, shardFileName(i))); err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrStoreCorrupt, err)
@@ -643,7 +484,7 @@ func (s *Store) ShardTrace(i int) (*ShardView, error) {
 	if i < 0 || i >= s.shards {
 		return nil, fmt.Errorf("trace: store shard %d outside [0, %d)", i, s.shards)
 	}
-	data, err := os.ReadFile(filepath.Join(s.dir, shardFileName(i)))
+	data, err := s.fs.ReadFile(filepath.Join(s.dir, shardFileName(i)))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrStoreCorrupt, err)
 	}
@@ -712,31 +553,4 @@ func (ss *StoreSource) ShardFingerprint(i int) (uint64, bool) {
 	hashU64(h, uint64(ss.trainSlots))
 	hashU64(h, uint64(ss.store.slots))
 	return h.Sum64(), true
-}
-
-// writeStoreFile stages buf through a temp file and an atomic rename, so a
-// crash mid-write leaves stray garbage but never a live half-file.
-func writeStoreFile(dir, name string, buf []byte) error {
-	tmp, err := os.CreateTemp(dir, storeTmpPattern)
-	if err != nil {
-		return err
-	}
-	n, err := tmp.Write(buf)
-	if err == nil && n < len(buf) {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, name)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return nil
 }
