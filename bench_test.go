@@ -147,6 +147,7 @@ func BenchmarkOfflineCategorization(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		policy := core.New(core.DefaultConfig())

@@ -1,7 +1,9 @@
 package classify
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -18,44 +20,39 @@ import (
 // progress never depends on token availability.
 var workerTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
 
-// parallelDo runs fn(k) for every k in [0, items), fanning out over at most
-// `workers` goroutines (the caller included). Work is handed out by an
-// atomic counter, so scheduling is nondeterministic — callers must make
-// fn(k) write only to slot k-owned state, which keeps results bit-identical
-// for every worker count. Helpers that cannot immediately draw a token are
-// simply not spawned (the machine is busy; the caller still finishes the
-// work itself).
-func parallelDo(workers, items int, fn func(k int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > items {
-		workers = items
-	}
+// parallelDo runs fn(w, k) for every k in [0, items), fanning out over at
+// most len(ws) goroutines (the caller included), each holding its own
+// scratch for the whole run. Work is handed out by an atomic counter, so
+// scheduling is nondeterministic — callers must make fn(w, k) write only to
+// slot k-owned state and treat w as working memory whose contents mean
+// nothing between items, which keeps results bit-identical for every worker
+// count. Helpers that cannot immediately draw a token are simply not spawned
+// (the machine is busy; the caller still finishes the work itself).
+func parallelDo(ws []scratch, items int, fn func(w *scratch, k int)) {
 	var next atomic.Int64
-	work := func() {
+	work := func(w *scratch) {
 		for {
 			k := int(next.Add(1)) - 1
 			if k >= items {
 				return
 			}
-			fn(k)
+			fn(w, k)
 		}
 	}
 	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
+	for i := 1; i < len(ws) && i < items; i++ {
 		select {
 		case workerTokens <- struct{}{}:
 			wg.Add(1)
-			go func() {
+			go func(w *scratch) {
 				defer wg.Done()
 				defer func() { <-workerTokens }()
-				work()
-			}()
+				work(w)
+			}(&ws[i])
 		default:
 		}
 	}
-	work()
+	work(&ws[0])
 	wg.Wait()
 }
 
@@ -78,13 +75,30 @@ func (o *Outcome) Count() map[Type]int {
 	return counts
 }
 
+// maxLinks caps a correlated function's fan-in to bound online work.
+const maxLinks = 5
+
 // Categorize runs SPES's complete offline phase over a training trace:
 // deterministic categorization with forgetting, correlation mining over
 // application/user co-membership, and validation-scored indeterminate
 // assignment. Ablation switches: disableCorrelation drops the correlated
 // strategy (Fig. 14's "w/o Corr"), disableForgetting skips the forgetting
 // rule (Fig. 15's "w/o Forgetting").
+//
+// The call allocates what escapes it — Outcome.Profiles and each kept
+// profile's Values and Links — plus one scratch per worker and the peer
+// index; every per-function intermediate lives in scratch, and invoked-slot
+// lists are read straight off training.Series.
 func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableForgetting bool) *Outcome {
+	workers := cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return categorize(training, cfg, disableCorrelation, disableForgetting, make([]scratch, workers))
+}
+
+// categorize is Categorize over caller-supplied worker scratch.
+func categorize(training *trace.Trace, cfg Config, disableCorrelation, disableForgetting bool, ws []scratch) *Outcome {
 	n := training.NumFunctions()
 	out := &Outcome{Profiles: make([]Profile, n)}
 	valStart := int(float64(training.Slots) * (1 - cfg.ValidationFrac))
@@ -102,8 +116,7 @@ func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableFo
 	// count.
 	chunks := (n + catChunk - 1) / catChunk
 	indetFids := make([][]trace.FuncID, chunks)
-	indetChunkActs := make([][]series.Activity, chunks)
-	parallelDo(cfg.Workers, chunks, func(k int) {
+	parallelDo(ws, chunks, func(w *scratch, k int) {
 		lo, hi := k*catChunk, (k+1)*catChunk
 		if hi > n {
 			hi = n
@@ -119,13 +132,12 @@ func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableFo
 			// heaviest functions — the ones with events in nearly every slot —
 			// the full extraction.
 			p, ok := alwaysWarmFast(s, training.Slots, cfg)
-			var act series.Activity
 			if !ok {
-				act = extractWindow(s, 0, training.Slots)
+				act := w.extractWindow(s, 0, training.Slots)
 				if disableForgetting {
-					p, ok = categorizeActivity(act, cfg)
+					p, ok = w.categorizeActivity(act, cfg)
 				} else {
-					p, ok = categorizeWithForgettingSparse(s, act, cfg)
+					p, ok = w.categorizeWithForgettingSparse(s, act, cfg)
 				}
 			}
 			if ok {
@@ -133,30 +145,14 @@ func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableFo
 				continue
 			}
 			indetFids[k] = append(indetFids[k], trace.FuncID(fid))
-			indetChunkActs[k] = append(indetChunkActs[k], act)
 		}
 	})
 	var indeterminate []trace.FuncID
-	var indetActs []series.Activity // full-window activities, parallel to indeterminate
 	for k := range indetFids {
 		indeterminate = append(indeterminate, indetFids[k]...)
-		indetActs = append(indetActs, indetChunkActs[k]...)
 	}
 	if len(indeterminate) == 0 {
 		return out
-	}
-
-	// Invoked-slot lists (full training window) for correlation mining, and
-	// validation-window fire lists for strategy scoring.
-	invoked := make([][]int32, n)
-	valFires := make([][]int32, n)
-	for fid := 0; fid < n; fid++ {
-		for _, e := range training.Series[fid] {
-			invoked[fid] = append(invoked[fid], e.Slot)
-			if int(e.Slot) >= valStart {
-				valFires[fid] = append(valFires[fid], e.Slot-int32(valStart))
-			}
-		}
 	}
 
 	// Candidate sets: functions sharing an application or a user.
@@ -164,33 +160,28 @@ func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableFo
 	users := training.UserFunctions()
 	meta := training.Functions
 
-	// seen/seenGen deduplicate candidates across a target's app and user peer
-	// lists without a per-target map: a candidate is seen when its stamp
-	// matches the current generation. Targets are mutually independent (each
-	// writes only its own profile slot, all mined state is read-only), so
-	// the assignment fans out too; each worker borrows a stamp buffer from
-	// the pool rather than sharing one.
-	type seenBuf struct {
-		stamps []uint32
-		gen    uint32
-	}
-	bufPool := sync.Pool{New: func() any { return &seenBuf{stamps: make([]uint32, n)} }}
-
-	parallelDo(cfg.Workers, len(indeterminate), func(i int) {
+	// Pass 2: indeterminate assignment. Targets are mutually independent —
+	// each writes only its own profile slot, and everything it mines (the
+	// training series, the peer index) is read-only — so the assignment fans
+	// out too. A target's full-window activity is extracted again here, into
+	// the worker's scratch, rather than kept alive from pass 1: it costs
+	// O(events) and nothing of pass 1's working memory has to outlive it.
+	// Validation fires are the suffix of a series from valStart on, rebased
+	// as they are read.
+	parallelDo(ws, len(indeterminate), func(w *scratch, i int) {
 		fid := indeterminate[i]
+		s := training.Series[fid]
+		act := w.extractWindow(s, 0, training.Slots)
 		var links []Link
-		var candFires [][]int32
+		var cands [maxLinks]fires
 		if !disableCorrelation {
-			buf := bufPool.Get().(*seenBuf)
-			buf.gen++
-			links = mineLinks(fid, invoked, apps[meta[fid].App], users[meta[fid].User], cfg, buf.stamps, buf.gen)
-			bufPool.Put(buf)
-			for _, l := range links {
-				candFires = append(candFires, valFires[l.Cand])
+			links = w.mineLinks(fid, training.Series, apps[meta[fid].App], users[meta[fid].User], cfg)
+			for j, l := range links {
+				cands[j] = firesFrom(training.Series[l.Cand], valStart)
 			}
 		}
-		out.Profiles[fid] = assignIndeterminateActivity(indetActs[i], valFires[fid],
-			training.Slots-valStart, links, candFires, cfg)
+		out.Profiles[fid] = w.assignIndeterminate(act, firesFrom(s, valStart),
+			training.Slots-valStart, links, cands[:len(links)], cfg)
 	})
 	return out
 }
@@ -199,34 +190,26 @@ func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableFo
 // start+slots) of a sparse event series, reproducing
 // series.Extract(dense[start:]) bit for bit in O(events in window) time.
 // It relies on the trace.Series invariants: ascending unique slots,
-// positive counts.
-func extractWindow(s trace.Series, start, slots int) series.Activity {
+// positive counts. The returned AT, AN and WT are views into w, valid until
+// w extracts again.
+func (w *scratch) extractWindow(s trace.Series, start, slots int) series.Activity {
 	a := series.Activity{Slots: slots}
-	i := sort.Search(len(s), func(i int) bool { return int(s[i].Slot) >= start })
-	evs := s[i:]
+	evs := firesFrom(s, start).evs
 	if len(evs) == 0 {
 		a.LeadingIdle = slots
 		return a
 	}
-	runs := 1
-	for k := 1; k < len(evs); k++ {
-		if evs[k].Slot != evs[k-1].Slot+1 {
-			runs++
-		}
-	}
-	// AT, AN and WT share one exactly-sized backing allocation.
-	backing := make([]int, 3*runs-1)
-	a.AT = backing[0:0:runs]
-	a.AN = backing[runs : runs : 2*runs]
-	if runs > 1 {
-		a.WT = backing[2*runs : 2*runs : 3*runs-1]
-	}
+	// A run needs at least one event, so len(evs) bounds all three lengths.
+	n := len(evs)
+	w.act = sized(w.act, 3*n)
+	at, an, wt := w.act[:n], w.act[n:2*n], w.act[2*n:]
 
 	first := int(evs[0].Slot) - start
 	a.LeadingIdle = first
 	runStart := first
 	runSum := 0
 	prev := first - 1 // window-relative slot of the previous event
+	r := 0            // runs closed so far
 	for _, e := range evs {
 		slot := int(e.Slot) - start
 		c := int(e.Count)
@@ -234,16 +217,18 @@ func extractWindow(s trace.Series, start, slots int) series.Activity {
 		if slot == prev+1 {
 			runSum += c
 		} else {
-			a.AT = append(a.AT, prev-runStart+1)
-			a.AN = append(a.AN, runSum)
-			a.WT = append(a.WT, slot-prev-1)
+			at[r], an[r], wt[r] = prev-runStart+1, runSum, slot-prev-1
+			r++
 			runStart = slot
 			runSum = c
 		}
 		prev = slot
 	}
-	a.AT = append(a.AT, prev-runStart+1)
-	a.AN = append(a.AN, runSum)
+	at[r], an[r] = prev-runStart+1, runSum
+	a.AT, a.AN = at[:r+1:r+1], an[:r+1:r+1]
+	if r > 0 {
+		a.WT = wt[:r:r]
+	}
 	a.TrailingIdle = slots - prev - 1
 	return a
 }
@@ -288,13 +273,15 @@ func alwaysWarmFast(s trace.Series, slots int, cfg Config) (Profile, bool) {
 }
 
 // extractMeta annotates an existing full-window Activity with the run
-// metadata suffix derivation needs.
-func extractMeta(s trace.Series, slots int, act series.Activity) seriesExtract {
-	se := seriesExtract{act: act, events: s, slots: slots}
-	runs := len(se.act.AT)
-	se.runStarts = make([]int32, runs)
-	se.runEvIdx = make([]int32, runs)
-	se.prefixInv = make([]int, runs+1)
+// metadata suffix derivation needs, held in w.
+func (w *scratch) extractMeta(s trace.Series, slots int, act series.Activity) seriesExtract {
+	runs := len(act.AT)
+	w.runStarts = sized(w.runStarts, runs)
+	w.runEvIdx = sized(w.runEvIdx, runs)
+	w.prefixInv = sized(w.prefixInv, runs+1)
+	se := seriesExtract{act: act, events: s, slots: slots,
+		runStarts: w.runStarts, runEvIdx: w.runEvIdx, prefixInv: w.prefixInv}
+	se.prefixInv[0] = 0
 	r := 0
 	for i, e := range s {
 		if i == 0 || e.Slot != s[i-1].Slot+1 {
@@ -308,19 +295,20 @@ func extractMeta(s trace.Series, slots int, act series.Activity) seriesExtract {
 }
 
 // suffix derives the Activity of the window [start, slots), bit-identical to
-// extractWindow(s, start, slots-start).
-func (se *seriesExtract) suffix(start int) series.Activity {
-	w := se.slots - start
+// extractWindow(s, start, slots-start). A straddled first run's rebuilt AT
+// and AN live in w, valid until the next suffix.
+func (se *seriesExtract) suffix(w *scratch, start int) series.Activity {
+	slots := se.slots - start
 	runs := len(se.act.AT)
 	// First run ending at or after start.
 	r := sort.Search(runs, func(i int) bool {
 		return int(se.runStarts[i])+se.act.AT[i] > start
 	})
 	if r == runs {
-		return series.Activity{Slots: w, LeadingIdle: w}
+		return series.Activity{Slots: slots, LeadingIdle: slots}
 	}
 	a := series.Activity{
-		Slots:        w,
+		Slots:        slots,
 		TrailingIdle: se.act.TrailingIdle,
 		Invocations:  se.prefixInv[runs] - se.prefixInv[r],
 	}
@@ -336,9 +324,9 @@ func (se *seriesExtract) suffix(start int) series.Activity {
 	}
 	// Run r straddles the cut: rebuild its truncated length and count.
 	n := runs - r
-	backing := make([]int, 2*n)
-	a.AT = backing[:n:n]
-	a.AN = backing[n:]
+	w.cutRuns = sized(w.cutRuns, 2*n)
+	a.AT = w.cutRuns[:n:n]
+	a.AN = w.cutRuns[n:]
 	copy(a.AT, se.act.AT[r:])
 	copy(a.AN, se.act.AN[r:])
 	runEnd := int(se.runStarts[r]) + se.act.AT[r] // one past the run's last slot
@@ -357,18 +345,18 @@ func (se *seriesExtract) suffix(start int) series.Activity {
 // each forgetting suffix reuses its run structure instead of re-scanning.
 // The run metadata is only built when the full window fails to categorize,
 // which the majority of functions never reach.
-func categorizeWithForgettingSparse(s trace.Series, act series.Activity, cfg Config) (Profile, bool) {
+func (w *scratch) categorizeWithForgettingSparse(s trace.Series, act series.Activity, cfg Config) (Profile, bool) {
 	slots := act.Slots
-	if p, ok := categorizeActivity(act, cfg); ok {
+	if p, ok := w.categorizeActivity(act, cfg); ok {
 		return p, true
 	}
 	days := slots / cfg.SlotsPerDay
 	if days/2 < 1 {
 		return Profile{}, false
 	}
-	se := extractMeta(s, slots, act)
+	se := w.extractMeta(s, slots, act)
 	for drop := 1; drop <= days/2; drop++ {
-		if p, ok := categorizeActivity(se.suffix(drop*cfg.SlotsPerDay), cfg); ok {
+		if p, ok := w.categorizeActivity(se.suffix(w, drop*cfg.SlotsPerDay), cfg); ok {
 			return p, true
 		}
 	}
@@ -378,19 +366,35 @@ func categorizeWithForgettingSparse(s trace.Series, act series.Activity, cfg Con
 // mineLinks computes T-lagged COR between the target and every candidate
 // sharing its application or user, accepting candidates whose best lagged
 // COR clears the threshold. Links are ordered by descending COR and capped
-// at a small fan-in to bound online work.
-func mineLinks(target trace.FuncID, invoked [][]int32, appPeers, userPeers []trace.FuncID, cfg Config, seen []uint32, seenGen uint32) []Link {
-	const maxLinks = 5
+// at maxLinks; the returned slice is the caller's to keep (nil when nothing
+// was accepted).
+//
+// Two prunes skip the lag scan for candidates whose rejection is already
+// decided by the list lengths alone; they change no outcome.
+func (w *scratch) mineLinks(target trace.FuncID, invoked []trace.Series, appPeers, userPeers []trace.FuncID, cfg Config) []Link {
 	targetSlots := invoked[target]
 	if len(targetSlots) == 0 {
 		return nil
 	}
-	seen[target] = seenGen
-	type scored struct {
-		link Link
-		cor  float64
+	if len(w.seen) < len(invoked) {
+		w.seen, w.seenGen = make([]uint32, len(invoked)), 0
 	}
-	var accepted []scored
+	w.seenGen++
+	seen, seenGen := w.seen, w.seenGen
+	seen[target] = seenGen
+	// Precision gate's slack: the pre-warm window the scoring assumes.
+	slack := int32(cfg.ValidationPrewarm)
+	if slack <= 0 {
+		slack = int32(cfg.ThetaPrewarm)
+	}
+	// Every target slot lies inside the follow window of at most 2*slack+1
+	// candidate slots, which bounds FollowRate's hit count from above.
+	maxFollows := 0.0
+	if slack >= 0 {
+		maxFollows = float64((2*int(slack) + 1) * len(targetSlots))
+	}
+
+	accepted := w.accepted[:0]
 	consider := func(cand trace.FuncID) {
 		if seen[cand] == seenGen {
 			return
@@ -406,6 +410,11 @@ func mineLinks(target trace.FuncID, invoked [][]int32, appPeers, userPeers []tra
 		if float64(len(candSlots)) < cfg.CORThreshold*float64(len(targetSlots)) {
 			return
 		}
+		// The mirror image: a candidate too busy relative to the target can
+		// never clear the precision gate below, whatever the lag.
+		if maxFollows/float64(len(candSlots)) < cfg.LinkPrecision {
+			return
+		}
 		lag, cor := BestLaggedCOR(targetSlots, candSlots, cfg.MaxLag)
 		if cor < cfg.CORThreshold {
 			return
@@ -413,14 +422,10 @@ func mineLinks(target trace.FuncID, invoked [][]int32, appPeers, userPeers []tra
 		// Precision gate: most of the candidate's fires must actually
 		// precede a target invocation, otherwise pre-loading on its fires
 		// wastes memory continuously.
-		slack := int32(cfg.ValidationPrewarm)
-		if slack <= 0 {
-			slack = int32(cfg.ThetaPrewarm)
-		}
 		if FollowRate(candSlots, targetSlots, lag, slack) < cfg.LinkPrecision {
 			return
 		}
-		accepted = append(accepted, scored{link: Link{Cand: int32(cand), Lag: lag}, cor: cor})
+		accepted = append(accepted, scoredLink{link: Link{Cand: int32(cand), Lag: lag}, cor: cor})
 	}
 	for _, c := range appPeers {
 		consider(c)
@@ -428,11 +433,17 @@ func mineLinks(target trace.FuncID, invoked [][]int32, appPeers, userPeers []tra
 	for _, c := range userPeers {
 		consider(c)
 	}
-	sort.Slice(accepted, func(i, j int) bool {
-		if accepted[i].cor != accepted[j].cor {
-			return accepted[i].cor > accepted[j].cor
+	w.accepted = accepted
+	if len(accepted) == 0 {
+		return nil
+	}
+	// (COR, Cand) is a total order — a candidate is considered once — so the
+	// ranking does not depend on the sort's handling of equal elements.
+	slices.SortFunc(accepted, func(a, b scoredLink) int {
+		if a.cor != b.cor {
+			return cmp.Compare(b.cor, a.cor)
 		}
-		return accepted[i].link.Cand < accepted[j].link.Cand
+		return cmp.Compare(a.link.Cand, b.link.Cand)
 	})
 	if len(accepted) > maxLinks {
 		accepted = accepted[:maxLinks]

@@ -168,22 +168,22 @@ func TestMineLinksCapsAndThreshold(t *testing.T) {
 	for s := int32(100); s < 5000; s += 100 {
 		target = append(target, s)
 	}
-	invoked := make([][]int32, 10)
-	invoked[0] = target
+	invoked := make([]trace.Series, 10)
+	invoked[0] = slotSeries(target...)
 	peers := []trace.FuncID{}
 	for c := 1; c <= 8; c++ {
 		var cand []int32
 		for _, s := range target {
 			cand = append(cand, s-int32(c%5)-1)
 		}
-		invoked[c] = cand
+		invoked[c] = slotSeries(cand...)
 		peers = append(peers, trace.FuncID(c))
 	}
 	// Candidate 9: uncorrelated.
-	invoked[9] = []int32{3, 7, 9}
+	invoked[9] = slotSeries(3, 7, 9)
 	peers = append(peers, 9)
 
-	links := mineLinks(0, invoked, peers, nil, cfg, make([]uint32, len(invoked)), 1)
+	links := new(scratch).mineLinks(0, invoked, peers, nil, cfg)
 	if len(links) != 5 {
 		t.Fatalf("links = %d, want capped at 5", len(links))
 	}
@@ -199,8 +199,8 @@ func TestMineLinksCapsAndThreshold(t *testing.T) {
 
 func TestMineLinksEmptyTarget(t *testing.T) {
 	cfg := DefaultConfig()
-	invoked := [][]int32{nil, {1, 2, 3}}
-	if links := mineLinks(0, invoked, []trace.FuncID{1}, nil, cfg, make([]uint32, len(invoked)), 1); links != nil {
+	invoked := []trace.Series{nil, slotSeries(1, 2, 3)}
+	if links := new(scratch).mineLinks(0, invoked, []trace.FuncID{1}, nil, cfg); links != nil {
 		t.Errorf("links for silent target = %v", links)
 	}
 }
@@ -239,7 +239,7 @@ func TestAlwaysWarmFastMatchesActivityBranch(t *testing.T) {
 	}
 	for i, s := range cases {
 		fastP, fastOK := alwaysWarmFast(s, slots, cfg)
-		act := extractWindow(s, 0, slots)
+		act := new(scratch).extractWindow(s, 0, slots)
 		refOK := act.Invocations > 0 &&
 			(act.InvokedEverySlot() ||
 				(float64(act.TotalWT()) <= cfg.AlwaysWarmIdleFrac*float64(act.Slots) &&

@@ -1,10 +1,17 @@
 package classify
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/trace"
+)
 
 // Co-occurrence rate (COR, Section III-B2) and its lagged variant T-COR
 // (Section IV-B2). Invocation series are represented by their sorted
-// invoked-slot lists, which is all co-occurrence needs.
+// invoked-slot lists, which is all co-occurrence needs. The two measures the
+// offline pass runs over every candidate pair — BestLaggedCOR and FollowRate
+// — read those slots straight off the sparse trace.Series (ascending unique
+// slots by invariant), so mining copies nothing.
 
 // COR returns the fraction of the target's invoked slots at which the
 // candidate was also invoked. Both inputs must be ascending slot lists.
@@ -49,10 +56,10 @@ func LaggedCOR(target, candidate []int32, lag int32) float64 {
 // BestLaggedCOR scans lags 1..maxLag and returns the lag with the highest
 // lagged COR along with that COR (ties go to the smallest lag). With an
 // empty target it returns (0, 0). All lags are counted in one merged pass
-// over the two slot lists rather than one pass per lag: for every target
-// slot t the candidate slots in [t-maxLag, t-1] each contribute a hit to
-// their lag's counter.
-func BestLaggedCOR(target, candidate []int32, maxLag int32) (bestLag int32, bestCOR float64) {
+// over the two series rather than one pass per lag: for every target slot t
+// the candidate slots in [t-maxLag, t-1] each contribute a hit to their
+// lag's counter.
+func BestLaggedCOR(target, candidate trace.Series, maxLag int32) (bestLag int32, bestCOR float64) {
 	if len(target) == 0 || maxLag < 1 {
 		return 0, 0
 	}
@@ -64,15 +71,16 @@ func BestLaggedCOR(target, candidate []int32, maxLag int32) (bestLag int32, best
 		hits = make([]int, maxLag+1)
 	}
 	j := 0
-	for _, t := range target {
+	for _, te := range target {
+		t := te.Slot
 		lo := t - maxLag
-		for j < len(candidate) && candidate[j] < lo {
+		for j < len(candidate) && candidate[j].Slot < lo {
 			j++
 		}
-		for k := j; k < len(candidate) && candidate[k] < t; k++ {
+		for k := j; k < len(candidate) && candidate[k].Slot < t; k++ {
 			// The range guard keeps malformed (unsorted) inputs from
 			// corrupting counters; sorted inputs always land in 1..maxLag.
-			if d := t - candidate[k]; d >= 1 && d <= maxLag {
+			if d := t - candidate[k].Slot; d >= 1 && d <= maxLag {
 				hits[d]++
 			}
 		}
@@ -114,19 +122,19 @@ func WindowedCOR(target, candidate []int32, maxLag int32) float64 {
 // step requires it so that a busy candidate (whose lagged COR against
 // anything is high) does not become a predictive indicator that pre-loads
 // the target on every one of its own invocations.
-func FollowRate(candidate, target []int32, lag, slack int32) float64 {
+func FollowRate(candidate, target trace.Series, lag, slack int32) float64 {
 	if len(candidate) == 0 {
 		return 0
 	}
 	hits := 0
 	j := 0
-	for _, c := range candidate {
-		lo := c + lag - slack
-		hi := c + lag + slack
-		for j < len(target) && target[j] < lo {
+	for _, ce := range candidate {
+		lo := ce.Slot + lag - slack
+		hi := ce.Slot + lag + slack
+		for j < len(target) && target[j].Slot < lo {
 			j++
 		}
-		if j < len(target) && target[j] <= hi {
+		if j < len(target) && target[j].Slot <= hi {
 			hits++
 		}
 	}

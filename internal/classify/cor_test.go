@@ -47,8 +47,8 @@ func TestLaggedCOR(t *testing.T) {
 }
 
 func TestBestLaggedCOR(t *testing.T) {
-	target := []int32{10, 20, 30, 40}
-	cand := []int32{7, 17, 27, 2} // lag 3 matches 3 of 4
+	target := slotSeries(10, 20, 30, 40)
+	cand := slotSeries(7, 17, 27, 2) // lag 3 matches 3 of 4
 	lag, cor := BestLaggedCOR(target, cand, 10)
 	if lag != 3 {
 		t.Errorf("best lag = %d, want 3", lag)

@@ -1,8 +1,6 @@
 package classify
 
 import (
-	"sort"
-
 	"repro/internal/series"
 	"repro/internal/stats"
 )
@@ -145,6 +143,11 @@ func (c Config) ThetaGivenup(t Type) int {
 
 // Profile is the categorization outcome for one function: its type plus the
 // predictive values Section IV-D's prediction rules consume.
+//
+// Values and Links are owned by the profile: each is a slice of its own,
+// exactly sized, never a view into a categorizer's working memory or into
+// another profile's slice. Holders rely on it — core.SPES keeps both for the
+// life of the policy and its adaptive strategy rewrites Values in place.
 type Profile struct {
 	Type Type
 
@@ -186,58 +189,33 @@ func categorizeWTs(wts, sorted []int, cfg Config) (Profile, bool) {
 	// Regular: P95 - P5 <= spread, or CV ~ 0.
 	p5 := stats.QuantileSortedInts(sorted, 0.05)
 	p95 := stats.QuantileSortedInts(sorted, 0.95)
-	var fwts []float64
-	isRegular := p95-p5 <= cfg.RegularSpread
-	if !isRegular {
-		fwts = stats.IntsToFloats(wts)
-		isRegular = stats.CoefficientOfVariation(fwts) <= cfg.RegularCV
-	}
-	if isRegular {
-		if fwts == nil {
-			fwts = stats.IntsToFloats(wts)
-		}
+	if p95-p5 <= cfg.RegularSpread || stats.CoefficientOfVariationInts(wts) <= cfg.RegularCV {
 		median := stats.MedianSortedInts(sorted)
 		return Profile{
 			Type:     TypeRegular,
 			Values:   []int{int(median + 0.5)},
 			MedianWT: median,
-			StdWT:    stats.StdDev(fwts),
+			StdWT:    stats.StdDevInts(wts),
 			WTCount:  len(wts),
 		}, true
 	}
 	return Profile{}, false
 }
 
-// sortedCopy returns xs sorted ascending without mutating it.
-func sortedCopy(xs []int) []int {
-	out := make([]int, len(xs))
-	copy(out, xs)
-	sort.Ints(out)
-	return out
-}
-
-// removeTwoSorted returns sorted minus one occurrence each of a and b
-// (which must both be present), preserving order.
-func removeTwoSorted(sorted []int, a, b int) []int {
-	out := make([]int, 0, len(sorted)-1)
-	ia := sort.SearchInts(sorted, a)
-	out = append(out, sorted[:ia]...)
-	out = append(out, sorted[ia+1:]...)
-	ib := sort.SearchInts(out, b)
-	return append(out[:ib], out[ib+1:]...)
-}
-
 // CategorizeDeterministic applies the five deterministic definitions of
 // Section IV-A in priority order to a dense invocation sequence. ok is
 // false when none match.
 func CategorizeDeterministic(counts []int, cfg Config) (Profile, bool) {
-	return categorizeActivity(series.Extract(counts), cfg)
+	var w scratch
+	return w.categorizeActivity(series.Extract(counts), cfg)
 }
 
 // categorizeActivity is CategorizeDeterministic over a pre-extracted
 // Activity, letting the offline phase feed it from sparse event series
-// without materializing dense per-slot vectors.
-func categorizeActivity(act series.Activity, cfg Config) (Profile, bool) {
+// without materializing dense per-slot vectors. The sorted variants, the
+// merged sequence and the frequency tables are built in w; the returned
+// profile's Values are its own.
+func (w *scratch) categorizeActivity(act series.Activity, cfg Config) (Profile, bool) {
 	// 1. Always warm: invoked at every slot, or total inter-invocation idle
 	// at or below one-thousandth of the window. The paper's literal
 	// condition (2) would also admit a function invoked in one short dense
@@ -264,21 +242,24 @@ func categorizeActivity(act series.Activity, cfg Config) (Profile, bool) {
 	nv := 0
 	if len(wts) > 0 {
 		variants[0] = wts
-		sortedVariants[0] = sortedCopy(wts)
+		w.sorted[0] = sortedInto(w.sorted[0], wts)
+		sortedVariants[0] = w.sorted[0]
 		nv = 1
 	}
 	if len(wts) > 2 {
 		variants[1] = wts[1 : len(wts)-1]
-		sortedVariants[1] = removeTwoSorted(sortedVariants[0], wts[0], wts[len(wts)-1])
+		w.sorted[1] = withoutTwoInto(w.sorted[1], sortedVariants[0], wts[0], wts[len(wts)-1])
+		sortedVariants[1] = w.sorted[1]
 		nv = 2
 	}
 	if nv > 0 {
 		base, sortedBase := variants[nv-1], sortedVariants[nv-1]
 		mode := series.MergeReferenceModeSorted(sortedBase)
-		merged := series.MergeSmallWTsWithMode(base, mode, cfg.SlackCloseTol, cfg.SlackSmallFrac)
-		if len(merged) > 0 && len(merged) != len(base) {
+		w.merged = series.AppendMergedWTs(sized(w.merged, len(base))[:0], base, mode, cfg.SlackCloseTol, cfg.SlackSmallFrac)
+		if merged := w.merged; len(merged) > 0 && len(merged) != len(base) {
 			variants[nv] = merged
-			sortedVariants[nv] = sortedCopy(merged)
+			w.sorted[2] = sortedInto(w.sorted[2], merged)
+			sortedVariants[nv] = w.sorted[2]
 			nv++
 		}
 	}
@@ -295,7 +276,8 @@ func categorizeActivity(act series.Activity, cfg Config) (Profile, bool) {
 		if len(variant) < cfg.ApproMinWTs {
 			continue
 		}
-		table := stats.FrequencyTableSorted(sortedVariants[i])
+		w.table = stats.AppendFrequencyTableSorted(w.table[:0], sortedVariants[i])
+		table := w.table
 		n := cfg.ApproModes
 		if n > len(table) {
 			n = len(table)
@@ -309,12 +291,11 @@ func categorizeActivity(act series.Activity, cfg Config) (Profile, bool) {
 			for _, mc := range table[:n] {
 				modes = append(modes, mc.Value)
 			}
-			fw := stats.IntsToFloats(variant)
 			return Profile{
 				Type:     TypeApproRegular,
 				Values:   modes,
 				MedianWT: stats.MedianSortedInts(sortedVariants[i]),
-				StdWT:    stats.StdDev(fw),
+				StdWT:    stats.StdDevInts(variant),
 				WTCount:  len(variant),
 			}, true
 		}
@@ -325,14 +306,14 @@ func categorizeActivity(act series.Activity, cfg Config) (Profile, bool) {
 		// variants[0] is the raw WT sequence whenever it is non-empty.
 		sorted := sortedVariants[0]
 		if stats.QuantileSortedInts(sorted, 0.9) <= cfg.DenseP90Max {
-			lo, hi, _ := stats.ModeRange(act.WT, cfg.DenseModes)
-			fw := stats.IntsToFloats(act.WT)
+			w.table = stats.AppendFrequencyTableSorted(w.table[:0], sorted)
+			lo, hi, _ := stats.TableRange(w.table, cfg.DenseModes)
 			return Profile{
 				Type:     TypeDense,
 				RangeLo:  lo,
 				RangeHi:  hi,
 				MedianWT: stats.MedianSortedInts(sorted),
-				StdWT:    stats.StdDev(fw),
+				StdWT:    stats.StdDevInts(act.WT),
 				WTCount:  len(act.WT),
 			}, true
 		}

@@ -1,10 +1,13 @@
 package classify
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/series"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // Indeterminate assignment (Section IV-B2): functions that match none of
@@ -19,17 +22,37 @@ type StrategyCost struct {
 	Feasible   bool
 }
 
+// fires is a zero-copy view of a series' invoked slots from some window start
+// on: slot(i) is rebased so the window's first slot reads 0. The offline
+// pass scores strategies on the validation window this way — the suffix of
+// the training series found by one binary search — instead of copying every
+// function's slots into a list of its own.
+type fires struct {
+	evs  trace.Series
+	base int32
+}
+
+// firesFrom views the part of s at or after slot start.
+func firesFrom(s trace.Series, start int) fires {
+	i := sort.Search(len(s), func(i int) bool { return int(s[i].Slot) >= start })
+	return fires{evs: s[i:], base: int32(start)}
+}
+
+func (f fires) len() int         { return len(f.evs) }
+func (f fires) slot(i int) int32 { return f.evs[i].Slot - f.base }
+
 // scorePulsed simulates the pulsed strategy over a function's invoked slots
 // within [0, slots): tolerate a cold start when a flurry begins, keep the
 // function warm until its idle time reaches thetaGivenup.
-func scorePulsed(invoked []int32, slots int, thetaGivenup int) StrategyCost {
+func scorePulsed(invoked fires, slots int, thetaGivenup int) StrategyCost {
 	cost := StrategyCost{Feasible: true}
-	if len(invoked) == 0 {
+	n := invoked.len()
+	if n == 0 {
 		return cost
 	}
 	cost.ColdStarts = 1 // the first invocation is always cold
-	for i := 1; i < len(invoked); i++ {
-		gap := int(invoked[i]-invoked[i-1]) - 1
+	for i := 1; i < n; i++ {
+		gap := int(invoked.slot(i)-invoked.slot(i-1)) - 1
 		if gap >= thetaGivenup {
 			// Evicted after thetaGivenup idle slots; those idle slots up to
 			// the eviction (exclusive) were wasted.
@@ -40,7 +63,7 @@ func scorePulsed(invoked []int32, slots int, thetaGivenup int) StrategyCost {
 		}
 	}
 	// Trailing idle until window end.
-	trailing := slots - int(invoked[len(invoked)-1]) - 1
+	trailing := slots - int(invoked.slot(n-1)) - 1
 	if trailing > 0 {
 		waste := thetaGivenup - 1
 		if trailing < waste {
@@ -54,40 +77,56 @@ func scorePulsed(invoked []int32, slots int, thetaGivenup int) StrategyCost {
 // scorePossible simulates the possible strategy: predictive values are the
 // duplicated WTs; the function is pre-loaded when a predicted invocation
 // falls within thetaPrewarm, and evicted after thetaGivenup idle slots.
-func scorePossible(invoked []int32, slots int, values []int, thetaPrewarm, thetaGivenup int) StrategyCost {
+func (w *scratch) scorePossible(invoked fires, slots int, values []int, thetaPrewarm, thetaGivenup int) StrategyCost {
 	if len(values) == 0 {
 		return StrategyCost{Feasible: false}
 	}
 	cost := StrategyCost{Feasible: true}
-	if len(invoked) == 0 {
+	if invoked.len() == 0 {
 		return cost
 	}
+	// Every gap pre-loads around the same offsets. Walking them in ascending
+	// order yields each gap's pre-load windows already ordered by start, so
+	// their union is accumulated on the fly: no span list, no per-gap sort.
+	w.ascend = sortedInto(w.ascend, values)
 	cost.ColdStarts = 1
-	for i := 1; i < len(invoked); i++ {
-		prev, cur := int(invoked[i-1]), int(invoked[i])
+	for i := 1; i < invoked.len(); i++ {
+		prev, cur := int(invoked.slot(i-1)), int(invoked.slot(i))
 		gap := cur - prev - 1
 
 		warm := gap < thetaGivenup
 		// Pre-load windows: [prev+v-thetaPrewarm, prev+v+thetaPrewarm] per
 		// predictive value v. The invocation is warm when it lands inside
-		// one; idle slots covered by windows before cur are waste.
-		type span struct{ lo, hi int }
-		var spans []span
-		for _, v := range values {
-			pred := prev + v
-			lo, hi := pred-thetaPrewarm, pred+thetaPrewarm
-			if cur >= lo && cur <= hi {
+		// one; idle slots covered by windows before cur are waste. covered
+		// counts the union of the windows clipped to the idle gap (prev,
+		// cur), [curLo, curHi] being the piece still open.
+		covered := 0
+		curLo, curHi := 0, -1
+		for _, v := range w.ascend {
+			lo, hi := prev+v-thetaPrewarm, prev+v+thetaPrewarm
+			if lo > cur {
+				// This window and every later one starts past the
+				// invocation: none warms it, none overlaps the gap.
+				break
+			}
+			if cur <= hi {
 				warm = true
 			}
-			// Clip the waste span to the idle gap (prev, cur).
 			if lo < prev+1 {
 				lo = prev + 1
 			}
 			if hi > cur-1 {
 				hi = cur - 1
 			}
-			if lo <= hi {
-				spans = append(spans, span{lo, hi})
+			switch {
+			case lo > hi:
+			case curHi < curLo:
+				curLo, curHi = lo, hi
+			case lo > curHi+1:
+				covered += curHi - curLo + 1
+				curLo, curHi = lo, hi
+			case hi > curHi:
+				curHi = hi
 			}
 		}
 		if warm {
@@ -102,24 +141,11 @@ func scorePossible(invoked []int32, slots int, values []int, thetaPrewarm, theta
 				cost.WastedMem += gap
 			}
 		}
-		// Merged pre-load coverage inside the gap (waste beyond keep-alive).
-		if len(spans) > 0 {
-			sort.Slice(spans, func(a, b int) bool { return spans[a].lo < spans[b].lo })
-			covered := 0
-			curLo, curHi := spans[0].lo, spans[0].hi
-			for _, s := range spans[1:] {
-				if s.lo > curHi+1 {
-					covered += curHi - curLo + 1
-					curLo, curHi = s.lo, s.hi
-				} else if s.hi > curHi {
-					curHi = s.hi
-				}
-			}
+		if curLo <= curHi {
 			covered += curHi - curLo + 1
 			// Keep-alive waste already charged the first thetaGivenup-1
 			// idle slots; only count pre-load coverage beyond it.
-			beyond := covered - (thetaGivenup - 1)
-			if beyond > 0 {
+			if beyond := covered - (thetaGivenup - 1); beyond > 0 {
 				cost.WastedMem += beyond
 			}
 		}
@@ -128,22 +154,27 @@ func scorePossible(invoked []int32, slots int, values []int, thetaPrewarm, theta
 }
 
 // scoreCorrelated simulates the correlated strategy: each linked candidate
-// firing at slot c pre-loads the target during [c+lag-prewarm, c+lag+prewarm]
+// (cands[i] fires, links[i].Lag slots ahead of the target; a missing or
+// non-positive lag reads as 1) firing at slot c pre-loads the target during [c+lag-prewarm, c+lag+prewarm]
 // (clipped to c+1..), the window the online provision would hold it for. An
 // invocation is warm when some candidate's window covers it; window slots
 // not carrying a target invocation are waste (merged across fires).
-func scoreCorrelated(target []int32, candFires [][]int32, lags []int32, slots int, thetaPrewarm int32) StrategyCost {
-	if len(candFires) == 0 {
+func (w *scratch) scoreCorrelated(target fires, cands []fires, links []Link, slots int, thetaPrewarm int32) StrategyCost {
+	if len(cands) == 0 {
 		return StrategyCost{Feasible: false}
 	}
-	type span struct{ lo, hi int32 }
-	var spans []span
-	for i, fires := range candFires {
+	fireCount := 0
+	for _, cand := range cands {
+		fireCount += cand.len()
+	}
+	spans := sized(w.spans, fireCount)[:0] // one span per fire at most
+	for i, cand := range cands {
 		lag := int32(1)
-		if i < len(lags) && lags[i] > 0 {
-			lag = lags[i]
+		if i < len(links) && links[i].Lag > 0 {
+			lag = links[i].Lag
 		}
-		for _, c := range fires {
+		for k := 0; k < cand.len(); k++ {
+			c := cand.slot(k)
 			lo, hi := c+lag-thetaPrewarm, c+lag+thetaPrewarm
 			if lo <= c {
 				lo = c + 1
@@ -156,12 +187,15 @@ func scoreCorrelated(target []int32, candFires [][]int32, lags []int32, slots in
 			}
 		}
 	}
+	w.spans = spans
 	if len(spans) == 0 {
 		return StrategyCost{Feasible: false}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].lo < spans[j].lo })
+	// Only the union of the spans is scored, and the merge below forms it
+	// from any order that is ascending in lo.
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 
-	// Merge spans; then score warm hits and waste in one sweep.
+	// Merge spans in place; then score warm hits and waste in one sweep.
 	merged := spans[:1]
 	for _, s := range spans[1:] {
 		last := &merged[len(merged)-1]
@@ -173,28 +207,23 @@ func scoreCorrelated(target []int32, candFires [][]int32, lags []int32, slots in
 			merged = append(merged, s)
 		}
 	}
+	// Target slots and merged spans both ascend, so one two-pointer walk
+	// finds every invocation's span: a covered invocation is warm and its
+	// slot is not waste; whatever else the spans hold is.
 	cost := StrategyCost{Feasible: true}
-	targetSet := make(map[int32]bool, len(target))
-	for _, t := range target {
-		targetSet[t] = true
-	}
-	for _, t := range target {
-		warm := false
-		for _, s := range merged {
-			if t >= s.lo && t <= s.hi {
-				warm = true
-				break
-			}
-		}
-		if !warm {
-			cost.ColdStarts++
-		}
-	}
 	for _, s := range merged {
-		for x := s.lo; x <= s.hi; x++ {
-			if !targetSet[x] {
-				cost.WastedMem++
-			}
+		cost.WastedMem += int(s.hi-s.lo) + 1
+	}
+	j := 0
+	for k := 0; k < target.len(); k++ {
+		t := target.slot(k)
+		for j < len(merged) && merged[j].hi < t {
+			j++
+		}
+		if j < len(merged) && merged[j].lo <= t {
+			cost.WastedMem--
+		} else {
+			cost.ColdStarts++
 		}
 	}
 	return cost
@@ -259,26 +288,59 @@ func AssignIndeterminate(counts []int, valStart int, links []Link, candFires [][
 	act := series.Extract(counts)
 
 	// Validation-window invoked slots of the target.
-	var valInvoked []int32
+	var valInvoked trace.Series
 	for _, s := range series.InvokedSlots(counts[valStart:]) {
-		valInvoked = append(valInvoked, int32(s))
+		valInvoked = append(valInvoked, trace.Event{Slot: int32(s), Count: 1})
 	}
-	return assignIndeterminateActivity(act, valInvoked, len(counts)-valStart, links, candFires, cfg)
+	cands := make([]fires, len(candFires))
+	for i, slots := range candFires {
+		evs := make(trace.Series, len(slots))
+		for k, s := range slots {
+			evs[k] = trace.Event{Slot: s, Count: 1}
+		}
+		cands[i] = fires{evs: evs}
+	}
+	var w scratch
+	return w.assignIndeterminate(act, fires{evs: valInvoked}, len(counts)-valStart, links, cands, cfg)
 }
 
-// assignIndeterminateActivity is AssignIndeterminate over pre-extracted
-// inputs: the function's full-window Activity and its validation-window
-// invoked slots (rebased to the validation start), letting the offline phase
-// skip the dense per-slot expansion entirely.
-func assignIndeterminateActivity(act series.Activity, valInvoked []int32, valSlots int, links []Link, candFires [][]int32, cfg Config) Profile {
-	possibleValues := stats.RepeatedValues(act.WT)
+// assignIndeterminate is AssignIndeterminate over pre-extracted inputs: the
+// function's full-window Activity and views of its own and its linked
+// candidates' validation-window fires (cands is parallel to links), letting
+// the offline phase skip the dense per-slot expansion entirely. The returned
+// profile owns its Values; links is stored as given.
+func (w *scratch) assignIndeterminate(act series.Activity, valInvoked fires, valSlots int, links []Link, cands []fires, cfg Config) Profile {
+	// The possible strategy's predictive values: WTs occurring more than
+	// once, most frequent first (stats.RepeatedValues, read off the table of
+	// the sorted copy).
+	w.sorted[0] = sortedInto(w.sorted[0], act.WT)
+	sortedWT := w.sorted[0]
+	w.table = stats.AppendFrequencyTableSorted(w.table[:0], sortedWT)
+	possibleValues := w.values[:0]
+	for _, mc := range w.table {
+		if mc.Count > 1 {
+			possibleValues = append(possibleValues, mc.Value)
+		}
+	}
+	w.values = possibleValues
+	possible := func() Profile {
+		values := make([]int, len(possibleValues))
+		copy(values, possibleValues)
+		return Profile{
+			Type:     TypePossible,
+			Values:   values,
+			MedianWT: stats.MedianSortedInts(sortedWT),
+			StdWT:    stats.StdDevInts(act.WT),
+			WTCount:  len(act.WT),
+		}
+	}
 
-	if len(valInvoked) == 0 {
+	if valInvoked.len() == 0 {
 		// Never invoked during validation: no basis for scoring. Fall back
 		// on static structure, preferring informative strategies.
 		switch {
 		case len(possibleValues) > 0:
-			return possibleProfile(act, possibleValues)
+			return possible()
 		case len(links) > 0:
 			return Profile{Type: TypeCorrelated, Links: links, WTCount: len(act.WT)}
 		case act.Invocations == 0:
@@ -288,36 +350,21 @@ func assignIndeterminateActivity(act series.Activity, valInvoked []int32, valSlo
 		}
 	}
 
-	lags := make([]int32, len(links))
-	for i, l := range links {
-		lags[i] = l.Lag
-	}
 	prewarm := cfg.ValidationPrewarm
 	if prewarm <= 0 {
 		prewarm = cfg.ThetaPrewarm
 	}
-	costs := []StrategyCost{
+	costs := [...]StrategyCost{
 		scorePulsed(valInvoked, valSlots, cfg.ThetaGivenup(TypePulsed)),
-		scoreCorrelated(valInvoked, candFires, lags, valSlots, int32(prewarm)),
-		scorePossible(valInvoked, valSlots, possibleValues, prewarm, cfg.ThetaGivenup(TypePossible)),
+		w.scoreCorrelated(valInvoked, cands, links, valSlots, int32(prewarm)),
+		w.scorePossible(valInvoked, valSlots, possibleValues, prewarm, cfg.ThetaGivenup(TypePossible)),
 	}
-	switch ChooseStrategy(costs, cfg.Alpha) {
+	switch ChooseStrategy(costs[:], cfg.Alpha) {
 	case 1:
 		return Profile{Type: TypeCorrelated, Links: links, WTCount: len(act.WT)}
 	case 2:
-		return possibleProfile(act, possibleValues)
+		return possible()
 	default:
 		return Profile{Type: TypePulsed, WTCount: len(act.WT)}
-	}
-}
-
-func possibleProfile(act series.Activity, values []int) Profile {
-	fw := stats.IntsToFloats(act.WT)
-	return Profile{
-		Type:     TypePossible,
-		Values:   values,
-		MedianWT: stats.Median(fw),
-		StdWT:    stats.StdDev(fw),
-		WTCount:  len(act.WT),
 	}
 }

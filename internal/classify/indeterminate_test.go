@@ -1,12 +1,29 @@
 package classify
 
 import (
+	"math/rand"
+	"sort"
 	"testing"
+
+	"repro/internal/trace"
 )
+
+// slotSeries builds a one-invocation-per-slot series from the given slots,
+// kept in the order given.
+func slotSeries(slots ...int32) trace.Series {
+	s := make(trace.Series, len(slots))
+	for i, slot := range slots {
+		s[i] = trace.Event{Slot: slot, Count: 1}
+	}
+	return s
+}
+
+// firesOf views the given slots as validation-window fires.
+func firesOf(slots ...int32) fires { return fires{evs: slotSeries(slots...)} }
 
 func TestScorePulsed(t *testing.T) {
 	// Invocations at 0,1,2 then 50,51: one wave break.
-	invoked := []int32{0, 1, 2, 50, 51}
+	invoked := firesOf(0, 1, 2, 50, 51)
 	cost := scorePulsed(invoked, 100, 5)
 	if !cost.Feasible {
 		t.Fatal("pulsed must always be feasible")
@@ -23,7 +40,7 @@ func TestScorePulsed(t *testing.T) {
 
 func TestScorePulsedShortGaps(t *testing.T) {
 	// Gaps below theta keep the function warm at a cost of the idle slots.
-	invoked := []int32{0, 3, 6}
+	invoked := firesOf(0, 3, 6)
 	cost := scorePulsed(invoked, 7, 5)
 	if cost.ColdStarts != 1 {
 		t.Errorf("cold starts = %d, want 1", cost.ColdStarts)
@@ -35,7 +52,7 @@ func TestScorePulsedShortGaps(t *testing.T) {
 }
 
 func TestScorePulsedEmpty(t *testing.T) {
-	cost := scorePulsed(nil, 100, 5)
+	cost := scorePulsed(fires{}, 100, 5)
 	if cost.ColdStarts != 0 || cost.WastedMem != 0 || !cost.Feasible {
 		t.Errorf("empty pulsed = %+v", cost)
 	}
@@ -44,8 +61,8 @@ func TestScorePulsedEmpty(t *testing.T) {
 func TestScorePossiblePerfectPrediction(t *testing.T) {
 	// Period-10 invocations with predictive value 9 (the WT): every
 	// subsequent invocation lands in the pre-warm window.
-	invoked := []int32{0, 10, 20, 30}
-	cost := scorePossible(invoked, 40, []int{9}, 2, 1)
+	invoked := firesOf(0, 10, 20, 30)
+	cost := new(scratch).scorePossible(invoked, 40, []int{9}, 2, 1)
 	if !cost.Feasible {
 		t.Fatal("possible with values must be feasible")
 	}
@@ -64,23 +81,23 @@ func TestScorePossiblePerfectPrediction(t *testing.T) {
 
 func TestScorePossibleBadPrediction(t *testing.T) {
 	// Predictive value far from the actual gaps: everything cold.
-	invoked := []int32{0, 50, 100}
-	cost := scorePossible(invoked, 150, []int{10}, 2, 1)
+	invoked := firesOf(0, 50, 100)
+	cost := new(scratch).scorePossible(invoked, 150, []int{10}, 2, 1)
 	if cost.ColdStarts != 3 {
 		t.Errorf("cold starts = %d, want 3", cost.ColdStarts)
 	}
 }
 
 func TestScorePossibleInfeasible(t *testing.T) {
-	if cost := scorePossible([]int32{1, 2}, 10, nil, 2, 1); cost.Feasible {
+	if cost := new(scratch).scorePossible(firesOf(1, 2), 10, nil, 2, 1); cost.Feasible {
 		t.Error("possible without values must be infeasible")
 	}
 }
 
 func TestScoreCorrelated(t *testing.T) {
-	target := []int32{10, 20, 30}
-	cand := [][]int32{{8, 18, 28}}
-	cost := scoreCorrelated(target, cand, []int32{2}, 40, 2)
+	target := firesOf(10, 20, 30)
+	cand := []fires{firesOf(8, 18, 28)}
+	cost := new(scratch).scoreCorrelated(target, cand, []Link{{Lag: 2}}, 40, 2)
 	if !cost.Feasible {
 		t.Fatal("correlated with fires must be feasible")
 	}
@@ -95,28 +112,28 @@ func TestScoreCorrelated(t *testing.T) {
 }
 
 func TestScoreCorrelatedMisses(t *testing.T) {
-	target := []int32{10, 35}
-	cand := [][]int32{{8}}
-	cost := scoreCorrelated(target, cand, []int32{2}, 50, 2)
+	target := firesOf(10, 35)
+	cand := []fires{firesOf(8)}
+	cost := new(scratch).scoreCorrelated(target, cand, []Link{{Lag: 2}}, 50, 2)
 	if cost.ColdStarts != 1 {
 		t.Errorf("cold starts = %d, want 1 (35 unpredicted)", cost.ColdStarts)
 	}
 }
 
 func TestScoreCorrelatedInfeasible(t *testing.T) {
-	if cost := scoreCorrelated([]int32{1}, nil, nil, 10, 2); cost.Feasible {
+	if cost := new(scratch).scoreCorrelated(firesOf(1), nil, nil, 10, 2); cost.Feasible {
 		t.Error("correlated without candidates must be infeasible")
 	}
-	if cost := scoreCorrelated([]int32{1}, [][]int32{{}}, []int32{1}, 10, 2); cost.Feasible {
+	if cost := new(scratch).scoreCorrelated(firesOf(1), []fires{{}}, []Link{{Lag: 1}}, 10, 2); cost.Feasible {
 		t.Error("correlated with only-empty candidates must be infeasible")
 	}
 }
 
 func TestScoreCorrelatedDefaultLag(t *testing.T) {
 	// Missing or zero lag defaults to 1.
-	target := []int32{10}
-	cand := [][]int32{{9}}
-	cost := scoreCorrelated(target, cand, nil, 20, 0)
+	target := firesOf(10)
+	cand := []fires{firesOf(9)}
+	cost := new(scratch).scoreCorrelated(target, cand, nil, 20, 0)
 	if cost.ColdStarts != 0 {
 		t.Errorf("cold starts = %d, want 0 (lag-1 window covers slot 10)", cost.ColdStarts)
 	}
@@ -285,5 +302,143 @@ func TestAssignIndeterminateQuietValidation(t *testing.T) {
 	p = AssignIndeterminate(counts3, 3000, nil, nil, cfg)
 	if p.Type != TypePulsed {
 		t.Errorf("lonely invocation -> %v, want pulsed", p.Type)
+	}
+}
+
+// The two references below are the strategy simulations as first written —
+// a span list sorted per inter-arrival gap, a hash set of target slots
+// walked slot by slot — kept here because the oracle test reaches the
+// scoring through AssignIndeterminate and so cannot vouch for it.
+
+func referenceScorePossible(invoked []int32, values []int, thetaPrewarm, thetaGivenup int) StrategyCost {
+	if len(values) == 0 {
+		return StrategyCost{Feasible: false}
+	}
+	cost := StrategyCost{Feasible: true}
+	if len(invoked) == 0 {
+		return cost
+	}
+	cost.ColdStarts = 1
+	for i := 1; i < len(invoked); i++ {
+		prev, cur := int(invoked[i-1]), int(invoked[i])
+		gap := cur - prev - 1
+		warm := gap < thetaGivenup
+		type span struct{ lo, hi int }
+		var spans []span
+		for _, v := range values {
+			lo, hi := prev+v-thetaPrewarm, prev+v+thetaPrewarm
+			if cur >= lo && cur <= hi {
+				warm = true
+			}
+			lo, hi = max(lo, prev+1), min(hi, cur-1)
+			if lo <= hi {
+				spans = append(spans, span{lo, hi})
+			}
+		}
+		if warm {
+			if gap < thetaGivenup {
+				cost.WastedMem += gap
+			}
+		} else {
+			cost.ColdStarts++
+			cost.WastedMem += min(thetaGivenup-1, gap)
+		}
+		covered := map[int]bool{}
+		for _, s := range spans {
+			for x := s.lo; x <= s.hi; x++ {
+				covered[x] = true
+			}
+		}
+		if beyond := len(covered) - (thetaGivenup - 1); len(covered) > 0 && beyond > 0 {
+			cost.WastedMem += beyond
+		}
+	}
+	return cost
+}
+
+func referenceScoreCorrelated(target []int32, candFires [][]int32, lags []int32, slots int, thetaPrewarm int32) StrategyCost {
+	covered := map[int32]bool{}
+	for i, fires := range candFires {
+		lag := int32(1)
+		if i < len(lags) && lags[i] > 0 {
+			lag = lags[i]
+		}
+		for _, c := range fires {
+			lo, hi := max(c+lag-thetaPrewarm, c+1), min(c+lag+thetaPrewarm, int32(slots)-1)
+			for x := lo; x <= hi; x++ {
+				covered[x] = true
+			}
+		}
+	}
+	if len(covered) == 0 {
+		return StrategyCost{Feasible: false}
+	}
+	cost := StrategyCost{Feasible: true, WastedMem: len(covered)}
+	for _, t := range target {
+		if covered[t] {
+			cost.WastedMem--
+		} else {
+			cost.ColdStarts++
+		}
+	}
+	return cost
+}
+
+func TestStrategyScoresMatchReferences(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const slots = 400
+	randomSlots := func(n int) []int32 {
+		picked := rng.Perm(slots)[:n]
+		sort.Ints(picked)
+		out := make([]int32, n)
+		for i, s := range picked {
+			out[i] = int32(s)
+		}
+		return out
+	}
+	var w scratch // shared across trials, as a worker's is across functions
+	for trial := 0; trial < 2000; trial++ {
+		target := randomSlots(rng.Intn(40))
+
+		values := make([]int, rng.Intn(5))
+		for i := range values {
+			values[i] = 1 + rng.Intn(30)
+		}
+		prewarm, givenup := rng.Intn(4), 1+rng.Intn(6)
+		if got, want := w.scorePossible(firesOf(target...), slots, values, prewarm, givenup),
+			referenceScorePossible(target, values, prewarm, givenup); got != want {
+			t.Fatalf("scorePossible(%v, values %v, prewarm %d, givenup %d) = %+v, reference %+v",
+				target, values, prewarm, givenup, got, want)
+		}
+
+		var candFires [][]int32
+		var cands []fires
+		var lags []int32
+		var links []Link
+		for c := rng.Intn(4); c > 0; c-- {
+			slots := randomSlots(rng.Intn(30))
+			candFires = append(candFires, slots)
+			cands = append(cands, firesOf(slots...))
+			lags = append(lags, int32(rng.Intn(6)))
+			links = append(links, Link{Lag: lags[len(lags)-1]})
+		}
+		if got, want := w.scoreCorrelated(firesOf(target...), cands, links, slots, int32(prewarm)),
+			referenceScoreCorrelated(target, candFires, lags, slots, int32(prewarm)); got != want {
+			t.Fatalf("scoreCorrelated(%v, cands %v, lags %v, prewarm %d) = %+v, reference %+v",
+				target, candFires, lags, prewarm, got, want)
+		}
+	}
+}
+
+// TestFiresFromRebases pins the validation view: the suffix at or after the
+// window start, read relative to it.
+func TestFiresFromRebases(t *testing.T) {
+	s := slotSeries(3, 9, 10, 25)
+	f := firesFrom(s, 10)
+	if f.len() != 2 || f.slot(0) != 0 || f.slot(1) != 15 {
+		t.Errorf("firesFrom(10) = %d fires at %d, %d; want 2 at 0, 15", f.len(), f.slot(0), f.slot(1))
+	}
+	if firesFrom(s, 26).len() != 0 || firesFrom(s, 0).len() != 4 {
+		t.Error("firesFrom window bounds")
 	}
 }

@@ -35,20 +35,16 @@ func MergeSmallWTs(wts []int, closeTol int, smallFrac float64) []int {
 	if len(wts) == 0 {
 		return nil
 	}
-	return MergeSmallWTsWithMode(wts, mergeReferenceMode(wts), closeTol, smallFrac)
+	return AppendMergedWTs(make([]int, 0, len(wts)), wts, mergeReferenceMode(wts), closeTol, smallFrac)
 }
 
-// MergeSmallWTsWithMode is MergeSmallWTs with the reference mode supplied by
-// the caller (equal to MergeReferenceModeSorted of the sorted sequence), for
-// callers that already hold a sorted copy.
-func MergeSmallWTsWithMode(wts []int, mode, closeTol int, smallFrac float64) []int {
-	if len(wts) == 0 {
-		return nil
-	}
+// AppendMergedWTs appends MergeSmallWTs(wts) to dst with the reference mode
+// supplied by the caller (equal to MergeReferenceModeSorted of the sorted
+// sequence), for callers that already hold a sorted copy and a reusable
+// destination. dst must not overlap wts.
+func AppendMergedWTs(dst, wts []int, mode, closeTol int, smallFrac float64) []int {
 	if mode <= 0 {
-		out := make([]int, len(wts))
-		copy(out, wts)
-		return out
+		return append(dst, wts...)
 	}
 	isNearMode := func(wt int) bool {
 		d := wt - mode
@@ -61,29 +57,22 @@ func MergeSmallWTsWithMode(wts []int, mode, closeTol int, smallFrac float64) []i
 		return float64(wt) <= smallFrac*float64(mode) && !isNearMode(wt)
 	}
 
-	merged := make([]bool, len(wts)) // slot already absorbed into a near-mode WT
-	out := make([]int, 0, len(wts))
-	for i, wt := range wts {
-		if merged[i] {
-			continue
+	for i := 0; i < len(wts); {
+		wt := wts[i]
+		i++
+		if isNearMode(wt) {
+			// Absorb following small WTs into this near-mode WT. Each
+			// absorbed small gap also swallowed one active slot between the
+			// gaps, so the reconstructed period grows by (small WT + 1). The
+			// scan resumes after the absorbed run: an absorbed WT is neither
+			// emitted nor absorbed twice.
+			for ; i < len(wts) && isSmall(wts[i]); i++ {
+				wt += wts[i] + 1
+			}
 		}
-		if !isNearMode(wt) {
-			out = append(out, wt)
-			continue
-		}
-		// Absorb following small WTs into this near-mode WT. Each absorbed
-		// small gap also swallowed one active slot between the gaps, so the
-		// reconstructed period grows by (small WT + 1).
-		total := wt
-		j := i + 1
-		for j < len(wts) && isSmall(wts[j]) && !merged[j] {
-			total += wts[j] + 1
-			merged[j] = true
-			j++
-		}
-		out = append(out, total)
+		dst = append(dst, wt)
 	}
-	return out
+	return dst
 }
 
 // mergeReferenceMode picks the WT value the merge rule treats as "the mode":

@@ -1,6 +1,10 @@
 package sim
 
-import "repro/internal/trace"
+import (
+	"sort"
+
+	"repro/internal/trace"
+)
 
 // retrainEffectiveWindow resolves Options.RetrainWindow: 0 defaults to the
 // training window length (the retrained categorization sees as much history
@@ -26,27 +30,41 @@ func retrainWindow(training, simTrace *trace.Trace, t, w int) *trace.Trace {
 	win := &trace.Trace{Slots: w, Functions: simTrace.Functions}
 	win.Series = make([]trace.Series, len(simTrace.Series))
 	a := t - w // simulation-timeline slot where the window begins
+	// Per function the window is the simulation events in [max(a, 0), t) and,
+	// while it still straddles the training boundary (a < 0), the tail of the
+	// training series before them: both located by binary search and written
+	// once into an exactly sized series. Simulation slot a re-bases to window
+	// slot 0, which on the training timeline is slot trainSlots+a.
 	for fid := range simTrace.Series {
-		if a >= 0 {
-			win.Series[fid] = simTrace.Series[fid].Window(int32(a), int32(t))
+		var head trace.Series
+		var from int32
+		if a < 0 && training != nil {
+			from = int32(training.Slots + a)
+			head = eventsIn(training.Series[fid], from, int32(training.Slots))
+		}
+		tail := eventsIn(simTrace.Series[fid], int32(max(a, 0)), int32(t))
+		if len(head)+len(tail) == 0 {
 			continue
 		}
-		var s trace.Series
-		if training != nil {
-			// Window tolerates a negative from (clamped to the series start):
-			// re-based, training slot trainSlots+a lands at window slot 0.
-			s = training.Series[fid].Window(int32(training.Slots+a), int32(training.Slots))
+		out := make(trace.Series, 0, len(head)+len(tail))
+		for _, e := range head {
+			out = append(out, trace.Event{Slot: e.Slot - from, Count: e.Count})
 		}
-		sim := simTrace.Series[fid].Window(0, int32(t))
-		if len(sim) > 0 {
-			out := make(trace.Series, 0, len(s)+len(sim))
-			out = append(out, s...)
-			for _, e := range sim {
-				out = append(out, trace.Event{Slot: e.Slot + int32(-a), Count: e.Count})
-			}
-			s = out
+		for _, e := range tail {
+			out = append(out, trace.Event{Slot: e.Slot - int32(a), Count: e.Count})
 		}
-		win.Series[fid] = s
+		win.Series[fid] = out
 	}
 	return win
+}
+
+// eventsIn returns the events of s with slots in [from, to) as a view into
+// s, slots unchanged.
+func eventsIn(s trace.Series, from, to int32) trace.Series {
+	lo := sort.Search(len(s), func(i int) bool { return s[i].Slot >= from })
+	hi := sort.Search(len(s), func(i int) bool { return s[i].Slot >= to })
+	if lo >= hi {
+		return nil
+	}
+	return s[lo:hi]
 }

@@ -67,6 +67,67 @@ func TestRetrainWindowBeyondRecordedHistory(t *testing.T) {
 	}
 }
 
+// TestRetrainWindowStraddleEmptyParts covers the straddling window whose
+// training tail, simulation prefix, or both hold nothing for a function: the
+// part that exists is all there is, and nothing at all stays a nil series.
+func TestRetrainWindowStraddleEmptyParts(t *testing.T) {
+	training := trace.NewTrace(10)
+	simTr := trace.NewTrace(20)
+	add := func(name string, train, sim []trace.Event) {
+		training.AddFunction(name, "a", "u", trace.TriggerHTTP, train)
+		simTr.AddFunction(name, "a", "u", trace.TriggerHTTP, sim)
+	}
+	// Window [-4, 6): training slots 6..9 and simulation slots 0..5.
+	add("early-training-only", []trace.Event{{Slot: 1, Count: 4}, {Slot: 5, Count: 1}}, []trace.Event{{Slot: 2, Count: 7}})
+	add("no-sim-yet", []trace.Event{{Slot: 6, Count: 2}, {Slot: 8, Count: 1}}, []trace.Event{{Slot: 6, Count: 9}})
+	add("outside-both", []trace.Event{{Slot: 5, Count: 1}}, []trace.Event{{Slot: 6, Count: 1}})
+	add("silent", nil, nil)
+
+	win := retrainWindow(training, simTr, 6, 10)
+	want := []trace.Series{
+		{{Slot: 6, Count: 7}},
+		{{Slot: 0, Count: 2}, {Slot: 2, Count: 1}},
+		nil,
+		nil,
+	}
+	if !reflect.DeepEqual(win.Series, want) {
+		t.Errorf("window series = %v, want %v", win.Series, want)
+	}
+}
+
+// TestRetrainWindowMatchesWindowComposition holds the single-copy build to
+// the definition it replaced — the training tail and the simulation prefix
+// each cut by Series.Window, the second shifted behind the first — at every
+// boundary of a generated workload, before and after the window leaves the
+// training trace.
+func TestRetrainWindowMatchesWindowComposition(t *testing.T) {
+	full, err := trace.Generate(trace.DefaultGeneratorConfig(120, 4, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	training, simTr := full.Split(2 * 1440)
+	for _, w := range []int{training.Slots, 700, 5000} {
+		for at := 240; at < simTr.Slots; at += 240 {
+			win := retrainWindow(training, simTr, at, w)
+			a := at - w
+			for fid := range simTr.Series {
+				var want trace.Series
+				if a >= 0 {
+					want = simTr.Series[fid].Window(int32(a), int32(at))
+				} else {
+					want = training.Series[fid].Window(int32(training.Slots+a), int32(training.Slots))
+					for _, e := range simTr.Series[fid].Window(0, int32(at)) {
+						want = append(want, trace.Event{Slot: e.Slot - int32(a), Count: e.Count})
+					}
+				}
+				if !reflect.DeepEqual(win.Series[fid], want) {
+					t.Fatalf("w=%d t=%d f%d: window %v, want %v", w, at, fid, win.Series[fid], want)
+				}
+			}
+		}
+	}
+}
+
 // TestRetrainEffectiveWindowDefaults pins the RetrainWindow resolution
 // rule: explicit value wins, else the training window length, else
 // RetrainEvery.

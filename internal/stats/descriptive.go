@@ -10,14 +10,55 @@ package stats
 
 import "math"
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
+// number is what the descriptive statistics accept: float64 samples, or int
+// samples converted element by element as they are read. Each statistic has
+// one generic body, so its int-fed form performs exactly the float form's
+// operations in the float form's order — bit-identical to converting with
+// IntsToFloats first, without the copy.
+type number interface{ int | float64 }
+
+func sumOf[T number](xs []T) float64 {
 	var s float64
 	for _, x := range xs {
-		s += x
+		s += float64(x)
 	}
 	return s
 }
+
+func meanOf[T number](xs []T) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	return sumOf(xs) / float64(len(xs))
+}
+
+func varianceOf[T number](xs []T) float64 {
+	if len(xs) < 2 {
+		return 0
+	}
+	m := meanOf(xs)
+	var ss float64
+	for _, x := range xs {
+		d := float64(x) - m
+		ss += d * d
+	}
+	return ss / float64(len(xs))
+}
+
+func cvOf[T number](xs []T) float64 {
+	m := meanOf(xs)
+	sd := math.Sqrt(varianceOf(xs))
+	if m == 0 {
+		if sd == 0 {
+			return 0
+		}
+		return math.Inf(1)
+	}
+	return sd / m
+}
+
+// Sum returns the sum of xs.
+func Sum(xs []float64) float64 { return sumOf(xs) }
 
 // SumInts returns the sum of xs as an int64 to avoid overflow on long traces.
 func SumInts(xs []int) int64 {
@@ -29,31 +70,16 @@ func SumInts(xs []int) int64 {
 }
 
 // Mean returns the arithmetic mean of xs, or 0 if xs is empty.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return Sum(xs) / float64(len(xs))
-}
+func Mean(xs []float64) float64 { return meanOf(xs) }
 
 // Variance returns the population variance of xs, or 0 if len(xs) < 2.
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return ss / float64(len(xs))
-}
+func Variance(xs []float64) float64 { return varianceOf(xs) }
 
 // StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 {
-	return math.Sqrt(Variance(xs))
-}
+func StdDev(xs []float64) float64 { return math.Sqrt(varianceOf(xs)) }
+
+// StdDevInts is StdDev(IntsToFloats(xs)), bit for bit, without the copy.
+func StdDevInts(xs []int) float64 { return math.Sqrt(varianceOf(xs)) }
 
 // CoefficientOfVariation returns StdDev(xs)/Mean(xs).
 //
@@ -61,17 +87,11 @@ func StdDev(xs []float64) float64 {
 // decide whether a waiting-time sequence is close enough to constant to call
 // the function "regular" (CV <= 0.01 in the paper). A zero mean yields 0 when
 // the sequence is all zeros (no dispersion) and +Inf otherwise.
-func CoefficientOfVariation(xs []float64) float64 {
-	m := Mean(xs)
-	sd := StdDev(xs)
-	if m == 0 {
-		if sd == 0 {
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return sd / m
-}
+func CoefficientOfVariation(xs []float64) float64 { return cvOf(xs) }
+
+// CoefficientOfVariationInts is CoefficientOfVariation(IntsToFloats(xs)), bit
+// for bit, without the copy.
+func CoefficientOfVariationInts(xs []int) float64 { return cvOf(xs) }
 
 // MinMax returns the minimum and maximum of xs. It returns (0, 0) for an
 // empty slice.

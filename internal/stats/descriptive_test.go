@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -184,5 +185,36 @@ func TestNormalizeRangeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIntFedStatisticsBitIdentical pins the int-fed forms to the float forms
+// they replace in the categorizer: for any int sequence, feeding the ints
+// directly yields the very bits that converting with IntsToFloats first
+// does — same operations, same order — including where the sums round.
+func TestIntFedStatisticsBitIdentical(t *testing.T) {
+	rng := NewRNG(11)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for trial := 0; trial < 2000; trial++ {
+		xs := make([]int, rng.Intn(60))
+		scale := []int{3, 1440, 1 << 20, 1 << 52}[trial%4] // small WTs up to sums that round
+		for i := range xs {
+			xs[i] = rng.Intn(scale)
+			if trial%5 == 0 {
+				xs[i] -= scale / 2
+			}
+		}
+		fs := IntsToFloats(xs)
+		if got, want := StdDevInts(xs), StdDev(fs); !same(got, want) {
+			t.Fatalf("StdDevInts(%v) = %v, StdDev(floats) = %v", xs, got, want)
+		}
+		if got, want := CoefficientOfVariationInts(xs), CoefficientOfVariation(fs); !same(got, want) {
+			t.Fatalf("CoefficientOfVariationInts(%v) = %v, CoefficientOfVariation(floats) = %v", xs, got, want)
+		}
+		sorted := append([]int(nil), xs...)
+		sort.Ints(sorted)
+		if got, want := MedianSortedInts(sorted), Median(fs); !same(got, want) {
+			t.Fatalf("MedianSortedInts(%v) = %v, Median(floats) = %v", sorted, got, want)
+		}
 	}
 }

@@ -1,6 +1,10 @@
 package stats
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // ModeCount is one entry of a frequency table: a value and how many times it
 // occurs.
@@ -30,24 +34,29 @@ func FrequencyTable(xs []int) []ModeCount {
 // slice, for callers that have sorted the data anyway. Behaviour on
 // unsorted input is undefined.
 func FrequencyTableSorted(sorted []int) []ModeCount {
-	if len(sorted) == 0 {
-		return nil
-	}
-	var table []ModeCount
+	return AppendFrequencyTableSorted(nil, sorted)
+}
+
+// AppendFrequencyTableSorted appends FrequencyTableSorted(sorted) to dst, so
+// a caller building many tables can reuse one backing array. The order
+// (descending count, ascending value) is total, so the table is the same
+// whatever the sort does with equal elements.
+func AppendFrequencyTableSorted(dst []ModeCount, sorted []int) []ModeCount {
+	base := len(dst)
 	runStart := 0
 	for i := 1; i <= len(sorted); i++ {
 		if i == len(sorted) || sorted[i] != sorted[runStart] {
-			table = append(table, ModeCount{Value: sorted[runStart], Count: i - runStart})
+			dst = append(dst, ModeCount{Value: sorted[runStart], Count: i - runStart})
 			runStart = i
 		}
 	}
-	sort.Slice(table, func(i, j int) bool {
-		if table[i].Count != table[j].Count {
-			return table[i].Count > table[j].Count
+	slices.SortFunc(dst[base:], func(a, b ModeCount) int {
+		if a.Count != b.Count {
+			return cmp.Compare(b.Count, a.Count)
 		}
-		return table[i].Value < table[j].Value
+		return cmp.Compare(a.Value, b.Value)
 	})
-	return table
+	return dst
 }
 
 // Modes returns the n most frequent values of xs (fewer if xs has fewer
@@ -93,11 +102,27 @@ func ModesCoverage(xs []int, n int) int {
 // ModeRange returns [min, max] over the k most frequent values of xs. This is
 // the "dense" type's predictive-value range. ok is false when xs is empty.
 func ModeRange(xs []int, k int) (min, max int, ok bool) {
-	modes := Modes(xs, k)
-	if len(modes) == 0 {
+	return TableRange(FrequencyTable(xs), k)
+}
+
+// TableRange is ModeRange read off an already built frequency table: [min,
+// max] over the values of its first k entries.
+func TableRange(table []ModeCount, k int) (min, max int, ok bool) {
+	if k > len(table) {
+		k = len(table)
+	}
+	if k <= 0 {
 		return 0, 0, false
 	}
-	min, max = MinMaxInts(modes)
+	min, max = table[0].Value, table[0].Value
+	for _, mc := range table[1:k] {
+		if mc.Value < min {
+			min = mc.Value
+		}
+		if mc.Value > max {
+			max = mc.Value
+		}
+	}
 	return min, max, true
 }
 

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -123,5 +124,25 @@ func TestModesCoverageMonotoneProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestAppendFrequencyTableSortedReusesDst(t *testing.T) {
+	buf := make([]ModeCount, 0, 8)
+	first := AppendFrequencyTableSorted(buf, []int{1, 2, 2, 3, 3, 3})
+	want := []ModeCount{{3, 3}, {2, 2}, {1, 1}}
+	if !reflect.DeepEqual(first, want) {
+		t.Fatalf("table = %v, want %v", first, want)
+	}
+	if &first[0] != &buf[:1][0] {
+		t.Error("table did not reuse dst's backing array")
+	}
+	// Appending after existing entries sorts only the new table.
+	both := AppendFrequencyTableSorted(first, []int{7, 9, 9})
+	if want := append(want, ModeCount{9, 2}, ModeCount{7, 1}); !reflect.DeepEqual(both, want) {
+		t.Errorf("appended table = %v, want %v", both, want)
+	}
+	if got := AppendFrequencyTableSorted(nil, nil); got != nil {
+		t.Errorf("empty table = %v, want nil", got)
 	}
 }
