@@ -246,9 +246,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		cfgD := core.DefaultConfig()
-		cfgD.DenseScan = true
-		rd, err := sim.Run(core.New(cfgD), train, simTr, sim.Options{RetrainEvery: *retrain})
+		rd, err := sim.Run(core.NewDenseReference(core.DefaultConfig()), train, simTr, sim.Options{RetrainEvery: *retrain})
 		if err != nil {
 			return err
 		}

@@ -301,9 +301,7 @@ func runStore(dir string, trainDays, retrainEvery int) error {
 // engine, and the streamed engine produce bit-identical SPES results over
 // the scenario workload.
 func checkEngines(s experiments.Settings, train, simTr *trace.Trace, shards int) error {
-	denseCfg := core.DefaultConfig()
-	denseCfg.DenseScan = true
-	ref, err := sim.Run(core.New(denseCfg), train, simTr, sim.Options{})
+	ref, err := sim.Run(core.NewDenseReference(core.DefaultConfig()), train, simTr, sim.Options{})
 	if err != nil {
 		return err
 	}

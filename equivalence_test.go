@@ -1,6 +1,7 @@
-// Equivalence tests: the event-driven scheduling core and the incremental
-// (load/unload-delta) simulation accounting must reproduce the retained
-// dense reference implementations bit for bit. Every sim.Result field —
+// Equivalence tests: the event-driven scheduling core and the simulator's
+// load-delta accounting must reproduce their references — core.DenseReference,
+// a closed-form keep-alive oracle, and the Driver's scan-derived deltas — bit
+// for bit. Every sim.Result field —
 // cold starts, WMT, EMCR, memory, per-function metrics, type labels — is
 // compared across engines and accounting modes on seeded generator
 // workloads.
@@ -15,13 +16,15 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// scanOnly hides a policy's LoadDeltaTracker so sim.Run falls back to the
-// dense per-slot accounting scan; it is the reference the delta-accounting
-// path is verified against.
+// scanOnly hides a policy's LoadDeltaTracker (and every other optional
+// interface, NextWake included), so the Driver derives its deltas from a
+// per-slot Loaded scan and ticks every slot; it is the reference the
+// policies' own delta logs and idle-span skipping are verified against.
 type scanOnly struct{ sim.Policy }
 
 // scanOnlyTagged additionally forwards TypeTagger for policies (SPES) that
@@ -33,7 +36,7 @@ func (s scanOnlyTagged) TypeOf(f trace.FuncID) string {
 }
 
 // scanOnlyRetrain additionally forwards Retrain, so a retrain-enabled
-// dense-accounting reference retrains exactly like the wrapped policy.
+// scan-accounted reference retrains exactly like the wrapped policy.
 type scanOnlyRetrain struct{ scanOnlyTagged }
 
 func (s scanOnlyRetrain) Retrain(t int, w *trace.Trace) {
@@ -88,11 +91,8 @@ func TestSPESEventEngineEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		denseCfg := core.DefaultConfig()
-		denseCfg.DenseScan = true
-
-		// Reference: dense engine, dense accounting scan.
-		ref, err := sim.Run(scanOnlyTagged{core.New(denseCfg)}, train, simTr, sim.Options{})
+		// Reference: dense engine, scan-derived accounting.
+		ref, err := sim.Run(scanOnlyTagged{core.NewDenseReference(core.DefaultConfig())}, train, simTr, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,14 +122,12 @@ func TestSPESEventEngineEquivalence(t *testing.T) {
 		}{
 			{"event engine + delta accounting", core.New(core.DefaultConfig()), sim.Options{}},
 			{"event engine + scan accounting", scanOnlyTagged{core.New(core.DefaultConfig())}, sim.Options{}},
-			{"dense engine + delta accounting", core.New(denseCfg), sim.Options{}},
+			{"dense engine + delta accounting", core.NewDenseReference(core.DefaultConfig()), sim.Options{}},
 			{"sharded x2 event engine", core.New(core.DefaultConfig()), sim.Options{Shards: 2}},
 			{"sharded x5 event engine", core.New(core.DefaultConfig()), sim.Options{Shards: 5}},
-			{"sharded x3 dense engine", core.New(denseCfg), sim.Options{Shards: 3}},
 			{"streamed x1 event engine", core.New(core.DefaultConfig()), sim.Options{Source: src1}},
 			{"streamed x2 event engine", core.New(core.DefaultConfig()), sim.Options{Source: src2}},
 			{"streamed x5 event engine", core.New(core.DefaultConfig()), sim.Options{Source: src5}},
-			{"streamed x5 dense engine", core.New(denseCfg), sim.Options{Source: src5}},
 			{"streamed x5 cached event engine", core.New(core.DefaultConfig()),
 				sim.Options{Source: src5, Cache: sim.NewShardCache()}},
 		}
@@ -297,9 +295,7 @@ func TestShardedLargeNSparseEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		denseCfg := core.DefaultConfig()
-		denseCfg.DenseScan = true
-		ref, err := sim.Run(scanOnlyTagged{core.New(denseCfg)}, train, simTr, sim.Options{})
+		ref, err := sim.Run(scanOnlyTagged{core.NewDenseReference(core.DefaultConfig())}, train, simTr, sim.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -400,53 +396,69 @@ func TestBaselineDeltaAccountingEquivalence(t *testing.T) {
 	}
 }
 
+// closedFormKeepAlive is the fixed keep-alive policy with no scheduler at
+// all: a function is loaded iff 0 <= t - last < keepAlive, t being the slot
+// last ticked. Train evaluates the window at slot 0, as FixedKeepAlive does
+// (a window closing exactly at the train/sim boundary starts unloaded). It
+// logs no deltas and answers LoadedCount by counting.
+type closedFormKeepAlive struct {
+	keepAlive, t int
+	last         []int
+}
+
+func (p *closedFormKeepAlive) Name() string { return fmt.Sprintf("Fixed-%dmin", p.keepAlive) }
+
+func (p *closedFormKeepAlive) Train(training *trace.Trace) {
+	p.last = make([]int, training.NumFunctions())
+	for fid, s := range training.Series {
+		p.last[fid] = -p.keepAlive // never invoked: the window is already shut
+		if last := s.LastSlot(); last >= 0 {
+			p.last[fid] = int(last) - training.Slots
+		}
+	}
+}
+
+func (p *closedFormKeepAlive) Tick(t int, invs []trace.FuncCount) {
+	p.t = t
+	for _, fc := range invs {
+		p.last[fc.Func] = t
+	}
+}
+
+func (p *closedFormKeepAlive) Loaded(f trace.FuncID) bool { return p.t-p.last[f] < p.keepAlive }
+
+func (p *closedFormKeepAlive) LoadedCount() (n int) {
+	for f := range p.last {
+		if p.Loaded(trace.FuncID(f)) {
+			n++
+		}
+	}
+	return n
+}
+
 // TestWheelBaselineEquivalence is the baseline counterpart of
-// TestSPESEventEngineEquivalence: every deadline-based baseline now runs on
-// the shared timing wheel by default, and this matrix pins the wheel engine
-// bit-identical to the retained map-agenda reference across seeds,
-// non-stationary scenarios, and the unsharded, sharded, and streamed
-// execution engines. The reference runs map-agenda + dense accounting scan
-// (scanOnly also hides NextWake, so the reference can never batch-advance);
-// the wheel runs use delta accounting and are therefore also exercising the
-// simulator's idle-span skipping.
+// TestSPESEventEngineEquivalence: every deadline-based baseline runs on the
+// shared timing wheel, and this matrix pins its own delta log and the
+// simulator's idle-span skipping to the scan-accounted, tick-every-slot run
+// of the same policy across seeds, non-stationary scenarios, and the
+// unsharded, sharded, and streamed execution engines. That the wheel fires
+// what a per-slot map would is sched.Agenda's property, proven beside it
+// (internal/sched/agenda_model_test.go); the independent row here is the
+// closed-form keep-alive oracle, which shares no code with any of it.
 func TestWheelBaselineEquivalence(t *testing.T) {
 	mks := []struct {
-		name      string
-		wheel     func() sim.Policy
-		reference func() sim.Policy
+		name   string
+		wheel  func() sim.Policy
+		oracle func() sim.Policy // nil when the policy has no closed form
 	}{
 		{
 			"Fixed",
 			func() sim.Policy { return baselines.NewFixedKeepAlive(10) },
-			func() sim.Policy { return baselines.NewFixedKeepAliveReference(10) },
+			func() sim.Policy { return &closedFormKeepAlive{keepAlive: 10} },
 		},
-		{
-			"HybridFunction",
-			func() sim.Policy { return baselines.NewHybridFunction(baselines.DefaultHybridConfig()) },
-			func() sim.Policy {
-				cfg := baselines.DefaultHybridConfig()
-				cfg.MapAgenda = true
-				return baselines.NewHybridFunction(cfg)
-			},
-		},
-		{
-			"HybridApplication",
-			func() sim.Policy { return baselines.NewHybridApplication(baselines.DefaultHybridConfig()) },
-			func() sim.Policy {
-				cfg := baselines.DefaultHybridConfig()
-				cfg.MapAgenda = true
-				return baselines.NewHybridApplication(cfg)
-			},
-		},
-		{
-			"Defuse",
-			func() sim.Policy { return baselines.NewDefuse(baselines.DefaultDefuseConfig()) },
-			func() sim.Policy {
-				cfg := baselines.DefaultDefuseConfig()
-				cfg.MapAgenda = true
-				return baselines.NewDefuse(cfg)
-			},
-		},
+		{"HybridFunction", func() sim.Policy { return baselines.NewHybridFunction(baselines.DefaultHybridConfig()) }, nil},
+		{"HybridApplication", func() sim.Policy { return baselines.NewHybridApplication(baselines.DefaultHybridConfig()) }, nil},
+		{"Defuse", func() sim.Policy { return baselines.NewDefuse(baselines.DefaultDefuseConfig()) }, nil},
 	}
 	for _, scenario := range []string{"drift", "flashcrowd"} {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -466,23 +478,25 @@ func TestWheelBaselineEquivalence(t *testing.T) {
 				label := func(engine string) string {
 					return fmt.Sprintf("%s %s seed %d: %s", mk.name, scenario, seed, engine)
 				}
-				ref, err := sim.Run(scanOnly{mk.reference()}, train, simTr, sim.Options{})
+				ref, err := sim.Run(scanOnly{mk.wheel()}, train, simTr, sim.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if ref.TotalColdStarts == 0 || ref.TotalWMT == 0 {
 					t.Fatalf("%s: degenerate workload: %+v", label("reference"), ref)
 				}
-				cases := []struct {
+				type engineCase struct {
 					engine string
 					policy sim.Policy
 					opts   sim.Options
-				}{
-					{"map-agenda + delta accounting", mk.reference(), sim.Options{}},
-					{"wheel + scan accounting", scanOnly{mk.wheel()}, sim.Options{}},
+				}
+				cases := []engineCase{
 					{"wheel + delta accounting", mk.wheel(), sim.Options{}},
 					{"wheel sharded x3", mk.wheel(), sim.Options{Shards: 3}},
 					{"wheel streamed x2", mk.wheel(), sim.Options{Source: src}},
+				}
+				if mk.oracle != nil {
+					cases = append(cases, engineCase{"closed-form oracle", mk.oracle(), sim.Options{}})
 				}
 				for _, c := range cases {
 					got, err := sim.Run(c.policy, train, simTr, c.opts)
@@ -494,6 +508,94 @@ func TestWheelBaselineEquivalence(t *testing.T) {
 			}
 		}
 	}
+}
+
+// adaptiveTTL has the shape of examples/custompolicy's AdaptiveTTL — a
+// per-function TTL doubled on a cold start and decayed on a warm hit, expired
+// by a linear scan — the kind of policy a user of the public facade writes:
+// sim.Policy and nothing else. It logs its flips, but only adaptiveTTLTracked
+// hands the log to the simulator.
+type adaptiveTTL struct {
+	minTTL, maxTTL int
+	ttl, expireAt  []int // expireAt is -1 when unloaded
+	loaded         int
+	flips          []trace.FuncID
+}
+
+func (p *adaptiveTTL) Name() string { return "AdaptiveTTL" }
+
+func (p *adaptiveTTL) Train(training *trace.Trace) {
+	p.ttl = make([]int, training.NumFunctions())
+	p.expireAt = make([]int, training.NumFunctions())
+	for i := range p.ttl {
+		p.ttl[i], p.expireAt[i] = p.minTTL, -1
+	}
+}
+
+func (p *adaptiveTTL) Tick(t int, invs []trace.FuncCount) {
+	for _, fc := range invs {
+		f := fc.Func
+		if p.expireAt[f] < 0 {
+			p.ttl[f] = min(2*p.ttl[f], p.maxTTL)
+			p.loaded++
+			p.flips = append(p.flips, f)
+		} else {
+			p.ttl[f] = max(p.ttl[f]-1, p.minTTL)
+		}
+		p.expireAt[f] = t + p.ttl[f]
+	}
+	for f := range p.expireAt {
+		if p.expireAt[f] >= 0 && p.expireAt[f] <= t {
+			p.expireAt[f] = -1
+			p.loaded--
+			p.flips = append(p.flips, trace.FuncID(f))
+		}
+	}
+}
+
+func (p *adaptiveTTL) Loaded(f trace.FuncID) bool { return p.expireAt[f] >= 0 }
+func (p *adaptiveTTL) LoadedCount() int           { return p.loaded }
+
+type adaptiveTTLTracked struct{ *adaptiveTTL }
+
+func (p adaptiveTTLTracked) TakeLoadDeltas() ([]trace.FuncID, bool) {
+	d := p.flips
+	p.flips = p.flips[:0]
+	return d, true
+}
+
+// TestTrackerlessPolicyEquivalence pins the two tracker-less shapes the
+// public facade produces to the same accounting a delta-logging policy gets,
+// without recorded constants: a user-written policy with and without a
+// hand-written delta log, and qos.Scheduler (which forwards no tracker) over
+// a policy that has one, under a budget that never binds.
+func TestTrackerlessPolicyEquivalence(t *testing.T) {
+	_, train, simTr, err := experiments.BuildWorkload(eqvSettings(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(p sim.Policy) *sim.Result {
+		t.Helper()
+		r, err := sim.Run(p, train, simTr, sim.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.TotalColdStarts == 0 || r.TotalWMT == 0 {
+			t.Fatalf("%s: degenerate workload: %+v", r.Policy, r)
+		}
+		return r
+	}
+
+	assertSameResult(t, "AdaptiveTTL scanned vs own delta log",
+		run(adaptiveTTLTracked{&adaptiveTTL{minTTL: 2, maxTTL: 240}}),
+		run(&adaptiveTTL{minTTL: 2, maxTTL: 240}))
+
+	bare := run(baselines.NewFixedKeepAlive(10))
+	viaQoS := run(qos.New(baselines.NewFixedKeepAlive(10), train.NumFunctions(), nil))
+	// The scheduler renames the policy and always answers TypeOf (with ""
+	// over an untagged inner policy); every metric must agree.
+	viaQoS.Policy, viaQoS.Types = bare.Policy, bare.Types
+	assertSameResult(t, "FixedKeepAlive under an unbinding QoS budget", bare, viaQoS)
 }
 
 // TestRunAllParallelMatchesSequential pins RunAll's concurrent execution to
@@ -556,9 +658,7 @@ func TestScenarioRetrainEquivalence(t *testing.T) {
 				}
 
 				base := sim.Options{RetrainEvery: retrainEvery}
-				denseCfg := core.DefaultConfig()
-				denseCfg.DenseScan = true
-				ref, err := sim.Run(scanOnlyRetrain{scanOnlyTagged{core.New(denseCfg)}},
+				ref, err := sim.Run(scanOnlyRetrain{scanOnlyTagged{core.NewDenseReference(core.DefaultConfig())}},
 					train, simTr, base)
 				if err != nil {
 					t.Fatal(err)
@@ -577,7 +677,7 @@ func TestScenarioRetrainEquivalence(t *testing.T) {
 					opts   sim.Options
 				}{
 					{"event+delta", core.New(core.DefaultConfig()), base},
-					{"dense+delta", core.New(denseCfg), base},
+					{"dense+delta", core.NewDenseReference(core.DefaultConfig()), base},
 					{"sharded x3", core.New(core.DefaultConfig()),
 						sim.Options{Shards: 3, RetrainEvery: retrainEvery}},
 					{"streamed x2", core.New(core.DefaultConfig()),

@@ -61,59 +61,3 @@ func (l *loadedSet) takeDeltas() ([]trace.FuncID, bool) {
 	l.deltas = l.deltas[:0]
 	return d, true
 }
-
-// agenda schedules per-slot callbacks keyed by an owner id and a sequence
-// number, letting policies cancel stale actions cheaply: an action fires
-// only if the owner's sequence still matches the one it was scheduled with.
-//
-// This map-backed implementation is the retained REFERENCE engine: the
-// deadline-based baselines run on a sched.Agenda timing wheel by default
-// (same firing semantics, recycled bucket storage instead of per-slot map
-// churn) and keep this one behind their MapAgenda config switches so the
-// equivalence suite can assert the wheel engine bit-identical, mirroring
-// core.Config.DenseScan.
-type agenda struct {
-	bySlot map[int][]agendaItem
-	seq    []uint32 // current sequence per owner
-}
-
-type agendaItem struct {
-	owner int
-	seq   uint32
-	what  int
-}
-
-func newAgenda(owners int) *agenda {
-	return &agenda{bySlot: make(map[int][]agendaItem), seq: make([]uint32, owners)}
-}
-
-// grow extends the owner space to at least owners entries.
-func (a *agenda) grow(owners int) {
-	for len(a.seq) < owners {
-		a.seq = append(a.seq, 0)
-	}
-}
-
-// bump invalidates all outstanding actions of an owner.
-func (a *agenda) bump(owner int) { a.seq[owner]++ }
-
-// schedule enqueues action `what` for the owner at the given slot, bound to
-// the owner's current sequence.
-func (a *agenda) schedule(slot, owner, what int) {
-	a.bySlot[slot] = append(a.bySlot[slot], agendaItem{owner: owner, seq: a.seq[owner], what: what})
-}
-
-// drain invokes fn for every still-valid action scheduled at slot and
-// releases the slot's storage.
-func (a *agenda) drain(slot int, fn func(owner, what int)) {
-	items, ok := a.bySlot[slot]
-	if !ok {
-		return
-	}
-	delete(a.bySlot, slot)
-	for _, it := range items {
-		if a.seq[it.owner] == it.seq {
-			fn(it.owner, it.what)
-		}
-	}
-}

@@ -35,22 +35,3 @@ func TestLoadedSet(t *testing.T) {
 		t.Errorf("after remove: has=%v count=%d", s.has(1), s.count)
 	}
 }
-
-func TestAgenda(t *testing.T) {
-	a := newAgenda(2)
-	fired := map[[2]int]int{}
-	a.schedule(5, 0, 7)
-	a.schedule(5, 1, 8)
-	a.bump(1) // invalidates owner 1's action
-	a.drain(5, func(owner, what int) { fired[[2]int{owner, what}]++ })
-	if fired[[2]int{0, 7}] != 1 {
-		t.Error("valid action did not fire")
-	}
-	if len(fired) != 1 {
-		t.Errorf("stale action fired: %v", fired)
-	}
-	// Draining twice is a no-op.
-	a.drain(5, func(owner, what int) { t.Error("double drain") })
-	// Draining an empty slot is a no-op.
-	a.drain(99, func(owner, what int) { t.Error("phantom drain") })
-}

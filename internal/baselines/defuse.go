@@ -24,11 +24,6 @@ type DefuseConfig struct {
 	Hist         HybridConfig // per-function histogram keep-alive settings
 	FallbackKeep int          // fixed keep-alive fallback (10 min)
 	PrewarmHold  int32        // how long a dependency pre-load stays resident
-
-	// MapAgenda selects the retained map-backed agenda instead of the
-	// timing wheel — the reference engine for the equivalence suite,
-	// mirroring core.Config.DenseScan. Results are bit-identical either way.
-	MapAgenda bool
 }
 
 // DefaultDefuseConfig returns settings following the original paper.
@@ -68,8 +63,7 @@ type Defuse struct {
 	cfg DefuseConfig
 
 	set   *loadedSet
-	wheel *sched.Agenda // event engine (default)
-	ref   *agenda       // reference engine (cfg.MapAgenda)
+	wheel *sched.Agenda
 	last  []int
 
 	units []hybridUnit // per-function histograms (function granularity)
@@ -89,11 +83,7 @@ func (p *Defuse) Name() string { return "Defuse" }
 func (p *Defuse) Train(training *trace.Trace) {
 	n := training.NumFunctions()
 	p.set = newLoadedSet(n)
-	if p.cfg.MapAgenda {
-		p.ref = newAgenda(n)
-	} else {
-		p.wheel = sched.NewAgenda(n, p.cfg.spanSlots())
-	}
+	p.wheel = sched.NewAgenda(n, p.cfg.spanSlots())
 	p.last = make([]int, n)
 	p.hasDeps = make([]bool, n)
 	p.successors = make(map[trace.FuncID][]trace.FuncID)
@@ -127,7 +117,7 @@ func (p *Defuse) Train(training *trace.Trace) {
 		}
 		if end := rebased + keep; end > 0 {
 			p.set.add(trace.FuncID(fid))
-			p.schedule(-1, end, fid, actUnload)
+			p.wheel.Schedule(-1, end, fid, actUnload)
 		}
 	}
 
@@ -192,7 +182,7 @@ func (p *Defuse) Tick(t int, invs []trace.FuncCount) {
 			unit.windows(p.cfg.Hist)
 		}
 		p.last[f] = t
-		p.bump(f)
+		p.wheel.Bump(f)
 		p.set.add(fc.Func)
 		// Keep-alive horizon: histogram tail when usable, fallback fixed
 		// keep-alive otherwise. Dependency-covered functions rely on their
@@ -206,7 +196,7 @@ func (p *Defuse) Tick(t int, invs []trace.FuncCount) {
 		if keep < 1 {
 			keep = 1
 		}
-		p.schedule(t, t+keep, f, actUnload)
+		p.wheel.Schedule(t, t+keep, f, actUnload)
 	}
 
 	// Dependency pre-warming: predecessors that fired pre-load successors.
@@ -216,50 +206,21 @@ func (p *Defuse) Tick(t int, invs []trace.FuncCount) {
 				continue
 			}
 			p.set.add(succ)
-			p.bump(int(succ))
-			p.schedule(t, t+int(p.cfg.PrewarmHold), int(succ), actUnload)
+			p.wheel.Bump(int(succ))
+			p.wheel.Schedule(t, t+int(p.cfg.PrewarmHold), int(succ), actUnload)
 		}
 	}
 
-	p.drainAt(t)
-}
-
-func (p *Defuse) bump(f int) {
-	if p.ref != nil {
-		p.ref.bump(f)
-		return
-	}
-	p.wheel.Bump(f)
-}
-
-func (p *Defuse) schedule(current, slot, f, what int) {
-	if p.ref != nil {
-		p.ref.schedule(slot, f, what)
-		return
-	}
-	p.wheel.Schedule(current, slot, f, what)
-}
-
-func (p *Defuse) drainAt(t int) {
-	apply := func(owner, what int) {
+	p.wheel.Drain(t, func(owner, what int) {
 		if what == actUnload {
 			p.set.remove(trace.FuncID(owner))
 		}
-	}
-	if p.ref != nil {
-		p.ref.drain(t, apply)
-		return
-	}
-	p.wheel.Drain(t, apply)
+	})
 }
 
 // NextWake implements sim.IdleSkipper: the earliest slot in (after, limit]
-// holding a scheduled action, -1 when there is none. The map-backed
-// reference engine reports ok=false so it stays on the per-slot path.
+// holding a scheduled action, -1 when there is none.
 func (p *Defuse) NextWake(after, limit int) (int, bool) {
-	if p.wheel == nil {
-		return 0, false
-	}
 	return p.wheel.Next(after, limit), true
 }
 

@@ -11,18 +11,14 @@ import (
 // after its last invocation — the classic OpenWhisk-style policy the paper
 // runs with a 10-minute window.
 //
-// Expiries run on a shared timing wheel (sched.Agenda) by default; the
-// map-backed reference engine survives behind NewFixedKeepAliveReference for
-// the equivalence suite.
+// Expiries run on a shared timing wheel (sched.Agenda).
 type FixedKeepAlive struct {
 	keepAlive int
 	name      string
-	mapAgenda bool // reference engine: map-backed agenda instead of the wheel
 
 	set   *loadedSet
-	wheel *sched.Agenda // event engine (default)
-	ref   *agenda       // reference engine (mapAgenda)
-	last  []int         // last invocation slot per function, -1 when never
+	wheel *sched.Agenda
+	last  []int // last invocation slot per function, -1 when never
 }
 
 // NewFixedKeepAlive creates the policy; keepAlive is in slots (minutes) and
@@ -35,15 +31,6 @@ func NewFixedKeepAlive(keepAlive int) *FixedKeepAlive {
 		keepAlive: keepAlive,
 		name:      fmt.Sprintf("Fixed-%dmin", keepAlive),
 	}
-}
-
-// NewFixedKeepAliveReference creates the policy on the retained map-backed
-// agenda — the reference engine the equivalence tests run the wheel engine
-// against (the FixedKeepAlive counterpart of core.Config.DenseScan).
-func NewFixedKeepAliveReference(keepAlive int) *FixedKeepAlive {
-	p := NewFixedKeepAlive(keepAlive)
-	p.mapAgenda = true
-	return p
 }
 
 // Name implements sim.Policy.
@@ -64,18 +51,14 @@ func (p *FixedKeepAlive) Train(training *trace.Trace) {
 		p.last[fid] = rebased
 		if expire := rebased + p.keepAlive; expire > 0 {
 			p.set.add(trace.FuncID(fid))
-			p.schedule(-1, expire, fid)
+			p.wheel.Schedule(-1, expire, fid, 0)
 		}
 	}
 }
 
 func (p *FixedKeepAlive) init(n int) {
 	p.set = newLoadedSet(n)
-	if p.mapAgenda {
-		p.ref = newAgenda(n)
-	} else {
-		p.wheel = sched.NewAgenda(n, p.keepAlive+2)
-	}
+	p.wheel = sched.NewAgenda(n, p.keepAlive+2)
 	p.last = make([]int, n)
 	for i := range p.last {
 		p.last[i] = -1
@@ -88,11 +71,7 @@ func (p *FixedKeepAlive) init(n int) {
 // used to fix the size for good).
 func (p *FixedKeepAlive) grow(n int) {
 	p.set.grow(n)
-	if p.mapAgenda {
-		p.ref.grow(n)
-	} else {
-		p.wheel.Grow(n)
-	}
+	p.wheel.Grow(n)
 	for len(p.last) < n {
 		p.last = append(p.last, -1)
 	}
@@ -109,40 +88,18 @@ func (p *FixedKeepAlive) Tick(t int, invs []trace.FuncCount) {
 			p.grow(f + 1)
 		}
 		p.last[f] = t
-		p.bump(f)
-		p.schedule(t, t+p.keepAlive, f)
+		p.wheel.Bump(f)
+		p.wheel.Schedule(t, t+p.keepAlive, f, 0)
 		p.set.add(fc.Func)
-	}
-	if p.ref != nil {
-		p.ref.drain(t, func(owner, _ int) {
-			p.set.remove(trace.FuncID(owner))
-		})
-		return
 	}
 	p.wheel.Drain(t, func(owner, _ int) {
 		p.set.remove(trace.FuncID(owner))
 	})
 }
 
-func (p *FixedKeepAlive) bump(f int) {
-	if p.ref != nil {
-		p.ref.bump(f)
-		return
-	}
-	p.wheel.Bump(f)
-}
-
-func (p *FixedKeepAlive) schedule(current, slot, f int) {
-	if p.ref != nil {
-		p.ref.schedule(slot, f, 0)
-		return
-	}
-	p.wheel.Schedule(current, slot, f, 0)
-}
-
 // NextWake implements sim.IdleSkipper: the earliest slot in (after, limit]
-// holding a scheduled expiry, -1 when there is none. The map-backed
-// reference engine reports ok=false so it stays on the per-slot path.
+// holding a scheduled expiry, -1 when there is none. ok=false only before
+// the first Tick of an untrained policy, which has no wheel yet.
 func (p *FixedKeepAlive) NextWake(after, limit int) (int, bool) {
 	if p.wheel == nil {
 		return 0, false

@@ -79,33 +79,24 @@ func TestFixedKeepAliveWithoutTrain(t *testing.T) {
 // TestFixedKeepAliveUntrainedGrowth is the regression test for the lazy-init
 // bug: driving FixedKeepAlive without Train used to size its per-function
 // state from the first slot's largest FuncID for good, so a later slot
-// introducing a larger FuncID indexed out of range. Growth is now on demand,
-// on both engines.
+// introducing a larger FuncID indexed out of range. Growth is now on demand.
 func TestFixedKeepAliveUntrainedGrowth(t *testing.T) {
-	for _, mk := range []struct {
-		name string
-		p    *FixedKeepAlive
-	}{
-		{"wheel", NewFixedKeepAlive(3)},
-		{"reference", NewFixedKeepAliveReference(3)},
-	} {
-		p := mk.p
-		p.Tick(0, []trace.FuncCount{{Func: 1, Count: 1}})
-		// Larger FuncID in a later slot: used to panic with index out of range.
-		p.Tick(1, []trace.FuncCount{{Func: 5, Count: 1}})
-		p.Tick(2, nil)
-		p.Tick(3, nil)
+	p := NewFixedKeepAlive(3)
+	p.Tick(0, []trace.FuncCount{{Func: 1, Count: 1}})
+	// Larger FuncID in a later slot: used to panic with index out of range.
+	p.Tick(1, []trace.FuncCount{{Func: 5, Count: 1}})
+	p.Tick(2, nil)
+	p.Tick(3, nil)
 
-		if !p.Loaded(5) {
-			t.Fatalf("%s: f5 should still be within its keep-alive window", mk.name)
-		}
-		if p.Loaded(1) {
-			t.Fatalf("%s: f1 expired at slot 3 and should be unloaded", mk.name)
-		}
-		p.Tick(4, nil)
-		if p.Loaded(5) || p.LoadedCount() != 0 {
-			t.Fatalf("%s: f5 should expire at slot 4, loaded=%d", mk.name, p.LoadedCount())
-		}
+	if !p.Loaded(5) {
+		t.Fatal("f5 should still be within its keep-alive window")
+	}
+	if p.Loaded(1) {
+		t.Fatal("f1 expired at slot 3 and should be unloaded")
+	}
+	p.Tick(4, nil)
+	if p.Loaded(5) || p.LoadedCount() != 0 {
+		t.Fatalf("f5 should expire at slot 4, loaded=%d", p.LoadedCount())
 	}
 }
 

@@ -14,11 +14,7 @@ import "repro/internal/sim"
 // instead (sim.CapacityPolicy; see capacity.go).
 
 // NewShard implements sim.ShardedPolicy.
-func (p *FixedKeepAlive) NewShard() sim.Policy {
-	s := NewFixedKeepAlive(p.keepAlive)
-	s.mapAgenda = p.mapAgenda
-	return s
-}
+func (p *FixedKeepAlive) NewShard() sim.Policy { return NewFixedKeepAlive(p.keepAlive) }
 
 // NewShard implements sim.ShardedPolicy.
 func (p *Hybrid) NewShard() sim.Policy {
@@ -37,14 +33,10 @@ func (p *Defuse) NewShard() sim.Policy { return NewDefuse(p.cfg) }
 // sim.HashConfig, so adding a config field invalidates old cache entries
 // automatically.
 
-// ConfigHash implements sim.ConfigHasher. The engine choice is part of the
-// hash even though both engines produce bit-identical results: cache entries
-// should never silently vouch for an engine that did not produce them.
+// ConfigHash implements sim.ConfigHasher: the keep-alive window is the whole
+// configuration.
 func (p *FixedKeepAlive) ConfigHash() uint64 {
-	return sim.HashConfig(struct {
-		KeepAlive int
-		MapAgenda bool
-	}{p.keepAlive, p.mapAgenda})
+	return sim.HashConfig(struct{ KeepAlive int }{p.keepAlive})
 }
 
 // ConfigHash implements sim.ConfigHasher. appWise is part of the hash even

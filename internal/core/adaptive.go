@@ -16,7 +16,7 @@ import (
 // history (S1) and, when enough new samples have accumulated, runs the
 // adjustment (S2) or promotion (S3) step. The hot type cache (s.typ) is
 // re-synced afterwards: promotion and adjustment may rewrite the profile.
-func (s *SPES) recordOnlineWT(fid trace.FuncID, wt int) {
+func (s *provision) recordOnlineWT(fid trace.FuncID, wt int) {
 	if s.cfg.DisableAdjusting {
 		return
 	}
@@ -60,7 +60,7 @@ func (s *SPES) recordOnlineWT(fid trace.FuncID, wt int) {
 // call). The adaptive float statistics (StdDev and friends) must see the
 // samples in arrival order so their summation rounding matches the
 // reference implementation exactly.
-func (s *SPES) chronoWTs(st *funcState) []int {
+func (s *provision) chronoWTs(st *funcState) []int {
 	if st.wtHead == 0 {
 		return st.onlineWTs
 	}
@@ -158,7 +158,7 @@ func (st *funcState) medianOnline() float64 {
 // adjustPredictiveValues implements S2: if the online WT statistics moved
 // significantly (|new median - old median| > old std), blend the predictive
 // values toward the online behaviour with the mean of old and new.
-func (s *SPES) adjustPredictiveValues(st *funcState) {
+func (s *provision) adjustPredictiveValues(st *funcState) {
 	newMedian := st.medianOnline()
 	shift := newMedian - st.profile.MedianWT
 	if shift < 0 {
@@ -216,7 +216,7 @@ func (s *SPES) adjustPredictiveValues(st *funcState) {
 // "newly-possible" with those values as predictions (the promotion the
 // paper reports for its two-day simulation; longer horizons could promote
 // into any deterministic type).
-func (s *SPES) promoteUnknown(st *funcState) {
+func (s *provision) promoteUnknown(st *funcState) {
 	// The histogram answers "any duplicate?" in O(1) (fewer distinct values
 	// than samples), keeping the frequency-table build off the hot path for
 	// erratic functions.

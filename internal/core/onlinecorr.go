@@ -145,10 +145,16 @@ func (u *onlineCorr) active(t *utarget, c *ucandidate) bool {
 	return maxCOR-cor <= u.cfg.OnlineCorrSlack
 }
 
+// preloader is the engine an onlineCorr pre-loads through: the event-driven
+// one re-arms the target's deadline, the per-slot reference only loads.
+type preloader interface {
+	preloadThrough(fid trace.FuncID, t, until int)
+}
+
 // observe processes one slot's invocations: update hit counters for fired
 // targets, then pre-load targets whose active candidates fired.
-func (u *onlineCorr) observe(t int, invs []trace.FuncCount, s *SPES) {
-	maxLag := int(s.cfg.Classify.MaxLag)
+func (u *onlineCorr) observe(t int, invs []trace.FuncCount, s preloader) {
+	maxLag := int(u.cfg.Classify.MaxLag)
 
 	// Update lastFired first so same-slot candidate fires count as
 	// indicators (minute granularity hides intra-slot ordering).

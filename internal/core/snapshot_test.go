@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
@@ -160,6 +161,44 @@ func TestEncodeStateGoldenBytes(t *testing.T) {
 	const want = "1c77532347b9b004317b4f97fbcbc27364641fd62dcbe0b888e933315991d181"
 	if got := fmt.Sprintf("%x", sha256.Sum256(data)); len(data) != 1019 || got != want {
 		t.Fatalf("state blob is %d bytes hashing to %s, want 1019 bytes hashing to %s", len(data), got, want)
+	}
+}
+
+// TestStateConfigHashCoversEveryField flips every field of Config and of
+// classify.Config in turn and requires the blob's config hash to move: the
+// hash is taken over a frozen field list (st1ConfigType), so a field added to
+// either struct without a decision about the blob fails here instead of
+// letting a snapshot restore under a config it was not taken with.
+func TestStateConfigHashCoversEveryField(t *testing.T) {
+	cfg := DefaultConfig()
+	base := st1ConfigHash(cfg)
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			old := reflect.ValueOf(f.Interface())
+			switch f.Kind() {
+			case reflect.Struct:
+				walk(name+".", f)
+				continue
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			case reflect.Int, reflect.Int32, reflect.Int64:
+				f.SetInt(f.Int() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() + 0.5)
+			default:
+				t.Fatalf("%s: kind %s needs a flip rule here", name, f.Kind())
+			}
+			if st1ConfigHash(cfg) == base {
+				t.Errorf("%s does not reach the state blob's config hash", name)
+			}
+			f.Set(old)
+		}
+	}
+	walk("", reflect.ValueOf(&cfg).Elem())
+	if st1ConfigHash(cfg) != base {
+		t.Fatal("walk did not restore the config")
 	}
 }
 

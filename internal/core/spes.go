@@ -26,7 +26,11 @@ const wheelSpan = 2048
 type funcState struct {
 	profile classify.Profile
 
-	currentWT   int  // idle slots since the last invocation (maintained by the dense reference loop only)
+	// currentWT is the idle-slot count of Algorithm 1's FState. Only
+	// DenseReference advances it — SPES derives the value from lastInvoked
+	// and wtOff — but it stays a stored field, seeded by Train and Admit,
+	// because the ST1 state blob serialises it.
+	currentWT   int
 	everTrained bool // invoked at least once in the training window
 
 	// onlineWTs are the last maxOnlineWTs waiting times observed during
@@ -55,9 +59,13 @@ type listener struct {
 	lag    int32
 }
 
-// SPES is the differentiated provision policy. It implements sim.Policy,
-// sim.TypeTagger, sim.LoadDeltaTracker and sim.ShardedPolicy.
-type SPES struct {
+// provision is Algorithm 1's state and predicates — what the event-driven
+// engine (SPES) and the per-slot reference (DenseReference) share, so the
+// two can only differ in WHEN they evaluate a function, never in what they
+// decide. It implements the engine-independent part of sim.Policy plus
+// sim.TypeTagger and sim.LoadDeltaTracker; Tick, and everything that makes a
+// policy shardable, cacheable, skippable or snapshottable, belongs to SPES.
+type provision struct {
 	cfg  Config
 	pred *predict.Predictor
 
@@ -68,8 +76,6 @@ type SPES struct {
 	// FuncID. Tick's inner loops (invocation replay, wheel drain, deadline
 	// math) touch only these arrays, cutting cache misses at large n:
 	lastInvoked  []int32         // slot of the most recent invocation (sim timeline; negative from training)
-	eventSlot    []int32         // slot of the single outstanding wheel event, -1 when none
-	seq          []uint32        // event-queue generation for lazy invalidation
 	loaded       []bool          // in MemSet
 	typ          []classify.Type // cached profile.Type (kept in sync on promotion/adjustment)
 	preloadUntil []int32         // last slot (inclusive) of an indicator-driven pre-load, -1 inactive
@@ -81,19 +87,9 @@ type SPES struct {
 
 	ucorr *onlineCorr
 
-	// wheel holds every idle function's next actionable deadline (eviction,
-	// pre-load expiry, predicted pre-warm). nil when cfg.DenseScan selects
-	// the per-slot reference loop.
-	wheel *sched.Wheel
-
 	// deltas logs the FuncIDs whose loaded state flipped since the last
 	// TakeLoadDeltas, feeding the simulator's incremental accounting.
 	deltas []trace.FuncID
-
-	// lastTick is the most recent slot the event engine processed; skipped
-	// slots (callers driving Tick with gaps) have their deadlines drained in
-	// order before the current slot is handled.
-	lastTick int
 
 	// wtScratch is the reusable buffer chronoWTs unrolls a wrapped online-WT
 	// ring into (Tick is single-threaded per policy).
@@ -108,16 +104,39 @@ type SPES struct {
 	trainSlots  int
 }
 
-// New creates an untrained SPES policy; call Train (or let sim.Run call it)
-// before ticking.
-func New(cfg Config) *SPES {
-	pred := predict.NewPredictor()
-	pred.PossibleRangeMax = cfg.PossibleRangeMax
-	return &SPES{cfg: cfg, pred: pred}
+// SPES is the differentiated provision policy on its event-driven engine:
+// a timing wheel holds every function's next actionable deadline and Tick
+// touches only the slot's invoked functions plus those whose deadline is
+// due. It implements sim.Policy, sim.TypeTagger, sim.LoadDeltaTracker,
+// sim.IdleSkipper, sim.Retrainer, sim.ConfigHasher and sim.ShardedPolicy.
+type SPES struct {
+	provision
+
+	eventSlot []int32  // slot of each function's single outstanding wheel event, -1 when none
+	seq       []uint32 // event-queue generation for lazy invalidation
+
+	// wheel holds every idle function's next actionable deadline (eviction,
+	// pre-load expiry, predicted pre-warm).
+	wheel *sched.Wheel
+
+	// lastTick is the most recent slot the engine processed; skipped slots
+	// (callers driving Tick with gaps) have their deadlines drained in order
+	// before the current slot is handled.
+	lastTick int
 }
 
+func newProvision(cfg Config) provision {
+	pred := predict.NewPredictor()
+	pred.PossibleRangeMax = cfg.PossibleRangeMax
+	return provision{cfg: cfg, pred: pred}
+}
+
+// New creates an untrained SPES policy; call Train (or let sim.Run call it)
+// before ticking.
+func New(cfg Config) *SPES { return &SPES{provision: newProvision(cfg)} }
+
 // Name implements sim.Policy.
-func (s *SPES) Name() string { return "SPES" }
+func (s *provision) Name() string { return "SPES" }
 
 // NewShard implements sim.ShardedPolicy: a fresh untrained instance with the
 // same configuration, to be trained and ticked over one population shard.
@@ -128,26 +147,19 @@ func (s *SPES) Name() string { return "SPES" }
 func (s *SPES) NewShard() sim.Policy { return New(s.cfg) }
 
 // ConfigHash implements sim.ConfigHasher: a content hash of the complete
-// Config — classification thresholds, provision parameters, engine choice
-// (DenseScan) and every ablation switch — so the shard cache can tell any
-// two behaviourally distinct SPES configurations apart. sim.HashConfig
+// Config — classification thresholds, provision parameters and every
+// ablation switch — so the shard cache can tell any two behaviourally
+// distinct SPES configurations apart. sim.HashConfig
 // walks every field reflectively; fields added to Config (or
 // classify.Config) are hashed automatically.
 func (s *SPES) ConfigHash() uint64 { return sim.HashConfig(s.cfg) }
 
-// Train runs the offline phase: categorize every function from its training
-// history, build the correlated-link reverse index, seed per-function state
-// (last invocation, current WT) so predictions straddle the train/sim
-// boundary, and register never-trained functions for online correlation.
-func (s *SPES) Train(training *trace.Trace) {
-	n := training.NumFunctions()
-	s.meta = training.Functions
-	s.trainSlots = training.Slots
+// alloc sizes the per-function state for n functions and resolves the
+// per-type eviction patience; Train and RestoreState fill it in.
+func (s *provision) alloc(n int) {
 	s.states = make([]funcState, n)
 	s.listeners = make([][]listener, n)
 	s.lastInvoked = make([]int32, n)
-	s.eventSlot = make([]int32, n)
-	s.seq = make([]uint32, n)
 	s.loaded = make([]bool, n)
 	s.typ = make([]classify.Type, n)
 	s.preloadUntil = make([]int32, n)
@@ -155,6 +167,17 @@ func (s *SPES) Train(training *trace.Trace) {
 	for typ := classify.Type(0); typ < classify.NumTypes; typ++ {
 		s.thetaGivenupByType[typ] = s.cfg.Classify.ThetaGivenup(typ)
 	}
+}
+
+// train runs the offline phase: categorize every function from its training
+// history, build the correlated-link reverse index, seed per-function state
+// (last invocation, current WT) so predictions straddle the train/sim
+// boundary, and register never-trained functions for online correlation.
+func (s *provision) train(training *trace.Trace) {
+	n := training.NumFunctions()
+	s.meta = training.Functions
+	s.trainSlots = training.Slots
+	s.alloc(n)
 
 	outcome := classify.Categorize(training, s.cfg.Classify,
 		s.cfg.DisableCorrelation, s.cfg.DisableForgetting)
@@ -164,7 +187,6 @@ func (s *SPES) Train(training *trace.Trace) {
 		st.profile = outcome.Profiles[fid]
 		s.typ[fid] = st.profile.Type
 		s.preloadUntil[fid] = -1
-		s.eventSlot[fid] = -1
 		last := training.Series[fid].LastSlot()
 		if last >= 0 {
 			st.everTrained = true
@@ -178,12 +200,7 @@ func (s *SPES) Train(training *trace.Trace) {
 			st.currentWT = training.Slots
 			s.wtOff[fid] = 1
 		}
-		for _, l := range st.profile.Links {
-			cand := trace.FuncID(l.Cand)
-			s.listeners[cand] = append(s.listeners[cand], listener{
-				target: trace.FuncID(fid), lag: l.Lag,
-			})
-		}
+		s.listen(trace.FuncID(fid))
 
 		// Carry end-of-training residency into the simulation: SPES would
 		// have kept the function loaded if its idle time is still under the
@@ -204,32 +221,63 @@ func (s *SPES) Train(training *trace.Trace) {
 			}
 		}
 	}
+}
 
-	if !s.cfg.DenseScan {
-		s.wheel = sched.NewWheel(wheelSpan)
-		s.lastTick = -1
-		for fid := range s.states {
-			s.ensureWake(trace.FuncID(fid), -1)
-		}
+// listen adds fid's correlated links to the reverse index.
+func (s *provision) listen(fid trace.FuncID) {
+	for _, l := range s.states[fid].profile.Links {
+		s.listeners[l.Cand] = append(s.listeners[l.Cand], listener{target: fid, lag: l.Lag})
+	}
+}
+
+// Train implements sim.Policy: the offline phase, then one wheel deadline
+// per function that has a transition ahead of it.
+func (s *SPES) Train(training *trace.Trace) {
+	s.train(training)
+	s.eventSlot = make([]int32, len(s.states))
+	s.seq = make([]uint32, len(s.states))
+	s.wheel = sched.NewWheel(wheelSpan)
+	s.lastTick = -1
+	for fid := range s.states {
+		s.eventSlot[fid] = -1
+		s.ensureWake(trace.FuncID(fid), -1)
 	}
 }
 
 // Loaded implements sim.Policy.
-func (s *SPES) Loaded(f trace.FuncID) bool { return s.loaded[f] }
+func (s *provision) Loaded(f trace.FuncID) bool { return s.loaded[f] }
 
 // LoadedCount implements sim.Policy.
-func (s *SPES) LoadedCount() int { return s.loadedCount }
+func (s *provision) LoadedCount() int { return s.loadedCount }
 
 // TakeLoadDeltas implements sim.LoadDeltaTracker: every function whose
 // loaded state flipped since the previous call, valid until the next Tick.
-func (s *SPES) TakeLoadDeltas() ([]trace.FuncID, bool) {
+func (s *provision) TakeLoadDeltas() ([]trace.FuncID, bool) {
 	d := s.deltas
 	s.deltas = s.deltas[:0]
 	return d, true
 }
 
 // TypeOf implements sim.TypeTagger.
-func (s *SPES) TypeOf(f trace.FuncID) string { return s.states[f].profile.Type.String() }
+func (s *provision) TypeOf(f trace.FuncID) string { return s.states[f].profile.Type.String() }
+
+// retrain re-runs the offline categorization over window and swaps the
+// fresh profiles, the cached types and the link reverse index in. Online-WT
+// history, lastInvoked, the online-correlation candidate state and — per the
+// sim.Retrainer contract — the loaded set all survive: they are
+// observations, not conclusions.
+func (s *provision) retrain(window *trace.Trace) {
+	outcome := classify.Categorize(window, s.cfg.Classify,
+		s.cfg.DisableCorrelation, s.cfg.DisableForgetting)
+	for fid := range s.listeners {
+		s.listeners[fid] = s.listeners[fid][:0]
+	}
+	for fid := range s.states {
+		s.states[fid].profile = outcome.Profiles[fid]
+		s.typ[fid] = outcome.Profiles[fid].Type
+		s.listen(trace.FuncID(fid))
+	}
+}
 
 // Retrain implements sim.Retrainer: re-run the offline categorization over
 // a sliding window of observed history and swap the fresh profiles in, so
@@ -238,47 +286,25 @@ func (s *SPES) TypeOf(f trace.FuncID) string { return s.states[f].profile.Type.S
 // with no events in the window downgrade to unknown — exactly the
 // forgetting a retired function needs for its residency to be given up.
 //
-// Per the sim.Retrainer contract the loaded set is NOT touched here: only
-// profiles, the cached type array, and the correlated-link reverse index
-// change, and every timing-wheel deadline is re-armed so the event-driven
-// engine reacts to the new profiles on exactly the slots the dense
-// reference would (a deadline that moved earlier is rescheduled via the seq
-// bump; one that moved later fires early as a no-op and re-evaluates).
-// Online-WT history, lastInvoked, and the online-correlation candidate
-// state all survive retraining — they are observations, not conclusions.
+// Every timing-wheel deadline is then re-armed so the engine reacts to the
+// new profiles on exactly the slots DenseReference would (a deadline that
+// moved earlier is rescheduled via the seq bump; one that moved later fires
+// early as a no-op and re-evaluates). s.lastTick is t-1 here (Retrain lands
+// before Tick(t)), so re-armed deadlines start at slot t and drain inside
+// the upcoming Tick — never late.
 func (s *SPES) Retrain(t int, window *trace.Trace) {
-	outcome := classify.Categorize(window, s.cfg.Classify,
-		s.cfg.DisableCorrelation, s.cfg.DisableForgetting)
-	for fid := range s.listeners {
-		s.listeners[fid] = s.listeners[fid][:0]
-	}
+	s.retrain(window)
 	for fid := range s.states {
-		st := &s.states[fid]
-		st.profile = outcome.Profiles[fid]
-		s.typ[fid] = st.profile.Type
-		for _, l := range st.profile.Links {
-			cand := trace.FuncID(l.Cand)
-			s.listeners[cand] = append(s.listeners[cand], listener{
-				target: trace.FuncID(fid), lag: l.Lag,
-			})
-		}
-	}
-	if s.wheel != nil {
-		// Never-late re-establishment under the new profiles: s.lastTick is
-		// t-1 here (Retrain lands before Tick(t)), so re-armed deadlines
-		// start at slot t and drain inside the upcoming Tick.
-		for fid := range s.states {
-			s.ensureWake(trace.FuncID(fid), s.lastTick)
-		}
+		s.ensureWake(trace.FuncID(fid), s.lastTick)
 	}
 }
 
 // Profile exposes a function's current categorization (tests and the
 // experiment reports read it).
-func (s *SPES) Profile(f trace.FuncID) classify.Profile { return s.states[f].profile }
+func (s *provision) Profile(f trace.FuncID) classify.Profile { return s.states[f].profile }
 
 // load and unload keep loadedCount and the delta log in sync.
-func (s *SPES) load(fid trace.FuncID) {
+func (s *provision) load(fid trace.FuncID) {
 	if !s.loaded[fid] {
 		s.loaded[fid] = true
 		s.loadedCount++
@@ -286,7 +312,7 @@ func (s *SPES) load(fid trace.FuncID) {
 	}
 }
 
-func (s *SPES) unload(fid trace.FuncID) {
+func (s *provision) unload(fid trace.FuncID) {
 	if s.loaded[fid] {
 		s.loaded[fid] = false
 		s.loadedCount--
@@ -294,16 +320,9 @@ func (s *SPES) unload(fid trace.FuncID) {
 	}
 }
 
-// Tick implements Algorithm 1 for one slot. The default engine is
-// event-driven: it touches only the slot's invoked functions plus the
-// functions whose scheduled deadline is t. cfg.DenseScan selects the
-// per-slot reference scan instead (same results, O(n) per slot).
+// Tick implements Algorithm 1 for one slot, touching only the slot's invoked
+// functions plus the functions whose scheduled deadline is t.
 func (s *SPES) Tick(t int, invs []trace.FuncCount) {
-	if s.wheel == nil {
-		s.tickDense(t, invs)
-		return
-	}
-
 	// Callers may advance t with gaps — the simulator's batch-advance skips
 	// slots with no invocations and no deadlines, and ad-hoc unit drivers do
 	// as they please — so drain the skipped slots' deadlines in order first.
@@ -317,7 +336,7 @@ func (s *SPES) Tick(t int, invs []trace.FuncCount) {
 	s.lastTick = t
 
 	// Lines 3-12 for the invoked functions: record the finished WT (the
-	// dense loop's currentWT is t - lastInvoked - 1 here), reset, adapt,
+	// per-slot loop's currentWT is t - lastInvoked - 1 here), reset, adapt,
 	// load, and invalidate any pending deadline.
 	for _, fc := range invs {
 		fid := fc.Func
@@ -349,57 +368,6 @@ func (s *SPES) Tick(t int, invs []trace.FuncCount) {
 	}
 }
 
-// tickDense is the retained O(n)-per-slot reference implementation the
-// equivalence tests run the event-driven engine against.
-func (s *SPES) tickDense(t int, invs []trace.FuncCount) {
-	// Mark this slot's arrivals for O(1) membership while scanning all
-	// functions. invs is FuncID-ascending, so walk it in lockstep instead
-	// of building a set.
-	next := 0
-	for i := range s.states {
-		fid := trace.FuncID(i)
-		st := &s.states[i]
-		invokedNow := false
-		if next < len(invs) && invs[next].Func == fid {
-			invokedNow = true
-			next++
-		}
-
-		if invokedNow {
-			// Lines 3-12: record the finished WT, reset, adapt, load.
-			if st.currentWT > 0 && int(s.lastInvoked[fid]) > -s.trainSlots {
-				s.recordOnlineWT(fid, st.currentWT)
-			}
-			s.lastInvoked[fid] = int32(t)
-			st.currentWT = 0
-			s.wtOff[fid] = 0
-			s.preloadUntil[fid] = -1
-			s.load(fid)
-			continue
-		}
-
-		// Lines 13-20: idle bookkeeping, pre-load or evict.
-		st.currentWT++
-		preload := s.shouldPreload(fid, t)
-		if preload {
-			s.load(fid)
-		} else if s.loaded[fid] && st.currentWT >= s.thetaGivenup(s.typ[fid]) {
-			s.unload(fid)
-		}
-	}
-
-	// Indicator-driven pre-loading: offline correlated links and online
-	// correlation for unseen functions (line 22, UCorr.update()).
-	for _, fc := range invs {
-		for _, l := range s.listeners[fc.Func] {
-			s.preloadThrough(l.target, t, t+int(l.lag)+s.cfg.Classify.ThetaPrewarm)
-		}
-	}
-	if s.ucorr != nil {
-		s.ucorr.observe(t, invs, s)
-	}
-}
-
 // drainSlot fires the still-valid deadlines scheduled at slot t.
 func (s *SPES) drainSlot(t int) {
 	s.wheel.Drain(t, func(ev sched.Event) {
@@ -413,13 +381,8 @@ func (s *SPES) drainSlot(t int) {
 }
 
 // NextWake implements sim.IdleSkipper: the earliest slot in (after, limit]
-// holding a scheduled deadline, -1 when there is none. The dense reference
-// engine reports ok=false, keeping it on the per-slot path the equivalence
-// tests compare against.
+// holding a scheduled deadline, -1 when there is none.
 func (s *SPES) NextWake(after, limit int) (int, bool) {
-	if s.wheel == nil {
-		return 0, false
-	}
 	return s.wheel.NextOccupied(after, limit), true
 }
 
@@ -475,17 +438,20 @@ func (s *SPES) idleStep(fid trace.FuncID, t int) {
 }
 
 // preloadThrough extends a function's indicator-driven pre-load window
-// through the until slot (inclusive) and loads it, rescheduling its deadline
-// under the event-driven engine. Both engines and the online-correlation
-// strategy funnel through here.
-func (s *SPES) preloadThrough(fid trace.FuncID, t, until int) {
+// through the until slot (inclusive) and loads it. Offline links and the
+// online-correlation strategy both funnel through here.
+func (s *provision) preloadThrough(fid trace.FuncID, _, until int) {
 	if int32(until) > s.preloadUntil[fid] {
 		s.preloadUntil[fid] = int32(until)
 	}
 	s.load(fid)
-	if s.wheel != nil {
-		s.ensureWake(fid, t)
-	}
+}
+
+// preloadThrough additionally reschedules fid's deadline at slot t: the
+// window may have pushed its eviction floor out.
+func (s *SPES) preloadThrough(fid trace.FuncID, t, until int) {
+	s.provision.preloadThrough(fid, t, until)
+	s.ensureWake(fid, t)
 }
 
 // ensureWake makes sure fid's single outstanding wheel event fires no later
@@ -589,7 +555,7 @@ func (s *SPES) evictionFloor(fid trace.FuncID, t int) int {
 }
 
 // shouldPreload evaluates line 15's pre_load flag for an idle function.
-func (s *SPES) shouldPreload(fid trace.FuncID, t int) bool {
+func (s *provision) shouldPreload(fid trace.FuncID, t int) bool {
 	switch s.typ[fid] {
 	case classify.TypeAlwaysWarm:
 		// Undoubtedly always loaded.
@@ -610,6 +576,6 @@ func (s *SPES) shouldPreload(fid trace.FuncID, t int) bool {
 	}
 }
 
-func (s *SPES) thetaGivenup(typ classify.Type) int {
+func (s *provision) thetaGivenup(typ classify.Type) int {
 	return s.thetaGivenupByType[typ]
 }

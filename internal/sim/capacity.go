@@ -192,8 +192,12 @@ func runCapacityShards(cp CapacityPolicy, budget int, src Source, opts Options) 
 		}
 		train, simv, err := src.Shard(i)
 		if err != nil {
+			// Classified as the independent engine would, but never retried
+			// (Options.Retry): the shards are coupled through the arbiter.
+			panicked := isPanic(err)
 			return nil, nil, nil, &ShardError{
 				Policy: cp.Name(), Shard: i, Shards: p, Attempts: 1,
+				Transient: panicked || IsTransient(err), Panicked: panicked,
 				Err: fmt.Errorf("producing shard: %w", err),
 			}
 		}
@@ -266,9 +270,6 @@ func runCapacityShards(cp CapacityPolicy, budget int, src Source, opts Options) 
 		arb.arbitrate()
 		for _, d := range drivers {
 			d.FinishStep()
-		}
-		if opts.Progress != nil && opts.ProgressEvery > 0 && t%opts.ProgressEvery == 0 {
-			opts.Progress(t)
 		}
 	}
 

@@ -207,3 +207,31 @@ func TestCapacityEngineValidation(t *testing.T) {
 		t.Errorf("pre-closed Stop: want ErrInterrupted, got %v", err)
 	}
 }
+
+// TestCapacityEngineClassifiesShardFailure: the lockstep engine neither
+// retries a failed shard production nor calls the fault hook, but the
+// ShardError it returns must say what kind of failure it was.
+func TestCapacityEngineClassifiesShardFailure(t *testing.T) {
+	train, simTr := capTestTrace()
+	for _, c := range []struct {
+		name      string
+		err       error
+		transient bool
+	}{
+		{"transient", MarkTransient(errors.New("disk hiccup")), true},
+		{"deterministic", errors.New("bad shard"), false},
+	} {
+		src := &flakySource{shardSet: buildShardSet(train, simTr, 2), failShard: 1, err: c.err, failN: 1}
+		_, err := RunStreamed(&fakeCap{capacity: 9}, src, Options{Retry: fastRetry, FaultHook: alwaysPanicHook{}})
+		var se *ShardError
+		if !errors.As(err, &se) {
+			t.Fatalf("%s: got %v, want a ShardError", c.name, err)
+		}
+		if se.Shard != 1 || se.Attempts != 1 || se.Transient != c.transient || se.Panicked {
+			t.Errorf("%s: ShardError %+v, want shard 1, 1 attempt, transient=%v, not panicked", c.name, *se, c.transient)
+		}
+		if src.calls != 1 {
+			t.Errorf("%s: shard 1 produced %d times; the lockstep engine does not retry", c.name, src.calls)
+		}
+	}
+}

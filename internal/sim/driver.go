@@ -25,25 +25,27 @@ import (
 // Gap semantics: Step(t, invs) first advances the policy through every slot
 // in (NextSlot()-1, t) as an invocation-free slot, exactly as the batch loop
 // would — batch-charging provably idle spans when the policy is an
-// IdleSkipper with delta tracking, ticking slot by slot otherwise, and never
-// crossing a retrain boundary without processing it. A caller that only ever
-// hears about occupied slots therefore reproduces the full per-slot run.
+// IdleSkipper that logs its own deltas, ticking slot by slot otherwise, and
+// never crossing a retrain boundary without processing it. A caller that
+// only ever hears about occupied slots therefore reproduces the full
+// per-slot run.
 type Driver struct {
 	policy Policy
 	res    *Result
 	log    *slotLog
 
-	// Delta mode (see runOne): the tracked mirror of the loaded set and the
-	// per-function residency intervals, nil/unused when the policy does not
-	// track load deltas.
+	// All accounting is by load deltas: tracker reports each slot's flips
+	// (the policy's own log, or a scanTracker for a policy that keeps none),
+	// loaded mirrors the policy's loaded set as of the last report, and
+	// loadedFrom/invokedLoaded hold each open residency's start slot and its
+	// invoked-while-loaded slots, charged as idle minutes when it closes.
 	tracker       LoadDeltaTracker
 	loaded        []bool
 	loadedFrom    []int32
 	invokedLoaded []int32
 
-	// invokedAt backs the dense fallback's idle scan.
-	invokedAt []bool
-
+	// skipper is set only for a policy that logs its own deltas: a scanned
+	// one has no log to prove a span changed nothing.
 	skipper IdleSkipper
 
 	retrainer    Retrainer
@@ -55,9 +57,6 @@ type Driver struct {
 	collectCold     bool
 	cold            []trace.FuncID
 	flips           []trace.FuncID
-
-	progress      func(slot int)
-	progressEvery int
 
 	next   int // next slot to process; NextSlot()
 	closed bool
@@ -111,17 +110,36 @@ type DriverConfig struct {
 	// S+1.
 	StartSlot int
 
-	// Progress, when non-nil, is called every ProgressEvery processed slots.
-	Progress      func(slot int)
-	ProgressEvery int
-
 	// log records per-slot (loaded, active) counts for the sharded merge.
 	log *slotLog
 }
 
+// scanTracker is the LoadDeltaTracker of a policy that keeps no delta log:
+// each report is one O(n) Loaded scan against the Driver's mirror, which
+// holds the state as of the previous report. It sees a slot's net flips
+// only, which is all the accounting reads: a function loaded and evicted
+// inside one Tick was never resident at a slot boundary.
+type scanTracker struct {
+	d     *Driver
+	flips []trace.FuncID
+}
+
+func (s *scanTracker) TakeLoadDeltas() ([]trace.FuncID, bool) {
+	s.flips = s.flips[:0]
+	for fid, was := range s.d.loaded {
+		if s.d.policy.Loaded(trace.FuncID(fid)) != was {
+			s.flips = append(s.flips, trace.FuncID(fid))
+		}
+	}
+	return s.flips, true
+}
+
 // NewDriver wraps a trained policy. The post-Train loaded set is scanned
 // once to seed the delta mirror (training-era deltas are discarded by the
-// probe call), matching the batch engine's baseline exactly.
+// probe call), matching the batch engine's baseline exactly. This is the one
+// place that asks whether the policy logs its own deltas: one that does not
+// (or reports ok=false) is accounted through a scanTracker and pays its O(n)
+// scan per ticked slot.
 func NewDriver(policy Policy, n int, cfg DriverConfig) *Driver {
 	d := &Driver{
 		policy:          policy,
@@ -129,31 +147,27 @@ func NewDriver(policy Policy, n int, cfg DriverConfig) *Driver {
 		log:             cfg.log,
 		measureOverhead: cfg.MeasureOverhead,
 		collectCold:     cfg.CollectCold,
-		progress:        cfg.Progress,
-		progressEvery:   cfg.ProgressEvery,
 		next:            cfg.StartSlot,
+		loaded:          make([]bool, n),
+		loadedFrom:      make([]int32, n),
+		invokedLoaded:   make([]int32, n),
+	}
+	for fid := 0; fid < n; fid++ {
+		if policy.Loaded(trace.FuncID(fid)) {
+			d.loaded[fid] = true
+			d.loadedFrom[fid] = int32(cfg.StartSlot)
+		}
 	}
 	if tr, ok := policy.(LoadDeltaTracker); ok {
 		if _, ok := tr.TakeLoadDeltas(); ok {
 			d.tracker = tr
-			d.loaded = make([]bool, n)
-			d.loadedFrom = make([]int32, n)
-			d.invokedLoaded = make([]int32, n)
-			for fid := 0; fid < n; fid++ {
-				if policy.Loaded(trace.FuncID(fid)) {
-					d.loaded[fid] = true
-					d.loadedFrom[fid] = int32(cfg.StartSlot)
-				}
+			if s, ok := policy.(IdleSkipper); ok && !cfg.MeasureOverhead {
+				d.skipper = s
 			}
 		}
 	}
 	if d.tracker == nil {
-		d.invokedAt = make([]bool, n)
-	}
-	if d.tracker != nil && !cfg.MeasureOverhead {
-		if s, ok := policy.(IdleSkipper); ok {
-			d.skipper = s
-		}
+		d.tracker = &scanTracker{d: d}
 	}
 	if cfg.RetrainEvery > 0 && cfg.Window != nil {
 		if r, ok := policy.(Retrainer); ok {
@@ -179,12 +193,12 @@ func (d *Driver) Loaded(f trace.FuncID) bool { return d.policy.Loaded(f) }
 type StepInfo struct {
 	// Cold lists the functions invoked this slot that were not loaded
 	// (each suffered a cold start), FuncID-ascending. Only populated under
-	// DriverConfig.CollectCold with delta tracking.
+	// DriverConfig.CollectCold.
 	Cold []trace.FuncID
 	// Flips lists every loaded-set flip the slot's Tick performed, in flip
 	// order (a load immediately followed by an evict appears twice);
-	// toggling reconstructs the pre-warm/evict decisions. nil when the
-	// policy does not track deltas.
+	// toggling reconstructs the pre-warm/evict decisions. A policy that logs
+	// no deltas reports the slot's net flips instead, FuncID-ascending.
 	Flips []trace.FuncID
 	// Loaded is the post-Tick loaded count (memory units).
 	Loaded int
@@ -285,8 +299,8 @@ func (d *Driver) advanceTo(t int) {
 // chargeSpan accounts the invocation-free, wake-free slots u..end (inclusive)
 // in one step, exactly as changing-nothing Ticks would: loadedCount memory
 // units per slot, all idle, EMCR term 0/loadedCount. Per-function idle
-// minutes need no work — delta mode charges whole residency intervals at
-// unload time, and skipped slots just extend them.
+// minutes need no work — whole residency intervals are charged at unload
+// time, and skipped slots just extend them.
 func (d *Driver) chargeSpan(u, end int) {
 	span := int64(end - u + 1)
 	loadedCount := d.policy.LoadedCount()
@@ -317,38 +331,22 @@ func (d *Driver) slotBegin(t int, invs []trace.FuncCount) {
 		d.retrainer.Retrain(t, d.window(t, d.retrainWin))
 	}
 
-	// Phase 1: cold-start accounting against the pre-Tick loaded set. In
-	// delta mode the tracked mirror equals policy.Loaded and spares an
-	// interface call per invocation.
+	// Phase 1: cold-start accounting against the pre-Tick loaded set. The
+	// mirror equals policy.Loaded (Retrain may not move the loaded set) and
+	// spares an interface call per invocation.
 	if d.collectCold {
 		d.cold = d.cold[:0]
 	}
-	if d.tracker != nil {
-		for _, fc := range invs {
-			m := &d.res.PerFunc[fc.Func]
-			m.Invocations += int64(fc.Count)
-			m.InvokedSlot++
-			if !d.loaded[fc.Func] {
-				m.ColdStarts++
-				d.res.TotalColdStarts++
-				if d.collectCold {
-					d.cold = append(d.cold, fc.Func)
-				}
+	for _, fc := range invs {
+		m := &d.res.PerFunc[fc.Func]
+		m.Invocations += int64(fc.Count)
+		m.InvokedSlot++
+		if !d.loaded[fc.Func] {
+			m.ColdStarts++
+			d.res.TotalColdStarts++
+			if d.collectCold {
+				d.cold = append(d.cold, fc.Func)
 			}
-		}
-	} else {
-		for _, fc := range invs {
-			m := &d.res.PerFunc[fc.Func]
-			m.Invocations += int64(fc.Count)
-			m.InvokedSlot++
-			if !d.policy.Loaded(fc.Func) {
-				m.ColdStarts++
-				d.res.TotalColdStarts++
-				if d.collectCold {
-					d.cold = append(d.cold, fc.Func)
-				}
-			}
-			d.invokedAt[fc.Func] = true
 		}
 	}
 	d.res.TotalInvocations += funcCountTotal(invs)
@@ -387,40 +385,28 @@ func (d *Driver) slotFinish() {
 		d.res.MaxLoaded = loadedCount
 	}
 
-	d.flips = nil
-	if d.tracker != nil {
-		// Each delta entry is one flip; toggling replays the Tick's
-		// loaded-set changes exactly. An unload closes the residency
-		// [loadedFrom, t-1] and charges its idle minutes (length minus the
-		// invoked-while-loaded slots) in one step.
-		deltas, _ := d.tracker.TakeLoadDeltas()
-		d.flips = deltas
-		for _, fid := range deltas {
-			if d.loaded[fid] {
-				d.loaded[fid] = false
-				d.res.PerFunc[fid].WMTMinutes +=
-					int64(t) - int64(d.loadedFrom[fid]) - int64(d.invokedLoaded[fid])
-				d.invokedLoaded[fid] = 0
-			} else {
-				d.loaded[fid] = true
-				d.loadedFrom[fid] = int32(t)
-			}
+	// Each delta entry is one flip; toggling replays the Tick's loaded-set
+	// changes exactly. An unload closes the residency [loadedFrom, t-1] and
+	// charges its idle minutes (length minus the invoked-while-loaded slots)
+	// in one step.
+	d.flips, _ = d.tracker.TakeLoadDeltas()
+	for _, fid := range d.flips {
+		if d.loaded[fid] {
+			d.loaded[fid] = false
+			d.res.PerFunc[fid].WMTMinutes +=
+				int64(t) - int64(d.loadedFrom[fid]) - int64(d.invokedLoaded[fid])
+			d.invokedLoaded[fid] = 0
+		} else {
+			d.loaded[fid] = true
+			d.loadedFrom[fid] = int32(t)
 		}
 	}
 
 	activeLoaded := 0
-	if d.tracker != nil {
-		for _, fc := range invs {
-			if d.loaded[fc.Func] {
-				activeLoaded++
-				d.invokedLoaded[fc.Func]++
-			}
-		}
-	} else {
-		for _, fc := range invs {
-			if d.policy.Loaded(fc.Func) {
-				activeLoaded++
-			}
+	for _, fc := range invs {
+		if d.loaded[fc.Func] {
+			activeLoaded++
+			d.invokedLoaded[fc.Func]++
 		}
 	}
 	if d.log != nil {
@@ -438,23 +424,6 @@ func (d *Driver) slotFinish() {
 		d.res.EMCRSum += float64(activeLoaded) / float64(loadedCount)
 		d.res.EMCRSlots++
 	}
-
-	// Dense fallback: charge idle minutes to the loaded-but-not-invoked
-	// functions by scanning the whole population.
-	if d.tracker == nil {
-		for fid := range d.invokedAt {
-			if d.policy.Loaded(trace.FuncID(fid)) && !d.invokedAt[fid] {
-				d.res.PerFunc[fid].WMTMinutes++
-			}
-		}
-		for _, fc := range invs {
-			d.invokedAt[fc.Func] = false
-		}
-	}
-
-	if d.progress != nil && d.progressEvery > 0 && t%d.progressEvery == 0 {
-		d.progress(t)
-	}
 }
 
 // Grow extends the driver's per-function state to n functions, for live
@@ -466,16 +435,10 @@ func (d *Driver) Grow(n int) {
 		d.res.PerFunc = append(d.res.PerFunc, FuncMetrics{})
 	}
 	d.res.Functions = n
-	if d.tracker != nil {
-		for len(d.loaded) < n {
-			d.loaded = append(d.loaded, false)
-			d.loadedFrom = append(d.loadedFrom, 0)
-			d.invokedLoaded = append(d.invokedLoaded, 0)
-		}
-	} else {
-		for len(d.invokedAt) < n {
-			d.invokedAt = append(d.invokedAt, false)
-		}
+	for len(d.loaded) < n {
+		d.loaded = append(d.loaded, false)
+		d.loadedFrom = append(d.loadedFrom, 0)
+		d.invokedLoaded = append(d.invokedLoaded, 0)
 	}
 }
 
@@ -487,12 +450,10 @@ func (d *Driver) Close(slots int) *Result {
 		d.advanceTo(slots)
 		d.next = slots
 		d.closed = true
-		if d.tracker != nil {
-			for fid := range d.loaded {
-				if d.loaded[fid] {
-					d.res.PerFunc[fid].WMTMinutes +=
-						int64(slots) - int64(d.loadedFrom[fid]) - int64(d.invokedLoaded[fid])
-				}
+		for fid := range d.loaded {
+			if d.loaded[fid] {
+				d.res.PerFunc[fid].WMTMinutes +=
+					int64(slots) - int64(d.loadedFrom[fid]) - int64(d.invokedLoaded[fid])
 			}
 		}
 		d.res.Slots = slots

@@ -80,7 +80,7 @@ type ShardError struct {
 	Shard     int    // shard index within the source
 	Shards    int    // total shard count, for context in messages
 	Attempts  int    // simulation attempts made (>= 1)
-	Transient bool   // final classification of Err (a true value means retries were exhausted)
+	Transient bool   // final classification of Err (true: retries were exhausted — or, from the lockstep capacity engine, never made)
 	Panicked  bool   // the last failure was a recovered panic, not an error return
 	Err       error  // the last attempt's failure
 }

@@ -59,8 +59,10 @@ type Policy interface {
 }
 
 // LoadDeltaTracker is implemented by policies that log loaded-set changes,
-// letting the simulator attribute idle memory minutes incrementally instead
-// of re-scanning all n functions every slot (O(active) instead of O(n)).
+// letting the simulator attribute idle memory minutes from the log instead
+// of re-scanning all n functions every slot (O(active) instead of O(n)). A
+// policy without one is still accounted by deltas — the Driver derives them
+// from that scan — but is never idle-skipped.
 //
 // The contract:
 //   - TakeLoadDeltas returns every flip of the loaded set since the previous
@@ -69,8 +71,8 @@ type Policy interface {
 //     same Tick appears twice; consumers reconstruct the state by toggling.
 //   - The returned slice is only valid until the policy's next Tick (trackers
 //     may reuse the backing array).
-//   - ok=false means tracking is unavailable for this run; the simulator
-//     falls back to the dense per-slot scan.
+//   - ok=false (asked once, before slot 0) means tracking is unavailable
+//     for this run; the simulator scans instead.
 //
 // The simulator establishes the post-Train baseline itself (one Loaded scan
 // before slot 0) and discards any training-era deltas, so Train does not
@@ -91,9 +93,9 @@ type LoadDeltaTracker interface {
 //     cancelled timer) are allowed — they only cost a regular Tick. False
 //     negatives are NOT: a missed wake-up would change the loaded set
 //     without the simulator noticing.
-//   - ok=false means the policy cannot answer for this configuration (e.g.
-//     it is running its map-backed reference engine); the simulator stays on
-//     the slot-by-slot path.
+//   - ok=false means the policy cannot answer yet (e.g. it was never
+//     trained and has no timers to consult); the simulator ticks the next
+//     slot and asks again.
 //   - The simulator calls NextWake only after Tick(after, ...) has run, and
 //     guarantees every slot in (after, wake) it skips had no invocations.
 //     For each skipped slot the policy's loaded set is charged for memory

@@ -19,13 +19,6 @@ type Options struct {
 	// contend for cores would be meaningless.
 	MeasureOverhead bool
 
-	// Progress, when non-nil, is called every ProgressEvery slots with the
-	// current slot (for long CLI runs). Under sharded or concurrent
-	// execution the calls are serialized but observe the interleaved slot
-	// numbers of all concurrent runs.
-	Progress      func(slot int)
-	ProgressEvery int
-
 	// Shards splits the function population into that many app/user-closed
 	// shards (trace.PartitionFunctions) and simulates one policy instance
 	// per shard concurrently, merging the per-shard results into a Result
@@ -80,13 +73,16 @@ type Options struct {
 	// when there is no training trace).
 	RetrainWindow int
 
-	// Retry bounds the sharded engine's per-shard failure handling: a shard
-	// whose worker panics or returns a transient error (sim.IsTransient) is
-	// re-produced and re-simulated with capped exponential backoff, up to
-	// Retry.MaxAttempts times, before surfacing a ShardError. Deterministic
-	// errors surface on the first attempt. The zero value takes the
-	// defaults; re-running a shard is always safe because shard simulation
-	// is pure (fresh policy instance, read-only views).
+	// Retry bounds the independent sharded engine's per-shard failure
+	// handling: a shard whose worker panics or returns a transient error
+	// (sim.IsTransient) is re-produced and re-simulated with capped
+	// exponential backoff, up to Retry.MaxAttempts times, before surfacing a
+	// ShardError. Deterministic errors surface on the first attempt. The
+	// zero value takes the defaults; re-running a shard is always safe
+	// because shard simulation is pure (fresh policy instance, read-only
+	// views). The lockstep capacity engine (CapacityPolicy) ignores Retry:
+	// its shards are coupled through the arbiter, so none can be re-run
+	// alone; it contains panics per run and fails on the first error.
 	Retry RetryPolicy
 
 	// Stop, when non-nil, requests a graceful cancellation when closed: the
@@ -100,7 +96,7 @@ type Options struct {
 	// immediately before each shard simulation attempt. It exists for
 	// deterministic fault injection (internal/faultinject): the hook may
 	// sleep or panic, and the isolation layer must absorb both. Production
-	// code leaves it nil.
+	// code leaves it nil. The lockstep capacity engine never calls it.
 	FaultHook ShardFaultHook
 
 	// pool is the shared worker budget. RunAll seeds it so that policies x
@@ -274,8 +270,6 @@ func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *s
 	idx := simTrace.BuildSlotIndex()
 	cfg := DriverConfig{
 		MeasureOverhead: opts.MeasureOverhead,
-		Progress:        opts.Progress,
-		ProgressEvery:   opts.ProgressEvery,
 		log:             log,
 	}
 	if opts.RetrainEvery > 0 {
@@ -374,15 +368,6 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	// than two shards resident per worker; runOne must not re-acquire.
 	pool := opts.pool
 	inner.pool = nil
-	if opts.Progress != nil {
-		var mu sync.Mutex
-		progress := opts.Progress
-		inner.Progress = func(slot int) {
-			mu.Lock()
-			defer mu.Unlock()
-			progress(slot)
-		}
-	}
 
 	// Cache qualification: a fingerprintable source, a hashable policy
 	// config, and no overhead timing (cached Overhead would be stale).
@@ -710,9 +695,7 @@ func mergeShardResults(name string, slots, n int, globals [][]trace.FuncID, resu
 // goroutine per policy. Concurrency is bounded by one shared worker budget
 // (Options.Workers): with Options.Shards > 1, the policies' shard runs all
 // draw from the same budget, so policies x shards never oversubscribes the
-// machine. A caller-supplied opts.Progress is serialized so callers need no
-// locking of their own, but it observes the policies' interleaved slot
-// numbers. MeasureOverhead runs the policies (and their shards) fully
+// machine. MeasureOverhead runs the policies (and their shards) fully
 // sequentially instead: per-Tick wall-clock timings taken while policies
 // contend for cores would be meaningless.
 //
@@ -743,15 +726,6 @@ func RunAll(policies []Policy, training, simTrace *trace.Trace, opts Options) ([
 			results[i] = r
 		}
 		return results, errors.Join(joined...)
-	}
-	if opts.Progress != nil {
-		var mu sync.Mutex
-		progress := opts.Progress
-		opts.Progress = func(slot int) {
-			mu.Lock()
-			defer mu.Unlock()
-			progress(slot)
-		}
 	}
 	if opts.pool == nil {
 		opts.pool = make(chan struct{}, opts.workers())

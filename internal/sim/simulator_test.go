@@ -213,21 +213,6 @@ func TestRunAll(t *testing.T) {
 	}
 }
 
-func TestRunProgress(t *testing.T) {
-	tr := tinyTrace()
-	var calls []int
-	_, err := Run(neverLoadedPolicy{}, nil, tr, Options{
-		Progress:      func(slot int) { calls = append(calls, slot) },
-		ProgressEvery: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(calls) != 3 { // slots 0, 2, 4
-		t.Errorf("progress calls = %v", calls)
-	}
-}
-
 func TestQuantileCSRAndCSRs(t *testing.T) {
 	tr := tinyTrace()
 	res, _ := Run(neverLoadedPolicy{}, nil, tr, Options{})
