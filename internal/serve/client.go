@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -47,28 +49,41 @@ func (c *Client) http() *http.Client {
 // (attempts beyond each request's first).
 func (c *Client) Retries() int64 { return c.retries.Load() }
 
+// sendScratch is what one Send borrows from the pool: the request body, the
+// reply scanner's buffer, and the arena the replies' lists are decoded into
+// before they are copied out for the caller.
+type sendScratch struct {
+	payload []byte
+	line    []byte
+	ids     []int64
+}
+
+var sendPool = sync.Pool{New: func() any {
+	return &sendScratch{line: make([]byte, maxPooledBytes)}
+}}
+
 // Send assigns sequence numbers to the batches, delivers them as one NDJSON
-// request, and returns the per-batch replies. Transient failures (network
-// errors, shed 503s, injected dropped connections) are retried with the
-// same sequence numbers; a reply carrying a protocol rejection is returned
-// as an error.
+// request, and returns the per-batch replies, which are the caller's: nothing
+// in them is reused by a later Send. Transient failures (network errors, shed
+// 503s, injected dropped connections) are retried with the same sequence
+// numbers; a reply carrying a protocol rejection is returned as an error.
 func (c *Client) Send(batches []Batch) ([]Reply, error) {
 	if len(batches) == 0 {
 		return nil, nil
 	}
+	scr := sendPool.Get().(*sendScratch)
+	payload := scr.payload[:0]
 	for i := range batches {
 		batches[i].Seq = c.nextSeq.Add(1)
+		payload = append(appendBatch(payload, &batches[i]), '\n')
 	}
-	var payload bytes.Buffer
-	enc := json.NewEncoder(&payload)
-	for i := range batches {
-		if err := enc.Encode(&batches[i]); err != nil {
-			return nil, fmt.Errorf("serve: encode batch: %w", err)
-		}
-	}
-	subject := fmt.Sprintf("batch-%d", batches[0].Seq)
+	var sb [32]byte
+	subject := string(strconv.AppendUint(append(sb[:0], "batch-"...), batches[0].Seq, 10))
 
-	var replies []Reply
+	replies := make([]Reply, 0, len(batches))
+	// net/http may still be reading a request body in another goroutine
+	// after Do has returned an error, so such a payload is never reused.
+	payloadFree := true
 	op := func(attempt int) error {
 		if attempt > 1 {
 			c.retries.Add(1)
@@ -76,8 +91,7 @@ func (c *Client) Send(batches []Batch) ([]Reply, error) {
 		if d := c.Faults.SlowClient(subject); d > 0 {
 			time.Sleep(d)
 		}
-		req, err := http.NewRequest(http.MethodPost, c.Base+"/v1/events",
-			bytes.NewReader(payload.Bytes()))
+		req, err := http.NewRequest(http.MethodPost, c.Base+"/v1/events", bytes.NewReader(payload))
 		if err != nil {
 			return err
 		}
@@ -85,6 +99,7 @@ func (c *Client) Send(batches []Batch) ([]Reply, error) {
 		req.Header.Set("Spes-Batch", subject)
 		resp, err := c.http().Do(req)
 		if err != nil {
+			payloadFree = false
 			return sim.MarkTransient(err)
 		}
 		defer resp.Body.Close()
@@ -96,18 +111,18 @@ func (c *Client) Send(batches []Batch) ([]Reply, error) {
 			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 			return fmt.Errorf("serve: daemon returned %d: %s", resp.StatusCode, bytes.TrimSpace(body))
 		}
-		replies = replies[:0]
+		replies, scr.ids = replies[:0], scr.ids[:0]
 		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 64<<10), maxBatchLine)
+		sc.Buffer(scr.line, maxBatchLine)
 		for sc.Scan() {
 			if len(sc.Bytes()) == 0 {
 				continue
 			}
-			var r Reply
-			if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
+			replies = append(replies, Reply{}) // decoded in place, like the daemon's batches
+			scr.ids, err = decodeReply(sc.Bytes(), &replies[len(replies)-1], scr.ids)
+			if err != nil {
 				return sim.MarkTransient(fmt.Errorf("serve: bad reply line: %w", err))
 			}
-			replies = append(replies, r)
 		}
 		if err := sc.Err(); err != nil {
 			return sim.MarkTransient(err)
@@ -117,7 +132,17 @@ func (c *Client) Send(batches []Batch) ([]Reply, error) {
 		}
 		return nil
 	}
-	if err := c.Retry.Do(op, sim.IsTransient); err != nil {
+	err := c.Retry.Do(op, sim.IsTransient)
+	if err == nil {
+		ownLists(replies)
+	}
+	scr.payload = nil
+	if payloadFree {
+		scr.payload = keep(payload, maxPooledBytes)
+	}
+	scr.ids = keep(scr.ids, maxPooledElems)
+	sendPool.Put(scr)
+	if err != nil {
 		return nil, err
 	}
 	for i := range replies {
@@ -126,6 +151,28 @@ func (c *Client) Send(batches []Batch) ([]Reply, error) {
 		}
 	}
 	return replies, nil
+}
+
+// ownLists moves the replies' lists out of the decode arena into one
+// allocation of their own. A nil list stays nil.
+func ownLists(replies []Reply) {
+	n := 0
+	for i := range replies {
+		n += len(replies[i].Admitted) + len(replies[i].Cold) + len(replies[i].Flips)
+	}
+	own := make([]int64, 0, n)
+	move := func(list []int64) []int64 {
+		if list == nil {
+			return nil
+		}
+		start := len(own)
+		own = append(own, list...)
+		return own[start:len(own):len(own)]
+	}
+	for i := range replies {
+		r := &replies[i]
+		r.Admitted, r.Cold, r.Flips = move(r.Admitted), move(r.Cold), move(r.Flips)
+	}
 }
 
 // StateHash fetches the daemon's canonical state hash.

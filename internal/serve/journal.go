@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"fmt"
 	"path/filepath"
 
@@ -21,27 +20,43 @@ import (
 // rebuilds the daemon's recorded invocation history (the retrain window
 // source) from scratch.
 type journal struct {
-	f   durable.File
-	buf []byte // the record line being framed, reused across appends
+	f durable.File
+	// The record being appended — its payload, then its framed line — in
+	// buffers reused across appends (the apply loop appends one at a time).
+	payload, buf []byte
 }
+
+// eventChunk is how many event pairs openJournal allocates at a time (1 MiB).
+const eventChunk = 64 << 10
 
 // openJournal opens (creating if absent) the journal at path, replays its
 // intact records, and heals any torn tail. The returned records are in
 // append order with contiguous sequence numbers.
 func openJournal(fs durable.FS, path string) (*journal, []Batch, error) {
 	var records []Batch
+	// The records' events live in chunks with room for the next record's, so
+	// decoding never grows (and copies) one.
+	var events []EventPair
 	f, err := durable.OpenLog(fs, path, func(data []byte) (good int) {
 		for good < len(data) {
 			line, n := durable.NextLine(data[good:])
 			payload, ok := durable.ParseLine(line)
-			var b Batch
-			if !ok || json.Unmarshal(payload, &b) != nil {
-				break // torn, corrupt or undecodable: the journal ends here
+			if !ok {
+				break // torn or corrupt: the journal ends here
 			}
-			if last := len(records) - 1; last >= 0 && b.Seq != records[last].Seq+1 {
-				break // broken chain: everything after is untrustworthy
+			if most := maxEvents(len(payload)); cap(events)-len(events) < most {
+				events = make([]EventPair, 0, max(most, min(eventChunk, maxEvents(len(data)-good))))
 			}
-			records = append(records, b)
+			last := len(records)
+			records = append(records, Batch{}) // decoded in place
+			var err error
+			events, err = decodeBatch(payload, &records[last], events)
+			if err != nil || (last > 0 && records[last].Seq != records[last-1].Seq+1) {
+				// Undecodable, or a broken chain: everything from here on is
+				// untrustworthy.
+				records = records[:last]
+				break
+			}
 			good += n
 		}
 		return good
@@ -58,11 +73,8 @@ func openJournal(fs durable.FS, path string) (*journal, []Batch, error) {
 // be rejected — an unjournaled batch would not survive a crash, so
 // acknowledging it would break the exactly-once contract.
 func (j *journal) append(b *Batch) error {
-	payload, err := json.Marshal(b)
-	if err != nil {
-		return fmt.Errorf("serve: encode journal record: %w", err)
-	}
-	j.buf = durable.AppendLine(j.buf[:0], payload)
+	j.payload = appendBatch(j.payload[:0], b)
+	j.buf = durable.AppendLine(j.buf[:0], j.payload)
 	if _, err := j.f.Write(j.buf); err != nil {
 		return fmt.Errorf("serve: append journal record: %w", err)
 	}

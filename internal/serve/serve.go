@@ -118,11 +118,56 @@ type counters struct {
 	snapshots, snapshotFailures, snapshotsRejected, replayedRecords, restoredFromSeq atomic.Int64
 }
 
-// ingest is one queued request: the handler parks on done (buffered, so a
-// deadline-abandoned request never blocks the apply loop).
+// ingest is one queued request together with the scratch that serves it: the
+// handler decodes the body into batches, the apply loop answers into replies
+// and signals done (buffered, so a deadline-abandoned request never blocks
+// the apply loop), the handler encodes replies into out.
+//
+// Ownership: the handler owns an ingest until it enqueues it and again once
+// it has received from done; in between it is the apply loop's. A handler
+// that gives up at the decision deadline therefore never touches the scratch
+// again and never releases it — the apply loop is still reading batches and
+// writing replies — and the garbage collector reclaims it.
 type ingest struct {
 	batches []Batch
-	done    chan []Reply
+	replies []Reply
+	done    chan struct{}
+
+	line   []byte      // the body scanner's buffer
+	events []EventPair // backs every batches[i].Events
+	ids    []int64     // backs every replies[i].Cold and .Flips
+	out    []byte      // the reply lines
+}
+
+// What a released scratch slice may pin in the pool: a request with an
+// oversized line grows its slices for itself and the pool forgets them.
+const (
+	maxPooledBytes = 64 << 10 // also the body scanner's initial buffer
+	maxPooledElems = 4 << 10  // 64 KB of event pairs
+)
+
+var ingestPool = sync.Pool{New: func() any {
+	return &ingest{done: make(chan struct{}, 1), line: make([]byte, maxPooledBytes)}
+}}
+
+// release returns req to the pool. Only its exclusive owner may call it.
+func (req *ingest) release() {
+	clear(req.batches) // admissions and rejections hold strings
+	clear(req.replies)
+	req.batches = keep(req.batches, maxPooledElems)
+	req.replies = keep(req.replies, maxPooledElems)
+	req.events = keep(req.events, maxPooledElems)
+	req.ids = keep(req.ids, maxPooledElems)
+	req.out = keep(req.out, maxPooledBytes)
+	ingestPool.Put(req)
+}
+
+// keep empties a scratch slice for reuse, or drops one grown past max.
+func keep[T any](buf []T, max int) []T {
+	if cap(buf) > max {
+		return nil
+	}
+	return buf[:0]
 }
 
 // Server is the serving daemon: a single apply goroutine owns the order of
@@ -326,52 +371,49 @@ func (s *Server) applyLoop() {
 }
 
 func (s *Server) apply(req *ingest) {
-	replies := make([]Reply, len(req.batches))
 	s.mu.Lock()
 	for i := range req.batches {
-		replies[i] = s.applyLocked(&req.batches[i])
+		var r Reply
+		r, req.ids = s.applyLocked(&req.batches[i], req.ids)
+		req.replies = append(req.replies, r)
 	}
 	s.maybeSnapshotLocked(false)
 	s.mu.Unlock()
-	req.done <- replies
+	req.done <- struct{}{} // hands req back to its handler: no use after this
 }
 
 // applyLocked runs one batch through the full accept path: validate
 // everything, journal, then mutate — in that order, so every journaled
 // record is guaranteed to re-apply cleanly and every state mutation is
 // journaled (SIGKILL-safe, not fsynced) before it is acknowledged.
-// Decisions (cold/flips) are only ever emitted from a fully-applied batch.
-func (s *Server) applyLocked(b *Batch) Reply {
-	reject := func(format string, args ...any) Reply {
-		s.c.rejected.Add(1)
-		return Reply{Seq: b.Seq, Slot: b.Slot, Loaded: s.policy.LoadedCount(),
-			Error: fmt.Sprintf(format, args...)}
-	}
+// Decisions (cold/flips) are only ever emitted from a fully-applied batch;
+// their lists are cut from ids, whose grown value is returned.
+func (s *Server) applyLocked(b *Batch, ids []int64) (Reply, []int64) {
 	if b.Seq <= s.lastSeq {
 		s.c.duplicates.Add(1)
-		return Reply{Seq: b.Seq, Slot: b.Slot, Duplicate: true, Loaded: s.policy.LoadedCount()}
+		return Reply{Seq: b.Seq, Slot: b.Slot, Duplicate: true, Loaded: s.policy.LoadedCount()}, ids
 	}
 	if b.Seq != s.lastSeq+1 {
-		return reject("seq gap: got %d, want %d", b.Seq, s.lastSeq+1)
+		return s.reject(b, "seq gap: got %d, want %d", b.Seq, s.lastSeq+1), ids
 	}
 	if next := s.driver.NextSlot(); b.Slot < next {
-		return reject("stale slot %d: stream is at %d", b.Slot, next)
+		return s.reject(b, "stale slot %d: stream is at %d", b.Slot, next), ids
 	}
 	n := int64(len(s.history.Functions) + len(b.Admit))
 	prev := int64(-1)
 	for _, ev := range b.Events {
 		fid, cnt := ev[0], ev[1]
 		if fid <= prev || fid >= n {
-			return reject("events must be FuncID-ascending within [0, %d): got %d after %d", n, fid, prev)
+			return s.reject(b, "events must be FuncID-ascending within [0, %d): got %d after %d", n, fid, prev), ids
 		}
 		if cnt <= 0 || cnt > math.MaxInt32 {
-			return reject("function %d: count %d out of range", fid, cnt)
+			return s.reject(b, "function %d: count %d out of range", fid, cnt), ids
 		}
 		prev = fid
 	}
 
 	if err := s.journal.append(b); err != nil {
-		return reject("%v", err)
+		return s.reject(b, "%v", err), ids
 	}
 
 	var admitted []int64
@@ -393,26 +435,36 @@ func (s *Server) applyLocked(b *Batch) Reply {
 	info, err := s.driver.Step(b.Slot, s.fcBuf)
 	if err != nil {
 		// Unreachable after validation; surfacing it beats guessing.
-		return reject("apply seq %d: %v", b.Seq, err)
+		return s.reject(b, "apply seq %d: %v", b.Seq, err), ids
 	}
 	s.lastSeq = b.Seq
 	s.c.appliedBatches.Add(1)
 	s.c.appliedEvents.Add(int64(len(b.Events)))
 
 	r := Reply{Seq: b.Seq, Slot: b.Slot, Applied: true, Admitted: admitted, Loaded: info.Loaded}
-	if len(info.Cold) > 0 {
-		r.Cold = make([]int64, len(info.Cold))
-		for i, f := range info.Cold {
-			r.Cold[i] = int64(f)
-		}
+	r.Cold, ids = cutIDs(ids, info.Cold)
+	r.Flips, ids = cutIDs(ids, info.Flips)
+	return r, ids
+}
+
+// reject counts and answers a batch that failed validation (or the journal).
+func (s *Server) reject(b *Batch, format string, args ...any) Reply {
+	s.c.rejected.Add(1)
+	return Reply{Seq: b.Seq, Slot: b.Slot, Loaded: s.policy.LoadedCount(),
+		Error: fmt.Sprintf(format, args...)}
+}
+
+// cutIDs appends fs to ids and returns them as a list cut from it, capacity
+// clipped; no functions is the nil list.
+func cutIDs(ids []int64, fs []trace.FuncID) (list, grown []int64) {
+	if len(fs) == 0 {
+		return nil, ids
 	}
-	if len(info.Flips) > 0 {
-		r.Flips = make([]int64, len(info.Flips))
-		for i, f := range info.Flips {
-			r.Flips[i] = int64(f)
-		}
+	start := len(ids)
+	for _, f := range fs {
+		ids = append(ids, int64(f))
 	}
-	return r
+	return ids[start:len(ids):len(ids)], ids
 }
 
 // maybeSnapshotLocked snapshots when enough slots have been applied since
@@ -545,31 +597,36 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 
-	var batches []Batch
+	req := ingestPool.Get().(*ingest)
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 64<<10), maxBatchLine)
+	sc.Buffer(req.line, maxBatchLine)
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
-		var b Batch
-		if err := json.Unmarshal(line, &b); err != nil {
+		// Decoded in place: a local Batch would escape through the codec's
+		// encoding/json fallback and cost an allocation per line.
+		req.batches = append(req.batches, Batch{})
+		var err error
+		req.events, err = decodeBatch(line, &req.batches[len(req.batches)-1], req.events)
+		if err != nil {
+			req.release()
 			http.Error(w, fmt.Sprintf("bad batch line: %v", err), http.StatusBadRequest)
 			return
 		}
-		batches = append(batches, b)
 	}
 	if err := sc.Err(); err != nil {
+		req.release()
 		http.Error(w, fmt.Sprintf("read body: %v", err), http.StatusBadRequest)
 		return
 	}
-	if len(batches) == 0 {
+	if len(req.batches) == 0 {
+		req.release()
 		http.Error(w, "no batches", http.StatusBadRequest)
 		return
 	}
 
-	req := &ingest{batches: batches, done: make(chan []Reply, 1)}
 	select {
 	case s.queue <- req:
 	default:
@@ -581,25 +638,33 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			t.Stop()
 		case <-t.C:
 			s.c.shedQueue.Add(1)
+			req.release() // it never entered the queue
 			http.Error(w, "ingest queue full", http.StatusServiceUnavailable)
 			return
 		}
 	}
 
-	var replies []Reply
+	var out []byte
 	t := time.NewTimer(s.cfg.DecisionTimeout)
 	select {
-	case replies = <-req.done:
+	case <-req.done:
 		t.Stop()
+		defer req.release() // once out is written, or the connection dropped
+		for i := range req.replies {
+			req.out = append(appendReply(req.out, &req.replies[i]), '\n')
+		}
+		out = req.out
 	case <-t.C:
 		// Decision deadline passed: shed the DECISION, not the state. The
-		// apply loop still runs this request in order; the client is told
-		// to fall back to fixed keep-alive until fresher decisions arrive.
+		// apply loop still runs this request in order — and keeps req, so
+		// from here on only batches may be read, and nothing of req reused
+		// — and the client is told to fall back to fixed keep-alive until
+		// fresher decisions arrive.
 		s.c.shedDecision.Add(1)
-		replies = make([]Reply, len(batches))
-		for i, b := range batches {
-			replies[i] = Reply{Seq: b.Seq, Slot: b.Slot, Degraded: true,
-				Policy: "fixed-keepalive", Keepalive: s.cfg.FallbackKeepAlive}
+		for i := range req.batches {
+			b := &req.batches[i]
+			out = append(appendReply(out, &Reply{Seq: b.Seq, Slot: b.Slot, Degraded: true,
+				Policy: "fixed-keepalive", Keepalive: s.cfg.FallbackKeepAlive}), '\n')
 			s.c.degradedReplies.Add(1)
 		}
 	}
@@ -612,10 +677,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		panic(http.ErrAbortHandler)
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for i := range replies {
-		enc.Encode(&replies[i])
-	}
+	w.Write(out)
 }
 
 func (s *Server) handleStateHash(w http.ResponseWriter, _ *http.Request) {

@@ -20,7 +20,7 @@ import (
 )
 
 // testWorkload builds a small generated train/sim pair.
-func testWorkload(t *testing.T, funcs int, scenario string) (train, simTr *trace.Trace) {
+func testWorkload(t testing.TB, funcs int, scenario string) (train, simTr *trace.Trace) {
 	t.Helper()
 	s := experiments.Settings{Functions: funcs, Days: 3, TrainDays: 2, Seed: 1, SPES: core.DefaultConfig()}
 	if scenario != "" {
@@ -62,6 +62,15 @@ func runRef(t *testing.T, train, simTr *trace.Trace, retrainEvery, end int) *cor
 		}
 	}
 	return ref
+}
+
+// slotBatch is the ingest batch of one occupied slot (seq left to the client).
+func slotBatch(slot int, invs []trace.FuncCount) Batch {
+	b := Batch{Slot: slot}
+	for _, fc := range invs {
+		b.Events = append(b.Events, EventPair{int64(fc.Func), int64(fc.Count)})
+	}
+	return b
 }
 
 func mustHash(t *testing.T, p *core.SPES) uint64 {
@@ -151,6 +160,12 @@ func TestServeMatchesBatchRun(t *testing.T) {
 // process must never stall or panic, and — the load-shedding contract —
 // the state must end bit-identical to an unloaded run, because sheds drop
 // decisions, never applies.
+//
+// Under -race this is also the check of the scratch ownership rule: the
+// first two occupied slots go by hand, back to back, so the second request
+// arrives while the apply loop may still be reading the shed first one — whose
+// scratch, had the handler released it at the deadline, the second would now
+// be decoding into — and the replay behind them repeats that 700 times.
 func TestOverloadShedsDecisionsNotState(t *testing.T) {
 	train, simTr := testWorkload(t, 100, "flashcrowd")
 	end := 700 // keep the pile-up bounded
@@ -166,14 +181,27 @@ func TestOverloadShedsDecisionsNotState(t *testing.T) {
 	defer s.Close()
 	c.Retry = retry.Policy{MaxAttempts: 200, BaseDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond}
 
-	rep, err := Replay(c, simTr, LoadOptions{End: end})
+	idx := simTr.BuildSlotIndex()
+	start, byHand := 0, int64(0)
+	for ; byHand < 2; start++ {
+		invs := idx.Invocations[start]
+		if len(invs) == 0 {
+			continue
+		}
+		if replies, err := c.Send([]Batch{slotBatch(start, invs)}); err != nil || !(replies[0].Degraded || replies[0].Applied) {
+			t.Fatalf("slot %d under overload: %+v, %v", start, replies, err)
+		}
+		byHand++
+	}
+
+	rep, err := Replay(c, simTr, LoadOptions{Start: start, End: end})
 	if err != nil {
 		t.Fatalf("Replay under overload: %v", err)
 	}
 	if rep.Degraded == 0 {
 		t.Fatalf("expected degraded replies under a nanosecond decision deadline: %+v", rep)
 	}
-	waitApplied(t, s, rep.Slots)
+	waitApplied(t, s, rep.Slots+byHand)
 
 	ref := runRef(t, train, simTr, 0, end)
 	gotHash, _, _, err := s.StateHash()
@@ -205,11 +233,7 @@ func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
 		if len(invs) == 0 {
 			continue
 		}
-		ev := make([]EventPair, len(invs))
-		for i, fc := range invs {
-			ev[i] = EventPair{int64(fc.Func), int64(fc.Count)}
-		}
-		batches = append(batches, Batch{Slot: slot, Events: ev})
+		batches = append(batches, slotBatch(slot, invs))
 	}
 	if _, err := c.Send(append([]Batch{}, batches...)); err != nil {
 		t.Fatalf("first delivery: %v", err)
