@@ -79,56 +79,79 @@ func BenchmarkFig15_AdaptiveAblation(b *testing.B) { benchFigure(b, "15") }
 // RQ2's overhead comparison: per-Tick cost of each policy over the same
 // simulated stream, the number the paper reports as "overhead per minute".
 
-func overheadBench(b *testing.B, mk func(capacity int) sim.Policy) {
-	b.Helper()
-	s := benchSettings()
-	_, train, simTr, err := experiments.BuildWorkload(s)
+// overheadPolicies are the seven policies of the comparison; capacity is a
+// tenth of the population and only the pool-bounded baselines read it.
+// objectsPerTick is TestTickAllocationBudget's budget; the readings it is
+// pinned from are in that test's comment.
+var overheadPolicies = []struct {
+	name           string
+	mk             func(capacity int) sim.Policy
+	objectsPerTick float64
+}{
+	{"SPES", func(int) sim.Policy { return core.New(core.DefaultConfig()) }, 8.5},
+	{"Fixed", func(int) sim.Policy { return baselines.NewFixedKeepAlive(10) }, 0.06},
+	{"HybridFunction", func(int) sim.Policy { return baselines.NewHybridFunction(baselines.DefaultHybridConfig()) }, 2.4},
+	{"HybridApplication", func(int) sim.Policy { return baselines.NewHybridApplication(baselines.DefaultHybridConfig()) }, 2.1},
+	{"Defuse", func(int) sim.Policy { return baselines.NewDefuse(baselines.DefaultDefuseConfig()) }, 2.4},
+	{"FaaSCache", func(capacity int) sim.Policy { return baselines.NewFaaSCache(capacity) }, 118},
+	{"LCS", func(capacity int) sim.Policy { return baselines.NewLCS(capacity) }, 0.01},
+}
+
+// overheadWorkload is the trace pair the Overhead benchmarks and
+// TestTickAllocationBudget tick over, with the simulation window's slot
+// index.
+func overheadWorkload(tb testing.TB) (train, simTr *trace.Trace, idx *trace.SlotIndex) {
+	tb.Helper()
+	_, train, simTr, err := experiments.BuildWorkload(benchSettings())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	policy := mk(train.NumFunctions() / 10)
-	policy.Train(train)
-	idx := simTr.BuildSlotIndex()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t := i % simTr.Slots
-		policy.Tick(t, idx.Invocations[t])
+	return train, simTr, simTr.BuildSlotIndex()
+}
+
+// tickWindow drives a trained policy over slots [0, n) of the simulation
+// window the way sim.Driver does: monotone time, the load-delta log drained
+// after every Tick.
+func tickWindow(p sim.Policy, idx *trace.SlotIndex, n int) {
+	tracker, _ := p.(sim.LoadDeltaTracker)
+	for t := 0; t < n; t++ {
+		p.Tick(t, idx.Invocations[t])
+		if tracker != nil {
+			tracker.TakeLoadDeltas()
+		}
 	}
 }
 
-func BenchmarkOverhead_SPES(b *testing.B) {
-	overheadBench(b, func(int) sim.Policy { return core.New(core.DefaultConfig()) })
+// overheadBench times b.N Ticks of the named policy. Time never runs
+// backwards: when b.N outruns the simulation window, a freshly trained
+// policy starts the window again with the timer stopped.
+func overheadBench(b *testing.B, name string) {
+	b.Helper()
+	train, simTr, idx := overheadWorkload(b)
+	for _, pol := range overheadPolicies {
+		if pol.name != name {
+			continue
+		}
+		b.ResetTimer()
+		for left := b.N; left > 0; left -= simTr.Slots {
+			b.StopTimer()
+			p := pol.mk(train.NumFunctions() / 10)
+			p.Train(train)
+			b.StartTimer()
+			tickWindow(p, idx, min(left, simTr.Slots))
+		}
+		return
+	}
+	b.Fatalf("no overhead policy named %q", name)
 }
 
-func BenchmarkOverhead_Fixed(b *testing.B) {
-	overheadBench(b, func(int) sim.Policy { return baselines.NewFixedKeepAlive(10) })
-}
-
-func BenchmarkOverhead_HybridFunction(b *testing.B) {
-	overheadBench(b, func(int) sim.Policy {
-		return baselines.NewHybridFunction(baselines.DefaultHybridConfig())
-	})
-}
-
-func BenchmarkOverhead_HybridApplication(b *testing.B) {
-	overheadBench(b, func(int) sim.Policy {
-		return baselines.NewHybridApplication(baselines.DefaultHybridConfig())
-	})
-}
-
-func BenchmarkOverhead_Defuse(b *testing.B) {
-	overheadBench(b, func(int) sim.Policy {
-		return baselines.NewDefuse(baselines.DefaultDefuseConfig())
-	})
-}
-
-func BenchmarkOverhead_FaaSCache(b *testing.B) {
-	overheadBench(b, func(capacity int) sim.Policy { return baselines.NewFaaSCache(capacity) })
-}
-
-func BenchmarkOverhead_LCS(b *testing.B) {
-	overheadBench(b, func(capacity int) sim.Policy { return baselines.NewLCS(capacity) })
-}
+func BenchmarkOverhead_SPES(b *testing.B)              { overheadBench(b, "SPES") }
+func BenchmarkOverhead_Fixed(b *testing.B)             { overheadBench(b, "Fixed") }
+func BenchmarkOverhead_HybridFunction(b *testing.B)    { overheadBench(b, "HybridFunction") }
+func BenchmarkOverhead_HybridApplication(b *testing.B) { overheadBench(b, "HybridApplication") }
+func BenchmarkOverhead_Defuse(b *testing.B)            { overheadBench(b, "Defuse") }
+func BenchmarkOverhead_FaaSCache(b *testing.B)         { overheadBench(b, "FaaSCache") }
+func BenchmarkOverhead_LCS(b *testing.B)               { overheadBench(b, "LCS") }
 
 // Substrate micro-benchmarks: the pieces the end-to-end numbers decompose
 // into (workload synthesis, categorization, a full simulator run).
@@ -174,8 +197,7 @@ func BenchmarkFullSimulation_SPES(b *testing.B) {
 // into 4 app/user-closed shards simulated concurrently and merged. On a
 // single-core runner the shard runs serialize, so the comparison against
 // the unsharded benchmark bounds the sharding overhead; with >= 4 cores it
-// shows the speedup. cmd/benchjson's -sweep extends this to 10k-100k
-// sparse populations.
+// shows the speedup.
 func BenchmarkFullSimulation_SPES_Sharded(b *testing.B) {
 	s := benchSettings()
 	_, train, simTr, err := experiments.BuildWorkload(s)

@@ -8,20 +8,22 @@
 //	go run ./cmd/eqvcheck -functions 10000 -sparse -shards 8 -seeds 3 -stream
 //
 // -scenario runs every check over a non-stationary library workload
-// (drift, flash crowds, churn, deploy waves), and -retrain additionally
+// (drift, flash crowds, churn, deploy waves), and -retrain-every additionally
 // enables SPES's online re-categorization in all engines — together they
 // assert that neither time-varying workloads nor mid-simulation
 // retraining opens any daylight between the engines:
 //
-//	go run ./cmd/eqvcheck -functions 600 -scenario churn -retrain 1440 -shards 2 -stream
+//	go run ./cmd/eqvcheck -functions 600 -scenario churn -retrain-every 1440 -shards 2 -stream
 //
 // -stream also exercises the shard cache with a disk tier: a cold, a warm,
 // and a warm-after-restart (fresh in-memory cache over the same entry
-// directory) pass must all match the dense reference. -cachedir persists
+// directory) pass must all match the dense reference. -cache-dir persists
 // the entry directory across invocations — CI runs eqvcheck twice against
 // one directory and asserts with -mindiskhits that the second process was
-// served from disk; without -cachedir a temporary directory is used and
-// removed.
+// served from disk; without -cache-dir a temporary directory is used and
+// removed. A -cache-dir run is also resumable: SIGINT/SIGTERM closes
+// sim.Options.Stop, the in-flight shards drain into the directory, and the
+// process exits 130; the same command again is served what was completed.
 //
 // -faults <seed> runs the -stream checks under deterministic injected
 // faults (internal/faultinject): disk reads/writes/renames fail or corrupt
@@ -58,16 +60,19 @@
 // with every result compared bit-for-bit. A shard-cache pass over the
 // store source then asserts the store's content fingerprints actually key
 // the cache (second pass: all in-memory hits). Generation flags are
-// ignored; -traindays/-shards/-workers apply:
+// ignored; -train-days/-shards/-workers apply:
 //
-//	go run ./cmd/eqvcheck -ingest testdata/azure_sample.csv -traindays 3
+//	go run ./cmd/eqvcheck -ingest testdata/azure_sample.csv -train-days 3
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"os/signal"
 	"reflect"
+	"syscall"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
@@ -80,15 +85,38 @@ import (
 
 func main() {
 	if err := run(); err != nil {
+		if errors.Is(err, sim.ErrInterrupted) {
+			// A drained interruption is a clean, resumable exit, reported
+			// with the conventional 130.
+			fmt.Fprintln(os.Stderr, "eqvcheck: interrupted; completed shards are in the -cache-dir — rerun with the same flags to resume")
+			os.Exit(130)
+		}
 		fmt.Fprintln(os.Stderr, "eqvcheck:", err)
 		os.Exit(1)
 	}
 }
 
+// drainOnSignal returns a channel closed at the first SIGINT or SIGTERM, for
+// sim.Options.Stop: the sharded engines start no new shard, drain the ones in
+// flight (their outcomes reach the cache) and return sim.ErrInterrupted. A
+// second signal kills the old-fashioned way.
+func drainOnSignal() <-chan struct{} {
+	stop := make(chan struct{})
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	go func() {
+		<-sigc
+		fmt.Fprintln(os.Stderr, "eqvcheck: signal received; draining in-flight shards...")
+		close(stop)
+		signal.Stop(sigc)
+	}()
+	return stop
+}
+
 func run() error {
 	functions := flag.Int("functions", 400, "population size")
 	days := flag.Int("days", 8, "trace length in days")
-	trainDays := flag.Int("traindays", 6, "training window in days")
+	trainDays := flag.Int("train-days", 6, "training window in days")
 	shards := flag.Int("shards", 4, "shard count for the sharded engine (0 disables the sharded check)")
 	seeds := flag.Int("seeds", 3, "number of seeds to check")
 	sparse := flag.Bool("sparse", false, "use the mostly-idle trigger mix (large-n regime)")
@@ -96,10 +124,10 @@ func run() error {
 	streamOnly := flag.Bool("streamonly", false, "check only streamed engines (-shards vs 2x -shards) without ever materializing a trace; peak residency stays O(functions/shards)")
 	maxHeap := flag.Uint64("maxheap", 0, "exit non-zero if sampled peak HeapInuse exceeds this many bytes (0: unbounded)")
 	workers := flag.Int("workers", 0, "concurrent shard-run cap (0: one per core); streamed residency is up to TWO shards (pipelined prefetch) of O(functions/shards) event series PER in-flight worker, so -maxheap bounds need a fixed worker count, not the runner's core count")
-	cacheDir := flag.String("cachedir", "", "disk-cache entry directory for the -stream cache checks (persists across runs; empty: a temporary directory, removed on exit)")
-	minDiskHits := flag.Int("mindiskhits", 0, "fail unless the cold passes were served at least this many shard entries from the disk cache — asserts that a previous process's -cachedir entries survived the restart (0: no assertion)")
-	scenario := flag.String("scenario", "", "run the checks over a non-stationary library scenario (steady|drift|flashcrowd|churn|deploy-wave) positioned at the -traindays split (empty: stationary)")
-	retrain := flag.Int("retrain", 0, "enable SPES online re-categorization every this many slots in every engine under comparison (0: off)")
+	cacheDir := flag.String("cache-dir", "", "disk-cache entry directory for the -stream cache checks (persists across runs, and makes the run resumable: SIGINT/SIGTERM drains in-flight shards into it and exits 130; empty: a temporary directory, removed on exit)")
+	minDiskHits := flag.Int("mindiskhits", 0, "fail unless the cold passes were served at least this many shard entries from the disk cache — asserts that a previous process's -cache-dir entries survived the restart (0: no assertion)")
+	scenario := flag.String("scenario", "", "run the checks over a non-stationary library scenario (steady|drift|flashcrowd|churn|deploy-wave) positioned at the -train-days split (empty: stationary)")
+	retrain := flag.Int("retrain-every", 0, "enable SPES online re-categorization every this many slots in every engine under comparison (0: off)")
 	faultSeed := flag.Int64("faults", 0, "non-zero: run the -stream checks under deterministic injected faults with this schedule seed; completed runs must stay bit-identical to the clean dense reference")
 	capCheck := flag.Bool("capacity", false, "additionally check the capacity-arbitrated sharded engine: FaaSCache and LCS under shard counts {2, 5, 16} (and streamed at -shards with -stream) must be bit-identical to their unsharded runs")
 	ingestCSV := flag.String("ingest", "", "real-trace mode: check this Azure-format CSV through materialized, sharded, and columnar-store (cold + warm) paths for bit-identity; generation flags are ignored")
@@ -107,13 +135,13 @@ func run() error {
 
 	if *ingestCSV != "" {
 		if *stream || *streamOnly || *capCheck || *scenario != "" || *faultSeed != 0 || *retrain != 0 || *cacheDir != "" || *minDiskHits != 0 {
-			return fmt.Errorf("-ingest is a self-contained mode; it cannot be combined with -stream, -streamonly, -capacity, -scenario, -faults, -retrain, -cachedir, or -mindiskhits")
+			return fmt.Errorf("-ingest is a self-contained mode; it cannot be combined with -stream, -streamonly, -capacity, -scenario, -faults, -retrain-every, -cache-dir, or -mindiskhits")
 		}
 		if *shards < 2 {
 			return fmt.Errorf("-ingest needs -shards >= 2 (a green run must actually exercise the store partition), got %d", *shards)
 		}
 		if *trainDays <= 0 {
-			return fmt.Errorf("-traindays must be positive, got %d", *trainDays)
+			return fmt.Errorf("-train-days must be positive, got %d", *trainDays)
 		}
 		return runIngestCheck(*ingestCSV, *trainDays, *shards, *workers, *maxHeap)
 	}
@@ -127,7 +155,7 @@ func run() error {
 		return fmt.Errorf("-days must be positive, got %d", *days)
 	}
 	if *trainDays <= 0 || *trainDays >= *days {
-		return fmt.Errorf("-traindays %d outside (0, %d): the workload needs both a training and a simulation window", *trainDays, *days)
+		return fmt.Errorf("-train-days %d outside (0, %d): the workload needs both a training and a simulation window", *trainDays, *days)
 	}
 	if *seeds < 1 {
 		return fmt.Errorf("-seeds must be >= 1, got %d", *seeds)
@@ -149,11 +177,11 @@ func run() error {
 	if *streamOnly && (*stream || *cacheDir != "" || *minDiskHits > 0) {
 		// The streamonly branch never touches the disk cache; accepting
 		// these flags there would silently skip the assertions they imply.
-		return fmt.Errorf("-streamonly cannot be combined with -stream, -cachedir, or -mindiskhits")
+		return fmt.Errorf("-streamonly cannot be combined with -stream, -cache-dir, or -mindiskhits")
 	}
 
 	if *retrain < 0 {
-		return fmt.Errorf("-retrain must be >= 0, got %d", *retrain)
+		return fmt.Errorf("-retrain-every must be >= 0, got %d", *retrain)
 	}
 	if *faultSeed != 0 && !*stream {
 		return fmt.Errorf("-faults needs -stream (the fault surface — disk cache and shard workers — only runs there)")
@@ -195,11 +223,11 @@ func run() error {
 			if err := s.ApplyScenario(*scenario); err != nil {
 				return err
 			}
-			a, err := runStreamed(s, *shards, *workers, *retrain, nil)
+			a, err := runStreamed(s, *shards, sim.Options{Workers: *workers, RetrainEvery: *retrain})
 			if err != nil {
 				return err
 			}
-			b, err := runStreamed(s, 2*(*shards), *workers, *retrain, nil)
+			b, err := runStreamed(s, 2*(*shards), sim.Options{Workers: *workers, RetrainEvery: *retrain})
 			if err != nil {
 				return err
 			}
@@ -215,9 +243,14 @@ func run() error {
 	// One disk tier is shared by every seed's cache checks; entries are
 	// content-keyed, so seeds never collide.
 	var disk *sim.DiskCache
+	// Only a run over a persistent -cache-dir has anything to resume from,
+	// so only there do signals drain instead of kill (a nil Stop never fires).
+	var stop <-chan struct{}
 	if *stream {
 		dir := *cacheDir
-		if dir == "" {
+		if dir != "" {
+			stop = drainOnSignal()
+		} else {
 			tmp, err := os.MkdirTemp("", "eqvcheck-cache-*")
 			if err != nil {
 				return err
@@ -259,7 +292,7 @@ func run() error {
 		}
 		if *shards > 1 {
 			rs, err := sim.Run(core.New(core.DefaultConfig()), train, simTr,
-				sim.Options{Shards: *shards, RetrainEvery: *retrain, FaultHook: hook})
+				sim.Options{Shards: *shards, RetrainEvery: *retrain, FaultHook: hook, Stop: stop})
 			if err != nil {
 				return err
 			}
@@ -268,7 +301,7 @@ func run() error {
 			}
 		}
 		if *stream {
-			rs, err := runStreamed(s, *shards, *workers, *retrain, hook)
+			rs, err := runStreamed(s, *shards, sim.Options{Workers: *workers, RetrainEvery: *retrain, FaultHook: hook, Stop: stop})
 			if err != nil {
 				return err
 			}
@@ -277,7 +310,7 @@ func run() error {
 			}
 
 			// Shard-cache check, through the disk tier: a cold pass (misses
-			// in this process — or disk hits, when -cachedir carries entries
+			// in this process — or disk hits, when -cache-dir carries entries
 			// from an earlier process), a warm pass (in-memory hits), and a
 			// warm-after-restart pass (a FRESH in-memory cache over the same
 			// entry directory, so every hit must restore from disk) must all
@@ -292,7 +325,7 @@ func run() error {
 			cache.AttachDisk(disk)
 			runCached := func(label string) error {
 				rc, err := sim.Run(core.New(core.DefaultConfig()), train, simTr,
-					sim.Options{Shards: *shards, Cache: cache, RetrainEvery: *retrain, FaultHook: hook})
+					sim.Options{Shards: *shards, Cache: cache, RetrainEvery: *retrain, FaultHook: hook, Stop: stop})
 				if err != nil {
 					return err
 				}
@@ -308,7 +341,7 @@ func run() error {
 			coldSt := cache.Stats()
 			if inj == nil {
 				// Cold pass: one lookup per shard, none served from memory —
-				// every hit must be a disk restore (a pre-warmed -cachedir)
+				// every hit must be a disk restore (a pre-warmed -cache-dir)
 				// and everything else a miss.
 				if coldSt.Hits+coldSt.Misses != int64(*shards) || coldSt.Hits != coldSt.DiskHits {
 					return fmt.Errorf("seed %d: cold pass stats %+v, want %d lookups with no in-memory hits", seed, coldSt, *shards)
@@ -331,7 +364,7 @@ func run() error {
 			restarted := sim.NewShardCache()
 			restarted.AttachDisk(disk)
 			rr, err := sim.Run(core.New(core.DefaultConfig()), train, simTr,
-				sim.Options{Shards: *shards, Cache: restarted, RetrainEvery: *retrain, FaultHook: hook})
+				sim.Options{Shards: *shards, Cache: restarted, RetrainEvery: *retrain, FaultHook: hook, Stop: stop})
 			if err != nil {
 				return err
 			}
@@ -351,7 +384,7 @@ func run() error {
 			seed, rd.TotalColdStarts, rd.TotalWMT, rd.TotalMemory)
 	}
 	if *minDiskHits > 0 && coldDiskHits < int64(*minDiskHits) {
-		return fmt.Errorf("cold passes restored %d entries from the disk cache, want >= %d (did the -cachedir survive the restart?)", coldDiskHits, *minDiskHits)
+		return fmt.Errorf("cold passes restored %d entries from the disk cache, want >= %d (did the -cache-dir survive the restart?)", coldDiskHits, *minDiskHits)
 	}
 	if *stream {
 		fmt.Printf("disk cache: %d entries restored on cold passes\n", coldDiskHits)
@@ -385,7 +418,7 @@ func runIngestCheck(path string, trainDays, shards, workers int, maxHeap uint64)
 	}
 	splitAt := trainDays * 1440
 	if splitAt <= 0 || splitAt >= full.Slots {
-		return fmt.Errorf("-traindays %d out of range for a %d-slot trace", trainDays, full.Slots)
+		return fmt.Errorf("-train-days %d out of range for a %d-slot trace", trainDays, full.Slots)
 	}
 	train, simTr := full.Split(splitAt)
 
@@ -540,15 +573,13 @@ func checkCapacity(s experiments.Settings, seed int64, train, simTr *trace.Trace
 
 // runStreamed simulates SPES over the settings' workload through the
 // streamed engine: the trace pair is produced one shard at a time inside
-// the simulation workers, pipelined with their simulations. A non-nil hook
-// injects worker faults at the shard boundary.
-func runStreamed(s experiments.Settings, shards, workers, retrain int, hook sim.ShardFaultHook) (*sim.Result, error) {
+// the simulation workers, pipelined with their simulations.
+func runStreamed(s experiments.Settings, shards int, opts sim.Options) (*sim.Result, error) {
 	src, err := experiments.StreamSource(s, shards)
 	if err != nil {
 		return nil, err
 	}
-	return sim.RunStreamed(core.New(core.DefaultConfig()), src,
-		sim.Options{Workers: workers, RetrainEvery: retrain, FaultHook: hook})
+	return sim.RunStreamed(core.New(core.DefaultConfig()), src, opts)
 }
 
 // checkHeap enforces -maxheap over the sampled run.

@@ -38,7 +38,7 @@ func main() {
 	trainDays := flag.Int("train-days", 4, "workload: training days")
 	seed := flag.Int64("seed", 1, "workload: seed")
 	scenario := flag.String("scenario", "", "workload scenario (steady, drift, flashcrowd, churn, deploy-wave)")
-	retrain := flag.Int("retrain", 1440, "online re-categorization period in slots (0 disables)")
+	retrain := flag.Int("retrain-every", 1440, "online re-categorization period in slots (0 disables)")
 	snapEvery := flag.Int("snap-every", 1440, "slots between automatic state snapshots (negative disables)")
 	queueDepth := flag.Int("queue-depth", 64, "bounded ingest queue depth (requests)")
 	enqueueTimeout := flag.Duration("enqueue-timeout", time.Second, "backpressure budget before a request is shed with 503")

@@ -1,9 +1,10 @@
-// Kill-and-resume proof: a sweep process SIGKILLed mid-run leaves a
-// journal + disk cache from which a rerun with the same flags completes
-// bit-identical to a never-interrupted run, re-simulating only the units
-// the dead process had not journaled. The sweep runs in a child process
-// (re-exec of this test binary) so the kill is a real SIGKILL — no
-// deferred cleanup, no flush on the way out.
+// Kill-and-resume proof: a sweep process SIGKILLed mid-run leaves a disk
+// cache from which a rerun with the same flags completes bit-identical to a
+// never-interrupted run, re-simulating only the units whose entries the dead
+// process had not committed. The checksummed DiskCache entries are the one
+// resume record. The sweep runs in a child process (re-exec of this test
+// binary) so the kill is a real SIGKILL — no deferred cleanup, no flush on
+// the way out.
 package main
 
 import (
@@ -53,14 +54,8 @@ func TestFaultToleranceHelperProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	man, err := sim.OpenSweepManifest(filepath.Join(dir, "sweep.journal"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer man.Close()
 	cache := sim.NewShardCache()
 	cache.AttachDisk(disk)
-	cache.AttachManifest(man)
 	var hook sim.ShardFaultHook
 	if delayMs > 0 {
 		hook = delayHook(time.Duration(delayMs) * time.Millisecond)
@@ -86,15 +81,16 @@ func TestFaultToleranceHelperProcess(t *testing.T) {
 		}
 	}
 	st := cache.Stats()
-	line := fmt.Sprintf("%016x %d %d\n", h.Sum64(), man.Recovered(), st.DiskHits)
+	line := fmt.Sprintf("%016x %d %d\n", h.Sum64(), st.DiskHits, st.Misses)
 	if err := os.WriteFile(os.Getenv(ftOutEnv), []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // runHelper re-execs this test binary as the sweep child and parses its
-// report: results hash, units replayed from the journal, disk hits.
-func runHelper(t *testing.T, dir string, delayMs int) (hash string, resumed, diskHits int) {
+// report: results hash, units restored from disk entries, and units it
+// simulated and stored itself (every miss of a completed sweep is one).
+func runHelper(t *testing.T, dir string, delayMs int) (hash string, diskHits, stored int) {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
@@ -117,21 +113,21 @@ func runHelper(t *testing.T, dir string, delayMs int) (hash string, resumed, dis
 	if len(f) != 3 {
 		t.Fatalf("malformed helper report %q", b)
 	}
-	resumed, _ = strconv.Atoi(f[1])
-	diskHits, _ = strconv.Atoi(f[2])
-	return f[0], resumed, diskHits
+	diskHits, _ = strconv.Atoi(f[1])
+	stored, _ = strconv.Atoi(f[2])
+	return f[0], diskHits, stored
 }
 
 func TestKillAndResumeBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses; skipped in -short")
 	}
-	cleanHash, _, _ := runHelper(t, t.TempDir(), 0)
+	cleanHash, _, cleanStored := runHelper(t, t.TempDir(), 0)
 
-	// Start the same sweep slowed down, wait until it has journaled at
-	// least two units, and SIGKILL it — no drain, no flush.
+	// Start the same sweep slowed down, wait until it has committed at
+	// least two entries, and SIGKILL it — no drain, no flush. Entries are
+	// committed by temp file + rename, so a listed entry is a whole entry.
 	dir := t.TempDir()
-	journal := filepath.Join(dir, "sweep.journal")
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
@@ -144,39 +140,37 @@ func TestKillAndResumeBitIdentical(t *testing.T) {
 	if err := victim.Start(); err != nil {
 		t.Fatal(err)
 	}
-	journaledAtKill := 0
+	entriesAtKill := 0
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		if b, err := os.ReadFile(journal); err == nil {
-			if n := strings.Count(string(b), "\n"); n >= 2 {
-				journaledAtKill = n
-				break
-			}
+		if names, _ := filepath.Glob(filepath.Join(dir, "shard-*.sce")); len(names) >= 2 {
+			entriesAtKill = len(names)
+			break
 		}
 		time.Sleep(25 * time.Millisecond)
 	}
-	if journaledAtKill == 0 {
+	if entriesAtKill == 0 {
 		victim.Process.Kill()
 		victim.Wait()
-		t.Fatal("victim journaled nothing within 30s; cannot stage a mid-run kill")
+		t.Fatal("victim committed fewer than two entries within 30s; cannot stage a mid-run kill")
 	}
 	if err := victim.Process.Kill(); err != nil {
 		t.Fatal(err)
 	}
 	victim.Wait() // reap; a SIGKILLed child reports an error by design
 
-	// The rerun must replay the dead process's journal (a SIGKILL can tear
-	// at most the final line) and finish bit-identical to the clean run.
-	resumeHash, resumed, diskHits := runHelper(t, dir, 0)
+	// The rerun must be served every entry the dead process committed,
+	// simulate only the rest, and finish bit-identical to the clean run.
+	resumeHash, diskHits, stored := runHelper(t, dir, 0)
+	t.Logf("killed at %d committed entries; the rerun restored %d and simulated %d of the clean run's %d units",
+		entriesAtKill, diskHits, stored, cleanStored)
 	if resumeHash != cleanHash {
 		t.Errorf("resumed run hash %s != clean run hash %s — resume changed results", resumeHash, cleanHash)
 	}
-	if resumed < journaledAtKill-1 || resumed < 1 {
-		t.Errorf("resume replayed %d units, want >= %d journaled at kill time (minus at most one torn line)",
-			resumed, journaledAtKill-1)
+	if diskHits < entriesAtKill {
+		t.Errorf("resumed run restored %d entries from disk, want >= the %d present at the kill", diskHits, entriesAtKill)
 	}
-	if diskHits < resumed-1 {
-		t.Errorf("resumed cold pass restored %d entries from disk, want >= %d (journaled units minus at most one damaged entry)",
-			diskHits, resumed-1)
+	if stored >= cleanStored {
+		t.Errorf("resumed run simulated %d units, the clean run %d — it resumed nothing", stored, cleanStored)
 	}
 }

@@ -1,5 +1,5 @@
 // Package durable is the one durable-file layer under every persistent
-// format in the tree: the sweep disk cache and its journal (internal/sim),
+// format in the tree: the sweep disk cache (internal/sim),
 // the serving daemon's write-ahead log and snapshots (internal/serve), the
 // policy state blob (internal/core) and the columnar trace store
 // (internal/trace). It holds exactly one of each mechanism those formats
@@ -11,13 +11,12 @@
 // What stays with the callers is policy: which magic and version a file
 // carries, and what a reader does with a file or record that fails
 // verification (a cache miss, an older snapshot generation, ErrStoreCorrupt,
-// a skipped journal line, a truncated log). Nothing here branches on who is
-// calling.
+// a truncated log). Nothing here branches on who is calling.
 //
 // Durability class: every path through this package survives SIGKILL — a
 // committed file is complete or absent, an appended record is in the kernel
 // or torn at the tail — and none of it fsyncs. Surviving power loss is the
-// caller's choice through File.Sync; only sim.SweepManifest.Flush makes it.
+// caller's choice through File.Sync; no caller in the tree makes it today.
 package durable
 
 import (

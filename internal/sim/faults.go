@@ -16,9 +16,9 @@ import (
 
 // ErrInterrupted is the sentinel wrapped by every error a cancelled run
 // returns: Options.Stop was closed, the in-flight shards were drained (their
-// outcomes journaled and cached as usual), and the remaining shards were
-// never started. A caller that sees it can rerun with the same options to
-// resume — completed units replay from the manifest/cache.
+// outcomes cached as usual), and the remaining shards were never started. A
+// caller that sees it can rerun with the same options to resume — completed
+// units are served from the attached cache's disk tier.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
 // ErrNotShardable is the sentinel wrapped by the refusal a sharded or

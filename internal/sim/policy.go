@@ -15,7 +15,8 @@
 // residency; trace.StoreSource and GeneratorSource both satisfy it),
 // shard-outcome caching (ShardCache, DiskCache, keyed by config hash and
 // trace fingerprint), cross-shard capacity arbitration (CapacityPolicy),
-// and fault-tolerant sweep execution (Sweep, SweepManifest).
+// and fault-tolerant sweep execution (Sweep over a DiskCache-backed
+// ShardCache: the disk entries are what a killed sweep resumes from).
 package sim
 
 import "repro/internal/trace"

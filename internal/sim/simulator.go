@@ -87,9 +87,9 @@ type Options struct {
 
 	// Stop, when non-nil, requests a graceful cancellation when closed: the
 	// sharded engine starts no new shard work, drains the shards already in
-	// flight (their outcomes are cached and journaled as usual), and
-	// returns an error wrapping ErrInterrupted. Rerunning with the same
-	// options resumes from the completed units.
+	// flight (their outcomes are cached as usual), and returns an error
+	// wrapping ErrInterrupted. Rerunning with the same options resumes
+	// from the completed units in the cache's disk tier.
 	Stop <-chan struct{}
 
 	// FaultHook, when non-nil, is called at the shard-worker boundary
@@ -230,7 +230,7 @@ type slotLog struct {
 // failures retry per Options.Retry, and the returned error is an
 // errors.Join of one structured ShardError per shard that still failed
 // (unpack with errors.As). Completed shards' outcomes persist in the
-// attached cache/manifest, so a rerun resumes rather than starting over.
+// attached cache, so a rerun resumes rather than starting over.
 // A run cancelled via Options.Stop returns an error wrapping
 // ErrInterrupted after draining in-flight shards.
 func Run(policy Policy, training, simTrace *trace.Trace, opts Options) (*Result, error) {
@@ -590,8 +590,8 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	// shard contributes its ShardError, and a cancelled run additionally
 	// wraps ErrInterrupted. A partial merge would be a wrong Result, so any
 	// failure means a nil Result — but the completed shards' outcomes are
-	// already cached and journaled, which is what makes a rerun resume
-	// instead of starting over.
+	// already cached, which is what makes a rerun resume instead of
+	// starting over.
 	var joined []error
 	interrupted := false
 	for i, err := range errs {
