@@ -51,10 +51,10 @@ func TestShardCacheHitReproducesMiss(t *testing.T) {
 	assertSameResult(t, "warm hit vs cold miss", cold, warm)
 }
 
-// TestStreamedSweepMatchesMaterialized drives sim.NewStreamedSweep: a
-// theta sweep over a generator source must reproduce the materialized
-// unsharded runs bit for bit, and a second (warm) pass must be served
-// entirely from the cache — for a generator-backed source a hit is keyed
+// TestStreamedSweepMatchesMaterialized drives a streamed sweep —
+// sim.RunStreamed per point through one Options.Cache: a theta sweep over a
+// generator source must reproduce the materialized unsharded runs bit for
+// bit, and a second (warm) pass must be served entirely from the cache — for a generator-backed source a hit is keyed
 // on the derivation, so the warm pass never generates a shard at all.
 func TestStreamedSweepMatchesMaterialized(t *testing.T) {
 	s := eqvSettings(13)
@@ -67,10 +67,7 @@ func TestStreamedSweepMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sweep, err := sim.NewStreamedSweep(src, sim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cache := sim.NewShardCache()
 
 	thetas := []int{1, 2}
 	pass := func(label string) []*sim.Result {
@@ -78,7 +75,7 @@ func TestStreamedSweepMatchesMaterialized(t *testing.T) {
 		for _, theta := range thetas {
 			cfg := core.DefaultConfig()
 			cfg.Classify.ThetaPrewarm = theta
-			res, err := sweep.Run(core.New(cfg))
+			res, err := sim.RunStreamed(core.New(cfg), src, sim.Options{Cache: cache})
 			if err != nil {
 				t.Fatalf("%s theta=%d: %v", label, theta, err)
 			}
@@ -96,11 +93,11 @@ func TestStreamedSweepMatchesMaterialized(t *testing.T) {
 		}
 		assertSameResult(t, fmt.Sprintf("streamed sweep theta=%d vs materialized", theta), ref, cold[i])
 	}
-	if st := sweep.Cache().Stats(); st.Hits != 0 || st.Misses != int64(len(thetas)*shards) {
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != int64(len(thetas)*shards) {
 		t.Fatalf("cold pass stats = %+v, want 0 hits / %d misses", st, len(thetas)*shards)
 	}
 	warm := pass("warm")
-	if st := sweep.Cache().Stats(); st.Hits != int64(len(thetas)*shards) {
+	if st := cache.Stats(); st.Hits != int64(len(thetas)*shards) {
 		t.Fatalf("warm pass stats = %+v, want %d hits", st, len(thetas)*shards)
 	}
 	for i := range cold {
@@ -131,15 +128,11 @@ func TestDiskCacheRestartReproducesCold(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sweep, err := sim.NewStreamedSweep(src, sim.Options{Cache: cache})
-		if err != nil {
-			t.Fatal(err)
-		}
 		var out []*sim.Result
 		for _, theta := range thetas {
 			cfg := core.DefaultConfig()
 			cfg.Classify.ThetaPrewarm = theta
-			res, err := sweep.Run(core.New(cfg))
+			res, err := sim.RunStreamed(core.New(cfg), src, sim.Options{Cache: cache})
 			if err != nil {
 				t.Fatalf("%s theta=%d: %v", label, theta, err)
 			}

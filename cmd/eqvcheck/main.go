@@ -1,66 +1,45 @@
 // Command eqvcheck is the CLI form of the engine-equivalence tests, at a
 // scale the unit suite does not run on every invocation: it simulates SPES
 // with the dense reference engine, the event-driven engine, the sharded
-// engine, and (with -stream) the streamed engine over seeded workloads and
-// exits non-zero on the first sim.Result mismatch.
+// engine, and (with -stream) the streamed engine and the disk-backed shard
+// cache over seeded workloads, compares every sim.Result with Result.Diff,
+// and exits non-zero on the first mismatch. Workloads come through
+// experiments.Open, so the doors under comparison are the doors users get.
 //
 //	go run ./cmd/eqvcheck                         # 400 functions, shards 4
 //	go run ./cmd/eqvcheck -functions 10000 -sparse -shards 8 -seeds 3 -stream
 //
-// -scenario runs every check over a non-stationary library workload
-// (drift, flash crowds, churn, deploy waves), and -retrain-every additionally
-// enables SPES's online re-categorization in all engines — together they
-// assert that neither time-varying workloads nor mid-simulation
-// retraining opens any daylight between the engines:
+// Non-stationary workloads and online retraining, in every engine at once:
 //
 //	go run ./cmd/eqvcheck -functions 600 -scenario churn -retrain-every 1440 -shards 2 -stream
 //
-// -stream also exercises the shard cache with a disk tier: a cold, a warm,
-// and a warm-after-restart (fresh in-memory cache over the same entry
-// directory) pass must all match the dense reference. -cache-dir persists
-// the entry directory across invocations — CI runs eqvcheck twice against
-// one directory and asserts with -mindiskhits that the second process was
-// served from disk; without -cache-dir a temporary directory is used and
-// removed. A -cache-dir run is also resumable: SIGINT/SIGTERM closes
-// sim.Options.Stop, the in-flight shards drain into the directory, and the
-// process exits 130; the same command again is served what was completed.
+// The -stream cache passes (cold, warm, warm after a restart) share one
+// entry directory. -cache-dir persists it: a second process must be served
+// from disk (-mindiskhits asserts it), and the run becomes resumable —
+// SIGINT/SIGTERM drains the in-flight shards into it and exits 130.
 //
-// -faults <seed> runs the -stream checks under deterministic injected
-// faults (internal/faultinject): disk reads/writes/renames fail or corrupt
-// on a seeded schedule, shard workers panic on first attempts and stall.
-// The dense reference runs clean; every faulted engine and cache pass must
-// still match it bit-for-bit — the completes ⇒ bit-identical invariant.
-// Exact cache-tier traffic assertions are relaxed (a failed restore
-// legitimately re-simulates), result equality never is:
+// Deterministic injected faults (internal/faultinject: failing and corrupt
+// disk operations, panicking and stalling shard workers); the reference runs
+// clean and every faulted pass must still match it bit for bit:
 //
 //	go run ./cmd/eqvcheck -functions 400 -shards 4 -stream -faults 7
 //
-// -capacity additionally checks the capacity-arbitrated sharded engine:
-// FaaSCache and LCS (whose global memory budget couples every function to
-// every other) run unsharded and under shard counts {2, 5, 16} — plus the
-// streamed engine at -shards when -stream is set — and every sharded run
-// must be bit-identical to the unsharded reference:
+// The capacity-arbitrated engine: FaaSCache and LCS unsharded against shard
+// counts {2, 5, 16}, plus streamed at -shards with -stream:
 //
 //	go run ./cmd/eqvcheck -capacity -stream -shards 4
 //
-// -streamonly is the memory-guard mode: it never materializes a trace —
-// only streamed engines run, at -shards and 2x -shards, compared against
-// each other — so peak residency stays O(n/shards) and -maxheap can bound
-// it. CI runs a 100k-function sparse population this way under GOMEMLIMIT;
-// a regression that materializes O(n) state trips the bound.
+// The memory guard: only streamed engines run (-shards against 2x -shards),
+// no trace is ever materialized, and -maxheap bounds the sampled peak. CI
+// runs 100k sparse functions this way under GOMEMLIMIT:
 //
 //	go run ./cmd/eqvcheck -streamonly -functions 100000 -sparse -shards 16 \
 //	    -seeds 1 -maxheap 268435456
 //
-// -ingest <csv> is the real-trace equivalence mode: the named Azure-format
-// CSV is materialized with trace.ReadCSV AND ingested into a temporary
-// columnar shard store (trace.IngestCSV), and SPES plus a baseline run over
-// both — unsharded materialized, sharded materialized, cold store-sourced,
-// and warm store-sourced (a fresh OpenStore, proving the re-read path) —
-// with every result compared bit-for-bit. A shard-cache pass over the
-// store source then asserts the store's content fingerprints actually key
-// the cache (second pass: all in-memory hits). Generation flags are
-// ignored; -train-days/-shards/-workers apply:
+// The real-trace doors: one Azure-format CSV materialized, sharded, ingested
+// into a temporary columnar store (cold) and re-opened (warm), SPES plus a
+// baseline over each, then a store-sourced cache pass whose second run must
+// be all in-memory hits (the store's fingerprints key the cache):
 //
 //	go run ./cmd/eqvcheck -ingest testdata/azure_sample.csv -train-days 3
 package main
@@ -71,7 +50,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"reflect"
 	"syscall"
 
 	"repro/internal/baselines"
@@ -80,7 +58,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/memwatch"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -114,19 +91,17 @@ func drainOnSignal() <-chan struct{} {
 }
 
 func run() error {
-	functions := flag.Int("functions", 400, "population size")
-	days := flag.Int("days", 8, "trace length in days")
-	trainDays := flag.Int("train-days", 6, "training window in days")
+	s := experiments.DefaultSettings()
+	s.Functions, s.Days, s.TrainDays = 400, 8, 6 // the seed is set per -seeds pass
+	s.RegisterFlags(flag.CommandLine, "functions", "days", "train-days", "scenario", "sparse")
 	shards := flag.Int("shards", 4, "shard count for the sharded engine (0 disables the sharded check)")
 	seeds := flag.Int("seeds", 3, "number of seeds to check")
-	sparse := flag.Bool("sparse", false, "use the mostly-idle trigger mix (large-n regime)")
 	stream := flag.Bool("stream", false, "additionally check the streamed engine (sim.RunStreamed over a generator source) and the disk-backed shard cache against the dense reference")
 	streamOnly := flag.Bool("streamonly", false, "check only streamed engines (-shards vs 2x -shards) without ever materializing a trace; peak residency stays O(functions/shards)")
 	maxHeap := flag.Uint64("maxheap", 0, "exit non-zero if sampled peak HeapInuse exceeds this many bytes (0: unbounded)")
 	workers := flag.Int("workers", 0, "concurrent shard-run cap (0: one per core); streamed residency is up to TWO shards (pipelined prefetch) of O(functions/shards) event series PER in-flight worker, so -maxheap bounds need a fixed worker count, not the runner's core count")
 	cacheDir := flag.String("cache-dir", "", "disk-cache entry directory for the -stream cache checks (persists across runs, and makes the run resumable: SIGINT/SIGTERM drains in-flight shards into it and exits 130; empty: a temporary directory, removed on exit)")
 	minDiskHits := flag.Int("mindiskhits", 0, "fail unless the cold passes were served at least this many shard entries from the disk cache — asserts that a previous process's -cache-dir entries survived the restart (0: no assertion)")
-	scenario := flag.String("scenario", "", "run the checks over a non-stationary library scenario (steady|drift|flashcrowd|churn|deploy-wave) positioned at the -train-days split (empty: stationary)")
 	retrain := flag.Int("retrain-every", 0, "enable SPES online re-categorization every this many slots in every engine under comparison (0: off)")
 	faultSeed := flag.Int64("faults", 0, "non-zero: run the -stream checks under deterministic injected faults with this schedule seed; completed runs must stay bit-identical to the clean dense reference")
 	capCheck := flag.Bool("capacity", false, "additionally check the capacity-arbitrated sharded engine: FaaSCache and LCS under shard counts {2, 5, 16} (and streamed at -shards with -stream) must be bit-identical to their unsharded runs")
@@ -134,28 +109,20 @@ func run() error {
 	flag.Parse()
 
 	if *ingestCSV != "" {
-		if *stream || *streamOnly || *capCheck || *scenario != "" || *faultSeed != 0 || *retrain != 0 || *cacheDir != "" || *minDiskHits != 0 {
+		if *stream || *streamOnly || *capCheck || s.Scenario.Name != "" || *faultSeed != 0 || *retrain != 0 || *cacheDir != "" || *minDiskHits != 0 {
 			return fmt.Errorf("-ingest is a self-contained mode; it cannot be combined with -stream, -streamonly, -capacity, -scenario, -faults, -retrain-every, -cache-dir, or -mindiskhits")
 		}
 		if *shards < 2 {
 			return fmt.Errorf("-ingest needs -shards >= 2 (a green run must actually exercise the store partition), got %d", *shards)
 		}
-		if *trainDays <= 0 {
-			return fmt.Errorf("-train-days must be positive, got %d", *trainDays)
-		}
-		return runIngestCheck(*ingestCSV, *trainDays, *shards, *workers, *maxHeap)
+		return runIngestCheck(s, *ingestCSV, *shards, *workers, *maxHeap)
 	}
 
-	// Flag validation up front: every bad combination must come back as an
-	// error with exit code 1, never as a library panic's stack trace.
-	if *functions <= 0 {
-		return fmt.Errorf("-functions must be positive, got %d", *functions)
-	}
-	if *days <= 0 {
-		return fmt.Errorf("-days must be positive, got %d", *days)
-	}
-	if *trainDays <= 0 || *trainDays >= *days {
-		return fmt.Errorf("-train-days %d outside (0, %d): the workload needs both a training and a simulation window", *trainDays, *days)
+	// Flag validation up front: every bad value or combination must come
+	// back as an error with exit code 1 before any work starts, never as a
+	// library panic's stack trace.
+	if err := s.Validate(); err != nil {
+		return err
 	}
 	if *seeds < 1 {
 		return fmt.Errorf("-seeds must be >= 1, got %d", *seeds)
@@ -199,20 +166,8 @@ func run() error {
 		hook = inj
 	}
 
-	s := experiments.DefaultSettings()
-	s.Functions = *functions
-	s.Days = *days
-	s.TrainDays = *trainDays
-	if *sparse {
-		s.TriggerMix = trace.SparseTriggerMix()
-	}
-	// Scenario cohorts are drawn from the workload seed, so the scenario is
-	// (re-)applied after every per-seed s.Seed assignment below; this first
-	// application only validates the name before any work starts.
-	if err := s.ApplyScenario(*scenario); err != nil {
-		return err
-	}
-
+	// s keeps its -scenario as a pending name: scenario cohorts are drawn
+	// from the workload seed, so every per-seed Open below positions it anew.
 	watch := memwatch.Watch()
 	if *streamOnly {
 		if *shards < 1 {
@@ -220,18 +175,20 @@ func run() error {
 		}
 		for seed := int64(1); seed <= int64(*seeds); seed++ {
 			s.Seed = seed
-			if err := s.ApplyScenario(*scenario); err != nil {
-				return err
-			}
-			a, err := runStreamed(s, *shards, sim.Options{Workers: *workers, RetrainEvery: *retrain})
+			opts := sim.Options{Workers: *workers, RetrainEvery: *retrain}
+			narrow, err := experiments.Open(s, experiments.Input{Stream: true, Shards: *shards})
 			if err != nil {
 				return err
 			}
-			b, err := runStreamed(s, 2*(*shards), sim.Options{Workers: *workers, RetrainEvery: *retrain})
+			wide, err := experiments.Open(s, experiments.Input{Stream: true, Shards: 2 * (*shards)})
 			if err != nil {
 				return err
 			}
-			if err := compare(fmt.Sprintf("seed %d: streamed x%d vs x%d", seed, *shards, 2*(*shards)), a, b); err != nil {
+			a, err := narrow.Run(spes(), opts)
+			if err != nil {
+				return err
+			}
+			if err := check(fmt.Sprintf("seed %d: streamed x%d vs x%d", seed, *shards, 2*(*shards)), a, wide, spes(), opts); err != nil {
 				return err
 			}
 			fmt.Printf("seed %d: identical (cold=%d wmt=%d mem=%d)\n",
@@ -272,40 +229,35 @@ func run() error {
 
 	for seed := int64(1); seed <= int64(*seeds); seed++ {
 		s.Seed = seed
-		if err := s.ApplyScenario(*scenario); err != nil {
-			return err
-		}
-		_, train, simTr, err := experiments.BuildWorkload(s)
+		mat, err := experiments.Open(s, experiments.Input{})
 		if err != nil {
 			return err
 		}
-		rd, err := sim.Run(core.NewDenseReference(core.DefaultConfig()), train, simTr, sim.Options{RetrainEvery: *retrain})
+		rd, err := mat.Run(core.NewDenseReference(core.DefaultConfig()), sim.Options{RetrainEvery: *retrain})
 		if err != nil {
 			return err
 		}
-		re, err := sim.Run(core.New(core.DefaultConfig()), train, simTr, sim.Options{RetrainEvery: *retrain})
-		if err != nil {
-			return err
+		// against holds one more engine's run of SPES to the dense reference.
+		// (The hook and the drain act at shard boundaries; the unsharded
+		// event engine has none, so they are inert there.)
+		against := func(engine string, w *experiments.Workload, opts sim.Options) error {
+			opts.RetrainEvery, opts.FaultHook, opts.Stop = *retrain, hook, stop
+			return check(fmt.Sprintf("seed %d: %s", seed, engine), rd, w, spes(), opts)
 		}
-		if err := compare(fmt.Sprintf("seed %d: event", seed), rd, re); err != nil {
+		if err := against("event", mat, sim.Options{}); err != nil {
 			return err
 		}
 		if *shards > 1 {
-			rs, err := sim.Run(core.New(core.DefaultConfig()), train, simTr,
-				sim.Options{Shards: *shards, RetrainEvery: *retrain, FaultHook: hook, Stop: stop})
-			if err != nil {
-				return err
-			}
-			if err := compare(fmt.Sprintf("seed %d: sharded x%d", seed, *shards), rd, rs); err != nil {
+			if err := against(fmt.Sprintf("sharded x%d", *shards), mat, sim.Options{Shards: *shards}); err != nil {
 				return err
 			}
 		}
+		var str *experiments.Workload
 		if *stream {
-			rs, err := runStreamed(s, *shards, sim.Options{Workers: *workers, RetrainEvery: *retrain, FaultHook: hook, Stop: stop})
-			if err != nil {
+			if str, err = experiments.Open(s, experiments.Input{Stream: true, Shards: *shards}); err != nil {
 				return err
 			}
-			if err := compare(fmt.Sprintf("seed %d: streamed x%d", seed, *shards), rd, rs); err != nil {
+			if err := against(fmt.Sprintf("streamed x%d", *shards), str, sim.Options{Workers: *workers}); err != nil {
 				return err
 			}
 
@@ -323,15 +275,10 @@ func run() error {
 			// the in-memory-hits-only assertion).
 			cache.SetBudget(0, 0)
 			cache.AttachDisk(disk)
-			runCached := func(label string) error {
-				rc, err := sim.Run(core.New(core.DefaultConfig()), train, simTr,
-					sim.Options{Shards: *shards, Cache: cache, RetrainEvery: *retrain, FaultHook: hook, Stop: stop})
-				if err != nil {
-					return err
-				}
-				return compare(fmt.Sprintf("seed %d: cached (%s) x%d", seed, label, *shards), rd, rc)
+			cached := func(pass string, c *sim.ShardCache) error {
+				return against(fmt.Sprintf("cached (%s) x%d", pass, *shards), mat, sim.Options{Shards: *shards, Cache: c})
 			}
-			if err := runCached("cold"); err != nil {
+			if err := cached("cold", cache); err != nil {
 				return err
 			}
 			// Tier-by-tier traffic is only exact on a clean run: under
@@ -348,7 +295,7 @@ func run() error {
 				}
 			}
 			coldDiskHits += coldSt.DiskHits
-			if err := runCached("warm"); err != nil {
+			if err := cached("warm", cache); err != nil {
 				return err
 			}
 			if inj == nil {
@@ -363,12 +310,7 @@ func run() error {
 
 			restarted := sim.NewShardCache()
 			restarted.AttachDisk(disk)
-			rr, err := sim.Run(core.New(core.DefaultConfig()), train, simTr,
-				sim.Options{Shards: *shards, Cache: restarted, RetrainEvery: *retrain, FaultHook: hook, Stop: stop})
-			if err != nil {
-				return err
-			}
-			if err := compare(fmt.Sprintf("seed %d: cached (restart) x%d", seed, *shards), rd, rr); err != nil {
+			if err := cached("restart", restarted); err != nil {
 				return err
 			}
 			if st := restarted.Stats(); inj == nil && st.DiskHits != int64(*shards) {
@@ -376,7 +318,7 @@ func run() error {
 			}
 		}
 		if *capCheck {
-			if err := checkCapacity(s, seed, train, simTr, *stream, *shards, *workers); err != nil {
+			if err := checkCapacity(s, mat, str, *workers); err != nil {
 				return err
 			}
 		}
@@ -401,96 +343,61 @@ func run() error {
 }
 
 // runIngestCheck is the -ingest mode: one real (or sample) CSV checked for
-// bit-identity across every path that can serve it — ReadCSV materialized
-// (unsharded and sharded), a cold columnar-store ingest, and a warm store
-// reopen — plus a store-sourced shard-cache pass whose second run must be
-// served entirely from memory (the store fingerprints key the cache).
-func runIngestCheck(path string, trainDays, shards, workers int, maxHeap uint64) error {
+// bit-identity across every door that can serve it — materialized (unsharded
+// and sharded), a cold columnar-store ingest, and a warm store reopen — plus
+// a store-sourced shard-cache pass whose second run must be served entirely
+// from memory (the store fingerprints key the cache).
+func runIngestCheck(s experiments.Settings, path string, shards, workers int, maxHeap uint64) error {
 	watch := memwatch.Watch()
-	f, err := os.Open(path)
+	mat, err := experiments.Open(s, experiments.Input{Trace: path})
 	if err != nil {
 		return err
 	}
-	full, err := trace.ReadCSV(f)
-	f.Close()
-	if err != nil {
-		return err
-	}
-	splitAt := trainDays * 1440
-	if splitAt <= 0 || splitAt >= full.Slots {
-		return fmt.Errorf("-train-days %d out of range for a %d-slot trace", trainDays, full.Slots)
-	}
-	train, simTr := full.Split(splitAt)
-
 	dir, err := os.MkdirTemp("", "eqvcheck-store-*")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	f, err = os.Open(path)
+	cold, err := experiments.Open(s, experiments.Input{Trace: path, Store: dir, Shards: shards})
 	if err != nil {
 		return err
 	}
-	st, stats, err := trace.IngestCSV(f, dir, trace.IngestOptions{Shards: shards})
-	f.Close()
-	if err != nil {
-		return err
-	}
+	stats := cold.Ingested
 	fmt.Printf("ingested %s: %d functions x %d slots, %d events, %d shards, %d bytes\n",
 		path, stats.Functions, stats.Slots, stats.Events, stats.Shards, stats.StoreBytes)
-	src, err := st.Source(splitAt)
-	if err != nil {
-		return err
-	}
 
 	var spesRef *sim.Result
 	for _, m := range []struct {
 		name string
 		mk   func() sim.Policy
 	}{
-		{"SPES", func() sim.Policy { return core.New(core.DefaultConfig()) }},
+		{"SPES", spes},
 		{"FixedKeepAlive", func() sim.Policy { return baselines.NewFixedKeepAlive(10) }},
 	} {
-		ref, err := sim.Run(m.mk(), train, simTr, sim.Options{})
+		ref, err := mat.Run(m.mk(), sim.Options{})
 		if err != nil {
 			return err
 		}
 		if m.name == "SPES" {
 			spesRef = ref
 		}
-		rs, err := sim.Run(m.mk(), train, simTr, sim.Options{Shards: shards, Workers: workers})
-		if err != nil {
+		if err := check(fmt.Sprintf("%s: sharded x%d", m.name, shards), ref, mat, m.mk(), sim.Options{Shards: shards, Workers: workers}); err != nil {
 			return err
 		}
-		if err := compare(fmt.Sprintf("%s: sharded x%d", m.name, shards), ref, rs); err != nil {
-			return err
-		}
-		rc, err := sim.RunStreamed(m.mk(), src, sim.Options{Workers: workers})
-		if err != nil {
-			return err
-		}
-		if err := compare(fmt.Sprintf("%s: store (cold) x%d", m.name, shards), ref, rc); err != nil {
+		if err := check(fmt.Sprintf("%s: store (cold) x%d", m.name, shards), ref, cold, m.mk(), sim.Options{Workers: workers}); err != nil {
 			return err
 		}
 		fmt.Printf("%s: materialized, sharded, and store-sourced identical (cold=%d wmt=%d mem=%d)\n",
 			m.name, ref.TotalColdStarts, ref.TotalWMT, ref.TotalMemory)
 	}
 
-	// Warm path: a fresh OpenStore (manifest re-verified, shard files
+	// Warm door: a fresh OpenStore (manifest re-verified, shard files
 	// re-read) must reproduce the same results without the CSV.
-	st2, err := trace.OpenStore(dir)
+	warm, err := experiments.Open(s, experiments.Input{Store: dir})
 	if err != nil {
 		return err
 	}
-	src2, err := st2.Source(splitAt)
-	if err != nil {
-		return err
-	}
-	rw, err := sim.RunStreamed(core.New(core.DefaultConfig()), src2, sim.Options{Workers: workers})
-	if err != nil {
-		return err
-	}
-	if err := compare(fmt.Sprintf("SPES: store (warm reopen) x%d", shards), spesRef, rw); err != nil {
+	if err := check(fmt.Sprintf("SPES: store (warm reopen) x%d", shards), spesRef, warm, spes(), sim.Options{Workers: workers}); err != nil {
 		return err
 	}
 
@@ -499,11 +406,7 @@ func runIngestCheck(path string, trainDays, shards, workers int, maxHeap uint64)
 	cache := sim.NewShardCache()
 	cache.SetBudget(0, 0)
 	for _, label := range []string{"cold", "warm"} {
-		rc, err := sim.RunStreamed(core.New(core.DefaultConfig()), src2, sim.Options{Workers: workers, Cache: cache})
-		if err != nil {
-			return err
-		}
-		if err := compare(fmt.Sprintf("SPES: store cached (%s) x%d", label, shards), spesRef, rc); err != nil {
+		if err := check(fmt.Sprintf("SPES: store cached (%s) x%d", label, shards), spesRef, warm, spes(), sim.Options{Workers: workers, Cache: cache}); err != nil {
 			return err
 		}
 	}
@@ -517,25 +420,21 @@ func runIngestCheck(path string, trainDays, shards, workers int, maxHeap uint64)
 // checkCapacity runs the -capacity pass for one seed: FaaSCache and LCS —
 // the capacity-coupled baselines, which shard through the arbitrated
 // lockstep engine rather than as independent instances — simulated
-// unsharded and at shard counts {2, 5, 16} (plus streamed at -shards when
-// -stream is set), every sharded run compared bit-for-bit against the
+// unsharded and at shard counts {2, 5, 16} (plus streamed, when -stream
+// opened str), every sharded run compared bit-for-bit against the
 // unsharded reference. The pool capacity is a third of the population:
 // small enough that evictions happen constantly, large enough that loaded
 // functions also idle (so WMT and EMCR are non-degenerate).
-func checkCapacity(s experiments.Settings, seed int64, train, simTr *trace.Trace, stream bool, shards, workers int) error {
-	pool := train.NumFunctions() / 3
-	if pool < 1 {
-		pool = 1
-	}
-	mks := []struct {
+func checkCapacity(s experiments.Settings, mat, str *experiments.Workload, workers int) error {
+	seed, pool := s.Seed, max(s.Functions/3, 1)
+	for _, m := range []struct {
 		name string
 		mk   func() sim.Policy
 	}{
 		{"FaaSCache", func() sim.Policy { return baselines.NewFaaSCache(pool) }},
 		{"LCS", func() sim.Policy { return baselines.NewLCS(pool) }},
-	}
-	for _, m := range mks {
-		ref, err := sim.Run(m.mk(), train, simTr, sim.Options{})
+	} {
+		ref, err := mat.Run(m.mk(), sim.Options{})
 		if err != nil {
 			return err
 		}
@@ -544,24 +443,12 @@ func checkCapacity(s experiments.Settings, seed int64, train, simTr *trace.Trace
 				seed, m.name, ref.TotalColdStarts, ref.TotalWMT)
 		}
 		for _, p := range []int{2, 5, 16} {
-			rc, err := sim.Run(m.mk(), train, simTr, sim.Options{Shards: p, Workers: workers})
-			if err != nil {
-				return err
-			}
-			if err := compare(fmt.Sprintf("seed %d: %s capacity x%d", seed, m.name, p), ref, rc); err != nil {
+			if err := check(fmt.Sprintf("seed %d: %s capacity x%d", seed, m.name, p), ref, mat, m.mk(), sim.Options{Shards: p, Workers: workers}); err != nil {
 				return err
 			}
 		}
-		if stream {
-			src, err := experiments.StreamSource(s, shards)
-			if err != nil {
-				return err
-			}
-			rc, err := sim.RunStreamed(m.mk(), src, sim.Options{Workers: workers})
-			if err != nil {
-				return err
-			}
-			if err := compare(fmt.Sprintf("seed %d: %s capacity streamed x%d", seed, m.name, shards), ref, rc); err != nil {
+		if str != nil {
+			if err := check(fmt.Sprintf("seed %d: %s capacity streamed", seed, m.name), ref, str, m.mk(), sim.Options{Workers: workers}); err != nil {
 				return err
 			}
 		}
@@ -571,16 +458,8 @@ func checkCapacity(s experiments.Settings, seed int64, train, simTr *trace.Trace
 	return nil
 }
 
-// runStreamed simulates SPES over the settings' workload through the
-// streamed engine: the trace pair is produced one shard at a time inside
-// the simulation workers, pipelined with their simulations.
-func runStreamed(s experiments.Settings, shards int, opts sim.Options) (*sim.Result, error) {
-	src, err := experiments.StreamSource(s, shards)
-	if err != nil {
-		return nil, err
-	}
-	return sim.RunStreamed(core.New(core.DefaultConfig()), src, opts)
-}
+// spes is the policy under test, fresh per run.
+func spes() sim.Policy { return core.New(core.DefaultConfig()) }
 
 // checkHeap enforces -maxheap over the sampled run.
 func checkHeap(watch *memwatch.Watcher, maxHeap uint64) error {
@@ -592,35 +471,18 @@ func checkHeap(watch *memwatch.Watcher, maxHeap uint64) error {
 	return nil
 }
 
-// compare returns an error with a field-level diff when got differs from
-// the reference (Overhead excluded: wall clock).
-func compare(label string, ref, got *sim.Result) error {
-	d, g := *ref, *got
-	d.Overhead, g.Overhead = 0, 0
-	if reflect.DeepEqual(&d, &g) {
+// check runs p over w and holds the result to ref with sim.Result.Diff —
+// the one comparison, Overhead excluded — printing the field-level diff and
+// returning an error when they differ.
+func check(label string, ref *sim.Result, w *experiments.Workload, p sim.Policy, opts sim.Options) error {
+	got, err := w.Run(p, opts)
+	if err != nil {
+		return err
+	}
+	d := ref.Diff(got)
+	if d == "" {
 		return nil
 	}
-	fmt.Printf("%s: MISMATCH\n", label)
-	fmt.Printf("ref:   cold=%d wmt=%d mem=%d emcr=%v max=%d\n", d.TotalColdStarts, d.TotalWMT, d.TotalMemory, d.EMCRSum, d.MaxLoaded)
-	fmt.Printf("other: cold=%d wmt=%d mem=%d emcr=%v max=%d\n", g.TotalColdStarts, g.TotalWMT, g.TotalMemory, g.EMCRSum, g.MaxLoaded)
-	n := 0
-	for fid := range d.PerFunc {
-		if d.PerFunc[fid] != g.PerFunc[fid] {
-			fmt.Printf("  f%d ref=%+v other=%+v type=%s\n", fid, d.PerFunc[fid], g.PerFunc[fid], d.Types[fid])
-			n++
-			if n > 8 {
-				break
-			}
-		}
-	}
-	for fid := range d.Types {
-		if d.Types[fid] != g.Types[fid] {
-			fmt.Printf("  f%d type ref=%s other=%s\n", fid, d.Types[fid], g.Types[fid])
-			n++
-			if n > 12 {
-				break
-			}
-		}
-	}
+	fmt.Printf("%s: MISMATCH\n%s", label, d)
 	return fmt.Errorf("%s: results diverged", label)
 }

@@ -10,54 +10,36 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/experiments"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure id (3,4,5,6,cor,8,9a,9b,10,11a,11b,12,13a,13b,14,15,overhead) or 'all'")
-	functions := flag.Int("functions", 2000, "workload: function count")
-	days := flag.Int("days", 14, "workload: days")
-	trainDays := flag.Int("train-days", 12, "workload: training days")
-	seed := flag.Int64("seed", 1, "workload: seed")
-	cacheDir := flag.String("cache-dir", "", "persist the sweep runners' shard cache to this directory (Figure 13 sweeps restore cached shard outcomes across process restarts)")
+	s := experiments.DefaultSettings()
+	s.RegisterFlags(flag.CommandLine, "functions", "days", "train-days", "seed")
+	fig := flag.String("fig", "all", "figure id ("+strings.Join(experiments.IDs(), ",")+") or 'all'")
+	flag.StringVar(&s.CacheDir, "cache-dir", "", "persist the sweep runners' shard cache to this directory (Figure 13 sweeps restore cached shard outcomes across process restarts)")
 	flag.Parse()
 
-	// Flag validation up front, like the other CLIs: every bad value must
-	// come back as one error with exit code 1 before any figure starts —
-	// never as a library panic, and not from the middle of an -fig all run.
-	if *functions <= 0 {
-		fmt.Fprintf(os.Stderr, "spes-experiments: -functions must be positive, got %d\n", *functions)
-		os.Exit(1)
-	}
-	if *days <= 0 {
-		fmt.Fprintf(os.Stderr, "spes-experiments: -days must be positive, got %d\n", *days)
-		os.Exit(1)
-	}
-	if *trainDays <= 0 || *trainDays >= *days {
-		fmt.Fprintf(os.Stderr, "spes-experiments: -train-days %d outside (0, %d): the workload needs both a training and a simulation window\n", *trainDays, *days)
-		os.Exit(1)
-	}
-
-	s := experiments.DefaultSettings()
-	s.Functions = *functions
-	s.Days = *days
-	s.TrainDays = *trainDays
-	s.Seed = *seed
-	s.CacheDir = *cacheDir
-
-	var err error
-	if *fig == "all" {
-		err = experiments.RunAllFigures(os.Stdout, s)
-	} else {
-		var runner experiments.Runner
-		runner, err = experiments.Lookup(*fig)
-		if err == nil {
-			err = runner(os.Stdout, s)
-		}
-	}
-	if err != nil {
+	if err := run(s, *fig); err != nil {
 		fmt.Fprintln(os.Stderr, "spes-experiments:", err)
 		os.Exit(1)
 	}
+}
+
+func run(s experiments.Settings, fig string) error {
+	// One validation before any figure starts — never a library panic, and
+	// not from the middle of an -fig all run.
+	if err := s.Validate(); err != nil {
+		return err
+	}
+	if fig == "all" {
+		return experiments.RunAllFigures(os.Stdout, s)
+	}
+	runner, err := experiments.Lookup(fig)
+	if err != nil {
+		return err
+	}
+	return runner(os.Stdout, s)
 }

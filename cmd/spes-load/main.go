@@ -27,12 +27,9 @@ import (
 )
 
 func main() {
+	s := experiments.QuickSettings()
+	s.RegisterFlags(flag.CommandLine, "functions", "days", "train-days", "seed", "scenario")
 	base := flag.String("base", "http://127.0.0.1:8080", "daemon base URL")
-	functions := flag.Int("functions", 300, "workload: function count")
-	days := flag.Int("days", 6, "workload: days")
-	trainDays := flag.Int("train-days", 4, "workload: training days")
-	seed := flag.Int64("seed", 1, "workload: seed")
-	scenario := flag.String("scenario", "", "workload scenario (steady, drift, flashcrowd, churn, deploy-wave)")
 	batch := flag.Int("batch", 4, "occupied slots per ingest request")
 	rate := flag.Float64("rate", 0, "pace in simulation slots per second (0: as fast as acknowledged)")
 	start := flag.Int("start", 0, "first simulation slot to replay")
@@ -47,17 +44,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "spes-load: "+format+"\n", args...)
 		os.Exit(1)
 	}
-	s := experiments.Settings{Functions: *functions, Days: *days, TrainDays: *trainDays, Seed: *seed}
-	s.SPES = experiments.DefaultSettings().SPES
-	if err := s.Validate(); err != nil {
-		fail("%v", err)
-	}
-	if err := s.ApplyScenario(*scenario); err != nil {
-		fail("%v", err)
-	}
-	_, _, simTr, err := experiments.BuildWorkload(s)
+	w, err := experiments.Open(s, experiments.Input{})
 	if err != nil {
-		fail("build workload: %v", err)
+		fail("%v", err)
 	}
 
 	c := &serve.Client{
@@ -69,7 +58,7 @@ func main() {
 		c.Faults = faultinject.New(*faults, faultinject.ServeDefault())
 	}
 
-	rep, err := serve.Replay(c, simTr, serve.LoadOptions{
+	rep, err := serve.Replay(c, w.Sim, serve.LoadOptions{
 		BatchSlots: *batch, Rate: *rate, Start: *start, End: *end,
 	})
 	if err != nil {

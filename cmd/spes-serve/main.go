@@ -31,13 +31,10 @@ import (
 )
 
 func main() {
+	s := experiments.QuickSettings()
+	s.RegisterFlags(flag.CommandLine, "functions", "days", "train-days", "seed", "scenario")
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
 	dir := flag.String("dir", "", "state directory (journal + snapshots); required")
-	functions := flag.Int("functions", 300, "workload: function count")
-	days := flag.Int("days", 6, "workload: days")
-	trainDays := flag.Int("train-days", 4, "workload: training days")
-	seed := flag.Int64("seed", 1, "workload: seed")
-	scenario := flag.String("scenario", "", "workload scenario (steady, drift, flashcrowd, churn, deploy-wave)")
 	retrain := flag.Int("retrain-every", 1440, "online re-categorization period in slots (0 disables)")
 	snapEvery := flag.Int("snap-every", 1440, "slots between automatic state snapshots (negative disables)")
 	queueDepth := flag.Int("queue-depth", 64, "bounded ingest queue depth (requests)")
@@ -55,23 +52,15 @@ func main() {
 		fail("-dir is required")
 	}
 
-	s := experiments.Settings{Functions: *functions, Days: *days, TrainDays: *trainDays, Seed: *seed}
-	s.SPES = experiments.DefaultSettings().SPES
-	if err := s.Validate(); err != nil {
-		fail("%v", err)
-	}
-	if err := s.ApplyScenario(*scenario); err != nil {
-		fail("%v", err)
-	}
-	_, train, _, err := experiments.BuildWorkload(s)
+	w, err := experiments.Open(s, experiments.Input{})
 	if err != nil {
-		fail("build workload: %v", err)
+		fail("%v", err)
 	}
 
 	cfg := serve.Config{
 		Dir:               *dir,
 		Policy:            s.SPES,
-		Training:          train,
+		Training:          w.Train,
 		RetrainEvery:      *retrain,
 		SnapshotEvery:     *snapEvery,
 		QueueDepth:        *queueDepth,
@@ -92,7 +81,7 @@ func main() {
 		fail("listen: %v", err)
 	}
 	// The smoke tests and load generator wait for this line before sending.
-	fmt.Printf("spes-serve: listening on %s (dir %s, %d functions)\n", ln.Addr(), *dir, train.NumFunctions())
+	fmt.Printf("spes-serve: listening on %s (dir %s, %d functions)\n", ln.Addr(), *dir, w.Train.NumFunctions())
 	os.Stdout.Sync()
 
 	hs := &http.Server{Handler: srv.Handler()}

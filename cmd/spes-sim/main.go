@@ -2,39 +2,28 @@
 // the paper's metrics: cold-start rate quantiles, wasted memory time,
 // effective memory consumption ratio, and per-type breakdowns for SPES.
 //
-// Workloads come from a generated trace (default) or an Azure-schema CSV:
-//
 //	spes-sim -policy spes -functions 2000 -days 14 -train-days 12
 //	spes-sim -policy defuse -trace trace.csv -train-days 12
-//
-// Policies: spes, fixed, hf, ha, defuse, faascache, lcs.
-//
-// -scenario runs a non-stationary library scenario (drift, flash crowds,
-// churn, deploy waves) over the generated workload, and -retrain-every
-// enables SPES's online re-categorization against it:
-//
 //	spes-sim -policy spes -scenario churn -retrain-every 1440
-//
-// -store simulates straight from a columnar shard store (built with
-// tracegen -ingest), reading one verified shard file per worker and never
-// touching the CSV — the warm path for real traces. When the store is
-// missing and -trace names a CSV, the CSV is ingested first (cold path)
-// and the store is left behind for the next run:
-//
+//	spes-sim -policy lcs -shards 4 -stream
 //	spes-sim -policy spes -store ./azstore -trace invocations.csv -train-days 12
+//
+// The workload comes through experiments.Open: generated (the default),
+// generated one shard at a time (-stream), an Azure-schema CSV (-trace), or
+// a columnar shard store (-store, the warm path for real traces; a missing
+// store is first ingested from the -trace beside it and left behind). Every
+// door prints the same metrics for the same trace, at every -shards.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
-	"repro/internal/baselines"
-	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 func main() {
@@ -45,187 +34,57 @@ func main() {
 }
 
 func run() error {
-	policyName := flag.String("policy", "spes", "policy: spes|fixed|hf|ha|defuse|faascache|lcs")
-	tracePath := flag.String("trace", "", "Azure-schema CSV to simulate (default: generate)")
-	functions := flag.Int("functions", 2000, "generated trace: function count")
-	days := flag.Int("days", 14, "generated trace: length in days")
-	trainDays := flag.Int("train-days", 12, "days used for training; the rest simulate")
-	seed := flag.Int64("seed", 1, "generator seed")
+	s := experiments.DefaultSettings()
+	s.RegisterFlags(flag.CommandLine, "functions", "days", "train-days", "seed", "scenario")
+	var in experiments.Input
+	flag.StringVar(&in.Trace, "trace", "", "Azure-schema CSV to simulate instead of generating (-functions, -days and -seed are then the trace's)")
+	flag.StringVar(&in.Store, "store", "", "columnar shard store directory to simulate from; built from -trace when missing, partitioned -shards wide")
+	flag.BoolVar(&in.Stream, "stream", false, "generate the workload one shard at a time inside the simulation: O(functions/shards) event series per worker, results bit-identical")
+	flag.IntVar(&in.Shards, "shards", 1, "population shards simulated concurrently; results are bit-identical to -shards 1, but per-tick overhead is not measured")
+	policyName := flag.String("policy", "spes", "policy: "+strings.Join(experiments.PolicyNames(), "|"))
 	capacity := flag.Int("capacity", 0, "faascache/lcs capacity (0: 10% of functions)")
-	prewarm := flag.Int("theta-prewarm", 2, "SPES pre-warm window")
-	shards := flag.Int("shards", 1, "population shards simulated concurrently (spes/fixed/hf/ha/defuse; results are bit-identical to -shards 1; disables per-tick overhead measurement, which would force the shards sequential)")
-	stream := flag.Bool("stream", false, "stream the generated workload one shard at a time into the simulation (sim.RunStreamed): peak memory is O(functions/shards) event series per worker instead of the whole trace, results bit-identical; requires a generated workload (no -trace) and a shardable policy")
-	scenario := flag.String("scenario", "", "non-stationary library scenario (steady|drift|flashcrowd|churn|deploy-wave) positioned at the -train-days split; requires a generated workload (no -trace)")
-	retrainEvery := flag.Int("retrain-every", 0, "re-run the policy's categorization online every this many simulated slots over a sliding history window (policies without online re-categorization — everything but SPES — run unchanged); 0 disables")
+	flag.IntVar(&s.SPES.Classify.ThetaPrewarm, "theta-prewarm", s.SPES.Classify.ThetaPrewarm, "SPES pre-warm window")
+	retrainEvery := flag.Int("retrain-every", 0, "re-run SPES's categorization online every this many simulated slots over a sliding history window (other policies run unchanged); 0 disables")
 	retrainWindow := flag.Int("retrain-window", 0, "sliding window length in slots for -retrain-every (0: the training window length)")
-	storeDir := flag.String("store", "", "columnar shard store directory: simulate from the store (warm, CSV never opened); when the store is absent and -trace is set, ingest the CSV into it first (-shards sets the partition width)")
 	flag.Parse()
 
-	// Flag validation up front: bad values must come back as errors with
-	// exit code 1, never surface as library panics (trace.Split and
-	// trace.PartitionFunctions treat their arguments as fixed configuration
-	// and panic on nonsense).
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
-	}
-	if *tracePath == "" {
-		if *functions <= 0 {
-			return fmt.Errorf("-functions must be positive, got %d", *functions)
-		}
-		if *days <= 0 {
-			return fmt.Errorf("-days must be positive, got %d", *days)
-		}
-	}
-	if *stream && *tracePath != "" {
-		return fmt.Errorf("-stream needs a generated workload; it cannot be combined with -trace (materialized CSVs are simulated with -shards)")
-	}
-	if *scenario != "" && *tracePath != "" {
-		return fmt.Errorf("-scenario transforms the generated workload; it cannot be combined with -trace")
-	}
-	if *storeDir != "" && *stream {
-		return fmt.Errorf("-store already streams shard files; it cannot be combined with -stream")
-	}
-	if *storeDir != "" && *scenario != "" {
-		return fmt.Errorf("-scenario transforms the generated workload; it cannot be combined with -store")
+	if in.Shards < 1 {
+		return fmt.Errorf("-shards must be >= 1, got %d", in.Shards)
 	}
 	if *retrainEvery < 0 || *retrainWindow < 0 {
 		return fmt.Errorf("-retrain-every and -retrain-window must be >= 0, got %d / %d", *retrainEvery, *retrainWindow)
 	}
-
-	// The scenario is resolved before any generation so a bad name fails
-	// fast; phases are positioned at the train/sim split.
-	var scenarioCfg trace.ScenarioConfig
-	if *scenario != "" {
-		sc, err := trace.NamedScenario(*scenario, *trainDays*1440, *days*1440)
-		if err != nil {
-			return err
-		}
-		sc.Seed = *seed
-		scenarioCfg = sc.Normalize()
+	w, err := experiments.Open(s, in)
+	if err != nil {
+		return err
+	}
+	switch {
+	case w.Ingested != nil:
+		fmt.Fprintf(os.Stderr, "spes-sim: store: cold ingest of %s into %s (%d functions, %d events, %d shards)\n",
+			in.Trace, in.Store, w.Ingested.Functions, w.Ingested.Events, w.Ingested.Shards)
+	case w.Store != nil:
+		fmt.Fprintf(os.Stderr, "spes-sim: store: warm load from %s (%d shards, %d functions; CSV not opened)\n",
+			in.Store, w.Store.NumShards(), w.Store.NumFunctions())
 	}
 
-	var full *trace.Trace
-	var train, simTr *trace.Trace
-	var src *trace.StoreSource
-	var err error
-	n := *functions
-	if *storeDir != "" {
-		st, err := trace.OpenStore(*storeDir)
-		switch {
-		case err == nil:
-			fmt.Fprintf(os.Stderr, "spes-sim: store: warm load from %s (%d shards, %d functions; CSV not opened)\n",
-				*storeDir, st.NumShards(), st.NumFunctions())
-		case errors.Is(err, trace.ErrStoreCorrupt) && *tracePath != "":
-			f, ferr := os.Open(*tracePath)
-			if ferr != nil {
-				return ferr
-			}
-			var stats *trace.IngestStats
-			st, stats, err = trace.IngestCSV(f, *storeDir, trace.IngestOptions{Shards: *shards})
-			f.Close()
-			if err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "spes-sim: store: cold ingest of %s into %s (%d functions, %d events, %d shards)\n",
-				*tracePath, *storeDir, stats.Functions, stats.Events, stats.Shards)
-		default:
-			return fmt.Errorf("opening store: %w (build it with -trace <csv> or tracegen -ingest)", err)
-		}
-		splitAt := *trainDays * 1440
-		if splitAt <= 0 || splitAt >= st.Slots() {
-			return fmt.Errorf("-train-days %d out of range for a %d-slot store", *trainDays, st.Slots())
-		}
-		src, err = st.Source(splitAt)
-		if err != nil {
-			return err
-		}
-		n = st.NumFunctions()
-	} else if *stream {
-		// The trace pair is never materialized here: shard views are
-		// produced by the simulation workers themselves.
-		if *trainDays <= 0 || *trainDays >= *days {
-			return fmt.Errorf("-train-days %d out of range for a %d-day trace", *trainDays, *days)
-		}
-	} else {
-		if *tracePath != "" {
-			f, err := os.Open(*tracePath)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			full, err = trace.ReadCSV(f)
-			if err != nil {
-				return err
-			}
-		} else {
-			cfg := trace.DefaultGeneratorConfig(*functions, *days, *seed)
-			cfg.Scenario = scenarioCfg
-			full, err = trace.Generate(cfg)
-			if err != nil {
-				return err
-			}
-		}
-		n = full.NumFunctions()
-		splitAt := *trainDays * 1440
-		if splitAt <= 0 || splitAt >= full.Slots {
-			return fmt.Errorf("-train-days %d out of range for a %d-slot trace", *trainDays, full.Slots)
-		}
-		train, simTr = full.Split(splitAt)
+	pool := *capacity
+	if pool <= 0 {
+		pool = max(w.Settings.Functions/10, 1)
 	}
-
-	cap := *capacity
-	if cap <= 0 {
-		cap = n / 10
-		if cap < 1 {
-			cap = 1
-		}
+	policy, err := experiments.NewPolicy(*policyName, w.Settings.SPES, pool)
+	if err != nil {
+		return err
 	}
-	var policy sim.Policy
-	switch *policyName {
-	case "spes":
-		cfg := core.DefaultConfig()
-		cfg.Classify.ThetaPrewarm = *prewarm
-		policy = core.New(cfg)
-	case "fixed":
-		policy = baselines.NewFixedKeepAlive(10)
-	case "hf":
-		policy = baselines.NewHybridFunction(baselines.DefaultHybridConfig())
-	case "ha":
-		policy = baselines.NewHybridApplication(baselines.DefaultHybridConfig())
-	case "defuse":
-		policy = baselines.NewDefuse(baselines.DefaultDefuseConfig())
-	case "faascache":
-		policy = baselines.NewFaaSCache(cap)
-	case "lcs":
-		policy = baselines.NewLCS(cap)
-	default:
-		return fmt.Errorf("unknown policy %q", *policyName)
-	}
-
 	// Overhead timing forces shard runs sequential (timings under core
 	// contention are meaningless), so it is only taken on unsharded,
 	// unstreamed runs — -shards exists to exercise the concurrent engine.
 	opts := sim.Options{
-		MeasureOverhead: !*stream && src == nil && *shards <= 1,
-		Shards:          *shards,
+		MeasureOverhead: !w.Streamed() && in.Shards <= 1,
+		Shards:          in.Shards,
 		RetrainEvery:    *retrainEvery,
 		RetrainWindow:   *retrainWindow,
 	}
-	var res *sim.Result
-	if src != nil {
-		res, err = sim.RunStreamed(policy, src, opts)
-	} else if *stream {
-		cfg := trace.DefaultGeneratorConfig(*functions, *days, *seed)
-		cfg.Scenario = scenarioCfg
-		src := &sim.GeneratorSource{
-			Cfg:        cfg,
-			TrainSlots: *trainDays * 1440,
-			Shards:     *shards,
-		}
-		res, err = sim.RunStreamed(policy, src, opts)
-	} else {
-		res, err = sim.Run(policy, train, simTr, opts)
-	}
+	res, err := w.Run(policy, opts)
 	if err != nil {
 		return err
 	}

@@ -2,91 +2,80 @@
 // and writes it in the Azure Functions 2019 CSV schema, so downstream tools
 // (and the real dataset) are interchangeable.
 //
-// Usage:
-//
 //	tracegen -functions 2000 -days 14 -seed 1 -o trace.csv
 //
-// Large populations: -shards S generates and writes the trace one
-// population shard at a time (whole applications and users per shard), so
-// peak memory is ~1/S of the full trace and 100k-1M function traces can be
-// produced on ordinary machines. The output contains exactly the same
-// functions and series — shard sections are concatenated into one CSV,
-// which the reader accumulates by function hash — but row order (and
-// therefore the FuncID space ReadCSV assigns by first appearance) is a
-// permutation of the unsharded file's. Simulations over it are the same
-// workload, not bit-comparable to ones over an unsharded-order CSV:
-// FuncID-order tie-breaks (link ranking, candidate enumeration) can
-// resolve differently. For bit-exact cross-checks either generate
-// unsharded or simulate the generated trace directly (sim.Options.Shards
-// preserves global order):
+// Large populations are generated and written one population shard at a
+// time (whole applications and users per shard), at ~1/S of the peak memory:
 //
 //	tracegen -functions 500000 -days 14 -shards 32 -o big.csv
 //
-// -train-days additionally writes the training/simulation split as two
-// CSVs (the main output gets the simulation window, -train-o the training
-// window), streamed through the same per-shard source the simulator
-// consumes (sim.GeneratorSource), so the split costs no more memory than
-// the single-file path. The simulation file's slots are re-based to 0.
+// The sharded file holds exactly the same functions and series, but its row
+// order — and so the FuncID space ReadCSV assigns by first appearance — is
+// a permutation of the unsharded file's: the same workload, not
+// bit-comparable simulations (FuncID-order tie-breaks can resolve
+// differently). For bit-exact cross-checks generate unsharded, or simulate
+// the generated trace directly (sim.Options.Shards preserves global order).
 //
-// -scenario applies a non-stationary library scenario (drift, flash
-// crowds, churn, deploy waves — see trace.ScenarioNames) positioned at the
-// -train-days split. Scenario transforms are per-function deterministic,
-// so they compose with -shards at unchanged per-shard memory:
+// A train/sim split as two CSVs, the simulation file re-based to slot 0,
+// under a library scenario positioned at the split; both stream through the
+// per-shard source the simulator consumes, at unchanged per-shard memory:
 //
 //	tracegen -functions 2000 -days 14 -train-days 12 -scenario churn \
 //	    -o sim.csv -train-o train.csv
 //
-// -ingest switches the command from generating to ingesting: it streams an
-// existing Azure-format CSV (arbitrarily large; - for stdin) into the
-// columnar shard store at -store, partitioned into -shards app/user-closed
-// shards, so later simulations (spes-sim -store, examples/azurereplay)
-// skip the CSV parse entirely:
+// Ingesting an existing Azure-format CSV (arbitrarily large; - for stdin)
+// into a columnar shard store, so later simulations (spes-sim -store,
+// examples/azurereplay) skip the CSV parse entirely:
 //
 //	tracegen -ingest invocations.csv -store ./azstore -shards 8
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"time"
 
+	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
 func main() {
-	functions := flag.Int("functions", 2000, "number of functions to generate")
-	days := flag.Int("days", 14, "trace length in days")
-	seed := flag.Int64("seed", 1, "generator seed")
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(1)
+	}
+}
+
+func run() error {
+	// TrainDays 0 — tracegen's default, and its alone — writes one unsplit CSV.
+	s := experiments.Settings{Functions: 2000, Days: 14, Seed: 1}
+	s.RegisterFlags(flag.CommandLine, "functions", "days", "seed", "scenario", "sparse")
+	flag.IntVar(&s.TrainDays, "train-days", 0, "when positive, split the trace: write the first train-days days to -train-o and the rest (re-based to slot 0) to -o")
 	out := flag.String("o", "trace.csv", "output CSV path (- for stdout)")
 	shift := flag.Float64("shift", 0.10, "fraction of functions with concept shifts")
 	chain := flag.Float64("chain", 0.40, "fraction of multi-function apps forming chains")
 	shards := flag.Int("shards", 1, "generate the population in this many streamed shards (bounds peak memory to ~1/shards of the trace)")
-	sparse := flag.Bool("sparse", false, "use the mostly-idle trigger mix (large-n scale experiments)")
-	scenario := flag.String("scenario", "", "non-stationary library scenario (steady|drift|flashcrowd|churn|deploy-wave), positioned at the -train-days split (empty: stationary)")
-	trainDays := flag.Int("train-days", 0, "when positive, split the trace: write the first train-days days to -train-o and the rest (re-based to slot 0) to -o")
 	trainOut := flag.String("train-o", "train.csv", "training-window CSV path when -train-days is set")
 	ingest := flag.String("ingest", "", "ingest this Azure-format CSV (- for stdin) into the -store directory instead of generating")
 	storeDir := flag.String("store", "", "columnar shard store directory for -ingest")
 	flag.Parse()
 
+	if *shards < 1 {
+		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
+	}
 	if *ingest != "" {
 		if *storeDir == "" {
-			fmt.Fprintln(os.Stderr, "tracegen: -ingest needs -store <dir>")
-			os.Exit(1)
-		}
-		if *shards < 1 {
-			fmt.Fprintf(os.Stderr, "tracegen: -shards must be >= 1, got %d\n", *shards)
-			os.Exit(1)
+			return errors.New("-ingest needs -store <dir>")
 		}
 		var in io.Reader = os.Stdin
 		if *ingest != "-" {
 			f, err := os.Open(*ingest)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "tracegen:", err)
-				os.Exit(1)
+				return err
 			}
 			defer f.Close()
 			in = f
@@ -94,100 +83,69 @@ func main() {
 		start := time.Now()
 		_, stats, err := trace.IngestCSV(in, *storeDir, trace.IngestOptions{Shards: *shards})
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
+			return err
 		}
 		fmt.Fprintf(os.Stderr, "tracegen: ingested %d functions x %d slots (%d events, %d spill runs) into %s: %d shards, %d bytes in %v\n",
 			stats.Functions, stats.Slots, stats.Events, stats.SpillRuns, *storeDir, stats.Shards, stats.StoreBytes, time.Since(start).Round(time.Millisecond))
-		return
+		return nil
 	}
 
-	// Flag validation up front: bad values must come back as errors with
-	// exit code 1, never surface as library panics (trace.Split and the
-	// shard-range checks treat their arguments as fixed configuration).
-	if *functions <= 0 {
-		fmt.Fprintf(os.Stderr, "tracegen: -functions must be positive, got %d\n", *functions)
-		os.Exit(1)
+	// Validation before either output is created: Settings.Validate for a
+	// split trace, its scale half for an unsplit one. The scenario lands at
+	// the split (with -train-days 0 its phases span the whole trace).
+	validate := s.Validate
+	if s.TrainDays == 0 {
+		validate = s.ValidateScale
 	}
-	if *days <= 0 {
-		fmt.Fprintf(os.Stderr, "tracegen: -days must be positive, got %d\n", *days)
-		os.Exit(1)
+	if err := validate(); err != nil {
+		return err
 	}
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "tracegen: -shards must be >= 1, got %d\n", *shards)
-		os.Exit(1)
+	if err := s.ApplyScenario(s.Scenario.Name); err != nil {
+		return err
 	}
-	if *trainDays < 0 || *trainDays >= *days {
-		fmt.Fprintf(os.Stderr, "tracegen: -train-days %d outside [0, %d)\n", *trainDays, *days)
-		os.Exit(1)
-	}
-	if *trainDays > 0 && *out == *trainOut {
+	if s.TrainDays > 0 && *out == *trainOut {
 		// Same destination would interleave (stdout) or overwrite (two
 		// O_TRUNC handles on one path) the two CSV streams.
-		fmt.Fprintf(os.Stderr, "tracegen: -o and -train-o must name different destinations (both %q)\n", *out)
-		os.Exit(1)
+		return fmt.Errorf("-o and -train-o must name different destinations (both %q)", *out)
 	}
-
-	cfg := trace.DefaultGeneratorConfig(*functions, *days, *seed)
+	cfg := s.GeneratorConfig()
 	cfg.ShiftFraction = *shift
 	cfg.ChainFraction = *chain
-	if *sparse {
-		cfg.TriggerMix = trace.SparseTriggerMix()
-	}
-	if *scenario != "" {
-		// Scenario phases land inside the simulation window of the
-		// -train-days split (with -train-days 0 they span the whole trace).
-		sc, err := trace.NamedScenario(*scenario, *trainDays*1440, *days*1440)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		sc.Seed = *seed
-		cfg.Scenario = sc.Normalize()
-	}
 
-	open := func(path string) io.Writer {
-		if path == "-" {
-			return os.Stdout
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		return f
+	w, closeW, err := create(*out)
+	if err != nil {
+		return err
 	}
-	w := open(*out)
+	defer closeW() // error paths; the success path checks Close below
 	var trainW io.Writer
-	if *trainDays > 0 {
-		trainW = open(*trainOut)
+	closeTrain := func() error { return nil }
+	if s.TrainDays > 0 {
+		if trainW, closeTrain, err = create(*trainOut); err != nil {
+			return err
+		}
+		defer closeTrain()
 	}
 
 	// The generator source is the same per-shard iterator the streamed
 	// simulation engine consumes; with -train-days 0 it yields each whole
 	// shard as the "simulation" view.
-	src := &sim.GeneratorSource{Cfg: cfg, TrainSlots: *trainDays * 1440, Shards: *shards}
+	src := &sim.GeneratorSource{Cfg: cfg, TrainSlots: s.TrainDays * 1440, Shards: *shards}
 	written := 0
 	var invocations int64
 	for i := 0; i < src.NumShards(); i++ {
 		trainV, simV, err := src.Shard(i)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
+			return err
 		}
 		if err := trace.WriteCSV(w, simV.Trace); err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		if trainV != nil {
-			if err := trace.WriteCSV(trainW, trainV.Trace); err != nil {
-				fmt.Fprintln(os.Stderr, "tracegen:", err)
-				os.Exit(1)
-			}
+			return err
 		}
 		written += simV.NumFunctions()
 		invocations += simV.TotalInvocations()
 		if trainV != nil {
+			if err := trace.WriteCSV(trainW, trainV.Trace); err != nil {
+				return err
+			}
 			invocations += trainV.TotalInvocations()
 		}
 		if *shards > 1 {
@@ -195,17 +153,29 @@ func main() {
 				i+1, *shards, simV.NumFunctions())
 		}
 	}
-	if c, ok := w.(io.Closer); ok && w != io.Writer(os.Stdout) {
-		c.Close()
+	if err := errors.Join(closeW(), closeTrain()); err != nil {
+		return err
 	}
-	if c, ok := trainW.(io.Closer); ok {
-		c.Close()
-	}
-	if *trainDays > 0 {
+	if s.TrainDays > 0 {
 		fmt.Fprintf(os.Stderr, "tracegen: wrote %d functions, %d train + %d sim days (%d invocations) to %s + %s\n",
-			written, *trainDays, *days-*trainDays, invocations, *trainOut, *out)
-		return
+			written, s.TrainDays, s.Days-s.TrainDays, invocations, *trainOut, *out)
+		return nil
 	}
 	fmt.Fprintf(os.Stderr, "tracegen: wrote %d functions x %d days (%d invocations) to %s\n",
-		written, *days, invocations, *out)
+		written, s.Days, invocations, *out)
+	return nil
+}
+
+// create opens an output CSV (- is stdout, which is never closed). Closing
+// a created file twice is harmless: the second error is dropped by the
+// deferred call that makes it.
+func create(path string) (io.Writer, func() error, error) {
+	if path == "-" {
+		return os.Stdout, func() error { return nil }, nil
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	return f, f.Close, nil
 }

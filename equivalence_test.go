@@ -10,7 +10,6 @@ package main
 import (
 	"errors"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/baselines"
@@ -55,29 +54,8 @@ func eqvSettings(seed int64) experiments.Settings {
 // assertSameResult compares two results modulo Overhead (wall-clock noise).
 func assertSameResult(t *testing.T, label string, want, got *sim.Result) {
 	t.Helper()
-	w, g := *want, *got
-	w.Overhead, g.Overhead = 0, 0
-	if reflect.DeepEqual(&w, &g) {
-		return
-	}
-	t.Errorf("%s: results differ: cold=%d/%d wmt=%d/%d mem=%d/%d emcr=%v/%v max=%d/%d",
-		label,
-		w.TotalColdStarts, g.TotalColdStarts,
-		w.TotalWMT, g.TotalWMT,
-		w.TotalMemory, g.TotalMemory,
-		w.EMCRSum, g.EMCRSum,
-		w.MaxLoaded, g.MaxLoaded)
-	for fid := range w.PerFunc {
-		if w.PerFunc[fid] != g.PerFunc[fid] {
-			t.Errorf("%s: f%d per-func want=%+v got=%+v", label, fid, w.PerFunc[fid], g.PerFunc[fid])
-			return
-		}
-	}
-	for fid := range w.Types {
-		if w.Types[fid] != g.Types[fid] {
-			t.Errorf("%s: f%d type want=%s got=%s", label, fid, w.Types[fid], g.Types[fid])
-			return
-		}
+	if d := want.Diff(got); d != "" {
+		t.Errorf("%s: results differ:\n%s", label, d)
 	}
 }
 
@@ -248,10 +226,17 @@ func TestCapacityShardingContracts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// scanOnly hides every optional interface, including ShardedPolicy.
-	_, err = sim.Run(scanOnly{baselines.NewFixedKeepAlive(10)}, train, simTr, sim.Options{Shards: 2})
-	if !errors.Is(err, sim.ErrNotShardable) {
-		t.Errorf("unshardable policy: got %v, want errors.Is ErrNotShardable", err)
+	// scanOnly hides every optional interface, including ShardedPolicy; the
+	// QoS wrapper arbitrates one budget across the whole population, so it
+	// implements neither sharding contract whatever it wraps.
+	for name, p := range map[string]sim.Policy{
+		"scanOnly": scanOnly{baselines.NewFixedKeepAlive(10)},
+		"qos":      qos.New(baselines.NewFixedKeepAlive(10), train.NumFunctions(), nil),
+	} {
+		_, err = sim.Run(p, train, simTr, sim.Options{Shards: 2})
+		if !errors.Is(err, sim.ErrNotShardable) {
+			t.Errorf("unshardable policy %s: got %v, want errors.Is ErrNotShardable", name, err)
+		}
 	}
 
 	results, err := sim.RunAll(

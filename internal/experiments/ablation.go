@@ -7,95 +7,76 @@ import (
 	"repro/internal/core"
 	"repro/internal/report"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
-// runVariant simulates one SPES configuration and returns its result.
-func runVariant(cfg core.Config, train, simTr *trace.Trace) (*sim.Result, error) {
-	return sim.Run(core.New(cfg), train, simTr, sim.Options{})
+// variant is one row of an ablation figure: a name and the switch it flips
+// on the full SPES configuration (nil for full SPES itself).
+type variant struct {
+	name    string
+	disable func(*core.Config)
 }
 
-// ablationRow renders one ablation variant relative to full SPES.
-func ablationRow(tab *report.Table, name string, r, base *sim.Result) {
+// ablation simulates full SPES and each variant over the settings' workload
+// and renders Q3-CSR, memory and WMT relative to full SPES.
+func ablation(w io.Writer, s Settings, title string, variants []variant, footer ...string) error {
+	wl, err := Open(s, Input{})
+	if err != nil {
+		return err
+	}
 	norm := func(v, b float64) string {
 		if b == 0 {
 			return "n/a"
 		}
 		return fmt.Sprintf("%.4f", v/b)
 	}
-	tab.AddRow(name,
-		fmt.Sprintf("%.4f", r.QuantileCSR(0.75)),
-		norm(r.MeanLoaded(), base.MeanLoaded()),
-		norm(float64(r.TotalWMT), float64(base.TotalWMT)))
+	tab := report.NewTable("Variant", "Q3-CSR", "Norm. memory", "Norm. WMT")
+	var full *sim.Result
+	for _, v := range append([]variant{{name: "SPES"}}, variants...) {
+		cfg := s.SPES
+		if v.disable != nil {
+			v.disable(&cfg)
+		}
+		r, err := wl.Run(core.New(cfg), sim.Options{})
+		if err != nil {
+			return err
+		}
+		if full == nil {
+			full = r
+		}
+		tab.AddRow(v.name,
+			fmt.Sprintf("%.4f", r.QuantileCSR(0.75)),
+			norm(r.MeanLoaded(), full.MeanLoaded()),
+			norm(float64(r.TotalWMT), float64(full.TotalWMT)))
+	}
+	fmt.Fprintln(w, title)
+	tab.Render(w)
+	for _, line := range footer {
+		fmt.Fprintln(w, line)
+	}
+	return nil
 }
 
 // Fig14 reproduces the inter-function correlation ablation: full SPES vs
 // "w/o Corr" (no offline correlated type) vs "w/o Online-Corr" (unseen
 // functions stay unknown).
 func Fig14(w io.Writer, s Settings) error {
-	_, train, simTr, err := BuildWorkload(s)
-	if err != nil {
-		return err
-	}
-	full, err := runVariant(s.SPES, train, simTr)
-	if err != nil {
-		return err
-	}
-	noCorr := s.SPES
-	noCorr.DisableCorrelation = true
-	noCorrRes, err := runVariant(noCorr, train, simTr)
-	if err != nil {
-		return err
-	}
-	noOnline := s.SPES
-	noOnline.DisableOnlineCorr = true
-	noOnlineRes, err := runVariant(noOnline, train, simTr)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintln(w, "Figure 14 — impact of inter-function correlation designs")
-	tab := report.NewTable("Variant", "Q3-CSR", "Norm. memory", "Norm. WMT")
-	ablationRow(tab, "SPES", full, full)
-	ablationRow(tab, "w/o Corr", noCorrRes, full)
-	ablationRow(tab, "w/o Online-Corr", noOnlineRes, full)
-	tab.Render(w)
-	fmt.Fprintln(w, "(expected shape: w/o Corr hurts more than w/o Online-Corr — the")
-	fmt.Fprintln(w, " correlated population outnumbers the unseen one)")
-	return nil
+	return ablation(w, s, "Figure 14 — impact of inter-function correlation designs",
+		[]variant{
+			{"w/o Corr", func(c *core.Config) { c.DisableCorrelation = true }},
+			{"w/o Online-Corr", func(c *core.Config) { c.DisableOnlineCorr = true }},
+		},
+		"(expected shape: w/o Corr hurts more than w/o Online-Corr — the",
+		" correlated population outnumbers the unseen one)")
 }
 
 // Fig15 reproduces the concept-shift ablation: full SPES vs "w/o
 // Forgetting" vs "w/o Adjusting".
 func Fig15(w io.Writer, s Settings) error {
-	_, train, simTr, err := BuildWorkload(s)
-	if err != nil {
-		return err
-	}
-	full, err := runVariant(s.SPES, train, simTr)
-	if err != nil {
-		return err
-	}
-	noForget := s.SPES
-	noForget.DisableForgetting = true
-	noForgetRes, err := runVariant(noForget, train, simTr)
-	if err != nil {
-		return err
-	}
-	noAdjust := s.SPES
-	noAdjust.DisableAdjusting = true
-	noAdjustRes, err := runVariant(noAdjust, train, simTr)
-	if err != nil {
-		return err
-	}
-
-	fmt.Fprintln(w, "Figure 15 — impact of the adaptive designs")
-	tab := report.NewTable("Variant", "Q3-CSR", "Norm. memory", "Norm. WMT")
-	ablationRow(tab, "SPES", full, full)
-	ablationRow(tab, "w/o Forgetting", noForgetRes, full)
-	ablationRow(tab, "w/o Adjusting", noAdjustRes, full)
-	tab.Render(w)
-	fmt.Fprintln(w, "(expected shape: forgetting matters more — it re-categorizes whole")
-	fmt.Fprintln(w, " functions, adjusting only refines predictive values)")
-	return nil
+	return ablation(w, s, "Figure 15 — impact of the adaptive designs",
+		[]variant{
+			{"w/o Forgetting", func(c *core.Config) { c.DisableForgetting = true }},
+			{"w/o Adjusting", func(c *core.Config) { c.DisableAdjusting = true }},
+		},
+		"(expected shape: forgetting matters more — it re-categorizes whole",
+		" functions, adjusting only refines predictive values)")
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -14,7 +13,6 @@ import (
 // one workload — the single expensive computation Figures 8 through 12
 // read different projections of.
 type Comparison struct {
-	Settings Settings
 	SPES     *sim.Result
 	Results  []*sim.Result // SPES first, then the baselines in paper order
 	SimTrace *trace.Trace  // the simulated window (metadata for app-wise views)
@@ -46,66 +44,52 @@ func AppWiseCSRs(res *sim.Result, tr *trace.Trace) []float64 {
 	return out
 }
 
-// RunComparison simulates SPES and all baselines. FaaSCache's capacity is
-// set to SPES's maximum observed memory, as Section V-A1 prescribes, which
-// is why SPES runs first. Overhead timing is enabled so RQ2's overhead
-// discussion can be reproduced from the same run.
-func RunComparison(s Settings, train, simTr *trace.Trace) (*Comparison, error) {
-	opts := sim.Options{MeasureOverhead: true}
-
-	spes := core.New(s.SPES)
-	spesRes, err := sim.Run(spes, train, simTr, opts)
+// RunComparison simulates SPES and the paper's baselines in paper order
+// through PolicyTable (FaaSCache at SPES's peak memory, Section V-A1).
+// Overhead timing is enabled so RQ2's overhead discussion can be reproduced
+// from the same run.
+func RunComparison(w *Workload) (*Comparison, error) {
+	rows, err := w.PolicyTable([]string{"defuse", "hf", "ha", "fixed"}, []string{"faascache"}, 0,
+		sim.Options{MeasureOverhead: true})
 	if err != nil {
-		return nil, fmt.Errorf("experiments: SPES run: %w", err)
+		return nil, fmt.Errorf("experiments: comparison: %w", err)
 	}
-	capacity := spesRes.MaxLoaded
-	if capacity < 1 {
-		capacity = 1
+	c := &Comparison{SPES: rows[0].Result, SimTrace: w.Sim}
+	for _, r := range rows {
+		c.Results = append(c.Results, r.Result)
 	}
-
-	policies := []sim.Policy{
-		baselines.NewDefuse(baselines.DefaultDefuseConfig()),
-		baselines.NewHybridFunction(baselines.DefaultHybridConfig()),
-		baselines.NewHybridApplication(baselines.DefaultHybridConfig()),
-		baselines.NewFixedKeepAlive(10),
-		baselines.NewFaaSCache(capacity),
-	}
-	results := []*sim.Result{spesRes}
-	for _, p := range policies {
-		r, err := sim.Run(p, train, simTr, opts)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s run: %w", p.Name(), err)
-		}
-		results = append(results, r)
-	}
-	return &Comparison{Settings: s, SPES: spesRes, Results: results, SimTrace: simTr}, nil
+	return c, nil
 }
 
-// cached comparison, keyed by the settings' rendered fields (Settings
-// itself holds a slice and cannot be a map key), so the per-figure runners
-// invoked from one binary share the expensive simulation.
-var comparisonCache = map[string]*Comparison{}
+// comparisonCache shares the expensive comparison between the per-figure
+// runners invoked from one binary, keyed by cacheKey.
+var comparisonCache = map[uint64]*Comparison{}
 
-// cacheKey renders every settings field that influences a comparison.
-func (s Settings) cacheKey() string {
-	return fmt.Sprintf("%d/%d/%d/%d/%+v/%v",
-		s.Functions, s.Days, s.TrainDays, s.Seed, s.SPES, s.TriggerMix)
+// cacheKey hashes everything that determines a comparison: the generated
+// workload (scale, seed, trigger mix, scenario), the split and the SPES
+// configuration. Execution knobs (Shards, CacheDir) never change a result.
+func (s Settings) cacheKey() uint64 {
+	return sim.HashConfig(struct {
+		Workload  trace.GeneratorConfig
+		TrainDays int
+		SPES      core.Config
+	}{s.GeneratorConfig(), s.TrainDays, s.SPES})
 }
 
 // SharedComparison returns a cached comparison for the settings, running it
 // on first use.
-func SharedComparison(s Settings, w io.Writer) (*Comparison, error) {
+func SharedComparison(s Settings, out io.Writer) (*Comparison, error) {
 	if c, ok := comparisonCache[s.cacheKey()]; ok {
 		return c, nil
 	}
-	fmt.Fprintf(w, "building workload: %d functions, %d days (%d train)...\n",
+	fmt.Fprintf(out, "building workload: %d functions, %d days (%d train)...\n",
 		s.Functions, s.Days, s.TrainDays)
-	_, train, simTr, err := BuildWorkload(s)
+	w, err := Open(s, Input{})
 	if err != nil {
 		return nil, err
 	}
-	fmt.Fprintln(w, "simulating SPES and 5 baselines...")
-	c, err := RunComparison(s, train, simTr)
+	fmt.Fprintln(out, "simulating SPES and 5 baselines...")
+	c, err := RunComparison(w)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/report"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -47,120 +48,93 @@ func Fig8(w io.Writer, s Settings) error {
 	return nil
 }
 
-// Fig9a reproduces the normalized memory usage comparison.
-func Fig9a(w io.Writer, s Settings) error {
+// policyBars renders one bar per compared policy: value projects a result
+// (given the SPES row it may normalize to) onto the figure's axis.
+func policyBars(w io.Writer, s Settings, title, axis string, value func(spes, r *sim.Result) float64) error {
 	c, err := SharedComparison(s, w)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "Figure 9(a) — memory usage normalized to SPES (lower is better)")
-	base := c.SPES.MeanLoaded()
+	fmt.Fprintln(w, title)
 	labels := make([]string, 0, len(c.Results))
 	values := make([]float64, 0, len(c.Results))
 	for _, r := range c.Results {
 		labels = append(labels, r.Policy)
-		v := 0.0
-		if base > 0 {
-			v = r.MeanLoaded() / base
-		}
-		values = append(values, v)
+		values = append(values, value(c.SPES, r))
 	}
-	report.BarChart(w, "  mean loaded instances / SPES", labels, values)
+	report.BarChart(w, axis, labels, values)
 	return nil
+}
+
+// normalized is v relative to base, 0 when there is no base to speak of.
+func normalized(v, base float64) float64 {
+	if base > 0 {
+		return v / base
+	}
+	return 0
+}
+
+// Fig9a reproduces the normalized memory usage comparison.
+func Fig9a(w io.Writer, s Settings) error {
+	return policyBars(w, s, "Figure 9(a) — memory usage normalized to SPES (lower is better)",
+		"  mean loaded instances / SPES",
+		func(spes, r *sim.Result) float64 { return normalized(r.MeanLoaded(), spes.MeanLoaded()) })
 }
 
 // Fig9b reproduces the always-cold function percentage comparison.
 func Fig9b(w io.Writer, s Settings) error {
+	return policyBars(w, s, "Figure 9(b) — share of always-cold functions (lower is better)",
+		"  always-cold functions (%)",
+		func(_, r *sim.Result) float64 { return 100 * r.AlwaysColdFraction() })
+}
+
+// Fig11a reproduces the normalized wasted-memory-time comparison.
+func Fig11a(w io.Writer, s Settings) error {
+	return policyBars(w, s, "Figure 11(a) — wasted memory time normalized to SPES (lower is better)",
+		"  WMT / SPES",
+		func(spes, r *sim.Result) float64 { return normalized(float64(r.TotalWMT), float64(spes.TotalWMT)) })
+}
+
+// Fig11b reproduces the effective memory consumption ratio comparison.
+func Fig11b(w io.Writer, s Settings) error {
+	return policyBars(w, s, "Figure 11(b) — effective memory consumption ratio (higher is better)",
+		"  EMCR (%)",
+		func(_, r *sim.Result) float64 { return 100 * r.EMCR() })
+}
+
+// categoryBars renders one bar per SPES category, annotated with its
+// population, over the per-category means pick selects.
+func categoryBars(w io.Writer, s Settings, title, axis string, pick func(meanCSR, meanWMT map[string]float64) map[string]float64) error {
 	c, err := SharedComparison(s, w)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(w, "Figure 9(b) — share of always-cold functions (lower is better)")
-	labels := make([]string, 0, len(c.Results))
-	values := make([]float64, 0, len(c.Results))
-	for _, r := range c.Results {
-		labels = append(labels, r.Policy)
-		values = append(values, 100*r.AlwaysColdFraction())
+	meanCSR, meanWMT, counts := c.SPES.TypeBreakdown()
+	means := pick(meanCSR, meanWMT)
+	fmt.Fprintln(w, title)
+	labels := report.SortedKeys(means)
+	values := make([]float64, 0, len(labels))
+	annotated := make([]string, 0, len(labels))
+	for _, label := range labels {
+		values = append(values, means[label])
+		annotated = append(annotated, fmt.Sprintf("%s (n=%d)", label, counts[label]))
 	}
-	report.BarChart(w, "  always-cold functions (%)", labels, values)
+	report.BarChart(w, axis, annotated, values)
 	return nil
 }
 
 // Fig10 reproduces the per-category mean cold-start rate of SPES.
 func Fig10(w io.Writer, s Settings) error {
-	c, err := SharedComparison(s, w)
-	if err != nil {
-		return err
-	}
-	meanCSR, _, counts := c.SPES.TypeBreakdown()
-	fmt.Fprintln(w, "Figure 10 — mean cold-start rate per SPES category")
-	labels := report.SortedKeys(meanCSR)
-	values := make([]float64, 0, len(labels))
-	annotated := make([]string, 0, len(labels))
-	for _, label := range labels {
-		values = append(values, meanCSR[label])
-		annotated = append(annotated, fmt.Sprintf("%s (n=%d)", label, counts[label]))
-	}
-	report.BarChart(w, "  mean function-wise CSR", annotated, values)
-	return nil
-}
-
-// Fig11a reproduces the normalized wasted-memory-time comparison.
-func Fig11a(w io.Writer, s Settings) error {
-	c, err := SharedComparison(s, w)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Figure 11(a) — wasted memory time normalized to SPES (lower is better)")
-	base := float64(c.SPES.TotalWMT)
-	labels := make([]string, 0, len(c.Results))
-	values := make([]float64, 0, len(c.Results))
-	for _, r := range c.Results {
-		labels = append(labels, r.Policy)
-		v := 0.0
-		if base > 0 {
-			v = float64(r.TotalWMT) / base
-		}
-		values = append(values, v)
-	}
-	report.BarChart(w, "  WMT / SPES", labels, values)
-	return nil
-}
-
-// Fig11b reproduces the effective memory consumption ratio comparison.
-func Fig11b(w io.Writer, s Settings) error {
-	c, err := SharedComparison(s, w)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "Figure 11(b) — effective memory consumption ratio (higher is better)")
-	labels := make([]string, 0, len(c.Results))
-	values := make([]float64, 0, len(c.Results))
-	for _, r := range c.Results {
-		labels = append(labels, r.Policy)
-		values = append(values, 100*r.EMCR())
-	}
-	report.BarChart(w, "  EMCR (%)", labels, values)
-	return nil
+	return categoryBars(w, s, "Figure 10 — mean cold-start rate per SPES category",
+		"  mean function-wise CSR",
+		func(csr, _ map[string]float64) map[string]float64 { return csr })
 }
 
 // Fig12 reproduces the per-category wasted-memory ratio of SPES.
 func Fig12(w io.Writer, s Settings) error {
-	c, err := SharedComparison(s, w)
-	if err != nil {
-		return err
-	}
-	_, meanWMT, counts := c.SPES.TypeBreakdown()
-	fmt.Fprintln(w, "Figure 12 — wasted memory time per invocation, per SPES category")
-	labels := report.SortedKeys(meanWMT)
-	values := make([]float64, 0, len(labels))
-	annotated := make([]string, 0, len(labels))
-	for _, label := range labels {
-		values = append(values, meanWMT[label])
-		annotated = append(annotated, fmt.Sprintf("%s (n=%d)", label, counts[label]))
-	}
-	report.BarChart(w, "  WMT minutes per invoked slot", annotated, values)
-	return nil
+	return categoryBars(w, s, "Figure 12 — wasted memory time per invocation, per SPES category",
+		"  WMT minutes per invoked slot",
+		func(_, wmt map[string]float64) map[string]float64 { return wmt })
 }
 
 // Overhead reproduces RQ2's scheduling-overhead discussion: mean Tick

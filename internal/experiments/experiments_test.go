@@ -44,12 +44,11 @@ func TestRunComparisonShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparison is slow")
 	}
-	s := QuickSettings()
-	_, train, simTr, err := BuildWorkload(s)
+	w, err := Open(QuickSettings(), Input{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := RunComparison(s, train, simTr)
+	c, err := RunComparison(w)
 	if err != nil {
 		t.Fatal(err)
 	}

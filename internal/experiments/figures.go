@@ -194,16 +194,9 @@ func CORStats(w io.Writer, s Settings) error {
 	tab.AddRow("candidates, same trigger", fmt.Sprintf("%.4f", mean(sameTrigSum, sameTrigN)), "0.2710")
 	tab.AddRow("candidates, different trigger", fmt.Sprintf("%.4f", mean(diffTrigSum, diffTrigN)), "0.1307")
 	tab.Render(w)
-	ratio := mean(candSum, candN) / maxf(mean(negSum, negN), 1e-9)
+	ratio := mean(candSum, candN) / max(mean(negSum, negN), 1e-9)
 	fmt.Fprintf(w, "candidate/negative ratio: %.1fx (paper: ~4.6x)\n", ratio)
 	return nil
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // hourly aggregates a series into hourly totals.

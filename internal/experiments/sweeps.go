@@ -32,7 +32,10 @@ func runNormalizedSweep(w io.Writer, s Settings, title, header string, pts []swe
 	if err != nil {
 		return err
 	}
-	opts := sim.Options{Shards: s.sweepShards()}
+	opts := sim.Options{Shards: 4}
+	if s.Shards > 0 {
+		opts.Shards = s.Shards
+	}
 	if s.CacheDir != "" {
 		disk, err := sim.OpenDiskCache(s.CacheDir)
 		if err != nil {

@@ -328,10 +328,11 @@ func (c *ShardCache) Stats() CacheStats {
 	}
 }
 
-// Sweep runs many policy configurations over one fixed workload with shard
-// results cached and the partition (or streamed source) shared, so a
+// Sweep runs many policy configurations over one fixed materialized
+// workload with shard results cached and the partition shared, so a
 // parameter sweep re-simulates only what each point changes and a repeated
 // point costs one merge. Build one per workload; call Run per sweep point.
+// (A streamed sweep needs no type: pass one Options.Cache to RunStreamed.)
 type Sweep struct {
 	train, simTr *trace.Trace
 	opts         Options
@@ -355,32 +356,7 @@ func NewSweep(train, simTr *trace.Trace, opts Options) (*Sweep, error) {
 	return &Sweep{train: train, simTr: simTr, opts: opts}, nil
 }
 
-// NewStreamedSweep prepares an incremental sweep over a streamed Source:
-// sweep points additionally skip shard production on cache hits (a warm
-// generator-backed sweep never generates at all — and with a disk-backed
-// cache, neither does a warm sweep in a restarted process).
-func NewStreamedSweep(src Source, opts Options) (*Sweep, error) {
-	if src == nil {
-		return nil, fmt.Errorf("sim: sweep needs a source")
-	}
-	if opts.Cache == nil {
-		opts.Cache = NewShardCache()
-	}
-	opts.Source = src
-	return &Sweep{opts: opts}, nil
-}
-
 // Run simulates one sweep point.
 func (s *Sweep) Run(policy Policy) (*Result, error) {
 	return Run(policy, s.train, s.simTr, s.opts)
 }
-
-// RunAll simulates several policies as one sweep point (shared worker
-// budget, results in input order).
-func (s *Sweep) RunAll(policies []Policy) ([]*Result, error) {
-	return RunAll(policies, s.train, s.simTr, s.opts)
-}
-
-// Cache exposes the sweep's shard cache (for stats or sharing with another
-// sweep over the same workload).
-func (s *Sweep) Cache() *ShardCache { return s.opts.Cache }

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/retry"
 )
@@ -99,36 +98,15 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// RetryPolicy bounds the shard isolation layer's retries: a transient
-// failure (IsTransient, or any recovered panic — a crash may be cured by a
-// re-run, and re-running a pure shard simulation is always safe) re-runs
-// the shard up to MaxAttempts times total, sleeping BaseDelay << (attempt-1)
-// capped at MaxDelay between attempts. Zero fields take the defaults; a
-// negative MaxAttempts disables retries (one attempt, still recovered and
-// classified).
-type RetryPolicy struct {
-	MaxAttempts int           // total attempts per shard, including the first (default 3)
-	BaseDelay   time.Duration // first backoff sleep (default 5ms)
-	MaxDelay    time.Duration // backoff cap (default 250ms)
-}
-
-// defaultRetryAttempts is the zero-value budget, now owned by the shared
-// retry helper.
-const defaultRetryAttempts = retry.DefaultAttempts
-
-// policy converts to the shared retry helper; the defaults (3 attempts, 5ms
-// base, 250ms cap) are retry's package defaults, so the zero RetryPolicy
-// keeps its historical schedule exactly.
-func (p RetryPolicy) policy() retry.Policy {
-	return retry.Policy{MaxAttempts: p.MaxAttempts, BaseDelay: p.BaseDelay, MaxDelay: p.MaxDelay}
-}
-
-// attempts resolves the effective attempt budget.
-func (p RetryPolicy) attempts() int { return p.policy().Attempts() }
-
-// backoff returns the sleep before attempt n+1 (n is the 1-based attempt
-// that just failed): BaseDelay doubled per failure, capped at MaxDelay.
-func (p RetryPolicy) backoff(n int) time.Duration { return p.policy().Backoff(n) }
+// RetryPolicy bounds the shard isolation layer's retries, on the shared
+// jitterless schedule of internal/retry: a transient failure (IsTransient,
+// or any recovered panic — a crash may be cured by a re-run, and re-running
+// a pure shard simulation is always safe) re-runs the shard up to
+// MaxAttempts times total, sleeping BaseDelay << (attempt-1) capped at
+// MaxDelay between attempts. The zero value takes retry's defaults (3
+// attempts, 5ms base, 250ms cap); a negative MaxAttempts disables retries
+// (one attempt, still recovered and classified).
+type RetryPolicy = retry.Policy
 
 // ShardFaultHook is the fault-injection seam at the shard-worker boundary:
 // when Options.FaultHook is set, the engine calls BeforeShard(shard,

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/retry"
 	"repro/internal/trace"
 )
 
@@ -121,8 +122,8 @@ func TestShardPersistentPanicSurfacesStructured(t *testing.T) {
 	if !se.Panicked || !se.Transient {
 		t.Errorf("ShardError classification = panicked %v transient %v, want true/true: %v", se.Panicked, se.Transient, se)
 	}
-	if se.Attempts != defaultRetryAttempts {
-		t.Errorf("ShardError attempts = %d, want the default budget %d", se.Attempts, defaultRetryAttempts)
+	if se.Attempts != retry.DefaultAttempts {
+		t.Errorf("ShardError attempts = %d, want the default budget %d", se.Attempts, retry.DefaultAttempts)
 	}
 	if se.Policy != "never-loaded" || se.Shards != 2 {
 		t.Errorf("ShardError context = %q %d shards, want never-loaded / 2", se.Policy, se.Shards)
@@ -234,16 +235,16 @@ func TestRunAllPartialResults(t *testing.T) {
 }
 
 func TestRetryPolicyBudgetAndBackoff(t *testing.T) {
-	if got := (RetryPolicy{}).attempts(); got != defaultRetryAttempts {
-		t.Errorf("zero policy attempts = %d, want %d", got, defaultRetryAttempts)
+	if got := (RetryPolicy{}).Attempts(); got != retry.DefaultAttempts {
+		t.Errorf("zero policy attempts = %d, want %d", got, retry.DefaultAttempts)
 	}
-	if got := (RetryPolicy{MaxAttempts: -1}).attempts(); got != 1 {
+	if got := (RetryPolicy{MaxAttempts: -1}).Attempts(); got != 1 {
 		t.Errorf("negative policy attempts = %d, want 1 (retries disabled)", got)
 	}
 	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 35 * time.Millisecond}
 	want := []time.Duration{10, 20, 35, 35} // doubling, capped
 	for i, w := range want {
-		if got := p.backoff(i + 1); got != w*time.Millisecond {
+		if got := p.Backoff(i + 1); got != w*time.Millisecond {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
 		}
 	}

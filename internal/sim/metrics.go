@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"reflect"
+	"strings"
 	"time"
 
 	"repro/internal/stats"
@@ -152,6 +155,40 @@ func (r *Result) OverheadPerSlot() time.Duration {
 		return 0
 	}
 	return r.Overhead / time.Duration(r.Slots)
+}
+
+// Diff is the one comparison behind every bit-identity claim (cmd/eqvcheck
+// and the equivalence tests): "" when got equals r in every field but
+// Overhead, which is wall clock; otherwise the totals of both sides and the
+// first per-function metrics and type labels that differ, one per line.
+func (r *Result) Diff(got *Result) string {
+	w, g := *r, *got
+	w.Overhead, g.Overhead = 0, 0
+	if reflect.DeepEqual(&w, &g) {
+		return ""
+	}
+	var b strings.Builder
+	for i, x := range []*Result{&w, &g} {
+		fmt.Fprintf(&b, "%s: %s, %d functions x %d slots: cold=%d wmt=%d mem=%d emcr=%v/%d max=%d\n",
+			[]string{"want", "got"}[i], x.Policy, x.Functions, x.Slots,
+			x.TotalColdStarts, x.TotalWMT, x.TotalMemory, x.EMCRSum, x.EMCRSlots, x.MaxLoaded)
+	}
+	const maxLines = 8 // per kind: enough to see a pattern, short enough to read
+	n := 0
+	for f := 0; f < len(w.PerFunc) && f < len(g.PerFunc) && n < maxLines; f++ {
+		if w.PerFunc[f] != g.PerFunc[f] {
+			fmt.Fprintf(&b, "  f%d want=%+v got=%+v\n", f, w.PerFunc[f], g.PerFunc[f])
+			n++
+		}
+	}
+	n = 0
+	for f := 0; f < len(w.Types) && f < len(g.Types) && n < maxLines; f++ {
+		if w.Types[f] != g.Types[f] {
+			fmt.Fprintf(&b, "  f%d type want=%s got=%s\n", f, w.Types[f], g.Types[f])
+			n++
+		}
+	}
+	return b.String()
 }
 
 // GlobalCSR returns the aggregate cold-start rate across all invoked slots.

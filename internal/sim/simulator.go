@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -496,28 +495,25 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	// shards keep running.
 	simulate := func(i int, ps producedShard) {
 		started[i] = true
-		max := opts.Retry.attempts()
-		for n := 1; ; n++ {
-			err := attempt(i, n, ps)
-			if err == nil {
-				errs[i] = nil
-				return
+		attempts := 0
+		err := opts.Retry.Do(func(n int) error {
+			attempts = n
+			if n > 1 {
+				// Re-produce from scratch: the failed attempt's views (or
+				// cache entry) are suspect, and a transient production fault
+				// needs the production re-run too.
+				ps = produce(i)
 			}
+			return attempt(i, n, ps)
+		}, func(err error) bool { return isPanic(err) || IsTransient(err) })
+		errs[i] = nil
+		if err != nil {
 			panicked := isPanic(err)
-			transient := panicked || IsTransient(err)
-			if !transient || n >= max {
-				results[i] = nil
-				errs[i] = &ShardError{
-					Policy: policy.Name(), Shard: i, Shards: p,
-					Attempts: n, Transient: transient, Panicked: panicked, Err: err,
-				}
-				return
+			results[i] = nil
+			errs[i] = &ShardError{
+				Policy: policy.Name(), Shard: i, Shards: p, Attempts: attempts,
+				Transient: panicked || IsTransient(err), Panicked: panicked, Err: err,
 			}
-			time.Sleep(opts.Retry.backoff(n))
-			// Re-produce from scratch: the failed attempt's views (or cache
-			// entry) are suspect, and a transient production fault needs the
-			// production re-run too.
-			ps = produce(i)
 		}
 	}
 
