@@ -24,8 +24,9 @@
 //
 //	go run ./cmd/eqvcheck -functions 400 -shards 4 -stream -faults 7
 //
-// The capacity-arbitrated engine: FaaSCache and LCS unsharded against shard
-// counts {2, 5, 16}, plus streamed at -shards with -stream:
+// The capacity-coupled baselines: FaaSCache and LCS unsharded against
+// Options.Shards {2, 5, 16} — or, with -stream, against generator sources of
+// {2, 5, 16} shards, whose population the run reassembles:
 //
 //	go run ./cmd/eqvcheck -capacity -stream -shards 4
 //
@@ -104,7 +105,7 @@ func run() error {
 	minDiskHits := flag.Int("mindiskhits", 0, "fail unless the cold passes were served at least this many shard entries from the disk cache — asserts that a previous process's -cache-dir entries survived the restart (0: no assertion)")
 	retrain := flag.Int("retrain-every", 0, "enable SPES online re-categorization every this many slots in every engine under comparison (0: off)")
 	faultSeed := flag.Int64("faults", 0, "non-zero: run the -stream checks under deterministic injected faults with this schedule seed; completed runs must stay bit-identical to the clean dense reference")
-	capCheck := flag.Bool("capacity", false, "additionally check the capacity-arbitrated sharded engine: FaaSCache and LCS under shard counts {2, 5, 16} (and streamed at -shards with -stream) must be bit-identical to their unsharded runs")
+	capCheck := flag.Bool("capacity", false, "additionally check the capacity-coupled baselines: FaaSCache and LCS under shard counts {2, 5, 16} (over streamed sources of that many shards with -stream) must be bit-identical to their unsharded runs")
 	ingestCSV := flag.String("ingest", "", "real-trace mode: check this Azure-format CSV through materialized, sharded, and columnar-store (cold + warm) paths for bit-identity; generation flags are ignored")
 	flag.Parse()
 
@@ -137,9 +138,9 @@ func run() error {
 		return fmt.Errorf("-mindiskhits needs -stream (the disk cache only runs there)")
 	}
 	if *streamOnly && *capCheck {
-		// The capacity engine holds every shard resident for its lockstep
-		// barrier, so it cannot run under the O(n/P) residency guard.
-		return fmt.Errorf("-capacity cannot be combined with -streamonly (capacity arbitration is lockstep: all shards stay resident)")
+		// A capacity-coupled policy runs over the whole reassembled
+		// population, so it cannot run under the O(n/P) residency guard.
+		return fmt.Errorf("-capacity cannot be combined with -streamonly (a capacity-coupled policy keeps the whole population resident)")
 	}
 	if *streamOnly && (*stream || *cacheDir != "" || *minDiskHits > 0) {
 		// The streamonly branch never touches the disk cache; accepting
@@ -318,7 +319,7 @@ func run() error {
 			}
 		}
 		if *capCheck {
-			if err := checkCapacity(s, mat, str, *workers); err != nil {
+			if err := checkCapacity(s, mat, *stream, *workers); err != nil {
 				return err
 			}
 		}
@@ -418,14 +419,15 @@ func runIngestCheck(s experiments.Settings, path string, shards, workers int, ma
 }
 
 // checkCapacity runs the -capacity pass for one seed: FaaSCache and LCS —
-// the capacity-coupled baselines, which shard through the arbitrated
-// lockstep engine rather than as independent instances — simulated
-// unsharded and at shard counts {2, 5, 16} (plus streamed, when -stream
-// opened str), every sharded run compared bit-for-bit against the
-// unsharded reference. The pool capacity is a third of the population:
-// small enough that evictions happen constantly, large enough that loaded
-// functions also idle (so WMT and EMCR are non-degenerate).
-func checkCapacity(s experiments.Settings, mat, str *experiments.Workload, workers int) error {
+// the capacity-coupled baselines, which run one instance over the whole
+// population however the workload is sharded — simulated unsharded and at
+// shard counts {2, 5, 16}: Options.Shards over the materialized pair, or
+// with -stream a generator source of that many shards, which the run
+// reassembles. Every run is compared bit-for-bit against the unsharded
+// reference. The pool capacity is a third of the population: small enough
+// that evictions happen constantly, large enough that loaded functions also
+// idle (so WMT and EMCR are non-degenerate).
+func checkCapacity(s experiments.Settings, mat *experiments.Workload, stream bool, workers int) error {
 	seed, pool := s.Seed, max(s.Functions/3, 1)
 	for _, m := range []struct {
 		name string
@@ -443,12 +445,15 @@ func checkCapacity(s experiments.Settings, mat, str *experiments.Workload, worke
 				seed, m.name, ref.TotalColdStarts, ref.TotalWMT)
 		}
 		for _, p := range []int{2, 5, 16} {
-			if err := check(fmt.Sprintf("seed %d: %s capacity x%d", seed, m.name, p), ref, mat, m.mk(), sim.Options{Shards: p, Workers: workers}); err != nil {
-				return err
+			w, door := mat, "sharded"
+			if stream {
+				// The source's shard count replaces Options.Shards.
+				if w, err = experiments.Open(s, experiments.Input{Stream: true, Shards: p}); err != nil {
+					return err
+				}
+				door = "streamed"
 			}
-		}
-		if str != nil {
-			if err := check(fmt.Sprintf("seed %d: %s capacity streamed", seed, m.name), ref, str, m.mk(), sim.Options{Workers: workers}); err != nil {
+			if err := check(fmt.Sprintf("seed %d: %s capacity %s x%d", seed, m.name, door, p), ref, w, m.mk(), sim.Options{Shards: p, Workers: workers}); err != nil {
 				return err
 			}
 		}

@@ -102,10 +102,10 @@ func run() error {
 	return nil
 }
 
-// table simulates the policy table over one workload — every policy
-// sharded (a store fixes its own count), the per-function ones as
-// independent shard instances, FaaSCache and LCS through the lockstep
-// arbitration engine — and prints it under header.
+// table simulates the policy table over one workload — the per-function
+// policies as independent shard instances (a store fixes its own count),
+// FaaSCache and LCS, which cannot shard, over the whole population — and
+// prints it under header.
 func table(w *experiments.Workload, shards, retrainEvery int, header string) error {
 	rows, err := w.PolicyTable([]string{"fixed", "hf", "ha", "defuse"}, []string{"faascache", "lcs"},
 		retrainEvery, sim.Options{Shards: shards})

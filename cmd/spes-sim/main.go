@@ -75,9 +75,10 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Overhead timing forces shard runs sequential (timings under core
-	// contention are meaningless), so it is only taken on unsharded,
-	// unstreamed runs — -shards exists to exercise the concurrent engine.
+	// Overhead timing is an unsharded measurement (timings under core
+	// contention are meaningless, and the sharded engine refuses it), so it
+	// is only taken on unsharded, unstreamed runs — -shards exists to
+	// exercise the concurrent engine.
 	opts := sim.Options{
 		MeasureOverhead: !w.Streamed() && in.Shards <= 1,
 		Shards:          in.Shards,

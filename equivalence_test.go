@@ -121,8 +121,8 @@ func TestSPESEventEngineEquivalence(t *testing.T) {
 
 // TestShardedBaselineEquivalence runs every baseline under Options.Shards
 // and requires the merged result to match its unsharded run — including the
-// capacity-coupled policies (FaaSCache, LCS), which used to refuse sharding
-// and now run under the capacity-arbitrated engine.
+// capacity-coupled policies (FaaSCache, LCS), which do not shard and run
+// over the whole population whatever Options.Shards says.
 func TestShardedBaselineEquivalence(t *testing.T) {
 	_, train, simTr, err := experiments.BuildWorkload(eqvSettings(5))
 	if err != nil {
@@ -152,12 +152,12 @@ func TestShardedBaselineEquivalence(t *testing.T) {
 }
 
 // TestCapacityShardedEquivalence is the dedicated matrix for the capacity-
-// arbitrated engine: FaaSCache and LCS across shard counts {2, 5, 16},
-// scenarios {steady, drift, flashcrowd}, and three seeds must merge to
-// Results bit-identical to their unsharded runs — which are themselves
-// pinned to the dense accounting scan — and the streamed engine must agree
-// too (capacity sources materialize all shards up front, but the entry
-// point still has to work).
+// coupled policies: FaaSCache and LCS across scenarios {steady, drift,
+// flashcrowd} and three seeds must produce Results bit-identical to their
+// unsharded runs — which are themselves pinned to the dense accounting scan
+// — under Options.Shards {2, 5, 16} (Shards is ignored, result identical)
+// and over generator sources of {2, 5, 16} shards, whose population the run
+// reassembles.
 func TestCapacityShardedEquivalence(t *testing.T) {
 	mks := []func(capacity int) sim.Policy{
 		func(capacity int) sim.Policy { return baselines.NewFaaSCache(capacity) },
@@ -173,9 +173,13 @@ func TestCapacityShardedEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			src, err := experiments.StreamSource(s, 5)
-			if err != nil {
-				t.Fatal(err)
+			// One generator source per shard count, shared by both policies
+			// (its structural layout is built once).
+			srcs := map[int]*sim.GeneratorSource{}
+			for _, shards := range []int{2, 5, 16} {
+				if srcs[shards], err = experiments.StreamSource(s, shards); err != nil {
+					t.Fatal(err)
+				}
 			}
 			// A third of the population: small enough that evictions are
 			// constant, large enough that loaded functions also idle (so the
@@ -203,19 +207,20 @@ func TestCapacityShardedEquivalence(t *testing.T) {
 						t.Fatal(err)
 					}
 					assertSameResult(t, label(fmt.Sprintf("sharded x%d", shards)), ref, got)
+
+					streamed, err := sim.RunStreamed(mk(capacity), srcs[shards], sim.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertSameResult(t, label(fmt.Sprintf("streamed x%d", shards)), ref, streamed)
 				}
-				streamed, err := sim.RunStreamed(mk(capacity), src, sim.Options{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				assertSameResult(t, label("streamed x5"), ref, streamed)
 			}
 		}
 	}
 }
 
-// TestCapacityShardingContracts pins the error contracts around the
-// capacity engine: a policy implementing neither sharding interface refuses
+// TestCapacityShardingContracts pins the error contracts around capacity-
+// coupled policies: a policy implementing neither sharding interface refuses
 // with sim.ErrNotShardable (surviving RunAll's per-policy wrapping, whose
 // other results stay usable), and a ShardCache attached to a capacity run
 // is refused with a structured CapacityCacheError rather than silently
@@ -227,7 +232,7 @@ func TestCapacityShardingContracts(t *testing.T) {
 	}
 
 	// scanOnly hides every optional interface, including ShardedPolicy; the
-	// QoS wrapper arbitrates one budget across the whole population, so it
+	// QoS wrapper shares one budget across the whole population, so it
 	// implements neither sharding contract whatever it wraps.
 	for name, p := range map[string]sim.Policy{
 		"scanOnly": scanOnly{baselines.NewFixedKeepAlive(10)},

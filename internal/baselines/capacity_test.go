@@ -10,15 +10,12 @@ import (
 var (
 	_ sim.CapacityPolicy = (*FaaSCache)(nil)
 	_ sim.CapacityPolicy = (*LCS)(nil)
-	_ sim.ClockCoupled   = (*faasCacheShard)(nil)
 	_ sim.ConfigHasher   = (*FaaSCache)(nil)
 	_ sim.ConfigHasher   = (*LCS)(nil)
 )
 
 // tieTrace builds the adversarial tie workload: 8 functions, each its own
-// app and user (so each is a singleton partition component and round-robins
-// onto shard i%P — equal-score candidates always span shards), all invoked
-// together so scores tie exactly. Full-trace slots: 1 (all), 3 (all),
+// app and user, all invoked together so scores tie exactly. Full-trace slots: 1 (all), 3 (all),
 // 5 (f0..f2); split at 1, so sim slots 0, 2, 4.
 func tieTrace(t *testing.T) (train, simTr *trace.Trace) {
 	t.Helper()
@@ -35,15 +32,14 @@ func tieTrace(t *testing.T) (train, simTr *trace.Trace) {
 	return full.Split(1)
 }
 
-// TestCapacityArbiterTieBreak pins the arbiter's tie-break to the unsharded
-// eviction order. With capacity 5 and all 8 functions invoked together,
-// every score ties (equal GDSF priority, equal LRU recency), so the victims
-// are decided purely by the FuncID rule: slots 0 and 2 must evict f0,f1,f2
-// (lowest FuncIDs among the tie), making them — and only them — cold again
-// at the next round. Shard counts 2 and 3 scatter the tied candidates
-// across different shards; every run must reproduce the unsharded
-// per-function cold-start vector exactly.
-func TestCapacityArbiterTieBreak(t *testing.T) {
+// TestCapacityTieBreak pins the eviction order among equal scores. With
+// capacity 5 and all 8 functions invoked together, every score ties (equal
+// GDSF priority, equal LRU recency), so the victims are decided purely by
+// the FuncID rule: slots 0 and 2 must evict f0,f1,f2 (lowest FuncIDs among
+// the tie), making them — and only them — cold again at the next round.
+// Options.Shards must not change any of it: a capacity policy runs over the
+// whole population whatever the shard count.
+func TestCapacityTieBreak(t *testing.T) {
 	train, simTr := tieTrace(t)
 	// Slot 0: all 8 cold, pool over budget, tie → f0,f1,f2 evicted.
 	// Slot 2: all invoked again → exactly f0,f1,f2 cold; ties again →

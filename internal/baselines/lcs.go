@@ -7,15 +7,19 @@ import (
 	"repro/internal/trace"
 )
 
-// lruState is the engine-agnostic recency core shared by the unsharded LCS
-// driver and its capacity shard (capacity.go): last-invocation slots, the
-// intrusive LRU list, and the loaded set. Like gdsfState it scores and
-// admits but never decides WHEN to evict. An invariant both engines lean
-// on: the list is always sorted by (last, FuncID) — Train touches in that
+// LCS implements the "least-recently-used warm container" policy of Sethi
+// et al. (ICDCN'23): every invoked function stays warm; when the warm pool
+// exceeds its capacity, the least recently used container is recycled. The
+// SPES paper cites LCS as related work; it is included here as an extra
+// comparison point.
+//
+// The LRU list is always sorted by (last, FuncID) — Train touches in that
 // sorted order and Tick touches each slot's invocations FuncID-ascending
-// with equal last — so the head IS the minimum of that total order, and a
-// cross-shard merge on the same key reproduces the global LRU order.
-type lruState struct {
+// with equal last — so the head is the minimum of that total order and
+// same-slot ties recycle in ascending FuncID order.
+type LCS struct {
+	capacity int
+
 	set  *loadedSet
 	last []int
 
@@ -25,24 +29,36 @@ type lruState struct {
 	head, tail int
 }
 
-func (s *lruState) init(n int) {
-	s.set = newLoadedSet(n)
-	s.last = make([]int, n)
-	s.prev = make([]int, n)
-	s.next = make([]int, n)
-	for i := 0; i < n; i++ {
-		s.last[i] = -1
-		s.prev[i] = -1
-		s.next[i] = -1
+// NewLCS creates the policy with a warm-pool capacity in instances.
+func NewLCS(capacity int) *LCS {
+	if capacity <= 0 {
+		panic(fmt.Sprintf("baselines: LCS capacity must be positive, got %d", capacity))
 	}
-	s.head, s.tail = -1, -1
+	return &LCS{capacity: capacity}
 }
 
-// seed loads every function invoked during training, in LRU order (training
-// recency rebased to negative slots, ties FuncID-ascending). Capacity is
-// enforced by the caller.
-func (s *lruState) seed(training *trace.Trace) {
-	s.init(training.NumFunctions())
+// Name implements sim.Policy.
+func (p *LCS) Name() string { return "LCS" }
+
+// Capacity implements sim.CapacityPolicy.
+func (p *LCS) Capacity() int { return p.capacity }
+
+// Train implements sim.Policy: the warm pool starts the simulation holding
+// the most recently invoked training functions, up to capacity (training
+// recency rebased to negative slots, ties FuncID-ascending).
+func (p *LCS) Train(training *trace.Trace) {
+	n := training.NumFunctions()
+	p.set = newLoadedSet(n)
+	p.last = make([]int, n)
+	p.prev = make([]int, n)
+	p.next = make([]int, n)
+	for i := 0; i < n; i++ {
+		p.last[i] = -1
+		p.prev[i] = -1
+		p.next[i] = -1
+	}
+	p.head, p.tail = -1, -1
+
 	type recency struct{ fid, last int }
 	var seen []recency
 	for fid, ser := range training.Series {
@@ -57,104 +73,58 @@ func (s *lruState) seed(training *trace.Trace) {
 		return a.fid - b.fid // deterministic LRU order for same-slot ties
 	})
 	for _, r := range seen {
-		s.last[r.fid] = r.last
-		s.set.add(trace.FuncID(r.fid))
-		s.touch(r.fid)
+		p.last[r.fid] = r.last
+		p.set.add(trace.FuncID(r.fid))
+		p.touch(r.fid)
 	}
-}
-
-// detach removes f from the LRU list.
-func (s *lruState) detach(f int) {
-	if s.prev[f] >= 0 {
-		s.next[s.prev[f]] = s.next[f]
-	} else if s.head == f {
-		s.head = s.next[f]
-	}
-	if s.next[f] >= 0 {
-		s.prev[s.next[f]] = s.prev[f]
-	} else if s.tail == f {
-		s.tail = s.prev[f]
-	}
-	s.prev[f], s.next[f] = -1, -1
-}
-
-// touch moves f to the most-recently-used end (tail).
-func (s *lruState) touch(f int) {
-	s.detach(f)
-	if s.tail < 0 {
-		s.head, s.tail = f, f
-		return
-	}
-	s.prev[f] = s.tail
-	s.next[s.tail] = f
-	s.tail = f
-}
-
-// observe applies one slot's invocations: refresh recency and admit
-// newcomers. No evictions.
-func (s *lruState) observe(t int, invs []trace.FuncCount) {
-	for _, fc := range invs {
-		f := int(fc.Func)
-		s.last[f] = t
-		s.set.add(fc.Func)
-		s.touch(f)
-	}
-}
-
-// peekLRU returns the current eviction candidate — the list head, i.e. the
-// minimum (last, FuncID) over the warm pool — without evicting.
-func (s *lruState) peekLRU() (float64, trace.FuncID, bool) {
-	if s.head < 0 {
-		return 0, 0, false
-	}
-	return float64(s.last[s.head]), trace.FuncID(s.head), true
-}
-
-// evictLRU recycles the candidate peekLRU reported.
-func (s *lruState) evictLRU() {
-	victim := s.head
-	s.detach(victim)
-	s.set.remove(trace.FuncID(victim))
-}
-
-// LCS implements the "least-recently-used warm container" policy of Sethi
-// et al. (ICDCN'23): every invoked function stays warm; when the warm pool
-// exceeds its capacity, the least recently used container is recycled. The
-// SPES paper cites LCS as related work; it is included here as an extra
-// comparison point.
-type LCS struct {
-	capacity int
-	lru      lruState
-}
-
-// NewLCS creates the policy with a warm-pool capacity in instances.
-func NewLCS(capacity int) *LCS {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("baselines: LCS capacity must be positive, got %d", capacity))
-	}
-	return &LCS{capacity: capacity}
-}
-
-// Name implements sim.Policy.
-func (p *LCS) Name() string { return "LCS" }
-
-// Train implements sim.Policy: the warm pool starts the simulation holding
-// the most recently invoked training functions, up to capacity.
-func (p *LCS) Train(training *trace.Trace) {
-	p.lru.seed(training)
 	p.enforce()
 }
 
-// Tick implements sim.Policy.
+// detach removes f from the LRU list.
+func (p *LCS) detach(f int) {
+	if p.prev[f] >= 0 {
+		p.next[p.prev[f]] = p.next[f]
+	} else if p.head == f {
+		p.head = p.next[f]
+	}
+	if p.next[f] >= 0 {
+		p.prev[p.next[f]] = p.prev[f]
+	} else if p.tail == f {
+		p.tail = p.prev[f]
+	}
+	p.prev[f], p.next[f] = -1, -1
+}
+
+// touch moves f to the most-recently-used end (tail).
+func (p *LCS) touch(f int) {
+	p.detach(f)
+	if p.tail < 0 {
+		p.head, p.tail = f, f
+		return
+	}
+	p.prev[f] = p.tail
+	p.next[p.tail] = f
+	p.tail = f
+}
+
+// Tick implements sim.Policy: refresh recency, admit newcomers, then
+// recycle down to capacity.
 func (p *LCS) Tick(t int, invs []trace.FuncCount) {
-	p.lru.observe(t, invs)
+	for _, fc := range invs {
+		f := int(fc.Func)
+		p.last[f] = t
+		p.set.add(fc.Func)
+		p.touch(f)
+	}
 	p.enforce()
 }
 
 // enforce recycles least-recently-used containers until the pool fits.
 func (p *LCS) enforce() {
-	for p.lru.set.count > p.capacity && p.lru.head >= 0 {
-		p.lru.evictLRU()
+	for p.set.count > p.capacity && p.head >= 0 {
+		victim := p.head
+		p.detach(victim)
+		p.set.remove(trace.FuncID(victim))
 	}
 }
 
@@ -165,10 +135,10 @@ func (p *LCS) enforce() {
 func (p *LCS) NextWake(after, limit int) (int, bool) { return -1, true }
 
 // Loaded implements sim.Policy.
-func (p *LCS) Loaded(f trace.FuncID) bool { return p.lru.set.has(f) }
+func (p *LCS) Loaded(f trace.FuncID) bool { return p.set.has(f) }
 
 // LoadedCount implements sim.Policy.
-func (p *LCS) LoadedCount() int { return p.lru.set.count }
+func (p *LCS) LoadedCount() int { return p.set.count }
 
 // TakeLoadDeltas implements sim.LoadDeltaTracker.
-func (p *LCS) TakeLoadDeltas() ([]trace.FuncID, bool) { return p.lru.set.takeDeltas() }
+func (p *LCS) TakeLoadDeltas() ([]trace.FuncID, bool) { return p.set.takeDeltas() }

@@ -9,9 +9,9 @@ import "repro/internal/sim"
 // never cross shards), and Defuse mines dependencies within applications
 // and keeps per-function histograms. FaaSCache and LCS do NOT implement the
 // interface — their global capacity couples every function to every other,
-// so INDEPENDENT per-shard instances would evict differently than one
-// global instance. They shard through the capacity-arbitrated engine
-// instead (sim.CapacityPolicy; see capacity.go).
+// so independent per-shard instances would evict differently than one
+// global instance. They are sim.CapacityPolicy instead: one instance over
+// the whole population whatever Options.Shards says.
 
 // NewShard implements sim.ShardedPolicy.
 func (p *FixedKeepAlive) NewShard() sim.Policy { return NewFixedKeepAlive(p.keepAlive) }
@@ -27,11 +27,14 @@ func (p *Hybrid) NewShard() sim.Policy {
 // NewShard implements sim.ShardedPolicy.
 func (p *Defuse) NewShard() sim.Policy { return NewDefuse(p.cfg) }
 
-// Shard-cache support (sim.ConfigHasher), for the same set of policies
-// (the capacity-coupled baselines hash in capacity.go). Each hash covers
-// the policy's complete behaviour-affecting configuration via
-// sim.HashConfig, so adding a config field invalidates old cache entries
-// automatically.
+// Shard-cache support (sim.ConfigHasher). Each hash covers the policy's
+// complete behaviour-affecting configuration via sim.HashConfig, so adding
+// a config field invalidates old cache entries automatically. The
+// capacity-coupled baselines hash too, so sweep tooling can fingerprint
+// their configs, although a ShardCache attached to their runs is refused
+// (sim.CapacityCacheError); their Engine string names the eviction-order
+// rule, so a fingerprint minted under another tie-break never vouches for
+// this one.
 
 // ConfigHash implements sim.ConfigHasher: the keep-alive window is the whole
 // configuration.
@@ -51,3 +54,19 @@ func (p *Hybrid) ConfigHash() uint64 {
 
 // ConfigHash implements sim.ConfigHasher.
 func (p *Defuse) ConfigHash() uint64 { return sim.HashConfig(p.cfg) }
+
+// ConfigHash implements sim.ConfigHasher.
+func (p *FaaSCache) ConfigHash() uint64 {
+	return sim.HashConfig(struct {
+		Capacity int
+		Engine   string
+	}{p.capacity, "gdsf/fid-tiebreak"})
+}
+
+// ConfigHash implements sim.ConfigHasher.
+func (p *LCS) ConfigHash() uint64 {
+	return sim.HashConfig(struct {
+		Capacity int
+		Engine   string
+	}{p.capacity, "lru/fid-tiebreak"})
+}

@@ -163,3 +163,19 @@ func TestFig5MatchesTriggerMix(t *testing.T) {
 		t.Errorf("Fig5 output missing expected content:\n%s", out)
 	}
 }
+
+// TestCORStatsDeterministic: the co-occurrence table draws its negative
+// samples from one RNG while walking the apps, so the walk must not follow
+// map order — two calls with equal Settings write identical bytes.
+func TestCORStatsDeterministic(t *testing.T) {
+	var a, b bytes.Buffer
+	if err := CORStats(&a, QuickSettings()); err != nil {
+		t.Fatal(err)
+	}
+	if err := CORStats(&b, QuickSettings()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Errorf("CORStats differs between two calls with equal Settings:\n%s\nvs\n%s", a.String(), b.String())
+	}
+}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"maps"
+	"slices"
 
 	"repro/internal/classify"
 	"repro/internal/report"
@@ -139,14 +141,18 @@ func CORStats(w io.Writer, s Settings) error {
 			invoked[fid] = append(invoked[fid], e.Slot)
 		}
 	}
+	// Apps in sorted-name order: the negative samples are drawn from one RNG
+	// and the sums are floats, so map order would change the table run to run.
 	apps := full.AppFunctions()
+	names := slices.Sorted(maps.Keys(apps))
 	rng := stats.NewRNG(s.Seed + 99)
 
 	var candSum, negSum float64
 	var candN, negN int
 	var sameTrigSum, diffTrigSum float64
 	var sameTrigN, diffTrigN int
-	for _, fns := range apps {
+	for _, name := range names {
+		fns := apps[name]
 		if len(fns) < 2 {
 			continue
 		}

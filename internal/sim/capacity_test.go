@@ -3,7 +3,10 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/trace"
@@ -11,115 +14,70 @@ import (
 
 // fakeCap is a minimal capacity-coupled policy defined at the engine's own
 // level: score = last invocation slot (pure recency), ties broken by
-// FuncID. The unsharded form enforces its budget inside Train/Tick; the
-// shard form (fakeCapShard) only scores and admits, deferring every
-// eviction to the arbiter. Testing the engine against a policy the sim
-// package owns keeps this a protocol test — baselines get their own
-// equivalence coverage.
-type fakeCapState struct {
-	last   []int
-	loaded []bool
-	count  int
-}
-
-func (s *fakeCapState) seed(training *trace.Trace) {
-	n := training.NumFunctions()
-	s.last = make([]int, n)
-	s.loaded = make([]bool, n)
-	s.count = 0
-	for fid := range s.last {
-		s.last[fid] = -1
-	}
-	for fid, ser := range training.Series {
-		if last := ser.LastSlot(); last >= 0 {
-			s.last[fid] = int(last) - training.Slots
-			s.loaded[fid] = true
-			s.count++
-		}
-	}
-}
-
-func (s *fakeCapState) observe(t int, invs []trace.FuncCount) {
-	for _, fc := range invs {
-		f := int(fc.Func)
-		s.last[f] = t
-		if !s.loaded[f] {
-			s.loaded[f] = true
-			s.count++
-		}
-	}
-}
-
-// min returns the loaded function with the smallest (last, FuncID).
-func (s *fakeCapState) min() (int, bool) {
-	best := -1
-	for f, on := range s.loaded {
-		if on && (best < 0 || s.last[f] < s.last[best]) {
-			best = f
-		}
-	}
-	return best, best >= 0
-}
-
-func (s *fakeCapState) evict(f int) {
-	s.loaded[f] = false
-	s.count--
-}
-
+// FuncID, budget enforced inside Train/Tick. Testing the capacity path
+// against a policy the sim package owns keeps these engine tests —
+// baselines get their own equivalence coverage.
 type fakeCap struct {
 	capacity int
-	st       fakeCapState
+	last     []int
+	loaded   []bool
+	count    int
 }
 
 func (p *fakeCap) Name() string { return "fake-cap" }
+
 func (p *fakeCap) Train(training *trace.Trace) {
-	p.st.seed(training)
+	n := training.NumFunctions()
+	p.last = make([]int, n)
+	p.loaded = make([]bool, n)
+	p.count = 0
+	for fid, ser := range training.Series {
+		p.last[fid] = -1
+		if last := ser.LastSlot(); last >= 0 {
+			p.last[fid] = int(last) - training.Slots
+			p.loaded[fid] = true
+			p.count++
+		}
+	}
 	p.enforce()
 }
+
 func (p *fakeCap) Tick(t int, invs []trace.FuncCount) {
-	p.st.observe(t, invs)
+	for _, fc := range invs {
+		f := int(fc.Func)
+		p.last[f] = t
+		if !p.loaded[f] {
+			p.loaded[f] = true
+			p.count++
+		}
+	}
 	p.enforce()
 }
+
+// enforce evicts the loaded function with the smallest (last, FuncID) until
+// the pool fits.
 func (p *fakeCap) enforce() {
-	for p.st.count > p.capacity {
-		f, _ := p.st.min()
-		p.st.evict(f)
+	for p.count > p.capacity {
+		best := -1
+		for f, on := range p.loaded {
+			if on && (best < 0 || p.last[f] < p.last[best]) {
+				best = f
+			}
+		}
+		p.loaded[best] = false
+		p.count--
 	}
 }
-func (p *fakeCap) Loaded(f trace.FuncID) bool            { return p.st.loaded[f] }
-func (p *fakeCap) LoadedCount() int                      { return p.st.count }
+
+func (p *fakeCap) Loaded(f trace.FuncID) bool            { return p.loaded[f] }
+func (p *fakeCap) LoadedCount() int                      { return p.count }
 func (p *fakeCap) NextWake(after, limit int) (int, bool) { return -1, true }
-
-func (p *fakeCap) Capacity() int                   { return p.capacity }
-func (p *fakeCap) NewCapacityShard() CapacityShard { return &fakeCapShard{} }
-
-type fakeCapShard struct {
-	st fakeCapState
-}
-
-func (s *fakeCapShard) Name() string                       { return "fake-cap" }
-func (s *fakeCapShard) Train(training *trace.Trace)        { s.st.seed(training) }
-func (s *fakeCapShard) Tick(t int, invs []trace.FuncCount) { s.st.observe(t, invs) }
-func (s *fakeCapShard) PeekVictim() (float64, trace.FuncID, bool) {
-	f, ok := s.st.min()
-	if !ok {
-		return 0, 0, false
-	}
-	return float64(s.st.last[f]), trace.FuncID(f), true
-}
-func (s *fakeCapShard) EvictVictim() {
-	f, _ := s.st.min()
-	s.st.evict(f)
-}
-func (s *fakeCapShard) Loaded(f trace.FuncID) bool            { return s.st.loaded[f] }
-func (s *fakeCapShard) LoadedCount() int                      { return s.st.count }
-func (s *fakeCapShard) NextWake(after, limit int) (int, bool) { return -1, true }
+func (p *fakeCap) Capacity() int                         { return p.capacity }
 
 // capTestTrace builds a deterministic 30-function trace with staggered
-// periodic invocations, holes (globally empty slots exercise the engine's
-// barrier skip), and a training prefix. Every function has a unique
-// app/user so the partition round-robins individual functions across
-// shards.
+// periodic invocations, holes (globally empty slots), and a training
+// prefix. Every function has a unique app/user so the partition
+// round-robins individual functions across shards.
 func capTestTrace() (train, simTr *trace.Trace) {
 	const slots = 400
 	full := trace.NewTrace(slots)
@@ -138,61 +96,190 @@ func capTestTrace() (train, simTr *trace.Trace) {
 	return full.Split(100)
 }
 
-// TestCapacityEngineLockstep is the engine-level half of the capacity
-// equivalence story: for a policy whose unsharded eviction order is exactly
-// the arbiter's (score, FuncID) total order, the lockstep run must
-// reproduce the unsharded run bit for bit — not just the merged Result but
-// the per-slot (loaded, active) log the merge folds, summed across shards.
-func TestCapacityEngineLockstep(t *testing.T) {
-	train, simTr := capTestTrace()
-	const capacity = 9
+// recordingSource keeps every view its source produced, so a test can check
+// what the reassembled pair shares with them.
+type recordingSource struct {
+	Source
+	train, sim []*trace.ShardView
+}
 
-	refLog := &slotLog{}
-	ref, err := runOne(&fakeCap{capacity: capacity}, train, simTr, Options{}, refLog)
+func (r *recordingSource) Shard(i int) (*trace.ShardView, *trace.ShardView, error) {
+	tv, sv, err := r.Source.Shard(i)
+	r.train, r.sim = append(r.train, tv), append(r.sim, sv)
+	return tv, sv, err
+}
+
+// assertReassembles reassembles src and requires the pair to equal
+// (wantTrain, wantSim) field for field — Slots, Functions including ID,
+// Series, a nil train exactly when wantTrain is nil — and to share, not
+// copy, the series backing arrays of the views src produced.
+func assertReassembles(t *testing.T, label string, src Source, wantTrain, wantSim *trace.Trace) {
+	t.Helper()
+	rec := &recordingSource{Source: src}
+	gotTrain, gotSim, err := reassemble("test", rec, Options{})
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	same := func(half string, got, want *trace.Trace, views []*trace.ShardView) {
+		t.Helper()
+		if (got == nil) != (want == nil) {
+			t.Fatalf("%s: %s trace nil=%v, want nil=%v", label, half, got == nil, want == nil)
+		}
+		if want == nil {
+			return
+		}
+		if got.Slots != want.Slots {
+			t.Errorf("%s: %s Slots = %d, want %d", label, half, got.Slots, want.Slots)
+		}
+		if !reflect.DeepEqual(got.Functions, want.Functions) {
+			t.Errorf("%s: %s Functions differ from the materialized trace's", label, half)
+		}
+		if len(got.Series) != len(want.Series) {
+			t.Fatalf("%s: %s has %d series, want %d", label, half, len(got.Series), len(want.Series))
+		}
+		for g := range want.Series {
+			if len(got.Series[g]) != len(want.Series[g]) ||
+				(len(want.Series[g]) > 0 && !reflect.DeepEqual(got.Series[g], want.Series[g])) {
+				t.Fatalf("%s: %s series of function %d differs", label, half, g)
+			}
+		}
+		for _, v := range views {
+			for li, g := range v.Global {
+				if s := v.Series[li]; len(s) > 0 && &s[0] != &got.Series[g][0] {
+					t.Fatalf("%s: %s series of function %d was copied, not shared", label, half, g)
+				}
+			}
+		}
+	}
+	same("sim", gotSim, wantSim, rec.sim)
+	if wantTrain != nil {
+		same("train", gotTrain, wantTrain, rec.train)
+		if &gotTrain.Functions[0] != &gotSim.Functions[0] {
+			t.Errorf("%s: train and sim do not share one Functions slice", label)
+		}
+	} else if gotTrain != nil {
+		t.Errorf("%s: got a training trace from a source without one", label)
+	}
+}
+
+// TestReassembleMatchesMaterialized: for every kind of Source the repo has,
+// scattering the shard views back through Global yields exactly the pair
+// partitioning would have produced them from.
+func TestReassembleMatchesMaterialized(t *testing.T) {
+	train, simTr := capTestTrace()
+	for _, p := range []int{1, 2, 5, 16} {
+		assertReassembles(t, fmt.Sprintf("shardSet x%d", p), buildShardSet(train, simTr, p), train, simTr)
+	}
+	assertReassembles(t, "shardSet untrained", buildShardSet(nil, simTr, 3), nil, simTr)
+
+	cfg := trace.DefaultGeneratorConfig(120, 3, 7)
+	full, err := trace.Generate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ref.TotalColdStarts == 0 || ref.TotalWMT == 0 {
-		t.Fatalf("degenerate reference: %+v", ref)
+	genTrain, genSim := full.Split(2 * 1440)
+	for _, p := range []int{1, 2, 5, 16} {
+		assertReassembles(t, fmt.Sprintf("generator x%d", p),
+			&GeneratorSource{Cfg: cfg, TrainSlots: 2 * 1440, Shards: p}, genTrain, genSim)
 	}
+	assertReassembles(t, "generator untrained", &GeneratorSource{Cfg: cfg, Shards: 4}, nil, full)
 
-	for _, shards := range []int{2, 5, 16} {
-		ss := buildShardSet(train, simTr, shards)
-		results, logs, globals, err := runCapacityShards(&fakeCap{capacity: capacity}, capacity, ss, Options{})
-		if err != nil {
-			t.Fatalf("x%d: %v", shards, err)
-		}
+	const sample = "../../testdata/azure_sample.csv"
+	f, err := os.Open(sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csv, err := trace.ReadCSV(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f, err = os.Open(sample); err != nil {
+		t.Fatal(err)
+	}
+	store, _, err := trace.IngestCSV(f, filepath.Join(t.TempDir(), "store"), trace.IngestOptions{Shards: 4})
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := store.Source(3 * 1440)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csvTrain, csvSim := csv.Split(3 * 1440)
+	assertReassembles(t, "store x4", src, csvTrain, csvSim)
+}
 
-		// The shard logs must sum, slot by slot, to the unsharded log:
-		// that is the invariant that makes the merged per-slot aggregates
-		// (memory, WMT, EMCR) bit-identical.
-		for _, lg := range logs {
-			if len(lg.loaded) != len(refLog.loaded) {
-				t.Fatalf("x%d: shard log has %d slots, reference %d", shards, len(lg.loaded), len(refLog.loaded))
-			}
-		}
-		for s := range refLog.loaded {
-			var loaded, active int32
-			for _, lg := range logs {
-				loaded += lg.loaded[s]
-				active += lg.active[s]
-			}
-			if loaded != refLog.loaded[s] || active != refLog.active[s] {
-				t.Fatalf("x%d slot %d: summed (loaded, active) = (%d, %d), unsharded (%d, %d)",
-					shards, s, loaded, active, refLog.loaded[s], refLog.active[s])
-			}
-		}
+// brokenSource serves a shardSet's views, with shard `at`'s damaged by the
+// test first (on copies; a damage that clears tv.Trace drops the training
+// view).
+type brokenSource struct {
+	*shardSet
+	at     int
+	damage func(tv, sv *trace.ShardView)
+}
 
-		merged := mergeShardResults("fake-cap", simTr.Slots, simTr.NumFunctions(), globals, results, logs)
-		if !reflect.DeepEqual(merged, ref) {
-			t.Errorf("x%d: merged result diverges from unsharded:\n got  %+v\n want %+v", shards, merged, ref)
+func (b *brokenSource) Shard(i int) (*trace.ShardView, *trace.ShardView, error) {
+	tv, sv, _ := b.shardSet.Shard(i)
+	if i != b.at {
+		return tv, sv, nil
+	}
+	clone := func(v *trace.ShardView) *trace.ShardView {
+		return &trace.ShardView{
+			Trace:  &trace.Trace{Slots: v.Slots, Functions: v.Functions, Series: v.Series},
+			Index:  v.Index,
+			Global: append([]trace.FuncID(nil), v.Global...),
+		}
+	}
+	tv, sv = clone(tv), clone(sv)
+	b.damage(tv, sv)
+	if tv.Trace == nil {
+		tv = nil
+	}
+	return tv, sv, nil
+}
+
+// TestReassembleRejectsBrokenSource: every Source contract clause the
+// scatter leans on is checked, and the refusal names the offending shard —
+// through RunStreamed it is an error, never a panic or a wrong Result.
+func TestReassembleRejectsBrokenSource(t *testing.T) {
+	train, simTr := capTestTrace()
+	n := trace.FuncID(simTr.NumFunctions())
+	for _, c := range []struct {
+		name   string
+		at     int
+		want   string
+		damage func(tv, sv *trace.ShardView)
+	}{
+		{"id out of range", 1, "shard 1/3", func(tv, sv *trace.ShardView) { sv.Global[0] = n }},
+		{"negative id", 0, "shard 0/3", func(tv, sv *trace.ShardView) { sv.Global[0] = -1 }},
+		{"id twice", 2, "shard 2/3", func(tv, sv *trace.ShardView) { sv.Global[0] = 0 }}, // shard 0 owns id 0
+		{"id missing", 1, "produced global id 1", func(tv, sv *trace.ShardView) {
+			for _, v := range []*trace.ShardView{tv, sv} {
+				v.Global, v.Functions, v.Series = v.Global[1:], v.Functions[1:], v.Series[1:]
+			}
+		}},
+		{"sim slots disagree", 1, "shard 1/3", func(tv, sv *trace.ShardView) { sv.Slots++ }},
+		{"train slots disagree", 2, "shard 2/3", func(tv, sv *trace.ShardView) { tv.Slots-- }},
+		{"train half vanishes", 1, "shard 1/3", func(tv, sv *trace.ShardView) { tv.Trace = nil }},
+		{"series shorter than ids", 0, "shard 0/3", func(tv, sv *trace.ShardView) { sv.Series = sv.Series[1:] }},
+	} {
+		src := &brokenSource{shardSet: buildShardSet(train, simTr, 3), at: c.at, damage: c.damage}
+		res, err := RunStreamed(&fakeCap{capacity: 9}, src, Options{})
+		if err == nil || res != nil {
+			t.Errorf("%s: got (%v, %v), want an error and no Result", c.name, res, err)
+			continue
+		}
+		if !strings.Contains(err.Error(), "Source contract") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not name the contract and %q", c.name, err, c.want)
 		}
 	}
 }
 
-// TestCapacityEngineValidation covers the engine's refusals: a non-positive
-// budget is a configuration error, and Options.Stop interrupts the lockstep
-// loop with ErrInterrupted.
+// TestCapacityEngineValidation covers the capacity path's refusals: a
+// non-positive budget is a configuration error, and a Stop closed before
+// the run (materialized) or before the first production (streamed) returns
+// ErrInterrupted.
 func TestCapacityEngineValidation(t *testing.T) {
 	train, simTr := capTestTrace()
 
@@ -206,32 +293,91 @@ func TestCapacityEngineValidation(t *testing.T) {
 	if !errors.Is(err, ErrInterrupted) {
 		t.Errorf("pre-closed Stop: want ErrInterrupted, got %v", err)
 	}
+	src := &flakySource{shardSet: buildShardSet(train, simTr, 2), failShard: -1}
+	_, err = RunStreamed(&fakeCap{capacity: 9}, src, Options{Stop: stop})
+	if !errors.Is(err, ErrInterrupted) {
+		t.Errorf("pre-closed Stop, streamed: want ErrInterrupted, got %v", err)
+	}
 }
 
-// TestCapacityEngineClassifiesShardFailure: the lockstep engine neither
-// retries a failed shard production nor calls the fault hook, but the
-// ShardError it returns must say what kind of failure it was.
+// TestCapacityEngineClassifiesShardFailure: a failed production on the
+// reassembly path goes through the sharded engine's isolation layer — a
+// transient failure is retried and the run completes equal to a clean one,
+// a deterministic failure surfaces after one attempt as a ShardError naming
+// the shard.
 func TestCapacityEngineClassifiesShardFailure(t *testing.T) {
 	train, simTr := capTestTrace()
-	for _, c := range []struct {
-		name      string
-		err       error
-		transient bool
-	}{
-		{"transient", MarkTransient(errors.New("disk hiccup")), true},
-		{"deterministic", errors.New("bad shard"), false},
+	clean, err := Run(&fakeCap{capacity: 9}, train, simTr, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	src := &flakySource{shardSet: buildShardSet(train, simTr, 2), failShard: 1,
+		err: MarkTransient(errors.New("disk hiccup")), failN: 1}
+	got, err := RunStreamed(&fakeCap{capacity: 9}, src, Options{Retry: fastRetry})
+	if err != nil {
+		t.Fatalf("transient: run did not recover: %v", err)
+	}
+	if !reflect.DeepEqual(got, clean) {
+		t.Errorf("transient: result diverged from the clean run:\n got  %+v\n want %+v", got, clean)
+	}
+	if src.calls != 2 {
+		t.Errorf("transient: shard 1 produced %d times, want 2 (one retry)", src.calls)
+	}
+
+	src = &flakySource{shardSet: buildShardSet(train, simTr, 2), failShard: 1,
+		err: errors.New("bad shard"), failN: 1}
+	_, err = RunStreamed(&fakeCap{capacity: 9}, src, Options{Retry: fastRetry})
+	var se *ShardError
+	if !errors.As(err, &se) {
+		t.Fatalf("deterministic: got %v, want a ShardError", err)
+	}
+	if se.Shard != 1 || se.Attempts != 1 || se.Transient || se.Panicked {
+		t.Errorf("deterministic: ShardError %+v, want shard 1, 1 attempt, not transient, not panicked", *se)
+	}
+	if src.calls != 1 {
+		t.Errorf("deterministic: shard 1 produced %d times, want 1", src.calls)
+	}
+}
+
+// panickySource panics producing shard 1.
+type panickySource struct{ *shardSet }
+
+func (s panickySource) Shard(i int) (*trace.ShardView, *trace.ShardView, error) {
+	if i == 1 {
+		panic("source exploded")
+	}
+	return s.shardSet.Shard(i)
+}
+
+// panickyCap is a fakeCap whose Tick panics at slot 50.
+type panickyCap struct{ fakeCap }
+
+func (p *panickyCap) Tick(t int, invs []trace.FuncCount) {
+	if t == 50 {
+		panic("policy exploded")
+	}
+	p.fakeCap.Tick(t, invs)
+}
+
+// TestCapacityEngineContainsPanics: a panicking source or policy on the
+// capacity path is an error, not a crashed process.
+func TestCapacityEngineContainsPanics(t *testing.T) {
+	train, simTr := capTestTrace()
+
+	_, err := RunStreamed(&fakeCap{capacity: 9}, panickySource{buildShardSet(train, simTr, 2)}, Options{Retry: fastRetry})
+	var se *ShardError
+	if !errors.As(err, &se) || !se.Panicked || se.Shard != 1 {
+		t.Errorf("panicking source: got %v, want a panicked ShardError for shard 1", err)
+	}
+
+	for name, opts := range map[string]Options{
+		"materialized": {Shards: 2},
+		"streamed":     {Source: buildShardSet(train, simTr, 2)},
 	} {
-		src := &flakySource{shardSet: buildShardSet(train, simTr, 2), failShard: 1, err: c.err, failN: 1}
-		_, err := RunStreamed(&fakeCap{capacity: 9}, src, Options{Retry: fastRetry, FaultHook: alwaysPanicHook{}})
-		var se *ShardError
-		if !errors.As(err, &se) {
-			t.Fatalf("%s: got %v, want a ShardError", c.name, err)
-		}
-		if se.Shard != 1 || se.Attempts != 1 || se.Transient != c.transient || se.Panicked {
-			t.Errorf("%s: ShardError %+v, want shard 1, 1 attempt, transient=%v, not panicked", c.name, *se, c.transient)
-		}
-		if src.calls != 1 {
-			t.Errorf("%s: shard 1 produced %d times; the lockstep engine does not retry", c.name, src.calls)
+		res, err := Run(&panickyCap{fakeCap{capacity: 9}}, train, simTr, opts)
+		if err == nil || res != nil || !strings.Contains(err.Error(), "policy exploded") {
+			t.Errorf("panicking policy, %s: got (%v, %v), want an error carrying the panic", name, res, err)
 		}
 	}
 }

@@ -60,12 +60,6 @@ type Driver struct {
 
 	next   int // next slot to process; NextSlot()
 	closed bool
-
-	// Mid-slot split state (StepBegin/FinishStep): the slot and invocations
-	// phases 1-2 ran for, awaiting phase 3.
-	pendingSlot int
-	pendingInvs []trace.FuncCount
-	midSlot     bool
 }
 
 // WindowFunc builds the sliding-window trace handed to Retrainer.Retrain at
@@ -209,42 +203,16 @@ type StepInfo struct {
 // slots in between are advanced as invocation-free. It returns the slot's
 // outcome for decision-emitting callers.
 func (d *Driver) Step(t int, invs []trace.FuncCount) (StepInfo, error) {
-	if err := d.StepBegin(t, invs); err != nil {
-		return StepInfo{}, err
-	}
-	return d.FinishStep(), nil
-}
-
-// StepBegin runs phases 1-2 of slot t — gap advancement, retraining,
-// cold-start accounting against the pre-Tick loaded set, and the Tick
-// itself — and stops at the phase-3 boundary. It exists for the capacity-
-// arbitrated sharded engine, which must interleave a global eviction round
-// between every shard's Tick and its post-Tick accounting; FinishStep
-// completes the slot. Plain callers use Step, which composes the two.
-func (d *Driver) StepBegin(t int, invs []trace.FuncCount) error {
 	if d.closed {
-		return fmt.Errorf("sim: Step(%d) on a closed driver", t)
-	}
-	if d.midSlot {
-		return fmt.Errorf("sim: Step(%d) while slot %d awaits FinishStep", t, d.pendingSlot)
+		return StepInfo{}, fmt.Errorf("sim: Step(%d) on a closed driver", t)
 	}
 	if t < d.next {
-		return fmt.Errorf("sim: Step slot %d is behind the stream (next is %d): slots are monotonic", t, d.next)
+		return StepInfo{}, fmt.Errorf("sim: Step slot %d is behind the stream (next is %d): slots are monotonic", t, d.next)
 	}
 	d.advanceTo(t)
-	d.slotBegin(t, invs)
+	d.slot(t, invs)
 	d.next = t + 1
-	return nil
-}
-
-// FinishStep runs phase 3 of the slot StepBegin opened — memory/WMT/EMCR
-// accounting on the now-final post-Tick (and post-arbitration) loaded set —
-// and returns the slot's outcome. It must follow every StepBegin before the
-// next slot; calling it with no slot open returns the current state with no
-// accounting.
-func (d *Driver) FinishStep() StepInfo {
-	d.slotFinish()
-	return StepInfo{Cold: d.cold, Flips: d.flips, Loaded: d.policy.LoadedCount()}
+	return StepInfo{Cold: d.cold, Flips: d.flips, Loaded: d.policy.LoadedCount()}, nil
 }
 
 // advanceTo processes every slot in [next, t) as invocation-free: ticking
@@ -320,13 +288,6 @@ func (d *Driver) chargeSpan(u, end int) {
 
 // slot runs the full three-phase contract for one slot.
 func (d *Driver) slot(t int, invs []trace.FuncCount) {
-	d.slotBegin(t, invs)
-	d.slotFinish()
-}
-
-// slotBegin is phases 1-2: retrain boundary, cold-start accounting, Tick.
-// The slot stays open until slotFinish accounts it.
-func (d *Driver) slotBegin(t int, invs []trace.FuncCount) {
 	if d.retrainer != nil && t > 0 && t%d.retrainEvery == 0 {
 		d.retrainer.Retrain(t, d.window(t, d.retrainWin))
 	}
@@ -362,23 +323,7 @@ func (d *Driver) slotBegin(t int, invs []trace.FuncCount) {
 		d.policy.Tick(t, invs)
 	}
 
-	d.pendingSlot = t
-	d.pendingInvs = invs
-	d.midSlot = true
-}
-
-// slotFinish is phase 3: memory/WMT/EMCR accounting on the post-Tick loaded
-// set — which, under the capacity engine, includes the arbiter's evictions,
-// so the flips consumed here carry the Tick's loads and the global evictions
-// as one slot's deltas.
-func (d *Driver) slotFinish() {
-	if !d.midSlot {
-		return
-	}
-	t, invs := d.pendingSlot, d.pendingInvs
-	d.pendingInvs = nil
-	d.midSlot = false
-
+	// Phase 3: memory/WMT/EMCR accounting on the post-Tick loaded set.
 	loadedCount := d.policy.LoadedCount()
 	d.res.TotalMemory += int64(loadedCount)
 	if loadedCount > d.res.MaxLoaded {

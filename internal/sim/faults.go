@@ -22,17 +22,17 @@ var ErrInterrupted = errors.New("sim: run interrupted")
 
 // ErrNotShardable is the sentinel wrapped by the refusal a sharded or
 // streamed run returns when its policy implements neither ShardedPolicy
-// (independent per-shard instances) nor CapacityPolicy (shard-local scoring
-// under global arbitration). Callers branch on it with errors.Is — it also
+// (independent per-shard instances) nor CapacityPolicy (one instance over
+// the whole population). Callers branch on it with errors.Is — it also
 // survives RunAll's per-policy wrapping — typically to fall back to an
 // unsharded run rather than report a failure.
 var ErrNotShardable = errors.New("sim: policy not shardable")
 
 // ErrCapacityCoupled is the sentinel under CapacityCacheError: a ShardCache
-// was attached to a capacity-arbitrated run, whose per-shard outcomes are
-// not independently keyable (see DESIGN.md "Cross-shard capacity
-// arbitration"). The refusal is explicit rather than a silent bypass
-// because a silently ignored cache would mask a misconfigured sweep.
+// was attached to a sharded or streamed run of a capacity-coupled policy,
+// which has no per-shard outcomes to key (see DESIGN.md "Capacity-coupled
+// policies"). The refusal is explicit rather than a silent bypass because
+// a silently ignored cache would mask a misconfigured sweep.
 var ErrCapacityCoupled = errors.New("sim: capacity-coupled shard outcomes are not cacheable")
 
 // transientError marks an error as transient: worth retrying, because a
@@ -79,7 +79,7 @@ type ShardError struct {
 	Shard     int    // shard index within the source
 	Shards    int    // total shard count, for context in messages
 	Attempts  int    // simulation attempts made (>= 1)
-	Transient bool   // final classification of Err (true: retries were exhausted — or, from the lockstep capacity engine, never made)
+	Transient bool   // final classification of Err (true: retries were exhausted)
 	Panicked  bool   // the last failure was a recovered panic, not an error return
 	Err       error  // the last attempt's failure
 }
@@ -134,6 +134,31 @@ func (e *panicError) Unwrap() error {
 		return err
 	}
 	return nil
+}
+
+// retryShard is the isolation boundary around one shard's work: it recovers
+// a panic in attempt, classifies transient vs deterministic, retries
+// transients (and panics) per o.Retry with capped exponential backoff, and
+// returns the final failure as a structured ShardError — or nil.
+func (o Options) retryShard(policy string, shard, shards int, attempt func(n int) error) error {
+	attempts := 0
+	err := o.Retry.Do(func(n int) (err error) {
+		attempts = n
+		defer func() {
+			if v := recover(); v != nil {
+				err = &panicError{val: v}
+			}
+		}()
+		return attempt(n)
+	}, func(err error) bool { return isPanic(err) || IsTransient(err) })
+	if err == nil {
+		return nil
+	}
+	panicked := isPanic(err)
+	return &ShardError{
+		Policy: policy, Shard: shard, Shards: shards, Attempts: attempts,
+		Transient: panicked || IsTransient(err), Panicked: panicked, Err: err,
+	}
 }
 
 // isPanic reports whether err carries a recovered panic.

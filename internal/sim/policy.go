@@ -14,9 +14,10 @@
 // streamed engine (RunStreamed over a Source — the shard as the unit of
 // residency; trace.StoreSource and GeneratorSource both satisfy it),
 // shard-outcome caching (ShardCache, DiskCache, keyed by config hash and
-// trace fingerprint), cross-shard capacity arbitration (CapacityPolicy),
-// and fault-tolerant sweep execution (Sweep over a DiskCache-backed
-// ShardCache: the disk entries are what a killed sweep resumes from).
+// trace fingerprint), the whole-population run capacity-coupled policies
+// get under either engine (CapacityPolicy), and fault-tolerant sweep
+// execution (Sweep over a DiskCache-backed ShardCache: the disk entries are
+// what a killed sweep resumes from).
 package sim
 
 import "repro/internal/trace"

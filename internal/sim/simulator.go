@@ -13,9 +13,11 @@ import (
 type Options struct {
 	// MeasureOverhead enables wall-clock timing of every Tick call. It is
 	// off by default because timing syscalls dominate small runs. It also
-	// forces fully sequential execution everywhere (across policies in
-	// RunAll and across shards), since per-Tick timings taken while runs
-	// contend for cores would be meaningless.
+	// makes RunAll run its policies one after another, since per-Tick
+	// timings taken while runs contend for cores would be meaningless. It is
+	// an unsharded measurement: the sharded engine refuses it (a
+	// CapacityPolicy, which runs the unsharded loop whatever Shards says,
+	// keeps it).
 	MeasureOverhead bool
 
 	// Shards splits the function population into that many app/user-closed
@@ -23,9 +25,9 @@ type Options struct {
 	// per shard concurrently, merging the per-shard results into a Result
 	// bit-identical to the unsharded run. 0 or 1 selects the classic
 	// single-population engine. Shards > 1 requires the policy to implement
-	// ShardedPolicy (or CapacityPolicy, which selects the lockstep
-	// capacity-arbitrated engine); anything else refuses with an error
-	// wrapping ErrNotShardable.
+	// ShardedPolicy or CapacityPolicy (which cannot shard and runs the
+	// single-population engine regardless, see capacity.go); anything else
+	// refuses with an error wrapping ErrNotShardable.
 	Shards int
 
 	// Workers caps how many simulations (policy runs in RunAll, shard runs
@@ -39,9 +41,9 @@ type Options struct {
 	// Run and RunAll ignore their trace arguments and stream per-shard views
 	// from it (sugar for RunStreamed). Shard views are produced inside the
 	// worker that simulates them, so peak residency is O(n/P) event series
-	// per in-flight worker. The policy must implement ShardedPolicy (or
-	// CapacityPolicy — whose lockstep engine keeps all shards resident, see
-	// capacity.go).
+	// per in-flight worker. The policy must implement ShardedPolicy, or
+	// CapacityPolicy — which runs over the whole population reassembled from
+	// the source's shards, so the O(n/P) bound does not apply to it.
 	Source Source
 
 	// Cache, when non-nil, memoizes per-shard outcomes across sharded runs:
@@ -50,8 +52,7 @@ type Options struct {
 	// re-run, making parameter sweeps incremental — only shards whose policy
 	// config changed re-simulate. Requires the policy to implement
 	// ConfigHasher and the source to provide shard fingerprints; runs that
-	// don't qualify (or that set MeasureOverhead, whose wall-clock timings
-	// must be fresh) silently bypass the cache. Merged results are
+	// don't qualify silently bypass the cache. Merged results are
 	// bit-identical either way.
 	Cache *ShardCache
 
@@ -72,30 +73,29 @@ type Options struct {
 	// when there is no training trace).
 	RetrainWindow int
 
-	// Retry bounds the independent sharded engine's per-shard failure
-	// handling: a shard whose worker panics or returns a transient error
-	// (sim.IsTransient) is re-produced and re-simulated with capped
-	// exponential backoff, up to Retry.MaxAttempts times, before surfacing a
-	// ShardError. Deterministic errors surface on the first attempt. The
-	// zero value takes the defaults; re-running a shard is always safe
-	// because shard simulation is pure (fresh policy instance, read-only
-	// views). The lockstep capacity engine (CapacityPolicy) ignores Retry:
-	// its shards are coupled through the arbiter, so none can be re-run
-	// alone; it contains panics per run and fails on the first error.
+	// Retry bounds the sharded engine's per-shard failure handling: a shard
+	// whose worker panics or returns a transient error (sim.IsTransient) is
+	// re-produced and re-simulated with capped exponential backoff, up to
+	// Retry.MaxAttempts times, before surfacing a ShardError. Deterministic
+	// errors surface on the first attempt. The zero value takes the
+	// defaults; re-running a shard is always safe because shard simulation
+	// is pure (fresh policy instance, read-only views).
 	Retry RetryPolicy
 
 	// Stop, when non-nil, requests a graceful cancellation when closed: the
 	// sharded engine starts no new shard work, drains the shards already in
 	// flight (their outcomes are cached as usual), and returns an error
 	// wrapping ErrInterrupted. Rerunning with the same options resumes
-	// from the completed units in the cache's disk tier.
+	// from the completed units in the cache's disk tier. It is polled
+	// between shards only: a single-population run in progress is not
+	// interruptible.
 	Stop <-chan struct{}
 
 	// FaultHook, when non-nil, is called at the shard-worker boundary
 	// immediately before each shard simulation attempt. It exists for
 	// deterministic fault injection (internal/faultinject): the hook may
 	// sleep or panic, and the isolation layer must absorb both. Production
-	// code leaves it nil. The lockstep capacity engine never calls it.
+	// code leaves it nil.
 	FaultHook ShardFaultHook
 
 	// pool is the shared worker budget. RunAll seeds it so that policies x
@@ -119,6 +119,18 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
+// stopped reports whether a graceful cancellation was requested. It is
+// polled between shards, never mid-simulation, so in-flight shards drain
+// (and their outcomes persist) before the run returns.
+func (o Options) stopped() bool {
+	select {
+	case <-o.Stop: // a nil Stop never becomes ready
+		return true
+	default:
+		return false
+	}
+}
+
 // ShardedPolicy is implemented by policies that can run as one independent
 // instance per population shard. NewShard returns a fresh untrained instance
 // with the same configuration; the simulator trains and ticks it over a
@@ -130,7 +142,7 @@ func (o Options) workers() int {
 // qualify, app- or user-scoped correlation qualifies, global capacity
 // limits (FaaSCache, LCS) do not — independent per-shard instances would
 // change their evictions. Those policies implement CapacityPolicy instead
-// and run under the capacity-arbitrated engine (capacity.go).
+// and always run over the whole population (capacity.go).
 type ShardedPolicy interface {
 	NewShard() Policy
 }
@@ -303,7 +315,9 @@ func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *s
 // never the full trace. The merge is identical to the materialized sharded
 // engine's, so results are bit-identical to Run over the equivalent trace
 // pair (the equivalence tests assert it). The policy must implement
-// ShardedPolicy (or CapacityPolicy), even for a single-shard source.
+// ShardedPolicy, even for a single-shard source — or CapacityPolicy, which
+// gives up the residency bound: it runs over the population reassembled
+// from the source's shards (capacity.go).
 func RunStreamed(policy Policy, src Source, opts Options) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("sim: nil source")
@@ -313,12 +327,19 @@ func RunStreamed(policy Policy, src Source, opts Options) (*Result, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("sim: source reports %d shards", opts.Shards)
 	}
+	if cp, ok := policy.(CapacityPolicy); ok {
+		return runCapacity(cp, nil, nil, src, opts)
+	}
 	return runShardedSrc(policy, src, opts)
 }
 
 // runSharded splits the population into opts.Shards app/user-closed shards
-// and runs the source-driven engine over the materialized views.
+// and runs the source-driven engine over the materialized views. A
+// capacity-coupled policy cannot shard and runs over the pair as it is.
 func runSharded(policy Policy, training, simTrace *trace.Trace, opts Options) (*Result, error) {
+	if cp, ok := policy.(CapacityPolicy); ok {
+		return runCapacity(cp, training, simTrace, nil, opts)
+	}
 	ss := opts.shardSet
 	if ss == nil {
 		ss = buildShardSet(training, simTrace, opts.Shards)
@@ -345,16 +366,12 @@ func runSharded(policy Policy, training, simTrace *trace.Trace, opts Options) (*
 //     values from the integer sums, applying the exact formulas (and float
 //     summation order: slot 0, 1, 2, ...) of the unsharded loop.
 func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
-	// Capacity-coupled policies (FaaSCache, LCS) cannot run as independent
-	// shard instances; they get the lockstep arbitrated engine instead. A
-	// policy implementing both interfaces is capacity-coupled first — the
-	// arbitrated protocol subsumes the independent one.
-	if cp, ok := policy.(CapacityPolicy); ok {
-		return runCapacitySharded(cp, src, opts)
-	}
 	sp, ok := policy.(ShardedPolicy)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s implements neither sim.ShardedPolicy nor sim.CapacityPolicy; run it with Options.Shards <= 1", ErrNotShardable, policy.Name())
+	}
+	if opts.MeasureOverhead {
+		return nil, fmt.Errorf("sim: policy %s: Options.MeasureOverhead times an unsharded run; it cannot be combined with Options.Shards > 1 or a Source", policy.Name())
 	}
 	p := src.NumShards()
 	slots := src.Slots()
@@ -368,15 +385,15 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	pool := opts.pool
 	inner.pool = nil
 
-	// Cache qualification: a fingerprintable source, a hashable policy
-	// config, and no overhead timing (cached Overhead would be stale).
+	// Cache qualification: a fingerprintable source and a hashable policy
+	// config.
 	var (
 		cache   = opts.Cache
 		hasher  ConfigHasher
 		fps     SourceFingerprint
 		cfgHash uint64
 	)
-	if cache != nil && !opts.MeasureOverhead {
+	if cache != nil {
 		hasher, _ = policy.(ConfigHasher)
 		fps, _ = src.(SourceFingerprint)
 		if hasher != nil {
@@ -406,21 +423,6 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	globals := make([][]trace.FuncID, p)
 	errs := make([]error, p)
 	started := make([]bool, p)
-
-	// stopped reports whether a graceful cancellation was requested; workers
-	// poll it between shards, never mid-simulation, so in-flight shards
-	// drain (and their outcomes persist) before the run returns.
-	stopped := func() bool {
-		if opts.Stop == nil {
-			return false
-		}
-		select {
-		case <-opts.Stop:
-			return true
-		default:
-			return false
-		}
-	}
 
 	// The shard run is split into two stages so workers can pipeline them:
 	// produce (cache lookup — including the disk tier — and, on a miss,
@@ -457,13 +459,9 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 		ps.train, ps.sim, ps.err = src.Shard(i)
 		return ps
 	}
-	// attempt runs one shard simulation attempt with panics contained.
-	attempt := func(i, n int, ps producedShard) (err error) {
-		defer func() {
-			if v := recover(); v != nil {
-				err = &panicError{val: v}
-			}
-		}()
+	// attempt runs one shard simulation attempt; retryShard contains its
+	// panics.
+	attempt := func(i, n int, ps producedShard) error {
 		if ps.ent != nil {
 			results[i], logs[i], globals[i] = ps.ent.res, ps.ent.log, ps.ent.global
 			return nil
@@ -489,15 +487,11 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 		}
 		return nil
 	}
-	// simulate is the isolation boundary: recover, classify transient vs
-	// deterministic, retry transients with capped exponential backoff, and
-	// surface the final failure as a structured ShardError while the other
-	// shards keep running.
+	// simulate runs shard i inside the isolation boundary (retryShard) while
+	// the other shards keep running.
 	simulate := func(i int, ps producedShard) {
 		started[i] = true
-		attempts := 0
-		err := opts.Retry.Do(func(n int) error {
-			attempts = n
+		errs[i] = opts.retryShard(policy.Name(), i, p, func(n int) error {
 			if n > 1 {
 				// Re-produce from scratch: the failed attempt's views (or
 				// cache entry) are suspect, and a transient production fault
@@ -505,82 +499,66 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 				ps = produce(i)
 			}
 			return attempt(i, n, ps)
-		}, func(err error) bool { return isPanic(err) || IsTransient(err) })
-		errs[i] = nil
-		if err != nil {
-			panicked := isPanic(err)
+		})
+		if errs[i] != nil {
 			results[i] = nil
-			errs[i] = &ShardError{
-				Policy: policy.Name(), Shard: i, Shards: p, Attempts: attempts,
-				Transient: panicked || IsTransient(err), Panicked: panicked, Err: err,
-			}
 		}
 	}
 
-	if opts.MeasureOverhead {
-		// Sequential and unpipelined: per-Tick timings must not contend for
-		// cores. One shard resident at a time — the minimal-memory path.
-		for i := 0; i < p && !stopped(); i++ {
-			simulate(i, produce(i))
-		}
-	} else {
-		// Pipelined workers: shards are assigned round-robin to
-		// min(workers, p) static workers. Each worker holds ONE token for
-		// its whole stride, and while it simulates shard i it prefetches
-		// its NEXT assigned shard in a helper goroutine — so shard i+S's
-		// generation (or disk restore) overlaps shard i's simulation inside
-		// the token hold. Holding the token across the stride (rather than
-		// per shard) is what makes "at most TWO shards' event series per
-		// in-flight worker" a real bound: a worker that released between
-		// shards would sit in the token queue with its prefetched shard
-		// resident but untokened, and a RunAll sharing the pool across
-		// policies could then exceed the bound by a factor of the policy
-		// count.
-		if pool == nil {
-			pool = make(chan struct{}, opts.workers())
-		}
-		workers := cap(pool)
-		if workers > p {
-			workers = p
-		}
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				pool <- struct{}{}
-				defer func() { <-pool }()
-				var next chan producedShard
-				for i := w; i < p; i += workers {
-					var ps producedShard
-					if next != nil {
-						ps = <-next
-						next = nil
-					} else {
-						if stopped() {
-							return
-						}
-						ps = produce(i)
-					}
-					if j := i + workers; j < p && !stopped() {
-						ch := make(chan producedShard, 1)
-						next = ch
-						go func(j int) { ch <- produce(j) }(j)
-					}
-					simulate(i, ps)
-					if stopped() {
-						// Drain the prefetch (its goroutine must not leak a
-						// send) but start nothing new.
-						if next != nil {
-							<-next
-						}
+	// Pipelined workers: shards are assigned round-robin to min(workers, p)
+	// static workers. Each worker holds ONE token for its whole stride, and
+	// while it simulates shard i it prefetches its NEXT assigned shard in a
+	// helper goroutine — so shard i+S's generation (or disk restore) overlaps
+	// shard i's simulation inside the token hold. Holding the token across
+	// the stride (rather than per shard) is what makes "at most TWO shards'
+	// event series per in-flight worker" a real bound: a worker that released
+	// between shards would sit in the token queue with its prefetched shard
+	// resident but untokened, and a RunAll sharing the pool across policies
+	// could then exceed the bound by a factor of the policy count.
+	if pool == nil {
+		pool = make(chan struct{}, opts.workers())
+	}
+	workers := cap(pool)
+	if workers > p {
+		workers = p
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			pool <- struct{}{}
+			defer func() { <-pool }()
+			var next chan producedShard
+			for i := w; i < p; i += workers {
+				var ps producedShard
+				if next != nil {
+					ps = <-next
+					next = nil
+				} else {
+					if opts.stopped() {
 						return
 					}
+					ps = produce(i)
 				}
-			}(w)
-		}
-		wg.Wait()
+				if j := i + workers; j < p && !opts.stopped() {
+					ch := make(chan producedShard, 1)
+					next = ch
+					go func(j int) { ch <- produce(j) }(j)
+				}
+				simulate(i, ps)
+				if opts.stopped() {
+					// Drain the prefetch (its goroutine must not leak a
+					// send) but start nothing new.
+					if next != nil {
+						<-next
+					}
+					return
+				}
+			}
+		}(w)
 	}
+	wg.Wait()
 
 	// Aggregate instead of aborting on the first failure: every failed
 	// shard contributes its ShardError, and a cancelled run additionally
@@ -691,9 +669,9 @@ func mergeShardResults(name string, slots, n int, globals [][]trace.FuncID, resu
 // goroutine per policy. Concurrency is bounded by one shared worker budget
 // (Options.Workers): with Options.Shards > 1, the policies' shard runs all
 // draw from the same budget, so policies x shards never oversubscribes the
-// machine. MeasureOverhead runs the policies (and their shards) fully
-// sequentially instead: per-Tick wall-clock timings taken while policies
-// contend for cores would be meaningless.
+// machine. MeasureOverhead runs the policies one after another instead:
+// per-Tick wall-clock timings taken while policies contend for cores would
+// be meaningless.
 //
 // Failure contract (see DESIGN.md "Failure semantics"): one failing policy
 // no longer aborts the others. RunAll always returns the full results slice

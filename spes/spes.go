@@ -84,13 +84,11 @@ type (
 	// ShardedPolicy is implemented by policies that can run one instance
 	// per population shard (SPES, FixedKeepAlive, both Hybrids, Defuse).
 	ShardedPolicy = sim.ShardedPolicy
-	// CapacityPolicy is implemented by policies whose sharded execution
-	// needs global capacity arbitration (FaaSCache, LCS): shard-local
-	// scorers under one global eviction arbiter, bit-identical to the
-	// unsharded run.
+	// CapacityPolicy marks policies that evict against one global budget
+	// (FaaSCache, LCS) and therefore cannot shard: under Options.Shards > 1
+	// or a streamed source they run one instance over the whole population,
+	// so the Result is the unsharded one.
 	CapacityPolicy = sim.CapacityPolicy
-	// CapacityShard is the shard-local scorer a CapacityPolicy yields.
-	CapacityShard = sim.CapacityShard
 	// TraceShard is one shard of a workload: a self-contained Trace over a
 	// subset of functions plus the mapping back to global FuncIDs.
 	TraceShard = trace.ShardView
@@ -220,8 +218,8 @@ var (
 	// ErrNotShardable reports a policy that implements neither
 	// ShardedPolicy nor CapacityPolicy under Options.Shards > 1.
 	ErrNotShardable = sim.ErrNotShardable
-	// ErrCapacityCoupled reports a shard cache attached to a
-	// capacity-arbitrated run, whose shard outcomes are not cacheable.
+	// ErrCapacityCoupled reports a shard cache attached to a sharded run of
+	// a CapacityPolicy, which has no per-shard outcomes to cache.
 	ErrCapacityCoupled = sim.ErrCapacityCoupled
 )
 
