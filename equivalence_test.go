@@ -15,7 +15,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -231,17 +230,10 @@ func TestCapacityShardingContracts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// scanOnly hides every optional interface, including ShardedPolicy; the
-	// QoS wrapper shares one budget across the whole population, so it
-	// implements neither sharding contract whatever it wraps.
-	for name, p := range map[string]sim.Policy{
-		"scanOnly": scanOnly{baselines.NewFixedKeepAlive(10)},
-		"qos":      qos.New(baselines.NewFixedKeepAlive(10), train.NumFunctions(), nil),
-	} {
-		_, err = sim.Run(p, train, simTr, sim.Options{Shards: 2})
-		if !errors.Is(err, sim.ErrNotShardable) {
-			t.Errorf("unshardable policy %s: got %v, want errors.Is ErrNotShardable", name, err)
-		}
+	// scanOnly hides every optional interface, including ShardedPolicy.
+	_, err = sim.Run(scanOnly{baselines.NewFixedKeepAlive(10)}, train, simTr, sim.Options{Shards: 2})
+	if !errors.Is(err, sim.ErrNotShardable) {
+		t.Errorf("unshardable policy: got %v, want errors.Is ErrNotShardable", err)
 	}
 
 	results, err := sim.RunAll(
@@ -554,11 +546,11 @@ func (p adaptiveTTLTracked) TakeLoadDeltas() ([]trace.FuncID, bool) {
 	return d, true
 }
 
-// TestTrackerlessPolicyEquivalence pins the two tracker-less shapes the
-// public facade produces to the same accounting a delta-logging policy gets,
-// without recorded constants: a user-written policy with and without a
-// hand-written delta log, and qos.Scheduler (which forwards no tracker) over
-// a policy that has one, under a budget that never binds.
+// TestTrackerlessPolicyEquivalence pins the two tracker-less shapes a user
+// of the public facade can write to the same accounting a delta-logging
+// policy gets, without recorded constants: a policy with and without a
+// hand-written delta log, and a wrapper that forwards no tracker (scanOnly)
+// over a policy that has one.
 func TestTrackerlessPolicyEquivalence(t *testing.T) {
 	_, train, simTr, err := experiments.BuildWorkload(eqvSettings(2))
 	if err != nil {
@@ -580,12 +572,9 @@ func TestTrackerlessPolicyEquivalence(t *testing.T) {
 		run(adaptiveTTLTracked{&adaptiveTTL{minTTL: 2, maxTTL: 240}}),
 		run(&adaptiveTTL{minTTL: 2, maxTTL: 240}))
 
-	bare := run(baselines.NewFixedKeepAlive(10))
-	viaQoS := run(qos.New(baselines.NewFixedKeepAlive(10), train.NumFunctions(), nil))
-	// The scheduler renames the policy and always answers TypeOf (with ""
-	// over an untagged inner policy); every metric must agree.
-	viaQoS.Policy, viaQoS.Types = bare.Policy, bare.Types
-	assertSameResult(t, "FixedKeepAlive under an unbinding QoS budget", bare, viaQoS)
+	assertSameResult(t, "FixedKeepAlive behind a tracker-hiding wrapper",
+		run(baselines.NewFixedKeepAlive(10)),
+		run(scanOnly{baselines.NewFixedKeepAlive(10)}))
 }
 
 // TestRunAllParallelMatchesSequential pins RunAll's concurrent execution to

@@ -5,6 +5,8 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	"repro/spes"
 )
@@ -40,7 +42,7 @@ func main() {
 	for f := 0; f < res.Functions; f++ {
 		census[policy.TypeOf(spes.FuncID(f))]++
 	}
-	for label, n := range census {
-		fmt.Printf("  %-15s %d\n", label, n)
+	for _, label := range slices.Sorted(maps.Keys(census)) {
+		fmt.Printf("  %-15s %d\n", label, census[label])
 	}
 }

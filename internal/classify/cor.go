@@ -1,10 +1,6 @@
 package classify
 
-import (
-	"sort"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // Co-occurrence rate (COR, Section III-B2) and its lagged variant T-COR
 // (Section IV-B2). Invocation series are represented by their sorted
@@ -94,28 +90,6 @@ func BestLaggedCOR(target, candidate trace.Series, maxLag int32) (bestLag int32,
 	return bestLag, bestCOR
 }
 
-// WindowedCOR returns the fraction of the target's invoked slots t for which
-// the candidate fired anywhere in [t-maxLag, t-1]. This is the forgiving
-// variant the online-correlation strategy uses to decide whether a candidate
-// still "indicates" the target.
-func WindowedCOR(target, candidate []int32, maxLag int32) float64 {
-	if len(target) == 0 {
-		return 0
-	}
-	hits := 0
-	j := 0
-	for _, t := range target {
-		lo := t - maxLag
-		for j < len(candidate) && candidate[j] < lo {
-			j++
-		}
-		if j < len(candidate) && candidate[j] < t {
-			hits++
-		}
-	}
-	return float64(hits) / float64(len(target))
-}
-
 // FollowRate returns the fraction of the candidate's invoked slots c for
 // which the target was invoked within [c+lag-slack, c+lag+slack]. This is
 // the precision of "candidate fires => target follows": the link-mining
@@ -144,9 +118,8 @@ func FollowRate(candidate, target trace.Series, lag, slack int32) float64 {
 // WindowedFollowRate returns the fraction of the candidate's invoked slots
 // c for which the target fired anywhere in (c, c+maxLag]. This is the
 // association-rule confidence P(target follows within the window | candidate
-// fired) that dependency mining uses; unlike WindowedCOR it normalizes by
-// the candidate's activity, so a busy candidate is not trivially linked to
-// everything.
+// fired) that dependency mining uses; it normalizes by the candidate's
+// activity, so a busy candidate is not trivially linked to everything.
 func WindowedFollowRate(candidate, target []int32, maxLag int32) float64 {
 	if len(candidate) == 0 {
 		return 0
@@ -162,16 +135,4 @@ func WindowedFollowRate(candidate, target []int32, maxLag int32) float64 {
 		}
 	}
 	return float64(hits) / float64(len(candidate))
-}
-
-// InvokedSlotsFromSorted asserts xs is ascending (debug guard used by tests
-// and callers constructing slot lists manually).
-func InvokedSlotsFromSorted(xs []int32) []int32 {
-	if !sort.SliceIsSorted(xs, func(i, j int) bool { return xs[i] < xs[j] }) {
-		sorted := make([]int32, len(xs))
-		copy(sorted, xs)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		return sorted
-	}
-	return xs
 }

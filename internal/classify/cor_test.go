@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -62,42 +63,6 @@ func TestBestLaggedCOR(t *testing.T) {
 	}
 }
 
-func TestWindowedCOR(t *testing.T) {
-	target := []int32{10, 20, 30}
-	cand := []int32{9, 15, 29}
-	// t=10: cand 9 in [0,9] window -> hit; t=20: cand 15 in [10,19] -> hit;
-	// t=30: cand 29 -> hit.
-	if got := WindowedCOR(target, cand, 10); got != 1 {
-		t.Errorf("WindowedCOR = %v, want 1", got)
-	}
-	// Window of 1: only exact t-1 hits: 9->10 and 29->30.
-	if got := WindowedCOR(target, cand, 1); got < 0.6 || got > 0.7 {
-		t.Errorf("WindowedCOR(1) = %v, want 2/3", got)
-	}
-	if got := WindowedCOR(nil, cand, 5); got != 0 {
-		t.Errorf("WindowedCOR empty = %v", got)
-	}
-	// Candidate firing at t itself does not count (must precede).
-	if got := WindowedCOR([]int32{5}, []int32{5}, 3); got != 0 {
-		t.Errorf("WindowedCOR same-slot = %v, want 0", got)
-	}
-}
-
-func TestInvokedSlotsFromSorted(t *testing.T) {
-	sorted := []int32{1, 2, 3}
-	if got := InvokedSlotsFromSorted(sorted); &got[0] != &sorted[0] {
-		t.Error("sorted input should be returned as-is")
-	}
-	unsorted := []int32{3, 1, 2}
-	got := InvokedSlotsFromSorted(unsorted)
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("unsorted input not fixed: %v", got)
-	}
-	if unsorted[0] != 3 {
-		t.Error("input was mutated")
-	}
-}
-
 // Property: COR is always within [0, 1] and equals 1 when candidate equals
 // target.
 func TestCORRangeProperty(t *testing.T) {
@@ -118,19 +83,6 @@ func TestCORRangeProperty(t *testing.T) {
 	}
 }
 
-// Property: WindowedCOR is monotone in the window size.
-func TestWindowedCORMonotoneProperty(t *testing.T) {
-	f := func(rawT, rawC []uint16, w uint8) bool {
-		target := dedupSorted(rawT)
-		cand := dedupSorted(rawC)
-		win := int32(w%20) + 1
-		return WindowedCOR(target, cand, win) <= WindowedCOR(target, cand, win+5)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func dedupSorted(raw []uint16) []int32 {
 	seen := make(map[int32]bool)
 	var out []int32
@@ -141,5 +93,6 @@ func dedupSorted(raw []uint16) []int32 {
 			out = append(out, s)
 		}
 	}
-	return InvokedSlotsFromSorted(out)
+	slices.Sort(out)
+	return out
 }

@@ -60,8 +60,7 @@ func TestRunComparisonShapes(t *testing.T) {
 	}
 
 	// Headline shapes that hold at any scale. (The exact SPES-vs-Defuse
-	// Q3 margin is scale-sensitive; EXPERIMENTS.md records it at the
-	// default scale.)
+	// Q3 margin is scale-sensitive, so it is not asserted.)
 	spesQ3 := c.SPES.QuantileCSR(0.75)
 	for _, r := range c.Results[1:] {
 		switch r.Policy {

@@ -19,113 +19,33 @@ func NewPredictor() *Predictor {
 	return &Predictor{PossibleRangeMax: 10}
 }
 
-// NextWindows returns the predicted invocation windows for a function whose
-// last invocation happened at lastInvoked, as [lo, hi] slot pairs. Types
-// without time predictions return nil.
-func (p *Predictor) NextWindows(profile *classify.Profile, lastInvoked int) [][2]int {
-	switch profile.Type {
-	case classify.TypeRegular, classify.TypeApproRegular:
-		return discreteWindows(profile.Values, lastInvoked)
-	case classify.TypeDense:
-		if profile.RangeHi < profile.RangeLo {
-			return nil
-		}
-		return [][2]int{{lastInvoked + profile.RangeLo, lastInvoked + profile.RangeHi}}
-	case classify.TypePossible, classify.TypeNewlyPossible:
-		if len(profile.Values) == 0 {
-			return nil
-		}
-		lo, hi := profile.Values[0], profile.Values[0]
-		for _, v := range profile.Values[1:] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if hi-lo > p.PossibleRangeMax {
-			return discreteWindows(profile.Values, lastInvoked)
-		}
-		return [][2]int{{lastInvoked + lo, lastInvoked + hi}}
-	default:
-		return nil
-	}
-}
-
-func discreteWindows(values []int, lastInvoked int) [][2]int {
-	if len(values) == 0 {
-		return nil
-	}
-	out := make([][2]int, 0, len(values))
-	for _, v := range values {
-		pt := lastInvoked + v
-		out = append(out, [2]int{pt, pt})
-	}
-	return out
-}
-
 // ShouldPrewarm reports whether, at time t, some predicted invocation of the
 // function falls within thetaPrewarm slots ("one of the predicted invocation
-// times falls in [t - theta, t + theta]"). It runs in the provision loop's
-// hot path, so it evaluates windows directly without allocating; the
-// predict package's tests assert it agrees with NextWindows.
+// times falls in [t - theta, t + theta]"): whether PrewarmWindowScan finds t
+// covered.
 func (p *Predictor) ShouldPrewarm(profile *classify.Profile, lastInvoked, t, thetaPrewarm int) bool {
-	hit := func(lo, hi int) bool {
-		return t+thetaPrewarm >= lo && t-thetaPrewarm <= hi
-	}
-	switch profile.Type {
-	case classify.TypeRegular, classify.TypeApproRegular:
-		for _, v := range profile.Values {
-			if hit(lastInvoked+v, lastInvoked+v) {
-				return true
-			}
-		}
-	case classify.TypeDense:
-		if profile.RangeHi >= profile.RangeLo {
-			return hit(lastInvoked+profile.RangeLo, lastInvoked+profile.RangeHi)
-		}
-	case classify.TypePossible, classify.TypeNewlyPossible:
-		if len(profile.Values) == 0 {
-			return false
-		}
-		lo, hi := profile.Values[0], profile.Values[0]
-		for _, v := range profile.Values[1:] {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-		if hi-lo > p.PossibleRangeMax {
-			for _, v := range profile.Values {
-				if hit(lastInvoked+v, lastInvoked+v) {
-					return true
-				}
-			}
-			return false
-		}
-		return hit(lastInvoked+lo, lastInvoked+hi)
-	}
-	return false
+	off, _ := p.PrewarmWindowScan(profile, lastInvoked, t, thetaPrewarm)
+	return off > t
 }
 
-// PrewarmWindowScan answers the event-driven provision loop's per-wake-up
-// questions in one window enumeration:
+// PrewarmWindowScan is SPES's pre-warm rule. A profile predicts invocation
+// windows relative to the last invocation: one point lastInvoked+v per value
+// v for the regular types; [lastInvoked+RangeLo, lastInvoked+RangeHi] for
+// dense (none when the range is inverted); for the possible types, one
+// point per value when the values span more than PossibleRangeMax slots
+// (wide range) and their [min, max] interval otherwise (narrow range); none
+// for every other type. A slot is covered when some window widened by theta
+// on both sides contains it. The scan answers the event-driven provision
+// loop's per-wake-up questions in one enumeration:
 //
-//	off — the smallest slot >= t at which ShouldPrewarm is false (off == t
-//	      means t itself is uncovered; off > t means t is covered through
-//	      off-1, i.e. ShouldPrewarm(t) is true);
-//	on  — the smallest slot >= t+1 at which ShouldPrewarm is true, or -1
-//	      when no pre-warm window reaches past t.
+//	off — the smallest uncovered slot >= t (off == t means t itself is
+//	      uncovered; off > t means t is covered through off-1);
+//	on  — the smallest covered slot >= t+1, or -1 when no pre-warm window
+//	      reaches past t.
 //
-// It is exactly equivalent to calling ShouldPrewarm(t), NextPrewarmOff(t)
-// and NextPrewarmOn(t+1) separately. It runs once per active function per
-// slot inside the provision loop, so the windows (prediction points widened
-// by theta on both sides, with the possible type's wide/narrow split
-// resolved exactly as ShouldPrewarm does) are enumerated with plain loops —
-// no allocation, no closures.
+// ShouldPrewarm, NextPrewarmOn and NextPrewarmOff are read off it. It runs
+// once per active function per slot inside the provision loop, so the
+// windows are enumerated with plain loops — no allocation, no closures.
 func (p *Predictor) PrewarmWindowScan(profile *classify.Profile, lastInvoked, t, theta int) (off, on int) {
 	switch profile.Type {
 	case classify.TypeRegular, classify.TypeApproRegular:
@@ -221,25 +141,4 @@ func (p *Predictor) NextPrewarmOn(profile *classify.Profile, lastInvoked, from, 
 func (p *Predictor) NextPrewarmOff(profile *classify.Profile, lastInvoked, from, theta int) int {
 	off, _ := p.PrewarmWindowScan(profile, lastInvoked, from, theta)
 	return off
-}
-
-// NextPredicted returns the earliest predicted invocation slot strictly
-// after t, or -1 when the profile predicts nothing. The event-queue variant
-// of the provision loop uses this to schedule wake-ups.
-func (p *Predictor) NextPredicted(profile *classify.Profile, lastInvoked, t int) int {
-	best := -1
-	for _, w := range p.NextWindows(profile, lastInvoked) {
-		cand := w[0]
-		if cand <= t {
-			if w[1] > t {
-				cand = t + 1
-			} else {
-				continue
-			}
-		}
-		if best < 0 || cand < best {
-			best = cand
-		}
-	}
-	return best
 }

@@ -81,11 +81,6 @@ func (a Activity) ActiveSlots() int {
 	return total
 }
 
-// IdleSlots returns the number of slots with no invocation.
-func (a Activity) IdleSlots() int {
-	return a.Slots - a.ActiveSlots()
-}
-
 // TotalWT returns the sum of all waiting times (inter-run idle only; leading
 // and trailing idle are excluded, matching the always-warm definition's
 // "sum of inter-invocation time").
@@ -101,24 +96,6 @@ func (a Activity) TotalWT() int {
 // least one invocation (and the sequence is non-empty).
 func (a Activity) InvokedEverySlot() bool {
 	return a.Slots > 0 && a.ActiveSlots() == a.Slots
-}
-
-// InterArrivalTimes returns the gaps (in slots) between successive invoked
-// slots, the IAT statistic the Hybrid baseline histograms. A function
-// invoked at slots 3, 5, 6 yields (2, 1).
-func InterArrivalTimes(counts []int) []int {
-	var iats []int
-	prev := -1
-	for i, c := range counts {
-		if c <= 0 {
-			continue
-		}
-		if prev >= 0 {
-			iats = append(iats, i-prev)
-		}
-		prev = i
-	}
-	return iats
 }
 
 // InvokedSlots returns the indices of slots with at least one invocation.

@@ -73,9 +73,6 @@ func TestActivityDerived(t *testing.T) {
 	if got := a.ActiveSlots(); got != 4 {
 		t.Errorf("ActiveSlots = %d, want 4", got)
 	}
-	if got := a.IdleSlots(); got != 3 {
-		t.Errorf("IdleSlots = %d, want 3", got)
-	}
 	if got := a.TotalWT(); got != 3 {
 		t.Errorf("TotalWT = %d, want 3", got)
 	}
@@ -89,26 +86,6 @@ func TestActivityDerived(t *testing.T) {
 	empty := Extract(nil)
 	if empty.InvokedEverySlot() {
 		t.Error("InvokedEverySlot = true for empty sequence")
-	}
-}
-
-func TestInterArrivalTimes(t *testing.T) {
-	tests := []struct {
-		name   string
-		counts []int
-		want   []int
-	}{
-		{"paper-style", []int{1, 0, 1, 1, 0, 0, 1}, []int{2, 1, 3}},
-		{"single invocation", []int{0, 1, 0}, nil},
-		{"none", []int{0, 0}, nil},
-		{"adjacent", []int{2, 3}, []int{1}},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := InterArrivalTimes(tt.counts); !reflect.DeepEqual(got, tt.want) {
-				t.Errorf("IAT = %v, want %v", got, tt.want)
-			}
-		})
 	}
 }
 

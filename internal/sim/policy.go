@@ -9,7 +9,8 @@
 // cold starts cost the same; all instances consume one unit of memory; a
 // single node holds every loaded instance.
 //
-// Beyond the single-trace Run path, the package provides the sharded
+// Every run steps the event-stream Driver (which the serving daemon also
+// steps). Beyond the single-trace Run path, the package provides the sharded
 // engine (Options.Shards — bit-identical deterministic merge), the
 // streamed engine (RunStreamed over a Source — the shard as the unit of
 // residency; trace.StoreSource and GeneratorSource both satisfy it),

@@ -1,6 +1,6 @@
 // Package stats provides the statistics substrate used throughout the SPES
-// reproduction: descriptive statistics, quantiles, modes, histograms, a
-// discrete Kolmogorov-Smirnov test, and Poisson utilities.
+// reproduction: descriptive statistics, quantiles, modes, histograms, and a
+// seeded random source.
 //
 // All functions operate on plain slices and never mutate their inputs unless
 // explicitly documented. Empty inputs yield zero values rather than panics so
@@ -72,9 +72,6 @@ func SumInts(xs []int) int64 {
 // Mean returns the arithmetic mean of xs, or 0 if xs is empty.
 func Mean(xs []float64) float64 { return meanOf(xs) }
 
-// Variance returns the population variance of xs, or 0 if len(xs) < 2.
-func Variance(xs []float64) float64 { return varianceOf(xs) }
-
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(varianceOf(xs)) }
 
@@ -134,21 +131,6 @@ func IntsToFloats(xs []int) []float64 {
 	out := make([]float64, len(xs))
 	for i, x := range xs {
 		out[i] = float64(x)
-	}
-	return out
-}
-
-// Normalize scales xs into [0, 1] by min-max normalization, returning a new
-// slice. A constant sequence maps to all zeros.
-func Normalize(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	min, max := MinMax(xs)
-	span := max - min
-	if span == 0 {
-		return out
-	}
-	for i, x := range xs {
-		out[i] = (x - min) / span
 	}
 	return out
 }

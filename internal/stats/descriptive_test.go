@@ -65,14 +65,11 @@ func TestMean(t *testing.T) {
 }
 
 func TestVarianceAndStdDev(t *testing.T) {
-	if got := Variance([]float64{5}); got != 0 {
-		t.Errorf("Variance of singleton = %v, want 0", got)
+	if got := StdDev([]float64{5}); got != 0 {
+		t.Errorf("StdDev of singleton = %v, want 0", got)
 	}
 	// Population variance of (2,4,4,4,5,5,7,9) is 4.
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if got := Variance(xs); !almostEqual(got, 4, 1e-12) {
-		t.Errorf("Variance = %v, want 4", got)
-	}
 	if got := StdDev(xs); !almostEqual(got, 2, 1e-12) {
 		t.Errorf("StdDev = %v, want 2", got)
 	}
@@ -109,20 +106,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestNormalize(t *testing.T) {
-	out := Normalize([]float64{10, 20, 30})
-	want := []float64{0, 0.5, 1}
-	for i := range want {
-		if !almostEqual(out[i], want[i], 1e-12) {
-			t.Errorf("Normalize[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	constant := Normalize([]float64{4, 4})
-	if constant[0] != 0 || constant[1] != 0 {
-		t.Errorf("Normalize constant = %v, want zeros", constant)
-	}
-}
-
 func TestIntsToFloats(t *testing.T) {
 	out := IntsToFloats([]int{1, 2})
 	if len(out) != 2 || out[0] != 1 || out[1] != 2 {
@@ -151,7 +134,7 @@ func TestMeanBoundedProperty(t *testing.T) {
 	}
 }
 
-// Property: variance is non-negative and zero for constant sequences.
+// Property: variance is non-negative (StdDev is not NaN).
 func TestVarianceNonNegativeProperty(t *testing.T) {
 	f := func(xs []float64) bool {
 		clean := xs[:0:0]
@@ -160,28 +143,7 @@ func TestVarianceNonNegativeProperty(t *testing.T) {
 				clean = append(clean, x)
 			}
 		}
-		return Variance(clean) >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: normalization output is always within [0, 1].
-func TestNormalizeRangeProperty(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := xs[:0:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				clean = append(clean, x)
-			}
-		}
-		for _, v := range Normalize(clean) {
-			if v < 0 || v > 1 {
-				return false
-			}
-		}
-		return true
+		return StdDev(clean) >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

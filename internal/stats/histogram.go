@@ -16,7 +16,7 @@ import (
 // O(1) and Percentile is O(log bins) instead of a full rescan. Policies call
 // these on every observation (the Hybrid windows rule), which made the scans
 // the dominant per-Tick cost at scale. Counts must therefore only be mutated
-// through Add/Reset; it stays exported for read access.
+// through Add; it stays exported for read access.
 type Histogram struct {
 	Min            float64
 	BinWidth       float64
@@ -93,11 +93,6 @@ func (h *Histogram) OOBFraction() float64 {
 	return float64(h.UnderflowCount+h.OverflowCount) / float64(total)
 }
 
-// BinCenter returns the midpoint value of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	return h.Min + (float64(i)+0.5)*h.BinWidth
-}
-
 // BinLow returns the inclusive lower edge of bin i.
 func (h *Histogram) BinLow(i int) float64 {
 	return h.Min + float64(i)*h.BinWidth
@@ -162,41 +157,6 @@ func (h *Histogram) CV() (float64, bool) {
 		return math.Inf(1), true
 	}
 	return sd / mean, true
-}
-
-// Reset zeroes all counters, keeping the binning.
-func (h *Histogram) Reset() {
-	for i := range h.Counts {
-		h.Counts[i] = 0
-	}
-	for i := range h.fen {
-		h.fen[i] = 0
-	}
-	h.UnderflowCount = 0
-	h.OverflowCount = 0
-	h.total = 0
-	h.sumIdx = 0
-	h.sumIdxSq = 0
-}
-
-// Clone returns a deep copy of the histogram.
-func (h *Histogram) Clone() *Histogram {
-	counts := make([]int64, len(h.Counts))
-	copy(counts, h.Counts)
-	fen := make([]int64, len(h.fen))
-	copy(fen, h.fen)
-	return &Histogram{
-		Min:            h.Min,
-		BinWidth:       h.BinWidth,
-		Counts:         counts,
-		UnderflowCount: h.UnderflowCount,
-		OverflowCount:  h.OverflowCount,
-		total:          h.total,
-		fen:            fen,
-		fenTop:         h.fenTop,
-		sumIdx:         h.sumIdx,
-		sumIdxSq:       h.sumIdxSq,
-	}
 }
 
 // CountBuckets builds the log-scale bucket counts used to reproduce the

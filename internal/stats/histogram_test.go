@@ -81,20 +81,6 @@ func TestHistogramCV(t *testing.T) {
 	}
 }
 
-func TestHistogramResetAndClone(t *testing.T) {
-	h := NewHistogram(0, 2, 5)
-	h.Add(1)
-	h.Add(100)
-	c := h.Clone()
-	h.Reset()
-	if h.Total() != 0 || h.OverflowCount != 0 {
-		t.Error("Reset did not clear histogram")
-	}
-	if c.Total() != 1 || c.OverflowCount != 1 {
-		t.Error("Clone was affected by Reset")
-	}
-}
-
 func TestNewHistogramPanics(t *testing.T) {
 	assertPanics := func(name string, f func()) {
 		defer func() {

@@ -16,15 +16,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return quantileSorted(sorted, q)
 }
 
-// QuantileSorted is Quantile for an already ascending-sorted slice; it avoids
-// the copy and sort. Behaviour on unsorted input is undefined.
-func QuantileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	return quantileSorted(sorted, q)
-}
-
 func quantileSorted(sorted []float64, q float64) float64 {
 	if q <= 0 {
 		return sorted[0]
@@ -56,11 +47,6 @@ func Quantiles(xs []float64, qs ...float64) []float64 {
 		out[i] = quantileSorted(sorted, q)
 	}
 	return out
-}
-
-// QuantileInts is Quantile over an int slice.
-func QuantileInts(xs []int, q float64) float64 {
-	return Quantile(IntsToFloats(xs), q)
 }
 
 // QuantileSortedInts is Quantile over an already ascending-sorted int slice.
@@ -97,65 +83,4 @@ func MedianSortedInts(sorted []int) float64 {
 // Median returns the 0.5-quantile of xs.
 func Median(xs []float64) float64 {
 	return Quantile(xs, 0.5)
-}
-
-// MedianInts returns the median of an int slice as a float64.
-func MedianInts(xs []int) float64 {
-	return QuantileInts(xs, 0.5)
-}
-
-// CDF describes an empirical cumulative distribution: P(X <= Values[i]) =
-// Probs[i]. Values is ascending and Probs is non-decreasing, ending at 1.
-type CDF struct {
-	Values []float64
-	Probs  []float64
-}
-
-// EmpiricalCDF builds the empirical CDF of xs. Duplicate values are collapsed
-// into a single step. An empty input yields an empty CDF.
-func EmpiricalCDF(xs []float64) CDF {
-	if len(xs) == 0 {
-		return CDF{}
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	var cdf CDF
-	n := float64(len(sorted))
-	for i := 0; i < len(sorted); i++ {
-		// Collapse runs of equal values into one step at the run's end.
-		if i+1 < len(sorted) && sorted[i+1] == sorted[i] {
-			continue
-		}
-		cdf.Values = append(cdf.Values, sorted[i])
-		cdf.Probs = append(cdf.Probs, float64(i+1)/n)
-	}
-	return cdf
-}
-
-// At evaluates the CDF at x: the fraction of mass at values <= x.
-func (c CDF) At(x float64) float64 {
-	// First index with Values[i] > x; the step before it carries P(X <= x).
-	i := sort.SearchFloat64s(c.Values, x)
-	for i < len(c.Values) && c.Values[i] == x {
-		i++
-	}
-	if i == 0 {
-		return 0
-	}
-	return c.Probs[i-1]
-}
-
-// InverseAt returns the smallest value v with P(X <= v) >= p, i.e. the
-// p-quantile of the empirical distribution. It returns 0 for an empty CDF.
-func (c CDF) InverseAt(p float64) float64 {
-	if len(c.Values) == 0 {
-		return 0
-	}
-	for i, pr := range c.Probs {
-		if pr >= p {
-			return c.Values[i]
-		}
-	}
-	return c.Values[len(c.Values)-1]
 }

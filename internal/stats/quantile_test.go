@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -71,55 +70,8 @@ func TestMedian(t *testing.T) {
 	if got := Median([]float64{1, 2, 3, 4}); got != 2.5 {
 		t.Errorf("Median even = %v, want 2.5", got)
 	}
-	if got := MedianInts([]int{10, 30, 20}); got != 20 {
-		t.Errorf("MedianInts = %v, want 20", got)
-	}
-}
-
-func TestEmpiricalCDF(t *testing.T) {
-	cdf := EmpiricalCDF([]float64{1, 2, 2, 3})
-	if len(cdf.Values) != 3 {
-		t.Fatalf("CDF values = %v, want 3 distinct", cdf.Values)
-	}
-	checks := []struct {
-		x    float64
-		want float64
-	}{
-		{0.5, 0},
-		{1, 0.25},
-		{2, 0.75},
-		{2.5, 0.75},
-		{3, 1},
-		{10, 1},
-	}
-	for _, c := range checks {
-		if got := cdf.At(c.x); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("CDF.At(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-}
-
-func TestCDFInverseAt(t *testing.T) {
-	cdf := EmpiricalCDF([]float64{10, 20, 30, 40})
-	if got := cdf.InverseAt(0.5); got != 20 {
-		t.Errorf("InverseAt(0.5) = %v, want 20", got)
-	}
-	if got := cdf.InverseAt(1); got != 40 {
-		t.Errorf("InverseAt(1) = %v, want 40", got)
-	}
-	if got := cdf.InverseAt(0.01); got != 10 {
-		t.Errorf("InverseAt(0.01) = %v, want 10", got)
-	}
-	var empty CDF
-	if got := empty.InverseAt(0.5); got != 0 {
-		t.Errorf("empty InverseAt = %v, want 0", got)
-	}
-}
-
-func TestEmpiricalCDFEmpty(t *testing.T) {
-	cdf := EmpiricalCDF(nil)
-	if got := cdf.At(1); got != 0 {
-		t.Errorf("empty CDF.At = %v, want 0", got)
+	if got := MedianSortedInts([]int{10, 20, 30}); got != 20 {
+		t.Errorf("MedianSortedInts = %v, want 20", got)
 	}
 }
 
@@ -144,53 +96,6 @@ func TestQuantileMonotoneProperty(t *testing.T) {
 		hi := Quantile(xs, q2)
 		min, max := MinMax(xs)
 		return lo <= hi && lo >= min && hi <= max
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: CDF.At is non-decreasing and bounded by [0, 1].
-func TestCDFMonotoneProperty(t *testing.T) {
-	f := func(raw []float64, a, b float64) bool {
-		xs := raw[:0:0]
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		cdf := EmpiricalCDF(xs)
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		if a > b {
-			a, b = b, a
-		}
-		pa, pb := cdf.At(a), cdf.At(b)
-		return pa >= 0 && pb <= 1 && pa <= pb
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: for sorted input, QuantileSorted agrees with Quantile.
-func TestQuantileSortedAgreesProperty(t *testing.T) {
-	f := func(raw []float64, q float64) bool {
-		xs := raw[:0:0]
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				xs = append(xs, x)
-			}
-		}
-		if math.IsNaN(q) {
-			return true
-		}
-		q = math.Abs(math.Mod(q, 1))
-		sorted := make([]float64, len(xs))
-		copy(sorted, xs)
-		sort.Float64s(sorted)
-		return QuantileSorted(sorted, q) == Quantile(xs, q)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

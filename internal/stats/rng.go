@@ -78,35 +78,6 @@ func (g *RNG) Pareto(xm, alpha float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// Zipf returns a sample in [0, n) following a Zipf-like rank distribution
-// with exponent s, computed by inverse-transform on the truncated harmonic
-// weights. Used to pick which functions inside an application dominate.
-func (g *RNG) Zipf(n int, s float64) int {
-	if n <= 1 {
-		return 0
-	}
-	// CDF inversion over ranks; n is small (functions per app) so the linear
-	// scan is fine.
-	var total float64
-	for i := 1; i <= n; i++ {
-		total += 1 / math.Pow(float64(i), s)
-	}
-	u := g.r.Float64() * total
-	var cum float64
-	for i := 1; i <= n; i++ {
-		cum += 1 / math.Pow(float64(i), s)
-		if u <= cum {
-			return i - 1
-		}
-	}
-	return n - 1
-}
-
-// Normal returns a Normal(mu, sigma) sample.
-func (g *RNG) Normal(mu, sigma float64) float64 {
-	return g.r.NormFloat64()*sigma + mu
-}
-
 // Jitter returns base plus uniform noise in [-spread, +spread], clamped to
 // be at least min.
 func (g *RNG) Jitter(base, spread, min int) int {

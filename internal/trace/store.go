@@ -468,15 +468,6 @@ func (s *Store) NumFunctions() int { return s.functions }
 // Slots returns the full trace length in slots (train plus simulation).
 func (s *Store) Slots() int { return s.slots }
 
-// TotalEvents sums the stored event counts across all shards.
-func (s *Store) TotalEvents() int64 {
-	var t int64
-	for _, m := range s.meta {
-		t += m.Events
-	}
-	return t
-}
-
 // ShardTrace reads, verifies, and decodes shard i's full (unsplit) view.
 // Each call re-reads the file — the O(n/P) residency contract — and any
 // verification failure returns an error wrapping ErrStoreCorrupt.

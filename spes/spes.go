@@ -30,7 +30,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/classify"
 	"repro/internal/core"
-	"repro/internal/qos"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -251,22 +250,3 @@ func NewFaaSCache(capacity int) Policy { return baselines.NewFaaSCache(capacity)
 
 // NewLCS returns the LRU warm-container policy of Sethi et al. (extension).
 func NewLCS(capacity int) Policy { return baselines.NewLCS(capacity) }
-
-// QoSClass is a priority level for the QoS extension (paper Section VI-A3).
-type QoSClass = qos.Class
-
-// QoS priority levels, from most to least protected.
-const (
-	QoSCritical   = qos.Critical
-	QoSStandard   = qos.Standard
-	QoSBestEffort = qos.BestEffort
-)
-
-// WithQoS wraps any policy with the budgeted, class-aware residency module
-// the paper sketches as future work: under memory pressure, best-effort
-// functions lose their warmth before standard ones, and critical functions
-// last. classOf is indexed by FuncID; missing entries default to
-// QoSStandard.
-func WithQoS(inner Policy, budget int, classOf []QoSClass) Policy {
-	return qos.New(inner, budget, classOf)
-}

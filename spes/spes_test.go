@@ -93,28 +93,3 @@ func TestManualTraceConstruction(t *testing.T) {
 		t.Errorf("manual construction failed")
 	}
 }
-
-func TestWithQoS(t *testing.T) {
-	full, err := spes.GenerateTrace(spes.DefaultGeneratorConfig(60, 2, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, simTr := full.Split(1440)
-	classes := make([]spes.QoSClass, 60)
-	for i := range classes {
-		classes[i] = spes.QoSBestEffort
-	}
-	classes[0] = spes.QoSCritical
-	budget := 5
-	policy := spes.WithQoS(spes.NewSPES(spes.DefaultSPESConfig()), budget, classes)
-	res, err := spes.Run(policy, train, simTr, spes.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxLoaded > budget {
-		t.Errorf("max loaded = %d, exceeds budget %d", res.MaxLoaded, budget)
-	}
-	if res.Policy != "SPES+QoS" {
-		t.Errorf("policy name = %s", res.Policy)
-	}
-}
