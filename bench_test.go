@@ -93,7 +93,7 @@ var overheadPolicies = []struct {
 	{"HybridFunction", func(int) sim.Policy { return baselines.NewHybridFunction(baselines.DefaultHybridConfig()) }, 2.4},
 	{"HybridApplication", func(int) sim.Policy { return baselines.NewHybridApplication(baselines.DefaultHybridConfig()) }, 2.1},
 	{"Defuse", func(int) sim.Policy { return baselines.NewDefuse(baselines.DefaultDefuseConfig()) }, 2.4},
-	{"FaaSCache", func(capacity int) sim.Policy { return baselines.NewFaaSCache(capacity) }, 118},
+	{"FaaSCache", func(capacity int) sim.Policy { return baselines.NewFaaSCache(capacity) }, 0.01},
 	{"LCS", func(capacity int) sim.Policy { return baselines.NewLCS(capacity) }, 0.01},
 }
 

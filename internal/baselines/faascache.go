@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/trace"
@@ -23,8 +22,8 @@ type FaaSCache struct {
 	clock float64
 	freq  []int64
 	prio  []float64
-	h     *cacheHeap
-	index []int // heap index per function, -1 when not loaded
+	heap  []int // loaded functions, a binary min-heap under less
+	index []int // heap position per function, -1 when not loaded
 }
 
 // NewFaaSCache creates the policy with a memory capacity in instances. The
@@ -56,7 +55,7 @@ func (p *FaaSCache) Train(training *trace.Trace) {
 	for i := range p.index {
 		p.index[i] = -1
 	}
-	p.h = &cacheHeap{owner: p}
+	p.heap = nil
 
 	for fid, ser := range training.Series {
 		total := ser.Total()
@@ -66,7 +65,7 @@ func (p *FaaSCache) Train(training *trace.Trace) {
 		p.freq[fid] = total
 		p.prio[fid] = float64(total)
 		p.set.add(trace.FuncID(fid))
-		heap.Push(p.h, fid)
+		p.push(fid)
 	}
 	p.enforce()
 }
@@ -78,11 +77,13 @@ func (p *FaaSCache) Tick(t int, invs []trace.FuncCount) {
 		f := int(fc.Func)
 		p.freq[f]++
 		p.prio[f] = p.clock + float64(p.freq[f])
-		if p.index[f] >= 0 {
-			heap.Fix(p.h, p.index[f])
+		if i := p.index[f]; i >= 0 {
+			if !p.down(i, len(p.heap)) {
+				p.up(i)
+			}
 		} else {
 			p.set.add(fc.Func)
-			heap.Push(p.h, f)
+			p.push(f)
 		}
 	}
 	p.enforce()
@@ -93,7 +94,7 @@ func (p *FaaSCache) Tick(t int, invs []trace.FuncCount) {
 // outrank long-idle residents.
 func (p *FaaSCache) enforce() {
 	for p.set.count > p.capacity {
-		victim := heap.Pop(p.h).(int)
+		victim := p.pop()
 		p.set.remove(trace.FuncID(victim))
 		if p.prio[victim] > p.clock {
 			p.clock = p.prio[victim]
@@ -113,40 +114,76 @@ func (p *FaaSCache) Loaded(f trace.FuncID) bool { return p.set.has(f) }
 // LoadedCount implements sim.Policy.
 func (p *FaaSCache) LoadedCount() int { return p.set.count }
 
-// cacheHeap is a min-heap over loaded functions ordered by (priority,
-// FuncID).
-type cacheHeap struct {
-	owner *FaaSCache
-	items []int
-}
+// The eviction heap is kept inline on []int rather than through
+// container/heap, whose Push(any)/Pop() any box a FuncID on every admission
+// and eviction. The sift steps are container/heap's, so the layout — and
+// with it every eviction — is the same.
 
-func (h *cacheHeap) Len() int { return len(h.items) }
-
-func (h *cacheHeap) Less(i, j int) bool {
-	fi, fj := h.items[i], h.items[j]
-	if h.owner.prio[fi] != h.owner.prio[fj] {
-		return h.owner.prio[fi] < h.owner.prio[fj]
+// less orders heap positions i and j by (priority, FuncID).
+func (p *FaaSCache) less(i, j int) bool {
+	fi, fj := p.heap[i], p.heap[j]
+	if p.prio[fi] != p.prio[fj] {
+		return p.prio[fi] < p.prio[fj]
 	}
 	return fi < fj
 }
 
-func (h *cacheHeap) Swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.owner.index[h.items[i]] = i
-	h.owner.index[h.items[j]] = j
+// swap exchanges heap positions i and j, keeping index in step.
+func (p *FaaSCache) swap(i, j int) {
+	p.heap[i], p.heap[j] = p.heap[j], p.heap[i]
+	p.index[p.heap[i]] = i
+	p.index[p.heap[j]] = j
 }
 
-func (h *cacheHeap) Push(x any) {
-	f := x.(int)
-	h.owner.index[f] = len(h.items)
-	h.items = append(h.items, f)
+// up sifts position j towards the root while it outranks its parent.
+func (p *FaaSCache) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !p.less(j, i) {
+			break
+		}
+		p.swap(i, j)
+		j = i
+	}
 }
 
-func (h *cacheHeap) Pop() any {
-	last := len(h.items) - 1
-	f := h.items[last]
-	h.items = h.items[:last]
-	h.owner.index[f] = -1
+// down sifts position i0 towards the leaves of the first n positions while
+// a child outranks it, reporting whether it moved.
+func (p *FaaSCache) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && p.less(j2, j1) {
+			j = j2 // right child
+		}
+		if !p.less(j, i) {
+			break
+		}
+		p.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+// push admits f to the heap.
+func (p *FaaSCache) push(f int) {
+	p.index[f] = len(p.heap)
+	p.heap = append(p.heap, f)
+	p.up(len(p.heap) - 1)
+}
+
+// pop removes and returns the lowest-(priority, FuncID) function.
+func (p *FaaSCache) pop() int {
+	last := len(p.heap) - 1
+	p.swap(0, last)
+	p.down(0, last)
+	f := p.heap[last]
+	p.heap = p.heap[:last]
+	p.index[f] = -1
 	return f
 }
 

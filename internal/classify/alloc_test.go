@@ -69,7 +69,9 @@ func allocated(fn func()) (bytes, objects uint64) {
 // app/user peer index trace builds for it; and the heap objects it creates
 // must stay a small constant per function. A per-function slice creeping
 // back into the pass — a float copy, a sorted copy, a slot list — breaks
-// the first bound on bytes or the second on objects.
+// the first bound on bytes or the second on objects. A second call through
+// the same Categorizer — what core.SPES makes at every retrain boundary —
+// must not pay for its scratch again.
 func TestCategorizeAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -84,9 +86,9 @@ func TestCategorizeAllocationBudget(t *testing.T) {
 		train.UserFunctions()
 	})
 
-	ws := make([]scratch, 1)
+	var c Categorizer
 	var out *Outcome
-	bytes, objects := allocated(func() { out = categorize(train, cfg, false, false, ws) })
+	bytes, objects := allocated(func() { out = c.Categorize(train, cfg, false, false) })
 
 	escaping := sliceBytes(out.Profiles)
 	for _, p := range out.Profiles {
@@ -94,12 +96,13 @@ func TestCategorizeAllocationBudget(t *testing.T) {
 	}
 	// Scratch buffers at least double when they grow (sized), so the ones
 	// outgrown on the way cost less than the high-water mark again.
-	budget := 4*escaping + 2*ws[0].footprint() + peerIndex
+	scratchBytes := sliceBytes(c.ws) + c.ws[0].footprint()
+	budget := 4*escaping + 2*scratchBytes + peerIndex
 	t.Logf("allocated %d B in %d objects over %d functions; escaping %d B, scratch %d B, peer index %d B, budget %d B",
-		bytes, objects, n, escaping, ws[0].footprint(), peerIndex, budget)
+		bytes, objects, n, escaping, scratchBytes, peerIndex, budget)
 	if bytes > budget {
 		t.Errorf("Categorize allocated %d B, budget %d B (4 x %d escaping + 2 x %d scratch + %d peer index)",
-			bytes, budget, escaping, ws[0].footprint(), peerIndex)
+			bytes, budget, escaping, scratchBytes, peerIndex)
 	}
 	const objectsPerFunction = 4
 	if objects > objectsPerFunction*n {
@@ -109,9 +112,10 @@ func TestCategorizeAllocationBudget(t *testing.T) {
 
 	// A second call on the grown scratch allocates only what escapes, the
 	// peer index and the leftover lists.
-	again, _ := allocated(func() { categorize(train, cfg, false, false, ws) })
+	again, _ := allocated(func() { c.Categorize(train, cfg, false, false) })
+	t.Logf("warm call allocated %d B", again)
 	if steady := 2*escaping + peerIndex; again > steady {
-		t.Errorf("Categorize on warm scratch allocated %d B, want at most %d B", again, steady)
+		t.Errorf("Categorizer on warm scratch allocated %d B, want at most %d B", again, steady)
 	}
 }
 
@@ -124,11 +128,11 @@ func TestProfilesOwnTheirSlices(t *testing.T) {
 	train := trainingTrace(t, 300, 6, 4)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	ws := make([]scratch, 1)
-	first := categorize(train, cfg, false, false, ws)
+	var c Categorizer
+	first := c.Categorize(train, cfg, false, false)
 	want := Categorize(train, cfg, false, false)
 	if !reflect.DeepEqual(first, want) {
-		t.Fatal("categorize over supplied scratch differs from Categorize")
+		t.Fatal("a Categorizer's first call differs from Categorize")
 	}
 
 	mutated := 0
@@ -175,7 +179,7 @@ func TestProfilesOwnTheirSlices(t *testing.T) {
 			p.Links[i] = Link{Cand: -7, Lag: -7}
 		}
 	}
-	if second := categorize(train, cfg, false, false, ws); !reflect.DeepEqual(second, want) {
+	if second := c.Categorize(train, cfg, false, false); !reflect.DeepEqual(second, want) {
 		t.Fatal("a second Categorize on the same scratch saw the first call's mutated profiles")
 	}
 }

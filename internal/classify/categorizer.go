@@ -2,6 +2,7 @@ package classify
 
 import (
 	"cmp"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -85,20 +86,36 @@ const maxLinks = 5
 // strategy (Fig. 14's "w/o Corr"), disableForgetting skips the forgetting
 // rule (Fig. 15's "w/o Forgetting").
 //
-// The call allocates what escapes it — Outcome.Profiles and each kept
-// profile's Values and Links — plus one scratch per worker and the peer
-// index; every per-function intermediate lives in scratch, and invoked-slot
-// lists are read straight off training.Series.
+// Categorize is the one-shot form of Categorizer.Categorize: it runs on
+// fresh worker scratch, which it drops on return.
 func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableForgetting bool) *Outcome {
+	return new(Categorizer).Categorize(training, cfg, disableCorrelation, disableForgetting)
+}
+
+// Categorizer runs Categorize over worker scratch it keeps between calls, so
+// a policy that categorizes again at every retrain boundary grows its
+// per-worker buffers once instead of on every call. The zero value is ready
+// to use; a Categorizer is not safe for concurrent use.
+type Categorizer struct {
+	ws []scratch
+}
+
+// Categorize is the package-level Categorize over c's scratch. The call
+// allocates what escapes it — Outcome.Profiles and each kept profile's
+// Values and Links — plus the peer index and, on a call that needs more
+// room than any before it, scratch; every per-function intermediate lives
+// in scratch, and invoked-slot lists are read straight off training.Series.
+// Nothing returned points into c.
+func (c *Categorizer) Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableForgetting bool) *Outcome {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return categorize(training, cfg, disableCorrelation, disableForgetting, make([]scratch, workers))
-}
+	if len(c.ws) < workers {
+		c.ws = append(c.ws, make([]scratch, workers-len(c.ws))...)
+	}
+	ws := c.ws[:workers]
 
-// categorize is Categorize over caller-supplied worker scratch.
-func categorize(training *trace.Trace, cfg Config, disableCorrelation, disableForgetting bool, ws []scratch) *Outcome {
 	n := training.NumFunctions()
 	out := &Outcome{Profiles: make([]Profile, n)}
 	valStart := int(float64(training.Slots) * (1 - cfg.ValidationFrac))
@@ -376,7 +393,10 @@ func (w *scratch) mineLinks(target trace.FuncID, invoked []trace.Series, appPeer
 	if len(targetSlots) == 0 {
 		return nil
 	}
-	if len(w.seen) < len(invoked) {
+	// A stamp left by an earlier call (the scratch outlives it) is below the
+	// current generation; a generation about to wrap restarts on fresh
+	// stamps.
+	if len(w.seen) < len(invoked) || w.seenGen == math.MaxUint32 {
 		w.seen, w.seenGen = make([]uint32, len(invoked)), 0
 	}
 	w.seenGen++

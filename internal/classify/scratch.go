@@ -7,11 +7,11 @@ import (
 )
 
 // scratch is one worker's reusable working memory for the offline pass.
-// Categorize creates one per worker per call and parallelDo hands the same
-// one to every item a worker takes, so the per-function intermediates —
+// A Categorizer keeps one per worker across calls and parallelDo hands the
+// same one to every item a worker takes, so the per-function intermediates —
 // extracted activity, sorted slack variants, frequency tables, pre-load
 // spans — cost an allocation only when a function needs more room than any
-// before it on that worker.
+// before it on that worker, in this call or an earlier one.
 //
 // Ownership rule: nothing reachable from a Profile may point into scratch.
 // A buffer's contents are meaningless once the step that filled it returns

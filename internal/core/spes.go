@@ -69,6 +69,10 @@ type provision struct {
 	cfg  Config
 	pred *predict.Predictor
 
+	// cat keeps the categorization worker scratch from Train through every
+	// Retrain, so a retrain boundary reuses what the last pass grew.
+	cat classify.Categorizer
+
 	meta   []trace.Function
 	states []funcState // cold per-function state (profiles, online-WT history)
 
@@ -179,7 +183,7 @@ func (s *provision) train(training *trace.Trace) {
 	s.trainSlots = training.Slots
 	s.alloc(n)
 
-	outcome := classify.Categorize(training, s.cfg.Classify,
+	outcome := s.cat.Categorize(training, s.cfg.Classify,
 		s.cfg.DisableCorrelation, s.cfg.DisableForgetting)
 
 	for fid := 0; fid < n; fid++ {
@@ -267,7 +271,7 @@ func (s *provision) TypeOf(f trace.FuncID) string { return s.states[f].profile.T
 // sim.Retrainer contract — the loaded set all survive: they are
 // observations, not conclusions.
 func (s *provision) retrain(window *trace.Trace) {
-	outcome := classify.Categorize(window, s.cfg.Classify,
+	outcome := s.cat.Categorize(window, s.cfg.Classify,
 		s.cfg.DisableCorrelation, s.cfg.DisableForgetting)
 	for fid := range s.listeners {
 		s.listeners[fid] = s.listeners[fid][:0]

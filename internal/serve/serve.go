@@ -282,8 +282,11 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetrainEvery > 0 {
 		dcfg.RetrainEvery = cfg.RetrainEvery
 		dcfg.RetrainWindow = cfg.RetrainWindow
+		// Only the driver calls Window — from replay here, then from the
+		// apply loop — so the daemon's one builder is never shared.
+		var wb sim.WindowBuilder
 		dcfg.Window = func(t, w int) *trace.Trace {
-			return sim.BuildRetrainWindow(s.training, s.history, t, w)
+			return wb.Build(s.training, s.history, t, w)
 		}
 	}
 	s.driver = sim.NewDriver(s.policy, s.policy.NumFunctions(), dcfg)

@@ -65,16 +65,19 @@ type Driver struct {
 // WindowFunc builds the sliding-window trace handed to Retrainer.Retrain at
 // boundary slot t (see the Retrainer contract): w slots of recorded history
 // ending just before t, re-based so window slot 0 is slot t-w. The batch
-// engine builds it from the train/sim trace pair (BuildRetrainWindow); the
-// serving daemon builds it from its recorded live history.
+// engine builds it from the train/sim trace pair, the serving daemon from
+// its recorded live history, each through a WindowBuilder it owns. The
+// window and its series are borrowed until Retrain returns: the engine
+// overwrites them at the next boundary.
 type WindowFunc func(t, w int) *trace.Trace
 
-// BuildRetrainWindow is the exported form of the batch engine's window
-// builder: w slots ending just before t, filled from recorded (the
-// simulation-timeline history, slot 0 = simulation slot 0) and, for t < w,
-// from the tail of training. Anything before recorded history is empty.
+// BuildRetrainWindow builds one window on a fresh WindowBuilder, so the
+// result owns its storage: w slots ending just before t, filled from
+// recorded (the simulation-timeline history, slot 0 = simulation slot 0)
+// and, for t < w, from the tail of training. Anything before recorded
+// history is empty.
 func BuildRetrainWindow(training, recorded *trace.Trace, t, w int) *trace.Trace {
-	return retrainWindow(training, recorded, t, w)
+	return new(WindowBuilder).Build(training, recorded, t, w)
 }
 
 // DriverConfig configures a Driver around an already-trained policy.

@@ -118,6 +118,9 @@ type IdleSkipper interface {
 //     re-based so window slot 0 is simulation slot t-W (slots before the
 //     start of recorded history are simply empty). It shares the run's
 //     Function metadata and must be treated as read-only.
+//   - window and its series are borrowed until Retrain returns: the engine
+//     builds every boundary's window into the same storage (WindowBuilder)
+//     and overwrites it at the next boundary, so nothing may keep them.
 //   - Retrain is called before slot t's invocations are observed (and
 //     before its cold starts are accounted), so the window can never leak
 //     slot t or anything later.

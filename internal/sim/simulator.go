@@ -287,8 +287,9 @@ func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *s
 		if _, ok := policy.(Retrainer); ok {
 			cfg.RetrainEvery = opts.RetrainEvery
 			cfg.RetrainWindow = opts.retrainEffectiveWindow(training)
+			var wb WindowBuilder // one arena for every boundary of the run
 			cfg.Window = func(t, w int) *trace.Trace {
-				return retrainWindow(training, simTrace, t, w)
+				return wb.Build(training, simTrace, t, w)
 			}
 		}
 	}
