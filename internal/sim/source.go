@@ -101,8 +101,8 @@ func (g *GeneratorSource) sharedLayout() (*trace.GenLayout, error) {
 	return g.layout, g.layoutErr
 }
 
-// Shard implements Source: synthesize shard i's series from the shared
-// structural layout and split it.
+// Shard implements Source: synthesize shard i's train and sim halves from
+// the shared structural layout in one pass (trace.GenLayout.Shard).
 func (g *GeneratorSource) Shard(i int) (train, sim *trace.ShardView, err error) {
 	full := g.Cfg.Days * 1440
 	if g.TrainSlots < 0 || g.TrainSlots >= full {
@@ -112,16 +112,7 @@ func (g *GeneratorSource) Shard(i int) (train, sim *trace.ShardView, err error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	sh, err := l.Shard(i, g.NumShards())
-	if err != nil {
-		return nil, nil, err
-	}
-	if g.TrainSlots == 0 {
-		return nil, sh, nil
-	}
-	tr, sm := sh.Trace.Split(g.TrainSlots)
-	return &trace.ShardView{Trace: tr, Index: i, Global: sh.Global},
-		&trace.ShardView{Trace: sm, Index: i, Global: sh.Global}, nil
+	return l.Shard(i, g.NumShards(), g.TrainSlots)
 }
 
 // ShardFingerprint implements SourceFingerprint. Generation is

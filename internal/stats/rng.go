@@ -10,12 +10,21 @@ import (
 // in one place and makes generator code deterministic under a fixed seed.
 type RNG struct {
 	r *rand.Rand
+
+	// expLambda memoizes Poisson's exp(-lambda) for the last lambda it was
+	// called with: generators draw one count per slot at a constant rate.
+	lambda, expLambda float64
 }
 
 // NewRNG returns a deterministic RNG for the given seed.
 func NewRNG(seed int64) *RNG {
 	return &RNG{r: rand.New(rand.NewSource(seed))}
 }
+
+// Reseed restarts g on seed: it then draws exactly the stream NewRNG(seed)
+// would, without allocating a new source. A loop that needs one seeded
+// stream per item reuses one RNG this way.
+func (g *RNG) Reseed(seed int64) { g.r.Seed(seed) }
 
 // Float64 returns a uniform sample in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }
@@ -50,7 +59,10 @@ func (g *RNG) Poisson(lambda float64) int {
 		}
 		return n
 	}
-	l := math.Exp(-lambda)
+	if lambda != g.lambda {
+		g.lambda, g.expLambda = lambda, math.Exp(-lambda)
+	}
+	l := g.expLambda
 	k := 0
 	p := 1.0
 	for {
@@ -125,16 +137,8 @@ func (g *RNG) WeightedChoice(weights []float64) int {
 	return len(weights) - 1
 }
 
-// Split derives a child RNG whose stream is independent of subsequent draws
-// from the parent. Each function's invocation series is generated from its
-// own child RNG so that adding functions does not perturb existing ones.
-func (g *RNG) Split() *RNG {
-	return NewRNG(g.SplitSeed())
-}
-
-// SplitSeed draws the seed Split would hand its child, without constructing
-// the child. A child built later with NewRNG(seed) produces the exact stream
-// Split's would have: seeding is the entirety of a split, so a structural
-// pass can record one int64 per function and defer (or skip) the expensive
-// child-source construction until the series is actually synthesized.
+// SplitSeed draws the seed of a child stream that is independent of the
+// parent's later draws. Seeding is the entirety of a split, so a structural
+// pass can record one int64 per item and defer the child's construction
+// (NewRNG, or Reseed of a reused RNG) until its draws are actually needed.
 func (g *RNG) SplitSeed() int64 { return g.r.Int63() }

@@ -137,16 +137,45 @@ func TestWeightedChoice(t *testing.T) {
 	assertPanics("negative", func() { g.WeightedChoice([]float64{1, -1}) })
 }
 
-func TestSplitIndependence(t *testing.T) {
-	g := NewRNG(10)
-	child1 := g.Split()
-	// The parent's subsequent draws must not change the child stream already
-	// created; a second child from a fresh parent at the same point matches.
-	h := NewRNG(10)
-	child2 := h.Split()
-	for i := 0; i < 50; i++ {
-		if child1.Float64() != child2.Float64() {
-			t.Fatal("Split children with identical lineage differ")
+// TestReseedMatchesNewRNG holds Reseed to its contract: a reused RNG
+// reseeded on s draws exactly the stream NewRNG(s) draws, whatever it drew
+// before. The draws interleave every sampler the generator uses, including
+// Poisson across lambda changes (its exp(-lambda) memo must not leak across
+// rates) and above 30 (the normal approximation), and the reused RNG is
+// reseeded mid-stream.
+func TestReseedMatchesNewRNG(t *testing.T) {
+	draws := func(g *RNG, n int) []float64 {
+		out := make([]float64, 0, 8*n)
+		lambdas := []float64{0.4, 0.4, 3, 45, 0.4, 12.5, 3}
+		for i := 0; i < n; i++ {
+			out = append(out,
+				g.Float64(),
+				float64(g.Intn(97)),
+				float64(g.Poisson(lambdas[i%len(lambdas)])),
+				g.Exponential(0.25),
+				float64(g.Jitter(300, 5, 1)),
+			)
+			if g.Bool(0.5) {
+				out = append(out, 1)
+			} else {
+				out = append(out, 0)
+			}
+		}
+		return out
+	}
+	reused := NewRNG(1)
+	for _, seed := range []int64{7, 7, 123456789, -3, 0} {
+		want := draws(NewRNG(seed), 200)
+		// A stale memo and a half-consumed stream before the reseed.
+		draws(reused, 13)
+		reused.Reseed(seed)
+		first := draws(reused, 100)
+		reused.Reseed(seed)
+		got := draws(reused, 200)
+		for i := range want {
+			if got[i] != want[i] || (i < len(first) && first[i] != want[i]) {
+				t.Fatalf("seed %d: draw %d after Reseed = %v, NewRNG drew %v", seed, i, got[i], want[i])
+			}
 		}
 	}
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/stats"
 )
@@ -70,70 +71,80 @@ var figure5Mix = []float64{
 	TriggerCombination:   0.0260,
 }
 
-// archetypeMixFor returns the archetype sampling weights for a trigger,
+// archetypeMixes holds the archetype sampling weights per trigger,
 // calibrated to the paper's analysis: 68.12% of timer functions periodic or
 // quasi-periodic, 45.02% of HTTP functions Poisson, queue traffic dense,
 // storage/event bursty, and a silent sliver everywhere (743 of 83,137
-// functions never appear in training).
-func archetypeMixFor(trig Trigger) []float64 {
-	w := make([]float64, numArchetypes)
-	switch trig {
-	case TriggerTimer:
-		w[ArchPeriodic] = 0.52
-		w[ArchQuasiPeriodic] = 0.17
-		w[ArchAlwaysOn] = 0.05
-		w[ArchPoisson] = 0.06
-		w[ArchRare] = 0.14
-		w[ArchPulsed] = 0.05
-		w[ArchSilent] = 0.01
-	case TriggerHTTP:
-		// 45.02% of sufficiently sampled HTTP functions are Poisson and
-		// 36.20% lack samples (the sparse, temporally local population).
-		w[ArchPoisson] = 0.24
-		w[ArchDense] = 0.12
-		w[ArchBursty] = 0.12
-		w[ArchPulsed] = 0.12
-		w[ArchRare] = 0.37
-		w[ArchAlwaysOn] = 0.02
-		w[ArchSilent] = 0.01
-	case TriggerQueue:
-		w[ArchDense] = 0.38
-		w[ArchPoisson] = 0.20
-		w[ArchBursty] = 0.14
-		w[ArchPulsed] = 0.08
-		w[ArchRare] = 0.19
-		w[ArchSilent] = 0.01
-	case TriggerOrchestration:
-		// Orchestration functions are mostly chained; the chain machinery
-		// overrides series for followers, so the base mix covers drivers.
-		w[ArchDense] = 0.20
-		w[ArchPoisson] = 0.25
-		w[ArchBursty] = 0.20
-		w[ArchPulsed] = 0.15
-		w[ArchRare] = 0.19
-		w[ArchSilent] = 0.01
-	case TriggerEvent:
-		w[ArchBursty] = 0.33
-		w[ArchPoisson] = 0.11
-		w[ArchPulsed] = 0.20
-		w[ArchRare] = 0.35
-		w[ArchSilent] = 0.01
-	case TriggerStorage:
-		w[ArchBursty] = 0.40
-		w[ArchPulsed] = 0.20
-		w[ArchRare] = 0.38
-		w[ArchSilent] = 0.02
-	default: // others, combination
-		w[ArchPoisson] = 0.14
-		w[ArchPeriodic] = 0.10
-		w[ArchDense] = 0.10
-		w[ArchBursty] = 0.15
-		w[ArchPulsed] = 0.15
-		w[ArchRare] = 0.34
-		w[ArchSilent] = 0.02
-	}
-	return w
+// functions never appear in training). Others and combination share one mix.
+var archetypeMixes = [numTriggers][numArchetypes]float64{
+	TriggerTimer: {
+		ArchPeriodic:      0.52,
+		ArchQuasiPeriodic: 0.17,
+		ArchAlwaysOn:      0.05,
+		ArchPoisson:       0.06,
+		ArchRare:          0.14,
+		ArchPulsed:        0.05,
+		ArchSilent:        0.01,
+	},
+	// 45.02% of sufficiently sampled HTTP functions are Poisson and 36.20%
+	// lack samples (the sparse, temporally local population).
+	TriggerHTTP: {
+		ArchPoisson:  0.24,
+		ArchDense:    0.12,
+		ArchBursty:   0.12,
+		ArchPulsed:   0.12,
+		ArchRare:     0.37,
+		ArchAlwaysOn: 0.02,
+		ArchSilent:   0.01,
+	},
+	TriggerQueue: {
+		ArchDense:   0.38,
+		ArchPoisson: 0.20,
+		ArchBursty:  0.14,
+		ArchPulsed:  0.08,
+		ArchRare:    0.19,
+		ArchSilent:  0.01,
+	},
+	// Orchestration functions are mostly chained; the chain machinery
+	// overrides series for followers, so the base mix covers drivers.
+	TriggerOrchestration: {
+		ArchDense:   0.20,
+		ArchPoisson: 0.25,
+		ArchBursty:  0.20,
+		ArchPulsed:  0.15,
+		ArchRare:    0.19,
+		ArchSilent:  0.01,
+	},
+	TriggerEvent: {
+		ArchBursty:  0.33,
+		ArchPoisson: 0.11,
+		ArchPulsed:  0.20,
+		ArchRare:    0.35,
+		ArchSilent:  0.01,
+	},
+	TriggerStorage: {
+		ArchBursty: 0.40,
+		ArchPulsed: 0.20,
+		ArchRare:   0.38,
+		ArchSilent: 0.02,
+	},
+	TriggerOthers:      otherArchMix,
+	TriggerCombination: otherArchMix,
 }
+
+var otherArchMix = [numArchetypes]float64{
+	ArchPoisson:  0.14,
+	ArchPeriodic: 0.10,
+	ArchDense:    0.10,
+	ArchBursty:   0.15,
+	ArchPulsed:   0.15,
+	ArchRare:     0.34,
+	ArchSilent:   0.02,
+}
+
+// archetypeMixFor returns trig's archetype sampling weights. The slice is
+// shared; callers must not mutate it.
+func archetypeMixFor(trig Trigger) []float64 { return archetypeMixes[trig][:] }
 
 // SparseTriggerMix returns a trigger distribution dominated by the triggers
 // whose archetype mixes are mostly rare/bursty traffic, yielding the
@@ -182,7 +193,8 @@ func GenerateShard(cfg GeneratorConfig, i, p int) (*ShardView, error) {
 	if err != nil {
 		return nil, err
 	}
-	return l.Shard(i, p)
+	_, sh, err := l.Shard(i, p, 0)
+	return sh, err
 }
 
 // GenLayout is the structural skeleton of a generated trace: the user/app
@@ -296,64 +308,185 @@ func (l *GenLayout) NumFunctions() int { return len(l.trigs) }
 
 // Shard synthesizes shard i of p from the layout: series for exactly the
 // functions of users u with u mod p == i, in global order, bit-identical to
-// GenerateShard (and, unioned over all shards, to Generate). Only the
-// selected shard's apps do any RNG work — each function's child RNG is
-// reconstructed from its recorded seed.
-func (l *GenLayout) Shard(i, p int) (*ShardView, error) {
+// the same shard of Generate. Only the selected shard's apps do any RNG
+// work — each function's child RNG is reseeded from its recorded seed.
+//
+// at == 0 returns (nil, full), the whole shard. A split point at in
+// (0, slots) returns the two halves Trace.Split(at) would cut the full
+// shard into: train over [0, at), and sim over [at, slots) re-based to 0.
+// Both halves share one Functions slice and one Global mapping, as Split's
+// do. Either way each function is synthesized into the call's scratch
+// (synthScratch) and its series copied out once, at exact size.
+func (l *GenLayout) Shard(i, p, at int) (train, sim *ShardView, err error) {
 	if p <= 0 || i < 0 || i >= p {
-		return nil, fmt.Errorf("trace: shard %d of %d out of range", i, p)
+		return nil, nil, fmt.Errorf("trace: shard %d of %d out of range", i, p)
 	}
-	sh := &ShardView{Trace: NewTrace(l.slots), Index: i}
+	if at < 0 || at >= l.slots {
+		return nil, nil, fmt.Errorf("trace: split point %d outside [0, %d)", at, l.slots)
+	}
+	n := 0
+	for _, a := range l.apps {
+		if int(a.user)%p == i {
+			n += int(a.size)
+		}
+	}
+	fns := make([]Function, 0, n)
+	global := make([]FuncID, 0, n)
+	simSeries := make([]Series, 0, n)
+	var trainSeries []Series
+	if at > 0 {
+		trainSeries = make([]Series, 0, n)
+	}
+	// Both buffers start with room for one event per slot, which every
+	// archetype but a rare stray-heavy or flash-crowded one stays within, so
+	// a call grows each at most a few times.
+	sc := synthScratch{
+		series: stats.NewRNG(0), scenario: stats.NewRNG(0),
+		driver: make([]Event, 0, l.slots), events: make([]Event, 0, l.slots),
+	}
 	for _, a := range l.apps {
 		if int(a.user)%p != i {
 			continue
 		}
-		user := fmt.Sprintf("user%05d", a.user)
-		app := fmt.Sprintf("app%06d", a.app)
-		var driverEvents []Event
+		user, app, names := sc.appNames(a)
+		// driver is the chain driver's buffer after its in-place normalize,
+		// at its PRE-normalize length: followers read it whole, including
+		// the stale tail a coalesced duplicate slot leaves behind, and every
+		// generated trace depends on that (DESIGN.md "Generator layout
+		// split"). It stays intact until the next app: only the driver
+		// writes sc.driver.
+		var driver []Event
 		// driverActive records whether the driver's BASE series had events:
 		// followers chain off the driver's transformed series whenever the
 		// base driver was active, so a scenario that empties the driver
 		// (churn retiring it) silences its whole chain rather than flipping
 		// followers into fresh independent synthesis. For stationary configs
-		// the transform is the identity and this is exactly the old
-		// len(driverEvents) > 0 test.
+		// the transform is the identity and this is exactly "the driver has
+		// events".
 		driverActive := false
 		for k := 0; k < int(a.size); k++ {
 			fid := int(a.first) + k
-			fg := stats.NewRNG(l.seeds[fid])
 			trig := l.trigs[fid]
-			name := fmt.Sprintf("%s-f%02d", app, k)
-
-			var events []Event
+			g := sc.series
+			g.Reseed(l.seeds[fid])
+			buf := sc.events[:0]
+			if k == 0 {
+				buf = sc.driver[:0]
+			}
 			if a.chained && k > 0 && driverActive {
 				// Followers fire a small lag after the driver, with dropout:
 				// function chaining / fan-out behaviour (Section III-B2). The
 				// follower keeps its sampled trigger so the population
-				// matches Figure 5's proportions. driverEvents is the
-				// driver's scenario-transformed series, so churn and flash
-				// crowds propagate through chains; followers are not
-				// independently transformed (see scenario.go).
-				events = chainFollower(fg, driverEvents, l.slots)
+				// matches Figure 5's proportions. The driver series is
+				// scenario-transformed, so churn and flash crowds propagate
+				// through chains; followers are not independently
+				// transformed (see scenario.go).
+				buf = chainFollower(buf, g, driver, l.slots)
 			} else {
-				arch := Archetype(fg.WeightedChoice(archetypeMixFor(trig)))
-				events = synthesize(arch, fg, l.slots)
-				if l.cfg.ShiftFraction > 0 && fg.Bool(l.cfg.ShiftFraction) {
-					events = applyShift(fg, events, l.slots)
+				arch := Archetype(g.WeightedChoice(archetypeMixFor(trig)))
+				buf = synthesize(buf, arch, g, l.slots)
+				if l.cfg.ShiftFraction > 0 && g.Bool(l.cfg.ShiftFraction) {
+					buf = applyShift(g, buf, l.slots)
 				}
 				if k == 0 {
-					driverActive = len(events) > 0
+					driverActive = len(buf) > 0
 				}
-				events = l.cfg.Scenario.transform(FuncID(fid), events, l.slots)
-				if k == 0 {
-					driverEvents = events
-				}
+				buf = l.cfg.Scenario.transform(sc.scenario, FuncID(fid), buf, l.slots)
 			}
-			sh.Trace.AddFunction(name, app, user, trig, events)
-			sh.Global = append(sh.Global, FuncID(fid))
+			s := normalize(buf)
+			if k == 0 {
+				driver = buf
+				sc.driver = roomier(sc.driver, buf)
+			} else {
+				sc.events = roomier(sc.events, buf)
+			}
+
+			fns = append(fns, Function{ID: FuncID(len(fns)), Name: names[k], App: app, User: user, Trigger: trig})
+			global = append(global, FuncID(fid))
+			if at == 0 {
+				simSeries = append(simSeries, exactCopy(s))
+			} else {
+				trainSeries = append(trainSeries, s.Window(0, int32(at)))
+				simSeries = append(simSeries, s.Window(int32(at), int32(l.slots)))
+			}
 		}
 	}
-	return sh, nil
+	sim = &ShardView{Trace: &Trace{Slots: l.slots - at, Functions: fns, Series: simSeries}, Index: i, Global: global}
+	if at > 0 {
+		train = &ShardView{Trace: &Trace{Slots: at, Functions: fns, Series: trainSeries}, Index: i, Global: global}
+	}
+	return train, sim, nil
+}
+
+// synthScratch is what one Shard call reuses across the functions it
+// synthesizes, none of which escapes: the series and scenario RNGs, reseeded
+// per function; the chain driver's event buffer and one for every other
+// function; and the current app's name bytes.
+type synthScratch struct {
+	series, scenario *stats.RNG
+	driver, events   []Event
+
+	nameBuf  []byte
+	nameEnds []int
+	names    []string
+}
+
+// appNames renders an app's names — user%05d, app%06d and one %s-f%02d per
+// function — into one string and slices them out of it: one allocation per
+// app. The names slice is scratch, valid until the next call.
+func (sc *synthScratch) appNames(a layoutApp) (user, app string, names []string) {
+	b := appendPadded(append(sc.nameBuf[:0], "user"...), int(a.user), 5)
+	userEnd := len(b)
+	b = appendPadded(append(b, "app"...), int(a.app), 6)
+	appEnd := len(b)
+	ends := sc.nameEnds[:0]
+	for k := 0; k < int(a.size); k++ {
+		b = append(b, b[userEnd:appEnd]...)
+		b = appendPadded(append(b, "-f"...), k, 2)
+		ends = append(ends, len(b))
+	}
+	all := string(b)
+	names = sc.names[:0]
+	for k, end := range ends {
+		start := appEnd
+		if k > 0 {
+			start = ends[k-1]
+		}
+		names = append(names, all[start:end])
+	}
+	sc.nameBuf, sc.nameEnds, sc.names = b, ends, names
+	return all[:userEnd], all[userEnd:appEnd], names
+}
+
+// appendPadded appends v in decimal, zero-padded to width digits: the bytes
+// fmt's %0<width>d writes for a non-negative v.
+func appendPadded(b []byte, v, width int) []byte {
+	var digits [20]byte
+	d := strconv.AppendInt(digits[:0], int64(v), 10)
+	for i := len(d); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, d...)
+}
+
+// roomier returns whichever buffer has the larger capacity, emptied: the
+// scratch keeps a buffer that grew, and keeps its old one when a transform
+// handed back nil.
+func roomier(kept, used []Event) []Event {
+	if cap(used) > cap(kept) {
+		return used[:0]
+	}
+	return kept[:0]
+}
+
+// exactCopy copies s into a slice of exactly its length; empty is nil.
+func exactCopy(s Series) Series {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make(Series, len(s))
+	copy(out, s)
+	return out
 }
 
 // sampleSize draws an application/user cardinality >= 1 with the given mean,
@@ -371,12 +504,12 @@ func sampleSize(g *stats.RNG, mean float64) int {
 	return n
 }
 
-// chainFollower derives a follower series from its driver: each driver
-// firing triggers the follower lag slots later with probability keepP.
-func chainFollower(g *stats.RNG, driver []Event, slots int) []Event {
+// chainFollower derives a follower series from its driver, appending it to
+// dst: each driver firing triggers the follower lag slots later with
+// probability keepP.
+func chainFollower(dst []Event, g *stats.RNG, driver []Event, slots int) []Event {
 	lag := 1 + g.Intn(3)
 	keepP := 0.7 + g.Float64()*0.3
-	var events []Event
 	for _, e := range driver {
 		if !g.Bool(keepP) {
 			continue
@@ -389,9 +522,9 @@ func chainFollower(g *stats.RNG, driver []Event, slots int) []Event {
 		if count > 1 && g.Bool(0.3) {
 			count = 1 + int32(g.Intn(int(count)))
 		}
-		events = append(events, Event{Slot: int32(slot), Count: count})
+		dst = append(dst, Event{Slot: int32(slot), Count: count})
 	}
-	return events
+	return dst
 }
 
 // shiftArchMix is the archetype distribution post-change-point behaviour is
@@ -409,27 +542,14 @@ var shiftArchMix = []float64{
 	ArchSilent:        0.05,
 }
 
-// applyShift injects a concept shift: after a change point the series is
-// re-generated with different parameters (new archetype draw), reproducing
-// the mid-trace behaviour changes of Figure 4.
+// applyShift injects a concept shift, in place: after a change point the
+// series is re-generated with different parameters (new archetype draw),
+// reproducing the mid-trace behaviour changes of Figure 4.
 func applyShift(g *stats.RNG, events []Event, slots int) []Event {
 	if len(events) < 4 {
 		return events
 	}
 	// Change point in the middle 60% of the trace.
 	cut := slots/5 + g.Intn(slots*3/5)
-	var kept []Event
-	for _, e := range events {
-		if int(e.Slot) < cut {
-			kept = append(kept, e)
-		}
-	}
-	// New behaviour after the cut: rescale by regenerating a (possibly
-	// different) archetype and shifting it into the remaining window.
-	arch := Archetype(g.WeightedChoice(shiftArchMix))
-	tail := synthesize(arch, g, slots-cut)
-	for _, e := range tail {
-		kept = append(kept, Event{Slot: e.Slot + int32(cut), Count: e.Count})
-	}
-	return kept
+	return resynthesizeFrom(g, events, cut, slots)
 }

@@ -12,7 +12,9 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -151,11 +153,17 @@ func (s Series) LastSlot() int32 {
 // normalize sorts events by slot and coalesces duplicates, dropping
 // non-positive counts. Generator and CSV ingestion both funnel through this
 // so that Series invariants (sorted, positive, unique slots) always hold.
+//
+// The sort is skipped on non-decreasing input, which most synthesized series
+// already are: sort.Slice leaves such input exactly as it is (equal slots
+// included), so skipping it cannot change the outcome.
 func normalize(events []Event) Series {
 	if len(events) == 0 {
 		return nil
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].Slot < events[j].Slot })
+	if !slices.IsSortedFunc(events, func(a, b Event) int { return cmp.Compare(a.Slot, b.Slot) }) {
+		sort.Slice(events, func(i, j int) bool { return events[i].Slot < events[j].Slot })
+	}
 	out := events[:0]
 	for _, e := range events {
 		if e.Count <= 0 {

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
 
 func TestTriggerRoundTrip(t *testing.T) {
@@ -80,6 +83,31 @@ func TestNormalize(t *testing.T) {
 	}
 	if got := normalize([]Event{{Slot: 1, Count: 0}}); got != nil {
 		t.Errorf("normalize(all-zero) = %v", got)
+	}
+}
+
+// TestNormalizeSortSkipIsDecided backs normalize's prune: on non-decreasing
+// input, sort.Slice moves nothing, not even among equal slots (their counts
+// differ here, so a swap would show), at every length its algorithm
+// switches strategy on.
+func TestNormalizeSortSkipIsDecided(t *testing.T) {
+	g := stats.NewRNG(5)
+	for _, n := range []int{2, 8, 12, 13, 50, 51, 200, 5000} {
+		for rep := 0; rep < 20; rep++ {
+			events := make([]Event, n)
+			slot := int32(0)
+			for i := range events {
+				if g.Bool(0.6) { // long runs of one slot
+					slot += int32(g.Intn(3))
+				}
+				events[i] = Event{Slot: slot, Count: int32(i + 1)}
+			}
+			sorted := append([]Event(nil), events...)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Slot < sorted[j].Slot })
+			if !reflect.DeepEqual(sorted, events) {
+				t.Fatalf("n=%d: sort.Slice reordered non-decreasing input", n)
+			}
+		}
 	}
 }
 

@@ -5,7 +5,9 @@ import "repro/internal/stats"
 // This file synthesizes single-function invocation series for each behaviour
 // archetype observed in the Azure trace analysis (Section III of the paper).
 // Each synthesizer takes its own RNG so functions are generated
-// independently and reproducibly.
+// independently and reproducibly, and appends its events to a caller-supplied
+// dst (nil allocates), so a producer synthesizes every function of a shard
+// into one reused buffer.
 
 // Archetype enumerates the invocation behaviours the generator can emit.
 // They map onto (but are deliberately not identical to) SPES's categories:
@@ -56,10 +58,9 @@ var timerPeriodWeights = []float64{5, 10, 7, 8, 10, 14, 8, 8, 15, 19}
 
 // genAlwaysOn emits one-or-more invocations at (almost) every slot: the
 // "always warm" population such as CI/CD pollers and hyper-frequent calls.
-func genAlwaysOn(g *stats.RNG, slots int) []Event {
+func genAlwaysOn(events []Event, g *stats.RNG, slots int) []Event {
 	rate := 1 + g.Pareto(0.5, 1.2) // mean invocations per minute
 	skipP := g.Float64() * 0.0008  // stay under the 1/1000 idle bound
-	events := make([]Event, 0, slots)
 	for t := 0; t < slots; t++ {
 		if g.Bool(skipP) {
 			continue
@@ -76,17 +77,16 @@ func genAlwaysOn(g *stats.RNG, slots int) []Event {
 // genPeriodic emits timer-style invocations every `period` minutes with
 // occasional +/-1 slot jitter, missed firings, and stray extra invocations —
 // the disturbances Section IV-A2's slack rules exist to absorb.
-func genPeriodic(g *stats.RNG, slots int) []Event {
+func genPeriodic(events []Event, g *stats.RNG, slots int) []Event {
 	period := timerPeriods[g.WeightedChoice(timerPeriodWeights)]
-	return genPeriodicWithPeriod(g, slots, period)
+	return genPeriodicWithPeriod(events, g, slots, period)
 }
 
-func genPeriodicWithPeriod(g *stats.RNG, slots, period int) []Event {
+func genPeriodicWithPeriod(events []Event, g *stats.RNG, slots, period int) []Event {
 	phase := g.Intn(period)
 	jitterP := g.Float64() * 0.05 // up to 5% of firings shifted by one slot
 	missP := g.Float64() * 0.02   // up to 2% missed
 	strayP := g.Float64() * 0.01  // rare off-schedule invocations
-	var events []Event
 	for t := phase; t < slots; t += period {
 		if g.Bool(missP) {
 			continue
@@ -114,10 +114,9 @@ func genPeriodicWithPeriod(g *stats.RNG, slots, period int) []Event {
 // genQuasiPeriodic emits invocations whose gap wobbles within a small window
 // around the base period — the IoT-hub style "appro-regular" behaviour where
 // a 3-minute schedule actually lands every 3-5 minutes.
-func genQuasiPeriodic(g *stats.RNG, slots int) []Event {
+func genQuasiPeriodic(events []Event, g *stats.RNG, slots int) []Event {
 	base := timerPeriods[g.WeightedChoice(timerPeriodWeights)]
 	spread := 1 + g.Intn(3) // gap varies in [base, base+spread]
-	var events []Event
 	t := g.Intn(base + 1)
 	for t < slots {
 		events = append(events, Event{Slot: int32(t), Count: 1})
@@ -134,7 +133,7 @@ func genQuasiPeriodic(g *stats.RNG, slots int) []Event {
 // arrivals per day). The memoryless mid-band is thin, as it is in the real
 // trace where most moderately active functions are timer- or queue-driven
 // rather than Poisson.
-func genPoisson(g *stats.RNG, slots int) []Event {
+func genPoisson(events []Event, g *stats.RNG, slots int) []Event {
 	var rate float64
 	if g.Bool(0.6) {
 		rate = 0.3 + g.Pareto(0.2, 1.1) // busy: mean IAT of a few minutes
@@ -147,7 +146,6 @@ func genPoisson(g *stats.RNG, slots int) []Event {
 			rate = 0.004
 		}
 	}
-	var events []Event
 	for t := 0; t < slots; t++ {
 		if n := g.Poisson(rate); n > 0 {
 			events = append(events, Event{Slot: int32(t), Count: int32(n)})
@@ -159,11 +157,10 @@ func genPoisson(g *stats.RNG, slots int) []Event {
 // genDense emits busy stretches separated by short idle gaps bounded by a
 // small constant — queue-consumer behaviour that SPES's "dense" definition
 // (P90(WT) <= small constant) targets.
-func genDense(g *stats.RNG, slots int) []Event {
+func genDense(events []Event, g *stats.RNG, slots int) []Event {
 	maxGap := 2 + g.Intn(4)    // idle gaps of 1..maxGap slots
 	busyMean := 5 + g.Intn(26) // busy run length
 	rate := 0.5 + g.Float64()*4
-	var events []Event
 	t := g.Intn(maxGap + 1)
 	for t < slots {
 		runLen := 1 + g.Poisson(float64(busyMean))
@@ -183,11 +180,10 @@ func genDense(g *stats.RNG, slots int) []Event {
 // genBursty emits long silences punctuated by sustained invocation waves —
 // the temporal-locality behaviour of Figure 6 that the "successive" type
 // captures (every wave lasts >= a few slots and carries many invocations).
-func genBursty(g *stats.RNG, slots int) []Event {
+func genBursty(events []Event, g *stats.RNG, slots int) []Event {
 	waveLen := 4 + g.Intn(27)     // slots per wave, comfortably >= gamma1
 	gapMean := 300 + g.Intn(2000) // silence between waves
 	rate := 1.5 + g.Float64()*6   // invocations per slot inside a wave
-	var events []Event
 	t := g.Intn(gapMean)
 	for t < slots {
 		thisWave := waveLen + g.Intn(waveLen)
@@ -209,9 +205,8 @@ func genBursty(g *stats.RNG, slots int) []Event {
 // "successive" definition, landing in SPES's indeterminate "pulsed" bucket.
 // Keeping a pulsed function warm across a flurry pays for one cold start
 // per wave, which is the behaviour the pulsed strategy exploits.
-func genPulsed(g *stats.RNG, slots int) []Event {
+func genPulsed(events []Event, g *stats.RNG, slots int) []Event {
 	gapMean := 200 + g.Intn(1500)
-	var events []Event
 	t := g.Intn(gapMean)
 	for t < slots {
 		flurry := 2 + g.Intn(5) // 2-6 slots per flurry
@@ -231,11 +226,10 @@ func genPulsed(g *stats.RNG, slots int) []Event {
 // clusters of consecutive-ish minutes rather than isolated singletons; a
 // minority repeat a gap (feeding the "possible" type) or scatter uniformly
 // (ending up "unknown").
-func genRare(g *stats.RNG, slots int) []Event {
+func genRare(events []Event, g *stats.RNG, slots int) []Event {
 	switch {
 	case g.Bool(0.45):
 		// Clustered episodes: 1-3 clusters of 2-6 near-consecutive minutes.
-		var events []Event
 		clusters := 1 + g.Intn(3)
 		for c := 0; c < clusters; c++ {
 			start := g.Intn(slots)
@@ -254,7 +248,6 @@ func genRare(g *stats.RNG, slots int) []Event {
 		n := 4 + g.Intn(8)
 		gap := 300 + g.Intn(1800)
 		t := g.Intn(slots / 2)
-		var events []Event
 		for i := 0; i < n && t < slots; i++ {
 			events = append(events, Event{Slot: int32(t), Count: 1})
 			t += g.Jitter(gap, 1, 1)
@@ -263,7 +256,6 @@ func genRare(g *stats.RNG, slots int) []Event {
 	default:
 		// Scattered singletons: genuinely unpredictable.
 		n := 1 + g.Intn(6)
-		var events []Event
 		for i := 0; i < n; i++ {
 			events = append(events, Event{Slot: int32(g.Intn(slots)), Count: 1})
 		}
@@ -271,28 +263,26 @@ func genRare(g *stats.RNG, slots int) []Event {
 	}
 }
 
-// synthesize dispatches to the archetype's generator.
-func synthesize(a Archetype, g *stats.RNG, slots int) []Event {
+// synthesize dispatches to the archetype's generator, appending to dst.
+func synthesize(dst []Event, a Archetype, g *stats.RNG, slots int) []Event {
 	switch a {
 	case ArchAlwaysOn:
-		return genAlwaysOn(g, slots)
+		return genAlwaysOn(dst, g, slots)
 	case ArchPeriodic:
-		return genPeriodic(g, slots)
+		return genPeriodic(dst, g, slots)
 	case ArchQuasiPeriodic:
-		return genQuasiPeriodic(g, slots)
+		return genQuasiPeriodic(dst, g, slots)
 	case ArchPoisson:
-		return genPoisson(g, slots)
+		return genPoisson(dst, g, slots)
 	case ArchDense:
-		return genDense(g, slots)
+		return genDense(dst, g, slots)
 	case ArchBursty:
-		return genBursty(g, slots)
+		return genBursty(dst, g, slots)
 	case ArchPulsed:
-		return genPulsed(g, slots)
+		return genPulsed(dst, g, slots)
 	case ArchRare:
-		return genRare(g, slots)
-	case ArchSilent:
-		return nil
-	default:
-		return nil
+		return genRare(dst, g, slots)
+	default: // ArchSilent and unknown archetypes emit nothing
+		return dst
 	}
 }

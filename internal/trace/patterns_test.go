@@ -15,7 +15,7 @@ func denseOf(events []Event, slots int) []int {
 
 func TestGenAlwaysOn(t *testing.T) {
 	g := stats.NewRNG(1)
-	events := genAlwaysOn(g, testSlots)
+	events := genAlwaysOn(nil, g, testSlots)
 	act := series.Extract(denseOf(events, testSlots))
 	// Idle time must stay at or under roughly one-thousandth of the window.
 	if act.TotalWT() > testSlots/200 {
@@ -28,7 +28,7 @@ func TestGenAlwaysOn(t *testing.T) {
 
 func TestGenPeriodic(t *testing.T) {
 	g := stats.NewRNG(2)
-	events := genPeriodicWithPeriod(g, testSlots, 30)
+	events := genPeriodicWithPeriod(nil, g, testSlots, 30)
 	act := series.Extract(denseOf(events, testSlots))
 	if len(act.WT) < 50 {
 		t.Fatalf("periodic WT count = %d", len(act.WT))
@@ -44,7 +44,7 @@ func TestGenPeriodic(t *testing.T) {
 
 func TestGenQuasiPeriodic(t *testing.T) {
 	g := stats.NewRNG(3)
-	events := genQuasiPeriodic(g, testSlots)
+	events := genQuasiPeriodic(nil, g, testSlots)
 	act := series.Extract(denseOf(events, testSlots))
 	if len(act.WT) < 5 {
 		t.Skip("sampled a long base period; not enough WTs to assert on")
@@ -59,7 +59,7 @@ func TestGenQuasiPeriodic(t *testing.T) {
 
 func TestGenDense(t *testing.T) {
 	g := stats.NewRNG(4)
-	events := genDense(g, testSlots)
+	events := genDense(nil, g, testSlots)
 	act := series.Extract(denseOf(events, testSlots))
 	if len(act.WT) < 20 {
 		t.Fatalf("dense WT count = %d", len(act.WT))
@@ -72,7 +72,7 @@ func TestGenDense(t *testing.T) {
 
 func TestGenBursty(t *testing.T) {
 	g := stats.NewRNG(5)
-	events := genBursty(g, testSlots)
+	events := genBursty(nil, g, testSlots)
 	act := series.Extract(denseOf(events, testSlots))
 	if len(act.AT) == 0 {
 		t.Skip("no waves landed in window for this seed")
@@ -96,12 +96,12 @@ func TestGenBursty(t *testing.T) {
 
 func TestGenPulsedAndRare(t *testing.T) {
 	g := stats.NewRNG(6)
-	pulsed := denseOf(genPulsed(g, testSlots), testSlots)
+	pulsed := denseOf(genPulsed(nil, g, testSlots), testSlots)
 	act := series.Extract(pulsed)
 	if act.Invocations == 0 {
 		t.Error("pulsed generated nothing")
 	}
-	rareEvents := genRare(stats.NewRNG(7), testSlots)
+	rareEvents := genRare(nil, stats.NewRNG(7), testSlots)
 	if len(rareEvents) == 0 || len(rareEvents) > 20 {
 		t.Errorf("rare event count = %d, want a handful", len(rareEvents))
 	}
@@ -112,7 +112,7 @@ func TestGenRareRepeatingGap(t *testing.T) {
 	// "possible" type's prerequisite).
 	found := false
 	for seed := int64(0); seed < 30 && !found; seed++ {
-		events := genRare(stats.NewRNG(seed), testSlots)
+		events := genRare(nil, stats.NewRNG(seed), testSlots)
 		act := series.Extract(denseOf(events, testSlots))
 		if len(stats.RepeatedValues(act.WT)) > 0 {
 			found = true
@@ -126,7 +126,7 @@ func TestGenRareRepeatingGap(t *testing.T) {
 func TestSynthesizeDispatch(t *testing.T) {
 	for a := Archetype(0); a < numArchetypes; a++ {
 		g := stats.NewRNG(int64(a) + 100)
-		events := synthesize(a, g, 1440)
+		events := synthesize(nil, a, g, 1440)
 		if a == ArchSilent {
 			if len(events) != 0 {
 				t.Errorf("silent archetype produced events")
@@ -142,15 +142,16 @@ func TestSynthesizeDispatch(t *testing.T) {
 			}
 		}
 	}
-	if got := synthesize(Archetype(99), stats.NewRNG(1), 100); got != nil {
+	if got := synthesize(nil, Archetype(99), stats.NewRNG(1), 100); got != nil {
 		t.Error("unknown archetype should synthesize nothing")
 	}
 }
 
 func TestApplyShiftChangesBehaviour(t *testing.T) {
 	g := stats.NewRNG(8)
-	base := genPeriodicWithPeriod(g, testSlots, 10)
-	shifted := applyShift(g, base, testSlots)
+	base := genPeriodicWithPeriod(nil, g, testSlots, 10)
+	// applyShift rewrites its input in place; shift a copy.
+	shifted := applyShift(g, append([]Event(nil), base...), testSlots)
 	// The shifted series must differ from the base in its tail.
 	baseDense := denseOf(base, testSlots)
 	shiftDense := denseOf(shifted, testSlots)

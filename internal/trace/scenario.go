@@ -164,14 +164,16 @@ func scenarioSeed(seed int64, fid FuncID) int64 {
 	return int64((z ^ (z >> 31)) & 0x7fffffffffffffff)
 }
 
-// transform applies the scenario to one function's base series. fid is the
+// transform applies the scenario to one function's base series, in place:
+// the phases filter events and append into its spare capacity. fid is the
 // GLOBAL FuncID (the per-function RNG must not depend on shard-local
-// numbering). The result is normalized (sorted, positive, unique slots).
-func (sc ScenarioConfig) transform(fid FuncID, events []Event, slots int) []Event {
+// numbering); g is reseeded from it, so one RNG serves every function. The
+// result is normalized (sorted, positive, unique slots).
+func (sc ScenarioConfig) transform(g *stats.RNG, fid FuncID, events []Event, slots int) []Event {
 	if len(sc.Phases) == 0 {
 		return events
 	}
-	g := stats.NewRNG(scenarioSeed(sc.Seed, fid))
+	g.Reseed(scenarioSeed(sc.Seed, fid))
 	for _, ph := range sc.Phases {
 		events = ph.apply(g, events, slots)
 	}
@@ -270,8 +272,10 @@ func resynthesizeFrom(g *stats.RNG, events []Event, cut, slots int) []Event {
 // begin at slot from.
 func appendSynthesized(g *stats.RNG, events []Event, from, slots int) []Event {
 	arch := Archetype(g.WeightedChoice(shiftArchMix))
-	for _, e := range synthesize(arch, g, slots-from) {
-		events = append(events, Event{Slot: e.Slot + int32(from), Count: e.Count})
+	n := len(events)
+	events = synthesize(events, arch, g, slots-from)
+	for i := n; i < len(events); i++ {
+		events[i].Slot += int32(from)
 	}
 	return events
 }

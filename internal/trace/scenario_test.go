@@ -3,6 +3,8 @@ package trace
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // scenarioCfg is a 300-function, 6-day workload with the named scenario
@@ -144,8 +146,8 @@ func TestScenarioTransformDeterminism(t *testing.T) {
 	}
 	sc.Seed = 3
 	base := []Event{{Slot: 10, Count: 1}, {Slot: 2000, Count: 2}, {Slot: 5000, Count: 1}}
-	a := sc.transform(42, append([]Event(nil), base...), 4*1440)
-	b := sc.transform(42, append([]Event(nil), base...), 4*1440)
+	a := sc.transform(stats.NewRNG(0), 42, append([]Event(nil), base...), 4*1440)
+	b := sc.transform(stats.NewRNG(0), 42, append([]Event(nil), base...), 4*1440)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("transform not deterministic: %v vs %v", a, b)
 	}
@@ -223,7 +225,7 @@ func TestScenarioChurnSilencesChains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sh, err := l.Shard(0, 1)
+	_, sh, err := l.Shard(0, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,7 +225,7 @@ func TestGenLayoutReuseMatchesPerCallGeneration(t *testing.T) {
 			t.Fatal(err)
 		}
 		for rep := 0; rep < 2; rep++ { // repeated calls must be identical
-			got, err := l.Shard(i, p)
+			_, got, err := l.Shard(i, p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -236,7 +236,7 @@ func TestGenLayoutReuseMatchesPerCallGeneration(t *testing.T) {
 			}
 		}
 	}
-	if _, err := l.Shard(p, p); err == nil {
+	if _, _, err := l.Shard(p, p, 0); err == nil {
 		t.Fatal("out-of-range shard index accepted")
 	}
 }
