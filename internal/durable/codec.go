@@ -89,6 +89,20 @@ func (e *Enc) Dict(labels []string) {
 	}
 }
 
+// DictSize returns the number of bytes Dict appends for labels, so an
+// encoder can be sized exactly before the column is written.
+func DictSize(labels []string) int {
+	seen := make(map[string]struct{})
+	n := 8 // the dictionary and label counts
+	for _, s := range labels {
+		if _, ok := seen[s]; !ok {
+			seen[s] = struct{}{}
+			n += 4 + len(s)
+		}
+	}
+	return n + dictWidth(len(seen))*len(labels)
+}
+
 func dictWidth(dictLen int) int {
 	switch {
 	case dictLen <= 1<<8:

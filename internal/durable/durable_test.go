@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -102,6 +103,19 @@ func TestCursorRoundTripAndBounds(t *testing.T) {
 	}
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
+	}
+
+	// DictSize is exactly what Dict appends, at every index width.
+	wide := make([]string, 70000)
+	for i := range wide {
+		wide[i] = strconv.Itoa(i % 69000)
+	}
+	for _, labels := range [][]string{nil, {"a", "b", "a", "a"}, wide[:300], wide} {
+		e := NewEnc("", 0)
+		e.Dict(labels)
+		if len(e.B) != DictSize(labels) {
+			t.Errorf("Dict of %d labels appended %d bytes, DictSize says %d", len(labels), len(e.B), DictSize(labels))
+		}
 	}
 
 	// The latch: after the first failure every read is zero and Done keeps

@@ -287,6 +287,48 @@ func TestReadCSVInconsistentMetadata(t *testing.T) {
 	}
 }
 
+// TestReadCSVDialect pins what encoding/csv makes of input the Azure files
+// do not use but a hand-edited or re-exported file may: CRLF line endings,
+// blank lines between rows, quoted cells (read through the encoding/csv
+// switch) and a line longer than the scanner's buffer. Each reads as the
+// same trace as the plain file, and as the reference reads it.
+func TestReadCSVDialect(t *testing.T) {
+	tr := NewTrace(2 * slotsPerDay)
+	tr.AddFunction("f0", "appA", "u1", TriggerHTTP, []Event{{Slot: 0, Count: 3}, {Slot: 1500, Count: 7}})
+	tr.AddFunction("f1", "appB", "u2", TriggerTimer, []Event{{Slot: 1439, Count: 1}})
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	plain := buf.String()
+	row := csvRow("u1", "appA", "f0", "http", map[int]string{0: "3"})
+	quoted := `"u1","appA","f0","http"` + strings.TrimPrefix(row, "u1,appA,f0,http")
+	for name, in := range map[string]string{
+		"crlf":        strings.ReplaceAll(plain, "\n", "\r\n"),
+		"blank lines": strings.ReplaceAll(plain, "\n", "\n\n"),
+		"quoted row":  strings.Replace(plain, row, quoted, 1),
+	} {
+		if in == plain {
+			t.Fatalf("%s: input is the plain file", name)
+		}
+		got := assertReadCSVMatchesReference(t, []byte(in))
+		if got == nil || !reflect.DeepEqual(got.Series, tr.Series) || !reflect.DeepEqual(got.Functions, tr.Functions) {
+			t.Errorf("%s: read a different trace than the plain file", name)
+		}
+	}
+
+	// Blank lines are not records: the duplicate-row error counts records.
+	dup := row + "\n\n" + row
+	if _, err := ReadCSV(strings.NewReader(dup)); err == nil || !strings.Contains(err.Error(), "CSV line 2: duplicate") {
+		t.Errorf("duplicate after blank lines: err = %v, want one naming record line 2", err)
+	}
+
+	long := csvRow("u", "a", strings.Repeat("f", 70<<10), "http", map[int]string{9: "4"}) + row
+	if got := assertReadCSVMatchesReference(t, []byte(long)); got == nil || got.Functions[0].Name != strings.Repeat("f", 70<<10) {
+		t.Error("a line longer than the scanner's buffer was not read whole")
+	}
+}
+
 // TestReadCSVOutOfOrderHeader asserts header day columns must be exactly
 // "1".."1440" in order: a permuted or mislabeled header would silently
 // permute every row's minutes, so it is rejected naming the column.

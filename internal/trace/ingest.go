@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/durable"
 )
@@ -143,6 +145,7 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 		if row.EndSlot > slots {
 			slots = row.EndSlot
 		}
+		buf = reserveIngest(buf, len(row.Events), budget)
 		for _, e := range row.Events {
 			buf = append(buf, ingestEvent{fid: row.ID, slot: e.Slot, count: e.Count})
 		}
@@ -160,44 +163,54 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 
 	// Scatter: route every spilled run (in spill order, which preserves each
 	// function's day order) plus the residual buffer into one spill file per
-	// shard. When nothing spilled, the buffer is grouped in memory directly.
-	var perShard [][]ingestEvent
+	// shard. When nothing spilled, the buffer is grouped by shard in memory.
+	// Either way counts[i] is shard i's event count.
+	var (
+		grouped []ingestEvent
+		counts  []int
+	)
 	if runs == 0 {
-		perShard = make([][]ingestEvent, p)
-		for _, e := range buf {
-			sh := part.ShardOf(e.fid)
-			perShard[sh] = append(perShard[sh], e)
-		}
+		grouped, counts = groupByShard(buf, part, p)
 		buf = nil
-	} else {
-		if err := scatterRuns(spillDir, runs, buf, part, p); err != nil {
-			return nil, nil, fmt.Errorf("trace: ingest: %w", err)
-		}
-		buf = nil
+	} else if counts, err = scatterRuns(spillDir, runs, buf, part, p); err != nil {
+		return nil, nil, fmt.Errorf("trace: ingest: %w", err)
 	}
 
-	// Assemble and write each shard, one at a time.
+	// Assemble and write each shard, one at a time. A shard's view is dead
+	// once it is encoded, so one set of buffers, sized for the largest shard,
+	// serves them all: the spill file's bytes, its decoded records (in the
+	// event buffer's storage) and the assembler's event arena.
 	store := &Store{dir: dir, fs: fs, shards: p, functions: len(fns), slots: slots, meta: make([]storeShardMeta, p)}
-	var storeBytes int64
+	largest := slices.Max(counts)
+	asm := shardAssembler{arena: make([]Event, largest)}
+	var (
+		storeBytes int64
+		data       []byte
+		at         int // shard i's first event in grouped
+	)
+	if runs > 0 {
+		data = make([]byte, largest*ingestRecSize)
+	}
 	for i := 0; i < p; i++ {
 		var evs []ingestEvent
 		if runs == 0 {
-			evs = perShard[i]
-			perShard[i] = nil
+			evs = grouped[at : at+counts[i]]
+			at += counts[i]
 		} else {
-			evs, err = readIngestRecs(filepath.Join(spillDir, shardSpillName(i)))
+			data, buf, err = readIngestRecs(filepath.Join(spillDir, shardSpillName(i)), data, buf)
 			if err != nil {
 				return nil, nil, fmt.Errorf("trace: ingest: shard %d spill: %w", i, err)
 			}
+			evs = buf
 		}
-		sv, shardEvents := assembleShard(fns, part, i, slots, evs)
+		sv, shardEvents := asm.assemble(fns, part, i, slots, evs)
 		fp := shardContentFingerprint(sv)
-		data := encodeShardFile(sv, p, shardEvents, fp)
-		if err := durable.Commit(fs, dir, shardFileName(i), storeTmpPattern, data); err != nil {
+		file := encodeShardFile(sv, p, shardEvents, fp)
+		if err := durable.Commit(fs, dir, shardFileName(i), storeTmpPattern, file); err != nil {
 			return nil, nil, fmt.Errorf("trace: ingest: writing shard %d: %w", i, err)
 		}
 		store.meta[i] = storeShardMeta{Functions: len(sv.Functions), Events: shardEvents, ContentFP: fp}
-		storeBytes += int64(len(data))
+		storeBytes += int64(len(file))
 	}
 
 	// Manifest last: its atomic rename is the commit point of the ingest.
@@ -221,14 +234,57 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 // shardSpillName names shard i's scatter spill file.
 func shardSpillName(i int) string { return fmt.Sprintf("shard-%04d.spill", i) }
 
+// reserveIngest returns buf with room for n more events. Capacities are
+// the most the spill rule lets the buffer hold (the budget plus one row, a
+// day's worth of slots) halved k times, and each growth at least doubles:
+// all of the growth together allocates less than twice the final capacity,
+// and a toy trace never pays for the budget.
+func reserveIngest(buf []ingestEvent, n, budget int) []ingestEvent {
+	need := len(buf) + n
+	if need <= cap(buf) {
+		return buf
+	}
+	c := budget + slotsPerDay
+	if c < budget { // overflowed: a budget that never spills
+		c = math.MaxInt
+	}
+	for c/2 >= max(need, 2*cap(buf)) {
+		c /= 2
+	}
+	grown := make([]ingestEvent, len(buf), c)
+	copy(grown, buf)
+	return grown
+}
+
+// resized returns s at length n, reusing its storage when it is large
+// enough. The contents are unspecified.
+func resized[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+func putIngestRec(rec []byte, e ingestEvent) {
+	binary.LittleEndian.PutUint32(rec[0:], uint32(e.fid))
+	binary.LittleEndian.PutUint32(rec[4:], uint32(e.slot))
+	binary.LittleEndian.PutUint32(rec[8:], uint32(e.count))
+}
+
+func getIngestRec(rec []byte) ingestEvent {
+	return ingestEvent{
+		fid:   FuncID(binary.LittleEndian.Uint32(rec[0:])),
+		slot:  int32(binary.LittleEndian.Uint32(rec[4:])),
+		count: int32(binary.LittleEndian.Uint32(rec[8:])),
+	}
+}
+
 // writeIngestRecs appends events to w as flat 12-byte records.
 func writeIngestRecs(w io.Writer, evs []ingestEvent) error {
 	bw := bufio.NewWriterSize(w, 1<<18)
 	var rec [ingestRecSize]byte
 	for _, e := range evs {
-		binary.LittleEndian.PutUint32(rec[0:], uint32(e.fid))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(e.slot))
-		binary.LittleEndian.PutUint32(rec[8:], uint32(e.count))
+		putIngestRec(rec[:], e)
 		if _, err := bw.Write(rec[:]); err != nil {
 			return err
 		}
@@ -236,36 +292,63 @@ func writeIngestRecs(w io.Writer, evs []ingestEvent) error {
 	return bw.Flush()
 }
 
-// readIngestRecs reads a whole spill file of flat records. A missing file
+// readIngestRecs reads a whole spill file of flat records, through data's
+// storage into evs's, and returns both for the next file. A missing file
 // means the shard received no events.
-func readIngestRecs(path string) ([]ingestEvent, error) {
-	data, err := os.ReadFile(path)
+func readIngestRecs(path string, data []byte, evs []ingestEvent) ([]byte, []ingestEvent, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, nil
+			return data, evs[:0], nil
 		}
-		return nil, err
+		return data, evs, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return data, evs, err
+	}
+	data = resized(data, int(info.Size()))
+	if _, err := io.ReadFull(f, data); err != nil {
+		return data, evs, err
 	}
 	if len(data)%ingestRecSize != 0 {
-		return nil, fmt.Errorf("spill file %s has %d trailing bytes", filepath.Base(path), len(data)%ingestRecSize)
+		return data, evs, fmt.Errorf("spill file %s has %d trailing bytes", filepath.Base(path), len(data)%ingestRecSize)
 	}
-	out := make([]ingestEvent, len(data)/ingestRecSize)
-	for i := range out {
-		rec := data[i*ingestRecSize:]
-		out[i] = ingestEvent{
-			fid:   FuncID(binary.LittleEndian.Uint32(rec[0:])),
-			slot:  int32(binary.LittleEndian.Uint32(rec[4:])),
-			count: int32(binary.LittleEndian.Uint32(rec[8:])),
-		}
+	evs = resized(evs, len(data)/ingestRecSize)
+	for i := range evs {
+		evs[i] = getIngestRec(data[i*ingestRecSize:])
 	}
-	return out, nil
+	return data, evs, nil
+}
+
+// groupByShard counting-sorts the in-memory buffer by shard into one array,
+// shard 0's events first, each shard's in arrival order, and returns it with
+// each shard's event count.
+func groupByShard(buf []ingestEvent, part *Partition, p int) (grouped []ingestEvent, counts []int) {
+	counts = make([]int, p)
+	for _, e := range buf {
+		counts[part.ShardOf(e.fid)]++
+	}
+	next := make([]int, p)
+	for i := 1; i < p; i++ {
+		next[i] = next[i-1] + counts[i-1]
+	}
+	grouped = make([]ingestEvent, len(buf))
+	for _, e := range buf {
+		sh := part.ShardOf(e.fid)
+		grouped[next[sh]] = e
+		next[sh]++
+	}
+	return grouped, counts
 }
 
 // scatterRuns streams every run file (in spill order) plus the residual
-// in-memory buffer through the partition into one spill file per shard.
-// Writers are buffered, so the scatter is one sequential read of the runs
-// and P sequential writes regardless of trace size.
-func scatterRuns(spillDir string, runs int, residual []ingestEvent, part *Partition, p int) error {
+// in-memory buffer through the partition into one spill file per shard, and
+// returns each shard's record count. Writers are buffered, so the scatter is
+// one sequential read of the runs and P sequential writes regardless of
+// trace size.
+func scatterRuns(spillDir string, runs int, residual []ingestEvent, part *Partition, p int) ([]int, error) {
 	outs := make([]*bufio.Writer, p)
 	files := make([]*os.File, p)
 	for i := range outs {
@@ -276,7 +359,7 @@ func scatterRuns(spillDir string, runs int, residual []ingestEvent, part *Partit
 					g.Close()
 				}
 			}
-			return err
+			return nil, err
 		}
 		files[i] = f
 		outs[i] = bufio.NewWriterSize(f, 1<<16)
@@ -294,85 +377,105 @@ func scatterRuns(spillDir string, runs int, residual []ingestEvent, part *Partit
 		return first
 	}
 
-	route := func(e ingestEvent) error {
-		var rec [ingestRecSize]byte
-		binary.LittleEndian.PutUint32(rec[0:], uint32(e.fid))
-		binary.LittleEndian.PutUint32(rec[4:], uint32(e.slot))
-		binary.LittleEndian.PutUint32(rec[8:], uint32(e.count))
-		_, err := outs[part.ShardOf(e.fid)].Write(rec[:])
-		return err
-	}
-
-	for run := 0; run < runs; run++ {
-		f, err := os.Open(filepath.Join(spillDir, fmt.Sprintf("run-%06d", run)))
-		if err != nil {
-			closeAll()
-			return err
-		}
-		br := bufio.NewReaderSize(f, 1<<18)
-		var rec [ingestRecSize]byte
-		for {
-			if _, err := io.ReadFull(br, rec[:]); err != nil {
-				if err == io.EOF {
-					break
-				}
-				f.Close()
-				closeAll()
-				return fmt.Errorf("reading run %d: %w", run, err)
-			}
-			e := ingestEvent{
-				fid:   FuncID(binary.LittleEndian.Uint32(rec[0:])),
-				slot:  int32(binary.LittleEndian.Uint32(rec[4:])),
-				count: int32(binary.LittleEndian.Uint32(rec[8:])),
-			}
-			if err := route(e); err != nil {
-				f.Close()
-				closeAll()
+	// Records are routed straight out of one read buffer, and the
+	// residual's are encoded into it, so the scatter allocates nothing per
+	// event.
+	chunk := make([]byte, (1<<18)/ingestRecSize*ingestRecSize)
+	counts := make([]int, p)
+	route := func(recs []byte) error {
+		for k := 0; k < len(recs); k += ingestRecSize {
+			sh := part.ShardOf(FuncID(binary.LittleEndian.Uint32(recs[k:])))
+			counts[sh]++
+			if _, err := outs[sh].Write(recs[k : k+ingestRecSize]); err != nil {
 				return err
 			}
 		}
-		f.Close()
+		return nil
+	}
+	scatterRun := func(run int) error {
+		f, err := os.Open(filepath.Join(spillDir, fmt.Sprintf("run-%06d", run)))
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		for {
+			n, err := io.ReadFull(f, chunk)
+			if n%ingestRecSize != 0 {
+				return fmt.Errorf("reading run %d: %w", run, io.ErrUnexpectedEOF)
+			}
+			if err := route(chunk[:n]); err != nil {
+				return err
+			}
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return nil
+			}
+			if err != nil {
+				return fmt.Errorf("reading run %d: %w", run, err)
+			}
+		}
+	}
+
+	for run := 0; run < runs; run++ {
+		if err := scatterRun(run); err != nil {
+			closeAll()
+			return nil, err
+		}
 		// Run files are consumed in order exactly once; removing each after
 		// its scatter halves the spill directory's peak footprint.
 		os.Remove(filepath.Join(spillDir, fmt.Sprintf("run-%06d", run)))
 	}
-	for _, e := range residual {
-		if err := route(e); err != nil {
-			closeAll()
-			return err
+	for len(residual) > 0 {
+		n := min(len(residual), len(chunk)/ingestRecSize)
+		for k, e := range residual[:n] {
+			putIngestRec(chunk[k*ingestRecSize:], e)
 		}
+		if err := route(chunk[:n*ingestRecSize]); err != nil {
+			closeAll()
+			return nil, err
+		}
+		residual = residual[n:]
 	}
-	return closeAll()
+	return counts, closeAll()
 }
 
-// assembleShard builds shard i's full (unsplit) view from its scattered
-// events: metadata re-IDed densely in ascending global order (the ShardBy
-// contract) and every series normalized, exactly as ReadCSV + ShardBy
-// produce. Returns the view and its total event count after normalization.
-func assembleShard(fns []Function, part *Partition, i, slots int, evs []ingestEvent) (*ShardView, int64) {
+// shardAssembler is the storage assemble reuses from shard to shard.
+type shardAssembler struct {
+	local   []int32 // global FuncID -> local index in the current shard
+	offsets []int32 // local index -> first event in arena; one past the end last
+	fill    []int32
+	arena   []Event // every series of the current shard
+}
+
+// assemble builds shard i's full (unsplit) view from its scattered events:
+// metadata re-IDed densely in ascending global order (the ShardBy contract)
+// and every series normalized, exactly as ReadCSV + ShardBy produce. Returns
+// the view and its total event count after normalization. The series are
+// carved out of the assembler's arena: the view is valid until the next
+// call.
+func (a *shardAssembler) assemble(fns []Function, part *Partition, i, slots int, evs []ingestEvent) (*ShardView, int64) {
 	members := part.Members(i)
-	local := make(map[FuncID]int32, len(members))
+	a.local = resized(a.local, len(fns))
 	for li, g := range members {
-		local[g] = int32(li)
+		a.local[g] = int32(li)
 	}
 
-	// Carve per-function event slices out of one backing array: count, then
-	// fill, preserving arrival order within each function (normalize sorts,
-	// so order only needs to be deterministic, which arrival order is).
-	counts := make([]int32, len(members))
+	// Count, then fill, preserving arrival order within each function
+	// (normalize sorts, so order only needs to be deterministic, which
+	// arrival order is).
+	a.offsets = resized(a.offsets, len(members)+1)
+	clear(a.offsets)
 	for _, e := range evs {
-		counts[local[e.fid]]++
+		a.offsets[a.local[e.fid]+1]++
 	}
-	offsets := make([]int32, len(members)+1)
 	for li := range members {
-		offsets[li+1] = offsets[li] + counts[li]
+		a.offsets[li+1] += a.offsets[li]
 	}
-	backing := make([]Event, len(evs))
-	fill := make([]int32, len(members))
+	a.fill = append(a.fill[:0], a.offsets[:len(members)]...)
+	a.arena = resized(a.arena, len(evs))
 	for _, e := range evs {
-		li := local[e.fid]
-		backing[offsets[li]+fill[li]] = Event{Slot: e.slot, Count: e.count}
-		fill[li]++
+		li := a.local[e.fid]
+		a.arena[a.fill[li]] = Event{Slot: e.slot, Count: e.count}
+		a.fill[li]++
 	}
 
 	sub := NewTrace(slots)
@@ -383,7 +486,7 @@ func assembleShard(fns []Function, part *Partition, i, slots int, evs []ingestEv
 		f := fns[g]
 		f.ID = FuncID(li)
 		sub.Functions[li] = f
-		sub.Series[li] = normalize(backing[offsets[li]:offsets[li+1]])
+		sub.Series[li] = normalize(a.arena[a.offsets[li]:a.offsets[li+1]])
 		total += int64(len(sub.Series[li]))
 	}
 	return &ShardView{Trace: sub, Index: i, Global: members}, total

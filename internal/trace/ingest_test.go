@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -283,6 +284,23 @@ func TestStoreGoldenBytes(t *testing.T) {
 			t.Errorf("%s is %d bytes hashing to %s, want %d bytes hashing to %s", tc.name, len(data), got, tc.size, tc.sha256)
 		}
 	}
+
+	// The encoder is sized exactly: re-encoding a decoded shard yields its
+	// file with no spare capacity, so the buffer never regrew.
+	for i := 0; i < store.NumShards(); i++ {
+		sv, err := store.ShardTrace(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		disk, err := os.ReadFile(filepath.Join(store.Dir(), shardFileName(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := encodeShardFile(sv, store.NumShards(), store.meta[i].Events, store.meta[i].ContentFP)
+		if !bytes.Equal(file, disk) || cap(file) != len(file) {
+			t.Errorf("shard %d re-encodes to %d bytes (capacity %d), file is %d", i, len(file), cap(file), len(disk))
+		}
+	}
 }
 
 // TestIngestReplacesStore asserts re-ingesting into the same directory
@@ -327,5 +345,68 @@ func TestIngestEmptyCSV(t *testing.T) {
 	}
 	if _, err := OpenStore(dir); err != nil {
 		t.Fatalf("empty store does not reopen: %v", err)
+	}
+}
+
+// ingestWorkload is the shape of the benchmark's ingest-store workload: a
+// 1000-function, 6-day Azure-schema CSV (~1.8M events, ~17 MB) ingested into
+// 8 shards through a 1Mi-event buffer, so one run spills.
+func ingestWorkload(tb testing.TB) ([]byte, IngestOptions) {
+	tb.Helper()
+	tr, err := Generate(DefaultGeneratorConfig(1000, 6, 1))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, tr); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes(), IngestOptions{Shards: 8, MaxBufferedEvents: 1 << 20}
+}
+
+// TestIngestAllocationBudget holds an ingest to what it keeps: the scanner
+// allocates nothing per row and each function's strings once, the spill
+// buffer doubles up to the budget, and the shard stage reuses one spill
+// read buffer and one event arena, leaving the encoded files as the only
+// per-shard allocation. A per-row record, append-grown buffers, a
+// per-event scatter record or a buffer per shard each break the bound.
+func TestIngestAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	csv, opts := ingestWorkload(t)
+	dir := filepath.Join(t.TempDir(), "store")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, stats, err := IngestCSV(bytes.NewReader(csv), dir, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SpillRuns == 0 {
+		t.Fatalf("%d events did not spill through a %d-event buffer", stats.Events, opts.MaxBufferedEvents)
+	}
+	got, objects := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("%.1f MB CSV, %d events, %d spill runs: %.1f MB and %d objects allocated, %.1f MB stored",
+		float64(len(csv))/1e6, stats.Events, stats.SpillRuns, float64(got)/1e6, objects, float64(stats.StoreBytes)/1e6)
+	const maxBytes, maxObjects = 80_000_000, 50_000
+	if got > maxBytes || objects > maxObjects {
+		t.Fatalf("ingest allocated %d bytes in %d objects, budget %d bytes and %d objects", got, objects, maxBytes, maxObjects)
+	}
+}
+
+// BenchmarkIngestCSV times one ingest of the ingest-store workload's CSV:
+// B/op is the whole pass's allocation.
+func BenchmarkIngestCSV(b *testing.B) {
+	csv, opts := ingestWorkload(b)
+	dir := filepath.Join(b.TempDir(), "store")
+	b.ReportAllocs()
+	b.SetBytes(int64(len(csv)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := IngestCSV(bytes.NewReader(csv), dir, opts); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -116,12 +116,27 @@ func hashU64(h io.Writer, v uint64) {
 	h.Write(buf[:])
 }
 
+// shardFileFixed is a shard file's size beside its columns' payloads: the
+// header after the magic (36 bytes), each column block's id, length and CRC
+// (16 bytes), the footer magic and the file CRC.
+const shardFileFixed = 36 + 16*numColumns + len(storeFooterMagic) + 4
+
 // encodeShardFile serializes one full (unsplit) shard view into the
 // columnar format. events is the total event count across the shard's
-// series; fp is the shard's content fingerprint.
+// series; fp is the shard's content fingerprint. The encoder is sized to
+// the file exactly, so the file is one allocation.
 func encodeShardFile(sv *ShardView, shards int, events int64, fp uint64) []byte {
 	nf := len(sv.Functions)
-	e := durable.NewEnc(storeMagic, 64+16*nf+int(events)*8)
+	apps, users, trigs := make([]string, nf), make([]string, nf), make([]string, nf)
+	// Globals, name lengths and series lengths are 4 bytes per function;
+	// event slots and counts 4 bytes each per event.
+	size := shardFileFixed + 12*nf + 8*int(events)
+	for i, f := range sv.Functions {
+		apps[i], users[i], trigs[i] = f.App, f.User, f.Trigger.String()
+		size += len(f.Name)
+	}
+	size += durable.DictSize(apps) + durable.DictSize(users) + durable.DictSize(trigs)
+	e := durable.NewEnc(storeMagic, size)
 	e.U32(storeVersion)
 	e.U32(uint32(sv.Index))
 	e.U32(uint32(shards))
@@ -141,15 +156,6 @@ func encodeShardFile(sv *ShardView, shards int, events int64, fp uint64) []byte 
 		binary.LittleEndian.PutUint64(e.B[at:], uint64(len(payload)))
 		e.U32(durable.Checksum(payload))
 	}
-	labels := make([]string, nf)
-	dictBlock := func(id uint32, label func(*Function) string) {
-		block(id, func() {
-			for i := range sv.Functions {
-				labels[i] = label(&sv.Functions[i])
-			}
-			e.Dict(labels)
-		})
-	}
 
 	block(colGlobals, func() {
 		for _, g := range sv.Global {
@@ -161,9 +167,9 @@ func encodeShardFile(sv *ShardView, shards int, events int64, fp uint64) []byte 
 			e.Str(f.Name)
 		}
 	})
-	dictBlock(colApps, func(f *Function) string { return f.App })
-	dictBlock(colUsers, func(f *Function) string { return f.User })
-	dictBlock(colTriggers, func(f *Function) string { return f.Trigger.String() })
+	block(colApps, func() { e.Dict(apps) })
+	block(colUsers, func() { e.Dict(users) })
+	block(colTriggers, func() { e.Dict(trigs) })
 	block(colSeriesLens, func() {
 		for _, s := range sv.Series {
 			e.U32(uint32(len(s)))
