@@ -88,11 +88,11 @@ var overheadPolicies = []struct {
 	mk             func(capacity int) sim.Policy
 	objectsPerTick float64
 }{
-	{"SPES", func(int) sim.Policy { return core.New(core.DefaultConfig()) }, 8.5},
-	{"Fixed", func(int) sim.Policy { return baselines.NewFixedKeepAlive(10) }, 0.06},
-	{"HybridFunction", func(int) sim.Policy { return baselines.NewHybridFunction(baselines.DefaultHybridConfig()) }, 2.4},
-	{"HybridApplication", func(int) sim.Policy { return baselines.NewHybridApplication(baselines.DefaultHybridConfig()) }, 2.1},
-	{"Defuse", func(int) sim.Policy { return baselines.NewDefuse(baselines.DefaultDefuseConfig()) }, 2.4},
+	{"SPES", func(int) sim.Policy { return core.New(core.DefaultConfig()) }, 0.31},
+	{"Fixed", func(int) sim.Policy { return baselines.NewFixedKeepAlive(10) }, 0.01},
+	{"HybridFunction", func(int) sim.Policy { return baselines.NewHybridFunction(baselines.DefaultHybridConfig()) }, 0.03},
+	{"HybridApplication", func(int) sim.Policy { return baselines.NewHybridApplication(baselines.DefaultHybridConfig()) }, 0.01},
+	{"Defuse", func(int) sim.Policy { return baselines.NewDefuse(baselines.DefaultDefuseConfig()) }, 0.03},
 	{"FaaSCache", func(capacity int) sim.Policy { return baselines.NewFaaSCache(capacity) }, 0.01},
 	{"LCS", func(capacity int) sim.Policy { return baselines.NewLCS(capacity) }, 0.01},
 }

@@ -424,7 +424,7 @@ func (p *closedFormKeepAlive) LoadedCount() (n int) {
 // simulator's idle-span skipping to the scan-accounted, tick-every-slot run
 // of the same policy across seeds, non-stationary scenarios, and the
 // unsharded, sharded, and streamed execution engines. That the wheel fires
-// what a per-slot map would is sched.Agenda's property, proven beside it
+// what a per-slot map would is sched.Wheel's property, proven beside it
 // (internal/sched/agenda_model_test.go); the independent row here is the
 // closed-form keep-alive oracle, which shares no code with any of it.
 func TestWheelBaselineEquivalence(t *testing.T) {

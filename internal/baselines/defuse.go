@@ -63,7 +63,7 @@ type Defuse struct {
 	cfg DefuseConfig
 
 	set   *loadedSet
-	wheel *sched.Agenda
+	wheel *sched.Wheel
 	last  []int
 
 	units []hybridUnit // per-function histograms (function granularity)
@@ -83,7 +83,7 @@ func (p *Defuse) Name() string { return "Defuse" }
 func (p *Defuse) Train(training *trace.Trace) {
 	n := training.NumFunctions()
 	p.set = newLoadedSet(n)
-	p.wheel = sched.NewAgenda(n, p.cfg.spanSlots())
+	p.wheel = sched.NewWheel(n, 1, p.cfg.spanSlots())
 	p.last = make([]int, n)
 	p.hasDeps = make([]bool, n)
 	p.successors = make(map[trace.FuncID][]trace.FuncID)
@@ -182,7 +182,7 @@ func (p *Defuse) Tick(t int, invs []trace.FuncCount) {
 			unit.windows(p.cfg.Hist)
 		}
 		p.last[f] = t
-		p.wheel.Bump(f)
+		p.wheel.Cancel(f)
 		p.set.add(fc.Func)
 		// Keep-alive horizon: histogram tail when usable, fallback fixed
 		// keep-alive otherwise. Dependency-covered functions rely on their
@@ -206,7 +206,7 @@ func (p *Defuse) Tick(t int, invs []trace.FuncCount) {
 				continue
 			}
 			p.set.add(succ)
-			p.wheel.Bump(int(succ))
+			p.wheel.Cancel(int(succ))
 			p.wheel.Schedule(t, t+int(p.cfg.PrewarmHold), int(succ), actUnload)
 		}
 	}
@@ -221,7 +221,7 @@ func (p *Defuse) Tick(t int, invs []trace.FuncCount) {
 // NextWake implements sim.IdleSkipper: the earliest slot in (after, limit]
 // holding a scheduled action, -1 when there is none.
 func (p *Defuse) NextWake(after, limit int) (int, bool) {
-	return p.wheel.Next(after, limit), true
+	return p.wheel.NextOccupied(after, limit), true
 }
 
 // Loaded implements sim.Policy.

@@ -11,13 +11,13 @@ import (
 // after its last invocation — the classic OpenWhisk-style policy the paper
 // runs with a 10-minute window.
 //
-// Expiries run on a shared timing wheel (sched.Agenda).
+// Expiries run on a shared timing wheel (sched.Wheel), one deadline per function.
 type FixedKeepAlive struct {
 	keepAlive int
 	name      string
 
 	set   *loadedSet
-	wheel *sched.Agenda
+	wheel *sched.Wheel
 	last  []int // last invocation slot per function, -1 when never
 }
 
@@ -58,7 +58,7 @@ func (p *FixedKeepAlive) Train(training *trace.Trace) {
 
 func (p *FixedKeepAlive) init(n int) {
 	p.set = newLoadedSet(n)
-	p.wheel = sched.NewAgenda(n, p.keepAlive+2)
+	p.wheel = sched.NewWheel(n, 1, p.keepAlive+2)
 	p.last = make([]int, n)
 	for i := range p.last {
 		p.last[i] = -1
@@ -88,7 +88,7 @@ func (p *FixedKeepAlive) Tick(t int, invs []trace.FuncCount) {
 			p.grow(f + 1)
 		}
 		p.last[f] = t
-		p.wheel.Bump(f)
+		p.wheel.Cancel(f)
 		p.wheel.Schedule(t, t+p.keepAlive, f, 0)
 		p.set.add(fc.Func)
 	}
@@ -104,7 +104,7 @@ func (p *FixedKeepAlive) NextWake(after, limit int) (int, bool) {
 	if p.wheel == nil {
 		return 0, false
 	}
-	return p.wheel.Next(after, limit), true
+	return p.wheel.NextOccupied(after, limit), true
 }
 
 // Loaded implements sim.Policy.

@@ -40,7 +40,7 @@ func DefaultHybridConfig() HybridConfig {
 // spanSlots bounds how far ahead the policy ever schedules: the margin-grown
 // histogram tail plus slack, or the fallback keep-alive, whichever is
 // larger. Deadlines beyond it (impossible under this config, but harmless)
-// land in the wheel's overflow map.
+// go on the wheel's far chain.
 func (cfg HybridConfig) spanSlots() int {
 	span := int(float64(cfg.RangeMins)*(1+cfg.Margin)) + 2
 	if cfg.FallbackKeep+2 > span {
@@ -114,7 +114,7 @@ type Hybrid struct {
 	unitOf []int   // function -> unit index
 	fanout [][]int // unit -> functions (identity at function granularity)
 	set    *loadedSet
-	wheel  *sched.Agenda
+	wheel  *sched.Wheel
 	nFuncs int
 
 	// seenEpoch dedups unit arrivals within a slot: stamped entries match
@@ -191,7 +191,9 @@ func (p *Hybrid) Train(training *trace.Trace) {
 		p.units[i] = hybridUnit{last: -1}
 	}
 	p.seenEpoch = make([]uint32, len(p.units))
-	p.wheel = sched.NewAgenda(len(p.units), p.cfg.spanSlots())
+	// A Tick leaves a unit at most three actions: unload after execution,
+	// pre-warm and give-up.
+	p.wheel = sched.NewWheel(len(p.units), 3, p.cfg.spanSlots())
 
 	// Feed training IATs at unit granularity, then carry end-of-training
 	// state into the simulation: the unit behaves as if the policy had been
@@ -265,7 +267,7 @@ func (p *Hybrid) Tick(t int, invs []trace.FuncCount) {
 		if unit.dirty {
 			unit.windows(p.cfg)
 		}
-		p.wheel.Bump(u)
+		p.wheel.Cancel(u)
 		p.loadUnit(u)
 		if unit.usable && unit.prewarm > 1 {
 			// Unload after execution, pre-warm shortly before the predicted
@@ -294,7 +296,7 @@ func (p *Hybrid) Tick(t int, invs []trace.FuncCount) {
 // NextWake implements sim.IdleSkipper: the earliest slot in (after, limit]
 // holding a scheduled action, -1 when there is none.
 func (p *Hybrid) NextWake(after, limit int) (int, bool) {
-	return p.wheel.Next(after, limit), true
+	return p.wheel.NextOccupied(after, limit), true
 }
 
 func (p *Hybrid) loadUnit(u int) {

@@ -23,7 +23,7 @@ func (s *provision) recordOnlineWT(fid trace.FuncID, wt int) {
 	st := &s.states[fid]
 	if len(st.onlineWTs) < maxOnlineWTs {
 		if st.onlineWTs == nil {
-			st.onlineWTs = make([]int, 0, maxOnlineWTs)
+			st.carveWTs()
 		}
 		st.onlineWTs = append(st.onlineWTs, wt)
 	} else {
@@ -79,12 +79,29 @@ const (
 	wtHistBlock = 16
 )
 
-// histAdd counts one waiting time into the function's online-WT multiset.
+// wtStore is a function's online-WT storage — the sample ring, the
+// histogram, its block sums and the first values past its range — in one
+// allocation, carved the first time the function records a waiting time:
+// many functions never do, so nothing is carved at Train. A count never
+// exceeds maxOnlineWTs, so it fits a byte. over fills the rest of the
+// allocation's 1 152-byte size class; a function with more long gaps than
+// that grows its overflow slice out of it.
+type wtStore struct {
+	ring  [maxOnlineWTs]int
+	hist  [wtHistSize]uint8
+	block [wtHistSize / wtHistBlock]uint8
+	over  [12]int
+}
+
+// carveWTs gives st an empty online-WT ring and histogram.
+func (st *funcState) carveWTs() {
+	w := new(wtStore)
+	st.onlineWTs, st.wtHist, st.wtBlock, st.wtOver = w.ring[:0], w.hist[:], w.block[:], w.over[:0]
+}
+
+// histAdd counts one waiting time into the function's online-WT multiset
+// (carved by carveWTs).
 func (st *funcState) histAdd(v int) {
-	if st.wtHist == nil {
-		st.wtHist = make([]uint16, wtHistSize)
-		st.wtBlock = make([]uint16, wtHistSize/wtHistBlock)
-	}
 	if v < wtHistSize {
 		if st.wtHist[v] == 0 {
 			st.wtDistinct++

@@ -30,10 +30,8 @@ import (
 // from profile links, the WT histogram family by replaying histAdd over the
 // serialized samples (an order-independent multiset), the loaded count from
 // the loaded set, and the timing wheel by re-arming each function's single
-// outstanding deadline from (eventSlot, seq). Abandoned stale-seq wheel
-// events are NOT resurrected — in the undisturbed process they fire as
-// no-ops (or surface as no-op wake-ups), neither of which changes canonical
-// state, so the restored process stays bit-identical where it matters.
+// outstanding deadline from eventSlot. The wheel keeps nothing else: a
+// replaced deadline was unlinked when it was replaced.
 
 // snapMagic versions the encoding; any mismatch is a hard error, never a
 // guess.
@@ -237,7 +235,12 @@ func (s *SPES) RestoreState(data []byte) error {
 		}
 		st.currentWT = int(d.I64())
 		st.everTrained = d.Bool()
-		st.onlineWTs = d.Ints()
+		if wts := d.Ints(); len(wts) > maxOnlineWTs {
+			return fmt.Errorf("core: snapshot function %d holds %d online waiting times, more than %d", fid, len(wts), maxOnlineWTs)
+		} else if len(wts) > 0 {
+			st.carveWTs()
+			st.onlineWTs = append(st.onlineWTs, wts...)
+		}
 		st.wtHead = int32(d.I64())
 		st.adjustedAt = int(d.I64())
 
@@ -290,15 +293,16 @@ func (s *SPES) RestoreState(data []byte) error {
 	}
 
 	// Re-arm the timing wheel from each function's single outstanding
-	// deadline. Stale-seq events the live wheel still carried are not
-	// recreated; they were no-ops there and their absence only spares a
-	// wake-up that would have changed nothing.
-	s.wheel = sched.NewWheel(wheelSpan)
+	// deadline, in fid order: within a slot the restored wheel fires in fid
+	// order where the undisturbed one fires in schedule order. Both fire the
+	// same set, and distinct functions' idle steps commute: only the order of
+	// the slot's flips differs.
+	s.wheel = sched.NewWheel(n, 1, wheelSpan)
 	for fid := 0; fid < n; fid++ {
-		if ev := s.eventSlot[fid]; ev >= 0 {
-			s.wheel.Schedule(s.lastTick, int(ev), sched.Event{
-				Owner: int32(fid), Slot: ev, Seq: s.seq[fid],
-			})
+		if ev := int(s.eventSlot[fid]); ev > s.lastTick {
+			s.wheel.Schedule(s.lastTick, ev, fid, 0)
+		} else if ev != -1 {
+			return fmt.Errorf("core: snapshot function %d has a deadline at slot %d, not after the clock's slot %d", fid, ev, s.lastTick)
 		}
 	}
 	return nil
@@ -318,8 +322,8 @@ func (s *SPES) StateHash() (uint64, error) {
 	return h.Sum64(), nil
 }
 
-// WheelDepth reports the live timing-wheel event count of a trained or
-// restored policy, a queue-depth gauge for serving metrics.
+// WheelDepth reports the pending timing-wheel deadlines of a trained or
+// restored policy: the number of functions with an outstanding deadline.
 func (s *SPES) WheelDepth() int { return s.wheel.Live() }
 
 // Admit grows the policy by one function observed for the first time after
@@ -340,6 +344,7 @@ func (s *SPES) Admit(f trace.Function) trace.FuncID {
 	s.lastInvoked = append(s.lastInvoked, int32(-s.trainSlots))
 	s.eventSlot = append(s.eventSlot, -1)
 	s.seq = append(s.seq, 0)
+	s.wheel.Grow(len(s.states))
 	s.loaded = append(s.loaded, false)
 	s.typ = append(s.typ, classify.TypeUnknown)
 	s.preloadUntil = append(s.preloadUntil, -1)

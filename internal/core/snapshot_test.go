@@ -139,6 +139,27 @@ func TestStateSnapshotRejectsDamage(t *testing.T) {
 	if err := orig.RestoreState(data); err == nil {
 		t.Error("RestoreState succeeded on an already-trained policy")
 	}
+
+	// Well-formed blobs no live policy can write: a pending deadline at the
+	// clock's own slot, and more online waiting times than the ring holds.
+	damaged := func(what string, mutate func(), undo func()) {
+		t.Helper()
+		mutate()
+		data, err := orig.EncodeState()
+		undo()
+		if err != nil {
+			t.Fatalf("EncodeState: %v", err)
+		}
+		if err := New(DefaultConfig()).RestoreState(data); err == nil {
+			t.Errorf("snapshot with %s restored without error", what)
+		}
+	}
+	ev := orig.eventSlot[0]
+	damaged("a deadline at the clock's slot",
+		func() { orig.eventSlot[0] = int32(orig.lastTick) }, func() { orig.eventSlot[0] = ev })
+	wts := orig.states[0].onlineWTs
+	damaged("65 online waiting times",
+		func() { orig.states[0].onlineWTs = make([]int, maxOnlineWTs+1) }, func() { orig.states[0].onlineWTs = wts })
 }
 
 // TestEncodeStateGoldenBytes pins the state blob to a digest recorded from

@@ -13,7 +13,7 @@ import (
 const maxOnlineWTs = 64
 
 // wheelSpan is the timing-wheel ring horizon in slots; deadlines further out
-// (rare: long regular periods) go to the overflow map.
+// (rare: long regular periods) go on the wheel's far chain.
 const wheelSpan = 2048
 
 // funcState holds the cold per-function state of Algorithm 1's FState
@@ -41,15 +41,16 @@ type funcState struct {
 	// each batch triggers at most one update. wtHist/wtBlock/wtOver/
 	// wtDistinct mirror the same multiset as a counting histogram (see
 	// adaptive.go) so the adjustment check reads order statistics without
-	// sorting on the Tick hot path.
+	// sorting on the Tick hot path. The ring and the histogram share one
+	// allocation, carved on the function's first recorded WT (carveWTs).
 	onlineWTs  []int
 	wtHead     int32
 	adjustedAt int
 
-	wtHist     []uint16 // counts of WT values < wtHistSize (lazily allocated)
-	wtBlock    []uint16 // per-wtHistBlock sums over wtHist
-	wtOver     []int    // ascending multiset of WT values >= wtHistSize
-	wtDistinct int32    // distinct values currently in the multiset
+	wtHist     []uint8 // counts of WT values < wtHistSize
+	wtBlock    []uint8 // per-wtHistBlock sums over wtHist
+	wtOver     []int   // ascending multiset of WT values >= wtHistSize
+	wtDistinct int32   // distinct values currently in the multiset
 }
 
 // listener is the reverse edge of a correlated link: when the candidate
@@ -116,8 +117,12 @@ type provision struct {
 type SPES struct {
 	provision
 
-	eventSlot []int32  // slot of each function's single outstanding wheel event, -1 when none
-	seq       []uint32 // event-queue generation for lazy invalidation
+	eventSlot []int32 // slot of each function's single outstanding wheel deadline, -1 when none
+
+	// seq counts, per function, the pending deadlines that were replaced by
+	// an earlier one. Nothing reads it: it is a column of the ST1 state blob,
+	// kept so the blob's bytes do not move.
+	seq []uint32
 
 	// wheel holds every idle function's next actionable deadline (eviction,
 	// pre-load expiry, predicted pre-warm).
@@ -240,7 +245,7 @@ func (s *SPES) Train(training *trace.Trace) {
 	s.train(training)
 	s.eventSlot = make([]int32, len(s.states))
 	s.seq = make([]uint32, len(s.states))
-	s.wheel = sched.NewWheel(wheelSpan)
+	s.wheel = sched.NewWheel(len(s.states), 1, wheelSpan)
 	s.lastTick = -1
 	for fid := range s.states {
 		s.eventSlot[fid] = -1
@@ -292,8 +297,8 @@ func (s *provision) retrain(window *trace.Trace) {
 //
 // Every timing-wheel deadline is then re-armed so the engine reacts to the
 // new profiles on exactly the slots DenseReference would (a deadline that
-// moved earlier is rescheduled via the seq bump; one that moved later fires
-// early as a no-op and re-evaluates). s.lastTick is t-1 here (Retrain lands
+// moved earlier is relinked; one that moved later fires early as a no-op
+// and re-evaluates). s.lastTick is t-1 here (Retrain lands
 // before Tick(t)), so re-armed deadlines start at slot t and drain inside
 // the upcoming Tick — never late.
 func (s *SPES) Retrain(t int, window *trace.Trace) {
@@ -372,15 +377,11 @@ func (s *SPES) Tick(t int, invs []trace.FuncCount) {
 	}
 }
 
-// drainSlot fires the still-valid deadlines scheduled at slot t.
+// drainSlot fires the deadlines scheduled at slot t.
 func (s *SPES) drainSlot(t int) {
-	s.wheel.Drain(t, func(ev sched.Event) {
-		fid := trace.FuncID(ev.Owner)
-		if s.seq[fid] != ev.Seq {
-			return // abandoned: the deadline moved earlier and was rescheduled
-		}
-		s.eventSlot[fid] = -1
-		s.idleStep(fid, t)
+	s.wheel.Drain(t, func(owner, _ int) {
+		s.eventSlot[owner] = -1
+		s.idleStep(trace.FuncID(owner), t)
 	})
 }
 
@@ -464,7 +465,7 @@ func (s *SPES) preloadThrough(fid trace.FuncID, t, until int) {
 // early, re-evaluates the exact idle-step predicate, and reschedules — so
 // the hot path (an invocation extending a resident function's deadline)
 // costs no wheel operations at all. Only a deadline that moved earlier
-// abandons the pending event (seq bump) and schedules anew.
+// unlinks the pending event and links it anew.
 func (s *SPES) ensureWake(fid trace.FuncID, t int) {
 	// Fast path: the next transition can never be earlier than t+1, so a
 	// pending event at or before t+1 already satisfies the never-late
@@ -525,9 +526,10 @@ func (s *SPES) scheduleWake(fid trace.FuncID, t, next int) {
 			return
 		}
 		s.seq[fid]++
+		s.wheel.Cancel(int(fid))
 	}
 	s.eventSlot[fid] = int32(next)
-	s.wheel.Schedule(t, next, sched.Event{Owner: int32(fid), Slot: int32(next), Seq: s.seq[fid]})
+	s.wheel.Schedule(t, next, int(fid), 0)
 }
 
 // The deadline invariants ensureWake and idleStep rely on:

@@ -6,45 +6,51 @@ import (
 	"testing"
 )
 
-// mapAgenda is the model Agenda is held to: a map from slot to the actions
-// scheduled there, with the same per-owner generation rule. It is what the
+// mapAgenda is the set-level model Wheel is held to: a map from slot to the
+// live actions scheduled there, a cancel deleting the owner's. It is what the
 // deadline-based baselines ran on before the wheel, kept here as the one
-// place wheel ≡ map is proven.
+// place wheel ≡ map is proven; refAgenda (wheel_ref_test.go) is the second
+// oracle, for the order a slot fires in.
 type mapAgenda struct {
-	bySlot map[int][]mapItem
-	seq    []uint32
-}
-
-type mapItem struct {
-	owner, what int
-	seq         uint32
+	bySlot map[int][][2]int // slot -> live (owner, what) pairs
+	live   []int            // live actions per owner
 }
 
 func (m *mapAgenda) grow(owners int) {
-	for len(m.seq) < owners {
-		m.seq = append(m.seq, 0)
+	for len(m.live) < owners {
+		m.live = append(m.live, 0)
 	}
 }
 
 func (m *mapAgenda) schedule(slot, owner, what int) {
-	m.bySlot[slot] = append(m.bySlot[slot], mapItem{owner, what, m.seq[owner]})
+	m.bySlot[slot] = append(m.bySlot[slot], [2]int{owner, what})
+	m.live[owner]++
 }
 
-// drain returns the still-valid (owner, what) pairs at slot, sorted.
-func (m *mapAgenda) drain(slot int) [][2]int {
-	var fired [][2]int
-	for _, it := range m.bySlot[slot] {
-		if m.seq[it.owner] == it.seq {
-			fired = append(fired, [2]int{it.owner, it.what})
+func (m *mapAgenda) cancel(owner int) {
+	for s, items := range m.bySlot {
+		items = slices.DeleteFunc(items, func(it [2]int) bool { return it[0] == owner })
+		if len(items) == 0 {
+			delete(m.bySlot, s)
+		} else {
+			m.bySlot[s] = items
 		}
 	}
+	m.live[owner] = 0
+}
+
+// drain returns the (owner, what) pairs at slot, sorted.
+func (m *mapAgenda) drain(slot int) [][2]int {
+	fired := m.bySlot[slot]
 	delete(m.bySlot, slot)
+	for _, it := range fired {
+		m.live[it[0]]--
+	}
 	sortFired(fired)
 	return fired
 }
 
-// next is the earliest slot in (after, limit] holding any action, stale or
-// not, or -1.
+// next is the earliest slot in (after, limit] holding a live action, or -1.
 func (m *mapAgenda) next(after, limit int) int {
 	best := -1
 	for s := range m.bySlot {
@@ -64,14 +70,16 @@ func sortFired(fired [][2]int) {
 	})
 }
 
-// runAgendaProgram interprets prog as a sequence of Schedule / Bump / Drain /
-// Next / Grow operations against an Agenda of the given ring span and the map
-// model, checking every Drain and Next against the model. Time is monotone
-// and starts at -1, as in a policy's Train; actions are scheduled from the
-// current slot before it drains, as in a policy's Tick; and time advances
-// either slot by slot or by jumping to Next, as the Driver's idle skip does.
-// Different owners' actions at one slot commute, so a drain is compared as a
-// sorted set.
+// runAgendaProgram interprets prog as a sequence of Schedule / Cancel / Drain
+// / NextOccupied / Grow operations against a Wheel of the given ring span,
+// the map model and the reference wheel. Every drain must fire what the
+// reference fires in the same order, and the model's set; every
+// NextOccupied must equal the model's. Owners get 1 to 3 actions (the
+// first byte picks; Hybrid holds 3), and a schedule an owner has no node
+// left for is skipped. Time is monotone and starts at -1, as in a policy's
+// Train; actions are scheduled from the current slot before it drains, as
+// in a policy's Tick; and time advances either slot by slot or by jumping
+// to NextOccupied, as the Driver's idle skip does.
 func runAgendaProgram(t testing.TB, span int, prog []byte) {
 	arg := func() int {
 		if len(prog) == 0 {
@@ -81,9 +89,11 @@ func runAgendaProgram(t testing.TB, span int, prog []byte) {
 		prog = prog[1:]
 		return int(b)
 	}
+	k := 1 + arg()%3
 	owners := 1 + arg()%8
-	a := NewAgenda(owners, span)
-	m := &mapAgenda{bySlot: map[int][]mapItem{}, seq: make([]uint32, owners)}
+	w := NewWheel(owners, k, span)
+	ref := newRefAgenda(owners, span)
+	m := &mapAgenda{bySlot: map[int][][2]int{}, live: make([]int, owners)}
 	now, drained := -1, true
 
 	drain := func() {
@@ -91,18 +101,22 @@ func runAgendaProgram(t testing.TB, span int, prog []byte) {
 			return
 		}
 		drained = true
-		var got [][2]int
-		a.Drain(now, func(owner, what int) { got = append(got, [2]int{owner, what}) })
+		var got, want [][2]int
+		w.Drain(now, func(owner, what int) { got = append(got, [2]int{owner, what}) })
+		ref.drain(now, func(owner, what int) { want = append(want, [2]int{owner, what}) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("span %d k %d: Drain(%d) fired %v, reference %v", span, k, now, got, want)
+		}
 		sortFired(got)
-		if want := m.drain(now); !slices.Equal(got, want) {
-			t.Fatalf("span %d: Drain(%d) fired %v, model %v", span, now, got, want)
+		if model := m.drain(now); !slices.Equal(got, model) {
+			t.Fatalf("span %d k %d: Drain(%d) fired %v, model %v", span, k, now, got, model)
 		}
 	}
 	jump := func(limit int) {
 		drain()
-		got, want := a.Next(now, limit), m.next(now, limit)
+		got, want := w.NextOccupied(now, limit), m.next(now, limit)
 		if got != want {
-			t.Fatalf("span %d: Next(%d, %d) = %d, model %d", span, now, limit, got, want)
+			t.Fatalf("span %d k %d: NextOccupied(%d, %d) = %d, model %d", span, k, now, limit, got, want)
 		}
 		now, drained = limit, false
 		if got >= 0 {
@@ -118,12 +132,17 @@ func runAgendaProgram(t testing.TB, span int, prog []byte) {
 			if op == 3 {
 				delta = span + 1 + 3*arg()
 			}
-			a.Schedule(now, now+delta, owner, what)
+			if m.live[owner] == k {
+				continue
+			}
+			w.Schedule(now, now+delta, owner, what)
+			ref.schedule(now, now+delta, owner, what)
 			m.schedule(now+delta, owner, what)
 		case 4:
 			owner := arg() % owners
-			a.Bump(owner)
-			m.seq[owner]++
+			w.Cancel(owner)
+			ref.bump(owner)
+			m.cancel(owner)
 		case 5:
 			drain()
 		case 6:
@@ -133,11 +152,19 @@ func runAgendaProgram(t testing.TB, span int, prog []byte) {
 			jump(now + 1 + 3*arg())
 		case 8:
 			owners += 1 + arg()%3
-			a.Grow(owners)
+			w.Grow(owners)
+			ref.grow(owners)
 			m.grow(owners)
-			if a.Owners() != owners {
-				t.Fatalf("Owners() = %d after Grow(%d)", a.Owners(), owners)
+			if len(w.nodes) != owners*k {
+				t.Fatalf("%d nodes after Grow(%d) with k %d", len(w.nodes), owners, k)
 			}
+		}
+		pending := 0
+		for _, n := range m.live {
+			pending += n
+		}
+		if w.Live() != pending {
+			t.Fatalf("span %d k %d: Live() = %d, model holds %d actions", span, k, w.Live(), pending)
 		}
 	}
 	// Everything still scheduled must come out, in order, and nothing else.
@@ -145,16 +172,17 @@ func runAgendaProgram(t testing.TB, span int, prog []byte) {
 		jump(now + 1<<20)
 	}
 	drain()
-	if n := a.Next(now, now+1<<20); n != -1 {
-		t.Fatalf("span %d: Next = %d on an agenda the model says is empty", span, n)
+	if n := w.NextOccupied(now, now+1<<20); n != -1 || w.Live() != 0 {
+		t.Fatalf("span %d k %d: NextOccupied = %d, Live = %d on a wheel the model says is empty", span, k, n, w.Live())
 	}
 }
 
-// agendaSpans are the ring spans the policies build their agendas with —
-// FixedKeepAlive(10)'s keepAlive+2, and 266, which both
+// agendaSpans are the ring spans the policies build their wheels with —
+// FixedKeepAlive(10)'s keepAlive+2; 266, which both
 // DefaultHybridConfig().spanSlots() and DefaultDefuseConfig().spanSlots()
-// come to — plus the degenerate and a non-power-of-two small one.
-var agendaSpans = []int{1, 6, 12, 266}
+// come to; and SPES's 2048 — plus the degenerate, a non-power-of-two small
+// one and two powers of two.
+var agendaSpans = []int{1, 6, 8, 12, 64, 266, 2048}
 
 func TestAgendaMatchesMapModel(t *testing.T) {
 	for _, span := range agendaSpans {

@@ -1,162 +1,197 @@
 // Package sched provides the slot-granularity timing wheel the event-driven
 // schedulers share: SPES's provision core and every deadline-based baseline
 // (fixed keep-alive, Hybrid, Defuse) schedule their wake-ups through it.
-// Scheduling and draining are O(1) amortized per event and bucket storage is
-// recycled across slots, so a policy's per-slot cost tracks its number of
-// state transitions rather than its function count.
+// Every deadline lives in a node of one slab, sized for the owner
+// population, so scheduling, cancelling and draining allocate nothing and a
+// policy's per-slot cost tracks its number of state transitions rather than
+// its function count.
 package sched
 
-// Event is one scheduled wake-up. Owner identifies whose deadline fires
-// (a FuncID or a policy-level unit index); Slot is the absolute slot the
-// event was scheduled for; Seq implements lazy invalidation — schedulers
-// compare it against the owner's current generation counter and treat a
-// mismatch as an abandoned deadline; What is a scheduler-defined action tag.
-type Event struct {
-	Owner int32
-	Slot  int32
-	Seq   uint32
-	What  uint8
+import "fmt"
+
+// nilNode terminates a chain.
+const nilNode = -1
+
+// node is one outstanding deadline: owner*k+i for the owner's i-th action.
+// slot is -1 while the node is free.
+type node struct {
+	next, prev int32
+	slot       int32
+	what       uint8
+	far        bool // linked on the far chain rather than a ring bucket
 }
 
-// Wheel is a power-of-two ring of buckets indexed by slot, with an overflow
-// map for deadlines beyond the ring's horizon. Buckets keep their backing
-// arrays when drained, so steady-state scheduling allocates nothing.
+// chain is a doubly linked list of nodes, fired head to tail.
+type chain struct{ head, tail int32 }
+
+// Wheel is a power-of-two ring of buckets indexed by slot, each an
+// intrusive chain of its deadlines in schedule order, plus one far chain,
+// sorted by (slot, schedule order), for deadlines beyond the ring horizon.
+// Every owner (a FuncID or a policy-level unit index) has k nodes, so it can
+// hold at most k actions at once; Cancel unlinks them, and nothing a
+// cancelled deadline leaves behind is ever visited again.
 type Wheel struct {
-	ring     [][]Event
+	k        int
+	nodes    []node
+	ring     []chain
+	far      chain
 	mask     int
-	ringLive int // events currently held in ring buckets
-	overflow map[int][]Event
-
-	// ovMin caches the smallest overflow key so NextOccupied does not walk
-	// the map; it is recomputed lazily after the cached minimum drains.
-	ovMin      int
-	ovMinStale bool
+	ringLive int
+	farLive  int
 }
 
-// NewWheel creates a wheel whose ring spans at least span slots (rounded up
-// to a power of two).
-func NewWheel(span int) *Wheel {
+// NewWheel creates a wheel for owners owners with at most k outstanding
+// actions each, whose ring spans at least span slots (rounded up to a power
+// of two).
+func NewWheel(owners, k, span int) *Wheel {
 	size := 1
 	for size < span {
 		size <<= 1
 	}
-	return &Wheel{
-		ring:     make([][]Event, size),
-		mask:     size - 1,
-		overflow: make(map[int][]Event),
+	w := &Wheel{
+		k:     k,
+		nodes: make([]node, 0, owners*k),
+		ring:  make([]chain, size),
+		far:   chain{nilNode, nilNode},
+		mask:  size - 1,
+	}
+	for i := range w.ring {
+		w.ring[i] = chain{nilNode, nilNode}
+	}
+	w.Grow(owners)
+	return w
+}
+
+// Grow extends the owner space to at least owners entries (for policies that
+// discover their population lazily). Outstanding actions are preserved.
+func (w *Wheel) Grow(owners int) {
+	for len(w.nodes) < owners*w.k {
+		w.nodes = append(w.nodes, node{next: nilNode, prev: nilNode, slot: -1})
 	}
 }
 
-// Schedule enqueues ev to fire at slot. current is the wheel's current slot
-// (the slot most recently drained, or -1 before the simulation starts); slot
-// must be strictly greater than current.
-func (w *Wheel) Schedule(current, slot int, ev Event) {
-	if slot-current <= w.mask {
-		idx := slot & w.mask
-		w.ring[idx] = append(w.ring[idx], ev)
+// Schedule links action what for the owner at the given slot, after every
+// action already scheduled there. current is the slot most recently drained
+// (or being ticked), -1 initially; slot must be strictly greater, and the
+// owner must have fewer than k actions outstanding.
+func (w *Wheel) Schedule(current, slot, owner, what int) {
+	if slot <= current {
+		panic(fmt.Sprintf("sched: owner %d scheduled at slot %d, not after current slot %d", owner, slot, current))
+	}
+	id := int32(owner * w.k)
+	for end := id + int32(w.k); w.nodes[id].slot >= 0; {
+		if id++; id == end {
+			panic(fmt.Sprintf("sched: owner %d already has %d actions outstanding", owner, w.k))
+		}
+	}
+	n := &w.nodes[id]
+	n.slot, n.what, n.far = int32(slot), uint8(what), slot-current > w.mask
+	if !n.far {
 		w.ringLive++
+		c := &w.ring[slot&w.mask]
+		w.insertAfter(c, c.tail, id)
 		return
 	}
-	if len(w.overflow) == 0 {
-		w.ovMin, w.ovMinStale = slot, false
-	} else if !w.ovMinStale && slot < w.ovMin {
-		w.ovMin = slot
+	w.farLive++
+	at := w.far.tail
+	for at != nilNode && w.nodes[at].slot > n.slot {
+		at = w.nodes[at].prev
 	}
-	w.overflow[slot] = append(w.overflow[slot], ev)
+	w.insertAfter(&w.far, at, id)
 }
 
-// Drain invokes fn for every event scheduled at slot and recycles the
-// bucket's storage. Events scheduled by fn land at later slots and are not
-// observed by this drain: the bucket is detached before iteration, and a
-// same-index slot is exactly one ring revolution away — past the horizon —
-// so it lands in the overflow map, never in the detached bucket.
-//
-// Drain matches events by their absolute slot, so it stays correct under
-// non-monotonic drivers (benchmarks wrapping time): an event from the next
-// revolution sharing the bucket is kept for its own slot, while an event
-// whose slot was skipped entirely — or left more than one revolution ahead
-// by a time wrap, where its exact-slot drain can never come — is dropped.
-// That is the same "missed deadlines never fire" behaviour a map keyed by
-// exact slot exhibits, without the leak or the cost of re-compacting
-// unreachable events every visit. (Under monotonic draining a kept event is
-// always exactly one revolution ahead: ring placement bounds its distance
-// from the schedule-time current slot by the mask.)
-func (w *Wheel) Drain(slot int, fn func(Event)) {
-	idx := slot & w.mask
-	if items := w.ring[idx]; len(items) > 0 {
-		w.ring[idx] = items[:0]
-		kept := 0
-		for i := range items {
-			ev := items[i]
-			if d := int(ev.Slot) - slot; d > 0 && d <= w.mask+1 {
-				items[kept] = ev
-				kept++
-				continue
-			}
-			w.ringLive--
-			if int(ev.Slot) == slot {
-				fn(ev)
-			}
-		}
-		w.ring[idx] = items[:kept]
-	}
-	if items, ok := w.overflow[slot]; ok {
-		delete(w.overflow, slot)
-		if !w.ovMinStale && slot == w.ovMin {
-			w.ovMinStale = true
-		}
-		for _, ev := range items {
-			fn(ev)
+// Cancel unlinks every outstanding action of an owner.
+func (w *Wheel) Cancel(owner int) {
+	for id := owner * w.k; id < (owner+1)*w.k; id++ {
+		if w.nodes[id].slot >= 0 {
+			w.unlink(int32(id))
 		}
 	}
 }
 
-// Live returns the number of events currently held, ring and overflow
-// together. Abandoned (stale-seq) events still count until their slot
-// drains — the figure is a queue-depth gauge for monitoring, not an exact
-// pending-deadline count.
-func (w *Wheel) Live() int {
-	n := w.ringLive
-	for _, items := range w.overflow {
-		n += len(items)
+// Drain unlinks and fires the actions scheduled at slot: the ring bucket's
+// in schedule order, then the far chain's. fn may schedule and cancel
+// freely: an action it cancels at this slot does not fire, and one it
+// schedules lands at a later slot. A deadline found at an earlier slot was
+// skipped without being drained, which is a programming error.
+func (w *Wheel) Drain(slot int, fn func(owner, what int)) {
+	c := &w.ring[slot&w.mask]
+	for c.head != nilNode {
+		w.fire(c.head, slot, fn)
 	}
-	return n
+	for w.far.head != nilNode && int(w.nodes[w.far.head].slot) <= slot {
+		w.fire(w.far.head, slot, fn)
+	}
 }
 
-// NextOccupied returns the earliest slot in (after, limit] holding at least
-// one event, or -1 when there is none. It lets callers fast-forward across
-// empty slots: the ring is only scanned up to its horizon (a live ring event
-// at slot s always satisfies s-after <= mask under monotonic draining, so
-// the capped scan cannot miss one), and the overflow side costs one cached
-// minimum. The returned slot may hold only abandoned (stale-seq) events;
-// draining it is then a no-op, which is harmless.
+func (w *Wheel) fire(id int32, slot int, fn func(owner, what int)) {
+	n := w.nodes[id]
+	if int(n.slot) != slot {
+		panic(fmt.Sprintf("sched: draining slot %d met owner %d's deadline at slot %d", slot, int(id)/w.k, n.slot))
+	}
+	w.unlink(id)
+	fn(int(id)/w.k, int(n.what))
+}
+
+func (w *Wheel) insertAfter(c *chain, at, id int32) {
+	n := &w.nodes[id]
+	n.prev = at
+	if at == nilNode {
+		n.next, c.head = c.head, id
+	} else {
+		n.next, w.nodes[at].next = w.nodes[at].next, id
+	}
+	if n.next == nilNode {
+		c.tail = id
+	} else {
+		w.nodes[n.next].prev = id
+	}
+}
+
+func (w *Wheel) unlink(id int32) {
+	n := &w.nodes[id]
+	c := &w.far
+	if n.far {
+		w.farLive--
+	} else {
+		c = &w.ring[int(n.slot)&w.mask]
+		w.ringLive--
+	}
+	if n.prev == nilNode {
+		c.head = n.next
+	} else {
+		w.nodes[n.prev].next = n.next
+	}
+	if n.next == nilNode {
+		c.tail = n.prev
+	} else {
+		w.nodes[n.next].prev = n.prev
+	}
+	*n = node{next: nilNode, prev: nilNode, slot: -1}
+}
+
+// Live returns the number of pending actions.
+func (w *Wheel) Live() int { return w.ringLive + w.farLive }
+
+// NextOccupied returns the earliest slot in (after, limit] holding a pending
+// action, or -1 when there is none; after must be a slot the caller has
+// drained (or ticked). It lets callers fast-forward across empty slots: the
+// ring is only scanned up to its horizon — a ring action sits at most mask
+// slots past the slot it was scheduled from, which is at most after, so
+// every non-empty bucket in range holds exactly its own slot's actions —
+// and the far side costs one look at the chain's head.
 func (w *Wheel) NextOccupied(after, limit int) int {
 	best := -1
 	if w.ringLive > 0 {
-		hi := after + w.mask
-		if hi > limit {
-			hi = limit
-		}
-		for s := after + 1; s <= hi; s++ {
-			if len(w.ring[s&w.mask]) > 0 {
+		for s, hi := after+1, min(after+w.mask, limit); s <= hi; s++ {
+			if w.ring[s&w.mask].head != nilNode {
 				best = s
 				break
 			}
 		}
 	}
-	if len(w.overflow) > 0 {
-		if w.ovMinStale {
-			m := 0
-			first := true
-			for s := range w.overflow {
-				if first || s < m {
-					m = s
-					first = false
-				}
-			}
-			w.ovMin, w.ovMinStale = m, false
-		}
-		if m := w.ovMin; m > after && m <= limit && (best < 0 || m < best) {
+	if w.farLive > 0 {
+		if m := int(w.nodes[w.far.head].slot); m > after && m <= limit && (best < 0 || m < best) {
 			best = m
 		}
 	}

@@ -109,7 +109,7 @@ type Metrics struct {
 	LastSeq    uint64 `json:"last_seq"`
 	Functions  int    `json:"functions"`
 	Loaded     int    `json:"loaded"`
-	WheelDepth int    `json:"wheel_depth"`
+	WheelDepth int    `json:"wheel_depth"` // pending deadlines: functions with an outstanding wake-up
 }
 
 type counters struct {

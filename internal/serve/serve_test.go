@@ -154,6 +154,77 @@ func TestServeMatchesBatchRun(t *testing.T) {
 	}
 }
 
+// TestWheelDepthIsPendingDeadlines: /v1/metrics' wheel_depth is the exact
+// number of pending deadlines — the functions whose eventSlot column in the
+// state blob is set — on a live daemon and on one restored from its state
+// directory, where the wheel is rebuilt from that column alone.
+func TestWheelDepthIsPendingDeadlines(t *testing.T) {
+	train, simTr := testWorkload(t, 120, "")
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, Policy: core.DefaultConfig(), Training: train, RetrainEvery: 480, SnapshotEvery: 500}
+	s, c := startServer(t, cfg)
+	if _, err := Replay(c, simTr, LoadOptions{BatchSlots: 8}); err != nil {
+		t.Fatalf("Replay: %v", err)
+	}
+	check := func(when string, s *Server, c *Client) {
+		t.Helper()
+		m, err := c.Metrics()
+		if err != nil {
+			t.Fatalf("%s: GET /v1/metrics: %v", when, err)
+		}
+		s.mu.Lock()
+		want := pendingDeadlines(t, s.policy)
+		s.mu.Unlock()
+		if m.WheelDepth != want || want == 0 {
+			t.Fatalf("%s: wheel_depth %d, state blob holds %d pending deadlines", when, m.WheelDepth, want)
+		}
+	}
+	check("live", s, c)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored, rc := startServer(t, cfg)
+	defer restored.Close()
+	check("restored", restored, rc)
+}
+
+// pendingDeadlines counts the functions with an outstanding wheel deadline
+// (eventSlot >= 0) by reading the ST1 state blob's per-function columns.
+func pendingDeadlines(t *testing.T, p *core.SPES) int {
+	t.Helper()
+	blob, err := p.EncodeState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := durable.NewDec(blob)
+	d.Take(len("SPES-ST1"))
+	d.U64() // config hash
+	d.I64() // trainSlots
+	d.I64() // lastTick
+	n := int(d.I64())
+	for i := 0; i < n; i++ {
+		for range 3 { // name, app, user
+			d.Take(d.Count(d.I64(), 1))
+		}
+		d.U8() // trigger
+	}
+	pending := 0
+	for i := 0; i < n; i++ {
+		d.I64() // lastInvoked
+		if d.I64() >= 0 {
+			pending++
+		}
+		d.U64()  // seq
+		d.Bool() // loaded
+		d.I64()  // preloadUntil
+		d.I64()  // wtOff
+	}
+	if err := d.Err(); err != nil {
+		t.Fatalf("state blob: %v", err)
+	}
+	return pending
+}
+
 // TestOverloadShedsDecisionsNotState runs the daemon with an unmeetable
 // decision deadline and a tiny queue under a flash-crowd replay: every
 // request must still be answered (degraded or 503-then-retried), the
