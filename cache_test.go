@@ -30,14 +30,14 @@ func TestShardCacheHitReproducesMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cache := sim.NewShardCache()
+	cache := openCache(t)
 	opts := sim.Options{Shards: shards, Cache: cache}
 	cold, err := sim.Run(core.New(core.DefaultConfig()), train, simTr, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st := cache.Stats(); st.Hits != 0 || st.Misses != shards || st.Entries != shards {
-		t.Fatalf("cold run stats = %+v, want 0 hits / %d misses / %d entries", st, shards, shards)
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != shards {
+		t.Fatalf("cold run stats = %+v, want 0 hits / %d misses", st, shards)
 	}
 	assertSameResult(t, "cold cached vs uncached", ref, cold)
 
@@ -67,7 +67,7 @@ func TestStreamedSweepMatchesMaterialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := sim.NewShardCache()
+	cache := openCache(t)
 
 	thetas := []int{1, 2}
 	pass := func(label string) []*sim.Result {
@@ -106,11 +106,10 @@ func TestStreamedSweepMatchesMaterialized(t *testing.T) {
 }
 
 // TestDiskCacheRestartReproducesCold simulates a sweep surviving a process
-// restart: a cold streamed sweep through a disk-backed cache, then the same
-// sweep through a FRESH in-memory cache over the same entry directory — as
-// a restarted process would see it — must be served entirely from disk and
-// reproduce the cold results bit for bit. A third pass through a memory-hit
-// cache pins down that the disk round trip and the in-memory hit agree.
+// restart: a cold streamed sweep through a cache, then the same sweep
+// through a FRESH handle on the same entry directory — as a restarted
+// process would open it — must be served entirely from the entry files and
+// reproduce the cold results bit for bit.
 func TestDiskCacheRestartReproducesCold(t *testing.T) {
 	s := eqvSettings(17)
 	const shards = 4
@@ -118,12 +117,10 @@ func TestDiskCacheRestartReproducesCold(t *testing.T) {
 	thetas := []int{1, 3}
 
 	sweepPass := func(label string) ([]*sim.Result, sim.CacheStats) {
-		disk, err := sim.OpenDiskCache(dir)
+		cache, err := sim.OpenShardCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache := sim.NewShardCache()
-		cache.AttachDisk(disk)
 		src, err := experiments.StreamSource(s, shards)
 		if err != nil {
 			t.Fatal(err)
@@ -142,12 +139,12 @@ func TestDiskCacheRestartReproducesCold(t *testing.T) {
 	}
 
 	cold, coldSt := sweepPass("cold")
-	if coldSt.DiskHits != 0 || coldSt.Misses != int64(len(thetas)*shards) {
-		t.Fatalf("cold pass stats = %+v, want all misses and no disk hits", coldSt)
+	if coldSt.Hits != 0 || coldSt.Misses != int64(len(thetas)*shards) {
+		t.Fatalf("cold pass stats = %+v, want all misses", coldSt)
 	}
 	restart, restartSt := sweepPass("restart")
-	if want := int64(len(thetas) * shards); restartSt.DiskHits != want || restartSt.Misses != 0 {
-		t.Fatalf("restart pass stats = %+v, want %d disk hits / 0 misses", restartSt, want)
+	if want := int64(len(thetas) * shards); restartSt.Hits != want || restartSt.Misses != 0 {
+		t.Fatalf("restart pass stats = %+v, want %d hits / 0 misses", restartSt, want)
 	}
 	for i := range cold {
 		assertSameResult(t, fmt.Sprintf("restart sweep theta=%d", thetas[i]), cold[i], restart[i])
@@ -156,23 +153,21 @@ func TestDiskCacheRestartReproducesCold(t *testing.T) {
 
 // TestDiskCacheCorruptEntriesAreMisses damages every persisted entry file —
 // truncation for half, a flipped payload byte for the rest — and re-runs
-// the sweep through a fresh cache over the damaged directory: every lookup
+// the sweep through a fresh handle on the damaged directory: every lookup
 // must degrade to a miss and re-simulate, reproducing the undamaged results
 // exactly. A wrong result here would mean the checksum/version verification
-// let a damaged entry through — the one failure mode the disk tier must
-// never have.
+// let a damaged entry through — the one failure mode the cache must never
+// have.
 func TestDiskCacheCorruptEntriesAreMisses(t *testing.T) {
 	s := eqvSettings(19)
 	const shards = 3
 	dir := t.TempDir()
 
 	run := func() (*sim.Result, sim.CacheStats) {
-		disk, err := sim.OpenDiskCache(dir)
+		cache, err := sim.OpenShardCache(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cache := sim.NewShardCache()
-		cache.AttachDisk(disk)
 		src, err := experiments.StreamSource(s, shards)
 		if err != nil {
 			t.Fatal(err)
@@ -205,10 +200,62 @@ func TestDiskCacheCorruptEntriesAreMisses(t *testing.T) {
 	}
 
 	damaged, st := run()
-	if st.DiskHits != 0 || st.Misses != shards {
-		t.Fatalf("post-damage stats = %+v, want 0 disk hits / %d misses", st, shards)
+	if st.Hits != 0 || st.Misses != shards {
+		t.Fatalf("post-damage stats = %+v, want 0 hits / %d misses", st, shards)
 	}
 	assertSameResult(t, "re-simulated after entry damage", clean, damaged)
+}
+
+// TestShardCacheCorruptEntryMissesInProcess damages one entry file between
+// two runs through the SAME handle: the cache holds nothing but its entry
+// files, so the second run must miss exactly the damaged shard, hit the
+// rest, and stay bit-identical; the re-simulated shard's store repairs the
+// file, so a third run hits every shard.
+func TestShardCacheCorruptEntryMissesInProcess(t *testing.T) {
+	_, train, simTr, err := experiments.BuildWorkload(eqvSettings(23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shards = 4
+	dir := t.TempDir()
+	cache, err := sim.OpenShardCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sim.Options{Shards: shards, Cache: cache}
+	run := func() *sim.Result {
+		t.Helper()
+		res, err := sim.Run(core.New(core.DefaultConfig()), train, simTr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	cold := run()
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*"))
+	if err != nil || len(files) != shards {
+		t.Fatalf("persisted entries = %v (err %v), want %d files", files, err, shards)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := os.WriteFile(files[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	before := cache.Stats()
+	assertSameResult(t, "run after one entry's damage", cold, run())
+	after := cache.Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != shards-1 || misses != 1 {
+		t.Fatalf("run after damage: %d hits / %d misses, want %d / 1", hits, misses, shards-1)
+	}
+	assertSameResult(t, "run after repair", cold, run())
+	if final := cache.Stats(); final.Hits-after.Hits != shards || final.Misses != after.Misses {
+		t.Fatalf("run after repair: stats %+v (before it %+v), want %d more hits and no misses", final, after, shards)
+	}
 }
 
 // TestShardCacheInvalidationIsPerPolicy shares one cache across a RunAll of
@@ -222,7 +269,7 @@ func TestShardCacheInvalidationIsPerPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	const shards = 3
-	cache := sim.NewShardCache()
+	cache := openCache(t)
 	opts := sim.Options{Shards: shards, Cache: cache}
 
 	pack := func(cfg core.Config) []sim.Policy {

@@ -13,10 +13,10 @@
 //
 //	go run ./cmd/eqvcheck -functions 600 -scenario churn -retrain-every 1440 -shards 2 -stream
 //
-// The -stream cache passes (cold, warm, warm after a restart) share one
-// entry directory. -cache-dir persists it: a second process must be served
-// from disk (-mindiskhits asserts it), and the run becomes resumable —
-// SIGINT/SIGTERM drains the in-flight shards into it and exits 130.
+// The -stream cache passes (cold, then warm through a fresh handle) share
+// one entry directory. -cache-dir persists it: a second process must be
+// served from disk (-mindiskhits asserts it), and the run becomes resumable
+// — SIGINT/SIGTERM drains the in-flight shards into it and exits 130.
 //
 // Deterministic injected faults (internal/faultinject: failing and corrupt
 // disk operations, panicking and stalling shard workers); the reference runs
@@ -51,6 +51,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 
 	"repro/internal/baselines"
@@ -198,14 +199,13 @@ func run() error {
 		return checkHeap(watch, *maxHeap)
 	}
 
-	// One disk tier is shared by every seed's cache checks; entries are
-	// content-keyed, so seeds never collide.
-	var disk *sim.DiskCache
-	// Only a run over a persistent -cache-dir has anything to resume from,
-	// so only there do signals drain instead of kill (a nil Stop never fires).
+	// One entry directory is shared by every seed's cache checks; entries
+	// are content-keyed, so seeds never collide. Only a run over a
+	// persistent -cache-dir has anything to resume from, so only there do
+	// signals drain instead of kill (a nil Stop never fires).
+	dir := *cacheDir
 	var stop <-chan struct{}
 	if *stream {
-		dir := *cacheDir
 		if dir != "" {
 			stop = drainOnSignal()
 		} else {
@@ -216,15 +216,12 @@ func run() error {
 			defer os.RemoveAll(tmp)
 			dir = tmp
 		}
-		var err error
+	}
+	openCache := func() (*sim.ShardCache, error) {
 		if inj != nil {
-			disk, err = sim.OpenDiskCacheFS(dir, inj.FS())
-		} else {
-			disk, err = sim.OpenDiskCache(dir)
+			return sim.OpenShardCacheFS(dir, inj.FS())
 		}
-		if err != nil {
-			return err
-		}
+		return sim.OpenShardCache(dir)
 	}
 	var coldDiskHits int64
 
@@ -262,60 +259,28 @@ func run() error {
 				return err
 			}
 
-			// Shard-cache check, through the disk tier: a cold pass (misses
-			// in this process — or disk hits, when -cache-dir carries entries
-			// from an earlier process), a warm pass (in-memory hits), and a
-			// warm-after-restart pass (a FRESH in-memory cache over the same
-			// entry directory, so every hit must restore from disk) must all
-			// match the reference.
-			cache := sim.NewShardCache()
-			// The assertions below demand exact tier-by-tier traffic, so the
-			// default LRU budget must not evict anything mid-check (a cold
-			// pass at a shard count above the budget would spill entries the
-			// warm pass then restores from disk — correct, but it would trip
-			// the in-memory-hits-only assertion).
-			cache.SetBudget(0, 0)
-			cache.AttachDisk(disk)
-			cached := func(pass string, c *sim.ShardCache) error {
-				return against(fmt.Sprintf("cached (%s) x%d", pass, *shards), mat, sim.Options{Shards: *shards, Cache: c})
-			}
-			if err := cached("cold", cache); err != nil {
-				return err
-			}
-			// Tier-by-tier traffic is only exact on a clean run: under
-			// -faults a failed restore legitimately re-simulates and a
-			// failed store legitimately leaves a future miss, so only the
-			// result comparisons above hold there.
-			coldSt := cache.Stats()
-			if inj == nil {
-				// Cold pass: one lookup per shard, none served from memory —
-				// every hit must be a disk restore (a pre-warmed -cache-dir)
-				// and everything else a miss.
-				if coldSt.Hits+coldSt.Misses != int64(*shards) || coldSt.Hits != coldSt.DiskHits {
-					return fmt.Errorf("seed %d: cold pass stats %+v, want %d lookups with no in-memory hits", seed, coldSt, *shards)
+			// Shard-cache check: a cold pass (misses in this process — or
+			// hits, when -cache-dir carries entries from an earlier process)
+			// and a warm pass through a fresh handle on the same directory,
+			// as a restarted process would open it, must both match the
+			// reference. Traffic is only exact on a clean run: under -faults
+			// a failed read legitimately re-simulates and a failed store
+			// legitimately leaves a future miss.
+			for _, pass := range []string{"cold", "warm"} {
+				cache, err := openCache()
+				if err != nil {
+					return err
 				}
-			}
-			coldDiskHits += coldSt.DiskHits
-			if err := cached("warm", cache); err != nil {
-				return err
-			}
-			if inj == nil {
-				// Warm pass: every shard must be an IN-MEMORY hit — no
-				// misses, no disk restores. A broken memory tier silently
-				// served by disk (or re-simulating) must fail here.
-				warmSt := cache.Stats()
-				if warmSt.Hits-coldSt.Hits != int64(*shards) || warmSt.Misses != coldSt.Misses || warmSt.DiskHits != coldSt.DiskHits {
-					return fmt.Errorf("seed %d: warm pass stats %+v (after cold %+v), want %d in-memory hits and nothing else", seed, warmSt, coldSt, *shards)
+				if err := against(fmt.Sprintf("cached (%s) x%d", pass, *shards), mat, sim.Options{Shards: *shards, Cache: cache}); err != nil {
+					return err
 				}
-			}
-
-			restarted := sim.NewShardCache()
-			restarted.AttachDisk(disk)
-			if err := cached("restart", restarted); err != nil {
-				return err
-			}
-			if st := restarted.Stats(); inj == nil && st.DiskHits != int64(*shards) {
-				return fmt.Errorf("seed %d: restart pass stats %+v, want %d disk hits (entries did not survive)", seed, st, *shards)
+				st := cache.Stats()
+				if pass == "cold" {
+					coldDiskHits += st.Hits
+				}
+				if inj == nil && (st.Hits+st.Misses != int64(*shards) || (pass == "warm" && st.Hits != int64(*shards))) {
+					return fmt.Errorf("seed %d: %s pass stats %+v, want %d lookups (all hits when warm)", seed, pass, st, *shards)
+				}
 			}
 		}
 		if *capCheck {
@@ -347,7 +312,7 @@ func run() error {
 // bit-identity across every door that can serve it — materialized (unsharded
 // and sharded), a cold columnar-store ingest, and a warm store reopen — plus
 // a store-sourced shard-cache pass whose second run must be served entirely
-// from memory (the store fingerprints key the cache).
+// from the cache (the store fingerprints key it).
 func runIngestCheck(s experiments.Settings, path string, shards, workers int, maxHeap uint64) error {
 	watch := memwatch.Watch()
 	mat, err := experiments.Open(s, experiments.Input{Trace: path})
@@ -403,16 +368,18 @@ func runIngestCheck(s experiments.Settings, path string, shards, workers int, ma
 	}
 
 	// Cache pass: the store's fingerprints must key the shard cache — the
-	// second run over the same source is served entirely from memory.
-	cache := sim.NewShardCache()
-	cache.SetBudget(0, 0)
+	// second run over the same source is served entirely from its entries.
+	cache, err := sim.OpenShardCache(filepath.Join(dir, "cache"))
+	if err != nil {
+		return err
+	}
 	for _, label := range []string{"cold", "warm"} {
 		if err := check(fmt.Sprintf("SPES: store cached (%s) x%d", label, shards), spesRef, warm, spes(), sim.Options{Workers: workers, Cache: cache}); err != nil {
 			return err
 		}
 	}
 	if cst := cache.Stats(); cst.Hits != int64(shards) || cst.Misses != int64(shards) {
-		return fmt.Errorf("store cache stats %+v, want exactly %d misses then %d in-memory hits (are store fingerprints keying the cache?)", cst, shards, shards)
+		return fmt.Errorf("store cache stats %+v, want exactly %d misses then %d hits (are store fingerprints keying the cache?)", cst, shards, shards)
 	}
 	fmt.Printf("store: warm reopen and fingerprint-keyed cache identical\n")
 	return checkHeap(watch, maxHeap)

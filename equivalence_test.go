@@ -51,6 +51,16 @@ func eqvSettings(seed int64) experiments.Settings {
 }
 
 // assertSameResult compares two results modulo Overhead (wall-clock noise).
+// openCache opens a shard cache on a fresh temporary entry directory.
+func openCache(t *testing.T) *sim.ShardCache {
+	t.Helper()
+	c, err := sim.OpenShardCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func assertSameResult(t *testing.T, label string, want, got *sim.Result) {
 	t.Helper()
 	if d := want.Diff(got); d != "" {
@@ -106,7 +116,7 @@ func TestSPESEventEngineEquivalence(t *testing.T) {
 			{"streamed x2 event engine", core.New(core.DefaultConfig()), sim.Options{Source: src2}},
 			{"streamed x5 event engine", core.New(core.DefaultConfig()), sim.Options{Source: src5}},
 			{"streamed x5 cached event engine", core.New(core.DefaultConfig()),
-				sim.Options{Source: src5, Cache: sim.NewShardCache()}},
+				sim.Options{Source: src5, Cache: openCache(t)}},
 		}
 		for _, c := range cases {
 			got, err := sim.Run(c.policy, train, simTr, c.opts)
@@ -247,7 +257,7 @@ func TestCapacityShardingContracts(t *testing.T) {
 	}
 
 	_, err = sim.Run(baselines.NewFaaSCache(30), train, simTr,
-		sim.Options{Shards: 2, Cache: sim.NewShardCache()})
+		sim.Options{Shards: 2, Cache: openCache(t)})
 	if !errors.Is(err, sim.ErrCapacityCoupled) {
 		t.Errorf("cached capacity run: got %v, want errors.Is ErrCapacityCoupled", err)
 	}
@@ -649,7 +659,7 @@ func TestScenarioRetrainEquivalence(t *testing.T) {
 				label := func(engine string) string {
 					return fmt.Sprintf("%s retrain=%d seed %d: %s", scenario, retrainEvery, seed, engine)
 				}
-				cache := sim.NewShardCache()
+				cache := openCache(t)
 				cases := []struct {
 					engine string
 					policy sim.Policy
@@ -711,9 +721,9 @@ func TestRetrainChangesOutcomeUnderChurn(t *testing.T) {
 
 // TestRetrainCacheKeySeparation proves the cache-key rule for online
 // re-categorization: retrain-enabled and plain runs of the same policy over
-// the same shards must never share entries — in memory or on disk — while
-// each reproduces its own cold results bit-for-bit from a warm (and a
-// restarted) cache.
+// the same shards must never share entries, while each reproduces its own
+// cold results bit-for-bit from a warm cache and from a fresh handle on the
+// same directory.
 func TestRetrainCacheKeySeparation(t *testing.T) {
 	s := eqvSettings(1)
 	if err := s.ApplyScenario("churn"); err != nil {
@@ -723,12 +733,11 @@ func TestRetrainCacheKeySeparation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := sim.OpenDiskCache(t.TempDir())
+	dir := t.TempDir()
+	cache, err := sim.OpenShardCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := sim.NewShardCache()
-	cache.AttachDisk(disk)
 	const shards = 3
 
 	run := func(c *sim.ShardCache, retrain int) *sim.Result {
@@ -755,22 +764,24 @@ func TestRetrainCacheKeySeparation(t *testing.T) {
 
 	warm := run(cache, 1440)
 	assertSameResult(t, "warm retrain replay", retrained, warm)
-	if st := cache.Stats(); st.Hits != shards || st.DiskHits != 0 {
-		t.Fatalf("warm retrain pass: stats %+v, want %d in-memory hits", st, shards)
+	if st := cache.Stats(); st.Hits != shards {
+		t.Fatalf("warm retrain pass: stats %+v, want %d hits", st, shards)
 	}
 
-	// A restarted process (fresh in-memory cache, same entry directory)
-	// must restore each mode's own entries from disk.
+	// A restarted process (a fresh handle on the same entry directory)
+	// must be served each mode's own entries.
 	for _, c := range []struct {
 		retrain int
 		want    *sim.Result
 	}{{1440, retrained}, {0, plain}} {
-		restarted := sim.NewShardCache()
-		restarted.AttachDisk(disk)
+		restarted, err := sim.OpenShardCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
 		got := run(restarted, c.retrain)
 		assertSameResult(t, fmt.Sprintf("restart replay retrain=%d", c.retrain), c.want, got)
-		if st := restarted.Stats(); st.DiskHits != shards {
-			t.Fatalf("restart retrain=%d: stats %+v, want %d disk hits", c.retrain, st, shards)
+		if st := restarted.Stats(); st.Hits != shards || st.Misses != 0 {
+			t.Fatalf("restart retrain=%d: stats %+v, want %d hits", c.retrain, st, shards)
 		}
 	}
 }

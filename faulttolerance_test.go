@@ -1,8 +1,8 @@
 // Kill-and-resume proof: a sweep process SIGKILLed mid-run leaves a disk
 // cache from which a rerun with the same flags completes bit-identical to a
 // never-interrupted run, re-simulating only the units whose entries the dead
-// process had not committed. The checksummed DiskCache entries are the one
-// resume record. The sweep runs in a child process (re-exec of this test
+// process had not committed. The checksummed shard-cache entry files are
+// the one resume record. The sweep runs in a child process (re-exec of this test
 // binary) so the kill is a real SIGKILL — no deferred cleanup, no flush on
 // the way out.
 package main
@@ -50,27 +50,22 @@ func TestFaultToleranceHelperProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	disk, err := sim.OpenDiskCache(dir)
+	cache, err := sim.OpenShardCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cache := sim.NewShardCache()
-	cache.AttachDisk(disk)
 	var hook sim.ShardFaultHook
 	if delayMs > 0 {
 		hook = delayHook(time.Duration(delayMs) * time.Millisecond)
 	}
-	sweep, err := sim.NewSweep(train, simTr, sim.Options{Shards: 6, Cache: cache, FaultHook: hook})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := sim.Options{Shards: 6, Cache: cache, FaultHook: hook}
 
 	h := fnv.New64a()
 	enc := json.NewEncoder(h)
 	for _, theta := range []int{1, 3, 10, 30} {
 		cfg := core.DefaultConfig()
 		cfg.Classify.ThetaPrewarm = theta
-		res, err := sweep.Run(core.New(cfg))
+		res, err := sim.Run(core.New(cfg), train, simTr, opts)
 		if err != nil {
 			t.Fatalf("theta %d: %v", theta, err)
 		}
@@ -81,7 +76,7 @@ func TestFaultToleranceHelperProcess(t *testing.T) {
 		}
 	}
 	st := cache.Stats()
-	line := fmt.Sprintf("%016x %d %d\n", h.Sum64(), st.DiskHits, st.Misses)
+	line := fmt.Sprintf("%016x %d %d\n", h.Sum64(), st.Hits, st.Misses)
 	if err := os.WriteFile(os.Getenv(ftOutEnv), []byte(line), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 )
 
 // The store source must satisfy the streamed engine's contracts at compile
-// time: Source to be runnable, SourceFingerprint so ShardCache/DiskCache
+// time: Source to be runnable, SourceFingerprint so a ShardCache
 // can key stored shards.
 var (
 	_ sim.Source            = (*trace.StoreSource)(nil)

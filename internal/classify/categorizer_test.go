@@ -152,10 +152,10 @@ func TestCategorizeForgettingAblation(t *testing.T) {
 
 	with := Categorize(tr, DefaultConfig(), false, false)
 	without := Categorize(tr, DefaultConfig(), false, true)
-	if got := with.Profiles[0].Type; !got.Deterministic() {
+	if got := with.Profiles[0].Type; !deterministic(got) {
 		t.Errorf("with forgetting -> %v, want deterministic", got)
 	}
-	if got := without.Profiles[0].Type; got.Deterministic() {
+	if got := without.Profiles[0].Type; deterministic(got) {
 		t.Errorf("w/o forgetting -> %v, want indeterminate", got)
 	}
 }

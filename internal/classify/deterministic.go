@@ -230,13 +230,14 @@ func (w *scratch) categorizeActivity(act series.Activity, cfg Config) (Profile, 
 	}
 
 	// Table I marks both the regular and appro-regular conditions as tested
-	// on "(Processed)" WTs, so both run over the slack cascade: raw WTs,
-	// end-trimmed WTs, merged WTs (series.SlackVariants, built inline here
-	// so each variant is sorted exactly once — the trimmed variant's sorted
-	// copy drops two values from the raw one, and the merge rule's reference
-	// mode comes from a run-length scan of the sorted base). The quantile
-	// reads below reproduce the float-sorting reference bit for bit (see
-	// stats.QuantileSortedInts).
+	// on "(Processed)" WTs, so both run over the slack cascade, in order:
+	// the raw WTs, the end-trimmed WTs (series.TrimEnds), and the
+	// series.MergeSmallWTs merge of the last of those, kept only when it
+	// shortened its base. Each variant is sorted exactly once — the trimmed
+	// variant's sorted copy drops two values from the raw one, and the merge
+	// rule's reference mode comes from a run-length scan of the sorted base.
+	// The quantile reads below reproduce the float-sorting reference bit for
+	// bit (see stats.QuantileSortedInts).
 	wts := act.WT
 	var variants, sortedVariants [3][]int
 	nv := 0

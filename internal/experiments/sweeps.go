@@ -18,15 +18,13 @@ type sweepPoint struct {
 	baseline bool
 }
 
-// runNormalizedSweep runs the points through one cache-backed sharded
-// sim.Sweep (bit-identical to unsharded runs; unchanged configs across
-// sweeps sharing a cache are served from it) and renders a (param,
-// normalized memory, Q3-CSR) table. Memory is normalized to the baseline
-// point, which need not come first, so rows are buffered and rendered
-// after the sweep completes; footer lines follow the table. With
-// Settings.CacheDir set, the cache spills to (and restores from) that
-// directory, so repeating a sweep in a restarted process re-simulates
-// nothing.
+// runNormalizedSweep runs the points as one sharded sim.RunAll, which
+// partitions the workload once for all of them (bit-identical to unsharded
+// runs), and renders a (param, normalized memory, Q3-CSR) table. Memory is
+// normalized to the baseline point, which need not come first; footer
+// lines follow the table. With Settings.CacheDir set, shard outcomes are
+// cached in that directory, so repeating a sweep in a restarted process
+// re-simulates nothing.
 func runNormalizedSweep(w io.Writer, s Settings, title, header string, pts []sweepPoint, footer ...string) error {
 	_, train, simTr, err := BuildWorkload(s)
 	if err != nil {
@@ -37,41 +35,35 @@ func runNormalizedSweep(w io.Writer, s Settings, title, header string, pts []swe
 		opts.Shards = s.Shards
 	}
 	if s.CacheDir != "" {
-		disk, err := sim.OpenDiskCache(s.CacheDir)
-		if err != nil {
+		if opts.Cache, err = sim.OpenShardCache(s.CacheDir); err != nil {
 			return err
 		}
-		opts.Cache = sim.NewShardCache()
-		opts.Cache.AttachDisk(disk)
 	}
-	sweep, err := sim.NewSweep(train, simTr, opts)
+	policies := make([]sim.Policy, len(pts))
+	for i, p := range pts {
+		policies[i] = core.New(p.cfg)
+	}
+	results, err := sim.RunAll(policies, train, simTr, opts)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(w, title)
 	tab := report.NewTable(header, "Norm. memory", "Q3-CSR")
 
-	type row struct{ mem, q3 float64 }
-	rows := make([]row, len(pts))
 	var baseMem float64
 	baseLabel := ""
 	for i, p := range pts {
-		res, err := sweep.Run(core.New(p.cfg))
-		if err != nil {
-			return err
-		}
-		rows[i] = row{mem: res.MeanLoaded(), q3: res.QuantileCSR(0.75)}
 		if p.baseline {
-			baseMem = rows[i].mem
+			baseMem = results[i].MeanLoaded()
 			baseLabel = p.label
 		}
 	}
 	for i, p := range pts {
-		mem := rows[i].mem
+		mem := results[i].MeanLoaded()
 		if baseMem > 0 {
 			mem /= baseMem
 		}
-		tab.AddRow(p.label, fmt.Sprintf("%.4f", mem), fmt.Sprintf("%.4f", rows[i].q3))
+		tab.AddRow(p.label, fmt.Sprintf("%.4f", mem), fmt.Sprintf("%.4f", results[i].QuantileCSR(0.75)))
 	}
 	tab.Render(w)
 	if baseMem > 0 {

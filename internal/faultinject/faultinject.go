@@ -92,7 +92,7 @@ func ServeDefault() Config {
 }
 
 // Error is an injected fault, distinguishable from real I/O errors and
-// marked transient so the retry layers (DiskCache write retries, shard
+// marked transient so the retry layers (shard-cache write retries, shard
 // re-runs) treat it as curable.
 type Error struct {
 	Site    string // fault class ("readerr", "writeerr", "renameerr")

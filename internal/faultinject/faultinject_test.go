@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/serve"
@@ -40,24 +41,22 @@ const shards = 4
 var thetas = []int{1, 3, 10}
 
 // miniSweep runs a small theta sweep (cold pass, then a restarted-process
-// pass through a fresh in-memory cache over the same disk tier) and
-// returns all results.
-func miniSweep(t *testing.T, train, simTr *trace.Trace, disk *sim.DiskCache, hook sim.ShardFaultHook) []*sim.Result {
+// pass through a fresh handle on the same entry directory) and returns all
+// results. fs is the filesystem seam the cache reads and writes through.
+func miniSweep(t *testing.T, train, simTr *trace.Trace, dir string, fs durable.FS, hook sim.ShardFaultHook) []*sim.Result {
 	t.Helper()
 	var out []*sim.Result
 	retry := sim.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 	for pass := 0; pass < 2; pass++ {
-		cache := sim.NewShardCache()
-		cache.AttachDisk(disk)
-		sweep, err := sim.NewSweep(train, simTr, sim.Options{
-			Shards: shards, Cache: cache, FaultHook: hook, Retry: retry})
+		cache, err := sim.OpenShardCacheFS(dir, fs)
 		if err != nil {
 			t.Fatal(err)
 		}
+		opts := sim.Options{Shards: shards, Cache: cache, FaultHook: hook, Retry: retry}
 		for _, theta := range thetas {
 			cfg := core.DefaultConfig()
 			cfg.Classify.ThetaPrewarm = theta
-			res, err := sweep.Run(core.New(cfg))
+			res, err := sim.Run(core.New(cfg), train, simTr, opts)
 			if err != nil {
 				t.Fatalf("pass %d theta %d: %v", pass, theta, err)
 			}
@@ -77,20 +76,12 @@ func TestCompletedFaultedRunsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cleanDisk, err := sim.OpenDiskCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	clean := miniSweep(t, train, simTr, cleanDisk, nil)
+	clean := miniSweep(t, train, simTr, t.TempDir(), nil, nil)
 
 	union := make(map[string]int64)
 	for seed := int64(1); seed <= 3; seed++ {
 		inj := faultinject.New(seed, aggressive())
-		disk, err := sim.OpenDiskCacheFS(t.TempDir(), inj.FS())
-		if err != nil {
-			t.Fatal(err)
-		}
-		faulted := miniSweep(t, train, simTr, disk, inj)
+		faulted := miniSweep(t, train, simTr, t.TempDir(), inj.FS(), inj)
 		for i := range clean {
 			a, b := *clean[i], *faulted[i]
 			a.Overhead, b.Overhead = 0, 0
@@ -125,11 +116,7 @@ func TestScheduleDeterministic(t *testing.T) {
 	var results [2][]*sim.Result
 	for run := 0; run < 2; run++ {
 		inj := faultinject.New(99, aggressive())
-		disk, err := sim.OpenDiskCacheFS(t.TempDir(), inj.FS())
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[run] = miniSweep(t, train, simTr, disk, inj)
+		results[run] = miniSweep(t, train, simTr, t.TempDir(), inj.FS(), inj)
 		counts[run] = inj.Counts()
 	}
 	if !reflect.DeepEqual(counts[0], counts[1]) {

@@ -21,7 +21,7 @@ type FS struct {
 
 var _ durable.FS = (*FS)(nil)
 
-// FS returns the injector's filesystem seam, for sim.OpenDiskCacheFS,
+// FS returns the injector's filesystem seam, for sim.OpenShardCacheFS,
 // trace.IngestCSVFS / OpenStoreFS and serve.Config.FS.
 func (in *Injector) FS() *FS { return &FS{in: in} }
 

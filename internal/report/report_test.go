@@ -9,20 +9,16 @@ import (
 func TestTableRender(t *testing.T) {
 	tab := NewTable("Policy", "Q3-CSR")
 	tab.AddRow("SPES", "0.108")
-	tab.AddRowf("Defuse", 0.215)
 	tab.AddRow("short") // padded
 	var buf bytes.Buffer
 	tab.Render(&buf)
 	out := buf.String()
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 5 {
+	if len(lines) != 4 {
 		t.Fatalf("lines = %d: %q", len(lines), out)
 	}
 	if !strings.HasPrefix(lines[0], "Policy") {
 		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.Contains(lines[3], "0.2150") {
-		t.Errorf("formatted float row = %q", lines[3])
 	}
 	// Columns align: "Q3-CSR" starts at the same offset in header and rows.
 	col := strings.Index(lines[0], "Q3-CSR")

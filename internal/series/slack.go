@@ -109,27 +109,3 @@ func MergeReferenceModeSorted(sorted []int) int {
 	}
 	return bestVal
 }
-
-// SlackVariants returns the candidate WT sequences the classifier tests in
-// order: the raw sequence, the end-trimmed sequence, and the merged sequence
-// (built from the trimmed one, mirroring the paper's cascade of slacking
-// rules). Empty variants are omitted.
-func SlackVariants(wts []int, closeTol int, smallFrac float64) [][]int {
-	var variants [][]int
-	if len(wts) > 0 {
-		variants = append(variants, wts)
-	}
-	trimmed := TrimEnds(wts)
-	if len(trimmed) > 0 {
-		variants = append(variants, trimmed)
-	}
-	base := trimmed
-	if len(base) == 0 {
-		base = wts
-	}
-	mergedSeq := MergeSmallWTs(base, closeTol, smallFrac)
-	if len(mergedSeq) > 0 && len(mergedSeq) != len(base) {
-		variants = append(variants, mergedSeq)
-	}
-	return variants
-}

@@ -96,34 +96,6 @@ func TestMergeSmallWTsDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestSlackVariants(t *testing.T) {
-	// Raw, trimmed, merged should all be distinct for this input.
-	in := []int{7, 1439, 1438, 1, 1439, 3}
-	variants := SlackVariants(in, 1, 0.1)
-	if len(variants) != 3 {
-		t.Fatalf("variants = %d, want 3: %v", len(variants), variants)
-	}
-	if !reflect.DeepEqual(variants[0], in) {
-		t.Errorf("variant 0 = %v, want raw", variants[0])
-	}
-	if !reflect.DeepEqual(variants[1], []int{1439, 1438, 1, 1439}) {
-		t.Errorf("variant 1 = %v", variants[1])
-	}
-	if !reflect.DeepEqual(variants[2], []int{1439, 1440, 1439}) {
-		t.Errorf("variant 2 = %v", variants[2])
-	}
-}
-
-func TestSlackVariantsShortInput(t *testing.T) {
-	if got := SlackVariants(nil, 1, 0.1); len(got) != 0 {
-		t.Errorf("SlackVariants(nil) = %v", got)
-	}
-	got := SlackVariants([]int{5}, 1, 0.1)
-	if len(got) != 1 || !reflect.DeepEqual(got[0], []int{5}) {
-		t.Errorf("SlackVariants single = %v", got)
-	}
-}
-
 // Property: merging never increases sequence length and conserves
 // "time plus absorbed slots": sum(out) >= sum(in), with equality when
 // nothing merged.

@@ -1,11 +1,16 @@
 package sim
 
 import (
-	"container/list"
 	"fmt"
+	"hash/fnv"
 	"log"
+	"os"
+	"path/filepath"
 	"sync"
+	"time"
 
+	"repro/internal/durable"
+	"repro/internal/retry"
 	"repro/internal/trace"
 )
 
@@ -17,7 +22,7 @@ import (
 // produce bit-identical per-shard results — that is the cache's entire
 // correctness argument, so every piece must be content-derived, never
 // identity-derived. Content keys are also what makes entries relocatable:
-// DiskCache persists them across process restarts unchanged.
+// they name and verify entry files across process restarts unchanged.
 type shardKey struct {
 	policy string
 	config uint64
@@ -28,131 +33,91 @@ type shardKey struct {
 // shardEntry is one cached shard outcome: the shard-local Result, the
 // per-slot (loaded, active) log the merge recomputes global aggregates
 // from, and the local-to-global id mapping. All three are read-only once
-// stored — the merge only reads them, and concurrent merges may share one
-// entry.
+// loaded — the merge only reads them.
 type shardEntry struct {
 	res    *Result
 	log    *slotLog
 	global []trace.FuncID
 }
 
-// bytes estimates the entry's in-memory footprint, the unit of the cache's
-// byte budget. An estimate is fine: the budget bounds growth, it is not an
-// allocator.
-func (e *shardEntry) bytes() int64 {
-	b := int64(256) // struct headers and slice headers
-	b += int64(len(e.res.PerFunc)) * 32
-	for _, t := range e.res.Types {
-		b += int64(len(t)) + 16
-	}
-	b += int64(len(e.log.loaded)+len(e.log.active)) * 4
-	b += int64(len(e.global)) * 4
-	return b
-}
-
-// Default in-memory residency budget of NewShardCache. Entries hold
-// O(shard functions + slots) metrics — no event series — so this admits
-// hundreds of large-scale shard outcomes while bounding what used to be an
-// unbounded map; callers with different needs use SetBudget.
-const (
-	DefaultCacheEntries = 4096
-	DefaultCacheBytes   = 1 << 30
-)
-
-// ShardCache memoizes per-shard simulation outcomes across sharded runs,
-// making parameter sweeps incremental: a sweep point re-simulates only the
-// shards of policies whose configuration changed, and a repeated
-// configuration (a warm sweep, a baseline shared across figures) is served
-// from the cache with a merge bit-identical to a fresh run.
+// ShardCache memoizes per-shard simulation outcomes in an entry directory,
+// making parameter sweeps incremental and restartable: a sweep point
+// re-simulates only the shards of policies whose configuration changed, and
+// a repeated configuration — in this process or in any later one opened on
+// the same directory — is served from its entry file with a merge
+// bit-identical to a fresh run. A lookup reads the entry file; a store
+// commits one.
 //
-// Entries are keyed by content (see shardKey), so the cache is safe to
-// share across traces, policies, shard counts, and goroutines. Memory: one
-// entry holds O(shard functions) metrics plus O(slots) log — the event
-// series themselves are NOT retained — and total residency is bounded by a
-// configurable entry/byte budget with LRU eviction (SetBudget), so a long
-// sweep can no longer grow the map without bound. With a DiskCache
-// attached (AttachDisk), every store is written through to disk, evicted
-// entries remain restorable, and lookups fall back to the disk tier —
-// which is how sweeps survive process restarts; without one, evicted
-// entries are simply dropped and re-simulate on the next miss.
+// One file per shard outcome, named and verified by the entry's content key
+// (see shardKey), so one directory is safe to share across traces,
+// policies, shard counts, goroutines and processes: entries are immutable
+// once renamed into place, and two writers racing on one key write
+// bit-identical bytes. An entry holds O(shard functions) metrics plus an
+// O(slots) log — the event series themselves are never stored.
+//
+// Robustness rule: a lookup may only ever produce a bit-exact entry or a
+// miss — never a wrong result. Every file carries a format version and a
+// trailing checksum over its full contents; a truncated, corrupted,
+// version-mismatched, or key-mismatched (filename collision) file is a miss
+// and the shard re-simulates. Writes go through a temp file and an atomic
+// rename, so a crash mid-write can leave stray garbage but never a live
+// half-entry.
 type ShardCache struct {
-	mu      sync.Mutex
-	entries map[shardKey]*list.Element
-	lru     list.List // front = most recently used; values are *lruEntry
-	bytes   int64
+	dir string
+	fs  durable.FS
 
-	maxEntries int
-	maxBytes   int64
+	mu       sync.Mutex
+	hits     int64
+	misses   int64
+	diskErrs int64
 
-	disk *DiskCache
-
-	hits      int64
-	misses    int64
-	evictions int64
-	diskHits  int64
-	diskErrs  int64
-
-	// Disk-tier tripwire: consecutive hard I/O failures (reads and writes;
-	// corrupt entries don't count — they are content damage, not a device
-	// problem) trip the disk tier off after DiskFailureTripwire in a row,
-	// so a dying or full volume degrades the cache to in-memory-only
-	// instead of hammering every shard with doomed syscalls. Logged once;
-	// the in-memory tier and the simulation itself are unaffected.
+	// Tripwire: consecutive hard I/O failures (reads and writes; corrupt
+	// entries don't count — they are content damage, not a device problem)
+	// disable the cache after DiskFailureTripwire in a row, so a dying or
+	// full volume stops costing every shard doomed syscalls. Logged once;
+	// the simulation itself is unaffected — shards re-simulate.
 	diskFails    int
 	diskDisabled bool
 }
 
-// DiskFailureTripwire is how many consecutive disk-tier I/O failures
-// disable the tier for the rest of the process (any success resets the
-// count). The value is a balance: low enough that a dead volume stops
-// costing a syscall (plus retries) per shard quickly, high enough that a
-// brief stall does not silently turn off restart-survival for the run.
+// DiskFailureTripwire is how many consecutive I/O failures disable a
+// ShardCache for the rest of its life (any success resets the count). The
+// value is a balance: low enough that a dead volume stops costing a
+// syscall (plus retries) per shard quickly, high enough that a brief stall
+// does not silently turn off restart-survival for the run.
 const DiskFailureTripwire = 8
 
-// lruEntry is one resident cache slot.
-type lruEntry struct {
-	key   shardKey
-	ent   *shardEntry
-	bytes int64
+// tmpPattern names the temp files save stages entries in. A process killed
+// mid-write leaves its temp file behind (the atomic-rename design trades
+// that for never exposing a half-entry), so OpenShardCache runs
+// durable.Sweep — without it a crash-looping sweep would accumulate garbage
+// forever.
+const tmpPattern = ".tmp-shard-*"
+
+// OpenShardCache opens (creating if needed) an entry directory, ready to be
+// set as Options.Cache. The same directory may back many handles,
+// concurrently and across processes. Orphaned temp files from writers that
+// died mid-write are swept on open (best-effort; see durable.Sweep). Temp
+// files are never served — lookups only ever read final entry names — so
+// the sweep is purely a disk-space reclaim.
+func OpenShardCache(dir string) (*ShardCache, error) {
+	return OpenShardCacheFS(dir, durable.OS{})
 }
 
-// NewShardCache returns an empty cache with the default residency budget
-// (DefaultCacheEntries / DefaultCacheBytes), ready to be set as
-// Options.Cache.
-func NewShardCache() *ShardCache {
-	return &ShardCache{
-		entries:    make(map[shardKey]*list.Element),
-		maxEntries: DefaultCacheEntries,
-		maxBytes:   DefaultCacheBytes,
+// OpenShardCacheFS is OpenShardCache with the filesystem seam explicit.
+// Only fault-injection harnesses and tests supply a non-default fs.
+func OpenShardCacheFS(dir string, fs durable.FS) (*ShardCache, error) {
+	if dir == "" {
+		return nil, fmt.Errorf("sim: shard cache needs a directory")
 	}
-}
-
-// SetBudget replaces the in-memory residency budget: at most maxEntries
-// entries and maxBytes estimated bytes stay resident, least-recently-used
-// evicted first (0 means unlimited for either dimension). The budget is a
-// residency cap, not a correctness bound — an evicted entry re-simulates
-// (or reloads from an attached DiskCache) on its next lookup. The most
-// recently touched entry is never evicted, so a single entry larger than
-// maxBytes still serves its run.
-func (c *ShardCache) SetBudget(maxEntries int, maxBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxEntries = maxEntries
-	c.maxBytes = maxBytes
-	c.evictLocked()
-}
-
-// AttachDisk adds an on-disk spill/restore tier: stores write through to
-// d, in-memory misses consult d before re-simulating, and LRU-evicted
-// entries stay restorable from d. Attach before running; entries stored
-// earlier are not retroactively spilled. Attaching also re-arms the
-// disk-tier tripwire (a fresh tier deserves a fresh failure budget).
-func (c *ShardCache) AttachDisk(d *DiskCache) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.disk = d
-	c.diskFails = 0
-	c.diskDisabled = false
+	if fs == nil {
+		fs = durable.OS{}
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, fmt.Errorf("sim: shard cache: %w", err)
+	}
+	durable.Sweep(fs, dir, tmpPattern)
+	return &ShardCache{dir: dir, fs: fs}, nil
 }
 
 // vetPolicy refuses capacity-coupled policies: their per-shard outcomes
@@ -170,144 +135,70 @@ func (c *ShardCache) vetPolicy(p Policy) error {
 	return nil
 }
 
-// lookup returns the cached entry for key, counting a hit or miss. The
-// in-memory tier is consulted first; on a miss with a disk tier attached,
-// the entry is restored from disk (outside the lock — disk reads must not
-// serialize other shards' lookups) and re-inserted as most recently used.
+// lookup returns the entry stored for key, or nil, counting a hit or a
+// miss. The file is read outside the lock: disk reads must not serialize
+// other shards' lookups.
 func (c *ShardCache) lookup(key shardKey) *shardEntry {
+	var ent *shardEntry
+	if !c.disabled() {
+		var err error
+		ent, err = c.load(key)
+		c.noteIO(err)
+	}
 	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		c.hits++
-		ent := el.Value.(*lruEntry).ent
-		c.mu.Unlock()
-		return ent
-	}
-	disk := c.disk
-	if disk == nil || c.diskDisabled {
-		c.misses++
-		c.mu.Unlock()
-		return nil
-	}
-	c.mu.Unlock()
-
-	ent, err := disk.load(key)
-	c.mu.Lock()
-	if err != nil {
-		c.noteDiskErrLocked(err)
-	} else {
-		c.diskFails = 0
-	}
+	defer c.mu.Unlock()
 	if ent != nil {
-		c.insertLocked(key, ent)
 		c.hits++
-		c.diskHits++
-		c.mu.Unlock()
-		return ent
+	} else {
+		c.misses++
 	}
-	c.misses++
-	c.mu.Unlock()
-	return nil
+	return ent
 }
 
-// noteDiskErrLocked counts one disk-tier I/O failure and trips the tier
-// off after DiskFailureTripwire consecutive ones. Callers hold mu.
-func (c *ShardCache) noteDiskErrLocked(err error) {
+// store commits a freshly simulated shard outcome. Two concurrent runs of
+// the same key may both miss and both store; the entries are bit-identical,
+// so last-write-wins is harmless. A failed store only costs a future
+// re-simulation.
+func (c *ShardCache) store(key shardKey, ent *shardEntry) {
+	if !c.disabled() {
+		c.noteIO(c.save(key, ent))
+	}
+}
+
+func (c *ShardCache) disabled() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.diskDisabled
+}
+
+// noteIO feeds one I/O outcome to the tripwire: a success resets the
+// streak, and DiskFailureTripwire consecutive failures disable the cache.
+func (c *ShardCache) noteIO(err error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if err == nil {
+		c.diskFails = 0
+		return
+	}
 	c.diskErrs++
 	c.diskFails++
 	if !c.diskDisabled && c.diskFails >= DiskFailureTripwire {
 		c.diskDisabled = true
-		log.Printf("sim: disk cache tier disabled after %d consecutive I/O failures (last: %v); continuing with the in-memory tier only",
-			c.diskFails, err)
-	}
-}
-
-// store records a freshly simulated shard outcome, writing through to the
-// disk tier when one is attached. Two concurrent runs of the same key may
-// both miss and both store; the entries are bit-identical, so
-// last-write-wins is harmless in both tiers.
-func (c *ShardCache) store(key shardKey, ent *shardEntry) {
-	c.mu.Lock()
-	disk := c.disk
-	if c.diskDisabled {
-		disk = nil
-	}
-	c.mu.Unlock()
-	if disk != nil {
-		err := disk.save(key, ent)
-		c.mu.Lock()
-		if err != nil {
-			c.noteDiskErrLocked(err)
-		} else {
-			c.diskFails = 0
-		}
-		c.mu.Unlock()
-	}
-	c.mu.Lock()
-	c.insertLocked(key, ent)
-	c.mu.Unlock()
-}
-
-// insertLocked puts (key, ent) at the front of the LRU, replacing any
-// previous entry for the key, then enforces the budget. Callers hold mu.
-func (c *ShardCache) insertLocked(key shardKey, ent *shardEntry) {
-	if el, ok := c.entries[key]; ok {
-		le := el.Value.(*lruEntry)
-		c.bytes += ent.bytes() - le.bytes
-		le.ent = ent
-		le.bytes = ent.bytes()
-		c.lru.MoveToFront(el)
-	} else {
-		le := &lruEntry{key: key, ent: ent, bytes: ent.bytes()}
-		c.entries[key] = c.lru.PushFront(le)
-		c.bytes += le.bytes
-	}
-	c.evictLocked()
-}
-
-// evictLocked drops least-recently-used entries until the budget holds,
-// always sparing the most recently used entry. With a disk tier attached
-// eviction is a spill — every resident entry was written through at store
-// time (or restored from disk), so the dropped entry remains on disk;
-// without one it is simply forgotten.
-func (c *ShardCache) evictLocked() {
-	over := func() bool {
-		if c.maxEntries > 0 && c.lru.Len() > c.maxEntries {
-			return true
-		}
-		if c.maxBytes > 0 && c.bytes > c.maxBytes {
-			return true
-		}
-		return false
-	}
-	for c.lru.Len() > 1 && over() {
-		el := c.lru.Back()
-		le := el.Value.(*lruEntry)
-		c.lru.Remove(el)
-		delete(c.entries, le.key)
-		c.bytes -= le.bytes
-		c.evictions++
+		log.Printf("sim: shard cache %s disabled after %d consecutive I/O failures (last: %v); shards re-simulate for the rest of the run",
+			c.dir, c.diskFails, err)
 	}
 }
 
 // CacheStats reports a cache's traffic: Hits and Misses count lookups by
-// qualified runs (non-qualified runs bypass the cache without counting) —
-// DiskHits is the subset of Hits served by restoring a disk entry rather
-// than from memory. Entries and Bytes describe current in-memory residency
-// (Bytes is the budget's estimate); Evictions counts entries pushed out by
-// the LRU budget, and DiskErrors counts disk-tier I/O failures (each of
-// which degraded to a miss or a skipped write, never a wrong result).
-// DiskDisabled reports the tripwire: DiskFailureTripwire consecutive I/O
-// failures turned the disk tier off for the rest of the process, so later
-// lookups/stores skip it (the in-memory tier keeps serving, results stay
-// correct, restart-survival is lost for this run).
+// qualified runs (non-qualified runs bypass the cache without counting).
+// DiskErrors counts I/O failures (each of which degraded to a miss or a
+// skipped write, never a wrong result). DiskDisabled reports the tripwire:
+// DiskFailureTripwire consecutive I/O failures turned the cache off, so
+// later lookups miss without touching the disk and stores are skipped
+// (results stay correct; restart-survival is lost for this run).
 type CacheStats struct {
 	Hits         int64
 	Misses       int64
-	Entries      int
-	Bytes        int64
-	Evictions    int64
-	DiskHits     int64
 	DiskErrors   int64
 	DiskDisabled bool
 }
@@ -319,44 +210,63 @@ func (c *ShardCache) Stats() CacheStats {
 	return CacheStats{
 		Hits:         c.hits,
 		Misses:       c.misses,
-		Entries:      len(c.entries),
-		Bytes:        c.bytes,
-		Evictions:    c.evictions,
-		DiskHits:     c.diskHits,
 		DiskErrors:   c.diskErrs,
 		DiskDisabled: c.diskDisabled,
 	}
 }
 
-// Sweep runs many policy configurations over one fixed materialized
-// workload with shard results cached and the partition shared, so a
-// parameter sweep re-simulates only what each point changes and a repeated
-// point costs one merge. Build one per workload; call Run per sweep point.
-// (A streamed sweep needs no type: pass one Options.Cache to RunStreamed.)
-type Sweep struct {
-	train, simTr *trace.Trace
-	opts         Options
+// name maps a key to its entry file's name. The name is a hash of the full
+// key — collisions are possible in principle, so load verifies the key block
+// stored inside the file and treats a mismatch as a miss.
+func (c *ShardCache) name(key shardKey) string {
+	h := fnv.New64a()
+	writeU64(h, uint64(len(key.policy)))
+	h.Write([]byte(key.policy))
+	writeU64(h, key.config)
+	writeU64(h, key.trace)
+	writeU64(h, uint64(key.slots))
+	return fmt.Sprintf("shard-%016x.sce", h.Sum64())
 }
 
-// NewSweep prepares an incremental sweep over a materialized train/sim
-// pair. opts.Shards > 1 enables per-shard caching (the partition and shard
-// fingerprints are computed once and shared across all points); a missing
-// Cache is created. Results are bit-identical to plain Run with the same
-// options.
-func NewSweep(train, simTr *trace.Trace, opts Options) (*Sweep, error) {
-	if simTr == nil {
-		return nil, fmt.Errorf("sim: sweep needs a simulation trace")
-	}
-	if opts.Cache == nil {
-		opts.Cache = NewShardCache()
-	}
-	if opts.Shards > 1 {
-		opts.shardSet = buildShardSet(train, simTr, opts.Shards)
-	}
-	return &Sweep{train: train, simTr: simTr, opts: opts}, nil
+func (c *ShardCache) path(key shardKey) string { return filepath.Join(c.dir, c.name(key)) }
+
+// Write-path retry bounds: a failing save re-stages the whole temp-file
+// write up to diskSaveAttempts times with a short backoff (retry.Policy's
+// doubling schedule: 2ms, then 4ms). Filesystem errors cannot be reliably
+// classified from errno alone, so the write path treats every failure as
+// possibly transient (nil classifier) and lets the attempt cap bound the
+// damage; a save that still fails counts toward the tripwire.
+const (
+	diskSaveAttempts = 3
+	diskSaveBackoff  = 2 * time.Millisecond
+)
+
+// save serializes an entry and commits it atomically (durable.Commit),
+// retrying transiently failing writes.
+func (c *ShardCache) save(key shardKey, ent *shardEntry) error {
+	buf := encodeEntry(key, ent)
+	p := retry.Policy{MaxAttempts: diskSaveAttempts, BaseDelay: diskSaveBackoff}
+	return p.Do(func(int) error { return durable.Commit(c.fs, c.dir, c.name(key), tmpPattern, buf) }, nil)
 }
 
-// Run simulates one sweep point.
-func (s *Sweep) Run(policy Policy) (*Result, error) {
-	return Run(policy, s.train, s.simTr, s.opts)
+// load reads, verifies, and decodes the entry for key. It returns (nil,
+// nil) for a plain miss — no file, or a file that fails any verification
+// step (corruption is a content problem, not a device problem, so it does
+// not count toward the tripwire) — and a non-nil error only for I/O
+// failures.
+func (c *ShardCache) load(key shardKey) (*shardEntry, error) {
+	data, err := c.fs.ReadFile(c.path(key))
+	if err != nil {
+		if os.IsNotExist(err) {
+			return nil, nil
+		}
+		return nil, err
+	}
+	ent, err := decodeEntry(key, data)
+	if err != nil {
+		// Corrupt, truncated, stale-version, or colliding entry: a miss.
+		// The shard re-simulates and the store overwrites the bad file.
+		return nil, nil
+	}
+	return ent, nil
 }

@@ -3,40 +3,11 @@ package sim
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
 	"time"
 
 	"repro/internal/durable"
-	"repro/internal/retry"
 	"repro/internal/trace"
 )
-
-// DiskCache is the on-disk spill/restore tier behind ShardCache: one file
-// per shard outcome, named and verified by the entry's content key, so
-// cached sweeps survive process restarts and an LRU-evicted entry can be
-// restored instead of re-simulated. Keys are pure content (policy name +
-// config hash, shard trace fingerprint, slot count — see shardKey), which
-// is what makes entries relocatable: any process that derives the same key
-// would have produced a bit-identical outcome, so a restored entry is as
-// good as a fresh run.
-//
-// Robustness rule: a disk read may only ever produce a bit-exact entry or
-// a miss — never a wrong result. Every file carries a format version and a
-// trailing checksum over its full contents; a truncated, corrupted,
-// version-mismatched, or key-mismatched (filename collision) file is
-// treated as a miss and the shard re-simulates. Writes go through a temp
-// file and an atomic rename, so a crash mid-write can leave stray garbage
-// but never a live half-entry.
-//
-// A DiskCache is an open directory handle, safe for concurrent use by any
-// number of goroutines and processes: entries are immutable once renamed
-// into place, and two writers racing on one key write bit-identical bytes.
-type DiskCache struct {
-	dir string
-	fs  durable.FS
-}
 
 // diskMagic opens every entry file; diskVersion is the serialization
 // format version. Bump diskVersion on ANY change to the entry encoding —
@@ -56,100 +27,6 @@ const (
 	diskVersion = uint32(1)
 	engineEpoch = uint32(1)
 )
-
-// tmpPattern names the temp files save stages entries in. A process killed
-// mid-write leaves its temp file behind (the atomic-rename design trades that
-// for never exposing a half-entry), so OpenDiskCache runs durable.Sweep —
-// without it a crash-looping sweep would accumulate garbage forever.
-const tmpPattern = ".tmp-shard-*"
-
-// OpenDiskCache opens (creating if needed) an entry directory. The same
-// directory may back many ShardCaches, concurrently and across processes.
-// Orphaned temp files from writers that died mid-write are swept on open
-// (best-effort; see durable.Sweep). Temp files are never served — loads
-// only ever read final entry names — so the sweep is purely a disk-space
-// reclaim.
-func OpenDiskCache(dir string) (*DiskCache, error) {
-	return OpenDiskCacheFS(dir, durable.OS{})
-}
-
-// OpenDiskCacheFS is OpenDiskCache with the filesystem seam explicit. Only
-// fault-injection harnesses and tests supply a non-default fs.
-func OpenDiskCacheFS(dir string, fs durable.FS) (*DiskCache, error) {
-	if dir == "" {
-		return nil, fmt.Errorf("sim: disk cache needs a directory")
-	}
-	if fs == nil {
-		fs = durable.OS{}
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("sim: disk cache: %w", err)
-	}
-	durable.Sweep(fs, dir, tmpPattern)
-	return &DiskCache{dir: dir, fs: fs}, nil
-}
-
-// Dir returns the cache's entry directory.
-func (d *DiskCache) Dir() string { return d.dir }
-
-// name maps a key to its entry file's name. The name is a hash of the full
-// key — collisions are possible in principle, so load verifies the key block
-// stored inside the file and treats a mismatch as a miss.
-func (d *DiskCache) name(key shardKey) string {
-	h := fnv.New64a()
-	writeU64(h, uint64(len(key.policy)))
-	h.Write([]byte(key.policy))
-	writeU64(h, key.config)
-	writeU64(h, key.trace)
-	writeU64(h, uint64(key.slots))
-	return fmt.Sprintf("shard-%016x.sce", h.Sum64())
-}
-
-func (d *DiskCache) path(key shardKey) string { return filepath.Join(d.dir, d.name(key)) }
-
-// Write-path retry bounds: a failing save re-stages the whole temp-file
-// write up to diskSaveAttempts times with a short backoff (retry.Policy's
-// doubling schedule: 2ms, then 4ms). Filesystem errors cannot be reliably
-// classified from errno alone, so the write path treats every failure as
-// possibly transient (nil classifier) and lets the attempt cap bound the
-// damage; a save that still fails is reported to ShardCache, which counts
-// it toward the disk-tier tripwire.
-const (
-	diskSaveAttempts = 3
-	diskSaveBackoff  = 2 * time.Millisecond
-)
-
-// save serializes an entry and commits it atomically (durable.Commit),
-// retrying transiently failing writes. Errors are reported so ShardCache can
-// count them, but callers treat the disk tier as best-effort: a failed save
-// only costs a future re-simulation.
-func (d *DiskCache) save(key shardKey, ent *shardEntry) error {
-	buf := encodeEntry(key, ent)
-	p := retry.Policy{MaxAttempts: diskSaveAttempts, BaseDelay: diskSaveBackoff}
-	return p.Do(func(int) error { return durable.Commit(d.fs, d.dir, d.name(key), tmpPattern, buf) }, nil)
-}
-
-// load reads, verifies, and decodes the entry for key. It returns (nil,
-// nil) for a plain miss — no file, or a file that fails any verification
-// step (corruption is a content problem, not a device problem, so it does
-// not count toward the disk-tier tripwire) — and a non-nil error only for
-// I/O failures, which ShardCache counts and eventually trips on.
-func (d *DiskCache) load(key shardKey) (*shardEntry, error) {
-	data, err := d.fs.ReadFile(d.path(key))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	ent, err := decodeEntry(key, data)
-	if err != nil {
-		// Corrupt, truncated, stale-version, or colliding entry: a miss.
-		// The shard re-simulates and the store overwrites the bad file.
-		return nil, nil
-	}
-	return ent, nil
-}
 
 // Entry file layout (the durable envelope; all integers little-endian):
 //

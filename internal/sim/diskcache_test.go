@@ -195,11 +195,11 @@ func TestDiskEntryKeyMismatch(t *testing.T) {
 	}
 }
 
-// TestDiskCacheLoadDegradesToMiss: through the DiskCache API, a corrupted
-// or truncated file is a plain miss (nil, nil), and a store overwrites it.
+// TestDiskCacheLoadDegradesToMiss: through the ShardCache file layer, a
+// corrupted or truncated file is a plain miss (nil, nil), and a store
+// overwrites it.
 func TestDiskCacheLoadDegradesToMiss(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDiskCache(dir)
+	d, err := OpenShardCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,66 +229,18 @@ func TestDiskCacheLoadDegradesToMiss(t *testing.T) {
 	sameEntry(t, ent, got)
 }
 
-// TestShardCacheLRUSpill: with a 2-entry budget and a disk tier, storing 4
-// entries evicts the two oldest from memory but keeps them restorable;
-// without a disk tier the evicted keys are plain misses.
-func TestShardCacheLRUSpill(t *testing.T) {
-	keys := make([]shardKey, 4)
-	ents := make([]*shardEntry, 4)
-	for i := range keys {
-		k, e := testEntry(true)
-		k.trace = uint64(i)
-		e.res.TotalColdStarts = int64(100 + i) // distinguishable payloads
-		keys[i], ents[i] = k, e
-	}
-
-	for _, withDisk := range []bool{true, false} {
-		c := NewShardCache()
-		c.SetBudget(2, 0)
-		if withDisk {
-			d, err := OpenDiskCache(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.AttachDisk(d)
-		}
-		for i := range keys {
-			c.store(keys[i], ents[i])
-		}
-		st := c.Stats()
-		if st.Entries != 2 || st.Evictions != 2 {
-			t.Fatalf("withDisk=%v: stats %+v, want 2 entries / 2 evictions", withDisk, st)
-		}
-		got := c.lookup(keys[0])
-		if withDisk {
-			if got == nil {
-				t.Fatalf("withDisk=true: evicted entry not restored from disk")
-			}
-			if got.res.TotalColdStarts != 100 {
-				t.Fatalf("withDisk=true: restored wrong entry: %+v", got.res)
-			}
-			if d := c.Stats(); d.DiskHits != 1 {
-				t.Fatalf("withDisk=true: stats %+v, want 1 disk hit", d)
-			}
-		} else if got != nil {
-			t.Fatalf("withDisk=false: evicted entry still served: %+v", got.res)
-		}
-	}
-}
-
 // TestOpenDiskCacheCreatesDir: the directory (including parents) is
 // created on open; an empty path is rejected.
 func TestOpenDiskCacheCreatesDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "a", "b")
-	d, err := OpenDiskCache(dir)
-	if err != nil {
+	if _, err := OpenShardCache(dir); err != nil {
 		t.Fatal(err)
 	}
-	if fi, err := os.Stat(d.Dir()); err != nil || !fi.IsDir() {
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		t.Fatalf("entry directory not created: %v", err)
 	}
-	if _, err := OpenDiskCache(""); err == nil {
-		t.Fatal("OpenDiskCache(\"\") succeeded, want an error")
+	if _, err := OpenShardCache(""); err == nil {
+		t.Fatal("OpenShardCache(\"\") succeeded, want an error")
 	}
 }
 

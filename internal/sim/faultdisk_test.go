@@ -16,7 +16,7 @@ import (
 
 // flakyFS wraps the real filesystem, failing the next failReads ReadFile
 // calls and the next failCreates CreateTemp calls, and counting traffic so
-// tests can assert a tripped tier stops issuing syscalls.
+// tests can assert a tripped cache stops issuing syscalls.
 type flakyFS struct {
 	durable.OS
 	mu          sync.Mutex
@@ -64,7 +64,7 @@ func (f *flakyFS) counts() (reads, creates int) {
 // and give up past it.
 func TestDiskSaveRetriesTransientWriteFailures(t *testing.T) {
 	fs := &flakyFS{failCreates: diskSaveAttempts - 1}
-	d, err := OpenDiskCacheFS(t.TempDir(), fs)
+	d, err := OpenShardCacheFS(t.TempDir(), fs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,17 +88,16 @@ func TestDiskSaveRetriesTransientWriteFailures(t *testing.T) {
 	}
 }
 
-// Repeated hard I/O failures must trip the disk tier off — once — while
-// the in-memory tier keeps working; a success along the way resets the
-// count, and re-attaching re-arms the tier.
+// Repeated hard I/O failures must trip the cache off — once — while the
+// run goes on re-simulating; a success along the way resets the count, and
+// a fresh handle on the same directory starts armed.
 func TestDiskTripwireDisablesTier(t *testing.T) {
 	fs := &flakyFS{}
-	d, err := OpenDiskCacheFS(t.TempDir(), fs)
+	dir := t.TempDir()
+	c, err := OpenShardCacheFS(dir, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewShardCache()
-	c.AttachDisk(d)
 	key, _ := testEntry(false)
 	miss := func(i int) shardKey {
 		k := key
@@ -115,7 +114,7 @@ func TestDiskTripwireDisablesTier(t *testing.T) {
 		c.lookup(miss(i))
 	}
 	if st := c.Stats(); st.DiskDisabled {
-		t.Fatalf("tier disabled after %d failures and a success: %+v", DiskFailureTripwire-1, st)
+		t.Fatalf("cache disabled after %d failures and a success: %+v", DiskFailureTripwire-1, st)
 	}
 
 	// A full consecutive streak must trip it.
@@ -127,31 +126,37 @@ func TestDiskTripwireDisablesTier(t *testing.T) {
 	}
 	st := c.Stats()
 	if !st.DiskDisabled {
-		t.Fatalf("tier not disabled after %d consecutive failures: %+v", DiskFailureTripwire, st)
+		t.Fatalf("cache not disabled after %d consecutive failures: %+v", DiskFailureTripwire, st)
 	}
 	if st.DiskErrors != int64(2*DiskFailureTripwire-1) {
 		t.Errorf("DiskErrors = %d, want %d", st.DiskErrors, 2*DiskFailureTripwire-1)
 	}
 
-	// A tripped tier must stop issuing syscalls entirely, for lookups and
-	// stores alike, and the cache must keep serving from memory.
+	// A tripped cache must stop issuing syscalls entirely, for lookups and
+	// stores alike: stores are skipped and lookups are misses.
 	reads, creates := fs.counts()
 	_, ent := testEntry(false)
 	c.store(miss(999), ent)
-	if got := c.lookup(miss(999)); got == nil {
-		t.Error("in-memory tier stopped serving after the disk tier tripped")
+	if got := c.lookup(miss(999)); got != nil {
+		t.Error("tripped cache served an entry")
 	}
 	for i := 0; i < 5; i++ {
 		c.lookup(miss(200 + i))
 	}
 	if r2, c2 := fs.counts(); r2 != reads || c2 != creates {
-		t.Errorf("tripped tier still issued syscalls: reads %d -> %d, creates %d -> %d", reads, r2, creates, c2)
+		t.Errorf("tripped cache still issued syscalls: reads %d -> %d, creates %d -> %d", reads, r2, creates, c2)
+	}
+	if st := c.Stats(); st.Misses != int64(2*DiskFailureTripwire+6) {
+		t.Errorf("Misses = %d, want %d (every lookup of a tripped cache misses)", st.Misses, 2*DiskFailureTripwire+6)
 	}
 
-	// Re-attaching re-arms.
-	c.AttachDisk(d)
-	if st := c.Stats(); st.DiskDisabled {
-		t.Error("AttachDisk did not re-arm the tripwire")
+	// A fresh handle on the same directory starts armed.
+	c2, err := OpenShardCacheFS(dir, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c2.Stats(); st.DiskDisabled {
+		t.Error("a fresh OpenShardCache handle started tripped")
 	}
 }
 
@@ -187,7 +192,7 @@ func plantTemps(t *testing.T, dir, prefix string) (swept func()) {
 	}
 }
 
-// OpenDiskCache must reclaim stale temp files from dead writers, leave
+// OpenShardCache must reclaim stale temp files from dead writers, leave
 // fresh ones (possibly a live writer's) and final entries alone, and never
 // serve a temp file. The trace store's two ways in — OpenStore and a
 // re-ingest — owe their directory the same sweep (the serving daemon's
@@ -195,7 +200,7 @@ func plantTemps(t *testing.T, dir, prefix string) (swept func()) {
 // import).
 func TestOpenDiskCacheSweepsOrphanedTempFiles(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDiskCache(dir)
+	d, err := OpenShardCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +210,7 @@ func TestOpenDiskCacheSweepsOrphanedTempFiles(t *testing.T) {
 	}
 
 	swept := plantTemps(t, dir, ".tmp-shard-")
-	d2, err := OpenDiskCache(dir)
+	d2, err := OpenShardCache(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,17 +270,14 @@ func hammerEntry(i int) (shardKey, *shardEntry) {
 	return key, ent
 }
 
-// Concurrent Store/Get/eviction traffic on a tiny budget with a disk tier
-// attached: the -race-instrumented CI job runs this to catch data races;
-// the marker check catches cross-key payload mixups.
+// Concurrent store/lookup traffic on one handle: the -race-instrumented CI
+// job runs this to catch data races; the marker check catches cross-key
+// payload mixups.
 func TestShardCacheConcurrentHammer(t *testing.T) {
-	d, err := OpenDiskCache(t.TempDir())
+	c, err := OpenShardCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewShardCache()
-	c.SetBudget(2, 0) // constant eviction pressure
-	c.AttachDisk(d)
 
 	const nkeys, workers, iters = 16, 8, 150
 	keys := make([]shardKey, nkeys)
@@ -311,16 +313,13 @@ func TestShardCacheConcurrentHammer(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if st := c.Stats(); st.Evictions == 0 {
-		t.Errorf("hammer produced no evictions (budget not exercised): %+v", st)
-	}
 }
 
 // Concurrent save and load of the same key: load must see nothing or a
 // complete, verified entry — never a torn one (the atomic-rename
 // guarantee), and never a racing writer's temp state.
 func TestDiskCacheRestoreDuringStoreRace(t *testing.T) {
-	d, err := OpenDiskCache(t.TempDir())
+	d, err := OpenShardCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 // returns: Options.Stop was closed, the in-flight shards were drained (their
 // outcomes cached as usual), and the remaining shards were never started. A
 // caller that sees it can rerun with the same options to resume — completed
-// units are served from the attached cache's disk tier.
+// units are served from the attached cache's entry files.
 var ErrInterrupted = errors.New("sim: run interrupted")
 
 // ErrNotShardable is the sentinel wrapped by the refusal a sharded or

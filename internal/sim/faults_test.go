@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -137,7 +138,11 @@ func TestShardDeterministicErrorFailsFast(t *testing.T) {
 	tr := tinyTrace()
 	cause := errors.New("schema mismatch")
 	src := &flakySource{shardSet: buildShardSet(tr, tr, 2), failShard: 1, err: cause, failN: 1 << 30}
-	cache := NewShardCache()
+	dir := t.TempDir()
+	cache, err := OpenShardCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := RunStreamed(shardedNever{}, src, Options{Retry: fastRetry, Cache: cache})
 	if res != nil {
 		t.Fatalf("got a Result from a failed run: %+v", res)
@@ -152,8 +157,8 @@ func TestShardDeterministicErrorFailsFast(t *testing.T) {
 	if !errors.Is(err, cause) {
 		t.Errorf("joined error does not wrap the cause: %v", err)
 	}
-	if st := cache.Stats(); st.Entries != 1 {
-		t.Errorf("surviving shard's outcome not cached for resume: stats %+v", st)
+	if entries, _ := filepath.Glob(filepath.Join(dir, "shard-*")); len(entries) != 1 {
+		t.Errorf("surviving shard's outcome not cached for resume: entries %v", entries)
 	}
 }
 

@@ -49,11 +49,11 @@ type Options struct {
 	// Cache, when non-nil, memoizes per-shard outcomes across sharded runs:
 	// a shard whose (policy name, config hash, trace fingerprint, slot
 	// count) key was simulated before is served from the cache instead of
-	// re-run, making parameter sweeps incremental — only shards whose policy
-	// config changed re-simulate. Requires the policy to implement
-	// ConfigHasher and the source to provide shard fingerprints; runs that
-	// don't qualify silently bypass the cache. Merged results are
-	// bit-identical either way.
+	// re-run, making parameter sweeps incremental and restartable — only
+	// shards whose policy config changed re-simulate. Requires the policy
+	// to implement ConfigHasher and the source to provide shard
+	// fingerprints; runs that don't qualify silently bypass the cache.
+	// Merged results are bit-identical either way.
 	Cache *ShardCache
 
 	// RetrainEvery, when positive, re-runs the policy's categorization
@@ -86,7 +86,7 @@ type Options struct {
 	// sharded engine starts no new shard work, drains the shards already in
 	// flight (their outcomes are cached as usual), and returns an error
 	// wrapping ErrInterrupted. Rerunning with the same options resumes
-	// from the completed units in the cache's disk tier. It is polled
+	// from the completed units' cache entries. It is polled
 	// between shards only: a single-population run in progress is not
 	// interruptible.
 	Stop <-chan struct{}
@@ -402,9 +402,9 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 			// changing the policy's own config, so the retrain schedule is
 			// folded into the key's config component (domain-tagged): a
 			// retrain-enabled run can never hit a stale non-retrain entry,
-			// in memory or on disk, and vice versa. Policies that ignore
-			// RetrainEvery (no Retrainer) keep the plain hash — their
-			// results really are identical either way.
+			// and vice versa. Policies that ignore RetrainEvery (no
+			// Retrainer) keep the plain hash — their results really are
+			// identical either way.
 			cfgHash = hasher.ConfigHash()
 			if opts.RetrainEvery > 0 {
 				if _, ok := policy.(Retrainer); ok {
@@ -426,7 +426,7 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	started := make([]bool, p)
 
 	// The shard run is split into two stages so workers can pipeline them:
-	// produce (cache lookup — including the disk tier — and, on a miss,
+	// produce (cache lookup — an entry file read — and, on a miss,
 	// shard view production) and simulate. Producing shard i is independent
 	// of every other shard, so a worker can overlap shard j's production
 	// with shard i's simulation; simulation order and the merge stay

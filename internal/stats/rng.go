@@ -106,9 +106,6 @@ func (g *RNG) Jitter(base, spread, min int) int {
 	return v
 }
 
-// Perm returns a random permutation of [0, n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
 // WeightedChoice returns an index sampled proportionally to weights. It
 // panics when weights is empty or sums to a non-positive value, which is a
 // configuration error in the caller.

@@ -194,15 +194,3 @@ func TestBool(t *testing.T) {
 		t.Errorf("Bool(0.3) frequency = %v", frac)
 	}
 }
-
-func TestPerm(t *testing.T) {
-	g := NewRNG(13)
-	p := g.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}

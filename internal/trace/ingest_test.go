@@ -128,7 +128,7 @@ func TestStoreSourceSplit(t *testing.T) {
 
 // TestStoreFingerprints asserts shard fingerprints are distinct across
 // shards and split points, and stable across a reopen — they feed
-// ShardCache/DiskCache keys, so instability would poison caches and
+// ShardCache keys, so instability would poison caches and
 // collisions would alias entries.
 func TestStoreFingerprints(t *testing.T) {
 	_, store, _ := ingestFixture(t, 3, 0)

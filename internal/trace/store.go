@@ -19,7 +19,7 @@ import (
 // the CSV parse entirely — the warm path reads only the shard files it is
 // about to simulate.
 //
-// Robustness rule (same as sim.DiskCache): a store read may only ever
+// Robustness rule (same as sim.ShardCache): a store read may only ever
 // produce bit-exact shard content or an error — never a wrong shard. Every
 // file is a durable envelope (versioned magic header, whole-file CRC-32C
 // footer) with a CRC-32C per column block inside; a truncated, bit-flipped,
@@ -84,7 +84,7 @@ func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.spc", i) }
 // shardContentFingerprint hashes a full (unsplit) shard: slot span, the
 // local-to-global id mapping, per-function metadata, and every event. Two
 // shards may share a fingerprint only if they are bit-identical, which is
-// what lets StoreSource feed sim.ShardCache/DiskCache keys for real traces.
+// what lets StoreSource feed sim.ShardCache keys for real traces.
 func shardContentFingerprint(sv *ShardView) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, fpDomainContent)
@@ -491,7 +491,7 @@ func (s *Store) ShardTrace(i int) (*ShardView, error) {
 // Source returns a sim.Source view of the store with the trace split at
 // trainSlots (0 yields no training half). The source is safe for
 // concurrent Shard calls and satisfies sim.SourceFingerprint, so
-// store-backed runs can use ShardCache/DiskCache.
+// store-backed runs can use a sim.ShardCache.
 func (s *Store) Source(trainSlots int) (*StoreSource, error) {
 	if trainSlots < 0 || trainSlots >= s.slots {
 		return nil, fmt.Errorf("trace: store source train slots %d outside [0, %d)", trainSlots, s.slots)
