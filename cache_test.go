@@ -20,10 +20,7 @@ import (
 // every shard, and both results — and an uncached reference — are
 // bit-identical.
 func TestShardCacheHitReproducesMiss(t *testing.T) {
-	_, train, simTr, err := experiments.BuildWorkload(eqvSettings(11))
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, simTr := buildWorkload(t, eqvSettings(11))
 	const shards = 4
 	ref, err := sim.Run(core.New(core.DefaultConfig()), train, simTr, sim.Options{Shards: shards})
 	if err != nil {
@@ -58,10 +55,7 @@ func TestShardCacheHitReproducesMiss(t *testing.T) {
 // on the derivation, so the warm pass never generates a shard at all.
 func TestStreamedSweepMatchesMaterialized(t *testing.T) {
 	s := eqvSettings(13)
-	_, train, simTr, err := experiments.BuildWorkload(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, simTr := buildWorkload(t, s)
 	const shards = 4
 	src, err := experiments.StreamSource(s, shards)
 	if err != nil {
@@ -212,10 +206,7 @@ func TestDiskCacheCorruptEntriesAreMisses(t *testing.T) {
 // rest, and stay bit-identical; the re-simulated shard's store repairs the
 // file, so a third run hits every shard.
 func TestShardCacheCorruptEntryMissesInProcess(t *testing.T) {
-	_, train, simTr, err := experiments.BuildWorkload(eqvSettings(23))
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, simTr := buildWorkload(t, eqvSettings(23))
 	const shards = 4
 	dir := t.TempDir()
 	cache, err := sim.OpenShardCache(dir)
@@ -264,10 +255,7 @@ func TestShardCacheCorruptEntryMissesInProcess(t *testing.T) {
 // baselines are served entirely from the cache (hits), with the baseline
 // results reproduced bit for bit.
 func TestShardCacheInvalidationIsPerPolicy(t *testing.T) {
-	_, train, simTr, err := experiments.BuildWorkload(eqvSettings(12))
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, simTr := buildWorkload(t, eqvSettings(12))
 	const shards = 3
 	cache := openCache(t)
 	opts := sim.Options{Shards: shards, Cache: cache}

@@ -10,6 +10,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/baselines"
@@ -50,6 +51,38 @@ func eqvSettings(seed int64) experiments.Settings {
 	return s
 }
 
+// workloads memoizes buildWorkload across the package's tests, keyed by the
+// printed Settings: many tests check different engines over the same
+// seeded populations, and generating each once is what keeps the package
+// fast. Sharing is sound because nothing here writes to a trace it is
+// handed — sim, core, the baselines and serve read the series, and build or
+// copy whatever they own.
+var workloads struct {
+	sync.Mutex
+	m map[string][2]*trace.Trace
+}
+
+// buildWorkload is experiments.BuildWorkload's train/sim pair for s,
+// generated on first use; callers must not modify it.
+func buildWorkload(t testing.TB, s experiments.Settings) (train, simTr *trace.Trace) {
+	t.Helper()
+	key := fmt.Sprintf("%#v", s)
+	workloads.Lock()
+	defer workloads.Unlock()
+	if w, ok := workloads.m[key]; ok {
+		return w[0], w[1]
+	}
+	_, train, simTr, err := experiments.BuildWorkload(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if workloads.m == nil {
+		workloads.m = map[string][2]*trace.Trace{}
+	}
+	workloads.m[key] = [2]*trace.Trace{train, simTr}
+	return train, simTr
+}
+
 // assertSameResult compares two results modulo Overhead (wall-clock noise).
 // openCache opens a shard cache on a fresh temporary entry directory.
 func openCache(t *testing.T) *sim.ShardCache {
@@ -73,10 +106,7 @@ func assertSameResult(t *testing.T, label string, want, got *sim.Result) {
 // of scheduling engine × accounting mode, and requires identical results.
 func TestSPESEventEngineEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		_, train, simTr, err := experiments.BuildWorkload(eqvSettings(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
+		train, simTr := buildWorkload(t, eqvSettings(seed))
 
 		// Reference: dense engine, scan-derived accounting.
 		ref, err := sim.Run(scanOnlyTagged{core.NewDenseReference(core.DefaultConfig())}, train, simTr, sim.Options{})
@@ -133,10 +163,7 @@ func TestSPESEventEngineEquivalence(t *testing.T) {
 // capacity-coupled policies (FaaSCache, LCS), which do not shard and run
 // over the whole population whatever Options.Shards says.
 func TestShardedBaselineEquivalence(t *testing.T) {
-	_, train, simTr, err := experiments.BuildWorkload(eqvSettings(5))
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, simTr := buildWorkload(t, eqvSettings(5))
 	mks := []func() sim.Policy{
 		func() sim.Policy { return baselines.NewFixedKeepAlive(10) },
 		func() sim.Policy { return baselines.NewHybridFunction(baselines.DefaultHybridConfig()) },
@@ -178,14 +205,12 @@ func TestCapacityShardedEquivalence(t *testing.T) {
 			if err := s.ApplyScenario(scenario); err != nil {
 				t.Fatal(err)
 			}
-			_, train, simTr, err := experiments.BuildWorkload(s)
-			if err != nil {
-				t.Fatal(err)
-			}
+			train, simTr := buildWorkload(t, s)
 			// One generator source per shard count, shared by both policies
 			// (its structural layout is built once).
 			srcs := map[int]*sim.GeneratorSource{}
 			for _, shards := range []int{2, 5, 16} {
+				var err error
 				if srcs[shards], err = experiments.StreamSource(s, shards); err != nil {
 					t.Fatal(err)
 				}
@@ -235,13 +260,10 @@ func TestCapacityShardedEquivalence(t *testing.T) {
 // is refused with a structured CapacityCacheError rather than silently
 // bypassed.
 func TestCapacityShardingContracts(t *testing.T) {
-	_, train, simTr, err := experiments.BuildWorkload(eqvSettings(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, simTr := buildWorkload(t, eqvSettings(3))
 
 	// scanOnly hides every optional interface, including ShardedPolicy.
-	_, err = sim.Run(scanOnly{baselines.NewFixedKeepAlive(10)}, train, simTr, sim.Options{Shards: 2})
+	_, err := sim.Run(scanOnly{baselines.NewFixedKeepAlive(10)}, train, simTr, sim.Options{Shards: 2})
 	if !errors.Is(err, sim.ErrNotShardable) {
 		t.Errorf("unshardable policy: got %v, want errors.Is ErrNotShardable", err)
 	}
@@ -282,10 +304,7 @@ func TestShardedLargeNSparseEquivalence(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		s := experiments.SparseSettings(10_000, seed)
-		_, train, simTr, err := experiments.BuildWorkload(s)
-		if err != nil {
-			t.Fatal(err)
-		}
+		train, simTr := buildWorkload(t, s)
 
 		ref, err := sim.Run(scanOnlyTagged{core.NewDenseReference(core.DefaultConfig())}, train, simTr, sim.Options{})
 		if err != nil {
@@ -328,10 +347,7 @@ func TestShardedLargeNSparseEquivalence(t *testing.T) {
 // budget: several sharded policies under one RunAll with Workers=2 must
 // still produce in-order, bit-correct results.
 func TestShardedRunAllSharesBudget(t *testing.T) {
-	_, train, simTr, err := experiments.BuildWorkload(eqvSettings(9))
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, simTr := buildWorkload(t, eqvSettings(9))
 	mks := []func() sim.Policy{
 		func() sim.Policy { return core.New(core.DefaultConfig()) },
 		func() sim.Policy { return baselines.NewFixedKeepAlive(10) },
@@ -361,10 +377,7 @@ func TestShardedRunAllSharesBudget(t *testing.T) {
 // dense scan.
 func TestBaselineDeltaAccountingEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
-		_, train, simTr, err := experiments.BuildWorkload(eqvSettings(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
+		train, simTr := buildWorkload(t, eqvSettings(seed))
 		capacity := train.NumFunctions() / 10
 		mks := []func() sim.Policy{
 			func() sim.Policy { return baselines.NewFixedKeepAlive(10) },
@@ -458,10 +471,7 @@ func TestWheelBaselineEquivalence(t *testing.T) {
 			if err := s.ApplyScenario(scenario); err != nil {
 				t.Fatal(err)
 			}
-			_, train, simTr, err := experiments.BuildWorkload(s)
-			if err != nil {
-				t.Fatal(err)
-			}
+			train, simTr := buildWorkload(t, s)
 			src, err := experiments.StreamSource(s, 2)
 			if err != nil {
 				t.Fatal(err)
@@ -562,10 +572,7 @@ func (p adaptiveTTLTracked) TakeLoadDeltas() ([]trace.FuncID, bool) {
 // hand-written delta log, and a wrapper that forwards no tracker (scanOnly)
 // over a policy that has one.
 func TestTrackerlessPolicyEquivalence(t *testing.T) {
-	_, train, simTr, err := experiments.BuildWorkload(eqvSettings(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, simTr := buildWorkload(t, eqvSettings(2))
 	run := func(p sim.Policy) *sim.Result {
 		t.Helper()
 		r, err := sim.Run(p, train, simTr, sim.Options{})
@@ -590,10 +597,7 @@ func TestTrackerlessPolicyEquivalence(t *testing.T) {
 // TestRunAllParallelMatchesSequential pins RunAll's concurrent execution to
 // the per-policy sequential results, in input order.
 func TestRunAllParallelMatchesSequential(t *testing.T) {
-	_, train, simTr, err := experiments.BuildWorkload(eqvSettings(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, simTr := buildWorkload(t, eqvSettings(7))
 	mks := []func() sim.Policy{
 		func() sim.Policy { return core.New(core.DefaultConfig()) },
 		func() sim.Policy { return baselines.NewFixedKeepAlive(10) },
@@ -637,10 +641,7 @@ func TestScenarioRetrainEquivalence(t *testing.T) {
 				if err := s.ApplyScenario(scenario); err != nil {
 					t.Fatal(err)
 				}
-				_, train, simTr, err := experiments.BuildWorkload(s)
-				if err != nil {
-					t.Fatal(err)
-				}
+				train, simTr := buildWorkload(t, s)
 				src, err := experiments.StreamSource(s, 2)
 				if err != nil {
 					t.Fatal(err)
@@ -700,10 +701,7 @@ func TestRetrainChangesOutcomeUnderChurn(t *testing.T) {
 	if err := s.ApplyScenario("churn"); err != nil {
 		t.Fatal(err)
 	}
-	_, train, simTr, err := experiments.BuildWorkload(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, simTr := buildWorkload(t, s)
 	plain, err := sim.Run(core.New(core.DefaultConfig()), train, simTr, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -729,10 +727,7 @@ func TestRetrainCacheKeySeparation(t *testing.T) {
 	if err := s.ApplyScenario("churn"); err != nil {
 		t.Fatal(err)
 	}
-	_, train, simTr, err := experiments.BuildWorkload(s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, simTr := buildWorkload(t, s)
 	dir := t.TempDir()
 	cache, err := sim.OpenShardCache(dir)
 	if err != nil {

@@ -46,10 +46,7 @@ func TestFaultToleranceHelperProcess(t *testing.T) {
 	}
 	delayMs, _ := strconv.Atoi(os.Getenv(ftDelayEnv))
 
-	_, train, simTr, err := experiments.BuildWorkload(experiments.SparseSettings(200, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
+	train, simTr := buildWorkload(t, experiments.SparseSettings(200, 1))
 	cache, err := sim.OpenShardCache(dir)
 	if err != nil {
 		t.Fatal(err)

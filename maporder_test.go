@@ -1,12 +1,17 @@
 package main
 
 import (
+	"errors"
+	"fmt"
 	"go/ast"
 	"go/importer"
 	"go/parser"
 	"go/token"
 	"go/types"
+	"io"
 	"io/fs"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -18,11 +23,17 @@ import (
 // source produces different output (or different random draws) on every
 // run. Walk a sorted key slice instead. The check type-checks each package
 // under the output-producing directories and flags every such range
-// statement, nested closures and loops included.
+// statement, nested closures and loops included. Imports are read from the
+// compiler's export data rather than type-checked from source.
 func TestNoMapOrderedOutput(t *testing.T) {
+	roots := []string{"cmd", "examples", "internal/experiments", "internal/report"}
+	lookup, err := exportData(roots)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "source", nil)
-	for _, root := range []string{"cmd", "examples", "internal/experiments", "internal/report"} {
+	imp := importer.ForCompiler(fset, "gc", lookup)
+	for _, root := range roots {
 		err := filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 			if err != nil || !d.IsDir() {
 				return err
@@ -60,6 +71,35 @@ func TestNoMapOrderedOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// exportData builds the packages under roots and everything they import
+// (go list -export, served from the build cache when it is warm) and
+// returns a lookup of each import path's export data file.
+func exportData(roots []string) (importer.Lookup, error) {
+	args := []string{"list", "-export", "-deps", "-f", "{{.ImportPath}}={{.Export}}"}
+	for _, root := range roots {
+		args = append(args, "./"+root+"/...")
+	}
+	out, err := exec.Command("go", args...).Output()
+	if err != nil {
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			err = fmt.Errorf("%w\n%s", err, exit.Stderr)
+		}
+		return nil, fmt.Errorf("go list -export: %w", err)
+	}
+	files := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		path, file, _ := strings.Cut(line, "=")
+		files[path] = file
+	}
+	return func(path string) (io.ReadCloser, error) {
+		if files[path] == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(files[path])
+	}, nil
 }
 
 // parsePackage parses the non-test Go files of dir.

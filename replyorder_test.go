@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -66,10 +65,7 @@ func TestReplyOrderGolden(t *testing.T) {
 			if err := s.ApplyScenario(scenario); err != nil {
 				t.Fatal(err)
 			}
-			_, train, simTr, err := experiments.BuildWorkload(s)
-			if err != nil {
-				t.Fatal(err)
-			}
+			train, simTr := buildWorkload(t, s)
 			workloads = append(workloads, [2]*trace.Trace{train, simTr})
 		}
 		for _, pol := range replyOrderPolicies {

@@ -44,11 +44,7 @@ func serveCrashWorkload(t *testing.T) (train, simTr *trace.Trace) {
 	if err := s.ApplyScenario("flashcrowd"); err != nil {
 		t.Fatal(err)
 	}
-	_, train, simTr, err := experiments.BuildWorkload(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return train, simTr
+	return buildWorkload(t, s)
 }
 
 func serveCrashConfig(dir string, train *trace.Trace, faultSeed int64) serve.Config {
