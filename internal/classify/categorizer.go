@@ -200,6 +200,11 @@ func (c *Categorizer) Categorize(training *trace.Trace, cfg Config, disableCorre
 		out.Profiles[fid] = w.assignIndeterminate(act, firesFrom(s, valStart),
 			training.Slots-valStart, links, cands[:len(links)], cfg)
 	})
+	// The lag scanners' last target and candidate are views of training,
+	// which the caller may reuse once this returns.
+	for i := range ws {
+		ws[i].lags.reset(nil)
+	}
 	return out
 }
 
@@ -357,9 +362,12 @@ func (se *seriesExtract) suffix(w *scratch, start int) series.Activity {
 	return a
 }
 
-// categorizeWithForgettingSparse is CategorizeWithForgetting fed from the
-// sparse event series: the full window is extracted once (O(events)), and
-// each forgetting suffix reuses its run structure instead of re-scanning.
+// categorizeWithForgettingSparse first tries the full window, then applies
+// the forgetting rule of Section IV-B1: drop the oldest day and re-test, out
+// to half the observation window; ok is false when no suffix matches. It is
+// fed from the sparse event series: the full window is extracted once
+// (O(events)), and each forgetting suffix reuses its run structure instead
+// of re-scanning.
 // The run metadata is only built when the full window fails to categorize,
 // which the majority of functions never reach.
 func (w *scratch) categorizeWithForgettingSparse(s trace.Series, act series.Activity, cfg Config) (Profile, bool) {
@@ -393,6 +401,7 @@ func (w *scratch) mineLinks(target trace.FuncID, invoked []trace.Series, appPeer
 	if len(targetSlots) == 0 {
 		return nil
 	}
+	w.lags.reset(targetSlots)
 	// A stamp left by an earlier call (the scratch outlives it) is below the
 	// current generation; a generation about to wrap restarts on fresh
 	// stamps.
@@ -435,14 +444,29 @@ func (w *scratch) mineLinks(target trace.FuncID, invoked []trace.Series, appPeer
 		if maxFollows/float64(len(candSlots)) < cfg.LinkPrecision {
 			return
 		}
-		lag, cor := BestLaggedCOR(targetSlots, candSlots, cfg.MaxLag)
+		// Both kernels count the same integer hits; the sizes pick the
+		// cheaper one for the pair.
+		bitset := bitsetLagScanPays(len(targetSlots), len(candSlots), w.lags.words, cfg.MaxLag)
+		var lag int32
+		var cor float64
+		if bitset {
+			lag, cor = w.lags.bestLaggedCOR(candSlots, cfg.MaxLag)
+		} else {
+			lag, cor = BestLaggedCOR(targetSlots, candSlots, cfg.MaxLag)
+		}
 		if cor < cfg.CORThreshold {
 			return
 		}
 		// Precision gate: most of the candidate's fires must actually
 		// precede a target invocation, otherwise pre-loading on its fires
 		// wastes memory continuously.
-		if FollowRate(candSlots, targetSlots, lag, slack) < cfg.LinkPrecision {
+		var follow float64
+		if bitset {
+			follow = w.lags.followRate(candSlots, lag, slack)
+		} else {
+			follow = FollowRate(candSlots, targetSlots, lag, slack)
+		}
+		if follow < cfg.LinkPrecision {
 			return
 		}
 		accepted = append(accepted, scoredLink{link: Link{Cand: int32(cand), Lag: lag}, cor: cor})

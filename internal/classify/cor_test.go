@@ -33,17 +33,17 @@ func TestLaggedCOR(t *testing.T) {
 	// Candidate fires exactly 2 slots before every target invocation.
 	target := []int32{10, 20, 30}
 	cand := []int32{8, 18, 28}
-	if got := LaggedCOR(target, cand, 2); got != 1 {
-		t.Errorf("LaggedCOR(lag=2) = %v, want 1", got)
+	if got := laggedCOR(target, cand, 2); got != 1 {
+		t.Errorf("laggedCOR(lag=2) = %v, want 1", got)
 	}
-	if got := LaggedCOR(target, cand, 1); got != 0 {
-		t.Errorf("LaggedCOR(lag=1) = %v, want 0", got)
+	if got := laggedCOR(target, cand, 1); got != 0 {
+		t.Errorf("laggedCOR(lag=1) = %v, want 0", got)
 	}
-	if got := LaggedCOR(target, cand, 0); got != 0 {
-		t.Errorf("LaggedCOR(lag=0) = %v, want 0 (COR of disjoint)", got)
+	if got := laggedCOR(target, cand, 0); got != 0 {
+		t.Errorf("laggedCOR(lag=0) = %v, want 0 (COR of disjoint)", got)
 	}
-	if got := LaggedCOR(nil, cand, 2); got != 0 {
-		t.Errorf("LaggedCOR empty = %v", got)
+	if got := laggedCOR(nil, cand, 2); got != 0 {
+		t.Errorf("laggedCOR empty = %v", got)
 	}
 }
 

@@ -202,17 +202,10 @@ func categorizeWTs(wts, sorted []int, cfg Config) (Profile, bool) {
 	return Profile{}, false
 }
 
-// CategorizeDeterministic applies the five deterministic definitions of
-// Section IV-A in priority order to a dense invocation sequence. ok is
-// false when none match.
-func CategorizeDeterministic(counts []int, cfg Config) (Profile, bool) {
-	var w scratch
-	return w.categorizeActivity(series.Extract(counts), cfg)
-}
-
-// categorizeActivity is CategorizeDeterministic over a pre-extracted
-// Activity, letting the offline phase feed it from sparse event series
-// without materializing dense per-slot vectors. The sorted variants, the
+// categorizeActivity applies the five deterministic definitions of Section
+// IV-A in priority order to an extracted Activity; ok is false when none
+// match. The offline phase feeds it from sparse event series without
+// materializing dense per-slot vectors. The sorted variants, the
 // merged sequence and the frequency tables are built in w; the returned
 // profile's Values are its own.
 func (w *scratch) categorizeActivity(act series.Activity, cfg Config) (Profile, bool) {
@@ -243,7 +236,7 @@ func (w *scratch) categorizeActivity(act series.Activity, cfg Config) (Profile, 
 	nv := 0
 	if len(wts) > 0 {
 		variants[0] = wts
-		w.sorted[0] = sortedInto(w.sorted[0], wts)
+		w.sorted[0] = w.sortedInto(w.sorted[0], wts)
 		sortedVariants[0] = w.sorted[0]
 		nv = 1
 	}
@@ -259,7 +252,7 @@ func (w *scratch) categorizeActivity(act series.Activity, cfg Config) (Profile, 
 		w.merged = series.AppendMergedWTs(sized(w.merged, len(base))[:0], base, mode, cfg.SlackCloseTol, cfg.SlackSmallFrac)
 		if merged := w.merged; len(merged) > 0 && len(merged) != len(base) {
 			variants[nv] = merged
-			w.sorted[2] = sortedInto(w.sorted[2], merged)
+			w.sorted[2] = w.sortedInto(w.sorted[2], merged)
 			sortedVariants[nv] = w.sorted[2]
 			nv++
 		}
@@ -331,22 +324,5 @@ func (w *scratch) categorizeActivity(act series.Activity, cfg Config) (Profile, 
 		}
 	}
 
-	return Profile{}, false
-}
-
-// CategorizeWithForgetting first tries the full window, then applies the
-// forgetting rule of Section IV-B1: drop the oldest day and re-test, out to
-// half the observation window. ok is false when no suffix matches.
-func CategorizeWithForgetting(counts []int, cfg Config) (Profile, bool) {
-	if p, ok := CategorizeDeterministic(counts, cfg); ok {
-		return p, true
-	}
-	days := len(counts) / cfg.SlotsPerDay
-	for drop := 1; drop <= days/2; drop++ {
-		window := counts[drop*cfg.SlotsPerDay:]
-		if p, ok := CategorizeDeterministic(window, cfg); ok {
-			return p, true
-		}
-	}
 	return Profile{}, false
 }

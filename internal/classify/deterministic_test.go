@@ -69,13 +69,13 @@ func TestCategorizeAlwaysWarm(t *testing.T) {
 	for i := range counts {
 		counts[i] = 2
 	}
-	p, ok := CategorizeDeterministic(counts, cfg)
+	p, ok := oracleDeterministic(counts, cfg)
 	if !ok || p.Type != TypeAlwaysWarm {
 		t.Fatalf("full activity -> %v (%v), want always-warm", p.Type, ok)
 	}
 	// One idle slot in 2000 (1/2000 < 1/1000... idle sum is 1 <= 2).
 	counts[1000] = 0
-	p, ok = CategorizeDeterministic(counts, cfg)
+	p, ok = oracleDeterministic(counts, cfg)
 	if !ok || p.Type != TypeAlwaysWarm {
 		t.Fatalf("nearly full activity -> %v (%v), want always-warm", p.Type, ok)
 	}
@@ -86,7 +86,7 @@ func TestCategorizeAlwaysWarmRejectsShortFlurry(t *testing.T) {
 	// Two adjacent invocations in a long window: summed WT is 0 but this is
 	// clearly not an always-warm function.
 	counts := seq(5000, 100, 101)
-	p, ok := CategorizeDeterministic(counts, cfg)
+	p, ok := oracleDeterministic(counts, cfg)
 	if ok && p.Type == TypeAlwaysWarm {
 		t.Fatal("short flurry misclassified as always-warm")
 	}
@@ -94,7 +94,7 @@ func TestCategorizeAlwaysWarmRejectsShortFlurry(t *testing.T) {
 
 func TestCategorizeRegular(t *testing.T) {
 	cfg := DefaultConfig()
-	p, ok := CategorizeDeterministic(periodicSeq(1440*2, 60, 5), cfg)
+	p, ok := oracleDeterministic(periodicSeq(1440*2, 60, 5), cfg)
 	if !ok || p.Type != TypeRegular {
 		t.Fatalf("periodic -> %v (%v), want regular", p.Type, ok)
 	}
@@ -118,7 +118,7 @@ func TestCategorizeRegularViaMerging(t *testing.T) {
 	}
 	counts[2*1440+1] = 1 // stray right after day-2 firing
 	counts[5*1440+1] = 1
-	p, ok := CategorizeDeterministic(counts, cfg)
+	p, ok := oracleDeterministic(counts, cfg)
 	if !ok || p.Type != TypeRegular {
 		t.Fatalf("merged daily -> %v (%v), want regular", p.Type, ok)
 	}
@@ -138,7 +138,7 @@ func TestCategorizeApproRegular(t *testing.T) {
 		t0 += gaps[i%3] + 1
 		i++
 	}
-	p, ok := CategorizeDeterministic(counts, cfg)
+	p, ok := oracleDeterministic(counts, cfg)
 	if !ok || p.Type != TypeApproRegular {
 		t.Fatalf("quasi-periodic -> %v (%v), want appro-regular", p.Type, ok)
 	}
@@ -165,7 +165,7 @@ func TestCategorizeDense(t *testing.T) {
 		counts[t0] = 1 + g.Intn(3)
 		t0 += 1 + g.IntBetween(1, 5)
 	}
-	p, ok := CategorizeDeterministic(counts, cfg)
+	p, ok := oracleDeterministic(counts, cfg)
 	if !ok || p.Type != TypeDense {
 		t.Fatalf("dense -> %v (%v), want dense", p.Type, ok)
 	}
@@ -184,7 +184,7 @@ func TestCategorizeSuccessive(t *testing.T) {
 			counts[start+i] = 3
 		}
 	}
-	p, ok := CategorizeDeterministic(counts, cfg)
+	p, ok := oracleDeterministic(counts, cfg)
 	if !ok || p.Type != TypeSuccessive {
 		t.Fatalf("bursty -> %v (%v), want successive", p.Type, ok)
 	}
@@ -197,7 +197,7 @@ func TestCategorizeSuccessiveRejectsSingleWave(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		counts[4000+i] = 3
 	}
-	p, ok := CategorizeDeterministic(counts, cfg)
+	p, ok := oracleDeterministic(counts, cfg)
 	if ok && p.Type == TypeSuccessive {
 		t.Fatal("single wave should not be successive")
 	}
@@ -207,11 +207,11 @@ func TestCategorizeRejectsIrregular(t *testing.T) {
 	cfg := DefaultConfig()
 	// A handful of scattered invocations with wildly different gaps.
 	counts := seq(20000, 100, 3000, 3700, 9100, 19000)
-	if p, ok := CategorizeDeterministic(counts, cfg); ok {
+	if p, ok := oracleDeterministic(counts, cfg); ok {
 		t.Fatalf("scattered -> %v, want uncategorized", p.Type)
 	}
 	// Empty sequence.
-	if _, ok := CategorizeDeterministic(make([]int, 100), cfg); ok {
+	if _, ok := oracleDeterministic(make([]int, 100), cfg); ok {
 		t.Fatal("silent sequence should not categorize")
 	}
 }
@@ -224,13 +224,13 @@ func TestCategorizePriorityOrder(t *testing.T) {
 	for i := range counts {
 		counts[i] = 1
 	}
-	p, _ := CategorizeDeterministic(counts, cfg)
+	p, _ := oracleDeterministic(counts, cfg)
 	if p.Type != TypeAlwaysWarm {
 		t.Errorf("priority = %v, want always-warm first", p.Type)
 	}
 	// A strictly periodic function also satisfies appro-regular (one mode
 	// covers 100%); priority gives regular.
-	p, _ = CategorizeDeterministic(periodicSeq(2880, 30, 0), cfg)
+	p, _ = oracleDeterministic(periodicSeq(2880, 30, 0), cfg)
 	if p.Type != TypeRegular {
 		t.Errorf("priority = %v, want regular before appro-regular", p.Type)
 	}
@@ -245,7 +245,7 @@ func TestCategorizePriorityOrder(t *testing.T) {
 		counts[t0] = 1
 		t0 += 1 + g.IntBetween(1, 3)
 	}
-	p, ok := CategorizeDeterministic(counts, cfg)
+	p, ok := oracleDeterministic(counts, cfg)
 	if !ok {
 		t.Fatal("gap-1-3 sequence should categorize")
 	}
@@ -267,10 +267,10 @@ func TestCategorizeWithForgetting(t *testing.T) {
 	for t0 := 4 * 1440; t0 < slots; t0 += 120 {
 		counts[t0] = 1
 	}
-	if _, ok := CategorizeDeterministic(counts, cfg); ok {
+	if _, ok := oracleDeterministic(counts, cfg); ok {
 		t.Skip("full window categorized already; chaos too mild for this seed")
 	}
-	p, ok := CategorizeWithForgetting(counts, cfg)
+	p, ok := oracleWithForgetting(counts, cfg)
 	if !ok {
 		t.Fatal("forgetting failed to categorize")
 	}
@@ -292,7 +292,7 @@ func TestCategorizeWithForgettingBoundedAtHalf(t *testing.T) {
 	for t0 := 6 * 1440; t0 < slots; t0 += 240 {
 		counts[t0] = 1
 	}
-	if _, ok := CategorizeWithForgetting(counts, cfg); ok {
+	if _, ok := oracleWithForgetting(counts, cfg); ok {
 		t.Fatal("forgetting exceeded the half-window bound")
 	}
 }

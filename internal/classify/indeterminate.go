@@ -1,8 +1,6 @@
 package classify
 
 import (
-	"cmp"
-	"slices"
 	"sort"
 
 	"repro/internal/series"
@@ -88,7 +86,7 @@ func (w *scratch) scorePossible(invoked fires, slots int, values []int, thetaPre
 	// Every gap pre-loads around the same offsets. Walking them in ascending
 	// order yields each gap's pre-load windows already ordered by start, so
 	// their union is accumulated on the fly: no span list, no per-gap sort.
-	w.ascend = sortedInto(w.ascend, values)
+	w.ascend = w.sortedInto(w.ascend, values)
 	cost.ColdStarts = 1
 	for i := 1; i < invoked.len(); i++ {
 		prev, cur := int(invoked.slot(i-1)), int(invoked.slot(i))
@@ -155,78 +153,100 @@ func (w *scratch) scorePossible(invoked fires, slots int, values []int, thetaPre
 
 // scoreCorrelated simulates the correlated strategy: each linked candidate
 // (cands[i] fires, links[i].Lag slots ahead of the target; a missing or
-// non-positive lag reads as 1) firing at slot c pre-loads the target during [c+lag-prewarm, c+lag+prewarm]
-// (clipped to c+1..), the window the online provision would hold it for. An
-// invocation is warm when some candidate's window covers it; window slots
-// not carrying a target invocation are waste (merged across fires).
+// non-positive lag reads as 1) firing at slot c pre-loads the target during
+// [c+lag-prewarm, c+lag+prewarm] (clipped to c+1..), the window the online
+// provision would hold it for. An invocation is warm when some candidate's
+// window covers it; window slots not carrying a target invocation are waste
+// (merged across fires).
+//
+// Only the union of the windows is scored. A candidate's windows already
+// ascend in their start, max(c+lag-prewarm, c+1) growing strictly with c,
+// so the union is formed by a k-way merge of the candidates' lists, and
+// the target's fires are scored against each maximal span as it closes. A
+// union does not depend on the order its members arrive in.
 func (w *scratch) scoreCorrelated(target fires, cands []fires, links []Link, slots int, thetaPrewarm int32) StrategyCost {
 	if len(cands) == 0 {
 		return StrategyCost{Feasible: false}
 	}
-	fireCount := 0
-	for _, cand := range cands {
-		fireCount += cand.len()
-	}
-	spans := sized(w.spans, fireCount)[:0] // one span per fire at most
+	var buf [maxLinks]spanList
+	lists := buf[:0]
 	for i, cand := range cands {
-		lag := int32(1)
+		l := spanList{fires: cand, lag: 1, prewarm: thetaPrewarm, end: int32(slots) - 1}
 		if i < len(links) && links[i].Lag > 0 {
-			lag = links[i].Lag
+			l.lag = links[i].Lag
 		}
-		for k := 0; k < cand.len(); k++ {
-			c := cand.slot(k)
-			lo, hi := c+lag-thetaPrewarm, c+lag+thetaPrewarm
-			if lo <= c {
-				lo = c + 1
-			}
-			if hi >= int32(slots) {
-				hi = int32(slots) - 1
-			}
-			if lo <= hi {
-				spans = append(spans, span{lo, hi})
-			}
+		if l.next() {
+			lists = append(lists, l)
 		}
 	}
-	w.spans = spans
-	if len(spans) == 0 {
+	if len(lists) == 0 {
 		return StrategyCost{Feasible: false}
 	}
-	// Only the union of the spans is scored, and the merge below forms it
-	// from any order that is ascending in lo.
-	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
 
-	// Merge spans in place; then score warm hits and waste in one sweep.
-	merged := spans[:1]
-	for _, s := range spans[1:] {
-		last := &merged[len(merged)-1]
-		if s.lo <= last.hi+1 {
-			if s.hi > last.hi {
-				last.hi = s.hi
-			}
-		} else {
-			merged = append(merged, s)
-		}
-	}
-	// Target slots and merged spans both ascend, so one two-pointer walk
-	// finds every invocation's span: a covered invocation is warm and its
-	// slot is not waste; whatever else the spans hold is.
 	cost := StrategyCost{Feasible: true}
-	for _, s := range merged {
+	j := 0 // the target's next unscored fire
+	// score charges one maximal span: fires before it are cold, fires in
+	// it warm, its other slots waste.
+	score := func(s span) {
 		cost.WastedMem += int(s.hi-s.lo) + 1
-	}
-	j := 0
-	for k := 0; k < target.len(); k++ {
-		t := target.slot(k)
-		for j < len(merged) && merged[j].hi < t {
-			j++
-		}
-		if j < len(merged) && merged[j].lo <= t {
-			cost.WastedMem--
-		} else {
+		for ; j < target.len() && target.slot(j) < s.lo; j++ {
 			cost.ColdStarts++
 		}
+		for ; j < target.len() && target.slot(j) <= s.hi; j++ {
+			cost.WastedMem--
+		}
 	}
+	cur := span{lo: 1, hi: 0} // the span still open; none yet
+	for len(lists) > 0 {
+		k := 0
+		for i := 1; i < len(lists); i++ {
+			if lists[i].head.lo < lists[k].head.lo {
+				k = i
+			}
+		}
+		s := lists[k].head
+		if !lists[k].next() {
+			lists[k] = lists[len(lists)-1]
+			lists = lists[:len(lists)-1]
+		}
+		switch {
+		case cur.lo > cur.hi:
+			cur = s
+		case s.lo <= cur.hi+1:
+			cur.hi = max(cur.hi, s.hi)
+		default:
+			score(cur)
+			cur = s
+		}
+	}
+	score(cur)
+	cost.ColdStarts += target.len() - j
 	return cost
+}
+
+// spanList walks one candidate's pre-load windows in ascending start,
+// skipping windows the clip empties; head is the current one.
+type spanList struct {
+	fires        fires
+	k            int // next fire
+	lag, prewarm int32
+	end          int32 // last slot of the window scored
+	head         span
+}
+
+// next advances head to the next non-empty window, reporting whether there
+// was one.
+func (l *spanList) next() bool {
+	for ; l.k < l.fires.len(); l.k++ {
+		c := l.fires.slot(l.k)
+		lo, hi := max(c+l.lag-l.prewarm, c+1), min(c+l.lag+l.prewarm, l.end)
+		if lo <= hi {
+			l.head = span{lo, hi}
+			l.k++
+			return true
+		}
+	}
+	return false
 }
 
 // ChooseStrategy applies the assignment rule of Section IV-B2: a strategy
@@ -279,41 +299,18 @@ func riseRate(worse, best int) float64 {
 	return float64(worse-best) / float64(denom)
 }
 
-// AssignIndeterminate scores the three supplementary strategies for one
-// function and returns its profile. counts is the function's full training
-// sequence; valStart is the slot where the validation slice begins; links
-// holds its accepted correlations (already thresholded); candFires the
-// validation-window invoked slots of each linked candidate.
-func AssignIndeterminate(counts []int, valStart int, links []Link, candFires [][]int32, cfg Config) Profile {
-	act := series.Extract(counts)
-
-	// Validation-window invoked slots of the target.
-	var valInvoked trace.Series
-	for _, s := range series.InvokedSlots(counts[valStart:]) {
-		valInvoked = append(valInvoked, trace.Event{Slot: int32(s), Count: 1})
-	}
-	cands := make([]fires, len(candFires))
-	for i, slots := range candFires {
-		evs := make(trace.Series, len(slots))
-		for k, s := range slots {
-			evs[k] = trace.Event{Slot: s, Count: 1}
-		}
-		cands[i] = fires{evs: evs}
-	}
-	var w scratch
-	return w.assignIndeterminate(act, fires{evs: valInvoked}, len(counts)-valStart, links, cands, cfg)
-}
-
-// assignIndeterminate is AssignIndeterminate over pre-extracted inputs: the
-// function's full-window Activity and views of its own and its linked
-// candidates' validation-window fires (cands is parallel to links), letting
-// the offline phase skip the dense per-slot expansion entirely. The returned
+// assignIndeterminate scores the three supplementary strategies for one
+// function and returns its profile. Its inputs are pre-extracted: the
+// function's full-window Activity, views of its own and its linked
+// candidates' validation-window fires (cands is parallel to links, which
+// holds its accepted correlations) and the validation window's length, so
+// the offline phase never expands a dense per-slot sequence. The returned
 // profile owns its Values; links is stored as given.
 func (w *scratch) assignIndeterminate(act series.Activity, valInvoked fires, valSlots int, links []Link, cands []fires, cfg Config) Profile {
 	// The possible strategy's predictive values: WTs occurring more than
 	// once, most frequent first (stats.RepeatedValues, read off the table of
 	// the sorted copy).
-	w.sorted[0] = sortedInto(w.sorted[0], act.WT)
+	w.sorted[0] = w.sortedInto(w.sorted[0], act.WT)
 	sortedWT := w.sorted[0]
 	w.table = stats.AppendFrequencyTableSorted(w.table[:0], sortedWT)
 	possibleValues := w.values[:0]

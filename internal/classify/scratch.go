@@ -21,6 +21,7 @@ type scratch struct {
 	act    []int    // extractWindow: AT, AN and WT of the current window
 	sorted [3][]int // categorizeActivity: ascending copy of each slack variant
 	merged []int    // categorizeActivity: the merged slack variant
+	hist   []int    // sortedInto: counting sort's histogram over [min, max]
 
 	table []stats.ModeCount // frequency table of one sorted WT sequence
 
@@ -33,8 +34,8 @@ type scratch struct {
 
 	values   []int        // possible strategy: predictive values, frequency order
 	ascend   []int        // scorePossible: the same values ascending
-	spans    []span       // scoreCorrelated: pre-load windows
 	accepted []scoredLink // mineLinks: candidates that cleared every gate
+	lags     lagScanner   // mineLinks: the target's and one candidate's bitsets
 
 	// seen deduplicates a target's candidates across its app and user peer
 	// lists without a per-target map: a candidate is seen when its stamp
@@ -63,11 +64,47 @@ func sized[T any](buf []T, n int) []T {
 }
 
 // sortedInto fills dst with an ascending copy of xs, leaving xs untouched.
-func sortedInto(dst, xs []int) []int {
+// When the values span a range small against their count — waiting times
+// mostly do — it counting-sorts them through a histogram held in w;
+// otherwise it copies and sorts. An int sort has one correct output, so the
+// path taken changes no result.
+func (w *scratch) sortedInto(dst, xs []int) []int {
 	dst = sized(dst, len(xs))
-	copy(dst, xs)
-	slices.Sort(dst)
+	if len(xs) == 0 {
+		return dst
+	}
+	lo, hi := xs[0], xs[0]
+	for _, x := range xs[1:] {
+		lo, hi = min(lo, x), max(hi, x)
+	}
+	spread := uint(hi) - uint(lo) // exact for any lo <= hi, even where hi-lo overflows int
+	if !countingSortPays(len(xs), spread) {
+		copy(dst, xs)
+		slices.Sort(dst)
+		return dst
+	}
+	w.hist = sized(w.hist, int(spread)+1)
+	hist := w.hist
+	clear(hist)
+	for _, x := range xs {
+		hist[x-lo]++
+	}
+	i := 0
+	for v, c := range hist {
+		for ; c > 0; c-- {
+			dst[i] = lo + v
+			i++
+		}
+	}
 	return dst
+}
+
+// countingSortPays reports whether n values with max-min == spread sort
+// faster through a histogram of spread+1 counters than by comparison: the
+// histogram pass costs O(n + spread), pdqsort O(n log n). It reads nothing
+// but the two sizes.
+func countingSortPays(n int, spread uint) bool {
+	return spread < 2*uint(n)
 }
 
 // withoutTwoInto fills dst with sorted minus one occurrence each of a and b
