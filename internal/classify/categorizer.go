@@ -57,10 +57,16 @@ func parallelDo(ws []scratch, items int, fn func(w *scratch, k int)) {
 	wg.Wait()
 }
 
-// catChunk is the per-function pass's work-unit size: large enough that the
-// atomic hand-off is noise, small enough to balance skewed populations
-// (dense always-warm series cost far more than silent ones).
-const catChunk = 512
+// catChunkFor is the per-function pass's work-unit size for n functions on
+// workers workers: about eight chunks per worker, so a small population (a
+// 1 000-function retrain window, a 375-function streamed shard) still
+// spreads over every worker and balances its skew (dense always-warm series
+// cost far more than silent ones). It is never under 16 functions, where
+// the atomic hand-off would stop being noise, nor over 512, which balances
+// a large population.
+func catChunkFor(n, workers int) int {
+	return min(max(n/(8*workers), 16), 512)
+}
 
 // Outcome is the offline categorization result for an entire trace.
 type Outcome struct {
@@ -127,14 +133,15 @@ func (c *Categorizer) Categorize(training *trace.Trace, cfg Config, disableCorre
 	// Activities come straight from the sparse event series — O(events per
 	// function), not O(slots) — so the pass costs nothing for the mostly-idle
 	// long tail of a large population. Functions are independent, so the pass
-	// fans out over fixed chunks; each chunk owns its output slots and its
-	// leftover list, and the chunk-order concatenation below restores the
-	// exact serial ordering, making the outcome identical for any worker
-	// count.
-	chunks := (n + catChunk - 1) / catChunk
+	// fans out over chunks (catChunkFor); each chunk owns its output slots
+	// and its leftover list, and the chunk-order concatenation below restores
+	// the exact serial ordering, making the outcome identical for any worker
+	// count and chunk size.
+	chunk := catChunkFor(n, workers)
+	chunks := (n + chunk - 1) / chunk
 	indetFids := make([][]trace.FuncID, chunks)
 	parallelDo(ws, chunks, func(w *scratch, k int) {
-		lo, hi := k*catChunk, (k+1)*catChunk
+		lo, hi := k*chunk, (k+1)*chunk
 		if hi > n {
 			hi = n
 		}
@@ -221,8 +228,10 @@ func (w *scratch) extractWindow(s trace.Series, start, slots int) series.Activit
 		a.LeadingIdle = slots
 		return a
 	}
-	// A run needs at least one event, so len(evs) bounds all three lengths.
-	n := len(evs)
+	// A run needs at least one event, and runs r apart need an idle slot
+	// between them, so r active plus r-1 idle slots fit in the events' span:
+	// the smaller bound sizes all three lengths.
+	n := min(len(evs), (int(evs[len(evs)-1].Slot-evs[0].Slot)+2)/2)
 	w.act = sized(w.act, 3*n)
 	at, an, wt := w.act[:n], w.act[n:2*n], w.act[2*n:]
 

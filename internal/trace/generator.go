@@ -2,7 +2,10 @@ package trace
 
 import (
 	"fmt"
+	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/stats"
 )
@@ -164,13 +167,103 @@ func SparseTriggerMix() []float64 {
 }
 
 // Generate synthesizes a workload trace per cfg. The same config always
-// produces the same trace.
+// produces the same trace, whatever the machine's width: Generate builds the
+// layout once and synthesizes its shards concurrently, on
+// runtime.GOMAXPROCS(0) workers, scattering each shard's functions back to
+// their global IDs. Each function's series depends only on its recorded
+// seed and its app's driver, and every app lies whole in one shard, so the
+// result is GenerateShard(cfg, 0, 1)'s trace byte for byte.
 func Generate(cfg GeneratorConfig) (*Trace, error) {
-	sh, err := GenerateShard(cfg, 0, 1)
+	l, err := BuildGenLayout(cfg)
 	if err != nil {
 		return nil, err
 	}
-	return sh.Trace, nil
+	return l.generate(runtime.GOMAXPROCS(0))
+}
+
+// genShardsPerWorker is how many user-closed shards generate cuts per
+// worker: enough that one shard heavy with dense or long-chained apps does
+// not leave the other workers idle at the end.
+const genShardsPerWorker = 4
+
+// generate synthesizes the whole trace as shards of l over workers
+// goroutines and scatters them into one trace by global ID.
+func (l *GenLayout) generate(workers int) (*Trace, error) {
+	n := l.NumFunctions()
+	tr := &Trace{Slots: l.slots, Functions: make([]Function, n), Series: make([]Series, n)}
+	p := 1
+	if workers > 1 {
+		p = genShardsPerWorker * workers
+	}
+	err := fanOut(workers, p, func(i int) error {
+		_, sh, err := l.Shard(i, p, 0)
+		if err != nil {
+			return err
+		}
+		// Shards own disjoint global IDs, so the scatter needs no lock.
+		for li, g := range sh.Global {
+			f := sh.Functions[li]
+			f.ID = g
+			tr.Functions[g] = f
+			tr.Series[g] = sh.Series[li]
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return tr, nil
+}
+
+// fanOut runs fn(0..items-1) on up to workers goroutines, the caller's
+// included, handing out items through one atomic counter. It returns the
+// error of the lowest failing item; no item is started after a failure. A
+// panic in fn is recovered in its goroutine and raised again on the
+// caller's once every worker has stopped.
+func fanOut(workers, items int, fn func(i int) error) error {
+	workers = min(workers, items)
+	var next atomic.Int64
+	var failed atomic.Bool
+	errs := make([]error, items)
+	panics := make([]any, max(workers, 1))
+	work := func(w int) {
+		defer func() {
+			if r := recover(); r != nil {
+				panics[w] = r
+				failed.Store(true)
+			}
+		}()
+		for !failed.Load() {
+			i := int(next.Add(1) - 1)
+			if i >= items {
+				return
+			}
+			if errs[i] = fn(i); errs[i] != nil {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(w)
+		}()
+	}
+	work(0)
+	wg.Wait()
+	for _, r := range panics {
+		if r != nil {
+			panic(r)
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // GenerateShard synthesizes only shard i of p of the trace Generate(cfg)

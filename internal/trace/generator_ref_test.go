@@ -12,9 +12,10 @@ import (
 // refShard is the reference for GenLayout.Shard: the generator's shard loop
 // with nothing reused. Every function gets a fresh RNG and fresh slices
 // (the synthesizers are called with a nil dst), its series is normalized in
-// place by Trace.AddFunction, and the full shard is cut by Trace.Split. It
-// pins what production's scratch reuse, driver-buffer rule, exact-size
-// copies and direct split must reproduce, not the synthesizers themselves.
+// place by Trace.AddFunction, and the full shard is cut by splitRef, the
+// copying form of Trace.Split. It pins what production's scratch reuse,
+// driver-buffer rule, exact-size copies and direct split must reproduce,
+// not the synthesizers themselves.
 //
 // coalesced counts the chain drivers whose followers read a buffer that
 // normalize shortened: a duplicate slot coalesced and left a stale tail.
@@ -63,7 +64,7 @@ func refShard(l *GenLayout, i, p, at int) (train, sim *ShardView, coalesced int)
 	if at == 0 {
 		return nil, sh, coalesced
 	}
-	tr, sm := sh.Trace.Split(at)
+	tr, sm := splitRef(sh.Trace, at)
 	return &ShardView{Trace: tr, Index: i, Global: sh.Global},
 		&ShardView{Trace: sm, Index: i, Global: sh.Global}, coalesced
 }

@@ -231,6 +231,14 @@ func (tr *Trace) TotalInvocations() int64 {
 // IDs and metadata are shared (same ordering) so a policy trained on the
 // first part can be simulated on the second. It panics when at is outside
 // (0, Slots): the 12-day/2-day split is fixed configuration, not data.
+//
+// The train half shares the receiver's storage instead of copying it: each
+// train series is the receiver's prefix before at, capacity-clipped so an
+// append reallocates rather than writes into the receiver's tail (nil when
+// the prefix is empty). It therefore pins the receiver's whole series
+// arrays, sim tails included, for as long as it lives; neither the receiver
+// nor the train half may be modified in place. The sim half is a re-based
+// copy.
 func (tr *Trace) Split(at int) (train, sim *Trace) {
 	if at <= 0 || at >= tr.Slots {
 		panic(fmt.Sprintf("trace: split point %d outside (0, %d)", at, tr.Slots))
@@ -240,8 +248,11 @@ func (tr *Trace) Split(at int) (train, sim *Trace) {
 	train.Series = make([]Series, len(tr.Series))
 	sim.Series = make([]Series, len(tr.Series))
 	for i, s := range tr.Series {
-		train.Series[i] = s.Window(0, int32(at))
-		sim.Series[i] = s.Window(int32(at), int32(tr.Slots))
+		k := sort.Search(len(s), func(j int) bool { return s[j].Slot >= int32(at) })
+		if k > 0 {
+			train.Series[i] = s[:k:k]
+		}
+		sim.Series[i] = s[k:].Window(int32(at), int32(tr.Slots))
 	}
 	return train, sim
 }
