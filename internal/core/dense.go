@@ -6,9 +6,9 @@ import (
 )
 
 // DenseReference is Algorithm 1 as the paper writes it: every function,
-// every slot. It is the reference the equivalence suite (and cmd/eqvcheck,
-// cmd/scenariobench -check) holds the event-driven SPES to, bit for bit,
-// and nothing else: it shares the provision state and predicates with SPES
+// every slot. It is the reference the equivalence matrix (internal/eqv,
+// behind the root tests and cmd/eqvcheck) holds the event-driven SPES to,
+// bit for bit, and nothing else: it shares the provision state and predicates with SPES
 // but implements only sim.Policy, LoadDeltaTracker, TypeTagger and
 // Retrainer — no NewShard, ConfigHash, NextWake or EncodeState — so it
 // cannot be sharded, cached, idle-skipped, snapshotted or served.

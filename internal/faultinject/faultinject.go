@@ -17,8 +17,8 @@
 // layer owes it. Two runs with the same seed, workload, and configuration
 // therefore draw the same faults per subject, and — the invariant the
 // harness exists to prove — any injected run that completes must be
-// bit-identical to the clean run (asserted by `eqvcheck -faults` and the
-// fault-injection tests).
+// bit-identical to the clean run (asserted by the fault-injection tests
+// and by `eqvcheck -faults`, the internal/eqv matrix run under an Injector).
 //
 // The dependency arrow points one way: this package implements the seams
 // others declare (durable.FS / durable.File for every persistent file,
@@ -62,7 +62,8 @@ type Config struct {
 // Default returns aggressive-but-recoverable rates: high enough that a
 // small run draws every fault class, low enough that bounded retries and
 // the corrupt-entry-is-a-miss rule keep the run completing. Used by
-// `eqvcheck -faults` and the faultsmoke CI job.
+// `eqvcheck -faults` (its internal/eqv matrix's Faults) and the faultsmoke
+// CI job.
 func Default() Config {
 	return Config{
 		ReadErr:     150,

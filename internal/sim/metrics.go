@@ -157,10 +157,11 @@ func (r *Result) OverheadPerSlot() time.Duration {
 	return r.Overhead / time.Duration(r.Slots)
 }
 
-// Diff is the one comparison behind every bit-identity claim (cmd/eqvcheck
-// and the equivalence tests): "" when got equals r in every field but
-// Overhead, which is wall clock; otherwise the totals of both sides and the
-// first per-function metrics and type labels that differ, one per line.
+// Diff is the one comparison behind every bit-identity claim (internal/eqv,
+// the harness of the equivalence tests and cmd/eqvcheck): "" when got
+// equals r in every field but Overhead, which is wall clock; otherwise the
+// totals of both sides and the first per-function metrics and type labels
+// that differ, one per line.
 func (r *Result) Diff(got *Result) string {
 	w, g := *r, *got
 	w.Overhead, g.Overhead = 0, 0
