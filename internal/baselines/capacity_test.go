@@ -10,8 +10,6 @@ import (
 var (
 	_ sim.CapacityPolicy = (*FaaSCache)(nil)
 	_ sim.CapacityPolicy = (*LCS)(nil)
-	_ sim.ConfigHasher   = (*FaaSCache)(nil)
-	_ sim.ConfigHasher   = (*LCS)(nil)
 )
 
 // tieTrace builds the adversarial tie workload: 8 functions, each its own
@@ -78,29 +76,5 @@ func TestCapacityTieBreak(t *testing.T) {
 				t.Errorf("%s x%d: totals diverge: %+v vs %+v", ref.Policy, shards, got, ref)
 			}
 		}
-	}
-}
-
-// TestCapacityConfigHashSeparation asserts the capacity baselines'
-// ConfigHash covers both the capacity and the engine choice: different
-// capacities and different policies must never share a hash.
-func TestCapacityConfigHashSeparation(t *testing.T) {
-	hashes := map[uint64]string{}
-	for _, c := range []struct {
-		label string
-		hash  uint64
-	}{
-		{"faascache-10", NewFaaSCache(10).ConfigHash()},
-		{"faascache-20", NewFaaSCache(20).ConfigHash()},
-		{"lcs-10", NewLCS(10).ConfigHash()},
-		{"lcs-20", NewLCS(20).ConfigHash()},
-	} {
-		if prev, ok := hashes[c.hash]; ok {
-			t.Errorf("%s collides with %s", c.label, prev)
-		}
-		hashes[c.hash] = c.label
-	}
-	if NewFaaSCache(10).ConfigHash() != NewFaaSCache(10).ConfigHash() {
-		t.Error("FaaSCache hash not stable")
 	}
 }

@@ -30,11 +30,8 @@ func (p *Defuse) NewShard() sim.Policy { return NewDefuse(p.cfg) }
 // Shard-cache support (sim.ConfigHasher). Each hash covers the policy's
 // complete behaviour-affecting configuration via sim.HashConfig, so adding
 // a config field invalidates old cache entries automatically. The
-// capacity-coupled baselines hash too, so sweep tooling can fingerprint
-// their configs, although a ShardCache attached to their runs is refused
-// (sim.CapacityCacheError); their Engine string names the eviction-order
-// rule, so a fingerprint minted under another tie-break never vouches for
-// this one.
+// capacity-coupled baselines have none: a ShardCache attached to their
+// runs is refused (sim.CapacityCacheError) before any key is formed.
 
 // ConfigHash implements sim.ConfigHasher: the keep-alive window is the whole
 // configuration.
@@ -54,19 +51,3 @@ func (p *Hybrid) ConfigHash() uint64 {
 
 // ConfigHash implements sim.ConfigHasher.
 func (p *Defuse) ConfigHash() uint64 { return sim.HashConfig(p.cfg) }
-
-// ConfigHash implements sim.ConfigHasher.
-func (p *FaaSCache) ConfigHash() uint64 {
-	return sim.HashConfig(struct {
-		Capacity int
-		Engine   string
-	}{p.capacity, "gdsf/fid-tiebreak"})
-}
-
-// ConfigHash implements sim.ConfigHasher.
-func (p *LCS) ConfigHash() uint64 {
-	return sim.HashConfig(struct {
-		Capacity int
-		Engine   string
-	}{p.capacity, "lru/fid-tiebreak"})
-}

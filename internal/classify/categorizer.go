@@ -6,56 +6,10 @@ import (
 	"runtime"
 	"slices"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/series"
 	"repro/internal/trace"
 )
-
-// workerTokens caps the categorization helper goroutines alive across ALL
-// concurrent Categorize calls at GOMAXPROCS: sharded simulations train one
-// policy per shard concurrently, and each of those trainings categorizes in
-// parallel, so without a process-wide budget the helper count would multiply
-// to shards x cores. The calling goroutine always works without a token, so
-// progress never depends on token availability.
-var workerTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
-
-// parallelDo runs fn(w, k) for every k in [0, items), fanning out over at
-// most len(ws) goroutines (the caller included), each holding its own
-// scratch for the whole run. Work is handed out by an atomic counter, so
-// scheduling is nondeterministic — callers must make fn(w, k) write only to
-// slot k-owned state and treat w as working memory whose contents mean
-// nothing between items, which keeps results bit-identical for every worker
-// count. Helpers that cannot immediately draw a token are simply not spawned
-// (the machine is busy; the caller still finishes the work itself).
-func parallelDo(ws []scratch, items int, fn func(w *scratch, k int)) {
-	var next atomic.Int64
-	work := func(w *scratch) {
-		for {
-			k := int(next.Add(1)) - 1
-			if k >= items {
-				return
-			}
-			fn(w, k)
-		}
-	}
-	var wg sync.WaitGroup
-	for i := 1; i < len(ws) && i < items; i++ {
-		select {
-		case workerTokens <- struct{}{}:
-			wg.Add(1)
-			go func(w *scratch) {
-				defer wg.Done()
-				defer func() { <-workerTokens }()
-				work(w)
-			}(&ws[i])
-		default:
-		}
-	}
-	work(&ws[0])
-	wg.Wait()
-}
 
 // catChunkFor is the per-function pass's work-unit size for n functions on
 // workers workers: about eight chunks per worker, so a small population (a
@@ -140,7 +94,8 @@ func (c *Categorizer) Categorize(training *trace.Trace, cfg Config, disableCorre
 	chunk := catChunkFor(n, workers)
 	chunks := (n + chunk - 1) / chunk
 	indetFids := make([][]trace.FuncID, chunks)
-	parallelDo(ws, chunks, func(w *scratch, k int) {
+	trace.FanOut(workers, chunks, func(wi, k int) error {
+		w := &ws[wi]
 		lo, hi := k*chunk, (k+1)*chunk
 		if hi > n {
 			hi = n
@@ -170,6 +125,7 @@ func (c *Categorizer) Categorize(training *trace.Trace, cfg Config, disableCorre
 			}
 			indetFids[k] = append(indetFids[k], trace.FuncID(fid))
 		}
+		return nil
 	})
 	var indeterminate []trace.FuncID
 	for k := range indetFids {
@@ -192,7 +148,8 @@ func (c *Categorizer) Categorize(training *trace.Trace, cfg Config, disableCorre
 	// O(events) and nothing of pass 1's working memory has to outlive it.
 	// Validation fires are the suffix of a series from valStart on, rebased
 	// as they are read.
-	parallelDo(ws, len(indeterminate), func(w *scratch, i int) {
+	trace.FanOut(workers, len(indeterminate), func(wi, i int) error {
+		w := &ws[wi]
 		fid := indeterminate[i]
 		s := training.Series[fid]
 		act := w.extractWindow(s, 0, training.Slots)
@@ -206,6 +163,7 @@ func (c *Categorizer) Categorize(training *trace.Trace, cfg Config, disableCorre
 		}
 		out.Profiles[fid] = w.assignIndeterminate(act, firesFrom(s, valStart),
 			training.Slots-valStart, links, cands[:len(links)], cfg)
+		return nil
 	})
 	// The lag scanners' last target and candidate are views of training,
 	// which the caller may reuse once this returns.

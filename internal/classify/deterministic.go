@@ -96,10 +96,9 @@ type Config struct {
 	// Workers bounds Categorize's parallelism: per-function work is
 	// independent and every result lands in its own output slot, so the
 	// outcome is bit-identical for any value. 0 means one worker per
-	// available core; 1 forces serial execution. Helper goroutines beyond
-	// the calling one draw from a process-wide token pool capped at
-	// GOMAXPROCS, so concurrent categorizations (one per population shard)
-	// share the machine instead of oversubscribing it.
+	// available core; 1 forces serial execution. Helpers run under
+	// trace.FanOut's process-wide GOMAXPROCS budget, so concurrent
+	// categorizations (one per population shard) share the machine.
 	Workers int
 }
 

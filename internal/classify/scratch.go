@@ -7,10 +7,10 @@ import (
 )
 
 // scratch is one worker's reusable working memory for the offline pass.
-// A Categorizer keeps one per worker across calls and parallelDo hands the
-// same one to every item a worker takes, so the per-function intermediates —
-// extracted activity, sorted slack variants, frequency tables, pre-load
-// spans — cost an allocation only when a function needs more room than any
+// A Categorizer keeps one per worker across calls, indexed by trace.FanOut's
+// worker index, so every item a worker takes reuses it: the per-function
+// intermediates — extracted activity, sorted slack variants, frequency
+// tables, pre-load spans — cost an allocation only when a function needs more room than any
 // before it on that worker, in this call or an earlier one.
 //
 // Ownership rule: nothing reachable from a Profile may point into scratch.

@@ -68,7 +68,7 @@ type listener struct {
 // policy shardable, cacheable, skippable or snapshottable, belongs to SPES.
 type provision struct {
 	cfg  Config
-	pred *predict.Predictor
+	pred predict.Predictor
 
 	// cat keeps the categorization worker scratch from Train through every
 	// Retrain, so a retrain boundary reuses what the last pass grew.
@@ -135,9 +135,7 @@ type SPES struct {
 }
 
 func newProvision(cfg Config) provision {
-	pred := predict.NewPredictor()
-	pred.PossibleRangeMax = cfg.PossibleRangeMax
-	return provision{cfg: cfg, pred: pred}
+	return provision{cfg: cfg, pred: predict.Predictor{PossibleRangeMax: cfg.PossibleRangeMax}}
 }
 
 // New creates an untrained SPES policy; call Train (or let sim.Run call it)

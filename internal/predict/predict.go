@@ -14,11 +14,6 @@ type Predictor struct {
 	PossibleRangeMax int
 }
 
-// NewPredictor returns a predictor with the default narrow-range threshold.
-func NewPredictor() *Predictor {
-	return &Predictor{PossibleRangeMax: 10}
-}
-
 // ShouldPrewarm reports whether, at time t, some predicted invocation of the
 // function falls within thetaPrewarm slots ("one of the predicted invocation
 // times falls in [t - theta, t + theta]"): whether PrewarmWindowScan finds t

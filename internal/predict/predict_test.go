@@ -44,7 +44,7 @@ func nextWindows(p *Predictor, profile *classify.Profile, lastInvoked int) [][2]
 }
 
 func TestNextWindowsRegular(t *testing.T) {
-	p := NewPredictor()
+	p := &Predictor{PossibleRangeMax: 10}
 	prof := &classify.Profile{Type: classify.TypeRegular, Values: []int{60}}
 	got := nextWindows(p, prof, 100)
 	want := [][2]int{{160, 160}}
@@ -54,7 +54,7 @@ func TestNextWindowsRegular(t *testing.T) {
 }
 
 func TestNextWindowsApproRegular(t *testing.T) {
-	p := NewPredictor()
+	p := &Predictor{PossibleRangeMax: 10}
 	prof := &classify.Profile{Type: classify.TypeApproRegular, Values: []int{10, 12, 14}}
 	got := nextWindows(p, prof, 0)
 	want := [][2]int{{10, 10}, {12, 12}, {14, 14}}
@@ -64,7 +64,7 @@ func TestNextWindowsApproRegular(t *testing.T) {
 }
 
 func TestNextWindowsDense(t *testing.T) {
-	p := NewPredictor()
+	p := &Predictor{PossibleRangeMax: 10}
 	prof := &classify.Profile{Type: classify.TypeDense, RangeLo: 1, RangeHi: 4}
 	got := nextWindows(p, prof, 50)
 	want := [][2]int{{51, 54}}
@@ -79,7 +79,7 @@ func TestNextWindowsDense(t *testing.T) {
 }
 
 func TestNextWindowsPossible(t *testing.T) {
-	p := NewPredictor()
+	p := &Predictor{PossibleRangeMax: 10}
 	// Narrow range -> continuous interval.
 	narrow := &classify.Profile{Type: classify.TypePossible, Values: []int{5, 8}}
 	got := nextWindows(p, narrow, 0)
@@ -107,7 +107,7 @@ func TestNextWindowsPossible(t *testing.T) {
 }
 
 func TestNextWindowsNonPredictive(t *testing.T) {
-	p := NewPredictor()
+	p := &Predictor{PossibleRangeMax: 10}
 	for _, typ := range []classify.Type{
 		classify.TypeAlwaysWarm, classify.TypeSuccessive, classify.TypePulsed,
 		classify.TypeCorrelated, classify.TypeUnknown,
@@ -120,7 +120,7 @@ func TestNextWindowsNonPredictive(t *testing.T) {
 }
 
 func TestShouldPrewarm(t *testing.T) {
-	p := NewPredictor()
+	p := &Predictor{PossibleRangeMax: 10}
 	prof := &classify.Profile{Type: classify.TypeRegular, Values: []int{60}}
 	// Predicted at 160; theta 2 -> prewarm in [158, 162].
 	cases := []struct {
@@ -144,7 +144,7 @@ func TestShouldPrewarm(t *testing.T) {
 }
 
 func TestShouldPrewarmDenseWindow(t *testing.T) {
-	p := NewPredictor()
+	p := &Predictor{PossibleRangeMax: 10}
 	prof := &classify.Profile{Type: classify.TypeDense, RangeLo: 2, RangeHi: 5}
 	// Window [102, 105], theta 1 -> [101, 106].
 	if !p.ShouldPrewarm(prof, 100, 101, 1) {
@@ -159,7 +159,7 @@ func TestShouldPrewarmDenseWindow(t *testing.T) {
 // brute-force slot-by-slot evaluation of the nextWindows reference for every
 // profile shape.
 func TestShouldPrewarmAgreesWithWindows(t *testing.T) {
-	p := NewPredictor()
+	p := &Predictor{PossibleRangeMax: 10}
 	profiles := []*classify.Profile{
 		{Type: classify.TypeRegular, Values: []int{60}},
 		{Type: classify.TypeApproRegular, Values: []int{10, 12, 14}},

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -180,8 +181,7 @@ type Server struct {
 	mu       sync.Mutex
 	policy   *core.SPES
 	driver   *sim.Driver
-	training *trace.Trace // offline history + nil-padded series for admits
-	history  *trace.Trace // recorded live events, the retrain window source
+	history  *trace.Trace // the function population and its recorded live events
 	journal  *journal
 	snaps    *snapshotter
 	lastSeq  uint64
@@ -234,16 +234,10 @@ func New(cfg Config) (*Server, error) {
 		maxSeq = records[n-1].Seq
 	}
 
-	// The daemon's own copies of the population: Functions shared between
-	// training and history (the retrain window contract), series padded per
-	// admission.
+	// The population starts as the training one; clipped, so the first
+	// admission copies it rather than writing into the caller's array.
 	n := cfg.Training.NumFunctions()
-	funcs := make([]trace.Function, n, n+16)
-	copy(funcs, cfg.Training.Functions)
-	s.training = &trace.Trace{Slots: cfg.Training.Slots, Functions: funcs}
-	s.training.Series = make([]trace.Series, n, n+16)
-	copy(s.training.Series, cfg.Training.Series)
-	s.history = &trace.Trace{Functions: funcs, Series: make([]trace.Series, n, n+16)}
+	s.history = &trace.Trace{Functions: slices.Clip(cfg.Training.Functions), Series: make([]trace.Series, n, n+16)}
 
 	snapSeq, startSlot, state, rejected, restored := s.snaps.load(maxSeq)
 	s.c.snapshotsRejected.Store(int64(rejected))
@@ -267,9 +261,11 @@ func New(cfg Config) (*Server, error) {
 	// Phase 1 of replay: records the snapshot already covers only rebuild
 	// the recorded history (and the function population, which the snapshot
 	// also carries — admission order is the ID order, so they must agree).
+	// The journal only holds records that passed validation, so a failure
+	// here means the state directory is inconsistent, not that input was bad.
 	i := 0
 	for ; i < len(records) && records[i].Seq <= snapSeq; i++ {
-		if err := s.replayHistory(&records[i], false); err != nil {
+		if _, err := s.record(&records[i], false); err != nil {
 			return nil, err
 		}
 		s.lastSeq = records[i].Seq
@@ -286,7 +282,7 @@ func New(cfg Config) (*Server, error) {
 		// apply loop — so the daemon's one builder is never shared.
 		var wb sim.WindowBuilder
 		dcfg.Window = func(t, w int) *trace.Trace {
-			return wb.Build(s.training, s.history, t, w)
+			return wb.Build(cfg.Training, s.history, t, w)
 		}
 	}
 	s.driver = sim.NewDriver(s.policy, s.policy.NumFunctions(), dcfg)
@@ -294,7 +290,7 @@ func New(cfg Config) (*Server, error) {
 
 	// Phase 2: re-apply the journaled tail through the driver.
 	for ; i < len(records); i++ {
-		if err := s.replayHistory(&records[i], true); err != nil {
+		if _, err := s.record(&records[i], true); err != nil {
 			return nil, err
 		}
 		s.lastSeq = records[i].Seq
@@ -305,23 +301,28 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// replayHistory re-applies one journal record: always into the recorded
-// history (admits + events), and through the driver when step is set. The
-// journal only ever holds records that passed validation, so failures here
-// mean the state directory is inconsistent, not that input was bad.
-func (s *Server) replayHistory(b *Batch, step bool) error {
+// record applies one accepted batch: its admissions join the population,
+// its events the recorded history, and, when step is set, the policy admits
+// the functions and the driver steps the slot. Live apply runs it after
+// validation and the journal, and replay runs it on every journal record
+// (without step for those a restored snapshot covers), so a replayed record
+// changes exactly what the live one did.
+func (s *Server) record(b *Batch, step bool) (sim.StepInfo, error) {
 	for _, af := range b.Admit {
-		fid := s.admitHistory(af)
+		fid := trace.FuncID(len(s.history.Functions))
+		f := trace.Function{ID: fid, Name: af.Name, App: af.App, User: af.User, Trigger: trace.Trigger(af.Trigger)}
+		s.history.Functions = append(s.history.Functions, f)
+		s.history.Series = append(s.history.Series, nil)
 		if step {
-			if got := s.policy.Admit(s.history.Functions[fid]); got != fid {
-				return fmt.Errorf("serve: replay admit assigned id %d, journal says %d", got, fid)
+			if got := s.policy.Admit(f); got != fid {
+				return sim.StepInfo{}, fmt.Errorf("serve: seq %d: policy admitted function %d as %d", b.Seq, fid, got)
 			}
 			s.driver.Grow(s.policy.NumFunctions())
 		}
 	}
 	for _, ev := range b.Events {
 		if ev[0] < 0 || ev[0] >= int64(len(s.history.Series)) {
-			return fmt.Errorf("serve: journal seq %d references function %d of %d", b.Seq, ev[0], len(s.history.Series))
+			return sim.StepInfo{}, fmt.Errorf("serve: seq %d references function %d of %d", b.Seq, ev[0], len(s.history.Series))
 		}
 		s.history.Series[ev[0]] = append(s.history.Series[ev[0]],
 			trace.Event{Slot: int32(b.Slot), Count: int32(ev[1])})
@@ -329,26 +330,15 @@ func (s *Server) replayHistory(b *Batch, step bool) error {
 	if b.Slot+1 > s.history.Slots {
 		s.history.Slots = b.Slot + 1
 	}
-	if step {
-		s.fcBuf = toFuncCounts(b.Events, s.fcBuf)
-		if _, err := s.driver.Step(b.Slot, s.fcBuf); err != nil {
-			return fmt.Errorf("serve: replay seq %d: %w", b.Seq, err)
-		}
+	if !step {
+		return sim.StepInfo{}, nil
 	}
-	return nil
-}
-
-// admitHistory appends the function to the shared population and pads both
-// series tables.
-func (s *Server) admitHistory(af AdmitFunc) trace.FuncID {
-	fid := trace.FuncID(len(s.history.Functions))
-	s.history.Functions = append(s.history.Functions, trace.Function{
-		ID: fid, Name: af.Name, App: af.App, User: af.User, Trigger: trace.Trigger(af.Trigger),
-	})
-	s.training.Functions = s.history.Functions
-	s.history.Series = append(s.history.Series, nil)
-	s.training.Series = append(s.training.Series, nil)
-	return fid
+	s.fcBuf = toFuncCounts(b.Events, s.fcBuf)
+	info, err := s.driver.Step(b.Slot, s.fcBuf)
+	if err != nil {
+		return info, fmt.Errorf("serve: seq %d: %w", b.Seq, err)
+	}
+	return info, nil
 }
 
 // applyLoop is the single consumer of the ingest queue. On stop it drains
@@ -402,6 +392,9 @@ func (s *Server) applyLocked(b *Batch, ids []int64) (Reply, []int64) {
 	if next := s.driver.NextSlot(); b.Slot < next {
 		return s.reject(b, "stale slot %d: stream is at %d", b.Slot, next), ids
 	}
+	if b.Slot >= math.MaxInt32 {
+		return s.reject(b, "slot %d out of range", b.Slot), ids
+	}
 	n := int64(len(s.history.Functions) + len(b.Admit))
 	prev := int64(-1)
 	for _, ev := range b.Events {
@@ -419,28 +412,18 @@ func (s *Server) applyLocked(b *Batch, ids []int64) (Reply, []int64) {
 		return s.reject(b, "%v", err), ids
 	}
 
-	var admitted []int64
-	for _, af := range b.Admit {
-		fid := s.admitHistory(af)
-		s.policy.Admit(s.history.Functions[fid])
-		s.driver.Grow(s.policy.NumFunctions())
-		admitted = append(admitted, int64(fid))
-		s.c.admitted.Add(1)
-	}
-	for _, ev := range b.Events {
-		s.history.Series[ev[0]] = append(s.history.Series[ev[0]],
-			trace.Event{Slot: int32(b.Slot), Count: int32(ev[1])})
-	}
-	if b.Slot+1 > s.history.Slots {
-		s.history.Slots = b.Slot + 1
-	}
-	s.fcBuf = toFuncCounts(b.Events, s.fcBuf)
-	info, err := s.driver.Step(b.Slot, s.fcBuf)
+	first := len(s.history.Functions)
+	info, err := s.record(b, true)
 	if err != nil {
 		// Unreachable after validation; surfacing it beats guessing.
-		return s.reject(b, "apply seq %d: %v", b.Seq, err), ids
+		return s.reject(b, "apply: %v", err), ids
+	}
+	var admitted []int64
+	for k := range b.Admit {
+		admitted = append(admitted, int64(first+k))
 	}
 	s.lastSeq = b.Seq
+	s.c.admitted.Add(int64(len(b.Admit)))
 	s.c.appliedBatches.Add(1)
 	s.c.appliedEvents.Add(int64(len(b.Events)))
 

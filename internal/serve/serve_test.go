@@ -3,6 +3,7 @@ package serve
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -324,6 +325,42 @@ func TestDuplicateDeliveryIsIdempotent(t *testing.T) {
 	h2, _, _, _ := s.StateHash()
 	if h1 != h2 {
 		t.Fatalf("duplicate delivery changed state: %016x -> %016x", h1, h2)
+	}
+}
+
+// TestSlotPastInt32IsRejected sends a slot the history's int32 event slots
+// cannot hold: the batch is rejected before the journal, so nothing is
+// journaled (a restart could not replay it either) and the state is the
+// one the batches before it left.
+func TestSlotPastInt32IsRejected(t *testing.T) {
+	train, simTr := testWorkload(t, 20, "")
+	dir := t.TempDir()
+	s, c := startServer(t, Config{Dir: dir, Policy: core.DefaultConfig(), Training: train, SnapshotEvery: -1})
+	idx := simTr.BuildSlotIndex()
+	if _, err := c.Send([]Batch{slotBatch(0, idx.Invocations[0])}); err != nil {
+		t.Fatalf("Send: %v", err)
+	}
+	h1, next1, seq1, _ := s.StateHash()
+
+	replies, err := c.Send([]Batch{slotBatch(math.MaxInt32+6, idx.Invocations[0])})
+	if err == nil || len(replies) != 1 || replies[0].Applied {
+		t.Fatalf("slot 2^31+5 was not rejected: %+v, %v", replies, err)
+	}
+	h2, next2, seq2, _ := s.StateHash()
+	if h1 != h2 || next1 != next2 || seq1 != seq2 {
+		t.Fatalf("a rejected batch moved the state: hash %016x -> %016x, next slot %d -> %d, seq %d -> %d",
+			h1, h2, next1, next2, seq1, seq2)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	j, records, err := openJournal(durable.OS{}, journalPath(dir))
+	if err != nil {
+		t.Fatalf("openJournal: %v", err)
+	}
+	j.Close()
+	if len(records) != 1 || records[0].Slot != 0 {
+		t.Fatalf("journal holds %+v, want only the slot-0 batch", records)
 	}
 }
 

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -226,6 +228,12 @@ func (c *ShardCache) name(key shardKey) string {
 	writeU64(h, key.trace)
 	writeU64(h, uint64(key.slots))
 	return fmt.Sprintf("shard-%016x.sce", h.Sum64())
+}
+
+func writeU64(h io.Writer, v uint64) {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
+	h.Write(buf[:])
 }
 
 func (c *ShardCache) path(key shardKey) string { return filepath.Join(c.dir, c.name(key)) }

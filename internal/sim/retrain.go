@@ -39,7 +39,8 @@ type WindowBuilder struct {
 
 // Build returns the window at simulation slot t: w slots of history ending
 // just before t, re-based so window slot 0 is simulation slot t-w. Slots
-// still inside the training trace (t < w) are filled from it; anything
+// still inside the training trace (t < w) are filled from it, a function
+// past its table (admitted since) having no training history; anything
 // before recorded history is empty, and a function with no events in the
 // window has a nil series. Function metadata is shared with recorded.
 //
@@ -65,7 +66,7 @@ func (b *WindowBuilder) Build(training, recorded *trace.Trace, t, w int) *trace.
 	total := 0
 	for fid := 0; fid < n; fid++ {
 		var head trace.Series
-		if straddle {
+		if straddle && fid < len(training.Series) {
 			head = eventsIn(training.Series[fid], from, int32(training.Slots))
 		}
 		tail := eventsIn(recorded.Series[fid], int32(max(a, 0)), int32(t))

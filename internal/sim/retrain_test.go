@@ -53,6 +53,23 @@ func TestRetrainWindowStraddlesTrainingBoundary(t *testing.T) {
 	}
 }
 
+// TestRetrainWindowAdmittedPastTraining builds a straddling window over a
+// recorded history holding one more function than the training trace, as a
+// daemon's does after an admission: the newcomer has no training history,
+// so its window is its recorded events alone.
+func TestRetrainWindowAdmittedPastTraining(t *testing.T) {
+	training, simTr := retrainFixture()
+	simTr.AddFunction("f2", "b", "u", trace.TriggerHTTP, []trace.Event{{Slot: 1, Count: 4}})
+	var wb WindowBuilder
+	win := wb.Build(training, simTr, 6, 10)
+	if want := (trace.Series{{Slot: 3, Count: 2}, {Slot: 4, Count: 3}}); !reflect.DeepEqual(win.Series[0], want) {
+		t.Errorf("f0 = %v, want %v", win.Series[0], want)
+	}
+	if want := (trace.Series{{Slot: 5, Count: 4}}); !reflect.DeepEqual(win.Series[2], want) {
+		t.Errorf("f2 = %v, want %v", win.Series[2], want)
+	}
+}
+
 func TestRetrainWindowBeyondRecordedHistory(t *testing.T) {
 	training, simTr := retrainFixture()
 	// A 40-slot window at sim slot 5 reaches 25 slots before recorded

@@ -204,16 +204,22 @@ func (ss *shardSet) Shard(i int) (train, sim *trace.ShardView, err error) {
 	return train, ss.sim[i], nil
 }
 
-// ShardFingerprint implements SourceFingerprint: a content hash of shard
-// i's train/sim series and metadata, memoized so sweeps sharing one
-// shardSet hash each shard once.
+// ShardFingerprint implements SourceFingerprint: a domain-tagged hash of
+// shard i's sim view content hash, its train view's and whether it has one
+// (trace.ShardView.ContentHash; Global is part of both, so two shards with
+// equal local content at different global placements never collide),
+// memoized so sweeps sharing one shardSet hash each shard once.
 func (ss *shardSet) ShardFingerprint(i int) (uint64, bool) {
 	ss.fpOnce[i].Do(func() {
-		var tr *trace.ShardView
+		key := struct {
+			Domain     string
+			Sim, Train uint64
+			HasTrain   bool
+		}{Domain: "trace-content", Sim: ss.sim[i].ContentHash(), HasTrain: ss.train != nil}
 		if ss.train != nil {
-			tr = ss.train[i]
+			key.Train = ss.train[i].ContentHash()
 		}
-		ss.fps[i] = fingerprintShardViews(tr, ss.sim[i])
+		ss.fps[i] = HashConfig(key)
 	})
 	return ss.fps[i], true
 }

@@ -1,10 +1,7 @@
 package sim
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"sync"
 
 	"repro/internal/trace"
@@ -130,53 +127,4 @@ func (g *GeneratorSource) ShardFingerprint(i int) (uint64, bool) {
 		Shards     int
 		Shard      int
 	}{"generator-derivation", g.Cfg, g.TrainSlots, g.NumShards(), i}), true
-}
-
-// fingerprintShardViews content-hashes a materialized shard's train/sim
-// pair: slot spans, the local-to-global id mapping, per-function metadata,
-// and every event of both series. It is the fingerprint of record for
-// trace-backed sources (shardSet). Global MUST be part of the hash: the
-// cache stores it and the merge scatters through it, so two shards with
-// identical local content but different global placements (possible when
-// one cache is shared across different parent traces) must never collide.
-func fingerprintShardViews(train, sim *trace.ShardView) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, "trace-content\x00")
-	writeU64(h, uint64(sim.Trace.Slots))
-	if train != nil {
-		writeU64(h, uint64(train.Trace.Slots))
-	} else {
-		writeU64(h, ^uint64(0))
-	}
-	writeU64(h, uint64(len(sim.Global)))
-	for li, f := range sim.Trace.Functions {
-		writeU64(h, uint64(sim.Global[li]))
-		io.WriteString(h, f.Name)
-		h.Write([]byte{0})
-		io.WriteString(h, f.App)
-		h.Write([]byte{0})
-		io.WriteString(h, f.User)
-		h.Write([]byte{0, byte(f.Trigger)})
-		writeSeries(h, sim.Trace.Series[li])
-		if train != nil {
-			writeSeries(h, train.Trace.Series[li])
-		}
-	}
-	return h.Sum64()
-}
-
-func writeSeries(h io.Writer, s trace.Series) {
-	writeU64(h, uint64(len(s)))
-	var buf [8]byte
-	for _, e := range s {
-		binary.LittleEndian.PutUint32(buf[:4], uint32(e.Slot))
-		binary.LittleEndian.PutUint32(buf[4:], uint32(e.Count))
-		h.Write(buf[:])
-	}
-}
-
-func writeU64(h io.Writer, v uint64) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	h.Write(buf[:])
 }

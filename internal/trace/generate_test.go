@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestGenerateIsWidthIndependent holds Generate's concurrent synthesis to
@@ -47,17 +48,31 @@ func TestGenerateIsWidthIndependent(t *testing.T) {
 	}
 }
 
-// TestFanOut pins fanOut's contract at several widths: every item runs
-// exactly once, a failing item's error comes back to the caller, and a
-// panic in any worker, helper goroutines included, is raised again on the
-// caller's goroutine rather than killing the process.
+// TestFanOut pins FanOut's contract at several widths: every item runs
+// exactly once, on a worker index in [0, workers) that no two goroutines
+// hold at once (so per-worker scratch indexed by it is safe); the lowest
+// failing item's error comes back to the caller; nested calls never run
+// more helper goroutines than the process-wide budget; and a panic in any
+// worker, helper goroutines included, is raised again on the caller's
+// goroutine rather than killing the process.
 func TestFanOut(t *testing.T) {
 	const items = 64
-	errItem := errors.New("item failed")
+	errLow, errHigh := errors.New("item 5 failed"), errors.New("item 40 failed")
 	for _, workers := range []int{1, 2, 8} {
 		var runs [items]atomic.Int32
-		if err := fanOut(workers, items, func(i int) error {
+		busy := make([]atomic.Bool, workers)
+		if err := FanOut(workers, items, func(w, i int) error {
+			if w < 0 || w >= workers {
+				t.Errorf("workers %d: item %d ran on worker %d", workers, i, w)
+				return nil
+			}
+			if !busy[w].CompareAndSwap(false, true) {
+				t.Errorf("workers %d: worker %d runs two items at once", workers, w)
+				return nil
+			}
 			runs[i].Add(1)
+			runtime.Gosched()
+			busy[w].Store(false)
 			return nil
 		}); err != nil {
 			t.Fatalf("workers %d: %v", workers, err)
@@ -68,14 +83,20 @@ func TestFanOut(t *testing.T) {
 			}
 		}
 
-		err := fanOut(workers, items, func(i int) error {
-			if i == 5 {
-				return errItem
+		// Item 40 usually fails first (item 5 sleeps), but item 5 was
+		// handed out before it, so item 5's error is the one returned.
+		err := FanOut(workers, items, func(_, i int) error {
+			switch i {
+			case 5:
+				time.Sleep(time.Millisecond)
+				return errLow
+			case 40:
+				return errHigh
 			}
 			return nil
 		})
-		if !errors.Is(err, errItem) {
-			t.Fatalf("workers %d: error = %v, want the failing item's", workers, err)
+		if err != errLow {
+			t.Fatalf("workers %d: error = %v, want the lowest failing item's", workers, err)
 		}
 
 		func() {
@@ -86,9 +107,39 @@ func TestFanOut(t *testing.T) {
 			}()
 			// Every item panics, so whichever goroutines draw one — the
 			// helpers as well as the caller — panic.
-			fanOut(workers, items, func(int) error { panic("boom") })
-			t.Fatalf("workers %d: fanOut returned past a panicking item", workers)
+			FanOut(workers, items, func(int, int) error { panic("boom") })
+			t.Fatalf("workers %d: FanOut returned past a panicking item", workers)
 		}()
+	}
+
+	// Nested: every outer item fans out again, each call asking for more
+	// workers than the budget holds. A fn running on worker w > 0 runs on a
+	// helper goroutine, so the count of those in flight is the count of live
+	// helpers, which the budget caps.
+	budget := cap(fanTokens)
+	var live, peak atomic.Int32
+	helper := func(w int) func() {
+		if w == 0 {
+			return func() {}
+		}
+		n := live.Add(1)
+		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
+		}
+		return func() { live.Add(-1) }
+	}
+	err := FanOut(budget+4, 2*budget+4, func(w, _ int) error {
+		defer helper(w)()
+		return FanOut(budget+4, 16, func(w, _ int) error {
+			defer helper(w)()
+			time.Sleep(50 * time.Microsecond)
+			return nil
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := peak.Load(); int(p) > budget {
+		t.Fatalf("nested fan-out ran %d helpers at once, budget %d", p, budget)
 	}
 }
 

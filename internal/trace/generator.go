@@ -195,7 +195,7 @@ func (l *GenLayout) generate(workers int) (*Trace, error) {
 	if workers > 1 {
 		p = genShardsPerWorker * workers
 	}
-	err := fanOut(workers, p, func(i int) error {
+	err := FanOut(workers, p, func(_, i int) error {
 		_, sh, err := l.Shard(i, p, 0)
 		if err != nil {
 			return err
@@ -215,21 +215,41 @@ func (l *GenLayout) generate(workers int) (*Trace, error) {
 	return tr, nil
 }
 
-// fanOut runs fn(0..items-1) on up to workers goroutines, the caller's
-// included, handing out items through one atomic counter. It returns the
-// error of the lowest failing item; no item is started after a failure. A
-// panic in fn is recovered in its goroutine and raised again on the
-// caller's once every worker has stopped.
-func fanOut(workers, items int, fn func(i int) error) error {
+// fanTokens caps the helper goroutines alive across ALL concurrent FanOut
+// calls at GOMAXPROCS: sharded simulations train one policy per shard
+// concurrently and each training categorizes in parallel, so without one
+// process-wide budget the helper count would multiply to shards × cores.
+var fanTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
+
+// FanOut runs fn(w, i) for every item i in [0, items) on up to workers
+// workers, handing items out through one atomic counter. The caller is
+// worker 0 and needs no token, so progress never waits on the budget; each
+// helper w in [1, workers) runs only if it draws a token from the
+// process-wide GOMAXPROCS budget without blocking, and w stays that
+// goroutine's for the whole call, so fn may index per-worker scratch by it.
+// Scheduling is nondeterministic: fn(w, i) must write only state item i
+// owns. FanOut returns the lowest failing item's error (no item starts
+// after a failure, and every lower item was already handed out), and a
+// panic in fn is raised again on the caller once every worker has stopped.
+// It allocates nothing per item.
+func FanOut(workers, items int, fn func(w, i int) error) error {
 	workers = min(workers, items)
-	var next atomic.Int64
-	var failed atomic.Bool
-	errs := make([]error, items)
-	panics := make([]any, max(workers, 1))
+	var (
+		next     atomic.Int64
+		failed   atomic.Bool
+		mu       sync.Mutex
+		errAt    = items
+		err      error
+		panicVal any
+	)
 	work := func(w int) {
 		defer func() {
 			if r := recover(); r != nil {
-				panics[w] = r
+				mu.Lock()
+				if panicVal == nil {
+					panicVal = r
+				}
+				mu.Unlock()
 				failed.Store(true)
 			}
 		}()
@@ -238,32 +258,35 @@ func fanOut(workers, items int, fn func(i int) error) error {
 			if i >= items {
 				return
 			}
-			if errs[i] = fn(i); errs[i] != nil {
+			if e := fn(w, i); e != nil {
+				mu.Lock()
+				if i < errAt {
+					errAt, err = i, e
+				}
+				mu.Unlock()
 				failed.Store(true)
 			}
 		}
 	}
 	var wg sync.WaitGroup
 	for w := 1; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work(w)
-		}()
+		select {
+		case fanTokens <- struct{}{}:
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				defer func() { <-fanTokens }()
+				work(w)
+			}()
+		default:
+		}
 	}
 	work(0)
 	wg.Wait()
-	for _, r := range panics {
-		if r != nil {
-			panic(r)
-		}
+	if panicVal != nil {
+		panic(panicVal)
 	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // GenerateShard synthesizes only shard i of p of the trace Generate(cfg)

@@ -204,7 +204,7 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 			evs = buf
 		}
 		sv, shardEvents := asm.assemble(fns, part, i, slots, evs)
-		fp := shardContentFingerprint(sv)
+		fp := sv.ContentHash()
 		file := encodeShardFile(sv, p, shardEvents, fp)
 		if err := durable.Commit(fs, dir, shardFileName(i), storeTmpPattern, file); err != nil {
 			return nil, nil, fmt.Errorf("trace: ingest: writing shard %d: %w", i, err)

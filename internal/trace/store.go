@@ -81,11 +81,12 @@ const (
 // shardFileName returns shard i's file name within a store directory.
 func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.spc", i) }
 
-// shardContentFingerprint hashes a full (unsplit) shard: slot span, the
-// local-to-global id mapping, per-function metadata, and every event. Two
-// shards may share a fingerprint only if they are bit-identical, which is
-// what lets StoreSource feed sim.ShardCache keys for real traces.
-func shardContentFingerprint(sv *ShardView) uint64 {
+// ContentHash hashes the view's content: slot span, the local-to-global id
+// mapping, per-function metadata, and every event. Two views may share a
+// hash only if they are bit-identical, which is what lets a store file
+// carry it as its checksum of record and sim.ShardCache key real and
+// materialized traces by it.
+func (sv *ShardView) ContentHash() uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, fpDomainContent)
 	hashU64(h, uint64(sv.Slots))
@@ -345,7 +346,7 @@ func decodeShardFile(data []byte, wantShard, wantShards, wantSlots int, wantFP u
 	}
 
 	sv := &ShardView{Trace: sub, Index: shard, Global: global}
-	if got := shardContentFingerprint(sv); got != fp {
+	if got := sv.ContentHash(); got != fp {
 		return nil, corrupt("content fingerprint %016x does not match header %016x", got, fp)
 	}
 	return sv, nil
