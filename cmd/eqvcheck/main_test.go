@@ -47,8 +47,8 @@ func TestParseCIInvocations(t *testing.T) {
 		{"-functions 600 -scenario churn -retrain-every 1440 -shards 2 -stream -seeds 2",
 			`fn=600 days=6/8 sparse=false seeds=[1 2] scenario="churn" retrain=1440 trace="" workers=0 cache="" faults=false pool=200 mindiskhits=0 maxheap=0` +
 				"\n" + spes2},
-		{"-streamonly -functions 100000 -sparse -shards 16 -seeds 1 -workers 2 -maxheap 700000000",
-			`fn=100000 days=6/8 sparse=true seeds=[1] scenario="" retrain=0 trace="" workers=2 cache="" faults=false pool=33333 mindiskhits=0 maxheap=700000000` +
+		{"-streamonly -functions 100000 -sparse -shards 16 -seeds 1 -workers 2 -maxheap 450000000",
+			`fn=100000 days=6/8 sparse=true seeds=[1] scenario="" retrain=0 trace="" workers=2 cache="" faults=false pool=33333 mindiskhits=0 maxheap=450000000` +
 				"\nSPES: streamed x16 -> [streamed x32]"},
 		{"-stream -seeds 1 -cache-dir .sweepcache",
 			`fn=400 days=6/8 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 cache=".sweepcache" faults=false pool=133 mindiskhits=0 maxheap=0` +

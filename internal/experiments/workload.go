@@ -132,8 +132,9 @@ func (w *Workload) Run(p sim.Policy, opts sim.Options) (*sim.Result, error) {
 	return sim.Run(p, w.Train, w.Sim, opts)
 }
 
-// RunAll is sim.RunAll over the workload: one shared worker budget and, for
-// a materialized sharded run, one shared partition; results in input order.
+// RunAll is sim.RunAll over the workload: one trace.FanOut of width
+// opts.Workers over the policies and, for a materialized sharded run, one
+// shared partition; results in input order.
 func (w *Workload) RunAll(ps []sim.Policy, opts sim.Options) ([]*sim.Result, error) {
 	opts.Source = w.src
 	return sim.RunAll(ps, w.Train, w.Sim, opts)

@@ -38,7 +38,8 @@ func (e *CapacityCacheError) Unwrap() error { return ErrCapacityCoupled }
 
 // runCapacity runs a capacity-coupled policy under Shards > 1 or a Source:
 // runOne over the given pair, or over the pair reassembled from src when
-// src is non-nil, inside one worker token.
+// src is non-nil, on the caller's goroutine — one unit of work, which
+// RunAll's fan-out counts as one of its Workers.
 func runCapacity(cp CapacityPolicy, training, simTrace *trace.Trace, src Source, opts Options) (res *Result, err error) {
 	// A panicking policy or source must not kill the process. The sharded
 	// engine contains panics per shard; there is one unit of work here.
@@ -57,11 +58,6 @@ func runCapacity(cp CapacityPolicy, training, simTrace *trace.Trace, src Source,
 		return nil, fmt.Errorf("sim: policy %s reports capacity %d; the global budget must be positive", cp.Name(), budget)
 	}
 
-	if pool := opts.pool; pool != nil {
-		pool <- struct{}{}
-		defer func() { <-pool }()
-		opts.pool = nil // runOne must not re-acquire
-	}
 	if src != nil {
 		if training, simTrace, err = reassemble(cp.Name(), src, opts); err != nil {
 			return nil, err

@@ -381,3 +381,41 @@ func TestCapacityEngineContainsPanics(t *testing.T) {
 		}
 	}
 }
+
+// loggedPolicy appends its name to log on every Train, recording the order
+// in which runs are handed out.
+type loggedPolicy struct {
+	neverLoadedPolicy
+	name string
+	log  *[]string
+}
+
+func (p loggedPolicy) Name() string       { return p.name }
+func (p loggedPolicy) Train(*trace.Trace) { *p.log = append(*p.log, p.name) }
+func (p loggedPolicy) NewShard() Policy   { return p }
+
+type loggedCap struct{ loggedPolicy }
+
+func (loggedCap) Capacity() int { return 1 }
+
+// Under Shards > 1, RunAll hands a capacity-coupled policy's indivisible
+// whole-population run out before the sharded policies' shards, whatever
+// the input order, and still returns results in input order.
+func TestRunAllHandsOutCapacityRunsFirst(t *testing.T) {
+	tr := tinyTrace()
+	var log []string
+	ps := []Policy{
+		loggedPolicy{name: "sharded", log: &log},
+		loggedCap{loggedPolicy{name: "capacity", log: &log}},
+	}
+	res, err := RunAll(ps, tr, tr, Options{Shards: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"capacity", "sharded", "sharded"}; !reflect.DeepEqual(log, want) {
+		t.Errorf("runs trained in order %v, want %v", log, want)
+	}
+	if res[0].Policy != "sharded" || res[1].Policy != "capacity" {
+		t.Errorf("results in order %s, %s; want input order", res[0].Policy, res[1].Policy)
+	}
+}

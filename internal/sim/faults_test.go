@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -270,4 +271,80 @@ func TestIsTransientWalksUnwrapChain(t *testing.T) {
 	if !errors.Is(wrapped, base) {
 		t.Error("MarkTransient broke the Is chain")
 	}
+}
+
+// signalSource is a two-shard source over tinyTrace that counts its Shard
+// calls and signals every Shard(1) call on called.
+type signalSource struct {
+	*shardSet
+	calls  atomic.Int32
+	called chan struct{}
+}
+
+func (s *signalSource) Shard(i int) (*trace.ShardView, *trace.ShardView, error) {
+	s.calls.Add(1)
+	if i == 1 {
+		select {
+		case s.called <- struct{}{}:
+		default:
+		}
+	}
+	return s.shardSet.Shard(i)
+}
+
+// waitingPolicy's first shard instance trains by waiting up to 50 ms for
+// a Shard(1) call, then records how many Shard calls had started by then.
+type waitingPolicy struct {
+	neverLoadedPolicy
+	src    *signalSource
+	made   *atomic.Int32
+	first  bool
+	seenAt *atomic.Int32
+}
+
+func (p waitingPolicy) NewShard() Policy {
+	p.first = p.made.Add(1) == 1
+	return p
+}
+
+func (p waitingPolicy) Train(*trace.Trace) {
+	if !p.first {
+		return
+	}
+	select {
+	case <-p.src.called:
+	case <-time.After(50 * time.Millisecond):
+	}
+	p.seenAt.Store(p.src.calls.Load())
+}
+
+// A streamed run holds one shard per in-flight worker: with one worker, no
+// Shard call may start while another shard is still being simulated — a
+// prefetch of the next shard would double the residency.
+func TestStreamedResidencyOneShardPerWorker(t *testing.T) {
+	tr := tinyTrace()
+	src := &signalSource{shardSet: buildShardSet(tr, tr, 2), called: make(chan struct{}, 1)}
+	pol := waitingPolicy{src: src, made: new(atomic.Int32), seenAt: new(atomic.Int32)}
+	if _, err := RunStreamed(pol, src, Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := pol.seenAt.Load(); got != 1 {
+		t.Errorf("%d Shard calls had started while shard 0 was simulating, want 1 (its own)", got)
+	}
+	if got := src.calls.Load(); got != 2 {
+		t.Errorf("%d Shard calls in all, want 2", got)
+	}
+}
+
+// A panic in an unsharded policy under RunAll is raised again on the
+// caller once the policies in flight finish, never from a bare goroutine.
+func TestRunAllReraisesPolicyPanic(t *testing.T) {
+	tr := tinyTrace()
+	defer func() {
+		if v := recover(); v != "deterministic tick crash" {
+			t.Errorf("recovered %v, want the policy's panic value", v)
+		}
+	}()
+	RunAll([]Policy{shardedNever{}, panicTickPolicy{}, shardedNever{}}, tr, tr, Options{Workers: 2})
+	t.Error("RunAll returned instead of raising the policy's panic")
 }

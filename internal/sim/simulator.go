@@ -13,11 +13,11 @@ import (
 type Options struct {
 	// MeasureOverhead enables wall-clock timing of every Tick call. It is
 	// off by default because timing syscalls dominate small runs. It also
-	// makes RunAll run its policies one after another, since per-Tick
-	// timings taken while runs contend for cores would be meaningless. It is
-	// an unsharded measurement: the sharded engine refuses it (a
-	// CapacityPolicy, which runs the unsharded loop whatever Shards says,
-	// keeps it).
+	// makes RunAll run its policies one after another (a fan-out of width
+	// 1), since per-Tick timings taken while runs contend for cores would
+	// be meaningless. It is an unsharded measurement: the sharded engine
+	// refuses it (a CapacityPolicy, which runs the unsharded loop whatever
+	// Shards says, keeps it).
 	MeasureOverhead bool
 
 	// Shards splits the function population into that many app/user-closed
@@ -30,11 +30,17 @@ type Options struct {
 	// refuses with an error wrapping ErrNotShardable.
 	Shards int
 
-	// Workers caps how many simulations (policy runs in RunAll, shard runs
-	// under Shards > 1 — the two share one budget) execute concurrently.
-	// 0 means one per available core. Each sharded worker may additionally
-	// run ONE overlapped shard production (the pipelined prefetch), so a
-	// streamed run holds at most two shards' event series per worker.
+	// Workers is the width of each fan-out, each one trace.FanOut: RunAll
+	// runs at most Workers policies at once, and a sharded run at most
+	// Workers shards at once. 0 means one per available core. Every
+	// fan-out's helpers draw on FanOut's one process-wide GOMAXPROCS token
+	// budget, so at most GOMAXPROCS+1 simulations run at once in all
+	// (Workers above that buys nothing), and a fan-out takes on helpers as
+	// other runs release tokens, so no core idles while a shard waits.
+	// Widths multiply under nesting: RunAll over sharded policies runs up
+	// to min(Workers², GOMAXPROCS+1) shards at once. A streamed run holds
+	// one shard's event series per in-flight shard simulation — Workers per
+	// RunStreamed, up to that product under RunAll over a Source.
 	Workers int
 
 	// Source, when non-nil, replaces the materialized train/sim trace pair:
@@ -98,20 +104,13 @@ type Options struct {
 	// code leaves it nil.
 	FaultHook ShardFaultHook
 
-	// pool is the shared worker budget. RunAll seeds it so that policies x
-	// shards never exceed Workers concurrent simulations; runSharded creates
-	// one for direct sharded Run calls. Tokens are only ever held by leaf
-	// simulation loops, never by coordinators, so the budget cannot
-	// deadlock.
-	pool chan struct{}
-
 	// shards is the partition and shard views shared across one RunAll
 	// invocation's policies, so P-way sharding of an n-function trace costs
 	// one partition and P slot indexes total instead of per policy.
 	shardSet *shardSet
 }
 
-// workers resolves the effective worker budget.
+// workers resolves the width of each fan-out.
 func (o Options) workers() int {
 	if o.Workers > 0 {
 		return o.Workers
@@ -273,13 +272,7 @@ func Run(policy Policy, training, simTrace *trace.Trace, opts Options) (*Result,
 // (batch-charging provably idle spans, slot-by-slot ticks otherwise), which
 // is the exact arithmetic the loop used to do eagerly. When log is non-nil
 // the per-slot (loaded, active) counts are recorded for the sharded merge.
-// When opts.pool is non-nil the whole run holds one worker token, bounding
-// how many simulations execute at once.
 func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *slotLog) (*Result, error) {
-	if opts.pool != nil {
-		opts.pool <- struct{}{}
-		defer func() { <-opts.pool }()
-	}
 	if training != nil {
 		policy.Train(training)
 	}
@@ -314,17 +307,16 @@ func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *s
 }
 
 // RunStreamed simulates the policy over a Source: the sharded engine with
-// the shard as the unit of residency. Each worker produces its shard's
-// train/sim views (src.Shard) while holding a worker token, simulates them
-// — prefetching its next shard's views concurrently — and drops the series
-// before taking the next shard, so peak memory is at most two shards'
-// O(n/P) event series per in-flight worker plus the O(n) merged result —
-// never the full trace. The merge is identical to the materialized sharded
-// engine's, so results are bit-identical to Run over the equivalent trace
-// pair (the equivalence tests assert it). The policy must implement
-// ShardedPolicy, even for a single-shard source — or CapacityPolicy, which
-// gives up the residency bound: it runs over the population reassembled
-// from the source's shards (capacity.go).
+// the shard as the unit of residency. Each worker produces one shard's
+// train/sim views (src.Shard), simulates them and drops the series before
+// it takes the next shard, so peak memory is one shard's O(n/P) event
+// series per in-flight worker plus the O(n) merged result — never the full
+// trace. The merge is identical to the materialized sharded engine's, so
+// results are bit-identical to Run over the equivalent trace pair (the
+// equivalence tests assert it). The policy must implement ShardedPolicy,
+// even for a single-shard source — or CapacityPolicy, which gives up the
+// residency bound: it runs over the population reassembled from the
+// source's shards (capacity.go).
 func RunStreamed(policy Policy, src Source, opts Options) (*Result, error) {
 	if src == nil {
 		return nil, fmt.Errorf("sim: nil source")
@@ -354,13 +346,12 @@ func runSharded(policy Policy, training, simTrace *trace.Trace, opts Options) (*
 	return runShardedSrc(policy, ss, opts)
 }
 
-// runShardedSrc simulates one fresh policy instance per source shard
-// (concurrently, bounded by the worker budget) and merges the shard
-// results. Shard views are produced by the worker that simulates them,
-// inside its token hold — pipelined with the previous shard's simulation
-// (see the worker loop below) — which is what bounds streamed residency;
-// when a ShardCache is in play, a hit skips production and simulation
-// entirely.
+// runShardedSrc simulates one fresh policy instance per source shard, on a
+// trace.FanOut of width opts.Workers, and merges the shard results. Each
+// attempt at a shard produces its views itself, right before simulating
+// them, which is what bounds streamed residency to one shard per in-flight
+// worker; when a ShardCache is in play, a hit skips production and
+// simulation entirely.
 //
 // The merge is deterministic and bit-identical to the unsharded engine:
 //   - Per-function metrics and type labels are scattered back through each
@@ -386,11 +377,6 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	inner := opts
 	inner.Shards = 0
 	inner.shardSet = nil
-	// Worker tokens are taken by the worker loops below, around simulation
-	// plus one overlapped prefetch, so a streamed source never has more
-	// than two shards resident per worker; runOne must not re-acquire.
-	pool := opts.pool
-	inner.pool = nil
 
 	// Cache qualification: a fingerprintable source and a hashable policy
 	// config.
@@ -429,147 +415,66 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	logs := make([]*slotLog, p)
 	globals := make([][]trace.FuncID, p)
 	errs := make([]error, p)
-	started := make([]bool, p)
 
-	// The shard run is split into two stages so workers can pipeline them:
-	// produce (cache lookup — an entry file read — and, on a miss,
-	// shard view production) and simulate. Producing shard i is independent
-	// of every other shard, so a worker can overlap shard j's production
-	// with shard i's simulation; simulation order and the merge stay
-	// untouched, so the pipelining is invisible in the results.
-	//
-	// produce never lets a panic escape: a panicking source (or injected
-	// fault) in the prefetch goroutine would otherwise kill the process
-	// outside any recovery. The recovered panic rides producedShard.err
-	// through the same classify/retry path as an error return.
-	produce := func(i int) (ps producedShard) {
-		defer func() {
-			if v := recover(); v != nil {
-				ps.err = &panicError{val: v}
-			}
-		}()
+	// attempt is one try at shard i: a cache hit, or the shard's views
+	// produced and simulated. Every attempt produces afresh — a failed
+	// attempt's views are suspect, and a transient production fault needs
+	// the production re-run too — and retryShard contains its panics.
+	attempt := func(i, n int) error {
+		var key shardKey
+		cacheable := false
 		if cache != nil && hasher != nil && fps != nil {
 			if fp, ok := fps.ShardFingerprint(i); ok {
-				ps.key = shardKey{
-					policy: policy.Name(),
-					config: cfgHash,
-					trace:  fp,
-					slots:  slots,
-				}
-				ps.cacheable = true
-				if ent := cache.lookup(ps.key); ent != nil {
-					ps.ent = ent
-					return ps
+				key, cacheable = shardKey{policy: policy.Name(), config: cfgHash, trace: fp, slots: slots}, true
+				if ent := cache.lookup(key); ent != nil {
+					results[i], logs[i], globals[i] = ent.res, ent.log, ent.global
+					return nil
 				}
 			}
 		}
-		ps.train, ps.sim, ps.err = src.Shard(i)
-		return ps
-	}
-	// attempt runs one shard simulation attempt; retryShard contains its
-	// panics.
-	attempt := func(i, n int, ps producedShard) error {
-		if ps.ent != nil {
-			results[i], logs[i], globals[i] = ps.ent.res, ps.ent.log, ps.ent.global
-			return nil
-		}
-		if ps.err != nil {
-			return fmt.Errorf("producing shard: %w", ps.err)
+		tv, sv, err := src.Shard(i)
+		if err != nil {
+			return fmt.Errorf("producing shard: %w", err)
 		}
 		if opts.FaultHook != nil {
 			opts.FaultHook.BeforeShard(i, n)
 		}
-		globals[i] = ps.sim.Global
+		var training *trace.Trace
+		if tv != nil {
+			training = tv.Trace
+		}
+		globals[i] = sv.Global
 		logs[i] = &slotLog{
 			loaded: make([]int32, 0, slots),
 			active: make([]int32, 0, slots),
 		}
-		res, err := runOne(sp.NewShard(), tr(ps), ps.sim.Trace, inner, logs[i])
+		res, err := runOne(sp.NewShard(), training, sv.Trace, inner, logs[i])
 		if err != nil {
 			return err
 		}
 		results[i] = res
-		if ps.cacheable {
-			cache.store(ps.key, &shardEntry{res: res, log: logs[i], global: globals[i]})
+		if cacheable {
+			cache.store(key, &shardEntry{res: res, log: logs[i], global: globals[i]})
 		}
 		return nil
 	}
-	// simulate runs shard i inside the isolation boundary (retryShard) while
-	// the other shards keep running.
-	simulate := func(i int, ps producedShard) {
-		started[i] = true
-		errs[i] = opts.retryShard(policy.Name(), i, p, func(n int) error {
-			if n > 1 {
-				// Re-produce from scratch: the failed attempt's views (or
-				// cache entry) are suspect, and a transient production fault
-				// needs the production re-run too.
-				ps = produce(i)
-			}
-			return attempt(i, n, ps)
-		})
-		if errs[i] != nil {
+	// Every shard runs to its own verdict inside the isolation boundary
+	// (retryShard) while the others keep running; Stop is polled before
+	// each shard starts, so in-flight shards drain.
+	trace.FanOut(opts.workers(), p, func(_, i int) error {
+		if opts.stopped() {
+			return nil
+		}
+		if errs[i] = opts.retryShard(policy.Name(), i, p, func(n int) error { return attempt(i, n) }); errs[i] != nil {
 			results[i] = nil
 		}
-	}
-
-	// Pipelined workers: shards are assigned round-robin to min(workers, p)
-	// static workers. Each worker holds ONE token for its whole stride, and
-	// while it simulates shard i it prefetches its NEXT assigned shard in a
-	// helper goroutine — so shard i+S's generation (or disk restore) overlaps
-	// shard i's simulation inside the token hold. Holding the token across
-	// the stride (rather than per shard) is what makes "at most TWO shards'
-	// event series per in-flight worker" a real bound: a worker that released
-	// between shards would sit in the token queue with its prefetched shard
-	// resident but untokened, and a RunAll sharing the pool across policies
-	// could then exceed the bound by a factor of the policy count.
-	if pool == nil {
-		pool = make(chan struct{}, opts.workers())
-	}
-	workers := cap(pool)
-	if workers > p {
-		workers = p
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			pool <- struct{}{}
-			defer func() { <-pool }()
-			var next chan producedShard
-			for i := w; i < p; i += workers {
-				var ps producedShard
-				if next != nil {
-					ps = <-next
-					next = nil
-				} else {
-					if opts.stopped() {
-						return
-					}
-					ps = produce(i)
-				}
-				if j := i + workers; j < p && !opts.stopped() {
-					ch := make(chan producedShard, 1)
-					next = ch
-					go func(j int) { ch <- produce(j) }(j)
-				}
-				simulate(i, ps)
-				if opts.stopped() {
-					// Drain the prefetch (its goroutine must not leak a
-					// send) but start nothing new.
-					if next != nil {
-						<-next
-					}
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
+		return nil
+	})
 
 	// Aggregate instead of aborting on the first failure: every failed
-	// shard contributes its ShardError, and a cancelled run additionally
-	// wraps ErrInterrupted. A partial merge would be a wrong Result, so any
+	// shard contributes its ShardError, and a cancelled run (a shard left
+	// with neither a result nor an error) additionally wraps
+	// ErrInterrupted. A partial merge would be a wrong Result, so any
 	// failure means a nil Result — but the completed shards' outcomes are
 	// already cached, which is what makes a rerun resume instead of
 	// starting over.
@@ -578,7 +483,7 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	for i, err := range errs {
 		if err != nil {
 			joined = append(joined, err)
-		} else if !started[i] {
+		} else if results[i] == nil {
 			interrupted = true
 		}
 	}
@@ -591,26 +496,6 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	}
 
 	return mergeShardResults(policy.Name(), slots, src.NumFunctions(), globals, results, logs), nil
-}
-
-// tr extracts the produced shard's training trace (nil for policies without
-// an offline phase).
-func tr(ps producedShard) *trace.Trace {
-	if ps.train != nil {
-		return ps.train.Trace
-	}
-	return nil
-}
-
-// producedShard is the output of the produce stage of a pipelined shard
-// run: either a cache entry (hit — nothing to simulate) or the train/sim
-// views plus the key to store a fresh outcome under.
-type producedShard struct {
-	ent        *shardEntry
-	train, sim *trace.ShardView
-	key        shardKey
-	cacheable  bool
-	err        error
 }
 
 // mergeShardResults folds per-shard results into the population-global
@@ -672,13 +557,13 @@ func mergeShardResults(name string, slots, n int, globals [][]trace.FuncID, resu
 
 // RunAll simulates several policies over the same train/sim pair, returning
 // results in input order. Policy runs are independent (each policy owns its
-// state and the traces are only read), so they execute concurrently, one
-// goroutine per policy. Concurrency is bounded by one shared worker budget
-// (Options.Workers): with Options.Shards > 1, the policies' shard runs all
-// draw from the same budget, so policies x shards never oversubscribes the
-// machine. MeasureOverhead runs the policies one after another instead:
-// per-Tick wall-clock timings taken while policies contend for cores would
-// be meaningless.
+// state and the traces are only read), so they execute concurrently on one
+// trace.FanOut of width Options.Workers; with Options.Shards > 1 each
+// policy's shard runs fan out again, and FanOut's process-wide budget
+// keeps policies x shards from oversubscribing the machine.
+// MeasureOverhead narrows the fan-out to width 1, running the policies one
+// after another: per-Tick wall-clock timings taken while policies contend
+// for cores would be meaningless.
 //
 // Failure contract (see DESIGN.md "Failure semantics"): one failing policy
 // no longer aborts the others. RunAll always returns the full results slice
@@ -686,7 +571,10 @@ func mergeShardResults(name string, slots, n int, globals [][]trace.FuncID, resu
 // errors.Join of every per-policy error (each wrapping that policy's
 // ShardErrors where applicable), or nil when everything succeeded. Callers
 // that want the old all-or-nothing behaviour just check err != nil; callers
-// that can use partial results filter the nils.
+// that can use partial results filter the nils. A policy that panics
+// (outside the sharded engine's per-shard isolation) stops RunAll from
+// starting further policies, and the panic is raised again on the caller
+// once the policies in flight have finished.
 func RunAll(policies []Policy, training, simTrace *trace.Trace, opts Options) ([]*Result, error) {
 	if opts.Source == nil && opts.Shards > 1 && simTrace != nil && opts.shardSet == nil &&
 		(training == nil || training.NumFunctions() == simTrace.NumFunctions()) {
@@ -695,43 +583,34 @@ func RunAll(policies []Policy, training, simTrace *trace.Trace, opts Options) ([
 		// shares the one simTrace index.
 		opts.shardSet = buildShardSet(training, simTrace, opts.Shards)
 	}
+	workers := opts.workers()
 	if opts.MeasureOverhead {
-		results := make([]*Result, len(policies))
-		var joined []error
-		for i, p := range policies {
-			r, err := Run(p, training, simTrace, opts)
-			if err != nil {
-				joined = append(joined, fmt.Errorf("sim: policy %s: %w", p.Name(), err))
-				continue
-			}
-			results[i] = r
-		}
-		return results, errors.Join(joined...)
+		workers = 1
 	}
-	if opts.pool == nil {
-		opts.pool = make(chan struct{}, opts.workers())
+	// Under Shards > 1 or a Source a CapacityPolicy is one indivisible run
+	// over the whole population, while the other policies' shards fill
+	// whichever workers are free, so the capacity runs are handed out
+	// first rather than left to lengthen the tail.
+	sharding := opts.Shards > 1 || opts.Source != nil
+	order := make([]int, 0, len(policies))
+	for _, first := range []bool{true, false} {
+		for i, p := range policies {
+			if _, cp := p.(CapacityPolicy); (cp && sharding) == first {
+				order = append(order, i)
+			}
+		}
 	}
 	results := make([]*Result, len(policies))
 	errs := make([]error, len(policies))
-	var wg sync.WaitGroup
-	for i, p := range policies {
-		wg.Add(1)
-		go func(i int, p Policy) {
-			defer wg.Done()
-			r, err := Run(p, training, simTrace, opts)
-			if err != nil {
-				errs[i] = fmt.Errorf("sim: policy %s: %w", p.Name(), err)
-				return
-			}
-			results[i] = r
-		}(i, p)
-	}
-	wg.Wait()
-	var joined []error
-	for _, err := range errs {
+	trace.FanOut(workers, len(policies), func(_, k int) error {
+		i := order[k]
+		r, err := Run(policies[i], training, simTrace, opts)
 		if err != nil {
-			joined = append(joined, err)
+			errs[i] = fmt.Errorf("sim: policy %s: %w", policies[i].Name(), err)
+			return nil
 		}
-	}
-	return results, errors.Join(joined...)
+		results[i] = r
+		return nil
+	})
+	return results, errors.Join(errs...)
 }

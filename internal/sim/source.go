@@ -9,10 +9,11 @@ import (
 
 // Source is an iterator of per-shard train/sim trace views: the unit of
 // residency of the streamed sharded engine. runShardedSrc calls Shard(i)
-// inside the worker that will simulate shard i — while holding a worker
-// token — so at most Options.Workers shards' event series exist in memory
-// at once, O(n/P) per in-flight worker instead of O(n) for a materialized
-// trace pair.
+// in each attempt at shard i, right before simulating it, and drops the
+// views when that attempt ends, so one shard's event series exists per
+// in-flight worker — at most Options.Workers of them per run, O(n/P) each
+// instead of O(n) for a materialized trace pair. A retried shard is
+// produced again.
 //
 // Contract (what the deterministic merge relies on — see DESIGN.md
 // "Streaming source contract"):

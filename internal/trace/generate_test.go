@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -140,6 +141,45 @@ func TestFanOut(t *testing.T) {
 	}
 	if p := peak.Load(); int(p) > budget {
 		t.Fatalf("nested fan-out ran %d helpers at once, budget %d", p, budget)
+	}
+}
+
+// A call started while other calls hold the whole budget runs on its
+// caller alone, and takes on helpers as soon as tokens come back while it
+// still has items: item 1 waits for a helper to run an item, which only a
+// helper started after item 0 released the budget can do.
+func TestFanOutPicksUpReleasedTokens(t *testing.T) {
+	held := 0
+	for held < cap(fanTokens) {
+		select {
+		case fanTokens <- struct{}{}:
+			held++
+			continue
+		default:
+		}
+		break
+	}
+	helped := make(chan struct{})
+	var once sync.Once
+	err := FanOut(2, 3, func(w, i int) error {
+		switch {
+		case w > 0:
+			once.Do(func() { close(helped) })
+		case i == 0:
+			for ; held > 0; held-- {
+				<-fanTokens
+			}
+		case i == 1:
+			select {
+			case <-helped:
+			case <-time.After(5 * time.Second):
+				t.Error("no helper joined after the budget was released")
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -223,26 +223,59 @@ var fanTokens = make(chan struct{}, runtime.GOMAXPROCS(0))
 
 // FanOut runs fn(w, i) for every item i in [0, items) on up to workers
 // workers, handing items out through one atomic counter. The caller is
-// worker 0 and needs no token, so progress never waits on the budget; each
-// helper w in [1, workers) runs only if it draws a token from the
-// process-wide GOMAXPROCS budget without blocking, and w stays that
-// goroutine's for the whole call, so fn may index per-worker scratch by it.
-// Scheduling is nondeterministic: fn(w, i) must write only state item i
-// owns. FanOut returns the lowest failing item's error (no item starts
-// after a failure, and every lower item was already handed out), and a
-// panic in fn is raised again on the caller once every worker has stopped.
-// It allocates nothing per item.
+// worker 0 and needs no token, so progress never waits on the budget; the
+// helpers w in [1, workers) run on tokens drawn from the process-wide
+// GOMAXPROCS budget without blocking. The call starts as many helpers as
+// it finds tokens for, and every worker tries again before each item it
+// takes, so a call started while the budget was spent picks up the tokens
+// other calls release while items remain: no core idles while an item
+// waits. w stays that goroutine's for the whole call, so fn may index
+// per-worker scratch by it. Scheduling is nondeterministic: fn(w, i) must
+// write only state item i owns. FanOut returns the lowest failing item's
+// error (no item starts after a failure, and every lower item was already
+// handed out), and a panic in fn is raised again on the caller once every
+// worker has stopped. It allocates nothing per item.
 func FanOut(workers, items int, fn func(w, i int) error) error {
 	workers = min(workers, items)
 	var (
 		next     atomic.Int64
+		helpers  atomic.Int64
 		failed   atomic.Bool
+		wg       sync.WaitGroup
 		mu       sync.Mutex
 		errAt    = items
 		err      error
 		panicVal any
+		work     func(w int)
 	)
-	work := func(w int) {
+	// grow starts helpers while the call is short of its width, items
+	// remain and the budget has tokens. A worker that calls it is itself
+	// live (the caller, or a helper counted in wg), so its wg.Add never
+	// races wg.Wait at zero.
+	grow := func() {
+		for {
+			h := helpers.Load()
+			if int(h) >= workers-1 || int(next.Load()) >= items || failed.Load() {
+				return
+			}
+			select {
+			case fanTokens <- struct{}{}:
+			default:
+				return
+			}
+			if !helpers.CompareAndSwap(h, h+1) {
+				<-fanTokens // another worker took helper h+1; look again
+				continue
+			}
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				defer func() { <-fanTokens }()
+				work(w)
+			}(int(h + 1))
+		}
+	}
+	work = func(w int) {
 		defer func() {
 			if r := recover(); r != nil {
 				mu.Lock()
@@ -254,6 +287,7 @@ func FanOut(workers, items int, fn func(w, i int) error) error {
 			}
 		}()
 		for !failed.Load() {
+			grow()
 			i := int(next.Add(1) - 1)
 			if i >= items {
 				return
@@ -266,19 +300,6 @@ func FanOut(workers, items int, fn func(w, i int) error) error {
 				mu.Unlock()
 				failed.Store(true)
 			}
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 1; w < workers; w++ {
-		select {
-		case fanTokens <- struct{}{}:
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-fanTokens }()
-				work(w)
-			}()
-		default:
 		}
 	}
 	work(0)
