@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -60,9 +61,10 @@ func (cfg DefuseConfig) spanSlots() int {
 
 // Defuse implements sim.Policy.
 type Defuse struct {
+	sim.LoadedSet
+
 	cfg DefuseConfig
 
-	set   *loadedSet
 	wheel *sched.Wheel
 	last  []int
 
@@ -82,7 +84,7 @@ func (p *Defuse) Name() string { return "Defuse" }
 // Train mines the dependency graph and charges per-function histograms.
 func (p *Defuse) Train(training *trace.Trace) {
 	n := training.NumFunctions()
-	p.set = newLoadedSet(n)
+	p.Reset(n)
 	p.wheel = sched.NewWheel(n, 1, p.cfg.spanSlots())
 	p.last = make([]int, n)
 	p.hasDeps = make([]bool, n)
@@ -116,7 +118,7 @@ func (p *Defuse) Train(training *trace.Trace) {
 			keep = unit.prewarm + unit.keepalive
 		}
 		if end := rebased + keep; end > 0 {
-			p.set.add(trace.FuncID(fid))
+			p.Load(trace.FuncID(fid))
 			p.wheel.Schedule(-1, end, fid, actUnload)
 		}
 	}
@@ -183,7 +185,7 @@ func (p *Defuse) Tick(t int, invs []trace.FuncCount) {
 		}
 		p.last[f] = t
 		p.wheel.Cancel(f)
-		p.set.add(fc.Func)
+		p.Load(fc.Func)
 		// Keep-alive horizon: histogram tail when usable, fallback fixed
 		// keep-alive otherwise. Dependency-covered functions rely on their
 		// predecessors and release memory sooner.
@@ -202,10 +204,10 @@ func (p *Defuse) Tick(t int, invs []trace.FuncCount) {
 	// Dependency pre-warming: predecessors that fired pre-load successors.
 	for _, fc := range invs {
 		for _, succ := range p.successors[fc.Func] {
-			if p.set.has(succ) {
+			if p.Loaded(succ) {
 				continue
 			}
-			p.set.add(succ)
+			p.Load(succ)
 			p.wheel.Cancel(int(succ))
 			p.wheel.Schedule(t, t+int(p.cfg.PrewarmHold), int(succ), actUnload)
 		}
@@ -213,7 +215,7 @@ func (p *Defuse) Tick(t int, invs []trace.FuncCount) {
 
 	p.wheel.Drain(t, func(owner, what int) {
 		if what == actUnload {
-			p.set.remove(trace.FuncID(owner))
+			p.Unload(trace.FuncID(owner))
 		}
 	})
 }
@@ -223,12 +225,3 @@ func (p *Defuse) Tick(t int, invs []trace.FuncCount) {
 func (p *Defuse) NextWake(after, limit int) (int, bool) {
 	return p.wheel.NextOccupied(after, limit), true
 }
-
-// Loaded implements sim.Policy.
-func (p *Defuse) Loaded(f trace.FuncID) bool { return p.set.has(f) }
-
-// LoadedCount implements sim.Policy.
-func (p *Defuse) LoadedCount() int { return p.set.count }
-
-// TakeLoadDeltas implements sim.LoadDeltaTracker.
-func (p *Defuse) TakeLoadDeltas() ([]trace.FuncID, bool) { return p.set.takeDeltas() }

@@ -3,6 +3,7 @@ package baselines
 import (
 	"fmt"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -16,9 +17,10 @@ import (
 // ageing cold entries out. Equal priorities evict in ascending FuncID
 // order, which makes the eviction order a deterministic total order.
 type FaaSCache struct {
+	sim.LoadedSet
+
 	capacity int
 
-	set   *loadedSet
 	clock float64
 	freq  []int64
 	prio  []float64
@@ -47,7 +49,7 @@ func (p *FaaSCache) Capacity() int { return p.capacity }
 // it run through the training window.
 func (p *FaaSCache) Train(training *trace.Trace) {
 	n := training.NumFunctions()
-	p.set = newLoadedSet(n)
+	p.Reset(n)
 	p.clock = 0
 	p.freq = make([]int64, n)
 	p.prio = make([]float64, n)
@@ -64,7 +66,7 @@ func (p *FaaSCache) Train(training *trace.Trace) {
 		}
 		p.freq[fid] = total
 		p.prio[fid] = float64(total)
-		p.set.add(trace.FuncID(fid))
+		p.Load(trace.FuncID(fid))
 		p.push(fid)
 	}
 	p.enforce()
@@ -82,7 +84,7 @@ func (p *FaaSCache) Tick(t int, invs []trace.FuncCount) {
 				p.up(i)
 			}
 		} else {
-			p.set.add(fc.Func)
+			p.Load(fc.Func)
 			p.push(f)
 		}
 	}
@@ -93,9 +95,9 @@ func (p *FaaSCache) Tick(t int, invs []trace.FuncCount) {
 // ratcheting the GDSF clock to each evicted priority so future insertions
 // outrank long-idle residents.
 func (p *FaaSCache) enforce() {
-	for p.set.count > p.capacity {
+	for p.LoadedCount() > p.capacity {
 		victim := p.pop()
-		p.set.remove(trace.FuncID(victim))
+		p.Unload(trace.FuncID(victim))
 		if p.prio[victim] > p.clock {
 			p.clock = p.prio[victim]
 		}
@@ -107,12 +109,6 @@ func (p *FaaSCache) enforce() {
 // both leave the pool at or under capacity), so an invocation-free span never
 // needs a wake-up.
 func (p *FaaSCache) NextWake(after, limit int) (int, bool) { return -1, true }
-
-// Loaded implements sim.Policy.
-func (p *FaaSCache) Loaded(f trace.FuncID) bool { return p.set.has(f) }
-
-// LoadedCount implements sim.Policy.
-func (p *FaaSCache) LoadedCount() int { return p.set.count }
 
 // The eviction heap is kept inline on []int rather than through
 // container/heap, whose Push(any)/Pop() any box a FuncID on every admission
@@ -186,6 +182,3 @@ func (p *FaaSCache) pop() int {
 	p.index[f] = -1
 	return f
 }
-
-// TakeLoadDeltas implements sim.LoadDeltaTracker.
-func (p *FaaSCache) TakeLoadDeltas() ([]trace.FuncID, bool) { return p.set.takeDeltas() }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -13,10 +14,11 @@ import (
 //
 // Expiries run on a shared timing wheel (sched.Wheel), one deadline per function.
 type FixedKeepAlive struct {
+	sim.LoadedSet
+
 	keepAlive int
 	name      string
 
-	set   *loadedSet
 	wheel *sched.Wheel
 	last  []int // last invocation slot per function, -1 when never
 }
@@ -50,14 +52,14 @@ func (p *FixedKeepAlive) Train(training *trace.Trace) {
 		rebased := int(last) - training.Slots // negative: slots before sim start
 		p.last[fid] = rebased
 		if expire := rebased + p.keepAlive; expire > 0 {
-			p.set.add(trace.FuncID(fid))
+			p.Load(trace.FuncID(fid))
 			p.wheel.Schedule(-1, expire, fid, 0)
 		}
 	}
 }
 
 func (p *FixedKeepAlive) init(n int) {
-	p.set = newLoadedSet(n)
+	p.Reset(n)
 	p.wheel = sched.NewWheel(n, 1, p.keepAlive+2)
 	p.last = make([]int, n)
 	for i := range p.last {
@@ -70,7 +72,7 @@ func (p *FixedKeepAlive) init(n int) {
 // introduce larger FuncIDs no longer indexes out of range (the first slot
 // used to fix the size for good).
 func (p *FixedKeepAlive) grow(n int) {
-	p.set.grow(n)
+	p.Grow(n)
 	p.wheel.Grow(n)
 	for len(p.last) < n {
 		p.last = append(p.last, -1)
@@ -79,7 +81,7 @@ func (p *FixedKeepAlive) grow(n int) {
 
 // Tick implements sim.Policy.
 func (p *FixedKeepAlive) Tick(t int, invs []trace.FuncCount) {
-	if p.set == nil {
+	if p.wheel == nil {
 		p.init(0) // tolerate missing Train; grow on demand below
 	}
 	for _, fc := range invs {
@@ -90,10 +92,10 @@ func (p *FixedKeepAlive) Tick(t int, invs []trace.FuncCount) {
 		p.last[f] = t
 		p.wheel.Cancel(f)
 		p.wheel.Schedule(t, t+p.keepAlive, f, 0)
-		p.set.add(fc.Func)
+		p.Load(fc.Func)
 	}
 	p.wheel.Drain(t, func(owner, _ int) {
-		p.set.remove(trace.FuncID(owner))
+		p.Unload(trace.FuncID(owner))
 	})
 }
 
@@ -106,12 +108,3 @@ func (p *FixedKeepAlive) NextWake(after, limit int) (int, bool) {
 	}
 	return p.wheel.NextOccupied(after, limit), true
 }
-
-// Loaded implements sim.Policy.
-func (p *FixedKeepAlive) Loaded(f trace.FuncID) bool { return p.set.has(f) }
-
-// LoadedCount implements sim.Policy.
-func (p *FixedKeepAlive) LoadedCount() int { return p.set.count }
-
-// TakeLoadDeltas implements sim.LoadDeltaTracker.
-func (p *FixedKeepAlive) TakeLoadDeltas() ([]trace.FuncID, bool) { return p.set.takeDeltas() }

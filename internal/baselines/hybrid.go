@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"repro/internal/sched"
+	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -107,13 +108,14 @@ func (u *hybridUnit) windows(cfg HybridConfig) {
 // functions load and unload together, driven by the application's aggregate
 // inter-arrival histogram.
 type Hybrid struct {
+	sim.LoadedSet
+
 	cfg     HybridConfig
 	appWise bool
 
 	units  []hybridUnit
 	unitOf []int   // function -> unit index
 	fanout [][]int // unit -> functions (identity at function granularity)
-	set    *loadedSet
 	wheel  *sched.Wheel
 	nFuncs int
 
@@ -153,7 +155,7 @@ func (p *Hybrid) Name() string {
 // times into their histograms.
 func (p *Hybrid) Train(training *trace.Trace) {
 	p.nFuncs = training.NumFunctions()
-	p.set = newLoadedSet(p.nFuncs)
+	p.Reset(p.nFuncs)
 
 	if p.appWise {
 		apps := training.AppFunctions()
@@ -301,21 +303,15 @@ func (p *Hybrid) NextWake(after, limit int) (int, bool) {
 
 func (p *Hybrid) loadUnit(u int) {
 	for _, f := range p.fanout[u] {
-		p.set.add(trace.FuncID(f))
+		p.Load(trace.FuncID(f))
 	}
 }
 
 func (p *Hybrid) unloadUnit(u int) {
 	for _, f := range p.fanout[u] {
-		p.set.remove(trace.FuncID(f))
+		p.Unload(trace.FuncID(f))
 	}
 }
-
-// Loaded implements sim.Policy.
-func (p *Hybrid) Loaded(f trace.FuncID) bool { return p.set.has(f) }
-
-// LoadedCount implements sim.Policy.
-func (p *Hybrid) LoadedCount() int { return p.set.count }
 
 func dedupSortInt32(xs []int32) []int32 {
 	if len(xs) < 2 {
@@ -336,6 +332,3 @@ func (p *Hybrid) String() string {
 	return fmt.Sprintf("%s(range=%dm, head=%.0f%%, tail=%.0f%%)",
 		p.Name(), p.cfg.RangeMins, p.cfg.PrewarmPct*100, p.cfg.KeepAlivePct*100)
 }
-
-// TakeLoadDeltas implements sim.LoadDeltaTracker.
-func (p *Hybrid) TakeLoadDeltas() ([]trace.FuncID, bool) { return p.set.takeDeltas() }

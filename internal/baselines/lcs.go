@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -18,9 +19,10 @@ import (
 // with equal last — so the head is the minimum of that total order and
 // same-slot ties recycle in ascending FuncID order.
 type LCS struct {
+	sim.LoadedSet
+
 	capacity int
 
-	set  *loadedSet
 	last []int
 
 	// prev/next implement an intrusive doubly linked LRU list over
@@ -48,7 +50,7 @@ func (p *LCS) Capacity() int { return p.capacity }
 // recency rebased to negative slots, ties FuncID-ascending).
 func (p *LCS) Train(training *trace.Trace) {
 	n := training.NumFunctions()
-	p.set = newLoadedSet(n)
+	p.Reset(n)
 	p.last = make([]int, n)
 	p.prev = make([]int, n)
 	p.next = make([]int, n)
@@ -74,7 +76,7 @@ func (p *LCS) Train(training *trace.Trace) {
 	})
 	for _, r := range seen {
 		p.last[r.fid] = r.last
-		p.set.add(trace.FuncID(r.fid))
+		p.Load(trace.FuncID(r.fid))
 		p.touch(r.fid)
 	}
 	p.enforce()
@@ -113,7 +115,7 @@ func (p *LCS) Tick(t int, invs []trace.FuncCount) {
 	for _, fc := range invs {
 		f := int(fc.Func)
 		p.last[f] = t
-		p.set.add(fc.Func)
+		p.Load(fc.Func)
 		p.touch(f)
 	}
 	p.enforce()
@@ -121,10 +123,10 @@ func (p *LCS) Tick(t int, invs []trace.FuncCount) {
 
 // enforce recycles least-recently-used containers until the pool fits.
 func (p *LCS) enforce() {
-	for p.set.count > p.capacity && p.head >= 0 {
+	for p.LoadedCount() > p.capacity && p.head >= 0 {
 		victim := p.head
 		p.detach(victim)
-		p.set.remove(trace.FuncID(victim))
+		p.Unload(trace.FuncID(victim))
 	}
 }
 
@@ -133,12 +135,3 @@ func (p *LCS) enforce() {
 // Tick both leave the pool at or under capacity), so an invocation-free span
 // never needs a wake-up.
 func (p *LCS) NextWake(after, limit int) (int, bool) { return -1, true }
-
-// Loaded implements sim.Policy.
-func (p *LCS) Loaded(f trace.FuncID) bool { return p.set.has(f) }
-
-// LoadedCount implements sim.Policy.
-func (p *LCS) LoadedCount() int { return p.set.count }
-
-// TakeLoadDeltas implements sim.LoadDeltaTracker.
-func (p *LCS) TakeLoadDeltas() ([]trace.FuncID, bool) { return p.set.takeDeltas() }

@@ -31,7 +31,8 @@ func (p *Defuse) NewShard() sim.Policy { return NewDefuse(p.cfg) }
 // complete behaviour-affecting configuration via sim.HashConfig, so adding
 // a config field invalidates old cache entries automatically. The
 // capacity-coupled baselines have none: a ShardCache attached to their
-// runs is refused (sim.CapacityCacheError) before any key is formed.
+// runs is refused (an error wrapping sim.ErrCapacityCoupled) before any key
+// is formed.
 
 // ConfigHash implements sim.ConfigHasher: the keep-alive window is the whole
 // configuration.

@@ -51,16 +51,16 @@ func (d *DenseReference) Tick(t int, invs []trace.FuncCount) {
 			st.currentWT = 0
 			d.wtOff[fid] = 0
 			d.preloadUntil[fid] = -1
-			d.load(fid)
+			d.Load(fid)
 			continue
 		}
 
 		// Lines 13-20: idle bookkeeping, pre-load or evict.
 		st.currentWT++
 		if d.shouldPreload(fid, t) {
-			d.load(fid)
-		} else if d.loaded[fid] && st.currentWT >= d.thetaGivenup(d.typ[fid]) {
-			d.unload(fid)
+			d.Load(fid)
+		} else if d.Loaded(fid) && st.currentWT >= d.thetaGivenup(d.typ[fid]) {
+			d.Unload(fid)
 		}
 	}
 

@@ -23,15 +23,15 @@ import (
 //
 // Only the CANONICAL state is serialized — the facts that define the
 // policy's future decisions: profiles and their online-WT observations, the
-// hot per-function arrays (lastInvoked, eventSlot, seq, loaded,
+// hot per-function arrays (lastInvoked, eventSlot, seq, the loaded set,
 // preloadUntil, wtOff), the online-correlation counters, and the engine
 // clock (lastTick). Everything else is a derived view and is rebuilt on
 // restore: the type cache from profiles, the correlated-link reverse index
 // from profile links, the WT histogram family by replaying histAdd over the
-// serialized samples (an order-independent multiset), the loaded count from
-// the loaded set, and the timing wheel by re-arming each function's single
-// outstanding deadline from eventSlot. The wheel keeps nothing else: a
-// replaced deadline was unlinked when it was replaced.
+// serialized samples (an order-independent multiset), and the timing wheel
+// by re-arming each function's single outstanding deadline from eventSlot.
+// The wheel keeps nothing else: a replaced deadline was unlinked when it was
+// replaced.
 
 // snapMagic versions the encoding; any mismatch is a hard error, never a
 // guess.
@@ -95,8 +95,8 @@ func (s *SPES) EncodeState() ([]byte, error) {
 	if s.states == nil {
 		return nil, fmt.Errorf("core: EncodeState on an untrained policy")
 	}
-	if len(s.deltas) > 0 {
-		return nil, fmt.Errorf("core: EncodeState with %d unconsumed load deltas; drain TakeLoadDeltas first", len(s.deltas))
+	if n := s.PendingDeltas(); n > 0 {
+		return nil, fmt.Errorf("core: EncodeState with %d unconsumed load deltas; drain TakeLoadDeltas first", n)
 	}
 	n := len(s.states)
 	e := durable.NewEnc(snapMagic, 1<<16)
@@ -116,7 +116,7 @@ func (s *SPES) EncodeState() ([]byte, error) {
 		e.I64(int64(s.lastInvoked[fid]))
 		e.I64(int64(s.eventSlot[fid]))
 		e.U64(uint64(s.seq[fid]))
-		e.Bool(s.loaded[fid])
+		e.Bool(s.Loaded(trace.FuncID(fid)))
 		e.I64(int64(s.preloadUntil[fid]))
 		e.I64(int64(s.wtOff[fid]))
 	}
@@ -204,18 +204,19 @@ func (s *SPES) RestoreState(data []byte) error {
 			Trigger: trace.Trigger(d.U8()),
 		}
 	}
-	s.loadedCount = 0
 	for fid := 0; fid < n; fid++ {
 		s.lastInvoked[fid] = int32(d.I64())
 		s.eventSlot[fid] = int32(d.I64())
 		s.seq[fid] = uint32(d.U64())
-		s.loaded[fid] = d.Bool()
+		if d.Bool() {
+			s.Load(trace.FuncID(fid))
+		}
 		s.preloadUntil[fid] = int32(d.I64())
 		s.wtOff[fid] = int8(d.I64())
-		if s.loaded[fid] {
-			s.loadedCount++
-		}
 	}
+	// The restored set is where the snapshotting policy stood, not a change
+	// from it: the caller's accounting already holds it.
+	s.TakeLoadDeltas()
 	for fid := 0; fid < n; fid++ {
 		st := &s.states[fid]
 		st.profile = classify.Profile{
@@ -345,7 +346,7 @@ func (s *SPES) Admit(f trace.Function) trace.FuncID {
 	s.eventSlot = append(s.eventSlot, -1)
 	s.seq = append(s.seq, 0)
 	s.wheel.Grow(len(s.states))
-	s.loaded = append(s.loaded, false)
+	s.Grow(len(s.states))
 	s.typ = append(s.typ, classify.TypeUnknown)
 	s.preloadUntil = append(s.preloadUntil, -1)
 	s.wtOff = append(s.wtOff, 1)

@@ -19,10 +19,11 @@ const wheelSpan = 2048
 // funcState holds the cold per-function state of Algorithm 1's FState
 // record: the categorization profile and the adjusting strategy's online-WT
 // history. The fields the Tick hot paths touch every slot — lastInvoked,
-// eventSlot, seq, loaded, the cached type, preloadUntil, wtOff — live in
-// SPES's parallel arrays (structure-of-arrays layout) instead, so draining a
-// wheel bucket or replaying an invocation list walks tightly packed arrays
-// rather than striding over this ~15-word record per function.
+// eventSlot, seq, the loaded set, the cached type, preloadUntil, wtOff —
+// live in SPES's parallel arrays (structure-of-arrays layout) instead, so
+// draining a wheel bucket or replaying an invocation list walks tightly
+// packed arrays rather than striding over this ~15-word record per
+// function.
 type funcState struct {
 	profile classify.Profile
 
@@ -64,9 +65,12 @@ type listener struct {
 // engine (SPES) and the per-slot reference (DenseReference) share, so the
 // two can only differ in WHEN they evaluate a function, never in what they
 // decide. It implements the engine-independent part of sim.Policy plus
-// sim.TypeTagger and sim.LoadDeltaTracker; Tick, and everything that makes a
-// policy shardable, cacheable, skippable or snapshottable, belongs to SPES.
+// sim.TypeTagger and sim.LoadDeltaTracker (the loaded set and its flip log
+// are the embedded sim.LoadedSet); Tick, and everything that makes a policy
+// shardable, cacheable, skippable or snapshottable, belongs to SPES.
 type provision struct {
+	sim.LoadedSet // MemSet
+
 	cfg  Config
 	pred predict.Predictor
 
@@ -81,7 +85,6 @@ type provision struct {
 	// FuncID. Tick's inner loops (invocation replay, wheel drain, deadline
 	// math) touch only these arrays, cutting cache misses at large n:
 	lastInvoked  []int32         // slot of the most recent invocation (sim timeline; negative from training)
-	loaded       []bool          // in MemSet
 	typ          []classify.Type // cached profile.Type (kept in sync on promotion/adjustment)
 	preloadUntil []int32         // last slot (inclusive) of an indicator-driven pre-load, -1 inactive
 	wtOff        []int8          // lazy-WT off-by-one: 1 until first-ever invocation, 0 afterwards
@@ -92,10 +95,6 @@ type provision struct {
 
 	ucorr *onlineCorr
 
-	// deltas logs the FuncIDs whose loaded state flipped since the last
-	// TakeLoadDeltas, feeding the simulator's incremental accounting.
-	deltas []trace.FuncID
-
 	// wtScratch is the reusable buffer chronoWTs unrolls a wrapped online-WT
 	// ring into (Tick is single-threaded per policy).
 	wtScratch [maxOnlineWTs]int
@@ -105,8 +104,7 @@ type provision struct {
 	// the Config method there would copy the whole struct every time.
 	thetaGivenupByType [classify.NumTypes]int
 
-	loadedCount int
-	trainSlots  int
+	trainSlots int
 }
 
 // SPES is the differentiated provision policy on its event-driven engine:
@@ -167,7 +165,7 @@ func (s *provision) alloc(n int) {
 	s.states = make([]funcState, n)
 	s.listeners = make([][]listener, n)
 	s.lastInvoked = make([]int32, n)
-	s.loaded = make([]bool, n)
+	s.Reset(n)
 	s.typ = make([]classify.Type, n)
 	s.preloadUntil = make([]int32, n)
 	s.wtOff = make([]int8, n)
@@ -216,7 +214,7 @@ func (s *provision) train(training *trace.Trace) {
 			(st.profile.Type == classify.TypeAlwaysWarm ||
 				st.currentWT < s.thetaGivenup(st.profile.Type) ||
 				s.shouldPreload(trace.FuncID(fid), 0)) {
-			s.load(trace.FuncID(fid))
+			s.Load(trace.FuncID(fid))
 		}
 	}
 
@@ -249,20 +247,6 @@ func (s *SPES) Train(training *trace.Trace) {
 		s.eventSlot[fid] = -1
 		s.ensureWake(trace.FuncID(fid), -1)
 	}
-}
-
-// Loaded implements sim.Policy.
-func (s *provision) Loaded(f trace.FuncID) bool { return s.loaded[f] }
-
-// LoadedCount implements sim.Policy.
-func (s *provision) LoadedCount() int { return s.loadedCount }
-
-// TakeLoadDeltas implements sim.LoadDeltaTracker: every function whose
-// loaded state flipped since the previous call, valid until the next Tick.
-func (s *provision) TakeLoadDeltas() ([]trace.FuncID, bool) {
-	d := s.deltas
-	s.deltas = s.deltas[:0]
-	return d, true
 }
 
 // TypeOf implements sim.TypeTagger.
@@ -310,23 +294,6 @@ func (s *SPES) Retrain(t int, window *trace.Trace) {
 // experiment reports read it).
 func (s *provision) Profile(f trace.FuncID) classify.Profile { return s.states[f].profile }
 
-// load and unload keep loadedCount and the delta log in sync.
-func (s *provision) load(fid trace.FuncID) {
-	if !s.loaded[fid] {
-		s.loaded[fid] = true
-		s.loadedCount++
-		s.deltas = append(s.deltas, fid)
-	}
-}
-
-func (s *provision) unload(fid trace.FuncID) {
-	if s.loaded[fid] {
-		s.loaded[fid] = false
-		s.loadedCount--
-		s.deltas = append(s.deltas, fid)
-	}
-}
-
 // Tick implements Algorithm 1 for one slot, touching only the slot's invoked
 // functions plus the functions whose scheduled deadline is t.
 func (s *SPES) Tick(t int, invs []trace.FuncCount) {
@@ -354,7 +321,7 @@ func (s *SPES) Tick(t int, invs []trace.FuncCount) {
 		s.lastInvoked[fid] = int32(t)
 		s.wtOff[fid] = 0
 		s.preloadUntil[fid] = -1
-		s.load(fid)
+		s.Load(fid)
 		s.ensureWake(fid, t)
 	}
 
@@ -405,12 +372,12 @@ func (s *SPES) idleStep(fid trace.FuncID, t int) {
 		off, on := s.pred.PrewarmWindowScan(profile, lastInv, t, theta)
 		covered := off > t // ShouldPrewarm(t)
 		if covered || t <= int(s.preloadUntil[fid]) {
-			s.load(fid)
-		} else if s.loaded[fid] && t-lastInv+int(s.wtOff[fid]) >= s.thetaGivenup(s.typ[fid]) {
-			s.unload(fid)
+			s.Load(fid)
+		} else if s.Loaded(fid) && t-lastInv+int(s.wtOff[fid]) >= s.thetaGivenup(s.typ[fid]) {
+			s.Unload(fid)
 		}
 		var next int
-		if s.loaded[fid] {
+		if s.Loaded(fid) {
 			floor := s.evictionFloor(fid, t)
 			switch {
 			case floor != t+1:
@@ -432,9 +399,9 @@ func (s *SPES) idleStep(fid trace.FuncID, t int) {
 		s.scheduleWake(fid, t, next)
 	default:
 		if s.shouldPreload(fid, t) {
-			s.load(fid)
-		} else if s.loaded[fid] && t-int(s.lastInvoked[fid])+int(s.wtOff[fid]) >= s.thetaGivenup(s.typ[fid]) {
-			s.unload(fid)
+			s.Load(fid)
+		} else if s.Loaded(fid) && t-int(s.lastInvoked[fid])+int(s.wtOff[fid]) >= s.thetaGivenup(s.typ[fid]) {
+			s.Unload(fid)
 		}
 		s.ensureWake(fid, t)
 	}
@@ -447,7 +414,7 @@ func (s *provision) preloadThrough(fid trace.FuncID, _, until int) {
 	if int32(until) > s.preloadUntil[fid] {
 		s.preloadUntil[fid] = int32(until)
 	}
-	s.load(fid)
+	s.Load(fid)
 }
 
 // preloadThrough additionally reschedules fid's deadline at slot t: the
@@ -479,20 +446,20 @@ func (s *SPES) ensureWake(fid trace.FuncID, t int) {
 	// enumeration) is always kept, sparing the predictor scan.
 	switch s.typ[fid] {
 	case classify.TypeAlwaysWarm:
-		if !s.loaded[fid] {
+		if !s.Loaded(fid) {
 			s.scheduleWake(fid, t, t+1)
 		}
 		return
 	case classify.TypeCorrelated, classify.TypeSuccessive, classify.TypePulsed,
 		classify.TypeUnknown:
-		if !s.loaded[fid] {
+		if !s.Loaded(fid) {
 			return
 		}
 		s.scheduleWake(fid, t, s.evictionFloor(fid, t))
 	default:
 		theta := s.cfg.Classify.ThetaPrewarm
 		profile := &s.states[fid].profile
-		if !s.loaded[fid] {
+		if !s.Loaded(fid) {
 			s.scheduleWake(fid, t,
 				s.pred.NextPrewarmOn(profile, int(s.lastInvoked[fid]), t+1, theta))
 			return

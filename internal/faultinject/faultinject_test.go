@@ -46,13 +46,12 @@ var thetas = []int{1, 3, 10}
 func miniSweep(t *testing.T, train, simTr *trace.Trace, dir string, fs durable.FS, hook sim.ShardFaultHook) []*sim.Result {
 	t.Helper()
 	var out []*sim.Result
-	retry := sim.RetryPolicy{BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond}
 	for pass := 0; pass < 2; pass++ {
 		cache, err := sim.OpenShardCacheFS(dir, fs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := sim.Options{Shards: shards, Cache: cache, FaultHook: hook, Retry: retry}
+		opts := sim.Options{Shards: shards, Cache: cache, FaultHook: hook}
 		for _, theta := range thetas {
 			cfg := core.DefaultConfig()
 			cfg.Classify.ThetaPrewarm = theta

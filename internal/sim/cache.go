@@ -122,21 +122,6 @@ func OpenShardCacheFS(dir string, fs durable.FS) (*ShardCache, error) {
 	return &ShardCache{dir: dir, fs: fs}, nil
 }
 
-// vetPolicy refuses capacity-coupled policies: their per-shard outcomes
-// depend on cross-shard state (the global budget and the shared clock), so
-// the cache's (policy, config, trace fingerprint, slots) key does not
-// determine a shard's outcome and caching would serve wrong results. The
-// capacity engine calls this before running whenever a cache is attached;
-// the refusal is loud (CapacityCacheError wrapping ErrCapacityCoupled)
-// rather than a silent bypass, so a sweep misconfigured to cache a capacity
-// baseline fails visibly instead of quietly losing its incrementality.
-func (c *ShardCache) vetPolicy(p Policy) error {
-	if _, ok := p.(CapacityPolicy); ok {
-		return &CapacityCacheError{Policy: p.Name()}
-	}
-	return nil
-}
-
 // lookup returns the entry stored for key, or nil, counting a hit or a
 // miss. The file is read outside the lock: disk reads must not serialize
 // other shards' lookups.

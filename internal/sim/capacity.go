@@ -22,20 +22,6 @@ type CapacityPolicy interface {
 	Capacity() int
 }
 
-// CapacityCacheError is the structured refusal returned when a ShardCache
-// is attached to a sharded or streamed run of a capacity-coupled policy. It
-// wraps ErrCapacityCoupled for errors.Is checks.
-type CapacityCacheError struct {
-	// Policy is the offending policy's Name().
-	Policy string
-}
-
-func (e *CapacityCacheError) Error() string {
-	return fmt.Sprintf("%v: policy %s evicts against a global budget, so a per-shard (config, trace) key does not determine a shard's outcome; run it without a ShardCache", ErrCapacityCoupled, e.Policy)
-}
-
-func (e *CapacityCacheError) Unwrap() error { return ErrCapacityCoupled }
-
 // runCapacity runs a capacity-coupled policy under Shards > 1 or a Source:
 // runOne over the given pair, or over the pair reassembled from src when
 // src is non-nil, on the caller's goroutine — one unit of work, which
@@ -50,9 +36,7 @@ func runCapacity(cp CapacityPolicy, training, simTrace *trace.Trace, src Source,
 	}()
 
 	if opts.Cache != nil {
-		if verr := opts.Cache.vetPolicy(cp); verr != nil {
-			return nil, verr
-		}
+		return nil, fmt.Errorf("%w: policy %s evicts against a global budget, so a per-shard (config, trace) key does not determine a shard's outcome; run it without a ShardCache", ErrCapacityCoupled, cp.Name())
 	}
 	if budget := cp.Capacity(); budget <= 0 {
 		return nil, fmt.Errorf("sim: policy %s reports capacity %d; the global budget must be positive", cp.Name(), budget)
@@ -126,7 +110,7 @@ func reassemble(policy string, src Source, opts Options) (train, sim *trace.Trac
 			return nil, nil, fmt.Errorf("%w: %s stopped after producing %d of %d shards", ErrInterrupted, policy, i, p)
 		}
 		var tv, sv *trace.ShardView
-		if err := opts.retryShard(policy, i, p, func(int) (err error) {
+		if err := retryShard(policy, i, p, func(int) (err error) {
 			if tv, sv, err = src.Shard(i); err != nil {
 				return fmt.Errorf("producing shard: %w", err)
 			}

@@ -314,7 +314,7 @@ func TestCapacityEngineClassifiesShardFailure(t *testing.T) {
 
 	src := &flakySource{shardSet: buildShardSet(train, simTr, 2), failShard: 1,
 		err: MarkTransient(errors.New("disk hiccup")), failN: 1}
-	got, err := RunStreamed(&fakeCap{capacity: 9}, src, Options{Retry: fastRetry})
+	got, err := RunStreamed(&fakeCap{capacity: 9}, src, Options{})
 	if err != nil {
 		t.Fatalf("transient: run did not recover: %v", err)
 	}
@@ -327,7 +327,7 @@ func TestCapacityEngineClassifiesShardFailure(t *testing.T) {
 
 	src = &flakySource{shardSet: buildShardSet(train, simTr, 2), failShard: 1,
 		err: errors.New("bad shard"), failN: 1}
-	_, err = RunStreamed(&fakeCap{capacity: 9}, src, Options{Retry: fastRetry})
+	_, err = RunStreamed(&fakeCap{capacity: 9}, src, Options{})
 	var se *ShardError
 	if !errors.As(err, &se) {
 		t.Fatalf("deterministic: got %v, want a ShardError", err)
@@ -365,7 +365,7 @@ func (p *panickyCap) Tick(t int, invs []trace.FuncCount) {
 func TestCapacityEngineContainsPanics(t *testing.T) {
 	train, simTr := capTestTrace()
 
-	_, err := RunStreamed(&fakeCap{capacity: 9}, panickySource{buildShardSet(train, simTr, 2)}, Options{Retry: fastRetry})
+	_, err := RunStreamed(&fakeCap{capacity: 9}, panickySource{buildShardSet(train, simTr, 2)}, Options{})
 	var se *ShardError
 	if !errors.As(err, &se) || !se.Panicked || se.Shard != 1 {
 		t.Errorf("panicking source: got %v, want a panicked ShardError for shard 1", err)

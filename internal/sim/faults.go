@@ -28,11 +28,12 @@ var ErrInterrupted = errors.New("sim: run interrupted")
 // unsharded run rather than report a failure.
 var ErrNotShardable = errors.New("sim: policy not shardable")
 
-// ErrCapacityCoupled is the sentinel under CapacityCacheError: a ShardCache
-// was attached to a sharded or streamed run of a capacity-coupled policy,
-// which has no per-shard outcomes to key (see DESIGN.md "Capacity-coupled
-// policies"). The refusal is explicit rather than a silent bypass because
-// a silently ignored cache would mask a misconfigured sweep.
+// ErrCapacityCoupled is the sentinel a capacity run's refusal wraps: a
+// ShardCache was attached to a sharded or streamed run of a
+// capacity-coupled policy, which has no per-shard outcomes to key (see
+// DESIGN.md "Capacity-coupled policies"). The refusal is explicit rather
+// than a silent bypass because a silently ignored cache would mask a
+// misconfigured sweep.
 var ErrCapacityCoupled = errors.New("sim: capacity-coupled shard outcomes are not cacheable")
 
 // transientError marks an error as transient: worth retrying, because a
@@ -98,15 +99,13 @@ func (e *ShardError) Error() string {
 
 func (e *ShardError) Unwrap() error { return e.Err }
 
-// RetryPolicy bounds the shard isolation layer's retries, on the shared
+// shardRetry bounds the shard isolation layer's retries, on the shared
 // jitterless schedule of internal/retry: a transient failure (IsTransient,
 // or any recovered panic — a crash may be cured by a re-run, and re-running
-// a pure shard simulation is always safe) re-runs the shard up to
-// MaxAttempts times total, sleeping BaseDelay << (attempt-1) capped at
-// MaxDelay between attempts. The zero value takes retry's defaults (3
-// attempts, 5ms base, 250ms cap); a negative MaxAttempts disables retries
-// (one attempt, still recovered and classified).
-type RetryPolicy = retry.Policy
+// a pure shard simulation is always safe) re-runs the shard up to 3 times
+// in all, sleeping 5ms doubled per failure and capped at 250ms between
+// attempts (retry's defaults).
+var shardRetry = retry.Policy{}
 
 // ShardFaultHook is the fault-injection seam at the shard-worker boundary:
 // when Options.FaultHook is set, the engine calls BeforeShard(shard,
@@ -122,7 +121,7 @@ type ShardFaultHook interface {
 }
 
 // panicError carries a recovered panic value across the retry loop. All
-// recovered panics are treated as retryable (see RetryPolicy): a
+// recovered panics are treated as retryable (see shardRetry): a
 // deterministic panic simply exhausts the attempt budget and surfaces as a
 // ShardError with Panicked set.
 type panicError struct{ val any }
@@ -138,11 +137,11 @@ func (e *panicError) Unwrap() error {
 
 // retryShard is the isolation boundary around one shard's work: it recovers
 // a panic in attempt, classifies transient vs deterministic, retries
-// transients (and panics) per o.Retry with capped exponential backoff, and
-// returns the final failure as a structured ShardError — or nil.
-func (o Options) retryShard(policy string, shard, shards int, attempt func(n int) error) error {
+// transients (and panics) per shardRetry with capped exponential backoff,
+// and returns the final failure as a structured ShardError — or nil.
+func retryShard(policy string, shard, shards int, attempt func(n int) error) error {
 	attempts := 0
-	err := o.Retry.Do(func(n int) (err error) {
+	err := shardRetry.Do(func(n int) (err error) {
 		attempts = n
 		defer func() {
 			if v := recover(); v != nil {

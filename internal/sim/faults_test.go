@@ -83,9 +83,6 @@ func (s *flakySource) Shard(i int) (*trace.ShardView, *trace.ShardView, error) {
 	return s.shardSet.Shard(i)
 }
 
-// fastRetry keeps test retries from sleeping meaningfully.
-var fastRetry = RetryPolicy{BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}
-
 func mustRun(t *testing.T, opts Options) *Result {
 	t.Helper()
 	tr := tinyTrace()
@@ -100,7 +97,7 @@ func mustRun(t *testing.T, opts Options) *Result {
 // undisturbed run.
 func TestShardPanicRetriedAndBitIdentical(t *testing.T) {
 	clean := mustRun(t, Options{Shards: 2})
-	faulted := mustRun(t, Options{Shards: 2, Retry: fastRetry, FaultHook: &panicOnceHook{}})
+	faulted := mustRun(t, Options{Shards: 2, FaultHook: &panicOnceHook{}})
 	a, b := *clean, *faulted
 	a.Overhead, b.Overhead = 0, 0
 	if !reflect.DeepEqual(&a, &b) {
@@ -113,7 +110,7 @@ func TestShardPanicRetriedAndBitIdentical(t *testing.T) {
 // other shards' failures must all be present in the joined error.
 func TestShardPersistentPanicSurfacesStructured(t *testing.T) {
 	tr := tinyTrace()
-	res, err := Run(shardedNever{}, tr, tr, Options{Shards: 2, Retry: fastRetry, FaultHook: alwaysPanicHook{}})
+	res, err := Run(shardedNever{}, tr, tr, Options{Shards: 2, FaultHook: alwaysPanicHook{}})
 	if res != nil {
 		t.Fatalf("got a Result from a run whose every shard failed: %+v", res)
 	}
@@ -144,7 +141,7 @@ func TestShardDeterministicErrorFailsFast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunStreamed(shardedNever{}, src, Options{Retry: fastRetry, Cache: cache})
+	res, err := RunStreamed(shardedNever{}, src, Options{Cache: cache})
 	if res != nil {
 		t.Fatalf("got a Result from a failed run: %+v", res)
 	}
@@ -173,7 +170,7 @@ func TestShardTransientErrorRetriedAndBitIdentical(t *testing.T) {
 	}
 	src := &flakySource{shardSet: buildShardSet(tr, tr, 2), failShard: 0,
 		err: MarkTransient(errors.New("io hiccup")), failN: 2}
-	faulted, err := RunStreamed(shardedNever{}, src, Options{Retry: fastRetry})
+	faulted, err := RunStreamed(shardedNever{}, src, Options{})
 	if err != nil {
 		t.Fatalf("faulted run did not recover: %v", err)
 	}
@@ -191,13 +188,13 @@ func TestShardTransientExhaustionKeepsClassification(t *testing.T) {
 	tr := tinyTrace()
 	src := &flakySource{shardSet: buildShardSet(tr, tr, 2), failShard: 0,
 		err: MarkTransient(errors.New("io hiccup")), failN: 1 << 30}
-	_, err := RunStreamed(shardedNever{}, src, Options{Retry: RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond}})
+	_, err := RunStreamed(shardedNever{}, src, Options{})
 	var se *ShardError
 	if !errors.As(err, &se) {
 		t.Fatalf("error does not unwrap to *ShardError: %v", err)
 	}
-	if !se.Transient || se.Panicked || se.Attempts != 2 {
-		t.Errorf("ShardError = %+v, want transient, 2 attempts", se)
+	if !se.Transient || se.Panicked || se.Attempts != retry.DefaultAttempts {
+		t.Errorf("ShardError = %+v, want transient, %d attempts", se, retry.DefaultAttempts)
 	}
 }
 
@@ -221,7 +218,7 @@ func TestRunInterrupted(t *testing.T) {
 func TestRunAllPartialResults(t *testing.T) {
 	tr := tinyTrace()
 	results, err := RunAll([]Policy{shardedNever{}, panicTickPolicy{}}, tr, tr,
-		Options{Shards: 2, Retry: fastRetry})
+		Options{Shards: 2})
 	if err == nil {
 		t.Fatal("RunAll with a crashing policy returned no error")
 	}
@@ -237,22 +234,6 @@ func TestRunAllPartialResults(t *testing.T) {
 	var se *ShardError
 	if !errors.As(err, &se) || se.Policy != "panic-tick" {
 		t.Errorf("joined error does not identify the crashed policy: %v", err)
-	}
-}
-
-func TestRetryPolicyBudgetAndBackoff(t *testing.T) {
-	if got := (RetryPolicy{}).Attempts(); got != retry.DefaultAttempts {
-		t.Errorf("zero policy attempts = %d, want %d", got, retry.DefaultAttempts)
-	}
-	if got := (RetryPolicy{MaxAttempts: -1}).Attempts(); got != 1 {
-		t.Errorf("negative policy attempts = %d, want 1 (retries disabled)", got)
-	}
-	p := RetryPolicy{BaseDelay: 10 * time.Millisecond, MaxDelay: 35 * time.Millisecond}
-	want := []time.Duration{10, 20, 35, 35} // doubling, capped
-	for i, w := range want {
-		if got := p.Backoff(i + 1); got != w*time.Millisecond {
-			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w*time.Millisecond)
-		}
 	}
 }
 

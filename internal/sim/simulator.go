@@ -79,15 +79,6 @@ type Options struct {
 	// when there is no training trace).
 	RetrainWindow int
 
-	// Retry bounds the sharded engine's per-shard failure handling: a shard
-	// whose worker panics or returns a transient error (sim.IsTransient) is
-	// re-produced and re-simulated with capped exponential backoff, up to
-	// Retry.MaxAttempts times, before surfacing a ShardError. Deterministic
-	// errors surface on the first attempt. The zero value takes the
-	// defaults; re-running a shard is always safe because shard simulation
-	// is pure (fresh policy instance, read-only views).
-	Retry RetryPolicy
-
 	// Stop, when non-nil, requests a graceful cancellation when closed: the
 	// sharded engine starts no new shard work, drains the shards already in
 	// flight (their outcomes are cached as usual), and returns an error
@@ -243,7 +234,7 @@ type slotLog struct {
 // would be a wrong answer, so Run returns a nil Result on any failure —
 // but under the sharded engine a failing (or panicking) shard no longer
 // aborts the siblings: every shard runs to its own verdict, transient
-// failures retry per Options.Retry, and the returned error is an
+// failures retry (shardRetry), and the returned error is an
 // errors.Join of one structured ShardError per shard that still failed
 // (unpack with errors.As). Completed shards' outcomes persist in the
 // attached cache, so a rerun resumes rather than starting over.
@@ -465,7 +456,7 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 		if opts.stopped() {
 			return nil
 		}
-		if errs[i] = opts.retryShard(policy.Name(), i, p, func(n int) error { return attempt(i, n) }); errs[i] != nil {
+		if errs[i] = retryShard(policy.Name(), i, p, func(n int) error { return attempt(i, n) }); errs[i] != nil {
 			results[i] = nil
 		}
 		return nil

@@ -78,16 +78,13 @@ func StdDev(xs []float64) float64 { return math.Sqrt(varianceOf(xs)) }
 // StdDevInts is StdDev(IntsToFloats(xs)), bit for bit, without the copy.
 func StdDevInts(xs []int) float64 { return math.Sqrt(varianceOf(xs)) }
 
-// CoefficientOfVariation returns StdDev(xs)/Mean(xs).
+// CoefficientOfVariationInts returns StdDev(xs)/Mean(xs), computed on
+// IntsToFloats(xs) bit for bit, without the copy.
 //
 // The coefficient of variation (CV) is the dispersion measure SPES uses to
 // decide whether a waiting-time sequence is close enough to constant to call
 // the function "regular" (CV <= 0.01 in the paper). A zero mean yields 0 when
 // the sequence is all zeros (no dispersion) and +Inf otherwise.
-func CoefficientOfVariation(xs []float64) float64 { return cvOf(xs) }
-
-// CoefficientOfVariationInts is CoefficientOfVariation(IntsToFloats(xs)), bit
-// for bit, without the copy.
 func CoefficientOfVariationInts(xs []int) float64 { return cvOf(xs) }
 
 // MinMax returns the minimum and maximum of xs. It returns (0, 0) for an

@@ -75,17 +75,17 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestCoefficientOfVariation(t *testing.T) {
-	if got := CoefficientOfVariation([]float64{3, 3, 3}); got != 0 {
+func TestCoefficientOfVariationInts(t *testing.T) {
+	if got := CoefficientOfVariationInts([]int{3, 3, 3}); got != 0 {
 		t.Errorf("CV of constant = %v, want 0", got)
 	}
-	if got := CoefficientOfVariation([]float64{0, 0}); got != 0 {
+	if got := CoefficientOfVariationInts([]int{0, 0}); got != 0 {
 		t.Errorf("CV of zeros = %v, want 0", got)
 	}
-	if got := CoefficientOfVariation([]float64{-1, 1}); !math.IsInf(got, 1) {
+	if got := CoefficientOfVariationInts([]int{-1, 1}); !math.IsInf(got, 1) {
 		t.Errorf("CV with zero mean and spread = %v, want +Inf", got)
 	}
-	got := CoefficientOfVariation([]float64{2, 4, 4, 4, 5, 5, 7, 9})
+	got := CoefficientOfVariationInts([]int{2, 4, 4, 4, 5, 5, 7, 9})
 	if !almostEqual(got, 2.0/5.0, 1e-12) {
 		t.Errorf("CV = %v, want 0.4", got)
 	}
@@ -170,8 +170,8 @@ func TestIntFedStatisticsBitIdentical(t *testing.T) {
 		if got, want := StdDevInts(xs), StdDev(fs); !same(got, want) {
 			t.Fatalf("StdDevInts(%v) = %v, StdDev(floats) = %v", xs, got, want)
 		}
-		if got, want := CoefficientOfVariationInts(xs), CoefficientOfVariation(fs); !same(got, want) {
-			t.Fatalf("CoefficientOfVariationInts(%v) = %v, CoefficientOfVariation(floats) = %v", xs, got, want)
+		if got, want := CoefficientOfVariationInts(xs), cvOf(fs); !same(got, want) {
+			t.Fatalf("CoefficientOfVariationInts(%v) = %v, the CV of the floats = %v", xs, got, want)
 		}
 		sorted := append([]int(nil), xs...)
 		sort.Ints(sorted)
