@@ -269,7 +269,7 @@ func TestSteadyScenarioSharesCacheKeys(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := range fp {
-			fp[i], _ = src.ShardFingerprint(i)
+			fp[i] = src.ShardFingerprint(i)
 		}
 		return fp
 	}

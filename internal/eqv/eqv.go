@@ -26,10 +26,7 @@ import (
 )
 
 // The store doors stream a trace.StoreSource: it must run and key a cache.
-var _ interface {
-	sim.Source
-	sim.SourceFingerprint
-} = (*trace.StoreSource)(nil)
+var _ sim.Source = (*trace.StoreSource)(nil)
 
 // Workload is what every row of a Matrix simulates, once per seed.
 type Workload struct {

@@ -40,12 +40,6 @@ type Settings struct {
 	// constructor positions it at the split before generating.
 	Scenario trace.ScenarioConfig
 
-	// Shards sets the population shard count for the runners that execute
-	// sharded (the Figure 13 sweeps, whose per-shard cache needs shards to
-	// be the unit of work). 0 picks 4. Results are bit-identical
-	// for every value — sharding only changes execution, never outcomes.
-	Shards int
-
 	// CacheDir, when non-empty, is the entry directory of the sweep
 	// runners' shard cache (sim.OpenShardCache), so a re-run of the Figure
 	// 13 sweeps in a fresh process — same settings — reads shard outcomes

@@ -18,7 +18,7 @@ type sweepPoint struct {
 	baseline bool
 }
 
-// runNormalizedSweep runs the points as one sharded sim.RunAll, which
+// runNormalizedSweep runs the points as one 4-shard sim.RunAll, which
 // partitions the workload once for all of them (bit-identical to unsharded
 // runs), and renders a (param, normalized memory, Q3-CSR) table. Memory is
 // normalized to the baseline point, which need not come first; footer
@@ -31,9 +31,6 @@ func runNormalizedSweep(w io.Writer, s Settings, title, header string, pts []swe
 		return err
 	}
 	opts := sim.Options{Shards: 4}
-	if s.Shards > 0 {
-		opts.Shards = s.Shards
-	}
 	if s.CacheDir != "" {
 		if opts.Cache, err = sim.OpenShardCache(s.CacheDir); err != nil {
 			return err

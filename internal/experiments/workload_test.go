@@ -289,9 +289,9 @@ func TestSharedComparisonKeySeparatesScenarios(t *testing.T) {
 	sparse := steady
 	sparse.TriggerMix = trace.SparseTriggerMix()
 	execution := steady
-	execution.Shards, execution.CacheDir = 7, "elsewhere"
+	execution.CacheDir = "elsewhere"
 	if steady.cacheKey() == sparse.cacheKey() || steady.cacheKey() != execution.cacheKey() {
-		t.Error("the key must follow the workload (trigger mix) and ignore execution knobs (Shards, CacheDir)")
+		t.Error("the key must follow the workload (trigger mix) and ignore the execution knob CacheDir")
 	}
 	a, err := SharedComparison(steady, io.Discard)
 	if err != nil {

@@ -46,7 +46,11 @@ type LoadReport struct {
 // Replay streams tr's occupied slots in [Start, End) to the daemon, one
 // batch per occupied slot, BatchSlots batches per request. The trace's
 // functions are assumed admitted (trained); replay only carries events.
+// A negative Start is an error, returned before anything is sent.
 func Replay(c *Client, tr *trace.Trace, opt LoadOptions) (*LoadReport, error) {
+	if opt.Start < 0 {
+		return nil, fmt.Errorf("serve: replay start slot %d is negative", opt.Start)
+	}
 	if opt.BatchSlots <= 0 {
 		opt.BatchSlots = 1
 	}

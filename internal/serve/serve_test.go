@@ -94,6 +94,21 @@ func startServer(t *testing.T, cfg Config) (*Server, *Client) {
 	return s, &Client{Base: hs.URL}
 }
 
+// TestReplayRejectsNegativeStart: a negative Start is refused with an error
+// naming it, and the daemon receives nothing.
+func TestReplayRejectsNegativeStart(t *testing.T) {
+	train, simTr := testWorkload(t, 20, "")
+	s, c := startServer(t, Config{Dir: t.TempDir(), Policy: core.DefaultConfig(), Training: train})
+	defer s.Close()
+	rep, err := Replay(c, simTr, LoadOptions{Start: -1})
+	if err == nil || !strings.Contains(err.Error(), "-1") {
+		t.Fatalf("Replay from slot -1: got (%+v, %v), want an error naming the start", rep, err)
+	}
+	if n := s.c.appliedBatches.Load(); n != 0 {
+		t.Errorf("the daemon applied %d batches from a refused replay", n)
+	}
+}
+
 func waitApplied(t *testing.T, s *Server, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)

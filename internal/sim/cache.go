@@ -176,8 +176,9 @@ func (c *ShardCache) noteIO(err error) {
 	}
 }
 
-// CacheStats reports a cache's traffic: Hits and Misses count lookups by
-// qualified runs (non-qualified runs bypass the cache without counting).
+// CacheStats reports a cache's traffic: Hits and Misses count lookups, one
+// per shard attempt of every sharded or streamed run the cache is attached
+// to.
 // DiskErrors counts I/O failures (each of which degraded to a miss or a
 // skipped write, never a wrong result). DiskDisabled reports the tripwire:
 // DiskFailureTripwire consecutive I/O failures turned the cache off, so

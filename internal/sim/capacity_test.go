@@ -393,6 +393,7 @@ type loggedPolicy struct {
 func (p loggedPolicy) Name() string       { return p.name }
 func (p loggedPolicy) Train(*trace.Trace) { *p.log = append(*p.log, p.name) }
 func (p loggedPolicy) NewShard() Policy   { return p }
+func (p loggedPolicy) ConfigHash() uint64 { return HashConfig(p.name) }
 
 type loggedCap struct{ loggedPolicy }
 

@@ -180,10 +180,6 @@ func NewDriver(policy Policy, n int, cfg DriverConfig) *Driver {
 // NextSlot returns the next slot Step will accept.
 func (d *Driver) NextSlot() int { return d.next }
 
-// Loaded reports the policy's current loaded state for f (post most recent
-// Step).
-func (d *Driver) Loaded(f trace.FuncID) bool { return d.policy.Loaded(f) }
-
 // StepInfo is one processed slot's outcome, the raw material of a serving
 // daemon's decisions. Cold and Flips alias driver-owned buffers valid only
 // until the next Step.

@@ -15,8 +15,8 @@ import (
 )
 
 // shardedNever is neverLoadedPolicy with the sharded contract: every shard
-// gets a fresh (stateless) instance. It hashes its (empty) config so
-// cache-backed failure tests qualify for the shard cache.
+// gets a fresh (stateless) instance, and its (empty) config hashes to a
+// constant.
 type shardedNever struct{ neverLoadedPolicy }
 
 func (shardedNever) NewShard() Policy   { return shardedNever{} }
@@ -28,6 +28,7 @@ type panicTickPolicy struct{ neverLoadedPolicy }
 
 func (panicTickPolicy) Name() string                { return "panic-tick" }
 func (panicTickPolicy) NewShard() Policy            { return panicTickPolicy{} }
+func (panicTickPolicy) ConfigHash() uint64          { return HashConfig("panic-tick-test") }
 func (panicTickPolicy) Tick(int, []trace.FuncCount) { panic("deterministic tick crash") }
 
 // panicOnceHook panics the first time it sees each shard — the injected
@@ -57,9 +58,8 @@ func (alwaysPanicHook) BeforeShard(shard, attempt int) {
 	panic(fmt.Sprintf("persistent crash on shard %d attempt %d", shard, attempt))
 }
 
-// flakySource wraps a shardSet (keeping its fingerprints, so cache-backed
-// runs still qualify) and fails Shard(failShard) with err for the first
-// failN calls.
+// flakySource wraps a shardSet (keeping its fingerprints) and fails
+// Shard(failShard) with err for the first failN calls.
 type flakySource struct {
 	*shardSet
 	failShard int
@@ -287,6 +287,8 @@ func (p waitingPolicy) NewShard() Policy {
 	p.first = p.made.Add(1) == 1
 	return p
 }
+
+func (waitingPolicy) ConfigHash() uint64 { return HashConfig("waiting-test") }
 
 func (p waitingPolicy) Train(*trace.Trace) {
 	if !p.first {

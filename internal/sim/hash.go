@@ -73,12 +73,11 @@ func hashValue(h hashWriter, v reflect.Value) {
 	}
 }
 
-// ConfigHasher is implemented by policies whose complete behaviour-affecting
-// configuration can be fingerprinted. It is what makes a policy's shard runs
-// cacheable: ShardCache keys on (Name, ConfigHash, shard trace fingerprint,
-// slot count), so the hash MUST cover every field that can change a
-// simulation outcome — use HashConfig over the full config struct rather
-// than selecting fields by hand.
+// ConfigHasher is the part of ShardedPolicy that fingerprints the policy's
+// complete behaviour-affecting configuration. ShardCache keys on (Name,
+// ConfigHash, shard trace fingerprint, slot count), so the hash MUST cover
+// every field that can change a simulation outcome — use HashConfig over
+// the full config struct rather than selecting fields by hand.
 type ConfigHasher interface {
 	ConfigHash() uint64
 }

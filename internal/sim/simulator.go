@@ -56,10 +56,10 @@ type Options struct {
 	// a shard whose (policy name, config hash, trace fingerprint, slot
 	// count) key was simulated before is served from the cache instead of
 	// re-run, making parameter sweeps incremental and restartable — only
-	// shards whose policy config changed re-simulate. Requires the policy
-	// to implement ConfigHasher and the source to provide shard
-	// fingerprints; runs that don't qualify silently bypass the cache.
-	// Merged results are bit-identical either way.
+	// shards whose policy config changed re-simulate. Every sharded or
+	// streamed run keys it: a ShardedPolicy hashes its config and a Source
+	// fingerprints its shards by type. A capacity-coupled policy refuses
+	// it (ErrCapacityCoupled). Merged results are bit-identical either way.
 	Cache *ShardCache
 
 	// RetrainEvery, when positive, re-runs the policy's categorization
@@ -94,11 +94,6 @@ type Options struct {
 	// sleep or panic, and the isolation layer must absorb both. Production
 	// code leaves it nil.
 	FaultHook ShardFaultHook
-
-	// shards is the partition and shard views shared across one RunAll
-	// invocation's policies, so P-way sharding of an n-function trace costs
-	// one partition and P slot indexes total instead of per policy.
-	shardSet *shardSet
 }
 
 // workers resolves the width of each fan-out.
@@ -124,7 +119,7 @@ func (o Options) stopped() bool {
 // ShardedPolicy is implemented by policies that can run as one independent
 // instance per population shard. NewShard returns a fresh untrained instance
 // with the same configuration; the simulator trains and ticks it over a
-// single shard's trace view.
+// single shard's trace view; ConfigHash keys its shard cache entries.
 //
 // A policy may implement this only if its decisions for a function depend on
 // nothing outside that function's app/user component (the partitioning
@@ -135,14 +130,15 @@ func (o Options) stopped() bool {
 // and always run over the whole population (capacity.go).
 type ShardedPolicy interface {
 	NewShard() Policy
+	ConfigHasher
 }
 
 // shardSet carries one partition of a train/sim trace pair into shard
 // views. Views are safe to share across concurrent policy runs: series are
 // read-only and each view's memoized slot index is mutex-guarded. It is the
-// materialized-trace implementation of Source (all views exist up front, so
-// Shard just hands them out) and of SourceFingerprint (content hash of each
-// shard's series and metadata, computed once per set).
+// materialized-trace implementation of Source: all views exist up front, so
+// Shard just hands them out, and each shard's fingerprint is a content hash
+// of its series and metadata, computed once per set.
 type shardSet struct {
 	sim   []*trace.ShardView
 	train []*trace.ShardView // nil when there is no training trace
@@ -194,12 +190,12 @@ func (ss *shardSet) Shard(i int) (train, sim *trace.ShardView, err error) {
 	return train, ss.sim[i], nil
 }
 
-// ShardFingerprint implements SourceFingerprint: a domain-tagged hash of
+// ShardFingerprint implements Source: a domain-tagged hash of
 // shard i's sim view content hash, its train view's and whether it has one
 // (trace.ShardView.ContentHash; Global is part of both, so two shards with
 // equal local content at different global placements never collide),
 // memoized so sweeps sharing one shardSet hash each shard once.
-func (ss *shardSet) ShardFingerprint(i int) (uint64, bool) {
+func (ss *shardSet) ShardFingerprint(i int) uint64 {
 	ss.fpOnce[i].Do(func() {
 		key := struct {
 			Domain     string
@@ -211,7 +207,7 @@ func (ss *shardSet) ShardFingerprint(i int) (uint64, bool) {
 		}
 		ss.fps[i] = HashConfig(key)
 	})
-	return ss.fps[i], true
+	return ss.fps[i]
 }
 
 // slotLog records a shard run's per-slot post-Tick loaded and active-loaded
@@ -252,7 +248,7 @@ func Run(policy Policy, training, simTrace *trace.Trace, opts Options) (*Result,
 			training.NumFunctions(), simTrace.NumFunctions())
 	}
 	if opts.Shards > 1 {
-		return runSharded(policy, training, simTrace, opts)
+		return runSharded(policy, training, simTrace, opts, nil)
 	}
 	return runOne(policy, training, simTrace, opts, nil)
 }
@@ -324,13 +320,13 @@ func RunStreamed(policy Policy, src Source, opts Options) (*Result, error) {
 }
 
 // runSharded splits the population into opts.Shards app/user-closed shards
-// and runs the source-driven engine over the materialized views. A
-// capacity-coupled policy cannot shard and runs over the pair as it is.
-func runSharded(policy Policy, training, simTrace *trace.Trace, opts Options) (*Result, error) {
+// (ss, the partition RunAll shares, or a fresh one when nil) and runs the
+// source-driven engine over the materialized views. A capacity-coupled
+// policy cannot shard and runs over the pair as it is.
+func runSharded(policy Policy, training, simTrace *trace.Trace, opts Options, ss *shardSet) (*Result, error) {
 	if cp, ok := policy.(CapacityPolicy); ok {
 		return runCapacity(cp, training, simTrace, nil, opts)
 	}
-	ss := opts.shardSet
 	if ss == nil {
 		ss = buildShardSet(training, simTrace, opts.Shards)
 	}
@@ -341,7 +337,7 @@ func runSharded(policy Policy, training, simTrace *trace.Trace, opts Options) (*
 // trace.FanOut of width opts.Workers, and merges the shard results. Each
 // attempt at a shard produces its views itself, right before simulating
 // them, which is what bounds streamed residency to one shard per in-flight
-// worker; when a ShardCache is in play, a hit skips production and
+// worker; with a ShardCache attached, a hit skips production and
 // simulation entirely.
 //
 // The merge is deterministic and bit-identical to the unsharded engine:
@@ -367,38 +363,23 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 
 	inner := opts
 	inner.Shards = 0
-	inner.shardSet = nil
 
-	// Cache qualification: a fingerprintable source and a hashable policy
-	// config.
-	var (
-		cache   = opts.Cache
-		hasher  ConfigHasher
-		fps     SourceFingerprint
-		cfgHash uint64
-	)
-	if cache != nil {
-		hasher, _ = policy.(ConfigHasher)
-		fps, _ = src.(SourceFingerprint)
-		if hasher != nil {
-			// Online re-categorization changes a shard's outcome without
-			// changing the policy's own config, so the retrain schedule is
-			// folded into the key's config component (domain-tagged): a
-			// retrain-enabled run can never hit a stale non-retrain entry,
-			// and vice versa. Policies that ignore RetrainEvery (no
-			// Retrainer) keep the plain hash — their results really are
-			// identical either way.
-			cfgHash = hasher.ConfigHash()
-			if opts.RetrainEvery > 0 {
-				if _, ok := policy.(Retrainer); ok {
-					cfgHash = HashConfig(struct {
-						Domain        string
-						Base          uint64
-						RetrainEvery  int
-						RetrainWindow int
-					}{"retrain", cfgHash, opts.RetrainEvery, opts.RetrainWindow})
-				}
-			}
+	// The cache key's config component. Online re-categorization changes a
+	// shard's outcome without changing the policy's own config, so the
+	// retrain schedule is folded in (domain-tagged): a retrain-enabled run
+	// can never hit a stale non-retrain entry, and vice versa. Policies
+	// that ignore RetrainEvery (no Retrainer) keep the plain hash — their
+	// results really are identical either way.
+	var cfgHash uint64
+	if opts.Cache != nil {
+		cfgHash = sp.ConfigHash()
+		if _, ok := policy.(Retrainer); ok && opts.RetrainEvery > 0 {
+			cfgHash = HashConfig(struct {
+				Domain        string
+				Base          uint64
+				RetrainEvery  int
+				RetrainWindow int
+			}{"retrain", cfgHash, opts.RetrainEvery, opts.RetrainWindow})
 		}
 	}
 
@@ -413,14 +394,11 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	// the production re-run too — and retryShard contains its panics.
 	attempt := func(i, n int) error {
 		var key shardKey
-		cacheable := false
-		if cache != nil && hasher != nil && fps != nil {
-			if fp, ok := fps.ShardFingerprint(i); ok {
-				key, cacheable = shardKey{policy: policy.Name(), config: cfgHash, trace: fp, slots: slots}, true
-				if ent := cache.lookup(key); ent != nil {
-					results[i], logs[i], globals[i] = ent.res, ent.log, ent.global
-					return nil
-				}
+		if opts.Cache != nil {
+			key = shardKey{policy: policy.Name(), config: cfgHash, trace: src.ShardFingerprint(i), slots: slots}
+			if ent := opts.Cache.lookup(key); ent != nil {
+				results[i], logs[i], globals[i] = ent.res, ent.log, ent.global
+				return nil
 			}
 		}
 		tv, sv, err := src.Shard(i)
@@ -444,8 +422,8 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 			return err
 		}
 		results[i] = res
-		if cacheable {
-			cache.store(key, &shardEntry{res: res, log: logs[i], global: globals[i]})
+		if opts.Cache != nil {
+			opts.Cache.store(key, &shardEntry{res: res, log: logs[i], global: globals[i]})
 		}
 		return nil
 	}
@@ -567,12 +545,14 @@ func mergeShardResults(name string, slots, n int, globals [][]trace.FuncID, resu
 // starting further policies, and the panic is raised again on the caller
 // once the policies in flight have finished.
 func RunAll(policies []Policy, training, simTrace *trace.Trace, opts Options) ([]*Result, error) {
-	if opts.Source == nil && opts.Shards > 1 && simTrace != nil && opts.shardSet == nil &&
+	run := func(p Policy) (*Result, error) { return Run(p, training, simTrace, opts) }
+	if opts.Source == nil && opts.Shards > 1 && simTrace != nil &&
 		(training == nil || training.NumFunctions() == simTrace.NumFunctions()) {
 		// Partition once and share the shard views (and their memoized slot
-		// indexes) across all policies, mirroring how the unsharded path
-		// shares the one simTrace index.
-		opts.shardSet = buildShardSet(training, simTrace, opts.Shards)
+		// indexes and fingerprints) across all policies, mirroring how the
+		// unsharded path shares the one simTrace index.
+		ss := buildShardSet(training, simTrace, opts.Shards)
+		run = func(p Policy) (*Result, error) { return runSharded(p, training, simTrace, opts, ss) }
 	}
 	workers := opts.workers()
 	if opts.MeasureOverhead {
@@ -595,7 +575,7 @@ func RunAll(policies []Policy, training, simTrace *trace.Trace, opts Options) ([
 	errs := make([]error, len(policies))
 	trace.FanOut(workers, len(policies), func(_, k int) error {
 		i := order[k]
-		r, err := Run(policies[i], training, simTrace, opts)
+		r, err := run(policies[i])
 		if err != nil {
 			errs[i] = fmt.Errorf("sim: policy %s: %w", policies[i].Name(), err)
 			return nil

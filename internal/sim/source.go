@@ -39,16 +39,16 @@ type Source interface {
 	// returned views are owned by the caller; the source must not retain
 	// references (that would defeat the O(n/P) residency bound).
 	Shard(i int) (train, sim *trace.ShardView, err error)
+	SourceFingerprint
 }
 
-// SourceFingerprint is optionally implemented by sources that can identify
-// a shard's train/sim content without materializing it (or cheaply, once).
-// The fingerprint feeds the ShardCache key: two shards may share a
-// fingerprint only if their train/sim pairs are bit-identical. Sources that
-// cannot guarantee that return ok=false and their runs are simply not
-// cached.
+// SourceFingerprint is the part of Source that identifies a shard's
+// train/sim content without materializing it (or cheaply, once). The
+// fingerprint feeds the ShardCache key: two shards may share a fingerprint
+// only if their train/sim pairs are bit-identical. Like Shard, it is
+// defined for i in [0, NumShards()).
 type SourceFingerprint interface {
-	ShardFingerprint(i int) (fp uint64, ok bool)
+	ShardFingerprint(i int) uint64
 }
 
 // GeneratorSource streams the synthetic workload trace.Generate(cfg) would
@@ -113,19 +113,19 @@ func (g *GeneratorSource) Shard(i int) (train, sim *trace.ShardView, err error) 
 	return l.Shard(i, g.NumShards(), g.TrainSlots)
 }
 
-// ShardFingerprint implements SourceFingerprint. Generation is
+// ShardFingerprint implements Source. Generation is
 // deterministic — the full generator config plus the split and shard
 // coordinates uniquely determine the shard's content — so the fingerprint
 // is a hash of the derivation, not of the series, and a cache hit skips
 // generation entirely. It deliberately differs from the content fingerprint
 // of a materialized shardSet (distinct domain tags): the two never share
 // cache entries, which forgoes some hits but can never alias.
-func (g *GeneratorSource) ShardFingerprint(i int) (uint64, bool) {
+func (g *GeneratorSource) ShardFingerprint(i int) uint64 {
 	return HashConfig(struct {
 		Domain     string
 		Cfg        trace.GeneratorConfig
 		TrainSlots int
 		Shards     int
 		Shard      int
-	}{"generator-derivation", g.Cfg, g.TrainSlots, g.NumShards(), i}), true
+	}{"generator-derivation", g.Cfg, g.TrainSlots, g.NumShards(), i})
 }

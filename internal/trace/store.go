@@ -491,8 +491,7 @@ func (s *Store) ShardTrace(i int) (*ShardView, error) {
 
 // Source returns a sim.Source view of the store with the trace split at
 // trainSlots (0 yields no training half). The source is safe for
-// concurrent Shard calls and satisfies sim.SourceFingerprint, so
-// store-backed runs can use a sim.ShardCache.
+// concurrent Shard calls, and its shard fingerprints key a sim.ShardCache.
 func (s *Store) Source(trainSlots int) (*StoreSource, error) {
 	if trainSlots < 0 || trainSlots >= s.slots {
 		return nil, fmt.Errorf("trace: store source train slots %d outside [0, %d)", trainSlots, s.slots)
@@ -521,9 +520,6 @@ func (ss *StoreSource) NumFunctions() int { return ss.store.functions }
 // Slots implements sim.Source: the simulation window length.
 func (ss *StoreSource) Slots() int { return ss.store.slots - ss.trainSlots }
 
-// TrainSlots returns the split point the source was built with.
-func (ss *StoreSource) TrainSlots() int { return ss.trainSlots }
-
 // Shard implements sim.Source: read, verify, decode, split.
 func (ss *StoreSource) Shard(i int) (train, sim *ShardView, err error) {
 	sv, err := ss.store.ShardTrace(i)
@@ -538,17 +534,14 @@ func (ss *StoreSource) Shard(i int) (train, sim *ShardView, err error) {
 		&ShardView{Trace: sm, Index: i, Global: sv.Global}, nil
 }
 
-// ShardFingerprint implements sim.SourceFingerprint without touching the
-// shard file: the manifest's content fingerprint plus the split point
-// uniquely determine the train/sim pair Shard returns.
-func (ss *StoreSource) ShardFingerprint(i int) (uint64, bool) {
-	if i < 0 || i >= ss.store.shards {
-		return 0, false
-	}
+// ShardFingerprint implements sim.Source without touching the shard file:
+// the manifest's content fingerprint plus the split point uniquely
+// determine the train/sim pair Shard returns.
+func (ss *StoreSource) ShardFingerprint(i int) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, fpDomainShard)
 	hashU64(h, ss.store.meta[i].ContentFP)
 	hashU64(h, uint64(ss.trainSlots))
 	hashU64(h, uint64(ss.store.slots))
-	return h.Sum64(), true
+	return h.Sum64()
 }

@@ -82,6 +82,8 @@ type (
 	Options = sim.Options
 	// ShardedPolicy is implemented by policies that can run one instance
 	// per population shard (SPES, FixedKeepAlive, both Hybrids, Defuse).
+	// Its ConfigHash keys the shard cache (Options.Cache), so every
+	// sharded run of such a policy can be cached.
 	ShardedPolicy = sim.ShardedPolicy
 	// CapacityPolicy marks policies that evict against one global budget
 	// (FaaSCache, LCS) and therefore cannot shard: under Options.Shards > 1
@@ -168,6 +170,8 @@ func RunAll(policies []Policy, training, simTrace *Trace, opts Options) ([]*Resu
 // simulation pulls one shard's train/sim views at a time, so peak memory is
 // O(functions/shards) event series per worker, never the whole trace.
 // TraceStore.Source and the generator's streaming path both satisfy it.
+// Every Source fingerprints its shards (ShardFingerprint), which is what
+// keys them in a shard cache.
 type Source = sim.Source
 
 // RunStreamed simulates the policy over a Source with the shard as the unit
