@@ -58,7 +58,6 @@ func Replay(c *Client, tr *trace.Trace, opt LoadOptions) (*LoadReport, error) {
 	if end <= 0 || end > tr.Slots {
 		end = tr.Slots
 	}
-	idx := tr.BuildSlotIndex()
 
 	var pending []Batch
 	rep := &LoadReport{}
@@ -101,11 +100,7 @@ func Replay(c *Client, tr *trace.Trace, opt LoadOptions) (*LoadReport, error) {
 		return nil
 	}
 
-	for slot := opt.Start; slot < end; slot++ {
-		invs := idx.Invocations[slot]
-		if len(invs) == 0 {
-			continue
-		}
+	for slot, invs := range tr.BySlot(opt.Start, end) {
 		events := make([]EventPair, len(invs))
 		for i, fc := range invs {
 			events[i] = EventPair{int64(fc.Func), int64(fc.Count)}

@@ -14,12 +14,13 @@ import (
 // retrain boundaries and the idle-skip batch charge handled internally.
 //
 // The batch engine (runOne) is one driver of it — it feeds the Driver the
-// trace's slot index — and the serving daemon (internal/serve) is another,
-// feeding it live invocation events over HTTP. That split is what divorces
-// SIM TIME from WALL TIME: the Driver's clock is the slot number its caller
-// passes to Step, never the wall clock, so a daemon ingesting events hours
-// apart and a simulator replaying them back-to-back compute bit-identical
-// policy states and metrics. Wall time is only ever read for the optional
+// trace's occupied slots (trace.Trace.BySlot) — and the serving daemon
+// (internal/serve) is another, feeding it live invocation events over
+// HTTP. That split is what divorces SIM TIME from WALL TIME: the Driver's
+// clock is the slot number its caller passes to Step, never the wall
+// clock, so a daemon ingesting events hours apart and a simulator
+// replaying them back-to-back compute bit-identical policy states and
+// metrics. Wall time is only ever read for the optional
 // Overhead measurement, which annotates results without influencing them.
 //
 // Gap semantics: Step(t, invs) first advances the policy through every slot
@@ -198,9 +199,11 @@ type StepInfo struct {
 }
 
 // Step processes slot t's invocations (FuncID-ascending, only invoked
-// functions present — the SlotIndex shape). t must be at least NextSlot();
-// slots in between are advanced as invocation-free. It returns the slot's
-// outcome for decision-emitting callers.
+// functions present — the shape trace.Trace.BySlot yields). invs is
+// borrowed until Step returns: the caller may reuse its backing array for
+// the next slot, so neither the Driver nor the policy keeps it. t must be
+// at least NextSlot(); slots in between are advanced as invocation-free. It
+// returns the slot's outcome for decision-emitting callers.
 func (d *Driver) Step(t int, invs []trace.FuncCount) (StepInfo, error) {
 	if d.closed {
 		return StepInfo{}, fmt.Errorf("sim: Step(%d) on a closed driver", t)

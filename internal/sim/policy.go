@@ -50,6 +50,9 @@ type Policy interface {
 
 	// Tick observes slot t's invocations ((function, count) pairs, FuncID-
 	// ascending, only invoked functions present) and updates the loaded set.
+	// invocations is borrowed until Tick returns: the engines hand in a
+	// buffer they reuse for later slots, so a policy reads it and must not
+	// keep it (or a subslice) past the call.
 	Tick(t int, invocations []trace.FuncCount)
 
 	// Loaded reports whether f is currently loaded. It reflects the state

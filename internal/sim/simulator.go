@@ -135,7 +135,7 @@ type ShardedPolicy interface {
 
 // shardSet carries one partition of a train/sim trace pair into shard
 // views. Views are safe to share across concurrent policy runs: series are
-// read-only and each view's memoized slot index is mutex-guarded. It is the
+// read-only, and each run transposes them with a cursor of its own. It is the
 // materialized-trace implementation of Source: all views exist up front, so
 // Shard just hands them out, and each shard's fingerprint is a content hash
 // of its series and metadata, computed once per set.
@@ -240,12 +240,8 @@ func Run(policy Policy, training, simTrace *trace.Trace, opts Options) (*Result,
 	if opts.Source != nil {
 		return RunStreamed(policy, opts.Source, opts)
 	}
-	if simTrace == nil {
-		return nil, fmt.Errorf("sim: nil simulation trace")
-	}
-	if training != nil && training.NumFunctions() != simTrace.NumFunctions() {
-		return nil, fmt.Errorf("sim: training has %d functions, simulation %d",
-			training.NumFunctions(), simTrace.NumFunctions())
+	if err := checkPair(training, simTrace); err != nil {
+		return nil, err
 	}
 	if opts.Shards > 1 {
 		return runSharded(policy, training, simTrace, opts, nil)
@@ -253,18 +249,51 @@ func Run(policy Policy, training, simTrace *trace.Trace, opts Options) (*Result,
 	return runOne(policy, training, simTrace, opts, nil)
 }
 
+// checkPair refuses a train/sim pair Run cannot simulate: a missing
+// simulation trace, function populations that differ, or an event at a
+// negative slot.
+func checkPair(training, simTrace *trace.Trace) error {
+	if simTrace == nil {
+		return fmt.Errorf("sim: nil simulation trace")
+	}
+	if training != nil && training.NumFunctions() != simTrace.NumFunctions() {
+		return fmt.Errorf("sim: training has %d functions, simulation %d",
+			training.NumFunctions(), simTrace.NumFunctions())
+	}
+	if err := checkSlots("training", training); err != nil {
+		return err
+	}
+	return checkSlots("simulation", simTrace)
+}
+
+// checkSlots refuses a trace (nil passes) with an event at a negative slot.
+// Series are sorted, so each series' first event is the only one to check.
+// Events at or past Slots are not errors: every reader ignores them.
+func checkSlots(what string, tr *trace.Trace) error {
+	if tr == nil {
+		return nil
+	}
+	for f, s := range tr.Series {
+		if len(s) > 0 && s[0].Slot < 0 {
+			return fmt.Errorf("sim: %s trace: function %d (%q) has an event at negative slot %d",
+				what, f, tr.Functions[f].Name, s[0].Slot)
+		}
+	}
+	return nil
+}
+
 // runOne is the single-population simulation loop: the batch driver of the
-// event-stream Driver. It feeds the Driver only the occupied slots of the
-// trace's slot index — the Driver advances the invocation-free gaps itself
-// (batch-charging provably idle spans, slot-by-slot ticks otherwise), which
-// is the exact arithmetic the loop used to do eagerly. When log is non-nil
-// the per-slot (loaded, active) counts are recorded for the sharded merge.
+// event-stream Driver. It feeds the Driver only the occupied slots, as the
+// trace's BySlot cursor transposes them a chunk at a time — the Driver
+// advances the invocation-free gaps itself (batch-charging provably idle
+// spans, slot-by-slot ticks otherwise), which is the exact arithmetic the
+// loop used to do eagerly. When log is non-nil the per-slot (loaded,
+// active) counts are recorded for the sharded merge.
 func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *slotLog) (*Result, error) {
 	if training != nil {
 		policy.Train(training)
 	}
 
-	idx := simTrace.BuildSlotIndex()
 	cfg := DriverConfig{
 		MeasureOverhead: opts.MeasureOverhead,
 		log:             log,
@@ -281,11 +310,9 @@ func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *s
 	}
 	d := NewDriver(policy, simTrace.NumFunctions(), cfg)
 
-	for t := 0; t < simTrace.Slots; t++ {
-		invs := idx.Invocations[t]
-		if len(invs) == 0 {
-			continue // the Driver advances the gap at the next occupied Step
-		}
+	// Unoccupied slots are not yielded: the Driver advances each gap at the
+	// next occupied Step.
+	for t, invs := range simTrace.BySlot(0, simTrace.Slots) {
 		if _, err := d.Step(t, invs); err != nil {
 			return nil, err
 		}
@@ -546,11 +573,10 @@ func mergeShardResults(name string, slots, n int, globals [][]trace.FuncID, resu
 // once the policies in flight have finished.
 func RunAll(policies []Policy, training, simTrace *trace.Trace, opts Options) ([]*Result, error) {
 	run := func(p Policy) (*Result, error) { return Run(p, training, simTrace, opts) }
-	if opts.Source == nil && opts.Shards > 1 && simTrace != nil &&
-		(training == nil || training.NumFunctions() == simTrace.NumFunctions()) {
-		// Partition once and share the shard views (and their memoized slot
-		// indexes and fingerprints) across all policies, mirroring how the
-		// unsharded path shares the one simTrace index.
+	if opts.Source == nil && opts.Shards > 1 && checkPair(training, simTrace) == nil {
+		// Partition once and share the shard views (and their
+		// fingerprints) across all policies, as the unsharded path shares
+		// the one simTrace.
 		ss := buildShardSet(training, simTrace, opts.Shards)
 		run = func(p Policy) (*Result, error) { return runSharded(p, training, simTrace, opts, ss) }
 	}

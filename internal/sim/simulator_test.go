@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -166,6 +168,50 @@ func TestRunErrors(t *testing.T) {
 	other.AddFunction("x", "a", "u", trace.TriggerHTTP, nil)
 	if _, err := Run(neverLoadedPolicy{}, other, tr, Options{}); err == nil {
 		t.Error("mismatched function counts should fail")
+	}
+}
+
+// TestRunRejectsNegativeSlot checks that a negative slot in either trace is
+// an error naming the function and the slot, returned before the policy
+// trains, while events at or past Slots stay ignored.
+func TestRunRejectsNegativeSlot(t *testing.T) {
+	bad := trace.NewTrace(10)
+	bad.AddFunction("ok", "a", "u", trace.TriggerHTTP, []trace.Event{{Slot: 2, Count: 1}})
+	bad.AddFunction("neg", "a", "u", trace.TriggerHTTP, []trace.Event{{Slot: 4, Count: 1}, {Slot: -1, Count: 1}})
+	good := trace.NewTrace(10)
+	good.AddFunction("ok", "a", "u", trace.TriggerHTTP, []trace.Event{{Slot: 2, Count: 1}})
+	good.AddFunction("neg", "a", "u", trace.TriggerHTTP, []trace.Event{{Slot: 4, Count: 1}})
+	for _, c := range []struct {
+		name      string
+		train, tr *trace.Trace
+		want      string
+	}{
+		{"simulation", nil, bad, `sim: simulation trace: function 1 ("neg") has an event at negative slot -1`},
+		{"training", bad, good, `sim: training trace: function 1 ("neg") has an event at negative slot -1`},
+	} {
+		p := &alwaysLoadedPolicy{n: 2}
+		if _, err := Run(p, c.train, c.tr, Options{}); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Run error %v, want %q", c.name, err, c.want)
+		}
+		if _, err := RunAll([]Policy{p}, c.train, c.tr, Options{Shards: 2}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: RunAll error %v, want %q", c.name, err, c.want)
+		}
+	}
+
+	past := trace.NewTrace(6)
+	for f, s := range tinyTrace().Series {
+		past.AddFunction(fmt.Sprintf("f%d", f), "a", "u", trace.TriggerHTTP, append(s, trace.Event{Slot: 6, Count: 3}, trace.Event{Slot: 40, Count: 1}))
+	}
+	got, err := Run(newOnDemand(), nil, past, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(newOnDemand(), nil, tinyTrace(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.TotalInvocations != want.TotalInvocations || got.TotalColdStarts != want.TotalColdStarts || got.TotalMemory != want.TotalMemory {
+		t.Errorf("events past Slots changed the run: %+v, want %+v", got, want)
 	}
 }
 

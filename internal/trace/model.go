@@ -14,9 +14,9 @@ package trace
 import (
 	"cmp"
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
-	"sync"
 )
 
 // Trigger enumerates the Azure Functions trigger types the paper's Figure 5
@@ -182,17 +182,13 @@ func normalize(events []Event) Series {
 }
 
 // Trace is a complete workload: function metadata plus one invocation series
-// per function, over Slots minutes.
+// per function, over Slots minutes. Events at or past Slots are outside the
+// trace: every reader (Dense, BySlot, the simulators) ignores them. A
+// negative slot is malformed; sim.Run refuses a trace that holds one.
 type Trace struct {
 	Slots     int
 	Functions []Function
 	Series    []Series // indexed by FuncID
-
-	// idx memoizes BuildSlotIndex (guarded by idxMu; invalidated by
-	// AddFunction), so repeated simulations over the same trace — including
-	// concurrent policy runs in sim.RunAll — share one slot-major index.
-	idxMu sync.Mutex
-	idx   *SlotIndex
 }
 
 // NewTrace creates an empty trace spanning slots minutes.
@@ -208,9 +204,6 @@ func (tr *Trace) AddFunction(name, app, user string, trig Trigger, events []Even
 		ID: id, Name: name, App: app, User: user, Trigger: trig,
 	})
 	tr.Series = append(tr.Series, normalize(events))
-	tr.idxMu.Lock()
-	tr.idx = nil
-	tr.idxMu.Unlock()
 	return id
 }
 
@@ -257,9 +250,9 @@ func (tr *Trace) Split(at int) (train, sim *Trace) {
 	return train, sim
 }
 
-// SlotIndex groups a trace's events by slot for slot-major simulation.
-// Invocations[t] lists the (function, count) pairs invoked at slot t,
-// ordered by FuncID.
+// SlotIndex is a whole trace's events grouped by slot, as BuildSlotIndex
+// collects them. Invocations[t] lists the (function, count) pairs invoked
+// at slot t, ordered by FuncID.
 type SlotIndex struct {
 	Invocations [][]FuncCount
 }
@@ -270,55 +263,125 @@ type FuncCount struct {
 	Count int32
 }
 
-// BuildSlotIndex converts the function-major trace into a slot-major index.
-// Per-slot lists are counted first and carved out of one backing array, so
-// the build does exactly two passes over the events and two allocations
-// regardless of trace size. The result is memoized per trace (adding a
-// function invalidates it); callers must not mutate the returned index.
+// BuildSlotIndex collects BySlot(0, Slots) into a slot-major index: one
+// list per slot (nil when nothing was invoked), all carved out of one
+// backing array. Nothing in the simulators uses it — they iterate BySlot,
+// which holds one chunk at a time — so each call builds a fresh index.
 func (tr *Trace) BuildSlotIndex() *SlotIndex {
-	tr.idxMu.Lock()
-	defer tr.idxMu.Unlock()
-	if tr.idx != nil {
-		return tr.idx
-	}
-	tr.idx = tr.buildSlotIndex()
-	return tr.idx
-}
-
-func (tr *Trace) buildSlotIndex() *SlotIndex {
-	counts := make([]int32, tr.Slots+1)
 	total := 0
 	for _, s := range tr.Series {
-		for _, e := range s {
-			if int(e.Slot) >= tr.Slots {
-				continue
-			}
-			counts[e.Slot]++
-			total++
-		}
+		lo, hi := s.eventRange(0, tr.Slots)
+		total += hi - lo
 	}
-	backing := make([]FuncCount, total)
-	offsets := make([]int32, tr.Slots+1)
-	for t := 0; t < tr.Slots; t++ {
-		offsets[t+1] = offsets[t] + counts[t]
-	}
-	fill := make([]int32, tr.Slots)
+	backing := make([]FuncCount, 0, total)
 	idx := &SlotIndex{Invocations: make([][]FuncCount, tr.Slots)}
-	for t := 0; t < tr.Slots; t++ {
-		idx.Invocations[t] = backing[offsets[t]:offsets[t+1]:offsets[t+1]]
-	}
-	// Within a slot, events are filled in FuncID order (the outer loop is
-	// FuncID-major), so no per-slot sort is needed.
-	for fid, s := range tr.Series {
-		for _, e := range s {
-			if int(e.Slot) >= tr.Slots {
-				continue
-			}
-			backing[offsets[e.Slot]+fill[e.Slot]] = FuncCount{Func: FuncID(fid), Count: e.Count}
-			fill[e.Slot]++
-		}
+	for t, invs := range tr.BySlot(0, tr.Slots) {
+		n := len(backing)
+		backing = append(backing, invs...)
+		idx.Invocations[t] = backing[n:len(backing):len(backing)]
 	}
 	return idx
+}
+
+// eventRange returns the bounds [lo, hi) of s's events in slots
+// [from, to), from <= to, searching only when s reaches outside them.
+func (s Series) eventRange(from, to int) (lo, hi int) {
+	cmpSlot := func(e Event, slot int32) int { return cmp.Compare(e.Slot, slot) }
+	lo, hi = 0, len(s)
+	if len(s) > 0 && int(s[0].Slot) < from {
+		lo, _ = slices.BinarySearchFunc(s, int32(from), cmpSlot)
+	}
+	if len(s) > 0 && int(s[len(s)-1].Slot) >= to {
+		hi, _ = slices.BinarySearchFunc(s, int32(to), cmpSlot)
+	}
+	return lo, hi
+}
+
+// slotChunk is how many slots BySlot transposes per pass over the live
+// series. Its buffer holds one chunk's events, and each chunk visits every
+// series with events left twice (count, then fill), so the chunk trades
+// buffer size against those visits: at 64 slots the buffer stays near 64
+// times the mean events per slot, and a two-day window visits each series
+// at most 45 times.
+const slotChunk = 64
+
+// BySlot iterates the occupied slots in [from, to), clipped to [0, Slots),
+// in ascending order, yielding each with its (function, count) pairs
+// FuncID-ascending: the lists BuildSlotIndex holds, without building them
+// all. Slots without invocations are not yielded. The cursor transposes
+// slotChunk slots at a time into one reused buffer, so a whole iteration
+// allocates O(functions) positions plus the busiest chunk's events. A
+// yielded slice is valid until the next iteration: a caller that keeps
+// the pairs must copy them. Series must be sorted (the Series invariant);
+// events outside the window are skipped.
+func (tr *Trace) BySlot(from, to int) iter.Seq2[int, []FuncCount] {
+	return func(yield func(int, []FuncCount) bool) {
+		from, to := max(from, 0), min(to, tr.Slots)
+		if from >= to {
+			return
+		}
+		// live lists the series with events left in the window,
+		// FuncID-ascending; pos[k] is live[k]'s next event and next the
+		// earliest slot among them, where the next chunk starts — a gap
+		// of whole chunks is skipped, not visited.
+		live := make([]FuncID, 0, len(tr.Series))
+		pos := make([]int32, 0, len(tr.Series))
+		next, events := to, 0
+		for f, s := range tr.Series {
+			i, hi := s.eventRange(from, to)
+			if i < hi {
+				live = append(live, FuncID(f))
+				pos = append(pos, int32(i))
+				next = min(next, int(s[i].Slot))
+				events += hi - i
+			}
+		}
+		// The buffer starts at a quarter over the window's mean chunk, so
+		// a steady trace never regrows it and a burst grows it once.
+		buf := make([]FuncCount, 0, events*slotChunk/(to-from)*5/4)
+		// start[j] is where slot c0+j's list begins in buf, start[j+1]
+		// where it ends.
+		var start, fill [slotChunk + 1]int32
+		for next < to {
+			c0 := next
+			c1 := min(c0+slotChunk, to)
+			start = [slotChunk + 1]int32{}
+			for k, f := range live {
+				s := tr.Series[f]
+				for i := int(pos[k]); i < len(s) && int(s[i].Slot) < c1; i++ {
+					start[int(s[i].Slot)-c0+1]++
+				}
+			}
+			for j := 1; j <= c1-c0; j++ {
+				start[j] += start[j-1]
+			}
+			buf = slices.Grow(buf[:0], int(start[c1-c0]))[:start[c1-c0]]
+			// Fill in FuncID order, so each slot's list comes out sorted,
+			// and drop the series this chunk exhausts.
+			fill, next = start, to
+			w := 0
+			for k, f := range live {
+				s := tr.Series[f]
+				i := int(pos[k])
+				for ; i < len(s) && int(s[i].Slot) < c1; i++ {
+					j := int(s[i].Slot) - c0
+					buf[fill[j]] = FuncCount{Func: f, Count: s[i].Count}
+					fill[j]++
+				}
+				if i < len(s) && int(s[i].Slot) < to {
+					live[w], pos[w] = f, int32(i)
+					next = min(next, int(s[i].Slot))
+					w++
+				}
+			}
+			live, pos = live[:w], pos[:w]
+			for j := 0; j < c1-c0; j++ {
+				if lo, hi := start[j], start[j+1]; lo < hi && !yield(c0+j, buf[lo:hi:hi]) {
+					return
+				}
+			}
+		}
+	}
 }
 
 // AppFunctions returns a map from application id to the IDs of its

@@ -90,12 +90,6 @@ type (
 	// or a streamed source they run one instance over the whole population,
 	// so the Result is the unsharded one.
 	CapacityPolicy = sim.CapacityPolicy
-	// TraceShard is one shard of a workload: a self-contained Trace over a
-	// subset of functions plus the mapping back to global FuncIDs.
-	TraceShard = trace.ShardView
-	// TracePartition assigns every function to a shard, keeping functions
-	// that share an application or user together.
-	TracePartition = trace.Partition
 )
 
 // SPES configuration types.
@@ -130,19 +124,6 @@ func DefaultGeneratorConfig(n, days int, seed int64) GeneratorConfig {
 
 // GenerateTrace synthesizes an Azure-like workload.
 func GenerateTrace(cfg GeneratorConfig) (*Trace, error) { return trace.Generate(cfg) }
-
-// GenerateTraceShard synthesizes only shard i of p of GenerateTrace(cfg):
-// identical functions and series, produced one shard at a time, so traces
-// of 100k-1M functions never materialize the whole population at once.
-func GenerateTraceShard(cfg GeneratorConfig, i, p int) (*TraceShard, error) {
-	return trace.GenerateShard(cfg, i, p)
-}
-
-// PartitionTrace computes the canonical correlation-closed partition of a
-// workload's functions into p shards (apps and users stay whole).
-func PartitionTrace(tr *Trace, p int) *TracePartition {
-	return trace.PartitionFunctions(tr.Functions, p)
-}
 
 // NewTrace creates an empty workload spanning the given number of
 // one-minute slots; add functions with AddFunction.
@@ -206,8 +187,8 @@ var ErrTraceStoreCorrupt = trace.ErrStoreCorrupt
 
 // IngestTraceCSV streams an Azure-schema CSV into a columnar shard store at
 // dir in one pass, partitioned into opts.Shards app/user-closed shards
-// (the same partition PartitionTrace computes). Memory stays bounded by the
-// spill budget regardless of CSV size.
+// (the partition the sharded engine computes for Options.Shards). Memory
+// stays bounded by the spill budget regardless of CSV size.
 func IngestTraceCSV(r io.Reader, dir string, opts TraceIngestOptions) (*TraceStore, *TraceIngestStats, error) {
 	return trace.IngestCSV(r, dir, opts)
 }

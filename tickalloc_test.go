@@ -3,6 +3,10 @@ package main
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/baselines"
+	"repro/internal/experiments"
+	"repro/internal/sim"
 )
 
 // TestTickAllocationBudget fails when a per-Tick allocation is introduced:
@@ -43,5 +47,64 @@ func TestTickAllocationBudget(t *testing.T) {
 		if perTick > pol.objectsPerTick {
 			t.Errorf("%s allocates %.3f heap objects per Tick, budget %.2f", pol.name, perTick, pol.objectsPerTick)
 		}
+	}
+}
+
+// runFunctionBytes bounds what an unsharded run allocates per function
+// beside the cursor's buffer: the Result's FuncMetrics (32 B), the
+// Driver's mirrors (9 B), the cursor's live list and positions (8 B),
+// FaaSCache's frequency, priority, heap and index slices (32 B), the
+// loaded set and size-class rounding, with about twofold headroom.
+const runFunctionBytes = 256
+
+// cursorChunk is the slot count trace.Trace.BySlot transposes at a time
+// (the trace package's slotChunk).
+const cursorChunk = 64
+
+// TestRunAllocationBudget holds an unsharded sim.Run to O(functions +
+// chunk) bytes: a FaaSCache run over benchSettings' simulation window may
+// allocate runFunctionBytes per function plus twice the events of the
+// busiest cursorChunk consecutive slots (the reused buffer, presized and
+// grown on a burst), but nothing per event. A slot-major index of the whole window,
+// built before the first Tick, breaks the bound by an order of magnitude.
+func TestRunAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	_, train, simTr, err := experiments.BuildWorkload(benchSettings())
+	if err != nil {
+		t.Fatal(err)
+	}
+	perSlot := make([]int, simTr.Slots)
+	events := 0
+	for _, s := range simTr.Series {
+		for _, e := range s {
+			perSlot[e.Slot]++
+			events++
+		}
+	}
+	busiest, window := 0, 0
+	for s, n := range perSlot {
+		window += n
+		if s >= cursorChunk {
+			window -= perSlot[s-cursorChunk]
+		}
+		busiest = max(busiest, window)
+	}
+	n := simTr.NumFunctions()
+	budget := uint64(n*runFunctionBytes + 2*busiest*8)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, err := sim.Run(baselines.NewFaaSCache(n/10), train, simTr, sim.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d functions, %d events (%.2f MB), busiest %d-slot window %d events: %.1f KB allocated, %d objects, budget %.1f KB",
+		n, events, float64(events*8)/1e6, cursorChunk, busiest, float64(got)/1e3, after.Mallocs-before.Mallocs, float64(budget)/1e3)
+	if got > budget {
+		t.Fatalf("an unsharded FaaSCache run allocated %d bytes, budget %d (%d functions, %d events)", got, budget, n, events)
 	}
 }
