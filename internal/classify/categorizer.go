@@ -27,15 +27,6 @@ type Outcome struct {
 	Profiles []Profile // indexed by trace.FuncID
 }
 
-// Count returns how many functions landed in each type.
-func (o *Outcome) Count() map[Type]int {
-	counts := make(map[Type]int)
-	for _, p := range o.Profiles {
-		counts[p.Type]++
-	}
-	return counts
-}
-
 // maxLinks caps a correlated function's fan-in to bound online work.
 const maxLinks = 5
 

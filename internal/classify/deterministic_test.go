@@ -35,7 +35,7 @@ func deterministic(ty Type) bool {
 	return false
 }
 
-func TestTypeStringAndKind(t *testing.T) {
+func TestTypeString(t *testing.T) {
 	if TypeRegular.String() != "regular" || TypeUnknown.String() != "unknown" {
 		t.Error("type names wrong")
 	}
@@ -44,21 +44,6 @@ func TestTypeStringAndKind(t *testing.T) {
 	}
 	if !deterministic(TypeDense) || deterministic(TypePulsed) {
 		t.Error("deterministic() wrong")
-	}
-	if TypeRegular.Kind() != PredictDiscrete {
-		t.Error("regular should predict discretely")
-	}
-	if TypeDense.Kind() != PredictContinuous {
-		t.Error("dense should predict continuously")
-	}
-	if TypeCorrelated.Kind() != PredictIndicator {
-		t.Error("correlated should predict by indicator")
-	}
-	if TypeAlwaysWarm.Kind() != PredictNone || TypeUnknown.Kind() != PredictNone {
-		t.Error("always-warm/unknown should not predict")
-	}
-	if len(Types()) != int(NumTypes) {
-		t.Error("Types() arity")
 	}
 }
 

@@ -100,7 +100,7 @@ func TestCategorizeOutcomeDigests(t *testing.T) {
 				}
 				// A digest only pins the link miner and the strategy
 				// scoring if the window reaches them.
-				if counts := out.Count(); i == 0 && (counts[TypeCorrelated] == 0 || counts[TypePossible] == 0) {
+				if counts := typeCounts(out); i == 0 && (counts[TypeCorrelated] == 0 || counts[TypePossible] == 0) {
 					t.Errorf("window too tame: %d correlated, %d possible profiles",
 						counts[TypeCorrelated], counts[TypePossible])
 				}

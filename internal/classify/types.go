@@ -48,41 +48,3 @@ func (t Type) String() string {
 	}
 	return fmt.Sprintf("type(%d)", uint8(t))
 }
-
-// Types lists all categories in display order.
-func Types() []Type {
-	out := make([]Type, NumTypes)
-	for i := range out {
-		out[i] = Type(i)
-	}
-	return out
-}
-
-// PredictiveKind describes how a type's predictive values are interpreted
-// when predicting the next invocation (Section IV-D).
-type PredictiveKind uint8
-
-// Prediction flavours.
-const (
-	PredictNone       PredictiveKind = iota // no prediction (always-warm, successive, pulsed, unknown)
-	PredictDiscrete                         // each value is a candidate WT
-	PredictContinuous                       // all integer WTs within [min, max] of values
-	PredictIndicator                        // follow linked functions' invocations
-)
-
-// Kind returns how a category's predictive values drive prediction.
-// "Possible" is resolved by the predictor at runtime (discrete when the
-// value range is wide, continuous when narrow), so it reports discrete here
-// and the predictor refines it.
-func (t Type) Kind() PredictiveKind {
-	switch t {
-	case TypeRegular, TypeApproRegular, TypePossible, TypeNewlyPossible:
-		return PredictDiscrete
-	case TypeDense:
-		return PredictContinuous
-	case TypeCorrelated:
-		return PredictIndicator
-	default:
-		return PredictNone
-	}
-}

@@ -290,10 +290,6 @@ func (s *SPES) Retrain(t int, window *trace.Trace) {
 	}
 }
 
-// Profile exposes a function's current categorization (tests and the
-// experiment reports read it).
-func (s *provision) Profile(f trace.FuncID) classify.Profile { return s.states[f].profile }
-
 // Tick implements Algorithm 1 for one slot, touching only the slot's invoked
 // functions plus the functions whose scheduled deadline is t.
 func (s *SPES) Tick(t int, invs []trace.FuncCount) {

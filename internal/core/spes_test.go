@@ -37,7 +37,7 @@ func TestSPESRegularFunctionWarm(t *testing.T) {
 	train, simTr := full.Split(6 * 1440)
 
 	policy, res := runSPES(t, DefaultConfig(), train, simTr)
-	if got := policy.Profile(0).Type; got != classify.TypeRegular {
+	if got := policy.states[0].profile.Type; got != classify.TypeRegular {
 		t.Fatalf("profile = %v, want regular", got)
 	}
 	if res.PerFunc[0].ColdStarts != 0 {
@@ -62,7 +62,7 @@ func TestSPESAlwaysWarmStaysLoaded(t *testing.T) {
 	train, simTr := full.Split(3 * 1440)
 
 	policy, res := runSPES(t, DefaultConfig(), train, simTr)
-	if got := policy.Profile(0).Type; got != classify.TypeAlwaysWarm {
+	if got := policy.states[0].profile.Type; got != classify.TypeAlwaysWarm {
 		t.Fatalf("profile = %v, want always-warm", got)
 	}
 	// Cold only at the very first slot (policy starts with empty memory).
@@ -88,7 +88,7 @@ func TestSPESSuccessiveToleratesFirstCold(t *testing.T) {
 	train, simTr := full.Split(6 * 1440)
 
 	policy, res := runSPES(t, DefaultConfig(), train, simTr)
-	if got := policy.Profile(0).Type; got != classify.TypeSuccessive {
+	if got := policy.states[0].profile.Type; got != classify.TypeSuccessive {
 		t.Fatalf("profile = %v, want successive", got)
 	}
 	// Two waves in the simulation window: exactly one cold start each.
@@ -123,7 +123,7 @@ func TestSPESCorrelatedPreloading(t *testing.T) {
 	train, simTr := full.Split(6 * 1440)
 
 	policy, res := runSPES(t, DefaultConfig(), train, simTr)
-	if got := policy.Profile(1).Type; got != classify.TypeCorrelated {
+	if got := policy.states[1].profile.Type; got != classify.TypeCorrelated {
 		t.Fatalf("follower profile = %v, want correlated", got)
 	}
 	// Every follower invocation is preceded by its driver by 2 slots: the
@@ -140,7 +140,7 @@ func TestSPESCorrelatedAblation(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableCorrelation = true
 	policy, res := runSPES(t, cfg, train, simTr)
-	if got := policy.Profile(1).Type; got == classify.TypeCorrelated {
+	if got := policy.states[1].profile.Type; got == classify.TypeCorrelated {
 		t.Fatal("w/o Corr still categorized correlated")
 	}
 	// Without the link, the erratic follower goes cold on most invocations.
@@ -162,7 +162,7 @@ func TestSPESUnknownStaysCold(t *testing.T) {
 	train, simTr := full.Split(6 * 1440)
 
 	policy, res := runSPES(t, DefaultConfig(), train, simTr)
-	if got := policy.Profile(0).Type; got != classify.TypeUnknown {
+	if got := policy.states[0].profile.Type; got != classify.TypeUnknown {
 		t.Fatalf("profile = %v, want unknown", got)
 	}
 	// SPES deliberately connives these cold starts (Section V-B).
@@ -185,7 +185,7 @@ func TestSPESUnknownPromotedToNewlyPossible(t *testing.T) {
 	train, simTr := full.Split(6 * 1440)
 
 	policy, res := runSPES(t, DefaultConfig(), train, simTr)
-	if got := policy.Profile(0).Type; got != classify.TypeNewlyPossible {
+	if got := policy.states[0].profile.Type; got != classify.TypeNewlyPossible {
 		t.Fatalf("profile = %v, want newly-possible", got)
 	}
 	// After promotion (first ~6 invocations), the rest are pre-warmed.
@@ -211,7 +211,7 @@ func TestSPESAdjustingDisabled(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableAdjusting = true
 	policy, res := runSPES(t, cfg, train, simTr)
-	if got := policy.Profile(0).Type; got != classify.TypeUnknown {
+	if got := policy.states[0].profile.Type; got != classify.TypeUnknown {
 		t.Fatalf("w/o Adjusting profile = %v, want unknown (no promotion)", got)
 	}
 	if res.PerFunc[0].ColdStarts != 12 {
@@ -244,7 +244,7 @@ func TestSPESOnlineCorrelationForUnseen(t *testing.T) {
 	}
 
 	policy, res := runSPES(t, DefaultConfig(), train, simTr)
-	if got := policy.Profile(1).Type; got != classify.TypeUnknown {
+	if got := policy.states[1].profile.Type; got != classify.TypeUnknown {
 		t.Fatalf("unseen profile = %v, want unknown", got)
 	}
 	// Online correlation pre-loads the target at each candidate fire, so
@@ -280,7 +280,7 @@ func TestSPESDensePatience(t *testing.T) {
 	train, simTr := full.Split(6 * 1440)
 
 	policy, res := runSPES(t, DefaultConfig(), train, simTr)
-	typ := policy.Profile(0).Type
+	typ := policy.states[0].profile.Type
 	if typ != classify.TypeDense && typ != classify.TypeApproRegular {
 		t.Fatalf("profile = %v, want dense or appro-regular", typ)
 	}

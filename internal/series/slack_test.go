@@ -4,8 +4,6 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/stats"
 )
 
 func TestTrimEnds(t *testing.T) {
@@ -109,12 +107,12 @@ func TestMergeSmallWTsProperty(t *testing.T) {
 		if len(out) > len(in) {
 			return false
 		}
-		if stats.SumInts(out) < stats.SumInts(in) {
+		if sumInts(out) < sumInts(in) {
 			return false
 		}
 		// Every absorbed WT adds exactly one extra slot.
 		absorbed := len(in) - len(out)
-		return stats.SumInts(out) == stats.SumInts(in)+int64(absorbed)
+		return sumInts(out) == sumInts(in)+absorbed
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -191,4 +189,12 @@ func TestAppendMergedWTsMatchesFlaggedReference(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
 	}
+}
+
+func sumInts(xs []int) int {
+	s := 0
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -173,45 +172,4 @@ func ownLists(replies []Reply) {
 		r := &replies[i]
 		r.Admitted, r.Cold, r.Flips = move(r.Admitted), move(r.Cold), move(r.Flips)
 	}
-}
-
-// StateHash fetches the daemon's canonical state hash.
-func (c *Client) StateHash() (StateHashReply, error) {
-	var out StateHashReply
-	err := c.getJSON("/v1/statehash", &out)
-	return out, err
-}
-
-// Metrics fetches the daemon's counter snapshot.
-func (c *Client) Metrics() (Metrics, error) {
-	var out Metrics
-	err := c.getJSON("/v1/metrics", &out)
-	return out, err
-}
-
-// Snapshot asks the daemon to snapshot its state now.
-func (c *Client) Snapshot() error {
-	resp, err := c.http().Post(c.Base+"/v1/snapshot", "application/json", nil)
-	if err != nil {
-		return sim.MarkTransient(err)
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: snapshot returned %d", resp.StatusCode)
-	}
-	return nil
-}
-
-func (c *Client) getJSON(path string, v any) error {
-	resp, err := c.http().Get(c.Base + path)
-	if err != nil {
-		return sim.MarkTransient(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("serve: GET %s returned %d: %s", path, resp.StatusCode, bytes.TrimSpace(body))
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }

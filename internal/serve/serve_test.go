@@ -2,8 +2,10 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -154,15 +156,15 @@ func TestServeMatchesBatchRun(t *testing.T) {
 		t.Fatalf("served state hash %016x != batch %016x", gotHash, want)
 	}
 	// And over the wire:
-	hr, err := c.StateHash()
-	if err != nil {
+	var hr StateHashReply
+	if err := getJSON(c.Base, "/v1/statehash", &hr); err != nil {
 		t.Fatalf("GET /v1/statehash: %v", err)
 	}
 	if want := len(strings.TrimLeft(hr.StateHash, "0123456789abcdef")); want != 0 {
 		t.Fatalf("state hash %q is not hex", hr.StateHash)
 	}
-	m, err := c.Metrics()
-	if err != nil {
+	var m Metrics
+	if err := getJSON(c.Base, "/v1/metrics", &m); err != nil {
 		t.Fatalf("GET /v1/metrics: %v", err)
 	}
 	if m.AppliedBatches != rep.Slots || m.Snapshots == 0 {
@@ -184,8 +186,8 @@ func TestWheelDepthIsPendingDeadlines(t *testing.T) {
 	}
 	check := func(when string, s *Server, c *Client) {
 		t.Helper()
-		m, err := c.Metrics()
-		if err != nil {
+		var m Metrics
+		if err := getJSON(c.Base, "/v1/metrics", &m); err != nil {
 			t.Fatalf("%s: GET /v1/metrics: %v", when, err)
 		}
 		s.mu.Lock()
@@ -728,4 +730,17 @@ func TestServeUnderInjectedFaults(t *testing.T) {
 		t.Fatalf("restart after faulted run: hash %016x seq %d, want %016x %d",
 			got2, gotSeq, want, wantSeq)
 	}
+}
+
+// getJSON decodes the daemon's reply to GET base+path into v.
+func getJSON(base, path string, v any) error {
+	resp, err := http.Get(base + path)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: %s", path, resp.Status)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
 }

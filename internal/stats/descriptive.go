@@ -60,15 +60,6 @@ func cvOf[T number](xs []T) float64 {
 // Sum returns the sum of xs.
 func Sum(xs []float64) float64 { return sumOf(xs) }
 
-// SumInts returns the sum of xs as an int64 to avoid overflow on long traces.
-func SumInts(xs []int) int64 {
-	var s int64
-	for _, x := range xs {
-		s += int64(x)
-	}
-	return s
-}
-
 // Mean returns the arithmetic mean of xs, or 0 if xs is empty.
 func Mean(xs []float64) float64 { return meanOf(xs) }
 

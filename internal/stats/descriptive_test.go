@@ -31,20 +31,6 @@ func TestSum(t *testing.T) {
 	}
 }
 
-func TestSumInts(t *testing.T) {
-	if got := SumInts([]int{1, 2, 3}); got != 6 {
-		t.Errorf("SumInts = %d, want 6", got)
-	}
-	if got := SumInts(nil); got != 0 {
-		t.Errorf("SumInts(nil) = %d, want 0", got)
-	}
-	// Large values must not overflow int32 arithmetic.
-	big := []int{math.MaxInt32, math.MaxInt32}
-	if got := SumInts(big); got != 2*int64(math.MaxInt32) {
-		t.Errorf("SumInts overflow: got %d", got)
-	}
-}
-
 func TestMean(t *testing.T) {
 	tests := []struct {
 		name string

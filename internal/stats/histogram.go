@@ -75,9 +75,6 @@ func (h *Histogram) Add(x float64) {
 	}
 }
 
-// Total returns the number of in-range observations.
-func (h *Histogram) Total() int64 { return h.total }
-
 // TotalWithOOB returns all observations including out-of-bounds ones.
 func (h *Histogram) TotalWithOOB() int64 {
 	return h.total + h.UnderflowCount + h.OverflowCount

@@ -11,8 +11,8 @@ func TestHistogramAddAndTotals(t *testing.T) {
 	for _, x := range []float64{0.5, 1.5, 1.9, 3.2, -1, 7} {
 		h.Add(x)
 	}
-	if got := h.Total(); got != 4 {
-		t.Errorf("Total = %d, want 4", got)
+	if got := h.total; got != 4 {
+		t.Errorf("total = %d, want 4", got)
 	}
 	if h.UnderflowCount != 1 || h.OverflowCount != 1 {
 		t.Errorf("OOB = (%d, %d), want (1, 1)", h.UnderflowCount, h.OverflowCount)

@@ -11,7 +11,8 @@ import (
 )
 
 // TestGenerateIsWidthIndependent holds Generate's concurrent synthesis to
-// the serial one, GenerateShard(cfg, 0, 1), over the stationary workload and
+// the serial one, the single shard of BuildGenLayout(cfg), over the
+// stationary workload and
 // the four library scenarios, two seeds each, at GOMAXPROCS 1, 2 and 8: the
 // same IDs, names, metadata and series whatever the machine's width. It
 // runs under -short too, over a smaller population, so the race detector
@@ -31,7 +32,11 @@ func TestGenerateIsWidthIndependent(t *testing.T) {
 			}
 			sc.Seed = seed
 			cfg.Scenario = sc.Normalize()
-			serial, err := GenerateShard(cfg, 0, 1)
+			l, err := BuildGenLayout(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, serial, err := l.Shard(0, 1, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -172,7 +172,8 @@ func SparseTriggerMix() []float64 {
 // runtime.GOMAXPROCS(0) workers, scattering each shard's functions back to
 // their global IDs. Each function's series depends only on its recorded
 // seed and its app's driver, and every app lies whole in one shard, so the
-// result is GenerateShard(cfg, 0, 1)'s trace byte for byte.
+// result is the single shard's trace, BuildGenLayout(cfg).Shard(0, 1, 0),
+// byte for byte.
 func Generate(cfg GeneratorConfig) (*Trace, error) {
 	l, err := BuildGenLayout(cfg)
 	if err != nil {
@@ -308,30 +309,6 @@ func FanOut(workers, items int, fn func(w, i int) error) error {
 		panic(panicVal)
 	}
 	return err
-}
-
-// GenerateShard synthesizes only shard i of p of the trace Generate(cfg)
-// would produce: exactly the functions Partition/ShardBy would place in
-// that shard, with bit-identical series, densely re-IDed, and the global
-// FuncID mapping filled in. Series are only synthesized — and only held in
-// memory — for the selected shard, so a 1M-function trace can be produced
-// one shard at a time without ever materializing the whole population. The
-// union of all p shards is Generate(cfg), function for function.
-//
-// Each call replays the structural pass (BuildGenLayout); callers producing
-// several shards of one config should build the layout once and call
-// GenLayout.Shard, which skips the replay — sim.GeneratorSource does.
-func GenerateShard(cfg GeneratorConfig, i, p int) (*ShardView, error) {
-	if p <= 0 || i < 0 || i >= p {
-		// Reject before the O(n) structural pass, not after it.
-		return nil, fmt.Errorf("trace: shard %d of %d out of range", i, p)
-	}
-	l, err := BuildGenLayout(cfg)
-	if err != nil {
-		return nil, err
-	}
-	_, sh, err := l.Shard(i, p, 0)
-	return sh, err
 }
 
 // GenLayout is the structural skeleton of a generated trace: the user/app

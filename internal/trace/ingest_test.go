@@ -153,7 +153,7 @@ func TestStoreFingerprints(t *testing.T) {
 		t.Error("different train splits share a fingerprint")
 	}
 
-	reopened, err := OpenStore(store.Dir())
+	reopened, err := OpenStore(store.dir)
 	if err != nil {
 		t.Fatalf("OpenStore: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestStoreFingerprints(t *testing.T) {
 // wrapping ErrStoreCorrupt with no shard content, never a wrong shard.
 func TestStoreCorruptionDegrades(t *testing.T) {
 	_, store, _ := ingestFixture(t, 2, 0)
-	shardPath := filepath.Join(store.Dir(), shardFileName(0))
+	shardPath := filepath.Join(store.dir, shardFileName(0))
 	pristine, err := os.ReadFile(shardPath)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestStoreCorruptionDegrades(t *testing.T) {
 
 	expectCorrupt := func(label string) {
 		t.Helper()
-		st, err := OpenStore(store.Dir())
+		st, err := OpenStore(store.dir)
 		if err != nil {
 			if !errors.Is(err, ErrStoreCorrupt) {
 				t.Fatalf("%s: OpenStore error %v does not wrap ErrStoreCorrupt", label, err)
@@ -231,13 +231,13 @@ func TestStoreCorruptionDegrades(t *testing.T) {
 	if err := os.Remove(shardPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStore(store.Dir()); !errors.Is(err, ErrStoreCorrupt) {
+	if _, err := OpenStore(store.dir); !errors.Is(err, ErrStoreCorrupt) {
 		t.Fatalf("missing shard file: OpenStore error %v does not wrap ErrStoreCorrupt", err)
 	}
 	restore()
 
 	// Manifest corruption and absence fail at open.
-	manifestPath := filepath.Join(store.Dir(), manifestName)
+	manifestPath := filepath.Join(store.dir, manifestName)
 	manifest, err := os.ReadFile(manifestPath)
 	if err != nil {
 		t.Fatal(err)
@@ -245,13 +245,13 @@ func TestStoreCorruptionDegrades(t *testing.T) {
 	if err := os.WriteFile(manifestPath, manifest[:len(manifest)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStore(store.Dir()); !errors.Is(err, ErrStoreCorrupt) {
+	if _, err := OpenStore(store.dir); !errors.Is(err, ErrStoreCorrupt) {
 		t.Fatalf("truncated manifest: OpenStore error %v does not wrap ErrStoreCorrupt", err)
 	}
 	if err := os.Remove(manifestPath); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStore(store.Dir()); !errors.Is(err, ErrStoreCorrupt) {
+	if _, err := OpenStore(store.dir); !errors.Is(err, ErrStoreCorrupt) {
 		t.Fatalf("missing manifest: OpenStore error %v does not wrap ErrStoreCorrupt", err)
 	}
 }
@@ -271,7 +271,7 @@ func TestStoreGoldenBytes(t *testing.T) {
 		{shardFileName(1), 155211, "79748e0205cbeb64cc4a63a2ef87acd685c1909c314d5482b2220424646f1c69"},
 		{manifestName, 72, "eb470f71086c9f66b9ef23a4edbd8f2039effbceda309aea194ecf9e329f8069"},
 	} {
-		data, err := os.ReadFile(filepath.Join(store.Dir(), tc.name))
+		data, err := os.ReadFile(filepath.Join(store.dir, tc.name))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -287,7 +287,7 @@ func TestStoreGoldenBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		disk, err := os.ReadFile(filepath.Join(store.Dir(), shardFileName(i)))
+		disk, err := os.ReadFile(filepath.Join(store.dir, shardFileName(i)))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,10 +32,14 @@ func TestScenarioShardedGenerationMatchesUnsharded(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
+		l, err := BuildGenLayout(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
 		const p = 3
 		seen := make([]bool, full.NumFunctions())
 		for i := 0; i < p; i++ {
-			sh, err := GenerateShard(cfg, i, p)
+			_, sh, err := l.Shard(i, p, 0)
 			if err != nil {
 				t.Fatalf("%s shard %d: %v", name, i, err)
 			}

@@ -24,7 +24,6 @@ import "fmt"
 // a split trace (they share the same Functions slice, so partitioning either
 // yields the same assignment).
 type Partition struct {
-	shards  int
 	shardOf []int32    // FuncID -> shard index
 	members [][]FuncID // shard index -> global FuncIDs, ascending
 }
@@ -82,7 +81,6 @@ func PartitionFunctions(fns []Function, p int) *Partition {
 	}
 
 	part := &Partition{
-		shards:  p,
 		shardOf: make([]int32, n),
 		members: make([][]FuncID, p),
 	}
@@ -104,9 +102,6 @@ func PartitionFunctions(fns []Function, p int) *Partition {
 	}
 	return part
 }
-
-// NumShards returns the partition's shard count.
-func (p *Partition) NumShards() int { return p.shards }
 
 // ShardOf returns the shard index function f belongs to.
 func (p *Partition) ShardOf(f FuncID) int { return int(p.shardOf[f]) }
@@ -140,21 +135,4 @@ func (tr *Trace) ShardBy(part *Partition, i int) *ShardView {
 		sub.Series[li] = tr.Series[g]
 	}
 	return &ShardView{Trace: sub, Index: i, Global: ids}
-}
-
-// Shard is the convenience form of ShardBy: view shard i of p under the
-// canonical app/user partition. Callers slicing one trace into several
-// shards should compute PartitionFunctions once and use ShardBy.
-func (tr *Trace) Shard(i, p int) *ShardView {
-	return tr.ShardBy(PartitionFunctions(tr.Functions, p), i)
-}
-
-// Shards returns all p shard views under one shared partition.
-func (tr *Trace) Shards(p int) []*ShardView {
-	part := PartitionFunctions(tr.Functions, p)
-	out := make([]*ShardView, p)
-	for i := range out {
-		out[i] = tr.ShardBy(part, i)
-	}
-	return out
 }

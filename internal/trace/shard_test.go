@@ -75,7 +75,9 @@ func TestShardViewSharesSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sh := range tr.Shards(3) {
+	part := PartitionFunctions(tr.Functions, 3)
+	for i := 0; i < 3; i++ {
+		sh := tr.ShardBy(part, i)
 		if sh.NumFunctions() != len(sh.Global) {
 			t.Fatalf("shard %d: %d functions but %d global ids", sh.Index, sh.NumFunctions(), len(sh.Global))
 		}
@@ -94,8 +96,8 @@ func TestShardViewSharesSeries(t *testing.T) {
 }
 
 // TestGenerateShardMatchesShardedGenerate is the streaming-generation
-// equivalence: GenerateShard(cfg, i, p) must produce exactly
-// Generate(cfg).Shard(i, p) — metadata, series, and global id mapping —
+// equivalence: GenLayout.Shard(i, p, 0) must produce exactly
+// Generate(cfg).ShardBy(part, i) — metadata, series, and global id mapping —
 // for every shard, so shard-streamed traces are interchangeable with
 // materialized ones.
 func TestGenerateShardMatchesShardedGenerate(t *testing.T) {
@@ -104,12 +106,16 @@ func TestGenerateShardMatchesShardedGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	l, err := BuildGenLayout(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range []int{1, 2, 4} {
 		part := PartitionFunctions(full.Functions, p)
 		total := 0
 		for i := 0; i < p; i++ {
 			want := full.ShardBy(part, i)
-			got, err := GenerateShard(cfg, i, p)
+			_, got, err := l.Shard(i, p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -167,10 +173,14 @@ func TestTracegenShardedCSVRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	l, err := BuildGenLayout(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	const p = 3
 	for i := 0; i < p; i++ {
-		sh, err := GenerateShard(cfg, i, p)
+		_, sh, err := l.Shard(i, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,8 +217,8 @@ func TestTracegenShardedCSVRoundTrip(t *testing.T) {
 
 // TestGenLayoutReuseMatchesPerCallGeneration covers the shared-layout path
 // sim.GeneratorSource rides: one BuildGenLayout serving every Shard(i, p)
-// call — including repeated calls for the same i — must reproduce the
-// per-call GenerateShard (which rebuilds the layout each time) exactly.
+// call — including repeated calls for the same i — must reproduce a fresh
+// layout's shard exactly. Shard rejects an index or count out of range.
 func TestGenLayoutReuseMatchesPerCallGeneration(t *testing.T) {
 	cfg := DefaultGeneratorConfig(300, 2, 9)
 	l, err := BuildGenLayout(cfg)
@@ -220,7 +230,11 @@ func TestGenLayoutReuseMatchesPerCallGeneration(t *testing.T) {
 	}
 	const p = 3
 	for i := 0; i < p; i++ {
-		want, err := GenerateShard(cfg, i, p)
+		fresh, err := BuildGenLayout(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, want, err := fresh.Shard(i, p, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,11 +246,13 @@ func TestGenLayoutReuseMatchesPerCallGeneration(t *testing.T) {
 			if !reflect.DeepEqual(got.Global, want.Global) ||
 				!reflect.DeepEqual(got.Functions, want.Functions) ||
 				!reflect.DeepEqual(got.Series, want.Series) {
-				t.Fatalf("shard %d rep %d: shared-layout shard differs from per-call generation", i, rep)
+				t.Fatalf("shard %d rep %d: shared-layout shard differs from a fresh layout's", i, rep)
 			}
 		}
 	}
-	if _, _, err := l.Shard(p, p, 0); err == nil {
-		t.Fatal("out-of-range shard index accepted")
+	for _, bad := range [][2]int{{p, p}, {-1, p}, {0, 0}, {0, -1}} {
+		if _, _, err := l.Shard(bad[0], bad[1], 0); err == nil {
+			t.Fatalf("shard %d of %d accepted", bad[0], bad[1])
+		}
 	}
 }

@@ -463,9 +463,6 @@ func OpenStoreFS(dir string, fs durable.FS) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // NumShards returns the store's shard count (fixed at ingest time).
 func (s *Store) NumShards() int { return s.shards }
 

@@ -10,6 +10,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -221,12 +223,12 @@ func TestServeKillAndRestoreBitIdentical(t *testing.T) {
 			if rep.Duplicates == 0 {
 				t.Errorf("no duplicate acks on full re-delivery: the journaled prefix (%d batches) was lost", journaledAtKill)
 			}
-			hr, err := c2.StateHash()
-			if err != nil {
+			var hr serve.StateHashReply
+			if err := getJSON(c2.Base, "/v1/statehash", &hr); err != nil {
 				t.Fatal(err)
 			}
-			m, err := c2.Metrics()
-			if err != nil {
+			var m serve.Metrics
+			if err := getJSON(c2.Base, "/v1/metrics", &m); err != nil {
 				t.Fatal(err)
 			}
 			if want := hashString(wantHash); hr.StateHash != want {
@@ -262,4 +264,17 @@ func hashString(h uint64) string {
 		out[i] = hexdigits[(h>>(60-4*i))&0xf]
 	}
 	return string(out[:])
+}
+
+// getJSON decodes the daemon's reply to GET base+path into v.
+func getJSON(base, path string, v any) error {
+	resp, err := http.Get(base + path)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: %s", path, resp.Status)
+	}
+	return json.NewDecoder(resp.Body).Decode(v)
 }

@@ -133,18 +133,10 @@ func NewTrace(slots int) *Trace { return trace.NewTrace(slots) }
 // concatenated).
 func ReadTraceCSV(r io.Reader) (*Trace, error) { return trace.ReadCSV(r) }
 
-// WriteTraceCSV writes a workload in the Azure trace CSV schema.
-func WriteTraceCSV(w io.Writer, tr *Trace) error { return trace.WriteCSV(w, tr) }
-
 // Run trains the policy on training (nil skips the offline phase) and
 // simulates it over simTrace.
 func Run(policy Policy, training, simTrace *Trace, opts Options) (*Result, error) {
 	return sim.Run(policy, training, simTrace, opts)
-}
-
-// RunAll simulates several policies over the same train/sim pair.
-func RunAll(policies []Policy, training, simTrace *Trace, opts Options) ([]*Result, error) {
-	return sim.RunAll(policies, training, simTrace, opts)
 }
 
 // Source produces population shards on demand for RunStreamed: the
@@ -197,7 +189,7 @@ func IngestTraceCSV(r io.Reader, dir string, opts TraceIngestOptions) (*TraceSto
 func OpenTraceStore(dir string) (*TraceStore, error) { return trace.OpenStore(dir) }
 
 // Sentinel errors of the sharded engine, matchable with errors.Is through
-// Run and RunAll's wrapping.
+// Run's and RunStreamed's wrapping.
 var (
 	// ErrNotShardable reports a policy that implements neither
 	// ShardedPolicy nor CapacityPolicy under Options.Shards > 1.

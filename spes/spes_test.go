@@ -2,8 +2,10 @@ package spes_test
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
+	"repro/internal/trace"
 	"repro/spes"
 )
 
@@ -49,15 +51,12 @@ func TestBaselineConstructors(t *testing.T) {
 		spes.NewFaaSCache(20),
 		spes.NewLCS(20),
 	}
-	results, err := spes.RunAll(policies, train, simTr, spes.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != len(policies) {
-		t.Fatalf("results = %d", len(results))
-	}
 	names := map[string]bool{}
-	for _, r := range results {
+	for _, p := range policies {
+		r, err := spes.Run(p, train, simTr, spes.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		names[r.Policy] = true
 	}
 	for _, want := range []string{"Fixed-10min", "Hybrid-Function", "Hybrid-Application", "Defuse", "FaaSCache", "LCS"} {
@@ -67,13 +66,29 @@ func TestBaselineConstructors(t *testing.T) {
 	}
 }
 
+// TestUnshardableErrorViaFacade: a caller outside the module matches the
+// sharded engine's refusal through the facade's sentinel.
+func TestUnshardableErrorViaFacade(t *testing.T) {
+	full, err := spes.GenerateTrace(spes.DefaultGeneratorConfig(50, 2, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	train, simTr := full.Split(1440)
+	// Embedding the interface hides every capability but Policy's methods.
+	bare := struct{ spes.Policy }{spes.NewFixedKeepAlive(10)}
+	_, err = spes.Run(bare, train, simTr, spes.Options{Shards: 2})
+	if !errors.Is(err, spes.ErrNotShardable) {
+		t.Errorf("got %v, want errors.Is spes.ErrNotShardable", err)
+	}
+}
+
 func TestTraceCSVRoundTripViaFacade(t *testing.T) {
 	full, err := spes.GenerateTrace(spes.DefaultGeneratorConfig(50, 1, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := spes.WriteTraceCSV(&buf, full); err != nil {
+	if err := trace.WriteCSV(&buf, full); err != nil {
 		t.Fatal(err)
 	}
 	back, err := spes.ReadTraceCSV(&buf)
