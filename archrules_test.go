@@ -18,6 +18,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -41,6 +42,9 @@ func TestArchRules(t *testing.T) {
 	l, real, fixtures := loadArchTrees(t)
 	for _, r := range archRules {
 		t.Run(r.name, func(t *testing.T) {
+			if r.since == "" {
+				t.Error("the row names no commit that set it")
+			}
 			for _, f := range r.run(l, real) {
 				t.Error(f)
 			}
@@ -80,11 +84,19 @@ func TestArchRules(t *testing.T) {
 			case variant == "" && byGrep == 0 && len(rowByID(id).greps) > 0:
 				t.Errorf("%s: the row's grep misses the planted violation", fx.root)
 			}
-			if id == "deadness" {
-				// Unused and T.Unused trip; policy's methods, reached only
-				// through sim.Policy, do not.
-				if len(own) != 2 || !strings.Contains(own[0].msg, "dead.Unused ") || !strings.Contains(own[1].msg, "dead.T.Unused ") {
-					t.Errorf("%s: want exactly dead.Unused and dead.T.Unused, got %v", fx.root, own)
+			// Unused and T.Unused trip; policy's methods, reached only
+			// through sim.Policy, do not. The whole chain trips at once.
+			wantDead := map[string][]string{
+				"deadness":       {"dead.Unused ", "dead.T.Unused "},
+				"deadness.chain": {"chain.Head ", "chain.Middle ", "chain.Tail "},
+			}[path.Base(fx.root)]
+			if wantDead != nil {
+				ok := len(own) == len(wantDead)
+				for _, w := range wantDead {
+					ok = ok && slices.ContainsFunc(own, func(f finding) bool { return strings.Contains(f.msg, w) })
+				}
+				if !ok {
+					t.Errorf("%s: want exactly %q, got %v", fx.root, wantDead, own)
 				}
 			}
 		}
@@ -109,7 +121,7 @@ func rowByID(id string) *archRule {
 type archRule struct {
 	id    string // fixture directory name under testdata/archrules
 	name  string
-	since string // commit that set the rule; empty for rules born with the table
+	since string // commit that set the rule
 	why   string // reason printed with a grep finding
 	greps []archGrep
 	check func(*archLoader, *archTree) []finding
@@ -134,11 +146,7 @@ type finding struct {
 }
 
 func (f finding) String() string {
-	tag := f.rule.name
-	if f.rule.since != "" {
-		tag += ", since " + f.rule.since
-	}
-	return fmt.Sprintf("%s: [%s] %s", f.pos, tag, f.msg)
+	return fmt.Sprintf("%s: [%s, since %s] %s", f.pos, f.rule.name, f.rule.since, f.msg)
 }
 
 func (r *archRule) run(l *archLoader, tr *archTree) []finding {
@@ -454,8 +462,9 @@ var archRules = []*archRule{{
 		return out
 	},
 }, {
-	id:   "harness",
-	name: "The engine never imports the harness",
+	id:    "harness",
+	name:  "The engine never imports the harness",
+	since: "cee32bb",
 	// internal/faultinject's package doc: the harness implements the seams
 	// the engine declares (durable.FS, sim.ShardFaultHook), so the arrow
 	// points one way. Non-test code under internal/ imports none of the
@@ -503,11 +512,12 @@ var archRules = []*archRule{{
 		return out
 	},
 }, {
-	id:   "deadness",
-	name: "Exported code is reached",
+	id:    "deadness",
+	name:  "Exported code is reached",
+	since: "cee32bb",
 	// Every exported package-level declaration and method in non-test code
-	// has a non-test referrer outside its own declaration (see deadExports),
-	// or an entry in deadAllow saying why it stays.
+	// has a live non-test referrer outside its own declaration (see
+	// deadExports), or an entry in deadAllow saying why it stays.
 	check: deadExports,
 }}
 
@@ -551,8 +561,9 @@ func reexportsError(info *types.Info, e ast.Expr) bool {
 		types.Identical(v.Type(), types.Universe.Lookup("error").Type())
 }
 
-// deadExports flags exported code with no non-test referrer outside its own
-// declaration. Referrers anywhere in the tree count, cmd/, examples/ and
+// deadExports flags exported code with no live non-test referrer outside its
+// own declaration; a referrer inside a declaration it flags is not live.
+// Referrers anywhere in the tree count, cmd/, examples/ and
 // benchmark/ included; the harness directories' declarations also count
 // _test.go referrers. A method counts as reached when its type (or a type
 // embedding it) implements an interface the program uses — one whose type
@@ -620,42 +631,71 @@ func deadExports(l *archLoader, tr *archTree) (out []finding) {
 		refs[pos] = append(refs[pos], token.NoPos)
 	}
 
-	allowed := map[string]bool{}
-	for _, d := range decls {
-		reached := false
-		for _, at := range refs[d.obj.Pos()] {
-			if at < d.start || at >= d.end {
-				reached = true
-				break
-			}
-		}
-		if reached || testRefs[d.obj.Pos()] && d.pkg.harness {
-			continue
-		}
-		key := d.pkg.dir + "." + d.obj.Name()
+	key := func(d decl) string {
 		if fn, ok := d.obj.(*types.Func); ok {
 			if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-				key = d.pkg.dir + "." + namedOf(recv.Type()).Obj().Name() + "." + fn.Name()
+				return d.pkg.dir + "." + namedOf(recv.Type()).Obj().Name() + "." + fn.Name()
 			}
 		}
 		tn, isType := d.obj.(*types.TypeName)
 		if _, isConst := d.obj.(*types.Const); d.pkg.dir == "spes" && (isConst || isType && tn.IsAlias() || d.reexport) {
-			key = facadeKey
+			return facadeKey
 		}
-		if _, ok := deadAllow[key]; ok && tr.real {
-			allowed[key] = true
-			continue
+		return d.pkg.dir + "." + d.obj.Name()
+	}
+
+	// Deadness is a fixpoint: a referrer inside a declaration already found
+	// dead does not count, so a chain of declarations reached only from each
+	// other is found whole in one run. Allowlisted declarations stay live.
+	dead := make([]bool, len(decls))
+	var deadSpans []decl
+	inDead := func(at token.Pos) bool {
+		for _, d := range deadSpans {
+			if at >= d.start && at < d.end {
+				return true
+			}
 		}
-		what := "has no non-test referrer"
-		if d.pkg.harness {
-			what = "has no referrer"
+		return false
+	}
+	reached := func(d decl) bool {
+		for _, at := range refs[d.obj.Pos()] {
+			if (at < d.start || at >= d.end) && !inDead(at) {
+				return true
+			}
 		}
-		out = append(out, tr.at(d.obj, key+" "+what+": delete it, or add it to deadAllow with the reason it stays"))
+		return testRefs[d.obj.Pos()] && d.pkg.harness
+	}
+	allowed := func(d decl) bool {
+		_, ok := deadAllow[key(d)]
+		return ok && tr.real
+	}
+	for changed := true; changed; {
+		changed = false
+		for i, d := range decls {
+			if !dead[i] && !allowed(d) && !reached(d) {
+				dead[i], changed = true, true
+				deadSpans = append(deadSpans, d)
+			}
+		}
+	}
+
+	matched := map[string]bool{}
+	for i, d := range decls {
+		switch {
+		case allowed(d) && !reached(d):
+			matched[key(d)] = true
+		case dead[i]:
+			what := "has no live non-test referrer"
+			if d.pkg.harness {
+				what = "has no live referrer"
+			}
+			out = append(out, tr.at(d.obj, key(d)+" "+what+": delete it, or add it to deadAllow with the reason it stays"))
+		}
 	}
 	if tr.real {
-		for key := range deadAllow {
-			if !allowed[key] {
-				out = append(out, finding{pos: "archrules_test.go", msg: "deadAllow entry " + key + " matches no unreached declaration: drop it"})
+		for k := range deadAllow {
+			if !matched[k] {
+				out = append(out, finding{pos: "archrules_test.go", msg: "deadAllow entry " + k + " matches no unreached declaration: drop it"})
 			}
 		}
 	}

@@ -14,7 +14,7 @@
 //	go run ./cmd/eqvcheck                         # 400 functions, shards 4
 //	go run ./cmd/eqvcheck -functions 600 -scenario churn -retrain-every 1440 -shards 2 -stream
 //	go run ./cmd/eqvcheck -capacity -stream -shards 4 -faults 7
-//	go run ./cmd/eqvcheck -streamonly -functions 100000 -sparse -shards 16 -seeds 1 -maxheap 268435456
+//	go run ./cmd/eqvcheck -streamonly -functions 100000 -sparse -shards 16 -seeds 1 -workers 2 -maxheap 450000000
 //	go run ./cmd/eqvcheck -ingest testdata/azure_sample.csv -train-days 3
 package main
 

@@ -2,6 +2,8 @@ package baselines
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -14,8 +16,9 @@ import (
 // priority = clock + frequency * cost / size. Under the paper's simulation
 // principles cost and size are uniform, so priority reduces to
 // clock + frequency; the clock ratchets up to each evicted priority,
-// ageing cold entries out. Equal priorities evict in ascending FuncID
-// order, which makes the eviction order a deterministic total order.
+// ageing cold entries out. (priority, FuncID) is a strict total order, so
+// it fixes the set a Tick evicts and the clock that set leaves behind, not
+// the order victims leave in.
 type FaaSCache struct {
 	sim.LoadedSet
 
@@ -24,8 +27,7 @@ type FaaSCache struct {
 	clock float64
 	freq  []int64
 	prio  []float64
-	heap  []int // loaded functions, a binary min-heap under less
-	index []int // heap position per function, -1 when not loaded
+	pool  []trace.FuncID // the loaded functions, in no particular order
 }
 
 // NewFaaSCache creates the policy with a memory capacity in instances. The
@@ -53,11 +55,7 @@ func (p *FaaSCache) Train(training *trace.Trace) {
 	p.clock = 0
 	p.freq = make([]int64, n)
 	p.prio = make([]float64, n)
-	p.index = make([]int, n)
-	for i := range p.index {
-		p.index[i] = -1
-	}
-	p.heap = nil
+	p.pool = p.pool[:0]
 
 	for fid, ser := range training.Series {
 		total := ser.Total()
@@ -67,7 +65,7 @@ func (p *FaaSCache) Train(training *trace.Trace) {
 		p.freq[fid] = total
 		p.prio[fid] = float64(total)
 		p.Load(trace.FuncID(fid))
-		p.push(fid)
+		p.pool = append(p.pool, trace.FuncID(fid))
 	}
 	p.enforce()
 }
@@ -76,32 +74,36 @@ func (p *FaaSCache) Train(training *trace.Trace) {
 // against the current clock, admit newcomers, then evict down to capacity.
 func (p *FaaSCache) Tick(t int, invs []trace.FuncCount) {
 	for _, fc := range invs {
-		f := int(fc.Func)
+		f := fc.Func
 		p.freq[f]++
 		p.prio[f] = p.clock + float64(p.freq[f])
-		if i := p.index[f]; i >= 0 {
-			if !p.down(i, len(p.heap)) {
-				p.up(i)
-			}
-		} else {
-			p.Load(fc.Func)
-			p.push(f)
+		if !p.Loaded(f) {
+			p.Load(f)
+			p.pool = append(p.pool, f)
 		}
 	}
 	p.enforce()
 }
 
-// enforce evicts lowest-(priority, FuncID) functions until the cache fits,
-// ratcheting the GDSF clock to each evicted priority so future insertions
-// outrank long-idle residents.
+// enforce evicts the lowest-(priority, FuncID) functions until the cache
+// fits, and ratchets the GDSF clock to the largest evicted priority, so
+// future insertions outrank long-idle residents. Priorities do not move
+// while it evicts, so one selection over the unordered pool finds the set
+// that evicting one minimum at a time would, and the same clock.
 func (p *FaaSCache) enforce() {
-	for p.LoadedCount() > p.capacity {
-		victim := p.pop()
-		p.Unload(trace.FuncID(victim))
-		if p.prio[victim] > p.clock {
-			p.clock = p.prio[victim]
+	k := p.LoadedCount() - p.capacity
+	if k <= 0 {
+		return
+	}
+	keep := len(p.pool) - k
+	selectLowest(p.pool, k, p.prio)
+	for _, f := range p.pool[keep:] {
+		p.Unload(f)
+		if p.prio[f] > p.clock {
+			p.clock = p.prio[f]
 		}
 	}
+	p.pool = p.pool[:keep]
 }
 
 // NextWake implements sim.IdleSkipper. FaaSCache has no timers: state only
@@ -110,75 +112,70 @@ func (p *FaaSCache) enforce() {
 // needs a wake-up.
 func (p *FaaSCache) NextWake(after, limit int) (int, bool) { return -1, true }
 
-// The eviction heap is kept inline on []int rather than through
-// container/heap, whose Push(any)/Pop() any box a FuncID on every admission
-// and eviction. The sift steps are container/heap's, so the layout — and
-// with it every eviction — is the same.
+// higher reports whether f comes after g in (prio, FuncID) order.
+func higher(prio []float64, f, g trace.FuncID) bool {
+	return prio[f] > prio[g] || prio[f] == prio[g] && f > g
+}
 
-// less orders heap positions i and j by (priority, FuncID).
-func (p *FaaSCache) less(i, j int) bool {
-	fi, fj := p.heap[i], p.heap[j]
-	if p.prio[fi] != p.prio[fj] {
-		return p.prio[fi] < p.prio[fj]
+// selectLowest reorders pool, distinct functions, so that its k lowest in
+// (prio, FuncID) order occupy its last k positions, in no particular order.
+// It is a quickselect on a median-of-three pivot, deterministic and drawing
+// no random numbers: each round partitions the range that holds the
+// boundary in one comparison per element, a few times len(pool) in all on
+// typical orders. After 2·bits.Len(len(pool)) rounds the range left is
+// sorted outright, which bounds the worst case at O(n log n) comparisons on
+// any input order. It returns an upper bound on the comparisons it made.
+func selectLowest(pool []trace.FuncID, k int, prio []float64) (compares int) {
+	// In descending order the boundary sits at m: every function in
+	// pool[:m] is to come before every function in pool[m:].
+	m := len(pool) - k
+	lo, hi := 0, len(pool)
+	for rounds := 2 * bits.Len(uint(len(pool))); m > lo && m < hi; rounds-- {
+		if rounds == 0 {
+			// The pool's functions are distinct, so none compare equal.
+			slices.SortFunc(pool[lo:hi], func(f, g trace.FuncID) int {
+				compares++
+				if higher(prio, f, g) {
+					return -1
+				}
+				return 1
+			})
+			return compares
+		}
+		compares += hi - lo + 3
+		switch p := lo + partitionDescending(pool[lo:hi], prio); {
+		case m < p:
+			hi = p
+		case m > p+1:
+			lo = p + 1
+		default:
+			return compares
+		}
 	}
-	return fi < fj
+	return compares
 }
 
-// swap exchanges heap positions i and j, keeping index in step.
-func (p *FaaSCache) swap(i, j int) {
-	p.heap[i], p.heap[j] = p.heap[j], p.heap[i]
-	p.index[p.heap[i]] = i
-	p.index[p.heap[j]] = j
-}
-
-// up sifts position j towards the root while it outranks its parent.
-func (p *FaaSCache) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !p.less(j, i) {
-			break
-		}
-		p.swap(i, j)
-		j = i
+// partitionDescending partitions s (at least two functions) around a pivot
+// and returns the pivot's final index: everything before it comes after
+// the pivot in (prio, FuncID) order, nothing after it does. The pivot is
+// the median of the quartiles and the middle, where ascending, descending
+// and organ-pipe orders all split near the middle.
+func partitionDescending(s []trace.FuncID, prio []float64) int {
+	last := len(s) - 1
+	a, pivot, c := len(s)/4, len(s)/2, last-len(s)/4
+	if higher(prio, s[pivot], s[a]) != higher(prio, s[c], s[a]) {
+		pivot = a
+	} else if higher(prio, s[a], s[c]) != higher(prio, s[pivot], s[c]) {
+		pivot = c
 	}
-}
-
-// down sifts position i0 towards the leaves of the first n positions while
-// a child outranks it, reporting whether it moved.
-func (p *FaaSCache) down(i0, n int) bool {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
+	s[pivot], s[last] = s[last], s[pivot]
+	i := 0
+	for j, f := range s[:last] {
+		if higher(prio, f, s[last]) {
+			s[i], s[j] = f, s[i]
+			i++
 		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && p.less(j2, j1) {
-			j = j2 // right child
-		}
-		if !p.less(j, i) {
-			break
-		}
-		p.swap(i, j)
-		i = j
 	}
-	return i > i0
-}
-
-// push admits f to the heap.
-func (p *FaaSCache) push(f int) {
-	p.index[f] = len(p.heap)
-	p.heap = append(p.heap, f)
-	p.up(len(p.heap) - 1)
-}
-
-// pop removes and returns the lowest-(priority, FuncID) function.
-func (p *FaaSCache) pop() int {
-	last := len(p.heap) - 1
-	p.swap(0, last)
-	p.down(0, last)
-	f := p.heap[last]
-	p.heap = p.heap[:last]
-	p.index[f] = -1
-	return f
+	s[i], s[last] = s[last], s[i]
+	return i
 }
