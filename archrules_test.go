@@ -466,14 +466,13 @@ var archRules = []*archRule{{
 	name:  "The engine never imports the harness",
 	since: "cee32bb",
 	// internal/faultinject's package doc: the harness implements the seams
-	// the engine declares (durable.FS, sim.ShardFaultHook), so the arrow
-	// points one way. Non-test code under internal/ imports none of the
-	// harness packages; internal/serve keeps its three Faults fields (the
-	// daemon's, the client's and the snapshot writer's) until they become
-	// seams the daemon declares. And internal/eqv, the equivalence matrix,
-	// has no non-test importer but cmd/eqvcheck.
+	// the engine declares (durable.FS, sim.ShardFaultHook, and for serving
+	// the net/http Handler and RoundTripper), so the arrow points one way.
+	// Non-test code under internal/ imports none of the harness packages.
+	// And internal/eqv, the equivalence matrix, has no non-test importer but
+	// cmd/eqvcheck.
 	check: func(_ *archLoader, tr *archTree) (out []finding) {
-		for _, f := range tr.goFiles([]string{"internal"}, "internal/serve/", "internal/eqv/") {
+		for _, f := range tr.goFiles([]string{"internal"}, "internal/eqv/") {
 			for _, imp := range f.imports(harnessPkgs...) {
 				out = append(out, tr.at(imp, "engine code imports the harness package "+importPath(imp)))
 			}

@@ -54,8 +54,10 @@ func main() {
 		HTTP:  &http.Client{Timeout: *timeout},
 		Retry: retry.Policy{MaxAttempts: *attempts},
 	}
+	var inj *faultinject.Injector
 	if *faults != 0 {
-		c.Faults = faultinject.New(*faults, faultinject.ServeDefault())
+		inj = faultinject.New(*faults, faultinject.ServeDefault())
+		c.HTTP.Transport = inj.Transport(nil) // slow batches
 	}
 
 	rep, err := serve.Replay(c, w.Sim, serve.LoadOptions{
@@ -64,8 +66,8 @@ func main() {
 	if err != nil {
 		fail("replay: %v", err)
 	}
-	if c.Faults != nil {
-		fmt.Fprintf(os.Stderr, "spes-load: injected faults: %s\n", c.Faults)
+	if inj != nil {
+		fmt.Fprintf(os.Stderr, "spes-load: injected faults: %s\n", inj)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")

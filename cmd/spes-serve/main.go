@@ -68,8 +68,10 @@ func main() {
 		DecisionTimeout:   *decisionTimeout,
 		FallbackKeepAlive: *keepalive,
 	}
+	var inj *faultinject.Injector
 	if *faults != 0 {
-		cfg.Faults = faultinject.New(*faults, faultinject.ServeDefault())
+		inj = faultinject.New(*faults, faultinject.ServeDefault())
+		cfg.FS = inj.FS() // torn snapshot writes
 	}
 	srv, err := serve.New(cfg)
 	if err != nil {
@@ -85,6 +87,9 @@ func main() {
 	os.Stdout.Sync()
 
 	hs := &http.Server{Handler: srv.Handler()}
+	if inj != nil {
+		hs.Handler = inj.Handler(hs.Handler) // dropped connections
+	}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 
@@ -101,8 +106,8 @@ func main() {
 	if err := srv.Close(); err != nil {
 		fail("shutdown: %v", err)
 	}
-	if cfg.Faults != nil {
-		fmt.Printf("spes-serve: injected faults: %s\n", cfg.Faults)
+	if inj != nil {
+		fmt.Printf("spes-serve: injected faults: %s\n", inj)
 	}
 	fmt.Println("spes-serve: clean shutdown")
 }

@@ -22,9 +22,11 @@
 //
 // The dependency arrow points one way: this package implements the seams
 // others declare (durable.FS / durable.File for every persistent file,
-// sim.ShardFaultHook for workers), and its injected errors advertise
-// themselves as transient through the `Transient() bool` method
-// sim.IsTransient sniffs for — sim itself never imports the harness.
+// sim.ShardFaultHook for workers, and for the serving daemon and its client
+// the net/http ones: an http.Handler wrapper and an http.RoundTripper), and
+// its injected errors advertise themselves as transient through the
+// `Transient() bool` method sim.IsTransient sniffs for — neither sim nor
+// serve imports the harness.
 package faultinject
 
 import (
@@ -49,14 +51,14 @@ type Config struct {
 	SlowShard   int           // shard attempts sleeping SlowDelay before simulating
 	SlowDelay   time.Duration // sleep per slow shard (default 20ms when SlowShard > 0)
 
-	// Serving fault classes (internal/serve). The daemon and load client
-	// draw these themselves — same (seed, site, subject, seq) schedule, same
-	// invariant: any injected serving run that completes must reach the same
-	// policy state hash as the clean run.
-	DropConn        int           // ingest requests aborted server-side (the client sees a dropped connection and retries)
-	SlowClient      int           // load-client batches stalled before transmission
-	SlowClientDelay time.Duration // stall per slow batch (default 20ms when SlowClient > 0)
-	TornSnapshot    int           // serving snapshot writes persisting only a prefix (lying disk: the rename still lands)
+	// Serving fault classes (internal/serve), each drawn at a seam the
+	// daemon or its client already has — same (seed, site, subject, seq)
+	// schedule, same invariant: any injected serving run that completes must
+	// reach the same policy state hash as the clean run.
+	DropConn        int           // ingest requests aborted by Handler, before or after the daemon answers (the client sees a dropped connection and retries)
+	SlowClient      int           // ingest requests stalled by Transport before transmission
+	SlowClientDelay time.Duration // stall per slow request (default 20ms when SlowClient > 0)
+	TornSnapshot    int           // writes to CreateTemp files (every snapshot commit) persisting only a prefix (lying disk: the rename still lands); append files are never torn by it
 }
 
 // Default returns aggressive-but-recoverable rates: high enough that a
@@ -81,8 +83,8 @@ func Default() Config {
 // connections and client stalls frequent enough that a short load replay
 // exercises the retry/dedup path, torn snapshots frequent enough that a
 // kill-and-restore run falls back across snapshot generations. Used by the
-// `-faults` flag of cmd/spes-serve and cmd/spes-load and the servesmoke CI
-// job.
+// `-faults` flag of cmd/spes-serve (Handler and FS) and cmd/spes-load
+// (Transport) and the servesmoke CI job.
 func ServeDefault() Config {
 	return Config{
 		DropConn:        60,
@@ -124,6 +126,9 @@ type Injector struct {
 func New(seed int64, cfg Config) *Injector {
 	if cfg.SlowShard > 0 && cfg.SlowDelay <= 0 {
 		cfg.SlowDelay = 20 * time.Millisecond
+	}
+	if cfg.SlowClient > 0 && cfg.SlowClientDelay <= 0 {
+		cfg.SlowClientDelay = 20 * time.Millisecond
 	}
 	return &Injector{
 		seed:   uint64(seed),
@@ -190,40 +195,6 @@ func (in *Injector) BeforeShard(shard, attempt int) {
 	if attempt == 1 && in.cfg.WorkerPanic > 0 && in.decide("panic", subject, 1, in.cfg.WorkerPanic) {
 		panic(fmt.Sprintf("faultinject: injected worker panic on %s", subject))
 	}
-}
-
-// DropConn reports whether the serving daemon should abort this request
-// (subject: a stable request identity such as "events:<first seq>"), per the
-// seeded schedule. Each ask on a subject advances its sequence, so the
-// retried request rolls a fresh decision and eventually lands.
-func (in *Injector) DropConn(subject string) bool {
-	if in == nil || in.cfg.DropConn <= 0 {
-		return false
-	}
-	return in.decide("dropconn", subject, in.next("dropconn:"+subject), in.cfg.DropConn)
-}
-
-// SlowClient returns the stall to insert before transmitting the subject's
-// batch (0 when the schedule says run clean).
-func (in *Injector) SlowClient(subject string) time.Duration {
-	if in == nil || in.cfg.SlowClient <= 0 {
-		return 0
-	}
-	if in.decide("slowclient", subject, in.next("slowclient:"+subject), in.cfg.SlowClient) {
-		return in.cfg.SlowClientDelay
-	}
-	return 0
-}
-
-// TornSnapshot reports whether this serving snapshot write should persist
-// only a prefix (the rename still succeeds — a lying disk). The restore path
-// must reject the torn file by checksum and fall back to an older snapshot
-// or a full journal replay.
-func (in *Injector) TornSnapshot(subject string) bool {
-	if in == nil || in.cfg.TornSnapshot <= 0 {
-		return false
-	}
-	return in.decide("tornsnap", subject, in.next("tornsnap:"+subject), in.cfg.TornSnapshot)
 }
 
 // Counts snapshots the number of injected faults per class.

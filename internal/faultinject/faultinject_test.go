@@ -302,3 +302,31 @@ func TestJournalHealsTornFinalWrite(t *testing.T) {
 		t.Fatalf("journal not cut back to the last good record: %d bytes, want %d", len(healed), len(intact))
 	}
 }
+
+// A torn snapshot tears a file written through CreateTemp (every
+// durable.Commit) while the rename still lands, and never an append file.
+func TestTornSnapshotTearsOnlyTempFiles(t *testing.T) {
+	inj := faultinject.New(1, faultinject.Config{TornSnapshot: 1000})
+	fs, dir := inj.FS(), t.TempDir()
+	buf := []byte("a sealed snapshot, say")
+	if err := durable.Commit(fs, dir, "state.snap", ".tmp-*", buf); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(filepath.Join(dir, "state.snap")); !bytes.Equal(got, buf[:len(buf)/2]) {
+		t.Errorf("committed %q, want the torn half %q", got, buf[:len(buf)/2])
+	}
+	f, err := fs.OpenAppend(filepath.Join(dir, "journal.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(buf); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if got, _ := os.ReadFile(filepath.Join(dir, "journal.wal")); !bytes.Equal(got, buf) {
+		t.Errorf("appended %q, want it whole", got)
+	}
+	if got := inj.Counts(); got["tornsnap"] != 1 || len(got) != 1 {
+		t.Errorf("counts %v, want the one torn commit", got)
+	}
+}

@@ -13,7 +13,9 @@ import (
 // stable), rename faults by the destination name — see the package comment
 // for why that makes the schedule reproducible under concurrency. Remove and
 // Truncate pass straight through (the embedded durable.OS): failing cleanup
-// or healing would only mask the fault being tested.
+// or healing would only mask the fault being tested. A temp file (what
+// durable.Commit writes, so every serving snapshot) may also be torn at the
+// TornSnapshot rate; an append file (the serving journal) never is.
 type FS struct {
 	durable.OS
 	in *Injector
@@ -49,22 +51,24 @@ func (fs *FS) ReadFile(name string) ([]byte, error) {
 }
 
 // CreateTemp implements durable.FS; the returned file injects write
-// faults.
+// faults, torn writes included.
 func (fs *FS) CreateTemp(dir, pattern string) (durable.File, error) {
-	return fs.wrap(fs.OS.CreateTemp(dir, pattern))
+	f, err := fs.OS.CreateTemp(dir, pattern)
+	return fs.wrap(f, err, true)
 }
 
 // OpenAppend implements durable.FS; the returned file injects write faults
 // (a short write here is a record torn mid-append).
 func (fs *FS) OpenAppend(name string) (durable.File, error) {
-	return fs.wrap(fs.OS.OpenAppend(name))
+	f, err := fs.OS.OpenAppend(name)
+	return fs.wrap(f, err, false)
 }
 
-func (fs *FS) wrap(f durable.File, err error) (durable.File, error) {
+func (fs *FS) wrap(f durable.File, err error, temp bool) (durable.File, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &file{File: f, in: fs.in}, nil
+	return &file{File: f, in: fs.in, temp: temp}, nil
 }
 
 // Rename implements durable.FS with injected transient failures, keyed by
@@ -81,21 +85,24 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 // file wraps a real file with injected write faults.
 type file struct {
 	durable.File
-	in *Injector
+	in   *Injector
+	temp bool // opened by CreateTemp: TornSnapshot applies
 }
 
 // Write may fail with an injected transient error, or lie: report full
-// length while persisting only a prefix (a silently-truncating disk). The
-// lie is only discoverable through the entry checksum on a later read —
-// which is exactly the path under test. Decisions are keyed by a hash of
-// the content, the one stable identity a randomly-named temp file has.
+// length while persisting only a prefix (a silently-truncating disk, drawn
+// as a short write, or as a torn snapshot on a temp file). The lie is only
+// discoverable through the entry checksum on a later read — which is
+// exactly the path under test. Decisions are keyed by a hash of the
+// content, the one stable identity a randomly-named temp file has.
 func (w *file) Write(p []byte) (int, error) {
 	subject := contentKey(p)
 	seq := w.in.next("write:" + subject)
 	if w.in.decide("writeerr", subject, seq, w.in.cfg.WriteErr) {
 		return 0, &Error{Site: "writeerr", Subject: subject, Seq: seq}
 	}
-	if len(p) > 1 && w.in.decide("shortwrite", subject, seq, w.in.cfg.ShortWrite) {
+	if len(p) > 1 && (w.in.decide("shortwrite", subject, seq, w.in.cfg.ShortWrite) ||
+		w.temp && w.in.decide("tornsnap", subject, seq, w.in.cfg.TornSnapshot)) {
 		if _, err := w.File.Write(p[:len(p)/2]); err != nil {
 			return 0, err
 		}

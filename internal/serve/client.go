@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/faultinject"
 	"repro/internal/retry"
 	"repro/internal/sim"
 )
@@ -27,11 +26,6 @@ type Client struct {
 	Base  string       // daemon base URL, e.g. "http://127.0.0.1:8080"
 	HTTP  *http.Client // nil: a client with a 30s overall timeout
 	Retry retry.Policy // zero value: package defaults
-
-	// Faults, when non-nil, injects the slow-client serving fault: a seeded
-	// stall before transmitting a batch, modelling a client that holds its
-	// events past their slot.
-	Faults *faultinject.Injector
 
 	nextSeq atomic.Uint64
 	retries atomic.Int64
@@ -63,8 +57,8 @@ var sendPool = sync.Pool{New: func() any {
 
 // Send assigns sequence numbers to the batches, delivers them as one NDJSON
 // request, and returns the per-batch replies, which are the caller's: nothing
-// in them is reused by a later Send. Transient failures (network errors, shed
-// 503s, injected dropped connections) are retried with the same sequence
+// in them is reused by a later Send. Transient failures (network errors,
+// dropped connections, shed 503s) are retried with the same sequence
 // numbers; a reply carrying a protocol rejection is returned as an error.
 func (c *Client) Send(batches []Batch) ([]Reply, error) {
 	if len(batches) == 0 {
@@ -87,14 +81,13 @@ func (c *Client) Send(batches []Batch) ([]Reply, error) {
 		if attempt > 1 {
 			c.retries.Add(1)
 		}
-		if d := c.Faults.SlowClient(subject); d > 0 {
-			time.Sleep(d)
-		}
 		req, err := http.NewRequest(http.MethodPost, c.Base+"/v1/events", bytes.NewReader(payload))
 		if err != nil {
 			return err
 		}
 		req.Header.Set("Content-Type", "application/x-ndjson")
+		// The request's identity across retries, which a fault-injecting
+		// handler or transport keys its schedule on.
 		req.Header.Set("Spes-Batch", subject)
 		resp, err := c.http().Do(req)
 		if err != nil {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"io"
 	"path/filepath"
 
 	"repro/internal/durable"
@@ -19,8 +20,19 @@ import (
 // snapshots only move the replay start, and the full journal is what
 // rebuilds the daemon's recorded invocation history (the retrain window
 // source) from scratch.
+//
+// An append that fails may still have persisted a prefix of its record. The
+// journal cuts the file back to its last whole record at once, or the next
+// record would follow the torn one and be lost with it at the next heal; if
+// the cut fails, the journal refuses every later append.
 type journal struct {
-	f durable.File
+	fs   durable.FS
+	path string
+	f    durable.File
+	size int64 // bytes of whole records: where the next append starts
+	// broken, once set, is every later append's error: the file may end in
+	// a torn record that could not be cut off.
+	broken error
 	// The record being appended — its payload, then its framed line — in
 	// buffers reused across appends (the apply loop appends one at a time).
 	payload, buf []byte
@@ -37,6 +49,7 @@ func openJournal(fs durable.FS, path string) (*journal, []Batch, error) {
 	// The records' events live in chunks with room for the next record's, so
 	// decoding never grows (and copies) one.
 	var events []EventPair
+	var size int
 	f, err := durable.OpenLog(fs, path, func(data []byte) (good int) {
 		for good < len(data) {
 			line, n := durable.NextLine(data[good:])
@@ -59,12 +72,13 @@ func openJournal(fs durable.FS, path string) (*journal, []Batch, error) {
 			}
 			good += n
 		}
+		size = good
 		return good
 	})
 	if err != nil {
 		return nil, nil, fmt.Errorf("serve: open journal: %w", err)
 	}
-	return &journal{f: f}, records, nil
+	return &journal{fs: fs, path: path, f: f, size: int64(size)}, records, nil
 }
 
 // append records b with one write(2): once it returns, b survives the
@@ -73,11 +87,22 @@ func openJournal(fs durable.FS, path string) (*journal, []Batch, error) {
 // be rejected — an unjournaled batch would not survive a crash, so
 // acknowledging it would break the exactly-once contract.
 func (j *journal) append(b *Batch) error {
+	if j.broken != nil {
+		return j.broken
+	}
 	j.payload = appendBatch(j.payload[:0], b)
 	j.buf = durable.AppendLine(j.buf[:0], j.payload)
-	if _, err := j.f.Write(j.buf); err != nil {
+	n, err := j.f.Write(j.buf)
+	if err == nil && n < len(j.buf) {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		if terr := j.fs.Truncate(j.path, j.size); terr != nil {
+			j.broken = fmt.Errorf("serve: journal refuses appends: cutting a failed append back to %d bytes: %w", j.size, terr)
+		}
 		return fmt.Errorf("serve: append journal record: %w", err)
 	}
+	j.size += int64(n)
 	return nil
 }
 

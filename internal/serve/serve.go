@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/durable"
-	"repro/internal/faultinject"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -55,11 +54,8 @@ type Config struct {
 	FallbackKeepAlive int
 
 	// FS is the filesystem seam under the journal and the snapshots (nil:
-	// the real filesystem); Faults, when non-nil, injects the serving fault
-	// classes (dropped connections, torn snapshot writes) on its seeded
-	// schedule.
-	FS     durable.FS
-	Faults *faultinject.Injector
+	// the real filesystem).
+	FS durable.FS
 }
 
 func (c *Config) fill() {
@@ -214,7 +210,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:   cfg,
-		snaps: &snapshotter{dir: cfg.Dir, fs: cfg.FS, faults: cfg.Faults},
+		snaps: &snapshotter{dir: cfg.Dir, fs: cfg.FS},
 		queue: make(chan *ingest, cfg.QueueDepth),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -572,17 +568,6 @@ const maxBatchLine = 1 << 20
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.c.ingestRequests.Add(1)
-	subject := r.Header.Get("Spes-Batch")
-	if subject == "" {
-		subject = "events"
-	}
-	// Injected dropped connection, first draw: the request dies before the
-	// body is read — to the client it is a network failure, and nothing was
-	// applied, so the retry is a plain re-delivery.
-	if s.cfg.Faults.DropConn(subject) {
-		panic(http.ErrAbortHandler)
-	}
-
 	req := ingestPool.Get().(*ingest)
 	sc := bufio.NewScanner(r.Body)
 	sc.Buffer(req.line, maxBatchLine)
@@ -655,13 +640,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Injected dropped connection, second draw: the batch WAS applied (and
-	// journaled) but the acknowledgment is lost — the client's retry must
-	// come back as duplicate acks. This is the path that proves ingest is
-	// exactly-once.
-	if s.cfg.Faults.DropConn(subject) {
-		panic(http.ErrAbortHandler)
-	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Write(out)
 }

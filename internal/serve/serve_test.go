@@ -485,6 +485,111 @@ func TestJournalHealsTornTail(t *testing.T) {
 	}
 }
 
+// tearingFS is the real filesystem, except that the failAt-th journal
+// append persists half its record and fails, and Truncate fails with
+// truncErr when that is set.
+type tearingFS struct {
+	durable.OS
+	failAt, appends int
+	truncErr        error
+}
+
+func (fs *tearingFS) OpenAppend(name string) (durable.File, error) {
+	f, err := fs.OS.OpenAppend(name)
+	if err != nil {
+		return nil, err
+	}
+	return &tearingFile{File: f, fs: fs}, nil
+}
+
+func (fs *tearingFS) Truncate(name string, size int64) error {
+	if fs.truncErr != nil {
+		return fs.truncErr
+	}
+	return fs.OS.Truncate(name, size)
+}
+
+type tearingFile struct {
+	durable.File
+	fs *tearingFS
+}
+
+func (f *tearingFile) Write(p []byte) (int, error) {
+	if f.fs.appends++; f.fs.appends == f.fs.failAt {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, fmt.Errorf("disk full after %d of %d bytes", n, len(p))
+	}
+	return f.File.Write(p)
+}
+
+// TestJournalCutsFailedAppend: an append that fails after persisting half
+// its record rejects the batch, and the journal is cut back to its last
+// whole record, so the batch's re-delivery, applied and acknowledged,
+// survives a restart. When the cut itself fails, the journal refuses every
+// later append instead of acknowledging a record the next heal would drop.
+func TestJournalCutsFailedAppend(t *testing.T) {
+	train, _ := testWorkload(t, 20, "")
+	batch := func(slot int) []Batch { return []Batch{{Slot: slot, Events: []EventPair{{0, 1}}}} }
+	for _, tc := range []struct {
+		name     string
+		truncErr error
+		wantSeq  uint64 // last batch to survive the restart
+	}{
+		{"cut", nil, 2},
+		{"cut fails", fmt.Errorf("read-only file system"), 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The state a daemon that never failed reaches on the survivors.
+			ref, rc := startServer(t, Config{Dir: t.TempDir(), Policy: core.DefaultConfig(), Training: train})
+			for slot := 0; slot < int(tc.wantSeq); slot++ {
+				if _, err := rc.Send(batch(slot)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, _, _, err := ref.StateHash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Close()
+
+			cfg := Config{Dir: t.TempDir(), Policy: core.DefaultConfig(), Training: train,
+				FS: &tearingFS{failAt: 2, truncErr: tc.truncErr}}
+			s, c := startServer(t, cfg)
+			if _, err := c.Send(batch(0)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.Send(batch(1)); err == nil || !strings.Contains(err.Error(), "disk full") {
+				t.Fatalf("torn append: got %v, want the batch rejected with the write's error", err)
+			}
+			c.nextSeq.Store(1) // re-deliver seq 2
+			_, err = c.Send(batch(1))
+			if tc.truncErr == nil && err != nil {
+				t.Fatalf("re-delivery after a cut journal: %v", err)
+			}
+			if tc.truncErr != nil && (err == nil || !strings.Contains(err.Error(), "refuses appends")) {
+				t.Fatalf("re-delivery after a failed cut: got %v, want the journal's refusal", err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			cfg.FS = nil
+			s2, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			got, _, seq, err := s2.StateHash()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq != tc.wantSeq || got != want {
+				t.Fatalf("after restart: seq %d hash %016x, want seq %d hash %016x", seq, got, tc.wantSeq, want)
+			}
+		})
+	}
+}
+
 // TestSnapshotAndJournalGoldenBytes pins both serving formats to bytes
 // recorded from the writers before they moved onto internal/durable. The
 // journal is unversioned and the source of truth, so its line is held
@@ -674,32 +779,42 @@ func TestRestoreFallsBackAcrossSnapshots(t *testing.T) {
 }
 
 // TestServeUnderInjectedFaults replays with the serving fault classes
-// active on both sides — dropped connections (pre- and post-apply), slow
-// client stalls, torn snapshot writes — and requires the completes ⇒
+// active on both sides — dropped connections (pre- and post-apply) through
+// the handler wrapper, slow client stalls through the transport, torn
+// snapshot writes through the filesystem seam — and requires the completes ⇒
 // bit-identical invariant: retries and dedup absorb every injected fault,
 // and a restart afterwards restores across whatever the torn writes left.
+// Every class must fire, so a seam left unwired fails here instead of
+// turning the run clean.
 func TestServeUnderInjectedFaults(t *testing.T) {
 	train, simTr := testWorkload(t, 80, "")
 	dir := t.TempDir()
 	end := 700
+	srvInj := faultinject.New(7, faultinject.ServeDefault())
 	cfg := Config{
 		Dir: dir, Policy: core.DefaultConfig(), Training: train,
 		SnapshotEvery: 150,
-		Faults:        faultinject.New(7, faultinject.ServeDefault()),
+		FS:            srvInj.FS(),
 	}
-	s, c := startServer(t, cfg)
-	c.Faults = faultinject.New(8, faultinject.ServeDefault())
-	c.Retry = retry.Policy{MaxAttempts: 20, BaseDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("serve.New: %v", err)
+	}
+	hs := httptest.NewServer(srvInj.Handler(s.Handler()))
+	t.Cleanup(hs.Close)
+	cliInj := faultinject.New(8, faultinject.ServeDefault())
+	c := &Client{
+		Base:  hs.URL,
+		HTTP:  &http.Client{Transport: cliInj.Transport(nil)},
+		Retry: retry.Policy{MaxAttempts: 20, BaseDelay: 200 * time.Microsecond, MaxDelay: 2 * time.Millisecond},
+	}
 
 	rep, err := Replay(c, simTr, LoadOptions{BatchSlots: 4, End: end})
 	if err != nil {
 		t.Fatalf("Replay under faults: %v", err)
 	}
-	if cfg.Faults.Total()+c.Faults.Total() == 0 {
-		t.Fatal("fault schedule injected nothing; the test is vacuous")
-	}
 	if rep.Retries == 0 {
-		t.Fatalf("dropped connections should have forced retries: %+v (server faults: %s)", rep, cfg.Faults)
+		t.Fatalf("dropped connections should have forced retries: %+v (server faults: %s)", rep, srvInj)
 	}
 	want := mustHash(t, runRef(t, train, simTr, 0, end))
 	got, _, wantSeq, err := s.StateHash()
@@ -708,15 +823,21 @@ func TestServeUnderInjectedFaults(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("faulted replay state %016x != clean %016x (faults: %s / %s)",
-			got, want, cfg.Faults, c.Faults)
+			got, want, srvInj, cliInj)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
+	t.Logf("injected: server %s; client %s", srvInj, cliInj)
+	for class, in := range map[string]*faultinject.Injector{"dropconn": srvInj, "tornsnap": srvInj, "slowclient": cliInj} {
+		if in.Counts()[class] == 0 {
+			t.Errorf("fault class %s never fired (server: %s; client: %s)", class, srvInj, cliInj)
+		}
+	}
 
 	// Restart with the same fault seed: restore must reject any torn
 	// generations and still land on the same state.
-	cfg.Faults = faultinject.New(7, faultinject.ServeDefault())
+	cfg.FS = faultinject.New(7, faultinject.ServeDefault()).FS()
 	s2, err := New(cfg)
 	if err != nil {
 		t.Fatalf("New after faulted run: %v", err)

@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"repro/internal/durable"
-	"repro/internal/faultinject"
 )
 
 // Snapshot discipline (the same durable.Commit every persistent file goes
@@ -33,9 +32,8 @@ const (
 
 // snapshotter writes and restores the daemon's state snapshots in dir.
 type snapshotter struct {
-	dir    string
-	fs     durable.FS
-	faults *faultinject.Injector
+	dir string
+	fs  durable.FS
 }
 
 func snapName(seq uint64) string { return fmt.Sprintf("state-%020d.snap", seq) }
@@ -57,20 +55,16 @@ func (sn *snapshotter) list() []string {
 }
 
 // save persists state (the policy encoding) covering the stream position
-// (seq, nextSlot), then prunes generations beyond snapKeep. A TornSnapshot
-// fault truncates the written bytes while the rename still lands — the
-// lying-disk case the checksum exists to catch.
+// (seq, nextSlot), then prunes generations beyond snapKeep. A disk that
+// persists only a prefix while the rename still lands is caught by the
+// checksum at load.
 func (sn *snapshotter) save(seq uint64, nextSlot int, state []byte) error {
 	e := durable.NewEnc(servSnapMagic, 24+len(state)+4)
 	e.U64(seq)
 	e.U64(uint64(nextSlot))
 	e.U64(uint64(len(state)))
 	e.B = append(e.B, state...)
-	buf := e.Seal()
-	if sn.faults.TornSnapshot(snapName(seq)) {
-		buf = buf[:len(buf)/2]
-	}
-	if err := durable.Commit(sn.fs, sn.dir, snapName(seq), snapTmpPattern, buf); err != nil {
+	if err := durable.Commit(sn.fs, sn.dir, snapName(seq), snapTmpPattern, e.Seal()); err != nil {
 		return fmt.Errorf("serve: save snapshot: %w", err)
 	}
 	for i, name := range sn.list() {

@@ -49,18 +49,14 @@ func serveCrashWorkload(t *testing.T) (train, simTr *trace.Trace) {
 	return buildWorkload(t, s)
 }
 
-func serveCrashConfig(dir string, train *trace.Trace, faultSeed int64) serve.Config {
-	cfg := serve.Config{
+func serveCrashConfig(dir string, train *trace.Trace) serve.Config {
+	return serve.Config{
 		Dir:           dir,
 		Policy:        core.DefaultConfig(),
 		Training:      train,
 		RetrainEvery:  480,
 		SnapshotEvery: 120,
 	}
-	if faultSeed != 0 {
-		cfg.Faults = faultinject.New(faultSeed, faultinject.ServeDefault())
-	}
-	return cfg
 }
 
 // TestServeCrashHelperProcess is not a test of its own: it is the daemon
@@ -74,9 +70,19 @@ func TestServeCrashHelperProcess(t *testing.T) {
 	}
 	faultSeed, _ := strconv.ParseInt(os.Getenv(scFaultsEnv), 10, 64)
 	train, _ := serveCrashWorkload(t)
-	srv, err := serve.New(serveCrashConfig(dir, train, faultSeed))
+	cfg := serveCrashConfig(dir, train)
+	var inj *faultinject.Injector
+	if faultSeed != 0 {
+		inj = faultinject.New(faultSeed, faultinject.ServeDefault())
+		cfg.FS = inj.FS()
+	}
+	srv, err := serve.New(cfg)
 	if err != nil {
 		t.Fatalf("serve.New: %v", err)
+	}
+	handler := srv.Handler()
+	if inj != nil {
+		handler = inj.Handler(handler)
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -91,7 +97,7 @@ func TestServeCrashHelperProcess(t *testing.T) {
 	if err := os.Rename(tmp, addrFile); err != nil {
 		t.Fatal(err)
 	}
-	t.Fatal(http.Serve(ln, srv.Handler())) // serves until SIGKILL
+	t.Fatal(http.Serve(ln, handler)) // serves until SIGKILL
 }
 
 // spawnServeDaemon re-execs this binary as a serving daemon on dir and
@@ -141,7 +147,7 @@ func TestServeKillAndRestoreBitIdentical(t *testing.T) {
 
 	// The undisturbed reference: an in-process daemon ingesting the same
 	// stream with no kill and no faults.
-	refSrv, err := serve.New(serveCrashConfig(t.TempDir(), train, 0))
+	refSrv, err := serve.New(serveCrashConfig(t.TempDir(), train))
 	if err != nil {
 		t.Fatal(err)
 	}
