@@ -284,8 +284,9 @@ var archRules = []*archRule{{
 	name:  "One parallel-for",
 	since: "b29dd0a",
 	// DESIGN.md "Concurrency budget": trace.FanOut is the one scheduler
-	// (generation, categorization, RunAll, the shard engine), so it is the
-	// only non-test code that waits on a sync.WaitGroup.
+	// (generation, categorization, RunAll, the shard engine, the ingest's
+	// shard stage), so it is the only non-test code that waits on a
+	// sync.WaitGroup.
 	why: "a second parallel-for is back (use trace.FanOut)",
 	greps: []archGrep{{pattern: `sync\.WaitGroup`, basic: true, goOnly: true,
 		under: []string{"internal", "cmd", "spes", "examples"}, except: []string{"internal/trace/generator.go"}}},

@@ -87,6 +87,8 @@ func run() error {
 		}
 		fmt.Fprintf(os.Stderr, "tracegen: ingested %d functions x %d slots (%d events, %d spill runs) into %s: %d shards, %d bytes in %v\n",
 			stats.Functions, stats.Slots, stats.Events, stats.SpillRuns, *storeDir, stats.Shards, stats.StoreBytes, time.Since(start).Round(time.Millisecond))
+		fmt.Fprintf(os.Stderr, "tracegen: ingest stages: pass %v, scatter %v, shards %v\n",
+			stats.PassWall.Round(time.Microsecond), stats.ScatterWall.Round(time.Microsecond), stats.ShardsWall.Round(time.Microsecond))
 		return nil
 	}
 

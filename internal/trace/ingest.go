@@ -8,7 +8,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"time"
 
 	"repro/internal/durable"
 )
@@ -23,9 +25,12 @@ import (
 // spill to flat run files on disk when it fills. After the pass the
 // canonical app/user-closed partition is computed with the exact same
 // PartitionFunctions call a materialized run uses, the spilled runs are
-// scattered into one spill file per shard, and each shard is then assembled
-// — normalize, fingerprint, encode — one at a time. Peak memory is
-// O(function metadata + buffer budget + largest shard).
+// scattered into one spill file per shard, and the shards are then
+// assembled — normalize, fingerprint, encode, commit — by one FanOut over
+// them, each worker reusing scratch sized for the largest shard. Peak memory
+// is O(function metadata + buffer budget + W × largest shard) for W =
+// min(GOMAXPROCS, shards) workers, and the files are the same bytes at any
+// W.
 
 // defaultIngestBudget is the in-memory event buffer size before spilling:
 // 4Mi events ≈ 48 MiB. The paper-scale Azure trace (weeks over tens of
@@ -51,6 +56,12 @@ type IngestStats struct {
 	Events     int64 // sparse events written (invoked minutes)
 	SpillRuns  int   // runs spilled to disk (0 when the buffer sufficed)
 	StoreBytes int64 // total size of the written shard files and manifest
+
+	// Wall time of each stage, as the ingest measures it: pass 1 (the row
+	// stream), the scatter (partition, then routing every event to its
+	// shard) and the shard stage (assemble, fingerprint, encode and commit
+	// every shard, then the manifest).
+	PassWall, ScatterWall, ShardsWall time.Duration
 }
 
 // ingestEvent is one parsed invocation observation tagged with its global
@@ -107,6 +118,7 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 	defer os.RemoveAll(spillDir)
 
 	// Pass 1: stream rows, collecting metadata and buffering events.
+	tPass := time.Now()
 	st := newCSVStream(r)
 	var (
 		fns    []Function
@@ -159,6 +171,7 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 
 	// The canonical partition — the same call, over the same
 	// first-appearance-ordered metadata, as the materialized path.
+	tScatter := time.Now()
 	part := PartitionFunctions(fns, p)
 
 	// Scatter: route every spilled run (in spill order, which preserves each
@@ -176,41 +189,51 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 		return nil, nil, fmt.Errorf("trace: ingest: %w", err)
 	}
 
-	// Assemble and write each shard, one at a time. A shard's view is dead
-	// once it is encoded, so one set of buffers, sized for the largest shard,
-	// serves them all: the spill file's bytes, its decoded records (in the
-	// event buffer's storage) and the assembler's event arena.
+	// Assemble and write each shard: one FanOut item per shard, on up to
+	// GOMAXPROCS workers. A shard's view is dead once its file is committed,
+	// so each worker reuses one set of scratch sized for the largest shard
+	// (shardWorker), decoding spilled records into its share of the spent
+	// spill buffer. Item i writes only store.meta[i] and fileBytes[i].
+	tShards := time.Now()
 	store := &Store{dir: dir, fs: fs, shards: p, functions: len(fns), slots: slots, meta: make([]storeShardMeta, p)}
 	largest := slices.Max(counts)
-	asm := shardAssembler{arena: make([]Event, largest)}
-	var (
-		storeBytes int64
-		data       []byte
-		at         int // shard i's first event in grouped
-	)
-	if runs > 0 {
-		data = make([]byte, largest*ingestRecSize)
+	starts := make([]int, p) // shard i's first event in grouped
+	for i := 1; i < p; i++ {
+		starts[i] = starts[i-1] + counts[i-1]
 	}
-	for i := 0; i < p; i++ {
+	width := min(runtime.GOMAXPROCS(0), p)
+	workers := make([]*shardWorker, width)
+	fileBytes := make([]int64, p)
+	err = FanOut(width, p, func(w, i int) error {
+		if workers[w] == nil {
+			workers[w] = newShardWorker(w, largest, runs > 0, buf)
+		}
+		sw := workers[w]
 		var evs []ingestEvent
 		if runs == 0 {
-			evs = grouped[at : at+counts[i]]
-			at += counts[i]
+			evs = grouped[starts[i] : starts[i]+counts[i]]
 		} else {
-			data, buf, err = readIngestRecs(filepath.Join(spillDir, shardSpillName(i)), data, buf)
-			if err != nil {
-				return nil, nil, fmt.Errorf("trace: ingest: shard %d spill: %w", i, err)
+			var err error
+			if evs, err = sw.readSpill(filepath.Join(spillDir, shardSpillName(i)), counts[i]); err != nil {
+				return fmt.Errorf("trace: ingest: shard %d spill: %w", i, err)
 			}
-			evs = buf
 		}
-		sv, shardEvents := asm.assemble(fns, part, i, slots, evs)
+		sv, shardEvents := sw.asm.assemble(fns, part, i, slots, evs)
 		fp := sv.ContentHash()
-		file := encodeShardFile(sv, p, shardEvents, fp)
-		if err := durable.Commit(fs, dir, shardFileName(i), storeTmpPattern, file); err != nil {
-			return nil, nil, fmt.Errorf("trace: ingest: writing shard %d: %w", i, err)
+		sw.file = encodeShardFile(sw.file, sv, p, shardEvents, fp)
+		if err := durable.Commit(fs, dir, shardFileName(i), storeTmpPattern, sw.file); err != nil {
+			return fmt.Errorf("trace: ingest: writing shard %d: %w", i, err)
 		}
 		store.meta[i] = storeShardMeta{Functions: len(sv.Functions), Events: shardEvents, ContentFP: fp}
-		storeBytes += int64(len(file))
+		fileBytes[i] = int64(len(sw.file))
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	var storeBytes int64
+	for _, n := range fileBytes {
+		storeBytes += n
 	}
 
 	// Manifest last: its atomic rename is the commit point of the ingest.
@@ -227,6 +250,10 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 		Events:     events,
 		SpillRuns:  runs,
 		StoreBytes: storeBytes,
+
+		PassWall:    tScatter.Sub(tPass),
+		ScatterWall: tShards.Sub(tScatter),
+		ShardsWall:  time.Since(tShards),
 	}
 	return store, stats, nil
 }
@@ -292,34 +319,80 @@ func writeIngestRecs(w io.Writer, evs []ingestEvent) error {
 	return bw.Flush()
 }
 
-// readIngestRecs reads a whole spill file of flat records, through data's
-// storage into evs's, and returns both for the next file. A missing file
-// means the shard received no events.
-func readIngestRecs(path string, data []byte, evs []ingestEvent) ([]byte, []ingestEvent, error) {
+// readRecs feeds every record of f to fn, a chunk's worth of records per
+// call. chunk must hold a whole number of records.
+func readRecs(f *os.File, chunk []byte, fn func(recs []byte) error) error {
+	for {
+		n, err := io.ReadFull(f, chunk)
+		if n%ingestRecSize != 0 {
+			return fmt.Errorf("reading %s: %w", filepath.Base(f.Name()), io.ErrUnexpectedEOF)
+		}
+		if err := fn(chunk[:n]); err != nil {
+			return err
+		}
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil
+		}
+		if err != nil {
+			return fmt.Errorf("reading %s: %w", filepath.Base(f.Name()), err)
+		}
+	}
+}
+
+// ingestChunk is the read buffer of the scatter and of each shard worker:
+// a whole number of records, about 256 KiB.
+const ingestChunk = (1 << 18) / ingestRecSize * ingestRecSize
+
+// shardWorker is the scratch one shard-stage worker reuses from shard to
+// shard: the assembler, the decoded records of a spilled shard, the spill
+// read chunk and the encoded file.
+type shardWorker struct {
+	asm   shardAssembler
+	evs   []ingestEvent
+	chunk []byte
+	file  []byte
+}
+
+// newShardWorker sizes worker w's scratch for the largest shard. A spilled
+// ingest decodes each shard's records into w's share of the spent spill
+// buffer's capacity, or into a slice of w's own where that share does not
+// fit; an in-memory ingest reads its shards in place and needs neither
+// records nor a chunk.
+func newShardWorker(w, largest int, spilled bool, spent []ingestEvent) *shardWorker {
+	sw := &shardWorker{asm: shardAssembler{arena: make([]Event, largest)}}
+	if spilled {
+		if lo, hi := w*largest, (w+1)*largest; hi <= cap(spent) {
+			sw.evs = spent[lo:lo:hi]
+		} else {
+			sw.evs = make([]ingestEvent, 0, largest)
+		}
+		sw.chunk = make([]byte, ingestChunk)
+	}
+	return sw
+}
+
+// readSpill decodes the spill file at path, into which the scatter routed
+// n records, through the worker's chunk into its record storage.
+func (sw *shardWorker) readSpill(path string, n int) ([]ingestEvent, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		if os.IsNotExist(err) {
-			return data, evs[:0], nil
-		}
-		return data, evs, err
+		return nil, err
 	}
 	defer f.Close()
-	info, err := f.Stat()
-	if err != nil {
-		return data, evs, err
+	evs := sw.evs[:0]
+	err = readRecs(f, sw.chunk, func(recs []byte) error {
+		if len(evs)+len(recs)/ingestRecSize > n {
+			return fmt.Errorf("spill file %s holds more than its %d records", filepath.Base(path), n)
+		}
+		for k := 0; k < len(recs); k += ingestRecSize {
+			evs = append(evs, getIngestRec(recs[k:]))
+		}
+		return nil
+	})
+	if err == nil && len(evs) != n {
+		err = fmt.Errorf("spill file %s holds %d of its %d records", filepath.Base(path), len(evs), n)
 	}
-	data = resized(data, int(info.Size()))
-	if _, err := io.ReadFull(f, data); err != nil {
-		return data, evs, err
-	}
-	if len(data)%ingestRecSize != 0 {
-		return data, evs, fmt.Errorf("spill file %s has %d trailing bytes", filepath.Base(path), len(data)%ingestRecSize)
-	}
-	evs = resized(evs, len(data)/ingestRecSize)
-	for i := range evs {
-		evs[i] = getIngestRec(data[i*ingestRecSize:])
-	}
-	return data, evs, nil
+	return evs, err
 }
 
 // groupByShard counting-sorts the in-memory buffer by shard into one array,
@@ -380,7 +453,7 @@ func scatterRuns(spillDir string, runs int, residual []ingestEvent, part *Partit
 	// Records are routed straight out of one read buffer, and the
 	// residual's are encoded into it, so the scatter allocates nothing per
 	// event.
-	chunk := make([]byte, (1<<18)/ingestRecSize*ingestRecSize)
+	chunk := make([]byte, ingestChunk)
 	counts := make([]int, p)
 	route := func(recs []byte) error {
 		for k := 0; k < len(recs); k += ingestRecSize {
@@ -398,21 +471,7 @@ func scatterRuns(spillDir string, runs int, residual []ingestEvent, part *Partit
 			return err
 		}
 		defer f.Close()
-		for {
-			n, err := io.ReadFull(f, chunk)
-			if n%ingestRecSize != 0 {
-				return fmt.Errorf("reading run %d: %w", run, io.ErrUnexpectedEOF)
-			}
-			if err := route(chunk[:n]); err != nil {
-				return err
-			}
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return nil
-			}
-			if err != nil {
-				return fmt.Errorf("reading run %d: %w", run, err)
-			}
-		}
+		return readRecs(f, chunk, route)
 	}
 
 	for run := 0; run < runs; run++ {

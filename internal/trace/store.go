@@ -124,9 +124,10 @@ const shardFileFixed = 36 + 16*numColumns + len(storeFooterMagic) + 4
 
 // encodeShardFile serializes one full (unsplit) shard view into the
 // columnar format. events is the total event count across the shard's
-// series; fp is the shard's content fingerprint. The encoder is sized to
-// the file exactly, so the file is one allocation.
-func encodeShardFile(sv *ShardView, shards int, events int64, fp uint64) []byte {
+// series; fp is the shard's content fingerprint. The file is encoded into
+// dst's storage when it fits there, and otherwise into one allocation
+// sized to the file exactly.
+func encodeShardFile(dst []byte, sv *ShardView, shards int, events int64, fp uint64) []byte {
 	nf := len(sv.Functions)
 	apps, users, trigs := make([]string, nf), make([]string, nf), make([]string, nf)
 	// Globals, name lengths and series lengths are 4 bytes per function;
@@ -137,7 +138,10 @@ func encodeShardFile(sv *ShardView, shards int, events int64, fp uint64) []byte 
 		size += len(f.Name)
 	}
 	size += durable.DictSize(apps) + durable.DictSize(users) + durable.DictSize(trigs)
-	e := durable.NewEnc(storeMagic, size)
+	if size += len(storeMagic); cap(dst) < size {
+		dst = make([]byte, 0, size)
+	}
+	e := &durable.Enc{B: append(dst[:0], storeMagic...)}
 	e.U32(storeVersion)
 	e.U32(uint32(sv.Index))
 	e.U32(uint32(shards))

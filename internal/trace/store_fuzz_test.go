@@ -121,7 +121,7 @@ func FuzzDecodeShardFile(f *testing.F) {
 		for _, s := range sv.Series {
 			events += int64(len(s))
 		}
-		if again := encodeShardFile(sv, nShards, events, fp); !bytes.Equal(again, data) {
+		if again := encodeShardFile(nil, sv, nShards, events, fp); !bytes.Equal(again, data) {
 			t.Fatalf("decoded shard re-encodes to %d bytes that differ from its %d-byte file", len(again), len(data))
 		}
 	})

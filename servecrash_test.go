@@ -36,6 +36,10 @@ const (
 	scFaultsEnv = "REPRO_SERVECRASH_FAULTS"
 
 	scEndSlot = 600 // simulation slots ingested per run
+
+	// scFaultsPath is the helper's test-only route answering its injector's
+	// per-class fault counts.
+	scFaultsPath = "/test/faults"
 )
 
 // serveCrashWorkload is the shared parent/child workload: identical flags =
@@ -84,6 +88,17 @@ func TestServeCrashHelperProcess(t *testing.T) {
 	if inj != nil {
 		handler = inj.Handler(handler)
 	}
+	// The injector's counts die with the SIGKILLed process, so the helper
+	// answers them on a route of its own for the parent to read first.
+	mux := http.NewServeMux()
+	mux.Handle("/", handler)
+	mux.HandleFunc("GET "+scFaultsPath, func(w http.ResponseWriter, _ *http.Request) {
+		counts := map[string]int64{}
+		if inj != nil {
+			counts = inj.Counts()
+		}
+		json.NewEncoder(w).Encode(counts)
+	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +112,7 @@ func TestServeCrashHelperProcess(t *testing.T) {
 	if err := os.Rename(tmp, addrFile); err != nil {
 		t.Fatal(err)
 	}
-	t.Fatal(http.Serve(ln, handler)) // serves until SIGKILL
+	t.Fatal(http.Serve(ln, mux)) // serves until SIGKILL
 }
 
 // spawnServeDaemon re-execs this binary as a serving daemon on dir and
@@ -245,6 +260,14 @@ func TestServeKillAndRestoreBitIdentical(t *testing.T) {
 				t.Errorf("stream position: seq %d want %d; applied %d + duplicates %d vs reference %d",
 					hr.Seq, wantSeq, rep.Batches, rep.Duplicates, refRep.Batches)
 			}
+			var faults map[string]int64
+			if err := getJSON(c2.Base, scFaultsPath, &faults); err != nil {
+				t.Fatal(err)
+			}
+			if tc.faultSeed != 0 && len(faults) == 0 { // Counts holds only classes that fired
+				t.Errorf("fault seed %d: the restarted daemon injected no fault (%v); the run was a second clean one", tc.faultSeed, faults)
+			}
+			t.Logf("restarted daemon's injected faults: %v", faults)
 			if tc.faultSeed == 0 && m.RestoredFromSeq == 0 {
 				t.Error("clean restart did not restore from a snapshot despite one existing at kill time")
 			}
