@@ -1,0 +1,251 @@
+package sim_test
+
+import (
+	"reflect"
+	"runtime"
+	"slices"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/sim"
+	"repro/internal/trace"
+)
+
+// The batch engine builds each retrain window during the segment before its
+// boundary, beside the Driver's Ticks (runOne). These tests hold it to the
+// loop it replaced, kept here as the reference: one Driver fed the whole
+// BySlot stream, whose Window builds each boundary's window afresh when the
+// Driver asks for it.
+
+const (
+	overlapFunctions  = 120
+	overlapDays       = 4
+	overlapTrainSlots = 3 * 1440
+	overlapEvery      = 240
+	// overlapBlank is a boundary whose invocations the fixture removes, so
+	// the boundaries fall on both occupied and unoccupied slots.
+	overlapBlank = 2 * overlapEvery
+)
+
+// overlapConfig is a drifting workload: the retrains see windows that differ
+// from the training trace, so a misplaced window changes the outcome.
+func overlapConfig(t testing.TB) trace.GeneratorConfig {
+	cfg := trace.DefaultGeneratorConfig(overlapFunctions, overlapDays, 5)
+	sc, err := trace.NamedScenario("drift", overlapTrainSlots, overlapDays*1440)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scenario = sc
+	return cfg
+}
+
+// overlapFixture returns the generated train/sim pair and a copy of the
+// simulation half with every event at slot overlapBlank removed.
+func overlapFixture(t testing.TB) (training, simTr, blanked *trace.Trace) {
+	full, err := trace.Generate(overlapConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	training, simTr = full.Split(overlapTrainSlots)
+	blanked = &trace.Trace{Slots: simTr.Slots, Functions: simTr.Functions, Series: make([]trace.Series, len(simTr.Series))}
+	for f, s := range simTr.Series {
+		blanked.Series[f] = slices.DeleteFunc(slices.Clone(s), func(e trace.Event) bool { return e.Slot == overlapBlank })
+	}
+	return training, simTr, blanked
+}
+
+// retrainWindow resolves Options.RetrainWindow as the engine does.
+func retrainWindow(training *trace.Trace, every, window int) int {
+	switch {
+	case window > 0:
+		return window
+	case training != nil && training.Slots > 0:
+		return training.Slots
+	}
+	return every
+}
+
+// serialRetrainRun is the reference: the single loop runOne ran before the
+// window build moved into the segment, one Driver over the whole BySlot
+// stream, building each window at its boundary.
+func serialRetrainRun(t testing.TB, p sim.Policy, training, simTr *trace.Trace, opts sim.Options) *sim.Result {
+	t.Helper()
+	if training != nil {
+		p.Train(training)
+	}
+	d := sim.NewDriver(p, simTr.NumFunctions(), sim.DriverConfig{
+		MeasureOverhead: opts.MeasureOverhead,
+		RetrainEvery:    opts.RetrainEvery,
+		RetrainWindow:   retrainWindow(training, opts.RetrainEvery, opts.RetrainWindow),
+		Window: func(at, w int) *trace.Trace {
+			return sim.BuildRetrainWindow(training, simTr, at, w)
+		},
+	})
+	for at, invs := range simTr.BySlot(0, simTr.Slots) {
+		if _, err := d.Step(at, invs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d.Close(simTr.Slots)
+}
+
+// recordingSPES checks every window it is handed against a fresh
+// sim.BuildRetrainWindow at the same slot, once on entry and again after
+// the categorizer ran over it: a window built for another boundary fails
+// the first check, one that a concurrent build overwrites the second.
+type recordingSPES struct {
+	*core.SPES
+	t               testing.TB
+	training, simTr *trace.Trace
+	window          int
+	at              []int
+}
+
+func (r *recordingSPES) Retrain(at int, window *trace.Trace) {
+	want := sim.BuildRetrainWindow(r.training, r.simTr, at, r.window)
+	if !reflect.DeepEqual(window, want) {
+		r.t.Errorf("Retrain(%d): window differs from BuildRetrainWindow(%d, %d) on entry", at, at, r.window)
+	}
+	r.SPES.Retrain(at, window)
+	if !reflect.DeepEqual(window, want) {
+		r.t.Errorf("Retrain(%d): window changed while Retrain held it", at)
+	}
+	r.at = append(r.at, at)
+}
+
+type overlapCase struct {
+	name          string
+	every, window int
+	noTraining    bool
+	measure       bool
+	procs         int // GOMAXPROCS for the run; 0 leaves it
+	shards        int
+	stream        bool // a GeneratorSource of 3 shards over the unblanked pair
+}
+
+var overlapCases = []overlapCase{
+	{name: "boundaries-occupied-and-not", every: overlapEvery},
+	{name: "every-not-dividing-slots", every: 700},
+	{name: "every-equals-slots", every: 1440},
+	{name: "every-past-slots", every: 2000},
+	{name: "nil-training", every: overlapEvery, noTraining: true},
+	{name: "window-shorter-than-training", every: overlapEvery, window: 300},
+	{name: "window-longer-than-training", every: overlapEvery, window: overlapTrainSlots + 500},
+	{name: "measure-overhead", every: overlapEvery, measure: true},
+	{name: "gomaxprocs-1", every: overlapEvery, procs: 1},
+	{name: "gomaxprocs-2", every: overlapEvery, procs: 2},
+	{name: "shards-3", every: overlapEvery, shards: 3},
+	{name: "streamed", every: overlapEvery, stream: true},
+}
+
+// TestRetrainOverlapMatchesSerialLoop holds Run with retraining on to the
+// serial reference, bit for bit apart from Overhead, for SPES and the dense
+// reference (which cannot shard, so the sharded and streamed cases run SPES
+// only). Where the engine runs unsharded, a recording SPES also checks every
+// window and that Retrain is called at exactly the boundaries k·RetrainEvery
+// inside the simulation window.
+func TestRetrainOverlapMatchesSerialLoop(t *testing.T) {
+	training, plain, blanked := overlapFixture(t)
+	occupied := map[int]bool{}
+	for at := range blanked.BySlot(0, blanked.Slots) {
+		occupied[at] = true
+	}
+	var on, off int
+	for b := overlapEvery; b < blanked.Slots; b += overlapEvery {
+		if occupied[b] {
+			on++
+		} else {
+			off++
+		}
+	}
+	if on == 0 || off == 0 {
+		t.Fatalf("fixture boundaries: %d occupied, %d unoccupied; want both", on, off)
+	}
+
+	policies := []struct {
+		name string
+		new  func() sim.Policy
+	}{
+		{"spes", func() sim.Policy { return core.New(core.DefaultConfig()) }},
+		{"dense", func() sim.Policy { return core.NewDenseReference(core.DefaultConfig()) }},
+	}
+	for _, c := range overlapCases {
+		t.Run(c.name, func(t *testing.T) {
+			if c.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+			}
+			train, simTr := training, blanked
+			if c.stream {
+				simTr = plain
+			}
+			// SPES cannot start untrained, so the nil-training case trains
+			// each policy before the run: the run itself sees no training
+			// trace, and the windows hold recorded history alone.
+			fresh := func(p sim.Policy) sim.Policy {
+				if c.noTraining {
+					p.Train(training)
+				}
+				return p
+			}
+			if c.noTraining {
+				train = nil
+			}
+			opts := sim.Options{RetrainEvery: c.every, RetrainWindow: c.window, MeasureOverhead: c.measure, Shards: c.shards}
+			for _, p := range policies {
+				if (c.shards > 1 || c.stream) && p.name != "spes" {
+					continue
+				}
+				want := serialRetrainRun(t, fresh(p.new()), train, simTr, opts)
+				var got *sim.Result
+				var err error
+				if c.stream {
+					src := &sim.GeneratorSource{Cfg: overlapConfig(t), TrainSlots: overlapTrainSlots, Shards: 3}
+					got, err = sim.RunStreamed(p.new(), src, sim.Options{RetrainEvery: c.every})
+				} else {
+					got, err = sim.Run(fresh(p.new()), train, simTr, opts)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Overhead, got.Overhead = 0, 0
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: Run differs from the serial loop (cold %d vs %d, WMT %d vs %d)",
+						p.name, got.TotalColdStarts, want.TotalColdStarts, got.TotalWMT, want.TotalWMT)
+				}
+			}
+			if c.shards > 1 || c.stream {
+				return
+			}
+			w := retrainWindow(train, c.every, c.window)
+			rec := &recordingSPES{SPES: fresh(core.New(core.DefaultConfig())).(*core.SPES), t: t, training: train, simTr: simTr, window: w}
+			if _, err := sim.Run(rec, train, simTr, opts); err != nil {
+				t.Fatal(err)
+			}
+			var boundaries []int
+			for b := c.every; b < simTr.Slots; b += c.every {
+				boundaries = append(boundaries, b)
+			}
+			if !slices.Equal(rec.at, boundaries) {
+				t.Errorf("Retrain slots = %v, want %v", rec.at, boundaries)
+			}
+		})
+	}
+}
+
+// TestRetrainOverlapFixtureRetrains guards the fixture: retraining must
+// change the outcome on it, or a wrong window could go unseen.
+func TestRetrainOverlapFixtureRetrains(t *testing.T) {
+	training, _, blanked := overlapFixture(t)
+	var res [2]*sim.Result
+	for i, every := range []int{0, overlapEvery} {
+		r, err := sim.Run(core.New(core.DefaultConfig()), training, blanked, sim.Options{RetrainEvery: every})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res[i] = r
+	}
+	if a, b := res[0], res[1]; a.TotalColdStarts == b.TotalColdStarts && a.TotalWMT == b.TotalWMT {
+		t.Fatalf("retraining every %d slots left cold starts (%d) and WMT (%d) unchanged",
+			overlapEvery, a.TotalColdStarts, a.TotalWMT)
+	}
+}

@@ -123,6 +123,10 @@ type IdleSkipper interface {
 //   - window and its series are borrowed until Retrain returns: the engine
 //     builds every boundary's window into the same storage (WindowBuilder)
 //     and overwrites it at the next boundary, so nothing may keep them.
+//     The batch engine builds boundary t's window while the policy Ticks
+//     through the slots before t, and starts the next build only after
+//     Retrain(t) returns; the build reads the training and simulation
+//     traces, so a policy must not write to them.
 //   - Retrain is called before slot t's invocations are observed (and
 //     before its cold starts are accounted), so the window can never leak
 //     slot t or anything later.

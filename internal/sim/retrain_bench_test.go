@@ -52,3 +52,23 @@ func BenchmarkRetrainBoundary(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRetrainRun times a whole retraining run over the same workload:
+// sim.Run of a fresh core.SPES with RetrainEvery 720, Train included. The
+// engine builds each boundary's window during the segment before it, beside
+// the Driver's Ticks, so on two cores the builds leave the critical path
+// that BenchmarkRetrainBoundary's "window" times in isolation.
+func BenchmarkRetrainRun(b *testing.B) {
+	full, err := trace.Generate(trace.DefaultGeneratorConfig(600, 6, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	training, simTr := full.Split(4 * 1440)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sim.Run(core.New(core.DefaultConfig()), training, simTr, sim.Options{RetrainEvery: 720}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"runtime"
 	"sync"
 
@@ -289,6 +290,16 @@ func checkSlots(what string, tr *trace.Trace) error {
 // spans, slot-by-slot ticks otherwise), which is the exact arithmetic the
 // loop used to do eagerly. When log is non-nil the per-slot (loaded,
 // active) counts are recorded for the sharded merge.
+//
+// A run that retrains goes boundary to boundary instead. The segment before
+// boundary b is one trace.FanOut of two items: item 0 steps the Driver
+// through the segment's occupied slots, all before b, while item 1 builds
+// b's window into the run's one WindowBuilder. Step(b) then retrains on the
+// prebuilt window, so the next build starts only once Retrain has returned
+// and the window is never overwritten while it is borrowed. The run keeps
+// one BySlot cursor, which item 0 pulls from, and one arena, so the overlap
+// costs no memory. Under MeasureOverhead the FanOut has width 1, so no Tick
+// is timed while a build shares its core.
 func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *slotLog) (*Result, error) {
 	if training != nil {
 		policy.Train(training)
@@ -298,24 +309,65 @@ func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *s
 		MeasureOverhead: opts.MeasureOverhead,
 		log:             log,
 	}
-	if opts.RetrainEvery > 0 {
-		if _, ok := policy.(Retrainer); ok {
-			cfg.RetrainEvery = opts.RetrainEvery
-			cfg.RetrainWindow = opts.retrainEffectiveWindow(training)
-			var wb WindowBuilder // one arena for every boundary of the run
-			cfg.Window = func(t, w int) *trace.Trace {
-				return wb.Build(training, simTrace, t, w)
-			}
-		}
-	}
-	d := NewDriver(policy, simTrace.NumFunctions(), cfg)
-
 	// Unoccupied slots are not yielded: the Driver advances each gap at the
 	// next occupied Step.
-	for t, invs := range simTrace.BySlot(0, simTrace.Slots) {
-		if _, err := d.Step(t, invs); err != nil {
+	slots := simTrace.BySlot(0, simTrace.Slots)
+	if _, ok := policy.(Retrainer); !ok || opts.RetrainEvery <= 0 {
+		d := NewDriver(policy, simTrace.NumFunctions(), cfg)
+		for t, invs := range slots {
+			if _, err := d.Step(t, invs); err != nil {
+				return nil, err
+			}
+		}
+		return d.Close(simTrace.Slots), nil
+	}
+
+	var (
+		wb     WindowBuilder // one arena for every boundary of the run
+		window *trace.Trace  // the next boundary's, built during its segment
+	)
+	cfg.RetrainEvery = opts.RetrainEvery
+	cfg.RetrainWindow = opts.retrainEffectiveWindow(training)
+	cfg.Window = func(int, int) *trace.Trace { return window }
+	d := NewDriver(policy, simTrace.NumFunctions(), cfg)
+
+	next, stop := iter.Pull2(slots)
+	defer stop()
+	t, invs, more := next()
+	// stepTo steps the Driver through the occupied slots before end.
+	stepTo := func(end int) error {
+		for ; more && t < end; t, invs, more = next() {
+			if _, err := d.Step(t, invs); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	width := 2
+	if opts.MeasureOverhead {
+		width = 1
+	}
+	for b := opts.RetrainEvery; b < simTrace.Slots; b += opts.RetrainEvery {
+		err := trace.FanOut(width, 2, func(_, i int) error {
+			if i == 1 {
+				window = wb.Build(training, simTrace, b, cfg.RetrainWindow)
+				return nil
+			}
+			return stepTo(b)
+		})
+		if err == nil {
+			if more && t == b {
+				err = stepTo(b + 1)
+			} else {
+				_, err = d.Step(b, nil)
+			}
+		}
+		if err != nil {
 			return nil, err
 		}
+	}
+	if err := stepTo(simTrace.Slots); err != nil {
+		return nil, err
 	}
 	return d.Close(simTrace.Slots), nil
 }

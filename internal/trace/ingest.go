@@ -176,15 +176,11 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 
 	// Scatter: route every spilled run (in spill order, which preserves each
 	// function's day order) plus the residual buffer into one spill file per
-	// shard. When nothing spilled, the buffer is grouped by shard in memory.
+	// shard. When nothing spilled, the buffer is grouped by shard in place.
 	// Either way counts[i] is shard i's event count.
-	var (
-		grouped []ingestEvent
-		counts  []int
-	)
+	var counts []int
 	if runs == 0 {
-		grouped, counts = groupByShard(buf, part, p)
-		buf = nil
+		counts = groupByShard(buf, part, p)
 	} else if counts, err = scatterRuns(spillDir, runs, buf, part, p); err != nil {
 		return nil, nil, fmt.Errorf("trace: ingest: %w", err)
 	}
@@ -197,7 +193,7 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 	tShards := time.Now()
 	store := &Store{dir: dir, fs: fs, shards: p, functions: len(fns), slots: slots, meta: make([]storeShardMeta, p)}
 	largest := slices.Max(counts)
-	starts := make([]int, p) // shard i's first event in grouped
+	starts := make([]int, p) // shard i's first event in the grouped buffer
 	for i := 1; i < p; i++ {
 		starts[i] = starts[i-1] + counts[i-1]
 	}
@@ -211,7 +207,7 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 		sw := workers[w]
 		var evs []ingestEvent
 		if runs == 0 {
-			evs = grouped[starts[i] : starts[i]+counts[i]]
+			evs = buf[starts[i] : starts[i]+counts[i]]
 		} else {
 			var err error
 			if evs, err = sw.readSpill(filepath.Join(spillDir, shardSpillName(i)), counts[i]); err != nil {
@@ -395,25 +391,37 @@ func (sw *shardWorker) readSpill(path string, n int) ([]ingestEvent, error) {
 	return evs, err
 }
 
-// groupByShard counting-sorts the in-memory buffer by shard into one array,
-// shard 0's events first, each shard's in arrival order, and returns it with
-// each shard's event count.
-func groupByShard(buf []ingestEvent, part *Partition, p int) (grouped []ingestEvent, counts []int) {
+// groupByShard groups the in-memory buffer by shard in place, shard 0's
+// events first, and returns each shard's event count. It is a counting
+// distribution: each event out of place is carried to the next free
+// position of its shard's range, and the event it displaces carried on in
+// turn, until the cycle closes. Order within a shard follows from the
+// buffer's order alone, so it is deterministic, though not arrival order;
+// assemble normalizes each series, which makes the store independent of it.
+func groupByShard(buf []ingestEvent, part *Partition, p int) (counts []int) {
 	counts = make([]int, p)
 	for _, e := range buf {
 		counts[part.ShardOf(e.fid)]++
 	}
-	next := make([]int, p)
-	for i := 1; i < p; i++ {
-		next[i] = next[i-1] + counts[i-1]
+	next := make([]int, p) // shard i's first position not yet filled
+	end := make([]int, p)  // one past shard i's range
+	for i := range p {
+		if i > 0 {
+			next[i] = end[i-1]
+		}
+		end[i] = next[i] + counts[i]
 	}
-	grouped = make([]ingestEvent, len(buf))
-	for _, e := range buf {
-		sh := part.ShardOf(e.fid)
-		grouped[next[sh]] = e
-		next[sh]++
+	for i := range p {
+		for ; next[i] < end[i]; next[i]++ {
+			e := buf[next[i]]
+			for sh := part.ShardOf(e.fid); sh != i; sh = part.ShardOf(e.fid) {
+				buf[next[sh]], e = e, buf[next[sh]]
+				next[sh]++
+			}
+			buf[next[i]] = e
+		}
 	}
-	return grouped, counts
+	return counts
 }
 
 // scatterRuns streams every run file (in spill order) plus the residual
@@ -518,9 +526,8 @@ func (a *shardAssembler) assemble(fns []Function, part *Partition, i, slots int,
 		a.local[g] = int32(li)
 	}
 
-	// Count, then fill, preserving arrival order within each function
-	// (normalize sorts, so order only needs to be deterministic, which
-	// arrival order is).
+	// Count, then fill, preserving evs' order within each function
+	// (normalize sorts, so order only needs to be deterministic).
 	a.offsets = resized(a.offsets, len(members)+1)
 	clear(a.offsets)
 	for _, e := range evs {

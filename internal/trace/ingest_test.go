@@ -538,6 +538,37 @@ func TestIngestAllocationBudget(t *testing.T) {
 	}
 }
 
+// TestIngestInMemoryAllocation holds the ingest that never spills to one
+// event buffer: groupByShard groups it in place, where it once copied it
+// into a second array of the same length, and that copy alone allocated
+// 87.3 MB for this workload (the 1000 × 6 CSV into 8 shards, default
+// budget) on 2 cores. The bound sits 15 MB under that.
+func TestIngestInMemoryAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	csv, opts := ingestWorkload(t)
+	opts.MaxBufferedEvents = 0
+	dir := filepath.Join(t.TempDir(), "store")
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, stats, err := IngestCSV(bytes.NewReader(csv), dir, opts)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SpillRuns != 0 {
+		t.Fatalf("%d events spilled %d runs under the default budget", stats.Events, stats.SpillRuns)
+	}
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d events, no spill: %.1f MB allocated", stats.Events, float64(got)/1e6)
+	const maxBytes = 87_300_000 - 15_000_000
+	if got > maxBytes {
+		t.Fatalf("in-memory ingest allocated %d bytes, bound %d", got, maxBytes)
+	}
+}
+
 // BenchmarkIngestCSV times one ingest of the ingest-store workload's CSV:
 // B/op is the whole pass's allocation.
 func BenchmarkIngestCSV(b *testing.B) {
