@@ -85,10 +85,10 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "tracegen: ingested %d functions x %d slots (%d events, %d spill runs) into %s: %d shards, %d bytes in %v\n",
+		fmt.Fprintf(os.Stderr, "tracegen: ingested %d functions x %d slots (%d events, %d spills) into %s: %d shards, %d bytes in %v\n",
 			stats.Functions, stats.Slots, stats.Events, stats.SpillRuns, *storeDir, stats.Shards, stats.StoreBytes, time.Since(start).Round(time.Millisecond))
-		fmt.Fprintf(os.Stderr, "tracegen: ingest stages: pass %v, scatter %v, shards %v\n",
-			stats.PassWall.Round(time.Microsecond), stats.ScatterWall.Round(time.Microsecond), stats.ShardsWall.Round(time.Microsecond))
+		fmt.Fprintf(os.Stderr, "tracegen: ingest stages: pass %v, shards %v\n",
+			stats.PassWall.Round(time.Microsecond), stats.ShardsWall.Round(time.Microsecond))
 		return nil
 	}
 

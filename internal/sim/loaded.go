@@ -51,6 +51,9 @@ func (l *LoadedSet) Unload(f trace.FuncID) {
 // Loaded implements Policy.
 func (l *LoadedSet) Loaded(f trace.FuncID) bool { return l.loaded[f] }
 
+// Len reports how many functions the set covers, loaded or not.
+func (l *LoadedSet) Len() int { return len(l.loaded) }
+
 // LoadedCount implements Policy.
 func (l *LoadedSet) LoadedCount() int { return l.count }
 

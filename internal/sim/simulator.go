@@ -250,6 +250,16 @@ func Run(policy Policy, training, simTrace *trace.Trace, opts Options) (*Result,
 	return runOne(policy, training, simTrace, opts, nil)
 }
 
+// ErrUntrained is the sentinel wrapped by the refusal a run returns when it
+// has no training trace and the policy's loaded set, which only Train
+// sizes, covers fewer functions than the simulation: the Driver's first
+// scan of the set would read past its end.
+var ErrUntrained = errors.New("sim: policy not trained")
+
+// sizedSet is a policy that reports how many functions its loaded set
+// covers: every policy that embeds LoadedSet.
+type sizedSet interface{ Len() int }
+
 // checkPair refuses a train/sim pair Run cannot simulate: a missing
 // simulation trace, function populations that differ, or an event at a
 // negative slot.
@@ -303,6 +313,9 @@ func checkSlots(what string, tr *trace.Trace) error {
 func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *slotLog) (*Result, error) {
 	if training != nil {
 		policy.Train(training)
+	} else if l, ok := policy.(sizedSet); ok && l.Len() < simTrace.NumFunctions() {
+		return nil, fmt.Errorf("%w: %s covers %d of the simulation's %d functions; pass a training trace",
+			ErrUntrained, policy.Name(), l.Len(), simTrace.NumFunctions())
 	}
 
 	cfg := DriverConfig{

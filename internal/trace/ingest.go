@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,7 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"time"
 
 	"repro/internal/durable"
@@ -20,21 +18,23 @@ import (
 // trace.
 //
 // The pass keeps O(functions) metadata in memory (the union-find partition
-// needs every function's app and user before shards can be assigned) but
-// never the event series: parsed events accumulate in a bounded buffer and
-// spill to flat run files on disk when it fills. After the pass the
-// canonical app/user-closed partition is computed with the exact same
-// PartitionFunctions call a materialized run uses, the spilled runs are
-// scattered into one spill file per shard, and the shards are then
-// assembled — normalize, fingerprint, encode, commit — by one FanOut over
-// them, each worker reusing scratch sized for the largest shard. Peak memory
-// is O(function metadata + buffer budget + W × largest shard) for W =
-// min(GOMAXPROCS, shards) workers, and the files are the same bytes at any
-// W.
+// needs every function's app and user before shards can be assigned) and
+// one 8-byte index entry per non-empty row, but never the event series:
+// each row's events are appended to a bounded buffer, and a full buffer is
+// appended to one spill file. After the pass the canonical app/user-closed
+// partition is computed with the exact same PartitionFunctions call a
+// materialized run uses, and the shards are assembled — gather, normalize,
+// fingerprint, encode, commit — by one FanOut over them. Item i walks the
+// row index and copies shard i's rows straight to their functions' places
+// in its worker's arena: from the buffer in place, or out of the spill file,
+// so a spilled event is written once and read once. Each worker reuses
+// scratch sized for the largest shard. Peak memory is O(function metadata +
+// rows + buffer budget + W × largest shard) for W = min(GOMAXPROCS, shards)
+// workers, and the files are the same bytes at any W.
 
 // defaultIngestBudget is the in-memory event buffer size before spilling:
-// 4Mi events ≈ 48 MiB. The paper-scale Azure trace (weeks over tens of
-// thousands of apps) spills a handful of runs; toy traces never spill.
+// 4Mi events = 32 MiB. The paper-scale Azure trace (weeks over tens of
+// thousands of apps) spills a handful of times; toy traces never spill.
 const defaultIngestBudget = 4 << 20
 
 // IngestOptions tunes IngestCSV.
@@ -43,8 +43,8 @@ type IngestOptions struct {
 	// ingest time). Values < 1 mean 1.
 	Shards int
 	// MaxBufferedEvents bounds the in-memory event buffer; when the buffer
-	// fills, a sorted run spills to disk. Values < 1 mean the 4Mi-event
-	// default. Tests set tiny values to force the spill path.
+	// fills, it is appended to the spill file. Values < 1 mean the
+	// 4Mi-event default. Tests set tiny values to force the spill path.
 	MaxBufferedEvents int
 }
 
@@ -54,25 +54,14 @@ type IngestStats struct {
 	Shards     int   // store shard count
 	Slots      int   // full trace span in slots (train plus simulation)
 	Events     int64 // sparse events written (invoked minutes)
-	SpillRuns  int   // runs spilled to disk (0 when the buffer sufficed)
+	SpillRuns  int   // buffers spilled to disk (0 when the buffer sufficed)
 	StoreBytes int64 // total size of the written shard files and manifest
 
 	// Wall time of each stage, as the ingest measures it: pass 1 (the row
-	// stream), the scatter (partition, then routing every event to its
-	// shard) and the shard stage (assemble, fingerprint, encode and commit
-	// every shard, then the manifest).
-	PassWall, ScatterWall, ShardsWall time.Duration
+	// stream) and the shard stage (partition, then gather, assemble,
+	// fingerprint, encode and commit every shard, then the manifest).
+	PassWall, ShardsWall time.Duration
 }
-
-// ingestEvent is one parsed invocation observation tagged with its global
-// function: the unit the spill files hold, 12 bytes encoded.
-type ingestEvent struct {
-	fid   FuncID
-	slot  int32
-	count int32
-}
-
-const ingestRecSize = 12
 
 // IngestCSV streams an Azure-schema CSV from r into a columnar shard store
 // at dir (created if needed), partitioned into opts.Shards app/user-closed
@@ -90,7 +79,7 @@ func IngestCSV(r io.Reader, dir string, opts IngestOptions) (*Store, *IngestStat
 }
 
 // IngestCSVFS is IngestCSV with the store's filesystem seam explicit (the
-// spill files are scratch and stay on the real filesystem). Only
+// spill file is scratch and stays on the real filesystem). Only
 // fault-injection harnesses and tests supply a non-default fs.
 func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*Store, *IngestStats, error) {
 	p := opts.Shards
@@ -116,33 +105,17 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 		return nil, nil, fmt.Errorf("trace: ingest: %w", err)
 	}
 	defer os.RemoveAll(spillDir)
+	sp := &ingestSpill{dir: spillDir, budget: budget}
+	defer sp.close()
 
 	// Pass 1: stream rows, collecting metadata and buffering events.
 	tPass := time.Now()
 	st := newCSVStream(r)
 	var (
 		fns    []Function
-		buf    []ingestEvent
-		runs   int
 		slots  int
 		events int64
 	)
-	spillRun := func() error {
-		f, err := os.Create(filepath.Join(spillDir, fmt.Sprintf("run-%06d", runs)))
-		if err != nil {
-			return err
-		}
-		if err := writeIngestRecs(f, buf); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		runs++
-		buf = buf[:0]
-		return nil
-	}
 	for {
 		row, err := st.Next()
 		if err == io.EOF {
@@ -157,64 +130,42 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 		if row.EndSlot > slots {
 			slots = row.EndSlot
 		}
-		buf = reserveIngest(buf, len(row.Events), budget)
-		for _, e := range row.Events {
-			buf = append(buf, ingestEvent{fid: row.ID, slot: e.Slot, count: e.Count})
+		if err := sp.add(row.ID, row.Events); err != nil {
+			return nil, nil, fmt.Errorf("trace: ingest: spilling events: %w", err)
 		}
 		events += int64(len(row.Events))
-		if len(buf) >= budget {
-			if err := spillRun(); err != nil {
-				return nil, nil, fmt.Errorf("trace: ingest: spilling run: %w", err)
-			}
-		}
 	}
 
 	// The canonical partition — the same call, over the same
 	// first-appearance-ordered metadata, as the materialized path.
-	tScatter := time.Now()
+	tShards := time.Now()
 	part := PartitionFunctions(fns, p)
-
-	// Scatter: route every spilled run (in spill order, which preserves each
-	// function's day order) plus the residual buffer into one spill file per
-	// shard. When nothing spilled, the buffer is grouped by shard in place.
-	// Either way counts[i] is shard i's event count.
-	var counts []int
-	if runs == 0 {
-		counts = groupByShard(buf, part, p)
-	} else if counts, err = scatterRuns(spillDir, runs, buf, part, p); err != nil {
-		return nil, nil, fmt.Errorf("trace: ingest: %w", err)
-	}
 
 	// Assemble and write each shard: one FanOut item per shard, on up to
 	// GOMAXPROCS workers. A shard's view is dead once its file is committed,
 	// so each worker reuses one set of scratch sized for the largest shard
-	// (shardWorker), decoding spilled records into its share of the spent
-	// spill buffer. Item i writes only store.meta[i] and fileBytes[i].
-	tShards := time.Now()
+	// (shardWorker). Item i writes only store.meta[i] and fileBytes[i].
 	store := &Store{dir: dir, fs: fs, shards: p, functions: len(fns), slots: slots, meta: make([]storeShardMeta, p)}
-	largest := slices.Max(counts)
-	starts := make([]int, p) // shard i's first event in the grouped buffer
-	for i := 1; i < p; i++ {
-		starts[i] = starts[i-1] + counts[i-1]
+	largest := 0
+	for i := range p {
+		n := 0
+		for _, g := range part.Members(i) {
+			n += int(sp.sizes[g])
+		}
+		largest = max(largest, n)
 	}
 	width := min(runtime.GOMAXPROCS(0), p)
 	workers := make([]*shardWorker, width)
 	fileBytes := make([]int64, p)
 	err = FanOut(width, p, func(w, i int) error {
 		if workers[w] == nil {
-			workers[w] = newShardWorker(w, largest, runs > 0, buf)
+			workers[w] = newShardWorker(largest, sp.file != nil)
 		}
 		sw := workers[w]
-		var evs []ingestEvent
-		if runs == 0 {
-			evs = buf[starts[i] : starts[i]+counts[i]]
-		} else {
-			var err error
-			if evs, err = sw.readSpill(filepath.Join(spillDir, shardSpillName(i)), counts[i]); err != nil {
-				return fmt.Errorf("trace: ingest: shard %d spill: %w", i, err)
-			}
+		sv, shardEvents, err := sw.assemble(fns, part, i, slots, sp)
+		if err != nil {
+			return fmt.Errorf("trace: ingest: %w", err)
 		}
-		sv, shardEvents := sw.asm.assemble(fns, part, i, slots, evs)
 		fp := sv.ContentHash()
 		sw.file = encodeShardFile(sw.file, sv, p, shardEvents, fp)
 		if err := durable.Commit(fs, dir, shardFileName(i), storeTmpPattern, sw.file); err != nil {
@@ -244,25 +195,111 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 		Shards:     p,
 		Slots:      slots,
 		Events:     events,
-		SpillRuns:  runs,
+		SpillRuns:  sp.spills,
 		StoreBytes: storeBytes,
 
-		PassWall:    tScatter.Sub(tPass),
-		ScatterWall: tShards.Sub(tScatter),
-		ShardsWall:  time.Since(tShards),
+		PassWall:   tShards.Sub(tPass),
+		ShardsWall: time.Since(tShards),
 	}
 	return store, stats, nil
 }
 
-// shardSpillName names shard i's scatter spill file.
-func shardSpillName(i int) string { return fmt.Sprintf("shard-%04d.spill", i) }
+// spillName is the one spill file of an ingest, inside its scratch
+// directory.
+const spillName = "events.spill"
 
-// reserveIngest returns buf with room for n more events. Capacities are
+// eventSize is an Event's size in the spill file: slot, then count, each a
+// little-endian int32.
+const eventSize = 8
+
+// ingestChunk is the size in bytes of the buffer the spill is encoded
+// through and of each shard worker's read buffer: 32 Ki events.
+const ingestChunk = 1 << 18
+
+// ingestRow is a non-empty CSV row's entry in the row index: its function
+// and its event count. The row's events follow the previous row's, in the
+// spill file or in the buffer.
+type ingestRow struct {
+	fid FuncID
+	n   int32
+}
+
+// ingestSpill is pass 1's event store: every non-empty row's events in
+// arrival order, rows[:fileRows]' in the spill file and the rest's in buf,
+// and the row index over both. Spills happen between rows, so no row
+// straddles the file and the buffer.
+type ingestSpill struct {
+	dir    string // where the spill file is made
+	budget int    // the buffer spills once it holds this many events
+
+	rows     []ingestRow
+	sizes    []int32 // events per function, by FuncID
+	buf      []Event
+	fileRows int
+	file     *os.File // nil until the first spill
+	spills   int
+	chunk    []byte // encodes the buffer into the spill file
+}
+
+// add appends one row of function id's events (ascending slots), spilling
+// the buffer once it reaches the budget. A function's sizes entry exists
+// from its first row on, empty or not.
+func (s *ingestSpill) add(id FuncID, evs []Event) error {
+	for len(s.sizes) <= int(id) {
+		s.sizes = append(s.sizes, 0)
+	}
+	if len(evs) == 0 {
+		return nil
+	}
+	s.sizes[id] += int32(len(evs))
+	s.rows = append(s.rows, ingestRow{fid: id, n: int32(len(evs))})
+	s.buf = append(reserveEvents(s.buf, len(evs), s.budget), evs...)
+	if len(s.buf) < s.budget {
+		return nil
+	}
+	return s.spill()
+}
+
+// spill appends the buffer to the spill file, made on the first spill, and
+// empties it.
+func (s *ingestSpill) spill() error {
+	if s.file == nil {
+		f, err := os.Create(filepath.Join(s.dir, spillName))
+		if err != nil {
+			return err
+		}
+		s.file, s.chunk = f, make([]byte, ingestChunk)
+	}
+	for evs := s.buf; len(evs) > 0; {
+		n := min(len(evs), len(s.chunk)/eventSize)
+		for k, e := range evs[:n] {
+			binary.LittleEndian.PutUint32(s.chunk[k*eventSize:], uint32(e.Slot))
+			binary.LittleEndian.PutUint32(s.chunk[k*eventSize+4:], uint32(e.Count))
+		}
+		if _, err := s.file.Write(s.chunk[:n*eventSize]); err != nil {
+			return err
+		}
+		evs = evs[n:]
+	}
+	s.fileRows = len(s.rows)
+	s.spills++
+	s.buf = s.buf[:0]
+	return nil
+}
+
+// close closes the spill file, if one was made.
+func (s *ingestSpill) close() {
+	if s.file != nil {
+		s.file.Close()
+	}
+}
+
+// reserveEvents returns buf with room for n more events. Capacities are
 // the most the spill rule lets the buffer hold (the budget plus one row, a
 // day's worth of slots) halved k times, and each growth at least doubles:
 // all of the growth together allocates less than twice the final capacity,
 // and a toy trace never pays for the budget.
-func reserveIngest(buf []ingestEvent, n, budget int) []ingestEvent {
+func reserveEvents(buf []Event, n, budget int) []Event {
 	need := len(buf) + n
 	if need <= cap(buf) {
 		return buf
@@ -274,7 +311,7 @@ func reserveIngest(buf []ingestEvent, n, budget int) []ingestEvent {
 	for c/2 >= max(need, 2*cap(buf)) {
 		c /= 2
 	}
-	grown := make([]ingestEvent, len(buf), c)
+	grown := make([]Event, len(buf), c)
 	copy(grown, buf)
 	return grown
 }
@@ -288,262 +325,53 @@ func resized[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-func putIngestRec(rec []byte, e ingestEvent) {
-	binary.LittleEndian.PutUint32(rec[0:], uint32(e.fid))
-	binary.LittleEndian.PutUint32(rec[4:], uint32(e.slot))
-	binary.LittleEndian.PutUint32(rec[8:], uint32(e.count))
-}
-
-func getIngestRec(rec []byte) ingestEvent {
-	return ingestEvent{
-		fid:   FuncID(binary.LittleEndian.Uint32(rec[0:])),
-		slot:  int32(binary.LittleEndian.Uint32(rec[4:])),
-		count: int32(binary.LittleEndian.Uint32(rec[8:])),
-	}
-}
-
-// writeIngestRecs appends events to w as flat 12-byte records.
-func writeIngestRecs(w io.Writer, evs []ingestEvent) error {
-	bw := bufio.NewWriterSize(w, 1<<18)
-	var rec [ingestRecSize]byte
-	for _, e := range evs {
-		putIngestRec(rec[:], e)
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// readRecs feeds every record of f to fn, a chunk's worth of records per
-// call. chunk must hold a whole number of records.
-func readRecs(f *os.File, chunk []byte, fn func(recs []byte) error) error {
-	for {
-		n, err := io.ReadFull(f, chunk)
-		if n%ingestRecSize != 0 {
-			return fmt.Errorf("reading %s: %w", filepath.Base(f.Name()), io.ErrUnexpectedEOF)
-		}
-		if err := fn(chunk[:n]); err != nil {
-			return err
-		}
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("reading %s: %w", filepath.Base(f.Name()), err)
-		}
-	}
-}
-
-// ingestChunk is the read buffer of the scatter and of each shard worker:
-// a whole number of records, about 256 KiB.
-const ingestChunk = (1 << 18) / ingestRecSize * ingestRecSize
-
 // shardWorker is the scratch one shard-stage worker reuses from shard to
-// shard: the assembler, the decoded records of a spilled shard, the spill
-// read chunk and the encoded file.
+// shard: the assembler's index arrays and event arena, the spill read chunk
+// and the encoded file.
 type shardWorker struct {
-	asm   shardAssembler
-	evs   []ingestEvent
-	chunk []byte
-	file  []byte
+	local   []int32 // global FuncID -> local index in the current shard
+	offsets []int32 // local index -> first event in arena; one past the end last
+	fill    []int32 // local index -> the arena position its next event goes to
+	arena   []Event // every series of the current shard
+	chunk   []byte
+	file    []byte
 }
 
-// newShardWorker sizes worker w's scratch for the largest shard. A spilled
-// ingest decodes each shard's records into w's share of the spent spill
-// buffer's capacity, or into a slice of w's own where that share does not
-// fit; an in-memory ingest reads its shards in place and needs neither
-// records nor a chunk.
-func newShardWorker(w, largest int, spilled bool, spent []ingestEvent) *shardWorker {
-	sw := &shardWorker{asm: shardAssembler{arena: make([]Event, largest)}}
+// newShardWorker sizes a worker's arena for the largest shard. Only an
+// ingest that spilled needs a read chunk.
+func newShardWorker(largest int, spilled bool) *shardWorker {
+	sw := &shardWorker{arena: make([]Event, largest)}
 	if spilled {
-		if lo, hi := w*largest, (w+1)*largest; hi <= cap(spent) {
-			sw.evs = spent[lo:lo:hi]
-		} else {
-			sw.evs = make([]ingestEvent, 0, largest)
-		}
 		sw.chunk = make([]byte, ingestChunk)
 	}
 	return sw
 }
 
-// readSpill decodes the spill file at path, into which the scatter routed
-// n records, through the worker's chunk into its record storage.
-func (sw *shardWorker) readSpill(path string, n int) ([]ingestEvent, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	evs := sw.evs[:0]
-	err = readRecs(f, sw.chunk, func(recs []byte) error {
-		if len(evs)+len(recs)/ingestRecSize > n {
-			return fmt.Errorf("spill file %s holds more than its %d records", filepath.Base(path), n)
-		}
-		for k := 0; k < len(recs); k += ingestRecSize {
-			evs = append(evs, getIngestRec(recs[k:]))
-		}
-		return nil
-	})
-	if err == nil && len(evs) != n {
-		err = fmt.Errorf("spill file %s holds %d of its %d records", filepath.Base(path), len(evs), n)
-	}
-	return evs, err
-}
-
-// groupByShard groups the in-memory buffer by shard in place, shard 0's
-// events first, and returns each shard's event count. It is a counting
-// distribution: each event out of place is carried to the next free
-// position of its shard's range, and the event it displaces carried on in
-// turn, until the cycle closes. Order within a shard follows from the
-// buffer's order alone, so it is deterministic, though not arrival order;
-// assemble normalizes each series, which makes the store independent of it.
-func groupByShard(buf []ingestEvent, part *Partition, p int) (counts []int) {
-	counts = make([]int, p)
-	for _, e := range buf {
-		counts[part.ShardOf(e.fid)]++
-	}
-	next := make([]int, p) // shard i's first position not yet filled
-	end := make([]int, p)  // one past shard i's range
-	for i := range p {
-		if i > 0 {
-			next[i] = end[i-1]
-		}
-		end[i] = next[i] + counts[i]
-	}
-	for i := range p {
-		for ; next[i] < end[i]; next[i]++ {
-			e := buf[next[i]]
-			for sh := part.ShardOf(e.fid); sh != i; sh = part.ShardOf(e.fid) {
-				buf[next[sh]], e = e, buf[next[sh]]
-				next[sh]++
-			}
-			buf[next[i]] = e
-		}
-	}
-	return counts
-}
-
-// scatterRuns streams every run file (in spill order) plus the residual
-// in-memory buffer through the partition into one spill file per shard, and
-// returns each shard's record count. Writers are buffered, so the scatter is
-// one sequential read of the runs and P sequential writes regardless of
-// trace size.
-func scatterRuns(spillDir string, runs int, residual []ingestEvent, part *Partition, p int) ([]int, error) {
-	outs := make([]*bufio.Writer, p)
-	files := make([]*os.File, p)
-	for i := range outs {
-		f, err := os.Create(filepath.Join(spillDir, shardSpillName(i)))
-		if err != nil {
-			for _, g := range files {
-				if g != nil {
-					g.Close()
-				}
-			}
-			return nil, err
-		}
-		files[i] = f
-		outs[i] = bufio.NewWriterSize(f, 1<<16)
-	}
-	closeAll := func() error {
-		var first error
-		for i, w := range outs {
-			if err := w.Flush(); err != nil && first == nil {
-				first = err
-			}
-			if err := files[i].Close(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-
-	// Records are routed straight out of one read buffer, and the
-	// residual's are encoded into it, so the scatter allocates nothing per
-	// event.
-	chunk := make([]byte, ingestChunk)
-	counts := make([]int, p)
-	route := func(recs []byte) error {
-		for k := 0; k < len(recs); k += ingestRecSize {
-			sh := part.ShardOf(FuncID(binary.LittleEndian.Uint32(recs[k:])))
-			counts[sh]++
-			if _, err := outs[sh].Write(recs[k : k+ingestRecSize]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	scatterRun := func(run int) error {
-		f, err := os.Open(filepath.Join(spillDir, fmt.Sprintf("run-%06d", run)))
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return readRecs(f, chunk, route)
-	}
-
-	for run := 0; run < runs; run++ {
-		if err := scatterRun(run); err != nil {
-			closeAll()
-			return nil, err
-		}
-		// Run files are consumed in order exactly once; removing each after
-		// its scatter halves the spill directory's peak footprint.
-		os.Remove(filepath.Join(spillDir, fmt.Sprintf("run-%06d", run)))
-	}
-	for len(residual) > 0 {
-		n := min(len(residual), len(chunk)/ingestRecSize)
-		for k, e := range residual[:n] {
-			putIngestRec(chunk[k*ingestRecSize:], e)
-		}
-		if err := route(chunk[:n*ingestRecSize]); err != nil {
-			closeAll()
-			return nil, err
-		}
-		residual = residual[n:]
-	}
-	return counts, closeAll()
-}
-
-// shardAssembler is the storage assemble reuses from shard to shard.
-type shardAssembler struct {
-	local   []int32 // global FuncID -> local index in the current shard
-	offsets []int32 // local index -> first event in arena; one past the end last
-	fill    []int32
-	arena   []Event // every series of the current shard
-}
-
-// assemble builds shard i's full (unsplit) view from its scattered events:
-// metadata re-IDed densely in ascending global order (the ShardBy contract)
-// and every series normalized, exactly as ReadCSV + ShardBy produce. Returns
-// the view and its total event count after normalization. The series are
-// carved out of the assembler's arena: the view is valid until the next
-// call.
-func (a *shardAssembler) assemble(fns []Function, part *Partition, i, slots int, evs []ingestEvent) (*ShardView, int64) {
+// assemble builds shard i's full (unsplit) view out of sp: metadata
+// re-IDed densely in ascending global order (the ShardBy contract) and
+// every series gathered and normalized, exactly as ReadCSV + ShardBy
+// produce. Returns the view and its total event count after normalization.
+// The series are carved out of the worker's arena: the view is valid until
+// the next call.
+func (sw *shardWorker) assemble(fns []Function, part *Partition, i, slots int, sp *ingestSpill) (*ShardView, int64, error) {
+	// A function's events take the next sizes[g] places of the arena.
 	members := part.Members(i)
-	a.local = resized(a.local, len(fns))
+	sw.local = resized(sw.local, len(fns))
+	sw.offsets = resized(sw.offsets, len(members)+1)
+	sw.offsets[0] = 0
 	for li, g := range members {
-		a.local[g] = int32(li)
+		sw.local[g] = int32(li)
+		sw.offsets[li+1] = sw.offsets[li] + sp.sizes[g]
+	}
+	sw.fill = append(sw.fill[:0], sw.offsets[:len(members)]...)
+	sw.arena = resized(sw.arena, int(sw.offsets[len(members)]))
+	if err := sw.gather(sp, part, i); err != nil {
+		return nil, 0, err
 	}
 
-	// Count, then fill, preserving evs' order within each function
-	// (normalize sorts, so order only needs to be deterministic).
-	a.offsets = resized(a.offsets, len(members)+1)
-	clear(a.offsets)
-	for _, e := range evs {
-		a.offsets[a.local[e.fid]+1]++
-	}
-	for li := range members {
-		a.offsets[li+1] += a.offsets[li]
-	}
-	a.fill = append(a.fill[:0], a.offsets[:len(members)]...)
-	a.arena = resized(a.arena, len(evs))
-	for _, e := range evs {
-		li := a.local[e.fid]
-		a.arena[a.fill[li]] = Event{Slot: e.slot, Count: e.count}
-		a.fill[li]++
-	}
-
+	// A function's rows arrive in day order and each row ascends, so every
+	// series is already sorted; normalize keeps the store's bytes those of
+	// ReadCSV's series by construction.
 	sub := NewTrace(slots)
 	sub.Functions = make([]Function, len(members))
 	sub.Series = make([]Series, len(members))
@@ -552,8 +380,74 @@ func (a *shardAssembler) assemble(fns []Function, part *Partition, i, slots int,
 		f := fns[g]
 		f.ID = FuncID(li)
 		sub.Functions[li] = f
-		sub.Series[li] = normalize(a.arena[a.offsets[li]:a.offsets[li+1]])
+		sub.Series[li] = normalize(sw.arena[sw.offsets[li]:sw.offsets[li+1]])
 		total += int64(len(sub.Series[li]))
 	}
-	return &ShardView{Trace: sub, Index: i, Global: members}, total
+	return &ShardView{Trace: sub, Index: i, Global: members}, total, nil
+}
+
+// gather copies shard i's rows, in arrival order, to their functions' next
+// places in the arena: spilled rows with one read per maximal run of
+// file-adjacent rows of the shard, buffered rows in place.
+func (sw *shardWorker) gather(sp *ingestSpill, part *Partition, i int) error {
+	spilled := sp.rows[:sp.fileRows]
+	var at int64 // the file position, in events, of spilled[k]
+	for k := 0; k < len(spilled); {
+		if part.ShardOf(spilled[k].fid) != i {
+			at += int64(spilled[k].n)
+			k++
+			continue
+		}
+		start, from := k, at
+		for ; k < len(spilled) && part.ShardOf(spilled[k].fid) == i; k++ {
+			at += int64(spilled[k].n)
+		}
+		if err := sw.readRun(sp.file, spilled[start:k], from, at); err != nil {
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+	}
+	pos := 0
+	for _, r := range sp.rows[sp.fileRows:] {
+		if part.ShardOf(r.fid) == i {
+			li := sw.local[r.fid]
+			copy(sw.arena[sw.fill[li]:], sp.buf[pos:pos+int(r.n)])
+			sw.fill[li] += r.n
+		}
+		pos += int(r.n)
+	}
+	return nil
+}
+
+// readRun reads the spilled events [from, to), which are rows' events, into
+// the arena through the worker's chunk: one ReadAt per chunk. ReadAt is
+// pread, so workers share the file.
+func (sw *shardWorker) readRun(f *os.File, rows []ingestRow, from, to int64) error {
+	var li, left int32 // the current row's function and its events still to read
+	for from < to {
+		recs := sw.chunk[:min(to-from, int64(len(sw.chunk)/eventSize))*eventSize]
+		if n, err := f.ReadAt(recs, from*eventSize); n < len(recs) {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return fmt.Errorf("reading %s at byte %d: %w", spillName, from*eventSize, err)
+		}
+		from += int64(len(recs) / eventSize)
+		for len(recs) > 0 {
+			if left == 0 {
+				li, left = sw.local[rows[0].fid], rows[0].n
+				rows = rows[1:]
+			}
+			dst := sw.arena[sw.fill[li]:][:min(int(left), len(recs)/eventSize)]
+			for k := range dst {
+				dst[k] = Event{
+					Slot:  int32(binary.LittleEndian.Uint32(recs[k*eventSize:])),
+					Count: int32(binary.LittleEndian.Uint32(recs[k*eventSize+4:])),
+				}
+			}
+			sw.fill[li] += int32(len(dst))
+			left -= int32(len(dst))
+			recs = recs[len(dst)*eventSize:]
+		}
+	}
+	return nil
 }
