@@ -27,10 +27,12 @@ import (
 // fingerprint, encode, commit — by one FanOut over them. Item i walks the
 // row index and copies shard i's rows straight to their functions' places
 // in its worker's arena: from the buffer in place, or out of the spill file,
-// so a spilled event is written once and read once. Each worker reuses
-// scratch sized for the largest shard. Peak memory is O(function metadata +
-// rows + buffer budget + W × largest shard) for W = min(GOMAXPROCS, shards)
-// workers, and the files are the same bytes at any W.
+// so a spilled event is written once and requested once (from the page
+// cache while the spill fits there; DESIGN.md has the uncached cost). Each
+// worker reuses scratch sized for the largest shard. Peak memory is
+// O(function metadata + rows + buffer budget + W × largest shard) for
+// W = min(GOMAXPROCS, shards) workers, and the files are the same bytes at
+// any W.
 
 // defaultIngestBudget is the in-memory event buffer size before spilling:
 // 4Mi events = 32 MiB. The paper-scale Azure trace (weeks over tens of

@@ -616,13 +616,15 @@ func ingestWorkload(tb testing.TB) ([]byte, IngestOptions) {
 // buffer doubles up to the budget, the row index costs 8 bytes a row, and
 // each shard-stage worker reuses one read chunk, one event arena and one
 // file buffer. A per-row allocation, append-grown buffers, a decode buffer
-// or a buffer per shard each break the bound. On 2 cores it measures
-// 32.9 MB and 5.8 k objects; the bound leaves room for one more worker's
-// scratch (~4.6 MB), so it holds on 3 cores too.
+// or a buffer per shard each break the bound. Each shard-stage worker adds
+// its own scratch (~4.6 MB here), so the test pins GOMAXPROCS to 2, two
+// workers, where it measures 32.9 MB and 5.8 k objects; the bound leaves
+// room for one more worker's scratch.
 func TestIngestAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	csv, opts := ingestWorkload(t)
 	dir := filepath.Join(t.TempDir(), "store")
 	var before, after runtime.MemStats
@@ -647,14 +649,17 @@ func TestIngestAllocationBudget(t *testing.T) {
 
 // TestIngestInMemoryAllocation holds the ingest that never spills to one
 // event buffer of 8-byte events, which each shard gathers from in place.
-// On 2 cores it measures 48.9 MB for this workload (the 1000 × 6 CSV into
-// 8 shards, default budget); when a 12-byte record was grouped by shard in
-// place it measured 66 MB, and when that grouping copied the buffer 87.3 MB.
-// The bound leaves room for one more worker's scratch (~4.6 MB).
+// At GOMAXPROCS 2, which the test pins because each shard-stage worker adds
+// its own scratch (~4.6 MB), it measures 48.9 MB for this workload (the
+// 1000 × 6 CSV into 8 shards, default budget); when a 12-byte record was
+// grouped by shard in place it measured 66 MB, and when that grouping
+// copied the buffer 87.3 MB. The bound leaves room for one more worker's
+// scratch.
 func TestIngestInMemoryAllocation(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	csv, opts := ingestWorkload(t)
 	opts.MaxBufferedEvents = 0
 	dir := filepath.Join(t.TempDir(), "store")
