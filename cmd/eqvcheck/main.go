@@ -5,11 +5,10 @@
 // doors under comparison are the doors users get.
 //
 // By default SPES's dense reference is held against the event and sharded
-// engines. -stream adds the streamed engine and a cold, then a warm pass
-// through the shard cache; with -cache-dir, SIGINT/SIGTERM drain into it and
-// exit 130, resumable. -capacity adds FaaSCache and LCS across shard counts
-// {2, 5, 16}; -streamonly never materializes; -ingest holds one Azure-format
-// CSV's store doors to its materialized run. Each flag's help says the rest:
+// engines. -stream adds the streamed engine. -capacity adds FaaSCache and
+// LCS across shard counts {2, 5, 16}; -streamonly never materializes;
+// -ingest holds one Azure-format CSV's store doors to its materialized run.
+// Each flag's help says the rest:
 //
 //	go run ./cmd/eqvcheck                         # 400 functions, shards 4
 //	go run ./cmd/eqvcheck -functions 600 -scenario churn -retrain-every 1440 -shards 2 -stream
@@ -24,14 +23,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 
 	"repro/internal/eqv"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/memwatch"
-	"repro/internal/sim"
 )
 
 func main() {
@@ -42,15 +38,11 @@ func main() {
 	os.Exit(exitCode(err))
 }
 
-// exitCode reports err on stderr and maps it to the exit status: 0, 130 for
-// a drained interruption (clean and resumable), 1 for anything else.
+// exitCode reports err on stderr and maps it to the exit status: 0, or 1
+// for any error.
 func exitCode(err error) int {
-	switch {
-	case err == nil:
+	if err == nil {
 		return 0
-	case errors.Is(err, sim.ErrInterrupted):
-		fmt.Fprintln(os.Stderr, "eqvcheck: interrupted; completed shards are in the -cache-dir — rerun with the same flags to resume")
-		return 130
 	}
 	fmt.Fprintln(os.Stderr, "eqvcheck:", err)
 	return 1
@@ -58,12 +50,10 @@ func exitCode(err error) int {
 
 // config is the parsed command line: a matrix and the checks around it.
 type config struct {
-	m           eqv.Matrix
-	stream      bool
-	pool        int // the -capacity pool
-	minDiskHits int
-	maxHeap     uint64
-	faultSeed   int64
+	m         eqv.Matrix
+	pool      int // the -capacity pool
+	maxHeap   uint64
+	faultSeed int64
 }
 
 // parse turns flags into the matrix they name. Every bad value or
@@ -76,21 +66,19 @@ func parse(args []string) (*config, error) {
 	s.RegisterFlags(fs, "functions", "days", "train-days", "scenario", "sparse")
 	shards := fs.Int("shards", 4, "shard count for the sharded engine (0 disables the sharded check)")
 	seeds := fs.Int("seeds", 3, "number of seeds to check")
-	stream := fs.Bool("stream", false, "additionally check the streamed engine (sim.RunStreamed over a generator source) and the disk-backed shard cache against the dense reference")
+	stream := fs.Bool("stream", false, "additionally check the streamed engine (sim.RunStreamed over a generator source) against the dense reference")
 	streamOnly := fs.Bool("streamonly", false, "check only streamed engines (-shards vs 2x -shards) without ever materializing a trace; peak residency stays O(functions/shards)")
 	maxHeap := fs.Uint64("maxheap", 0, "exit non-zero if sampled peak HeapInuse exceeds this many bytes (0: unbounded)")
 	workers := fs.Int("workers", 0, "width of each policy and shard fan-out (0: one per core); streamed residency is ONE shard of O(functions/shards) event series PER in-flight worker, so -maxheap bounds need a fixed worker count, not the runner's core count")
-	cacheDir := fs.String("cache-dir", "", "disk-cache entry directory for the -stream cache checks (persists across runs, and makes the run resumable: SIGINT/SIGTERM drains in-flight shards into it and exits 130; empty: a temporary directory, removed on exit)")
-	minDiskHits := fs.Int("mindiskhits", 0, "fail unless the cold passes were served at least this many shard entries from the disk cache — asserts that a previous process's -cache-dir entries survived the restart (0: no assertion)")
 	retrain := fs.Int("retrain-every", 0, "enable SPES online re-categorization every this many slots in every engine under comparison (0: off)")
-	faultSeed := fs.Int64("faults", 0, "non-zero: run the -stream checks under deterministic injected faults with this schedule seed; completed runs must stay bit-identical to the clean dense reference")
+	faultSeed := fs.Int64("faults", 0, "non-zero: run the -stream checks under deterministic injected shard-worker faults (panics, slow shards) with this schedule seed; completed runs must stay bit-identical to the clean dense reference")
 	capCheck := fs.Bool("capacity", false, "additionally check the capacity-coupled baselines: FaaSCache and LCS under shard counts {2, 5, 16} (over streamed sources of that many shards with -stream) must be bit-identical to their unsharded runs")
-	ingestCSV := fs.String("ingest", "", "real-trace mode: check this Azure-format CSV through materialized, sharded, and columnar-store (cold + warm) paths for bit-identity; generation flags are ignored")
+	ingestCSV := fs.String("ingest", "", "real-trace mode: check this Azure-format CSV through materialized, sharded, and columnar-store (ingested, then reopened) paths for bit-identity; generation flags are ignored")
 	fs.Parse(args)
 
 	p, ingest := *shards, *ingestCSV != ""
-	c := &config{stream: *stream, pool: max(s.Functions/3, 1), minDiskHits: *minDiskHits, maxHeap: *maxHeap, faultSeed: *faultSeed}
-	c.m = eqv.Matrix{Workers: *workers, CacheDir: *cacheDir}
+	c := &config{pool: max(s.Functions/3, 1), maxHeap: *maxHeap, faultSeed: *faultSeed}
+	c.m = eqv.Matrix{Workers: *workers}
 	var bad error // -ingest takes its dimensions from the trace
 	if !ingest {
 		bad = s.Validate()
@@ -99,24 +87,17 @@ func parse(args []string) (*config, error) {
 		bad bool
 		err error
 	}{
-		{ingest && (*stream || *streamOnly || *capCheck || s.Scenario.Name != "" || *faultSeed != 0 || *retrain != 0 || *cacheDir != "" || *minDiskHits != 0),
-			errors.New("-ingest is a self-contained mode; it cannot be combined with -stream, -streamonly, -capacity, -scenario, -faults, -retrain-every, -cache-dir, or -mindiskhits")},
+		{ingest && (*stream || *streamOnly || *capCheck || s.Scenario.Name != "" || *faultSeed != 0 || *retrain != 0),
+			errors.New("-ingest is a self-contained mode; it cannot be combined with -stream, -streamonly, -capacity, -scenario, -faults, or -retrain-every")},
 		{ingest && p < 2, fmt.Errorf("-ingest needs -shards >= 2 (a green run must actually exercise the store partition), got %d", p)},
 		{bad != nil, bad},
 		{!ingest && *seeds < 1, fmt.Errorf("-seeds must be >= 1, got %d", *seeds)},
 		{p < 0 || *workers < 0, fmt.Errorf("-shards and -workers must be >= 0, got %d / %d", p, *workers)},
 		{*stream && p <= 1, errors.New("-stream needs -shards > 1 (a green run must actually exercise the streamed engine)")},
-		{*minDiskHits < 0, fmt.Errorf("-mindiskhits must be >= 0, got %d", *minDiskHits)},
-		{*minDiskHits > 0 && !*stream, errors.New("-mindiskhits needs -stream (the disk cache only runs there)")},
 		{*streamOnly && *capCheck, errors.New("-capacity cannot be combined with -streamonly (a capacity-coupled policy keeps the whole population resident)")},
-		// The streamonly matrix never touches the disk cache; accepting
-		// these flags there would silently skip the assertions they imply.
-		{*streamOnly && (*stream || *cacheDir != "" || *minDiskHits > 0), errors.New("-streamonly cannot be combined with -stream, -cache-dir, or -mindiskhits")},
+		{*streamOnly && *stream, errors.New("-streamonly cannot be combined with -stream")},
 		{*retrain < 0, fmt.Errorf("-retrain-every must be >= 0, got %d", *retrain)},
-		{*faultSeed != 0 && !*stream, errors.New("-faults needs -stream (the fault surface — disk cache and shard workers — only runs there)")},
-		// Injected read faults legitimately turn restores into misses, so a
-		// disk-hit floor would flake by design.
-		{*faultSeed != 0 && *minDiskHits > 0, errors.New("-faults cannot be combined with -mindiskhits")},
+		{*faultSeed != 0 && !*stream, errors.New("-faults needs -stream (the matrix whose shard workers it faults)")},
 		{*streamOnly && p < 1, errors.New("-streamonly needs -shards >= 1")},
 	} {
 		if r.bad {
@@ -128,7 +109,7 @@ func parse(args []string) (*config, error) {
 	if ingest {
 		c.m.Workload = eqv.Workload{Settings: s, Trace: *ingestCSV}
 		c.m.Rows = []eqv.Row{{Policies: append(spes, eqv.Fixed()), Ref: eqv.Event, Engines: []eqv.Engine{
-			eqv.Sharded(p), eqv.StoreCold(p), eqv.StoreWarm(p), eqv.StoreWarm(p).Cold(), eqv.StoreWarm(p).Warm()}}}
+			eqv.Sharded(p), eqv.StoreCold(p), eqv.StoreWarm(p)}}}
 		return c, nil
 	}
 	// s keeps its -scenario as a pending name: scenario cohorts are drawn
@@ -154,7 +135,7 @@ func parse(args []string) (*config, error) {
 		engines = append(engines, eqv.Sharded(p))
 	}
 	if *stream {
-		engines = append(engines, eqv.Streamed(p), eqv.Sharded(p).Cold(), eqv.Sharded(p).Warm())
+		engines = append(engines, eqv.Streamed(p))
 	}
 	c.m.Rows = append(c.m.Rows, eqv.Row{Policies: spes, Ref: eqv.Dense, Engines: engines})
 	if *faultSeed != 0 {
@@ -166,11 +147,6 @@ func parse(args []string) (*config, error) {
 // run checks the matrix and prints one line per reference result, then
 // what the flags assert around it.
 func (c *config) run(out io.Writer) error {
-	if c.stream && c.m.CacheDir != "" {
-		// Only a persistent directory has anything to resume from, so only
-		// there do signals drain instead of kill.
-		c.m.Stop = drainOnSignal()
-	}
 	watch := memwatch.Watch()
 	rep, err := eqv.Check(c.m)
 	if err != nil {
@@ -198,13 +174,7 @@ func (c *config) run(out io.Writer) error {
 		fmt.Fprintf(out, " (cold=%d wmt=%d mem=%d)\n", r.TotalColdStarts, r.TotalWMT, r.TotalMemory)
 	}
 	if c.m.Trace != "" {
-		fmt.Fprintln(out, "store: warm reopen and fingerprint-keyed cache identical")
-	}
-	if c.minDiskHits > 0 && rep.ColdHits < int64(c.minDiskHits) {
-		return fmt.Errorf("cold passes restored %d entries from the disk cache, want >= %d (did the -cache-dir survive the restart?)", rep.ColdHits, c.minDiskHits)
-	}
-	if c.stream {
-		fmt.Fprintf(out, "disk cache: %d entries restored on cold passes\n", rep.ColdHits)
+		fmt.Fprintln(out, "store: warm reopen identical")
 	}
 	if inj := c.m.Faults; inj != nil {
 		fmt.Fprintf(out, "faults(seed=%d): %s\n", c.faultSeed, inj)
@@ -220,21 +190,4 @@ func (c *config) run(out io.Writer) error {
 		return fmt.Errorf("peak heap %d exceeds -maxheap %d (O(n/P) residency regressed?)", peak, c.maxHeap)
 	}
 	return nil
-}
-
-// drainOnSignal returns a channel closed at the first SIGINT or SIGTERM, for
-// sim.Options.Stop: the sharded engines start no new shard, drain the ones in
-// flight (their outcomes reach the cache) and return sim.ErrInterrupted. A
-// second signal kills the old-fashioned way.
-func drainOnSignal() <-chan struct{} {
-	stop := make(chan struct{})
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-sigc
-		fmt.Fprintln(os.Stderr, "eqvcheck: signal received; draining in-flight shards...")
-		close(stop)
-		signal.Stop(sigc)
-	}()
-	return stop
 }

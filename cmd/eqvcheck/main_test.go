@@ -15,9 +15,9 @@ import (
 func describe(c *config) string {
 	m := c.m
 	var b strings.Builder
-	fmt.Fprintf(&b, "fn=%d days=%d/%d sparse=%t seeds=%v scenario=%q retrain=%d trace=%q workers=%d cache=%q faults=%t pool=%d mindiskhits=%d maxheap=%d",
+	fmt.Fprintf(&b, "fn=%d days=%d/%d sparse=%t seeds=%v scenario=%q retrain=%d trace=%q workers=%d faults=%t pool=%d maxheap=%d",
 		m.Settings.Functions, m.Settings.TrainDays, m.Settings.Days, m.Settings.TriggerMix != nil, m.Seeds, m.Settings.Scenario.Name,
-		m.RetrainEvery, m.Trace, m.Workers, m.CacheDir, m.Faults != nil, c.pool, c.minDiskHits, c.maxHeap)
+		m.RetrainEvery, m.Trace, m.Workers, m.Faults != nil, c.pool, c.maxHeap)
 	for _, r := range m.Rows {
 		var names []string
 		for _, p := range r.Policies {
@@ -33,56 +33,44 @@ func describe(c *config) string {
 func TestParseCIInvocations(t *testing.T) {
 	const (
 		capStream = "FaaSCache,LCS: event -> [streamed x2 streamed x5 streamed x16]"
-		spes2     = "SPES: dense -> [event sharded x2 streamed x2 sharded x2 cached (cold) sharded x2 cached (warm)]"
-		spes3     = "SPES: dense -> [event sharded x3 streamed x3 sharded x3 cached (cold) sharded x3 cached (warm)]"
-		spes4     = "SPES: dense -> [event sharded x4 streamed x4 sharded x4 cached (cold) sharded x4 cached (warm)]"
+		spes2     = "SPES: dense -> [event sharded x2 streamed x2]"
+		spes3     = "SPES: dense -> [event sharded x3 streamed x3]"
+		spes4     = "SPES: dense -> [event sharded x4 streamed x4]"
 	)
 	for _, c := range []struct{ args, want string }{
 		{"-stream -capacity",
-			`fn=400 days=6/8 sparse=false seeds=[1 2 3] scenario="" retrain=0 trace="" workers=0 cache="" faults=false pool=133 mindiskhits=0 maxheap=0` +
+			`fn=400 days=6/8 sparse=false seeds=[1 2 3] scenario="" retrain=0 trace="" workers=0 faults=false pool=133 maxheap=0` +
 				"\n" + capStream + "\n" + spes4},
 		{"-functions 600 -scenario drift -retrain-every 1440 -shards 2 -stream -seeds 2",
-			`fn=600 days=6/8 sparse=false seeds=[1 2] scenario="drift" retrain=1440 trace="" workers=0 cache="" faults=false pool=200 mindiskhits=0 maxheap=0` +
+			`fn=600 days=6/8 sparse=false seeds=[1 2] scenario="drift" retrain=1440 trace="" workers=0 faults=false pool=200 maxheap=0` +
 				"\n" + spes2},
 		{"-functions 600 -scenario churn -retrain-every 1440 -shards 2 -stream -seeds 2",
-			`fn=600 days=6/8 sparse=false seeds=[1 2] scenario="churn" retrain=1440 trace="" workers=0 cache="" faults=false pool=200 mindiskhits=0 maxheap=0` +
+			`fn=600 days=6/8 sparse=false seeds=[1 2] scenario="churn" retrain=1440 trace="" workers=0 faults=false pool=200 maxheap=0` +
 				"\n" + spes2},
 		{"-streamonly -functions 100000 -sparse -shards 16 -seeds 1 -workers 2 -maxheap 450000000",
-			`fn=100000 days=6/8 sparse=true seeds=[1] scenario="" retrain=0 trace="" workers=2 cache="" faults=false pool=33333 mindiskhits=0 maxheap=450000000` +
+			`fn=100000 days=6/8 sparse=true seeds=[1] scenario="" retrain=0 trace="" workers=2 faults=false pool=33333 maxheap=450000000` +
 				"\nSPES: streamed x16 -> [streamed x32]"},
-		{"-stream -seeds 1 -cache-dir .sweepcache",
-			`fn=400 days=6/8 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 cache=".sweepcache" faults=false pool=133 mindiskhits=0 maxheap=0` +
-				"\n" + spes4},
-		{"-stream -seeds 1 -cache-dir .sweepcache -mindiskhits 4",
-			`fn=400 days=6/8 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 cache=".sweepcache" faults=false pool=133 mindiskhits=4 maxheap=0` +
-				"\n" + spes4},
-		{"-stream -seeds 1 -cache-dir .sweepcache -retrain-every 1440",
-			`fn=400 days=6/8 sparse=false seeds=[1] scenario="" retrain=1440 trace="" workers=0 cache=".sweepcache" faults=false pool=133 mindiskhits=0 maxheap=0` +
-				"\n" + spes4},
-		{"-stream -seeds 1 -cache-dir .sweepcache -retrain-every 1440 -mindiskhits 4",
-			`fn=400 days=6/8 sparse=false seeds=[1] scenario="" retrain=1440 trace="" workers=0 cache=".sweepcache" faults=false pool=133 mindiskhits=4 maxheap=0` +
-				"\n" + spes4},
 		{"-functions 600 -shards 4 -seeds 1 -stream -faults 2",
-			`fn=600 days=6/8 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 cache="" faults=true pool=200 mindiskhits=0 maxheap=0` +
+			`fn=600 days=6/8 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 faults=true pool=200 maxheap=0` +
 				"\n" + spes4},
 		{"-ingest testdata/azure_sample.csv -train-days 3 -shards 4",
-			`fn=400 days=3/8 sparse=false seeds=[] scenario="" retrain=0 trace="testdata/azure_sample.csv" workers=0 cache="" faults=false pool=133 mindiskhits=0 maxheap=0` +
-				"\nSPES,FixedKeepAlive: event -> [sharded x4 store (cold) x4 store (warm) x4 store (warm) x4 cached (cold) store (warm) x4 cached (warm)]"},
+			`fn=400 days=3/8 sparse=false seeds=[] scenario="" retrain=0 trace="testdata/azure_sample.csv" workers=0 faults=false pool=133 maxheap=0` +
+				"\nSPES,FixedKeepAlive: event -> [sharded x4 store (cold) x4 store (warm) x4]"},
 		{"-functions 300 -days 6 -train-days 4 -seeds 2 -shards 3 -stream -scenario churn -retrain-every 1440",
-			`fn=300 days=4/6 sparse=false seeds=[1 2] scenario="churn" retrain=1440 trace="" workers=0 cache="" faults=false pool=100 mindiskhits=0 maxheap=0` +
+			`fn=300 days=4/6 sparse=false seeds=[1 2] scenario="churn" retrain=1440 trace="" workers=0 faults=false pool=100 maxheap=0` +
 				"\n" + spes3},
 		{"-functions 300 -days 6 -train-days 4 -seeds 2 -shards 3 -stream -capacity",
-			`fn=300 days=4/6 sparse=false seeds=[1 2] scenario="" retrain=0 trace="" workers=0 cache="" faults=false pool=100 mindiskhits=0 maxheap=0` +
+			`fn=300 days=4/6 sparse=false seeds=[1 2] scenario="" retrain=0 trace="" workers=0 faults=false pool=100 maxheap=0` +
 				"\n" + capStream + "\n" + spes3},
 		{"-functions 300 -days 6 -train-days 4 -seeds 1 -shards 3 -stream -faults 1",
-			`fn=300 days=4/6 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 cache="" faults=true pool=100 mindiskhits=0 maxheap=0` +
+			`fn=300 days=4/6 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 faults=true pool=100 maxheap=0` +
 				"\n" + spes3},
 		// Not in CI: the default, and -capacity over the materialized pair.
 		{"",
-			`fn=400 days=6/8 sparse=false seeds=[1 2 3] scenario="" retrain=0 trace="" workers=0 cache="" faults=false pool=133 mindiskhits=0 maxheap=0` +
+			`fn=400 days=6/8 sparse=false seeds=[1 2 3] scenario="" retrain=0 trace="" workers=0 faults=false pool=133 maxheap=0` +
 				"\nSPES: dense -> [event sharded x4]"},
 		{"-capacity -shards 0 -seeds 1",
-			`fn=400 days=6/8 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 cache="" faults=false pool=133 mindiskhits=0 maxheap=0` +
+			`fn=400 days=6/8 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 faults=false pool=133 maxheap=0` +
 				"\nFaaSCache,LCS: event -> [sharded x2 sharded x5 sharded x16]\nSPES: dense -> [event]"},
 	} {
 		cfg, err := parse(strings.Fields(c.args))
@@ -102,15 +90,14 @@ func TestParseRejects(t *testing.T) {
 	const csv = "-ingest testdata/azure_sample.csv -train-days 3 "
 	for _, args := range []string{
 		csv + "-stream", csv + "-streamonly", csv + "-capacity", csv + "-scenario drift", csv + "-faults 1",
-		csv + "-retrain-every 1440", csv + "-cache-dir d", csv + "-mindiskhits 4", csv + "-mindiskhits -1",
+		csv + "-retrain-every 1440",
 		csv + "-shards 1", csv + "-shards -1", csv + "-workers -3",
 		"-functions 0", "-days 6 -train-days 6", "-scenario nosuch",
 		"-seeds 0", "-shards -1", "-workers -1",
 		"-stream -shards 1",
-		"-mindiskhits 4", "-stream -mindiskhits -1", "-mindiskhits -1",
-		"-streamonly -capacity", "-streamonly -stream", "-streamonly -cache-dir d", "-streamonly -mindiskhits 4",
+		"-streamonly -capacity", "-streamonly -stream",
 		"-retrain-every -1",
-		"-faults 1", "-stream -faults 1 -mindiskhits 4",
+		"-faults 1",
 		"-streamonly -shards 0",
 	} {
 		if _, err := parse(strings.Fields(args)); err == nil {

@@ -19,7 +19,6 @@ func main() {
 	s := experiments.DefaultSettings()
 	s.RegisterFlags(flag.CommandLine, "functions", "days", "train-days", "seed")
 	fig := flag.String("fig", "all", "figure id ("+strings.Join(experiments.IDs(), ",")+") or 'all'")
-	flag.StringVar(&s.CacheDir, "cache-dir", "", "persist the sweep runners' shard cache to this directory (Figure 13 sweeps restore cached shard outcomes across process restarts)")
 	flag.Parse()
 
 	if err := run(s, *fig); err != nil {

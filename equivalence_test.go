@@ -1,11 +1,11 @@
 // Equivalence tests: each comparing test is one internal/eqv matrix, the
 // harness cmd/eqvcheck runs at larger sizes; the rest pin contracts around
-// the engines (error types, cache-key separation, fingerprints).
+// the engines (error types, retraining's effect).
 package main
 
 import (
 	"errors"
-	"strings"
+	"fmt"
 	"testing"
 
 	"repro/internal/baselines"
@@ -69,7 +69,20 @@ func checkMatrix(t *testing.T, m eqv.Matrix) {
 func TestSPESEventEngineEquivalence(t *testing.T) {
 	check(t, small("", 1, 2, 3), []eqv.Policy{eqv.SPES()}, eqv.DenseByScan,
 		eqv.Event, eqv.Scan, eqv.Dense, eqv.Sharded(2), eqv.Sharded(5),
-		eqv.Streamed(1), eqv.Streamed(2), eqv.Streamed(5), eqv.Streamed(5).Cold())
+		eqv.Streamed(1), eqv.Streamed(2), eqv.Streamed(5))
+}
+
+// theta is SPES with the given pre-warm threshold: one sweep point.
+func theta(th int) eqv.Policy {
+	cfg := core.DefaultConfig()
+	cfg.Classify.ThetaPrewarm = th
+	return eqv.Policy{Name: fmt.Sprintf("SPES theta=%d", th), New: func() sim.Policy { return core.New(cfg) }}
+}
+
+// TestStreamedSweepMatchesMaterialized: each point of a theta sweep
+// streamed over a generator source matches its materialized run.
+func TestStreamedSweepMatchesMaterialized(t *testing.T) {
+	check(t, small("", 13), []eqv.Policy{theta(1), theta(2)}, eqv.Event, eqv.Streamed(4))
 }
 
 // TestShardedBaselineEquivalence: every baseline under Options.Shards
@@ -91,9 +104,7 @@ func TestCapacityShardedEquivalence(t *testing.T) {
 }
 
 // TestCapacityShardingContracts: an unshardable policy fails with
-// ErrNotShardable (through RunAll, whose other results stay usable), and a
-// cache on a capacity run is refused with an ErrCapacityCoupled error that
-// names the policy.
+// ErrNotShardable, through RunAll too, whose other results stay usable.
 func TestCapacityShardingContracts(t *testing.T) {
 	train, simTr := buildWorkload(t, eqvSettings(3))
 	_, err := sim.Run(eqv.ScanOnly(baselines.NewFixedKeepAlive(10)), train, simTr, sim.Options{Shards: 2})
@@ -107,17 +118,6 @@ func TestCapacityShardingContracts(t *testing.T) {
 	}
 	if results[0] != nil || results[1] == nil {
 		t.Errorf("RunAll partial results: got [%v, %v], want [nil, result]", results[0], results[1])
-	}
-	cache, err := sim.OpenShardCache(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = sim.Run(baselines.NewFaaSCache(30), train, simTr, sim.Options{Shards: 2, Cache: cache})
-	if !errors.Is(err, sim.ErrCapacityCoupled) {
-		t.Errorf("cached capacity run: got %v, want errors.Is ErrCapacityCoupled", err)
-	}
-	if err == nil || !strings.Contains(err.Error(), "policy FaaSCache") {
-		t.Errorf("cached capacity run: got %v, want a refusal naming FaaSCache", err)
 	}
 }
 
@@ -184,7 +184,7 @@ func TestScenarioRetrainEquivalence(t *testing.T) {
 			w := small(scenario, 1, 2)
 			w.RetrainEvery = retrainEvery
 			check(t, w, []eqv.Policy{eqv.SPES()}, eqv.DenseByScan, eqv.Event, eqv.Dense, eqv.Sharded(3),
-				eqv.Streamed(2), eqv.Streamed(2).Cold(), eqv.Streamed(2).Warm())
+				eqv.Streamed(2))
 		}
 	}
 }
@@ -211,76 +211,6 @@ func TestRetrainChangesOutcomeUnderChurn(t *testing.T) {
 	}
 	if plain.TotalColdStarts == retrained.TotalColdStarts && plain.TotalWMT == retrained.TotalWMT {
 		t.Fatalf("retraining changed nothing under churn: cold=%d wmt=%d", plain.TotalColdStarts, plain.TotalWMT)
-	}
-}
-
-// TestRetrainCacheKeySeparation: retrain-enabled and plain runs over the
-// same shards never share entries, and each replays its own from a warm
-// cache and from a fresh handle on the same directory.
-func TestRetrainCacheKeySeparation(t *testing.T) {
-	train, simTr := churn(t)
-	dir := t.TempDir()
-	open := func() *sim.ShardCache {
-		c, err := sim.OpenShardCache(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return c
-	}
-	const shards = 3
-	run := func(c *sim.ShardCache, label string, retrain int, hits, misses int64) *sim.Result {
-		t.Helper()
-		before := c.Stats()
-		r, err := sim.Run(core.New(core.DefaultConfig()), train, simTr,
-			sim.Options{Shards: shards, Cache: c, RetrainEvery: retrain})
-		if err != nil {
-			t.Fatal(err)
-		}
-		traffic(t, label, c, before, hits, misses)
-		return r
-	}
-
-	cache := open()
-	plain := run(cache, "plain cold pass", 0, 0, shards)
-	retrained := run(cache, "retrain pass (must not hit plain entries)", 1440, 0, shards)
-	if plain.TotalColdStarts == retrained.TotalColdStarts && plain.TotalWMT == retrained.TotalWMT {
-		t.Fatal("retrain-enabled run reproduced the plain run; key separation untestable")
-	}
-	assertSameResult(t, "warm retrain replay", retrained, run(cache, "warm retrain pass", 1440, shards, 0))
-	// A restarted process (a fresh handle on the same entry directory)
-	// must be served each mode's own entries.
-	assertSameResult(t, "restart replay retrain=1440", retrained, run(open(), "restart retrain=1440", 1440, shards, 0))
-	assertSameResult(t, "restart replay retrain=0", plain, run(open(), "restart retrain=0", 0, shards, 0))
-}
-
-// TestSteadyScenarioSharesCacheKeys: "steady" fingerprints its shards (a
-// cache-key part) like no scenario at all, so stationary sweeps keep their
-// entries, while a phased scenario fingerprints apart.
-func TestSteadyScenarioSharesCacheKeys(t *testing.T) {
-	fingerprints := func(scenario string) (fp [2]uint64) {
-		s := eqvSettings(1)
-		if scenario != "" {
-			if err := s.ApplyScenario(scenario); err != nil {
-				t.Fatal(err)
-			}
-		}
-		src, err := experiments.StreamSource(s, len(fp))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range fp {
-			fp[i] = src.ShardFingerprint(i)
-		}
-		return fp
-	}
-	plain, steady, drift := fingerprints(""), fingerprints("steady"), fingerprints("drift")
-	for i := range plain {
-		if steady[i] != plain[i] {
-			t.Errorf("shard %d: steady fingerprint %x != plain %x (stationary cache keys split)", i, steady[i], plain[i])
-		}
-		if drift[i] == plain[i] {
-			t.Errorf("shard %d: drift fingerprint collides with plain", i)
-		}
 	}
 }
 

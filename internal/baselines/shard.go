@@ -26,29 +26,3 @@ func (p *Hybrid) NewShard() sim.Policy {
 
 // NewShard implements sim.ShardedPolicy.
 func (p *Defuse) NewShard() sim.Policy { return NewDefuse(p.cfg) }
-
-// Shard-cache support (sim.ConfigHasher). Each hash covers the policy's
-// complete behaviour-affecting configuration via sim.HashConfig, so adding
-// a config field invalidates old cache entries automatically. The
-// capacity-coupled baselines have none: a ShardCache attached to their
-// runs is refused (an error wrapping sim.ErrCapacityCoupled) before any key
-// is formed.
-
-// ConfigHash implements sim.ConfigHasher: the keep-alive window is the whole
-// configuration.
-func (p *FixedKeepAlive) ConfigHash() uint64 {
-	return sim.HashConfig(struct{ KeepAlive int }{p.keepAlive})
-}
-
-// ConfigHash implements sim.ConfigHasher. appWise is part of the hash even
-// though HF and HA also differ by Name(): the key must stay correct if the
-// names ever converge.
-func (p *Hybrid) ConfigHash() uint64 {
-	return sim.HashConfig(struct {
-		Cfg     HybridConfig
-		AppWise bool
-	}{p.cfg, p.appWise})
-}
-
-// ConfigHash implements sim.ConfigHasher.
-func (p *Defuse) ConfigHash() uint64 { return sim.HashConfig(p.cfg) }

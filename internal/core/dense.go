@@ -10,8 +10,8 @@ import (
 // behind the root tests and cmd/eqvcheck) holds the event-driven SPES to,
 // bit for bit, and nothing else: it shares the provision state and predicates with SPES
 // but implements only sim.Policy, LoadDeltaTracker, TypeTagger and
-// Retrainer — no NewShard, ConfigHash, NextWake or EncodeState — so it
-// cannot be sharded, cached, idle-skipped, snapshotted or served.
+// Retrainer — no NewShard, NextWake or EncodeState — so it cannot be
+// sharded, idle-skipped, snapshotted or served.
 type DenseReference struct{ provision }
 
 var _ interface {

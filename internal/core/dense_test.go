@@ -8,15 +8,12 @@ import (
 )
 
 // TestDenseReferenceIsOnlyAReference: the reference must not be shardable,
-// cacheable, idle-skippable or snapshottable — by its method set, not by a
-// value someone can set.
+// idle-skippable or snapshottable — by its method set, not by a value
+// someone can set.
 func TestDenseReferenceIsOnlyAReference(t *testing.T) {
 	var p sim.Policy = NewDenseReference(DefaultConfig())
 	if _, ok := p.(sim.ShardedPolicy); ok {
 		t.Error("DenseReference implements sim.ShardedPolicy")
-	}
-	if _, ok := p.(sim.ConfigHasher); ok {
-		t.Error("DenseReference implements sim.ConfigHasher")
 	}
 	if _, ok := p.(sim.IdleSkipper); ok {
 		t.Error("DenseReference implements sim.IdleSkipper")

@@ -75,7 +75,7 @@ var st1ConfigType = func() reflect.Type {
 
 // st1ConfigHash is the config fingerprint EncodeState writes and RestoreState
 // verifies: sim.HashConfig over st1ConfigType filled from cfg, the engine tag
-// false. (The shard-cache key, SPES.ConfigHash, hashes Config as it is.)
+// false.
 func st1ConfigHash(cfg Config) uint64 {
 	live := reflect.ValueOf(cfg)
 	frozen := reflect.New(st1ConfigType).Elem()

@@ -67,7 +67,7 @@ type listener struct {
 // decide. It implements the engine-independent part of sim.Policy plus
 // sim.TypeTagger and sim.LoadDeltaTracker (the loaded set and its flip log
 // are the embedded sim.LoadedSet); Tick, and everything that makes a policy
-// shardable, cacheable, skippable or snapshottable, belongs to SPES.
+// shardable, skippable or snapshottable, belongs to SPES.
 type provision struct {
 	sim.LoadedSet // MemSet
 
@@ -152,11 +152,9 @@ func (s *provision) Name() string { return "SPES" }
 func (s *SPES) NewShard() sim.Policy { return New(s.cfg) }
 
 // ConfigHash implements sim.ConfigHasher: a content hash of the complete
-// Config — classification thresholds, provision parameters and every
-// ablation switch — so the shard cache can tell any two behaviourally
-// distinct SPES configurations apart. sim.HashConfig
-// walks every field reflectively; fields added to Config (or
-// classify.Config) are hashed automatically.
+// Config (sim.HashConfig walks every field reflectively). No engine reads
+// it; it stays only because the benchmark asserts that its traced SPES
+// forwards sim.ConfigHasher.
 func (s *SPES) ConfigHash() uint64 { return sim.HashConfig(s.cfg) }
 
 // alloc sizes the per-function state for n functions and resolves the

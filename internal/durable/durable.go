@@ -1,6 +1,5 @@
 // Package durable is the one durable-file layer under every persistent
-// format in the tree: the sweep disk cache (internal/sim),
-// the serving daemon's write-ahead log and snapshots (internal/serve), the
+// format in the tree: the serving daemon's write-ahead log and snapshots (internal/serve), the
 // policy state blob (internal/core) and the columnar trace store
 // (internal/trace). It holds exactly one of each mechanism those formats
 // share — the filesystem seam, the atomic file commit, the orphaned-temp

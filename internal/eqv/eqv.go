@@ -9,7 +9,6 @@
 package eqv
 
 import (
-	"cmp"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,14 +17,13 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/core"
-	"repro/internal/durable"
 	"repro/internal/experiments"
 	"repro/internal/faultinject"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// The store doors stream a trace.StoreSource: it must run and key a cache.
+// The store doors stream a trace.StoreSource.
 var _ sim.Source = (*trace.StoreSource)(nil)
 
 // Workload is what every row of a Matrix simulates, once per seed.
@@ -39,11 +37,9 @@ type Workload struct {
 // Matrix is one workload, the rows compared over it, and how runs execute.
 type Matrix struct {
 	Workload
-	Rows     []Row
-	Workers  int                   // sim.Options.Workers of every run
-	CacheDir string                // the cached engines' entry directory ("": a fresh one, so cold passes must miss)
-	Faults   *faultinject.Injector // non-nil: every engine but the reference runs under it (worker hook, cache FS)
-	Stop     <-chan struct{}       // sim.Options.Stop of every run
+	Rows    []Row
+	Workers int                   // sim.Options.Workers of every run
+	Faults  *faultinject.Injector // non-nil: every engine but the reference runs under it as the shard fault hook
 }
 
 // Row holds every engine to Ref for every policy, a fresh instance per run.
@@ -72,8 +68,7 @@ type Engine struct {
 	scan   bool  // behind ScanOnly
 	door   uint8
 	shards int
-	cache  string // "", "cold" or "warm": through a fresh handle on the cache directory
-	runAll bool   // the row's whole roster through one sim.RunAll
+	runAll bool // the row's whole roster through one sim.RunAll
 }
 
 const (
@@ -98,11 +93,6 @@ func StoreCold(p int) Engine { return Engine{door: storeCold, shards: p} }
 func StoreWarm(p int) Engine { return Engine{door: storeWarm, shards: p} }
 func RunAll(p int) Engine    { return Engine{shards: p, runAll: true} }
 
-// Cold and Warm run e through the cache: a cold pass must look each shard
-// up once (all misses in a fresh directory), a warm pass must hit them all.
-func (e Engine) Cold() Engine { e.cache = "cold"; return e }
-func (e Engine) Warm() Engine { e.cache = "warm"; return e }
-
 func (e Engine) String() string {
 	s := [...]string{"event", "dense", "oracle"}[e.impl]
 	if e.scan {
@@ -114,9 +104,6 @@ func (e Engine) String() string {
 	}
 	if e.runAll {
 		s = "RunAll " + s
-	}
-	if e.cache != "" {
-		s += " cached (" + e.cache + ")"
 	}
 	return s
 }
@@ -137,7 +124,6 @@ func (e Engine) policy(p Policy) sim.Policy {
 type Report struct {
 	Refs       []Ref // every reference result, in run order (seed, row, policy)
 	Mismatches []Mismatch
-	ColdHits   int64              // shard entries the cold cache passes were served
 	Ingested   *trace.IngestStats // the store doors' ingest of Workload.Trace
 }
 
@@ -154,15 +140,15 @@ type Mismatch struct{ Label, Diff string }
 func (m Mismatch) String() string { return m.Label + ": MISMATCH\n" + m.Diff }
 
 // Check runs every row of m for every seed and returns the mismatches. An
-// error is a run that failed, a degenerate reference, an ingest that lost
-// functions or slots, or cache traffic off its pass's contract.
+// error is a run that failed, a degenerate reference, or an ingest that
+// lost functions or slots.
 func Check(m Matrix) (*Report, error) {
 	tmp, err := os.MkdirTemp("", "eqv-*")
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(tmp)
-	c := &checker{m: m, dir: cmp.Or(m.CacheDir, tmp), tmp: tmp}
+	c := &checker{m: m, tmp: tmp}
 	seeds := m.Seeds
 	if len(seeds) == 0 {
 		seeds = []int64{m.Settings.Seed}
@@ -187,12 +173,12 @@ func Check(m Matrix) (*Report, error) {
 }
 
 type checker struct {
-	m        Matrix
-	rep      Report
-	dir, tmp string // cache entry directory; this Check's own, holding store-<p>
-	s        experiments.Settings
-	at       string // the current seed's label prefix
-	doors    map[Engine]*experiments.Workload
+	m     Matrix
+	rep   Report
+	tmp   string // this Check's own directory, holding store-<p>
+	s     experiments.Settings
+	at    string // the current seed's label prefix
+	doors map[Engine]*experiments.Workload
 }
 
 func (c *checker) label(p Policy, e Engine) string { return fmt.Sprintf("%s: %s: %s", c.at, p.Name, e) }
@@ -235,13 +221,12 @@ func (c *checker) run(e Engine, ps []Policy, faulted bool) ([]*sim.Result, error
 	if err != nil {
 		return nil, err
 	}
-	opts := sim.Options{Workers: c.m.Workers, RetrainEvery: c.m.RetrainEvery, Stop: c.m.Stop}
+	opts := sim.Options{Workers: c.m.Workers, RetrainEvery: c.m.RetrainEvery}
 	if e.door == materialized {
 		opts.Shards = e.shards
 	}
-	var fsys durable.FS = durable.OS{}
-	if inj := c.m.Faults; faulted && inj != nil {
-		opts.FaultHook, fsys = inj, inj.FS()
+	if faulted && c.m.Faults != nil {
+		opts.FaultHook = c.m.Faults
 	}
 	impls := make([]sim.Policy, len(ps))
 	for i, p := range ps {
@@ -257,16 +242,7 @@ func (c *checker) run(e Engine, ps []Policy, faulted bool) ([]*sim.Result, error
 		if p == nil || e.runAll {
 			continue
 		}
-		if e.cache != "" {
-			if opts.Cache, err = sim.OpenShardCacheFS(c.dir, fsys); err != nil {
-				return nil, err
-			}
-		}
-		res[i], err = w.Run(p, opts)
-		if err == nil && e.cache != "" {
-			err = c.traffic(e, opts.Cache.Stats(), opts.FaultHook != nil)
-		}
-		if err != nil {
+		if res[i], err = w.Run(p, opts); err != nil {
 			return nil, fmt.Errorf("%s: %w", c.label(ps[i], e), err)
 		}
 	}
@@ -279,24 +255,6 @@ func (c *checker) run(e Engine, ps []Policy, faulted bool) ([]*sim.Result, error
 		}
 	}
 	return res, nil
-}
-
-// traffic holds one cached run to its pass's contract. Under injected
-// faults a failed read re-simulates and a failed store leaves a later
-// miss, so there only the cold hits are counted.
-func (c *checker) traffic(e Engine, st sim.CacheStats, faulted bool) error {
-	if e.cache == "cold" {
-		c.rep.ColdHits += st.Hits
-	}
-	n := int64(e.shards)
-	ok := st.Hits+st.Misses == n && (c.dir != c.tmp || st.Hits == 0)
-	if e.cache == "warm" {
-		ok = st.Hits == n && st.Misses == 0
-	}
-	if faulted || ok {
-		return nil
-	}
-	return fmt.Errorf("cache traffic %+v, want %d lookups (all misses cold in a fresh directory, all hits warm)", st, n)
 }
 
 // door opens e's workload for the current seed, once per seed.
@@ -403,7 +361,7 @@ func Materialize(s experiments.Settings) (*experiments.Workload, error) {
 }
 
 // ScanOnly hides p's LoadDeltaTracker and every other optional interface
-// (NextWake, NewShard, ConfigHash) but TypeTagger and Retrainer, so the
+// (NextWake, NewShard) but TypeTagger and Retrainer, so the
 // simulator derives p's deltas from a per-slot Loaded scan and ticks every
 // slot: the reference for delta logs and idle-span skipping.
 func ScanOnly(p sim.Policy) sim.Policy {

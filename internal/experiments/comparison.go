@@ -67,7 +67,7 @@ var comparisonCache = map[uint64]*Comparison{}
 
 // cacheKey hashes everything that determines a comparison: the generated
 // workload (scale, seed, trigger mix, scenario), the split and the SPES
-// configuration. CacheDir, an execution knob, never changes a result.
+// configuration.
 func (s Settings) cacheKey() uint64 {
 	return sim.HashConfig(struct {
 		Workload  trace.GeneratorConfig

@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestSettingsValidate(t *testing.T) {
@@ -179,50 +176,5 @@ func TestCORStatsDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Errorf("CORStats differs between two calls with equal Settings:\n%s\nvs\n%s", a.String(), b.String())
-	}
-}
-
-// TestFig13aCacheDirByteIdentical: the Figure 13(a) sweep prints the same
-// bytes with no cache directory, a cold one and a warm one, and the warm run
-// is all hits — it rewrites no entry, which every miss would (a miss stores
-// its freshly simulated outcome).
-func TestFig13aCacheDirByteIdentical(t *testing.T) {
-	s := QuickSettings()
-	s.Functions = 150
-	fig := func(cacheDir string) string {
-		t.Helper()
-		s.CacheDir = cacheDir
-		var buf bytes.Buffer
-		if err := Fig13a(&buf, s); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	plain := fig("")
-	dir := t.TempDir()
-	if cold := fig(dir); cold != plain {
-		t.Fatalf("cold cache dir changed the output:\n%s\nwant:\n%s", cold, plain)
-	}
-	entries, err := filepath.Glob(filepath.Join(dir, "shard-*"))
-	if err != nil || len(entries) != 5*4 {
-		t.Fatalf("cold run left %d entries (err %v), want one per point and shard (20)", len(entries), err)
-	}
-	old := time.Now().Add(-time.Hour).Truncate(time.Second)
-	for _, e := range entries {
-		if err := os.Chtimes(e, old, old); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if warm := fig(dir); warm != plain {
-		t.Fatalf("warm cache dir changed the output:\n%s\nwant:\n%s", warm, plain)
-	}
-	after, err := filepath.Glob(filepath.Join(dir, "shard-*"))
-	if err != nil || len(after) != len(entries) {
-		t.Fatalf("warm run changed the entry count: %d -> %d (err %v)", len(entries), len(after), err)
-	}
-	for _, e := range after {
-		if fi, err := os.Stat(e); err != nil || !fi.ModTime().Equal(old) {
-			t.Errorf("warm run rewrote %s (a miss): %v", filepath.Base(e), err)
-		}
 	}
 }

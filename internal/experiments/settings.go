@@ -39,13 +39,6 @@ type Settings struct {
 	// pending library name: Validate checks it, and every workload
 	// constructor positions it at the split before generating.
 	Scenario trace.ScenarioConfig
-
-	// CacheDir, when non-empty, is the entry directory of the sweep
-	// runners' shard cache (sim.OpenShardCache), so a re-run of the Figure
-	// 13 sweeps in a fresh process — same settings — reads shard outcomes
-	// instead of re-simulating them. Entries are content-keyed; results are
-	// bit-identical with or without the directory.
-	CacheDir string
 }
 
 // DefaultSettings returns a laptop-scale default: the full 14-day horizon
@@ -190,8 +183,8 @@ func StreamSource(s Settings, shards int) (*sim.GeneratorSource, error) {
 // trace.ScenarioNames), positioned at these settings' train/sim split and
 // seeded with the CURRENT workload seed — callers varying s.Seed across
 // runs must re-apply so the scenario cohorts vary with it. "steady" (or
-// "") leaves s.Scenario the zero value, bit-compatible (and cache-key-
-// compatible) with never having called this.
+// "") leaves s.Scenario the zero value, bit-compatible (and
+// hash-compatible) with never having called this.
 func (s *Settings) ApplyScenario(name string) error {
 	if name == "" {
 		name = "steady"

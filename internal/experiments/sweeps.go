@@ -22,25 +22,17 @@ type sweepPoint struct {
 // partitions the workload once for all of them (bit-identical to unsharded
 // runs), and renders a (param, normalized memory, Q3-CSR) table. Memory is
 // normalized to the baseline point, which need not come first; footer
-// lines follow the table. With Settings.CacheDir set, shard outcomes are
-// cached in that directory, so repeating a sweep in a restarted process
-// re-simulates nothing.
+// lines follow the table.
 func runNormalizedSweep(w io.Writer, s Settings, title, header string, pts []sweepPoint, footer ...string) error {
 	_, train, simTr, err := BuildWorkload(s)
 	if err != nil {
 		return err
 	}
-	opts := sim.Options{Shards: 4}
-	if s.CacheDir != "" {
-		if opts.Cache, err = sim.OpenShardCache(s.CacheDir); err != nil {
-			return err
-		}
-	}
 	policies := make([]sim.Policy, len(pts))
 	for i, p := range pts {
 		policies[i] = core.New(p.cfg)
 	}
-	results, err := sim.RunAll(policies, train, simTr, opts)
+	results, err := sim.RunAll(policies, train, simTr, sim.Options{Shards: 4})
 	if err != nil {
 		return err
 	}

@@ -8,7 +8,7 @@
 // Determinism model: every injection decision is a pure hash of (seed,
 // fault site, subject, sequence) — never a stateful RNG draw — so the
 // schedule does not depend on goroutine interleaving across subjects. The
-// subject is chosen to be stable: final entry filenames for reads and
+// subject is chosen to be stable: final file names for reads and
 // renames, the content hash of the bytes being written for temp-file
 // writes (temp names embed a random component, content does not), and the
 // shard index for worker faults. The sequence is a per-subject counter, so
@@ -61,18 +61,12 @@ type Config struct {
 	TornSnapshot    int           // writes to CreateTemp files (every snapshot commit) persisting only a prefix (lying disk: the rename still lands); append files are never torn by it
 }
 
-// Default returns aggressive-but-recoverable rates: high enough that a
-// small run draws every fault class, low enough that bounded retries and
-// the corrupt-entry-is-a-miss rule keep the run completing. Used by
-// `eqvcheck -faults` (its internal/eqv matrix's Faults) and the faultsmoke
-// CI job.
+// Default returns aggressive-but-recoverable shard-worker rates: high
+// enough that a small run draws both worker classes, low enough that
+// bounded retries keep the run completing. Used by `eqvcheck -faults` (its
+// internal/eqv matrix's Faults) and the faultsmoke CI job.
 func Default() Config {
 	return Config{
-		ReadErr:     150,
-		BitFlip:     150,
-		WriteErr:    150,
-		ShortWrite:  150,
-		RenameErr:   100,
 		WorkerPanic: 300,
 		SlowShard:   200,
 		SlowDelay:   5 * time.Millisecond,
@@ -95,11 +89,11 @@ func ServeDefault() Config {
 }
 
 // Error is an injected fault, distinguishable from real I/O errors and
-// marked transient so the retry layers (shard-cache write retries, shard
-// re-runs) treat it as curable.
+// marked transient so the retry layers (shard re-runs, the serve client's
+// retries) treat it as curable.
 type Error struct {
 	Site    string // fault class ("readerr", "writeerr", "renameerr")
-	Subject string // stable operation subject (entry filename, content hash)
+	Subject string // stable operation subject (file name, content hash)
 	Seq     uint64 // per-subject operation sequence the fault fired on
 }
 

@@ -19,17 +19,12 @@ import (
 	"repro/internal/trace"
 )
 
-// aggressive rates: high enough that a 3-seed mini-sweep draws every fault
-// class (the schedule is a pure hash, so the coverage below is
-// deterministic, not probabilistic flake), low enough that retries and
-// corrupt-is-a-miss keep every run completing.
+// aggressive worker-fault rates: high enough that a 3-seed mini-sweep draws
+// both classes (the schedule is a pure hash, so the coverage below is
+// deterministic, not probabilistic flake), low enough that retries keep
+// every run completing.
 func aggressive() faultinject.Config {
 	return faultinject.Config{
-		ReadErr:     400,
-		BitFlip:     400,
-		WriteErr:    400,
-		ShortWrite:  400,
-		RenameErr:   300,
 		WorkerPanic: 500,
 		SlowShard:   300,
 		SlowDelay:   time.Millisecond,
@@ -40,47 +35,39 @@ const shards = 4
 
 var thetas = []int{1, 3, 10}
 
-// miniSweep runs a small theta sweep (cold pass, then a restarted-process
-// pass through a fresh handle on the same entry directory) and returns all
-// results. fs is the filesystem seam the cache reads and writes through.
-func miniSweep(t *testing.T, train, simTr *trace.Trace, dir string, fs durable.FS, hook sim.ShardFaultHook) []*sim.Result {
+// miniSweep runs a small sharded theta sweep with hook at the shard-worker
+// boundary and returns its results.
+func miniSweep(t *testing.T, train, simTr *trace.Trace, hook sim.ShardFaultHook) []*sim.Result {
 	t.Helper()
 	var out []*sim.Result
-	for pass := 0; pass < 2; pass++ {
-		cache, err := sim.OpenShardCacheFS(dir, fs)
+	for _, theta := range thetas {
+		cfg := core.DefaultConfig()
+		cfg.Classify.ThetaPrewarm = theta
+		res, err := sim.Run(core.New(cfg), train, simTr, sim.Options{Shards: shards, FaultHook: hook})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("theta %d: %v", theta, err)
 		}
-		opts := sim.Options{Shards: shards, Cache: cache, FaultHook: hook}
-		for _, theta := range thetas {
-			cfg := core.DefaultConfig()
-			cfg.Classify.ThetaPrewarm = theta
-			res, err := sim.Run(core.New(cfg), train, simTr, opts)
-			if err != nil {
-				t.Fatalf("pass %d theta %d: %v", pass, theta, err)
-			}
-			out = append(out, res)
-		}
+		out = append(out, res)
 	}
 	return out
 }
 
 // The harness's reason to exist: for every seed, a run under injected
-// disk faults and worker crashes that completes must be bit-identical to
-// the clean run — and across the seeds, every fault class must actually
-// have fired.
+// worker crashes and slow shards that completes must be bit-identical to
+// the clean run — and across the seeds, both worker fault classes must
+// actually have fired.
 func TestCompletedFaultedRunsBitIdentical(t *testing.T) {
 	s := experiments.SparseSettings(120, 1)
 	_, train, simTr, err := experiments.BuildWorkload(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clean := miniSweep(t, train, simTr, t.TempDir(), nil, nil)
+	clean := miniSweep(t, train, simTr, nil)
 
 	union := make(map[string]int64)
 	for seed := int64(1); seed <= 3; seed++ {
 		inj := faultinject.New(seed, aggressive())
-		faulted := miniSweep(t, train, simTr, t.TempDir(), inj.FS(), inj)
+		faulted := miniSweep(t, train, simTr, inj)
 		for i := range clean {
 			a, b := *clean[i], *faulted[i]
 			a.Overhead, b.Overhead = 0, 0
@@ -96,15 +83,15 @@ func TestCompletedFaultedRunsBitIdentical(t *testing.T) {
 			union[class] += n
 		}
 	}
-	for _, class := range []string{"readerr", "bitflip", "writeerr", "shortwrite", "renameerr", "panic", "slow"} {
+	for _, class := range []string{"panic", "slow"} {
 		if union[class] == 0 {
 			t.Errorf("fault class %q never fired across 3 seeds — raise its rate or the workload size", class)
 		}
 	}
 }
 
-// Same seed, same operations ⇒ same schedule: fault decisions, corrupted
-// bytes, and counts must reproduce exactly across injector instances.
+// Same seed, same operations ⇒ same schedule: fault decisions and counts
+// must reproduce exactly across injector instances.
 func TestScheduleDeterministic(t *testing.T) {
 	s := experiments.SparseSettings(120, 1)
 	_, train, simTr, err := experiments.BuildWorkload(s)
@@ -115,7 +102,7 @@ func TestScheduleDeterministic(t *testing.T) {
 	var results [2][]*sim.Result
 	for run := 0; run < 2; run++ {
 		inj := faultinject.New(99, aggressive())
-		results[run] = miniSweep(t, train, simTr, t.TempDir(), inj.FS(), inj)
+		results[run] = miniSweep(t, train, simTr, inj)
 		counts[run] = inj.Counts()
 	}
 	if !reflect.DeepEqual(counts[0], counts[1]) {
@@ -145,8 +132,8 @@ func TestInjectedErrorsAreTransient(t *testing.T) {
 	}
 }
 
-// Ingestion and the store's read path now run through the same seam as the
-// disk cache, so the same rule is provable for them: under injected write,
+// Ingestion and the store's read path run through the durable.FS seam, so
+// the rule is provable for them: under injected write,
 // rename, read and bit-flip faults an ingest fails outright or leaves a
 // store whose every read is the exact shard or ErrStoreCorrupt — never a
 // wrong shard.

@@ -8,7 +8,7 @@ import (
 
 // FS is the fault-injecting durable.FS: every operation consults the
 // injector's schedule, then (absent a fault) hits the real filesystem.
-// Read faults are keyed by the entry filename, write faults by the content
+// Read faults are keyed by the file name, write faults by the content
 // being written (temp filenames embed a random component; content is
 // stable), rename faults by the destination name — see the package comment
 // for why that makes the schedule reproducible under concurrency. Remove and
@@ -23,13 +23,13 @@ type FS struct {
 
 var _ durable.FS = (*FS)(nil)
 
-// FS returns the injector's filesystem seam, for sim.OpenShardCacheFS,
-// trace.IngestCSVFS / OpenStoreFS and serve.Config.FS.
+// FS returns the injector's filesystem seam, for trace.IngestCSVFS /
+// OpenStoreFS and serve.Config.FS.
 func (in *Injector) FS() *FS { return &FS{in: in} }
 
 // ReadFile implements durable.FS: it may fail with an injected transient
 // error or return a copy of the file with one bit flipped (the checksum on
-// every disk entry must turn that into a miss, never a wrong result).
+// every durable file must turn that into an error, never a wrong result).
 func (fs *FS) ReadFile(name string) ([]byte, error) {
 	base := filepath.Base(name)
 	seq := fs.in.next("read:" + base)
@@ -72,7 +72,7 @@ func (fs *FS) wrap(f durable.File, err error, temp bool) (durable.File, error) {
 }
 
 // Rename implements durable.FS with injected transient failures, keyed by
-// the destination entry name.
+// the destination file name.
 func (fs *FS) Rename(oldpath, newpath string) error {
 	base := filepath.Base(newpath)
 	seq := fs.in.next("rename:" + base)
@@ -92,7 +92,7 @@ type file struct {
 // Write may fail with an injected transient error, or lie: report full
 // length while persisting only a prefix (a silently-truncating disk, drawn
 // as a short write, or as a torn snapshot on a temp file). The lie is only
-// discoverable through the entry checksum on a later read — which is
+// discoverable through the file's checksum on a later read — which is
 // exactly the path under test. Decisions are keyed by a hash of the
 // content, the one stable identity a randomly-named temp file has.
 func (w *file) Write(p []byte) (int, error) {

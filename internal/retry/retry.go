@@ -1,7 +1,7 @@
 // Package retry is the one shared retry/backoff helper behind every
 // bounded-retry loop in the repository: the sharded engine's per-shard
-// re-runs (one fixed policy at the package defaults), the disk cache's staged save retries, and the
-// serving client's ingest retries. The schedule is deliberately jitterless —
+// re-runs (one fixed policy at the package defaults) and the serving
+// client's ingest retries. The schedule is deliberately jitterless —
 // BaseDelay doubled per failure, capped at MaxDelay — so a retry sequence is
 // a pure function of the policy and the attempt number, which is what lets
 // the fault-injection suites assert exact retry behaviour and keeps

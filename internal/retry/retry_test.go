@@ -18,8 +18,8 @@ func TestAttempts(t *testing.T) {
 	}
 }
 
-// TestBackoffSchedule pins the jitterless doubling-with-cap schedule both
-// the shard retries and the disk-cache save retries were built on.
+// TestBackoffSchedule pins the jitterless doubling-with-cap schedule the
+// shard retries are built on, and the doubling from another base.
 func TestBackoffSchedule(t *testing.T) {
 	p := Policy{BaseDelay: 5 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
 	want := []time.Duration{
@@ -32,10 +32,10 @@ func TestBackoffSchedule(t *testing.T) {
 			t.Errorf("backoff(%d) = %v, want %v", i+1, got, w)
 		}
 	}
-	// The disk-cache shape: 2ms base gives 2ms, 4ms before attempts 2 and 3.
+	// A 2ms base gives 2ms, 4ms before attempts 2 and 3.
 	d := Policy{BaseDelay: 2 * time.Millisecond}
 	if d.Backoff(1) != 2*time.Millisecond || d.Backoff(2) != 4*time.Millisecond {
-		t.Errorf("disk-shaped backoff = %v, %v; want 2ms, 4ms", d.Backoff(1), d.Backoff(2))
+		t.Errorf("2ms-base backoff = %v, %v; want 2ms, 4ms", d.Backoff(1), d.Backoff(2))
 	}
 }
 

@@ -676,9 +676,8 @@ func TestRestoreParentWrittenState(t *testing.T) {
 
 // TestNewSweepsOrphanedSnapshotTemps: a daemon killed mid-snapshot leaves
 // its temp file behind; the next start reclaims stale ones and leaves fresh
-// ones (possibly a live writer's) alone — the same durable.Sweep, and the
-// same case, as the disk cache's and the trace store's
-// (sim.TestOpenDiskCacheSweepsOrphanedTempFiles).
+// ones (possibly a live writer's) alone — the same durable.Sweep the trace
+// store runs.
 func TestNewSweepsOrphanedSnapshotTemps(t *testing.T) {
 	dir := t.TempDir()
 	stale, fresh := filepath.Join(dir, ".tmp-snap-dead123"), filepath.Join(dir, ".tmp-snap-live456")

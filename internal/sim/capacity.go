@@ -35,20 +35,14 @@ func runCapacity(cp CapacityPolicy, training, simTrace *trace.Trace, src Source,
 		}
 	}()
 
-	if opts.Cache != nil {
-		return nil, fmt.Errorf("%w: policy %s evicts against a global budget, so a per-shard (config, trace) key does not determine a shard's outcome; run it without a ShardCache", ErrCapacityCoupled, cp.Name())
-	}
 	if budget := cp.Capacity(); budget <= 0 {
 		return nil, fmt.Errorf("sim: policy %s reports capacity %d; the global budget must be positive", cp.Name(), budget)
 	}
 
 	if src != nil {
-		if training, simTrace, err = reassemble(cp.Name(), src, opts); err != nil {
+		if training, simTrace, err = reassemble(cp.Name(), src); err != nil {
 			return nil, err
 		}
-	}
-	if opts.stopped() {
-		return nil, fmt.Errorf("%w: %s stopped before the run started", ErrInterrupted, cp.Name())
 	}
 	return runOne(cp, training, simTrace, opts, nil)
 }
@@ -59,10 +53,10 @@ func runCapacity(cp CapacityPolicy, training, simTrace *trace.Trace, src Source,
 // are shared with the views, not copied, and the two traces share one
 // Functions slice (as trace.Split's do); train is nil when the source has
 // no training half. Production goes through retryShard like the sharded
-// engine's; Stop is polled between productions. Every Source contract
-// clause the scatter depends on is checked, so a broken source is an error
-// naming the shard, never a panic or a silently wrong trace.
-func reassemble(policy string, src Source, opts Options) (train, sim *trace.Trace, err error) {
+// engine's. Every Source contract clause the scatter depends on is checked,
+// so a broken source is an error naming the shard, never a panic or a
+// silently wrong trace.
+func reassemble(policy string, src Source) (train, sim *trace.Trace, err error) {
 	p, n := src.NumShards(), src.NumFunctions()
 	sim = &trace.Trace{
 		Slots:     src.Slots(),
@@ -106,9 +100,6 @@ func reassemble(policy string, src Source, opts Options) (train, sim *trace.Trac
 		return nil
 	}
 	for i := 0; i < p; i++ {
-		if opts.stopped() {
-			return nil, nil, fmt.Errorf("%w: %s stopped after producing %d of %d shards", ErrInterrupted, policy, i, p)
-		}
 		var tv, sv *trace.ShardView
 		if err := retryShard(policy, i, p, func(int) (err error) {
 			if tv, sv, err = src.Shard(i); err != nil {

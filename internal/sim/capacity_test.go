@@ -116,7 +116,7 @@ func (r *recordingSource) Shard(i int) (*trace.ShardView, *trace.ShardView, erro
 func assertReassembles(t *testing.T, label string, src Source, wantTrain, wantSim *trace.Trace) {
 	t.Helper()
 	rec := &recordingSource{Source: src}
-	gotTrain, gotSim, err := reassemble("test", rec, Options{})
+	gotTrain, gotSim, err := reassemble("test", rec)
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -276,27 +276,13 @@ func TestReassembleRejectsBrokenSource(t *testing.T) {
 	}
 }
 
-// TestCapacityEngineValidation covers the capacity path's refusals: a
-// non-positive budget is a configuration error, and a Stop closed before
-// the run (materialized) or before the first production (streamed) returns
-// ErrInterrupted.
+// TestCapacityEngineValidation covers the capacity path's refusal: a
+// non-positive budget is a configuration error.
 func TestCapacityEngineValidation(t *testing.T) {
 	train, simTr := capTestTrace()
 
 	if _, err := Run(&fakeCap{capacity: 0}, train, simTr, Options{Shards: 2}); err == nil {
 		t.Error("capacity 0: want error, got nil")
-	}
-
-	stop := make(chan struct{})
-	close(stop)
-	_, err := Run(&fakeCap{capacity: 9}, train, simTr, Options{Shards: 2, Stop: stop})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Errorf("pre-closed Stop: want ErrInterrupted, got %v", err)
-	}
-	src := &flakySource{shardSet: buildShardSet(train, simTr, 2), failShard: -1}
-	_, err = RunStreamed(&fakeCap{capacity: 9}, src, Options{Stop: stop})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Errorf("pre-closed Stop, streamed: want ErrInterrupted, got %v", err)
 	}
 }
 
@@ -393,7 +379,6 @@ type loggedPolicy struct {
 func (p loggedPolicy) Name() string       { return p.name }
 func (p loggedPolicy) Train(*trace.Trace) { *p.log = append(*p.log, p.name) }
 func (p loggedPolicy) NewShard() Policy   { return p }
-func (p loggedPolicy) ConfigHash() uint64 { return HashConfig(p.name) }
 
 type loggedCap struct{ loggedPolicy }
 

@@ -13,13 +13,6 @@ import (
 // deterministic fault-injection harness (internal/faultinject) plugs into.
 // DESIGN.md "Failure semantics" is the prose form of the contracts here.
 
-// ErrInterrupted is the sentinel wrapped by every error a cancelled run
-// returns: Options.Stop was closed, the in-flight shards were drained (their
-// outcomes cached as usual), and the remaining shards were never started. A
-// caller that sees it can rerun with the same options to resume — completed
-// units are served from the attached cache's entry files.
-var ErrInterrupted = errors.New("sim: run interrupted")
-
 // ErrNotShardable is the sentinel wrapped by the refusal a sharded or
 // streamed run returns when its policy implements neither ShardedPolicy
 // (independent per-shard instances) nor CapacityPolicy (one instance over
@@ -27,14 +20,6 @@ var ErrInterrupted = errors.New("sim: run interrupted")
 // survives RunAll's per-policy wrapping — typically to fall back to an
 // unsharded run rather than report a failure.
 var ErrNotShardable = errors.New("sim: policy not shardable")
-
-// ErrCapacityCoupled is the sentinel a capacity run's refusal wraps: a
-// ShardCache was attached to a sharded or streamed run of a
-// capacity-coupled policy, which has no per-shard outcomes to key (see
-// DESIGN.md "Capacity-coupled policies"). The refusal is explicit rather
-// than a silent bypass because a silently ignored cache would mask a
-// misconfigured sweep.
-var ErrCapacityCoupled = errors.New("sim: capacity-coupled shard outcomes are not cacheable")
 
 // transientError marks an error as transient: worth retrying, because a
 // repeat of the same operation may succeed (I/O hiccups, injected faults,
@@ -73,8 +58,8 @@ func IsTransient(err error) bool {
 // ShardError is the structured failure of one shard run: which policy and
 // shard failed, how many attempts were made, the final classification, and
 // the cause. A sharded Run/RunStreamed that cannot complete returns an
-// errors.Join of one ShardError per failed shard (plus ErrInterrupted when
-// the run was cancelled); callers unpack them with errors.As.
+// errors.Join of one ShardError per failed shard; callers unpack them with
+// errors.As.
 type ShardError struct {
 	Policy    string // policy whose shard failed
 	Shard     int    // shard index within the source
@@ -110,7 +95,7 @@ var shardRetry = retry.Policy{}
 // ShardFaultHook is the fault-injection seam at the shard-worker boundary:
 // when Options.FaultHook is set, the engine calls BeforeShard(shard,
 // attempt) inside the worker immediately before simulating that shard
-// (attempt counts from 1; cache hits skip simulation and the hook). The
+// (attempt counts from 1). The
 // hook may sleep (an artificially slow shard) or panic (an injected worker
 // crash) — the isolation layer must recover, classify, retry, and keep the
 // run's results bit-identical whenever it completes, which is exactly what

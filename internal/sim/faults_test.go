@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -15,12 +14,10 @@ import (
 )
 
 // shardedNever is neverLoadedPolicy with the sharded contract: every shard
-// gets a fresh (stateless) instance, and its (empty) config hashes to a
-// constant.
+// gets a fresh (stateless) instance.
 type shardedNever struct{ neverLoadedPolicy }
 
-func (shardedNever) NewShard() Policy   { return shardedNever{} }
-func (shardedNever) ConfigHash() uint64 { return HashConfig("never-loaded-test") }
+func (shardedNever) NewShard() Policy { return shardedNever{} }
 
 // panicTickPolicy panics deterministically inside every Tick — a worker
 // crash no amount of retrying cures.
@@ -28,7 +25,6 @@ type panicTickPolicy struct{ neverLoadedPolicy }
 
 func (panicTickPolicy) Name() string                { return "panic-tick" }
 func (panicTickPolicy) NewShard() Policy            { return panicTickPolicy{} }
-func (panicTickPolicy) ConfigHash() uint64          { return HashConfig("panic-tick-test") }
 func (panicTickPolicy) Tick(int, []trace.FuncCount) { panic("deterministic tick crash") }
 
 // panicOnceHook panics the first time it sees each shard — the injected
@@ -58,7 +54,7 @@ func (alwaysPanicHook) BeforeShard(shard, attempt int) {
 	panic(fmt.Sprintf("persistent crash on shard %d attempt %d", shard, attempt))
 }
 
-// flakySource wraps a shardSet (keeping its fingerprints) and fails
+// flakySource wraps a shardSet and fails
 // Shard(failShard) with err for the first failN calls.
 type flakySource struct {
 	*shardSet
@@ -130,18 +126,13 @@ func TestShardPersistentPanicSurfacesStructured(t *testing.T) {
 }
 
 // A deterministic (unmarked) production error must fail its shard on the
-// FIRST attempt — no retry — while the other shard completes and its
-// outcome lands in the cache for a later resume.
+// FIRST attempt — no retry — while the other shard runs to its own
+// verdict: the joined error holds shard 1's failure alone.
 func TestShardDeterministicErrorFailsFast(t *testing.T) {
 	tr := tinyTrace()
 	cause := errors.New("schema mismatch")
 	src := &flakySource{shardSet: buildShardSet(tr, tr, 2), failShard: 1, err: cause, failN: 1 << 30}
-	dir := t.TempDir()
-	cache, err := OpenShardCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := RunStreamed(shardedNever{}, src, Options{Cache: cache})
+	res, err := RunStreamed(shardedNever{}, src, Options{})
 	if res != nil {
 		t.Fatalf("got a Result from a failed run: %+v", res)
 	}
@@ -155,8 +146,8 @@ func TestShardDeterministicErrorFailsFast(t *testing.T) {
 	if !errors.Is(err, cause) {
 		t.Errorf("joined error does not wrap the cause: %v", err)
 	}
-	if entries, _ := filepath.Glob(filepath.Join(dir, "shard-*")); len(entries) != 1 {
-		t.Errorf("surviving shard's outcome not cached for resume: entries %v", entries)
+	if errs := err.(interface{ Unwrap() []error }).Unwrap(); len(errs) != 1 {
+		t.Errorf("%d shard failures, want shard 1's alone: %v", len(errs), err)
 	}
 }
 
@@ -195,21 +186,6 @@ func TestShardTransientExhaustionKeepsClassification(t *testing.T) {
 	}
 	if !se.Transient || se.Panicked || se.Attempts != retry.DefaultAttempts {
 		t.Errorf("ShardError = %+v, want transient, %d attempts", se, retry.DefaultAttempts)
-	}
-}
-
-// A Stop channel closed before the run starts must yield ErrInterrupted
-// and no Result; one closed mid-run must still drain in-flight shards.
-func TestRunInterrupted(t *testing.T) {
-	tr := tinyTrace()
-	stop := make(chan struct{})
-	close(stop)
-	res, err := Run(shardedNever{}, tr, tr, Options{Shards: 2, Stop: stop})
-	if res != nil {
-		t.Fatalf("interrupted run returned a Result: %+v", res)
-	}
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("error is not ErrInterrupted: %v", err)
 	}
 }
 
@@ -287,8 +263,6 @@ func (p waitingPolicy) NewShard() Policy {
 	p.first = p.made.Add(1) == 1
 	return p
 }
-
-func (waitingPolicy) ConfigHash() uint64 { return HashConfig("waiting-test") }
 
 func (p waitingPolicy) Train(*trace.Trace) {
 	if !p.first {

@@ -10,15 +10,15 @@ import (
 
 // HashConfig returns a stable 64-bit content hash of a plain configuration
 // value: every field of a struct (recursively, exported or not, in
-// declaration order, tagged with its name) is folded into an FNV-1a digest.
-// It exists so policies can implement ConfigHasher without hand-listing
-// fields — a field added to a config struct changes the hash automatically,
-// which is exactly the cache-invalidation behaviour ShardCache needs.
+// declaration order, tagged with its name) is folded into an FNV-1a digest,
+// so a field added to a config struct changes the hash without anyone
+// listing it. The serving snapshot's config check (core's EncodeState) and
+// the experiments' shared comparison key on it.
 //
 // Only value-like kinds are supported: booleans, integers, floats, strings,
 // and arrays/slices/structs of those. Maps, pointers, interfaces, channels
 // and funcs panic — a config holding one has no canonical byte order, and
-// silently skipping it would let two different behaviours share a cache key.
+// silently skipping it would let two different behaviours share a hash.
 func HashConfig(cfg any) uint64 {
 	h := fnv.New64a()
 	hashValue(h, reflect.ValueOf(cfg))
@@ -69,15 +69,14 @@ func hashValue(h hashWriter, v reflect.Value) {
 			hashValue(h, v.Field(i))
 		}
 	default:
-		panic(fmt.Sprintf("sim: HashConfig cannot hash kind %s (type %s); configs feeding the shard cache must be plain values", v.Kind(), v.Type()))
+		panic(fmt.Sprintf("sim: HashConfig cannot hash kind %s (type %s); hashed configs must be plain values", v.Kind(), v.Type()))
 	}
 }
 
-// ConfigHasher is the part of ShardedPolicy that fingerprints the policy's
-// complete behaviour-affecting configuration. ShardCache keys on (Name,
-// ConfigHash, shard trace fingerprint, slot count), so the hash MUST cover
-// every field that can change a simulation outcome — use HashConfig over
-// the full config struct rather than selecting fields by hand.
+// ConfigHasher fingerprints a policy's complete behaviour-affecting
+// configuration. No engine reads it: it stays only because the benchmark
+// (benchmark/wrap.go) asserts that its traced SPES forwards it, and goes
+// with that assertion.
 type ConfigHasher interface {
 	ConfigHash() uint64
 }

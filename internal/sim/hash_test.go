@@ -1,11 +1,6 @@
 package sim
 
-import (
-	"slices"
-	"testing"
-
-	"repro/internal/trace"
-)
+import "testing"
 
 type hashCfgA struct {
 	Theta  int
@@ -55,37 +50,4 @@ func TestHashConfigRejectsUnhashableKinds(t *testing.T) {
 		}
 	}()
 	HashConfig(struct{ M map[string]int }{M: map[string]int{"a": 1}})
-}
-
-// TestShardSetFingerprintCoversContent holds a materialized shard's cache
-// fingerprint to its content: changing one train event or one sim event
-// changes the key, and a pair with no training half keys differently from
-// one whose training half is empty.
-func TestShardSetFingerprintCoversContent(t *testing.T) {
-	fp := func(train, simTr *trace.Trace) uint64 {
-		return buildShardSet(train, simTr, 1).ShardFingerprint(0)
-	}
-	// bump returns a copy of tr with one more invocation in function 4's
-	// first event; tr itself is left as it was.
-	bump := func(tr *trace.Trace) *trace.Trace {
-		c := &trace.Trace{Slots: tr.Slots, Functions: tr.Functions, Series: slices.Clone(tr.Series)}
-		c.Series[4] = slices.Clone(c.Series[4])
-		c.Series[4][0].Count++
-		return c
-	}
-	train, simTr := capTestTrace()
-	base := fp(train, simTr)
-	if fp(train, simTr) != base {
-		t.Fatal("fingerprint not deterministic")
-	}
-	if fp(bump(train), simTr) == base {
-		t.Error("changing one train event left the fingerprint unchanged")
-	}
-	if fp(train, bump(simTr)) == base {
-		t.Error("changing one sim event left the fingerprint unchanged")
-	}
-	empty := &trace.Trace{Functions: simTr.Functions, Series: make([]trace.Series, simTr.NumFunctions())}
-	if fp(nil, simTr) == fp(empty, simTr) {
-		t.Error("no training half and an empty training half share a fingerprint")
-	}
 }

@@ -13,11 +13,9 @@
 // steps). Beyond the single-trace Run path, the package provides the sharded
 // engine (Options.Shards — bit-identical deterministic merge), the
 // streamed engine (RunStreamed over a Source — the shard as the unit of
-// residency; trace.StoreSource and GeneratorSource both satisfy it),
-// shard-outcome caching (ShardCache: one entry file per shard outcome in a
-// directory, keyed by config hash and trace fingerprint — the entries are
-// what a killed sweep resumes from), and the whole-population run
-// capacity-coupled policies get under either engine (CapacityPolicy).
+// residency; trace.StoreSource and GeneratorSource both satisfy it), and
+// the whole-population run capacity-coupled policies get under either
+// engine (CapacityPolicy).
 package sim
 
 import "repro/internal/trace"

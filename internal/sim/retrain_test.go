@@ -222,6 +222,9 @@ func TestRetrainWindowWarmBuildAllocations(t *testing.T) {
 	}
 	windows(func(at, w int) { wb.Build(training, simTr, at, w) }) // reach the largest
 	header := uint64(unsafe.Sizeof(trace.Trace{}))
+	// MemStats counts every goroutine's allocations: measure on one P, as
+	// testing.AllocsPerRun does, so no other goroutine allocates in between.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	windows(func(at, w int) {
 		var before, after runtime.MemStats
 		runtime.GC()

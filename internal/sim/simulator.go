@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"iter"
 	"runtime"
-	"sync"
 
 	"repro/internal/trace"
 )
@@ -53,16 +52,6 @@ type Options struct {
 	// the source's shards, so the O(n/P) bound does not apply to it.
 	Source Source
 
-	// Cache, when non-nil, memoizes per-shard outcomes across sharded runs:
-	// a shard whose (policy name, config hash, trace fingerprint, slot
-	// count) key was simulated before is served from the cache instead of
-	// re-run, making parameter sweeps incremental and restartable — only
-	// shards whose policy config changed re-simulate. Every sharded or
-	// streamed run keys it: a ShardedPolicy hashes its config and a Source
-	// fingerprints its shards by type. A capacity-coupled policy refuses
-	// it (ErrCapacityCoupled). Merged results are bit-identical either way.
-	Cache *ShardCache
-
 	// RetrainEvery, when positive, re-runs the policy's categorization
 	// online: at every simulation slot t = k*RetrainEvery (k >= 1, before
 	// slot t's invocations are observed) the simulator hands a policy
@@ -80,15 +69,6 @@ type Options struct {
 	// when there is no training trace).
 	RetrainWindow int
 
-	// Stop, when non-nil, requests a graceful cancellation when closed: the
-	// sharded engine starts no new shard work, drains the shards already in
-	// flight (their outcomes are cached as usual), and returns an error
-	// wrapping ErrInterrupted. Rerunning with the same options resumes
-	// from the completed units' cache entries. It is polled
-	// between shards only: a single-population run in progress is not
-	// interruptible.
-	Stop <-chan struct{}
-
 	// FaultHook, when non-nil, is called at the shard-worker boundary
 	// immediately before each shard simulation attempt. It exists for
 	// deterministic fault injection (internal/faultinject): the hook may
@@ -105,22 +85,10 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// stopped reports whether a graceful cancellation was requested. It is
-// polled between shards, never mid-simulation, so in-flight shards drain
-// (and their outcomes persist) before the run returns.
-func (o Options) stopped() bool {
-	select {
-	case <-o.Stop: // a nil Stop never becomes ready
-		return true
-	default:
-		return false
-	}
-}
-
 // ShardedPolicy is implemented by policies that can run as one independent
 // instance per population shard. NewShard returns a fresh untrained instance
 // with the same configuration; the simulator trains and ticks it over a
-// single shard's trace view; ConfigHash keys its shard cache entries.
+// single shard's trace view.
 //
 // A policy may implement this only if its decisions for a function depend on
 // nothing outside that function's app/user component (the partitioning
@@ -131,24 +99,19 @@ func (o Options) stopped() bool {
 // and always run over the whole population (capacity.go).
 type ShardedPolicy interface {
 	NewShard() Policy
-	ConfigHasher
 }
 
 // shardSet carries one partition of a train/sim trace pair into shard
 // views. Views are safe to share across concurrent policy runs: series are
 // read-only, and each run transposes them with a cursor of its own. It is the
 // materialized-trace implementation of Source: all views exist up front, so
-// Shard just hands them out, and each shard's fingerprint is a content hash
-// of its series and metadata, computed once per set.
+// Shard just hands them out.
 type shardSet struct {
 	sim   []*trace.ShardView
 	train []*trace.ShardView // nil when there is no training trace
 
 	functions int
 	slots     int
-
-	fps    []uint64
-	fpOnce []sync.Once
 }
 
 // buildShardSet partitions the population once and materializes the P
@@ -159,8 +122,6 @@ func buildShardSet(training, simTrace *trace.Trace, p int) *shardSet {
 		sim:       make([]*trace.ShardView, p),
 		functions: simTrace.NumFunctions(),
 		slots:     simTrace.Slots,
-		fps:       make([]uint64, p),
-		fpOnce:    make([]sync.Once, p),
 	}
 	if training != nil {
 		ss.train = make([]*trace.ShardView, p)
@@ -191,26 +152,6 @@ func (ss *shardSet) Shard(i int) (train, sim *trace.ShardView, err error) {
 	return train, ss.sim[i], nil
 }
 
-// ShardFingerprint implements Source: a domain-tagged hash of
-// shard i's sim view content hash, its train view's and whether it has one
-// (trace.ShardView.ContentHash; Global is part of both, so two shards with
-// equal local content at different global placements never collide),
-// memoized so sweeps sharing one shardSet hash each shard once.
-func (ss *shardSet) ShardFingerprint(i int) uint64 {
-	ss.fpOnce[i].Do(func() {
-		key := struct {
-			Domain     string
-			Sim, Train uint64
-			HasTrain   bool
-		}{Domain: "trace-content", Sim: ss.sim[i].ContentHash(), HasTrain: ss.train != nil}
-		if ss.train != nil {
-			key.Train = ss.train[i].ContentHash()
-		}
-		ss.fps[i] = HashConfig(key)
-	})
-	return ss.fps[i]
-}
-
 // slotLog records a shard run's per-slot post-Tick loaded and active-loaded
 // counts. The sharded merge re-derives the population-global per-slot
 // aggregates (memory, peak, idle, EMCR terms) from the sums of these
@@ -233,10 +174,7 @@ type slotLog struct {
 // aborts the siblings: every shard runs to its own verdict, transient
 // failures retry (shardRetry), and the returned error is an
 // errors.Join of one structured ShardError per shard that still failed
-// (unpack with errors.As). Completed shards' outcomes persist in the
-// attached cache, so a rerun resumes rather than starting over.
-// A run cancelled via Options.Stop returns an error wrapping
-// ErrInterrupted after draining in-flight shards.
+// (unpack with errors.As).
 func Run(policy Policy, training, simTrace *trace.Trace, opts Options) (*Result, error) {
 	if opts.Source != nil {
 		return RunStreamed(policy, opts.Source, opts)
@@ -429,8 +367,7 @@ func runSharded(policy Policy, training, simTrace *trace.Trace, opts Options, ss
 // trace.FanOut of width opts.Workers, and merges the shard results. Each
 // attempt at a shard produces its views itself, right before simulating
 // them, which is what bounds streamed residency to one shard per in-flight
-// worker; with a ShardCache attached, a hit skips production and
-// simulation entirely.
+// worker.
 //
 // The merge is deterministic and bit-identical to the unsharded engine:
 //   - Per-function metrics and type labels are scattered back through each
@@ -456,43 +393,16 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	inner := opts
 	inner.Shards = 0
 
-	// The cache key's config component. Online re-categorization changes a
-	// shard's outcome without changing the policy's own config, so the
-	// retrain schedule is folded in (domain-tagged): a retrain-enabled run
-	// can never hit a stale non-retrain entry, and vice versa. Policies
-	// that ignore RetrainEvery (no Retrainer) keep the plain hash — their
-	// results really are identical either way.
-	var cfgHash uint64
-	if opts.Cache != nil {
-		cfgHash = sp.ConfigHash()
-		if _, ok := policy.(Retrainer); ok && opts.RetrainEvery > 0 {
-			cfgHash = HashConfig(struct {
-				Domain        string
-				Base          uint64
-				RetrainEvery  int
-				RetrainWindow int
-			}{"retrain", cfgHash, opts.RetrainEvery, opts.RetrainWindow})
-		}
-	}
-
 	results := make([]*Result, p)
 	logs := make([]*slotLog, p)
 	globals := make([][]trace.FuncID, p)
 	errs := make([]error, p)
 
-	// attempt is one try at shard i: a cache hit, or the shard's views
-	// produced and simulated. Every attempt produces afresh — a failed
-	// attempt's views are suspect, and a transient production fault needs
-	// the production re-run too — and retryShard contains its panics.
+	// attempt is one try at shard i: its views produced and simulated.
+	// Every attempt produces afresh — a failed attempt's views are suspect,
+	// and a transient production fault needs the production re-run too —
+	// and retryShard contains its panics.
 	attempt := func(i, n int) error {
-		var key shardKey
-		if opts.Cache != nil {
-			key = shardKey{policy: policy.Name(), config: cfgHash, trace: src.ShardFingerprint(i), slots: slots}
-			if ent := opts.Cache.lookup(key); ent != nil {
-				results[i], logs[i], globals[i] = ent.res, ent.log, ent.global
-				return nil
-			}
-		}
 		tv, sv, err := src.Shard(i)
 		if err != nil {
 			return fmt.Errorf("producing shard: %w", err)
@@ -514,46 +424,20 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 			return err
 		}
 		results[i] = res
-		if opts.Cache != nil {
-			opts.Cache.store(key, &shardEntry{res: res, log: logs[i], global: globals[i]})
-		}
 		return nil
 	}
 	// Every shard runs to its own verdict inside the isolation boundary
-	// (retryShard) while the others keep running; Stop is polled before
-	// each shard starts, so in-flight shards drain.
+	// (retryShard) while the others keep running.
 	trace.FanOut(opts.workers(), p, func(_, i int) error {
-		if opts.stopped() {
-			return nil
-		}
-		if errs[i] = retryShard(policy.Name(), i, p, func(n int) error { return attempt(i, n) }); errs[i] != nil {
-			results[i] = nil
-		}
+		errs[i] = retryShard(policy.Name(), i, p, func(n int) error { return attempt(i, n) })
 		return nil
 	})
 
 	// Aggregate instead of aborting on the first failure: every failed
-	// shard contributes its ShardError, and a cancelled run (a shard left
-	// with neither a result nor an error) additionally wraps
-	// ErrInterrupted. A partial merge would be a wrong Result, so any
-	// failure means a nil Result — but the completed shards' outcomes are
-	// already cached, which is what makes a rerun resume instead of
-	// starting over.
-	var joined []error
-	interrupted := false
-	for i, err := range errs {
-		if err != nil {
-			joined = append(joined, err)
-		} else if results[i] == nil {
-			interrupted = true
-		}
-	}
-	if interrupted {
-		joined = append([]error{fmt.Errorf("%w: %s stopped before all %d shards ran",
-			ErrInterrupted, policy.Name(), p)}, joined...)
-	}
-	if len(joined) > 0 {
-		return nil, errors.Join(joined...)
+	// shard contributes its ShardError. A partial merge would be a wrong
+	// Result, so any failure means a nil Result.
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
 	}
 
 	return mergeShardResults(policy.Name(), slots, src.NumFunctions(), globals, results, logs), nil
@@ -639,9 +523,8 @@ func mergeShardResults(name string, slots, n int, globals [][]trace.FuncID, resu
 func RunAll(policies []Policy, training, simTrace *trace.Trace, opts Options) ([]*Result, error) {
 	run := func(p Policy) (*Result, error) { return Run(p, training, simTrace, opts) }
 	if opts.Source == nil && opts.Shards > 1 && checkPair(training, simTrace) == nil {
-		// Partition once and share the shard views (and their
-		// fingerprints) across all policies, as the unsharded path shares
-		// the one simTrace.
+		// Partition once and share the shard views across all policies,
+		// as the unsharded path shares the one simTrace.
 		ss := buildShardSet(training, simTrace, opts.Shards)
 		run = func(p Policy) (*Result, error) { return runSharded(p, training, simTrace, opts, ss) }
 	}

@@ -39,14 +39,14 @@ type Source interface {
 	// returned views are owned by the caller; the source must not retain
 	// references (that would defeat the O(n/P) residency bound).
 	Shard(i int) (train, sim *trace.ShardView, err error)
-	SourceFingerprint
 }
 
-// SourceFingerprint is the part of Source that identifies a shard's
-// train/sim content without materializing it (or cheaply, once). The
-// fingerprint feeds the ShardCache key: two shards may share a fingerprint
-// only if their train/sim pairs are bit-identical. Like Shard, it is
-// defined for i in [0, NumShards()).
+// SourceFingerprint identifies a source shard's train/sim content without
+// materializing it: two shards may share a fingerprint only if their
+// train/sim pairs are bit-identical. No engine reads it: it stays only
+// because the benchmark (benchmark/wrap.go) asserts that its traced source
+// forwards it, and goes with that assertion, as do GeneratorSource's and
+// trace.StoreSource's ShardFingerprint methods.
 type SourceFingerprint interface {
 	ShardFingerprint(i int) uint64
 }
@@ -113,13 +113,11 @@ func (g *GeneratorSource) Shard(i int) (train, sim *trace.ShardView, err error) 
 	return l.Shard(i, g.NumShards(), g.TrainSlots)
 }
 
-// ShardFingerprint implements Source. Generation is
+// ShardFingerprint implements SourceFingerprint. Generation is
 // deterministic — the full generator config plus the split and shard
 // coordinates uniquely determine the shard's content — so the fingerprint
-// is a hash of the derivation, not of the series, and a cache hit skips
-// generation entirely. It deliberately differs from the content fingerprint
-// of a materialized shardSet (distinct domain tags): the two never share
-// cache entries, which forgoes some hits but can never alias.
+// is a hash of the derivation, not of the series, and computing it
+// generates nothing.
 func (g *GeneratorSource) ShardFingerprint(i int) uint64 {
 	return HashConfig(struct {
 		Domain     string

@@ -379,9 +379,7 @@ func TestStoreSourceSplit(t *testing.T) {
 }
 
 // TestStoreFingerprints asserts shard fingerprints are distinct across
-// shards and split points, and stable across a reopen — they feed
-// ShardCache keys, so instability would poison caches and
-// collisions would alias entries.
+// shards and split points, and stable across a reopen.
 func TestStoreFingerprints(t *testing.T) {
 	_, store, _ := ingestFixture(t, 3, 0)
 	src, err := store.Source(slotsPerDay)

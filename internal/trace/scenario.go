@@ -101,8 +101,8 @@ type Phase struct {
 // ScenarioConfig composes phase transforms into a workload scenario. The
 // zero value is the stationary workload (no phases, no transform). It is
 // embedded by value in GeneratorConfig, so it participates in every config
-// hash and shard fingerprint the caching layers compute — two runs
-// differing only in scenario can never share a cache entry.
+// hash and shard fingerprint derived from it — two runs differing only in
+// scenario never share one.
 type ScenarioConfig struct {
 	// Name labels the scenario in reports; it does not affect the transform.
 	Name string
@@ -121,10 +121,10 @@ func (sc ScenarioConfig) Enabled() bool { return len(sc.Phases) > 0 }
 // Normalize returns the canonical form of the config: a scenario with no
 // phases is the zero value. Name and Seed cannot affect a phase-less
 // transform, but they WOULD affect every config hash and shard fingerprint
-// the caching layers derive from GeneratorConfig — so "steady" built from
-// the library must collapse to the same bytes as an untouched config, or
-// stationary runs would needlessly split cache keys. Callers stamping a
-// named scenario into a GeneratorConfig go through this.
+// derived from GeneratorConfig (the experiments' shared comparison is keyed
+// by one) — so "steady" built from the library must collapse to the same
+// bytes as an untouched config, or stationary runs would hash apart.
+// Callers stamping a named scenario into a GeneratorConfig go through this.
 func (sc ScenarioConfig) Normalize() ScenarioConfig {
 	if len(sc.Phases) == 0 {
 		return ScenarioConfig{}

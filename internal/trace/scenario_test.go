@@ -67,7 +67,7 @@ func TestScenarioShardedGenerationMatchesUnsharded(t *testing.T) {
 
 // TestScenarioSteadyIsStationary asserts the steady scenario (and the zero
 // ScenarioConfig) leaves the generated workload bit-identical to the base
-// config, so every existing result, bench, and cache entry stays valid.
+// config, so every existing result and bench stays valid.
 func TestScenarioSteadyIsStationary(t *testing.T) {
 	base, err := Generate(DefaultGeneratorConfig(300, 6, 7))
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 // the CSV parse entirely — the warm path reads only the shard files it is
 // about to simulate.
 //
-// Robustness rule (same as sim.ShardCache): a store read may only ever
+// Robustness rule: a store read may only ever
 // produce bit-exact shard content or an error — never a wrong shard. Every
 // file is a durable envelope (versioned magic header, whole-file CRC-32C
 // footer) with a CRC-32C per column block inside; a truncated, bit-flipped,
@@ -70,12 +70,12 @@ const (
 // failed verification never yields shard content.
 var ErrStoreCorrupt = errors.New("trace: columnar shard store corrupt or incomplete (re-ingest the CSV)")
 
-// storeFP computes the store fingerprint domains. Domain tags are distinct
-// from sim's "trace-content"/"generator-derivation" fingerprints, so store
-// cache entries can never alias materialized or generated ones.
+// storeFP computes the store fingerprint domains. The shard domain is
+// distinct from sim's "generator-derivation" one, so a store shard and a
+// generated shard never share a fingerprint.
 const (
 	fpDomainContent = "store-content\x00" // whole-shard content hash, stored in the file
-	fpDomainShard   = "store-shard\x00"   // (content, split) hash served to caches
+	fpDomainShard   = "store-shard\x00"   // (content, split) hash ShardFingerprint returns
 )
 
 // shardFileName returns shard i's file name within a store directory.
@@ -84,8 +84,7 @@ func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.spc", i) }
 // ContentHash hashes the view's content: slot span, the local-to-global id
 // mapping, per-function metadata, and every event. Two views may share a
 // hash only if they are bit-identical, which is what lets a store file
-// carry it as its checksum of record and sim.ShardCache key real and
-// materialized traces by it.
+// carry it as its checksum of record.
 //
 // The hash is FNV-1a over one byte stream: the domain tag, the slot span
 // and function count, then per function its global id, name, app and user
@@ -499,7 +498,7 @@ func (s *Store) ShardTrace(i int) (*ShardView, error) {
 
 // Source returns a sim.Source view of the store with the trace split at
 // trainSlots (0 yields no training half). The source is safe for
-// concurrent Shard calls, and its shard fingerprints key a sim.ShardCache.
+// concurrent Shard calls.
 func (s *Store) Source(trainSlots int) (*StoreSource, error) {
 	if trainSlots < 0 || trainSlots >= s.slots {
 		return nil, fmt.Errorf("trace: store source train slots %d outside [0, %d)", trainSlots, s.slots)
@@ -510,10 +509,7 @@ func (s *Store) Source(trainSlots int) (*StoreSource, error) {
 // StoreSource adapts an opened Store to the sim.Source contract: Shard(i)
 // reads and verifies exactly one shard file and splits it at the source's
 // train boundary, so at most Workers shards' event series are resident at
-// once — O(n/P) per in-flight worker, with the CSV never reopened. Shard
-// fingerprints hash (stored content fingerprint, split point) under a
-// store-specific domain tag, distinct from generator and materialized-trace
-// fingerprints, so cache entries never alias across source kinds.
+// once — O(n/P) per in-flight worker, with the CSV never reopened.
 type StoreSource struct {
 	store      *Store
 	trainSlots int
@@ -542,9 +538,11 @@ func (ss *StoreSource) Shard(i int) (train, sim *ShardView, err error) {
 		&ShardView{Trace: sm, Index: i, Global: sv.Global}, nil
 }
 
-// ShardFingerprint implements sim.Source without touching the shard file:
-// the manifest's content fingerprint plus the split point uniquely
-// determine the train/sim pair Shard returns.
+// ShardFingerprint implements sim.SourceFingerprint without touching the
+// shard file: the manifest's content fingerprint plus the split point
+// uniquely determine the train/sim pair Shard returns. No engine reads it;
+// it stays only because the benchmark asserts that its traced source
+// forwards sim.SourceFingerprint.
 func (ss *StoreSource) ShardFingerprint(i int) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, fpDomainShard)

@@ -104,13 +104,6 @@ func (c *clairvoyant) NextWake(after, limit int) (int, bool) {
 
 func (c *clairvoyant) NewShard() sim.Policy { return &clairvoyant{future: c.future, slots: c.slots} }
 
-func (c *clairvoyant) ConfigHash() uint64 {
-	return sim.HashConfig(struct {
-		Policy string
-		Slots  int
-	}{c.Name(), c.slots})
-}
-
 // gaps returns G_f for a series: consecutive invoked slots at least two apart.
 func gaps(s trace.Series) int64 {
 	var g int64
@@ -136,8 +129,7 @@ func clairvoyantWMT(s trace.Series) int64 {
 
 // TestClairvoyantMeetsTheBound holds the clairvoyant policy's per-function
 // Result to the closed form through every engine: unsharded (idle spans
-// skipped, and every slot ticked), sharded, streamed, and a shard cache cold
-// then warm.
+// skipped, and every slot ticked), sharded and streamed.
 func TestClairvoyantMeetsTheBound(t *testing.T) {
 	s := experiments.QuickSettings()
 	w, err := eqv.Materialize(s)
@@ -145,10 +137,6 @@ func TestClairvoyantMeetsTheBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	src, err := experiments.StreamSource(s, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cache, err := sim.OpenShardCache(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,12 +158,6 @@ func TestClairvoyantMeetsTheBound(t *testing.T) {
 		}},
 		{"sharded x4", func() (*sim.Result, error) { return sim.Run(oracle, w.Train, w.Sim, sim.Options{Shards: 4}) }},
 		{"streamed x4", func() (*sim.Result, error) { return sim.RunStreamed(oracle, src, sim.Options{}) }},
-		{"cached x4, cold", func() (*sim.Result, error) {
-			return sim.Run(oracle, w.Train, w.Sim, sim.Options{Shards: 4, Cache: cache})
-		}},
-		{"cached x4, warm", func() (*sim.Result, error) {
-			return sim.Run(oracle, w.Train, w.Sim, sim.Options{Shards: 4, Cache: cache})
-		}},
 	} {
 		res, err := run.run()
 		if err != nil {
@@ -197,9 +179,6 @@ func TestClairvoyantMeetsTheBound(t *testing.T) {
 		if bad > 0 {
 			t.Errorf("%s: %d of %d functions off the closed form", run.name, bad, w.Sim.NumFunctions())
 		}
-	}
-	if st := cache.Stats(); st.Misses != 4 || st.Hits != 4 {
-		t.Errorf("shard cache: %d misses and %d hits, want 4 and 4", st.Misses, st.Hits)
 	}
 }
 

@@ -82,8 +82,6 @@ type (
 	Options = sim.Options
 	// ShardedPolicy is implemented by policies that can run one instance
 	// per population shard (SPES, FixedKeepAlive, both Hybrids, Defuse).
-	// Its ConfigHash keys the shard cache (Options.Cache), so every
-	// sharded run of such a policy can be cached.
 	ShardedPolicy = sim.ShardedPolicy
 	// CapacityPolicy marks policies that evict against one global budget
 	// (FaaSCache, LCS) and therefore cannot shard: under Options.Shards > 1
@@ -143,8 +141,6 @@ func Run(policy Policy, training, simTrace *Trace, opts Options) (*Result, error
 // simulation pulls one shard's train/sim views at a time, so peak memory is
 // O(functions/shards) event series per worker, never the whole trace.
 // TraceStore.Source and the generator's streaming path both satisfy it.
-// Every Source fingerprints its shards (ShardFingerprint), which is what
-// keys them in a shard cache.
 type Source = sim.Source
 
 // RunStreamed simulates the policy over a Source with the shard as the unit
@@ -162,8 +158,7 @@ type (
 	// app/user-closed shard plus a manifest. Open it with OpenTraceStore.
 	TraceStore = trace.Store
 	// TraceStoreSource adapts a TraceStore to the streamed simulation engine
-	// (Source) at a chosen train/sim split, serving content fingerprints so
-	// shard caches can key stored shards.
+	// (Source) at a chosen train/sim split.
 	TraceStoreSource = trace.StoreSource
 	// TraceIngestOptions tunes IngestTraceCSV (shard count, spill budget).
 	TraceIngestOptions = trace.IngestOptions
@@ -188,16 +183,11 @@ func IngestTraceCSV(r io.Reader, dir string, opts TraceIngestOptions) (*TraceSto
 // OpenTraceStore opens an existing store directory, verifying its manifest.
 func OpenTraceStore(dir string) (*TraceStore, error) { return trace.OpenStore(dir) }
 
-// Sentinel errors of the sharded engine, matchable with errors.Is through
-// Run's and RunStreamed's wrapping.
-var (
-	// ErrNotShardable reports a policy that implements neither
-	// ShardedPolicy nor CapacityPolicy under Options.Shards > 1.
-	ErrNotShardable = sim.ErrNotShardable
-	// ErrCapacityCoupled reports a shard cache attached to a sharded run of
-	// a CapacityPolicy, which has no per-shard outcomes to cache.
-	ErrCapacityCoupled = sim.ErrCapacityCoupled
-)
+// ErrNotShardable reports a policy that implements neither ShardedPolicy
+// nor CapacityPolicy under Options.Shards > 1: the sharded engine's
+// sentinel, matchable with errors.Is through Run's and RunStreamed's
+// wrapping.
+var ErrNotShardable = sim.ErrNotShardable
 
 // Baseline constructors (the paper's comparison points).
 
