@@ -1,8 +1,10 @@
 package classify
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/series"
 	"repro/internal/stats"
 )
 
@@ -23,6 +25,18 @@ func periodicSeq(slots, period, phase int) []int {
 		out[t] = 1
 	}
 	return out
+}
+
+// categorizeCounts runs the categorizer's deterministic pass over the
+// activity of a dense sequence and holds its outcome to the oracle's.
+func categorizeCounts(t *testing.T, counts []int, cfg Config) (Profile, bool) {
+	t.Helper()
+	var w scratch
+	p, ok := w.categorizeActivity(series.Extract(counts), cfg)
+	if want, wantOK := oracleDeterministic(counts, cfg); ok != wantOK || !reflect.DeepEqual(p, want) {
+		t.Fatalf("categorizeActivity = %+v (%v), oracle %+v (%v)", p, ok, want, wantOK)
+	}
+	return p, ok
 }
 
 // deterministic reports whether ty is one of the five pattern-defined
@@ -54,13 +68,13 @@ func TestCategorizeAlwaysWarm(t *testing.T) {
 	for i := range counts {
 		counts[i] = 2
 	}
-	p, ok := oracleDeterministic(counts, cfg)
+	p, ok := categorizeCounts(t, counts, cfg)
 	if !ok || p.Type != TypeAlwaysWarm {
 		t.Fatalf("full activity -> %v (%v), want always-warm", p.Type, ok)
 	}
 	// One idle slot in 2000 (1/2000 < 1/1000... idle sum is 1 <= 2).
 	counts[1000] = 0
-	p, ok = oracleDeterministic(counts, cfg)
+	p, ok = categorizeCounts(t, counts, cfg)
 	if !ok || p.Type != TypeAlwaysWarm {
 		t.Fatalf("nearly full activity -> %v (%v), want always-warm", p.Type, ok)
 	}
@@ -71,7 +85,7 @@ func TestCategorizeAlwaysWarmRejectsShortFlurry(t *testing.T) {
 	// Two adjacent invocations in a long window: summed WT is 0 but this is
 	// clearly not an always-warm function.
 	counts := seq(5000, 100, 101)
-	p, ok := oracleDeterministic(counts, cfg)
+	p, ok := categorizeCounts(t, counts, cfg)
 	if ok && p.Type == TypeAlwaysWarm {
 		t.Fatal("short flurry misclassified as always-warm")
 	}
@@ -79,7 +93,7 @@ func TestCategorizeAlwaysWarmRejectsShortFlurry(t *testing.T) {
 
 func TestCategorizeRegular(t *testing.T) {
 	cfg := DefaultConfig()
-	p, ok := oracleDeterministic(periodicSeq(1440*2, 60, 5), cfg)
+	p, ok := categorizeCounts(t, periodicSeq(1440*2, 60, 5), cfg)
 	if !ok || p.Type != TypeRegular {
 		t.Fatalf("periodic -> %v (%v), want regular", p.Type, ok)
 	}
@@ -103,7 +117,7 @@ func TestCategorizeRegularViaMerging(t *testing.T) {
 	}
 	counts[2*1440+1] = 1 // stray right after day-2 firing
 	counts[5*1440+1] = 1
-	p, ok := oracleDeterministic(counts, cfg)
+	p, ok := categorizeCounts(t, counts, cfg)
 	if !ok || p.Type != TypeRegular {
 		t.Fatalf("merged daily -> %v (%v), want regular", p.Type, ok)
 	}
@@ -123,7 +137,7 @@ func TestCategorizeApproRegular(t *testing.T) {
 		t0 += gaps[i%3] + 1
 		i++
 	}
-	p, ok := oracleDeterministic(counts, cfg)
+	p, ok := categorizeCounts(t, counts, cfg)
 	if !ok || p.Type != TypeApproRegular {
 		t.Fatalf("quasi-periodic -> %v (%v), want appro-regular", p.Type, ok)
 	}
@@ -150,7 +164,7 @@ func TestCategorizeDense(t *testing.T) {
 		counts[t0] = 1 + g.Intn(3)
 		t0 += 1 + g.IntBetween(1, 5)
 	}
-	p, ok := oracleDeterministic(counts, cfg)
+	p, ok := categorizeCounts(t, counts, cfg)
 	if !ok || p.Type != TypeDense {
 		t.Fatalf("dense -> %v (%v), want dense", p.Type, ok)
 	}
@@ -169,7 +183,7 @@ func TestCategorizeSuccessive(t *testing.T) {
 			counts[start+i] = 3
 		}
 	}
-	p, ok := oracleDeterministic(counts, cfg)
+	p, ok := categorizeCounts(t, counts, cfg)
 	if !ok || p.Type != TypeSuccessive {
 		t.Fatalf("bursty -> %v (%v), want successive", p.Type, ok)
 	}
@@ -182,7 +196,7 @@ func TestCategorizeSuccessiveRejectsSingleWave(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		counts[4000+i] = 3
 	}
-	p, ok := oracleDeterministic(counts, cfg)
+	p, ok := categorizeCounts(t, counts, cfg)
 	if ok && p.Type == TypeSuccessive {
 		t.Fatal("single wave should not be successive")
 	}
@@ -192,11 +206,11 @@ func TestCategorizeRejectsIrregular(t *testing.T) {
 	cfg := DefaultConfig()
 	// A handful of scattered invocations with wildly different gaps.
 	counts := seq(20000, 100, 3000, 3700, 9100, 19000)
-	if p, ok := oracleDeterministic(counts, cfg); ok {
+	if p, ok := categorizeCounts(t, counts, cfg); ok {
 		t.Fatalf("scattered -> %v, want uncategorized", p.Type)
 	}
 	// Empty sequence.
-	if _, ok := oracleDeterministic(make([]int, 100), cfg); ok {
+	if _, ok := categorizeCounts(t, make([]int, 100), cfg); ok {
 		t.Fatal("silent sequence should not categorize")
 	}
 }
@@ -209,13 +223,13 @@ func TestCategorizePriorityOrder(t *testing.T) {
 	for i := range counts {
 		counts[i] = 1
 	}
-	p, _ := oracleDeterministic(counts, cfg)
+	p, _ := categorizeCounts(t, counts, cfg)
 	if p.Type != TypeAlwaysWarm {
 		t.Errorf("priority = %v, want always-warm first", p.Type)
 	}
 	// A strictly periodic function also satisfies appro-regular (one mode
 	// covers 100%); priority gives regular.
-	p, _ = oracleDeterministic(periodicSeq(2880, 30, 0), cfg)
+	p, _ = categorizeCounts(t, periodicSeq(2880, 30, 0), cfg)
 	if p.Type != TypeRegular {
 		t.Errorf("priority = %v, want regular before appro-regular", p.Type)
 	}
@@ -230,7 +244,7 @@ func TestCategorizePriorityOrder(t *testing.T) {
 		counts[t0] = 1
 		t0 += 1 + g.IntBetween(1, 3)
 	}
-	p, ok := oracleDeterministic(counts, cfg)
+	p, ok := categorizeCounts(t, counts, cfg)
 	if !ok {
 		t.Fatal("gap-1-3 sequence should categorize")
 	}
@@ -252,7 +266,7 @@ func TestCategorizeWithForgetting(t *testing.T) {
 	for t0 := 4 * 1440; t0 < slots; t0 += 120 {
 		counts[t0] = 1
 	}
-	if _, ok := oracleDeterministic(counts, cfg); ok {
+	if _, ok := categorizeCounts(t, counts, cfg); ok {
 		t.Skip("full window categorized already; chaos too mild for this seed")
 	}
 	p, ok := oracleWithForgetting(counts, cfg)

@@ -2,6 +2,7 @@ package classify
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"slices"
 	"sort"
@@ -9,24 +10,111 @@ import (
 
 	"repro/internal/series"
 	"repro/internal/sim"
+	"repro/internal/stats"
 	"repro/internal/trace"
 )
 
 // The oracle is a deliberately naive per-function reference for Categorize,
 // assembled from the dense helpers below: every function's series is
 // expanded to per-slot counts, the deterministic definitions run over
-// series.Extract of them (oracleDeterministic, oracleWithForgetting), links
-// are mined by a map-based scan over one laggedCOR pass per lag, and
-// oracleAssign scores the leftovers. It shares no sparse extraction, no
-// scratch reuse, no lag-scan kernel and no prune with Categorize, so the two
-// agreeing profile for profile is the proof that those are exact.
+// series.Extract of them (oracleDeterministic, oracleWithForgetting) with
+// every WT statistic taken from a float copy through the stats package's
+// sorting forms, links are mined by a map-based scan over one laggedCOR pass
+// per lag, and oracleAssign scores the leftovers. It shares no sparse
+// extraction, no WT distribution, no integer CV test, no scratch reuse, no
+// lag-scan kernel and no prune with Categorize, so the two agreeing profile
+// for profile is the proof that those are exact.
 
 // oracleDeterministic applies the five deterministic definitions of Section
 // IV-A in priority order to a dense invocation sequence. ok is false when
-// none match.
+// none match. Table I tests the regular and appro-regular conditions on
+// "(Processed)" WTs, so both run over the slack cascade: the raw WTs, the
+// end-trimmed WTs, and the merge of the last of those when it shortened it.
 func oracleDeterministic(counts []int, cfg Config) (Profile, bool) {
-	var w scratch
-	return w.categorizeActivity(series.Extract(counts), cfg)
+	act := series.Extract(counts)
+
+	// 1. Always warm.
+	if act.Invocations > 0 && (act.InvokedEverySlot() ||
+		(float64(act.TotalWT()) <= cfg.AlwaysWarmIdleFrac*float64(act.Slots) &&
+			float64(act.ActiveSlots()) >= 0.5*float64(act.Slots))) {
+		return Profile{Type: TypeAlwaysWarm, WTCount: len(act.WT)}, true
+	}
+
+	var variants [][]int
+	if len(act.WT) > 0 {
+		variants = append(variants, act.WT)
+	}
+	if trimmed := series.TrimEnds(act.WT); len(trimmed) > 0 {
+		variants = append(variants, trimmed)
+	}
+	if len(variants) > 0 {
+		base := variants[len(variants)-1]
+		if merged := series.MergeSmallWTs(base, cfg.SlackCloseTol, cfg.SlackSmallFrac); len(merged) > 0 && len(merged) != len(base) {
+			variants = append(variants, merged)
+		}
+	}
+
+	// 2. Regular: P95 - P5 within the spread, or CV at most the bound.
+	for _, wts := range variants {
+		if len(wts) < cfg.MinWTs {
+			continue
+		}
+		f := stats.IntsToFloats(wts)
+		if stats.Quantile(f, 0.95)-stats.Quantile(f, 0.05) <= cfg.RegularSpread || oracleCV(f) <= cfg.RegularCV {
+			median := stats.Median(f)
+			return Profile{Type: TypeRegular, Values: []int{int(median + 0.5)},
+				MedianWT: median, StdWT: stats.StdDev(f), WTCount: len(wts)}, true
+		}
+	}
+
+	// 3. Appro-regular: the top-n modes cover the coverage share.
+	for _, wts := range variants {
+		if len(wts) < cfg.ApproMinWTs {
+			continue
+		}
+		table := stats.FrequencyTable(wts)
+		top := table[:min(cfg.ApproModes, len(table))]
+		cov, modes := 0, make([]int, 0, len(top))
+		for _, mc := range top {
+			cov += mc.Count
+			modes = append(modes, mc.Value)
+		}
+		if float64(cov) >= cfg.ApproCoverage*float64(len(wts)) {
+			f := stats.IntsToFloats(wts)
+			return Profile{Type: TypeApproRegular, Values: modes,
+				MedianWT: stats.Median(f), StdWT: stats.StdDev(f), WTCount: len(wts)}, true
+		}
+	}
+
+	// 4. Dense: P90 of the raw WTs at most the constant.
+	if len(act.WT) >= cfg.DenseMinWTs {
+		f := stats.IntsToFloats(act.WT)
+		if stats.Quantile(f, 0.9) <= cfg.DenseP90Max {
+			lo, hi, _ := stats.TableRange(stats.FrequencyTable(act.WT), cfg.DenseModes)
+			return Profile{Type: TypeDense, RangeLo: lo, RangeHi: hi,
+				MedianWT: stats.Median(f), StdWT: stats.StdDev(f), WTCount: len(act.WT)}, true
+		}
+	}
+
+	// 5. Successive: at least two waves, each long and busy enough.
+	if len(act.AT) >= 2 && slices.Min(act.AT) >= cfg.SuccessiveMinAT && slices.Min(act.AN) >= cfg.SuccessiveMinAN {
+		return Profile{Type: TypeSuccessive, WTCount: len(act.WT)}, true
+	}
+	return Profile{}, false
+}
+
+// oracleCV is the coefficient of variation of f as the paper states it,
+// StdDev / Mean, with a zero mean reading 0 for an all-zero sequence and
+// +Inf otherwise.
+func oracleCV(f []float64) float64 {
+	m, sd := stats.Mean(f), stats.StdDev(f)
+	if m == 0 {
+		if sd == 0 {
+			return 0
+		}
+		return math.Inf(1)
+	}
+	return sd / m
 }
 
 // oracleWithForgetting first tries the full window, then applies the
