@@ -541,15 +541,19 @@ var harnessDirs = []string{"internal/eqv", "internal/faultinject", "internal/mem
 // package's directory and the name, with the receiver's type name for a
 // method. An entry that matches nothing is itself a finding.
 var deadAllow = map[string]string{
-	"internal/series.Extract":       "the dense oracle classify's, trace's and series' tests hold the sparse paths and the generator to",
-	"internal/series.InvokedSlots":  "the dense oracle classify's categorization oracle is built on",
-	"internal/series.TrimEnds":      "the paper's first slacking rule as written; classify cites it and trims in place",
-	"internal/series.MergeSmallWTs": "the paper's second slacking rule as written; classify cites it and runs it as AppendMergedWTs",
-	"internal/trace.Series.Dense":   "expands a sparse series into the dense form the series oracles read, in classify's and trace's tests",
-	"internal/stats.Mode":           "the appro-regular mode trace's pattern tests hold the generator's waiting times to",
-	"internal/stats.ModesCoverage":  "the appro-regular coverage trace's pattern tests hold the generator's waiting times to",
-	"internal/stats.RNG.IntBetween": "FuzzRNGMatchesMathRand holds it to math/rand draw for draw; trace's and classify's tests draw bounded sizes with it",
-	facadeKey:                       "the public facade's vocabulary: aliases, constants and the sentinel errors its Run and RunStreamed wrap, which callers outside the module name",
+	"internal/series.Extract":                   "the dense oracle classify's, trace's and series' tests hold the sparse paths and the generator to",
+	"internal/series.InvokedSlots":              "the dense oracle classify's categorization oracle is built on",
+	"internal/series.TrimEnds":                  "the paper's first slacking rule as written; classify cites it and trims in place",
+	"internal/series.MergeSmallWTs":             "the paper's second slacking rule as written; classify cites it and runs it as AppendMergedWTs",
+	"internal/trace.Series.Dense":               "expands a sparse series into the dense form the series oracles read, in classify's and trace's tests",
+	"internal/series.Activity.TotalWT":          "definition 1's summed idle over a dense Activity, which classify's oracle and TestAlwaysWarmFastMatchesActivityBranch hold alwaysWarmFast to",
+	"internal/series.Activity.InvokedEverySlot": "definition 1's every-slot test over a dense Activity, which classify's oracle and TestAlwaysWarmFastMatchesActivityBranch hold alwaysWarmFast to",
+	"internal/stats.IntsToFloats":               "the float copy classify's oracle and trace's pattern tests take their WT statistics from",
+	"internal/stats.StdDev":                     "the float standard deviation classify's oracle and the int-fed StdDevInts are held to",
+	"internal/stats.Mode":                       "the appro-regular mode trace's pattern tests hold the generator's waiting times to",
+	"internal/stats.ModesCoverage":              "the appro-regular coverage trace's pattern tests hold the generator's waiting times to",
+	"internal/stats.RNG.IntBetween":             "FuzzRNGMatchesMathRand holds it to math/rand draw for draw; trace's and classify's tests draw bounded sizes with it",
+	facadeKey:                                   "the public facade's vocabulary: aliases, constants and the sentinel errors its Run and RunStreamed wrap, which callers outside the module name",
 }
 
 // facadeKey stands for every re-exported type, constant and sentinel error

@@ -71,7 +71,7 @@ func parse(args []string) (*config, error) {
 	maxHeap := fs.Uint64("maxheap", 0, "exit non-zero if sampled peak HeapInuse exceeds this many bytes (0: unbounded)")
 	workers := fs.Int("workers", 0, "width of each policy and shard fan-out (0: one per core); streamed residency is ONE shard of O(functions/shards) event series PER in-flight worker, so -maxheap bounds need a fixed worker count, not the runner's core count")
 	retrain := fs.Int("retrain-every", 0, "enable SPES online re-categorization every this many slots in every engine under comparison (0: off)")
-	faultSeed := fs.Int64("faults", 0, "non-zero: run the -stream checks under deterministic injected shard-worker faults (panics, slow shards) with this schedule seed; completed runs must stay bit-identical to the clean dense reference")
+	faultSeed := fs.Int64("faults", 0, "non-zero: run the sharded (and, with -stream, streamed) checks under deterministic injected shard-worker faults (panics, slow shards) with this schedule seed; completed runs must stay bit-identical to the clean dense reference")
 	capCheck := fs.Bool("capacity", false, "additionally check the capacity-coupled baselines: FaaSCache and LCS under shard counts {2, 5, 16} (over streamed sources of that many shards with -stream) must be bit-identical to their unsharded runs")
 	ingestCSV := fs.String("ingest", "", "real-trace mode: check this Azure-format CSV through materialized, sharded, and columnar-store (ingested, then reopened) paths for bit-identity; generation flags are ignored")
 	fs.Parse(args)
@@ -97,7 +97,8 @@ func parse(args []string) (*config, error) {
 		{*streamOnly && *capCheck, errors.New("-capacity cannot be combined with -streamonly (a capacity-coupled policy keeps the whole population resident)")},
 		{*streamOnly && *stream, errors.New("-streamonly cannot be combined with -stream")},
 		{*retrain < 0, fmt.Errorf("-retrain-every must be >= 0, got %d", *retrain)},
-		{*faultSeed != 0 && !*stream, errors.New("-faults needs -stream (the matrix whose shard workers it faults)")},
+		{*faultSeed != 0 && p <= 1, errors.New("-faults needs -shards > 1 (the sharded engine whose shard workers it faults)")},
+		{*faultSeed != 0 && *streamOnly, errors.New("-faults cannot be combined with -streamonly")},
 		{*streamOnly && p < 1, errors.New("-streamonly needs -shards >= 1")},
 	} {
 		if r.bad {

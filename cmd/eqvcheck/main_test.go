@@ -69,6 +69,10 @@ func TestParseCIInvocations(t *testing.T) {
 		{"",
 			`fn=400 days=6/8 sparse=false seeds=[1 2 3] scenario="" retrain=0 trace="" workers=0 faults=false pool=133 maxheap=0` +
 				"\nSPES: dense -> [event sharded x4]"},
+		// -faults without -stream faults the sharded row's workers.
+		{"-functions 300 -days 6 -train-days 4 -seeds 1 -shards 3 -faults 1",
+			`fn=300 days=4/6 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 faults=true pool=100 maxheap=0` +
+				"\nSPES: dense -> [event sharded x3]"},
 		{"-capacity -shards 0 -seeds 1",
 			`fn=400 days=6/8 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 faults=false pool=133 maxheap=0` +
 				"\nFaaSCache,LCS: event -> [sharded x2 sharded x5 sharded x16]\nSPES: dense -> [event]"},
@@ -97,7 +101,7 @@ func TestParseRejects(t *testing.T) {
 		"-stream -shards 1",
 		"-streamonly -capacity", "-streamonly -stream",
 		"-retrain-every -1",
-		"-faults 1",
+		"-faults 1 -shards 1", "-faults 1 -shards 0", "-streamonly -faults 1",
 		"-streamonly -shards 0",
 	} {
 		if _, err := parse(strings.Fields(args)); err == nil {

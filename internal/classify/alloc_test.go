@@ -7,6 +7,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -186,14 +187,46 @@ func TestProfilesOwnTheirSlices(t *testing.T) {
 
 var benchOutcome *Outcome
 
-// BenchmarkCategorize times one offline pass over the DefaultSettings
-// training trace (2000 functions, 12 days), the paper's configuration.
+// BenchmarkCategorize times one offline pass over two windows. "paper" is
+// the DefaultSettings training trace (2000 functions, 12 days), the paper's
+// configuration. "retrain-window" is what a retrain boundary of the
+// benchmark's drift workload hands Categorize: 1000 functions over 14 days,
+// a 1 % shift cohort and every function drifting 15 slots a day from the
+// 12-day train/simulation split, and the 12-day window sim.BuildRetrainWindow
+// cuts at the first 720-slot boundary, straddling both halves.
 func BenchmarkCategorize(b *testing.B) {
-	train := trainingTrace(b, 2000, 14, 12)
-	cfg := DefaultConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		benchOutcome = Categorize(train, cfg, false, false)
+	for _, c := range []struct {
+		name   string
+		window func(testing.TB) *trace.Trace
+	}{
+		{"paper", func(tb testing.TB) *trace.Trace { return trainingTrace(tb, 2000, 14, 12) }},
+		{"retrain-window", driftRetrainWindow},
+	} {
+		win := c.window(b)
+		b.Run(c.name, func(b *testing.B) {
+			cfg := DefaultConfig()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchOutcome = Categorize(win, cfg, false, false)
+			}
+		})
 	}
+}
+
+// driftRetrainWindow builds BenchmarkCategorize's "retrain-window" case.
+func driftRetrainWindow(tb testing.TB) *trace.Trace {
+	tb.Helper()
+	const functions, days, trainDays, boundary = 1000, 14, 12, 720
+	split := trainDays * 1440
+	gcfg := trace.DefaultGeneratorConfig(functions, days, 1)
+	gcfg.Scenario = trace.ScenarioConfig{Name: "benchmark", Seed: 1, Phases: []trace.Phase{
+		{Kind: trace.PhaseShift, Start: split, Fraction: 0.01},
+		{Kind: trace.PhaseDrift, Start: split, Fraction: 1, Amplitude: 15},
+	}}
+	full, err := trace.Generate(gcfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	train, simTr := full.Split(split)
+	return sim.BuildRetrainWindow(train, simTr, boundary, train.Slots)
 }

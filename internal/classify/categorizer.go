@@ -105,7 +105,7 @@ func (c *Categorizer) Categorize(training *trace.Trace, cfg Config, disableCorre
 			if !ok {
 				act := w.extractWindow(s, 0, training.Slots)
 				if disableForgetting {
-					p, ok = w.categorizeActivity(act, cfg)
+					p, ok = w.categorizeActivity(act, w.distInto(0, act.WT), cfg)
 				} else {
 					p, ok = w.categorizeWithForgettingSparse(s, act, cfg)
 				}
@@ -182,34 +182,39 @@ func (w *scratch) extractWindow(s trace.Series, start, slots int) series.Activit
 	// the smaller bound sizes all three lengths.
 	n := min(len(evs), (int(evs[len(evs)-1].Slot-evs[0].Slot)+2)/2)
 	w.act = sized(w.act, 3*n)
-	at, an, wt := w.act[:n], w.act[n:2*n], w.act[2*n:]
+	runs := w.act // AT at [0, n), AN at [n, 2n), WT at [2n, 3n)
 
-	first := int(evs[0].Slot) - start
-	a.LeadingIdle = first
-	runStart := first
-	runSum := 0
-	prev := first - 1 // window-relative slot of the previous event
-	r := 0            // runs closed so far
+	// The loop has no branch on the data. Every event stores the open run r
+	// as if it closed before this event: the stores are overwritten until
+	// one does, a non-zero gap, which then only advances r and restarts the
+	// run state (conditional moves). It reads absolute slots (start only
+	// places the window's ends) and keeps one base for the three lengths, so
+	// what it carries stays in registers.
+	prev := int(evs[0].Slot) - 1 // slot of the previous event
+	runStart := prev + 1
+	runSum, inv := 0, 0
+	r := 0 // runs closed so far; r < n throughout
 	for _, e := range evs {
-		slot := int(e.Slot) - start
-		c := int(e.Count)
-		a.Invocations += c
-		if slot == prev+1 {
-			runSum += c
-		} else {
-			at[r], an[r], wt[r] = prev-runStart+1, runSum, slot-prev-1
+		slot, c := int(e.Slot), int(e.Count)
+		gap := slot - prev - 1
+		runs[r], runs[n+r], runs[2*n+r] = prev-runStart+1, runSum, gap
+		if gap != 0 {
 			r++
 			runStart = slot
-			runSum = c
+			runSum = 0
 		}
+		runSum += c
+		inv += c
 		prev = slot
 	}
-	at[r], an[r] = prev-runStart+1, runSum
-	a.AT, a.AN = at[:r+1:r+1], an[:r+1:r+1]
+	runs[r], runs[n+r] = prev-runStart+1, runSum
+	a.AT, a.AN = runs[:r+1:r+1], runs[n:n+r+1:n+r+1]
 	if r > 0 {
-		a.WT = wt[:r:r]
+		a.WT = runs[2*n : 2*n+r : 2*n+r]
 	}
-	a.TrailingIdle = slots - prev - 1
+	a.LeadingIdle = int(evs[0].Slot) - start
+	a.Invocations = inv
+	a.TrailingIdle = slots - (prev - start) - 1
 	return a
 }
 
@@ -227,11 +232,16 @@ type seriesExtract struct {
 	slots     int
 }
 
-// alwaysWarmFast evaluates the always-warm definition straight off the
-// sparse series — every event is one active slot, so the active-slot count
-// is len(s) and the summed inter-run idle is the span minus it — returning
-// the profile without materializing an Activity. It is exact: the condition
-// and the resulting profile match categorizeActivity's branch 1.
+// alwaysWarmFast evaluates the always-warm definition (definition 1) on the
+// window of slots slots holding the events s: invoked at every slot, or
+// total inter-invocation idle at or below one-thousandth of the window. The
+// paper's literal condition (2) would also admit a function invoked in one
+// short dense flurry (its summed WT is trivially 0), so the idle-fraction
+// branch additionally requires activity to span most of the window. It reads
+// the sparse series alone — every event is one active slot, so the
+// active-slot count is len(s) and the summed inter-run idle is the span
+// minus it — and is exact: condition and profile match the definition over
+// the window's Activity (TestAlwaysWarmFastMatchesActivityBranch).
 func alwaysWarmFast(s trace.Series, slots int, cfg Config) (Profile, bool) {
 	active := len(s)
 	if active == 0 {
@@ -320,17 +330,21 @@ func (se *seriesExtract) suffix(w *scratch, start int) series.Activity {
 	return a
 }
 
-// categorizeWithForgettingSparse first tries the full window, then applies
+// categorizeWithForgettingSparse first tries the full window (whose
+// always-warm test the caller has made), then applies
 // the forgetting rule of Section IV-B1: drop the oldest day and re-test, out
 // to half the observation window; ok is false when no suffix matches. It is
 // fed from the sparse event series: the full window is extracted once
 // (O(events)), and each forgetting suffix reuses its run structure instead
-// of re-scanning.
+// of re-scanning. A suffix's WTs are a suffix of the previous window's, so
+// its raw distribution is the previous one with the WTs that left removed,
+// not a fresh sort.
 // The run metadata is only built when the full window fails to categorize,
 // which the majority of functions never reach.
 func (w *scratch) categorizeWithForgettingSparse(s trace.Series, act series.Activity, cfg Config) (Profile, bool) {
 	slots := act.Slots
-	if p, ok := w.categorizeActivity(act, cfg); ok {
+	raw := w.distInto(0, act.WT)
+	if p, ok := w.categorizeActivity(act, raw, cfg); ok {
 		return p, true
 	}
 	days := slots / cfg.SlotsPerDay
@@ -338,8 +352,16 @@ func (w *scratch) categorizeWithForgettingSparse(s trace.Series, act series.Acti
 		return Profile{}, false
 	}
 	se := w.extractMeta(s, slots, act)
+	wts := act.WT
 	for drop := 1; drop <= days/2; drop++ {
-		if p, ok := w.categorizeActivity(se.suffix(w, drop*cfg.SlotsPerDay), cfg); ok {
+		start := drop * cfg.SlotsPerDay
+		sa := se.suffix(w, start)
+		raw.remove(wts[:len(wts)-len(sa.WT)]...)
+		wts = sa.WT
+		if p, ok := alwaysWarmFast(firesFrom(s, start).evs, slots-start, cfg); ok {
+			return p, true
+		}
+		if p, ok := w.categorizeActivity(sa, raw, cfg); ok {
 			return p, true
 		}
 	}

@@ -205,11 +205,11 @@ func TestMineLinksEmptyTarget(t *testing.T) {
 	}
 }
 
-// TestAlwaysWarmFastMatchesActivityBranch pins the fast always-warm
-// pre-check to categorizeActivity's branch 1: the two implementations of
-// definition 1 must agree (condition AND resulting profile) on every series
-// shape, or full-window and forgetting-suffix classification silently
-// diverge.
+// TestAlwaysWarmFastMatchesActivityBranch pins alwaysWarmFast, the one
+// implementation of definition 1 the categorizer runs (on the full window
+// and on every forgetting suffix), to the definition as stated over the
+// window's extracted Activity: condition AND resulting profile must agree on
+// every series shape.
 func TestAlwaysWarmFastMatchesActivityBranch(t *testing.T) {
 	cfg := DefaultConfig()
 	const slots = 4000

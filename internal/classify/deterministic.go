@@ -175,21 +175,17 @@ type Link struct {
 	Lag  int32
 }
 
-// categorizeWTs tests the regular definition against one WT sequence
-// variant with a pre-sorted copy of it, avoiding the per-quantile float
-// conversion and sort. sorted must hold the same values as wts in ascending
-// order; the float statistics (CV, StdDev) still run over wts in original
-// order so their summation rounding matches the reference formulas exactly.
-func categorizeWTs(wts, sorted []int, cfg Config) (Profile, bool) {
+// regularProfile tests the regular definition against one WT variant:
+// wts in its original order and d its distribution. The spread test, the
+// CV test and the median read d; an emitted profile's StdWT runs over wts in
+// original order, so its summation rounding matches the reference formula.
+func regularProfile(wts []int, d dist, cfg Config) (Profile, bool) {
 	if len(wts) < cfg.MinWTs {
 		return Profile{}, false
 	}
-
 	// Regular: P95 - P5 <= spread, or CV ~ 0.
-	p5 := stats.QuantileSortedInts(sorted, 0.05)
-	p95 := stats.QuantileSortedInts(sorted, 0.95)
-	if p95-p5 <= cfg.RegularSpread || stats.CoefficientOfVariationInts(wts) <= cfg.RegularCV {
-		median := stats.MedianSortedInts(sorted)
+	if d.quantile(0.95)-d.quantile(0.05) <= cfg.RegularSpread || cvWithin(wts, d, cfg.RegularCV) {
+		median := d.quantile(0.5)
 		return Profile{
 			Type:     TypeRegular,
 			Values:   []int{int(median + 0.5)},
@@ -201,93 +197,99 @@ func categorizeWTs(wts, sorted []int, cfg Config) (Profile, bool) {
 	return Profile{}, false
 }
 
-// categorizeActivity applies the five deterministic definitions of Section
-// IV-A in priority order to an extracted Activity; ok is false when none
-// match. The offline phase feeds it from sparse event series without
-// materializing dense per-slot vectors. The sorted variants, the
-// merged sequence and the frequency tables are built in w; the returned
-// profile's Values are its own.
-func (w *scratch) categorizeActivity(act series.Activity, cfg Config) (Profile, bool) {
-	// 1. Always warm: invoked at every slot, or total inter-invocation idle
-	// at or below one-thousandth of the window. The paper's literal
-	// condition (2) would also admit a function invoked in one short dense
-	// flurry (its summed WT is trivially 0), so the idle-fraction branch
-	// additionally requires activity to span most of the window.
-	if act.Invocations > 0 {
-		if act.InvokedEverySlot() ||
-			(float64(act.TotalWT()) <= cfg.AlwaysWarmIdleFrac*float64(act.Slots) &&
-				float64(act.ActiveSlots()) >= 0.5*float64(act.Slots)) {
-			return Profile{Type: TypeAlwaysWarm, WTCount: len(act.WT)}, true
-		}
+// cvWithin reports stats.CoefficientOfVariationInts(wts) <= bound, d being
+// the distribution of wts: the integer test decides, and outside its range
+// or inside its band the float formula over wts in original order does.
+func cvWithin(wts []int, d dist, bound float64) bool {
+	switch d.cvAtMost(bound) {
+	case cvPass:
+		return true
+	case cvFail:
+		return false
 	}
+	return stats.CoefficientOfVariationInts(wts) <= bound
+}
 
+// categorizeActivity applies definitions 2 to 5 of Section IV-A in
+// priority order to an extracted Activity; ok is false when none match.
+// Definition 1, always-warm, comes first and is its callers' to test, off
+// the window's events (alwaysWarmFast). raw must be the distribution of
+// act.WT. The offline phase feeds it from sparse event series without
+// materializing dense per-slot vectors. The other variants' distributions
+// and the merged sequence are built in w; the returned profile's Values are
+// its own.
+func (w *scratch) categorizeActivity(act series.Activity, raw dist, cfg Config) (Profile, bool) {
 	// Table I marks both the regular and appro-regular conditions as tested
 	// on "(Processed)" WTs, so both run over the slack cascade, in order:
 	// the raw WTs, the end-trimmed WTs (series.TrimEnds), and the
 	// series.MergeSmallWTs merge of the last of those, kept only when it
-	// shortened its base. Each variant is sorted exactly once — the trimmed
-	// variant's sorted copy drops two values from the raw one, and the merge
-	// rule's reference mode comes from a run-length scan of the sorted base.
-	// The quantile reads below reproduce the float-sorting reference bit for
-	// bit (see stats.QuantileSortedInts).
+	// shortened its base. Every statistic of a variant is read off its
+	// distribution: the trimmed variant's is the raw one minus two values,
+	// and the merge rule's reference mode is the base's. The quantile reads
+	// reproduce the float-sorting reference bit for bit (see dist.quantile).
 	wts := act.WT
-	var variants, sortedVariants [3][]int
+	var variants [3][]int
+	var dists [3]dist
 	nv := 0
 	if len(wts) > 0 {
-		variants[0] = wts
-		w.sorted[0] = w.sortedInto(w.sorted[0], wts)
-		sortedVariants[0] = w.sorted[0]
-		nv = 1
+		variants[0], dists[0], nv = wts, raw, 1
 	}
 	if len(wts) > 2 {
-		variants[1] = wts[1 : len(wts)-1]
-		w.sorted[1] = withoutTwoInto(w.sorted[1], sortedVariants[0], wts[0], wts[len(wts)-1])
-		sortedVariants[1] = w.sorted[1]
-		nv = 2
+		variants[1], dists[1], nv = wts[1:len(wts)-1], w.withoutTwoInto(1, raw, wts[0], wts[len(wts)-1]), 2
 	}
 	if nv > 0 {
-		base, sortedBase := variants[nv-1], sortedVariants[nv-1]
-		mode := series.MergeReferenceModeSorted(sortedBase)
-		w.merged = series.AppendMergedWTs(sized(w.merged, len(base))[:0], base, mode, cfg.SlackCloseTol, cfg.SlackSmallFrac)
-		if merged := w.merged; len(merged) > 0 && len(merged) != len(base) {
-			variants[nv] = merged
-			w.sorted[2] = w.sortedInto(w.sorted[2], merged)
-			sortedVariants[nv] = w.sorted[2]
-			nv++
+		// The merge only rewrites a near-mode WT followed by small ones, a
+		// small WT being at most SlackSmallFrac of the mode: when not even
+		// the smallest value is, the merge is the identity and is skipped.
+		base, d := variants[nv-1], dists[nv-1]
+		mode := d.referenceMode()
+		if mode > 0 && float64(d.minVal()) <= cfg.SlackSmallFrac*float64(mode) {
+			w.merged = series.AppendMergedWTs(sized(w.merged, len(base))[:0], base, mode, cfg.SlackCloseTol, cfg.SlackSmallFrac)
+			if merged := w.merged; len(merged) > 0 && len(merged) != len(base) {
+				variants[nv], dists[nv] = merged, w.distInto(2, merged)
+				nv++
+			}
 		}
 	}
 
 	// 2. Regular.
-	for i, variant := range variants[:nv] {
-		if p, ok := categorizeWTs(variant, sortedVariants[i], cfg); ok {
+	for i := range nv {
+		if p, ok := regularProfile(variants[i], dists[i], cfg); ok {
 			return p, true
 		}
 	}
 
-	// 3. Appro-regular: top-n WT modes cover >= 90% of the sequence.
+	// 3. Appro-regular: top-n WT modes cover >= 90% of the sequence. The raw
+	// variant's table head is long enough for the dense range too, which
+	// reuses it.
+	headLen := max(cfg.ApproModes, cfg.DenseModes, 0)
+	rawHead := false
 	for i, variant := range variants[:nv] {
 		if len(variant) < cfg.ApproMinWTs {
 			continue
 		}
-		w.table = stats.AppendFrequencyTableSorted(w.table[:0], sortedVariants[i])
-		table := w.table
-		n := cfg.ApproModes
-		if n > len(table) {
-			n = len(table)
+		var head []stats.ModeCount
+		if i == 0 {
+			w.top = raw.topModes(w.top[:0], headLen)
+			head, rawHead = w.top, true
+		} else {
+			w.table = dists[i].topModes(w.table[:0], cfg.ApproModes)
+			head = w.table
 		}
+		head = head[:min(cfg.ApproModes, len(head))]
 		cov := 0
-		for _, mc := range table[:n] {
+		for _, mc := range head {
 			cov += mc.Count
 		}
 		if float64(cov) >= cfg.ApproCoverage*float64(len(variant)) {
-			modes := make([]int, 0, n)
-			for _, mc := range table[:n] {
+			modes := make([]int, 0, len(head))
+			for _, mc := range head {
 				modes = append(modes, mc.Value)
 			}
 			return Profile{
 				Type:     TypeApproRegular,
 				Values:   modes,
-				MedianWT: stats.MedianSortedInts(sortedVariants[i]),
+				MedianWT: dists[i].quantile(0.5),
 				StdWT:    stats.StdDevInts(variant),
 				WTCount:  len(variant),
 			}, true
@@ -295,21 +297,19 @@ func (w *scratch) categorizeActivity(act series.Activity, cfg Config) (Profile, 
 	}
 
 	// 4. Dense: P90(WT) <= small constant, tested on the raw sequence.
-	if len(act.WT) >= cfg.DenseMinWTs {
-		// variants[0] is the raw WT sequence whenever it is non-empty.
-		sorted := sortedVariants[0]
-		if stats.QuantileSortedInts(sorted, 0.9) <= cfg.DenseP90Max {
-			w.table = stats.AppendFrequencyTableSorted(w.table[:0], sorted)
-			lo, hi, _ := stats.TableRange(w.table, cfg.DenseModes)
-			return Profile{
-				Type:     TypeDense,
-				RangeLo:  lo,
-				RangeHi:  hi,
-				MedianWT: stats.MedianSortedInts(sorted),
-				StdWT:    stats.StdDevInts(act.WT),
-				WTCount:  len(act.WT),
-			}, true
+	if len(wts) >= cfg.DenseMinWTs && raw.quantile(0.9) <= cfg.DenseP90Max {
+		if !rawHead {
+			w.top = raw.topModes(w.top[:0], headLen)
 		}
+		lo, hi, _ := stats.TableRange(w.top, cfg.DenseModes)
+		return Profile{
+			Type:     TypeDense,
+			RangeLo:  lo,
+			RangeHi:  hi,
+			MedianWT: raw.quantile(0.5),
+			StdWT:    stats.StdDevInts(wts),
+			WTCount:  len(wts),
+		}, true
 	}
 
 	// 5. Successive: sustained waves — every active run lasts >= gamma1

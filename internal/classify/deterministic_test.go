@@ -4,8 +4,8 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/series"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // seq builds a dense sequence of the given length with invocations at the
@@ -27,12 +27,23 @@ func periodicSeq(slots, period, phase int) []int {
 	return out
 }
 
-// categorizeCounts runs the categorizer's deterministic pass over the
-// activity of a dense sequence and holds its outcome to the oracle's.
+// categorizeCounts runs the categorizer's deterministic pass over a dense
+// sequence, as Categorize runs it on a window without forgetting, and holds
+// its outcome to the oracle's.
 func categorizeCounts(t *testing.T, counts []int, cfg Config) (Profile, bool) {
 	t.Helper()
+	var s trace.Series
+	for slot, c := range counts {
+		if c > 0 {
+			s = append(s, trace.Event{Slot: int32(slot), Count: int32(c)})
+		}
+	}
 	var w scratch
-	p, ok := w.categorizeActivity(series.Extract(counts), cfg)
+	p, ok := alwaysWarmFast(s, len(counts), cfg)
+	if !ok {
+		act := w.extractWindow(s, 0, len(counts))
+		p, ok = w.categorizeActivity(act, w.distInto(0, act.WT), cfg)
+	}
 	if want, wantOK := oracleDeterministic(counts, cfg); ok != wantOK || !reflect.DeepEqual(p, want) {
 		t.Fatalf("categorizeActivity = %+v (%v), oracle %+v (%v)", p, ok, want, wantOK)
 	}

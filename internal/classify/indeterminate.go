@@ -308,25 +308,18 @@ func riseRate(worse, best int) float64 {
 // profile owns its Values; links is stored as given.
 func (w *scratch) assignIndeterminate(act series.Activity, valInvoked fires, valSlots int, links []Link, cands []fires, cfg Config) Profile {
 	// The possible strategy's predictive values: WTs occurring more than
-	// once, most frequent first (stats.RepeatedValues, read off the table of
-	// the sorted copy).
-	w.sorted[0] = w.sortedInto(w.sorted[0], act.WT)
-	sortedWT := w.sorted[0]
-	w.table = stats.AppendFrequencyTableSorted(w.table[:0], sortedWT)
-	possibleValues := w.values[:0]
-	for _, mc := range w.table {
-		if mc.Count > 1 {
-			possibleValues = append(possibleValues, mc.Value)
-		}
-	}
-	w.values = possibleValues
+	// once, most frequent first (stats.RepeatedValues, read off the WT
+	// distribution).
+	wtDist := w.distInto(0, act.WT)
+	w.values, w.table = wtDist.appendRepeated(w.values[:0], w.table)
+	possibleValues := w.values
 	possible := func() Profile {
 		values := make([]int, len(possibleValues))
 		copy(values, possibleValues)
 		return Profile{
 			Type:     TypePossible,
 			Values:   values,
-			MedianWT: stats.MedianSortedInts(sortedWT),
+			MedianWT: wtDist.quantile(0.5),
 			StdWT:    stats.StdDevInts(act.WT),
 			WTCount:  len(act.WT),
 		}

@@ -374,10 +374,15 @@ func TestCategorizeMatchesOracle(t *testing.T) {
 
 // kernelPaths counts, over one window, the paths the categorizer's kernels
 // choose, by asking the pure choosers about the inputs Categorize hands
-// them: each function's full-window WT sequence for sortedInto, and every
+// them: each function's full-window WT sequence for distInto's builder and,
+// where its P95-P5 spread leaves the regular test to the CV, for the
+// integer CV verdict (cv[cvFail], cv[cvPass], cv[cvFloat]); and every
 // indeterminate target's peers that pass both of mineLinks' prunes for the
 // lag scan. profiles are the window's outcome.
-type kernelPaths struct{ bitset, merge, counting, comparison int }
+type kernelPaths struct {
+	bitset, merge, counting, comparison int
+	cv                                  [3]int
+}
 
 func (k *kernelPaths) add(tr *trace.Trace, profiles []Profile, cfg Config) {
 	var w scratch
@@ -390,6 +395,9 @@ func (k *kernelPaths) add(tr *trace.Trace, profiles []Profile, cfg Config) {
 			k.counting++
 		} else {
 			k.comparison++
+		}
+		if d := w.distInto(0, wts); len(wts) >= cfg.MinWTs && d.quantile(0.95)-d.quantile(0.05) > cfg.RegularSpread {
+			k.cv[d.cvAtMost(cfg.RegularCV)]++
 		}
 	}
 	apps, users := tr.AppFunctions(), tr.UserFunctions()
@@ -422,13 +430,28 @@ func (k *kernelPaths) add(tr *trace.Trace, profiles []Profile, cfg Config) {
 	}
 }
 
+// plantCVBand adds to tr a function of its own application and user whose
+// WTs alternate 99 and 101 slots forty times: CV exactly 0.01, which the
+// integer CV test leaves to the float formula.
+func plantCVBand(tr *trace.Trace) {
+	var evs []trace.Event
+	for slot, i := int32(0), 0; i <= 40; i++ {
+		evs = append(evs, trace.Event{Slot: slot, Count: 1})
+		slot += 100 + 2*int32(i%2)
+	}
+	tr.Functions, tr.Series = slices.Clip(tr.Functions), slices.Clip(tr.Series)
+	tr.AddFunction("cv-band", "cv-band", "cv-band", trace.TriggerTimer, evs)
+}
+
 // TestCategorizeMatchesOracleAtRetrainBoundaries holds Categorize to the
 // oracle on the windows online re-categorization builds: every 720-slot
 // boundary of a two-day simulation after four training days, for the
 // stationary baseline and every library scenario, each window as long as
 // the training trace (sim.BuildRetrainWindow, the window the simulator hands
-// a Retrainer). It also checks that those windows drive both lag-scan
-// kernels and both sort paths, so the agreement covers each of them.
+// a Retrainer), plus a planted function on the CV bound (plantCVBand). It
+// also checks that those windows drive both lag-scan kernels, both
+// distribution builders and all three CV verdicts, so the agreement covers
+// each of them.
 func TestCategorizeMatchesOracleAtRetrainBoundaries(t *testing.T) {
 	const functions, days, trainDays, every = 240, 6, 4, 720
 	boundaries := []int{every, 2 * every, 3 * every}
@@ -452,6 +475,7 @@ func TestCategorizeMatchesOracleAtRetrainBoundaries(t *testing.T) {
 		train, simTr := full.Split(trainDays * 1440)
 		for _, at := range boundaries {
 			win := sim.BuildRetrainWindow(train, simTr, at, train.Slots)
+			plantCVBand(win)
 			want := oracleCategorize(win, cfg, false, false)
 			paths.add(win, want, cfg)
 			for _, workers := range []int{1, 4} {
@@ -467,9 +491,9 @@ func TestCategorizeMatchesOracleAtRetrainBoundaries(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("kernel paths: lag scan %d bitset, %d merge; sort %d counting, %d comparison",
-		paths.bitset, paths.merge, paths.counting, paths.comparison)
-	if paths.bitset == 0 || paths.merge == 0 || paths.counting == 0 || paths.comparison == 0 {
+	t.Logf("kernel paths: lag scan %d bitset, %d merge; distribution %d counting, %d comparison; CV %d fail, %d pass, %d float",
+		paths.bitset, paths.merge, paths.counting, paths.comparison, paths.cv[cvFail], paths.cv[cvPass], paths.cv[cvFloat])
+	if paths.bitset == 0 || paths.merge == 0 || paths.counting == 0 || paths.comparison == 0 || slices.Contains(paths.cv[:], 0) {
 		t.Fatalf("a kernel path was never taken: %+v", paths)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // scratch is one worker's reusable working memory for the offline pass.
 // A Categorizer keeps one per worker across calls, indexed by trace.FanOut's
 // worker index, so every item a worker takes reuses it: the per-function
-// intermediates — extracted activity, sorted slack variants, frequency
+// intermediates — extracted activity, slack-variant distributions, frequency
 // tables, pre-load spans — cost an allocation only when a function needs more room than any
 // before it on that worker, in this call or an earlier one.
 //
@@ -18,12 +18,14 @@ import (
 // (the next function overwrites them), so whatever escapes — Values, Links —
 // is copied out into an exactly sized slice of its own.
 type scratch struct {
-	act    []int    // extractWindow: AT, AN and WT of the current window
-	sorted [3][]int // categorizeActivity: ascending copy of each slack variant
-	merged []int    // categorizeActivity: the merged slack variant
-	hist   []int    // sortedInto: counting sort's histogram over [min, max]
+	act     []int                // extractWindow: AT, AN and WT of the current window
+	dists   [3][]stats.ModeCount // distInto: the distribution of each slack variant
+	merged  []int                // categorizeActivity: the merged slack variant
+	hist    []int                // sortedInto, distInto: counting histogram over [min, max]
+	sortBuf []int                // distInto: sorted copy when the histogram does not pay
 
-	table []stats.ModeCount // frequency table of one sorted WT sequence
+	top   []stats.ModeCount // head of the raw variant's frequency table
+	table []stats.ModeCount // head of another variant's table; repeated values
 
 	// Forgetting rule: per-run metadata of the full window (extractMeta) and
 	// the rebuilt AT/AN of a suffix whose first run straddles the cut.
@@ -105,20 +107,4 @@ func (w *scratch) sortedInto(dst, xs []int) []int {
 // but the two sizes.
 func countingSortPays(n int, spread uint) bool {
 	return spread < 2*uint(n)
-}
-
-// withoutTwoInto fills dst with sorted minus one occurrence each of a and b
-// (which must both be present), preserving order.
-func withoutTwoInto(dst, sorted []int, a, b int) []int {
-	if a > b {
-		a, b = b, a
-	}
-	ia, _ := slices.BinarySearch(sorted, a)
-	ib, _ := slices.BinarySearch(sorted[ia+1:], b)
-	ib += ia + 1
-	dst = sized(dst, len(sorted)-2)
-	n := copy(dst, sorted[:ia])
-	n += copy(dst[n:], sorted[ia+1:ib])
-	copy(dst[n:], sorted[ib+1:])
-	return dst
 }

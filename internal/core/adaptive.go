@@ -191,8 +191,6 @@ func (s *provision) adjustPredictiveValues(st *funcState) {
 	if shift <= tol {
 		return
 	}
-	online := stats.IntsToFloats(s.chronoWTs(st))
-
 	blend := func(old int) int {
 		return int((float64(old) + newMedian) / 2)
 	}
@@ -225,7 +223,7 @@ func (s *provision) adjustPredictiveValues(st *funcState) {
 		}
 	}
 	st.profile.MedianWT = (st.profile.MedianWT + newMedian) / 2
-	st.profile.StdWT = stats.StdDev(online)
+	st.profile.StdWT = stats.StdDevInts(s.chronoWTs(st))
 }
 
 // promoteUnknown implements S3 for unknown functions: when the online WTs
@@ -240,13 +238,11 @@ func (s *provision) promoteUnknown(st *funcState) {
 	if int(st.wtDistinct) >= len(st.onlineWTs) {
 		return
 	}
-	repeated := stats.RepeatedValues(st.onlineWTs)
-	online := stats.IntsToFloats(s.chronoWTs(st))
 	st.profile = classify.Profile{
 		Type:     classify.TypeNewlyPossible,
-		Values:   repeated,
-		MedianWT: stats.Median(online),
-		StdWT:    stats.StdDev(online),
+		Values:   stats.RepeatedValues(st.onlineWTs),
+		MedianWT: st.medianOnline(),
+		StdWT:    stats.StdDevInts(s.chronoWTs(st)),
 		WTCount:  len(st.onlineWTs),
 	}
 }

@@ -49,37 +49,6 @@ func Quantiles(xs []float64, qs ...float64) []float64 {
 	return out
 }
 
-// QuantileSortedInts is Quantile over an already ascending-sorted int slice.
-// It reproduces Quantile(IntsToFloats(xs), q) bit for bit (the interpolation
-// runs on float64-converted order statistics either way) without the copy,
-// conversion, and sort. Behaviour on unsorted input is undefined.
-func QuantileSortedInts(sorted []int, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return float64(sorted[0])
-	}
-	if q >= 1 {
-		return float64(sorted[len(sorted)-1])
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(pos)
-	hi := lo + 1
-	if hi >= len(sorted) {
-		return float64(sorted[lo])
-	}
-	frac := pos - float64(lo)
-	return float64(sorted[lo])*(1-frac) + float64(sorted[hi])*frac
-}
-
-// MedianSortedInts returns the 0.5-quantile of an ascending-sorted int
-// slice, bit-identical to Median(IntsToFloats(xs)) for any permutation xs
-// of the values.
-func MedianSortedInts(sorted []int) float64 {
-	return QuantileSortedInts(sorted, 0.5)
-}
-
 // Median returns the 0.5-quantile of xs.
 func Median(xs []float64) float64 {
 	return Quantile(xs, 0.5)

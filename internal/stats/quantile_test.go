@@ -70,9 +70,6 @@ func TestMedian(t *testing.T) {
 	if got := Median([]float64{1, 2, 3, 4}); got != 2.5 {
 		t.Errorf("Median even = %v, want 2.5", got)
 	}
-	if got := MedianSortedInts([]int{10, 20, 30}); got != 20 {
-		t.Errorf("MedianSortedInts = %v, want 20", got)
-	}
 }
 
 // Property: quantile output is always within [min, max] and monotone in q.
