@@ -155,8 +155,9 @@ func straddlingCV(rng *rand.Rand, n int) []int {
 // distribution: quantiles, frequency-table head, reference mode, repeated
 // values and the CV verdict, of full sequences, trimmed variants and
 // forgetting suffixes, against the sort-based references the deterministic
-// pass used to read. The shapes reach both builders, negative values, WTs at
-// 2^31-1, and sequences straddling CV = 0.01 in every verdict.
+// pass used to read. The shapes reach both builders, narrow and wide value
+// ranges, negative values, the extremes of int, WTs at 2^31-1, and
+// sequences straddling CV = 0.01 in every verdict.
 func TestDistMatchesSortReferences(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	var w scratch
@@ -171,6 +172,9 @@ func TestDistMatchesSortReferences(t *testing.T) {
 			base := rng.Intn(2000) - 1000
 			for i := range xs {
 				xs[i] = base + rng.Intn(spread)
+			}
+			if trial%100 == 0 && len(xs) > 1 {
+				xs[0], xs[1] = math.MinInt, math.MaxInt // a spread past int's range
 			}
 		case 2: // near the top of the exact range
 			xs = make([]int, 1+rng.Intn(50))
@@ -214,9 +218,9 @@ func FuzzDist(f *testing.F) {
 		}
 		return b
 	}
-	f.Add(le(99, 101, 99, 101), uint8(0))                                  // CV exactly 0.01
+	f.Add(le(99, 101, 99, 101), uint8(0))                                 // CV exactly 0.01
 	f.Add(le(math.MaxInt32, math.MaxInt32-1, math.MaxInt32, 5), uint8(0)) // WTs at 2^31-1
-	f.Add(le(1440, 1439, 1, 1440, 1438, 2, 1440), uint8(0))                // the merge rule's shape
+	f.Add(le(1440, 1439, 1, 1440, 1438, 2, 1440), uint8(0))               // the merge rule's shape
 	f.Add(le(7, 7, 7), uint8(3))
 	f.Add([]byte{}, uint8(0))
 	f.Fuzz(func(t *testing.T, data []byte, spread uint8) {

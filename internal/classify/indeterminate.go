@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/series"
@@ -86,7 +87,8 @@ func (w *scratch) scorePossible(invoked fires, slots int, values []int, thetaPre
 	// Every gap pre-loads around the same offsets. Walking them in ascending
 	// order yields each gap's pre-load windows already ordered by start, so
 	// their union is accumulated on the fly: no span list, no per-gap sort.
-	w.ascend = w.sortedInto(w.ascend, values)
+	w.ascend = append(w.ascend[:0], values...)
+	slices.Sort(w.ascend)
 	cost.ColdStarts = 1
 	for i := 1; i < invoked.len(); i++ {
 		prev, cur := int(invoked.slot(i-1)), int(invoked.slot(i))

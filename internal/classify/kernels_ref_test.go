@@ -6,18 +6,11 @@ import (
 )
 
 // References for the kernels of the offline pass, as they were before each
-// was made cheaper: a comparison sort of the WT slack variants and a span
-// union formed by sorting every pre-load window. The lag scan's reference is
-// not here: the merge forms of BestLaggedCOR and FollowRate in cor.go remain
-// the kernel of sparse pairs, and the bitset kernel is held to them.
-
-// sortedIntoRef is sortedInto as pdqsort.
-func sortedIntoRef(dst, xs []int) []int {
-	dst = sized(dst, len(xs))
-	copy(dst, xs)
-	slices.Sort(dst)
-	return dst
-}
+// was made cheaper: a span union formed by sorting every pre-load window.
+// Two references are not here: the WT distribution is held to the stats and
+// series sorting forms (dist_test.go), and the merge forms of BestLaggedCOR
+// and FollowRate in cor.go remain the kernel of sparse pairs, the bitset
+// kernel being held to them.
 
 // scoreCorrelatedRef is scoreCorrelated with the union formed by sorting
 // every candidate's windows by start and merging them in place.

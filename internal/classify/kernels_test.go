@@ -95,47 +95,6 @@ func FuzzLagScan(f *testing.F) {
 	})
 }
 
-// TestSortedIntoMatchesSort holds sortedInto to pdqsort on narrow and wide
-// value ranges, negative values and the extremes of int, and checks that
-// both of its paths run.
-func TestSortedIntoMatchesSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	var w scratch
-	var got, want []int
-	paths := [2]int{}
-	for trial := 0; trial < 3000; trial++ {
-		xs := make([]int, rng.Intn(300))
-		spread := []int{1, 3, 40, 1000, 1 << 40}[rng.Intn(5)]
-		base := rng.Intn(2000) - 1000
-		for i := range xs {
-			xs[i] = base + rng.Intn(spread)
-		}
-		if trial%100 == 0 && len(xs) > 1 {
-			xs[0], xs[1] = math.MinInt, math.MaxInt
-		}
-		orig := slices.Clone(xs)
-		got = w.sortedInto(got, xs)
-		want = sortedIntoRef(want, xs)
-		if !slices.Equal(got, want) {
-			t.Fatalf("sortedInto(%v) = %v, want %v", orig, got, want)
-		}
-		if !slices.Equal(xs, orig) {
-			t.Fatalf("sortedInto reordered its input")
-		}
-		if len(xs) > 0 {
-			lo, hi := slices.Min(xs), slices.Max(xs)
-			if countingSortPays(len(xs), uint(hi)-uint(lo)) {
-				paths[0]++
-			} else {
-				paths[1]++
-			}
-		}
-	}
-	if paths[0] == 0 || paths[1] == 0 {
-		t.Fatalf("counting sort taken %d times, comparison sort %d: want both", paths[0], paths[1])
-	}
-}
-
 // TestSpanUnionMatchesSortedMerge holds scoreCorrelated's k-way union to the
 // sort-then-merge reference, with up to more candidates than maxLinks,
 // non-positive lags, fires the window clips away, and empty candidates.
@@ -164,11 +123,8 @@ func TestSpanUnionMatchesSortedMerge(t *testing.T) {
 	}
 }
 
-// benchRate and benchSorted keep the benchmarks' results live.
-var (
-	benchRate   float64
-	benchSorted []int
-)
+// benchRate keeps the benchmarks' results live.
+var benchRate float64
 
 // BenchmarkLagScan times one candidate pair's lag scan and precision gate
 // under each kernel: a sparse pair the size of the drift window's average
@@ -203,31 +159,4 @@ func BenchmarkLagScan(b *testing.B) {
 			}
 		})
 	}
-}
-
-// BenchmarkSortWTs sorts the WT sequence of every function of a 12-day
-// training window, through sortedInto and through pdqsort.
-func BenchmarkSortWTs(b *testing.B) {
-	train := trainingTrace(b, 600, 14, 12)
-	var wts [][]int
-	var w scratch
-	for _, s := range train.Series {
-		if act := w.extractWindow(s, 0, train.Slots); len(act.WT) > 0 {
-			wts = append(wts, slices.Clone(act.WT))
-		}
-	}
-	b.Run("sortedInto", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, xs := range wts {
-				benchSorted = w.sortedInto(benchSorted, xs)
-			}
-		}
-	})
-	b.Run("pdqsort", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for _, xs := range wts {
-				benchSorted = sortedIntoRef(benchSorted, xs)
-			}
-		}
-	})
 }

@@ -1,10 +1,6 @@
 package classify
 
-import (
-	"slices"
-
-	"repro/internal/stats"
-)
+import "repro/internal/stats"
 
 // scratch is one worker's reusable working memory for the offline pass.
 // A Categorizer keeps one per worker across calls, indexed by trace.FanOut's
@@ -21,7 +17,7 @@ type scratch struct {
 	act     []int                // extractWindow: AT, AN and WT of the current window
 	dists   [3][]stats.ModeCount // distInto: the distribution of each slack variant
 	merged  []int                // categorizeActivity: the merged slack variant
-	hist    []int                // sortedInto, distInto: counting histogram over [min, max]
+	hist    []int                // distInto: counting histogram over [min, max]
 	sortBuf []int                // distInto: sorted copy when the histogram does not pay
 
 	top   []stats.ModeCount // head of the raw variant's frequency table
@@ -65,46 +61,10 @@ func sized[T any](buf []T, n int) []T {
 	return buf[:n]
 }
 
-// sortedInto fills dst with an ascending copy of xs, leaving xs untouched.
-// When the values span a range small against their count — waiting times
-// mostly do — it counting-sorts them through a histogram held in w;
-// otherwise it copies and sorts. An int sort has one correct output, so the
-// path taken changes no result.
-func (w *scratch) sortedInto(dst, xs []int) []int {
-	dst = sized(dst, len(xs))
-	if len(xs) == 0 {
-		return dst
-	}
-	lo, hi := xs[0], xs[0]
-	for _, x := range xs[1:] {
-		lo, hi = min(lo, x), max(hi, x)
-	}
-	spread := uint(hi) - uint(lo) // exact for any lo <= hi, even where hi-lo overflows int
-	if !countingSortPays(len(xs), spread) {
-		copy(dst, xs)
-		slices.Sort(dst)
-		return dst
-	}
-	w.hist = sized(w.hist, int(spread)+1)
-	hist := w.hist
-	clear(hist)
-	for _, x := range xs {
-		hist[x-lo]++
-	}
-	i := 0
-	for v, c := range hist {
-		for ; c > 0; c-- {
-			dst[i] = lo + v
-			i++
-		}
-	}
-	return dst
-}
-
-// countingSortPays reports whether n values with max-min == spread sort
-// faster through a histogram of spread+1 counters than by comparison: the
-// histogram pass costs O(n + spread), pdqsort O(n log n). It reads nothing
-// but the two sizes.
+// countingSortPays reports whether the distribution of n values with
+// max-min == spread is built faster through a histogram of spread+1
+// counters than by a comparison sort: the histogram pass costs
+// O(n + spread), pdqsort O(n log n). It reads nothing but the two sizes.
 func countingSortPays(n int, spread uint) bool {
 	return spread < 2*uint(n)
 }
