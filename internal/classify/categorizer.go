@@ -331,9 +331,9 @@ func (se *seriesExtract) suffix(w *scratch, start int) series.Activity {
 }
 
 // categorizeWithForgettingSparse first tries the full window (whose
-// always-warm test the caller has made), then applies
-// the forgetting rule of Section IV-B1: drop the oldest day and re-test, out
-// to half the observation window; ok is false when no suffix matches. It is
+// always-warm test the caller has made), then applies the forgetting rule
+// of Section IV-B1: drop the oldest day and re-test, out to half the
+// observation window; ok is false when no suffix matches. It is
 // fed from the sparse event series: the full window is extracted once
 // (O(events)), and each forgetting suffix reuses its run structure instead
 // of re-scanning. A suffix's WTs are a suffix of the previous window's, so

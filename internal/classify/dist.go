@@ -15,8 +15,8 @@ import (
 // table's head, the merge rule's reference mode, the integer moments of the
 // CV test — each in O(distinct values) rather than O(WTs).
 //
-// An entry whose count removals took to zero stays in place (remove, without
-// two), so a value's position never moves; every reader skips them.
+// An entry whose count removals took to zero stays in place (remove,
+// withoutTwoInto), so a value's position never moves; every reader skips it.
 type dist struct {
 	e []stats.ModeCount // Value ascending and distinct; Count >= 0
 	n int               // sum of the counts
