@@ -363,11 +363,12 @@ var archRules = []*archRule{{
 	id:    "transposer",
 	name:  "One transposer",
 	since: "e6b9302",
-	// DESIGN.md "Simulation accounting": trace.Trace.BySlot is the one
-	// slot-major cursor (the engines and serve.Replay iterate it, a chunk at
-	// a time), BuildSlotIndex only collects it for tests and the benchmark,
-	// and Trace memoizes nothing, so it holds no lock.
-	why: "a second transposer or the Trace memo is back (iterate Trace.BySlot)",
+	// DESIGN.md "Simulation accounting": trace.Cursor is the one slot-major
+	// transposer (the engine fills its Chunks, a chunk at a time, and
+	// Trace.BySlot, which serve.Replay iterates, is a thin iterator over
+	// it), BuildSlotIndex only collects it for tests and the benchmark, and
+	// Trace memoizes nothing, so it holds no lock.
+	why: "a second transposer or the Trace memo is back (read a trace.Cursor)",
 	greps: []archGrep{
 		{pattern: `\.BuildSlotIndex(`, basic: true, goOnly: true, under: []string{"internal", "cmd", "spes", "examples"}},
 		{pattern: `sync\.`, basic: true, tests: true, under: []string{"internal/trace/model.go"}},

@@ -14,9 +14,9 @@ import (
 // retrain boundaries and the idle-skip batch charge handled internally.
 //
 // The batch engine (runOne) is one driver of it — it feeds the Driver the
-// trace's occupied slots (trace.Trace.BySlot) — and the serving daemon
-// (internal/serve) is another, feeding it live invocation events over
-// HTTP. That split is what divorces SIM TIME from WALL TIME: the Driver's
+// trace's occupied slots, a trace.Cursor chunk at a time — and the serving
+// daemon (internal/serve) is another, feeding it live invocation events
+// over HTTP. That split is what divorces SIM TIME from WALL TIME: the Driver's
 // clock is the slot number its caller passes to Step, never the wall
 // clock, so a daemon ingesting events hours apart and a simulator
 // replaying them back-to-back compute bit-identical policy states and

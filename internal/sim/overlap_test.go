@@ -4,17 +4,21 @@ import (
 	"reflect"
 	"runtime"
 	"slices"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
-// The batch engine builds each retrain window during the segment before its
-// boundary, beside the Driver's Ticks (runOne). These tests hold it to the
-// loop it replaced, kept here as the reference: one Driver fed the whole
-// BySlot stream, whose Window builds each boundary's window afresh when the
+// The batch engine transposes each chunk of slots beside the Driver's Ticks
+// on the chunk before, and builds each retrain window during the segment
+// before its boundary (runOne). These tests hold it to the loop it
+// replaced, kept here as the reference: one Driver fed the whole BySlot
+// stream, whose Window builds each boundary's window afresh when the
 // Driver asks for it.
 
 const (
@@ -118,7 +122,8 @@ type overlapCase struct {
 	every, window int
 	noTraining    bool
 	measure       bool
-	procs         int // GOMAXPROCS for the run; 0 leaves it
+	procs         int  // GOMAXPROCS for the run; 0 leaves it
+	held          bool // run inside a FanOut that holds every token
 	shards        int
 	stream        bool // a GeneratorSource of 3 shards over the unblanked pair
 }
@@ -134,6 +139,7 @@ var overlapCases = []overlapCase{
 	{name: "measure-overhead", every: overlapEvery, measure: true},
 	{name: "gomaxprocs-1", every: overlapEvery, procs: 1},
 	{name: "gomaxprocs-2", every: overlapEvery, procs: 2},
+	{name: "every-token-held", every: overlapEvery, procs: 2, held: true},
 	{name: "shards-3", every: overlapEvery, shards: 3},
 	{name: "streamed", every: overlapEvery, stream: true},
 }
@@ -198,10 +204,13 @@ func TestRetrainOverlapMatchesSerialLoop(t *testing.T) {
 				want := serialRetrainRun(t, fresh(p.new()), train, simTr, opts)
 				var got *sim.Result
 				var err error
-				if c.stream {
+				switch {
+				case c.stream:
 					src := &sim.GeneratorSource{Cfg: overlapConfig(t), TrainSlots: overlapTrainSlots, Shards: 3}
 					got, err = sim.RunStreamed(p.new(), src, sim.Options{RetrainEvery: c.every})
-				} else {
+				case c.held:
+					holdingEveryToken(t, func() { got, err = sim.Run(fresh(p.new()), train, simTr, opts) })
+				default:
 					got, err = sim.Run(fresh(p.new()), train, simTr, opts)
 				}
 				if err != nil {
@@ -247,5 +256,115 @@ func TestRetrainOverlapFixtureRetrains(t *testing.T) {
 	if a, b := res[0], res[1]; a.TotalColdStarts == b.TotalColdStarts && a.TotalWMT == b.TotalWMT {
 		t.Fatalf("retraining every %d slots left cold starts (%d) and WMT (%d) unchanged",
 			overlapEvery, a.TotalColdStarts, a.TotalWMT)
+	}
+}
+
+// holdingEveryToken runs fn inside a trace.FanOut whose helpers hold every
+// token of the process-wide budget until fn returns, so every FanOut fn
+// makes runs its items on its own caller. The outer call's caller starts
+// helpers until no token is left before it takes an item, so fn waits for
+// the caller to be in; a probe then checks that no helper can start.
+func holdingEveryToken(t *testing.T, fn func()) {
+	t.Helper()
+	const width = 256 // more than the budget of any machine this runs on
+	var callerIn atomic.Bool
+	release := make(chan struct{})
+	err := trace.FanOut(width, width, func(w, i int) error {
+		if w == 0 {
+			callerIn.Store(true)
+		}
+		if i > 0 {
+			<-release
+			return nil
+		}
+		defer close(release)
+		for deadline := time.Now().Add(5 * time.Second); !callerIn.Load(); runtime.Gosched() {
+			if time.Now().After(deadline) {
+				t.Error("the caller of the token-holding FanOut never took an item")
+				return nil
+			}
+		}
+		var helped atomic.Bool
+		trace.FanOut(2, 2, func(w, i int) error {
+			if i == 0 {
+				time.Sleep(10 * time.Millisecond) // time for a helper to take item 1
+			} else if w > 0 {
+				helped.Store(true)
+			}
+			return nil
+		})
+		if helped.Load() {
+			t.Error("a FanOut found a token while every token should be held")
+			return nil
+		}
+		fn()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// serialPlainRun is the reference for a run without retraining: one Driver
+// fed the whole BySlot stream on the caller's goroutine.
+func serialPlainRun(t testing.TB, p sim.Policy, training, simTr *trace.Trace) *sim.Result {
+	t.Helper()
+	p.Train(training)
+	d := sim.NewDriver(p, simTr.NumFunctions(), sim.DriverConfig{})
+	for at, invs := range simTr.BySlot(0, simTr.Slots) {
+		if _, err := d.Step(at, invs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d.Close(simTr.Slots)
+}
+
+// TestChunkLoopMatchesSerialLoop holds a run without retraining — the
+// Driver stepping one chunk while the next is transposed beside it — to
+// the serial reference, bit for bit apart from Overhead: SPES, its dense
+// reference and both capacity-coupled baselines (which take the same loop
+// under Shards > 1), at GOMAXPROCS 1 and 2, and at 2 inside a FanOut that
+// holds every token, where each round runs its items one after the other.
+func TestChunkLoopMatchesSerialLoop(t *testing.T) {
+	training, _, blanked := overlapFixture(t)
+	n := blanked.NumFunctions()
+	policies := []struct {
+		name   string
+		new    func() sim.Policy
+		shards int
+	}{
+		{"spes", func() sim.Policy { return core.New(core.DefaultConfig()) }, 0},
+		{"dense", func() sim.Policy { return core.NewDenseReference(core.DefaultConfig()) }, 0},
+		{"faascache", func() sim.Policy { return baselines.NewFaaSCache(n / 10) }, 0},
+		{"lcs", func() sim.Policy { return baselines.NewLCS(n / 10) }, 3},
+	}
+	modes := []struct {
+		name  string
+		procs int
+		held  bool
+	}{{"gomaxprocs-1", 1, false}, {"gomaxprocs-2", 2, false}, {"every-token-held", 2, true}}
+	for _, m := range modes {
+		t.Run(m.name, func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(m.procs))
+			for _, p := range policies {
+				want := serialPlainRun(t, p.new(), training, blanked)
+				var got *sim.Result
+				var err error
+				run := func() { got, err = sim.Run(p.new(), training, blanked, sim.Options{Shards: p.shards}) }
+				if m.held {
+					holdingEveryToken(t, run)
+				} else {
+					run()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Overhead, got.Overhead = 0, 0
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s: Run differs from the serial loop (cold %d vs %d, WMT %d vs %d)",
+						p.name, got.TotalColdStarts, want.TotalColdStarts, got.TotalWMT, want.TotalWMT)
+				}
+			}
+		})
 	}
 }

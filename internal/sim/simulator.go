@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"runtime"
 
 	"repro/internal/trace"
@@ -233,21 +232,23 @@ func checkSlots(what string, tr *trace.Trace) error {
 
 // runOne is the single-population simulation loop: the batch driver of the
 // event-stream Driver. It feeds the Driver only the occupied slots, as the
-// trace's BySlot cursor transposes them a chunk at a time — the Driver
+// simulation trace's one trace.Cursor transposes them — the Driver
 // advances the invocation-free gaps itself (batch-charging provably idle
 // spans, slot-by-slot ticks otherwise), which is the exact arithmetic the
-// loop used to do eagerly. When log is non-nil the per-slot (loaded,
-// active) counts are recorded for the sharded merge.
+// loop used to do eagerly. The Driver steps one chunk while the next is
+// transposed beside it (chunkLoop). When log is non-nil the per-slot
+// (loaded, active) counts are recorded for the sharded merge.
 //
 // A run that retrains goes boundary to boundary instead. The segment before
 // boundary b is one trace.FanOut of two items: item 0 steps the Driver
-// through the segment's occupied slots, all before b, while item 1 builds
-// b's window into the run's one WindowBuilder. Step(b) then retrains on the
-// prebuilt window, so the next build starts only once Retrain has returned
-// and the window is never overwritten while it is borrowed. The run keeps
-// one BySlot cursor, which item 0 pulls from, and one arena, so the overlap
-// costs no memory. Under MeasureOverhead the FanOut has width 1, so no Tick
-// is timed while a build shares its core.
+// through the segment's occupied slots, all before b, in chunks that stop
+// at b, while item 1 builds b's window into the run's one WindowBuilder.
+// Step(b) then retrains on the prebuilt window, so the next build starts
+// only once Retrain has returned and the window is never overwritten while
+// it is borrowed. The run keeps one cursor, its two chunks and one arena,
+// so the overlap costs no memory. Under MeasureOverhead every FanOut has
+// width 1, so no Tick is timed while a build or a transposition shares its
+// core.
 func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *slotLog) (*Result, error) {
 	if training != nil {
 		policy.Train(training)
@@ -260,67 +261,126 @@ func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *s
 		MeasureOverhead: opts.MeasureOverhead,
 		log:             log,
 	}
-	// Unoccupied slots are not yielded: the Driver advances each gap at the
-	// next occupied Step.
-	slots := simTrace.BySlot(0, simTrace.Slots)
+	width := 2
+	if opts.MeasureOverhead {
+		width = 1
+	}
+	// A shard of the sharded engine (log != nil) steps its chunks serially:
+	// the fan-out over shards already keeps every core busy, and a round
+	// helper per chunk of a small shard costs more than the fill it moves.
+	rounds := width
+	if runtime.GOMAXPROCS(0) == 1 || log != nil {
+		rounds = 1
+	}
 	if _, ok := policy.(Retrainer); !ok || opts.RetrainEvery <= 0 {
-		d := NewDriver(policy, simTrace.NumFunctions(), cfg)
-		for t, invs := range slots {
-			if _, err := d.Step(t, invs); err != nil {
-				return nil, err
-			}
+		l := newChunkLoop(NewDriver(policy, simTrace.NumFunctions(), cfg), simTrace, rounds)
+		if err := l.stepTo(simTrace.Slots); err != nil {
+			return nil, err
 		}
-		return d.Close(simTrace.Slots), nil
+		return l.d.Close(simTrace.Slots), nil
 	}
 
 	var (
 		wb     WindowBuilder // one arena for every boundary of the run
 		window *trace.Trace  // the next boundary's, built during its segment
+		b      int           // the boundary the segment ends at
 	)
 	cfg.RetrainEvery = opts.RetrainEvery
 	cfg.RetrainWindow = opts.retrainEffectiveWindow(training)
 	cfg.Window = func(int, int) *trace.Trace { return window }
-	d := NewDriver(policy, simTrace.NumFunctions(), cfg)
-
-	next, stop := iter.Pull2(slots)
-	defer stop()
-	t, invs, more := next()
-	// stepTo steps the Driver through the occupied slots before end.
-	stepTo := func(end int) error {
-		for ; more && t < end; t, invs, more = next() {
-			if _, err := d.Step(t, invs); err != nil {
-				return err
-			}
+	l := newChunkLoop(NewDriver(policy, simTrace.NumFunctions(), cfg), simTrace, rounds)
+	segment := func(_, i int) error {
+		if i == 1 {
+			window = wb.Build(training, simTrace, b, cfg.RetrainWindow)
+			return nil
 		}
-		return nil
+		return l.stepTo(b)
 	}
-	width := 2
-	if opts.MeasureOverhead {
-		width = 1
-	}
-	for b := opts.RetrainEvery; b < simTrace.Slots; b += opts.RetrainEvery {
-		err := trace.FanOut(width, 2, func(_, i int) error {
-			if i == 1 {
-				window = wb.Build(training, simTrace, b, cfg.RetrainWindow)
-				return nil
-			}
-			return stepTo(b)
-		})
+	for b = opts.RetrainEvery; b < simTrace.Slots; b += opts.RetrainEvery {
+		err := trace.FanOut(width, 2, segment)
 		if err == nil {
-			if more && t == b {
-				err = stepTo(b + 1)
-			} else {
-				_, err = d.Step(b, nil)
+			// Slot b, alone in its chunk when occupied.
+			var invs []trace.FuncCount
+			if ch := &l.bufs[l.k]; l.cur.Fill(ch, b+1) {
+				invs = ch.At(b)
 			}
+			_, err = l.d.Step(b, invs)
 		}
 		if err != nil {
 			return nil, err
 		}
 	}
-	if err := stepTo(simTrace.Slots); err != nil {
+	if err := l.stepTo(simTrace.Slots); err != nil {
 		return nil, err
 	}
-	return d.Close(simTrace.Slots), nil
+	return l.d.Close(simTrace.Slots), nil
+}
+
+// engineChunk is the slot count of each of chunkLoop's two chunks: together
+// they hold the events BySlot's one 64-slot chunk does.
+const engineChunk = 32
+
+// chunkLoop steps a Driver through a simulation window's occupied slots in
+// rounds of one trace.FanOut of two items: item 0 steps the Driver through
+// chunk k while item 1 transposes chunk k+1 into the other of the two
+// chunks, so the transposition runs on an idle core. When the FanOut has
+// width 1 or finds no token, as inside a RunAll whose fan-out holds the
+// budget, a round runs its items one after the other on the caller. Item 1
+// touches only the cursor and its chunk, item 0 only the Driver and the
+// other chunk, and the FanOut's return orders each round before the next.
+// A round allocates nothing: the round function is bound once per run.
+type chunkLoop struct {
+	d      *Driver
+	cur    *trace.Cursor
+	bufs   []trace.Chunk // two
+	k      int           // bufs[k] is the chunk item 0 steps
+	end    int           // item 1's fill limit
+	filled bool          // whether item 1 transposed a chunk
+	width  int
+	round  func(w, i int) error // l.item
+}
+
+func newChunkLoop(d *Driver, simTrace *trace.Trace, width int) *chunkLoop {
+	cur := simTrace.Cursor(0, simTrace.Slots)
+	l := &chunkLoop{d: d, cur: cur, bufs: cur.NewChunks(2, engineChunk), width: width}
+	l.round = l.item
+	return l
+}
+
+// stepTo steps the Driver through every occupied slot before end that it
+// has not stepped yet.
+func (l *chunkLoop) stepTo(end int) error {
+	l.end = end
+	if !l.cur.Fill(&l.bufs[l.k], end) {
+		return nil
+	}
+	for {
+		if err := trace.FanOut(l.width, 2, l.round); err != nil {
+			return err
+		}
+		if !l.filled {
+			return nil
+		}
+		l.k ^= 1
+	}
+}
+
+// item is one round's item i: 0 steps chunk k, 1 fills chunk k+1.
+func (l *chunkLoop) item(_, i int) error {
+	if i == 1 {
+		l.filled = l.cur.Fill(&l.bufs[l.k^1], l.end)
+		return nil
+	}
+	ch := &l.bufs[l.k]
+	from, to := ch.Span()
+	for t := from; t < to; t++ {
+		if invs := ch.At(t); len(invs) > 0 {
+			if _, err := l.d.Step(t, invs); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // RunStreamed simulates the policy over a Source: the sharded engine with

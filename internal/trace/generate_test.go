@@ -188,6 +188,64 @@ func TestFanOutPicksUpReleasedTokens(t *testing.T) {
 	}
 }
 
+// TestFanOutAllocations holds FanOut to at most two heap objects per call
+// — its state and the helper function bound to it — when no returned
+// call's state is free, and to none once one is: the batch engine runs a
+// call per chunk of slots, so a per-call allocation would be a per-chunk
+// one. Width 2 is measured with a helper running item 1 (item 0 waits for
+// it), after enough calls that the runtime reuses exited helpers'
+// goroutines rather than allocating new ones.
+func TestFanOutAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, width := range []int{1, 2} {
+		var ran1 atomic.Bool
+		helped := 0
+		fn := func(w, i int) error {
+			if i == 1 {
+				if w > 0 {
+					helped++
+				}
+				ran1.Store(true)
+				return nil
+			}
+			for deadline := time.Now().Add(time.Second); width > 1 && !ran1.Load() && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
+			return nil
+		}
+		call := func() {
+			ran1.Store(false)
+			if err := FanOut(width, 2, fn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for range 256 {
+			call()
+		}
+		for len(fanFree) > 0 {
+			<-fanFree
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		call()
+		runtime.ReadMemStats(&after)
+		if cold := after.Mallocs - before.Mallocs; cold > 2 {
+			t.Errorf("width %d: a call with no free state allocated %d heap objects, want at most 2", width, cold)
+		}
+		helped = 0
+		warm := testing.AllocsPerRun(200, call)
+		t.Logf("width %d: %.2f heap objects per warm call; a helper ran item 1 in %d of 201 calls", width, warm, helped)
+		if warm != 0 {
+			t.Errorf("width %d: a warm call allocated %.2f heap objects, want none", width, warm)
+		}
+		if width > 1 && helped == 0 {
+			t.Errorf("width %d: no helper ran an item, so the measurement missed the helper path", width)
+		}
+	}
+}
+
 // BenchmarkGenerate times materializing the paper's workload shape — 2 000
 // functions over 14 days — as every materialized set-up does; run it at
 // -cpu 1,2 to see the fan-out's width.

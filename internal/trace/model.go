@@ -15,6 +15,7 @@ import (
 	"cmp"
 	"fmt"
 	"iter"
+	"math"
 	"slices"
 	"sort"
 )
@@ -183,7 +184,7 @@ func normalize(events []Event) Series {
 
 // Trace is a complete workload: function metadata plus one invocation series
 // per function, over Slots minutes. Events at or past Slots are outside the
-// trace: every reader (Dense, BySlot, the simulators) ignores them. A
+// trace: every reader (Dense, Cursor, the simulators) ignores them. A
 // negative slot is malformed; sim.Run refuses a trace that holds one.
 type Trace struct {
 	Slots     int
@@ -265,8 +266,9 @@ type FuncCount struct {
 
 // BuildSlotIndex collects BySlot(0, Slots) into a slot-major index: one
 // list per slot (nil when nothing was invoked), all carved out of one
-// backing array. Nothing in the simulators uses it — they iterate BySlot,
-// which holds one chunk at a time — so each call builds a fresh index.
+// backing array. Nothing in the simulators uses it — they read a Cursor,
+// which holds a chunk or two at a time — so each call builds a fresh
+// index.
 func (tr *Trace) BuildSlotIndex() *SlotIndex {
 	total := 0
 	for _, s := range tr.Series {
@@ -297,86 +299,173 @@ func (s Series) eventRange(from, to int) (lo, hi int) {
 	return lo, hi
 }
 
-// slotChunk is how many slots BySlot transposes per pass over the live
-// series. Its buffer holds one chunk's events, and each chunk visits every
-// series with events left twice (count, then fill), so the chunk trades
-// buffer size against those visits: at 64 slots the buffer stays near 64
-// times the mean events per slot, and a two-day window visits each series
-// at most 45 times.
+// slotChunk is how many slots BySlot transposes per pass over the series.
+// Each chunk visits every series with events in it twice (count, then
+// fill), so the chunk trades its buffer's size against those visits: at 64
+// slots the buffer stays near 64 times the mean events per slot, and a
+// two-day window takes at most 45 chunks.
 const slotChunk = 64
+
+// noEvent marks a series with no event left in a Cursor's window.
+const noEvent = math.MaxInt32
+
+// Cursor is the one slot-major transposer: it walks the occupied slots of
+// a window in ascending order and transposes them a Chunk at a time, each
+// slot's (function, count) pairs FuncID-ascending — the lists
+// BuildSlotIndex holds, without building them all. A chunk is a counting
+// sort: one pass over the series counts each slot's list, a second writes
+// each event into its slot's list. The cursor keeps each series' position
+// and next-event slot, so a pass skips a series with nothing in the chunk
+// without touching its events, and it starts each chunk at the earliest
+// event left, so a gap of whole chunks is never visited. Series must be
+// sorted (the Series invariant); events outside the window are skipped. A
+// Cursor is not safe for concurrent use, but Fill touches only the cursor
+// and the chunk it fills: one goroutine may fill the next chunk while
+// another reads the last.
+type Cursor struct {
+	tr     *Trace
+	to     int
+	next   int     // the earliest slot with an event left; to once there is none
+	events int     // the window's events, for presizing chunk buffers
+	window int     // the window's slots
+	at     []int32 // at[f]: the slot of series f's next event, or noEvent
+	pos    []int32 // pos[f]: that event's index
+}
+
+// Cursor returns a cursor over the occupied slots in [from, to), clipped
+// to [0, Slots). It allocates O(functions) positions once; filling chunks
+// allocates only when a chunk's buffer must grow.
+func (tr *Trace) Cursor(from, to int) *Cursor {
+	to = min(to, tr.Slots)
+	from = min(max(from, 0), to)
+	n := len(tr.Series)
+	c := &Cursor{tr: tr, to: to, next: to, window: to - from}
+	pa := make([]int32, 2*n)
+	c.at, c.pos = pa[:n:n], pa[n:]
+	for f, s := range tr.Series {
+		c.at[f] = noEvent
+		if i, hi := s.eventRange(from, to); i < hi {
+			c.at[f], c.pos[f] = s[i].Slot, int32(i)
+			c.next = min(c.next, int(s[i].Slot))
+			c.events += hi - i
+		}
+	}
+	return c
+}
+
+// Chunk holds up to a fixed number of consecutive slots transposed by
+// Cursor.Fill, in a buffer reused from fill to fill. Its lists are valid
+// until the chunk is filled again.
+type Chunk struct {
+	from, to int
+	start    []int32 // start[j], start[j+1] bound slot from+j's list in buf
+	fill     []int32 // Fill's write positions, one per slot
+	buf      []FuncCount
+}
+
+// NewChunks returns n empty chunks of slots (> 0) slots each for c to
+// fill. Their buffers are one allocation, presized at a quarter over the
+// window's mean chunk, so a steady trace never regrows them and a burst
+// grows a chunk's once.
+func (c *Cursor) NewChunks(n, slots int) []Chunk {
+	chunks := make([]Chunk, n)
+	offs := make([]int32, n*(2*slots+1))
+	per := 0
+	if c.window > 0 {
+		per = c.events * slots / c.window * 5 / 4
+	}
+	buf := make([]FuncCount, n*per)
+	for i := range chunks {
+		o := offs[i*(2*slots+1):]
+		chunks[i].start, chunks[i].fill = o[:slots+1:slots+1], o[slots+1:2*slots+1:2*slots+1]
+		chunks[i].buf = buf[i*per : i*per : (i+1)*per]
+	}
+	return chunks
+}
+
+// Span returns the slots [from, to) the last Fill transposed into the
+// chunk; from is occupied.
+func (ch *Chunk) Span() (from, to int) { return ch.from, ch.to }
+
+// At returns slot t's (function, count) pairs, FuncID-ascending, for t in
+// Span: empty when nothing was invoked at t.
+func (ch *Chunk) At(t int) []FuncCount {
+	lo, hi := ch.start[t-ch.from], ch.start[t-ch.from+1]
+	return ch.buf[lo:hi:hi]
+}
+
+// Fill transposes the next chunk into ch, one of c's NewChunks: from the
+// earliest slot with an event left, as many slots as ch holds, but never
+// past limit or the window's end. It reports false, and leaves the cursor
+// where it was and ch empty, when no event is left before limit.
+func (c *Cursor) Fill(ch *Chunk, limit int) bool {
+	c0 := c.next
+	c1 := min(c0+len(ch.fill), limit, c.to)
+	if c0 >= c1 {
+		ch.from, ch.to = c0, c0
+		return false
+	}
+	series, at, pos := c.tr.Series, c.at, c.pos
+	start := ch.start[:c1-c0+1]
+	clear(start)
+	for f, a := range at {
+		if int(a) >= c1 {
+			continue
+		}
+		s := series[f]
+		for i := int(pos[f]); i < len(s) && int(s[i].Slot) < c1; i++ {
+			start[int(s[i].Slot)-c0+1]++
+		}
+	}
+	for j := 1; j < len(start); j++ {
+		start[j] += start[j-1]
+	}
+	n := start[c1-c0]
+	buf := slices.Grow(ch.buf[:0], int(n))[:n]
+	// Fill in FuncID order, so each slot's list comes out sorted, and move
+	// every series the chunk reached to its next event in the window.
+	fill := ch.fill[:c1-c0]
+	copy(fill, start)
+	next := c.to
+	for f, a := range at {
+		if int(a) >= c1 {
+			next = min(next, int(a))
+			continue
+		}
+		s := series[f]
+		i := int(pos[f])
+		for ; i < len(s) && int(s[i].Slot) < c1; i++ {
+			j := int(s[i].Slot) - c0
+			buf[fill[j]] = FuncCount{Func: FuncID(f), Count: s[i].Count}
+			fill[j]++
+		}
+		if i < len(s) && int(s[i].Slot) < c.to {
+			at[f], pos[f] = s[i].Slot, int32(i)
+			next = min(next, int(s[i].Slot))
+		} else {
+			at[f] = noEvent
+		}
+	}
+	c.next = next
+	ch.from, ch.to, ch.buf = c0, c1, buf
+	return true
+}
 
 // BySlot iterates the occupied slots in [from, to), clipped to [0, Slots),
 // in ascending order, yielding each with its (function, count) pairs
-// FuncID-ascending: the lists BuildSlotIndex holds, without building them
-// all. Slots without invocations are not yielded. The cursor transposes
-// slotChunk slots at a time into one reused buffer, so a whole iteration
-// allocates O(functions) positions plus the busiest chunk's events. A
-// yielded slice is valid until the next iteration: a caller that keeps
-// the pairs must copy them. Series must be sorted (the Series invariant);
-// events outside the window are skipped.
+// FuncID-ascending. Slots without invocations are not yielded. It is a
+// Cursor filling one slotChunk-slot Chunk, so a whole iteration allocates
+// O(functions) positions plus the busiest chunk's events. A yielded slice
+// is valid until the next iteration: a caller that keeps the pairs must
+// copy them.
 func (tr *Trace) BySlot(from, to int) iter.Seq2[int, []FuncCount] {
 	return func(yield func(int, []FuncCount) bool) {
-		from, to := max(from, 0), min(to, tr.Slots)
-		if from >= to {
-			return
-		}
-		// live lists the series with events left in the window,
-		// FuncID-ascending; pos[k] is live[k]'s next event and next the
-		// earliest slot among them, where the next chunk starts — a gap
-		// of whole chunks is skipped, not visited.
-		live := make([]FuncID, 0, len(tr.Series))
-		pos := make([]int32, 0, len(tr.Series))
-		next, events := to, 0
-		for f, s := range tr.Series {
-			i, hi := s.eventRange(from, to)
-			if i < hi {
-				live = append(live, FuncID(f))
-				pos = append(pos, int32(i))
-				next = min(next, int(s[i].Slot))
-				events += hi - i
-			}
-		}
-		// The buffer starts at a quarter over the window's mean chunk, so
-		// a steady trace never regrows it and a burst grows it once.
-		buf := make([]FuncCount, 0, events*slotChunk/(to-from)*5/4)
-		// start[j] is where slot c0+j's list begins in buf, start[j+1]
-		// where it ends.
-		var start, fill [slotChunk + 1]int32
-		for next < to {
-			c0 := next
-			c1 := min(c0+slotChunk, to)
-			start = [slotChunk + 1]int32{}
-			for k, f := range live {
-				s := tr.Series[f]
-				for i := int(pos[k]); i < len(s) && int(s[i].Slot) < c1; i++ {
-					start[int(s[i].Slot)-c0+1]++
-				}
-			}
-			for j := 1; j <= c1-c0; j++ {
-				start[j] += start[j-1]
-			}
-			buf = slices.Grow(buf[:0], int(start[c1-c0]))[:start[c1-c0]]
-			// Fill in FuncID order, so each slot's list comes out sorted,
-			// and drop the series this chunk exhausts.
-			fill, next = start, to
-			w := 0
-			for k, f := range live {
-				s := tr.Series[f]
-				i := int(pos[k])
-				for ; i < len(s) && int(s[i].Slot) < c1; i++ {
-					j := int(s[i].Slot) - c0
-					buf[fill[j]] = FuncCount{Func: f, Count: s[i].Count}
-					fill[j]++
-				}
-				if i < len(s) && int(s[i].Slot) < to {
-					live[w], pos[w] = f, int32(i)
-					next = min(next, int(s[i].Slot))
-					w++
-				}
-			}
-			live, pos = live[:w], pos[:w]
-			for j := 0; j < c1-c0; j++ {
-				if lo, hi := start[j], start[j+1]; lo < hi && !yield(c0+j, buf[lo:hi:hi]) {
+		c := tr.Cursor(from, to)
+		ch := &c.NewChunks(1, slotChunk)[0]
+		for c.Fill(ch, to) {
+			c0, c1 := ch.Span()
+			for t := c0; t < c1; t++ {
+				if invs := ch.At(t); len(invs) > 0 && !yield(t, invs) {
 					return
 				}
 			}
