@@ -410,13 +410,21 @@ var archRules = []*archRule{{
 	// ~1.2 s on a byte-identical Figure 13 re-run and nothing across seeds,
 	// and its key could not see a code change, so a warm entry served a
 	// stale figure.
+	// Then the shard retry: a shard's production and simulation are pure
+	// functions of their inputs, so a re-run fails the same way, and the
+	// only fault it cured was the worker panic the fault harness injected
+	// on first attempts. isolateShard runs a shard once and wraps a
+	// recovered panic; the retry loop, its policy, the options field and
+	// interface of the shard-worker fault seam, and the harness's worker
+	// panic and slow-shard classes are gone.
 	// Case-sensitive, so predict's test-local nextWindows reference and
 	// classify's laggedCOR pass. Names only: "Exported code is reached"
 	// finds what is dead; this row keeps it from coming back.
 	why: "deleted unreachable code is back",
 	greps: []archGrep{{
 		pattern: `internal/qos|WithQoS|QoSClass|NextWindows|NextPredicted|EmpiricalCDF|WindowedCOR|InvokedSlotsFromSorted|InterArrivalTimes|TotalEvents|NewShardCache|SetBudget|AttachDisk|OpenDiskCache|OpenDiskCacheFS|DiskCache|NewSweep|DefaultCacheEntries|DefaultCacheBytes|AddRowf|SlackVariants|CategorizeDeterministic|CategorizeWithForgetting|AssignIndeterminate|LaggedCOR|parallelDo|workerTokens|fingerprintShardViews|shardContentFingerprint|replayHistory|admitHistory|NewPredictor|producedShard|loadedSet|newLoadedSet|CapacityCacheError|vetPolicy|RetryPolicy|CoefficientOfVariation|GenerateTraceShard|PartitionTrace|TraceShard|TracePartition` +
-			`|GenerateShard|ShardCache|OpenShardCache|OpenShardCacheFS|CacheStats|ErrInterrupted|ErrCapacityCoupled|DiskFailureTripwire|CacheDir`,
+			`|GenerateShard|ShardCache|OpenShardCache|OpenShardCacheFS|CacheStats|ErrInterrupted|ErrCapacityCoupled|DiskFailureTripwire|CacheDir` +
+			`|retryShard|shardRetry|ShardFaultHook|FaultHook|BeforeShard|WorkerPanic|SlowShard`,
 		word: true, goOnly: true, tests: true, under: []string{"internal", "cmd", "spes", "examples"},
 	}},
 }, {
@@ -475,8 +483,8 @@ var archRules = []*archRule{{
 	name:  "The engine never imports the harness",
 	since: "cee32bb",
 	// internal/faultinject's package doc: the harness implements the seams
-	// the engine declares (durable.FS, sim.ShardFaultHook, and for serving
-	// the net/http Handler and RoundTripper), so the arrow points one way.
+	// the product declares (durable.FS, and for serving the net/http Handler
+	// and RoundTripper), so the arrow points one way.
 	// Non-test code under internal/ imports none of the harness packages.
 	// And internal/eqv, the equivalence matrix, has no non-test importer but
 	// cmd/eqvcheck.

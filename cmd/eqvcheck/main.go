@@ -12,7 +12,7 @@
 //
 //	go run ./cmd/eqvcheck                         # 400 functions, shards 4
 //	go run ./cmd/eqvcheck -functions 600 -scenario churn -retrain-every 1440 -shards 2 -stream
-//	go run ./cmd/eqvcheck -capacity -stream -shards 4 -faults 7
+//	go run ./cmd/eqvcheck -capacity -stream -shards 4
 //	go run ./cmd/eqvcheck -streamonly -functions 100000 -sparse -shards 16 -seeds 1 -workers 2 -maxheap 450000000
 //	go run ./cmd/eqvcheck -ingest testdata/azure_sample.csv -train-days 3
 package main
@@ -26,7 +26,6 @@ import (
 
 	"repro/internal/eqv"
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
 	"repro/internal/memwatch"
 )
 
@@ -50,10 +49,9 @@ func exitCode(err error) int {
 
 // config is the parsed command line: a matrix and the checks around it.
 type config struct {
-	m         eqv.Matrix
-	pool      int // the -capacity pool
-	maxHeap   uint64
-	faultSeed int64
+	m       eqv.Matrix
+	pool    int // the -capacity pool
+	maxHeap uint64
 }
 
 // parse turns flags into the matrix they name. Every bad value or
@@ -71,13 +69,12 @@ func parse(args []string) (*config, error) {
 	maxHeap := fs.Uint64("maxheap", 0, "exit non-zero if sampled peak HeapInuse exceeds this many bytes (0: unbounded)")
 	workers := fs.Int("workers", 0, "width of each policy and shard fan-out (0: one per core); streamed residency is ONE shard of O(functions/shards) event series PER in-flight worker, so -maxheap bounds need a fixed worker count, not the runner's core count")
 	retrain := fs.Int("retrain-every", 0, "enable SPES online re-categorization every this many slots in every engine under comparison (0: off)")
-	faultSeed := fs.Int64("faults", 0, "non-zero: run the sharded (and, with -stream, streamed) checks under deterministic injected shard-worker faults (panics, slow shards) with this schedule seed; completed runs must stay bit-identical to the clean dense reference")
 	capCheck := fs.Bool("capacity", false, "additionally check the capacity-coupled baselines: FaaSCache and LCS under shard counts {2, 5, 16} (over streamed sources of that many shards with -stream) must be bit-identical to their unsharded runs")
 	ingestCSV := fs.String("ingest", "", "real-trace mode: check this Azure-format CSV through materialized, sharded, and columnar-store (ingested, then reopened) paths for bit-identity; generation flags are ignored")
 	fs.Parse(args)
 
 	p, ingest := *shards, *ingestCSV != ""
-	c := &config{pool: max(s.Functions/3, 1), maxHeap: *maxHeap, faultSeed: *faultSeed}
+	c := &config{pool: max(s.Functions/3, 1), maxHeap: *maxHeap}
 	c.m = eqv.Matrix{Workers: *workers}
 	var bad error // -ingest takes its dimensions from the trace
 	if !ingest {
@@ -87,8 +84,8 @@ func parse(args []string) (*config, error) {
 		bad bool
 		err error
 	}{
-		{ingest && (*stream || *streamOnly || *capCheck || s.Scenario.Name != "" || *faultSeed != 0 || *retrain != 0),
-			errors.New("-ingest is a self-contained mode; it cannot be combined with -stream, -streamonly, -capacity, -scenario, -faults, or -retrain-every")},
+		{ingest && (*stream || *streamOnly || *capCheck || s.Scenario.Name != "" || *retrain != 0),
+			errors.New("-ingest is a self-contained mode; it cannot be combined with -stream, -streamonly, -capacity, -scenario, or -retrain-every")},
 		{ingest && p < 2, fmt.Errorf("-ingest needs -shards >= 2 (a green run must actually exercise the store partition), got %d", p)},
 		{bad != nil, bad},
 		{!ingest && *seeds < 1, fmt.Errorf("-seeds must be >= 1, got %d", *seeds)},
@@ -97,8 +94,6 @@ func parse(args []string) (*config, error) {
 		{*streamOnly && *capCheck, errors.New("-capacity cannot be combined with -streamonly (a capacity-coupled policy keeps the whole population resident)")},
 		{*streamOnly && *stream, errors.New("-streamonly cannot be combined with -stream")},
 		{*retrain < 0, fmt.Errorf("-retrain-every must be >= 0, got %d", *retrain)},
-		{*faultSeed != 0 && p <= 1, errors.New("-faults needs -shards > 1 (the sharded engine whose shard workers it faults)")},
-		{*faultSeed != 0 && *streamOnly, errors.New("-faults cannot be combined with -streamonly")},
 		{*streamOnly && p < 1, errors.New("-streamonly needs -shards >= 1")},
 	} {
 		if r.bad {
@@ -139,9 +134,6 @@ func parse(args []string) (*config, error) {
 		engines = append(engines, eqv.Streamed(p))
 	}
 	c.m.Rows = append(c.m.Rows, eqv.Row{Policies: spes, Ref: eqv.Dense, Engines: engines})
-	if *faultSeed != 0 {
-		c.m.Faults = faultinject.New(*faultSeed, faultinject.Default())
-	}
 	return c, nil
 }
 
@@ -176,14 +168,6 @@ func (c *config) run(out io.Writer) error {
 	}
 	if c.m.Trace != "" {
 		fmt.Fprintln(out, "store: warm reopen identical")
-	}
-	if inj := c.m.Faults; inj != nil {
-		fmt.Fprintf(out, "faults(seed=%d): %s\n", c.faultSeed, inj)
-		if inj.Total() == 0 {
-			// A faults run that injected nothing proved nothing — the seam
-			// came unwired, or the run is far too small for the rates.
-			return fmt.Errorf("-faults %d injected no faults; the harness is not exercising the fault surface", c.faultSeed)
-		}
 	}
 	peak, after := watch.Finish()
 	fmt.Fprintf(out, "heap: peak=%d after-gc=%d bytes\n", peak, after)

@@ -15,9 +15,9 @@ import (
 func describe(c *config) string {
 	m := c.m
 	var b strings.Builder
-	fmt.Fprintf(&b, "fn=%d days=%d/%d sparse=%t seeds=%v scenario=%q retrain=%d trace=%q workers=%d faults=%t pool=%d maxheap=%d",
+	fmt.Fprintf(&b, "fn=%d days=%d/%d sparse=%t seeds=%v scenario=%q retrain=%d trace=%q workers=%d pool=%d maxheap=%d",
 		m.Settings.Functions, m.Settings.TrainDays, m.Settings.Days, m.Settings.TriggerMix != nil, m.Seeds, m.Settings.Scenario.Name,
-		m.RetrainEvery, m.Trace, m.Workers, m.Faults != nil, c.pool, c.maxHeap)
+		m.RetrainEvery, m.Trace, m.Workers, c.pool, c.maxHeap)
 	for _, r := range m.Rows {
 		var names []string
 		for _, p := range r.Policies {
@@ -39,42 +39,32 @@ func TestParseCIInvocations(t *testing.T) {
 	)
 	for _, c := range []struct{ args, want string }{
 		{"-stream -capacity",
-			`fn=400 days=6/8 sparse=false seeds=[1 2 3] scenario="" retrain=0 trace="" workers=0 faults=false pool=133 maxheap=0` +
+			`fn=400 days=6/8 sparse=false seeds=[1 2 3] scenario="" retrain=0 trace="" workers=0 pool=133 maxheap=0` +
 				"\n" + capStream + "\n" + spes4},
 		{"-functions 600 -scenario drift -retrain-every 1440 -shards 2 -stream -seeds 2",
-			`fn=600 days=6/8 sparse=false seeds=[1 2] scenario="drift" retrain=1440 trace="" workers=0 faults=false pool=200 maxheap=0` +
+			`fn=600 days=6/8 sparse=false seeds=[1 2] scenario="drift" retrain=1440 trace="" workers=0 pool=200 maxheap=0` +
 				"\n" + spes2},
 		{"-functions 600 -scenario churn -retrain-every 1440 -shards 2 -stream -seeds 2",
-			`fn=600 days=6/8 sparse=false seeds=[1 2] scenario="churn" retrain=1440 trace="" workers=0 faults=false pool=200 maxheap=0` +
+			`fn=600 days=6/8 sparse=false seeds=[1 2] scenario="churn" retrain=1440 trace="" workers=0 pool=200 maxheap=0` +
 				"\n" + spes2},
 		{"-streamonly -functions 100000 -sparse -shards 16 -seeds 1 -workers 2 -maxheap 450000000",
-			`fn=100000 days=6/8 sparse=true seeds=[1] scenario="" retrain=0 trace="" workers=2 faults=false pool=33333 maxheap=450000000` +
+			`fn=100000 days=6/8 sparse=true seeds=[1] scenario="" retrain=0 trace="" workers=2 pool=33333 maxheap=450000000` +
 				"\nSPES: streamed x16 -> [streamed x32]"},
-		{"-functions 600 -shards 4 -seeds 1 -stream -faults 2",
-			`fn=600 days=6/8 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 faults=true pool=200 maxheap=0` +
-				"\n" + spes4},
 		{"-ingest testdata/azure_sample.csv -train-days 3 -shards 4",
-			`fn=400 days=3/8 sparse=false seeds=[] scenario="" retrain=0 trace="testdata/azure_sample.csv" workers=0 faults=false pool=133 maxheap=0` +
+			`fn=400 days=3/8 sparse=false seeds=[] scenario="" retrain=0 trace="testdata/azure_sample.csv" workers=0 pool=133 maxheap=0` +
 				"\nSPES,FixedKeepAlive: event -> [sharded x4 store (cold) x4 store (warm) x4]"},
 		{"-functions 300 -days 6 -train-days 4 -seeds 2 -shards 3 -stream -scenario churn -retrain-every 1440",
-			`fn=300 days=4/6 sparse=false seeds=[1 2] scenario="churn" retrain=1440 trace="" workers=0 faults=false pool=100 maxheap=0` +
+			`fn=300 days=4/6 sparse=false seeds=[1 2] scenario="churn" retrain=1440 trace="" workers=0 pool=100 maxheap=0` +
 				"\n" + spes3},
 		{"-functions 300 -days 6 -train-days 4 -seeds 2 -shards 3 -stream -capacity",
-			`fn=300 days=4/6 sparse=false seeds=[1 2] scenario="" retrain=0 trace="" workers=0 faults=false pool=100 maxheap=0` +
+			`fn=300 days=4/6 sparse=false seeds=[1 2] scenario="" retrain=0 trace="" workers=0 pool=100 maxheap=0` +
 				"\n" + capStream + "\n" + spes3},
-		{"-functions 300 -days 6 -train-days 4 -seeds 1 -shards 3 -stream -faults 1",
-			`fn=300 days=4/6 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 faults=true pool=100 maxheap=0` +
-				"\n" + spes3},
 		// Not in CI: the default, and -capacity over the materialized pair.
 		{"",
-			`fn=400 days=6/8 sparse=false seeds=[1 2 3] scenario="" retrain=0 trace="" workers=0 faults=false pool=133 maxheap=0` +
+			`fn=400 days=6/8 sparse=false seeds=[1 2 3] scenario="" retrain=0 trace="" workers=0 pool=133 maxheap=0` +
 				"\nSPES: dense -> [event sharded x4]"},
-		// -faults without -stream faults the sharded row's workers.
-		{"-functions 300 -days 6 -train-days 4 -seeds 1 -shards 3 -faults 1",
-			`fn=300 days=4/6 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 faults=true pool=100 maxheap=0` +
-				"\nSPES: dense -> [event sharded x3]"},
 		{"-capacity -shards 0 -seeds 1",
-			`fn=400 days=6/8 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 faults=false pool=133 maxheap=0` +
+			`fn=400 days=6/8 sparse=false seeds=[1] scenario="" retrain=0 trace="" workers=0 pool=133 maxheap=0` +
 				"\nFaaSCache,LCS: event -> [sharded x2 sharded x5 sharded x16]\nSPES: dense -> [event]"},
 	} {
 		cfg, err := parse(strings.Fields(c.args))
@@ -93,7 +83,7 @@ func TestParseCIInvocations(t *testing.T) {
 func TestParseRejects(t *testing.T) {
 	const csv = "-ingest testdata/azure_sample.csv -train-days 3 "
 	for _, args := range []string{
-		csv + "-stream", csv + "-streamonly", csv + "-capacity", csv + "-scenario drift", csv + "-faults 1",
+		csv + "-stream", csv + "-streamonly", csv + "-capacity", csv + "-scenario drift",
 		csv + "-retrain-every 1440",
 		csv + "-shards 1", csv + "-shards -1", csv + "-workers -3",
 		"-functions 0", "-days 6 -train-days 6", "-scenario nosuch",
@@ -101,7 +91,6 @@ func TestParseRejects(t *testing.T) {
 		"-stream -shards 1",
 		"-streamonly -capacity", "-streamonly -stream",
 		"-retrain-every -1",
-		"-faults 1 -shards 1", "-faults 1 -shards 0", "-streamonly -faults 1",
 		"-streamonly -shards 0",
 	} {
 		if _, err := parse(strings.Fields(args)); err == nil {

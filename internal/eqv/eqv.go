@@ -18,7 +18,6 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/faultinject"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -38,8 +37,7 @@ type Workload struct {
 type Matrix struct {
 	Workload
 	Rows    []Row
-	Workers int                   // sim.Options.Workers of every run
-	Faults  *faultinject.Injector // non-nil: every engine but the reference runs under it as the shard fault hook
+	Workers int // sim.Options.Workers of every run
 }
 
 // Row holds every engine to Ref for every policy, a fresh instance per run.
@@ -184,7 +182,7 @@ type checker struct {
 func (c *checker) label(p Policy, e Engine) string { return fmt.Sprintf("%s: %s: %s", c.at, p.Name, e) }
 
 func (c *checker) row(r Row, seed int64) error {
-	refs, err := c.run(r.Ref, r.Policies, false)
+	refs, err := c.run(r.Ref, r.Policies)
 	if err != nil {
 		return err
 	}
@@ -199,7 +197,7 @@ func (c *checker) row(r Row, seed int64) error {
 		c.rep.Refs = append(c.rep.Refs, Ref{seed, r.Policies[i].Name, ref})
 	}
 	for _, e := range r.Engines {
-		got, err := c.run(e, r.Policies, true)
+		got, err := c.run(e, r.Policies)
 		if err != nil {
 			return err
 		}
@@ -215,8 +213,8 @@ func (c *checker) row(r Row, seed int64) error {
 	return nil
 }
 
-// run simulates every policy of ps on e; faulted runs go under m.Faults.
-func (c *checker) run(e Engine, ps []Policy, faulted bool) ([]*sim.Result, error) {
+// run simulates every policy of ps on e.
+func (c *checker) run(e Engine, ps []Policy) ([]*sim.Result, error) {
 	w, err := c.door(e)
 	if err != nil {
 		return nil, err
@@ -224,9 +222,6 @@ func (c *checker) run(e Engine, ps []Policy, faulted bool) ([]*sim.Result, error
 	opts := sim.Options{Workers: c.m.Workers, RetrainEvery: c.m.RetrainEvery}
 	if e.door == materialized {
 		opts.Shards = e.shards
-	}
-	if faulted && c.m.Faults != nil {
-		opts.FaultHook = c.m.Faults
 	}
 	impls := make([]sim.Policy, len(ps))
 	for i, p := range ps {

@@ -1,9 +1,9 @@
 // Package faultinject is the deterministic fault-injection harness behind
-// the simulation engine's fault-tolerance layer: a seeded Injector that
-// produces filesystem faults (read/write/rename errors, short writes, bit
-// flips) behind the durable.FS filesystem seam and worker faults
-// (panics, artificial slowness) at the shard boundary, on a reproducible
-// schedule.
+// the repository's persistence and serving seams: a seeded Injector that
+// produces filesystem faults (read/write/rename errors, short writes, torn
+// snapshots, bit flips) behind the durable.FS filesystem seam, and dropped
+// connections and stalled requests behind the serving daemon's handler and
+// its client's transport, on a reproducible schedule.
 //
 // Determinism model: every injection decision is a pure hash of (seed,
 // fault site, subject, sequence) — never a stateful RNG draw — so the
@@ -11,22 +11,20 @@
 // subject is chosen to be stable: final file names for reads and
 // renames, the content hash of the bytes being written for temp-file
 // writes (temp names embed a random component, content does not), and the
-// shard index for worker faults. The sequence is a per-subject counter, so
-// a retried operation rolls a fresh decision — which is what lets a
-// transient injected fault be cured by the retry that the fault-tolerance
-// layer owes it. Two runs with the same seed, workload, and configuration
-// therefore draw the same faults per subject, and — the invariant the
-// harness exists to prove — any injected run that completes must be
-// bit-identical to the clean run (asserted by the fault-injection tests
-// and by `eqvcheck -faults`, the internal/eqv matrix run under an Injector).
+// batch a serving request carries. The sequence is a per-subject counter,
+// so a retried operation rolls a fresh decision — which is what lets the
+// serving client's retry cure an injected dropped connection. Two runs with
+// the same seed, workload, and configuration therefore draw the same faults
+// per subject, and the invariants the harness exists to prove hold on
+// every schedule: a store read under faults is the exact shard or an
+// error, never a wrong shard, and a served run that completes reaches the
+// policy state hash of the clean run.
 //
 // The dependency arrow points one way: this package implements the seams
-// others declare (durable.FS / durable.File for every persistent file,
-// sim.ShardFaultHook for workers, and for the serving daemon and its client
-// the net/http ones: an http.Handler wrapper and an http.RoundTripper), and
-// its injected errors advertise themselves as transient through the
-// `Transient() bool` method sim.IsTransient sniffs for — neither sim nor
-// serve imports the harness.
+// others declare (durable.FS / durable.File for every persistent file, and
+// for the serving daemon and its client the net/http ones: an http.Handler
+// wrapper and an http.RoundTripper) — neither trace nor serve imports the
+// harness.
 package faultinject
 
 import (
@@ -41,15 +39,11 @@ import (
 // Config sets per-class injection rates in permille (0..1000) of eligible
 // operations. The zero value injects nothing.
 type Config struct {
-	ReadErr    int // reads failing with a transient I/O error
+	ReadErr    int // reads failing with an injected I/O error
 	BitFlip    int // successful reads returning a single-bit-corrupted copy
-	WriteErr   int // temp-file writes failing with a transient I/O error
+	WriteErr   int // temp-file writes failing with an injected I/O error
 	ShortWrite int // temp-file writes silently persisting only a prefix (a lying disk)
-	RenameErr  int // renames failing with a transient I/O error
-
-	WorkerPanic int           // first-attempt shard simulations panicking (retry attempts never re-panic, so the run can complete)
-	SlowShard   int           // shard attempts sleeping SlowDelay before simulating
-	SlowDelay   time.Duration // sleep per slow shard (default 20ms when SlowShard > 0)
+	RenameErr  int // renames failing with an injected I/O error
 
 	// Serving fault classes (internal/serve), each drawn at a seam the
 	// daemon or its client already has — same (seed, site, subject, seq)
@@ -61,24 +55,12 @@ type Config struct {
 	TornSnapshot    int           // writes to CreateTemp files (every snapshot commit) persisting only a prefix (lying disk: the rename still lands); append files are never torn by it
 }
 
-// Default returns aggressive-but-recoverable shard-worker rates: high
-// enough that a small run draws both worker classes, low enough that
-// bounded retries keep the run completing. Used by `eqvcheck -faults` (its
-// internal/eqv matrix's Faults) and the faultsmoke CI job.
-func Default() Config {
-	return Config{
-		WorkerPanic: 300,
-		SlowShard:   200,
-		SlowDelay:   5 * time.Millisecond,
-	}
-}
-
-// ServeDefault returns the serving-mode counterpart of Default: dropped
-// connections and client stalls frequent enough that a short load replay
-// exercises the retry/dedup path, torn snapshots frequent enough that a
-// kill-and-restore run falls back across snapshot generations. Used by the
-// `-faults` flag of cmd/spes-serve (Handler and FS) and cmd/spes-load
-// (Transport) and the servesmoke CI job.
+// ServeDefault returns the serving rates: dropped connections and client
+// stalls frequent enough that a short load replay exercises the
+// retry/dedup path, torn snapshots frequent enough that a kill-and-restore
+// run falls back across snapshot generations. Used by the `-faults` flag of
+// cmd/spes-serve (Handler and FS) and cmd/spes-load (Transport) and the
+// servesmoke CI job.
 func ServeDefault() Config {
 	return Config{
 		DropConn:        60,
@@ -88,9 +70,8 @@ func ServeDefault() Config {
 	}
 }
 
-// Error is an injected fault, distinguishable from real I/O errors and
-// marked transient so the retry layers (shard re-runs, the serve client's
-// retries) treat it as curable.
+// Error is an injected filesystem fault, distinguishable from real I/O
+// errors.
 type Error struct {
 	Site    string // fault class ("readerr", "writeerr", "renameerr")
 	Subject string // stable operation subject (file name, content hash)
@@ -100,10 +81,6 @@ type Error struct {
 func (e *Error) Error() string {
 	return fmt.Sprintf("faultinject: injected %s on %s (op %d)", e.Site, e.Subject, e.Seq)
 }
-
-// Transient reports true: an injected fault models a hiccup, and a retry
-// rolls a fresh schedule decision.
-func (e *Error) Transient() bool { return true }
 
 // Injector draws faults on a seeded deterministic schedule. Safe for
 // concurrent use.
@@ -118,9 +95,6 @@ type Injector struct {
 
 // New returns an Injector for the given seed and rates.
 func New(seed int64, cfg Config) *Injector {
-	if cfg.SlowShard > 0 && cfg.SlowDelay <= 0 {
-		cfg.SlowDelay = 20 * time.Millisecond
-	}
 	if cfg.SlowClient > 0 && cfg.SlowClientDelay <= 0 {
 		cfg.SlowClientDelay = 20 * time.Millisecond
 	}
@@ -174,23 +148,6 @@ func (in *Injector) decide(site, subject string, seq uint64, permille int) bool 
 	return true
 }
 
-// BeforeShard implements sim.ShardFaultHook: on the schedule's say-so it
-// sleeps (slow shard) and, on first attempts only, panics (worker crash).
-// Restricting panics to attempt 1 keeps injected crashes transient: the
-// isolation layer's re-run completes, which is what the completes ⇒
-// bit-identical invariant needs. Deterministically-panicking workers are a
-// different failure (covered by the unit tests' always-panic hooks), not a
-// schedule this harness draws.
-func (in *Injector) BeforeShard(shard, attempt int) {
-	subject := fmt.Sprintf("shard-%d", shard)
-	if in.cfg.SlowShard > 0 && in.decide("slow", subject, uint64(attempt), in.cfg.SlowShard) {
-		time.Sleep(in.cfg.SlowDelay)
-	}
-	if attempt == 1 && in.cfg.WorkerPanic > 0 && in.decide("panic", subject, 1, in.cfg.WorkerPanic) {
-		panic(fmt.Sprintf("faultinject: injected worker panic on %s", subject))
-	}
-}
-
 // Counts snapshots the number of injected faults per class.
 func (in *Injector) Counts() map[string]int64 {
 	in.mu.Lock()
@@ -202,18 +159,7 @@ func (in *Injector) Counts() map[string]int64 {
 	return out
 }
 
-// Total returns the total number of injected faults.
-func (in *Injector) Total() int64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	var t int64
-	for _, v := range in.counts {
-		t += v
-	}
-	return t
-}
-
-// String summarizes the injected-fault counts ("bitflip=2 panic=1 ...").
+// String summarizes the injected-fault counts ("bitflip=2 readerr=1 ...").
 func (in *Injector) String() string {
 	counts := in.Counts()
 	if len(counts) == 0 {

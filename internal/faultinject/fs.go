@@ -27,9 +27,9 @@ var _ durable.FS = (*FS)(nil)
 // OpenStoreFS and serve.Config.FS.
 func (in *Injector) FS() *FS { return &FS{in: in} }
 
-// ReadFile implements durable.FS: it may fail with an injected transient
-// error or return a copy of the file with one bit flipped (the checksum on
-// every durable file must turn that into an error, never a wrong result).
+// ReadFile implements durable.FS: it may fail with an injected error or
+// return a copy of the file with one bit flipped (the checksum on every
+// durable file must turn that into an error, never a wrong result).
 func (fs *FS) ReadFile(name string) ([]byte, error) {
 	base := filepath.Base(name)
 	seq := fs.in.next("read:" + base)
@@ -71,8 +71,8 @@ func (fs *FS) wrap(f durable.File, err error, temp bool) (durable.File, error) {
 	return &file{File: f, in: fs.in, temp: temp}, nil
 }
 
-// Rename implements durable.FS with injected transient failures, keyed by
-// the destination file name.
+// Rename implements durable.FS with injected failures, keyed by the
+// destination file name.
 func (fs *FS) Rename(oldpath, newpath string) error {
 	base := filepath.Base(newpath)
 	seq := fs.in.next("rename:" + base)
@@ -89,7 +89,7 @@ type file struct {
 	temp bool // opened by CreateTemp: TornSnapshot applies
 }
 
-// Write may fail with an injected transient error, or lie: report full
+// Write may fail with an injected error, or lie: report full
 // length while persisting only a prefix (a silently-truncating disk, drawn
 // as a short write, or as a torn snapshot on a temp file). The lie is only
 // discoverable through the file's checksum on a later read — which is

@@ -1,11 +1,7 @@
-// Package retry is the one shared retry/backoff helper behind every
-// bounded-retry loop in the repository: the sharded engine's per-shard
-// re-runs (one fixed policy at the package defaults) and the serving
-// client's ingest retries. The schedule is deliberately jitterless —
-// BaseDelay doubled per failure, capped at MaxDelay — so a retry sequence is
-// a pure function of the policy and the attempt number, which is what lets
-// the fault-injection suites assert exact retry behaviour and keeps
-// "completes => bit-identical" independent of timing randomness.
+// Package retry is the bounded retry/backoff helper behind the serving
+// client's ingest retries (serve.Client). The schedule is deliberately
+// jitterless — BaseDelay doubled per failure, capped at MaxDelay — so a
+// retry sequence is a pure function of the policy and the attempt number.
 package retry
 
 import "time"
@@ -74,7 +70,7 @@ func (p Policy) sleep(d time.Duration) {
 // Do runs op up to Attempts times, sleeping Backoff(n) after failed attempt
 // n. retryable classifies a failure: a nil func retries everything within
 // the budget; otherwise a failure it rejects surfaces immediately (the
-// transient-vs-deterministic taxonomy of sim.IsTransient). The returned
+// serving client retries only what it marked transient). The returned
 // error is the last attempt's.
 func (p Policy) Do(op func(attempt int) error, retryable func(error) bool) error {
 	max := p.Attempts()

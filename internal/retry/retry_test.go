@@ -18,8 +18,8 @@ func TestAttempts(t *testing.T) {
 	}
 }
 
-// TestBackoffSchedule pins the jitterless doubling-with-cap schedule the
-// shard retries are built on, and the doubling from another base.
+// TestBackoffSchedule pins the jitterless doubling-with-cap schedule, and
+// the doubling from another base.
 func TestBackoffSchedule(t *testing.T) {
 	p := Policy{BaseDelay: 5 * time.Millisecond, MaxDelay: 250 * time.Millisecond}
 	want := []time.Duration{

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,13 +13,12 @@ import (
 	"time"
 
 	"repro/internal/retry"
-	"repro/internal/sim"
 )
 
 // Client speaks the daemon's ingest protocol with the repository's standard
 // transient-fault discipline: network failures and 503 backpressure are
-// retried on the shared retry.Policy schedule (sim.IsTransient taxonomy),
-// protocol rejections surface immediately. The client owns the sequence
+// marked transient and retried on the retry.Policy schedule, protocol
+// rejections surface immediately. The client owns the sequence
 // numbers — assigned once per batch and reused verbatim across retries —
 // which is what makes a retried delivery land as a duplicate ack instead of
 // a double-apply.
@@ -29,6 +29,24 @@ type Client struct {
 
 	nextSeq atomic.Uint64
 	retries atomic.Int64
+}
+
+// transientError marks a failure a re-delivery may cure: a network error,
+// a shed request, a torn or short reply. Every other failure surfaces on
+// the first attempt.
+type transientError struct{ err error }
+
+func (e *transientError) Error() string { return e.err.Error() }
+func (e *transientError) Unwrap() error { return e.err }
+
+// markTransient wraps a non-nil err so isTransient reports true for it and
+// for any error wrapping it.
+func markTransient(err error) error { return &transientError{err: err} }
+
+// isTransient reports whether err's Unwrap chain holds a markTransient mark.
+func isTransient(err error) bool {
+	var t *transientError
+	return errors.As(err, &t)
 }
 
 func (c *Client) http() *http.Client {
@@ -92,12 +110,12 @@ func (c *Client) Send(batches []Batch) ([]Reply, error) {
 		resp, err := c.http().Do(req)
 		if err != nil {
 			payloadFree = false
-			return sim.MarkTransient(err)
+			return markTransient(err)
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			io.Copy(io.Discard, resp.Body)
-			return sim.MarkTransient(fmt.Errorf("serve: daemon shed request (503)"))
+			return markTransient(fmt.Errorf("serve: daemon shed request (503)"))
 		}
 		if resp.StatusCode != http.StatusOK {
 			body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
@@ -113,18 +131,18 @@ func (c *Client) Send(batches []Batch) ([]Reply, error) {
 			replies = append(replies, Reply{}) // decoded in place, like the daemon's batches
 			scr.ids, err = decodeReply(sc.Bytes(), &replies[len(replies)-1], scr.ids)
 			if err != nil {
-				return sim.MarkTransient(fmt.Errorf("serve: bad reply line: %w", err))
+				return markTransient(fmt.Errorf("serve: bad reply line: %w", err))
 			}
 		}
 		if err := sc.Err(); err != nil {
-			return sim.MarkTransient(err)
+			return markTransient(err)
 		}
 		if len(replies) != len(batches) {
-			return sim.MarkTransient(fmt.Errorf("serve: %d replies for %d batches", len(replies), len(batches)))
+			return markTransient(fmt.Errorf("serve: %d replies for %d batches", len(replies), len(batches)))
 		}
 		return nil
 	}
-	err := c.Retry.Do(op, sim.IsTransient)
+	err := c.Retry.Do(op, isTransient)
 	if err == nil {
 		ownLists(replies)
 	}

@@ -52,7 +52,7 @@ func runCapacity(cp CapacityPolicy, training, simTrace *trace.Trace, src Source,
 // train/sim pair — the pair partitioning produced the shards from. Series
 // are shared with the views, not copied, and the two traces share one
 // Functions slice (as trace.Split's do); train is nil when the source has
-// no training half. Production goes through retryShard like the sharded
+// no training half. Production goes through isolateShard like the sharded
 // engine's. Every Source contract clause the scatter depends on is checked,
 // so a broken source is an error naming the shard, never a panic or a
 // silently wrong trace.
@@ -101,7 +101,7 @@ func reassemble(policy string, src Source) (train, sim *trace.Trace, err error) 
 	}
 	for i := 0; i < p; i++ {
 		var tv, sv *trace.ShardView
-		if err := retryShard(policy, i, p, func(int) (err error) {
+		if err := isolateShard(policy, i, p, func() (err error) {
 			if tv, sv, err = src.Shard(i); err != nil {
 				return fmt.Errorf("producing shard: %w", err)
 			}

@@ -287,53 +287,22 @@ func TestCapacityEngineValidation(t *testing.T) {
 }
 
 // TestCapacityEngineClassifiesShardFailure: a failed production on the
-// reassembly path goes through the sharded engine's isolation layer — a
-// transient failure is retried and the run completes equal to a clean one,
-// a deterministic failure surfaces after one attempt as a ShardError naming
-// the shard.
+// reassembly path goes through the sharded engine's isolation boundary and
+// surfaces, after one production, as a ShardError naming the shard.
 func TestCapacityEngineClassifiesShardFailure(t *testing.T) {
 	train, simTr := capTestTrace()
-	clean, err := Run(&fakeCap{capacity: 9}, train, simTr, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	src := &flakySource{shardSet: buildShardSet(train, simTr, 2), failShard: 1,
-		err: MarkTransient(errors.New("disk hiccup")), failN: 1}
-	got, err := RunStreamed(&fakeCap{capacity: 9}, src, Options{})
-	if err != nil {
-		t.Fatalf("transient: run did not recover: %v", err)
-	}
-	if !reflect.DeepEqual(got, clean) {
-		t.Errorf("transient: result diverged from the clean run:\n got  %+v\n want %+v", got, clean)
-	}
-	if src.calls != 2 {
-		t.Errorf("transient: shard 1 produced %d times, want 2 (one retry)", src.calls)
-	}
-
-	src = &flakySource{shardSet: buildShardSet(train, simTr, 2), failShard: 1,
-		err: errors.New("bad shard"), failN: 1}
-	_, err = RunStreamed(&fakeCap{capacity: 9}, src, Options{})
+	src := &failingSource{shardSet: buildShardSet(train, simTr, 2), failShard: 1, err: errors.New("bad shard")}
+	_, err := RunStreamed(&fakeCap{capacity: 9}, src, Options{})
 	var se *ShardError
 	if !errors.As(err, &se) {
-		t.Fatalf("deterministic: got %v, want a ShardError", err)
+		t.Fatalf("got %v, want a ShardError", err)
 	}
-	if se.Shard != 1 || se.Attempts != 1 || se.Transient || se.Panicked {
-		t.Errorf("deterministic: ShardError %+v, want shard 1, 1 attempt, not transient, not panicked", *se)
+	if se.Shard != 1 || se.Panicked {
+		t.Errorf("ShardError %+v, want shard 1, not panicked", *se)
 	}
-	if src.calls != 1 {
-		t.Errorf("deterministic: shard 1 produced %d times, want 1", src.calls)
+	if n := src.calls.Load(); n != 1 {
+		t.Errorf("shard 1 produced %d times, want 1", n)
 	}
-}
-
-// panickySource panics producing shard 1.
-type panickySource struct{ *shardSet }
-
-func (s panickySource) Shard(i int) (*trace.ShardView, *trace.ShardView, error) {
-	if i == 1 {
-		panic("source exploded")
-	}
-	return s.shardSet.Shard(i)
 }
 
 // panickyCap is a fakeCap whose Tick panics at slot 50.
@@ -346,17 +315,11 @@ func (p *panickyCap) Tick(t int, invs []trace.FuncCount) {
 	p.fakeCap.Tick(t, invs)
 }
 
-// TestCapacityEngineContainsPanics: a panicking source or policy on the
-// capacity path is an error, not a crashed process.
+// TestCapacityEngineContainsPanics: a panicking policy on the capacity path
+// is an error, not a crashed process. (A panicking source is a row of
+// TestShardPanicFailsStructured.)
 func TestCapacityEngineContainsPanics(t *testing.T) {
 	train, simTr := capTestTrace()
-
-	_, err := RunStreamed(&fakeCap{capacity: 9}, panickySource{buildShardSet(train, simTr, 2)}, Options{})
-	var se *ShardError
-	if !errors.As(err, &se) || !se.Panicked || se.Shard != 1 {
-		t.Errorf("panicking source: got %v, want a panicked ShardError for shard 1", err)
-	}
-
 	for name, opts := range map[string]Options{
 		"materialized": {Shards: 2},
 		"streamed":     {Source: buildShardSet(train, simTr, 2)},

@@ -2,14 +2,11 @@ package sim
 
 import (
 	"errors"
-	"fmt"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/retry"
 	"repro/internal/trace"
 )
 
@@ -19,119 +16,155 @@ type shardedNever struct{ neverLoadedPolicy }
 
 func (shardedNever) NewShard() Policy { return shardedNever{} }
 
-// panicTickPolicy panics deterministically inside every Tick — a worker
-// crash no amount of retrying cures.
+// panicTickPolicy panics inside every Tick.
 type panicTickPolicy struct{ neverLoadedPolicy }
 
 func (panicTickPolicy) Name() string                { return "panic-tick" }
 func (panicTickPolicy) NewShard() Policy            { return panicTickPolicy{} }
 func (panicTickPolicy) Tick(int, []trace.FuncCount) { panic("deterministic tick crash") }
 
-// panicOnceHook panics the first time it sees each shard — the injected
-// transient crash the isolation layer owes a retry.
-type panicOnceHook struct {
-	mu   sync.Mutex
-	seen map[int]bool
+// panicOnShard is a sharded policy whose instance on one shard — the shard
+// whose first function is named first — panics in its first Tick.
+type panicOnShard struct {
+	shardedNever
+	first string
+	armed bool
 }
 
-func (h *panicOnceHook) BeforeShard(shard, attempt int) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.seen == nil {
-		h.seen = make(map[int]bool)
-	}
-	if !h.seen[shard] {
-		h.seen[shard] = true
-		panic(fmt.Sprintf("injected crash on shard %d", shard))
+func (p *panicOnShard) Name() string             { return "panic-on-shard" }
+func (p *panicOnShard) NewShard() Policy         { return &panicOnShard{first: p.first} }
+func (p *panicOnShard) Train(train *trace.Trace) { p.armed = train.Functions[0].Name == p.first }
+func (p *panicOnShard) Tick(int, []trace.FuncCount) {
+	if p.armed {
+		panic("tick crash on the planted shard")
 	}
 }
 
-// alwaysPanicHook crashes every attempt: the budget must exhaust and the
-// failure must surface structured, never as an unrecovered panic.
-type alwaysPanicHook struct{}
-
-func (alwaysPanicHook) BeforeShard(shard, attempt int) {
-	panic(fmt.Sprintf("persistent crash on shard %d attempt %d", shard, attempt))
-}
-
-// flakySource wraps a shardSet and fails
-// Shard(failShard) with err for the first failN calls.
-type flakySource struct {
+// panicSource panics producing one shard.
+type panicSource struct {
 	*shardSet
-	failShard int
-	err       error
-
-	mu    sync.Mutex
-	calls int
-	failN int
+	shard int
 }
 
-func (s *flakySource) Shard(i int) (*trace.ShardView, *trace.ShardView, error) {
-	if i == s.failShard {
-		s.mu.Lock()
-		s.calls++
-		fail := s.calls <= s.failN
-		s.mu.Unlock()
-		if fail {
-			return nil, nil, s.err
-		}
+func (s panicSource) Shard(i int) (*trace.ShardView, *trace.ShardView, error) {
+	if i == s.shard {
+		panic("source exploded")
 	}
 	return s.shardSet.Shard(i)
 }
 
-func mustRun(t *testing.T, opts Options) *Result {
-	t.Helper()
-	tr := tinyTrace()
-	res, err := Run(shardedNever{}, tr, tr, opts)
+// failingSource wraps a shardSet and fails every Shard(failShard) call
+// with err, counting them.
+type failingSource struct {
+	*shardSet
+	failShard int
+	err       error
+	calls     atomic.Int32
+}
+
+func (s *failingSource) Shard(i int) (*trace.ShardView, *trace.ShardView, error) {
+	if i == s.failShard {
+		s.calls.Add(1)
+		return nil, nil, s.err
+	}
+	return s.shardSet.Shard(i)
+}
+
+// shardErrors collects every ShardError in err's tree.
+func shardErrors(err error) []*ShardError {
+	if se, ok := err.(*ShardError); ok {
+		return []*ShardError{se}
+	}
+	var out []*ShardError
+	switch u := err.(type) {
+	case interface{ Unwrap() []error }:
+		for _, e := range u.Unwrap() {
+			out = append(out, shardErrors(e)...)
+		}
+	case interface{ Unwrap() error }:
+		out = shardErrors(u.Unwrap())
+	}
+	return out
+}
+
+// A panic in shard i — in a policy's Tick or in the source producing the
+// shard — surfaces as exactly one ShardError naming i, marked Panicked, on
+// every path that runs shards: the sharded Run, RunStreamed, RunAll (where
+// only the failed policy's slot is nil) and the capacity reassembly. No
+// Result is merged from the other shards.
+func TestShardPanicFailsStructured(t *testing.T) {
+	train, simTr := capTestTrace()
+	const p, bad = 3, 1
+	ss := buildShardSet(train, simTr, p)
+	clean, err := Run(shardedNever{}, train, simTr, Options{Shards: p})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatal(err)
 	}
-	return res
+	crash := &panicOnShard{first: ss.sim[bad].Functions[0].Name}
+	src := panicSource{ss, bad}
+	one := func(r *Result, err error) ([]*Result, error) { return []*Result{r}, err }
+	for _, c := range []struct {
+		name string
+		run  func() ([]*Result, error)
+		// failed names the policy that must fail at each result slot; ""
+		// marks a slot whose result must equal the clean run.
+		failed []string
+	}{
+		{"tick/Run", func() ([]*Result, error) { return one(Run(crash, train, simTr, Options{Shards: p})) },
+			[]string{"panic-on-shard"}},
+		{"tick/RunStreamed", func() ([]*Result, error) { return one(RunStreamed(crash, ss, Options{})) },
+			[]string{"panic-on-shard"}},
+		{"tick/RunAll", func() ([]*Result, error) {
+			return RunAll([]Policy{shardedNever{}, crash, shardedNever{}}, train, simTr, Options{Shards: p})
+		}, []string{"", "panic-on-shard", ""}},
+		{"source/Run", func() ([]*Result, error) { return one(Run(shardedNever{}, nil, nil, Options{Source: src})) },
+			[]string{"never-loaded"}},
+		{"source/RunStreamed", func() ([]*Result, error) { return one(RunStreamed(shardedNever{}, src, Options{})) },
+			[]string{"never-loaded"}},
+		{"source/RunAll", func() ([]*Result, error) {
+			return RunAll([]Policy{shardedNever{}, &fakeCap{capacity: 9}}, nil, nil, Options{Source: src})
+		}, []string{"never-loaded", "fake-cap"}},
+		{"source/capacity", func() ([]*Result, error) { return one(RunStreamed(&fakeCap{capacity: 9}, src, Options{})) },
+			[]string{"fake-cap"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			results, err := c.run()
+			if len(results) != len(c.failed) {
+				t.Fatalf("%d results, want %d", len(results), len(c.failed))
+			}
+			var want []string
+			for i, policy := range c.failed {
+				switch {
+				case policy != "":
+					want = append(want, policy)
+					if results[i] != nil {
+						t.Errorf("slot %d: got a Result from a failed run: %+v", i, results[i])
+					}
+				case !reflect.DeepEqual(results[i], clean):
+					t.Errorf("slot %d: healthy result differs from the clean run:\n got  %+v\n want %+v", i, results[i], clean)
+				}
+			}
+			var got []string
+			for _, se := range shardErrors(err) {
+				got = append(got, se.Policy)
+				if se.Shard != bad || se.Shards != p || !se.Panicked {
+					t.Errorf("ShardError %+v, want a recovered panic of shard %d/%d", *se, bad, p)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("ShardErrors from policies %q, want one from each of %q: %v", got, want, err)
+			}
+		})
+	}
 }
 
-// A run whose every shard crashes once must complete bit-identical to an
-// undisturbed run.
-func TestShardPanicRetriedAndBitIdentical(t *testing.T) {
-	clean := mustRun(t, Options{Shards: 2})
-	faulted := mustRun(t, Options{Shards: 2, FaultHook: &panicOnceHook{}})
-	a, b := *clean, *faulted
-	a.Overhead, b.Overhead = 0, 0
-	if !reflect.DeepEqual(&a, &b) {
-		t.Errorf("results diverged after injected panics:\nclean   %+v\nfaulted %+v", a, b)
-	}
-}
-
-// A persistently crashing worker must exhaust the attempt budget and
-// surface a structured ShardError with the panic classification — and the
-// other shards' failures must all be present in the joined error.
-func TestShardPersistentPanicSurfacesStructured(t *testing.T) {
-	tr := tinyTrace()
-	res, err := Run(shardedNever{}, tr, tr, Options{Shards: 2, FaultHook: alwaysPanicHook{}})
-	if res != nil {
-		t.Fatalf("got a Result from a run whose every shard failed: %+v", res)
-	}
-	var se *ShardError
-	if !errors.As(err, &se) {
-		t.Fatalf("error does not unwrap to *ShardError: %v", err)
-	}
-	if !se.Panicked || !se.Transient {
-		t.Errorf("ShardError classification = panicked %v transient %v, want true/true: %v", se.Panicked, se.Transient, se)
-	}
-	if se.Attempts != retry.DefaultAttempts {
-		t.Errorf("ShardError attempts = %d, want the default budget %d", se.Attempts, retry.DefaultAttempts)
-	}
-	if se.Policy != "never-loaded" || se.Shards != 2 {
-		t.Errorf("ShardError context = %q %d shards, want never-loaded / 2", se.Policy, se.Shards)
-	}
-}
-
-// A deterministic (unmarked) production error must fail its shard on the
-// FIRST attempt — no retry — while the other shard runs to its own
-// verdict: the joined error holds shard 1's failure alone.
+// A production error fails its shard with one call to Shard — no retry —
+// while the other shard runs to its own verdict: the joined error holds
+// shard 1's failure alone.
 func TestShardDeterministicErrorFailsFast(t *testing.T) {
 	tr := tinyTrace()
 	cause := errors.New("schema mismatch")
-	src := &flakySource{shardSet: buildShardSet(tr, tr, 2), failShard: 1, err: cause, failN: 1 << 30}
+	src := &failingSource{shardSet: buildShardSet(tr, tr, 2), failShard: 1, err: cause}
 	res, err := RunStreamed(shardedNever{}, src, Options{})
 	if res != nil {
 		t.Fatalf("got a Result from a failed run: %+v", res)
@@ -140,52 +173,14 @@ func TestShardDeterministicErrorFailsFast(t *testing.T) {
 	if !errors.As(err, &se) {
 		t.Fatalf("error does not unwrap to *ShardError: %v", err)
 	}
-	if se.Shard != 1 || se.Transient || se.Panicked || se.Attempts != 1 {
-		t.Errorf("ShardError = %+v, want deterministic single-attempt failure of shard 1", se)
+	if se.Shard != 1 || se.Panicked || src.calls.Load() != 1 {
+		t.Errorf("ShardError = %+v after %d productions, want one error return of shard 1", se, src.calls.Load())
 	}
 	if !errors.Is(err, cause) {
 		t.Errorf("joined error does not wrap the cause: %v", err)
 	}
 	if errs := err.(interface{ Unwrap() []error }).Unwrap(); len(errs) != 1 {
 		t.Errorf("%d shard failures, want shard 1's alone: %v", len(errs), err)
-	}
-}
-
-// A production error marked transient is retried and the run completes,
-// identical to an undisturbed one.
-func TestShardTransientErrorRetriedAndBitIdentical(t *testing.T) {
-	tr := tinyTrace()
-	clean, err := RunStreamed(shardedNever{}, buildShardSet(tr, tr, 2), Options{})
-	if err != nil {
-		t.Fatalf("clean run: %v", err)
-	}
-	src := &flakySource{shardSet: buildShardSet(tr, tr, 2), failShard: 0,
-		err: MarkTransient(errors.New("io hiccup")), failN: 2}
-	faulted, err := RunStreamed(shardedNever{}, src, Options{})
-	if err != nil {
-		t.Fatalf("faulted run did not recover: %v", err)
-	}
-	a, b := *clean, *faulted
-	a.Overhead, b.Overhead = 0, 0
-	if !reflect.DeepEqual(&a, &b) {
-		t.Errorf("results diverged after transient production faults:\nclean   %+v\nfaulted %+v", a, b)
-	}
-}
-
-// Exhausting the budget on a transient error keeps the transient
-// classification (so callers can tell "kept failing" from "would always
-// fail").
-func TestShardTransientExhaustionKeepsClassification(t *testing.T) {
-	tr := tinyTrace()
-	src := &flakySource{shardSet: buildShardSet(tr, tr, 2), failShard: 0,
-		err: MarkTransient(errors.New("io hiccup")), failN: 1 << 30}
-	_, err := RunStreamed(shardedNever{}, src, Options{})
-	var se *ShardError
-	if !errors.As(err, &se) {
-		t.Fatalf("error does not unwrap to *ShardError: %v", err)
-	}
-	if !se.Transient || se.Panicked || se.Attempts != retry.DefaultAttempts {
-		t.Errorf("ShardError = %+v, want transient, %d attempts", se, retry.DefaultAttempts)
 	}
 }
 
@@ -210,23 +205,6 @@ func TestRunAllPartialResults(t *testing.T) {
 	var se *ShardError
 	if !errors.As(err, &se) || se.Policy != "panic-tick" {
 		t.Errorf("joined error does not identify the crashed policy: %v", err)
-	}
-}
-
-func TestIsTransientWalksUnwrapChain(t *testing.T) {
-	base := errors.New("disk hiccup")
-	if IsTransient(base) {
-		t.Error("unmarked error reported transient")
-	}
-	wrapped := fmt.Errorf("saving shard: %w", MarkTransient(base))
-	if !IsTransient(wrapped) {
-		t.Error("wrap of a marked error not reported transient")
-	}
-	if IsTransient(nil) {
-		t.Error("nil reported transient")
-	}
-	if !errors.Is(wrapped, base) {
-		t.Error("MarkTransient broke the Is chain")
 	}
 }
 

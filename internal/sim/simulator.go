@@ -67,13 +67,6 @@ type Options struct {
 	// Retrain. 0 defaults to the training window length (or RetrainEvery
 	// when there is no training trace).
 	RetrainWindow int
-
-	// FaultHook, when non-nil, is called at the shard-worker boundary
-	// immediately before each shard simulation attempt. It exists for
-	// deterministic fault injection (internal/faultinject): the hook may
-	// sleep or panic, and the isolation layer must absorb both. Production
-	// code leaves it nil.
-	FaultHook ShardFaultHook
 }
 
 // workers resolves the width of each fan-out.
@@ -168,11 +161,10 @@ type slotLog struct {
 // concurrently, with a deterministic merge.
 //
 // Failure contract (see DESIGN.md "Failure semantics"): a partial merge
-// would be a wrong answer, so Run returns a nil Result on any failure —
-// but under the sharded engine a failing (or panicking) shard no longer
-// aborts the siblings: every shard runs to its own verdict, transient
-// failures retry (shardRetry), and the returned error is an
-// errors.Join of one structured ShardError per shard that still failed
+// would be a wrong answer, so Run returns a nil Result on any failure.
+// Under the sharded engine a failing (or panicking) shard does not abort
+// its siblings: every shard runs once to its own verdict, and the returned
+// error is an errors.Join of one structured ShardError per failed shard
 // (unpack with errors.As).
 func Run(policy Policy, training, simTrace *trace.Trace, opts Options) (*Result, error) {
 	if opts.Source != nil {
@@ -425,8 +417,8 @@ func runSharded(policy Policy, training, simTrace *trace.Trace, opts Options, ss
 
 // runShardedSrc simulates one fresh policy instance per source shard, on a
 // trace.FanOut of width opts.Workers, and merges the shard results. Each
-// attempt at a shard produces its views itself, right before simulating
-// them, which is what bounds streamed residency to one shard per in-flight
+// shard's worker produces its views itself, right before simulating them,
+// which is what bounds streamed residency to one shard per in-flight
 // worker.
 //
 // The merge is deterministic and bit-identical to the unsharded engine:
@@ -458,17 +450,11 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	globals := make([][]trace.FuncID, p)
 	errs := make([]error, p)
 
-	// attempt is one try at shard i: its views produced and simulated.
-	// Every attempt produces afresh — a failed attempt's views are suspect,
-	// and a transient production fault needs the production re-run too —
-	// and retryShard contains its panics.
-	attempt := func(i, n int) error {
+	// shard is shard i's work: its views produced and simulated.
+	shard := func(i int) error {
 		tv, sv, err := src.Shard(i)
 		if err != nil {
 			return fmt.Errorf("producing shard: %w", err)
-		}
-		if opts.FaultHook != nil {
-			opts.FaultHook.BeforeShard(i, n)
 		}
 		var training *trace.Trace
 		if tv != nil {
@@ -486,10 +472,10 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 		results[i] = res
 		return nil
 	}
-	// Every shard runs to its own verdict inside the isolation boundary
-	// (retryShard) while the others keep running.
+	// Every shard runs once to its own verdict inside the isolation
+	// boundary (isolateShard) while the others keep running.
 	trace.FanOut(opts.workers(), p, func(_, i int) error {
-		errs[i] = retryShard(policy.Name(), i, p, func(n int) error { return attempt(i, n) })
+		errs[i] = isolateShard(policy.Name(), i, p, func() error { return shard(i) })
 		return nil
 	})
 

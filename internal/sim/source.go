@@ -9,11 +9,10 @@ import (
 
 // Source is an iterator of per-shard train/sim trace views: the unit of
 // residency of the streamed sharded engine. runShardedSrc calls Shard(i)
-// in each attempt at shard i, right before simulating it, and drops the
-// views when that attempt ends, so one shard's event series exists per
-// in-flight worker — at most Options.Workers of them per run, O(n/P) each
-// instead of O(n) for a materialized trace pair. A retried shard is
-// produced again.
+// once, right before simulating shard i, and drops the views when that
+// simulation ends, so one shard's event series exists per in-flight
+// worker — at most Options.Workers of them per run, O(n/P) each instead of
+// O(n) for a materialized trace pair.
 //
 // Contract (what the deterministic merge relies on — see DESIGN.md
 // "Streaming source contract"):
