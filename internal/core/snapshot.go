@@ -242,8 +242,17 @@ func (s *SPES) RestoreState(data []byte) error {
 			st.carveWTs()
 			st.onlineWTs = append(st.onlineWTs, wts...)
 		}
+		for _, wt := range st.onlineWTs {
+			if wt < 0 {
+				return fmt.Errorf("core: snapshot function %d holds a negative waiting time %d", fid, wt)
+			}
+		}
 		st.wtHead = int32(d.I64())
 		st.adjustedAt = int(d.I64())
+		// The ring's oldest sample is at 0 until the ring is full.
+		if h := st.wtHead; h != 0 && (h < 0 || h >= maxOnlineWTs || len(st.onlineWTs) < maxOnlineWTs) {
+			return fmt.Errorf("core: snapshot function %d has its oldest waiting time at %d of %d", fid, h, len(st.onlineWTs))
+		}
 
 		// Derived views: the type cache, the link reverse index, and the
 		// online-WT histogram (histAdd over any sample order rebuilds the

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/csv"
@@ -9,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 	"strconv"
 )
 
@@ -89,9 +89,16 @@ type csvRecord struct {
 	App     string
 	User    string
 	Trigger Trigger
-	Events  []Event // absolute slots; valid until the next call
+	Events  []Event // absolute slots; valid until emit returns
 	EndSlot int     // exclusive day-section end, (day+1)*1440
 }
+
+// csvBlockSize is the capacity of each of the stream's two block buffers.
+// A line longer than a block grows the buffer that holds it. A round of the
+// pass scans one block, so the block is large enough that starting a
+// round's helper (about 80 µs on a 2-core VM) is small beside the scan
+// (about 250 µs for the ingest-store CSV's 256 KiB).
+const csvBlockSize = 256 << 10
 
 // csvStream is the streaming Azure-schema row reader shared by ReadCSV and
 // IngestCSV: one pass, O(functions) state (metadata and per-function day
@@ -100,26 +107,41 @@ type csvRecord struct {
 // rows, and cross-section owner/trigger consistency — applied row by row
 // with positional errors.
 //
-// Records come from a byte-level scanner that accepts exactly the language
-// encoding/csv accepts with its defaults (comma ',', no comment character,
-// strict quotes, blank lines skipped). A line with no '"' and no '\r' is one
-// record whose cells are the line split at ',', which is what encoding/csv
-// makes of it. The scanner reads such a line in place, in the reader's
-// buffer: it splits off the four metadata cells, walks the day cells
-// without splitting them, skipping runs of "0" a word at a time, and
-// allocates nothing per row. The first line outside that skeleton, and the
-// rest of the input after it, go to an encoding/csv.Reader, whose parse
-// errors are shifted by the physical lines the scanner consumed before it, so
-// every error names the line encoding/csv alone would name. The reference
-// this is held to is the encoding/csv-only stream in csv_ref_test.go.
+// The pass has two parts. The block scan (scanBlock) reads whole lines
+// into one of two block buffers the stream owns and parses each line on
+// its own: it counts the cells and records the non-zero day cells and the
+// first cell that spells no count, and it reads no other line and no
+// stream state. The in-order stage (consume) does everything else: header
+// and section handling, trigger parsing, the duplicate, owner and trigger
+// checks, line counting, the day base, and every error message, a cell's
+// included, which it formats only after the checks that precede it. So a
+// scanned block's rows are checked exactly as if each were parsed when it
+// is reached. The two parts run in rounds of FanOut(2, 2, …) (item): one
+// item scans block k+1 into one buffer while the other consumes block k
+// out of the other.
+//
+// The scan accepts exactly the language encoding/csv accepts with its
+// defaults (comma ',', no comment character, strict quotes, blank lines
+// skipped). A line with no '"' and no '\r' is one record whose cells are
+// the line split at ',', which is what encoding/csv makes of it; the scan
+// walks its day cells without splitting them (scanDays). The first line
+// outside that skeleton, and the rest of the input after it, go to an
+// encoding/csv.Reader, whose parse errors are shifted by the physical
+// lines the scan consumed before it, so every error names the line
+// encoding/csv alone would name. The reference this is held to is the
+// encoding/csv-only stream in csv_ref_test.go.
 type csvStream struct {
-	br       *bufio.Reader
-	long     []byte      // a line longer than br's buffer, reassembled
-	physical int         // lines the scanner consumed, blank ones included
-	cr       *csv.Reader // set once the input left the scanner's skeleton
+	r      io.Reader
+	blocks [2]csvBlock
+	k      int                  // blocks[k] is the block the next round consumes
+	round  func(w, i int) error // s.item, bound once
+	emit   func(csvRecord) error
+
+	physical int         // lines the scan consumed, blank ones included
+	cr       *csv.Reader // set once the input left the scan's skeleton
 	copied   []byte      // cr's current record, copied
 
-	// The current record, valid until the next read: nfields cells, of
+	// The current record, valid until the next one: nfields cells, of
 	// which fields holds the first. A scanned record's day cells stay in
 	// days, joined by ',', until splitDays moves them into fields.
 	fields  [][]byte
@@ -132,75 +154,370 @@ type csvStream struct {
 	started bool // a header or data row has been consumed
 	funcs   map[string]*csvFuncState
 	nextID  FuncID
-	events  []Event // reused per-row buffer
+	events  []Event // the encoding/csv path's per-row buffer
 }
+
+// csvBlock is one block buffer and what the scan recorded of it.
+type csvBlock struct {
+	buf      []byte // input; buf[:n] was read
+	n        int
+	tail     int       // buf[tail:n] is a line the next block finishes
+	lines    []csvLine // the block's non-blank lines, in order
+	events   []Event   // the lines' non-zero day cells, Slot the cell index
+	physical int       // lines scanned, blank ones included
+	rest     int       // when >= 0, buf[rest:n] opens with a line outside the skeleton
+	err      error     // how the input ended after buf[:n], or nil
+	meta     [][]byte  // the scan's scratch for a line's first cells
+}
+
+// last reports whether no block follows b.
+func (b *csvBlock) last() bool { return b.rest >= 0 || b.err != nil }
+
+// csvLine is what the scan records of one line: where it lies, its cell
+// count, its non-zero day cells, and the first day cell that spells no
+// count (bad; -1 when every cell does) with the verdict on it.
+type csvLine struct {
+	at, end   int // the line in the block's buf, without its '\n'
+	nfields   int
+	ev, evEnd int // the line's events in the block's events
+	bad       int
+	badN      int   // the bad cell's value, when it is out of range
+	badErr    error // strconv's error, or errCountRange
+}
+
+// errCountRange marks a count outside [0, MaxInt32]: the schema's counts
+// are non-negative minute totals, and silently wrapping a negative or
+// int32-overflowing value would fabricate a different workload.
+var errCountRange = errors.New("count out of range")
 
 func newCSVStream(r io.Reader) *csvStream {
-	return &csvStream{br: bufio.NewReaderSize(r, 64<<10), funcs: make(map[string]*csvFuncState)}
+	s := &csvStream{r: r, funcs: make(map[string]*csvFuncState)}
+	s.round = s.item
+	return s
 }
 
-// read loads the next record into s.fields, or returns io.EOF.
-func (s *csvStream) read() error {
-	for s.cr == nil {
-		line, err := s.readLine()
+// run feeds every data row to emit in row order, or stops at the first
+// error: the stream's own, with its position, or emit's, as emit returned
+// it. Header rows are consumed internally: each one after the first opens
+// a new day section.
+func (s *csvStream) run(emit func(csvRecord) error) error {
+	s.emit = emit
+	s.scanBlock(&s.blocks[0], nil)
+	width := 2
+	if runtime.GOMAXPROCS(0) == 1 {
+		width = 1
+	}
+	for !s.blocks[s.k].last() {
+		if err := FanOut(width, 2, s.round); err != nil {
+			return err
+		}
+		s.k ^= 1
+	}
+	if err := s.consume(&s.blocks[s.k]); err != nil || s.cr == nil {
+		return err
+	}
+	for {
+		rec, err := s.cr.Read()
+		if err == io.EOF {
+			return nil
+		}
 		if err != nil {
-			if err == io.EOF {
-				return io.EOF
+			var pe *csv.ParseError
+			if errors.As(err, &pe) {
+				pe.StartLine += s.physical
+				pe.Line += s.physical
 			}
 			return fmt.Errorf("trace: reading CSV: %w", err)
 		}
-		if bytes.IndexByte(line, '"') >= 0 || bytes.IndexByte(line, '\r') >= 0 {
-			s.cr = csv.NewReader(io.MultiReader(bytes.NewReader(bytes.Clone(line)), s.br))
-			s.cr.FieldsPerRecord = -1 // validated manually for a better error message
-			break
-		}
-		s.physical++
-		line = bytes.TrimSuffix(line, []byte{'\n'})
-		if len(line) == 0 {
-			continue // a blank line, which encoding/csv skips
+		s.copied = s.copied[:0]
+		for _, f := range rec {
+			s.copied = append(s.copied, f...)
 		}
 		s.fields = s.fields[:0]
-		for len(s.fields) < 4 {
-			i := bytes.IndexByte(line, ',')
-			if i < 0 {
-				break
-			}
-			s.fields = append(s.fields, line[:i])
-			line = line[i+1:]
+		at := 0
+		for _, f := range rec {
+			s.fields = append(s.fields, s.copied[at:at+len(f)])
+			at += len(f)
 		}
-		if len(s.fields) == 4 {
-			s.days, s.nfields = line, 5+bytes.Count(line, []byte{','})
-		} else {
-			s.fields = append(s.fields, line)
-			s.nfields = len(s.fields)
+		s.nfields = len(s.fields)
+		if err := s.record(nil, nil); err != nil {
+			return err
 		}
+	}
+}
+
+// item is one round's item i: 0 scans block k+1, which opens with block
+// k's unfinished last line, and 1 consumes block k. Item 0 writes only the
+// other block and reads only that line of block k, and the FanOut's return
+// orders each round before the next. FanOut's caller takes item 0 first
+// and a helper starts after it, so the caller takes the scan, the longer
+// item; with the roles the other way round the caller finished the consume
+// before the helper started and ran most rounds' scans itself.
+func (s *csvStream) item(_, i int) error {
+	cur := &s.blocks[s.k]
+	if i == 0 {
+		s.scanBlock(&s.blocks[s.k^1], cur.buf[cur.tail:cur.n])
 		return nil
 	}
+	return s.consume(cur)
+}
 
-	rec, err := s.cr.Read()
-	if err == io.EOF {
-		return io.EOF
-	}
-	if err != nil {
-		var pe *csv.ParseError
-		if errors.As(err, &pe) {
-			pe.StartLine += s.physical
-			pe.Line += s.physical
+// consume runs the in-order stage over a scanned block: each line's
+// record, then, on the last block, the switch to encoding/csv or the read
+// error the input ended with.
+func (s *csvStream) consume(b *csvBlock) error {
+	for i := range b.lines {
+		l := &b.lines[i]
+		s.fields, s.days, _ = splitMeta(s.fields[:0], b.buf[l.at:l.end])
+		s.nfields = l.nfields
+		if err := s.record(l, b); err != nil {
+			return err
 		}
-		return fmt.Errorf("trace: reading CSV: %w", err)
 	}
-	s.copied = s.copied[:0]
-	for _, f := range rec {
-		s.copied = append(s.copied, f...)
+	s.physical += b.physical
+	switch {
+	case b.rest >= 0:
+		// The line goes to encoding/csv, and so does what follows it: the
+		// rest of the block, then the input, or how it ended.
+		in := s.r
+		if b.err != nil {
+			in = errReader{b.err}
+		}
+		s.cr = csv.NewReader(io.MultiReader(bytes.NewReader(b.buf[b.rest:b.n]), in))
+		s.cr.FieldsPerRecord = -1 // validated manually for a better error message
+	case b.err != nil && b.err != io.EOF:
+		return fmt.Errorf("trace: reading CSV: %w", b.err)
 	}
-	s.fields = s.fields[:0]
-	at := 0
-	for _, f := range rec {
-		s.fields = append(s.fields, s.copied[at:at+len(f)])
-		at += len(f)
-	}
-	s.nfields = len(s.fields)
 	return nil
+}
+
+// errReader returns err from every Read.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
+
+// scanBlock reads the input into b after carry, the previous block's
+// unfinished line, up to b's end, and records every whole line it holds.
+// The scan stops at the first line holding '"' or '\r' (b.rest) and at the
+// end of the input or a read error (b.err); a line the block does not
+// finish is left for the next one (b.tail). It reads no stream state but
+// s.r.
+func (s *csvStream) scanBlock(b *csvBlock, carry []byte) {
+	b.lines, b.events, b.physical, b.rest, b.err = b.lines[:0], b.events[:0], 0, -1, nil
+	if len(b.buf) < max(csvBlockSize, 2*len(carry)) {
+		b.buf = make([]byte, max(csvBlockSize, 2*len(carry)))
+	}
+	b.n = copy(b.buf, carry)
+	end := 0 // lines end at or before end
+	for {
+		b.n, b.err = fill(s.r, b.buf, b.n)
+		if b.err == io.EOF {
+			end = b.n // the last line needs no '\n'
+			break
+		}
+		end = bytes.LastIndexByte(b.buf[:b.n], '\n') + 1
+		if end > 0 || b.err != nil {
+			break
+		}
+		// A full block without a line end: a line longer than the block.
+		grown := make([]byte, 2*len(b.buf))
+		copy(grown, b.buf[:b.n])
+		b.buf = grown
+	}
+	if b.events == nil {
+		// One event per 6 bytes read: the densest 256 KiB of the
+		// ingest-store CSV holds 41.9 k, so no block of it grows the slice.
+		b.events = make([]Event, 0, b.n/6)
+	}
+	b.tail = end
+	for at := 0; at < end; {
+		stop := end
+		if i := bytes.IndexByte(b.buf[at:end], '\n'); i >= 0 {
+			stop = at + i
+		}
+		line := b.buf[at:stop]
+		if bytes.IndexByte(line, '"') >= 0 || bytes.IndexByte(line, '\r') >= 0 {
+			b.rest = at
+			return
+		}
+		b.physical++
+		if len(line) > 0 { // a blank line, which encoding/csv skips, has no record
+			b.scanLine(line, at)
+		}
+		at = stop + 1
+	}
+}
+
+// fill reads r into buf[n:] until buf is full or r fails, and returns the
+// new n and r's error, io.EOF included. Like bufio, it gives up with
+// io.ErrNoProgress after 100 reads in a row that return nothing.
+func fill(r io.Reader, buf []byte, n int) (int, error) {
+	for empty := 0; n < len(buf); {
+		m, err := r.Read(buf[n:])
+		n += m
+		if err != nil {
+			return n, err
+		}
+		if m > 0 {
+			empty = 0
+		} else if empty++; empty == 100 {
+			return n, io.ErrNoProgress
+		}
+	}
+	return n, nil
+}
+
+// splitMeta appends a line's first four cells to fields and returns the
+// rest of the line, its day cells joined by ','. A line of fewer than five
+// cells appends them all and reports !ok.
+func splitMeta(fields [][]byte, line []byte) ([][]byte, []byte, bool) {
+	for len(fields) < 4 {
+		i := bytes.IndexByte(line, ',')
+		if i < 0 {
+			return append(fields, line), nil, false
+		}
+		fields = append(fields, line[:i])
+		line = line[i+1:]
+	}
+	return fields, line, true
+}
+
+// scanLine records one line of b.buf starting at offset at. A header row's
+// day cells are labels, so they are counted, not parsed.
+func (b *csvBlock) scanLine(line []byte, at int) {
+	l := csvLine{at: at, end: at + len(line), ev: len(b.events), bad: -1}
+	var days []byte
+	var ok bool
+	b.meta, days, ok = splitMeta(b.meta[:0], line)
+	switch {
+	case !ok:
+		l.nfields = len(b.meta)
+	case string(b.meta[0]) == "HashOwner":
+		l.nfields = 5 + bytes.Count(days, []byte{','})
+	default:
+		l.nfields = 4 + b.scanDays(days, &l)
+	}
+	l.evEnd = len(b.events)
+	b.lines = append(b.lines, l)
+}
+
+// A word of day cells read little-endian: zeroCells is "0,0,0,0,", and a
+// word w holds four one-character cells when w&oddBytes == fourCommas.
+// zeroCell is "0," read as a little-endian uint16.
+const (
+	zeroCells  = 0x2c302c302c302c30
+	oddBytes   = 0xff00ff00ff00ff00
+	fourCommas = 0x2c002c002c002c00
+	zeroCell   = 0x2c30
+)
+
+// scanDays appends the events of a line's day cells, still joined by ',',
+// with the cell index as the slot, and returns the cell count. Nearly
+// every Azure cell is one digit, most of them "0", so the cells are walked
+// a word of four one-character cells at a time, then "d," two bytes at a
+// time; a longer cell of up to nine digits is parsed as it is walked, like
+// smallCount, and any other cell goes to cellCount. Past the first bad
+// cell, which it records in l, it only counts cells.
+func (b *csvBlock) scanDays(days []byte, l *csvLine) int {
+	evs := b.events
+	for p, i := 0, 0; ; i++ {
+		for p+8 <= len(days) {
+			w := binary.LittleEndian.Uint64(days[p:])
+			if w == zeroCells {
+				p, i = p+8, i+4
+				continue
+			}
+			if w&oddBytes != fourCommas {
+				break
+			}
+			d0, d1, d2, d3 := byte(w)-'0', byte(w>>16)-'0', byte(w>>32)-'0', byte(w>>48)-'0'
+			if d0 > 9 || d1 > 9 || d2 > 9 || d3 > 9 {
+				break
+			}
+			if d0 != 0 {
+				evs = append(evs, Event{Slot: int32(i), Count: int32(d0)})
+			}
+			if d1 != 0 {
+				evs = append(evs, Event{Slot: int32(i + 1), Count: int32(d1)})
+			}
+			if d2 != 0 {
+				evs = append(evs, Event{Slot: int32(i + 2), Count: int32(d2)})
+			}
+			if d3 != 0 {
+				evs = append(evs, Event{Slot: int32(i + 3), Count: int32(d3)})
+			}
+			p, i = p+8, i+4
+		}
+		for p+2 <= len(days) {
+			w := binary.LittleEndian.Uint16(days[p:])
+			if w == zeroCell {
+				p, i = p+2, i+1
+				continue
+			}
+			d := byte(w) - '0'
+			if w>>8 != ',' || d > 9 {
+				break
+			}
+			evs = append(evs, Event{Slot: int32(i), Count: int32(d)})
+			p, i = p+2, i+1
+		}
+		start, n, digits := p, 0, true
+		for ; p < len(days) && days[p] != ','; p++ {
+			d := days[p] - '0'
+			digits = digits && d <= 9
+			n = n*10 + int(d)
+		}
+		if !digits || p-start > 9 {
+			var err error
+			if n, err = cellCount(days[start:p]); err != nil {
+				b.events = evs
+				l.bad, l.badN, l.badErr = i, n, err
+				return i + 1 + bytes.Count(days[p:], []byte{','})
+			}
+		}
+		if n > 0 {
+			evs = append(evs, Event{Slot: int32(i), Count: int32(n)})
+		}
+		if p == len(days) {
+			b.events = evs
+			return i + 1
+		}
+		p++
+	}
+}
+
+// cellCount is the count a day cell spells; "" spells 0. A cell that is
+// not an integer returns strconv.Atoi's error, and one outside [0,
+// MaxInt32] its value and errCountRange.
+func cellCount(cell []byte) (int, error) {
+	if n, ok := smallCount(cell); ok || len(cell) == 0 {
+		return n, nil
+	}
+	n, err := strconv.Atoi(string(cell))
+	if err != nil {
+		return 0, err
+	}
+	if n < 0 || n > math.MaxInt32 {
+		return n, errCountRange
+	}
+	return n, nil
+}
+
+// smallCount parses a cell of one to nine ASCII digits, the spelling of
+// nearly every non-zero count. Such a value cannot leave [0, MaxInt32] and
+// is what strconv.Atoi makes of the cell; any other cell reports !ok and is
+// left to strconv.Atoi, values and error text included.
+func smallCount(cell []byte) (n int, ok bool) {
+	if len(cell) == 0 || len(cell) > 9 {
+		return 0, false
+	}
+	for _, c := range cell {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
 }
 
 // splitDays moves a scanned record's day cells into s.fields.
@@ -218,26 +535,6 @@ func (s *csvStream) splitDays() {
 		days = days[i+1:]
 	}
 	s.fields = append(s.fields, days)
-}
-
-// readLine returns the next physical line with its '\n' (none on a last
-// line without one), or io.EOF once no bytes remain. A line longer than the
-// reader's buffer is reassembled in s.long. The line is valid until the next
-// call.
-func (s *csvStream) readLine() ([]byte, error) {
-	line, err := s.br.ReadSlice('\n')
-	if err == bufio.ErrBufferFull {
-		s.long = append(s.long[:0], line...)
-		for err == bufio.ErrBufferFull {
-			line, err = s.br.ReadSlice('\n')
-			s.long = append(s.long, line...)
-		}
-		line = s.long
-	}
-	if err == io.EOF && len(line) > 0 {
-		err = nil
-	}
-	return line, err
 }
 
 // validateHeader checks a header row column by column: the day columns must
@@ -260,38 +557,30 @@ func (s *csvStream) validateHeader() error {
 	return nil
 }
 
-// Next returns the next data row, or io.EOF at the end of the stream.
-// Header rows are consumed internally: each one after the first opens a new
-// day section.
-func (s *csvStream) Next() (csvRecord, error) {
-	for {
-		if err := s.read(); err != nil {
-			return csvRecord{}, err
+// record is the in-order stage's step for the current record: a header
+// row validates and opens a section, a data row is checked and emitted.
+// A scanned record's day cells come from the scan (l in block b); an
+// encoding/csv record's (l nil) are parsed here.
+func (s *csvStream) record(l *csvLine, b *csvBlock) error {
+	s.line++
+	if string(s.fields[0]) == "HashOwner" {
+		if err := s.validateHeader(); err != nil {
+			return err
 		}
-		s.line++
-		if string(s.fields[0]) == "HashOwner" {
-			if err := s.validateHeader(); err != nil {
-				return csvRecord{}, err
-			}
-			if s.started {
-				s.section++
-			}
-			s.started = true
-			continue
+		if s.started {
+			s.section++
 		}
-		return s.dataRow()
+		s.started = true
+		return nil
 	}
-}
-
-func (s *csvStream) dataRow() (csvRecord, error) {
 	s.started = true
 	if s.nfields != 4+slotsPerDay {
-		return csvRecord{}, fmt.Errorf("trace: CSV line %d has %d fields, want %d", s.line, s.nfields, 4+slotsPerDay)
+		return fmt.Errorf("trace: CSV line %d has %d fields, want %d", s.line, s.nfields, 4+slotsPerDay)
 	}
 	rec := s.fields
 	trig, err := csvTrigger(rec[3])
 	if err != nil {
-		return csvRecord{}, fmt.Errorf("trace: CSV line %d: %w", s.line, err)
+		return fmt.Errorf("trace: CSV line %d: %w", s.line, err)
 	}
 	// The key is (app, function hash): in the Azure schema an application
 	// belongs to exactly one owner, so two rows sharing the key but naming
@@ -308,15 +597,15 @@ func (s *csvStream) dataRow() (csvRecord, error) {
 		// or trigger contradicts the schema (one owner per app, one trigger
 		// binding per function hash).
 		if st.lastSection == s.section {
-			return csvRecord{}, fmt.Errorf("trace: CSV line %d: duplicate row for function (app=%s, func=%s) in day section %d (previous at line %d)",
+			return fmt.Errorf("trace: CSV line %d: duplicate row for function (app=%s, func=%s) in day section %d (previous at line %d)",
 				s.line, rec[1], rec[2], s.section+1, st.lastLine)
 		}
 		if st.user != string(rec[0]) {
-			return csvRecord{}, fmt.Errorf("trace: CSV line %d: function (app=%s, func=%s) owner %q contradicts %q at line %d",
+			return fmt.Errorf("trace: CSV line %d: function (app=%s, func=%s) owner %q contradicts %q at line %d",
 				s.line, rec[1], rec[2], rec[0], st.user, st.lastLine)
 		}
 		if st.trigger != trig {
-			return csvRecord{}, fmt.Errorf("trace: CSV line %d: function (app=%s, func=%s) trigger %q contradicts %q at line %d",
+			return fmt.Errorf("trace: CSV line %d: function (app=%s, func=%s) trigger %q contradicts %q at line %d",
 				s.line, rec[1], rec[2], trig, st.trigger, st.lastLine)
 		}
 	} else {
@@ -332,89 +621,38 @@ func (s *csvStream) dataRow() (csvRecord, error) {
 	st.lastLine = s.line
 	base := int32(day * slotsPerDay)
 
-	s.events = s.events[:0]
-	if len(rec) < s.nfields {
-		err = s.scanDays(base)
+	if l != nil {
+		if l.bad >= 0 {
+			return s.cellError(l.bad, l.badN, l.badErr)
+		}
+		out.Events = b.events[l.ev:l.evEnd]
+		for k := range out.Events {
+			out.Events[k].Slot += base
+		}
 	} else {
+		s.events = s.events[:0]
 		for i, cell := range rec[4:] {
-			if err = s.addCount(base, i, cell); err != nil {
-				break
+			n, err := cellCount(cell)
+			if err != nil {
+				return s.cellError(i, n, err)
+			}
+			if n > 0 {
+				s.events = append(s.events, Event{Slot: base + int32(i), Count: int32(n)})
 			}
 		}
+		out.Events = s.events
 	}
-	if err != nil {
-		return csvRecord{}, err
-	}
-	out.ID, out.Events, out.EndSlot = st.id, s.events, (day+1)*slotsPerDay
-	return out, nil
+	out.ID, out.EndSlot = st.id, (day+1)*slotsPerDay
+	return s.emit(out)
 }
 
-// zeroCells is "0,0,0,0," read as a little-endian word: four zero cells.
-const zeroCells = 0x2c302c302c302c30
-
-// scanDays adds the events of a scanned record's day cells, which are still
-// joined by ',' in s.days. Runs of zero cells, most of any Azure row, are
-// skipped a word at a time.
-func (s *csvStream) scanDays(base int32) error {
-	days := s.days
-	for i := 0; ; i++ {
-		for len(days) >= 8 && binary.LittleEndian.Uint64(days) == zeroCells {
-			days, i = days[8:], i+4
-		}
-		end := 0
-		for end < len(days) && days[end] != ',' {
-			end++
-		}
-		if err := s.addCount(base, i, days[:end]); err != nil {
-			return err
-		}
-		if end == len(days) {
-			return nil
-		}
-		days = days[end+1:]
+// cellError is the error of day cell i (0-based) of the current record,
+// which spelled n and failed with err.
+func (s *csvStream) cellError(i, n int, err error) error {
+	if err == errCountRange {
+		return fmt.Errorf("trace: CSV line %d slot %d: count %d outside [0, %d]", s.line, i+1, n, math.MaxInt32)
 	}
-}
-
-// addCount appends the event that day cell i (0-based) spells, if any. "0"
-// and "" spell none.
-func (s *csvStream) addCount(base int32, i int, cell []byte) error {
-	if len(cell) == 0 || len(cell) == 1 && cell[0] == '0' {
-		return nil
-	}
-	n, ok := smallCount(cell)
-	if !ok {
-		var err error
-		if n, err = strconv.Atoi(string(cell)); err != nil {
-			return fmt.Errorf("trace: CSV line %d slot %d: %w", s.line, i+1, err)
-		}
-		if n < 0 || n > math.MaxInt32 {
-			// The schema's counts are non-negative minute totals; a
-			// negative or int32-overflowing value is corrupt input, and
-			// silently wrapping it would fabricate a different workload.
-			return fmt.Errorf("trace: CSV line %d slot %d: count %d outside [0, %d]", s.line, i+1, n, math.MaxInt32)
-		}
-	}
-	if n > 0 {
-		s.events = append(s.events, Event{Slot: base + int32(i), Count: int32(n)})
-	}
-	return nil
-}
-
-// smallCount parses a cell of one to nine ASCII digits, the spelling of
-// nearly every non-zero count. Such a value cannot leave [0, MaxInt32] and
-// is what strconv.Atoi makes of the cell; any other cell reports !ok and is
-// left to strconv.Atoi, values and error text included.
-func smallCount(cell []byte) (n int, ok bool) {
-	if len(cell) == 0 || len(cell) > 9 {
-		return 0, false
-	}
-	for _, c := range cell {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
+	return fmt.Errorf("trace: CSV line %d slot %d: %w", s.line, i+1, err)
 }
 
 // csvTrigger is ParseTrigger over a cell, converting it to a string only to
@@ -436,16 +674,8 @@ func csvTrigger(cell []byte) (Trigger, error) {
 // to materialize, use IngestCSV, which makes the same single pass but
 // spills to an on-disk columnar shard store.
 func ReadCSV(r io.Reader) (*Trace, error) {
-	st := newCSVStream(r)
 	tr := NewTrace(0)
-	for {
-		row, err := st.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
+	err := newCSVStream(r).run(func(row csvRecord) error {
 		if row.New {
 			tr.AddFunction(row.Name, row.App, row.User, row.Trigger, nil)
 		}
@@ -455,6 +685,10 @@ func ReadCSV(r io.Reader) (*Trace, error) {
 		if row.EndSlot > tr.Slots {
 			tr.Slots = row.EndSlot
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Restore Series invariants after raw appends.

@@ -30,6 +30,7 @@ type refCSVStream struct {
 func newRefCSVStream(r io.Reader) *refCSVStream {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = -1
+	cr.ReuseRecord = true // a record's strings outlive it; its slice need not
 	return &refCSVStream{cr: cr, funcs: make(map[[2]string]*csvFuncState)}
 }
 
@@ -153,8 +154,15 @@ func refReadCSV(r io.Reader) (*Trace, error) {
 // reference return the same trace, or errors with the same text.
 func assertReadCSVMatchesReference(t *testing.T, in []byte) *Trace {
 	t.Helper()
-	got, err := ReadCSV(bytes.NewReader(in))
 	want, wantErr := refReadCSV(bytes.NewReader(in))
+	return assertReadCSVMatches(t, in, want, wantErr)
+}
+
+// assertReadCSVMatches fails unless ReadCSV of in returns the trace want,
+// or an error with wantErr's text.
+func assertReadCSVMatches(t *testing.T, in []byte, want *Trace, wantErr error) *Trace {
+	t.Helper()
+	got, err := ReadCSV(bytes.NewReader(in))
 	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 		t.Fatalf("ReadCSV error %v, reference error %v", err, wantErr)
 	}
@@ -178,13 +186,18 @@ func csvHeader() string {
 }
 
 // readCSVSeeds are inputs on both sides of the scanner's skeleton: what it
-// scans itself, what it hands to encoding/csv, and where the two meet.
+// scans itself, what it hands to encoding/csv, and where the two meet; two
+// span three blocks of the block scan, one switching to encoding/csv in
+// the last.
 func readCSVSeeds() map[string]string {
 	header := csvHeader()
 	a := csvRow("u1", "a1", "f1", "http", map[int]string{0: "3", 700: "12"})
 	b := csvRow("u2", "a2", "f2", "timer", map[int]string{1439: "1"})
 	quoted := `"u3","a3","f3","http"` + strings.TrimPrefix(csvRow("u", "a", "f", "http", map[int]string{5: "2"}), "u,a,f,http")
 	permuted := strings.Replace(header, ",1,2,", ",2,1,", 1)
+	blocks := blockTestInput()
+	blocksQuoted := append([]string(nil), blocks...)
+	blocksQuoted[70] = `"` + strings.Replace(blocksQuoted[70], ",", `",`, 1)
 	return map[string]string{
 		"empty":              "",
 		"two days":           header + a + b + header + a + b,
@@ -213,6 +226,20 @@ func readCSVSeeds() map[string]string {
 		"not a number":       csvRow("u", "a", "f", "http", map[int]string{3: "xyz"}),
 		"bad trigger":        csvRow("u", "a", "f", "HTTP", nil),
 		"owner changes":      a + header + strings.Replace(a, "u1", "u9", 1),
+		// Three blocks of the block scan, one switching in its last block.
+		"three blocks":        strings.Join(blocks, "\n") + "\n",
+		"three blocks, quote": strings.Join(blocksQuoted, "\n") + "\n",
+		// A one-character non-digit at each lane of a four-cell word.
+		"letter at lane 0": csvRow("u", "a", "f", "http", map[int]string{8: "x"}),
+		"letter at lane 1": csvRow("u", "a", "f", "http", map[int]string{9: "x"}),
+		"letter at lane 2": csvRow("u", "a", "f", "http", map[int]string{10: "x"}),
+		"letter at lane 3": csvRow("u", "a", "f", "http", map[int]string{11: "x"}),
+		// A bad count on a row that fails an earlier check: the earlier
+		// check's error wins.
+		"short row, bad count":     a + "u8,a8,f8,http,x\n",
+		"bad trigger, bad count":   csvRow("u", "a", "f", "HTTP", map[int]string{3: "xyz"}),
+		"duplicate, bad count":     a + csvRow("u1", "a1", "f1", "http", map[int]string{3: "xyz"}),
+		"owner changes, bad count": a + header + csvRow("u9", "a1", "f1", "http", map[int]string{3: "-1"}),
 	}
 }
 

@@ -290,7 +290,7 @@ func TestReadCSVInconsistentMetadata(t *testing.T) {
 // TestReadCSVDialect pins what encoding/csv makes of input the Azure files
 // do not use but a hand-edited or re-exported file may: CRLF line endings,
 // blank lines between rows, quoted cells (read through the encoding/csv
-// switch) and a line longer than the scanner's buffer. Each reads as the
+// switch) and a line longer than the scanner's blocks. Each reads as the
 // same trace as the plain file, and as the reference reads it.
 func TestReadCSVDialect(t *testing.T) {
 	tr := NewTrace(2 * slotsPerDay)
@@ -323,9 +323,12 @@ func TestReadCSVDialect(t *testing.T) {
 		t.Errorf("duplicate after blank lines: err = %v, want one naming record line 2", err)
 	}
 
-	long := csvRow("u", "a", strings.Repeat("f", 70<<10), "http", map[int]string{9: "4"}) + row
-	if got := assertReadCSVMatchesReference(t, []byte(long)); got == nil || got.Functions[0].Name != strings.Repeat("f", 70<<10) {
-		t.Error("a line longer than the scanner's buffer was not read whole")
+	// A line longer than two blocks, starting mid-block: the block after
+	// the one it starts in is made for it, then grown.
+	name := strings.Repeat("f", 2*csvBlockSize+(70<<10))
+	long := row + csvRow("u", "a", name, "http", map[int]string{9: "4"}) + strings.Replace(row, "f0", "f1", 1)
+	if got := assertReadCSVMatchesReference(t, []byte(long)); got == nil || got.Functions[1].Name != name {
+		t.Error("a line longer than the scanner's blocks was not read whole")
 	}
 }
 

@@ -21,15 +21,18 @@ import (
 // needs every function's app and user before shards can be assigned) and
 // one 8-byte index entry per non-empty row, but never the event series:
 // each row's events are appended to a bounded buffer, and a full buffer is
-// appended to one spill file. After the pass the canonical app/user-closed
-// partition is computed with the exact same PartitionFunctions call a
-// materialized run uses, and the shards are assembled — gather, normalize,
-// fingerprint, encode, commit — by one FanOut over them. Item i walks the
-// row index and copies shard i's rows straight to their functions' places
-// in its worker's arena: from the buffer in place, or out of the spill file,
-// so a spilled event is written once and requested once (from the page
-// cache while the spill fits there; DESIGN.md has the uncached cost). Each
-// worker reuses scratch sized for the largest shard. Peak memory is
+// appended to one spill file. The pass is csvStream's: on two cores one
+// block of the CSV is scanned while the rows of the block before it are
+// checked and buffered here, in row order. After the pass the canonical
+// app/user-closed partition is computed with the exact same
+// PartitionFunctions call a materialized run uses, and the shards are
+// assembled — gather, normalize, fingerprint, encode, commit — by one
+// FanOut over them. Item i walks the row index and copies shard i's rows
+// straight to their functions' places in its worker's arena: from the
+// buffer in place, or out of the spill file, so a spilled event is written
+// once and requested once (from the page cache while the spill fits there;
+// DESIGN.md has the uncached cost). Each worker reuses scratch sized for
+// the largest shard. Peak memory is
 // O(function metadata + rows + buffer budget + W × largest shard) for
 // W = min(GOMAXPROCS, shards) workers, and the files are the same bytes at
 // any W.
@@ -60,8 +63,9 @@ type IngestStats struct {
 	StoreBytes int64 // total size of the written shard files and manifest
 
 	// Wall time of each stage, as the ingest measures it: pass 1 (the row
-	// stream) and the shard stage (partition, then gather, assemble,
-	// fingerprint, encode and commit every shard, then the manifest).
+	// stream, its block scan and in-order stage together) and the shard
+	// stage (partition, then gather, assemble, fingerprint, encode and
+	// commit every shard, then the manifest).
 	PassWall, ShardsWall time.Duration
 }
 
@@ -110,22 +114,16 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 	sp := &ingestSpill{dir: spillDir, budget: budget}
 	defer sp.close()
 
-	// Pass 1: stream rows, collecting metadata and buffering events.
+	// Pass 1: collect metadata and buffer events, row by row in order, as
+	// the stream's in-order stage hands the rows over (one block of rows
+	// while the next block is scanned).
 	tPass := time.Now()
-	st := newCSVStream(r)
 	var (
 		fns    []Function
 		slots  int
 		events int64
 	)
-	for {
-		row, err := st.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, nil, err
-		}
+	err = newCSVStream(r).run(func(row csvRecord) error {
 		if row.New {
 			fns = append(fns, Function{ID: row.ID, Name: row.Name, App: row.App, User: row.User, Trigger: row.Trigger})
 		}
@@ -133,9 +131,13 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 			slots = row.EndSlot
 		}
 		if err := sp.add(row.ID, row.Events); err != nil {
-			return nil, nil, fmt.Errorf("trace: ingest: spilling events: %w", err)
+			return fmt.Errorf("trace: ingest: spilling events: %w", err)
 		}
 		events += int64(len(row.Events))
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 
 	// The canonical partition — the same call, over the same

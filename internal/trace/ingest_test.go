@@ -609,15 +609,17 @@ func ingestWorkload(tb testing.TB) ([]byte, IngestOptions) {
 	return buf.Bytes(), IngestOptions{Shards: 8, MaxBufferedEvents: 1 << 20}
 }
 
-// TestIngestAllocationBudget holds an ingest to what it keeps: the scanner
-// allocates nothing per row and each function's strings once, the spill
+// TestIngestAllocationBudget holds an ingest to what it keeps: the row
+// pass allocates nothing per row or per block (its two block buffers and
+// their event slices are reused) and each function's strings once, the spill
 // buffer doubles up to the budget, the row index costs 8 bytes a row, and
 // each shard-stage worker reuses one read chunk, one event arena and one
 // file buffer. A per-row allocation, append-grown buffers, a decode buffer
 // or a buffer per shard each break the bound. Each shard-stage worker adds
 // its own scratch (~4.6 MB here), so the test pins GOMAXPROCS to 2, two
-// workers, where it measures 32.9 MB and 5.8 k objects; the bound leaves
-// room for one more worker's scratch.
+// workers, where it measures 34.1 MB and 5.8 k objects (32.9 MB before the
+// row pass's two 256 KiB blocks); the bound leaves room for one more
+// worker's scratch.
 func TestIngestAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -648,7 +650,7 @@ func TestIngestAllocationBudget(t *testing.T) {
 // TestIngestInMemoryAllocation holds the ingest that never spills to one
 // event buffer of 8-byte events, which each shard gathers from in place.
 // At GOMAXPROCS 2, which the test pins because each shard-stage worker adds
-// its own scratch (~4.6 MB), it measures 48.9 MB for this workload (the
+// its own scratch (~4.6 MB), it measures 50.1 MB for this workload (the
 // 1000 × 6 CSV into 8 shards, default budget); when a 12-byte record was
 // grouped by shard in place it measured 66 MB, and when that grouping
 // copied the buffer 87.3 MB. The bound leaves room for one more worker's
@@ -701,7 +703,9 @@ func sparseIngestWorkload(tb testing.TB) ([]byte, IngestOptions) {
 
 // BenchmarkIngestCSV times one ingest of each CSV: dense is the
 // ingest-store workload's, sparse the many-short-rows one. B/op is the
-// whole pass's allocation.
+// whole pass's allocation. rowstream is ReadCSV of the dense CSV alone:
+// the row pass without the spill and the shard stage, beside the whole
+// ingest.
 func BenchmarkIngestCSV(b *testing.B) {
 	for _, tc := range []struct {
 		name     string
@@ -723,4 +727,15 @@ func BenchmarkIngestCSV(b *testing.B) {
 			}
 		})
 	}
+	b.Run("rowstream", func(b *testing.B) {
+		csv, _ := ingestWorkload(b)
+		b.ReportAllocs()
+		b.SetBytes(int64(len(csv)))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := ReadCSV(bytes.NewReader(csv)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
