@@ -2,6 +2,9 @@ package experiments
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -119,12 +122,28 @@ func TestRunComparisonShapes(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/figures.golden from the runners' output")
+
+// goldenFigures is every runner's output at QuickSettings in IDs() order,
+// one "===== id =====" header each, without the wall-clock overhead table.
+const goldenFigures = "testdata/figures.golden"
+
+// TestAllFigureRunnersProduceOutput holds every figure to the committed
+// golden bytes: a change that moves a figure fails here and shows the
+// diff in review. Run with -update to re-record after a deliberate move.
 func TestAllFigureRunnersProduceOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure runners are slow")
 	}
 	s := QuickSettings()
+	// The first runner to read the shared comparison prints its progress
+	// lines, so start from an empty cache whatever ran before.
+	delete(comparisonCache, s.cacheKey())
+	var all bytes.Buffer
 	for _, id := range IDs() {
+		if id == "overhead" {
+			continue
+		}
 		runner, err := Lookup(id)
 		if err != nil {
 			t.Fatal(err)
@@ -136,6 +155,33 @@ func TestAllFigureRunnersProduceOutput(t *testing.T) {
 		}
 		if buf.Len() == 0 {
 			t.Errorf("figure %s produced no output", id)
+		}
+		fmt.Fprintf(&all, "===== %s =====\n", id)
+		all.Write(buf.Bytes())
+	}
+	if *update {
+		if err := os.WriteFile(goldenFigures, all.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenFigures)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := all.Bytes(); !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("figures differ from %s at line %d (run with -update after a deliberate change):\n got  %q\n want %q", goldenFigures, i+1, g, w)
+			}
 		}
 	}
 }
