@@ -417,6 +417,8 @@ var archRules = []*archRule{{
 	// recovered panic; the retry loop, its policy, the options field and
 	// interface of the shard-worker fault seam, and the harness's worker
 	// panic and slow-shard classes are gone.
+	// Then the overhead option: every run times its Ticks, so no option
+	// turns the clock on, and none turns idle-skipping or a fan-out off.
 	// Case-sensitive, so predict's test-local nextWindows reference and
 	// classify's laggedCOR pass. Names only: "Exported code is reached"
 	// finds what is dead; this row keeps it from coming back.
@@ -424,7 +426,8 @@ var archRules = []*archRule{{
 	greps: []archGrep{{
 		pattern: `internal/qos|WithQoS|QoSClass|NextWindows|NextPredicted|EmpiricalCDF|WindowedCOR|InvokedSlotsFromSorted|InterArrivalTimes|TotalEvents|NewShardCache|SetBudget|AttachDisk|OpenDiskCache|OpenDiskCacheFS|DiskCache|NewSweep|DefaultCacheEntries|DefaultCacheBytes|AddRowf|SlackVariants|CategorizeDeterministic|CategorizeWithForgetting|AssignIndeterminate|LaggedCOR|parallelDo|workerTokens|fingerprintShardViews|shardContentFingerprint|replayHistory|admitHistory|NewPredictor|producedShard|loadedSet|newLoadedSet|CapacityCacheError|vetPolicy|RetryPolicy|CoefficientOfVariation|GenerateTraceShard|PartitionTrace|TraceShard|TracePartition` +
 			`|GenerateShard|ShardCache|OpenShardCache|OpenShardCacheFS|CacheStats|ErrInterrupted|ErrCapacityCoupled|DiskFailureTripwire|CacheDir` +
-			`|retryShard|shardRetry|ShardFaultHook|FaultHook|BeforeShard|WorkerPanic|SlowShard`,
+			`|retryShard|shardRetry|ShardFaultHook|FaultHook|BeforeShard|WorkerPanic|SlowShard` +
+			`|MeasureOverhead|measureOverhead`,
 		word: true, goOnly: true, tests: true, under: []string{"internal", "cmd", "spes", "examples"},
 	}},
 }, {

@@ -12,7 +12,8 @@
 // generated one shard at a time (-stream), an Azure-schema CSV (-trace), or
 // a columnar shard store (-store, the warm path for real traces; a missing
 // store is first ingested from the -trace beside it and left behind). Every
-// door prints the same metrics for the same trace, at every -shards.
+// door prints the same metrics for the same trace, at every -shards; the
+// wall-clock mean tick overhead goes to stderr.
 package main
 
 import (
@@ -40,7 +41,7 @@ func run() error {
 	flag.StringVar(&in.Trace, "trace", "", "Azure-schema CSV to simulate instead of generating (-functions, -days and -seed are then the trace's)")
 	flag.StringVar(&in.Store, "store", "", "columnar shard store directory to simulate from; built from -trace when missing, partitioned -shards wide")
 	flag.BoolVar(&in.Stream, "stream", false, "generate the workload one shard at a time inside the simulation: O(functions/shards) event series per worker, results bit-identical")
-	flag.IntVar(&in.Shards, "shards", 1, "population shards simulated concurrently; results are bit-identical to -shards 1, but per-tick overhead is not measured")
+	flag.IntVar(&in.Shards, "shards", 1, "population shards simulated concurrently; results are bit-identical to -shards 1")
 	policyName := flag.String("policy", "spes", "policy: "+strings.Join(experiments.PolicyNames(), "|"))
 	capacity := flag.Int("capacity", 0, "faascache/lcs capacity (0: 10% of functions)")
 	flag.IntVar(&s.SPES.Classify.ThetaPrewarm, "theta-prewarm", s.SPES.Classify.ThetaPrewarm, "SPES pre-warm window")
@@ -75,17 +76,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Overhead timing is an unsharded measurement (timings under core
-	// contention are meaningless, and the sharded engine refuses it), so it
-	// is only taken on unsharded, unstreamed runs — -shards exists to
-	// exercise the concurrent engine.
-	opts := sim.Options{
-		MeasureOverhead: !w.Streamed() && in.Shards <= 1,
-		Shards:          in.Shards,
-		RetrainEvery:    *retrainEvery,
-		RetrainWindow:   *retrainWindow,
-	}
-	res, err := w.Run(policy, opts)
+	res, err := w.Run(policy, sim.Options{
+		Shards:        in.Shards,
+		RetrainEvery:  *retrainEvery,
+		RetrainWindow: *retrainWindow,
+	})
 	if err != nil {
 		return err
 	}
@@ -104,11 +99,6 @@ func run() error {
 	tab.AddRow("peak loaded instances", fmt.Sprint(res.MaxLoaded))
 	tab.AddRow("wasted memory time (min)", fmt.Sprint(res.TotalWMT))
 	tab.AddRow("EMCR", fmt.Sprintf("%.2f%%", 100*res.EMCR()))
-	if opts.MeasureOverhead {
-		tab.AddRow("mean tick overhead", res.OverheadPerSlot().String())
-	} else {
-		tab.AddRow("mean tick overhead", "not measured (concurrent shards)")
-	}
 	tab.Render(os.Stdout)
 
 	if res.Types != nil {
@@ -121,5 +111,7 @@ func run() error {
 		}
 		tb.Render(os.Stdout)
 	}
+	// Wall clock goes to stderr, so stdout is the same at every -shards.
+	fmt.Fprintf(os.Stderr, "spes-sim: mean tick overhead %v per simulated minute, summed over shards\n", res.OverheadPerSlot())
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand/v2"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -233,8 +232,8 @@ func TestFaaSCacheMatchesHeapReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(gotRes, wantRes) {
-				t.Fatalf("trial %d, capacity %d: Result %+v, heap reference %+v", trial, capacity, gotRes, wantRes)
+			if d := wantRes.Diff(gotRes); d != "" {
+				t.Fatalf("trial %d, capacity %d: Result differs from the heap reference:\n%s", trial, capacity, d)
 			}
 		}
 	}

@@ -46,11 +46,9 @@ func AppWiseCSRs(res *sim.Result, tr *trace.Trace) []float64 {
 
 // RunComparison simulates SPES and the paper's baselines in paper order
 // through PolicyTable (FaaSCache at SPES's peak memory, Section V-A1).
-// Overhead timing is enabled so RQ2's overhead discussion can be reproduced
-// from the same run.
+// Every run times its Ticks, so RQ2's overhead table reads the same run.
 func RunComparison(w *Workload) (*Comparison, error) {
-	rows, err := w.PolicyTable([]string{"defuse", "hf", "ha", "fixed"}, []string{"faascache"}, 0,
-		sim.Options{MeasureOverhead: true})
+	rows, err := w.PolicyTable([]string{"defuse", "hf", "ha", "fixed"}, []string{"faascache"}, 0, sim.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: comparison: %w", err)
 	}

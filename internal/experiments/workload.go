@@ -119,10 +119,6 @@ func openStore(in Input) (*trace.Store, *trace.IngestStats, error) {
 	return trace.IngestCSV(f, in.Store, trace.IngestOptions{Shards: in.Shards})
 }
 
-// Streamed reports whether shards are produced inside the simulation
-// workers (a streamed generation or a store) rather than held materialized.
-func (w *Workload) Streamed() bool { return w.src != nil }
-
 // Run simulates one policy over the workload: sim.Run over the materialized
 // pair (opts.Shards selects the sharded engine) or sim.RunStreamed over the
 // source, whose shard count then replaces opts.Shards. The workload owns

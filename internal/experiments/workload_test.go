@@ -89,8 +89,8 @@ func TestWorkloadDoorsMatchDirectCalls(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if w.Streamed() != c.streamed || (w.Train == nil) != c.streamed {
-				t.Errorf("Streamed() = %v with Train nil = %v, want both %v", w.Streamed(), w.Train == nil, c.streamed)
+			if (w.Train == nil) != c.streamed {
+				t.Errorf("Train nil = %v, want %v", w.Train == nil, c.streamed)
 			}
 			if (w.Ingested != nil) != c.cold || (w.Store != nil) != (c.in.Store != "") {
 				t.Errorf("Ingested = %v, Store = %v: want a cold ingest %v behind a store door %v",

@@ -20,8 +20,8 @@ import (
 // clock is the slot number its caller passes to Step, never the wall
 // clock, so a daemon ingesting events hours apart and a simulator
 // replaying them back-to-back compute bit-identical policy states and
-// metrics. Wall time is only ever read for the optional
-// Overhead measurement, which annotates results without influencing them.
+// metrics. Wall time is only ever read around Tick, into Result.Overhead,
+// which annotates results without influencing them.
 //
 // Gap semantics: Step(t, invs) first advances the policy through every slot
 // in (NextSlot()-1, t) as an invocation-free slot, exactly as the batch loop
@@ -54,10 +54,9 @@ type Driver struct {
 	retrainWin   int
 	window       WindowFunc
 
-	measureOverhead bool
-	collectCold     bool
-	cold            []trace.FuncID
-	flips           []trace.FuncID
+	collectCold bool
+	cold        []trace.FuncID
+	flips       []trace.FuncID
 
 	next   int // next slot to process; NextSlot()
 	closed bool
@@ -83,11 +82,6 @@ func BuildRetrainWindow(training, recorded *trace.Trace, t, w int) *trace.Trace 
 
 // DriverConfig configures a Driver around an already-trained policy.
 type DriverConfig struct {
-	// MeasureOverhead wall-clock-times every Tick into Result.Overhead.
-	// It disables the idle-skip batch charge so the overhead metric counts
-	// every Tick the per-slot loop would have counted.
-	MeasureOverhead bool
-
 	// RetrainEvery/RetrainWindow/Window enable periodic online
 	// re-categorization for policies implementing Retrainer: at every slot
 	// t = k*RetrainEvery the driver calls Retrain(t, Window(t,
@@ -140,15 +134,14 @@ func (s *scanTracker) TakeLoadDeltas() ([]trace.FuncID, bool) {
 // scan per ticked slot.
 func NewDriver(policy Policy, n int, cfg DriverConfig) *Driver {
 	d := &Driver{
-		policy:          policy,
-		res:             &Result{Policy: policy.Name(), Functions: n, PerFunc: make([]FuncMetrics, n)},
-		log:             cfg.log,
-		measureOverhead: cfg.MeasureOverhead,
-		collectCold:     cfg.CollectCold,
-		next:            cfg.StartSlot,
-		loaded:          make([]bool, n),
-		loadedFrom:      make([]int32, n),
-		invokedLoaded:   make([]int32, n),
+		policy:        policy,
+		res:           &Result{Policy: policy.Name(), Functions: n, PerFunc: make([]FuncMetrics, n)},
+		log:           cfg.log,
+		collectCold:   cfg.CollectCold,
+		next:          cfg.StartSlot,
+		loaded:        make([]bool, n),
+		loadedFrom:    make([]int32, n),
+		invokedLoaded: make([]int32, n),
 	}
 	for fid := 0; fid < n; fid++ {
 		if policy.Loaded(trace.FuncID(fid)) {
@@ -159,7 +152,7 @@ func NewDriver(policy Policy, n int, cfg DriverConfig) *Driver {
 	if tr, ok := policy.(LoadDeltaTracker); ok {
 		if _, ok := tr.TakeLoadDeltas(); ok {
 			d.tracker = tr
-			if s, ok := policy.(IdleSkipper); ok && !cfg.MeasureOverhead {
+			if s, ok := policy.(IdleSkipper); ok {
 				d.skipper = s
 			}
 		}
@@ -317,13 +310,9 @@ func (d *Driver) slot(t int, invs []trace.FuncCount) {
 
 	// Phase 2: let the policy observe and re-provision. The wall clock is
 	// read only to annotate Overhead — it never feeds a decision.
-	if d.measureOverhead {
-		start := time.Now()
-		d.policy.Tick(t, invs)
-		d.res.Overhead += time.Since(start)
-	} else {
-		d.policy.Tick(t, invs)
-	}
+	start := time.Now()
+	d.policy.Tick(t, invs)
+	d.res.Overhead += time.Since(start)
 
 	// Phase 3: memory/WMT/EMCR accounting on the post-Tick loaded set.
 	loadedCount := d.policy.LoadedCount()

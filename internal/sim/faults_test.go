@@ -140,8 +140,12 @@ func TestShardPanicFailsStructured(t *testing.T) {
 					if results[i] != nil {
 						t.Errorf("slot %d: got a Result from a failed run: %+v", i, results[i])
 					}
-				case !reflect.DeepEqual(results[i], clean):
-					t.Errorf("slot %d: healthy result differs from the clean run:\n got  %+v\n want %+v", i, results[i], clean)
+				case results[i] == nil:
+					t.Errorf("slot %d: healthy run returned no Result", i)
+				default:
+					if d := clean.Diff(results[i]); d != "" {
+						t.Errorf("slot %d: healthy result differs from the clean run:\n%s", i, d)
+					}
 				}
 			}
 			var got []string

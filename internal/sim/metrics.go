@@ -66,7 +66,10 @@ type Result struct {
 	EMCRSum   float64
 	EMCRSlots int64
 
-	// Overhead is the wall-clock time the policy spent inside Tick.
+	// Overhead is the wall-clock time the policy spent inside Tick, read
+	// around every Tick of every run and summed over a sharded run's
+	// shards. A minute the Driver skips as idle runs no Tick and adds
+	// nothing. It is the one field Diff ignores.
 	Overhead time.Duration
 
 	// Types holds the policy's per-function category labels when the policy
@@ -149,7 +152,9 @@ func (r *Result) EMCR() float64 {
 	return r.EMCRSum / float64(r.EMCRSlots)
 }
 
-// OverheadPerSlot returns the policy's mean Tick latency.
+// OverheadPerSlot returns Tick time per simulated minute: Overhead over
+// Slots, so idle-skipped minutes count at zero cost and a sharded run's
+// figure is its shards' Tick time summed.
 func (r *Result) OverheadPerSlot() time.Duration {
 	if r.Slots == 0 {
 		return 0

@@ -78,9 +78,8 @@ func serialRetrainRun(t testing.TB, p sim.Policy, training, simTr *trace.Trace, 
 		p.Train(training)
 	}
 	d := sim.NewDriver(p, simTr.NumFunctions(), sim.DriverConfig{
-		MeasureOverhead: opts.MeasureOverhead,
-		RetrainEvery:    opts.RetrainEvery,
-		RetrainWindow:   retrainWindow(training, opts.RetrainEvery, opts.RetrainWindow),
+		RetrainEvery:  opts.RetrainEvery,
+		RetrainWindow: retrainWindow(training, opts.RetrainEvery, opts.RetrainWindow),
 		Window: func(at, w int) *trace.Trace {
 			return sim.BuildRetrainWindow(training, simTr, at, w)
 		},
@@ -121,7 +120,6 @@ type overlapCase struct {
 	name          string
 	every, window int
 	noTraining    bool
-	measure       bool
 	procs         int  // GOMAXPROCS for the run; 0 leaves it
 	held          bool // run inside a FanOut that holds every token
 	shards        int
@@ -136,7 +134,6 @@ var overlapCases = []overlapCase{
 	{name: "nil-training", every: overlapEvery, noTraining: true},
 	{name: "window-shorter-than-training", every: overlapEvery, window: 300},
 	{name: "window-longer-than-training", every: overlapEvery, window: overlapTrainSlots + 500},
-	{name: "measure-overhead", every: overlapEvery, measure: true},
 	{name: "gomaxprocs-1", every: overlapEvery, procs: 1},
 	{name: "gomaxprocs-2", every: overlapEvery, procs: 2},
 	{name: "every-token-held", every: overlapEvery, procs: 2, held: true},
@@ -145,7 +142,7 @@ var overlapCases = []overlapCase{
 }
 
 // TestRetrainOverlapMatchesSerialLoop holds Run with retraining on to the
-// serial reference, bit for bit apart from Overhead, for SPES and the dense
+// serial reference (Result.Diff), for SPES and the dense
 // reference (which cannot shard, so the sharded and streamed cases run SPES
 // only). Where the engine runs unsharded, a recording SPES also checks every
 // window and that Retrain is called at exactly the boundaries k·RetrainEvery
@@ -196,7 +193,7 @@ func TestRetrainOverlapMatchesSerialLoop(t *testing.T) {
 			if c.noTraining {
 				train = nil
 			}
-			opts := sim.Options{RetrainEvery: c.every, RetrainWindow: c.window, MeasureOverhead: c.measure, Shards: c.shards}
+			opts := sim.Options{RetrainEvery: c.every, RetrainWindow: c.window, Shards: c.shards}
 			for _, p := range policies {
 				if (c.shards > 1 || c.stream) && p.name != "spes" {
 					continue
@@ -216,10 +213,8 @@ func TestRetrainOverlapMatchesSerialLoop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want.Overhead, got.Overhead = 0, 0
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: Run differs from the serial loop (cold %d vs %d, WMT %d vs %d)",
-						p.name, got.TotalColdStarts, want.TotalColdStarts, got.TotalWMT, want.TotalWMT)
+				if d := want.Diff(got); d != "" {
+					t.Errorf("%s: Run differs from the serial loop:\n%s", p.name, d)
 				}
 			}
 			if c.shards > 1 || c.stream {
@@ -321,7 +316,7 @@ func serialPlainRun(t testing.TB, p sim.Policy, training, simTr *trace.Trace) *s
 
 // TestChunkLoopMatchesSerialLoop holds a run without retraining — the
 // Driver stepping one chunk while the next is transposed beside it — to
-// the serial reference, bit for bit apart from Overhead: SPES, its dense
+// the serial reference (Result.Diff): SPES, its dense
 // reference and both capacity-coupled baselines (which take the same loop
 // under Shards > 1), at GOMAXPROCS 1 and 2, and at 2 inside a FanOut that
 // holds every token, where each round runs its items one after the other.
@@ -359,10 +354,8 @@ func TestChunkLoopMatchesSerialLoop(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want.Overhead, got.Overhead = 0, 0
-				if !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: Run differs from the serial loop (cold %d vs %d, WMT %d vs %d)",
-						p.name, got.TotalColdStarts, want.TotalColdStarts, got.TotalWMT, want.TotalWMT)
+				if d := want.Diff(got); d != "" {
+					t.Errorf("%s: Run differs from the serial loop:\n%s", p.name, d)
 				}
 			}
 		})

@@ -293,8 +293,7 @@ func TestRetrainSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain.Overhead, retrained.Overhead = 0, 0
-	if !reflect.DeepEqual(plain, retrained) {
-		t.Error("RetrainEvery changed a non-Retrainer policy's result")
+	if d := plain.Diff(retrained); d != "" {
+		t.Errorf("RetrainEvery changed a non-Retrainer policy's result:\n%s", d)
 	}
 }

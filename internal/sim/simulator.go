@@ -10,15 +10,6 @@ import (
 
 // Options tunes a simulation run.
 type Options struct {
-	// MeasureOverhead enables wall-clock timing of every Tick call. It is
-	// off by default because timing syscalls dominate small runs. It also
-	// makes RunAll run its policies one after another (a fan-out of width
-	// 1), since per-Tick timings taken while runs contend for cores would
-	// be meaningless. It is an unsharded measurement: the sharded engine
-	// refuses it (a CapacityPolicy, which runs the unsharded loop whatever
-	// Shards says, keeps it).
-	MeasureOverhead bool
-
 	// Shards splits the function population into that many app/user-closed
 	// shards (trace.PartitionFunctions) and simulates one policy instance
 	// per shard concurrently, merging the per-shard results into a Result
@@ -238,9 +229,7 @@ func checkSlots(what string, tr *trace.Trace) error {
 // Step(b) then retrains on the prebuilt window, so the next build starts
 // only once Retrain has returned and the window is never overwritten while
 // it is borrowed. The run keeps one cursor, its two chunks and one arena,
-// so the overlap costs no memory. Under MeasureOverhead every FanOut has
-// width 1, so no Tick is timed while a build or a transposition shares its
-// core.
+// so the overlap costs no memory.
 func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *slotLog) (*Result, error) {
 	if training != nil {
 		policy.Train(training)
@@ -249,18 +238,12 @@ func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *s
 			ErrUntrained, policy.Name(), l.Len(), simTrace.NumFunctions())
 	}
 
-	cfg := DriverConfig{
-		MeasureOverhead: opts.MeasureOverhead,
-		log:             log,
-	}
-	width := 2
-	if opts.MeasureOverhead {
-		width = 1
-	}
-	// A shard of the sharded engine (log != nil) steps its chunks serially:
-	// the fan-out over shards already keeps every core busy, and a round
-	// helper per chunk of a small shard costs more than the fill it moves.
-	rounds := width
+	cfg := DriverConfig{log: log}
+	// A shard of the sharded engine (log != nil) runs its chunk rounds and
+	// retrain segments serially: the fan-out over shards already keeps
+	// every core busy, and a round helper per chunk of a small shard costs
+	// more than the fill it moves.
+	rounds := 2
 	if runtime.GOMAXPROCS(0) == 1 || log != nil {
 		rounds = 1
 	}
@@ -289,7 +272,7 @@ func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *s
 		return l.stepTo(b)
 	}
 	for b = opts.RetrainEvery; b < simTrace.Slots; b += opts.RetrainEvery {
-		err := trace.FanOut(width, 2, segment)
+		err := trace.FanOut(rounds, 2, segment)
 		if err == nil {
 			// Slot b, alone in its chunk when occupied.
 			var invs []trace.FuncCount
@@ -436,9 +419,6 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s implements neither sim.ShardedPolicy nor sim.CapacityPolicy; run it with Options.Shards <= 1", ErrNotShardable, policy.Name())
 	}
-	if opts.MeasureOverhead {
-		return nil, fmt.Errorf("sim: policy %s: Options.MeasureOverhead times an unsharded run; it cannot be combined with Options.Shards > 1 or a Source", policy.Name())
-	}
 	p := src.NumShards()
 	slots := src.Slots()
 
@@ -552,9 +532,6 @@ func mergeShardResults(name string, slots, n int, globals [][]trace.FuncID, resu
 // trace.FanOut of width Options.Workers; with Options.Shards > 1 each
 // policy's shard runs fan out again, and FanOut's process-wide budget
 // keeps policies x shards from oversubscribing the machine.
-// MeasureOverhead narrows the fan-out to width 1, running the policies one
-// after another: per-Tick wall-clock timings taken while policies contend
-// for cores would be meaningless.
 //
 // Failure contract (see DESIGN.md "Failure semantics"): one failing policy
 // no longer aborts the others. RunAll always returns the full results slice
@@ -574,10 +551,6 @@ func RunAll(policies []Policy, training, simTrace *trace.Trace, opts Options) ([
 		ss := buildShardSet(training, simTrace, opts.Shards)
 		run = func(p Policy) (*Result, error) { return runSharded(p, training, simTrace, opts, ss) }
 	}
-	workers := opts.workers()
-	if opts.MeasureOverhead {
-		workers = 1
-	}
 	// Under Shards > 1 or a Source a CapacityPolicy is one indivisible run
 	// over the whole population, while the other policies' shards fill
 	// whichever workers are free, so the capacity runs are handed out
@@ -593,7 +566,7 @@ func RunAll(policies []Policy, training, simTrace *trace.Trace, opts Options) ([
 	}
 	results := make([]*Result, len(policies))
 	errs := make([]error, len(policies))
-	trace.FanOut(workers, len(policies), func(_, k int) error {
+	trace.FanOut(opts.workers(), len(policies), func(_, k int) error {
 		i := order[k]
 		r, err := run(policies[i])
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -256,6 +257,73 @@ func TestRunAll(t *testing.T) {
 	}
 	if len(results) != 2 || results[0].Policy != "never-loaded" || results[1].Policy != "on-demand" {
 		t.Errorf("results = %v", results)
+	}
+}
+
+// spin returns once the wall clock has advanced, so a Tick that calls it
+// takes measurable time whatever the clock's resolution.
+func spin() {
+	for start := time.Now(); !time.Now().After(start); {
+	}
+}
+
+// spinShard is onDemandPolicy with a spinning Tick, one instance per shard.
+type spinShard struct{ *onDemandPolicy }
+
+func (p spinShard) Tick(t int, invs []trace.FuncCount) { spin(); p.onDemandPolicy.Tick(t, invs) }
+func (spinShard) NewShard() Policy                     { return newSpinShard() }
+
+func newSpinShard() Policy { return spinShard{newOnDemand()} }
+
+// spinCap is fakeCap with a spinning Tick.
+type spinCap struct{ *fakeCap }
+
+func (p spinCap) Tick(t int, invs []trace.FuncCount) { spin(); p.fakeCap.Tick(t, invs) }
+
+// TestEveryEngineReportsOverhead: every engine times its Ticks into
+// Result.Overhead — the unsharded loop, the sharded and streamed engines
+// (summed over their shards) and a capacity policy RunAll runs beside
+// sharded ones — and the timing changes nothing else in the Result.
+func TestEveryEngineReportsOverhead(t *testing.T) {
+	train, simTr := capTestTrace()
+	const p = 3
+	newCap := func() Policy { return spinCap{&fakeCap{capacity: 9}} }
+	want := map[string]*Result{}
+	for _, pol := range []Policy{newSpinShard(), newCap()} {
+		res, err := Run(pol, train, simTr, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[res.Policy] = res
+	}
+	one := func(r *Result, err error) ([]*Result, error) { return []*Result{r}, err }
+	for _, c := range []struct {
+		name string
+		run  func() ([]*Result, error)
+	}{
+		{"unsharded", func() ([]*Result, error) { return one(Run(newSpinShard(), train, simTr, Options{})) }},
+		{"shards-3", func() ([]*Result, error) { return one(Run(newSpinShard(), train, simTr, Options{Shards: p})) }},
+		{"streamed", func() ([]*Result, error) {
+			return one(RunStreamed(newSpinShard(), buildShardSet(train, simTr, p), Options{}))
+		}},
+		{"RunAll-capacity-shards-3", func() ([]*Result, error) {
+			return RunAll([]Policy{newSpinShard(), newCap()}, train, simTr, Options{Shards: p})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			results, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range results {
+				if r.Overhead <= 0 {
+					t.Errorf("%s: Overhead = %v, want > 0", r.Policy, r.Overhead)
+				}
+				if d := want[r.Policy].Diff(r); d != "" {
+					t.Errorf("%s differs from the unsharded run:\n%s", r.Policy, d)
+				}
+			}
+		})
 	}
 }
 
