@@ -1,8 +1,10 @@
 // Benchmark harness: one testing.B benchmark per table/figure of the
-// paper's evaluation (see DESIGN.md's experiment index). Each benchmark
-// regenerates its artifact end to end; reported ns/op is the cost of a full
-// regeneration at bench scale. The Overhead benchmarks time a single
-// scheduler Tick, reproducing RQ2's per-minute overhead comparison.
+// paper's evaluation (see DESIGN.md's experiment index). Each iteration
+// opens a fresh workload and regenerates its artifact from it end to end —
+// generation, and for Figures 8 to 12 the whole SPES-vs-baselines
+// comparison — so reported ns/op is the cost of a full regeneration at
+// bench scale. The Overhead benchmarks time a single scheduler Tick,
+// reproducing RQ2's per-minute overhead comparison.
 //
 // Run everything:  go test -bench=. -benchmem
 // One figure:      go test -bench=BenchmarkFig8 -benchmem
@@ -39,7 +41,11 @@ func benchFigure(b *testing.B, id string) {
 	s := benchSettings()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := runner(io.Discard, s); err != nil {
+		wl, err := experiments.Open(s, experiments.Input{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := runner(io.Discard, wl); err != nil {
 			b.Fatal(err)
 		}
 	}

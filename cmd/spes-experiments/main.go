@@ -33,12 +33,20 @@ func run(s experiments.Settings, fig string) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
-	if fig == "all" {
-		return experiments.RunAllFigures(os.Stdout, s)
+	runner := experiments.RunAllFigures
+	if fig != "all" {
+		r, err := experiments.Lookup(fig)
+		if err != nil {
+			return err
+		}
+		runner = r
 	}
-	runner, err := experiments.Lookup(fig)
+	// Every figure of the invocation reads this one workload.
+	fmt.Fprintf(os.Stderr, "building workload: %d functions, %d days (%d train)...\n",
+		s.Functions, s.Days, s.TrainDays)
+	wl, err := experiments.Open(s, experiments.Input{})
 	if err != nil {
 		return err
 	}
-	return runner(os.Stdout, s)
+	return runner(os.Stdout, wl)
 }

@@ -66,7 +66,6 @@ type Defuse struct {
 	cfg DefuseConfig
 
 	wheel *sched.Wheel
-	last  []int
 
 	units []hybridUnit // per-function histograms (function granularity)
 
@@ -86,12 +85,8 @@ func (p *Defuse) Train(training *trace.Trace) {
 	n := training.NumFunctions()
 	p.Reset(n)
 	p.wheel = sched.NewWheel(n, 1, p.cfg.spanSlots())
-	p.last = make([]int, n)
 	p.hasDeps = make([]bool, n)
 	p.successors = make(map[trace.FuncID][]trace.FuncID)
-	for i := range p.last {
-		p.last[i] = -1
-	}
 
 	// Histograms at function granularity (allocated on first inter-arrival),
 	// with end-of-training carryover.
@@ -112,7 +107,6 @@ func (p *Defuse) Train(training *trace.Trace) {
 		}
 		rebased := int(invoked[fid][len(invoked[fid])-1]) - training.Slots
 		unit.last = rebased
-		p.last[fid] = rebased
 		keep := p.cfg.FallbackKeep
 		if unit.usable {
 			keep = unit.prewarm + unit.keepalive
@@ -183,7 +177,6 @@ func (p *Defuse) Tick(t int, invs []trace.FuncCount) {
 		if unit.dirty {
 			unit.windows(p.cfg.Hist)
 		}
-		p.last[f] = t
 		p.wheel.Cancel(f)
 		p.Load(fc.Func)
 		// Keep-alive horizon: histogram tail when usable, fallback fixed

@@ -20,7 +20,6 @@ type FixedKeepAlive struct {
 	name      string
 
 	wheel *sched.Wheel
-	last  []int // last invocation slot per function, -1 when never
 }
 
 // NewFixedKeepAlive creates the policy; keepAlive is in slots (minutes) and
@@ -50,7 +49,6 @@ func (p *FixedKeepAlive) Train(training *trace.Trace) {
 			continue
 		}
 		rebased := int(last) - training.Slots // negative: slots before sim start
-		p.last[fid] = rebased
 		if expire := rebased + p.keepAlive; expire > 0 {
 			p.Load(trace.FuncID(fid))
 			p.wheel.Schedule(-1, expire, fid, 0)
@@ -61,10 +59,6 @@ func (p *FixedKeepAlive) Train(training *trace.Trace) {
 func (p *FixedKeepAlive) init(n int) {
 	p.Reset(n)
 	p.wheel = sched.NewWheel(n, 1, p.keepAlive+2)
-	p.last = make([]int, n)
-	for i := range p.last {
-		p.last[i] = -1
-	}
 }
 
 // grow extends the per-function state to cover FuncIDs up to n-1. Tick grows
@@ -74,9 +68,6 @@ func (p *FixedKeepAlive) init(n int) {
 func (p *FixedKeepAlive) grow(n int) {
 	p.Grow(n)
 	p.wheel.Grow(n)
-	for len(p.last) < n {
-		p.last = append(p.last, -1)
-	}
 }
 
 // Tick implements sim.Policy.
@@ -86,10 +77,9 @@ func (p *FixedKeepAlive) Tick(t int, invs []trace.FuncCount) {
 	}
 	for _, fc := range invs {
 		f := int(fc.Func)
-		if f >= len(p.last) {
+		if f >= p.Len() {
 			p.grow(f + 1)
 		}
-		p.last[f] = t
 		p.wheel.Cancel(f)
 		p.wheel.Schedule(t, t+p.keepAlive, f, 0)
 		p.Load(fc.Func)

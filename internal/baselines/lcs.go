@@ -23,8 +23,6 @@ type LCS struct {
 
 	capacity int
 
-	last []int
-
 	// prev/next implement an intrusive doubly linked LRU list over
 	// function IDs; -1 terminates.
 	prev, next []int
@@ -51,11 +49,9 @@ func (p *LCS) Capacity() int { return p.capacity }
 func (p *LCS) Train(training *trace.Trace) {
 	n := training.NumFunctions()
 	p.Reset(n)
-	p.last = make([]int, n)
 	p.prev = make([]int, n)
 	p.next = make([]int, n)
 	for i := 0; i < n; i++ {
-		p.last[i] = -1
 		p.prev[i] = -1
 		p.next[i] = -1
 	}
@@ -75,7 +71,6 @@ func (p *LCS) Train(training *trace.Trace) {
 		return a.fid - b.fid // deterministic LRU order for same-slot ties
 	})
 	for _, r := range seen {
-		p.last[r.fid] = r.last
 		p.Load(trace.FuncID(r.fid))
 		p.touch(r.fid)
 	}
@@ -113,10 +108,8 @@ func (p *LCS) touch(f int) {
 // recycle down to capacity.
 func (p *LCS) Tick(t int, invs []trace.FuncCount) {
 	for _, fc := range invs {
-		f := int(fc.Func)
-		p.last[f] = t
 		p.Load(fc.Func)
-		p.touch(f)
+		p.touch(int(fc.Func))
 	}
 	p.enforce()
 }

@@ -174,7 +174,6 @@ func (w *scratch) extractWindow(s trace.Series, start, slots int) series.Activit
 	a := series.Activity{Slots: slots}
 	evs := firesFrom(s, start).evs
 	if len(evs) == 0 {
-		a.LeadingIdle = slots
 		return a
 	}
 	// A run needs at least one event, and runs r apart need an idle slot
@@ -212,9 +211,7 @@ func (w *scratch) extractWindow(s trace.Series, start, slots int) series.Activit
 	if r > 0 {
 		a.WT = runs[2*n : 2*n+r : 2*n+r]
 	}
-	a.LeadingIdle = int(evs[0].Slot) - start
 	a.Invocations = inv
-	a.TrailingIdle = slots - (prev - start) - 1
 	return a
 }
 
@@ -295,19 +292,17 @@ func (se *seriesExtract) suffix(w *scratch, start int) series.Activity {
 		return int(se.runStarts[i])+se.act.AT[i] > start
 	})
 	if r == runs {
-		return series.Activity{Slots: slots, LeadingIdle: slots}
+		return series.Activity{Slots: slots}
 	}
 	a := series.Activity{
-		Slots:        slots,
-		TrailingIdle: se.act.TrailingIdle,
-		Invocations:  se.prefixInv[runs] - se.prefixInv[r],
+		Slots:       slots,
+		Invocations: se.prefixInv[runs] - se.prefixInv[r],
 	}
 	if r+1 < runs {
 		a.WT = se.act.WT[r:]
 	}
 	if int(se.runStarts[r]) >= start {
 		// Clean cut between runs: the tails are shared as-is.
-		a.LeadingIdle = int(se.runStarts[r]) - start
 		a.AT = se.act.AT[r:]
 		a.AN = se.act.AN[r:]
 		return a

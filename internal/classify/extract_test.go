@@ -14,7 +14,6 @@ import (
 // into scratch where series.Extract leaves an absent descriptor nil.
 func sameActivity(a, b series.Activity) bool {
 	return slices.Equal(a.WT, b.WT) && slices.Equal(a.AT, b.AT) && slices.Equal(a.AN, b.AN) &&
-		a.LeadingIdle == b.LeadingIdle && a.TrailingIdle == b.TrailingIdle &&
 		a.Slots == b.Slots && a.Invocations == b.Invocations
 }
 

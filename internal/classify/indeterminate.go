@@ -1,8 +1,8 @@
 package classify
 
 import (
+	"math"
 	"slices"
-	"sort"
 
 	"repro/internal/series"
 	"repro/internal/stats"
@@ -33,8 +33,7 @@ type fires struct {
 
 // firesFrom views the part of s at or after slot start.
 func firesFrom(s trace.Series, start int) fires {
-	i := sort.Search(len(s), func(i int) bool { return int(s[i].Slot) >= start })
-	return fires{evs: s[i:], base: int32(start)}
+	return fires{evs: s.Between(start, math.MaxInt32), base: int32(start)}
 }
 
 func (f fires) len() int         { return len(f.evs) }

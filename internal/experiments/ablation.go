@@ -16,13 +16,9 @@ type variant struct {
 	disable func(*core.Config)
 }
 
-// ablation simulates full SPES and each variant over the settings' workload
-// and renders Q3-CSR, memory and WMT relative to full SPES.
-func ablation(w io.Writer, s Settings, title string, variants []variant, footer ...string) error {
-	wl, err := Open(s, Input{})
-	if err != nil {
-		return err
-	}
+// ablation simulates full SPES and each variant over the workload and
+// renders Q3-CSR, memory and WMT relative to full SPES.
+func ablation(w io.Writer, wl *Workload, title string, variants []variant, footer ...string) error {
 	norm := func(v, b float64) string {
 		if b == 0 {
 			return "n/a"
@@ -32,7 +28,7 @@ func ablation(w io.Writer, s Settings, title string, variants []variant, footer 
 	tab := report.NewTable("Variant", "Q3-CSR", "Norm. memory", "Norm. WMT")
 	var full *sim.Result
 	for _, v := range append([]variant{{name: "SPES"}}, variants...) {
-		cfg := s.SPES
+		cfg := wl.Settings.SPES
 		if v.disable != nil {
 			v.disable(&cfg)
 		}
@@ -59,8 +55,8 @@ func ablation(w io.Writer, s Settings, title string, variants []variant, footer 
 // Fig14 reproduces the inter-function correlation ablation: full SPES vs
 // "w/o Corr" (no offline correlated type) vs "w/o Online-Corr" (unseen
 // functions stay unknown).
-func Fig14(w io.Writer, s Settings) error {
-	return ablation(w, s, "Figure 14 — impact of inter-function correlation designs",
+func Fig14(w io.Writer, wl *Workload) error {
+	return ablation(w, wl, "Figure 14 — impact of inter-function correlation designs",
 		[]variant{
 			{"w/o Corr", func(c *core.Config) { c.DisableCorrelation = true }},
 			{"w/o Online-Corr", func(c *core.Config) { c.DisableOnlineCorr = true }},
@@ -71,8 +67,8 @@ func Fig14(w io.Writer, s Settings) error {
 
 // Fig15 reproduces the concept-shift ablation: full SPES vs "w/o
 // Forgetting" vs "w/o Adjusting".
-func Fig15(w io.Writer, s Settings) error {
-	return ablation(w, s, "Figure 15 — impact of the adaptive designs",
+func Fig15(w io.Writer, wl *Workload) error {
+	return ablation(w, wl, "Figure 15 — impact of the adaptive designs",
 		[]variant{
 			{"w/o Forgetting", func(c *core.Config) { c.DisableForgetting = true }},
 			{"w/o Adjusting", func(c *core.Config) { c.DisableAdjusting = true }},

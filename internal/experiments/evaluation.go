@@ -11,8 +11,8 @@ import (
 
 // Fig8 reproduces the cold-start-rate CDF comparison: one quantile summary
 // per policy plus the headline Q3-CSR improvements.
-func Fig8(w io.Writer, s Settings) error {
-	c, err := SharedComparison(s, w)
+func Fig8(w io.Writer, wl *Workload) error {
+	c, err := wl.Comparison(w)
 	if err != nil {
 		return err
 	}
@@ -40,7 +40,7 @@ func Fig8(w io.Writer, s Settings) error {
 	// flattered by busy app-mates keeping whole applications resident.
 	for _, r := range c.Results {
 		if r.Policy == "Hybrid-Application" {
-			appCSRs := AppWiseCSRs(r, c.SimTrace)
+			appCSRs := AppWiseCSRs(r, wl.Sim)
 			fmt.Fprintf(w, "Hybrid-Application app-wise Q3-CSR (the paper's unit): %.4f over %d apps\n",
 				stats.Quantile(appCSRs, 0.75), len(appCSRs))
 		}
@@ -50,8 +50,8 @@ func Fig8(w io.Writer, s Settings) error {
 
 // policyBars renders one bar per compared policy: value projects a result
 // (given the SPES row it may normalize to) onto the figure's axis.
-func policyBars(w io.Writer, s Settings, title, axis string, value func(spes, r *sim.Result) float64) error {
-	c, err := SharedComparison(s, w)
+func policyBars(w io.Writer, wl *Workload, title, axis string, value func(spes, r *sim.Result) float64) error {
+	c, err := wl.Comparison(w)
 	if err != nil {
 		return err
 	}
@@ -75,37 +75,37 @@ func normalized(v, base float64) float64 {
 }
 
 // Fig9a reproduces the normalized memory usage comparison.
-func Fig9a(w io.Writer, s Settings) error {
-	return policyBars(w, s, "Figure 9(a) — memory usage normalized to SPES (lower is better)",
+func Fig9a(w io.Writer, wl *Workload) error {
+	return policyBars(w, wl, "Figure 9(a) — memory usage normalized to SPES (lower is better)",
 		"  mean loaded instances / SPES",
 		func(spes, r *sim.Result) float64 { return normalized(r.MeanLoaded(), spes.MeanLoaded()) })
 }
 
 // Fig9b reproduces the always-cold function percentage comparison.
-func Fig9b(w io.Writer, s Settings) error {
-	return policyBars(w, s, "Figure 9(b) — share of always-cold functions (lower is better)",
+func Fig9b(w io.Writer, wl *Workload) error {
+	return policyBars(w, wl, "Figure 9(b) — share of always-cold functions (lower is better)",
 		"  always-cold functions (%)",
 		func(_, r *sim.Result) float64 { return 100 * r.AlwaysColdFraction() })
 }
 
 // Fig11a reproduces the normalized wasted-memory-time comparison.
-func Fig11a(w io.Writer, s Settings) error {
-	return policyBars(w, s, "Figure 11(a) — wasted memory time normalized to SPES (lower is better)",
+func Fig11a(w io.Writer, wl *Workload) error {
+	return policyBars(w, wl, "Figure 11(a) — wasted memory time normalized to SPES (lower is better)",
 		"  WMT / SPES",
 		func(spes, r *sim.Result) float64 { return normalized(float64(r.TotalWMT), float64(spes.TotalWMT)) })
 }
 
 // Fig11b reproduces the effective memory consumption ratio comparison.
-func Fig11b(w io.Writer, s Settings) error {
-	return policyBars(w, s, "Figure 11(b) — effective memory consumption ratio (higher is better)",
+func Fig11b(w io.Writer, wl *Workload) error {
+	return policyBars(w, wl, "Figure 11(b) — effective memory consumption ratio (higher is better)",
 		"  EMCR (%)",
 		func(_, r *sim.Result) float64 { return 100 * r.EMCR() })
 }
 
 // categoryBars renders one bar per SPES category, annotated with its
 // population, over the per-category means pick selects.
-func categoryBars(w io.Writer, s Settings, title, axis string, pick func(meanCSR, meanWMT map[string]float64) map[string]float64) error {
-	c, err := SharedComparison(s, w)
+func categoryBars(w io.Writer, wl *Workload, title, axis string, pick func(meanCSR, meanWMT map[string]float64) map[string]float64) error {
+	c, err := wl.Comparison(w)
 	if err != nil {
 		return err
 	}
@@ -124,28 +124,28 @@ func categoryBars(w io.Writer, s Settings, title, axis string, pick func(meanCSR
 }
 
 // Fig10 reproduces the per-category mean cold-start rate of SPES.
-func Fig10(w io.Writer, s Settings) error {
-	return categoryBars(w, s, "Figure 10 — mean cold-start rate per SPES category",
+func Fig10(w io.Writer, wl *Workload) error {
+	return categoryBars(w, wl, "Figure 10 — mean cold-start rate per SPES category",
 		"  mean function-wise CSR",
 		func(csr, _ map[string]float64) map[string]float64 { return csr })
 }
 
 // Fig12 reproduces the per-category wasted-memory ratio of SPES.
-func Fig12(w io.Writer, s Settings) error {
-	return categoryBars(w, s, "Figure 12 — wasted memory time per invocation, per SPES category",
+func Fig12(w io.Writer, wl *Workload) error {
+	return categoryBars(w, wl, "Figure 12 — wasted memory time per invocation, per SPES category",
 		"  WMT minutes per invoked slot",
 		func(_, wmt map[string]float64) map[string]float64 { return wmt })
 }
 
 // Overhead reproduces RQ2's scheduling-overhead discussion: Tick time per
-// simulated minute per policy, read off the shared comparison run. That is
+// simulated minute per policy, read off the workload's comparison run. That is
 // the regime every run takes: idle minutes skipped (they cost no Tick) and
 // the policies run side by side on RunAll's fan-out, so the figures carry
 // the contention of the cores they share. BenchmarkOverhead_* (root
 // bench_test.go) is the quiet measurement: one policy's Ticks, every slot,
 // nothing beside them.
-func Overhead(w io.Writer, s Settings) error {
-	c, err := SharedComparison(s, w)
+func Overhead(w io.Writer, wl *Workload) error {
+	c, err := wl.Comparison(w)
 	if err != nil {
 		return err
 	}

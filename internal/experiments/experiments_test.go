@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"testing"
@@ -43,15 +44,12 @@ func TestBuildWorkload(t *testing.T) {
 	}
 }
 
-func TestRunComparisonShapes(t *testing.T) {
+func TestComparisonShapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("comparison is slow")
 	}
-	w, err := Open(QuickSettings(), Input{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := RunComparison(w)
+	w := mustOpen(t, QuickSettings())
+	c, err := w.Comparison(io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,8 +122,8 @@ func TestRunComparisonShapes(t *testing.T) {
 
 var update = flag.Bool("update", false, "rewrite testdata/figures.golden from the runners' output")
 
-// goldenFigures is every runner's output at QuickSettings in IDs() order,
-// one "===== id =====" header each, without the wall-clock overhead table.
+// goldenFigures is every runner's output but the overhead table's, over one
+// QuickSettings workload in IDs() order under "===== id =====" headers.
 const goldenFigures = "testdata/figures.golden"
 
 // TestAllFigureRunnersProduceOutput holds every figure to the committed
@@ -135,10 +133,7 @@ func TestAllFigureRunnersProduceOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure runners are slow")
 	}
-	s := QuickSettings()
-	// The first runner to read the shared comparison prints its progress
-	// lines, so start from an empty cache whatever ran before.
-	delete(comparisonCache, s.cacheKey())
+	wl := mustOpen(t, QuickSettings())
 	var all bytes.Buffer
 	for _, id := range IDs() {
 		if id == "overhead" {
@@ -149,7 +144,7 @@ func TestAllFigureRunnersProduceOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := runner(&buf, s); err != nil {
+		if err := runner(&buf, wl); err != nil {
 			t.Errorf("figure %s: %v", id, err)
 			continue
 		}
@@ -200,7 +195,7 @@ func TestFig5MatchesTriggerMix(t *testing.T) {
 	var buf bytes.Buffer
 	s := QuickSettings()
 	s.Functions = 2000
-	if err := Fig5(&buf, s); err != nil {
+	if err := Fig5(&buf, mustOpen(t, s)); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -214,13 +209,23 @@ func TestFig5MatchesTriggerMix(t *testing.T) {
 // map order — two calls with equal Settings write identical bytes.
 func TestCORStatsDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := CORStats(&a, QuickSettings()); err != nil {
+	if err := CORStats(&a, mustOpen(t, QuickSettings())); err != nil {
 		t.Fatal(err)
 	}
-	if err := CORStats(&b, QuickSettings()); err != nil {
+	if err := CORStats(&b, mustOpen(t, QuickSettings())); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Errorf("CORStats differs between two calls with equal Settings:\n%s\nvs\n%s", a.String(), b.String())
 	}
+}
+
+// mustOpen opens the generated workload of s or fails the test.
+func mustOpen(t *testing.T, s Settings) *Workload {
+	t.Helper()
+	wl, err := Open(s, Input{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wl
 }

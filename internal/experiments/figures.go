@@ -14,11 +14,8 @@ import (
 
 // Fig3 reproduces the invocation-imbalance histogram: how many functions
 // fall into each decade of total invocation count.
-func Fig3(w io.Writer, s Settings) error {
-	full, _, _, err := BuildWorkload(s)
-	if err != nil {
-		return err
-	}
+func Fig3(w io.Writer, wl *Workload) error {
+	full := wl.Full
 	totals := make([]int64, full.NumFunctions())
 	for i, ser := range full.Series {
 		totals[i] = ser.Total()
@@ -36,11 +33,8 @@ func Fig3(w io.Writer, s Settings) error {
 }
 
 // Fig5 reproduces the trigger-type proportion chart.
-func Fig5(w io.Writer, s Settings) error {
-	full, _, _, err := BuildWorkload(s)
-	if err != nil {
-		return err
-	}
+func Fig5(w io.Writer, wl *Workload) error {
+	full := wl.Full
 	counts := make(map[trace.Trigger]int)
 	for _, f := range full.Functions {
 		counts[f.Trigger]++
@@ -65,11 +59,8 @@ func Fig5(w io.Writer, s Settings) error {
 
 // Fig4 dumps per-minute (hour-aggregated) sparklines for functions with
 // visible concept shifts, the qualitative claim of Figure 4.
-func Fig4(w io.Writer, s Settings) error {
-	full, _, _, err := BuildWorkload(s)
-	if err != nil {
-		return err
-	}
+func Fig4(w io.Writer, wl *Workload) error {
+	full := wl.Full
 	fmt.Fprintln(w, "Figure 4 — concept shifts in invocation behaviour (hourly totals)")
 	shown := 0
 	for fid, ser := range full.Series {
@@ -94,11 +85,8 @@ func Fig4(w io.Writer, s Settings) error {
 
 // Fig6 dumps sparklines of infrequently invoked functions with temporal
 // locality (invocations concentrated in a few bursts).
-func Fig6(w io.Writer, s Settings) error {
-	full, _, _, err := BuildWorkload(s)
-	if err != nil {
-		return err
-	}
+func Fig6(w io.Writer, wl *Workload) error {
+	full := wl.Full
 	fmt.Fprintln(w, "Figure 6 — temporal locality of infrequently invoked functions (hourly totals)")
 	shown := 0
 	for fid, ser := range full.Series {
@@ -130,11 +118,8 @@ func Fig6(w io.Writer, s Settings) error {
 // CORStats reproduces the co-occurrence analysis of Section III-B2:
 // candidate functions (sharing an app/user) vs negative samples, split by
 // same/different trigger.
-func CORStats(w io.Writer, s Settings) error {
-	full, _, _, err := BuildWorkload(s)
-	if err != nil {
-		return err
-	}
+func CORStats(w io.Writer, wl *Workload) error {
+	full := wl.Full
 	invoked := make([][]int32, full.NumFunctions())
 	for fid, ser := range full.Series {
 		for _, e := range ser {
@@ -145,7 +130,7 @@ func CORStats(w io.Writer, s Settings) error {
 	// and the sums are floats, so map order would change the table run to run.
 	apps := full.AppFunctions()
 	names := slices.Sorted(maps.Keys(apps))
-	rng := stats.NewRNG(s.Seed + 99)
+	rng := stats.NewRNG(wl.Settings.Seed + 99)
 
 	var candSum, negSum float64
 	var candN, negN int

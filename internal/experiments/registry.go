@@ -6,8 +6,11 @@ import (
 	"sort"
 )
 
-// Runner regenerates one paper artifact.
-type Runner func(w io.Writer, s Settings) error
+// Runner regenerates one paper artifact from a materialized workload (one
+// opened without Stream or Store). The figures of one invocation share it,
+// and with it the trace and the one comparison Figures 8 to 12 and the
+// overhead table read.
+type Runner func(w io.Writer, wl *Workload) error
 
 // registry maps figure ids (as accepted by cmd/spes-experiments -fig) to
 // their runners.
@@ -50,12 +53,13 @@ func IDs() []string {
 	return ids
 }
 
-// RunAllFigures regenerates every artifact in a sensible order.
-func RunAllFigures(w io.Writer, s Settings) error {
+// RunAllFigures regenerates every artifact from one workload in a sensible
+// order.
+func RunAllFigures(w io.Writer, wl *Workload) error {
 	order := []string{"3", "5", "4", "6", "cor", "8", "9a", "9b", "10", "11a", "11b", "12", "overhead", "13a", "13b", "14", "15"}
 	for _, id := range order {
 		fmt.Fprintf(w, "\n===== %s =====\n", id)
-		if err := registry[id](w, s); err != nil {
+		if err := registry[id](w, wl); err != nil {
 			return fmt.Errorf("experiments: figure %s: %w", id, err)
 		}
 	}

@@ -18,21 +18,17 @@ type sweepPoint struct {
 	baseline bool
 }
 
-// runNormalizedSweep runs the points as one 4-shard sim.RunAll, which
+// runNormalizedSweep runs the points as one 4-shard RunAll, which
 // partitions the workload once for all of them (bit-identical to unsharded
 // runs), and renders a (param, normalized memory, Q3-CSR) table. Memory is
 // normalized to the baseline point, which need not come first; footer
 // lines follow the table.
-func runNormalizedSweep(w io.Writer, s Settings, title, header string, pts []sweepPoint, footer ...string) error {
-	_, train, simTr, err := BuildWorkload(s)
-	if err != nil {
-		return err
-	}
+func runNormalizedSweep(w io.Writer, wl *Workload, title, header string, pts []sweepPoint, footer ...string) error {
 	policies := make([]sim.Policy, len(pts))
 	for i, p := range pts {
 		policies[i] = core.New(p.cfg)
 	}
-	results, err := sim.RunAll(policies, train, simTr, sim.Options{Shards: 4})
+	results, err := wl.RunAll(policies, sim.Options{Shards: 4})
 	if err != nil {
 		return err
 	}
@@ -69,14 +65,14 @@ func runNormalizedSweep(w io.Writer, s Settings, title, header string, pts []swe
 // reports (normalized memory, Q3-CSR) per point — the trade-off line of
 // Figure 13(a). Memory is normalized to the theta=2 baseline, as the paper
 // does.
-func Fig13a(w io.Writer, s Settings) error {
+func Fig13a(w io.Writer, wl *Workload) error {
 	var pts []sweepPoint
 	for _, theta := range []int{1, 2, 3, 5, 10} {
-		cfg := s.SPES
+		cfg := wl.Settings.SPES
 		cfg.Classify.ThetaPrewarm = theta
 		pts = append(pts, sweepPoint{label: fmt.Sprint(theta), cfg: cfg, baseline: theta == 2})
 	}
-	return runNormalizedSweep(w, s,
+	return runNormalizedSweep(w, wl,
 		"Figure 13(a) — trade-off under different theta_prewarm", "theta_prewarm", pts,
 		"(expected shape: memory up, Q3-CSR down, roughly linearly)")
 }
@@ -84,15 +80,15 @@ func Fig13a(w io.Writer, s Settings) error {
 // Fig13b sweeps the theta_givenup scaler over {1..5} as Figure 13(b) does:
 // the original per-type values are multiplied by the scaler. Memory is
 // normalized to the scaler=1 point (the paper's original settings).
-func Fig13b(w io.Writer, s Settings) error {
+func Fig13b(w io.Writer, wl *Workload) error {
 	var pts []sweepPoint
 	for scaler := 1; scaler <= 5; scaler++ {
-		cfg := s.SPES
+		cfg := wl.Settings.SPES
 		cfg.Classify.ThetaGivenupDense = 5 * scaler
 		cfg.Classify.ThetaGivenupOther = 1 * scaler
 		pts = append(pts, sweepPoint{label: fmt.Sprint(scaler), cfg: cfg, baseline: scaler == 1})
 	}
-	return runNormalizedSweep(w, s,
+	return runNormalizedSweep(w, wl,
 		"Figure 13(b) — trade-off under scaled theta_givenup", "Scaler", pts,
 		"(expected shape: larger scalers buy little cold-start reduction —",
 		" idle functions should be evicted promptly)")

@@ -27,14 +27,16 @@ type Workload struct {
 	// Settings is what the workload was opened with, scenario positioned;
 	// for the CSV and store doors Functions and Days are the loaded trace's.
 	Settings Settings
-	// Train and Sim are the materialized pair; nil when Streamed.
-	Train, Sim *trace.Trace
+	// Full is the generated or CSV trace, and Train and Sim its split; all
+	// three nil behind the streamed doors.
+	Full, Train, Sim *trace.Trace
 	// Store is the opened store behind the store door, and Ingested the
 	// report of the cold ingest that built it in this call (nil when warm).
 	Store    *trace.Store
 	Ingested *trace.IngestStats
 
-	src sim.Source // the streamed doors
+	src        sim.Source  // the streamed doors
+	comparison *Comparison // memoized by Comparison
 }
 
 // Open builds the workload of s behind the door in selects. A CSV or store
@@ -52,7 +54,7 @@ func Open(s Settings, in Input) (*Workload, error) {
 		if in.Stream {
 			w.src, err = StreamSource(w.Settings, in.Shards)
 		} else {
-			_, w.Train, w.Sim, err = BuildWorkload(w.Settings)
+			w.Full, w.Train, w.Sim, err = BuildWorkload(w.Settings)
 		}
 		if err != nil {
 			return nil, err
@@ -62,7 +64,6 @@ func Open(s Settings, in Input) (*Workload, error) {
 		return nil, errors.New("experiments: -stream and -scenario shape a generated workload; they cannot be combined with -trace or -store")
 	}
 
-	var full *trace.Trace
 	slots := 0
 	if in.Store != "" {
 		if w.Store, w.Ingested, err = openStore(in); err != nil {
@@ -70,18 +71,18 @@ func Open(s Settings, in Input) (*Workload, error) {
 		}
 		w.Settings.Functions, slots = w.Store.NumFunctions(), w.Store.Slots()
 	} else {
-		if full, err = readCSV(in.Trace); err != nil {
+		if w.Full, err = readCSV(in.Trace); err != nil {
 			return nil, err
 		}
-		w.Settings.Functions, slots = full.NumFunctions(), full.Slots
+		w.Settings.Functions, slots = w.Full.NumFunctions(), w.Full.Slots
 	}
 	w.Settings.Days = slots / 1440 // both doors hold whole CSV days
 	if err := w.Settings.Validate(); err != nil {
 		return nil, err
 	}
 	split := w.Settings.TrainDays * 1440
-	if full != nil {
-		w.Train, w.Sim = full.Split(split)
+	if w.Full != nil {
+		w.Train, w.Sim = w.Full.Split(split)
 		return w, nil
 	}
 	if w.src, err = w.Store.Source(split); err != nil {

@@ -186,11 +186,7 @@ func TestRegisterFlags(t *testing.T) {
 	if err := s.Validate(); err != nil {
 		t.Errorf("valid flags rejected: %v", err)
 	}
-	w, err := Open(s, Input{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc := w.Settings.Scenario; !sc.Enabled() || sc.Seed != 9 {
+	if sc := mustOpen(t, s).Settings.Scenario; !sc.Enabled() || sc.Seed != 9 {
 		t.Errorf("Open left -scenario drift unpositioned or unseeded: %+v", sc)
 	}
 
@@ -246,10 +242,7 @@ func TestRoster(t *testing.T) {
 func TestPolicyTableProtocol(t *testing.T) {
 	s := QuickSettings()
 	s.Functions = 120
-	w, err := Open(s, Input{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	w := mustOpen(t, s)
 	rows, err := w.PolicyTable([]string{"fixed"}, []string{"faascache", "lcs"}, 1440, sim.Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -271,38 +264,5 @@ func TestPolicyTableProtocol(t *testing.T) {
 	}
 	if _, err := w.PolicyTable([]string{"nope"}, nil, 0, sim.Options{}); err == nil {
 		t.Error("a name off the roster should fail before anything runs")
-	}
-}
-
-// TestSharedComparisonKeySeparatesScenarios: two settings differing only in
-// Scenario must not share a cached comparison (cacheKey once omitted it).
-func TestSharedComparisonKeySeparatesScenarios(t *testing.T) {
-	steady := QuickSettings()
-	steady.Functions = 60
-	drift := steady
-	if err := drift.ApplyScenario("drift"); err != nil {
-		t.Fatal(err)
-	}
-	if steady.cacheKey() == drift.cacheKey() {
-		t.Fatal("steady and drift settings share a cache key")
-	}
-	sparse := steady
-	sparse.TriggerMix = trace.SparseTriggerMix()
-	if steady.cacheKey() == sparse.cacheKey() {
-		t.Error("the key must follow the workload (trigger mix)")
-	}
-	a, err := SharedComparison(steady, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := SharedComparison(drift, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a == b {
-		t.Error("SharedComparison handed the steady comparison to drift settings")
-	}
-	if again, _ := SharedComparison(steady, io.Discard); again != a {
-		t.Error("the same settings no longer share their comparison")
 	}
 }

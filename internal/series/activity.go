@@ -23,10 +23,8 @@ type Activity struct {
 	AT []int // lengths (in slots) of active runs
 	AN []int // total invocation count of each active run
 
-	LeadingIdle  int // idle slots before the first invocation
-	TrailingIdle int // idle slots after the last invocation
-	Slots        int // total sequence length
-	Invocations  int // total invocation count
+	Slots       int // total sequence length
+	Invocations int // total invocation count
 }
 
 // Extract computes the Activity of an invocation sequence.
@@ -46,10 +44,8 @@ func Extract(counts []int) Activity {
 			if runStart < 0 {
 				runStart = i
 				runSum = 0
-				if lastActiveEnd < 0 {
-					a.LeadingIdle = i
-				} else if gap := i - lastActiveEnd; gap > 0 {
-					a.WT = append(a.WT, gap)
+				if lastActiveEnd >= 0 {
+					a.WT = append(a.WT, i-lastActiveEnd)
 				}
 			}
 			runSum += c
@@ -63,11 +59,6 @@ func Extract(counts []int) Activity {
 	if runStart >= 0 {
 		a.AT = append(a.AT, len(counts)-runStart)
 		a.AN = append(a.AN, runSum)
-	} else if lastActiveEnd >= 0 {
-		a.TrailingIdle = len(counts) - lastActiveEnd
-	} else {
-		// Never invoked: the whole sequence is leading idle.
-		a.LeadingIdle = len(counts)
 	}
 	return a
 }

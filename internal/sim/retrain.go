@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"sort"
-
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // retrainEffectiveWindow resolves Options.RetrainWindow: 0 defaults to the
 // training window length (the retrained categorization sees as much history
@@ -67,9 +63,9 @@ func (b *WindowBuilder) Build(training, recorded *trace.Trace, t, w int) *trace.
 	for fid := 0; fid < n; fid++ {
 		var head trace.Series
 		if straddle && fid < len(training.Series) {
-			head = eventsIn(training.Series[fid], from, int32(training.Slots))
+			head = training.Series[fid].Between(int(from), training.Slots)
 		}
-		tail := eventsIn(recorded.Series[fid], int32(max(a, 0)), int32(t))
+		tail := recorded.Series[fid].Between(max(a, 0), t)
 		parts[2*fid], parts[2*fid+1] = head, tail
 		total += len(head) + len(tail)
 	}
@@ -109,15 +105,4 @@ func (b *WindowBuilder) Build(training, recorded *trace.Trace, t, w int) *trace.
 	}
 	clear(parts)
 	return &trace.Trace{Slots: w, Functions: recorded.Functions, Series: b.series}
-}
-
-// eventsIn returns the events of s with slots in [from, to) as a view into
-// s, slots unchanged.
-func eventsIn(s trace.Series, from, to int32) trace.Series {
-	lo := sort.Search(len(s), func(i int) bool { return s[i].Slot >= from })
-	hi := sort.Search(len(s), func(i int) bool { return s[i].Slot >= to })
-	if lo >= hi {
-		return nil
-	}
-	return s[lo:hi]
 }

@@ -120,19 +120,30 @@ func (s Series) Dense(slots int) []int {
 	return out
 }
 
-// Window returns the sub-series with slots in [from, to), re-based so the
-// first slot of the window is 0.
+// Window returns a copy of the sub-series with slots in [from, to),
+// re-based so the first slot of the window is 0.
 func (s Series) Window(from, to int32) Series {
-	lo := sort.Search(len(s), func(i int) bool { return s[i].Slot >= from })
-	hi := sort.Search(len(s), func(i int) bool { return s[i].Slot >= to })
-	if lo >= hi {
+	in := s.Between(int(from), int(to))
+	if in == nil {
 		return nil
 	}
-	out := make(Series, hi-lo)
-	for i, e := range s[lo:hi] {
+	out := make(Series, len(in))
+	for i, e := range in {
 		out[i] = Event{Slot: e.Slot - from, Count: e.Count}
 	}
 	return out
+}
+
+// Between returns the events of s with slots in [from, to) as a
+// capacity-clipped view into s, slots unchanged; nil when there are none.
+// It is the one bounds search over a series: every window, split and
+// suffix is read through it.
+func (s Series) Between(from, to int) Series {
+	lo, hi := s.eventRange(from, to)
+	if lo >= hi {
+		return nil
+	}
+	return s[lo:hi:hi]
 }
 
 // FirstSlot returns the first invoked slot, or -1 when the series is empty.
@@ -242,11 +253,8 @@ func (tr *Trace) Split(at int) (train, sim *Trace) {
 	train.Series = make([]Series, len(tr.Series))
 	sim.Series = make([]Series, len(tr.Series))
 	for i, s := range tr.Series {
-		k := sort.Search(len(s), func(j int) bool { return s[j].Slot >= int32(at) })
-		if k > 0 {
-			train.Series[i] = s[:k:k]
-		}
-		sim.Series[i] = s[k:].Window(int32(at), int32(tr.Slots))
+		train.Series[i] = s.Between(0, at)
+		sim.Series[i] = s.Window(int32(at), int32(tr.Slots))
 	}
 	return train, sim
 }
@@ -285,8 +293,8 @@ func (tr *Trace) BuildSlotIndex() *SlotIndex {
 	return idx
 }
 
-// eventRange returns the bounds [lo, hi) of s's events in slots
-// [from, to), from <= to, searching only when s reaches outside them.
+// eventRange returns the bounds of s's events in slots [from, to),
+// searching only when s reaches outside them; lo >= hi when there are none.
 func (s Series) eventRange(from, to int) (lo, hi int) {
 	cmpSlot := func(e Event, slot int32) int { return cmp.Compare(e.Slot, slot) }
 	lo, hi = 0, len(s)

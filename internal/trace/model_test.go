@@ -197,18 +197,29 @@ func TestAppUserMaps(t *testing.T) {
 	}
 }
 
-// Property: Window(0, Slots) is the identity (up to re-basing with from=0).
+// Property: Window(0, Slots) is the identity, and for any bounds —
+// inverted ones and ends outside the series too — Between(from, to) is the
+// linear filter of the events in [from, to), nil when there are none and
+// capacity-clipped, and Window(from, to) is that filter re-based to from.
 func TestWindowIdentityProperty(t *testing.T) {
-	f := func(raw []uint8) bool {
-		var events []Event
+	f := func(raw []uint8, from, to int8) bool {
+		var s, in, based Series
+		lo, hi := int(from)/2, int(to)/2
 		for i, v := range raw {
-			events = append(events, Event{Slot: int32(i), Count: int32(v % 5)})
+			if e := (Event{Slot: int32(i), Count: int32(v % 5)}); e.Count > 0 {
+				s = append(s, e)
+				if i >= lo && i < hi {
+					in = append(in, e)
+					based = append(based, Event{Slot: e.Slot - int32(lo), Count: e.Count})
+				}
+			}
 		}
-		s := normalize(events)
-		w := s.Window(0, int32(len(raw)+1))
-		return reflect.DeepEqual(s, w) || (len(s) == 0 && len(w) == 0)
+		got := s.Between(lo, hi)
+		return reflect.DeepEqual(s.Window(0, int32(len(raw)+1)), s) &&
+			reflect.DeepEqual(got, in) && cap(got) == len(got) &&
+			reflect.DeepEqual(s.Window(int32(lo), int32(hi)), based)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
 	}
 }
