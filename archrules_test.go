@@ -420,6 +420,12 @@ var archRules = []*archRule{{
 	// Then the overhead option: every run times its Ticks, so no option
 	// turns the clock on, and none turns idle-skipping or a fan-out off.
 	// Then the settings-hash-keyed comparison cache (Workload.Comparison).
+	// Then the baselines' config structs and their defaults, which nothing
+	// set: Hybrid and Defuse run at their papers' settings, constants beside
+	// the citations. With them went every fan-out's width option
+	// (sim.Options.Workers, the harness's Matrix.Workers, eqvcheck's
+	// -workers): each fan-out is GOMAXPROCS wide. The field name cannot be
+	// grepped, as classify.Config.Workers stays; the flag's name can.
 	// Case-sensitive, so predict's test-local nextWindows reference and
 	// classify's laggedCOR pass. Names only: "Exported code is reached"
 	// finds what is dead; this row keeps it from coming back.
@@ -429,8 +435,11 @@ var archRules = []*archRule{{
 			`|GenerateShard|ShardCache|OpenShardCache|OpenShardCacheFS|CacheStats|ErrInterrupted|ErrCapacityCoupled|DiskFailureTripwire|CacheDir` +
 			`|retryShard|shardRetry|ShardFaultHook|FaultHook|BeforeShard|WorkerPanic|SlowShard` +
 			`|MeasureOverhead|measureOverhead` +
-			`|SharedComparison|comparisonCache|cacheKey|RunComparison`,
+			`|SharedComparison|comparisonCache|cacheKey|RunComparison` +
+			`|HybridConfig|DefuseConfig|DefaultHybridConfig|DefaultDefuseConfig|spanSlots`,
 		word: true, goOnly: true, tests: true, under: []string{"internal", "cmd", "spes", "examples"},
+	}, {
+		pattern: `"workers"`, goOnly: true, tests: true, under: []string{"cmd"},
 	}},
 }, {
 	id:    "wheel",

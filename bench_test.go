@@ -96,9 +96,9 @@ var overheadPolicies = []struct {
 }{
 	{"SPES", func(int) sim.Policy { return core.New(core.DefaultConfig()) }, 0.31},
 	{"Fixed", func(int) sim.Policy { return baselines.NewFixedKeepAlive(10) }, 0.01},
-	{"HybridFunction", func(int) sim.Policy { return baselines.NewHybridFunction(baselines.DefaultHybridConfig()) }, 0.03},
-	{"HybridApplication", func(int) sim.Policy { return baselines.NewHybridApplication(baselines.DefaultHybridConfig()) }, 0.01},
-	{"Defuse", func(int) sim.Policy { return baselines.NewDefuse(baselines.DefaultDefuseConfig()) }, 0.03},
+	{"HybridFunction", func(int) sim.Policy { return baselines.NewHybridFunction() }, 0.03},
+	{"HybridApplication", func(int) sim.Policy { return baselines.NewHybridApplication() }, 0.01},
+	{"Defuse", func(int) sim.Policy { return baselines.NewDefuse() }, 0.03},
 	{"FaaSCache", func(capacity int) sim.Policy { return baselines.NewFaaSCache(capacity) }, 0.01},
 	{"LCS", func(capacity int) sim.Policy { return baselines.NewLCS(capacity) }, 0.01},
 }

@@ -13,7 +13,7 @@
 //	go run ./cmd/eqvcheck                         # 400 functions, shards 4
 //	go run ./cmd/eqvcheck -functions 600 -scenario churn -retrain-every 1440 -shards 2 -stream
 //	go run ./cmd/eqvcheck -capacity -stream -shards 4
-//	go run ./cmd/eqvcheck -streamonly -functions 100000 -sparse -shards 16 -seeds 1 -workers 2 -maxheap 450000000
+//	GOMAXPROCS=2 go run ./cmd/eqvcheck -streamonly -functions 100000 -sparse -shards 16 -seeds 1 -maxheap 450000000
 //	go run ./cmd/eqvcheck -ingest testdata/azure_sample.csv -train-days 3
 package main
 
@@ -66,8 +66,7 @@ func parse(args []string) (*config, error) {
 	seeds := fs.Int("seeds", 3, "number of seeds to check")
 	stream := fs.Bool("stream", false, "additionally check the streamed engine (sim.RunStreamed over a generator source) against the dense reference")
 	streamOnly := fs.Bool("streamonly", false, "check only streamed engines (-shards vs 2x -shards) without ever materializing a trace; peak residency stays O(functions/shards)")
-	maxHeap := fs.Uint64("maxheap", 0, "exit non-zero if sampled peak HeapInuse exceeds this many bytes (0: unbounded)")
-	workers := fs.Int("workers", 0, "width of each policy and shard fan-out (0: one per core); streamed residency is ONE shard of O(functions/shards) event series PER in-flight worker, so -maxheap bounds need a fixed worker count, not the runner's core count")
+	maxHeap := fs.Uint64("maxheap", 0, "exit non-zero if sampled peak HeapInuse exceeds this many bytes (0: unbounded); streamed residency is ONE shard of O(functions/shards) event series per in-flight worker, one per GOMAXPROCS, so a bound needs a fixed GOMAXPROCS, not the runner's core count")
 	retrain := fs.Int("retrain-every", 0, "enable SPES online re-categorization every this many slots in every engine under comparison (0: off)")
 	capCheck := fs.Bool("capacity", false, "additionally check the capacity-coupled baselines: FaaSCache and LCS under shard counts {2, 5, 16} (over streamed sources of that many shards with -stream) must be bit-identical to their unsharded runs")
 	ingestCSV := fs.String("ingest", "", "real-trace mode: check this Azure-format CSV through materialized, sharded, and columnar-store (ingested, then reopened) paths for bit-identity; generation flags are ignored")
@@ -75,7 +74,6 @@ func parse(args []string) (*config, error) {
 
 	p, ingest := *shards, *ingestCSV != ""
 	c := &config{pool: max(s.Functions/3, 1), maxHeap: *maxHeap}
-	c.m = eqv.Matrix{Workers: *workers}
 	var bad error // -ingest takes its dimensions from the trace
 	if !ingest {
 		bad = s.Validate()
@@ -89,7 +87,7 @@ func parse(args []string) (*config, error) {
 		{ingest && p < 2, fmt.Errorf("-ingest needs -shards >= 2 (a green run must actually exercise the store partition), got %d", p)},
 		{bad != nil, bad},
 		{!ingest && *seeds < 1, fmt.Errorf("-seeds must be >= 1, got %d", *seeds)},
-		{p < 0 || *workers < 0, fmt.Errorf("-shards and -workers must be >= 0, got %d / %d", p, *workers)},
+		{p < 0, fmt.Errorf("-shards must be >= 0, got %d", p)},
 		{*stream && p <= 1, errors.New("-stream needs -shards > 1 (a green run must actually exercise the streamed engine)")},
 		{*streamOnly && *capCheck, errors.New("-capacity cannot be combined with -streamonly (a capacity-coupled policy keeps the whole population resident)")},
 		{*streamOnly && *stream, errors.New("-streamonly cannot be combined with -stream")},

@@ -6,6 +6,7 @@ package main
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/baselines"
@@ -85,6 +86,26 @@ func TestStreamedSweepMatchesMaterialized(t *testing.T) {
 	check(t, small("", 13), []eqv.Policy{theta(1), theta(2)}, eqv.Event, eqv.Streamed(4))
 }
 
+// ablated is SPES with one design of Figures 14 and 15 switched off.
+func ablated(name string, off func(*core.Config)) eqv.Policy {
+	cfg := core.DefaultConfig()
+	off(&cfg)
+	return eqv.Policy{Name: "SPES " + name, New: func() sim.Policy { return core.New(cfg) }}
+}
+
+// TestAblationShardedEquivalence: each ablation switch, run 4 shards wide
+// alone and under one RunAll as the figure runners run it, against its
+// unsharded run.
+func TestAblationShardedEquivalence(t *testing.T) {
+	t.Parallel()
+	check(t, small("", 1, 2), []eqv.Policy{
+		ablated("w/o Corr", func(c *core.Config) { c.DisableCorrelation = true }),
+		ablated("w/o Online-Corr", func(c *core.Config) { c.DisableOnlineCorr = true }),
+		ablated("w/o Forgetting", func(c *core.Config) { c.DisableForgetting = true }),
+		ablated("w/o Adjusting", func(c *core.Config) { c.DisableAdjusting = true }),
+	}, eqv.Event, eqv.Sharded(4), eqv.RunAll(4))
+}
+
 // TestShardedBaselineEquivalence: every baseline under Options.Shards
 // against its unsharded run (the capacity-coupled ones ignore Shards).
 func TestShardedBaselineEquivalence(t *testing.T) {
@@ -134,11 +155,13 @@ func TestShardedLargeNSparseEquivalence(t *testing.T) {
 		eqv.Event, eqv.Sharded(4), eqv.Streamed(4), eqv.Sharded(16), eqv.Streamed(16))
 }
 
-// TestShardedRunAllSharesBudget: sharded policies under one RunAll with
-// Workers=2 still produce in-order, bit-correct results.
+// TestShardedRunAllSharesBudget: sharded policies under one RunAll at
+// GOMAXPROCS 2 still produce in-order, bit-correct results. It sets the
+// process's GOMAXPROCS, so it must not run in parallel.
 func TestShardedRunAllSharesBudget(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	b := eqv.Wheel()
-	checkMatrix(t, eqv.Matrix{Workload: small("", 9), Workers: 2, Rows: []eqv.Row{{
+	checkMatrix(t, eqv.Matrix{Workload: small("", 9), Rows: []eqv.Row{{
 		Policies: []eqv.Policy{eqv.SPES(), b[0], b[3]}, Ref: eqv.Event, Engines: []eqv.Engine{eqv.RunAll(3)},
 	}}})
 }

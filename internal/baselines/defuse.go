@@ -9,61 +9,35 @@ import (
 	"repro/internal/trace"
 )
 
-// DefuseConfig parameterizes the Defuse policy (Shen et al., ICDCS'21).
-// Defuse mines inter-function dependencies from invocation histories —
-// strong dependencies from frequent co-occurrence episodes, weak ones from
-// positive pointwise mutual information — and pre-warms a function when its
-// predecessors fire. Functions without usable dependencies or histograms
-// fall back to a fixed keep-alive (the original reports falling back for
-// over 32% of functions).
-type DefuseConfig struct {
-	MaxLag        int32   // dependency window (slots)
-	MinSupport    int     // minimum co-occurrence count for a dependency
-	MinConfidence float64 // minimum P(target | predecessor fired within lag)
-	MaxPredFanout int     // cap on mined predecessors per function
+// Defuse's settings, following the original paper (Shen et al., ICDCS'21).
+// Its per-function histograms are Hybrid's (hybridUnit) at Hybrid's
+// settings but for the observation gate.
+const (
+	defuseMaxLag        = 10  // dependency window (slots)
+	defuseMinSupport    = 3   // minimum co-occurrence count for a dependency
+	defuseMinConfidence = 0.5 // minimum P(target | predecessor fired within lag)
+	defuseMaxPredFanout = 5   // cap on mined predecessors per function
+	defuseFallbackKeep  = 10  // fixed keep-alive fallback (minutes)
+	defusePrewarmHold   = 12  // how long a dependency pre-load stays resident
 
-	Hist         HybridConfig // per-function histogram keep-alive settings
-	FallbackKeep int          // fixed keep-alive fallback (10 min)
-	PrewarmHold  int32        // how long a dependency pre-load stays resident
-}
+	// defuseMinObs is Defuse's histogram gate, stricter than Hybrid's: the
+	// SPES paper reports it falling back to fixed keep-alive for more than
+	// 32% of functions.
+	defuseMinObs = 10
 
-// DefaultDefuseConfig returns settings following the original paper.
-func DefaultDefuseConfig() DefuseConfig {
-	return DefuseConfig{
-		MaxLag:        10,
-		MinSupport:    3,
-		MinConfidence: 0.5,
-		MaxPredFanout: 5,
-		Hist: func() HybridConfig {
-			// Defuse's histogram gate is stricter than Hybrid's: the SPES
-			// paper reports it falling back to fixed keep-alive for more
-			// than 32% of functions.
-			h := DefaultHybridConfig()
-			h.MinObservations = 10
-			return h
-		}(),
-		FallbackKeep: 10,
-		PrewarmHold:  12,
-	}
-}
+	// defuseSpan bounds how far ahead Defuse ever schedules: the histogram
+	// span, or a dependency window if one were longer (266).
+	defuseSpan = max(hybridSpan, defuseFallbackKeep+2, defusePrewarmHold+2, defuseMaxLag+2)
+)
 
-// spanSlots bounds how far ahead Defuse ever schedules: the histogram span
-// plus the dependency windows.
-func (cfg DefuseConfig) spanSlots() int {
-	span := cfg.Hist.spanSlots()
-	for _, s := range []int{cfg.FallbackKeep + 2, int(cfg.PrewarmHold) + 2, int(cfg.MaxLag) + 2} {
-		if s > span {
-			span = s
-		}
-	}
-	return span
-}
-
-// Defuse implements sim.Policy.
+// Defuse implements sim.Policy. It mines inter-function dependencies from
+// invocation histories — strong dependencies from frequent co-occurrence
+// episodes, weak ones from positive pointwise mutual information — and
+// pre-warms a function when its predecessors fire. Functions without usable
+// dependencies or histograms fall back to a fixed keep-alive (the original
+// reports falling back for over 32% of functions).
 type Defuse struct {
 	sim.LoadedSet
-
-	cfg DefuseConfig
 
 	wheel *sched.Wheel
 
@@ -75,7 +49,7 @@ type Defuse struct {
 }
 
 // NewDefuse creates the policy.
-func NewDefuse(cfg DefuseConfig) *Defuse { return &Defuse{cfg: cfg} }
+func NewDefuse() *Defuse { return &Defuse{} }
 
 // Name implements sim.Policy.
 func (p *Defuse) Name() string { return "Defuse" }
@@ -84,7 +58,7 @@ func (p *Defuse) Name() string { return "Defuse" }
 func (p *Defuse) Train(training *trace.Trace) {
 	n := training.NumFunctions()
 	p.Reset(n)
-	p.wheel = sched.NewWheel(n, 1, p.cfg.spanSlots())
+	p.wheel = sched.NewWheel(n, 1, defuseSpan)
 	p.hasDeps = make([]bool, n)
 	p.successors = make(map[trace.FuncID][]trace.FuncID)
 
@@ -99,15 +73,15 @@ func (p *Defuse) Train(training *trace.Trace) {
 		}
 		unit := &p.units[fid]
 		for j := 1; j < len(invoked[fid]); j++ {
-			unit.addIAT(float64(invoked[fid][j]-invoked[fid][j-1]), p.cfg.Hist.RangeMins)
+			unit.addIAT(float64(invoked[fid][j] - invoked[fid][j-1]))
 		}
-		unit.windows(p.cfg.Hist)
+		unit.windows(defuseMinObs)
 		if len(invoked[fid]) == 0 {
 			continue
 		}
 		rebased := int(invoked[fid][len(invoked[fid])-1]) - training.Slots
 		unit.last = rebased
-		keep := p.cfg.FallbackKeep
+		keep := defuseFallbackKeep
 		if unit.usable {
 			keep = unit.prewarm + unit.keepalive
 		}
@@ -139,9 +113,9 @@ func (p *Defuse) Train(training *trace.Trace) {
 				// window | pred fired), with absolute support. Normalizing
 				// by the predecessor's activity keeps busy functions from
 				// linking to everything in their application.
-				conf := classify.WindowedFollowRate(invoked[pred], invoked[target], p.cfg.MaxLag)
+				conf := classify.WindowedFollowRate(invoked[pred], invoked[target], defuseMaxLag)
 				support := int(conf * float64(len(invoked[pred])))
-				if conf >= p.cfg.MinConfidence && support >= p.cfg.MinSupport {
+				if conf >= defuseMinConfidence && support >= defuseMinSupport {
 					accepted = append(accepted, cand{pred: pred, conf: conf})
 				}
 			}
@@ -154,8 +128,8 @@ func (p *Defuse) Train(training *trace.Trace) {
 				}
 				return int(a.pred) - int(b.pred)
 			})
-			if len(accepted) > p.cfg.MaxPredFanout {
-				accepted = accepted[:p.cfg.MaxPredFanout]
+			if len(accepted) > defuseMaxPredFanout {
+				accepted = accepted[:defuseMaxPredFanout]
 			}
 			for _, c := range accepted {
 				p.successors[c.pred] = append(p.successors[c.pred], target)
@@ -171,22 +145,22 @@ func (p *Defuse) Tick(t int, invs []trace.FuncCount) {
 		f := int(fc.Func)
 		unit := &p.units[f]
 		if unit.last >= 0 {
-			unit.addIAT(float64(t-unit.last), p.cfg.Hist.RangeMins)
+			unit.addIAT(float64(t - unit.last))
 		}
 		unit.last = t
 		if unit.dirty {
-			unit.windows(p.cfg.Hist)
+			unit.windows(defuseMinObs)
 		}
 		p.wheel.Cancel(f)
 		p.Load(fc.Func)
 		// Keep-alive horizon: histogram tail when usable, fallback fixed
 		// keep-alive otherwise. Dependency-covered functions rely on their
 		// predecessors and release memory sooner.
-		keep := p.cfg.FallbackKeep
+		keep := defuseFallbackKeep
 		if unit.usable {
 			keep = unit.prewarm + unit.keepalive
 		} else if p.hasDeps[f] {
-			keep = int(p.cfg.MaxLag)
+			keep = defuseMaxLag
 		}
 		if keep < 1 {
 			keep = 1
@@ -202,7 +176,7 @@ func (p *Defuse) Tick(t int, invs []trace.FuncCount) {
 			}
 			p.Load(succ)
 			p.wheel.Cancel(int(succ))
-			p.wheel.Schedule(t, t+int(p.cfg.PrewarmHold), int(succ), actUnload)
+			p.wheel.Schedule(t, t+defusePrewarmHold, int(succ), actUnload)
 		}
 	}
 

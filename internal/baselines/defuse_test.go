@@ -26,7 +26,7 @@ func dependencyTrace(halfSlots int) *trace.Trace {
 func TestDefuseMinesDependencies(t *testing.T) {
 	full := dependencyTrace(4 * 1440)
 	train, simTr := full.Split(4 * 1440)
-	p := NewDefuse(DefaultDefuseConfig())
+	p := NewDefuse()
 	res, err := sim.Run(p, train, simTr, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +50,7 @@ func TestDefuseFallbackKeepAlive(t *testing.T) {
 		{Slot: 2*1440 + 5, Count: 1}, {Slot: 2*1440 + 8, Count: 1}, {Slot: 2*1440 + 600, Count: 1},
 	})
 	train, simTr := full.Split(2 * 1440)
-	p := NewDefuse(DefaultDefuseConfig())
+	p := NewDefuse()
 	res, err := sim.Run(p, train, simTr, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestDefuseFallbackKeepAlive(t *testing.T) {
 }
 
 func TestDefuseName(t *testing.T) {
-	if NewDefuse(DefaultDefuseConfig()).Name() != "Defuse" {
+	if NewDefuse().Name() != "Defuse" {
 		t.Error("name")
 	}
 }

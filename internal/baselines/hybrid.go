@@ -10,45 +10,25 @@ import (
 	"repro/internal/trace"
 )
 
-// HybridConfig parameterizes the histogram policy of Shahrad et al.
-// (ATC'20, "Serverless in the Wild"), with the defaults their paper and the
-// reproduction the SPES authors relied on use.
-type HybridConfig struct {
-	RangeMins       int     // histogram span (240 minutes = 4 hours)
-	MinObservations int64   // below this the pattern is "insufficient"
-	OOBMax          float64 // above this out-of-bounds share, fall back
-	CVMax           float64 // above this coefficient of variation, fall back
-	PrewarmPct      float64 // head percentile driving the pre-warm window (0.05)
-	KeepAlivePct    float64 // tail percentile driving the keep-alive window (0.99)
-	Margin          float64 // safety margin: shrink pre-warm, grow keep-alive (0.10)
-	FallbackKeep    int     // keep-alive when the histogram is unusable
-}
+// The histogram policy of Shahrad et al. (ATC'20, "Serverless in the
+// Wild"), at the settings their paper and the reproduction the SPES authors
+// relied on use.
+const (
+	hybridRange        = 240  // histogram span in minutes (4 hours)
+	hybridMinObs       = 5    // below this many observations the pattern is "insufficient"
+	hybridOOBMax       = 0.5  // above this out-of-bounds share, fall back
+	hybridCVMax        = 2.0  // above this coefficient of variation, fall back
+	hybridPrewarmPct   = 0.05 // head percentile driving the pre-warm window
+	hybridKeepAlivePct = 0.99 // tail percentile driving the keep-alive window
+	hybridMargin       = 0.10 // safety margin: shrink pre-warm, grow keep-alive
+	hybridFallbackKeep = 240  // keep-alive when the histogram is unusable
 
-// DefaultHybridConfig returns the original paper's settings.
-func DefaultHybridConfig() HybridConfig {
-	return HybridConfig{
-		RangeMins:       240,
-		MinObservations: 5,
-		OOBMax:          0.5,
-		CVMax:           2.0,
-		PrewarmPct:      0.05,
-		KeepAlivePct:    0.99,
-		Margin:          0.10,
-		FallbackKeep:    240,
-	}
-}
-
-// spanSlots bounds how far ahead the policy ever schedules: the margin-grown
-// histogram tail plus slack, or the fallback keep-alive, whichever is
-// larger. Deadlines beyond it (impossible under this config, but harmless)
-// go on the wheel's far chain.
-func (cfg HybridConfig) spanSlots() int {
-	span := int(float64(cfg.RangeMins)*(1+cfg.Margin)) + 2
-	if cfg.FallbackKeep+2 > span {
-		span = cfg.FallbackKeep + 2
-	}
-	return span
-}
+	// hybridSpan bounds how far ahead the policy ever schedules: the
+	// margin-grown histogram tail plus slack, or the fallback keep-alive,
+	// whichever is larger (266). A deadline beyond it would go on the
+	// wheel's far chain.
+	hybridSpan = max(int(hybridRange*(1+hybridMargin))+2, hybridFallbackKeep+2)
+)
 
 // hybridUnit is the per-unit (function or application) histogram state. The
 // histogram is allocated on the first observed inter-arrival time: at large
@@ -67,36 +47,38 @@ type hybridUnit struct {
 
 // addIAT charges one inter-arrival observation, allocating the histogram
 // lazily.
-func (u *hybridUnit) addIAT(iat float64, rangeMins int) {
+func (u *hybridUnit) addIAT(iat float64) {
 	if u.hist == nil {
-		u.hist = stats.NewHistogram(0, 1, rangeMins)
+		u.hist = stats.NewHistogram(0, 1, hybridRange)
 	}
 	u.hist.Add(iat)
 	u.dirty = true
 }
 
 // windows derives (prewarm, keepalive) from the unit's histogram per the
-// head/tail rule, or flags the unit unusable for the fallback.
-func (u *hybridUnit) windows(cfg HybridConfig) {
+// head/tail rule, or flags the unit unusable for the fallback. A histogram
+// of fewer than minObs observations is unusable: hybridMinObs, or Defuse's
+// stricter defuseMinObs.
+func (u *hybridUnit) windows(minObs int64) {
 	u.dirty = false
 	u.usable = false
-	if u.hist == nil || u.hist.TotalWithOOB() < cfg.MinObservations {
+	if u.hist == nil || u.hist.TotalWithOOB() < minObs {
 		return
 	}
-	if u.hist.OOBFraction() > cfg.OOBMax {
+	if u.hist.OOBFraction() > hybridOOBMax {
 		return
 	}
 	cv, ok := u.hist.CV()
-	if !ok || cv > cfg.CVMax {
+	if !ok || cv > hybridCVMax {
 		return
 	}
-	head, ok1 := u.hist.Percentile(cfg.PrewarmPct)
-	tail, ok2 := u.hist.Percentile(cfg.KeepAlivePct)
+	head, ok1 := u.hist.Percentile(hybridPrewarmPct)
+	tail, ok2 := u.hist.Percentile(hybridKeepAlivePct)
 	if !ok1 || !ok2 {
 		return
 	}
-	u.prewarm = int(head * (1 - cfg.Margin))
-	u.keepalive = int(tail*(1+cfg.Margin)) - u.prewarm
+	u.prewarm = int(head * (1 - hybridMargin))
+	u.keepalive = int(tail*(1+hybridMargin)) - u.prewarm
 	if u.keepalive < 1 {
 		u.keepalive = 1
 	}
@@ -110,7 +92,6 @@ func (u *hybridUnit) windows(cfg HybridConfig) {
 type Hybrid struct {
 	sim.LoadedSet
 
-	cfg     HybridConfig
 	appWise bool
 
 	units  []hybridUnit
@@ -133,15 +114,11 @@ const (
 
 // NewHybridFunction returns Hybrid-Function (HF): one histogram per
 // function.
-func NewHybridFunction(cfg HybridConfig) *Hybrid {
-	return &Hybrid{cfg: cfg}
-}
+func NewHybridFunction() *Hybrid { return &Hybrid{} }
 
 // NewHybridApplication returns Hybrid-Application (HA): one histogram per
 // application, the original paper's granularity.
-func NewHybridApplication(cfg HybridConfig) *Hybrid {
-	return &Hybrid{cfg: cfg, appWise: true}
-}
+func NewHybridApplication() *Hybrid { return &Hybrid{appWise: true} }
 
 // Name implements sim.Policy.
 func (p *Hybrid) Name() string {
@@ -195,7 +172,7 @@ func (p *Hybrid) Train(training *trace.Trace) {
 	p.seenEpoch = make([]uint32, len(p.units))
 	// A Tick leaves a unit at most three actions: unload after execution,
 	// pre-warm and give-up.
-	p.wheel = sched.NewWheel(len(p.units), 3, p.cfg.spanSlots())
+	p.wheel = sched.NewWheel(len(p.units), 3, hybridSpan)
 
 	// Feed training IATs at unit granularity, then carry end-of-training
 	// state into the simulation: the unit behaves as if the policy had been
@@ -211,9 +188,9 @@ func (p *Hybrid) Train(training *trace.Trace) {
 		slots = dedupSortInt32(slots)
 		unit := &p.units[i]
 		for j := 1; j < len(slots); j++ {
-			unit.addIAT(float64(slots[j]-slots[j-1]), p.cfg.RangeMins)
+			unit.addIAT(float64(slots[j] - slots[j-1]))
 		}
-		unit.windows(p.cfg)
+		unit.windows(hybridMinObs)
 		if len(slots) == 0 {
 			continue
 		}
@@ -241,7 +218,7 @@ func (p *Hybrid) seedWindows(u, rebased int) {
 		p.wheel.Schedule(-1, end, u, actUnload)
 		return
 	}
-	keep := p.cfg.FallbackKeep
+	keep := hybridFallbackKeep
 	if unit.usable {
 		keep = unit.keepalive
 	}
@@ -263,11 +240,11 @@ func (p *Hybrid) Tick(t int, invs []trace.FuncCount) {
 		p.seenEpoch[u] = p.epoch
 		unit := &p.units[u]
 		if unit.last >= 0 {
-			unit.addIAT(float64(t-unit.last), p.cfg.RangeMins)
+			unit.addIAT(float64(t - unit.last))
 		}
 		unit.last = t
 		if unit.dirty {
-			unit.windows(p.cfg)
+			unit.windows(hybridMinObs)
 		}
 		p.wheel.Cancel(u)
 		p.loadUnit(u)
@@ -281,7 +258,7 @@ func (p *Hybrid) Tick(t int, invs []trace.FuncCount) {
 			// Degenerate head: plain keep-alive of the tail window.
 			p.wheel.Schedule(t, t+unit.keepalive, u, actUnload)
 		} else {
-			p.wheel.Schedule(t, t+p.cfg.FallbackKeep, u, actUnload)
+			p.wheel.Schedule(t, t+hybridFallbackKeep, u, actUnload)
 		}
 	}
 
@@ -330,5 +307,5 @@ func dedupSortInt32(xs []int32) []int32 {
 // String renders the policy configuration for reports.
 func (p *Hybrid) String() string {
 	return fmt.Sprintf("%s(range=%dm, head=%.0f%%, tail=%.0f%%)",
-		p.Name(), p.cfg.RangeMins, p.cfg.PrewarmPct*100, p.cfg.KeepAlivePct*100)
+		p.Name(), hybridRange, hybridPrewarmPct*100, hybridKeepAlivePct*100)
 }

@@ -21,7 +21,7 @@ func periodicTrace(halfSlots, period int) (*trace.Trace, *trace.Trace) {
 
 func TestHybridFunctionLearnsPeriodicPattern(t *testing.T) {
 	train, simTr := periodicTrace(4*1440, 60)
-	p := NewHybridFunction(DefaultHybridConfig())
+	p := NewHybridFunction()
 	res, err := sim.Run(p, train, simTr, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestHybridFallbackForIrregular(t *testing.T) {
 		{Slot: 100, Count: 1}, {Slot: 2*1440 + 100, Count: 1}, {Slot: 2*1440 + 500, Count: 1},
 	})
 	train, simTr := full.Split(2 * 1440)
-	p := NewHybridFunction(DefaultHybridConfig())
+	p := NewHybridFunction()
 	res, err := sim.Run(p, train, simTr, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestHybridApplicationGroupsFunctions(t *testing.T) {
 	full.AddFunction("fb", "app", "u", trace.TriggerHTTP, b)
 	train, simTr := full.Split(2 * 1440)
 
-	p := NewHybridApplication(DefaultHybridConfig())
+	p := NewHybridApplication()
 	res, err := sim.Run(p, train, simTr, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -93,24 +93,23 @@ func TestHybridApplicationGroupsFunctions(t *testing.T) {
 }
 
 func TestHybridNames(t *testing.T) {
-	if NewHybridFunction(DefaultHybridConfig()).Name() != "Hybrid-Function" {
+	if NewHybridFunction().Name() != "Hybrid-Function" {
 		t.Error("HF name")
 	}
-	if NewHybridApplication(DefaultHybridConfig()).Name() != "Hybrid-Application" {
+	if NewHybridApplication().Name() != "Hybrid-Application" {
 		t.Error("HA name")
 	}
-	s := NewHybridFunction(DefaultHybridConfig()).String()
+	s := NewHybridFunction().String()
 	if s == "" {
 		t.Error("String empty")
 	}
 }
 
 func TestHybridUnitWindows(t *testing.T) {
-	cfg := DefaultHybridConfig()
 	u := hybridUnit{hist: newTestHist(240)}
 	// Not enough observations.
 	u.hist.Add(10)
-	u.windows(cfg)
+	u.windows(hybridMinObs)
 	if u.usable {
 		t.Error("unit with 1 observation should be unusable")
 	}
@@ -118,7 +117,7 @@ func TestHybridUnitWindows(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		u.hist.Add(60)
 	}
-	u.windows(cfg)
+	u.windows(hybridMinObs)
 	if !u.usable {
 		t.Fatal("peaked histogram should be usable")
 	}
@@ -134,7 +133,7 @@ func TestHybridUnitWindows(t *testing.T) {
 		u2.hist.Add(1e6)
 	}
 	u2.hist.Add(5)
-	u2.windows(cfg)
+	u2.windows(hybridMinObs)
 	if u2.usable {
 		t.Error("OOB-dominated histogram should be unusable")
 	}

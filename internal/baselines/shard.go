@@ -19,10 +19,10 @@ func (p *FixedKeepAlive) NewShard() sim.Policy { return NewFixedKeepAlive(p.keep
 // NewShard implements sim.ShardedPolicy.
 func (p *Hybrid) NewShard() sim.Policy {
 	if p.appWise {
-		return NewHybridApplication(p.cfg)
+		return NewHybridApplication()
 	}
-	return NewHybridFunction(p.cfg)
+	return NewHybridFunction()
 }
 
 // NewShard implements sim.ShardedPolicy.
-func (p *Defuse) NewShard() sim.Policy { return NewDefuse(p.cfg) }
+func (p *Defuse) NewShard() sim.Policy { return NewDefuse() }

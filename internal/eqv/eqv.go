@@ -33,11 +33,10 @@ type Workload struct {
 	Trace        string               // an Azure-schema CSV the materialized and store doors hold instead of a generated trace (one seed only)
 }
 
-// Matrix is one workload, the rows compared over it, and how runs execute.
+// Matrix is one workload and the rows compared over it.
 type Matrix struct {
 	Workload
-	Rows    []Row
-	Workers int // sim.Options.Workers of every run
+	Rows []Row
 }
 
 // Row holds every engine to Ref for every policy, a fresh instance per run.
@@ -219,7 +218,7 @@ func (c *checker) run(e Engine, ps []Policy) ([]*sim.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts := sim.Options{Workers: c.m.Workers, RetrainEvery: c.m.RetrainEvery}
+	opts := sim.Options{RetrainEvery: c.m.RetrainEvery}
 	if e.door == materialized {
 		opts.Shards = e.shards
 	}
@@ -310,9 +309,9 @@ func Fixed() Policy {
 func Wheel() []Policy {
 	return []Policy{
 		Fixed(),
-		{Name: "HybridFunction", New: func() sim.Policy { return baselines.NewHybridFunction(baselines.DefaultHybridConfig()) }},
-		{Name: "HybridApplication", New: func() sim.Policy { return baselines.NewHybridApplication(baselines.DefaultHybridConfig()) }},
-		{Name: "Defuse", New: func() sim.Policy { return baselines.NewDefuse(baselines.DefaultDefuseConfig()) }},
+		{Name: "HybridFunction", New: func() sim.Policy { return baselines.NewHybridFunction() }},
+		{Name: "HybridApplication", New: func() sim.Policy { return baselines.NewHybridApplication() }},
+		{Name: "Defuse", New: func() sim.Policy { return baselines.NewDefuse() }},
 	}
 }
 

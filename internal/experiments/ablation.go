@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/report"
-	"repro/internal/sim"
 )
 
 // variant is one row of an ablation figure: a name and the switch it flips
@@ -16,9 +15,21 @@ type variant struct {
 	disable func(*core.Config)
 }
 
-// ablation simulates full SPES and each variant over the workload and
-// renders Q3-CSR, memory and WMT relative to full SPES.
+// ablation simulates full SPES and each variant over the workload through
+// runConfigs and renders Q3-CSR, memory and WMT relative to full SPES.
 func ablation(w io.Writer, wl *Workload, title string, variants []variant, footer ...string) error {
+	variants = append([]variant{{name: "SPES"}}, variants...)
+	cfgs := make([]core.Config, len(variants))
+	for i, v := range variants {
+		cfgs[i] = wl.Settings.SPES
+		if v.disable != nil {
+			v.disable(&cfgs[i])
+		}
+	}
+	results, err := runConfigs(wl, cfgs)
+	if err != nil {
+		return err
+	}
 	norm := func(v, b float64) string {
 		if b == 0 {
 			return "n/a"
@@ -26,19 +37,9 @@ func ablation(w io.Writer, wl *Workload, title string, variants []variant, foote
 		return fmt.Sprintf("%.4f", v/b)
 	}
 	tab := report.NewTable("Variant", "Q3-CSR", "Norm. memory", "Norm. WMT")
-	var full *sim.Result
-	for _, v := range append([]variant{{name: "SPES"}}, variants...) {
-		cfg := wl.Settings.SPES
-		if v.disable != nil {
-			v.disable(&cfg)
-		}
-		r, err := wl.Run(core.New(cfg), sim.Options{})
-		if err != nil {
-			return err
-		}
-		if full == nil {
-			full = r
-		}
+	full := results[0]
+	for i, v := range variants {
+		r := results[i]
 		tab.AddRow(v.name,
 			fmt.Sprintf("%.4f", r.QuantileCSR(0.75)),
 			norm(r.MeanLoaded(), full.MeanLoaded()),

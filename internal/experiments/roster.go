@@ -10,8 +10,9 @@ import (
 )
 
 // roster is every policy the binaries can name, at the paper's default
-// configuration (Section V-A2): the 10-minute fixed keep-alive, the hybrid
-// histogram and Defuse defaults. SPES takes its config and the two
+// configuration (Section V-A2): the 10-minute fixed keep-alive, and the
+// hybrid histogram and Defuse at their own papers' settings, which are
+// constants of internal/baselines. SPES takes its config and the two
 // capacity-coupled baselines their pool size from the caller.
 var roster = []struct {
 	name  string
@@ -19,11 +20,9 @@ var roster = []struct {
 }{
 	{"spes", func(c core.Config, _ int) sim.Policy { return core.New(c) }},
 	{"fixed", func(core.Config, int) sim.Policy { return baselines.NewFixedKeepAlive(10) }},
-	{"hf", func(core.Config, int) sim.Policy { return baselines.NewHybridFunction(baselines.DefaultHybridConfig()) }},
-	{"ha", func(core.Config, int) sim.Policy {
-		return baselines.NewHybridApplication(baselines.DefaultHybridConfig())
-	}},
-	{"defuse", func(core.Config, int) sim.Policy { return baselines.NewDefuse(baselines.DefaultDefuseConfig()) }},
+	{"hf", func(core.Config, int) sim.Policy { return baselines.NewHybridFunction() }},
+	{"ha", func(core.Config, int) sim.Policy { return baselines.NewHybridApplication() }},
+	{"defuse", func(core.Config, int) sim.Policy { return baselines.NewDefuse() }},
 	{"faascache", func(_ core.Config, n int) sim.Policy { return baselines.NewFaaSCache(n) }},
 	{"lcs", func(_ core.Config, n int) sim.Policy { return baselines.NewLCS(n) }},
 }

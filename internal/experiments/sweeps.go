@@ -18,17 +18,28 @@ type sweepPoint struct {
 	baseline bool
 }
 
-// runNormalizedSweep runs the points as one 4-shard RunAll, which
-// partitions the workload once for all of them (bit-identical to unsharded
-// runs), and renders a (param, normalized memory, Q3-CSR) table. Memory is
-// normalized to the baseline point, which need not come first; footer
-// lines follow the table.
-func runNormalizedSweep(w io.Writer, wl *Workload, title, header string, pts []sweepPoint, footer ...string) error {
-	policies := make([]sim.Policy, len(pts))
-	for i, p := range pts {
-		policies[i] = core.New(p.cfg)
+// runConfigs simulates SPES at each configuration over the workload as one
+// 4-shard RunAll, which partitions the workload once for all of them
+// (bit-identical to unsharded runs); results in input order. It is the run
+// step of the sweeps and the ablations.
+func runConfigs(wl *Workload, cfgs []core.Config) ([]*sim.Result, error) {
+	policies := make([]sim.Policy, len(cfgs))
+	for i, cfg := range cfgs {
+		policies[i] = core.New(cfg)
 	}
-	results, err := wl.RunAll(policies, sim.Options{Shards: 4})
+	return wl.RunAll(policies, sim.Options{Shards: 4})
+}
+
+// runNormalizedSweep runs the points through runConfigs and renders a
+// (param, normalized memory, Q3-CSR) table. Memory is normalized to the
+// baseline point, which need not come first; footer lines follow the
+// table.
+func runNormalizedSweep(w io.Writer, wl *Workload, title, header string, pts []sweepPoint, footer ...string) error {
+	cfgs := make([]core.Config, len(pts))
+	for i, p := range pts {
+		cfgs[i] = p.cfg
+	}
+	results, err := runConfigs(wl, cfgs)
 	if err != nil {
 		return err
 	}

@@ -130,7 +130,7 @@ func (w *Workload) Run(p sim.Policy, opts sim.Options) (*sim.Result, error) {
 }
 
 // RunAll is sim.RunAll over the workload: one trace.FanOut of width
-// opts.Workers over the policies and, for a materialized sharded run, one
+// GOMAXPROCS over the policies and, for a materialized sharded run, one
 // shared partition; results in input order.
 func (w *Workload) RunAll(ps []sim.Policy, opts sim.Options) ([]*sim.Result, error) {
 	opts.Source = w.src

@@ -178,10 +178,11 @@ func runAgendaProgram(t testing.TB, span int, prog []byte) {
 }
 
 // agendaSpans are the ring spans the policies build their wheels with —
-// FixedKeepAlive(10)'s keepAlive+2; 266, which both
-// DefaultHybridConfig().spanSlots() and DefaultDefuseConfig().spanSlots()
-// come to; and SPES's 2048 — plus the degenerate, a non-power-of-two small
-// one and two powers of two.
+// FixedKeepAlive(10)'s keepAlive+2; 266, which both baselines.hybridSpan
+// and baselines.defuseSpan come to (TestWheelSpansAreModelChecked in
+// internal/baselines reads this list and fails if either leaves it); and
+// SPES's 2048 — plus the degenerate, a non-power-of-two small one and two
+// powers of two. Keep it a literal of integers: that test parses it.
 var agendaSpans = []int{1, 6, 8, 12, 64, 266, 2048}
 
 func TestAgendaMatchesMapModel(t *testing.T) {

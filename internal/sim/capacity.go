@@ -24,8 +24,8 @@ type CapacityPolicy interface {
 
 // runCapacity runs a capacity-coupled policy under Shards > 1 or a Source:
 // runOne over the given pair, or over the pair reassembled from src when
-// src is non-nil, on the caller's goroutine — one unit of work, which
-// RunAll's fan-out counts as one of its Workers.
+// src is non-nil, on the caller's goroutine — one unit of work, one item
+// of RunAll's fan-out.
 func runCapacity(cp CapacityPolicy, training, simTrace *trace.Trace, src Source, opts Options) (res *Result, err error) {
 	// A panicking policy or source must not kill the process. The sharded
 	// engine contains panics per shard; there is one unit of work here.

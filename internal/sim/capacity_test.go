@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -357,7 +358,8 @@ func TestRunAllHandsOutCapacityRunsFirst(t *testing.T) {
 		loggedPolicy{name: "sharded", log: &log},
 		loggedCap{loggedPolicy{name: "capacity", log: &log}},
 	}
-	res, err := RunAll(ps, tr, tr, Options{Shards: 2, Workers: 1})
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	res, err := RunAll(ps, tr, tr, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

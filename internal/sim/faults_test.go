@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -257,14 +258,15 @@ func (p waitingPolicy) Train(*trace.Trace) {
 	p.seenAt.Store(p.src.calls.Load())
 }
 
-// A streamed run holds one shard per in-flight worker: with one worker, no
-// Shard call may start while another shard is still being simulated — a
-// prefetch of the next shard would double the residency.
+// A streamed run holds one shard per in-flight worker: at GOMAXPROCS 1, one
+// worker, no Shard call may start while another shard is still being
+// simulated — a prefetch of the next shard would double the residency.
 func TestStreamedResidencyOneShardPerWorker(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tr := tinyTrace()
 	src := &signalSource{shardSet: buildShardSet(tr, tr, 2), called: make(chan struct{}, 1)}
 	pol := waitingPolicy{src: src, made: new(atomic.Int32), seenAt: new(atomic.Int32)}
-	if _, err := RunStreamed(pol, src, Options{Workers: 1}); err != nil {
+	if _, err := RunStreamed(pol, src, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if got := pol.seenAt.Load(); got != 1 {
@@ -278,12 +280,13 @@ func TestStreamedResidencyOneShardPerWorker(t *testing.T) {
 // A panic in an unsharded policy under RunAll is raised again on the
 // caller once the policies in flight finish, never from a bare goroutine.
 func TestRunAllReraisesPolicyPanic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	tr := tinyTrace()
 	defer func() {
 		if v := recover(); v != "deterministic tick crash" {
 			t.Errorf("recovered %v, want the policy's panic value", v)
 		}
 	}()
-	RunAll([]Policy{shardedNever{}, panicTickPolicy{}, shardedNever{}}, tr, tr, Options{Workers: 2})
+	RunAll([]Policy{shardedNever{}, panicTickPolicy{}, shardedNever{}}, tr, tr, Options{})
 	t.Error("RunAll returned instead of raising the policy's panic")
 }

@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -49,7 +50,8 @@ func (s *lastFirstSource) Shard(i int) (train, simView *trace.ShardView, err err
 // A run that completes is bit-identical whatever order its shards finish
 // in: a SPES θ sweep over the streamed engine, and FaaSCache and LCS
 // reassembling the same source side by side under one RunAll, each equal
-// to the run with one worker, whose shards finish in index order.
+// to the run at GOMAXPROCS 1, one worker, whose shards finish in index
+// order.
 func TestShardCompletionOrderDoesNotMatter(t *testing.T) {
 	gen := &sim.GeneratorSource{Cfg: trace.DefaultGeneratorConfig(200, 4, 1), TrainSlots: 3 * 1440, Shards: 4}
 	spes := func(theta int) func() []sim.Policy {
@@ -72,12 +74,14 @@ func TestShardCompletionOrderDoesNotMatter(t *testing.T) {
 		{"capacity", capacity},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			clean, err := sim.RunAll(c.policies(), nil, nil, sim.Options{Source: gen, Workers: 1})
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+			clean, err := sim.RunAll(c.policies(), nil, nil, sim.Options{Source: gen})
 			if err != nil {
 				t.Fatal(err)
 			}
+			runtime.GOMAXPROCS(2)
 			src := newLastFirstSource(gen)
-			got, err := sim.RunAll(c.policies(), nil, nil, sim.Options{Source: src, Workers: 2})
+			got, err := sim.RunAll(c.policies(), nil, nil, sim.Options{Source: src})
 			if err != nil {
 				t.Fatal(err)
 			}

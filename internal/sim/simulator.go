@@ -20,19 +20,6 @@ type Options struct {
 	// refuses with an error wrapping ErrNotShardable.
 	Shards int
 
-	// Workers is the width of each fan-out, each one trace.FanOut: RunAll
-	// runs at most Workers policies at once, and a sharded run at most
-	// Workers shards at once. 0 means one per available core. Every
-	// fan-out's helpers draw on FanOut's one process-wide GOMAXPROCS token
-	// budget, so at most GOMAXPROCS+1 simulations run at once in all
-	// (Workers above that buys nothing), and a fan-out takes on helpers as
-	// other runs release tokens, so no core idles while a shard waits.
-	// Widths multiply under nesting: RunAll over sharded policies runs up
-	// to min(Workers², GOMAXPROCS+1) shards at once. A streamed run holds
-	// one shard's event series per in-flight shard simulation — Workers per
-	// RunStreamed, up to that product under RunAll over a Source.
-	Workers int
-
 	// Source, when non-nil, replaces the materialized train/sim trace pair:
 	// Run and RunAll ignore their trace arguments and stream per-shard views
 	// from it (sugar for RunStreamed). Shard views are produced inside the
@@ -58,14 +45,6 @@ type Options struct {
 	// Retrain. 0 defaults to the training window length (or RetrainEvery
 	// when there is no training trace).
 	RetrainWindow int
-}
-
-// workers resolves the width of each fan-out.
-func (o Options) workers() int {
-	if o.Workers > 0 {
-		return o.Workers
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // ShardedPolicy is implemented by policies that can run as one independent
@@ -399,7 +378,7 @@ func runSharded(policy Policy, training, simTrace *trace.Trace, opts Options, ss
 }
 
 // runShardedSrc simulates one fresh policy instance per source shard, on a
-// trace.FanOut of width opts.Workers, and merges the shard results. Each
+// trace.FanOut of width GOMAXPROCS, and merges the shard results. Each
 // shard's worker produces its views itself, right before simulating them,
 // which is what bounds streamed residency to one shard per in-flight
 // worker.
@@ -454,7 +433,7 @@ func runShardedSrc(policy Policy, src Source, opts Options) (*Result, error) {
 	}
 	// Every shard runs once to its own verdict inside the isolation
 	// boundary (isolateShard) while the others keep running.
-	trace.FanOut(opts.workers(), p, func(_, i int) error {
+	trace.FanOut(runtime.GOMAXPROCS(0), p, func(_, i int) error {
 		errs[i] = isolateShard(policy.Name(), i, p, func() error { return shard(i) })
 		return nil
 	})
@@ -529,9 +508,9 @@ func mergeShardResults(name string, slots, n int, globals [][]trace.FuncID, resu
 // RunAll simulates several policies over the same train/sim pair, returning
 // results in input order. Policy runs are independent (each policy owns its
 // state and the traces are only read), so they execute concurrently on one
-// trace.FanOut of width Options.Workers; with Options.Shards > 1 each
-// policy's shard runs fan out again, and FanOut's process-wide budget
-// keeps policies x shards from oversubscribing the machine.
+// trace.FanOut of width GOMAXPROCS; with Options.Shards > 1 each policy's
+// shard runs fan out again, and FanOut's process-wide GOMAXPROCS token
+// budget keeps policies x shards to GOMAXPROCS+1 simulations at once.
 //
 // Failure contract (see DESIGN.md "Failure semantics"): one failing policy
 // no longer aborts the others. RunAll always returns the full results slice
@@ -566,7 +545,7 @@ func RunAll(policies []Policy, training, simTrace *trace.Trace, opts Options) ([
 	}
 	results := make([]*Result, len(policies))
 	errs := make([]error, len(policies))
-	trace.FanOut(opts.workers(), len(policies), func(_, k int) error {
+	trace.FanOut(runtime.GOMAXPROCS(0), len(policies), func(_, k int) error {
 		i := order[k]
 		r, err := run(policies[i])
 		if err != nil {

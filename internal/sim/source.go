@@ -11,7 +11,7 @@ import (
 // residency of the streamed sharded engine. runShardedSrc calls Shard(i)
 // once, right before simulating shard i, and drops the views when that
 // simulation ends, so one shard's event series exists per in-flight
-// worker — at most Options.Workers of them per run, O(n/P) each instead of
+// worker — at most GOMAXPROCS of them per run, O(n/P) each instead of
 // O(n) for a materialized trace pair.
 //
 // Contract (what the deterministic merge relies on — see DESIGN.md

@@ -508,8 +508,8 @@ func (s *Store) Source(trainSlots int) (*StoreSource, error) {
 
 // StoreSource adapts an opened Store to the sim.Source contract: Shard(i)
 // reads and verifies exactly one shard file and splits it at the source's
-// train boundary, so at most Workers shards' event series are resident at
-// once — O(n/P) per in-flight worker, with the CSV never reopened.
+// train boundary, so at most one shard's event series per in-flight worker
+// is resident at once — O(n/P) each, with the CSV never reopened.
 type StoreSource struct {
 	store      *Store
 	trainSlots int

@@ -49,8 +49,8 @@ var replyOrderPolicies = []struct {
 }{
 	{"SPES", func() sim.Policy { return core.New(core.DefaultConfig()) }},
 	{"Fixed", func() sim.Policy { return baselines.NewFixedKeepAlive(10) }},
-	{"HybridFunction", func() sim.Policy { return baselines.NewHybridFunction(baselines.DefaultHybridConfig()) }},
-	{"Defuse", func() sim.Policy { return baselines.NewDefuse(baselines.DefaultDefuseConfig()) }},
+	{"HybridFunction", func() sim.Policy { return baselines.NewHybridFunction() }},
+	{"Defuse", func() sim.Policy { return baselines.NewDefuse() }},
 }
 
 // TestReplyOrderGolden drives each policy through a sim.Driver twice per

@@ -197,18 +197,14 @@ func NewFixedKeepAlive(minutes int) Policy { return baselines.NewFixedKeepAlive(
 
 // NewHybridFunction returns the histogram policy of Shahrad et al. at
 // function granularity (HF).
-func NewHybridFunction() Policy {
-	return baselines.NewHybridFunction(baselines.DefaultHybridConfig())
-}
+func NewHybridFunction() Policy { return baselines.NewHybridFunction() }
 
 // NewHybridApplication returns the histogram policy at application
 // granularity (HA), the original paper's unit.
-func NewHybridApplication() Policy {
-	return baselines.NewHybridApplication(baselines.DefaultHybridConfig())
-}
+func NewHybridApplication() Policy { return baselines.NewHybridApplication() }
 
 // NewDefuse returns the dependency-mining scheduler of Shen et al.
-func NewDefuse() Policy { return baselines.NewDefuse(baselines.DefaultDefuseConfig()) }
+func NewDefuse() Policy { return baselines.NewDefuse() }
 
 // NewFaaSCache returns the Greedy-Dual caching policy of Fuerst & Sharma
 // with the given instance capacity (the paper sets it to SPES's maximum
