@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
@@ -22,7 +23,13 @@ import (
 // reference the store must match bit for bit) alongside the store.
 func ingestFixture(t *testing.T, shards, bufferedEvents int) (*Trace, *Store, *IngestStats) {
 	t.Helper()
-	tr := genSmall(t, 120, 2, 21)
+	return ingestSeeded(t, 21, shards, bufferedEvents)
+}
+
+// ingestSeeded is ingestFixture over the population generated from seed.
+func ingestSeeded(t *testing.T, seed int64, shards, bufferedEvents int) (*Trace, *Store, *IngestStats) {
+	t.Helper()
+	tr := genSmall(t, 120, 2, seed)
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, tr); err != nil {
 		t.Fatal(err)
@@ -435,14 +442,15 @@ func TestStoreCorruptionDegrades(t *testing.T) {
 		}
 	}
 
-	expectCorrupt := func(label string) {
+	// expectCorrupt returns the error that OpenStore or shard 0's read failed with.
+	expectCorrupt := func(label string) error {
 		t.Helper()
 		st, err := OpenStore(store.dir)
 		if err != nil {
 			if !errors.Is(err, ErrStoreCorrupt) {
 				t.Fatalf("%s: OpenStore error %v does not wrap ErrStoreCorrupt", label, err)
 			}
-			return
+			return err
 		}
 		sv, err := st.ShardTrace(0)
 		if err == nil {
@@ -453,6 +461,18 @@ func TestStoreCorruptionDegrades(t *testing.T) {
 		}
 		if sv != nil {
 			t.Fatalf("%s: error AND shard content returned", label)
+		}
+		return err
+	}
+	// expectCaught writes file as shard 0 and expects its read to fail with
+	// an error naming want.
+	expectCaught := func(label string, file []byte, want string) {
+		t.Helper()
+		if err := os.WriteFile(shardPath, file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := expectCorrupt(label); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: error %q does not name %q", label, err, want)
 		}
 	}
 
@@ -486,6 +506,40 @@ func TestStoreCorruptionDegrades(t *testing.T) {
 	}
 	restore()
 
+	// Whole files that verify on their own but are not the ones the manifest
+	// records. Shard 0 of a second store of the same shape:
+	_, other, _ := ingestSeeded(t, 22, 2, 0)
+	if other.NumShards() != store.NumShards() || other.Slots() != store.Slots() {
+		t.Fatalf("second store has %d shards over %d slots, want %d over %d", other.NumShards(), other.Slots(), store.NumShards(), store.Slots())
+	}
+	foreign, err := os.ReadFile(filepath.Join(other.dir, shardFileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	expectCaught("foreign shard", foreign, "contradicts manifest")
+	// Shard files 0 and 1 swapped:
+	shard1Path := filepath.Join(store.dir, shardFileName(1))
+	shard1, err := os.ReadFile(shard1Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(shard1Path, pristine, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	expectCaught("swapped shards", shard1, "contradicts manifest")
+	if err := os.WriteFile(shard1Path, shard1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// One event count rewritten, the file sealed again and its column
+	// block's CRC recomputed: length, seal and block CRC all verify, so only
+	// the binding to the manifest catches it.
+	tampered := bytes.Clone(pristine)
+	at, n := columnPayload(tampered, colEventCounts)
+	binary.LittleEndian.PutUint32(tampered[at:], binary.LittleEndian.Uint32(tampered[at:])+1)
+	binary.LittleEndian.PutUint32(tampered[at+n:], durable.Checksum(tampered[at:at+n]))
+	expectCaught("resealed tamper", seal(storeMagic, tampered[len(storeMagic):len(tampered)-4]), "content fingerprint")
+	restore()
+
 	// Manifest corruption and absence fail at open.
 	manifestPath := filepath.Join(store.dir, manifestName)
 	manifest, err := os.ReadFile(manifestPath)
@@ -503,6 +557,19 @@ func TestStoreCorruptionDegrades(t *testing.T) {
 	}
 	if _, err := OpenStore(store.dir); !errors.Is(err, ErrStoreCorrupt) {
 		t.Fatalf("missing manifest: OpenStore error %v does not wrap ErrStoreCorrupt", err)
+	}
+}
+
+// columnPayload returns the offset of column id's payload in a shard file,
+// and the payload's length.
+func columnPayload(file []byte, id uint32) (at, n int) {
+	at = len(storeMagic) + 36 // the header
+	for {
+		bid, size := binary.LittleEndian.Uint32(file[at:]), int(binary.LittleEndian.Uint64(file[at+4:]))
+		if bid == id {
+			return at + 12, size
+		}
+		at += 12 + size + 4
 	}
 }
 
