@@ -426,6 +426,10 @@ var archRules = []*archRule{{
 	// (sim.Options.Workers, the harness's Matrix.Workers, eqvcheck's
 	// -workers): each fan-out is GOMAXPROCS wide. The field name cannot be
 	// grepped, as classify.Config.Workers stays; the flag's name can.
+	// Then the store's second and third checksums over the same bytes: the
+	// FNV content hash (and its reference and manifest field) and the
+	// per-column CRCs (and the fuzz helper that refreshed them), as the
+	// manifest binds each file by its seal CRC.
 	// Case-sensitive, so predict's test-local nextWindows reference and
 	// classify's laggedCOR pass. Names only: "Exported code is reached"
 	// finds what is dead; this row keeps it from coming back.
@@ -436,7 +440,8 @@ var archRules = []*archRule{{
 			`|retryShard|shardRetry|ShardFaultHook|FaultHook|BeforeShard|WorkerPanic|SlowShard` +
 			`|MeasureOverhead|measureOverhead` +
 			`|SharedComparison|comparisonCache|cacheKey|RunComparison` +
-			`|HybridConfig|DefuseConfig|DefaultHybridConfig|DefaultDefuseConfig|spanSlots`,
+			`|HybridConfig|DefuseConfig|DefaultHybridConfig|DefaultDefuseConfig|spanSlots` +
+			`|ContentHash|fpDomainContent|contentHashRef|ContentFP|sealShardBody`,
 		word: true, goOnly: true, tests: true, under: []string{"internal", "cmd", "spes", "examples"},
 	}, {
 		pattern: `"workers"`, goOnly: true, tests: true, under: []string{"cmd"},

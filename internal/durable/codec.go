@@ -237,11 +237,18 @@ func (d *Dec) Ints() []int {
 }
 
 // Dict reverses Enc.Dict. It returns nil once the cursor has failed; an
-// empty column decodes as an empty non-nil slice.
+// empty column decodes as an empty non-nil slice. It accepts only what
+// Enc.Dict writes — distinct labels, each first indexed in dictionary order
+// — so a column that decodes re-encodes to the same bytes.
 func (d *Dec) Dict() []string {
 	dict := make([]string, d.Count(int64(d.U32()), 4))
+	seen := make(map[string]struct{}, len(dict))
 	for i := range dict {
 		dict[i] = d.Str()
+		if _, dup := seen[dict[i]]; dup {
+			d.fail("dictionary label %q repeated", dict[i])
+		}
+		seen[dict[i]] = struct{}{}
 	}
 	w := dictWidth(len(dict))
 	n := d.Count(int64(d.U32()), w)
@@ -250,6 +257,7 @@ func (d *Dec) Dict() []string {
 		return nil
 	}
 	out := make([]string, n)
+	next := 0 // the first dictionary entry no index has named yet
 	for i := range out {
 		var v uint32
 		switch w {
@@ -260,11 +268,18 @@ func (d *Dec) Dict() []string {
 		default:
 			v = binary.LittleEndian.Uint32(blk[i*4:])
 		}
-		if int(v) >= len(dict) {
-			d.fail("dictionary index %d outside dictionary of %d", v, len(dict))
+		if int(v) > next || int(v) >= len(dict) {
+			d.fail("dictionary index %d past the next new entry %d of %d", v, next, len(dict))
 			return nil
 		}
+		if int(v) == next {
+			next++
+		}
 		out[i] = dict[v]
+	}
+	if next != len(dict) {
+		d.fail("%d of %d dictionary entries unused", len(dict)-next, len(dict))
+		return nil
 	}
 	return out
 }

@@ -105,6 +105,18 @@ func TestCursorRoundTripAndBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// Dict reads only the canonical form Enc.Dict writes: a repeated label,
+	// an unused entry or an index that skips ahead each fail.
+	for name, col := range map[string][]byte{
+		"repeated label": {2, 0, 0, 0, 1, 0, 0, 0, 'a', 1, 0, 0, 0, 'a', 2, 0, 0, 0, 0, 1},
+		"unused entry":   {2, 0, 0, 0, 1, 0, 0, 0, 'a', 1, 0, 0, 0, 'b', 2, 0, 0, 0, 0, 0},
+		"skipped entry":  {2, 0, 0, 0, 1, 0, 0, 0, 'a', 1, 0, 0, 0, 'b', 2, 0, 0, 0, 1, 0},
+	} {
+		if got := NewDec(col).Dict(); got != nil {
+			t.Errorf("%s: Dict = %q, want an error", name, got)
+		}
+	}
+
 	// DictSize is exactly what Dict appends, at every index width.
 	wide := make([]string, 70000)
 	for i := range wide {

@@ -101,7 +101,7 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 	}
 	// Invalidate any previous store now: shard files are replaced atomically
 	// one by one below, and an old manifest over new shard files would be a
-	// mixed store. Fingerprint verification would catch the mix, but an
+	// mixed store. The manifest's seal CRCs would catch the mix, but an
 	// unopenable directory states the situation honestly.
 	fs.Remove(filepath.Join(dir, manifestName))
 	durable.Sweep(fs, dir, storeTmpPattern)
@@ -148,7 +148,7 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 	// Assemble and write each shard: one FanOut item per shard, on up to
 	// GOMAXPROCS workers. A shard's view is dead once its file is committed,
 	// so each worker reuses one set of scratch sized for the largest shard
-	// (shardWorker). Item i writes only store.meta[i] and fileBytes[i].
+	// (shardWorker). Item i writes only store.meta[i].
 	store := &Store{dir: dir, fs: fs, shards: p, functions: len(fns), slots: slots, meta: make([]storeShardMeta, p)}
 	largest := 0
 	for i := range p {
@@ -160,7 +160,6 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 	}
 	width := min(runtime.GOMAXPROCS(0), p)
 	workers := make([]*shardWorker, width)
-	fileBytes := make([]int64, p)
 	err = FanOut(width, p, func(w, i int) error {
 		if workers[w] == nil {
 			workers[w] = newShardWorker(largest, sp.file != nil)
@@ -170,21 +169,19 @@ func IngestCSVFS(r io.Reader, dir string, opts IngestOptions, fs durable.FS) (*S
 		if err != nil {
 			return fmt.Errorf("trace: ingest: %w", err)
 		}
-		fp := sv.ContentHash()
-		sw.file = encodeShardFile(sw.file, sv, p, shardEvents, fp)
+		sw.file = encodeShardFile(sw.file, sv, p, shardEvents)
 		if err := durable.Commit(fs, dir, shardFileName(i), storeTmpPattern, sw.file); err != nil {
 			return fmt.Errorf("trace: ingest: writing shard %d: %w", i, err)
 		}
-		store.meta[i] = storeShardMeta{Functions: len(sv.Functions), Events: shardEvents, ContentFP: fp}
-		fileBytes[i] = int64(len(sw.file))
+		store.meta[i] = storeShardMeta{Functions: len(sv.Functions), Events: shardEvents, Bytes: int64(len(sw.file)), CRC: sealCRC(sw.file)}
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
 	var storeBytes int64
-	for _, n := range fileBytes {
-		storeBytes += n
+	for _, m := range store.meta {
+		storeBytes += m.Bytes
 	}
 
 	// Manifest last: its atomic rename is the commit point of the ingest.

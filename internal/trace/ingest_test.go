@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -427,8 +428,9 @@ func TestStoreFingerprints(t *testing.T) {
 
 // TestStoreCorruptionDegrades is the torn-file test: every corruption — a
 // flipped byte anywhere, a truncated shard file, a truncated or missing
-// manifest, a missing shard file, a version skew — must surface as an error
-// wrapping ErrStoreCorrupt with no shard content, never a wrong shard.
+// manifest, a missing shard file, a foreign, swapped or resealed shard file,
+// a version skew — must surface as an error wrapping ErrStoreCorrupt with no
+// shard content, never a wrong shard.
 func TestStoreCorruptionDegrades(t *testing.T) {
 	_, store, _ := ingestFixture(t, 2, 0)
 	shardPath := filepath.Join(store.dir, shardFileName(0))
@@ -516,7 +518,7 @@ func TestStoreCorruptionDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	expectCaught("foreign shard", foreign, "contradicts manifest")
+	expectCaught("foreign shard", foreign, "not the one the manifest records")
 	// Shard files 0 and 1 swapped:
 	shard1Path := filepath.Join(store.dir, shardFileName(1))
 	shard1, err := os.ReadFile(shard1Path)
@@ -526,26 +528,49 @@ func TestStoreCorruptionDegrades(t *testing.T) {
 	if err := os.WriteFile(shard1Path, pristine, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	expectCaught("swapped shards", shard1, "contradicts manifest")
+	expectCaught("swapped shards", shard1, "not the one the manifest records")
 	if err := os.WriteFile(shard1Path, shard1, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// One event count rewritten, the file sealed again and its column
-	// block's CRC recomputed: length, seal and block CRC all verify, so only
-	// the binding to the manifest catches it.
+	// One event count rewritten and the file sealed again: its length and
+	// seal verify, so only the binding to the manifest catches it.
 	tampered := bytes.Clone(pristine)
-	at, n := columnPayload(tampered, colEventCounts)
+	at := columnPayload(tampered, colEventCounts)
 	binary.LittleEndian.PutUint32(tampered[at:], binary.LittleEndian.Uint32(tampered[at:])+1)
-	binary.LittleEndian.PutUint32(tampered[at+n:], durable.Checksum(tampered[at:at+n]))
-	expectCaught("resealed tamper", seal(storeMagic, tampered[len(storeMagic):len(tampered)-4]), "content fingerprint")
+	expectCaught("resealed tamper", reseal(storeMagic, tampered), "not the one the manifest records")
 	restore()
 
-	// Manifest corruption and absence fail at open.
+	// A version skew that passes every CRC: a shard file at format version
+	// 1, sealed, with a manifest that records its new seal, and then a
+	// manifest at version 1. Both fail on the version, and the remedy is to
+	// re-ingest.
 	manifestPath := filepath.Join(store.dir, manifestName)
 	manifest, err := os.ReadFile(manifestPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const skew = "format version 1, want 2"
+	v1 := bytes.Clone(pristine)
+	binary.LittleEndian.PutUint32(v1[len(storeMagic):], 1)
+	v1 = reseal(storeMagic, v1)
+	recorded := *store
+	recorded.meta = slices.Clone(store.meta)
+	recorded.meta[0].CRC = sealCRC(v1)
+	if err := os.WriteFile(manifestPath, encodeManifest(&recorded), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	expectCaught("version-1 shard", v1, skew)
+	restore()
+	v1 = bytes.Clone(manifest)
+	binary.LittleEndian.PutUint32(v1[len(storeManifestTag):], 1)
+	if err := os.WriteFile(manifestPath, reseal(storeManifestTag, v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := expectCorrupt("version-1 manifest"); !strings.Contains(err.Error(), skew) {
+		t.Fatalf("version-1 manifest: error %q does not name %q", err, skew)
+	}
+
+	// Manifest corruption and absence fail at open.
 	if err := os.WriteFile(manifestPath, manifest[:len(manifest)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -560,23 +585,23 @@ func TestStoreCorruptionDegrades(t *testing.T) {
 	}
 }
 
-// columnPayload returns the offset of column id's payload in a shard file,
-// and the payload's length.
-func columnPayload(file []byte, id uint32) (at, n int) {
-	at = len(storeMagic) + 36 // the header
-	for {
-		bid, size := binary.LittleEndian.Uint32(file[at:]), int(binary.LittleEndian.Uint64(file[at+4:]))
-		if bid == id {
-			return at + 12, size
-		}
-		at += 12 + size + 4
+// columnPayload returns the offset of column id's payload in a shard file.
+func columnPayload(file []byte, id uint32) int {
+	at := len(storeMagic) + 28 // the header
+	for binary.LittleEndian.Uint32(file[at:]) != id {
+		at += 12 + int(binary.LittleEndian.Uint64(file[at+4:]))
 	}
+	return at + 12
+}
+
+// reseal seals a sealed file's bytes again under magic, after an edit.
+func reseal(magic string, file []byte) []byte {
+	return seal(magic, file[len(magic):len(file)-4])
 }
 
 // TestStoreGoldenBytes pins the shard-file and manifest encodings to digests
-// recorded from the encoders before they moved onto internal/durable: stores
-// already ingested must keep opening, so the bytes may only change together
-// with storeVersion.
+// recorded at format version 2: stores already ingested must keep opening,
+// so the bytes may only change together with storeVersion.
 func TestStoreGoldenBytes(t *testing.T) {
 	_, store, _ := ingestFixture(t, 2, 0)
 	for _, tc := range []struct {
@@ -584,9 +609,9 @@ func TestStoreGoldenBytes(t *testing.T) {
 		size   int
 		sha256 string
 	}{
-		{shardFileName(0), 247421, "5bc00a20f439d31777ace4b9d98bb9f5ca9093478a6b17b9ea696bf06131aea8"},
-		{shardFileName(1), 155211, "79748e0205cbeb64cc4a63a2ef87acd685c1909c314d5482b2220424646f1c69"},
-		{manifestName, 72, "eb470f71086c9f66b9ef23a4edbd8f2039effbceda309aea194ecf9e329f8069"},
+		{shardFileName(0), 247381, "f3bb23e49a7b659bcbe086c03b8cd01e2b2bac04ad262226ab8bcaa336b4ddbd"},
+		{shardFileName(1), 155171, "e23d828b806ee67be3122fd477329d7ae92dfd968b724d94261de071d4b2d06f"},
+		{manifestName, 80, "5ae11ce1f7e311e93b5327d7c9c50f80ebafe9049e800b19567ddc204a40d547"},
 	} {
 		data, err := os.ReadFile(filepath.Join(store.dir, tc.name))
 		if err != nil {
@@ -608,7 +633,7 @@ func TestStoreGoldenBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		file := encodeShardFile(nil, sv, store.NumShards(), store.meta[i].Events, store.meta[i].ContentFP)
+		file := encodeShardFile(nil, sv, store.NumShards(), store.meta[i].Events)
 		if !bytes.Equal(file, disk) || cap(file) != len(file) {
 			t.Errorf("shard %d re-encodes to %d bytes (capacity %d), file is %d", i, len(file), cap(file), len(disk))
 		}

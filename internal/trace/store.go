@@ -22,22 +22,24 @@ import (
 // Robustness rule: a store read may only ever
 // produce bit-exact shard content or an error — never a wrong shard. Every
 // file is a durable envelope (versioned magic header, whole-file CRC-32C
-// footer) with a CRC-32C per column block inside; a truncated, bit-flipped,
-// version-skewed, or structurally inconsistent file fails verification with
-// an error wrapping ErrStoreCorrupt, and the caller's remedy is to re-ingest
-// the CSV. Writes go through durable.Commit, with the manifest written last,
-// so a crash mid-ingest leaves a directory that fails OpenStore rather than
-// a store missing shards.
+// footer), so every byte is under exactly one CRC-32C, and the manifest
+// records each shard file's length and seal CRC, which binds the file to
+// the store: a truncated, bit-flipped, foreign, swapped, version-skewed, or
+// structurally inconsistent file fails verification with an error wrapping
+// ErrStoreCorrupt, and the caller's remedy is to re-ingest the CSV. Writes
+// go through durable.Commit, with the manifest written last, so a crash
+// mid-ingest leaves a directory that fails OpenStore rather than a store
+// missing shards.
 //
 // Shard file layout (all integers little-endian):
 //
 //	magic[8] | version u32 | shard u32 | shards u32 | slots u32 |
-//	functions u32 | events u64 | contentFP u64 |
+//	functions u32 | events u64 |
 //	column blocks | footer magic[8] | file CRC-32C u32
 //
-// Each column block is `id u32 | length u64 | payload | CRC-32C u32` with a
-// fixed id sequence (globals, names, apps, users, triggers, series lengths,
-// event slots, event counts). App, user, and trigger labels are
+// Each column block is `id u32 | length u64 | payload` with a fixed id
+// sequence (globals, names, apps, users, triggers, series lengths, event
+// slots, event counts). App, user, and trigger labels are
 // dictionary-encoded — the Azure trace repeats each app hash once per
 // function and each trigger label thousands of times (durable.Enc.Dict).
 // Event slots and counts are flat int32 columns across all of the shard's
@@ -46,7 +48,7 @@ const (
 	storeMagic       = "SPESCOL\x00"
 	storeFooterMagic = "SPESEND\x00"
 	storeManifestTag = "SPESMAN\x00"
-	storeVersion     = uint32(1)
+	storeVersion     = uint32(2)
 	manifestName     = "manifest.spm"
 	storeTmpPattern  = ".tmp-store-*"
 )
@@ -70,52 +72,13 @@ const (
 // failed verification never yields shard content.
 var ErrStoreCorrupt = errors.New("trace: columnar shard store corrupt or incomplete (re-ingest the CSV)")
 
-// storeFP computes the store fingerprint domains. The shard domain is
-// distinct from sim's "generator-derivation" one, so a store shard and a
-// generated shard never share a fingerprint.
-const (
-	fpDomainContent = "store-content\x00" // whole-shard content hash, stored in the file
-	fpDomainShard   = "store-shard\x00"   // (content, split) hash ShardFingerprint returns
-)
+// fpDomainShard is the domain of the (file, split) hash ShardFingerprint
+// returns. It is distinct from sim's "generator-derivation" one, so a store
+// shard and a generated shard never share a fingerprint.
+const fpDomainShard = "store-shard\x00"
 
 // shardFileName returns shard i's file name within a store directory.
 func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.spc", i) }
-
-// ContentHash hashes the view's content: slot span, the local-to-global id
-// mapping, per-function metadata, and every event. Two views may share a
-// hash only if they are bit-identical, which is what lets a store file
-// carry it as its checksum of record.
-//
-// The hash is FNV-1a over one byte stream: the domain tag, the slot span
-// and function count, then per function its global id, name, app and user
-// (each NUL-terminated), trigger byte and event count, then its events as
-// (slot, count) uint32 pairs; integers are little-endian. Each function's
-// header is encoded into one stack block, sized for three 64-character
-// Azure hashes, and written at once, and each event through the same
-// block, so hashing allocates nothing. Events are written one at a time:
-// FNV-1a's multiply per byte bounds the time, and encoding 64 events per
-// write measured slower.
-func (sv *ShardView) ContentHash() uint64 {
-	h := fnv.New64a()
-	var blk [256]byte
-	b := append(blk[:0], fpDomainContent...)
-	b = binary.LittleEndian.AppendUint64(b, uint64(sv.Slots))
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(sv.Functions)))
-	for li, f := range sv.Functions {
-		b = binary.LittleEndian.AppendUint64(b, uint64(sv.Global[li]))
-		b = append(append(b, f.Name...), 0)
-		b = append(append(b, f.App...), 0)
-		b = append(append(b, f.User...), 0, byte(f.Trigger))
-		s := sv.Series[li]
-		h.Write(binary.LittleEndian.AppendUint64(b, uint64(len(s))))
-		for _, e := range s {
-			h.Write(binary.LittleEndian.AppendUint64(blk[:0], uint64(uint32(e.Slot))|uint64(uint32(e.Count))<<32))
-		}
-		b = blk[:0]
-	}
-	h.Write(b) // the view's header, when no function carried it
-	return h.Sum64()
-}
 
 func hashU64(h io.Writer, v uint64) {
 	var buf [8]byte
@@ -124,16 +87,15 @@ func hashU64(h io.Writer, v uint64) {
 }
 
 // shardFileFixed is a shard file's size beside its columns' payloads: the
-// header after the magic (36 bytes), each column block's id, length and CRC
-// (16 bytes), the footer magic and the file CRC.
-const shardFileFixed = 36 + 16*numColumns + len(storeFooterMagic) + 4
+// header after the magic (28 bytes), each column block's id and length (12
+// bytes), the footer magic and the file CRC.
+const shardFileFixed = 28 + 12*numColumns + len(storeFooterMagic) + 4
 
 // encodeShardFile serializes one full (unsplit) shard view into the
 // columnar format. events is the total event count across the shard's
-// series; fp is the shard's content fingerprint. The file is encoded into
-// dst's storage when it fits there, and otherwise into one allocation
-// sized to the file exactly.
-func encodeShardFile(dst []byte, sv *ShardView, shards int, events int64, fp uint64) []byte {
+// series. The file is encoded into dst's storage when it fits there, and
+// otherwise into one allocation sized to the file exactly.
+func encodeShardFile(dst []byte, sv *ShardView, shards int, events int64) []byte {
 	nf := len(sv.Functions)
 	apps, users, trigs := make([]string, nf), make([]string, nf), make([]string, nf)
 	// Globals, name lengths and series lengths are 4 bytes per function;
@@ -154,7 +116,6 @@ func encodeShardFile(dst []byte, sv *ShardView, shards int, events int64, fp uin
 	e.U32(uint32(sv.Slots))
 	e.U32(uint32(nf))
 	e.U64(uint64(events))
-	e.U64(fp)
 
 	// block frames what fill appends as one column: the length is patched in
 	// once the payload is there to measure.
@@ -163,9 +124,7 @@ func encodeShardFile(dst []byte, sv *ShardView, shards int, events int64, fp uin
 		at := len(e.B)
 		e.U64(0)
 		fill()
-		payload := e.B[at+8:]
-		binary.LittleEndian.PutUint64(e.B[at:], uint64(len(payload)))
-		e.U32(durable.Checksum(payload))
+		binary.LittleEndian.PutUint64(e.B[at:], uint64(len(e.B)-at-8))
 	}
 
 	block(colGlobals, func() {
@@ -205,12 +164,27 @@ func encodeShardFile(dst []byte, sv *ShardView, shards int, events int64, fp uin
 	return e.Seal()
 }
 
+// sealCRC returns a sealed file's CRC-32C, its last 4 bytes (0 for a file
+// too short to hold one).
+func sealCRC(file []byte) uint32 {
+	if len(file) < 4 {
+		return 0
+	}
+	return binary.LittleEndian.Uint32(file[len(file)-4:])
+}
+
 // decodeShardFile verifies and decodes one shard file. Any failure returns
-// an error wrapping ErrStoreCorrupt; wantShard/wantShards/wantSlots come
-// from the manifest, so a renamed or cross-store file is rejected too.
-func decodeShardFile(data []byte, wantShard, wantShards, wantSlots int, wantFP uint64) (*ShardView, error) {
+// an error wrapping ErrStoreCorrupt. want is the manifest's record of the
+// file: a file of another length or seal CRC — one renamed, swapped, copied
+// from another store or rewritten and sealed again — is rejected before it
+// is unsealed. wantShard/wantShards/wantSlots come from the manifest too.
+func decodeShardFile(data []byte, wantShard, wantShards, wantSlots int, want storeShardMeta) (*ShardView, error) {
 	corrupt := func(format string, args ...any) error {
 		return fmt.Errorf("%w: shard %d: %s", ErrStoreCorrupt, wantShard, fmt.Sprintf(format, args...))
+	}
+	if int64(len(data)) != want.Bytes || sealCRC(data) != want.CRC {
+		return nil, corrupt("file (%d bytes, CRC %08x) is not the one the manifest records (%d bytes, CRC %08x)",
+			len(data), sealCRC(data), want.Bytes, want.CRC)
 	}
 	body, err := durable.Unseal(data, storeMagic)
 	if err != nil {
@@ -228,32 +202,27 @@ func decodeShardFile(data []byte, wantShard, wantShards, wantSlots int, wantFP u
 	slots := int(d.U32())
 	nf := int(d.U32())
 	events := int64(d.U64())
-	fp := d.U64()
 	if err := d.Err(); err != nil {
 		return nil, corrupt("%v", err)
 	}
-	if shard != wantShard || shards != wantShards || slots != wantSlots || fp != wantFP {
-		return nil, corrupt("header (shard %d/%d, slots %d, fp %016x) contradicts manifest (shard %d/%d, slots %d, fp %016x)",
-			shard, shards, slots, fp, wantShard, wantShards, wantSlots, wantFP)
+	if shard != wantShard || shards != wantShards || slots != wantSlots {
+		return nil, corrupt("header (shard %d/%d, slots %d) contradicts manifest (shard %d/%d, slots %d)",
+			shard, shards, slots, wantShard, wantShards, wantSlots)
 	}
 	if events < 0 || events > int64(len(body)/8) {
 		return nil, corrupt("event count %d exceeds payload", events)
 	}
 
-	// Column blocks, fixed order, each CRC-verified before decoding.
-	payloads := make(map[uint32][]byte, numColumns)
-	for _, want := range []uint32{colGlobals, colNames, colApps, colUsers, colTriggers, colSeriesLens, colEventSlots, colEventCounts} {
+	// Column blocks, in fixed order.
+	var payloads [numColumns + 1][]byte
+	for want := colGlobals; want <= numColumns; want++ {
 		id := d.U32()
 		payload := d.Take(d.Count(int64(d.U64()), 1))
-		blockSum := d.U32()
 		if err := d.Err(); err != nil {
 			return nil, corrupt("%v", err)
 		}
 		if id != want {
 			return nil, corrupt("column block %d out of order (want %d)", id, want)
-		}
-		if durable.Checksum(payload) != blockSum {
-			return nil, corrupt("column block %d checksum mismatch", id)
 		}
 		payloads[id] = payload
 	}
@@ -355,18 +324,16 @@ func decodeShardFile(data []byte, wantShard, wantShards, wantSlots int, wantFP u
 		off += lens[i]
 	}
 
-	sv := &ShardView{Trace: sub, Index: shard, Global: global}
-	if got := sv.ContentHash(); got != fp {
-		return nil, corrupt("content fingerprint %016x does not match header %016x", got, fp)
-	}
-	return sv, nil
+	return &ShardView{Trace: sub, Index: shard, Global: global}, nil
 }
 
-// storeShardMeta is one shard's manifest record.
+// storeShardMeta is one shard's manifest record: its function and event
+// counts, and its file's length and seal CRC-32C.
 type storeShardMeta struct {
 	Functions int
 	Events    int64
-	ContentFP uint64
+	Bytes     int64
+	CRC       uint32
 }
 
 // Store is an opened, manifest-verified columnar shard store. It is an
@@ -385,9 +352,10 @@ type Store struct {
 // encodeManifest serializes the store manifest:
 //
 //	magic[8] | version u32 | shards u32 | functions u64 | slots u32 |
-//	per shard (functions u32 | events u64 | contentFP u64) | CRC-32C u32
+//	per shard (functions u32 | events u64 | file bytes u64 | file CRC u32) |
+//	CRC-32C u32
 func encodeManifest(s *Store) []byte {
-	e := durable.NewEnc(storeManifestTag, 32+20*len(s.meta))
+	e := durable.NewEnc(storeManifestTag, 32+24*len(s.meta))
 	e.U32(storeVersion)
 	e.U32(uint32(s.shards))
 	e.U64(uint64(s.functions))
@@ -395,7 +363,8 @@ func encodeManifest(s *Store) []byte {
 	for _, m := range s.meta {
 		e.U32(uint32(m.Functions))
 		e.U64(uint64(m.Events))
-		e.U64(m.ContentFP)
+		e.U64(uint64(m.Bytes))
+		e.U32(m.CRC)
 	}
 	return e.Seal()
 }
@@ -423,13 +392,14 @@ func decodeManifest(data []byte) (*Store, error) {
 	if s.shards <= 0 || s.functions < 0 || s.slots < 0 {
 		return nil, corrupt("implausible header (shards %d, functions %d, slots %d)", s.shards, s.functions, s.slots)
 	}
-	s.meta = make([]storeShardMeta, d.Count(int64(s.shards), 20))
+	s.meta = make([]storeShardMeta, d.Count(int64(s.shards), 24))
 	total := 0
 	for i := range s.meta {
 		s.meta[i] = storeShardMeta{
 			Functions: int(d.U32()),
 			Events:    d.I64(),
-			ContentFP: d.U64(),
+			Bytes:     d.I64(),
+			CRC:       d.U32(),
 		}
 		total += s.meta[i].Functions
 	}
@@ -445,8 +415,9 @@ func decodeManifest(data []byte) (*Store, error) {
 // OpenStore opens and verifies a columnar shard store directory: the
 // manifest must decode (magic, version, checksum, structural consistency)
 // and every shard file it names must exist. Shard contents are verified
-// lazily by ShardTrace — per-block and whole-file CRCs on every read — so
-// opening a large store stays O(P). A missing or failing store returns an
+// lazily by ShardTrace — the file's length and seal CRC against the
+// manifest, then its CRC over every byte, on every read — so opening a
+// large store stays O(P). A missing or failing store returns an
 // error wrapping ErrStoreCorrupt (a missing directory reports
 // os.ErrNotExist too); re-ingest the CSV to rebuild it.
 func OpenStore(dir string) (*Store, error) { return OpenStoreFS(dir, durable.OS{}) }
@@ -493,7 +464,7 @@ func (s *Store) ShardTrace(i int) (*ShardView, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrStoreCorrupt, err)
 	}
-	return decodeShardFile(data, i, s.shards, s.slots, s.meta[i].ContentFP)
+	return decodeShardFile(data, i, s.shards, s.slots, s.meta[i])
 }
 
 // Source returns a sim.Source view of the store with the trace split at
@@ -539,14 +510,15 @@ func (ss *StoreSource) Shard(i int) (train, sim *ShardView, err error) {
 }
 
 // ShardFingerprint implements sim.SourceFingerprint without touching the
-// shard file: the manifest's content fingerprint plus the split point
-// uniquely determine the train/sim pair Shard returns. No engine reads it;
-// it stays only because the benchmark asserts that its traced source
-// forwards sim.SourceFingerprint.
+// shard file: the manifest's record of the file (its seal CRC and length)
+// plus the split point determine the train/sim pair Shard returns. No
+// engine reads it; it stays only because the benchmark asserts that its
+// traced source forwards sim.SourceFingerprint.
 func (ss *StoreSource) ShardFingerprint(i int) uint64 {
 	h := fnv.New64a()
 	io.WriteString(h, fpDomainShard)
-	hashU64(h, ss.store.meta[i].ContentFP)
+	hashU64(h, uint64(ss.store.meta[i].CRC))
+	hashU64(h, uint64(ss.store.meta[i].Bytes))
 	hashU64(h, uint64(ss.trainSlots))
 	hashU64(h, uint64(ss.store.slots))
 	return h.Sum64()

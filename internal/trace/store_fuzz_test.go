@@ -15,8 +15,8 @@ import (
 // bytes they did not write, an error wrapping ErrStoreCorrupt or the value
 // that re-encodes to exactly those bytes — never a panic, never a wrong
 // value. The fuzz input is a file's body; the targets seal it in a fresh
-// envelope (and a shard body's column blocks in fresh block checksums), so
-// mutations reach the structural checks instead of all failing the CRC.
+// envelope, so mutations reach the structural checks instead of all failing
+// the CRC.
 
 // storeFuzzSeeds ingests a small two-shard store and returns its shard and
 // manifest bodies, each whole and truncated.
@@ -66,37 +66,13 @@ func seal(magic string, body []byte) []byte {
 	return e.Seal()
 }
 
-// sealShardBody gives a shard body's column blocks fresh checksums, as far as
-// their frames lie inside it, and seals it.
-func sealShardBody(body []byte) []byte {
-	body = bytes.Clone(body)
-	end := len(body) - len(storeFooterMagic)
-	at := 36 // the header after the magic
-	for range numColumns {
-		if at+16 > end {
-			break
-		}
-		n := binary.LittleEndian.Uint64(body[at+4:])
-		if n > uint64(end-at-16) {
-			break
-		}
-		payload := body[at+12 : at+12+int(n)]
-		binary.LittleEndian.PutUint32(body[at+12+int(n):], durable.Checksum(payload))
-		at += 16 + int(n)
-	}
-	return seal(storeMagic, body)
-}
-
-// headerField reads the little-endian header field at off of a shard body,
-// zero past its end.
-func headerField(body []byte, off, size int) uint64 {
-	if off+size > len(body) {
+// headerField reads the little-endian u32 header field at off of a shard
+// body, zero past its end.
+func headerField(body []byte, off int) int {
+	if off+4 > len(body) {
 		return 0
 	}
-	if size == 4 {
-		return uint64(binary.LittleEndian.Uint32(body[off:]))
-	}
-	return binary.LittleEndian.Uint64(body[off:])
+	return int(binary.LittleEndian.Uint32(body[off:]))
 }
 
 func FuzzDecodeShardFile(f *testing.F) {
@@ -105,12 +81,11 @@ func FuzzDecodeShardFile(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
-		// The manifest's expectations are taken from the body's own header,
-		// so a mutated header still reaches the columns.
-		shard, nShards := int(headerField(body, 4, 4)), int(headerField(body, 8, 4))
-		slots, fp := int(headerField(body, 12, 4)), headerField(body, 28, 8)
-		data := sealShardBody(body)
-		sv, err := decodeShardFile(data, shard, nShards, slots, fp)
+		// The manifest's expectations are taken from the body's own header
+		// and the sealed file, so a mutated header still reaches the columns.
+		shard, nShards, slots := headerField(body, 4), headerField(body, 8), headerField(body, 12)
+		data := seal(storeMagic, body)
+		sv, err := decodeShardFile(data, shard, nShards, slots, storeShardMeta{Bytes: int64(len(data)), CRC: sealCRC(data)})
 		if err != nil {
 			if !errors.Is(err, ErrStoreCorrupt) || sv != nil {
 				t.Fatalf("error %v (view %v) is not a bare ErrStoreCorrupt", err, sv)
@@ -121,7 +96,7 @@ func FuzzDecodeShardFile(f *testing.F) {
 		for _, s := range sv.Series {
 			events += int64(len(s))
 		}
-		if again := encodeShardFile(nil, sv, nShards, events, fp); !bytes.Equal(again, data) {
+		if again := encodeShardFile(nil, sv, nShards, events); !bytes.Equal(again, data) {
 			t.Fatalf("decoded shard re-encodes to %d bytes that differ from its %d-byte file", len(again), len(data))
 		}
 	})

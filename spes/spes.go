@@ -154,8 +154,9 @@ func RunStreamed(policy Policy, src Source, opts Options) (*Result, error) {
 // times without re-parsing the CSV.
 type (
 	// TraceStore is an on-disk columnar shard store built by IngestTraceCSV:
-	// one verified (CRC-32C per column block and per file) columnar file per
-	// app/user-closed shard plus a manifest. Open it with OpenTraceStore.
+	// one verified columnar file per app/user-closed shard (a CRC-32C over
+	// each file, recorded in the manifest) plus the manifest. Open it with
+	// OpenTraceStore.
 	TraceStore = trace.Store
 	// TraceStoreSource adapts a TraceStore to the streamed simulation engine
 	// (Source) at a chosen train/sim split.
