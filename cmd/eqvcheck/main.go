@@ -4,8 +4,9 @@
 // and any mismatch exits 1. Workloads come through experiments.Open, so the
 // doors under comparison are the doors users get.
 //
-// By default SPES's dense reference is held against the event and sharded
-// engines. -stream adds the streamed engine. -capacity adds FaaSCache and
+// By default SPES's dense reference is held against the event engine, the
+// default engine (sim.Options.Shards 0: GOMAXPROCS shards) and the sharded
+// engine. -stream adds the streamed engine. -capacity adds FaaSCache and
 // LCS across shard counts {2, 5, 16}; -streamonly never materializes;
 // -ingest holds one Azure-format CSV's store doors to its materialized run.
 // Each flag's help says the rest:
@@ -124,7 +125,7 @@ func parse(args []string) (*config, error) {
 		c.m.Rows = append(c.m.Rows, eqv.Row{Policies: eqv.Capacity(c.pool), Ref: eqv.Event,
 			Engines: []eqv.Engine{door(2), door(5), door(16)}})
 	}
-	engines := []eqv.Engine{eqv.Event}
+	engines := []eqv.Engine{eqv.Event, eqv.Default}
 	if p > 1 {
 		engines = append(engines, eqv.Sharded(p))
 	}

@@ -33,9 +33,9 @@ func describe(c *config) string {
 func TestParseCIInvocations(t *testing.T) {
 	const (
 		capStream = "FaaSCache,LCS: event -> [streamed x2 streamed x5 streamed x16]"
-		spes2     = "SPES: dense -> [event sharded x2 streamed x2]"
-		spes3     = "SPES: dense -> [event sharded x3 streamed x3]"
-		spes4     = "SPES: dense -> [event sharded x4 streamed x4]"
+		spes2     = "SPES: dense -> [event default sharded x2 streamed x2]"
+		spes3     = "SPES: dense -> [event default sharded x3 streamed x3]"
+		spes4     = "SPES: dense -> [event default sharded x4 streamed x4]"
 	)
 	for _, c := range []struct{ args, want string }{
 		{"-stream -capacity",
@@ -62,10 +62,10 @@ func TestParseCIInvocations(t *testing.T) {
 		// Not in CI: the default, and -capacity over the materialized pair.
 		{"",
 			`fn=400 days=6/8 sparse=false seeds=[1 2 3] scenario="" retrain=0 trace="" pool=133 maxheap=0` +
-				"\nSPES: dense -> [event sharded x4]"},
+				"\nSPES: dense -> [event default sharded x4]"},
 		{"-capacity -shards 0 -seeds 1",
 			`fn=400 days=6/8 sparse=false seeds=[1] scenario="" retrain=0 trace="" pool=133 maxheap=0` +
-				"\nFaaSCache,LCS: event -> [sharded x2 sharded x5 sharded x16]\nSPES: dense -> [event]"},
+				"\nFaaSCache,LCS: event -> [sharded x2 sharded x5 sharded x16]\nSPES: dense -> [event default]"},
 	} {
 		cfg, err := parse(strings.Fields(c.args))
 		if err != nil {

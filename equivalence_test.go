@@ -66,10 +66,11 @@ func checkMatrix(t *testing.T, m eqv.Matrix) {
 }
 
 // TestSPESEventEngineEquivalence: SPES in every scheduling engine ×
-// accounting mode against the dense, scan-accounted reference.
+// accounting mode, the default engine (GOMAXPROCS shards) included, against
+// the dense, scan-accounted reference.
 func TestSPESEventEngineEquivalence(t *testing.T) {
 	check(t, small("", 1, 2, 3), []eqv.Policy{eqv.SPES()}, eqv.DenseByScan,
-		eqv.Event, eqv.Scan, eqv.Dense, eqv.Sharded(2), eqv.Sharded(5),
+		eqv.Event, eqv.Default, eqv.Scan, eqv.Dense, eqv.Sharded(2), eqv.Sharded(5),
 		eqv.Streamed(1), eqv.Streamed(2), eqv.Streamed(5))
 }
 
@@ -93,9 +94,9 @@ func ablated(name string, off func(*core.Config)) eqv.Policy {
 	return eqv.Policy{Name: "SPES " + name, New: func() sim.Policy { return core.New(cfg) }}
 }
 
-// TestAblationShardedEquivalence: each ablation switch, run 4 shards wide
-// alone and under one RunAll as the figure runners run it, against its
-// unsharded run.
+// TestAblationShardedEquivalence: each ablation switch, run by the default
+// engine, 4 shards wide alone and under one RunAll as the figure runners
+// run it, against its unsharded run.
 func TestAblationShardedEquivalence(t *testing.T) {
 	t.Parallel()
 	check(t, small("", 1, 2), []eqv.Policy{
@@ -103,7 +104,7 @@ func TestAblationShardedEquivalence(t *testing.T) {
 		ablated("w/o Online-Corr", func(c *core.Config) { c.DisableOnlineCorr = true }),
 		ablated("w/o Forgetting", func(c *core.Config) { c.DisableForgetting = true }),
 		ablated("w/o Adjusting", func(c *core.Config) { c.DisableAdjusting = true }),
-	}, eqv.Event, eqv.Sharded(4), eqv.RunAll(4))
+	}, eqv.Event, eqv.Default, eqv.Sharded(4), eqv.RunAll(4))
 }
 
 // TestShardedBaselineEquivalence: every baseline under Options.Shards
@@ -175,12 +176,13 @@ func TestBaselineDeltaAccountingEquivalence(t *testing.T) {
 }
 
 // TestWheelBaselineEquivalence: each wheel-backed baseline's delta log and
-// idle-span skipping against its scan-accounted run, and Fixed against its
-// closed-form oracle. Wheel ≡ per-slot map is internal/sched's model test.
+// idle-span skipping, on its own engine and on the default one, against its
+// scan-accounted run, and Fixed against its closed-form oracle. Wheel ≡
+// per-slot map is internal/sched's model test.
 func TestWheelBaselineEquivalence(t *testing.T) {
 	t.Parallel()
 	for _, scenario := range []string{"drift", "flashcrowd"} {
-		check(t, small(scenario, 1, 2), eqv.Wheel(), eqv.Scan, eqv.Event, eqv.Sharded(3), eqv.Streamed(2), eqv.Oracle)
+		check(t, small(scenario, 1, 2), eqv.Wheel(), eqv.Scan, eqv.Event, eqv.Default, eqv.Sharded(3), eqv.Streamed(2), eqv.Oracle)
 	}
 }
 
@@ -206,7 +208,7 @@ func TestScenarioRetrainEquivalence(t *testing.T) {
 		for _, retrainEvery := range []int{0, 1440} {
 			w := small(scenario, 1, 2)
 			w.RetrainEvery = retrainEvery
-			check(t, w, []eqv.Policy{eqv.SPES()}, eqv.DenseByScan, eqv.Event, eqv.Dense, eqv.Sharded(3),
+			check(t, w, []eqv.Policy{eqv.SPES()}, eqv.DenseByScan, eqv.Event, eqv.Default, eqv.Dense, eqv.Sharded(3),
 				eqv.Streamed(2))
 		}
 	}

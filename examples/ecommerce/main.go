@@ -90,11 +90,13 @@ func main() {
 		}
 		fmt.Printf("%-12s  cold=%4d/%5d  wasted=%6d min  mean-loaded=%.2f\n",
 			res.Policy, res.TotalColdStarts, res.TotalInvokedSlot, res.TotalWMT, res.MeanLoaded())
-		if s, ok := policy.(*spes.SPES); ok {
+		// SPES labels each function; Run cloned policy per shard, so the
+		// labels come from the Result.
+		if res.Types != nil {
 			for f := 0; f < tr.NumFunctions(); f++ {
 				m := res.PerFunc[f]
 				fmt.Printf("    %-16s type=%-14s cold=%3d/%4d wasted=%d\n",
-					tr.Functions[f].Name, s.TypeOf(spes.FuncID(f)),
+					tr.Functions[f].Name, res.Types[f],
 					m.ColdStarts, m.InvokedSlot, m.WMTMinutes)
 			}
 		}

@@ -36,11 +36,12 @@ func main() {
 	fmt.Printf("wasted memory time:   %d instance-minutes\n", res.TotalWMT)
 	fmt.Printf("memory effectiveness: %.1f%% (EMCR)\n", 100*res.EMCR())
 
-	// 4. SPES tags every function with its mined category.
+	// 4. SPES tags every function with its mined category. The run cloned
+	// policy once per population shard, so the labels come from the Result.
 	fmt.Println("\ncategory census:")
 	census := map[string]int{}
-	for f := 0; f < res.Functions; f++ {
-		census[policy.TypeOf(spes.FuncID(f))]++
+	for _, label := range res.Types {
+		census[label]++
 	}
 	for _, label := range slices.Sorted(maps.Keys(census)) {
 		fmt.Printf("  %-15s %d\n", label, census[label])

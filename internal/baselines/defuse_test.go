@@ -27,7 +27,8 @@ func TestDefuseMinesDependencies(t *testing.T) {
 	full := dependencyTrace(4 * 1440)
 	train, simTr := full.Split(4 * 1440)
 	p := NewDefuse()
-	res, err := sim.Run(p, train, simTr, sim.Options{})
+	// The single-population engine trains p itself, not a shard clone.
+	res, err := sim.Run(p, train, simTr, sim.Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,16 +63,26 @@ func allocated(fn func()) (bytes, objects uint64) {
 	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }
 
+// drainScratch empties the scratch free list, so the next Categorize call
+// starts on fresh scratch.
+func drainScratch() {
+	for len(scratchFree) > 0 {
+		<-scratchFree
+	}
+}
+
 // TestCategorizeAllocationBudget holds Categorize to allocating what escapes
-// it. One serial call over the QuickSettings training trace may allocate at
-// most four times the bytes of its result (Outcome.Profiles plus every
-// profile's Values and Links), plus its scratch's high-water mark, plus the
-// app/user peer index trace builds for it; and the heap objects it creates
-// must stay a small constant per function. A per-function slice creeping
-// back into the pass — a float copy, a sorted copy, a slot list — breaks
-// the first bound on bytes or the second on objects. A second call through
-// the same Categorizer — what core.SPES makes at every retrain boundary —
-// must not pay for its scratch again.
+// it. One serial call over the QuickSettings training trace, on fresh
+// scratch, may allocate at most four times the bytes of its result
+// (Outcome.Profiles plus every profile's Values and Links), plus its
+// scratch's high-water mark, plus the app/user peer index trace builds for
+// it; and the heap objects it creates must stay a small constant per
+// function. A per-function slice creeping back into the pass — a float
+// copy, a sorted copy, a slot list — breaks the first bound on bytes or the
+// second on objects. A second, separate call — what core.SPES makes at
+// every retrain boundary, and each shard's instance in Train — must not pay
+// for its scratch again: it borrows the one the first returned to the free
+// list.
 func TestCategorizeAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -87,9 +97,14 @@ func TestCategorizeAllocationBudget(t *testing.T) {
 		train.UserFunctions()
 	})
 
-	var c Categorizer
+	drainScratch()
 	var out *Outcome
-	bytes, objects := allocated(func() { out = c.Categorize(train, cfg, false, false) })
+	bytes, objects := allocated(func() { out = Categorize(train, cfg, false, false) })
+	if len(scratchFree) != 1 {
+		t.Fatalf("%d scratches on the free list after a one-worker call, want the one it borrowed", len(scratchFree))
+	}
+	w := <-scratchFree
+	scratchFree <- w
 
 	escaping := sliceBytes(out.Profiles)
 	for _, p := range out.Profiles {
@@ -97,7 +112,7 @@ func TestCategorizeAllocationBudget(t *testing.T) {
 	}
 	// Scratch buffers at least double when they grow (sized), so the ones
 	// outgrown on the way cost less than the high-water mark again.
-	scratchBytes := sliceBytes(c.ws) + c.ws[0].footprint()
+	scratchBytes := uint64(unsafe.Sizeof(*w)) + w.footprint()
 	budget := 4*escaping + 2*scratchBytes + peerIndex
 	t.Logf("allocated %d B in %d objects over %d functions; escaping %d B, scratch %d B, peer index %d B, budget %d B",
 		bytes, objects, n, escaping, scratchBytes, peerIndex, budget)
@@ -111,12 +126,12 @@ func TestCategorizeAllocationBudget(t *testing.T) {
 			objects, n, objectsPerFunction)
 	}
 
-	// A second call on the grown scratch allocates only what escapes, the
-	// peer index and the leftover lists.
-	again, _ := allocated(func() { c.Categorize(train, cfg, false, false) })
+	// A second call borrows the grown scratch and allocates only what
+	// escapes, the peer index and the leftover lists.
+	again, _ := allocated(func() { Categorize(train, cfg, false, false) })
 	t.Logf("warm call allocated %d B", again)
 	if steady := 2*escaping + peerIndex; again > steady {
-		t.Errorf("Categorizer on warm scratch allocated %d B, want at most %d B", again, steady)
+		t.Errorf("a second Categorize call allocated %d B, want at most %d B", again, steady)
 	}
 }
 
@@ -129,11 +144,11 @@ func TestProfilesOwnTheirSlices(t *testing.T) {
 	train := trainingTrace(t, 300, 6, 4)
 	cfg := DefaultConfig()
 	cfg.Workers = 1
-	var c Categorizer
-	first := c.Categorize(train, cfg, false, false)
+	drainScratch()
 	want := Categorize(train, cfg, false, false)
+	first := Categorize(train, cfg, false, false)
 	if !reflect.DeepEqual(first, want) {
-		t.Fatal("a Categorizer's first call differs from Categorize")
+		t.Fatal("a call on borrowed scratch differs from one on fresh scratch")
 	}
 
 	mutated := 0
@@ -169,8 +184,8 @@ func TestProfilesOwnTheirSlices(t *testing.T) {
 		t.Fatal("no profile carried Values or Links")
 	}
 
-	// Scribbling over everything a first call returned, and over the scratch
-	// it ran on, must not reach a second call on the same scratch.
+	// Scribbling over everything a first call returned must not reach a
+	// later call on the scratch it ran on (one worker, one free scratch).
 	for fid := range first.Profiles {
 		p := &first.Profiles[fid]
 		for i := range p.Values {
@@ -180,7 +195,7 @@ func TestProfilesOwnTheirSlices(t *testing.T) {
 			p.Links[i] = Link{Cand: -7, Lag: -7}
 		}
 	}
-	if second := c.Categorize(train, cfg, false, false); !reflect.DeepEqual(second, want) {
+	if second := Categorize(train, cfg, false, false); !reflect.DeepEqual(second, want) {
 		t.Fatal("a second Categorize on the same scratch saw the first call's mutated profiles")
 	}
 }

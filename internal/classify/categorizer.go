@@ -37,36 +37,24 @@ const maxLinks = 5
 // strategy (Fig. 14's "w/o Corr"), disableForgetting skips the forgetting
 // rule (Fig. 15's "w/o Forgetting").
 //
-// Categorize is the one-shot form of Categorizer.Categorize: it runs on
-// fresh worker scratch, which it drops on return.
+// The call allocates what escapes it — Outcome.Profiles and each kept
+// profile's Values and Links — plus the peer index and, when no scratch is
+// free or a function needs more room than the scratch it borrowed has,
+// worker scratch; every per-function intermediate lives in scratch, and
+// invoked-slot lists are read straight off training.Series. Each FanOut
+// worker borrows one scratch from the process-wide free list (scratchFree)
+// at its first item and returns it when the call ends, so a policy that
+// categorizes at every retrain boundary, or one instance per shard, grows
+// the buffers once per concurrent worker rather than once per call or per
+// instance. Nothing returned points into scratch. Categorize is safe for
+// concurrent use.
 func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableForgetting bool) *Outcome {
-	return new(Categorizer).Categorize(training, cfg, disableCorrelation, disableForgetting)
-}
-
-// Categorizer runs Categorize over worker scratch it keeps between calls, so
-// a policy that categorizes again at every retrain boundary grows its
-// per-worker buffers once instead of on every call. The zero value is ready
-// to use; a Categorizer is not safe for concurrent use.
-type Categorizer struct {
-	ws []scratch
-}
-
-// Categorize is the package-level Categorize over c's scratch. The call
-// allocates what escapes it — Outcome.Profiles and each kept profile's
-// Values and Links — plus the peer index and, on a call that needs more
-// room than any before it, scratch; every per-function intermediate lives
-// in scratch, and invoked-slot lists are read straight off training.Series.
-// Nothing returned points into c.
-func (c *Categorizer) Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableForgetting bool) *Outcome {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if len(c.ws) < workers {
-		c.ws = append(c.ws, make([]scratch, workers-len(c.ws))...)
-	}
-	ws := c.ws[:workers]
-
+	ws := make([]*scratch, workers)
+	defer putScratches(ws)
 	n := training.NumFunctions()
 	out := &Outcome{Profiles: make([]Profile, n)}
 	valStart := int(float64(training.Slots) * (1 - cfg.ValidationFrac))
@@ -86,7 +74,7 @@ func (c *Categorizer) Categorize(training *trace.Trace, cfg Config, disableCorre
 	chunks := (n + chunk - 1) / chunk
 	indetFids := make([][]trace.FuncID, chunks)
 	trace.FanOut(workers, chunks, func(wi, k int) error {
-		w := &ws[wi]
+		w := borrow(ws, wi)
 		lo, hi := k*chunk, (k+1)*chunk
 		if hi > n {
 			hi = n
@@ -140,7 +128,7 @@ func (c *Categorizer) Categorize(training *trace.Trace, cfg Config, disableCorre
 	// Validation fires are the suffix of a series from valStart on, rebased
 	// as they are read.
 	trace.FanOut(workers, len(indeterminate), func(wi, i int) error {
-		w := &ws[wi]
+		w := borrow(ws, wi)
 		fid := indeterminate[i]
 		s := training.Series[fid]
 		act := w.extractWindow(s, 0, training.Slots)
@@ -156,11 +144,6 @@ func (c *Categorizer) Categorize(training *trace.Trace, cfg Config, disableCorre
 			training.Slots-valStart, links, cands[:len(links)], cfg)
 		return nil
 	})
-	// The lag scanners' last target and candidate are views of training,
-	// which the caller may reuse once this returns.
-	for i := range ws {
-		ws[i].lags.reset(nil)
-	}
 	return out
 }
 

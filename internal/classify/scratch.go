@@ -1,13 +1,18 @@
 package classify
 
-import "repro/internal/stats"
+import (
+	"runtime"
+
+	"repro/internal/stats"
+)
 
 // scratch is one worker's reusable working memory for the offline pass.
-// A Categorizer keeps one per worker across calls, indexed by trace.FanOut's
-// worker index, so every item a worker takes reuses it: the per-function
-// intermediates — extracted activity, slack-variant distributions, frequency
-// tables, pre-load spans — cost an allocation only when a function needs more room than any
-// before it on that worker, in this call or an earlier one.
+// A Categorize call's trace.FanOut worker borrows one from scratchFree for
+// the whole call, so every item the worker takes reuses it: the
+// per-function intermediates — extracted activity, slack-variant
+// distributions, frequency tables, pre-load spans — cost an allocation only
+// when a function needs more room than any before it on that scratch, in
+// this call or an earlier one.
 //
 // Ownership rule: nothing reachable from a Profile may point into scratch.
 // A buffer's contents are meaningless once the step that filled it returns
@@ -40,6 +45,46 @@ type scratch struct {
 	// equals the current generation. Sized to the population on first use.
 	seen    []uint32
 	seenGen uint32
+}
+
+// scratchFree holds the scratch of returned Categorize calls for the next
+// call's workers. Like trace.FanOut's free list of call state it is
+// process-wide and not emptied by a collection, so a warm process's calls
+// allocate no scratch. At most GOMAXPROCS+1 workers categorize at once —
+// FanOut's GOMAXPROCS helper tokens plus the outermost caller — so it holds
+// that many; past it a returned scratch is dropped.
+var scratchFree = make(chan *scratch, runtime.GOMAXPROCS(0)+1)
+
+// borrow returns worker wi's scratch of a call, taking a free one, or a new
+// one when none is free, at the worker's first item: a worker index stays
+// one goroutine's for a whole FanOut call, and a call's two passes run one
+// after the other.
+func borrow(ws []*scratch, wi int) *scratch {
+	if ws[wi] == nil {
+		select {
+		case ws[wi] = <-scratchFree:
+		default:
+			ws[wi] = new(scratch)
+		}
+	}
+	return ws[wi]
+}
+
+// putScratches returns every scratch a call's workers borrowed to the free
+// list. A lag scanner's last target and candidate are views of the call's
+// training trace, which the caller may reuse once Categorize returns, so
+// they are dropped first.
+func putScratches(ws []*scratch) {
+	for _, w := range ws {
+		if w == nil {
+			continue
+		}
+		w.lags.reset(nil)
+		select {
+		case scratchFree <- w:
+		default:
+		}
+	}
 }
 
 // span is an inclusive slot range a strategy holds the target pre-loaded for.

@@ -17,11 +17,12 @@ func periodicEvents(slots, period, phase int) []trace.Event {
 	return out
 }
 
-// runSPES trains and simulates SPES over the given traces.
+// runSPES trains and simulates SPES over the given traces on the
+// single-population engine, which trains and ticks the instance it returns.
 func runSPES(t *testing.T, cfg Config, train, simTr *trace.Trace) (*SPES, *sim.Result) {
 	t.Helper()
 	policy := New(cfg)
-	res, err := sim.Run(policy, train, simTr, sim.Options{})
+	res, err := sim.Run(policy, train, simTr, sim.Options{Shards: 1})
 	if err != nil {
 		t.Fatalf("sim.Run: %v", err)
 	}

@@ -69,18 +69,22 @@ type Engine struct {
 }
 
 const (
-	materialized = iota // the train/sim pair in memory; shards > 1 sets sim.Options.Shards
+	materialized = iota // the train/sim pair in memory; shards sets sim.Options.Shards
 	streamed            // a generator source of that many shards
 	storeCold           // Workload.Trace ingested into a columnar store that many shards wide
 	storeWarm           // that store reopened; its storeCold must have run first
 )
 
+// The references run with Options.Shards 1, the single-population engine:
+// at Shards 0 a sharded policy would shard GOMAXPROCS ways, and a row would
+// compare sharded results with sharded results.
 var (
-	Event       = Engine{}           // the policy as shipped, unsharded
-	Scan        = Engine{scan: true} // scan-derived accounting, every slot ticked
-	Dense       = Engine{impl: 1}    // the per-slot reference twin
-	DenseByScan = Engine{impl: 1, scan: true}
-	Oracle      = Engine{impl: 2} // the independent closed form
+	Event       = Engine{shards: 1}             // the policy as shipped, unsharded
+	Scan        = Engine{scan: true, shards: 1} // scan-derived accounting, every slot ticked
+	Dense       = Engine{impl: 1, shards: 1}    // the per-slot reference twin
+	DenseByScan = Engine{impl: 1, scan: true, shards: 1}
+	Oracle      = Engine{impl: 2, shards: 1} // the independent closed form
+	Default     = Engine{}                   // the policy as shipped, Options.Shards 0: Run picks the engine
 )
 
 // Sharded, Streamed, StoreCold, StoreWarm and RunAll run p shards wide.
@@ -94,6 +98,9 @@ func (e Engine) String() string {
 	s := [...]string{"event", "dense", "oracle"}[e.impl]
 	if e.scan {
 		s += "+scan"
+	}
+	if e.door == materialized && e.shards == 0 {
+		s = strings.TrimPrefix(s+" default", "event ")
 	}
 	if e.door != materialized || e.shards > 1 {
 		d := fmt.Sprintf("%s x%d", [...]string{"sharded", "streamed", "store (cold)", "store (warm)"}[e.door], e.shards)

@@ -45,7 +45,9 @@ func TestWorkloadDoorsMatchDirectCalls(t *testing.T) {
 	store := t.TempDir()
 
 	direct := func(tr, sm *trace.Trace) func(*testing.T, sim.Policy) (*sim.Result, error) {
-		return func(_ *testing.T, p sim.Policy) (*sim.Result, error) { return sim.Run(p, tr, sm, sim.Options{}) }
+		return func(_ *testing.T, p sim.Policy) (*sim.Result, error) {
+			return sim.Run(p, tr, sm, sim.Options{Shards: 1})
+		}
 	}
 	streamed := func(shards int) func(*testing.T, sim.Policy) (*sim.Result, error) {
 		return func(t *testing.T, p sim.Policy) (*sim.Result, error) {

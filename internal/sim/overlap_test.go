@@ -193,7 +193,9 @@ func TestRetrainOverlapMatchesSerialLoop(t *testing.T) {
 			if c.noTraining {
 				train = nil
 			}
-			opts := sim.Options{RetrainEvery: c.every, RetrainWindow: c.window, Shards: c.shards}
+			// An unsharded case runs the single-population engine, whose
+			// own instance the recording SPES below inspects.
+			opts := sim.Options{RetrainEvery: c.every, RetrainWindow: c.window, Shards: max(c.shards, 1)}
 			for _, p := range policies {
 				if (c.shards > 1 || c.stream) && p.name != "spes" {
 					continue

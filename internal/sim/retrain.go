@@ -17,19 +17,22 @@ func (o Options) retrainEffectiveWindow(training *trace.Trace) int {
 }
 
 // WindowBuilder builds the sliding-window traces handed to Retrainer.Retrain
-// into storage it keeps between builds: one event arena that every
+// into storage it keeps between builds: an event arena that every
 // function's window series is carved from, and the per-function series
-// slice. The arena only grows, to hold the largest window built so far, so
-// a boundary allocates event storage only when its window outgrows every
-// earlier one and otherwise overwrites the arena. The zero value is ready
-// to use; a WindowBuilder is not safe for concurrent use.
+// slice. The arena is a list of blocks that only grows. The first window
+// is sized exactly into one block; a window that outgrows the blocks gets
+// one more, sized to what is left to place plus 1/16 of that window, and
+// no block is ever copied or re-allocated. So a boundary allocates event
+// storage only when its window outgrows the arena, and then only the
+// overflow. The zero value is ready to use; a WindowBuilder is not safe for
+// concurrent use.
 type WindowBuilder struct {
-	arena  []trace.Event
+	blocks [][]trace.Event
 	series []trace.Series
 	// parts holds, per function, the training tail (2·fid) and the
 	// recorded part (2·fid+1) of the window being built: located once,
-	// counted to size the arena, then copied into it. Cleared after each
-	// build so the builder does not pin its inputs.
+	// counted to size the overflow, then copied into the arena. Cleared
+	// after each build so the builder does not pin its inputs.
 	parts []trace.Series
 }
 
@@ -69,23 +72,18 @@ func (b *WindowBuilder) Build(training, recorded *trace.Trace, t, w int) *trace.
 		parts[2*fid], parts[2*fid+1] = head, tail
 		total += len(head) + len(tail)
 	}
-	if total > cap(b.arena) {
-		// A first window is sized exactly. One that outgrows an earlier
-		// window gets 1/16 headroom: while recorded history replaces the
-		// training tail, the daemon's windows grow by up to ~6% a boundary,
-		// and the next few then fit.
-		size := total
-		if cap(b.arena) > 0 {
-			size += total / 16
-		}
-		b.arena = make([]trace.Event, size)
-	}
 	if n > cap(b.series) {
 		b.series = make([]trace.Series, n)
 	}
 	b.series = b.series[:n]
 
-	off := 0
+	// Series are carved from the blocks in order, each whole from one
+	// block: one that does not fit the rest of the current block starts the
+	// next. Past the last block, what is left to place gets a new one with
+	// 1/16 headroom (none for a first window, sized exactly): while
+	// recorded history replaces the training tail, the daemon's windows grow
+	// by up to ~6% a boundary, and the next few then fit.
+	bi, off, left := 0, 0, total
 	for fid := 0; fid < n; fid++ {
 		head, tail := parts[2*fid], parts[2*fid+1]
 		k := len(head) + len(tail)
@@ -93,7 +91,17 @@ func (b *WindowBuilder) Build(training, recorded *trace.Trace, t, w int) *trace.
 			b.series[fid] = nil
 			continue
 		}
-		out := b.arena[off : off+k : off+k]
+		for bi < len(b.blocks) && off+k > len(b.blocks[bi]) {
+			bi, off = bi+1, 0
+		}
+		if bi == len(b.blocks) {
+			size := left
+			if bi > 0 {
+				size += total / 16
+			}
+			b.blocks = append(b.blocks, make([]trace.Event, size))
+		}
+		out := b.blocks[bi][off : off+k : off+k]
 		for i, e := range head {
 			out[i] = trace.Event{Slot: e.Slot - from, Count: e.Count}
 		}
@@ -102,6 +110,7 @@ func (b *WindowBuilder) Build(training, recorded *trace.Trace, t, w int) *trace.
 		}
 		b.series[fid] = out
 		off += k
+		left -= k
 	}
 	clear(parts)
 	return &trace.Trace{Slots: w, Functions: recorded.Functions, Series: b.series}

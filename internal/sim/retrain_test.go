@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -237,6 +238,70 @@ func TestRetrainWindowWarmBuildAllocations(t *testing.T) {
 				w, at, bytes, objects, header)
 		}
 	})
+}
+
+// TestRetrainWindowGrowthAllocatesOverflow pins the arena's growth rule
+// on a population whose every function fires at every slot, so a window of
+// w slots holds n·w events. A window that outgrows the arena by k events
+// allocates one overflow block of at most k events plus 1/16 of the window
+// plus one series, not the window again; a smaller window afterwards
+// allocates nothing but its trace header; and every window equals the
+// Series.Window composition.
+func TestRetrainWindowGrowthAllocatesOverflow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	const n, slots = 100, 1000
+	rec := trace.NewTrace(slots)
+	for f := 0; f < n; f++ {
+		evs := make([]trace.Event, slots)
+		for s := range evs {
+			evs[s] = trace.Event{Slot: int32(s), Count: 1}
+		}
+		rec.AddFunction(fmt.Sprintf("f%d", f), fmt.Sprintf("a%d", f), "u", trace.TriggerHTTP, evs)
+	}
+	var wb WindowBuilder
+	build := func(w int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		win := wb.Build(nil, rec, w, w)
+		runtime.ReadMemStats(&after)
+		for f := range win.Series {
+			if want := compositionWindow(nil, rec, f, w, w); !reflect.DeepEqual(win.Series[f], want) {
+				t.Fatalf("w=%d f%d: window %v, want %v", w, f, win.Series[f], want)
+			}
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	event := uint64(unsafe.Sizeof(trace.Event{}))
+	header := uint64(unsafe.Sizeof(trace.Trace{}))
+	largest := uint64(n * 500)
+	if got := build(500); got < largest*event {
+		t.Fatalf("first window allocated %d B, less than its %d B of events", got, largest*event)
+	}
+	grew := false
+	for _, w := range []int{510, 520, 600, 601} {
+		total := uint64(n * w)
+		k := total - largest
+		largest = total
+		// The overflow block, which the allocator rounds up to whole 8-KiB
+		// pages, the block list's slice and the header.
+		bound := event*(k+total/16+uint64(w)) + 8<<10 + 4*header
+		got := build(w)
+		grew = grew || got > 2*header
+		t.Logf("w=%d: %d events, %d over the last window: allocated %d B, bound %d B", w, total, k, got, bound)
+		if got > bound {
+			t.Errorf("w=%d: a window %d events over the last allocated %d B, want at most %d B", w, k, got, bound)
+		}
+		if smaller := build(w / 2); smaller > 2*header {
+			t.Errorf("w=%d: a smaller window allocated %d B, want at most its %d-B header", w/2, smaller, header)
+		}
+	}
+	if !grew {
+		t.Error("no window outgrew the arena: the growth rule went untested")
+	}
 }
 
 // TestRetrainEffectiveWindowDefaults pins the RetrainWindow resolution

@@ -15,7 +15,8 @@ import (
 // its capacity a tenth of the population, over the capacity workload's
 // 6 000 sparse functions; "spes-dense" is SPES over the paper's 2 000
 // functions. Both simulate a 2-day window. Each iteration trains a fresh
-// policy outside the timer, so it times the run alone.
+// policy outside the timer and runs that instance with Shards 1, so it
+// times the single-population run alone.
 func BenchmarkRunUnsharded(b *testing.B) {
 	cases := []struct {
 		name     string
@@ -40,7 +41,7 @@ func BenchmarkRunUnsharded(b *testing.B) {
 				p := c.policy(simTr.NumFunctions())
 				p.Train(train)
 				b.StartTimer()
-				if _, err := sim.Run(p, nil, simTr, sim.Options{}); err != nil {
+				if _, err := sim.Run(p, nil, simTr, sim.Options{Shards: 1}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -13,11 +13,19 @@ type Options struct {
 	// Shards splits the function population into that many app/user-closed
 	// shards (trace.PartitionFunctions) and simulates one policy instance
 	// per shard concurrently, merging the per-shard results into a Result
-	// bit-identical to the unsharded run. 0 or 1 selects the classic
-	// single-population engine. Shards > 1 requires the policy to implement
+	// bit-identical to the unsharded run. 1 selects the classic
+	// single-population engine, which trains and ticks the instance passed
+	// in. 0, the default, lets Run choose: a ShardedPolicy is sharded
+	// runtime.GOMAXPROCS(0) ways (the single-population engine at
+	// GOMAXPROCS 1), any other policy runs the single-population engine, and
+	// RunAll, whose fan-out over policies already fills the cores, keeps
+	// every policy unsharded. Shards > 1 requires the policy to implement
 	// ShardedPolicy or CapacityPolicy (which cannot shard and runs the
 	// single-population engine regardless, see capacity.go); anything else
-	// refuses with an error wrapping ErrNotShardable.
+	// refuses with an error wrapping ErrNotShardable. A sharded run treats
+	// the policy passed in as a template it clones with NewShard and never
+	// trains or ticks: read the outcome, Result.Types included, from the
+	// Result.
 	Shards int
 
 	// Source, when non-nil, replaces the materialized train/sim trace pair:
@@ -77,7 +85,9 @@ type shardSet struct {
 }
 
 // buildShardSet partitions the population once and materializes the P
-// train/sim shard views.
+// train/sim shard views. A shard's training view shares its simulation
+// view's Functions and Global, as the halves of trace.GenLayout.Shard do:
+// the pair describes one population, so its metadata is re-IDed once.
 func buildShardSet(training, simTrace *trace.Trace, p int) *shardSet {
 	part := trace.PartitionFunctions(simTrace.Functions, p)
 	ss := &shardSet{
@@ -89,9 +99,18 @@ func buildShardSet(training, simTrace *trace.Trace, p int) *shardSet {
 		ss.train = make([]*trace.ShardView, p)
 	}
 	for i := 0; i < p; i++ {
-		ss.sim[i] = simTrace.ShardBy(part, i)
-		if training != nil {
-			ss.train[i] = training.ShardBy(part, i)
+		sv := simTrace.ShardBy(part, i)
+		ss.sim[i] = sv
+		if training == nil {
+			continue
+		}
+		series := make([]trace.Series, len(sv.Global))
+		for li, g := range sv.Global {
+			series[li] = training.Series[g]
+		}
+		ss.train[i] = &trace.ShardView{
+			Trace: &trace.Trace{Slots: training.Slots, Functions: sv.Functions, Series: series},
+			Index: i, Global: sv.Global,
 		}
 	}
 	return ss
@@ -126,9 +145,13 @@ type slotLog struct {
 // Run trains the policy on training (which may be nil for policies without
 // an offline phase) and simulates it over simTrace, returning the metric
 // bundle the experiments read. The two traces must describe the same
-// function population (same FuncID space). Options.Shards > 1 runs the
-// sharded engine instead: one policy instance per population shard,
-// concurrently, with a deterministic merge.
+// function population (same FuncID space). The sharded engine — one policy
+// instance per population shard, concurrently, with a deterministic merge
+// bit-identical to the single-population engine — runs when
+// Options.Shards > 1, and by default (Shards 0) for a ShardedPolicy at
+// GOMAXPROCS > 1, GOMAXPROCS shards wide (Options.shardsFor). Under it the
+// policy passed in is a template cloned per shard: it is never trained or
+// ticked, and the outcome is the Result alone.
 //
 // Failure contract (see DESIGN.md "Failure semantics"): a partial merge
 // would be a wrong answer, so Run returns a nil Result on any failure.
@@ -143,10 +166,27 @@ func Run(policy Policy, training, simTrace *trace.Trace, opts Options) (*Result,
 	if err := checkPair(training, simTrace); err != nil {
 		return nil, err
 	}
-	if opts.Shards > 1 {
+	if opts.Shards = opts.shardsFor(policy); opts.Shards > 1 {
 		return runSharded(policy, training, simTrace, opts, nil)
 	}
 	return runOne(policy, training, simTrace, opts, nil)
+}
+
+// shardsFor resolves Options.Shards for a run of policy over a
+// materialized pair: a set value stands, and the default (0) shards a
+// ShardedPolicy that is not capacity-coupled GOMAXPROCS ways — at
+// GOMAXPROCS 1 that is the single-population engine — and runs every other
+// policy unsharded.
+func (o Options) shardsFor(policy Policy) int {
+	if o.Shards != 0 {
+		return o.Shards
+	}
+	_, sharded := policy.(ShardedPolicy)
+	_, capacity := policy.(CapacityPolicy)
+	if !sharded || capacity {
+		return 1
+	}
+	return runtime.GOMAXPROCS(0)
 }
 
 // ErrUntrained is the sentinel wrapped by the refusal a run returns when it
@@ -510,7 +550,9 @@ func mergeShardResults(name string, slots, n int, globals [][]trace.FuncID, resu
 // state and the traces are only read), so they execute concurrently on one
 // trace.FanOut of width GOMAXPROCS; with Options.Shards > 1 each policy's
 // shard runs fan out again, and FanOut's process-wide GOMAXPROCS token
-// budget keeps policies x shards to GOMAXPROCS+1 simulations at once.
+// budget keeps policies x shards to GOMAXPROCS+1 simulations at once. With
+// Options.Shards 0 every policy runs unsharded: the fan-out over policies
+// already fills the cores.
 //
 // Failure contract (see DESIGN.md "Failure semantics"): one failing policy
 // no longer aborts the others. RunAll always returns the full results slice
@@ -523,6 +565,9 @@ func mergeShardResults(name string, slots, n int, globals [][]trace.FuncID, resu
 // starting further policies, and the panic is raised again on the caller
 // once the policies in flight have finished.
 func RunAll(policies []Policy, training, simTrace *trace.Trace, opts Options) ([]*Result, error) {
+	if opts.Shards == 0 {
+		opts.Shards = 1
+	}
 	run := func(p Policy) (*Result, error) { return Run(p, training, simTrace, opts) }
 	if opts.Source == nil && opts.Shards > 1 && checkPair(training, simTrace) == nil {
 		// Partition once and share the shard views across all policies,

@@ -290,7 +290,7 @@ func TestEveryEngineReportsOverhead(t *testing.T) {
 	newCap := func() Policy { return spinCap{&fakeCap{capacity: 9}} }
 	want := map[string]*Result{}
 	for _, pol := range []Policy{newSpinShard(), newCap()} {
-		res, err := Run(pol, train, simTr, Options{})
+		res, err := Run(pol, train, simTr, Options{Shards: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -301,7 +301,7 @@ func TestEveryEngineReportsOverhead(t *testing.T) {
 		name string
 		run  func() ([]*Result, error)
 	}{
-		{"unsharded", func() ([]*Result, error) { return one(Run(newSpinShard(), train, simTr, Options{})) }},
+		{"unsharded", func() ([]*Result, error) { return one(Run(newSpinShard(), train, simTr, Options{Shards: 1})) }},
 		{"shards-3", func() ([]*Result, error) { return one(Run(newSpinShard(), train, simTr, Options{Shards: p})) }},
 		{"streamed", func() ([]*Result, error) {
 			return one(RunStreamed(newSpinShard(), buildShardSet(train, simTr, p), Options{}))

@@ -152,9 +152,9 @@ func TestClairvoyantMeetsTheBound(t *testing.T) {
 		name string
 		run  func() (*sim.Result, error)
 	}{
-		{"unsharded", func() (*sim.Result, error) { return sim.Run(oracle.NewShard(), w.Train, w.Sim, sim.Options{}) }},
+		{"unsharded", func() (*sim.Result, error) { return sim.Run(oracle.NewShard(), w.Train, w.Sim, sim.Options{Shards: 1}) }},
 		{"unsharded, every slot ticked", func() (*sim.Result, error) {
-			return sim.Run(eqv.ScanOnly(oracle.NewShard()), w.Train, w.Sim, sim.Options{})
+			return sim.Run(eqv.ScanOnly(oracle.NewShard()), w.Train, w.Sim, sim.Options{Shards: 1})
 		}},
 		{"sharded x4", func() (*sim.Result, error) { return sim.Run(oracle, w.Train, w.Sim, sim.Options{Shards: 4}) }},
 		{"streamed x4", func() (*sim.Result, error) { return sim.RunStreamed(oracle, src, sim.Options{}) }},

@@ -75,10 +75,12 @@ type (
 	Result = sim.Result
 	// FuncMetrics is one function's simulation outcome.
 	FuncMetrics = sim.FuncMetrics
-	// Options tunes a simulation run. Options.Shards > 1 selects the
-	// sharded engine: the population is split into app/user-closed shards,
-	// one policy instance per shard runs concurrently, and the merged
-	// Result is bit-identical to the unsharded run.
+	// Options tunes a simulation run. Under the sharded engine the
+	// population is split into app/user-closed shards, one policy instance
+	// per shard runs concurrently, and the merged Result is bit-identical
+	// to the unsharded run. Options.Shards > 1 selects it; the default, 0,
+	// selects it for a ShardedPolicy, GOMAXPROCS shards wide, and 1 keeps
+	// the single-population engine.
 	Options = sim.Options
 	// ShardedPolicy is implemented by policies that can run one instance
 	// per population shard (SPES, FixedKeepAlive, both Hybrids, Defuse).
@@ -110,8 +112,10 @@ type SPES = core.SPES
 // alpha = 0.5, T-COR threshold 0.5 with T <= 10).
 func DefaultSPESConfig() Config { return core.DefaultConfig() }
 
-// NewSPES builds the SPES policy. Train it via Run (or call Train directly)
-// before simulating.
+// NewSPES builds the SPES policy. Run trains what it simulates. By default
+// (Options.Shards 0) the instance is a template Run clones once per shard,
+// so read the outcome, category labels included, from the Result; to train
+// or inspect the instance itself, run it with Options.Shards 1.
 func NewSPES(cfg Config) *SPES { return core.New(cfg) }
 
 // DefaultGeneratorConfig returns the calibrated synthetic-workload defaults
@@ -132,7 +136,11 @@ func NewTrace(slots int) *Trace { return trace.NewTrace(slots) }
 func ReadTraceCSV(r io.Reader) (*Trace, error) { return trace.ReadCSV(r) }
 
 // Run trains the policy on training (nil skips the offline phase) and
-// simulates it over simTrace.
+// simulates it over simTrace. A ShardedPolicy (SPES, FixedKeepAlive, both
+// Hybrids, Defuse) runs on every core by default: one clone per shard,
+// GOMAXPROCS shards, merged into the Result the single-population engine
+// (Options.Shards 1) returns. The passed policy is then only a template,
+// neither trained nor ticked.
 func Run(policy Policy, training, simTrace *Trace, opts Options) (*Result, error) {
 	return sim.Run(policy, training, simTrace, opts)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/baselines"
+	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -139,6 +140,58 @@ func TestRunAllocationBudget(t *testing.T) {
 	}
 	if objects > runObjects {
 		t.Errorf("an unsharded FaaSCache run allocated %d heap objects, budget %d", objects, runObjects)
+	}
+}
+
+// shardBytes bounds what each shard of a default run may allocate beyond
+// the single-population run of the same policy over benchSettings: its slot
+// log (two int32 per simulated slot, 23 KB), its timing wheel's 2 048-chain
+// ring (16 KB), and its share of the partition, the re-IDed metadata its
+// two views share, its training view's series slice and the merged Result
+// (about 70 KB together over 600 functions). It reads 110 KiB a shard
+// (go1.24, 2 cores). Metadata copied once more per view (about 19 KiB a
+// shard), or worker scratch of a shard's own, breaks it.
+const shardBytes = 120 << 10
+
+// TestDefaultRunAllocation holds the default engine to the allocation of
+// the single-population run: at GOMAXPROCS 2 a warm sim.Run of SPES with
+// Options.Shards 0 shards the population two ways, and may allocate no more
+// bytes than a warm Shards 1 run plus shardBytes for each shard. Both runs
+// borrow their categorization scratch from the same free list, so a shard
+// that grows scratch of its own shows here. The runs alternate, and each
+// side's fewest bytes of three count.
+func TestDefaultRunAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	_, train, simTr, err := experiments.BuildWorkload(benchSettings())
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(shards int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := sim.Run(core.New(core.DefaultConfig()), train, simTr, sim.Options{Shards: shards}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run(0) // warm: the scratch and FanOut free lists, goroutine descriptors
+	run(1)
+	single, sharded := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		single = min(single, run(1))
+		sharded = min(sharded, run(0))
+	}
+	const shards = 2
+	budget := single + shards*shardBytes
+	t.Logf("warm run of %d functions over %d slots: Shards 1 %.1f KB, default (%d shards) %.1f KB, budget %.1f KB",
+		simTr.NumFunctions(), simTr.Slots, float64(single)/1e3, shards, float64(sharded)/1e3, float64(budget)/1e3)
+	if sharded > budget {
+		t.Errorf("a default run allocated %d B, a Shards 1 run %d B: over the %d-B budget of %d shards", sharded, single, budget, shards)
 	}
 }
 
