@@ -202,8 +202,9 @@ func TestRetrainWindowPopulationGrows(t *testing.T) {
 }
 
 // TestRetrainWindowWarmBuildAllocations pins the arena reuse: once a builder
-// has built its largest window, a build of any window no larger allocates
-// no event storage — at most the returned trace header.
+// has built a run's windows, building them again allocates no event
+// storage — at most the returned trace header. A block the arena gains is
+// kept, so a window that fit the blocks once fits them again.
 func TestRetrainWindowWarmBuildAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
