@@ -15,9 +15,9 @@ import (
 )
 
 // The batch engine transposes each chunk of slots beside the Driver's Ticks
-// on the chunk before, and builds each retrain window during the segment
-// before its boundary (runOne). These tests hold it to the loop it
-// replaced, kept here as the reference: one Driver fed the whole BySlot
+// on the chunk before, and builds each retrain window into one reused
+// WindowBuilder at its boundary (runOne). These tests hold it to the loop
+// it replaced, kept here as the reference: one Driver fed the whole BySlot
 // stream, whose Window builds each boundary's window afresh when the
 // Driver asks for it.
 
@@ -69,9 +69,8 @@ func retrainWindow(training *trace.Trace, every, window int) int {
 	return every
 }
 
-// serialRetrainRun is the reference: the single loop runOne ran before the
-// window build moved into the segment, one Driver over the whole BySlot
-// stream, building each window at its boundary.
+// serialRetrainRun is the reference: one Driver over the whole BySlot
+// stream, building each window afresh at its boundary.
 func serialRetrainRun(t testing.TB, p sim.Policy, training, simTr *trace.Trace, opts sim.Options) *sim.Result {
 	t.Helper()
 	if training != nil {

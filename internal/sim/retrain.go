@@ -1,6 +1,11 @@
 package sim
 
-import "repro/internal/trace"
+import (
+	"cmp"
+	"slices"
+
+	"repro/internal/trace"
+)
 
 // retrainEffectiveWindow resolves Options.RetrainWindow: 0 defaults to the
 // training window length (the retrained categorization sees as much history
@@ -19,21 +24,30 @@ func (o Options) retrainEffectiveWindow(training *trace.Trace) int {
 // WindowBuilder builds the sliding-window traces handed to Retrainer.Retrain
 // into storage it keeps between builds: an event arena that every
 // function's window series is carved from, and the per-function series
-// slice. The arena is a list of blocks that only grows. The first window
-// is sized exactly into one block; a window that outgrows the blocks gets
-// one more, sized to what is left to place plus 1/16 of that window, and
-// no block is ever copied or re-allocated. So a boundary allocates event
-// storage only when its window outgrows the arena, and then only the
-// overflow. The zero value is ready to use; a WindowBuilder is not safe for
+// slice. The arena is a list of blocks that only grows, and no block is
+// ever copied or re-allocated. Series are placed longest first, each whole
+// into the first block with room. The first window is sized exactly into
+// one block; when a series fits no block, one more block takes it and
+// everything still to place, plus 1/16 of the window. So a boundary
+// allocates event storage only when its window fits the blocks no more,
+// and then only the overflow. The placement depends on the series' lengths
+// alone, so lengths that fitted once fit again, whichever functions they
+// belong to. The longest-first order also caps the free tails the blocks
+// leave: at a growth every block has less room left than the series that
+// fits none, so the arena stays under the window plus 1/16 plus one
+// longest series a block.
+// The zero value is ready to use; a WindowBuilder is not safe for
 // concurrent use.
 type WindowBuilder struct {
 	blocks [][]trace.Event
+	used   []int // per block, the events this build carved from it
 	series []trace.Series
 	// parts holds, per function, the training tail (2·fid) and the
 	// recorded part (2·fid+1) of the window being built: located once,
 	// counted to size the overflow, then copied into the arena. Cleared
 	// after each build so the builder does not pin its inputs.
 	parts []trace.Series
+	order []int32 // the functions with events in the window, longest first
 }
 
 // Build returns the window at simulation slot t: w slots of history ending
@@ -61,7 +75,14 @@ func (b *WindowBuilder) Build(training, recorded *trace.Trace, t, w int) *trace.
 	if 2*n > cap(b.parts) {
 		b.parts = make([]trace.Series, 2*n)
 	}
-	parts := b.parts[:2*n]
+	if n > cap(b.series) {
+		b.series = make([]trace.Series, n)
+	}
+	if n > cap(b.order) {
+		b.order = make([]int32, 0, n)
+	}
+	parts, series, order := b.parts[:2*n], b.series[:n], b.order[:0]
+	length := func(fid int32) int { return len(parts[2*fid]) + len(parts[2*fid+1]) }
 	total := 0
 	for fid := 0; fid < n; fid++ {
 		var head trace.Series
@@ -70,29 +91,33 @@ func (b *WindowBuilder) Build(training, recorded *trace.Trace, t, w int) *trace.
 		}
 		tail := recorded.Series[fid].Between(max(a, 0), t)
 		parts[2*fid], parts[2*fid+1] = head, tail
-		total += len(head) + len(tail)
+		series[fid] = nil
+		if k := len(head) + len(tail); k > 0 {
+			order = append(order, int32(fid))
+			total += k
+		}
 	}
-	if n > cap(b.series) {
-		b.series = make([]trace.Series, n)
-	}
-	b.series = b.series[:n]
+	slices.SortFunc(order, func(f, g int32) int {
+		if c := cmp.Compare(length(g), length(f)); c != 0 {
+			return c
+		}
+		return cmp.Compare(f, g)
+	})
 
-	// Series are carved from the blocks in order, each whole from one
-	// block: one that does not fit the rest of the current block starts the
-	// next. Past the last block, what is left to place gets a new one with
-	// 1/16 headroom (none for a first window, sized exactly): while
-	// recorded history replaces the training tail, the daemon's windows grow
-	// by up to ~6% a boundary, and the next few then fit.
-	bi, off, left := 0, 0, total
-	for fid := 0; fid < n; fid++ {
+	// Each series goes whole into the first block with room. Past the last
+	// block, what is left to place gets a new one with 1/16 headroom (none
+	// for a first window, sized exactly): while recorded history replaces
+	// the training tail, the daemon's windows grow by up to ~6% a boundary,
+	// and the next few then fit. Everything left is no longer than the
+	// series that opened the block, so a build opens at most one.
+	clear(b.used)
+	left := total
+	for _, fid := range order {
 		head, tail := parts[2*fid], parts[2*fid+1]
 		k := len(head) + len(tail)
-		if k == 0 {
-			b.series[fid] = nil
-			continue
-		}
-		for bi < len(b.blocks) && off+k > len(b.blocks[bi]) {
-			bi, off = bi+1, 0
+		bi := 0
+		for bi < len(b.blocks) && b.used[bi]+k > len(b.blocks[bi]) {
+			bi++
 		}
 		if bi == len(b.blocks) {
 			size := left
@@ -100,7 +125,9 @@ func (b *WindowBuilder) Build(training, recorded *trace.Trace, t, w int) *trace.
 				size += total / 16
 			}
 			b.blocks = append(b.blocks, make([]trace.Event, size))
+			b.used = append(b.used, 0)
 		}
+		off := b.used[bi]
 		out := b.blocks[bi][off : off+k : off+k]
 		for i, e := range head {
 			out[i] = trace.Event{Slot: e.Slot - from, Count: e.Count}
@@ -108,10 +135,11 @@ func (b *WindowBuilder) Build(training, recorded *trace.Trace, t, w int) *trace.
 		for i, e := range tail {
 			out[len(head)+i] = trace.Event{Slot: e.Slot - int32(a), Count: e.Count}
 		}
-		b.series[fid] = out
-		off += k
+		series[fid] = out
+		b.used[bi] += k
 		left -= k
 	}
 	clear(parts)
-	return &trace.Trace{Slots: w, Functions: recorded.Functions, Series: b.series}
+	b.series, b.order = series, order
+	return &trace.Trace{Slots: w, Functions: recorded.Functions, Series: series}
 }

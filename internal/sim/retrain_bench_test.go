@@ -54,10 +54,9 @@ func BenchmarkRetrainBoundary(b *testing.B) {
 }
 
 // BenchmarkRetrainRun times a whole retraining run over the same workload:
-// sim.Run of a fresh core.SPES with RetrainEvery 720, Train included. The
-// engine builds each boundary's window during the segment before it, beside
-// the Driver's Ticks, so on two cores the builds leave the critical path
-// that BenchmarkRetrainBoundary's "window" times in isolation.
+// sim.Run of a fresh core.SPES with RetrainEvery 720, Train included: the
+// Ticks, the builds that BenchmarkRetrainBoundary's "window" times in
+// isolation and the retrains.
 func BenchmarkRetrainRun(b *testing.B) {
 	full, err := trace.Generate(trace.DefaultGeneratorConfig(600, 6, 1))
 	if err != nil {

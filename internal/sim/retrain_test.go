@@ -2,8 +2,10 @@ package sim
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -303,6 +305,127 @@ func TestRetrainWindowGrowthAllocatesOverflow(t *testing.T) {
 	if !grew {
 		t.Error("no window outgrew the arena: the growth rule went untested")
 	}
+}
+
+// sizedWindow is a recorded trace whose function f fires once at each of
+// the first sizes[f] slots, so the window of every slot holds sizes[f]
+// events of f: Build(nil, tr, tr.Slots, tr.Slots).
+func sizedWindow(sizes []int) *trace.Trace {
+	tr := trace.NewTrace(slices.Max(sizes))
+	for f, k := range sizes {
+		evs := make([]trace.Event, k)
+		for s := range evs {
+			evs[s] = trace.Event{Slot: int32(s), Count: 1}
+		}
+		tr.AddFunction(fmt.Sprintf("f%d", f), fmt.Sprintf("a%d", f), "u", trace.TriggerHTTP, evs)
+	}
+	return tr
+}
+
+// buildAlloc builds the window of sizes on wb, checks it against the
+// Series.Window composition and returns the bytes the build allocated.
+// Call it at GOMAXPROCS 1, as MemStats counts every goroutine.
+func buildAlloc(t *testing.T, wb *WindowBuilder, sizes []int) uint64 {
+	t.Helper()
+	rec := sizedWindow(sizes)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	win := wb.Build(nil, rec, rec.Slots, rec.Slots)
+	runtime.ReadMemStats(&after)
+	for f := range win.Series {
+		if want := compositionWindow(nil, rec, f, rec.Slots, rec.Slots); !reflect.DeepEqual(win.Series[f], want) {
+			t.Fatalf("sizes %v f%d: window %v, want %v", sizes, f, win.Series[f], want)
+		}
+	}
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// arenaEvents is the event capacity of wb's blocks.
+func arenaEvents(wb *WindowBuilder) int {
+	c := 0
+	for _, b := range wb.blocks {
+		c += len(b)
+	}
+	return c
+}
+
+// TestRetrainWindowPermutedSeriesFit pins what the longest-first placement
+// buys over carving the series in function order: a window whose series
+// lengths are a permutation of an earlier window's allocates nothing, even
+// when the arena is two blocks. Blocks of 100 and 50 events come from a
+// 100-event window and a 104-event one of lengths 60 and 44; the lengths 44
+// and 60 then fit as 60 in the first block and 44 in the second. In
+// function order the 44 took the first block and the 60 fitted neither
+// rest, so a third block was allocated.
+func TestRetrainWindowPermutedSeriesFit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	header := uint64(unsafe.Sizeof(trace.Trace{}))
+	var wb WindowBuilder
+	buildAlloc(t, &wb, []int{60, 40})
+	if got := buildAlloc(t, &wb, []int{60, 44}); got <= 2*header {
+		t.Fatalf("a window 4 events over the arena allocated %d B: no overflow block", got)
+	}
+	if len(wb.blocks) != 2 || len(wb.blocks[0]) != 100 || len(wb.blocks[1]) != 44+104/16 {
+		t.Fatalf("blocks of %d events, want [100 %d]", arenaEvents(&wb), 44+104/16)
+	}
+	if got := buildAlloc(t, &wb, []int{44, 60}); got > 2*header {
+		t.Errorf("the permuted window allocated %d B, want at most its %d-B header", got, header)
+	}
+	if len(wb.blocks) != 2 {
+		t.Errorf("the permuted window left %d blocks, want 2", len(wb.blocks))
+	}
+}
+
+// TestRetrainWindowArenaStaysBounded drives one builder, as the daemon
+// does for its whole life, through windows whose total and per-function
+// lengths shift at every boundary. After every build the arena holds at
+// most the largest window so far plus 1/16 plus one longest series per
+// block (WindowBuilder's bound), and the same lengths over other functions
+// build again without allocating.
+func TestRetrainWindowArenaStaysBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	header := uint64(unsafe.Sizeof(trace.Trace{}))
+	rng := rand.New(rand.NewPCG(7, 11))
+	const n = 40
+	var wb WindowBuilder
+	largest, longest := 0, 0
+	for build := 0; build < 60; build++ {
+		// A total that wanders between 1 500 and 2 600 events, spread over
+		// the functions by heavy-tailed weights drawn afresh each build.
+		target := 1500 + rng.IntN(1100)
+		weights := make([]float64, n)
+		sum := 0.0
+		for f := range weights {
+			weights[f] = rng.ExpFloat64() * rng.ExpFloat64()
+			sum += weights[f]
+		}
+		sizes := make([]int, n)
+		total := 0
+		for f, w := range weights {
+			sizes[f] = int(w / sum * float64(target))
+			total += sizes[f]
+		}
+		sizes[0]++ // a window with at least one event
+		total++
+		largest, longest = max(largest, total), max(longest, slices.Max(sizes))
+		buildAlloc(t, &wb, sizes)
+		if c, bound := arenaEvents(&wb), largest+largest/16+len(wb.blocks)*longest; c > bound {
+			t.Fatalf("build %d: arena of %d events in %d blocks, over the bound %d (largest window %d, longest series %d)",
+				build, c, len(wb.blocks), bound, largest, longest)
+		}
+		rng.Shuffle(n, func(i, j int) { sizes[i], sizes[j] = sizes[j], sizes[i] })
+		if got := buildAlloc(t, &wb, sizes); got > 2*header {
+			t.Errorf("build %d: the same lengths over other functions allocated %d B", build, got)
+		}
+	}
+	t.Logf("arena %d events in %d blocks for a largest window of %d", arenaEvents(&wb), len(wb.blocks), largest)
 }
 
 // TestRetrainEffectiveWindowDefaults pins the RetrainWindow resolution

@@ -241,14 +241,11 @@ func checkSlots(what string, tr *trace.Trace) error {
 // transposed beside it (chunkLoop). When log is non-nil the per-slot
 // (loaded, active) counts are recorded for the sharded merge.
 //
-// A run that retrains goes boundary to boundary instead. The segment before
-// boundary b is one trace.FanOut of two items: item 0 steps the Driver
-// through the segment's occupied slots, all before b, in chunks that stop
-// at b, while item 1 builds b's window into the run's one WindowBuilder.
-// Step(b) then retrains on the prebuilt window, so the next build starts
-// only once Retrain has returned and the window is never overwritten while
-// it is borrowed. The run keeps one cursor, its two chunks and one arena,
-// so the overlap costs no memory.
+// A run that retrains hands the Driver a Window that builds each
+// boundary's window into the run's one WindowBuilder when the Driver asks
+// for it, right before Retrain; the next build comes only at the next
+// boundary, after Retrain has returned, so a window is never overwritten
+// while it is borrowed.
 func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *slotLog) (*Result, error) {
 	if training != nil {
 		policy.Train(training)
@@ -258,52 +255,21 @@ func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *s
 	}
 
 	cfg := DriverConfig{log: log}
-	// A shard of the sharded engine (log != nil) runs its chunk rounds and
-	// retrain segments serially: the fan-out over shards already keeps
-	// every core busy, and a round helper per chunk of a small shard costs
-	// more than the fill it moves.
+	if _, ok := policy.(Retrainer); ok && opts.RetrainEvery > 0 {
+		var wb WindowBuilder // one arena for every boundary of the run
+		cfg.RetrainEvery = opts.RetrainEvery
+		cfg.RetrainWindow = opts.retrainEffectiveWindow(training)
+		cfg.Window = func(at, w int) *trace.Trace { return wb.Build(training, simTrace, at, w) }
+	}
+	// A shard of the sharded engine (log != nil) runs its chunk rounds
+	// serially: the fan-out over shards already keeps every core busy, and
+	// a round helper per chunk of a small shard costs more than the fill it
+	// moves.
 	rounds := 2
 	if runtime.GOMAXPROCS(0) == 1 || log != nil {
 		rounds = 1
 	}
-	if _, ok := policy.(Retrainer); !ok || opts.RetrainEvery <= 0 {
-		l := newChunkLoop(NewDriver(policy, simTrace.NumFunctions(), cfg), simTrace, rounds)
-		if err := l.stepTo(simTrace.Slots); err != nil {
-			return nil, err
-		}
-		return l.d.Close(simTrace.Slots), nil
-	}
-
-	var (
-		wb     WindowBuilder // one arena for every boundary of the run
-		window *trace.Trace  // the next boundary's, built during its segment
-		b      int           // the boundary the segment ends at
-	)
-	cfg.RetrainEvery = opts.RetrainEvery
-	cfg.RetrainWindow = opts.retrainEffectiveWindow(training)
-	cfg.Window = func(int, int) *trace.Trace { return window }
 	l := newChunkLoop(NewDriver(policy, simTrace.NumFunctions(), cfg), simTrace, rounds)
-	segment := func(_, i int) error {
-		if i == 1 {
-			window = wb.Build(training, simTrace, b, cfg.RetrainWindow)
-			return nil
-		}
-		return l.stepTo(b)
-	}
-	for b = opts.RetrainEvery; b < simTrace.Slots; b += opts.RetrainEvery {
-		err := trace.FanOut(rounds, 2, segment)
-		if err == nil {
-			// Slot b, alone in its chunk when occupied.
-			var invs []trace.FuncCount
-			if ch := &l.bufs[l.k]; l.cur.Fill(ch, b+1) {
-				invs = ch.At(b)
-			}
-			_, err = l.d.Step(b, invs)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
 	if err := l.stepTo(simTrace.Slots); err != nil {
 		return nil, err
 	}
