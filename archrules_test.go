@@ -287,17 +287,32 @@ var archRules = []*archRule{{
 	// DESIGN.md "Concurrency budget": trace.FanOut is the one scheduler
 	// (generation, categorization, RunAll, the shard engine, the ingest's
 	// shard stage), so it is the only non-test code that waits on a
-	// sync.WaitGroup.
+	// sync.WaitGroup, and trace.Overlap, beside it, the one two-stage
+	// pipeline (the engine's chunks, the CSV pass's blocks), so a FanOut of
+	// the constant two items anywhere else is a hand-built round loop.
 	why: "a second parallel-for is back (use trace.FanOut)",
 	greps: []archGrep{{pattern: `sync\.WaitGroup`, basic: true, goOnly: true,
-		under: []string{"internal", "cmd", "spes", "examples"}, except: []string{"internal/trace/generator.go"}}},
+		under: []string{"internal", "cmd", "spes", "examples"}, except: []string{"internal/trace/fanout.go"}}},
 	check: func(_ *archLoader, tr *archTree) (out []finding) {
-		for _, f := range tr.goFiles([]string{"internal", "cmd", "spes", "examples"}, "internal/trace/generator.go") {
+		for _, f := range tr.goFiles([]string{"internal", "cmd", "spes", "examples"}, "internal/trace/fanout.go") {
 			for _, u := range f.uses {
 				if isPkgObj(u.obj, "sync", "WaitGroup") {
 					out = append(out, tr.at(u.id, "uses sync.WaitGroup outside trace.FanOut"))
 				}
 			}
+			ast.Inspect(f.ast, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || len(call.Args) != 3 {
+					return true
+				}
+				if fn := calledFunc(f.info, call); fn == nil || !isPkgObj(fn, "repro/internal/trace", "FanOut") {
+					return true
+				}
+				if tv := f.info.Types[call.Args[1]]; tv.Value != nil && constant.Compare(tv.Value, token.EQL, constant.MakeInt64(2)) {
+					out = append(out, tr.at(call, "a FanOut of two items is a hand-built round loop (use trace.Overlap)"))
+				}
+				return true
+			})
 		}
 		return out
 	},

@@ -317,10 +317,12 @@ func serialPlainRun(t testing.TB, p sim.Policy, training, simTr *trace.Trace) *s
 
 // TestChunkLoopMatchesSerialLoop holds a run without retraining — the
 // Driver stepping one chunk while the next is transposed beside it — to
-// the serial reference (Result.Diff): SPES, its dense
-// reference and both capacity-coupled baselines (which take the same loop
-// under Shards > 1), at GOMAXPROCS 1 and 2, and at 2 inside a FanOut that
-// holds every token, where each round runs its items one after the other.
+// the serial reference (Result.Diff): SPES by default (sharded at
+// GOMAXPROCS > 1, each shard's rounds one-wide) and at Shards 1 (one
+// population, rounds two-wide), its dense reference and both
+// capacity-coupled baselines (which take the same loop under Shards > 1),
+// at GOMAXPROCS 1 and 2, and at 2 inside a FanOut that holds every token,
+// where each round runs its items one after the other.
 func TestChunkLoopMatchesSerialLoop(t *testing.T) {
 	training, _, blanked := overlapFixture(t)
 	n := blanked.NumFunctions()
@@ -330,6 +332,7 @@ func TestChunkLoopMatchesSerialLoop(t *testing.T) {
 		shards int
 	}{
 		{"spes", func() sim.Policy { return core.New(core.DefaultConfig()) }, 0},
+		{"spes/shards-1", func() sim.Policy { return core.New(core.DefaultConfig()) }, 1},
 		{"dense", func() sim.Policy { return core.NewDenseReference(core.DefaultConfig()) }, 0},
 		{"faascache", func() sim.Policy { return baselines.NewFaaSCache(n / 10) }, 0},
 		{"lcs", func() sim.Policy { return baselines.NewLCS(n / 10) }, 3},

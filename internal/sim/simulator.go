@@ -237,9 +237,10 @@ func checkSlots(what string, tr *trace.Trace) error {
 // simulation trace's one trace.Cursor transposes them — the Driver
 // advances the invocation-free gaps itself (batch-charging provably idle
 // spans, slot-by-slot ticks otherwise), which is the exact arithmetic the
-// loop used to do eagerly. The Driver steps one chunk while the next is
-// transposed beside it (chunkLoop). When log is non-nil the per-slot
-// (loaded, active) counts are recorded for the sharded merge.
+// loop used to do eagerly. The Driver steps one of two chunks while the
+// next is transposed into the other, in one trace.Overlap. When log is
+// non-nil the per-slot (loaded, active) counts are recorded for the
+// sharded merge.
 //
 // A run that retrains hands the Driver a Window that builds each
 // boundary's window into the run's one WindowBuilder when the Driver asks
@@ -261,87 +262,40 @@ func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *s
 		cfg.RetrainWindow = opts.retrainEffectiveWindow(training)
 		cfg.Window = func(at, w int) *trace.Trace { return wb.Build(training, simTrace, at, w) }
 	}
-	// A shard of the sharded engine (log != nil) runs its chunk rounds
-	// serially: the fan-out over shards already keeps every core busy, and
-	// a round helper per chunk of a small shard costs more than the fill it
-	// moves.
-	rounds := 2
-	if runtime.GOMAXPROCS(0) == 1 || log != nil {
-		rounds = 1
-	}
-	l := newChunkLoop(NewDriver(policy, simTrace.NumFunctions(), cfg), simTrace, rounds)
-	if err := l.stepTo(simTrace.Slots); err != nil {
-		return nil, err
-	}
-	return l.d.Close(simTrace.Slots), nil
-}
-
-// engineChunk is the slot count of each of chunkLoop's two chunks: together
-// they hold the events BySlot's one 64-slot chunk does.
-const engineChunk = 32
-
-// chunkLoop steps a Driver through a simulation window's occupied slots in
-// rounds of one trace.FanOut of two items: item 0 steps the Driver through
-// chunk k while item 1 transposes chunk k+1 into the other of the two
-// chunks, so the transposition runs on an idle core. When the FanOut has
-// width 1 or finds no token, as inside a RunAll whose fan-out holds the
-// budget, a round runs its items one after the other on the caller. Item 1
-// touches only the cursor and its chunk, item 0 only the Driver and the
-// other chunk, and the FanOut's return orders each round before the next.
-// A round allocates nothing: the round function is bound once per run.
-type chunkLoop struct {
-	d      *Driver
-	cur    *trace.Cursor
-	bufs   []trace.Chunk // two
-	k      int           // bufs[k] is the chunk item 0 steps
-	end    int           // item 1's fill limit
-	filled bool          // whether item 1 transposed a chunk
-	width  int
-	round  func(w, i int) error // l.item
-}
-
-func newChunkLoop(d *Driver, simTrace *trace.Trace, width int) *chunkLoop {
+	d := NewDriver(policy, simTrace.NumFunctions(), cfg)
 	cur := simTrace.Cursor(0, simTrace.Slots)
-	l := &chunkLoop{d: d, cur: cur, bufs: cur.NewChunks(2, engineChunk), width: width}
-	l.round = l.item
-	return l
-}
-
-// stepTo steps the Driver through every occupied slot before end that it
-// has not stepped yet.
-func (l *chunkLoop) stepTo(end int) error {
-	l.end = end
-	if !l.cur.Fill(&l.bufs[l.k], end) {
-		return nil
-	}
-	for {
-		if err := trace.FanOut(l.width, 2, l.round); err != nil {
-			return err
-		}
-		if !l.filled {
-			return nil
-		}
-		l.k ^= 1
-	}
-}
-
-// item is one round's item i: 0 steps chunk k, 1 fills chunk k+1.
-func (l *chunkLoop) item(_, i int) error {
-	if i == 1 {
-		l.filled = l.cur.Fill(&l.bufs[l.k^1], l.end)
-		return nil
-	}
-	ch := &l.bufs[l.k]
-	from, to := ch.Span()
-	for t := from; t < to; t++ {
-		if invs := ch.At(t); len(invs) > 0 {
-			if _, err := l.d.Step(t, invs); err != nil {
-				return err
+	chunks := cur.NewChunks(2, engineChunk)
+	fill := func(k int) bool { return cur.Fill(&chunks[k]) }
+	step := func(k int) error {
+		ch := &chunks[k]
+		from, to := ch.Span()
+		for t := from; t < to; t++ {
+			if invs := ch.At(t); len(invs) > 0 {
+				if _, err := d.Step(t, invs); err != nil {
+					return err
+				}
 			}
 		}
+		return nil
 	}
-	return nil
+	// A shard of the sharded engine (log != nil) runs its rounds one-wide:
+	// the fan-out over shards already keeps every core busy, and a round
+	// helper per chunk of a small shard costs more than the fill it moves.
+	// The Driver's steps are the longer stage, so they go first.
+	width := 2
+	if log != nil {
+		width = 1
+	}
+	fill(0)
+	if err := trace.Overlap(width, true, fill, step); err != nil {
+		return nil, err
+	}
+	return d.Close(simTrace.Slots), nil
 }
+
+// engineChunk is the slot count of each of runOne's two chunks: together
+// they hold the events BySlot's one 64-slot chunk does.
+const engineChunk = 32
 
 // RunStreamed simulates the policy over a Source: the sharded engine with
 // the shard as the unit of residency. Each worker produces one shard's

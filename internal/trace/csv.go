@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"strconv"
 )
 
@@ -116,9 +115,9 @@ const csvBlockSize = 256 << 10
 // checks, line counting, the day base, and every error message, a cell's
 // included, which it formats only after the checks that precede it. So a
 // scanned block's rows are checked exactly as if each were parsed when it
-// is reached. The two parts run in rounds of FanOut(2, 2, …) (item): one
-// item scans block k+1 into one buffer while the other consumes block k
-// out of the other.
+// is reached. The two parts run as one Overlap, scan first: the scan
+// readies the next block in one buffer while the in-order stage consumes
+// the current block out of the other.
 //
 // The scan accepts exactly the language encoding/csv accepts with its
 // defaults (comma ',', no comment character, strict quotes, blank lines
@@ -133,8 +132,6 @@ const csvBlockSize = 256 << 10
 type csvStream struct {
 	r      io.Reader
 	blocks [2]csvBlock
-	k      int                  // blocks[k] is the block the next round consumes
-	round  func(w, i int) error // s.item, bound once
 	emit   func(csvRecord) error
 
 	physical int         // lines the scan consumed, blank ones included
@@ -191,9 +188,7 @@ type csvLine struct {
 var errCountRange = errors.New("count out of range")
 
 func newCSVStream(r io.Reader) *csvStream {
-	s := &csvStream{r: r, funcs: make(map[string]*csvFuncState)}
-	s.round = s.item
-	return s
+	return &csvStream{r: r, funcs: make(map[string]*csvFuncState)}
 }
 
 // run feeds every data row to emit in row order, or stops at the first
@@ -203,17 +198,18 @@ func newCSVStream(r io.Reader) *csvStream {
 func (s *csvStream) run(emit func(csvRecord) error) error {
 	s.emit = emit
 	s.scanBlock(&s.blocks[0], nil)
-	width := 2
-	if runtime.GOMAXPROCS(0) == 1 {
-		width = 1
-	}
-	for !s.blocks[s.k].last() {
-		if err := FanOut(width, 2, s.round); err != nil {
-			return err
+	// Block k opens with the other block's unfinished last line, which is
+	// all the scan reads of the block being consumed. The scan is the
+	// longer stage, so it goes first.
+	err := Overlap(2, false, func(k int) bool {
+		prev := &s.blocks[k^1]
+		if prev.last() {
+			return false
 		}
-		s.k ^= 1
-	}
-	if err := s.consume(&s.blocks[s.k]); err != nil || s.cr == nil {
+		s.scanBlock(&s.blocks[k], prev.buf[prev.tail:prev.n])
+		return true
+	}, func(k int) error { return s.consume(&s.blocks[k]) })
+	if err != nil || s.cr == nil {
 		return err
 	}
 	for {
@@ -244,22 +240,6 @@ func (s *csvStream) run(emit func(csvRecord) error) error {
 			return err
 		}
 	}
-}
-
-// item is one round's item i: 0 scans block k+1, which opens with block
-// k's unfinished last line, and 1 consumes block k. Item 0 writes only the
-// other block and reads only that line of block k, and the FanOut's return
-// orders each round before the next. FanOut's caller takes item 0 first
-// and a helper starts after it, so the caller takes the scan, the longer
-// item; with the roles the other way round the caller finished the consume
-// before the helper started and ran most rounds' scans itself.
-func (s *csvStream) item(_, i int) error {
-	cur := &s.blocks[s.k]
-	if i == 0 {
-		s.scanBlock(&s.blocks[s.k^1], cur.buf[cur.tail:cur.n])
-		return nil
-	}
-	return s.consume(cur)
 }
 
 // consume runs the in-order stage over a scanned block: each line's

@@ -45,13 +45,13 @@ func blockTestInput() []string {
 func blockEdges(in []byte) []int {
 	s := newCSVStream(bytes.NewReader(in))
 	var edges []int
-	line := 0
+	line, k := 0, 0
 	s.scanBlock(&s.blocks[0], nil)
 	for b := &s.blocks[0]; !b.last(); {
 		line += b.physical
 		edges = append(edges, line)
-		s.k ^= 1
-		next := &s.blocks[s.k]
+		k ^= 1
+		next := &s.blocks[k]
 		s.scanBlock(next, b.buf[b.tail:b.n])
 		b = next
 	}

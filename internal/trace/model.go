@@ -404,11 +404,11 @@ func (ch *Chunk) At(t int) []FuncCount {
 
 // Fill transposes the next chunk into ch, one of c's NewChunks: from the
 // earliest slot with an event left, as many slots as ch holds, but never
-// past limit or the window's end. It reports false, and leaves the cursor
-// where it was and ch empty, when no event is left before limit.
-func (c *Cursor) Fill(ch *Chunk, limit int) bool {
+// past the window's end. It reports false, and leaves ch empty, when no
+// event is left.
+func (c *Cursor) Fill(ch *Chunk) bool {
 	c0 := c.next
-	c1 := min(c0+len(ch.fill), limit, c.to)
+	c1 := min(c0+len(ch.fill), c.to)
 	if c0 >= c1 {
 		ch.from, ch.to = c0, c0
 		return false
@@ -470,7 +470,7 @@ func (tr *Trace) BySlot(from, to int) iter.Seq2[int, []FuncCount] {
 	return func(yield func(int, []FuncCount) bool) {
 		c := tr.Cursor(from, to)
 		ch := &c.NewChunks(1, slotChunk)[0]
-		for c.Fill(ch, to) {
+		for c.Fill(ch) {
 			c0, c1 := ch.Span()
 			for t := c0; t < c1; t++ {
 				if invs := ch.At(t); len(invs) > 0 && !yield(t, invs) {

@@ -84,17 +84,17 @@ func PartitionFunctions(fns []Function, p int) *Partition {
 		shardOf: make([]int32, n),
 		members: make([][]FuncID, p),
 	}
-	// Scanning FuncIDs in ascending order visits each component first at its
-	// smallest member, so compShard fills in first-function order and the
-	// per-shard member lists come out ascending with no sort.
-	compShard := make(map[int32]int32)
+	// Every component is rooted at its smallest member, so an ascending scan
+	// reaches each root before the rest of its component: a root takes the
+	// next shard round-robin, in first-function order, and every other
+	// member its root's. The per-shard member lists come out ascending with
+	// no sort.
 	next := int32(0)
 	for i := 0; i < n; i++ {
-		root := find(int32(i))
-		sh, ok := compShard[root]
-		if !ok {
-			sh = next % int32(p)
-			compShard[root] = sh
+		sh := next % int32(p)
+		if root := find(int32(i)); root != int32(i) {
+			sh = part.shardOf[root]
+		} else {
 			next++
 		}
 		part.shardOf[i] = sh

@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/stats"
@@ -47,36 +46,26 @@ func collectBySlot(tr *Trace, from, to int) []slotList {
 }
 
 // collectCursor copies out what a Cursor over [from, to) fills into one
-// chunk of size slots, raising each Fill's limit through random cuts of
-// the window (some before it, some on or past its end) until a limit at to
-// drains it. It fails t when a chunk passes its limit or its size, starts
-// on an idle slot or behind the previous chunk.
-func collectCursor(t *testing.T, g *stats.RNG, tr *Trace, from, to, size int) []slotList {
+// chunk of size slots. It fails t when a chunk passes the window's end or
+// its size, starts on an idle slot or behind the previous chunk.
+func collectCursor(t *testing.T, tr *Trace, from, to, size int) []slotList {
 	t.Helper()
-	var cuts []int
-	for k := g.Intn(6); k > 0; k-- {
-		cuts = append(cuts, g.IntBetween(min(from, to)-2, max(from, to)+2))
-	}
-	slices.Sort(cuts)
-	cuts = append(cuts, to)
 	c := tr.Cursor(from, to)
 	ch := &c.NewChunks(1, size)[0]
 	var out []slotList
 	done := max(from, 0)
-	for _, limit := range cuts {
-		for c.Fill(ch, limit) {
-			c0, c1 := ch.Span()
-			if c0 < done || c1 > limit || c1-c0 > size || c0 >= c1 || len(ch.At(c0)) == 0 {
-				t.Fatalf("chunk of %d slots under limit %d after slot %d: span [%d, %d), %d pairs at its start",
-					size, limit, done, c0, c1, len(ch.At(c0)))
-			}
-			for s := c0; s < c1; s++ {
-				if invs := ch.At(s); len(invs) > 0 {
-					out = append(out, slotList{s, append([]FuncCount(nil), invs...)})
-				}
-			}
-			done = c1
+	for c.Fill(ch) {
+		c0, c1 := ch.Span()
+		if c0 < done || c1 > min(to, tr.Slots) || c1-c0 > size || c0 >= c1 || len(ch.At(c0)) == 0 {
+			t.Fatalf("chunk of %d slots in [%d, %d) after slot %d: span [%d, %d), %d pairs at its start",
+				size, from, to, done, c0, c1, len(ch.At(c0)))
 		}
+		for s := c0; s < c1; s++ {
+			if invs := ch.At(s); len(invs) > 0 {
+				out = append(out, slotList{s, append([]FuncCount(nil), invs...)})
+			}
+		}
+		done = c1
 	}
 	return out
 }
@@ -133,8 +122,7 @@ func randomSlotCase(g *stats.RNG) *Trace {
 // TestBySlotMatchesNaiveTransposer holds BySlot and the chunk cursor to
 // the naive transposer over random traces and windows: the whole trace,
 // windows that start and end inside, on and past chunk edges, past Slots,
-// negative, and empty. The cursor fills chunks of 1, 32 and 64 slots under
-// limits that cut the window at arbitrary slots.
+// negative, and empty. The cursor fills chunks of 1, 32 and 64 slots.
 func TestBySlotMatchesNaiveTransposer(t *testing.T) {
 	g := stats.NewRNG(11)
 	for c := 0; c < 400; c++ {
@@ -155,7 +143,7 @@ func TestBySlotMatchesNaiveTransposer(t *testing.T) {
 					c, tr.NumFunctions(), tr.Slots, w[0], w[1], got, want)
 			}
 			for _, size := range []int{1, 32, 64} {
-				if got := collectCursor(t, g, tr, w[0], w[1], size); !reflect.DeepEqual(got, want) {
+				if got := collectCursor(t, tr, w[0], w[1], size); !reflect.DeepEqual(got, want) {
 					t.Fatalf("case %d (%d functions, %d slots), window [%d, %d), %d-slot chunks:\ngot  %v\nwant %v",
 						c, tr.NumFunctions(), tr.Slots, w[0], w[1], size, got, want)
 				}

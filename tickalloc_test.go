@@ -68,8 +68,9 @@ const runFunctionBytes = 256
 // cursorChunk-slot chunk does.
 const cursorChunk = 64
 
-// runObjects bounds the heap objects of a warm unsharded run. It reads 38
-// (go1.24, 2 cores; 36 before the engine's two chunks), and the run steps
+// runObjects bounds the heap objects of a warm unsharded run. It reads 40
+// (go1.24, 2 cores; 38 before the run's trace.Overlap stages were
+// closures, 36 before the engine's two chunks), and the run steps
 // 90 chunks of 32 slots, so an allocation per chunk breaks it.
 const runObjects = 64
 
