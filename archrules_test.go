@@ -445,6 +445,10 @@ var archRules = []*archRule{{
 	// FNV content hash (and its reference and manifest field) and the
 	// per-column CRCs (and the fuzz helper that refreshed them), as the
 	// manifest binds each file by its seal CRC.
+	// Then the retrain window arena: a window is a view of the training and
+	// recorded traces (sim.BuildRetrainWindow), so the builder that copied
+	// every window into reused blocks, placed longest first, and the
+	// helpers its tests sized and counted the blocks with are gone.
 	// Case-sensitive, so predict's test-local nextWindows reference and
 	// classify's laggedCOR pass. Names only: "Exported code is reached"
 	// finds what is dead; this row keeps it from coming back.
@@ -456,7 +460,8 @@ var archRules = []*archRule{{
 			`|MeasureOverhead|measureOverhead` +
 			`|SharedComparison|comparisonCache|cacheKey|RunComparison` +
 			`|HybridConfig|DefuseConfig|DefaultHybridConfig|DefaultDefuseConfig|spanSlots` +
-			`|ContentHash|fpDomainContent|contentHashRef|ContentFP|sealShardBody`,
+			`|ContentHash|fpDomainContent|contentHashRef|ContentFP|sealShardBody` +
+			`|WindowBuilder|arenaEvents|buildAlloc|sizedWindow`,
 		word: true, goOnly: true, tests: true, under: []string{"internal", "cmd", "spes", "examples"},
 	}, {
 		pattern: `"workers"`, goOnly: true, tests: true, under: []string{"cmd"},

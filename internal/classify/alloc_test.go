@@ -202,20 +202,23 @@ func TestProfilesOwnTheirSlices(t *testing.T) {
 
 var benchOutcome *Outcome
 
-// BenchmarkCategorize times one offline pass over two windows. "paper" is
-// the DefaultSettings training trace (2000 functions, 12 days), the paper's
-// configuration. "retrain-window" is what a retrain boundary of the
-// benchmark's drift workload hands Categorize: 1000 functions over 14 days,
-// a 1 % shift cohort and every function drifting 15 slots a day from the
-// 12-day train/simulation split, and the 12-day window sim.BuildRetrainWindow
-// cuts at the first 720-slot boundary, straddling both halves.
+// BenchmarkCategorize times one offline pass over three windows. "paper"
+// is the DefaultSettings training trace (2000 functions, 12 days), the
+// paper's configuration. "retrain-window" is what a retrain boundary of the
+// benchmark's drift workload covers: 1000 functions over 14 days, a 1 %
+// shift cohort and every function drifting 15 slots a day from the 12-day
+// train/simulation split, and the 12-day window cut at the first 720-slot
+// boundary, straddling both halves, copied into one part a function
+// (stitchWindow). "retrain-view" is the same window as the simulator hands
+// it over, the two-part view sim.BuildRetrainWindow builds.
 func BenchmarkCategorize(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		window func(testing.TB) *trace.Trace
 	}{
 		{"paper", func(tb testing.TB) *trace.Trace { return trainingTrace(tb, 2000, 14, 12) }},
-		{"retrain-window", driftRetrainWindow},
+		{"retrain-window", func(tb testing.TB) *trace.Trace { return driftRetrainWindow(tb, stitchWindow) }},
+		{"retrain-view", func(tb testing.TB) *trace.Trace { return driftRetrainWindow(tb, sim.BuildRetrainWindow) }},
 	} {
 		win := c.window(b)
 		b.Run(c.name, func(b *testing.B) {
@@ -228,8 +231,9 @@ func BenchmarkCategorize(b *testing.B) {
 	}
 }
 
-// driftRetrainWindow builds BenchmarkCategorize's "retrain-window" case.
-func driftRetrainWindow(tb testing.TB) *trace.Trace {
+// driftRetrainWindow builds BenchmarkCategorize's retrain window with
+// build.
+func driftRetrainWindow(tb testing.TB, build func(training, recorded *trace.Trace, t, w int) *trace.Trace) *trace.Trace {
 	tb.Helper()
 	const functions, days, trainDays, boundary = 1000, 14, 12, 720
 	split := trainDays * 1440
@@ -243,5 +247,5 @@ func driftRetrainWindow(tb testing.TB) *trace.Trace {
 		tb.Fatal(err)
 	}
 	train, simTr := full.Split(split)
-	return sim.BuildRetrainWindow(train, simTr, boundary, train.Slots)
+	return build(train, simTr, boundary, train.Slots)
 }

@@ -41,7 +41,9 @@ const maxLinks = 5
 // profile's Values and Links — plus the peer index and, when no scratch is
 // free or a function needs more room than the scratch it borrowed has,
 // worker scratch; every per-function intermediate lives in scratch, and
-// invoked-slot lists are read straight off training.Series. Each FanOut
+// invoked-slot lists are read in place through training.Parts, so a view
+// (a retrain window) is categorized without a copy of its events, and a
+// materialized trace is its one-part case. Each FanOut
 // worker borrows one scratch from the process-wide free list (scratchFree)
 // at its first item and returns it when the call ends, so a policy that
 // categorizes at every retrain boundary, or one instance per shard, grows
@@ -80,8 +82,8 @@ func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableFo
 			hi = n
 		}
 		for fid := lo; fid < hi; fid++ {
-			s := training.Series[fid]
-			if len(s) == 0 {
+			s := training.Parts(trace.FuncID(fid))
+			if s.Len() == 0 {
 				out.Profiles[fid] = Profile{Type: TypeUnknown}
 				continue
 			}
@@ -125,22 +127,22 @@ func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableFo
 	// out too. A target's full-window activity is extracted again here, into
 	// the worker's scratch, rather than kept alive from pass 1: it costs
 	// O(events) and nothing of pass 1's working memory has to outlive it.
-	// Validation fires are the suffix of a series from valStart on, rebased
+	// Validation fires are the events from valStart on (Parts.From), rebased
 	// as they are read.
 	trace.FanOut(workers, len(indeterminate), func(wi, i int) error {
 		w := borrow(ws, wi)
 		fid := indeterminate[i]
-		s := training.Series[fid]
+		s := training.Parts(fid)
 		act := w.extractWindow(s, 0, training.Slots)
 		var links []Link
-		var cands [maxLinks]fires
+		var cands [maxLinks]trace.Parts
 		if !disableCorrelation {
-			links = w.mineLinks(fid, training.Series, apps[meta[fid].App], users[meta[fid].User], cfg)
+			links = w.mineLinks(fid, training, apps[meta[fid].App], users[meta[fid].User], cfg)
 			for j, l := range links {
-				cands[j] = firesFrom(training.Series[l.Cand], valStart)
+				cands[j] = training.Parts(trace.FuncID(l.Cand)).From(valStart)
 			}
 		}
-		out.Profiles[fid] = w.assignIndeterminate(act, firesFrom(s, valStart),
+		out.Profiles[fid] = w.assignIndeterminate(act, s.From(valStart),
 			training.Slots-valStart, links, cands[:len(links)], cfg)
 		return nil
 	})
@@ -148,36 +150,59 @@ func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableFo
 }
 
 // extractWindow computes the series.Activity of the window [start,
-// start+slots) of a sparse event series, reproducing
+// start+slots) of a function's sparse events, reproducing
 // series.Extract(dense[start:]) bit for bit in O(events in window) time.
 // It relies on the trace.Series invariants: ascending unique slots,
 // positive counts. The returned AT, AN and WT are views into w, valid until
 // w extracts again.
-func (w *scratch) extractWindow(s trace.Series, start, slots int) series.Activity {
+func (w *scratch) extractWindow(s trace.Parts, start, slots int) series.Activity {
 	a := series.Activity{Slots: slots}
-	evs := firesFrom(s, start).evs
-	if len(evs) == 0 {
+	evs := s.From(start)
+	k := evs.Len()
+	if k == 0 {
 		return a
 	}
 	// A run needs at least one event, and runs r apart need an idle slot
 	// between them, so r active plus r-1 idle slots fit in the events' span:
 	// the smaller bound sizes all three lengths.
-	n := min(len(evs), (int(evs[len(evs)-1].Slot-evs[0].Slot)+2)/2)
+	n := min(k, (int(evs.Last()-evs.First())+2)/2)
 	w.act = sized(w.act, 3*n)
 	runs := w.act // AT at [0, n), AN at [n, 2n), WT at [2n, 3n)
 
 	// The loop has no branch on the data. Every event stores the open run r
 	// as if it closed before this event: the stores are overwritten until
 	// one does, a non-zero gap, which then only advances r and restarts the
-	// run state (conditional moves). It reads absolute slots (start only
-	// places the window's ends) and keeps one base for the three lengths, so
-	// what it carries stays in registers.
-	prev := int(evs[0].Slot) - 1 // slot of the previous event
-	runStart := prev + 1
-	runSum, inv := 0, 0
-	r := 0 // runs closed so far; r < n throughout
+	// run state (conditional moves). It keeps one base for the three
+	// lengths, so what it carries stays in registers, and carries them from
+	// one part into the next.
+	st := runState{prev: int(evs.First()) - 1} // slot of the previous event
+	st.runStart = st.prev + 1
+	for _, p := range evs {
+		st = st.scan(runs, n, p.Events, int(p.Base))
+	}
+	prev, runStart, runSum, inv, r := st.prev, st.runStart, st.runSum, st.inv, st.r
+	runs[r], runs[n+r] = prev-runStart+1, runSum
+	a.AT, a.AN = runs[:r+1:r+1], runs[n:n+r+1:n+r+1]
+	if r > 0 {
+		a.WT = runs[2*n : 2*n+r : 2*n+r]
+	}
+	a.Invocations = inv
+	return a
+}
+
+// runState is extractWindow's loop state, carried from one part into the
+// next.
+type runState struct {
+	prev, runStart int // the previous event's slot; the open run's first
+	runSum, inv, r int // the open run's invocations; all of them; runs closed
+}
+
+// scan runs extractWindow's loop over one part's events, read at base,
+// into runs (AT at [0, n), AN at [n, 2n), WT at [2n, 3n)).
+func (st runState) scan(runs []int, n int, evs trace.Series, base int) runState {
+	prev, runStart, runSum, inv, r := st.prev, st.runStart, st.runSum, st.inv, st.r
 	for _, e := range evs {
-		slot, c := int(e.Slot), int(e.Count)
+		slot, c := int(e.Slot)-base, int(e.Count)
 		gap := slot - prev - 1
 		runs[r], runs[n+r], runs[2*n+r] = prev-runStart+1, runSum, gap
 		if gap != 0 {
@@ -189,13 +214,7 @@ func (w *scratch) extractWindow(s trace.Series, start, slots int) series.Activit
 		inv += c
 		prev = slot
 	}
-	runs[r], runs[n+r] = prev-runStart+1, runSum
-	a.AT, a.AN = runs[:r+1:r+1], runs[n:n+r+1:n+r+1]
-	if r > 0 {
-		a.WT = runs[2*n : 2*n+r : 2*n+r]
-	}
-	a.Invocations = inv
-	return a
+	return runState{prev, runStart, runSum, inv, r}
 }
 
 // seriesExtract is a full-window extraction annotated with per-run metadata
@@ -205,9 +224,8 @@ func (w *scratch) extractWindow(s trace.Series, start, slots int) series.Activit
 // length and invocation sum recomputed.
 type seriesExtract struct {
 	act       series.Activity
-	events    trace.Series
+	events    trace.Parts
 	runStarts []int32 // absolute first slot of each run
-	runEvIdx  []int32 // index into events of each run's first event
 	prefixInv []int   // prefixInv[r] = total invocations of runs [0, r)
 	slots     int
 }
@@ -218,23 +236,29 @@ type seriesExtract struct {
 // paper's literal condition (2) would also admit a function invoked in one
 // short dense flurry (its summed WT is trivially 0), so the idle-fraction
 // branch additionally requires activity to span most of the window. It reads
-// the sparse series alone — every event is one active slot, so the
-// active-slot count is len(s) and the summed inter-run idle is the span
+// the sparse events alone — every event is one active slot, so the
+// active-slot count is s.Len() and the summed inter-run idle is the span
 // minus it — and is exact: condition and profile match the definition over
 // the window's Activity (TestAlwaysWarmFastMatchesActivityBranch).
-func alwaysWarmFast(s trace.Series, slots int, cfg Config) (Profile, bool) {
-	active := len(s)
+func alwaysWarmFast(s trace.Parts, slots int, cfg Config) (Profile, bool) {
+	active := s.Len()
 	if active == 0 {
 		return Profile{}, false
 	}
-	totalWT := int(s[active-1].Slot-s[0].Slot) + 1 - active
+	first := s.First()
+	totalWT := int(s.Last()-first) + 1 - active
 	if active == slots ||
 		(float64(totalWT) <= cfg.AlwaysWarmIdleFrac*float64(slots) &&
 			float64(active) >= 0.5*float64(slots)) {
-		runs := 1
-		for i := 1; i < active; i++ {
-			if s[i].Slot != s[i-1].Slot+1 {
-				runs++
+		runs := 0
+		prev := first - 2 // the first event starts a run
+		for _, p := range s {
+			for _, e := range p.Events {
+				slot := e.Slot - p.Base
+				if slot != prev+1 {
+					runs++
+				}
+				prev = slot
 			}
 		}
 		return Profile{Type: TypeAlwaysWarm, WTCount: runs - 1}, true
@@ -244,21 +268,24 @@ func alwaysWarmFast(s trace.Series, slots int, cfg Config) (Profile, bool) {
 
 // extractMeta annotates an existing full-window Activity with the run
 // metadata suffix derivation needs, held in w.
-func (w *scratch) extractMeta(s trace.Series, slots int, act series.Activity) seriesExtract {
+func (w *scratch) extractMeta(s trace.Parts, slots int, act series.Activity) seriesExtract {
 	runs := len(act.AT)
 	w.runStarts = sized(w.runStarts, runs)
-	w.runEvIdx = sized(w.runEvIdx, runs)
 	w.prefixInv = sized(w.prefixInv, runs+1)
 	se := seriesExtract{act: act, events: s, slots: slots,
-		runStarts: w.runStarts, runEvIdx: w.runEvIdx, prefixInv: w.prefixInv}
+		runStarts: w.runStarts, prefixInv: w.prefixInv}
 	se.prefixInv[0] = 0
 	r := 0
-	for i, e := range s {
-		if i == 0 || e.Slot != s[i-1].Slot+1 {
-			se.runStarts[r] = e.Slot
-			se.runEvIdx[r] = int32(i)
-			se.prefixInv[r+1] = se.prefixInv[r] + se.act.AN[r]
-			r++
+	prev := s.First() - 2 // the first event starts a run
+	for _, p := range s {
+		for _, e := range p.Events {
+			slot := e.Slot - p.Base
+			if slot != prev+1 {
+				se.runStarts[r] = slot
+				se.prefixInv[r+1] = se.prefixInv[r] + se.act.AN[r]
+				r++
+			}
+			prev = slot
 		}
 	}
 	return se
@@ -299,10 +326,7 @@ func (se *seriesExtract) suffix(w *scratch, start int) series.Activity {
 	copy(a.AN, se.act.AN[r:])
 	runEnd := int(se.runStarts[r]) + se.act.AT[r] // one past the run's last slot
 	a.AT[0] = runEnd - start
-	dropped := 0
-	for i := se.runEvIdx[r]; int(se.events[i].Slot) < start; i++ {
-		dropped += int(se.events[i].Count)
-	}
+	dropped := int(se.events.Between(int(se.runStarts[r]), start).Total())
 	a.AN[0] -= dropped
 	a.Invocations -= dropped
 	return a
@@ -319,7 +343,7 @@ func (se *seriesExtract) suffix(w *scratch, start int) series.Activity {
 // not a fresh sort.
 // The run metadata is only built when the full window fails to categorize,
 // which the majority of functions never reach.
-func (w *scratch) categorizeWithForgettingSparse(s trace.Series, act series.Activity, cfg Config) (Profile, bool) {
+func (w *scratch) categorizeWithForgettingSparse(s trace.Parts, act series.Activity, cfg Config) (Profile, bool) {
 	slots := act.Slots
 	raw := w.distInto(0, act.WT)
 	if p, ok := w.categorizeActivity(act, raw, cfg); ok {
@@ -336,7 +360,7 @@ func (w *scratch) categorizeWithForgettingSparse(s trace.Series, act series.Acti
 		sa := se.suffix(w, start)
 		raw.remove(wts[:len(wts)-len(sa.WT)]...)
 		wts = sa.WT
-		if p, ok := alwaysWarmFast(firesFrom(s, start).evs, slots-start, cfg); ok {
+		if p, ok := alwaysWarmFast(s.From(start), slots-start, cfg); ok {
 			return p, true
 		}
 		if p, ok := w.categorizeActivity(sa, raw, cfg); ok {
@@ -354,17 +378,18 @@ func (w *scratch) categorizeWithForgettingSparse(s trace.Series, act series.Acti
 //
 // Two prunes skip the lag scan for candidates whose rejection is already
 // decided by the list lengths alone; they change no outcome.
-func (w *scratch) mineLinks(target trace.FuncID, invoked []trace.Series, appPeers, userPeers []trace.FuncID, cfg Config) []Link {
-	targetSlots := invoked[target]
-	if len(targetSlots) == 0 {
+func (w *scratch) mineLinks(target trace.FuncID, tr *trace.Trace, appPeers, userPeers []trace.FuncID, cfg Config) []Link {
+	targetSlots := tr.Parts(target)
+	nTarget := targetSlots.Len()
+	if nTarget == 0 {
 		return nil
 	}
 	w.lags.reset(targetSlots)
 	// A stamp left by an earlier call (the scratch outlives it) is below the
 	// current generation; a generation about to wrap restarts on fresh
 	// stamps.
-	if len(w.seen) < len(invoked) || w.seenGen == math.MaxUint32 {
-		w.seen, w.seenGen = make([]uint32, len(invoked)), 0
+	if n := len(tr.Series); len(w.seen) < n || w.seenGen == math.MaxUint32 {
+		w.seen, w.seenGen = make([]uint32, n), 0
 	}
 	w.seenGen++
 	seen, seenGen := w.seen, w.seenGen
@@ -378,7 +403,7 @@ func (w *scratch) mineLinks(target trace.FuncID, invoked []trace.Series, appPeer
 	// candidate slots, which bounds FollowRate's hit count from above.
 	maxFollows := 0.0
 	if slack >= 0 {
-		maxFollows = float64((2*int(slack) + 1) * len(targetSlots))
+		maxFollows = float64((2*int(slack) + 1) * nTarget)
 	}
 
 	accepted := w.accepted[:0]
@@ -387,28 +412,30 @@ func (w *scratch) mineLinks(target trace.FuncID, invoked []trace.Series, appPeer
 			return
 		}
 		seen[cand] = seenGen
-		candSlots := invoked[cand]
-		if len(candSlots) == 0 {
+		candSlots := tr.Parts(cand)
+		nCand := candSlots.Len()
+		if nCand == 0 {
 			return
 		}
 		// A lag's hit count can't exceed the candidate's invocation count,
 		// so a candidate too quiet relative to the target can never clear
 		// the COR threshold — skip the lag scan.
-		if float64(len(candSlots)) < cfg.CORThreshold*float64(len(targetSlots)) {
+		if float64(nCand) < cfg.CORThreshold*float64(nTarget) {
 			return
 		}
 		// The mirror image: a candidate too busy relative to the target can
 		// never clear the precision gate below, whatever the lag.
-		if maxFollows/float64(len(candSlots)) < cfg.LinkPrecision {
+		if maxFollows/float64(nCand) < cfg.LinkPrecision {
 			return
 		}
 		// Both kernels count the same integer hits; the sizes pick the
 		// cheaper one for the pair.
-		bitset := bitsetLagScanPays(len(targetSlots), len(candSlots), w.lags.words, cfg.MaxLag)
+		bitset := bitsetLagScanPays(nTarget, nCand, w.lags.words, cfg.MaxLag)
 		var lag int32
 		var cor float64
 		if bitset {
-			lag, cor = w.lags.bestLaggedCOR(candSlots, cfg.MaxLag)
+			w.lags.setCandidate(candSlots)
+			lag, cor = w.lags.bestLaggedCOR(cfg.MaxLag)
 		} else {
 			lag, cor = BestLaggedCOR(targetSlots, candSlots, cfg.MaxLag)
 		}
@@ -420,7 +447,7 @@ func (w *scratch) mineLinks(target trace.FuncID, invoked []trace.Series, appPeer
 		// wastes memory continuously.
 		var follow float64
 		if bitset {
-			follow = w.lags.followRate(candSlots, lag, slack)
+			follow = w.lags.followRate(lag, slack)
 		} else {
 			follow = FollowRate(candSlots, targetSlots, lag, slack)
 		}

@@ -183,7 +183,7 @@ func TestMineLinksCapsAndThreshold(t *testing.T) {
 	invoked[9] = slotSeries(3, 7, 9)
 	peers = append(peers, 9)
 
-	links := new(scratch).mineLinks(0, invoked, peers, nil, cfg)
+	links := new(scratch).mineLinks(0, &trace.Trace{Series: invoked}, peers, nil, cfg)
 	if len(links) != 5 {
 		t.Fatalf("links = %d, want capped at 5", len(links))
 	}
@@ -200,7 +200,7 @@ func TestMineLinksCapsAndThreshold(t *testing.T) {
 func TestMineLinksEmptyTarget(t *testing.T) {
 	cfg := DefaultConfig()
 	invoked := []trace.Series{nil, slotSeries(1, 2, 3)}
-	if links := new(scratch).mineLinks(0, invoked, []trace.FuncID{1}, nil, cfg); links != nil {
+	if links := new(scratch).mineLinks(0, &trace.Trace{Series: invoked}, []trace.FuncID{1}, nil, cfg); links != nil {
 		t.Errorf("links for silent target = %v", links)
 	}
 }
@@ -238,8 +238,8 @@ func TestAlwaysWarmFastMatchesActivityBranch(t *testing.T) {
 		mk(every(0, 300, 1)...), // short dense flurry, idle tail
 	}
 	for i, s := range cases {
-		fastP, fastOK := alwaysWarmFast(s, slots, cfg)
-		act := new(scratch).extractWindow(s, 0, slots)
+		fastP, fastOK := alwaysWarmFast(one(s), slots, cfg)
+		act := new(scratch).extractWindow(one(s), 0, slots)
 		refOK := act.Invocations > 0 &&
 			(act.InvokedEverySlot() ||
 				(float64(act.TotalWT()) <= cfg.AlwaysWarmIdleFrac*float64(act.Slots) &&

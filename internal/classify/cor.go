@@ -10,8 +10,8 @@ import (
 // (Section IV-B2). Invocation series are represented by their sorted
 // invoked-slot lists, which is all co-occurrence needs. The two measures the
 // offline pass runs over every candidate pair — BestLaggedCOR and FollowRate
-// — read those slots straight off the sparse trace.Series (ascending unique
-// slots by invariant), so mining copies nothing. Their merge forms below are
+// — read those slots in place through trace.Parts (ascending unique slots
+// by invariant), so mining copies nothing. Their merge forms below are
 // the kernel of sparse pairs; lagScanner computes the same counts over
 // bitsets for dense ones.
 
@@ -38,11 +38,13 @@ func COR(target, candidate []int32) float64 {
 // BestLaggedCOR scans lags 1..maxLag and returns the lag with the highest
 // lagged COR along with that COR (ties go to the smallest lag). With an
 // empty target it returns (0, 0). All lags are counted in one merged pass
-// over the two series rather than one pass per lag: for every target slot t
-// the candidate slots in [t-maxLag, t-1] each contribute a hit to their
-// lag's counter.
-func BestLaggedCOR(target, candidate trace.Series, maxLag int32) (bestLag int32, bestCOR float64) {
-	if len(target) == 0 || maxLag < 1 {
+// over each pair of a target part and a candidate part rather than one
+// pass per lag: for every target slot t the candidate slots in
+// [t-maxLag, t-1] each contribute a hit to their lag's counter, and a
+// target slot's hits are the sum of its hits in each candidate part.
+func BestLaggedCOR(target, candidate trace.Parts, maxLag int32) (bestLag int32, bestCOR float64) {
+	nTarget := target.Len()
+	if nTarget == 0 || maxLag < 1 {
 		return 0, 0
 	}
 	var hitsBuf [64]int
@@ -52,23 +54,13 @@ func BestLaggedCOR(target, candidate trace.Series, maxLag int32) (bestLag int32,
 	} else {
 		hits = make([]int, maxLag+1)
 	}
-	j := 0
-	for _, te := range target {
-		t := te.Slot
-		lo := t - maxLag
-		for j < len(candidate) && candidate[j].Slot < lo {
-			j++
-		}
-		for k := j; k < len(candidate) && candidate[k].Slot < t; k++ {
-			// The range guard keeps malformed (unsorted) inputs from
-			// corrupting counters; sorted inputs always land in 1..maxLag.
-			if d := t - candidate[k].Slot; d >= 1 && d <= maxLag {
-				hits[d]++
-			}
+	for _, tp := range target {
+		for _, cp := range candidate {
+			countLags(hits, tp, cp, maxLag)
 		}
 	}
 	for lag := int32(1); lag <= maxLag; lag++ {
-		if c := float64(hits[lag]) / float64(len(target)); c > bestCOR {
+		if c := float64(hits[lag]) / float64(nTarget); c > bestCOR {
 			bestCOR = c
 			bestLag = lag
 		}
@@ -76,29 +68,58 @@ func BestLaggedCOR(target, candidate trace.Series, maxLag int32) (bestLag int32,
 	return bestLag, bestCOR
 }
 
+// countLags adds to hits[d] the target events of tp with an event of cp d
+// slots before them, for d in 1..maxLag.
+func countLags(hits []int, tp, cp trace.Part, maxLag int32) {
+	cand, cb := cp.Events, cp.Base
+	j := 0
+	for _, te := range tp.Events {
+		t := te.Slot - tp.Base
+		lo := t - maxLag
+		for j < len(cand) && cand[j].Slot-cb < lo {
+			j++
+		}
+		for k := j; k < len(cand) && cand[k].Slot-cb < t; k++ {
+			// The range guard keeps malformed (unsorted) inputs from
+			// corrupting counters; sorted inputs always land in 1..maxLag.
+			if d := t - (cand[k].Slot - cb); d >= 1 && d <= maxLag {
+				hits[d]++
+			}
+		}
+	}
+}
+
 // FollowRate returns the fraction of the candidate's invoked slots c for
 // which the target was invoked within [c+lag-slack, c+lag+slack]. This is
 // the precision of "candidate fires => target follows": the link-mining
 // step requires it so that a busy candidate (whose lagged COR against
 // anything is high) does not become a predictive indicator that pre-loads
-// the target on every one of its own invocations.
-func FollowRate(candidate, target trace.Series, lag, slack int32) float64 {
-	if len(candidate) == 0 {
+// the target on every one of its own invocations. The merge keeps one
+// position in each target part.
+func FollowRate(candidate, target trace.Parts, lag, slack int32) float64 {
+	nCand := candidate.Len()
+	if nCand == 0 {
 		return 0
 	}
 	hits := 0
-	j := 0
-	for _, ce := range candidate {
-		lo := ce.Slot + lag - slack
-		hi := ce.Slot + lag + slack
-		for j < len(target) && target[j].Slot < lo {
-			j++
-		}
-		if j < len(target) && target[j].Slot <= hi {
-			hits++
+	var j [len(target)]int
+	for _, cp := range candidate {
+		for _, ce := range cp.Events {
+			c := ce.Slot - cp.Base
+			lo, hi := c+lag-slack, c+lag+slack
+			for q, tp := range target {
+				evs, tb := tp.Events, tp.Base
+				for j[q] < len(evs) && evs[j[q]].Slot-tb < lo {
+					j[q]++
+				}
+				if j[q] < len(evs) && evs[j[q]].Slot-tb <= hi {
+					hits++
+					break
+				}
+			}
 		}
 	}
-	return float64(hits) / float64(len(candidate))
+	return float64(hits) / float64(nCand)
 }
 
 // lagScanner is the bitset form of the two measures for one target and any
@@ -108,24 +129,25 @@ func FollowRate(candidate, target trace.Series, lag, slack int32) float64 {
 // candidate). The padding lets a lag carry a candidate fire up to 63 slots
 // into the next word, and a follow window reach up to 63 slots either way,
 // without a bounds case. The target's bits are set the first time a pair
-// takes the bitset kernel and serve its remaining candidates.
+// takes the bitset kernel and serve its remaining candidates; each such
+// candidate's bits are set once (setCandidate) and serve both measures.
 type lagScanner struct {
-	target trace.Series
+	target trace.Parts
 	base   int // first word of the target's span
 	words  int // the span's length in 64-slot words
 	built  bool
 	tbits  []uint64
-	cand   trace.Series // the candidate whose bits cbits holds
+	cand   trace.Parts // the candidate whose bits cbits holds (setCandidate)
 	cbits  []uint64
 }
 
 // reset points the scanner at a new target, dropping the old one's bits.
-func (ls *lagScanner) reset(target trace.Series) {
-	ls.target, ls.built, ls.cand = target, false, nil
+func (ls *lagScanner) reset(target trace.Parts) {
+	ls.target, ls.built, ls.cand = target, false, trace.Parts{}
 	ls.base, ls.words = 0, 0
-	if len(target) > 0 {
-		ls.base = int(target[0].Slot) >> 6
-		ls.words = int(target[len(target)-1].Slot)>>6 - ls.base + 1
+	if target.Len() > 0 {
+		ls.base = int(target.First()) >> 6
+		ls.words = int(target.Last())>>6 - ls.base + 1
 	}
 }
 
@@ -141,12 +163,9 @@ func (ls *lagScanner) build() {
 	ls.tbits = setBits(ls.tbits, ls.words+2, ls.origin(), ls.target)
 }
 
-// setCandidate sets cbits to the candidate's fires within the bitset span,
-// unless they are already there.
-func (ls *lagScanner) setCandidate(candidate trace.Series) {
-	if len(ls.cand) != 0 && len(ls.cand) == len(candidate) && &ls.cand[0] == &candidate[0] {
-		return
-	}
+// setCandidate makes candidate the scanner's current candidate, setting
+// cbits to its fires within the bitset span.
+func (ls *lagScanner) setCandidate(candidate trace.Parts) {
 	ls.cand = candidate
 	ls.cbits = setBits(ls.cbits, ls.words+2, ls.origin(), candidate)
 }
@@ -155,24 +174,27 @@ func (ls *lagScanner) setCandidate(candidate trace.Series) {
 // in [origin, origin+64n) at bit slot-origin. Fires ascend, so each word is
 // assembled in a register and stored once instead of being rewritten per
 // fire.
-func setBits(bits []uint64, n, origin int, s trace.Series) []uint64 {
+func setBits(bits []uint64, n, origin int, s trace.Parts) []uint64 {
 	bits = sized(bits, n)
 	clear(bits)
 	limit := uint(n << 6)
 	word, acc := 0, uint64(0)
-	for _, e := range s {
-		i := int(e.Slot) - origin
-		if uint(i) >= limit {
-			if i < 0 {
-				continue
+scan:
+	for _, p := range s {
+		for _, e := range p.Events {
+			i := int(e.Slot-p.Base) - origin
+			if uint(i) >= limit {
+				if i < 0 {
+					continue
+				}
+				break scan
 			}
-			break
+			if i>>6 != word {
+				bits[word] = acc
+				word, acc = i>>6, 0
+			}
+			acc |= 1 << (i & 63)
 		}
-		if i>>6 != word {
-			bits[word] = acc
-			word, acc = i>>6, 0
-		}
-		acc |= 1 << (i & 63)
 	}
 	bits[word] = acc
 	return bits
@@ -201,16 +223,16 @@ func bitsetLagScanPays(nTarget, nCand, words int, maxLag int32) bool {
 	return bitset < merge
 }
 
-// bestLaggedCOR is BestLaggedCOR(ls.target, candidate, maxLag) over
+// bestLaggedCOR is BestLaggedCOR(ls.target, ls.cand, maxLag) over
 // bitsets: hits[d] = popcount(T & C<<d) counts the target fires at t with a
 // candidate fire at t-d, exactly the merge's counter, and the best lag is
 // read off the counters by the same loop. maxLag must lie in 1..63.
-func (ls *lagScanner) bestLaggedCOR(candidate trace.Series, maxLag int32) (bestLag int32, bestCOR float64) {
-	if len(ls.target) == 0 {
+func (ls *lagScanner) bestLaggedCOR(maxLag int32) (bestLag int32, bestCOR float64) {
+	nTarget := ls.target.Len()
+	if nTarget == 0 {
 		return 0, 0
 	}
 	ls.build()
-	ls.setCandidate(candidate)
 	tb, cb := ls.tbits, ls.cbits
 	var hits [64]int
 	for i := 1; i <= ls.words; i++ {
@@ -223,7 +245,7 @@ func (ls *lagScanner) bestLaggedCOR(candidate trace.Series, maxLag int32) (bestL
 		}
 	}
 	for lag := int32(1); lag <= maxLag; lag++ {
-		if c := float64(hits[lag]) / float64(len(ls.target)); c > bestCOR {
+		if c := float64(hits[lag]) / float64(nTarget); c > bestCOR {
 			bestCOR = c
 			bestLag = lag
 		}
@@ -231,22 +253,22 @@ func (ls *lagScanner) bestLaggedCOR(candidate trace.Series, maxLag int32) (bestL
 	return bestLag, bestCOR
 }
 
-// followRate is FollowRate(candidate, ls.target, lag, slack) over bitsets:
+// followRate is FollowRate(ls.cand, ls.target, lag, slack) over bitsets:
 // a candidate fire at c hits when the target fires within
 // [c+lag-slack, c+lag+slack], so the hits are popcount(C & F), F being the
 // target's bits shifted down by every offset of that window and ORed — one
 // pass over the words instead of one window per fire. A window reaching
 // past 63 slots either way leaves the padding and merges.
-func (ls *lagScanner) followRate(candidate trace.Series, lag, slack int32) float64 {
-	if len(candidate) == 0 {
+func (ls *lagScanner) followRate(lag, slack int32) float64 {
+	nCand := ls.cand.Len()
+	if nCand == 0 {
 		return 0
 	}
 	klo, khi := int(lag)-int(slack), int(lag)+int(slack)
-	if len(ls.target) == 0 || klo < -63 || khi > 63 {
-		return FollowRate(candidate, ls.target, lag, slack)
+	if ls.target.Len() == 0 || klo < -63 || khi > 63 {
+		return FollowRate(ls.cand, ls.target, lag, slack)
 	}
 	ls.build()
-	ls.setCandidate(candidate)
 	tb, cb := ls.tbits, ls.cbits
 	hits := 0
 	for i, c := range cb {
@@ -276,7 +298,7 @@ func (ls *lagScanner) followRate(candidate trace.Series, lag, slack int32) float
 		}
 		hits += bits.OnesCount64(c & f)
 	}
-	return float64(hits) / float64(len(candidate))
+	return float64(hits) / float64(nCand)
 }
 
 // WindowedFollowRate returns the fraction of the candidate's invoked slots

@@ -50,14 +50,14 @@ func TestLaggedCOR(t *testing.T) {
 func TestBestLaggedCOR(t *testing.T) {
 	target := slotSeries(10, 20, 30, 40)
 	cand := slotSeries(7, 17, 27, 2) // lag 3 matches 3 of 4
-	lag, cor := BestLaggedCOR(target, cand, 10)
+	lag, cor := BestLaggedCOR(one(target), one(cand), 10)
 	if lag != 3 {
 		t.Errorf("best lag = %d, want 3", lag)
 	}
 	if cor != 0.75 {
 		t.Errorf("best COR = %v, want 0.75", cor)
 	}
-	lag, cor = BestLaggedCOR(nil, cand, 10)
+	lag, cor = BestLaggedCOR(one(nil), one(cand), 10)
 	if lag != 0 || cor != 0 {
 		t.Errorf("empty best = (%d, %v)", lag, cor)
 	}

@@ -39,9 +39,9 @@ func categorizeCounts(t *testing.T, counts []int, cfg Config) (Profile, bool) {
 		}
 	}
 	var w scratch
-	p, ok := alwaysWarmFast(s, len(counts), cfg)
+	p, ok := alwaysWarmFast(one(s), len(counts), cfg)
 	if !ok {
-		act := w.extractWindow(s, 0, len(counts))
+		act := w.extractWindow(one(s), 0, len(counts))
 		p, ok = w.categorizeActivity(act, w.distInto(0, act.WT), cfg)
 	}
 	if want, wantOK := oracleDeterministic(counts, cfg); ok != wantOK || !reflect.DeepEqual(p, want) {

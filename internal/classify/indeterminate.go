@@ -1,7 +1,6 @@
 package classify
 
 import (
-	"math"
 	"slices"
 
 	"repro/internal/series"
@@ -21,36 +20,23 @@ type StrategyCost struct {
 	Feasible   bool
 }
 
-// fires is a zero-copy view of a series' invoked slots from some window start
-// on: slot(i) is rebased so the window's first slot reads 0. The offline
-// pass scores strategies on the validation window this way — the suffix of
-// the training series found by one binary search — instead of copying every
-// function's slots into a list of its own.
-type fires struct {
-	evs  trace.Series
-	base int32
-}
-
-// firesFrom views the part of s at or after slot start.
-func firesFrom(s trace.Series, start int) fires {
-	return fires{evs: s.Between(start, math.MaxInt32), base: int32(start)}
-}
-
-func (f fires) len() int         { return len(f.evs) }
-func (f fires) slot(i int) int32 { return f.evs[i].Slot - f.base }
+// The strategies are scored on a function's invoked slots in the
+// validation window, read in place: Parts.From(valStart), the suffix found
+// by one binary search per part and rebased so the window's first slot
+// reads 0, instead of a copy of every function's slots.
 
 // scorePulsed simulates the pulsed strategy over a function's invoked slots
 // within [0, slots): tolerate a cold start when a flurry begins, keep the
 // function warm until its idle time reaches thetaGivenup.
-func scorePulsed(invoked fires, slots int, thetaGivenup int) StrategyCost {
+func scorePulsed(invoked trace.Parts, slots int, thetaGivenup int) StrategyCost {
 	cost := StrategyCost{Feasible: true}
-	n := invoked.len()
+	n := invoked.Len()
 	if n == 0 {
 		return cost
 	}
 	cost.ColdStarts = 1 // the first invocation is always cold
 	for i := 1; i < n; i++ {
-		gap := int(invoked.slot(i)-invoked.slot(i-1)) - 1
+		gap := int(invoked.Slot(i)-invoked.Slot(i-1)) - 1
 		if gap >= thetaGivenup {
 			// Evicted after thetaGivenup idle slots; those idle slots up to
 			// the eviction (exclusive) were wasted.
@@ -61,7 +47,7 @@ func scorePulsed(invoked fires, slots int, thetaGivenup int) StrategyCost {
 		}
 	}
 	// Trailing idle until window end.
-	trailing := slots - int(invoked.slot(n-1)) - 1
+	trailing := slots - int(invoked.Slot(n-1)) - 1
 	if trailing > 0 {
 		waste := thetaGivenup - 1
 		if trailing < waste {
@@ -75,12 +61,12 @@ func scorePulsed(invoked fires, slots int, thetaGivenup int) StrategyCost {
 // scorePossible simulates the possible strategy: predictive values are the
 // duplicated WTs; the function is pre-loaded when a predicted invocation
 // falls within thetaPrewarm, and evicted after thetaGivenup idle slots.
-func (w *scratch) scorePossible(invoked fires, slots int, values []int, thetaPrewarm, thetaGivenup int) StrategyCost {
+func (w *scratch) scorePossible(invoked trace.Parts, slots int, values []int, thetaPrewarm, thetaGivenup int) StrategyCost {
 	if len(values) == 0 {
 		return StrategyCost{Feasible: false}
 	}
 	cost := StrategyCost{Feasible: true}
-	if invoked.len() == 0 {
+	if invoked.Len() == 0 {
 		return cost
 	}
 	// Every gap pre-loads around the same offsets. Walking them in ascending
@@ -89,8 +75,8 @@ func (w *scratch) scorePossible(invoked fires, slots int, values []int, thetaPre
 	w.ascend = append(w.ascend[:0], values...)
 	slices.Sort(w.ascend)
 	cost.ColdStarts = 1
-	for i := 1; i < invoked.len(); i++ {
-		prev, cur := int(invoked.slot(i-1)), int(invoked.slot(i))
+	for i := 1; i < invoked.Len(); i++ {
+		prev, cur := int(invoked.Slot(i-1)), int(invoked.Slot(i))
 		gap := cur - prev - 1
 
 		warm := gap < thetaGivenup
@@ -165,7 +151,7 @@ func (w *scratch) scorePossible(invoked fires, slots int, values []int, thetaPre
 // so the union is formed by a k-way merge of the candidates' lists, and
 // the target's fires are scored against each maximal span as it closes. A
 // union does not depend on the order its members arrive in.
-func (w *scratch) scoreCorrelated(target fires, cands []fires, links []Link, slots int, thetaPrewarm int32) StrategyCost {
+func (w *scratch) scoreCorrelated(target trace.Parts, cands []trace.Parts, links []Link, slots int, thetaPrewarm int32) StrategyCost {
 	if len(cands) == 0 {
 		return StrategyCost{Feasible: false}
 	}
@@ -190,10 +176,10 @@ func (w *scratch) scoreCorrelated(target fires, cands []fires, links []Link, slo
 	// it warm, its other slots waste.
 	score := func(s span) {
 		cost.WastedMem += int(s.hi-s.lo) + 1
-		for ; j < target.len() && target.slot(j) < s.lo; j++ {
+		for ; j < target.Len() && target.Slot(j) < s.lo; j++ {
 			cost.ColdStarts++
 		}
-		for ; j < target.len() && target.slot(j) <= s.hi; j++ {
+		for ; j < target.Len() && target.Slot(j) <= s.hi; j++ {
 			cost.WastedMem--
 		}
 	}
@@ -221,14 +207,14 @@ func (w *scratch) scoreCorrelated(target fires, cands []fires, links []Link, slo
 		}
 	}
 	score(cur)
-	cost.ColdStarts += target.len() - j
+	cost.ColdStarts += target.Len() - j
 	return cost
 }
 
 // spanList walks one candidate's pre-load windows in ascending start,
 // skipping windows the clip empties; head is the current one.
 type spanList struct {
-	fires        fires
+	fires        trace.Parts
 	k            int // next fire
 	lag, prewarm int32
 	end          int32 // last slot of the window scored
@@ -238,8 +224,8 @@ type spanList struct {
 // next advances head to the next non-empty window, reporting whether there
 // was one.
 func (l *spanList) next() bool {
-	for ; l.k < l.fires.len(); l.k++ {
-		c := l.fires.slot(l.k)
+	for ; l.k < l.fires.Len(); l.k++ {
+		c := l.fires.Slot(l.k)
 		lo, hi := max(c+l.lag-l.prewarm, c+1), min(c+l.lag+l.prewarm, l.end)
 		if lo <= hi {
 			l.head = span{lo, hi}
@@ -307,7 +293,7 @@ func riseRate(worse, best int) float64 {
 // holds its accepted correlations) and the validation window's length, so
 // the offline phase never expands a dense per-slot sequence. The returned
 // profile owns its Values; links is stored as given.
-func (w *scratch) assignIndeterminate(act series.Activity, valInvoked fires, valSlots int, links []Link, cands []fires, cfg Config) Profile {
+func (w *scratch) assignIndeterminate(act series.Activity, valInvoked trace.Parts, valSlots int, links []Link, cands []trace.Parts, cfg Config) Profile {
 	// The possible strategy's predictive values: WTs occurring more than
 	// once, most frequent first (stats.RepeatedValues, read off the WT
 	// distribution).
@@ -326,7 +312,7 @@ func (w *scratch) assignIndeterminate(act series.Activity, valInvoked fires, val
 		}
 	}
 
-	if valInvoked.len() == 0 {
+	if valInvoked.Len() == 0 {
 		// Never invoked during validation: no basis for scoring. Fall back
 		// on static structure, preferring informative strategies.
 		switch {

@@ -19,7 +19,7 @@ func slotSeries(slots ...int32) trace.Series {
 }
 
 // firesOf views the given slots as validation-window fires.
-func firesOf(slots ...int32) fires { return fires{evs: slotSeries(slots...)} }
+func firesOf(slots ...int32) trace.Parts { return one(slotSeries(slots...)) }
 
 func TestScorePulsed(t *testing.T) {
 	// Invocations at 0,1,2 then 50,51: one wave break.
@@ -52,7 +52,7 @@ func TestScorePulsedShortGaps(t *testing.T) {
 }
 
 func TestScorePulsedEmpty(t *testing.T) {
-	cost := scorePulsed(fires{}, 100, 5)
+	cost := scorePulsed(trace.Parts{}, 100, 5)
 	if cost.ColdStarts != 0 || cost.WastedMem != 0 || !cost.Feasible {
 		t.Errorf("empty pulsed = %+v", cost)
 	}
@@ -96,7 +96,7 @@ func TestScorePossibleInfeasible(t *testing.T) {
 
 func TestScoreCorrelated(t *testing.T) {
 	target := firesOf(10, 20, 30)
-	cand := []fires{firesOf(8, 18, 28)}
+	cand := []trace.Parts{firesOf(8, 18, 28)}
 	cost := new(scratch).scoreCorrelated(target, cand, []Link{{Lag: 2}}, 40, 2)
 	if !cost.Feasible {
 		t.Fatal("correlated with fires must be feasible")
@@ -113,7 +113,7 @@ func TestScoreCorrelated(t *testing.T) {
 
 func TestScoreCorrelatedMisses(t *testing.T) {
 	target := firesOf(10, 35)
-	cand := []fires{firesOf(8)}
+	cand := []trace.Parts{firesOf(8)}
 	cost := new(scratch).scoreCorrelated(target, cand, []Link{{Lag: 2}}, 50, 2)
 	if cost.ColdStarts != 1 {
 		t.Errorf("cold starts = %d, want 1 (35 unpredicted)", cost.ColdStarts)
@@ -124,7 +124,7 @@ func TestScoreCorrelatedInfeasible(t *testing.T) {
 	if cost := new(scratch).scoreCorrelated(firesOf(1), nil, nil, 10, 2); cost.Feasible {
 		t.Error("correlated without candidates must be infeasible")
 	}
-	if cost := new(scratch).scoreCorrelated(firesOf(1), []fires{{}}, []Link{{Lag: 1}}, 10, 2); cost.Feasible {
+	if cost := new(scratch).scoreCorrelated(firesOf(1), []trace.Parts{{}}, []Link{{Lag: 1}}, 10, 2); cost.Feasible {
 		t.Error("correlated with only-empty candidates must be infeasible")
 	}
 }
@@ -132,7 +132,7 @@ func TestScoreCorrelatedInfeasible(t *testing.T) {
 func TestScoreCorrelatedDefaultLag(t *testing.T) {
 	// Missing or zero lag defaults to 1.
 	target := firesOf(10)
-	cand := []fires{firesOf(9)}
+	cand := []trace.Parts{firesOf(9)}
 	cost := new(scratch).scoreCorrelated(target, cand, nil, 20, 0)
 	if cost.ColdStarts != 0 {
 		t.Errorf("cold starts = %d, want 0 (lag-1 window covers slot 10)", cost.ColdStarts)
@@ -412,7 +412,7 @@ func TestStrategyScoresMatchReferences(t *testing.T) {
 		}
 
 		var candFires [][]int32
-		var cands []fires
+		var cands []trace.Parts
 		var lags []int32
 		var links []Link
 		for c := rng.Intn(4); c > 0; c-- {
@@ -430,15 +430,25 @@ func TestStrategyScoresMatchReferences(t *testing.T) {
 	}
 }
 
-// TestFiresFromRebases pins the validation view: the suffix at or after the
-// window start, read relative to it.
+// TestFiresFromRebases pins the validation view (Parts.From): the suffix at
+// or after the window start, read relative to it, over one part and over
+// two split at every event index.
 func TestFiresFromRebases(t *testing.T) {
 	s := slotSeries(3, 9, 10, 25)
-	f := firesFrom(s, 10)
-	if f.len() != 2 || f.slot(0) != 0 || f.slot(1) != 15 {
-		t.Errorf("firesFrom(10) = %d fires at %d, %d; want 2 at 0, 15", f.len(), f.slot(0), f.slot(1))
-	}
-	if firesFrom(s, 26).len() != 0 || firesFrom(s, 0).len() != 4 {
-		t.Error("firesFrom window bounds")
+	for k := -1; k <= len(s); k++ {
+		ps := one(s)
+		if k >= 0 {
+			ps = split(s, k)
+		}
+		f := ps.From(10)
+		if f.Len() != 2 || f.Slot(0) != 0 || f.Slot(1) != 15 || f.First() != 0 || f.Last() != 15 {
+			t.Errorf("split %d: From(10) = %d fires at %d, %d; want 2 at 0, 15", k, f.Len(), f.Slot(0), f.Slot(1))
+		}
+		if f := ps.From(26); f.Len() != 0 || f.First() != -1 || f.Last() != -1 || ps.From(0).Len() != 4 {
+			t.Errorf("split %d: From window bounds", k)
+		}
+		if got := ps.Between(9, 25); got.Len() != 2 || got.Slot(0) != 9 || got.Total() != 2 {
+			t.Errorf("split %d: Between(9, 25) = %d events from %d, want 2 from 9", k, got.Len(), got.Slot(0))
+		}
 	}
 }

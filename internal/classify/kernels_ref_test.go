@@ -3,6 +3,8 @@ package classify
 import (
 	"cmp"
 	"slices"
+
+	"repro/internal/trace"
 )
 
 // References for the kernels of the offline pass, as they were before each
@@ -14,7 +16,7 @@ import (
 
 // scoreCorrelatedRef is scoreCorrelated with the union formed by sorting
 // every candidate's windows by start and merging them in place.
-func scoreCorrelatedRef(target fires, cands []fires, links []Link, slots int, thetaPrewarm int32) StrategyCost {
+func scoreCorrelatedRef(target trace.Parts, cands []trace.Parts, links []Link, slots int, thetaPrewarm int32) StrategyCost {
 	if len(cands) == 0 {
 		return StrategyCost{Feasible: false}
 	}
@@ -24,8 +26,8 @@ func scoreCorrelatedRef(target fires, cands []fires, links []Link, slots int, th
 		if i < len(links) && links[i].Lag > 0 {
 			lag = links[i].Lag
 		}
-		for k := 0; k < cand.len(); k++ {
-			c := cand.slot(k)
+		for k := 0; k < cand.Len(); k++ {
+			c := cand.Slot(k)
 			lo, hi := c+lag-thetaPrewarm, c+lag+thetaPrewarm
 			if lo <= c {
 				lo = c + 1
@@ -58,8 +60,8 @@ func scoreCorrelatedRef(target fires, cands []fires, links []Link, slots int, th
 		cost.WastedMem += int(s.hi-s.lo) + 1
 	}
 	j := 0
-	for k := 0; k < target.len(); k++ {
-		t := target.slot(k)
+	for k := 0; k < target.Len(); k++ {
+		t := target.Slot(k)
 		for j < len(merged) && merged[j].hi < t {
 			j++
 		}

@@ -37,22 +37,45 @@ func gapSeries(data []byte) trace.Series {
 // checkLagScan holds the bitset kernels to the merge forms for one pair:
 // the same best lag and COR bits for maxLag, and the same follow rate at
 // the best lag and at lag with the given slack.
+//
+// Both sides are also read as two parts, each split at its middle event:
+// the merge and bitset forms over the split pair must give the one-part
+// pair's results.
 func checkLagScan(t *testing.T, target, cand trace.Series, maxLag, lag, slack int32) {
+	t.Helper()
+	checkLagScanParts(t, one(target), one(cand), maxLag, lag, slack)
+	wantLag, wantCOR := BestLaggedCOR(one(target), one(cand), maxLag)
+	tp, cp := split(target, len(target)/2), split(cand, (len(cand)+1)/2)
+	if gotLag, gotCOR := BestLaggedCOR(tp, cp, maxLag); gotLag != wantLag || gotCOR != wantCOR {
+		t.Fatalf("maxLag %d: merge over split parts = (%d, %v), over one part (%d, %v)", maxLag, gotLag, gotCOR, wantLag, wantCOR)
+	}
+	for _, l := range []int32{wantLag, lag} {
+		if got, want := FollowRate(cp, tp, l, slack), FollowRate(one(cand), one(target), l, slack); got != want {
+			t.Fatalf("lag %d slack %d: follow rate over split parts %v, over one part %v", l, slack, got, want)
+		}
+	}
+	checkLagScanParts(t, tp, cp, maxLag, lag, slack)
+}
+
+// checkLagScanParts is checkLagScan's comparison for one reading of the
+// pair.
+func checkLagScanParts(t *testing.T, target, cand trace.Parts, maxLag, lag, slack int32) {
 	t.Helper()
 	var ls lagScanner
 	ls.reset(target)
 	wantLag, wantCOR := BestLaggedCOR(target, cand, maxLag)
-	gotLag, gotCOR := ls.bestLaggedCOR(cand, maxLag)
+	ls.setCandidate(cand)
+	gotLag, gotCOR := ls.bestLaggedCOR(maxLag)
 	if gotLag != wantLag || math.Float64bits(gotCOR) != math.Float64bits(wantCOR) {
 		t.Fatalf("maxLag %d: bitset scan = (%d, %v), merge (%d, %v)\ntarget %v\ncand %v",
 			maxLag, gotLag, gotCOR, wantLag, wantCOR, target, cand)
 	}
-	if len(target) > 0 && !ls.built {
+	if target.Len() > 0 && !ls.built {
 		t.Fatal("a bitset scan left the target's bitset unbuilt")
 	}
 	for _, l := range []int32{wantLag, lag} {
 		want := FollowRate(cand, target, l, slack)
-		if got := ls.followRate(cand, l, slack); math.Float64bits(got) != math.Float64bits(want) {
+		if got := ls.followRate(l, slack); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("lag %d slack %d: bitset follow rate %v, merge %v\ntarget %v\ncand %v",
 				l, slack, got, want, target, cand)
 		}
@@ -103,12 +126,12 @@ func TestSpanUnionMatchesSortedMerge(t *testing.T) {
 	var w scratch
 	for trial := 0; trial < 3000; trial++ {
 		slots := 1 + rng.Intn(300)
-		target := fires{evs: randomSeries(rng, rng.Intn(slots+1), slots)}
-		var cands []fires
+		target := one(randomSeries(rng, rng.Intn(slots+1), slots))
+		var cands []trace.Parts
 		var links []Link
 		for c := rng.Intn(maxLinks + 3); c > 0; c-- {
 			n := rng.Intn(60)
-			cands = append(cands, fires{evs: randomSeries(rng, n, slots+10)})
+			cands = append(cands, one(randomSeries(rng, n, slots+10)))
 			links = append(links, Link{Lag: int32(rng.Intn(14)) - 2})
 		}
 		if rng.Intn(5) == 0 {
@@ -143,19 +166,19 @@ func BenchmarkLagScan(b *testing.B) {
 		cand := randomSeries(rng, shape.cand, slots)
 		b.Run(shape.name+"/merge", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lag, _ := BestLaggedCOR(target, cand, cfg.MaxLag)
-				benchRate = FollowRate(cand, target, lag, 2)
+				lag, _ := BestLaggedCOR(one(target), one(cand), cfg.MaxLag)
+				benchRate = FollowRate(one(cand), one(target), lag, 2)
 			}
 		})
 		b.Run(shape.name+"/bitset", func(b *testing.B) {
 			var ls lagScanner
-			ls.reset(target)
+			ls.reset(one(target))
 			ls.build()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ls.cand = nil // each pair sets its candidate's bits
-				lag, _ := ls.bestLaggedCOR(cand, cfg.MaxLag)
-				benchRate = ls.followRate(cand, lag, 2)
+				ls.setCandidate(one(cand)) // each pair sets its candidate's bits
+				lag, _ := ls.bestLaggedCOR(cfg.MaxLag)
+				benchRate = ls.followRate(lag, 2)
 			}
 		})
 	}

@@ -145,16 +145,16 @@ func oracleAssign(counts []int, valStart int, links []Link, candFires [][]int32,
 	for _, s := range series.InvokedSlots(counts[valStart:]) {
 		valInvoked = append(valInvoked, trace.Event{Slot: int32(s), Count: 1})
 	}
-	cands := make([]fires, len(candFires))
+	cands := make([]trace.Parts, len(candFires))
 	for i, slots := range candFires {
 		evs := make(trace.Series, len(slots))
 		for k, s := range slots {
 			evs[k] = trace.Event{Slot: s, Count: 1}
 		}
-		cands[i] = fires{evs: evs}
+		cands[i] = one(evs)
 	}
 	var w scratch
-	return w.assignIndeterminate(act, fires{evs: valInvoked}, len(counts)-valStart, links, cands, cfg)
+	return w.assignIndeterminate(act, one(valInvoked), len(counts)-valStart, links, cands, cfg)
 }
 
 // laggedCOR returns the fraction of the target's invoked slots t for which
@@ -387,7 +387,7 @@ type kernelPaths struct {
 func (k *kernelPaths) add(tr *trace.Trace, profiles []Profile, cfg Config) {
 	var w scratch
 	for _, s := range tr.Series {
-		wts := w.extractWindow(s, 0, tr.Slots).WT
+		wts := w.extractWindow(one(s), 0, tr.Slots).WT
 		if len(wts) == 0 {
 			continue
 		}
@@ -408,7 +408,7 @@ func (k *kernelPaths) add(tr *trace.Trace, profiles []Profile, cfg Config) {
 			continue
 		}
 		var ls lagScanner
-		ls.reset(target)
+		ls.reset(one(target))
 		meta := tr.Functions[fid]
 		seen := map[trace.FuncID]bool{trace.FuncID(fid): true}
 		for _, c := range append(slices.Clone(apps[meta.App]), users[meta.User]...) {
@@ -432,11 +432,12 @@ func (k *kernelPaths) add(tr *trace.Trace, profiles []Profile, cfg Config) {
 
 // plantCVBand adds to tr a function of its own application and user whose
 // WTs alternate 99 and 101 slots forty times: CV exactly 0.01, which the
-// integer CV test leaves to the float formula.
+// integer CV test leaves to the float formula. On a view the function has
+// no head part, and its events are stored at the view's Base.
 func plantCVBand(tr *trace.Trace) {
 	var evs []trace.Event
 	for slot, i := int32(0), 0; i <= 40; i++ {
-		evs = append(evs, trace.Event{Slot: slot, Count: 1})
+		evs = append(evs, trace.Event{Slot: slot + tr.Base, Count: 1})
 		slot += 100 + 2*int32(i%2)
 	}
 	tr.Functions, tr.Series = slices.Clip(tr.Functions), slices.Clip(tr.Series)
@@ -447,11 +448,13 @@ func plantCVBand(tr *trace.Trace) {
 // oracle on the windows online re-categorization builds: every 720-slot
 // boundary of a two-day simulation after four training days, for the
 // stationary baseline and every library scenario, each window as long as
-// the training trace (sim.BuildRetrainWindow, the window the simulator hands
-// a Retrainer), plus a planted function on the CV bound (plantCVBand). It
-// also checks that those windows drive both lag-scan kernels, both
-// distribution builders and all three CV verdicts, so the agreement covers
-// each of them.
+// the training trace, plus a planted function on the CV bound
+// (plantCVBand). Categorize reads the view the simulator hands a Retrainer
+// (sim.BuildRetrainWindow); the oracle reads the same window copied by
+// stitchWindow, so it shares no read path with the categorizer. It also
+// checks that those windows drive both lag-scan kernels, both distribution
+// builders and all three CV verdicts, so the agreement covers each of
+// them.
 func TestCategorizeMatchesOracleAtRetrainBoundaries(t *testing.T) {
 	const functions, days, trainDays, every = 240, 6, 4, 720
 	boundaries := []int{every, 2 * every, 3 * every}
@@ -475,9 +478,11 @@ func TestCategorizeMatchesOracleAtRetrainBoundaries(t *testing.T) {
 		train, simTr := full.Split(trainDays * 1440)
 		for _, at := range boundaries {
 			win := sim.BuildRetrainWindow(train, simTr, at, train.Slots)
+			ref := stitchWindow(train, simTr, at, train.Slots)
 			plantCVBand(win)
-			want := oracleCategorize(win, cfg, false, false)
-			paths.add(win, want, cfg)
+			plantCVBand(ref)
+			want := oracleCategorize(ref, cfg, false, false)
+			paths.add(ref, want, cfg)
 			for _, workers := range []int{1, 4} {
 				wcfg := cfg
 				wcfg.Workers = workers

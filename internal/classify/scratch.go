@@ -4,6 +4,7 @@ import (
 	"runtime"
 
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // scratch is one worker's reusable working memory for the offline pass.
@@ -31,7 +32,6 @@ type scratch struct {
 	// Forgetting rule: per-run metadata of the full window (extractMeta) and
 	// the rebuilt AT/AN of a suffix whose first run straddles the cut.
 	runStarts []int32
-	runEvIdx  []int32
 	prefixInv []int
 	cutRuns   []int
 
@@ -79,7 +79,7 @@ func putScratches(ws []*scratch) {
 		if w == nil {
 			continue
 		}
-		w.lags.reset(nil)
+		w.lags.reset(trace.Parts{})
 		select {
 		case scratchFree <- w:
 		default:

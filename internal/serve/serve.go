@@ -274,11 +274,13 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RetrainEvery > 0 {
 		dcfg.RetrainEvery = cfg.RetrainEvery
 		dcfg.RetrainWindow = cfg.RetrainWindow
-		// Only the driver calls Window — from replay here, then from the
-		// apply loop — so the daemon's one builder is never shared.
-		var wb sim.WindowBuilder
+		// The window is a view of the training trace and the recorded
+		// history. Only the driver calls Window — from replay here, then
+		// from the apply loop — and record appends to the history only
+		// outside Step: the slot's events before it, at the slot the window
+		// ends before, and the next batch's after Retrain has returned.
 		dcfg.Window = func(t, w int) *trace.Trace {
-			return wb.Build(cfg.Training, s.history, t, w)
+			return sim.BuildRetrainWindow(cfg.Training, s.history, t, w)
 		}
 	}
 	s.driver = sim.NewDriver(s.policy, s.policy.NumFunctions(), dcfg)

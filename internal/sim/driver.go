@@ -66,19 +66,8 @@ type Driver struct {
 // boundary slot t (see the Retrainer contract): w slots of recorded history
 // ending just before t, re-based so window slot 0 is slot t-w. The batch
 // engine builds it from the train/sim trace pair, the serving daemon from
-// its recorded live history, each through a WindowBuilder it owns. The
-// window and its series are borrowed until Retrain returns: the engine
-// overwrites them at the next boundary.
+// its recorded live history, both with BuildRetrainWindow.
 type WindowFunc func(t, w int) *trace.Trace
-
-// BuildRetrainWindow builds one window on a fresh WindowBuilder, so the
-// result owns its storage: w slots ending just before t, filled from
-// recorded (the simulation-timeline history, slot 0 = simulation slot 0)
-// and, for t < w, from the tail of training. Anything before recorded
-// history is empty.
-func BuildRetrainWindow(training, recorded *trace.Trace, t, w int) *trace.Trace {
-	return new(WindowBuilder).Build(training, recorded, t, w)
-}
 
 // DriverConfig configures a Driver around an already-trained policy.
 type DriverConfig struct {

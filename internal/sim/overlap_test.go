@@ -15,11 +15,11 @@ import (
 )
 
 // The batch engine transposes each chunk of slots beside the Driver's Ticks
-// on the chunk before, and builds each retrain window into one reused
-// WindowBuilder at its boundary (runOne). These tests hold it to the loop
-// it replaced, kept here as the reference: one Driver fed the whole BySlot
-// stream, whose Window builds each boundary's window afresh when the
-// Driver asks for it.
+// on the chunk before, and builds each retrain window, a view of the
+// training and simulation traces, at its boundary (runOne). These tests
+// hold it to the loop it replaced, kept here as the reference: one Driver
+// fed the whole BySlot stream, whose Window builds each boundary's window
+// when the Driver asks for it.
 
 const (
 	overlapFunctions  = 120
@@ -92,9 +92,11 @@ func serialRetrainRun(t testing.TB, p sim.Policy, training, simTr *trace.Trace, 
 }
 
 // recordingSPES checks every window it is handed against a fresh
-// sim.BuildRetrainWindow at the same slot, once on entry and again after
-// the categorizer ran over it: a window built for another boundary fails
-// the first check, one that a concurrent build overwrites the second.
+// sim.BuildRetrainWindow at the same slot, each copied by
+// sim.Materialize (the tests' copy, not the categorizer's reader), once on
+// entry and again after the categorizer ran over it: a window built for
+// another boundary fails the first check, one written while Retrain held
+// it the second.
 type recordingSPES struct {
 	*core.SPES
 	t               testing.TB
@@ -104,12 +106,12 @@ type recordingSPES struct {
 }
 
 func (r *recordingSPES) Retrain(at int, window *trace.Trace) {
-	want := sim.BuildRetrainWindow(r.training, r.simTr, at, r.window)
-	if !reflect.DeepEqual(window, want) {
+	want := sim.Materialize(sim.BuildRetrainWindow(r.training, r.simTr, at, r.window))
+	if !reflect.DeepEqual(sim.Materialize(window), want) {
 		r.t.Errorf("Retrain(%d): window differs from BuildRetrainWindow(%d, %d) on entry", at, at, r.window)
 	}
 	r.SPES.Retrain(at, window)
-	if !reflect.DeepEqual(window, want) {
+	if !reflect.DeepEqual(sim.Materialize(window), want) {
 		r.t.Errorf("Retrain(%d): window changed while Retrain held it", at)
 	}
 	r.at = append(r.at, at)

@@ -118,13 +118,13 @@ type IdleSkipper interface {
 //     re-based so window slot 0 is simulation slot t-W (slots before the
 //     start of recorded history are simply empty). It shares the run's
 //     Function metadata and must be treated as read-only.
-//   - window and its series are borrowed until Retrain returns: the engine
-//     builds every boundary's window into the same storage (WindowBuilder)
-//     and overwrites it at the next boundary, so nothing may keep them.
-//     The batch engine builds boundary t's window while the policy Ticks
-//     through the slots before t, and starts the next build only after
-//     Retrain(t) returns; the build reads the training and simulation
-//     traces, so a policy must not write to them.
+//   - window is borrowed until Retrain returns, and nothing may keep it
+//     or its series. It is a view (BuildRetrainWindow): its events are
+//     read in place from the training and recorded traces, per function
+//     at most two parts each read at its own slot base, so they are read
+//     through window.Parts (classify.Categorize does), never straight off
+//     window.Series. The training and recorded traces must not be written
+//     while a window is held.
 //   - Retrain is called before slot t's invocations are observed (and
 //     before its cold starts are accounted), so the window can never leak
 //     slot t or anything later.
@@ -135,9 +135,9 @@ type IdleSkipper interface {
 //   - Retrain must be deterministic given (t, window) and must not depend
 //     on state outside the function population it was trained on — that is
 //     what keeps per-shard retraining bit-identical to global retraining
-//     (the window builder hands each shard exactly its own slice of
-//     history, and categorization only couples functions sharing an app or
-//     user, which the partition keeps together).
+//     (each shard's window views exactly its own slice of history, and
+//     categorization only couples functions sharing an app or user, which
+//     the partition keeps together).
 type Retrainer interface {
 	Retrain(t int, window *trace.Trace)
 }

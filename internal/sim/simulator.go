@@ -243,10 +243,8 @@ func checkSlots(what string, tr *trace.Trace) error {
 // sharded merge.
 //
 // A run that retrains hands the Driver a Window that builds each
-// boundary's window into the run's one WindowBuilder when the Driver asks
-// for it, right before Retrain; the next build comes only at the next
-// boundary, after Retrain has returned, so a window is never overwritten
-// while it is borrowed.
+// boundary's window, a view of the training and simulation traces
+// (BuildRetrainWindow), when the Driver asks for it, right before Retrain.
 func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *slotLog) (*Result, error) {
 	if training != nil {
 		policy.Train(training)
@@ -257,10 +255,9 @@ func runOne(policy Policy, training, simTrace *trace.Trace, opts Options, log *s
 
 	cfg := DriverConfig{log: log}
 	if _, ok := policy.(Retrainer); ok && opts.RetrainEvery > 0 {
-		var wb WindowBuilder // one arena for every boundary of the run
 		cfg.RetrainEvery = opts.RetrainEvery
 		cfg.RetrainWindow = opts.retrainEffectiveWindow(training)
-		cfg.Window = func(at, w int) *trace.Trace { return wb.Build(training, simTrace, at, w) }
+		cfg.Window = func(at, w int) *trace.Trace { return BuildRetrainWindow(training, simTrace, at, w) }
 	}
 	d := NewDriver(policy, simTrace.NumFunctions(), cfg)
 	cur := simTrace.Cursor(0, simTrace.Slots)

@@ -146,6 +146,75 @@ func (s Series) Between(from, to int) Series {
 	return s[lo:hi:hi]
 }
 
+// Part is a run of one function's events read at a slot base: event e
+// stands at slot e.Slot-Base.
+type Part struct {
+	Events Series
+	Base   int32
+}
+
+// Parts is one function's events as at most two Part values read in place,
+// every slot of the first before every slot of the second. A materialized trace's
+// function is its series alone (part 1, at base 0); a view's (Trace.Head)
+// is its head events, then the rest. Readers walk both parts in one loop,
+//
+//	for _, p := range ps {
+//		for _, e := range p.Events {
+//			slot := e.Slot - p.Base
+//
+// or index them through Slot, so one read path serves both kinds of trace.
+type Parts [2]Part
+
+// Len returns the number of events.
+func (ps Parts) Len() int { return len(ps[0].Events) + len(ps[1].Events) }
+
+// Slot returns the slot of event i, counted across both parts.
+func (ps Parts) Slot(i int) int32 {
+	if n := len(ps[0].Events); i >= n {
+		return ps[1].Events[i-n].Slot - ps[1].Base
+	}
+	return ps[0].Events[i].Slot - ps[0].Base
+}
+
+// First returns the first invoked slot, or -1 when there is no event.
+func (ps Parts) First() int32 {
+	if ps.Len() == 0 {
+		return -1
+	}
+	return ps.Slot(0)
+}
+
+// Last returns the last invoked slot, or -1 when there is no event.
+func (ps Parts) Last() int32 {
+	if ps.Len() == 0 {
+		return -1
+	}
+	return ps.Slot(ps.Len() - 1)
+}
+
+// Total returns the total invocation count.
+func (ps Parts) Total() int64 { return ps[0].Events.Total() + ps[1].Events.Total() }
+
+// Between returns the events in slots [from, to), slots unchanged, each
+// part a capacity-clipped view of its own (Series.Between).
+func (ps Parts) Between(from, to int) Parts {
+	for i := range ps {
+		b := int(ps[i].Base)
+		ps[i].Events = ps[i].Events.Between(from+b, to+b)
+	}
+	return ps
+}
+
+// From returns the events at or after slot start, re-based so start reads
+// as slot 0.
+func (ps Parts) From(start int) Parts {
+	for i := range ps {
+		ps[i].Events = ps[i].Events.Between(start+int(ps[i].Base), math.MaxInt32)
+		ps[i].Base += int32(start)
+	}
+	return ps
+}
+
 // FirstSlot returns the first invoked slot, or -1 when the series is empty.
 func (s Series) FirstSlot() int32 {
 	if len(s) == 0 {
@@ -197,10 +266,30 @@ func normalize(events []Event) Series {
 // per function, over Slots minutes. Events at or past Slots are outside the
 // trace: every reader (Dense, Cursor, the simulators) ignores them. A
 // negative slot is malformed; sim.Run refuses a trace that holds one.
+//
+// A view reads its events in place from other traces' series: function f's
+// events are Head[f], read at base HeadBase, then Series[f], read at base
+// Base (see Part). Head may be shorter than Series, a function past its end
+// having no head events. A materialized trace has neither: Head nil, Base 0.
+// Readers that may be handed a view (classify.Categorize, over a retrain
+// window) read it through Parts; everything else takes materialized traces.
 type Trace struct {
 	Slots     int
 	Functions []Function
 	Series    []Series // indexed by FuncID
+	Head      []Series // a view's first parts, indexed by FuncID
+	HeadBase  int32
+	Base      int32
+}
+
+// Parts returns function f's events: Series[f] alone for a materialized
+// trace, Head[f] and then Series[f] for a view.
+func (tr *Trace) Parts(f FuncID) Parts {
+	ps := Parts{1: {Events: tr.Series[f], Base: tr.Base}}
+	if int(f) < len(tr.Head) {
+		ps[0] = Part{Events: tr.Head[f], Base: tr.HeadBase}
+	}
+	return ps
 }
 
 // NewTrace creates an empty trace spanning slots minutes.

@@ -1,6 +1,9 @@
 package trace
 
-import "fmt"
+import (
+	"fmt"
+	"hash/maphash"
+)
 
 // Population sharding: a trace can be viewed as P independent shards, each a
 // self-contained Trace over a subset of the functions, so simulations can run
@@ -64,19 +67,38 @@ func PartitionFunctions(fns []Function, p int) *Partition {
 		}
 	}
 
-	appRep := make(map[string]int32)
-	userRep := make(map[string]int32)
-	for i := range fns {
-		fid := int32(i)
-		if r, ok := appRep[fns[i].App]; ok {
-			union(fid, r)
-		} else {
-			appRep[fns[i].App] = fid
+	// Functions sharing an application, then a user, meet in one
+	// open-addressed table of representatives, at most half full: a
+	// function's key hashes to a slot and probes on from it, and the first
+	// function found with an equal key is united with it; an empty slot
+	// makes the function its key's representative. Unions commute, so the
+	// components and their roots do not depend on the hash seed: the
+	// partition is the same in every process, with no map keyed by string.
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	mask := uint64(size - 1)
+	table := make([]int32, size)
+	seed := maphash.MakeSeed()
+	for _, key := range [...]func(int32) string{
+		func(f int32) string { return fns[f].App },
+		func(f int32) string { return fns[f].User },
+	} {
+		for i := range table {
+			table[i] = -1
 		}
-		if r, ok := userRep[fns[i].User]; ok {
-			union(fid, r)
-		} else {
-			userRep[fns[i].User] = fid
+		for f := int32(0); f < int32(n); f++ {
+			k := key(f)
+			for h := maphash.String(seed, k) & mask; ; h = (h + 1) & mask {
+				if r := table[h]; r < 0 {
+					table[h] = f
+					break
+				} else if key(r) == k {
+					union(f, r)
+					break
+				}
+			}
 		}
 	}
 

@@ -213,3 +213,57 @@ func helperFree() bool {
 	})
 	return helped.Load()
 }
+
+// retrainBoundaryBytes bounds what one retrain boundary of a SPES run may
+// allocate a function beyond the same run without retrains: the window
+// view's two slice headers (48 B), the categorization's outcome (each
+// profile, its values and links), the app/user peer index it builds, and
+// the link index SPES rebuilds. It reads 271 B (go1.24, 2 cores,
+// benchSettings). A window that copies its events costs the window's
+// events again: 5 460 B a function a boundary when every window was copied
+// into one arena the run reused.
+const retrainBoundaryBytes = 512
+
+// TestRetrainRunAllocation holds a retraining run to the run without
+// retrains plus O(functions) bytes a boundary: at GOMAXPROCS 2 a warm
+// default sim.Run of SPES that retrains every 720 slots (three boundaries,
+// each six days of history over two shards) may allocate no more than the
+// same run without retrains plus retrainBoundaryBytes a function a
+// boundary. The runs alternate, and each side's fewest bytes of three
+// count.
+func TestRetrainRunAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	_, train, simTr, err := experiments.BuildWorkload(benchSettings())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const every = 720
+	run := func(every int) uint64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if _, err := sim.Run(core.New(core.DefaultConfig()), train, simTr, sim.Options{RetrainEvery: every}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run(every)
+	run(0)
+	plain, retrained := uint64(math.MaxUint64), uint64(math.MaxUint64)
+	for range 3 {
+		plain = min(plain, run(0))
+		retrained = min(retrained, run(every))
+	}
+	n, boundaries := simTr.NumFunctions(), (simTr.Slots-1)/every
+	budget := plain + uint64(boundaries*n*retrainBoundaryBytes)
+	t.Logf("warm run of %d functions over %d slots: without retrains %.1f KB, retraining every %d slots (%d boundaries) %.1f KB: %.0f B a function a boundary; budget %.1f KB",
+		n, simTr.Slots, float64(plain)/1e3, every, boundaries, float64(retrained)/1e3,
+		float64(retrained-plain)/float64(boundaries*n), float64(budget)/1e3)
+	if retrained > budget {
+		t.Errorf("a retraining run allocated %d B, the same run without retrains %d B: over the %d-B budget of %d boundaries", retrained, plain, budget, boundaries)
+	}
+}
