@@ -11,17 +11,37 @@ import (
 //
 // Its stream is Go 1 math/rand's, rand.New(rand.NewSource(seed)), value for
 // value. The source is a concrete copy of math/rand's (lfib), so the hot
-// draws — Float64, Bool and Poisson's product loop — read it without an
+// draws — Float64, Bool and Poisson's kernels — read it without an
 // interface call; every other method goes through a rand.Rand over the
 // same source and so stays math/rand's by construction.
 type RNG struct {
 	src lfib
 	r   *rand.Rand // over &src
 
-	// expLambda memoizes Poisson's exp(-lambda) for the last lambda it was
-	// called with: generators draw one count per slot at a constant rate.
-	lambda, expLambda float64
+	// rates memoizes exp(-lambda) for the last two rates Poisson's kernels
+	// were called with, the latest first: generators draw at one or two
+	// alternating rates per function.
+	rates [2]struct{ lambda, exp float64 }
 }
+
+// expNeg returns exp(-lambda), from rates or computed into rates[0].
+func (g *RNG) expNeg(lambda float64) float64 {
+	r := &g.rates
+	if r[0].lambda != lambda {
+		if r[1].lambda == lambda {
+			r[0], r[1] = r[1], r[0]
+		} else {
+			r[1] = r[0]
+			r[0].lambda, r[0].exp = lambda, math.Exp(-lambda)
+		}
+	}
+	return r[0].exp
+}
+
+// retryFrom is the least Int63 whose Float64 division rounds up to 1, the
+// draws rand.Rand.Float64 retries: the floats below 2⁶³ are 2¹⁰ apart, and
+// the halfway point rounds to the even 2⁶³.
+const retryFrom = 1<<63 - 1<<9
 
 // NewRNG returns a deterministic RNG for the given seed.
 func NewRNG(seed int64) *RNG {
@@ -77,38 +97,98 @@ func (g *RNG) Poisson(lambda float64) int {
 		}
 		return n
 	}
-	if lambda != g.lambda {
-		g.lambda, g.expLambda = lambda, math.Exp(-lambda)
-	}
 	// The product loop is Float64 inlined over the source's registers,
 	// with tap and feed held in locals until the draw ends.
-	l := g.expLambda
+	l := g.expNeg(lambda)
 	s := &g.src
-	tap, feed := s.tap, s.feed
+	vec := &s.vec
+	tap, feed := uint(s.tap), uint(s.feed)
 	k := 0
 	p := 1.0
 	for {
-		tap--
-		if tap < 0 {
-			tap += lfibLen
-		}
-		feed--
-		if feed < 0 {
-			feed += lfibLen
-		}
-		x := s.vec[feed] + s.vec[tap]
-		s.vec[feed] = x
-		f := float64(x&lfibMask) / (1 << 63)
-		if f == 1 {
+		tap, feed = lfibStep(tap, feed)
+		x := vec[feed] + vec[tap]
+		vec[feed] = x
+		v := x & lfibMask
+		if v >= retryFrom {
 			continue
 		}
-		p *= f
+		p *= float64(v) / (1 << 63)
 		if p <= l {
-			s.tap, s.feed = tap, feed
+			s.tap, s.feed = int(tap), int(feed)
 			return k
 		}
 		k++
 	}
+}
+
+// lfibStep moves tap and feed back one entry, from 0 to lfibLen-1.
+func lfibStep(tap, feed uint) (uint, uint) {
+	tap--
+	if tap >= lfibLen {
+		tap = lfibLen - 1
+	}
+	feed--
+	if feed >= lfibLen {
+		feed = lfibLen - 1
+	}
+	return tap, feed
+}
+
+// PoissonFill stores len(dst) successive Poisson(lambda) samples in dst:
+// the values, and the stream left behind, of len(dst) Poisson calls. It is
+// the form for a loop that draws one count per slot at one rate.
+//
+// Where the calls lose their time is the product loop's exit, which the
+// branch predictor cannot learn at the rates per-slot loops use. So the
+// kernel has no branch per sample: each draw multiplies into the running
+// product, and a sample's end only selects what the next draw starts from
+// and moves the output index.
+func (g *RNG) PoissonFill(lambda float64, dst []int32) {
+	if lambda <= 0 || lambda > 30 {
+		for i := range dst {
+			dst[i] = int32(g.Poisson(lambda))
+		}
+		return
+	}
+	s := &g.src
+	vec := &s.vec
+	tap, feed := uint(s.tap), uint(s.feed)
+	// pb is the running product's bits: a non-negative float orders as its
+	// bits do, so the end test and the selects stay in integer registers.
+	lb := math.Float64bits(g.expNeg(lambda))
+	var pb uint64
+	end := true // the last draw ended a sample: the next one starts anew
+	k := int32(0)
+	for m := 0; m < len(dst); {
+		tap, feed = lfibStep(tap, feed)
+		x := vec[feed] + vec[tap]
+		vec[feed] = x
+		v := x & lfibMask
+		if v >= retryFrom {
+			continue
+		}
+		// Both candidates are computed first and each select is its own
+		// statement: the compiler then emits conditional moves, not
+		// branches.
+		u := float64(v) / (1 << 63)
+		next := math.Float64bits(math.Float64frombits(pb) * u)
+		first := math.Float64bits(u)
+		k++
+		if end {
+			next = first
+		}
+		if end {
+			k = 0
+		}
+		pb = next
+		end = pb <= lb
+		dst[m] = k
+		if end {
+			m++
+		}
+	}
+	s.tap, s.feed = int(tap), int(feed)
 }
 
 // Exponential returns an Exp(rate) sample.

@@ -95,7 +95,18 @@ var edgeSeeds = []int64{
 }
 
 // rngOps is the number of distinct operations applyOp dispatches.
-const rngOps = 11
+const rngOps = 12
+
+// opLambda maps an op's argument to a Poisson rate: from -2 through 61.75
+// (the non-positive shortcut, Knuth's product loop and the normal
+// approximation above 30), and for a third of the arguments a rate below
+// 0.07, where nearly every sample is 0.
+func opLambda(a int) float64 {
+	if a%3 == 0 {
+		return float64(a) / 4096
+	}
+	return float64(a-8) / 4
+}
 
 // applyOp runs operation op with parameter arg on both generators and
 // reports the first disagreement as "what", or "" when they agree.
@@ -116,9 +127,7 @@ func applyOp(g *RNG, ref *refRNG, op, arg byte) (what string, got, want float64)
 		p := float64(a) / 255
 		return "Bool", b2f(g.Bool(p)), b2f(ref.Bool(p))
 	case 4:
-		// -2 through 61.75: the non-positive shortcut, Knuth's product
-		// loop, and the normal approximation above 30.
-		lambda := float64(a-8) / 4
+		lambda := opLambda(a)
 		return "Poisson", float64(g.Poisson(lambda)), float64(ref.Poisson(lambda))
 	case 5:
 		rate := 0.01 + float64(a)/16
@@ -134,6 +143,16 @@ func applyOp(g *RNG, ref *refRNG, op, arg byte) (what string, got, want float64)
 		return "WeightedChoice", float64(g.WeightedChoice(w)), float64(ref.WeightedChoice(w))
 	case 9:
 		return "SplitSeed", float64(g.SplitSeed()), float64(ref.SplitSeed())
+	case 10:
+		lambda := opLambda(a)
+		dst := make([]int32, a%37)
+		g.PoissonFill(lambda, dst)
+		for _, got := range dst {
+			if want := ref.Poisson(lambda); int(got) != want {
+				return "PoissonFill", float64(got), float64(want)
+			}
+		}
+		return "", 0, 0
 	default:
 		seed := edgeSeeds[a%len(edgeSeeds)] + int64(a)
 		g.Reseed(seed)
@@ -212,31 +231,80 @@ func TestSeedrandMatchesSchrage(t *testing.T) {
 	}
 }
 
-// TestFloat64RetryOnOne plants a register pair whose sum is 2⁶³−1, the one
-// Int63 whose division rounds up to 1, and checks that Float64 and
-// Poisson's inlined loop skip it exactly as rand.Rand.Float64 does over the
-// same state.
-func TestFloat64RetryOnOne(t *testing.T) {
-	plant := func(g *RNG) {
-		g.Reseed(5)
-		g.src.vec[lfibLen-lfibTap-1] = lfibMask - 11
-		g.src.vec[lfibLen-1] = 11
+// TestSeedMulMatchesModulo compares the Mersenne fold to a plain modulo
+// (the product fits 62 bits) at the domain's ends and across it, with the
+// multipliers seedPow holds.
+func TestSeedMulMatchesModulo(t *testing.T) {
+	ys := []uint64{1, 2, 48271, int32max - 2, int32max - 1}
+	for i := 0; i < lfibLen; i += 50 {
+		ys = append(ys, uint64(seedPow[i][0]), uint64(seedPow[i][2]))
 	}
-	g := NewRNG(0)
-	plant(g)
-	oracle := g.src
-	r := rand.New(&oracle)
-	for i := 0; i < 3; i++ {
-		if got, want := g.Float64(), r.Float64(); got != want || got == 1 {
-			t.Fatalf("Float64 draw %d = %v, rand.Rand %v", i, got, want)
+	for _, y := range ys {
+		for _, x := range []uint64{1, 2, 3, 1 << 30, int32max - 2, int32max - 1} {
+			if got, want := seedMul(x, y), x*y%int32max; got != want {
+				t.Fatalf("seedMul(%d, %d) = %d, want %d", x, y, got, want)
+			}
+		}
+		for x := uint64(1); x < int32max; x += 7654321 {
+			if got, want := seedMul(x, y), x*y%int32max; got != want {
+				t.Fatalf("seedMul(%d, %d) = %d, want %d", x, y, got, want)
+			}
 		}
 	}
-	plant(g)
-	oracle = g.src
-	ref := &refRNG{r: rand.New(&oracle)}
-	for i := 0; i < 50; i++ {
-		if got, want := g.Poisson(4), ref.Poisson(4); got != want {
-			t.Fatalf("Poisson draw %d = %d, reference %d", i, got, want)
+}
+
+// TestFloat64RetryOnOne plants a register pair whose sum is an Int63 whose
+// division rounds up to 1, the largest (2⁶³−1) and the least (retryFrom),
+// or the one below them that does not, and checks that Float64 and
+// Poisson's kernels skip it exactly when rand.Rand.Float64 does over the
+// same state.
+func TestFloat64RetryOnOne(t *testing.T) {
+	if float64(uint64(retryFrom))/(1<<63) != 1 || float64(uint64(retryFrom-1))/(1<<63) == 1 {
+		t.Fatalf("retryFrom %d is not where Float64 starts rounding to 1", uint64(retryFrom))
+	}
+	g := NewRNG(0)
+	for _, sum := range []int64{lfibMask, retryFrom, retryFrom - 1} {
+		plant := func(g *RNG) {
+			g.Reseed(5)
+			g.src.vec[lfibLen-lfibTap-1] = sum - 11
+			g.src.vec[lfibLen-1] = 11
+		}
+		plant(g)
+		oracle := g.src
+		r := rand.New(&oracle)
+		for i := 0; i < 3; i++ {
+			if got, want := g.Float64(), r.Float64(); got != want || got == 1 {
+				t.Fatalf("plant %#x: Float64 draw %d = %v, rand.Rand %v", sum, i, got, want)
+			}
+		}
+		// Poisson's kernels, each from the planted state: the per-call
+		// product loop and a fill.
+		for _, c := range []struct {
+			name   string
+			lambda float64
+			draw   func(lambda float64) []int
+		}{
+			{"Poisson", 4, func(lambda float64) []int { return []int{g.Poisson(lambda)} }},
+			{"PoissonFill", 4, func(lambda float64) []int {
+				dst := make([]int32, 5)
+				g.PoissonFill(lambda, dst)
+				out := make([]int, len(dst))
+				for i, k := range dst {
+					out[i] = int(k)
+				}
+				return out
+			}},
+		} {
+			plant(g)
+			oracle = g.src
+			ref := &refRNG{r: rand.New(&oracle)}
+			for i := 0; i < 50; i++ {
+				for _, got := range c.draw(c.lambda) {
+					if want := ref.Poisson(c.lambda); got != want {
+						t.Fatalf("plant %#x: %s(%v) draw %d = %d, reference %d", sum, c.name, c.lambda, i, got, want)
+					}
+				}
+			}
 		}
 	}
 }
@@ -263,7 +331,9 @@ func FuzzRNGMatchesMathRand(f *testing.F) {
 
 // The benchmarks time each layer against its math/rand form, so a change in
 // generation speed can be located: seeding (one Reseed per generated
-// function) and the per-slot Poisson draw at a sparse and a dense rate.
+// function) and the per-slot Poisson draw at a sparse, a busy and a dense
+// rate, one call per sample and as blocks (PoissonFill). Each reports ns
+// per sample.
 
 func BenchmarkRNGSeed(b *testing.B) {
 	b.Run("stats", func(b *testing.B) {
@@ -284,7 +354,7 @@ func BenchmarkPoisson(b *testing.B) {
 	for _, c := range []struct {
 		name   string
 		lambda float64
-	}{{"sparse", 0.0004}, {"dense", 5}} {
+	}{{"sparse", 0.0004}, {"busy", 0.7}, {"dense", 5}} {
 		b.Run(c.name+"/stats", func(b *testing.B) {
 			g := NewRNG(1)
 			n := 0
@@ -292,6 +362,14 @@ func BenchmarkPoisson(b *testing.B) {
 				n += g.Poisson(c.lambda)
 			}
 			sink = n
+		})
+		b.Run(c.name+"/fill", func(b *testing.B) {
+			g := NewRNG(1)
+			var dst [256]int32
+			for i := 0; i < b.N; i += len(dst) {
+				g.PoissonFill(c.lambda, dst[:min(len(dst), b.N-i)])
+			}
+			sink = int(dst[0])
 		})
 		b.Run(c.name+"/math-rand", func(b *testing.B) {
 			ref := newRefRNG(1)

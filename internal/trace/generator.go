@@ -333,7 +333,9 @@ func (l *GenLayout) NumFunctions() int { return len(l.trigs) }
 // shard into: train over [0, at), and sim over [at, slots) re-based to 0.
 // Both halves share one Functions slice and one Global mapping, as Split's
 // do. Either way each function is synthesized into the call's scratch
-// (synthScratch) and its series copied out once, at exact size.
+// (synthScratch) and its series copied out once, at exact size: at a split,
+// each half into its own allocation, so a streamed run's training events
+// die with its training trace while the sim half lives on.
 func (l *GenLayout) Shard(i, p, at int) (train, sim *ShardView, err error) {
 	if p <= 0 || i < 0 || i >= p {
 		return nil, nil, fmt.Errorf("trace: shard %d of %d out of range", i, p)

@@ -121,15 +121,17 @@ func (s Series) Dense(slots int) []int {
 }
 
 // Window returns a copy of the sub-series with slots in [from, to),
-// re-based so the first slot of the window is 0.
+// re-based so the first slot of the window is 0. The copy is made by copy
+// and re-based in place, so its allocation is not zeroed first.
 func (s Series) Window(from, to int32) Series {
 	in := s.Between(int(from), int(to))
 	if in == nil {
 		return nil
 	}
 	out := make(Series, len(in))
-	for i, e := range in {
-		out[i] = Event{Slot: e.Slot - from, Count: e.Count}
+	copy(out, in)
+	for i := range out {
+		out[i].Slot -= from
 	}
 	return out
 }
@@ -235,12 +237,17 @@ func (s Series) LastSlot() int32 {
 // non-positive counts. Generator and CSV ingestion both funnel through this
 // so that Series invariants (sorted, positive, unique slots) always hold.
 //
-// The sort is skipped on non-decreasing input, which most synthesized series
-// already are: sort.Slice leaves such input exactly as it is (equal slots
-// included), so skipping it cannot change the outcome.
+// Input that is already a series is returned after one read, with nothing
+// written: a scenario-transformed series is normalized twice, and most
+// synthesized ones need nothing. The sort is skipped on non-decreasing
+// input: sort.Slice leaves such input exactly as it is (equal slots
+// included), so skipping it cannot change the outcome, stale tail included.
 func normalize(events []Event) Series {
 	if len(events) == 0 {
 		return nil
+	}
+	if isSeries(events) {
+		return events
 	}
 	if !slices.IsSortedFunc(events, func(a, b Event) int { return cmp.Compare(a.Slot, b.Slot) }) {
 		sort.Slice(events, func(i, j int) bool { return events[i].Slot < events[j].Slot })
@@ -260,6 +267,20 @@ func normalize(events []Event) Series {
 		return nil
 	}
 	return out
+}
+
+// isSeries reports whether events are already normalized: slots strictly
+// increasing, counts positive. normalize then returns them as they are,
+// having only read them.
+func isSeries(events []Event) bool {
+	prev := events[0].Slot - 1
+	for _, e := range events {
+		if e.Slot <= prev || e.Count <= 0 {
+			return false
+		}
+		prev = e.Slot
+	}
+	return true
 }
 
 // Trace is a complete workload: function metadata plus one invocation series

@@ -111,6 +111,67 @@ func TestNormalizeSortSkipIsDecided(t *testing.T) {
 	}
 }
 
+// normalizeRef is normalize as one sort and one coalesce, neither skipped:
+// sort.Slice over the whole input, then the compaction that writes the
+// coalesced events over its prefix and leaves the rest of the sorted input
+// behind them.
+func normalizeRef(events []Event) Series {
+	sort.Slice(events, func(i, j int) bool { return events[i].Slot < events[j].Slot })
+	out := events[:0]
+	for _, e := range events {
+		if e.Count <= 0 {
+			continue
+		}
+		if n := len(out); n > 0 && out[n-1].Slot == e.Slot {
+			out[n-1].Count += e.Count
+			continue
+		}
+		out = append(out, e)
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// TestNormalizeMatchesReference holds normalize to normalizeRef on random
+// input: unsorted, sorted and already normal, with duplicate slots and
+// non-positive counts. The series must be equal, and so must the input's
+// backing array up to its length: a chain follower reads its driver's
+// buffer at the pre-normalize length, stale tail included (DESIGN.md
+// "Generator layout split"), so what normalize leaves there is part of
+// every generated trace.
+func TestNormalizeMatchesReference(t *testing.T) {
+	g := stats.NewRNG(9)
+	for rep := 0; rep < 3000; rep++ {
+		events := make([]Event, g.Intn(70))
+		span := 1 + g.Intn(90)
+		for i := range events {
+			events[i] = Event{Slot: int32(g.Intn(span)), Count: int32(g.Intn(6)) - 2}
+		}
+		switch rep % 3 {
+		case 1:
+			sort.Slice(events, func(i, j int) bool { return events[i].Slot < events[j].Slot })
+		case 2:
+			for i := range events {
+				events[i] = Event{Slot: int32(3*i + g.Intn(3)), Count: int32(1 + g.Intn(4))}
+			}
+		}
+		got := append([]Event(nil), events...)
+		want := append([]Event(nil), events...)
+		gs, ws := normalize(got), normalizeRef(want)
+		if !reflect.DeepEqual(gs, ws) {
+			t.Fatalf("rep %d: normalize(%v) = %v, reference %v", rep, events, gs, ws)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("rep %d: normalize(%v) left %v behind, reference %v", rep, events, got, want)
+		}
+		if len(gs) > 0 && &gs[0] != &got[0] {
+			t.Fatalf("rep %d: normalize returned a copy, not the input's prefix", rep)
+		}
+	}
+}
+
 func TestTraceAddAndSplit(t *testing.T) {
 	tr := NewTrace(10)
 	a := tr.AddFunction("fa", "app1", "u1", TriggerHTTP, []Event{{Slot: 2, Count: 1}, {Slot: 7, Count: 2}})

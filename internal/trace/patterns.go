@@ -132,7 +132,8 @@ func genQuasiPeriodic(events []Event, g *stats.RNG, slots int) []Event {
 // definition and short keep-alives absorb) and a sparse population (a few
 // arrivals per day). The memoryless mid-band is thin, as it is in the real
 // trace where most moderately active functions are timer- or queue-driven
-// rather than Poisson.
+// rather than Poisson. Counts are drawn a block of slots at a time: the
+// counts, and the stream left behind, of one Poisson call per slot.
 func genPoisson(events []Event, g *stats.RNG, slots int) []Event {
 	var rate float64
 	if g.Bool(0.6) {
@@ -146,9 +147,14 @@ func genPoisson(events []Event, g *stats.RNG, slots int) []Event {
 			rate = 0.004
 		}
 	}
-	for t := 0; t < slots; t++ {
-		if n := g.Poisson(rate); n > 0 {
-			events = append(events, Event{Slot: int32(t), Count: int32(n)})
+	var counts [256]int32
+	for t := 0; t < slots; t += len(counts) {
+		c := counts[:min(slots-t, len(counts))]
+		g.PoissonFill(rate, c)
+		for i, n := range c {
+			if n > 0 {
+				events = append(events, Event{Slot: int32(t + i), Count: n})
+			}
 		}
 	}
 	return events
@@ -163,16 +169,24 @@ func genDense(events []Event, g *stats.RNG, slots int) []Event {
 	rate := 0.5 + g.Float64()*4
 	t := g.Intn(maxGap + 1)
 	for t < slots {
-		runLen := 1 + g.Poisson(float64(busyMean))
-		for i := 0; i < runLen && t < slots; i++ {
-			n := g.Poisson(rate)
-			if n < 1 {
-				n = 1
-			}
-			events = append(events, Event{Slot: int32(t), Count: int32(n)})
+		runLen := min(1+g.Poisson(float64(busyMean)), slots-t)
+		events = appendBusy(events, g, rate, t, runLen)
+		t += runLen + 1 + g.Intn(maxGap)
+	}
+	return events
+}
+
+// appendBusy appends n consecutive slots from t, each invoked
+// max(1, Poisson(rate)) times.
+func appendBusy(events []Event, g *stats.RNG, rate float64, t, n int) []Event {
+	var counts [64]int32
+	for ; n > 0; n -= len(counts) {
+		c := counts[:min(n, len(counts))]
+		g.PoissonFill(rate, c)
+		for _, k := range c {
+			events = append(events, Event{Slot: int32(t), Count: max(k, 1)})
 			t++
 		}
-		t += 1 + g.Intn(maxGap)
 	}
 	return events
 }
@@ -186,16 +200,9 @@ func genBursty(events []Event, g *stats.RNG, slots int) []Event {
 	rate := 1.5 + g.Float64()*6   // invocations per slot inside a wave
 	t := g.Intn(gapMean)
 	for t < slots {
-		thisWave := waveLen + g.Intn(waveLen)
-		for i := 0; i < thisWave && t < slots; i++ {
-			n := g.Poisson(rate)
-			if n < 1 {
-				n = 1
-			}
-			events = append(events, Event{Slot: int32(t), Count: int32(n)})
-			t++
-		}
-		t += 1 + int(g.Exponential(1/float64(gapMean)))
+		thisWave := min(waveLen+g.Intn(waveLen), slots-t)
+		events = appendBusy(events, g, rate, t, thisWave)
+		t += thisWave + 1 + int(g.Exponential(1/float64(gapMean)))
 	}
 	return events
 }
