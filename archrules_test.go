@@ -439,8 +439,7 @@ var archRules = []*archRule{{
 	// set: Hybrid and Defuse run at their papers' settings, constants beside
 	// the citations. With them went every fan-out's width option
 	// (sim.Options.Workers, the harness's Matrix.Workers, eqvcheck's
-	// -workers): each fan-out is GOMAXPROCS wide. The field name cannot be
-	// grepped, as classify.Config.Workers stays; the flag's name can.
+	// -workers): each fan-out is GOMAXPROCS wide.
 	// Then the store's second and third checksums over the same bytes: the
 	// FNV content hash (and its reference and manifest field) and the
 	// per-column CRCs (and the fuzz helper that refreshed them), as the
@@ -449,6 +448,13 @@ var archRules = []*archRule{{
 	// recorded traces (sim.BuildRetrainWindow), so the builder that copied
 	// every window into reused blocks, placed longest first, and the
 	// helpers its tests sized and counted the blocks with are gone.
+	// Then every SPES threshold with one value in use: the fields of
+	// classify.Config but θ_prewarm and θ_givenup, core.Config's own
+	// tunables, classify's last width option (Workers; Categorize is
+	// GOMAXPROCS wide, as every fan-out is) and predict.Predictor, a
+	// one-field wrapper of one of them. Each is a constant beside the code
+	// that reads it, spelled otherwise; the names live on only in the ST1
+	// snapshot's frozen config schema (classify/st1.go, core/snapshot.go).
 	// Case-sensitive, so predict's test-local nextWindows reference and
 	// classify's laggedCOR pass. Names only: "Exported code is reached"
 	// finds what is dead; this row keeps it from coming back.
@@ -463,6 +469,12 @@ var archRules = []*archRule{{
 			`|ContentHash|fpDomainContent|contentHashRef|ContentFP|sealShardBody` +
 			`|WindowBuilder|arenaEvents|buildAlloc|sizedWindow`,
 		word: true, goOnly: true, tests: true, under: []string{"internal", "cmd", "spes", "examples"},
+	}, {
+		pattern: `AlwaysWarmIdleFrac|RegularSpread|RegularCV|SlackCloseTol|SlackSmallFrac|ApproModes|ApproCoverage|DenseP90Max|DenseModes` +
+			`|SuccessiveMinAT|SuccessiveMinAN|MinWTs|ApproMinWTs|DenseMinWTs|LinkPrecision|SlotsPerDay|Alpha|CORThreshold|MaxLag` +
+			`|ValidationFrac|ValidationPrewarm|Workers|PossibleRangeMax|AdjustMinWTs|OnlineCandidateCap|OnlineCorrSlack|Predictor`,
+		word: true, goOnly: true, tests: true, under: []string{"internal", "cmd", "spes", "examples"},
+		except: []string{"internal/classify/st1.go", "internal/core/snapshot.go"},
 	}, {
 		pattern: `"workers"`, goOnly: true, tests: true, under: []string{"cmd"},
 	}},

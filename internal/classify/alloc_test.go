@@ -89,7 +89,7 @@ func TestCategorizeAllocationBudget(t *testing.T) {
 	}
 	train := trainingTrace(t, 300, 6, 4)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	n := uint64(train.NumFunctions())
 
 	peerIndex, _ := allocated(func() {
@@ -143,7 +143,7 @@ func TestCategorizeAllocationBudget(t *testing.T) {
 func TestProfilesOwnTheirSlices(t *testing.T) {
 	train := trainingTrace(t, 300, 6, 4)
 	cfg := DefaultConfig()
-	cfg.Workers = 1
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	drainScratch()
 	want := Categorize(train, cfg, false, false)
 	first := Categorize(train, cfg, false, false)

@@ -30,6 +30,32 @@ type Outcome struct {
 // maxLinks caps a correlated function's fan-in to bound online work.
 const maxLinks = 5
 
+// The offline phase's other thresholds (Section IV-B).
+const (
+	// validationFrac is the trailing share of the training window on which
+	// the three indeterminate strategies are scored.
+	validationFrac = 0.25
+
+	// slotsPerDay is the day the forgetting rule (Section IV-B1) drops.
+	slotsPerDay = 1440
+
+	// corThreshold is the least T-lagged COR that links two functions (0.5
+	// in the paper).
+	corThreshold = 0.5
+
+	// linkPrecision is the least share of a candidate's invocations that
+	// must be followed by the target's for a correlated link to be accepted.
+	// Without it, a frequently firing candidate links to anything (its
+	// lagged COR is trivially high) and the pre-loading it drives wastes
+	// memory continuously.
+	linkPrecision = 0.3
+)
+
+// MaxCORLag is the paper's T: the largest lag, in slots, at which a T-lagged
+// COR links two functions (10 in the paper), offline here and in core's
+// online correlation for unseen functions (Section IV-C2).
+const MaxCORLag = 10
+
 // Categorize runs SPES's complete offline phase over a training trace:
 // deterministic categorization with forgetting, correlation mining over
 // application/user co-membership, and validation-scored indeterminate
@@ -51,15 +77,12 @@ const maxLinks = 5
 // instance. Nothing returned points into scratch. Categorize is safe for
 // concurrent use.
 func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableForgetting bool) *Outcome {
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	ws := make([]*scratch, workers)
 	defer putScratches(ws)
 	n := training.NumFunctions()
 	out := &Outcome{Profiles: make([]Profile, n)}
-	valStart := int(float64(training.Slots) * (1 - cfg.ValidationFrac))
+	valStart := int(float64(training.Slots) * (1 - validationFrac))
 	if valStart <= 0 || valStart >= training.Slots {
 		valStart = training.Slots / 2
 	}
@@ -91,13 +114,13 @@ func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableFo
 			// tested on the full window first under both paths), sparing the
 			// heaviest functions — the ones with events in nearly every slot —
 			// the full extraction.
-			p, ok := alwaysWarmFast(s, training.Slots, cfg)
+			p, ok := alwaysWarmFast(s, training.Slots)
 			if !ok {
 				act := w.extractWindow(s, 0, training.Slots)
 				if disableForgetting {
-					p, ok = w.categorizeActivity(act, w.distInto(0, act.WT), cfg)
+					p, ok = w.categorizeActivity(act, w.distInto(0, act.WT))
 				} else {
-					p, ok = w.categorizeWithForgettingSparse(s, act, cfg)
+					p, ok = w.categorizeWithForgettingSparse(s, act)
 				}
 			}
 			if ok {
@@ -137,7 +160,7 @@ func Categorize(training *trace.Trace, cfg Config, disableCorrelation, disableFo
 		var links []Link
 		var cands [maxLinks]trace.Parts
 		if !disableCorrelation {
-			links = w.mineLinks(fid, training, apps[meta[fid].App], users[meta[fid].User], cfg)
+			links = w.mineLinks(fid, training, apps[meta[fid].App], users[meta[fid].User])
 			for j, l := range links {
 				cands[j] = training.Parts(trace.FuncID(l.Cand)).From(valStart)
 			}
@@ -230,6 +253,11 @@ type seriesExtract struct {
 	slots     int
 }
 
+// alwaysWarmIdleFrac bounds an always-warm function's total
+// inter-invocation idle time as a share of the observation window ("<=
+// one-thousandth the observing time", Section IV-A definition 1).
+const alwaysWarmIdleFrac = 0.001
+
 // alwaysWarmFast evaluates the always-warm definition (definition 1) on the
 // window of slots slots holding the events s: invoked at every slot, or
 // total inter-invocation idle at or below one-thousandth of the window. The
@@ -240,7 +268,7 @@ type seriesExtract struct {
 // active-slot count is s.Len() and the summed inter-run idle is the span
 // minus it — and is exact: condition and profile match the definition over
 // the window's Activity (TestAlwaysWarmFastMatchesActivityBranch).
-func alwaysWarmFast(s trace.Parts, slots int, cfg Config) (Profile, bool) {
+func alwaysWarmFast(s trace.Parts, slots int) (Profile, bool) {
 	active := s.Len()
 	if active == 0 {
 		return Profile{}, false
@@ -248,7 +276,7 @@ func alwaysWarmFast(s trace.Parts, slots int, cfg Config) (Profile, bool) {
 	first := s.First()
 	totalWT := int(s.Last()-first) + 1 - active
 	if active == slots ||
-		(float64(totalWT) <= cfg.AlwaysWarmIdleFrac*float64(slots) &&
+		(float64(totalWT) <= alwaysWarmIdleFrac*float64(slots) &&
 			float64(active) >= 0.5*float64(slots)) {
 		runs := 0
 		prev := first - 2 // the first event starts a run
@@ -343,27 +371,27 @@ func (se *seriesExtract) suffix(w *scratch, start int) series.Activity {
 // not a fresh sort.
 // The run metadata is only built when the full window fails to categorize,
 // which the majority of functions never reach.
-func (w *scratch) categorizeWithForgettingSparse(s trace.Parts, act series.Activity, cfg Config) (Profile, bool) {
+func (w *scratch) categorizeWithForgettingSparse(s trace.Parts, act series.Activity) (Profile, bool) {
 	slots := act.Slots
 	raw := w.distInto(0, act.WT)
-	if p, ok := w.categorizeActivity(act, raw, cfg); ok {
+	if p, ok := w.categorizeActivity(act, raw); ok {
 		return p, true
 	}
-	days := slots / cfg.SlotsPerDay
+	days := slots / slotsPerDay
 	if days/2 < 1 {
 		return Profile{}, false
 	}
 	se := w.extractMeta(s, slots, act)
 	wts := act.WT
 	for drop := 1; drop <= days/2; drop++ {
-		start := drop * cfg.SlotsPerDay
+		start := drop * slotsPerDay
 		sa := se.suffix(w, start)
 		raw.remove(wts[:len(wts)-len(sa.WT)]...)
 		wts = sa.WT
-		if p, ok := alwaysWarmFast(s.From(start), slots-start, cfg); ok {
+		if p, ok := alwaysWarmFast(s.From(start), slots-start); ok {
 			return p, true
 		}
-		if p, ok := w.categorizeActivity(sa, raw, cfg); ok {
+		if p, ok := w.categorizeActivity(sa, raw); ok {
 			return p, true
 		}
 	}
@@ -378,7 +406,7 @@ func (w *scratch) categorizeWithForgettingSparse(s trace.Parts, act series.Activ
 //
 // Two prunes skip the lag scan for candidates whose rejection is already
 // decided by the list lengths alone; they change no outcome.
-func (w *scratch) mineLinks(target trace.FuncID, tr *trace.Trace, appPeers, userPeers []trace.FuncID, cfg Config) []Link {
+func (w *scratch) mineLinks(target trace.FuncID, tr *trace.Trace, appPeers, userPeers []trace.FuncID) []Link {
 	targetSlots := tr.Parts(target)
 	nTarget := targetSlots.Len()
 	if nTarget == 0 {
@@ -394,17 +422,12 @@ func (w *scratch) mineLinks(target trace.FuncID, tr *trace.Trace, appPeers, user
 	w.seenGen++
 	seen, seenGen := w.seen, w.seenGen
 	seen[target] = seenGen
-	// Precision gate's slack: the pre-warm window the scoring assumes.
-	slack := int32(cfg.ValidationPrewarm)
-	if slack <= 0 {
-		slack = int32(cfg.ThetaPrewarm)
-	}
-	// Every target slot lies inside the follow window of at most 2*slack+1
-	// candidate slots, which bounds FollowRate's hit count from above.
-	maxFollows := 0.0
-	if slack >= 0 {
-		maxFollows = float64((2*int(slack) + 1) * nTarget)
-	}
+	// The precision gate's slack is the pre-warm window the scoring
+	// assumes. Every target slot lies inside the follow window of at most
+	// 2*slack+1 candidate slots, which bounds FollowRate's hit count from
+	// above.
+	const slack = validationPrewarm
+	maxFollows := float64((2*slack + 1) * nTarget)
 
 	accepted := w.accepted[:0]
 	consider := func(cand trace.FuncID) {
@@ -420,26 +443,26 @@ func (w *scratch) mineLinks(target trace.FuncID, tr *trace.Trace, appPeers, user
 		// A lag's hit count can't exceed the candidate's invocation count,
 		// so a candidate too quiet relative to the target can never clear
 		// the COR threshold — skip the lag scan.
-		if float64(nCand) < cfg.CORThreshold*float64(nTarget) {
+		if float64(nCand) < corThreshold*float64(nTarget) {
 			return
 		}
 		// The mirror image: a candidate too busy relative to the target can
 		// never clear the precision gate below, whatever the lag.
-		if maxFollows/float64(nCand) < cfg.LinkPrecision {
+		if maxFollows/float64(nCand) < linkPrecision {
 			return
 		}
 		// Both kernels count the same integer hits; the sizes pick the
 		// cheaper one for the pair.
-		bitset := bitsetLagScanPays(nTarget, nCand, w.lags.words, cfg.MaxLag)
+		bitset := bitsetLagScanPays(nTarget, nCand, w.lags.words, MaxCORLag)
 		var lag int32
 		var cor float64
 		if bitset {
 			w.lags.setCandidate(candSlots)
-			lag, cor = w.lags.bestLaggedCOR(cfg.MaxLag)
+			lag, cor = w.lags.bestLaggedCOR(MaxCORLag)
 		} else {
-			lag, cor = BestLaggedCOR(targetSlots, candSlots, cfg.MaxLag)
+			lag, cor = BestLaggedCOR(targetSlots, candSlots, MaxCORLag)
 		}
-		if cor < cfg.CORThreshold {
+		if cor < corThreshold {
 			return
 		}
 		// Precision gate: most of the candidate's fires must actually
@@ -451,7 +474,7 @@ func (w *scratch) mineLinks(target trace.FuncID, tr *trace.Trace, appPeers, user
 		} else {
 			follow = FollowRate(candSlots, targetSlots, lag, slack)
 		}
-		if follow < cfg.LinkPrecision {
+		if follow < linkPrecision {
 			return
 		}
 		accepted = append(accepted, scoredLink{link: Link{Cand: int32(cand), Lag: lag}, cor: cor})

@@ -2,6 +2,7 @@ package classify
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/trace"
@@ -161,7 +162,6 @@ func TestCategorizeForgettingAblation(t *testing.T) {
 }
 
 func TestMineLinksCapsAndThreshold(t *testing.T) {
-	cfg := DefaultConfig()
 	// Target invoked at 10,20,...; 8 candidates perfectly lagged; fan-in
 	// capped at 5.
 	var target []int32
@@ -183,7 +183,7 @@ func TestMineLinksCapsAndThreshold(t *testing.T) {
 	invoked[9] = slotSeries(3, 7, 9)
 	peers = append(peers, 9)
 
-	links := new(scratch).mineLinks(0, &trace.Trace{Series: invoked}, peers, nil, cfg)
+	links := new(scratch).mineLinks(0, &trace.Trace{Series: invoked}, peers, nil)
 	if len(links) != 5 {
 		t.Fatalf("links = %d, want capped at 5", len(links))
 	}
@@ -198,9 +198,8 @@ func TestMineLinksCapsAndThreshold(t *testing.T) {
 }
 
 func TestMineLinksEmptyTarget(t *testing.T) {
-	cfg := DefaultConfig()
 	invoked := []trace.Series{nil, slotSeries(1, 2, 3)}
-	if links := new(scratch).mineLinks(0, &trace.Trace{Series: invoked}, []trace.FuncID{1}, nil, cfg); links != nil {
+	if links := new(scratch).mineLinks(0, &trace.Trace{Series: invoked}, []trace.FuncID{1}, nil); links != nil {
 		t.Errorf("links for silent target = %v", links)
 	}
 }
@@ -211,7 +210,6 @@ func TestMineLinksEmptyTarget(t *testing.T) {
 // window's extracted Activity: condition AND resulting profile must agree on
 // every series shape.
 func TestAlwaysWarmFastMatchesActivityBranch(t *testing.T) {
-	cfg := DefaultConfig()
 	const slots = 4000
 	mk := func(slotIdx ...int32) trace.Series {
 		var evs []trace.Event
@@ -238,11 +236,11 @@ func TestAlwaysWarmFastMatchesActivityBranch(t *testing.T) {
 		mk(every(0, 300, 1)...), // short dense flurry, idle tail
 	}
 	for i, s := range cases {
-		fastP, fastOK := alwaysWarmFast(one(s), slots, cfg)
+		fastP, fastOK := alwaysWarmFast(one(s), slots)
 		act := new(scratch).extractWindow(one(s), 0, slots)
 		refOK := act.Invocations > 0 &&
 			(act.InvokedEverySlot() ||
-				(float64(act.TotalWT()) <= cfg.AlwaysWarmIdleFrac*float64(act.Slots) &&
+				(float64(act.TotalWT()) <= alwaysWarmIdleFrac*float64(act.Slots) &&
 					float64(act.ActiveSlots()) >= 0.5*float64(act.Slots)))
 		if fastOK != refOK {
 			t.Errorf("case %d: alwaysWarmFast ok=%v, branch-1 predicate=%v", i, fastOK, refOK)
@@ -258,9 +256,11 @@ func TestAlwaysWarmFastMatchesActivityBranch(t *testing.T) {
 }
 
 // TestCategorizeParallelDeterminism pins the parallel categorization to the
-// serial reference: every worker count must produce identical profiles, and
-// so must repeated runs at the same worker count (scheduling must not leak
-// into the outcome).
+// serial reference: every width must produce identical profiles, and so must
+// repeated runs at the same width (scheduling must not leak into the
+// outcome). Categorize is GOMAXPROCS wide, but its helpers hold tokens of
+// trace.FanOut's budget, sized from GOMAXPROCS at start: CI runs this test
+// under GOMAXPROCS=1 and 4 as well.
 func TestCategorizeParallelDeterminism(t *testing.T) {
 	tr, err := trace.Generate(trace.DefaultGeneratorConfig(400, 4, 21))
 	if err != nil {
@@ -268,19 +268,18 @@ func TestCategorizeParallelDeterminism(t *testing.T) {
 	}
 	train, _ := tr.Split(3 * 1440)
 
-	serial := DefaultConfig()
-	serial.Workers = 1
-	ref := Categorize(train, serial, false, false)
+	procs := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(procs)
+	ref := Categorize(train, DefaultConfig(), false, false)
 
-	for _, w := range []int{0, 2, 4, 8} {
-		cfg := DefaultConfig()
-		cfg.Workers = w
+	for _, w := range []int{procs, 2, 4, 8} {
+		runtime.GOMAXPROCS(w)
 		for rep := 0; rep < 2; rep++ {
-			got := Categorize(train, cfg, false, false)
+			got := Categorize(train, DefaultConfig(), false, false)
 			if !reflect.DeepEqual(got.Profiles, ref.Profiles) {
 				for fid := range ref.Profiles {
 					if !reflect.DeepEqual(got.Profiles[fid], ref.Profiles[fid]) {
-						t.Fatalf("workers=%d rep %d: f%d profile %+v, want %+v",
+						t.Fatalf("GOMAXPROCS %d rep %d: f%d profile %+v, want %+v",
 							w, rep, fid, got.Profiles[fid], ref.Profiles[fid])
 					}
 				}

@@ -5,130 +5,24 @@ import (
 	"repro/internal/stats"
 )
 
-// Config carries every threshold of Sections IV-A and IV-B. Zero value is
-// unusable; start from DefaultConfig, which uses the paper's published
-// settings and sensible values where the paper says "a pre-defined
-// constant".
+// Config carries the categorization settings the paper's evaluation varies:
+// θ_prewarm and the per-type θ_givenup (Section V-A2, swept in Fig. 13),
+// which the offline validation scoring shares with the provision loop.
+// Every other threshold of Sections IV-A and IV-B has one value in use and
+// is a constant beside the code that reads it. Zero value is unusable;
+// start from DefaultConfig.
 type Config struct {
-	// AlwaysWarmIdleFrac is the maximum total inter-invocation idle time as
-	// a fraction of the observation window for the always-warm type
-	// ("<= one-thousandth the observing time").
-	AlwaysWarmIdleFrac float64
-
-	// RegularSpread is the maximum P95-P5 spread of the WT sequence for a
-	// regular function (1 slot in the paper).
-	RegularSpread float64
-	// RegularCV is the alternative regularity condition: coefficient of
-	// variation of WTs at or below this (0.01 in the paper).
-	RegularCV float64
-
-	// SlackCloseTol and SlackSmallFrac parameterize the WT merging slack
-	// rule (see series.MergeSmallWTs).
-	SlackCloseTol  int
-	SlackSmallFrac float64
-
-	// ApproModes is the paper's n: how many top WT modes the appro-regular
-	// test (and its predictive values) use.
-	ApproModes int
-	// ApproCoverage is the fraction of the WT sequence the top-n modes must
-	// cover (0.9 in the paper).
-	ApproCoverage float64
-
-	// DenseP90Max is the "small constant" bounding P90(WT) for dense
-	// functions; it doubles as their eviction patience.
-	DenseP90Max float64
-	// DenseModes is the paper's k: how many top modes form the dense
-	// predictive range.
-	DenseModes int
-
-	// SuccessiveMinAT (gamma1) and SuccessiveMinAN (gamma2) bound the
-	// minimum active-run length and per-run invocation count for the
-	// successive type; the paper requires gamma1 < gamma2.
-	SuccessiveMinAT int
-	SuccessiveMinAN int
-
-	// MinWTs is the minimum number of waiting times needed before the
-	// regular definition applies. The mode-based definitions need more
-	// samples to be meaningful: with only three WTs the top-3 modes cover
-	// 100% of any sequence, so appro-regular and dense carry their own
-	// (larger) floors.
-	MinWTs      int
-	ApproMinWTs int
-	DenseMinWTs int
-
-	// LinkPrecision is the minimum fraction of a candidate's invocations
-	// that must be followed by the target's invocation for a correlated
-	// link to be accepted. Without it, a frequently firing candidate links
-	// to anything (its lagged COR is trivially high) and the pre-loading it
-	// drives wastes memory continuously.
-	LinkPrecision float64
-
-	// SlotsPerDay sets the day length for the forgetting rule.
-	SlotsPerDay int
-
-	// Alpha is the trade-off scaling factor of the indeterminate assignment
-	// rule (Section IV-B2), in (0, 1): smaller favours cold-start
-	// minimization.
-	Alpha float64
-
-	// CORThreshold is the minimum T-lagged COR for linking two functions
-	// (0.5 in the paper) and MaxLag the paper's T bound (10).
-	CORThreshold float64
-	MaxLag       int32
-
-	// ValidationFrac is the trailing share of the training window used to
-	// score the three indeterminate strategies.
-	ValidationFrac float64
-
-	// ThetaPrewarm and per-type ThetaGivenup mirror the provision
-	// parameters (Section V-A2).
 	ThetaPrewarm      int
 	ThetaGivenupDense int // used for dense & pulsed (5 in the paper)
 	ThetaGivenupOther int // all other types (1 in the paper)
-
-	// ValidationPrewarm is the pre-warm window the indeterminate strategy
-	// scoring assumes. It is pinned to the paper's default rather than
-	// following ThetaPrewarm so that provision-time parameter sweeps
-	// (Figure 13a) change provision behaviour without reshuffling the
-	// categorization itself.
-	ValidationPrewarm int
-
-	// Workers bounds Categorize's parallelism: per-function work is
-	// independent and every result lands in its own output slot, so the
-	// outcome is bit-identical for any value. 0 means one worker per
-	// available core; 1 forces serial execution. Helpers run under
-	// trace.FanOut's process-wide GOMAXPROCS budget, so concurrent
-	// categorizations (one per population shard) share the machine.
-	Workers int
 }
 
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
 	return Config{
-		AlwaysWarmIdleFrac: 0.001,
-		RegularSpread:      1,
-		RegularCV:          0.01,
-		SlackCloseTol:      1,
-		SlackSmallFrac:     0.1,
-		ApproModes:         3,
-		ApproCoverage:      0.9,
-		DenseP90Max:        5,
-		DenseModes:         3,
-		SuccessiveMinAT:    3,
-		SuccessiveMinAN:    5,
-		MinWTs:             3,
-		ApproMinWTs:        10,
-		DenseMinWTs:        8,
-		LinkPrecision:      0.3,
-		SlotsPerDay:        1440,
-		Alpha:              0.5,
-		CORThreshold:       0.5,
-		MaxLag:             10,
-		ValidationFrac:     0.25,
-		ThetaPrewarm:       2,
-		ThetaGivenupDense:  5,
-		ThetaGivenupOther:  1,
-		ValidationPrewarm:  2,
+		ThetaPrewarm:      2,
+		ThetaGivenupDense: 5,
+		ThetaGivenupOther: 1,
 	}
 }
 
@@ -175,16 +69,61 @@ type Link struct {
 	Lag  int32
 }
 
+// The deterministic definitions' thresholds (Section IV-A, Table I), at
+// the paper's settings or, where it says "a pre-defined constant", at values
+// chosen here.
+const (
+	// minWTs is the least number of waiting times the regular definition
+	// needs. The mode-based definitions need more samples to be meaningful:
+	// with only three WTs the top-3 modes cover 100% of any sequence, so
+	// appro-regular and dense carry their own (larger) floors.
+	minWTs      = 3
+	approMinWTs = 10
+	denseMinWTs = 8
+
+	// regularSpread bounds the P95-P5 spread of a regular function's WTs (1
+	// slot in the paper); regularCV is the alternative condition, a
+	// coefficient of variation of the WTs at or below 0.01.
+	regularSpread = 1
+	regularCV     = 0.01
+
+	// slackCloseTol and slackSmallFrac parameterize the WT merging slack
+	// rule (see series.MergeSmallWTs).
+	slackCloseTol  = 1
+	slackSmallFrac = 0.1
+
+	// approModes is the paper's n: how many top WT modes the appro-regular
+	// test (and its predictive values) use; approCoverage is the share of
+	// the WT sequence they must cover (0.9 in the paper).
+	approModes    = 3
+	approCoverage = 0.9
+
+	// denseP90Max is the "small constant" bounding P90(WT) for dense
+	// functions.
+	denseP90Max = 5
+
+	// successiveMinAT (gamma1) and successiveMinAN (gamma2) bound the
+	// minimum active-run length and per-run invocation count for the
+	// successive type; the paper requires gamma1 < gamma2.
+	successiveMinAT = 3
+	successiveMinAN = 5
+)
+
+// DenseRangeModes is the paper's k: how many top WT modes form the dense
+// type's predictive range, offline here and when core's adjusting strategy
+// (Section IV-C1) re-derives the range from online WTs.
+const DenseRangeModes = 3
+
 // regularProfile tests the regular definition against one WT variant:
 // wts in its original order and d its distribution. The spread test, the
 // CV test and the median read d; an emitted profile's StdWT runs over wts in
 // original order, so its summation rounding matches the reference formula.
-func regularProfile(wts []int, d dist, cfg Config) (Profile, bool) {
-	if len(wts) < cfg.MinWTs {
+func regularProfile(wts []int, d dist) (Profile, bool) {
+	if len(wts) < minWTs {
 		return Profile{}, false
 	}
 	// Regular: P95 - P5 <= spread, or CV ~ 0.
-	if d.quantile(0.95)-d.quantile(0.05) <= cfg.RegularSpread || cvWithin(wts, d, cfg.RegularCV) {
+	if d.quantile(0.95)-d.quantile(0.05) <= regularSpread || cvWithin(wts, d, regularCV) {
 		median := d.quantile(0.5)
 		return Profile{
 			Type:     TypeRegular,
@@ -218,7 +157,7 @@ func cvWithin(wts []int, d dist, bound float64) bool {
 // materializing dense per-slot vectors. The other variants' distributions
 // and the merged sequence are built in w; the returned profile's Values are
 // its own.
-func (w *scratch) categorizeActivity(act series.Activity, raw dist, cfg Config) (Profile, bool) {
+func (w *scratch) categorizeActivity(act series.Activity, raw dist) (Profile, bool) {
 	// Table I marks both the regular and appro-regular conditions as tested
 	// on "(Processed)" WTs, so both run over the slack cascade, in order:
 	// the raw WTs, the end-trimmed WTs (series.TrimEnds), and the
@@ -239,12 +178,12 @@ func (w *scratch) categorizeActivity(act series.Activity, raw dist, cfg Config) 
 	}
 	if nv > 0 {
 		// The merge only rewrites a near-mode WT followed by small ones, a
-		// small WT being at most SlackSmallFrac of the mode: when not even
+		// small WT being at most slackSmallFrac of the mode: when not even
 		// the smallest value is, the merge is the identity and is skipped.
 		base, d := variants[nv-1], dists[nv-1]
 		mode := d.referenceMode()
-		if mode > 0 && float64(d.minVal()) <= cfg.SlackSmallFrac*float64(mode) {
-			w.merged = series.AppendMergedWTs(sized(w.merged, len(base))[:0], base, mode, cfg.SlackCloseTol, cfg.SlackSmallFrac)
+		if mode > 0 && float64(d.minVal()) <= slackSmallFrac*float64(mode) {
+			w.merged = series.AppendMergedWTs(sized(w.merged, len(base))[:0], base, mode, slackCloseTol, slackSmallFrac)
 			if merged := w.merged; len(merged) > 0 && len(merged) != len(base) {
 				variants[nv], dists[nv] = merged, w.distInto(2, merged)
 				nv++
@@ -254,7 +193,7 @@ func (w *scratch) categorizeActivity(act series.Activity, raw dist, cfg Config) 
 
 	// 2. Regular.
 	for i := range nv {
-		if p, ok := regularProfile(variants[i], dists[i], cfg); ok {
+		if p, ok := regularProfile(variants[i], dists[i]); ok {
 			return p, true
 		}
 	}
@@ -262,10 +201,10 @@ func (w *scratch) categorizeActivity(act series.Activity, raw dist, cfg Config) 
 	// 3. Appro-regular: top-n WT modes cover >= 90% of the sequence. The raw
 	// variant's table head is long enough for the dense range too, which
 	// reuses it.
-	headLen := max(cfg.ApproModes, cfg.DenseModes, 0)
+	headLen := max(approModes, DenseRangeModes)
 	rawHead := false
 	for i, variant := range variants[:nv] {
-		if len(variant) < cfg.ApproMinWTs {
+		if len(variant) < approMinWTs {
 			continue
 		}
 		var head []stats.ModeCount
@@ -273,15 +212,15 @@ func (w *scratch) categorizeActivity(act series.Activity, raw dist, cfg Config) 
 			w.top = raw.topModes(w.top[:0], headLen)
 			head, rawHead = w.top, true
 		} else {
-			w.table = dists[i].topModes(w.table[:0], cfg.ApproModes)
+			w.table = dists[i].topModes(w.table[:0], approModes)
 			head = w.table
 		}
-		head = head[:min(cfg.ApproModes, len(head))]
+		head = head[:min(approModes, len(head))]
 		cov := 0
 		for _, mc := range head {
 			cov += mc.Count
 		}
-		if float64(cov) >= cfg.ApproCoverage*float64(len(variant)) {
+		if float64(cov) >= approCoverage*float64(len(variant)) {
 			modes := make([]int, 0, len(head))
 			for _, mc := range head {
 				modes = append(modes, mc.Value)
@@ -297,11 +236,11 @@ func (w *scratch) categorizeActivity(act series.Activity, raw dist, cfg Config) 
 	}
 
 	// 4. Dense: P90(WT) <= small constant, tested on the raw sequence.
-	if len(wts) >= cfg.DenseMinWTs && raw.quantile(0.9) <= cfg.DenseP90Max {
+	if len(wts) >= denseMinWTs && raw.quantile(0.9) <= denseP90Max {
 		if !rawHead {
 			w.top = raw.topModes(w.top[:0], headLen)
 		}
-		lo, hi, _ := stats.TableRange(w.top, cfg.DenseModes)
+		lo, hi, _ := stats.TableRange(w.top, DenseRangeModes)
 		return Profile{
 			Type:     TypeDense,
 			RangeLo:  lo,
@@ -318,7 +257,7 @@ func (w *scratch) categorizeActivity(act series.Activity, raw dist, cfg Config) 
 	if len(act.AT) >= 2 {
 		minAT, _ := stats.MinMaxInts(act.AT)
 		minAN, _ := stats.MinMaxInts(act.AN)
-		if minAT >= cfg.SuccessiveMinAT && minAN >= cfg.SuccessiveMinAN {
+		if minAT >= successiveMinAT && minAN >= successiveMinAN {
 			return Profile{Type: TypeSuccessive, WTCount: len(act.WT)}, true
 		}
 	}

@@ -30,7 +30,7 @@ func periodicSeq(slots, period, phase int) []int {
 // categorizeCounts runs the categorizer's deterministic pass over a dense
 // sequence, as Categorize runs it on a window without forgetting, and holds
 // its outcome to the oracle's.
-func categorizeCounts(t *testing.T, counts []int, cfg Config) (Profile, bool) {
+func categorizeCounts(t *testing.T, counts []int) (Profile, bool) {
 	t.Helper()
 	var s trace.Series
 	for slot, c := range counts {
@@ -39,12 +39,12 @@ func categorizeCounts(t *testing.T, counts []int, cfg Config) (Profile, bool) {
 		}
 	}
 	var w scratch
-	p, ok := alwaysWarmFast(one(s), len(counts), cfg)
+	p, ok := alwaysWarmFast(one(s), len(counts))
 	if !ok {
 		act := w.extractWindow(one(s), 0, len(counts))
-		p, ok = w.categorizeActivity(act, w.distInto(0, act.WT), cfg)
+		p, ok = w.categorizeActivity(act, w.distInto(0, act.WT))
 	}
-	if want, wantOK := oracleDeterministic(counts, cfg); ok != wantOK || !reflect.DeepEqual(p, want) {
+	if want, wantOK := oracleDeterministic(counts); ok != wantOK || !reflect.DeepEqual(p, want) {
 		t.Fatalf("categorizeActivity = %+v (%v), oracle %+v (%v)", p, ok, want, wantOK)
 	}
 	return p, ok
@@ -73,38 +73,35 @@ func TestTypeString(t *testing.T) {
 }
 
 func TestCategorizeAlwaysWarm(t *testing.T) {
-	cfg := DefaultConfig()
 	// Invoked at every slot.
 	counts := make([]int, 2000)
 	for i := range counts {
 		counts[i] = 2
 	}
-	p, ok := categorizeCounts(t, counts, cfg)
+	p, ok := categorizeCounts(t, counts)
 	if !ok || p.Type != TypeAlwaysWarm {
 		t.Fatalf("full activity -> %v (%v), want always-warm", p.Type, ok)
 	}
 	// One idle slot in 2000 (1/2000 < 1/1000... idle sum is 1 <= 2).
 	counts[1000] = 0
-	p, ok = categorizeCounts(t, counts, cfg)
+	p, ok = categorizeCounts(t, counts)
 	if !ok || p.Type != TypeAlwaysWarm {
 		t.Fatalf("nearly full activity -> %v (%v), want always-warm", p.Type, ok)
 	}
 }
 
 func TestCategorizeAlwaysWarmRejectsShortFlurry(t *testing.T) {
-	cfg := DefaultConfig()
 	// Two adjacent invocations in a long window: summed WT is 0 but this is
 	// clearly not an always-warm function.
 	counts := seq(5000, 100, 101)
-	p, ok := categorizeCounts(t, counts, cfg)
+	p, ok := categorizeCounts(t, counts)
 	if ok && p.Type == TypeAlwaysWarm {
 		t.Fatal("short flurry misclassified as always-warm")
 	}
 }
 
 func TestCategorizeRegular(t *testing.T) {
-	cfg := DefaultConfig()
-	p, ok := categorizeCounts(t, periodicSeq(1440*2, 60, 5), cfg)
+	p, ok := categorizeCounts(t, periodicSeq(1440*2, 60, 5))
 	if !ok || p.Type != TypeRegular {
 		t.Fatalf("periodic -> %v (%v), want regular", p.Type, ok)
 	}
@@ -118,7 +115,6 @@ func TestCategorizeRegular(t *testing.T) {
 }
 
 func TestCategorizeRegularViaMerging(t *testing.T) {
-	cfg := DefaultConfig()
 	// Daily timer with stray invocations one slot after two firings: raw WTs
 	// are irregular, merging restores the period (the paper's example).
 	slots := 10 * 1440
@@ -128,14 +124,13 @@ func TestCategorizeRegularViaMerging(t *testing.T) {
 	}
 	counts[2*1440+1] = 1 // stray right after day-2 firing
 	counts[5*1440+1] = 1
-	p, ok := categorizeCounts(t, counts, cfg)
+	p, ok := categorizeCounts(t, counts)
 	if !ok || p.Type != TypeRegular {
 		t.Fatalf("merged daily -> %v (%v), want regular", p.Type, ok)
 	}
 }
 
 func TestCategorizeApproRegular(t *testing.T) {
-	cfg := DefaultConfig()
 	// Gaps alternate among {10, 12, 14}: not regular (spread 4), but top-3
 	// modes cover 100%.
 	slots := 5000
@@ -148,11 +143,11 @@ func TestCategorizeApproRegular(t *testing.T) {
 		t0 += gaps[i%3] + 1
 		i++
 	}
-	p, ok := categorizeCounts(t, counts, cfg)
+	p, ok := categorizeCounts(t, counts)
 	if !ok || p.Type != TypeApproRegular {
 		t.Fatalf("quasi-periodic -> %v (%v), want appro-regular", p.Type, ok)
 	}
-	if len(p.Values) == 0 || len(p.Values) > cfg.ApproModes {
+	if len(p.Values) == 0 || len(p.Values) > approModes {
 		t.Errorf("appro values = %v", p.Values)
 	}
 	for _, v := range p.Values {
@@ -163,7 +158,6 @@ func TestCategorizeApproRegular(t *testing.T) {
 }
 
 func TestCategorizeDense(t *testing.T) {
-	cfg := DefaultConfig()
 	// Busy with idle gaps of 1-3 slots, irregularly mixed: too spread for
 	// appro-regular's n modes? Gaps of {1,2,3,4,5} uniformly: 5 distinct
 	// values, top-3 cover 60% < 90%, and P90 <= 5 -> dense.
@@ -175,7 +169,7 @@ func TestCategorizeDense(t *testing.T) {
 		counts[t0] = 1 + g.Intn(3)
 		t0 += 1 + g.IntBetween(1, 5)
 	}
-	p, ok := categorizeCounts(t, counts, cfg)
+	p, ok := categorizeCounts(t, counts)
 	if !ok || p.Type != TypeDense {
 		t.Fatalf("dense -> %v (%v), want dense", p.Type, ok)
 	}
@@ -185,7 +179,6 @@ func TestCategorizeDense(t *testing.T) {
 }
 
 func TestCategorizeSuccessive(t *testing.T) {
-	cfg := DefaultConfig()
 	slots := 8000
 	counts := make([]int, slots)
 	// Three waves of 10 busy slots x 3 invocations, separated by ~2000 idle.
@@ -194,53 +187,50 @@ func TestCategorizeSuccessive(t *testing.T) {
 			counts[start+i] = 3
 		}
 	}
-	p, ok := categorizeCounts(t, counts, cfg)
+	p, ok := categorizeCounts(t, counts)
 	if !ok || p.Type != TypeSuccessive {
 		t.Fatalf("bursty -> %v (%v), want successive", p.Type, ok)
 	}
 }
 
 func TestCategorizeSuccessiveRejectsSingleWave(t *testing.T) {
-	cfg := DefaultConfig()
 	slots := 8000
 	counts := make([]int, slots)
 	for i := 0; i < 10; i++ {
 		counts[4000+i] = 3
 	}
-	p, ok := categorizeCounts(t, counts, cfg)
+	p, ok := categorizeCounts(t, counts)
 	if ok && p.Type == TypeSuccessive {
 		t.Fatal("single wave should not be successive")
 	}
 }
 
 func TestCategorizeRejectsIrregular(t *testing.T) {
-	cfg := DefaultConfig()
 	// A handful of scattered invocations with wildly different gaps.
 	counts := seq(20000, 100, 3000, 3700, 9100, 19000)
-	if p, ok := categorizeCounts(t, counts, cfg); ok {
+	if p, ok := categorizeCounts(t, counts); ok {
 		t.Fatalf("scattered -> %v, want uncategorized", p.Type)
 	}
 	// Empty sequence.
-	if _, ok := categorizeCounts(t, make([]int, 100), cfg); ok {
+	if _, ok := categorizeCounts(t, make([]int, 100)); ok {
 		t.Fatal("silent sequence should not categorize")
 	}
 }
 
 func TestCategorizePriorityOrder(t *testing.T) {
-	cfg := DefaultConfig()
 	// A sequence invoked at every slot satisfies always-warm AND would have
 	// no WTs; priority gives always-warm.
 	counts := make([]int, 1000)
 	for i := range counts {
 		counts[i] = 1
 	}
-	p, _ := categorizeCounts(t, counts, cfg)
+	p, _ := categorizeCounts(t, counts)
 	if p.Type != TypeAlwaysWarm {
 		t.Errorf("priority = %v, want always-warm first", p.Type)
 	}
 	// A strictly periodic function also satisfies appro-regular (one mode
 	// covers 100%); priority gives regular.
-	p, _ = categorizeCounts(t, periodicSeq(2880, 30, 0), cfg)
+	p, _ = categorizeCounts(t, periodicSeq(2880, 30, 0))
 	if p.Type != TypeRegular {
 		t.Errorf("priority = %v, want regular before appro-regular", p.Type)
 	}
@@ -255,7 +245,7 @@ func TestCategorizePriorityOrder(t *testing.T) {
 		counts[t0] = 1
 		t0 += 1 + g.IntBetween(1, 3)
 	}
-	p, ok := categorizeCounts(t, counts, cfg)
+	p, ok := categorizeCounts(t, counts)
 	if !ok {
 		t.Fatal("gap-1-3 sequence should categorize")
 	}
@@ -265,7 +255,6 @@ func TestCategorizePriorityOrder(t *testing.T) {
 }
 
 func TestCategorizeWithForgetting(t *testing.T) {
-	cfg := DefaultConfig()
 	// 10 days: first 4 days chaotic, last 6 days strictly periodic. The
 	// full window fails, dropping old days recovers regularity.
 	slots := 10 * 1440
@@ -277,10 +266,10 @@ func TestCategorizeWithForgetting(t *testing.T) {
 	for t0 := 4 * 1440; t0 < slots; t0 += 120 {
 		counts[t0] = 1
 	}
-	if _, ok := categorizeCounts(t, counts, cfg); ok {
+	if _, ok := categorizeCounts(t, counts); ok {
 		t.Skip("full window categorized already; chaos too mild for this seed")
 	}
-	p, ok := oracleWithForgetting(counts, cfg)
+	p, ok := oracleWithForgetting(counts)
 	if !ok {
 		t.Fatal("forgetting failed to categorize")
 	}
@@ -290,7 +279,6 @@ func TestCategorizeWithForgetting(t *testing.T) {
 }
 
 func TestCategorizeWithForgettingBoundedAtHalf(t *testing.T) {
-	cfg := DefaultConfig()
 	// Chaotic through day 6 of 10, periodic after: forgetting may only drop
 	// up to day 5, so the function must stay uncategorized.
 	slots := 10 * 1440
@@ -302,7 +290,7 @@ func TestCategorizeWithForgettingBoundedAtHalf(t *testing.T) {
 	for t0 := 6 * 1440; t0 < slots; t0 += 240 {
 		counts[t0] = 1
 	}
-	if _, ok := oracleWithForgetting(counts, cfg); ok {
+	if _, ok := oracleWithForgetting(counts); ok {
 		t.Fatal("forgetting exceeded the half-window bound")
 	}
 }

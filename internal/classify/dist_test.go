@@ -239,13 +239,12 @@ func FuzzDist(f *testing.F) {
 // categorizer and the oracle: the float formula decides it, and both call
 // it regular.
 func TestCategorizeRegularOnCVBand(t *testing.T) {
-	cfg := DefaultConfig()
 	counts := make([]int, 3*1440)
 	for slot, i := 0, 0; i < 41; i++ {
 		counts[slot] = 1
 		slot += 100 + 2*(i%2)
 	}
-	p, ok := categorizeCounts(t, counts, cfg)
+	p, ok := categorizeCounts(t, counts)
 	if !ok || p.Type != TypeRegular || !reflect.DeepEqual(p.Values, []int{100}) {
 		t.Fatalf("99/101 alternation -> %+v (%v), want regular at 100", p, ok)
 	}

@@ -13,6 +13,20 @@ import (
 // under three supplementary strategies on a validation slice, and assigned
 // to whichever wins the cold-start / wasted-memory trade-off.
 
+// The assignment's constants (Section IV-B2).
+const (
+	// alpha is the trade-off scaling factor of the assignment rule, in (0,
+	// 1): smaller favours cold-start minimization (0.5 in the paper).
+	alpha = 0.5
+
+	// validationPrewarm is the pre-warm window the strategy scoring (and
+	// the correlated links' precision gate) assumes. It is pinned to the
+	// paper's default θ_prewarm rather than following Config.ThetaPrewarm so
+	// that provision-time sweeps (Figure 13a) change provision behaviour
+	// without reshuffling the categorization itself.
+	validationPrewarm = 2
+)
+
 // StrategyCost is a strategy's validation outcome for one function.
 type StrategyCost struct {
 	ColdStarts int
@@ -327,16 +341,12 @@ func (w *scratch) assignIndeterminate(act series.Activity, valInvoked trace.Part
 		}
 	}
 
-	prewarm := cfg.ValidationPrewarm
-	if prewarm <= 0 {
-		prewarm = cfg.ThetaPrewarm
-	}
 	costs := [...]StrategyCost{
 		scorePulsed(valInvoked, valSlots, cfg.ThetaGivenup(TypePulsed)),
-		w.scoreCorrelated(valInvoked, cands, links, valSlots, int32(prewarm)),
-		w.scorePossible(valInvoked, valSlots, possibleValues, prewarm, cfg.ThetaGivenup(TypePossible)),
+		w.scoreCorrelated(valInvoked, cands, links, valSlots, validationPrewarm),
+		w.scorePossible(valInvoked, valSlots, possibleValues, validationPrewarm, cfg.ThetaGivenup(TypePossible)),
 	}
-	switch ChooseStrategy(costs[:], cfg.Alpha) {
+	switch ChooseStrategy(costs[:], alpha) {
 	case 1:
 		return Profile{Type: TypeCorrelated, Links: links, WTCount: len(act.WT)}
 	case 2:

@@ -156,7 +156,6 @@ var benchRate float64
 // once per target in mineLinks.
 func BenchmarkLagScan(b *testing.B) {
 	const slots = 12 * 1440
-	cfg := DefaultConfig()
 	for _, shape := range []struct {
 		name         string
 		target, cand int
@@ -166,7 +165,7 @@ func BenchmarkLagScan(b *testing.B) {
 		cand := randomSeries(rng, shape.cand, slots)
 		b.Run(shape.name+"/merge", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				lag, _ := BestLaggedCOR(one(target), one(cand), cfg.MaxLag)
+				lag, _ := BestLaggedCOR(one(target), one(cand), MaxCORLag)
 				benchRate = FollowRate(one(cand), one(target), lag, 2)
 			}
 		})
@@ -177,7 +176,7 @@ func BenchmarkLagScan(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ls.setCandidate(one(cand)) // each pair sets its candidate's bits
-				lag, _ := ls.bestLaggedCOR(cfg.MaxLag)
+				lag, _ := ls.bestLaggedCOR(MaxCORLag)
 				benchRate = ls.followRate(lag, 2)
 			}
 		})

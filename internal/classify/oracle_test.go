@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -30,12 +31,12 @@ import (
 // none match. Table I tests the regular and appro-regular conditions on
 // "(Processed)" WTs, so both run over the slack cascade: the raw WTs, the
 // end-trimmed WTs, and the merge of the last of those when it shortened it.
-func oracleDeterministic(counts []int, cfg Config) (Profile, bool) {
+func oracleDeterministic(counts []int) (Profile, bool) {
 	act := series.Extract(counts)
 
 	// 1. Always warm.
 	if act.Invocations > 0 && (act.InvokedEverySlot() ||
-		(float64(act.TotalWT()) <= cfg.AlwaysWarmIdleFrac*float64(act.Slots) &&
+		(float64(act.TotalWT()) <= alwaysWarmIdleFrac*float64(act.Slots) &&
 			float64(act.ActiveSlots()) >= 0.5*float64(act.Slots))) {
 		return Profile{Type: TypeAlwaysWarm, WTCount: len(act.WT)}, true
 	}
@@ -49,18 +50,18 @@ func oracleDeterministic(counts []int, cfg Config) (Profile, bool) {
 	}
 	if len(variants) > 0 {
 		base := variants[len(variants)-1]
-		if merged := series.MergeSmallWTs(base, cfg.SlackCloseTol, cfg.SlackSmallFrac); len(merged) > 0 && len(merged) != len(base) {
+		if merged := series.MergeSmallWTs(base, slackCloseTol, slackSmallFrac); len(merged) > 0 && len(merged) != len(base) {
 			variants = append(variants, merged)
 		}
 	}
 
 	// 2. Regular: P95 - P5 within the spread, or CV at most the bound.
 	for _, wts := range variants {
-		if len(wts) < cfg.MinWTs {
+		if len(wts) < minWTs {
 			continue
 		}
 		f := stats.IntsToFloats(wts)
-		if stats.Quantile(f, 0.95)-stats.Quantile(f, 0.05) <= cfg.RegularSpread || oracleCV(f) <= cfg.RegularCV {
+		if stats.Quantile(f, 0.95)-stats.Quantile(f, 0.05) <= regularSpread || oracleCV(f) <= regularCV {
 			median := stats.Median(f)
 			return Profile{Type: TypeRegular, Values: []int{int(median + 0.5)},
 				MedianWT: median, StdWT: stats.StdDev(f), WTCount: len(wts)}, true
@@ -69,17 +70,17 @@ func oracleDeterministic(counts []int, cfg Config) (Profile, bool) {
 
 	// 3. Appro-regular: the top-n modes cover the coverage share.
 	for _, wts := range variants {
-		if len(wts) < cfg.ApproMinWTs {
+		if len(wts) < approMinWTs {
 			continue
 		}
 		table := stats.FrequencyTable(wts)
-		top := table[:min(cfg.ApproModes, len(table))]
+		top := table[:min(approModes, len(table))]
 		cov, modes := 0, make([]int, 0, len(top))
 		for _, mc := range top {
 			cov += mc.Count
 			modes = append(modes, mc.Value)
 		}
-		if float64(cov) >= cfg.ApproCoverage*float64(len(wts)) {
+		if float64(cov) >= approCoverage*float64(len(wts)) {
 			f := stats.IntsToFloats(wts)
 			return Profile{Type: TypeApproRegular, Values: modes,
 				MedianWT: stats.Median(f), StdWT: stats.StdDev(f), WTCount: len(wts)}, true
@@ -87,17 +88,17 @@ func oracleDeterministic(counts []int, cfg Config) (Profile, bool) {
 	}
 
 	// 4. Dense: P90 of the raw WTs at most the constant.
-	if len(act.WT) >= cfg.DenseMinWTs {
+	if len(act.WT) >= denseMinWTs {
 		f := stats.IntsToFloats(act.WT)
-		if stats.Quantile(f, 0.9) <= cfg.DenseP90Max {
-			lo, hi, _ := stats.TableRange(stats.FrequencyTable(act.WT), cfg.DenseModes)
+		if stats.Quantile(f, 0.9) <= denseP90Max {
+			lo, hi, _ := stats.TableRange(stats.FrequencyTable(act.WT), DenseRangeModes)
 			return Profile{Type: TypeDense, RangeLo: lo, RangeHi: hi,
 				MedianWT: stats.Median(f), StdWT: stats.StdDev(f), WTCount: len(act.WT)}, true
 		}
 	}
 
 	// 5. Successive: at least two waves, each long and busy enough.
-	if len(act.AT) >= 2 && slices.Min(act.AT) >= cfg.SuccessiveMinAT && slices.Min(act.AN) >= cfg.SuccessiveMinAN {
+	if len(act.AT) >= 2 && slices.Min(act.AT) >= successiveMinAT && slices.Min(act.AN) >= successiveMinAN {
 		return Profile{Type: TypeSuccessive, WTCount: len(act.WT)}, true
 	}
 	return Profile{}, false
@@ -120,14 +121,14 @@ func oracleCV(f []float64) float64 {
 // oracleWithForgetting first tries the full window, then applies the
 // forgetting rule of Section IV-B1: drop the oldest day and re-test, out to
 // half the observation window. ok is false when no suffix matches.
-func oracleWithForgetting(counts []int, cfg Config) (Profile, bool) {
-	if p, ok := oracleDeterministic(counts, cfg); ok {
+func oracleWithForgetting(counts []int) (Profile, bool) {
+	if p, ok := oracleDeterministic(counts); ok {
 		return p, true
 	}
-	days := len(counts) / cfg.SlotsPerDay
+	days := len(counts) / slotsPerDay
 	for drop := 1; drop <= days/2; drop++ {
-		window := counts[drop*cfg.SlotsPerDay:]
-		if p, ok := oracleDeterministic(window, cfg); ok {
+		window := counts[drop*slotsPerDay:]
+		if p, ok := oracleDeterministic(window); ok {
 			return p, true
 		}
 	}
@@ -180,7 +181,7 @@ func laggedCOR(target, candidate []int32, lag int32) float64 {
 // oracleCategorize is the reference outcome for one training trace.
 func oracleCategorize(tr *trace.Trace, cfg Config, disableCorrelation, disableForgetting bool) []Profile {
 	n := tr.NumFunctions()
-	valStart := int(float64(tr.Slots) * (1 - cfg.ValidationFrac))
+	valStart := int(float64(tr.Slots) * (1 - validationFrac))
 	if valStart <= 0 || valStart >= tr.Slots {
 		valStart = tr.Slots / 2
 	}
@@ -206,9 +207,9 @@ func oracleCategorize(tr *trace.Trace, cfg Config, disableCorrelation, disableFo
 		var p Profile
 		var ok bool
 		if disableForgetting {
-			p, ok = oracleDeterministic(dense[fid], cfg)
+			p, ok = oracleDeterministic(dense[fid])
 		} else {
-			p, ok = oracleWithForgetting(dense[fid], cfg)
+			p, ok = oracleWithForgetting(dense[fid])
 		}
 		if ok {
 			profiles[fid] = p
@@ -217,7 +218,7 @@ func oracleCategorize(tr *trace.Trace, cfg Config, disableCorrelation, disableFo
 		var links []Link
 		var candFires [][]int32
 		if !disableCorrelation {
-			links = oracleLinks(tr, fid, invoked, cfg)
+			links = oracleLinks(tr, fid, invoked)
 			for _, l := range links {
 				candFires = append(candFires, valFires[l.Cand])
 			}
@@ -230,7 +231,7 @@ func oracleCategorize(tr *trace.Trace, cfg Config, disableCorrelation, disableFo
 // oracleLinks mines the target's links by brute force: every other function
 // sharing its application or user is a candidate, each lag is scored by its
 // own laggedCOR pass, and the follow rate is a hash-set membership scan.
-func oracleLinks(tr *trace.Trace, target int, invoked [][]int32, cfg Config) []Link {
+func oracleLinks(tr *trace.Trace, target int, invoked [][]int32) []Link {
 	type scored struct {
 		link Link
 		cor  float64
@@ -239,10 +240,7 @@ func oracleLinks(tr *trace.Trace, target int, invoked [][]int32, cfg Config) []L
 	for _, t := range invoked[target] {
 		targetSet[t] = true
 	}
-	slack := int32(cfg.ValidationPrewarm)
-	if slack <= 0 {
-		slack = int32(cfg.ThetaPrewarm)
-	}
+	const slack int32 = validationPrewarm
 	meta := tr.Functions
 	var accepted []scored
 	for cand := range meta {
@@ -253,12 +251,12 @@ func oracleLinks(tr *trace.Trace, target int, invoked [][]int32, cfg Config) []L
 			continue
 		}
 		bestLag, bestCOR := int32(0), 0.0
-		for lag := int32(1); lag <= cfg.MaxLag; lag++ {
+		for lag := int32(1); lag <= MaxCORLag; lag++ {
 			if c := laggedCOR(invoked[target], invoked[cand], lag); c > bestCOR {
 				bestLag, bestCOR = lag, c
 			}
 		}
-		if bestCOR < cfg.CORThreshold {
+		if bestCOR < corThreshold {
 			continue
 		}
 		follows := 0
@@ -270,7 +268,7 @@ func oracleLinks(tr *trace.Trace, target int, invoked [][]int32, cfg Config) []L
 				}
 			}
 		}
-		if float64(follows)/float64(len(invoked[cand])) < cfg.LinkPrecision {
+		if float64(follows)/float64(len(invoked[cand])) < linkPrecision {
 			continue
 		}
 		accepted = append(accepted, scored{Link{Cand: int32(cand), Lag: bestLag}, bestCOR})
@@ -330,6 +328,7 @@ func oracleWorkloads(t *testing.T) map[string]*trace.Trace {
 }
 
 func TestCategorizeMatchesOracle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	indeterminate, correlated := 0, 0
 	for name, tr := range oracleWorkloads(t) {
 		for _, noCorr := range []bool{false, true} {
@@ -345,7 +344,7 @@ func TestCategorizeMatchesOracle(t *testing.T) {
 					}
 				}
 				for _, workers := range []int{1, 4} {
-					cfg.Workers = workers
+					runtime.GOMAXPROCS(workers)
 					got := Categorize(tr, cfg, noCorr, noForget).Profiles
 					if reflect.DeepEqual(got, want) {
 						continue
@@ -384,7 +383,7 @@ type kernelPaths struct {
 	cv                                  [3]int
 }
 
-func (k *kernelPaths) add(tr *trace.Trace, profiles []Profile, cfg Config) {
+func (k *kernelPaths) add(tr *trace.Trace, profiles []Profile) {
 	var w scratch
 	for _, s := range tr.Series {
 		wts := w.extractWindow(one(s), 0, tr.Slots).WT
@@ -396,12 +395,12 @@ func (k *kernelPaths) add(tr *trace.Trace, profiles []Profile, cfg Config) {
 		} else {
 			k.comparison++
 		}
-		if d := w.distInto(0, wts); len(wts) >= cfg.MinWTs && d.quantile(0.95)-d.quantile(0.05) > cfg.RegularSpread {
-			k.cv[d.cvAtMost(cfg.RegularCV)]++
+		if d := w.distInto(0, wts); len(wts) >= minWTs && d.quantile(0.95)-d.quantile(0.05) > regularSpread {
+			k.cv[d.cvAtMost(regularCV)]++
 		}
 	}
 	apps, users := tr.AppFunctions(), tr.UserFunctions()
-	slack := cfg.ValidationPrewarm
+	const slack = validationPrewarm
 	for fid, p := range profiles {
 		target := tr.Series[fid]
 		if deterministic(p.Type) || p.Type == TypeUnknown || len(target) == 0 {
@@ -417,11 +416,11 @@ func (k *kernelPaths) add(tr *trace.Trace, profiles []Profile, cfg Config) {
 				continue
 			}
 			seen[c] = true
-			if float64(len(cand)) < cfg.CORThreshold*float64(len(target)) ||
-				float64((2*slack+1)*len(target))/float64(len(cand)) < cfg.LinkPrecision {
+			if float64(len(cand)) < corThreshold*float64(len(target)) ||
+				float64((2*slack+1)*len(target))/float64(len(cand)) < linkPrecision {
 				continue
 			}
-			if bitsetLagScanPays(len(target), len(cand), ls.words, cfg.MaxLag) {
+			if bitsetLagScanPays(len(target), len(cand), ls.words, MaxCORLag) {
 				k.bitset++
 			} else {
 				k.merge++
@@ -462,6 +461,7 @@ func TestCategorizeMatchesOracleAtRetrainBoundaries(t *testing.T) {
 		boundaries = boundaries[1:2]
 	}
 	cfg := DefaultConfig()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var paths kernelPaths
 	for i, name := range trace.ScenarioNames() {
 		gcfg := trace.DefaultGeneratorConfig(functions, days, int64(40+i))
@@ -482,11 +482,10 @@ func TestCategorizeMatchesOracleAtRetrainBoundaries(t *testing.T) {
 			plantCVBand(win)
 			plantCVBand(ref)
 			want := oracleCategorize(ref, cfg, false, false)
-			paths.add(ref, want, cfg)
+			paths.add(ref, want)
 			for _, workers := range []int{1, 4} {
-				wcfg := cfg
-				wcfg.Workers = workers
-				got := Categorize(win, wcfg, false, false).Profiles
+				runtime.GOMAXPROCS(workers)
+				got := Categorize(win, cfg, false, false).Profiles
 				for fid := range want {
 					if !reflect.DeepEqual(got[fid], want[fid]) {
 						t.Fatalf("%s at slot %d, workers %d: f%d = %+v, oracle %+v",

@@ -12,6 +12,10 @@ import (
 // waiting times drift away from the offline profile, and promote unknown or
 // unseen functions whose online WTs develop a usable pattern.
 
+// adjustMinWTs is the "enough WTs" bar (S1) before the adjusting strategy
+// compares online statistics against the profile.
+const adjustMinWTs = 5
+
 // recordOnlineWT appends a finished waiting time to the function's online
 // history (S1) and, when enough new samples have accumulated, runs the
 // adjustment (S2) or promotion (S3) step. The hot type cache (s.typ) is
@@ -39,7 +43,7 @@ func (s *provision) recordOnlineWT(fid trace.FuncID, wt int) {
 		}
 	}
 	st.histAdd(wt)
-	if len(st.onlineWTs)-st.adjustedAt < s.cfg.AdjustMinWTs {
+	if len(st.onlineWTs)-st.adjustedAt < adjustMinWTs {
 		return
 	}
 	st.adjustedAt = len(st.onlineWTs)
@@ -209,7 +213,7 @@ func (s *provision) adjustPredictiveValues(st *funcState) {
 			}
 		}
 	case classify.TypeDense:
-		lo, hi, ok := stats.ModeRange(st.onlineWTs, s.cfg.Classify.DenseModes)
+		lo, hi, ok := stats.ModeRange(st.onlineWTs, classify.DenseRangeModes)
 		if ok {
 			st.profile.RangeLo = (st.profile.RangeLo + lo) / 2
 			st.profile.RangeHi = (st.profile.RangeHi + hi) / 2

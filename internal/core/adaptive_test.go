@@ -24,9 +24,9 @@ func TestAdjustRegularShiftsMedian(t *testing.T) {
 		Type: classify.TypeRegular, Values: []int{60}, MedianWT: 60, StdWT: 0.5,
 	})
 	st := &s.states[0]
-	// Online WTs drift to ~120: after AdjustMinWTs samples the predictive
+	// Online WTs drift to ~120: after adjustMinWTs samples the predictive
 	// value blends to (60+120)/2 = 90.
-	for i := 0; i < s.cfg.AdjustMinWTs; i++ {
+	for i := 0; i < adjustMinWTs; i++ {
 		s.recordOnlineWT(0, 120)
 	}
 	if got := st.profile.Values[0]; got != 90 {
@@ -43,7 +43,7 @@ func TestAdjustRegularIgnoresSmallDrift(t *testing.T) {
 	})
 	st := &s.states[0]
 	// Drift of 3 < std 5: no adjustment.
-	for i := 0; i < s.cfg.AdjustMinWTs; i++ {
+	for i := 0; i < adjustMinWTs; i++ {
 		s.recordOnlineWT(0, 63)
 	}
 	if got := st.profile.Values[0]; got != 60 {
@@ -81,7 +81,7 @@ func TestPromoteUnknownRequiresRepeats(t *testing.T) {
 		t.Fatalf("promoted on distinct WTs: %v", st.profile.Type)
 	}
 	// Repeats appear: promotion to newly-possible with those values.
-	for i := 0; i < s.cfg.AdjustMinWTs; i++ {
+	for i := 0; i < adjustMinWTs; i++ {
 		s.recordOnlineWT(0, 50)
 	}
 	if st.profile.Type != classify.TypeNewlyPossible {
@@ -138,7 +138,7 @@ func TestApproRegularAdjustBlendsModes(t *testing.T) {
 		Type: classify.TypeApproRegular, Values: []int{10, 12}, MedianWT: 11, StdWT: 1,
 	})
 	st := &s.states[0]
-	for i := 0; i < s.cfg.AdjustMinWTs; i++ {
+	for i := 0; i < adjustMinWTs; i++ {
 		s.recordOnlineWT(0, 30)
 	}
 	// New mode 30 blends rank-by-rank: (10+30)/2 = 20 for the first value.

@@ -7,29 +7,14 @@ package core
 
 import "repro/internal/classify"
 
-// Config collects every SPES parameter, including the ablation switches the
-// paper's RQ4 experiments flip.
+// Config collects the SPES parameters the paper's evaluation varies: the
+// provision thresholds θ_prewarm and θ_givenup (Fig. 13) and the ablation
+// switches (Figs. 14-15). Every other threshold has one value in use and is
+// a constant beside the code that reads it.
 type Config struct {
-	// Classify carries the categorization thresholds (Section IV-A/B),
-	// including ThetaPrewarm and the per-type ThetaGivenup values that the
-	// provision loop shares with the offline validation scoring.
+	// Classify carries ThetaPrewarm and the per-type ThetaGivenup values,
+	// which the provision loop shares with the offline validation scoring.
 	Classify classify.Config
-
-	// PossibleRangeMax is Section IV-D's threshold separating discrete from
-	// continuous interpretation of a possible function's predictive values.
-	PossibleRangeMax int
-
-	// AdjustMinWTs is the "enough WTs" bar (Section IV-C1 S1) before the
-	// adjusting strategy compares online statistics against the profile.
-	AdjustMinWTs int
-
-	// OnlineCandidateCap bounds how many same-trigger candidates an unseen
-	// function tracks during online correlation.
-	OnlineCandidateCap int
-
-	// OnlineCorrSlack is how far below the maximum COR a candidate may fall
-	// before it is dropped from an unseen function's candidate set.
-	OnlineCorrSlack float64
 
 	// Ablation switches (all false in full SPES):
 	DisableCorrelation bool // "w/o Corr": no offline correlated type (Fig. 14)
@@ -40,11 +25,5 @@ type Config struct {
 
 // DefaultConfig returns the paper's evaluation settings.
 func DefaultConfig() Config {
-	return Config{
-		Classify:           classify.DefaultConfig(),
-		PossibleRangeMax:   10,
-		AdjustMinWTs:       5,
-		OnlineCandidateCap: 10,
-		OnlineCorrSlack:    0.3,
-	}
+	return Config{Classify: classify.DefaultConfig()}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/classify"
 	"repro/internal/trace"
 )
 
@@ -11,10 +12,21 @@ import (
 // too far below the set's maximum are dropped (re-admitted if their COR
 // recovers, which the running-counter formulation yields naturally).
 
+// The online correlation's bounds.
+const (
+	// onlineCandidateCap bounds how many same-trigger candidates an unseen
+	// function tracks.
+	onlineCandidateCap = 10
+
+	// onlineCorrSlack is how far below the set's maximum COR a candidate may
+	// fall before it stops pre-loading the target.
+	onlineCorrSlack = 0.3
+)
+
 // ucandidate tracks one candidate's running co-occurrence with a target.
 type ucandidate struct {
 	fid   trace.FuncID
-	hits  int // target invocations preceded by this candidate within MaxLag
+	hits  int // target invocations preceded by this candidate within classify.MaxCORLag
 	fires int // candidate invocations observed while linked
 }
 
@@ -27,7 +39,6 @@ type utarget struct {
 
 // onlineCorr manages all unseen functions' candidate sets.
 type onlineCorr struct {
-	cfg Config
 	// targets holds each unseen function's correlation state, densely
 	// indexed by FuncID (nil for functions that are not targets); this
 	// lookup sits in Tick's per-invocation loop, so no map.
@@ -44,13 +55,12 @@ type onlineCorr struct {
 	meta []trace.Function
 }
 
-func newOnlineCorr(meta []trace.Function, cfg Config) *onlineCorr {
+func newOnlineCorr(meta []trace.Function) *onlineCorr {
 	lastFired := make([]int, len(meta))
 	for i := range lastFired {
 		lastFired[i] = -1
 	}
 	return &onlineCorr{
-		cfg:         cfg,
 		targets:     make([]*utarget, len(meta)),
 		byCandidate: make([][]*utarget, len(meta)),
 		lastFired:   lastFired,
@@ -64,8 +74,8 @@ func (u *onlineCorr) register(fid trace.FuncID) {
 	target := &utarget{fid: fid}
 	f := u.meta[fid]
 	add := func(cand trace.FuncID) bool {
-		if cand == fid || len(target.cands) >= u.cfg.OnlineCandidateCap {
-			return len(target.cands) < u.cfg.OnlineCandidateCap
+		if cand == fid || len(target.cands) >= onlineCandidateCap {
+			return len(target.cands) < onlineCandidateCap
 		}
 		for _, c := range target.cands {
 			if c.fid == cand {
@@ -119,7 +129,7 @@ const (
 
 // active reports whether a candidate is currently an accepted indicator for
 // the target. Two filters apply: (1) relative — once CORs accumulate, a
-// candidate must stay within OnlineCorrSlack of the set's maximum COR;
+// candidate must stay within onlineCorrSlack of the set's maximum COR;
 // (2) absolute — past a grace period, a candidate's fires must precede
 // target invocations at a minimal precision. A candidate whose COR later
 // recovers is re-admitted automatically (the counters are cumulative).
@@ -142,7 +152,7 @@ func (u *onlineCorr) active(t *utarget, c *ucandidate) bool {
 	}
 	maxCOR := float64(maxHits) / float64(t.invocations)
 	cor := float64(c.hits) / float64(t.invocations)
-	return maxCOR-cor <= u.cfg.OnlineCorrSlack
+	return maxCOR-cor <= onlineCorrSlack
 }
 
 // preloader is the engine an onlineCorr pre-loads through: the event-driven
@@ -154,7 +164,7 @@ type preloader interface {
 // observe processes one slot's invocations: update hit counters for fired
 // targets, then pre-load targets whose active candidates fired.
 func (u *onlineCorr) observe(t int, invs []trace.FuncCount, s preloader) {
-	maxLag := int(u.cfg.Classify.MaxLag)
+	const maxLag = classify.MaxCORLag
 
 	// Update lastFired first so same-slot candidate fires count as
 	// indicators (minute granularity hides intra-slot ordering).

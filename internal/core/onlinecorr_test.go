@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/classify"
 	"repro/internal/trace"
 )
 
@@ -58,13 +59,13 @@ func TestOnlineCorrPreloadsOnCandidateFire(t *testing.T) {
 		t.Fatal("unseen target not pre-loaded on candidate fire")
 	}
 	// It stays resident through the lag window, then unloads.
-	for t0 := 6; t0 <= 5+int(s.cfg.Classify.MaxLag); t0++ {
+	for t0 := 6; t0 <= 5+classify.MaxCORLag; t0++ {
 		s.Tick(t0, nil)
 		if !s.Loaded(2) {
 			t.Fatalf("target evicted at slot %d, inside the hold window", t0)
 		}
 	}
-	s.Tick(5+int(s.cfg.Classify.MaxLag)+1, nil)
+	s.Tick(5+classify.MaxCORLag+1, nil)
 	if s.Loaded(2) {
 		t.Fatal("target still loaded past the hold window")
 	}
@@ -128,17 +129,16 @@ func TestOnlineCorrDisabled(t *testing.T) {
 }
 
 func TestOnlineCorrCandidateCap(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.OnlineCandidateCap = 3
+	const peers = onlineCandidateCap + 5
 	tr := trace.NewTrace(100)
-	for i := 0; i < 8; i++ {
+	for i := 0; i < peers; i++ {
 		tr.AddFunction("cand", "app", "u", trace.TriggerQueue, []trace.Event{{Slot: 1, Count: 1}})
 	}
 	tr.AddFunction("unseen", "app", "u", trace.TriggerQueue, nil)
-	s := New(cfg)
+	s := New(DefaultConfig())
 	s.Train(tr)
-	tgt := s.ucorr.targets[8]
-	if tgt == nil || len(tgt.cands) != 3 {
+	tgt := s.ucorr.targets[peers]
+	if tgt == nil || len(tgt.cands) != onlineCandidateCap {
 		t.Fatalf("candidate cap not applied: %+v", tgt)
 	}
 }

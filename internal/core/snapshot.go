@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/durable"
+	"repro/internal/predict"
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -43,48 +44,50 @@ const snapMagic = "SPES-ST1"
 // the header's function count by the blob's own length.
 const stateMinFuncBytes = 25 + 41 + 90
 
-// st1EngineTag names the boolean Config carried, between OnlineCorrSlack and
-// the ablation switches, when ST1 was frozen: a switch to the per-slot
-// reference loop. The engine is now the type (DenseReference has no
+// st1EngineTag names the boolean Config carried, between the provision
+// thresholds and the ablation switches, when ST1 was frozen: a switch to the
+// per-slot reference loop. The engine is now the type (DenseReference has no
 // EncodeState), but every ST1 blob on disk hashed the field as false, so the
-// blob's config hash keeps it. Spelled in halves so CI's census guard, which
-// greps for the retired option, does not take this for its return.
+// blob's config hash keeps it. Spelled in halves so the "Engines are types"
+// architecture rule, which greps for the retired option, does not take this
+// for its return.
 const st1EngineTag = "Dense" + "Scan"
 
-// st1ConfigType is the struct ST1's config hash covers: Config's fields as
-// frozen, by name and in order, plus the engine tag. A Config field missing
-// from the list does not reach the blob (TestStateConfigHashCoversEveryField
-// fails on one); adding it here moves the hash of every config, which is a
-// new snapshot version, not an edit.
-var st1ConfigType = func() reflect.Type {
-	live := reflect.TypeOf(Config{})
-	var fields []reflect.StructField
-	for _, name := range []string{
-		"Classify", "PossibleRangeMax", "AdjustMinWTs", "OnlineCandidateCap", "OnlineCorrSlack",
-		st1EngineTag,
-		"DisableCorrelation", "DisableOnlineCorr", "DisableForgetting", "DisableAdjusting",
-	} {
-		f, _ := live.FieldByName(name) // a renamed field panics in StructOf: no type
-		if name == st1EngineTag {
-			f.Type = reflect.TypeOf(false)
-		}
-		fields = append(fields, reflect.StructField{Name: name, Type: f.Type})
-	}
-	return reflect.StructOf(fields)
-}()
-
 // st1ConfigHash is the config fingerprint EncodeState writes and RestoreState
-// verifies: sim.HashConfig over st1ConfigType filled from cfg, the engine tag
-// false.
+// verifies: sim.HashConfig over Config as ST1 froze it. The frozen struct has
+// ST1's fields by name, kind and order — classify's 25 (classify.ST1Config),
+// the four provision thresholds since made constants, the engine tag and
+// the four ablation switches — and is filled from the live fields and the
+// constants themselves, so changing a constant moves the hash as changing a
+// field does. A field added to Config does not reach the hash until it is
+// listed here (TestStateConfigHashCoversEveryField fails on one), and
+// listing it moves the hash of every config: a new snapshot version, not an
+// edit.
 func st1ConfigHash(cfg Config) uint64 {
-	live := reflect.ValueOf(cfg)
-	frozen := reflect.New(st1ConfigType).Elem()
-	for i := 0; i < frozen.NumField(); i++ {
-		if f := live.FieldByName(st1ConfigType.Field(i).Name); f.IsValid() {
-			frozen.Field(i).Set(f)
-		}
+	frozen := [...]struct {
+		name  string
+		value any
+	}{
+		{"Classify", cfg.Classify.ST1()},
+		{"PossibleRangeMax", int(predict.NarrowRangeMax)},
+		{"AdjustMinWTs", int(adjustMinWTs)},
+		{"OnlineCandidateCap", int(onlineCandidateCap)},
+		{"OnlineCorrSlack", float64(onlineCorrSlack)},
+		{st1EngineTag, false},
+		{"DisableCorrelation", cfg.DisableCorrelation},
+		{"DisableOnlineCorr", cfg.DisableOnlineCorr},
+		{"DisableForgetting", cfg.DisableForgetting},
+		{"DisableAdjusting", cfg.DisableAdjusting},
 	}
-	return sim.HashConfig(frozen.Interface())
+	fields := make([]reflect.StructField, len(frozen))
+	for i, f := range frozen {
+		fields[i] = reflect.StructField{Name: f.name, Type: reflect.TypeOf(f.value)}
+	}
+	v := reflect.New(reflect.StructOf(fields)).Elem()
+	for i, f := range frozen {
+		v.Field(i).Set(reflect.ValueOf(f.value))
+	}
+	return sim.HashConfig(v.Interface())
 }
 
 // EncodeState serializes the policy's canonical state. The policy must be
@@ -271,7 +274,7 @@ func (s *SPES) RestoreState(data []byte) error {
 		}
 	}
 	if d.Bool() {
-		s.ucorr = newOnlineCorr(s.meta, s.cfg)
+		s.ucorr = newOnlineCorr(s.meta)
 		for fid := 0; fid < n; fid++ {
 			s.ucorr.lastFired[fid] = int(d.I64())
 		}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -223,15 +224,54 @@ func TestStateConfigHashCoversEveryField(t *testing.T) {
 	}
 }
 
+// TestST1ConfigHashPinned holds the blob's config hash to the values ST1
+// blobs were written under, recorded before the thresholds other than
+// θ_prewarm and θ_givenup became constants: the default config, the Fig.
+// 13(a) θ_prewarm points, the Fig. 13(b) θ_givenup scalers and each ablation
+// switch. A mismatch means a snapshot taken under that config no longer
+// restores.
+func TestST1ConfigHashPinned(t *testing.T) {
+	with := func(edit func(*Config)) Config {
+		cfg := DefaultConfig()
+		edit(&cfg)
+		return cfg
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+		want uint64
+	}{
+		{"default", DefaultConfig(), 0x8066f6f1aed971cd},
+		{"prewarm 1", with(func(c *Config) { c.Classify.ThetaPrewarm = 1 }), 0x95163acc87bb8294},
+		{"prewarm 3", with(func(c *Config) { c.Classify.ThetaPrewarm = 3 }), 0x360dbe498831437a},
+		{"prewarm 5", with(func(c *Config) { c.Classify.ThetaPrewarm = 5 }), 0xedbcf3d9ea90f7f0},
+		{"prewarm 10", with(func(c *Config) { c.Classify.ThetaPrewarm = 10 }), 0x0341021d75ec3875},
+		{"scaler 2", with(func(c *Config) { c.Classify.ThetaGivenupDense, c.Classify.ThetaGivenupOther = 10, 2 }), 0xd24956170faa4a4f},
+		{"scaler 3", with(func(c *Config) { c.Classify.ThetaGivenupDense, c.Classify.ThetaGivenupOther = 15, 3 }), 0x4a517693a0eaf589},
+		{"scaler 4", with(func(c *Config) { c.Classify.ThetaGivenupDense, c.Classify.ThetaGivenupOther = 20, 4 }), 0x568948528e60593f},
+		{"scaler 5", with(func(c *Config) { c.Classify.ThetaGivenupDense, c.Classify.ThetaGivenupOther = 25, 5 }), 0x122a00591bb2f6fd},
+		{"w/o Corr", with(func(c *Config) { c.DisableCorrelation = true }), 0xa005c6a54610bc70},
+		{"w/o Online-Corr", with(func(c *Config) { c.DisableOnlineCorr = true }), 0x8e4b8de036136414},
+		{"w/o Forgetting", with(func(c *Config) { c.DisableForgetting = true }), 0x8a0547fcd99a590c},
+		{"w/o Adjusting", with(func(c *Config) { c.DisableAdjusting = true }), 0x8066f5f1aed9701a},
+	}
+	for _, c := range cases {
+		if got := st1ConfigHash(c.cfg); got != c.want {
+			t.Errorf("%s: ST1 config hash %#016x, want %#016x", c.name, got, c.want)
+		}
+	}
+}
+
 // TestRestoreStateBoundsClaimedCounts: a count read from the blob is checked
 // against the bytes left before anything is sized by it — a 40-byte header
 // claiming 2^31 functions and an int slice claiming 2^61 entries must both be
-// refused with an error, not a multi-gigabyte allocation or a makeslice
-// panic.
+// refused by that bound, not by a multi-gigabyte allocation or a makeslice
+// panic. The header carries the default config's ST1 hash, so the blobs get
+// past the config check to the counts.
 func TestRestoreStateBoundsClaimedCounts(t *testing.T) {
 	header := func(n int64) []byte {
 		b := []byte(snapMagic)
-		b = binary.LittleEndian.AppendUint64(b, sim.HashConfig(DefaultConfig()))
+		b = binary.LittleEndian.AppendUint64(b, st1ConfigHash(DefaultConfig()))
 		b = binary.LittleEndian.AppendUint64(b, 1440) // trainSlots
 		b = binary.LittleEndian.AppendUint64(b, 0)    // lastTick
 		return binary.LittleEndian.AppendUint64(b, uint64(n))
@@ -258,9 +298,17 @@ func TestRestoreStateBoundsClaimedCounts(t *testing.T) {
 	ints = i64(ints, 1<<61)         // len(profile.Values)
 	ints = append(ints, make([]byte, 2*stateMinFuncBytes)...)
 
-	for name, blob := range map[string][]byte{"2^31 functions": huge, "2^61 ints": ints} {
-		if err := New(DefaultConfig()).RestoreState(blob); err == nil {
-			t.Errorf("%s: blob restored without error", name)
+	for _, c := range []struct {
+		name   string
+		blob   []byte
+		refuse string
+	}{
+		{"2^31 functions", huge, fmt.Sprintf("count %d × %d bytes exceeds", int64(1)<<31, stateMinFuncBytes)},
+		{"2^61 ints", ints, fmt.Sprintf("count %d × 8 bytes exceeds", int64(1)<<61)},
+	} {
+		err := New(DefaultConfig()).RestoreState(c.blob)
+		if err == nil || !strings.Contains(err.Error(), c.refuse) {
+			t.Errorf("%s: RestoreState error %v, want the count bound's %q", c.name, err, c.refuse)
 		}
 	}
 }

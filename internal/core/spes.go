@@ -71,8 +71,7 @@ type listener struct {
 type provision struct {
 	sim.LoadedSet // MemSet
 
-	cfg  Config
-	pred predict.Predictor
+	cfg Config
 
 	meta   []trace.Function
 	states []funcState // cold per-function state (profiles, online-WT history)
@@ -129,7 +128,7 @@ type SPES struct {
 }
 
 func newProvision(cfg Config) provision {
-	return provision{cfg: cfg, pred: predict.Predictor{PossibleRangeMax: cfg.PossibleRangeMax}}
+	return provision{cfg: cfg}
 }
 
 // New creates an untrained SPES policy; call Train (or let sim.Run call it)
@@ -213,7 +212,7 @@ func (s *provision) train(training *trace.Trace) {
 	}
 
 	if !s.cfg.DisableOnlineCorr {
-		s.ucorr = newOnlineCorr(s.meta, s.cfg)
+		s.ucorr = newOnlineCorr(s.meta)
 		for fid := 0; fid < n; fid++ {
 			if !s.states[fid].everTrained {
 				s.ucorr.register(trace.FuncID(fid))
@@ -359,7 +358,7 @@ func (s *SPES) idleStep(fid trace.FuncID, t int) {
 		profile := &s.states[fid].profile
 		theta := s.cfg.Classify.ThetaPrewarm
 		lastInv := int(s.lastInvoked[fid])
-		off, on := s.pred.PrewarmWindowScan(profile, lastInv, t, theta)
+		off, on := predict.PrewarmWindowScan(profile, lastInv, t, theta)
 		covered := off > t // ShouldPrewarm(t)
 		if covered || t <= int(s.preloadUntil[fid]) {
 			s.Load(fid)
@@ -379,7 +378,7 @@ func (s *SPES) idleStep(fid trace.FuncID, t int) {
 			case on == t+1:
 				// A window opening right at the floor keeps the function
 				// warm; chase its end (rare).
-				next = s.pred.NextPrewarmOff(profile, lastInv, t+1, theta)
+				next = predict.NextPrewarmOff(profile, lastInv, t+1, theta)
 			default:
 				next = floor
 			}
@@ -451,7 +450,7 @@ func (s *SPES) ensureWake(fid trace.FuncID, t int) {
 		profile := &s.states[fid].profile
 		if !s.Loaded(fid) {
 			s.scheduleWake(fid, t,
-				s.pred.NextPrewarmOn(profile, int(s.lastInvoked[fid]), t+1, theta))
+				predict.NextPrewarmOn(profile, int(s.lastInvoked[fid]), t+1, theta))
 			return
 		}
 		floor := s.evictionFloor(fid, t)
@@ -463,7 +462,7 @@ func (s *SPES) ensureWake(fid trace.FuncID, t int) {
 			// NextPrewarmOff(floor) returns floor itself when no window
 			// covers it, so this one call answers both "is a pre-warm window
 			// holding the function warm at the floor?" and "until when?".
-			next = s.pred.NextPrewarmOff(profile, int(s.lastInvoked[fid]), floor, theta)
+			next = predict.NextPrewarmOff(profile, int(s.lastInvoked[fid]), floor, theta)
 		}
 		s.scheduleWake(fid, t, next)
 	}
@@ -532,7 +531,7 @@ func (s *provision) shouldPreload(fid trace.FuncID, t int) bool {
 		if t <= int(s.preloadUntil[fid]) {
 			return true
 		}
-		return s.pred.ShouldPrewarm(&s.states[fid].profile, int(s.lastInvoked[fid]), t,
+		return predict.ShouldPrewarm(&s.states[fid].profile, int(s.lastInvoked[fid]), t,
 			s.cfg.Classify.ThetaPrewarm)
 	}
 }

@@ -176,7 +176,7 @@ func TestSPESUnknownPromotedToNewlyPossible(t *testing.T) {
 	slots := 10 * 1440
 	full := trace.NewTrace(slots)
 	// Silent in training; online it repeats a 100-slot gap enough times for
-	// promotion (AdjustMinWTs online WTs), then the next gap is predicted.
+	// promotion (adjustMinWTs online WTs), then the next gap is predicted.
 	var events []trace.Event
 	start := 6*1440 + 10
 	for i := 0; i < 12; i++ {

@@ -6,20 +6,18 @@ package predict
 
 import "repro/internal/classify"
 
-// Predictor evaluates pre-warm decisions against categorization profiles.
-// PossibleRangeMax is the threshold from Section IV-D deciding whether a
-// "possible" function's predictive values act as discrete points (wide
-// range) or as a continuous interval (narrow range).
-type Predictor struct {
-	PossibleRangeMax int
-}
+// NarrowRangeMax is Section IV-D's threshold deciding whether a "possible"
+// function's predictive values act as discrete points (wide range, spanning
+// more than NarrowRangeMax slots) or as one continuous interval (narrow
+// range).
+const NarrowRangeMax = 10
 
 // ShouldPrewarm reports whether, at time t, some predicted invocation of the
 // function falls within thetaPrewarm slots ("one of the predicted invocation
 // times falls in [t - theta, t + theta]"): whether PrewarmWindowScan finds t
 // covered.
-func (p *Predictor) ShouldPrewarm(profile *classify.Profile, lastInvoked, t, thetaPrewarm int) bool {
-	off, _ := p.PrewarmWindowScan(profile, lastInvoked, t, thetaPrewarm)
+func ShouldPrewarm(profile *classify.Profile, lastInvoked, t, thetaPrewarm int) bool {
+	off, _ := PrewarmWindowScan(profile, lastInvoked, t, thetaPrewarm)
 	return off > t
 }
 
@@ -27,7 +25,7 @@ func (p *Predictor) ShouldPrewarm(profile *classify.Profile, lastInvoked, t, the
 // windows relative to the last invocation: one point lastInvoked+v per value
 // v for the regular types; [lastInvoked+RangeLo, lastInvoked+RangeHi] for
 // dense (none when the range is inverted); for the possible types, one
-// point per value when the values span more than PossibleRangeMax slots
+// point per value when the values span more than NarrowRangeMax slots
 // (wide range) and their [min, max] interval otherwise (narrow range); none
 // for every other type. A slot is covered when some window widened by theta
 // on both sides contains it. The scan answers the event-driven provision
@@ -41,7 +39,7 @@ func (p *Predictor) ShouldPrewarm(profile *classify.Profile, lastInvoked, t, the
 // ShouldPrewarm, NextPrewarmOn and NextPrewarmOff are read off it. It runs
 // once per active function per slot inside the provision loop, so the
 // windows are enumerated with plain loops — no allocation, no closures.
-func (p *Predictor) PrewarmWindowScan(profile *classify.Profile, lastInvoked, t, theta int) (off, on int) {
+func PrewarmWindowScan(profile *classify.Profile, lastInvoked, t, theta int) (off, on int) {
 	switch profile.Type {
 	case classify.TypeRegular, classify.TypeApproRegular:
 		return scanValueWindows(profile.Values, lastInvoked, t, theta)
@@ -63,7 +61,7 @@ func (p *Predictor) PrewarmWindowScan(profile *classify.Profile, lastInvoked, t,
 				hi = v
 			}
 		}
-		if hi-lo > p.PossibleRangeMax {
+		if hi-lo > NarrowRangeMax {
 			return scanValueWindows(profile.Values, lastInvoked, t, theta)
 		}
 		return scanOneWindow(lastInvoked+lo-theta, lastInvoked+hi+theta, t)
@@ -124,8 +122,8 @@ func scanOneWindow(lo, hi, t int) (off, on int) {
 // ShouldPrewarm(profile, lastInvoked, t, theta) is true, or -1 when no
 // pre-warm window starts at or after from. The event-driven provision loop
 // uses it to schedule the wake-up that loads an idle function.
-func (p *Predictor) NextPrewarmOn(profile *classify.Profile, lastInvoked, from, theta int) int {
-	_, on := p.PrewarmWindowScan(profile, lastInvoked, from-1, theta)
+func NextPrewarmOn(profile *classify.Profile, lastInvoked, from, theta int) int {
+	_, on := PrewarmWindowScan(profile, lastInvoked, from-1, theta)
 	return on
 }
 
@@ -133,7 +131,7 @@ func (p *Predictor) NextPrewarmOn(profile *classify.Profile, lastInvoked, from, 
 // is false. Pre-warm windows are finite, so it always exists. The
 // event-driven provision loop uses it to schedule the eviction of a loaded
 // function whose predicted invocations keep it warm past its idle patience.
-func (p *Predictor) NextPrewarmOff(profile *classify.Profile, lastInvoked, from, theta int) int {
-	off, _ := p.PrewarmWindowScan(profile, lastInvoked, from, theta)
+func NextPrewarmOff(profile *classify.Profile, lastInvoked, from, theta int) int {
+	off, _ := PrewarmWindowScan(profile, lastInvoked, from, theta)
 	return off
 }

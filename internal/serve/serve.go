@@ -32,9 +32,8 @@ type Config struct {
 	Training *trace.Trace
 
 	// RetrainEvery enables online re-categorization every that many slots
-	// (0 disables); RetrainWindow defaults to the training length.
-	RetrainEvery  int
-	RetrainWindow int
+	// (0 disables), over windows of the training length.
+	RetrainEvery int
 
 	// SnapshotEvery takes a state snapshot each time that many slots have
 	// been applied since the last one (0 defaults to 1440; negative
@@ -76,9 +75,6 @@ func (c *Config) fill() {
 	}
 	if c.FS == nil {
 		c.FS = durable.OS{}
-	}
-	if c.RetrainEvery > 0 && c.RetrainWindow <= 0 && c.Training != nil {
-		c.RetrainWindow = c.Training.Slots
 	}
 }
 
@@ -273,7 +269,7 @@ func New(cfg Config) (*Server, error) {
 	dcfg := sim.DriverConfig{CollectCold: true, StartSlot: startSlot}
 	if cfg.RetrainEvery > 0 {
 		dcfg.RetrainEvery = cfg.RetrainEvery
-		dcfg.RetrainWindow = cfg.RetrainWindow
+		dcfg.RetrainWindow = cfg.Training.Slots
 		// The window is a view of the training trace and the recorded
 		// history. Only the driver calls Window — from replay here, then
 		// from the apply loop — and record appends to the history only

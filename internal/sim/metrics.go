@@ -12,7 +12,7 @@ import (
 
 // FuncMetrics aggregates one function's outcome over a simulation.
 type FuncMetrics struct {
-	Invocations int64 // slots with >= 1 invocation are counted once per slot? No: total requests
+	Invocations int64 // total requests, every invocation counted
 	InvokedSlot int64 // number of slots in which the function was invoked
 	ColdStarts  int64 // invoked slots that began with the function unloaded
 	WMTMinutes  int64 // loaded-but-idle minutes

@@ -96,7 +96,9 @@ type (
 type (
 	// Config is the full SPES parameter set, ablation switches included.
 	Config = core.Config
-	// ClassifyConfig carries the categorization thresholds of Section IV.
+	// ClassifyConfig carries θ_prewarm and the per-type θ_givenup, the
+	// thresholds the offline scoring shares with provision; every other
+	// threshold of Section IV is a constant.
 	ClassifyConfig = classify.Config
 	// FunctionType is a SPES category (regular, dense, pulsed, ...).
 	FunctionType = classify.Type
