@@ -95,8 +95,7 @@ type provision struct {
 	wtScratch [maxOnlineWTs]int
 
 	// thetaGivenupByType caches cfg.Classify.ThetaGivenup per category:
-	// the lookup sits inside evictionFloor on the Tick hot path, and calling
-	// the Config method there would copy the whole struct every time.
+	// the lookup sits inside evictionFloor on the Tick hot path.
 	thetaGivenupByType [classify.NumTypes]int
 
 	trainSlots int
